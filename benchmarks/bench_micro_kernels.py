@@ -5,7 +5,7 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 
 * incremental Eq. 3 confidence vs naive Eq. 2 recomputation;
 * upper-bound early stopping vs exhaustive argmax E[X_f];
-* difference-detector and CMDN inference throughput.
+* renderer, difference-detector and CMDN inference throughput.
 """
 
 import numpy as np
@@ -16,7 +16,12 @@ from repro.core.select_candidate import CandidateSelector
 from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
 from repro.models import FeatureMDNProxy, extract_features
-from repro.video import DifferenceDetector, TrafficVideo
+from repro.video import (
+    DashcamVideo,
+    DifferenceDetector,
+    SentimentVideo,
+    TrafficVideo,
+)
 
 from bench_util import scale_label, timed_call, write_bench_result
 
@@ -106,6 +111,26 @@ def test_select_candidate_exhaustive(benchmark, big_relation):
     picked = benchmark(run)
     _record("select_candidate_exhaustive", timed_call(run)[1])
     assert picked.size == 8
+
+
+@pytest.mark.parametrize("batch", [1, 30, 512])
+@pytest.mark.parametrize(
+    "generator", [TrafficVideo, DashcamVideo, SentimentVideo])
+def test_render_throughput(benchmark, generator, batch):
+    """µs per rendered frame, one frame / one clip / one block a call."""
+    video = generator("bench-render", 3_000, seed=4)
+    starts = range(0, 1_024, batch)
+
+    def run():
+        for start in starts:
+            video.batch_pixels(np.arange(start, start + batch))
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    per_frame = timed_call(run)[1] / (len(starts) * batch)
+    kind = generator.__name__.replace("Video", "").lower()
+    write_bench_result(
+        "micro_kernels", scale=scale_label(),
+        **{f"render_{kind}_batch{batch}_us_per_frame": per_frame * 1e6})
 
 
 def test_diff_detector_throughput(benchmark):

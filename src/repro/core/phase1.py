@@ -12,12 +12,18 @@ Steps, each charged to the cost ledger under its Table 8 column:
    distributions (``cmdn_infer``) and quantize them into x-tuples;
 5. insert the already-labelled frames as certain tuples (no oracle work
    is wasted).
+
+Steps 3 and 4 are one pass over the video: the detector renders each
+block of clips once and hands the retained rows, pixels in hand, to
+proxy inference, which still scores them in exactly the chunks a
+separate pass over the retained array would (see :class:`RowChunker`).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -26,13 +32,101 @@ from ..models.cmdn import ProxyScorer
 from ..models.mdn import GaussianMixture
 from ..models.trainer import GridResult, train_proxy_grid
 from ..oracle.base import Oracle
-from ..parallel.pool import resolve_workers, thread_map
+from ..parallel.pool import resolve_workers
 from ..video.diff import DifferenceDetector, DiffResult
 from ..video.synthetic import SyntheticVideo
 from .uncertain import UncertainRelation, build_relation
 
 #: Chunk size for proxy inference over the retained frames.
 _INFER_CHUNK = 2_048
+
+
+class RowChunker:
+    """Regroups rows that arrive in arbitrary batches into fixed chunks.
+
+    ``push(ids, pixels)`` accepts any number of rows; ``consume(number,
+    ids, pixels)`` is called with exactly ``chunk`` rows at a time (the
+    last call, from :meth:`close`, with what is left), numbered from 0.
+    Proxy inference is only bit-reproducible at fixed batch boundaries
+    (BLAS accumulation differs across batch shapes, DESIGN.md §7), so
+    whoever feeds inference from a producer with its own block size
+    goes through here. At most one chunk of rows is ever pending; every
+    chunk is handed over in a fresh buffer the consumer may keep.
+    """
+
+    def __init__(
+        self,
+        chunk: int,
+        consume: Callable[[int, np.ndarray, np.ndarray], None],
+    ):
+        self._chunk = chunk
+        self._consume = consume
+        self._ids: Optional[np.ndarray] = None
+        self._pixels: Optional[np.ndarray] = None
+        self._fill = 0
+        self._number = 0
+
+    def push(self, ids: np.ndarray, pixels: np.ndarray) -> None:
+        taken = 0
+        while taken < len(ids):
+            if self._pixels is None:
+                self._ids = np.empty(self._chunk, dtype=np.int64)
+                self._pixels = np.empty(
+                    (self._chunk,) + pixels.shape[1:], dtype=pixels.dtype)
+            take = min(len(ids) - taken, self._chunk - self._fill)
+            rows = slice(self._fill, self._fill + take)
+            self._ids[rows] = ids[taken:taken + take]
+            self._pixels[rows] = pixels[taken:taken + take]
+            self._fill += take
+            taken += take
+            if self._fill == self._chunk:
+                self.close()
+
+    def close(self) -> None:
+        """Hand over the pending rows, if any, as a (short) chunk."""
+        if self._fill:
+            ids, pixels = self._ids[:self._fill], self._pixels[:self._fill]
+            self._ids = self._pixels = None
+            self._fill = 0
+            self._number += 1
+            self._consume(self._number - 1, ids, pixels)
+
+
+class _ChunkScorer:
+    """Scores pixel chunks with the proxy and concatenates in order.
+
+    With more than one worker, chunks are scored on threads (numpy
+    releases the GIL in the dense kernels) with at most ``workers`` in
+    flight; the result is identical for every worker count.
+    """
+
+    def __init__(self, proxy: ProxyScorer, workers: Optional[int]):
+        self._proxy = proxy
+        self._workers = resolve_workers(workers)
+        self._pool = ThreadPoolExecutor(max_workers=self._workers) \
+            if self._workers > 1 else None
+        self._parts: List[Union[GaussianMixture, Future]] = []
+
+    def __enter__(self) -> "_ChunkScorer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+    def score(self, pixels: np.ndarray) -> None:
+        if self._pool is None:
+            self._parts.append(self._proxy.predict_mixtures(pixels))
+            return
+        if len(self._parts) >= self._workers:
+            self._parts[-self._workers].result()  # bounds pending pixels
+        self._parts.append(
+            self._pool.submit(self._proxy.predict_mixtures, pixels))
+
+    def mixtures(self) -> GaussianMixture:
+        return GaussianMixture.concatenate(
+            [p.result() if isinstance(p, Future) else p
+             for p in self._parts])
 
 
 def predict_mixtures_chunked(
@@ -45,27 +139,14 @@ def predict_mixtures_chunked(
 ) -> GaussianMixture:
     """Proxy inference over ``retained`` frames, chunked and parallel.
 
-    Chunks are scored independently (threads; numpy releases the GIL
-    in the dense kernels) and concatenated in order, so the result is
-    identical for every worker count.
+    The stand-alone form of step 4, for callers that hold only frame
+    ids: each chunk is rendered, then scored like :func:`run_phase1`
+    scores it.
     """
-
-    def infer(bounds) -> GaussianMixture:
-        start, stop = bounds
-        return proxy.predict_mixtures(
-            video.batch_pixels(retained[start:stop]))
-
-    spans = [(start, min(start + chunk, retained.size))
-             for start in range(0, retained.size, chunk)]
-    parts = thread_map(infer, spans, workers=resolve_workers(workers))
-    if not parts:  # pragma: no cover - empty video guard
-        empty = np.zeros((0, 1))
-        return GaussianMixture(empty, empty.copy(), empty.copy())
-    return GaussianMixture(
-        pi=np.concatenate([p.pi for p in parts]),
-        mu=np.concatenate([p.mu for p in parts]),
-        sigma=np.concatenate([p.sigma for p in parts]),
-    )
+    with _ChunkScorer(proxy, workers) as scorer:
+        for start in range(0, retained.size, chunk):
+            scorer.score(video.batch_pixels(retained[start:start + chunk]))
+        return scorer.mixtures()
 
 
 def replay_phase1_charges(
@@ -181,18 +262,21 @@ def run_phase1(
     if cost_model is not None:
         cost_model.charge("cmdn_train", grid_result.sample_epochs)
 
-    # 3. Difference detection over the whole video.
-    diff_result = DifferenceDetector(diff_config).run(video)
+    # 3 + 4. Difference detection over the whole video, its retained
+    # rows regrouped into inference chunks and scored (chunk-parallel)
+    # as the pass goes: every frame is rendered once.
+    proxy = grid_result.proxy
+    with _ChunkScorer(proxy, infer_workers) as scorer:
+        chunks = RowChunker(
+            _INFER_CHUNK, lambda number, ids, pixels: scorer.score(pixels))
+        diff_result = DifferenceDetector(diff_config).run(
+            video, on_retained=chunks.push)
+        chunks.close()
+        mixtures = scorer.mixtures()
+    retained = diff_result.retained
     if cost_model is not None:
         cost_model.charge("diff_detect", num_frames)
         cost_model.charge("decode", num_frames)
-
-    # 4. Proxy inference on the retained frames (chunk-parallel).
-    retained = diff_result.retained
-    proxy = grid_result.proxy
-    mixtures = predict_mixtures_chunked(
-        proxy, video, retained, workers=infer_workers)
-    if cost_model is not None:
         cost_model.charge("cmdn_infer", retained.size)
 
     # 5. Quantize into x-tuples; known frames become certain tuples.

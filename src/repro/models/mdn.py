@@ -14,7 +14,7 @@ relation quantizes them into x-tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -88,6 +88,18 @@ class GaussianMixture:
         """Slice batched parameters (e.g. one frame's mixture)."""
         return GaussianMixture(
             pi=self.pi[index], mu=self.mu[index], sigma=self.sigma[index])
+
+    @staticmethod
+    def concatenate(parts: Sequence["GaussianMixture"]) -> "GaussianMixture":
+        """Row-wise concatenation of batched mixtures (none: no rows)."""
+        if not parts:
+            empty = np.zeros((0, 1))
+            return GaussianMixture(empty, empty.copy(), empty.copy())
+        return GaussianMixture(
+            pi=np.concatenate([p.pi for p in parts]),
+            mu=np.concatenate([p.mu for p in parts]),
+            sigma=np.concatenate([p.sigma for p in parts]),
+        )
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

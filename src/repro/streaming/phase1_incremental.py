@@ -18,8 +18,8 @@ batch engine's guarantees verbatim:
   BLAS matmul accumulation differs across batch shapes: scoring a
   delta in a different batch than the batch engine would perturbs the
   mixtures in the last ulp and breaks bit-equivalence. 512 equals the
-  network's internal prediction batch and divides the chunk size used
-  by :func:`~repro.core.phase1.predict_mixtures_chunked`, so block
+  network's internal prediction batch and divides the chunk size
+  :func:`~repro.core.phase1.run_phase1` scores at, so block
   boundaries coincide exactly with the batch engine's sub-batches.
 * :class:`DriftTracker` audits a small oracle-labelled sample of each
   append and compares the proxy's NLL on it against the bootstrap
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from ..core.phase1 import (
     _INFER_CHUNK,
     _sample_indices,
     Phase1Result,
+    RowChunker,
     replay_phase1_charges,
 )
 from ..core.uncertain import build_relation
@@ -55,7 +56,7 @@ from ..errors import ConfigurationError
 from ..models.mdn import GaussianMixture
 from ..models.trainer import train_network, train_proxy_grid
 from ..oracle.cost import CostModel
-from ..video.diff import DiffResult, process_clip
+from ..video.diff import DifferenceDetector, DiffResult, RetainedSink
 from ..video.streaming import Segment, StreamingVideo
 
 #: Inference cache granularity. Must equal the internal prediction
@@ -168,9 +169,13 @@ class IncrementalDiff:
         self.retained_mask = np.zeros(0, dtype=bool)
         self.processed = 0
 
-    def extend(self, video: StreamingVideo, watermark: int) -> int:
+    def extend(
+        self,
+        video: StreamingVideo,
+        watermark: int,
+        on_retained: Optional[RetainedSink] = None,
+    ) -> int:
         c = self.config.clip_size
-        threshold = self.config.mse_threshold
         if watermark < self.processed:
             raise ConfigurationError("watermark cannot move backwards")
         grow = watermark - self.representative.size
@@ -182,12 +187,9 @@ class IncrementalDiff:
         # Reprocess from the start of the clip containing the old
         # watermark: that clip was provisional (its anchor can move).
         start = self.processed - self.processed % c
-        for s in range(start, watermark, c):
-            indices = np.arange(s, min(s + c, watermark), dtype=np.int64)
-            keep = process_clip(video, indices, threshold)
-            self.retained_mask[indices] = keep
-            self.representative[indices] = np.where(
-                keep, indices, indices[len(indices) // 2])
+        DifferenceDetector(self.config).scan(
+            video, start, watermark, self.retained_mask,
+            self.representative, on_retained)
         self.processed = watermark
         return start
 
@@ -215,6 +217,31 @@ class BlockInferenceCache:
     def clear(self) -> None:
         self._blocks.clear()
 
+    def block(
+        self,
+        b: int,
+        ids: np.ndarray,
+        proxy,
+        pixels_of: Callable[[np.ndarray], np.ndarray],
+        stats: Optional[StreamingStats] = None,
+    ) -> GaussianMixture:
+        """Mixtures of block ``b`` holding frames ``ids``.
+
+        A hit when the slot's frame-id contents match; otherwise
+        inferred from ``pixels_of(ids)`` — ``video.batch_pixels``, or
+        the pixels themselves when a pass already has them in hand —
+        and cached.
+        """
+        key = ids.tobytes()
+        cached = self._blocks.get(b)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        mixture = proxy.predict_mixtures(pixels_of(ids))
+        self._blocks[b] = (key, mixture)
+        if stats is not None:
+            stats.fresh_inferred_frames += int(ids.size)
+        return mixture
+
     def mixtures_for(
         self,
         proxy,
@@ -223,35 +250,20 @@ class BlockInferenceCache:
         stats: Optional[StreamingStats] = None,
     ) -> GaussianMixture:
         retained = np.asarray(retained, dtype=np.int64)
-        if retained.size == 0:  # pragma: no cover - empty video guard
-            empty = np.zeros((0, 1))
-            return GaussianMixture(empty, empty.copy(), empty.copy())
         num_blocks = -(-retained.size // INFER_BLOCK)
         parts: List[GaussianMixture] = []
         for b in range(num_blocks):
             ids = retained[b * INFER_BLOCK:(b + 1) * INFER_BLOCK]
-            key = ids.tobytes()
-            cached = self._blocks.get(b)
-            if cached is None or cached[0] != key:
-                mixture = proxy.predict_mixtures(video.batch_pixels(ids))
-                self._blocks[b] = (key, mixture)
-                if stats is not None:
-                    stats.fresh_inferred_frames += int(ids.size)
-            else:
-                mixture = cached[1]
             # Use the locally validated mixture, never a re-read: a
             # sibling session sharing this cache at a different
             # watermark may have replaced the slot in the meantime.
-            parts.append(mixture)
+            parts.append(
+                self.block(b, ids, proxy, video.batch_pixels, stats))
         for b in [b for b in self._blocks if b >= num_blocks]:
             # pop, not del: a service-shared cache may see a sibling
             # session trim the same stale block concurrently.
             self._blocks.pop(b, None)
-        return GaussianMixture(
-            pi=np.concatenate([p.pi for p in parts]),
-            mu=np.concatenate([p.mu for p in parts]),
-            sigma=np.concatenate([p.sigma for p in parts]),
-        )
+        return GaussianMixture.concatenate(parts)
 
 
 class DriftTracker:
@@ -428,8 +440,17 @@ class IncrementalPhase1:
             min_samples=self.streaming.min_audit_for_drift,
         )
 
-        # 3 + 4 + 5 run inside rebuild_entry (diff, inference, relation).
-        self.diff.extend(video, num_frames)
+        # 3 + 4. One pass, as in run_phase1: the detector renders each
+        # block of clips once and the retained rows go, pixels in hand,
+        # to the block cache INFER_BLOCK rows at a time (a block a
+        # sibling session already cached is a hit and is not
+        # re-inferred). 5 runs inside rebuild_entry, on cache hits.
+        blocks = RowChunker(
+            INFER_BLOCK,
+            lambda b, ids, pixels: self.blocks.block(
+                b, ids, self.proxy, lambda _: pixels, self.stats))
+        self.diff.extend(video, num_frames, on_retained=blocks.push)
+        blocks.close()
         return self.rebuild_entry()
 
     # ------------------------------------------------------------------

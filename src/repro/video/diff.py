@@ -17,7 +17,7 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -67,8 +67,21 @@ class DiffResult:
         return np.split(np.arange(self.num_frames), change)
 
 
+#: Frames the detector renders per ``batch_pixels`` call (rounded down
+#: to whole clips): large enough to amortise the call, small enough
+#: that a block of float32 pixels stays around a megabyte.
+_SCAN_BLOCK = 512
+
+#: ``on_retained(ids, pixels)``: receives, block by block and in frame
+#: order, the retained frame ids and their float32 pixels.
+RetainedSink = Callable[[np.ndarray, np.ndarray], None]
+
+
 def process_clip(
-    video: SyntheticVideo, indices: np.ndarray, threshold: float
+    video: SyntheticVideo,
+    indices: np.ndarray,
+    threshold: float,
+    pixels: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Keep mask for one clip: MSE against the middle-frame anchor.
 
@@ -77,8 +90,13 @@ def process_clip(
     .IncrementalDiff` — their bit-equality contract is structural, not
     a convention between two copies. A clip's decisions depend only on
     its own frames, which is what makes incremental maintenance exact.
+    ``pixels`` are the clip's already-rendered float32 frames (what
+    ``video.batch_pixels(indices)`` returns); omitted, they are
+    rendered here.
     """
-    pixels = video.batch_pixels(indices).astype(np.float64)
+    if pixels is None:
+        pixels = video.batch_pixels(indices)
+    pixels = pixels.astype(np.float64)
     mid = len(indices) // 2
     anchor = pixels[mid]
     errors = np.mean((pixels - anchor[None, :, :]) ** 2, axis=(1, 2))
@@ -98,32 +116,55 @@ class DifferenceDetector:
         diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
         return float(np.mean(diff * diff))
 
-    def _clip_bounds(self, num_frames: int) -> List[range]:
-        c = self.config.clip_size
-        return [range(s, min(s + c, num_frames)) for s in range(0, num_frames, c)]
+    def scan(
+        self,
+        video: SyntheticVideo,
+        start: int,
+        stop: int,
+        retained_mask: np.ndarray,
+        representative: np.ndarray,
+        on_retained: Optional[RetainedSink] = None,
+    ) -> None:
+        """Decide frames ``[start, stop)`` clip by clip, in place.
 
-    def run(self, video: SyntheticVideo) -> DiffResult:
-        """Detect near-duplicate frames across the whole video.
-
-        Each clip is processed independently (the paper runs clips in
-        parallel; the computation is identical either way and this
-        implementation is vectorized within a clip).
+        ``start`` must be clip-aligned. Every frame is rendered exactly
+        once, a block of whole clips per ``batch_pixels`` call; each
+        clip is decided by :func:`process_clip` (the paper runs clips
+        in parallel; the computation is identical either way) and the
+        decisions are written into ``retained_mask`` /
+        ``representative``. ``on_retained`` is handed each block's
+        retained rows while their pixels are still in hand, so a
+        consumer (proxy inference) need not render them again.
         """
+        c = self.config.clip_size
+        threshold = self.config.mse_threshold
+        block = max(1, _SCAN_BLOCK // c) * c
+        for lo in range(start, stop, block):
+            indices = np.arange(lo, min(lo + block, stop), dtype=np.int64)
+            pixels = video.batch_pixels(indices)
+            for s in range(0, indices.size, c):
+                clip = indices[s:s + c]
+                keep = process_clip(video, clip, threshold, pixels[s:s + c])
+                retained_mask[clip] = keep
+                representative[clip] = np.where(
+                    keep, clip, clip[len(clip) // 2])
+            if on_retained is not None:
+                kept = retained_mask[indices]
+                on_retained(indices[kept], pixels[kept])
+
+    def run(
+        self,
+        video: SyntheticVideo,
+        on_retained: Optional[RetainedSink] = None,
+    ) -> DiffResult:
+        """Detect near-duplicate frames across the whole video."""
         num_frames = len(video)
         representative = np.empty(num_frames, dtype=np.int64)
         retained_mask = np.zeros(num_frames, dtype=bool)
-        threshold = self.config.mse_threshold
-
-        for clip in self._clip_bounds(num_frames):
-            indices = np.asarray(clip, dtype=np.int64)
-            middle = int(indices[len(indices) // 2])
-            keep = process_clip(video, indices, threshold)
-            retained_mask[indices[keep]] = True
-            representative[indices] = np.where(keep, indices, middle)
-
-        retained = np.flatnonzero(retained_mask)
+        self.scan(video, 0, num_frames, retained_mask, representative,
+                  on_retained)
         return DiffResult(
-            retained=retained,
+            retained=np.flatnonzero(retained_mask),
             representative=representative,
             num_frames=num_frames,
         )

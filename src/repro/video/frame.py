@@ -9,7 +9,7 @@ reads it directly; it must pay the simulated oracle cost to observe it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,9 +52,14 @@ class BoundingBox:
         return inter / union
 
 
-@dataclass(frozen=True)
 class Frame:
     """One video frame: pixels plus simulator ground truth.
+
+    Pixels are *lazy*: a frame handed out by a video holds the video
+    and renders itself on the first read of :attr:`pixels` (then keeps
+    the array), so labelling and confirming frames whose UDF only reads
+    annotations renders nothing. The array read is exactly
+    ``video.pixels(index)``.
 
     Attributes
     ----------
@@ -71,17 +76,51 @@ class Frame:
         Ground-truth bounding boxes for the objects present.
     """
 
-    index: int
-    pixels: np.ndarray
-    timestamp: float = 0.0
-    truth: Dict[str, float] = field(default_factory=dict)
-    objects: List[BoundingBox] = field(default_factory=list)
+    __slots__ = ("index", "timestamp", "truth", "objects",
+                 "_pixels", "_video")
+
+    def __init__(
+        self,
+        index: int,
+        pixels: Optional[np.ndarray] = None,
+        timestamp: float = 0.0,
+        truth: Optional[Dict[str, float]] = None,
+        objects: Optional[List[BoundingBox]] = None,
+        *,
+        video=None,
+    ):
+        if pixels is None and video is None:
+            raise ValueError("a Frame needs pixels or the video to "
+                             "render them from")
+        self.index = index
+        self.timestamp = timestamp
+        self.truth = {} if truth is None else truth
+        self.objects = [] if objects is None else objects
+        self._pixels = pixels
+        self._video = video
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            self._pixels = self._video.pixels(self.index)
+        return self._pixels
 
     @property
     def resolution(self) -> Tuple[int, int]:
         """The ``(height, width)`` of the pixel array."""
-        return (int(self.pixels.shape[0]), int(self.pixels.shape[1]))
+        if self._pixels is None:
+            return tuple(self._video.resolution)
+        return (int(self._pixels.shape[0]), int(self._pixels.shape[1]))
 
     def truth_value(self, key: str) -> float:
         """Return a ground-truth signal, raising ``KeyError`` if absent."""
         return self.truth[key]
+
+    def __reduce__(self):
+        # A pickled frame carries its pixels, not the video behind them.
+        return (Frame, (self.index, self.pixels, self.timestamp,
+                        self.truth, self.objects))
+
+    def __repr__(self) -> str:
+        return (f"Frame(index={self.index}, timestamp={self.timestamp}, "
+                f"truth={self.truth})")

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from ..errors import ConfigurationError, VideoError
 from .frame import BoundingBox, Frame
-from .synthetic import SyntheticVideo
+from .synthetic import SyntheticVideo, check_indices
 
 
 def window_frames_for(seconds: float, fps: float) -> int:
@@ -169,25 +169,15 @@ class StreamingVideo(SyntheticVideo):
     def objects(self, index: int) -> List[BoundingBox]:
         return self.source.objects(self._check_index(index))
 
-    def _render(self, index: int) -> np.ndarray:  # pragma: no cover
-        return self.source._render(index)
-
-    def _truth(self, index: int) -> dict:
-        return self.source._truth(index)
+    def _signal(self) -> np.ndarray:
+        return self.source._signal()[:self.num_frames]
 
     def _objects(self, index: int) -> List[BoundingBox]:
         return self.source._objects(index)
 
-    def truth_array(self, key: Optional[str] = None) -> np.ndarray:
-        key = key or self.signal_key
-        return np.asarray(
-            [self.source._truth(i)[key] for i in range(self.num_frames)],
-            dtype=np.float64,
-        )
-
     def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
-        indices = [self._check_index(i) for i in indices]
-        return self.source.batch_pixels(indices)
+        return self.source.batch_pixels(
+            check_indices(indices, self.num_frames))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "sealed" if self.sealed else "live"

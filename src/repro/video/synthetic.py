@@ -16,11 +16,21 @@ access, no decode order constraint) from a per-video latent process
 generated eagerly at construction. All randomness derives from the
 constructor ``seed``; rendering frame ``i`` twice yields identical
 pixels.
+
+Rendering is batched: a generator computes the noiseless scenes of a
+whole index array at once (:meth:`SyntheticVideo._scenes`), and the
+sensor noise of frame ``i`` always comes from its own stream
+``default_rng((seed, i, 0x5EED))``. Every operation is elementwise per
+frame and applied in one fixed order, so ``batch_pixels(ids)`` is
+bit-identical to stacking ``pixels(i)`` for any batch composition —
+``pixels(i)`` *is* the batch of one. ``tests/reference_render.py``
+keeps the original one-frame-at-a-time renderer as the reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import signal as _signal
@@ -84,12 +94,31 @@ class ObjectCountProcess:
         return int(self.counts[index])
 
 
+def check_indices(indices: Iterable[int], num_frames: int) -> np.ndarray:
+    """``indices`` as an int64 array (order and duplicates kept),
+    raising :class:`FrameIndexError` on the first one out of range."""
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    bad = (indices < 0) | (indices >= num_frames)
+    if bad.any():
+        raise FrameIndexError(int(indices[bad][0]), num_frames)
+    return indices
+
+
+#: Frames rendered per pass of :meth:`SyntheticVideo.batch_pixels`;
+#: sized so a block's float64 temporaries (0.6 MB each at 24x24) stay
+#: cache-resident, whatever the size of the batch.
+_RENDER_BLOCK = 128
+
+
 class SyntheticVideo:
     """Base class: a fixed-length, randomly accessible synthetic video.
 
-    Subclasses implement :meth:`_render` (latent state -> pixels) and
-    :meth:`_truth` (latent state -> ground-truth dict), and expose a
-    :attr:`signal_key` naming the scalar an oracle would extract.
+    Subclasses implement :meth:`_scenes` (latent state -> noiseless
+    pixels, a batch at a time) and :meth:`_signal` (the per-frame
+    latent array an oracle's score is read from), and name that scalar
+    in :attr:`signal_key`.
     """
 
     #: Name of the primary ground-truth signal (e.g. ``"count"``).
@@ -128,13 +157,22 @@ class SyntheticVideo:
     # ------------------------------------------------------------------
     # Subclass interface
     # ------------------------------------------------------------------
-    def _render(self, index: int) -> np.ndarray:
-        """Return the noiseless scene for frame ``index``."""
+    def _scenes(self, indices: np.ndarray) -> np.ndarray:
+        """Noiseless scenes of ``indices`` as ``(N, H, W)`` float64.
+
+        Must be elementwise per frame (frame ``i``'s scene may not
+        depend on which other frames share the batch) and return a
+        fresh array the caller may overwrite.
+        """
+        raise NotImplementedError
+
+    def _signal(self) -> np.ndarray:
+        """The per-frame latent array behind :attr:`signal_key`."""
         raise NotImplementedError
 
     def _truth(self, index: int) -> dict:
         """Return the ground-truth signal dict for frame ``index``."""
-        raise NotImplementedError
+        return {self.signal_key: float(self._signal()[index])}
 
     def _objects(self, index: int) -> List[BoundingBox]:
         """Return ground-truth boxes; default none."""
@@ -156,28 +194,38 @@ class SyntheticVideo:
             raise FrameIndexError(index, self.num_frames)
         return index
 
+    def _render(self, indices: np.ndarray) -> np.ndarray:
+        """Scenes plus per-frame sensor noise, clipped to ``[0, 1]``."""
+        frames = self._scenes(indices)
+        shape = frames.shape[1:]
+        for frame, index in zip(frames, indices.tolist()):
+            noise_rng = np.random.default_rng((self.seed, index, 0x5EED))
+            frame += noise_rng.normal(0.0, self.noise_level, shape)
+        return np.clip(frames, 0.0, 1.0, out=frames)
+
     def pixels(self, index: int) -> np.ndarray:
         """Render frame ``index`` as a ``(H, W)`` float array in [0, 1]."""
-        index = self._check_index(index)
-        scene = self._render(index)
-        noise_rng = np.random.default_rng((self.seed, index, 0x5EED))
-        noisy = scene + noise_rng.normal(0.0, self.noise_level, scene.shape)
-        return np.clip(noisy, 0.0, 1.0)
+        return self._render(np.array([self._check_index(index)]))[0]
 
     def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
-        """Render several frames into an ``(N, H, W)`` float32 array."""
-        frames = [self.pixels(i) for i in indices]
-        if not frames:
-            height, width = self.resolution
-            return np.zeros((0, height, width), dtype=np.float32)
-        return np.stack(frames).astype(np.float32)
+        """Render several frames into an ``(N, H, W)`` float32 array.
+
+        Row ``r`` holds exactly ``pixels(indices[r])`` (duplicates and
+        arbitrary order allowed), rounded to float32.
+        """
+        indices = check_indices(indices, self.num_frames)
+        out = np.empty((indices.size,) + self.resolution, dtype=np.float32)
+        for start in range(0, indices.size, _RENDER_BLOCK):
+            block = slice(start, start + _RENDER_BLOCK)
+            out[block] = self._render(indices[block])
+        return out
 
     def frame(self, index: int) -> Frame:
-        """Return the full :class:`Frame` (pixels + ground truth)."""
+        """Return the full :class:`Frame` (lazy pixels + ground truth)."""
         index = self._check_index(index)
         return Frame(
             index=index,
-            pixels=self.pixels(index),
+            video=self,
             timestamp=index / self.fps,
             truth=self._truth(index),
             objects=self._objects(index),
@@ -197,23 +245,83 @@ class SyntheticVideo:
         pipeline must access ground truth through an oracle so that the
         cost model charges for it.
         """
-        key = key or self.signal_key
-        return np.asarray(
-            [self._truth(i)[key] for i in range(self.num_frames)],
-            dtype=np.float64,
-        )
+        if key is not None and key != self.signal_key:
+            raise KeyError(key)
+        return np.array(self._signal(), dtype=np.float64)
 
     @property
     def duration_seconds(self) -> float:
         return self.num_frames / self.fps
 
 
-def _blob(grid, cx: float, cy: float, sigma: float, amplitude: float):
-    """A Gaussian intensity blob centred at ``(cx, cy)``."""
+def _radius2(grid, cx, cy) -> np.ndarray:
+    """Squared distance of every pixel from the centre ``(cx, cy)``.
+
+    Scalar centres give ``(H, W)``; centres shaped ``(N, 1, 1)`` give
+    one plane per centre, ``(N, H, W)``. The squares are taken on one
+    row of ``xx`` and one column of ``yy`` (the grid is separable) and
+    only their sum is full-size.
+    """
     yy, xx = grid
-    return amplitude * np.exp(
-        -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma * sigma)
-    )
+    return (xx[:1, :] - cx) ** 2 + (yy[:, :1] - cy) ** 2
+
+
+def _blobs(radius2: np.ndarray, sigma, amplitude) -> np.ndarray:
+    """Gaussian intensity blobs of width ``sigma`` over ``radius2``."""
+    blobs = -radius2 / (2.0 * sigma * sigma)
+    np.exp(blobs, out=blobs)
+    blobs *= amplitude
+    return blobs
+
+
+@dataclass(frozen=True)
+class _Slots:
+    """Trajectory and contrast parameters of one object population.
+
+    Objects drift across the scene on low-frequency Lissajous paths,
+    giving smooth inter-frame motion (essential for the difference
+    detector). Slot ``j`` of the population is visible in frame ``t``
+    iff ``j < counts[t]``.
+    """
+
+    counts: np.ndarray
+    label: str
+    speed_x: np.ndarray
+    speed_y: np.ndarray
+    phase_x: np.ndarray
+    phase_y: np.ndarray
+    amplitude: np.ndarray
+    contrast: np.ndarray
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, counts: np.ndarray,
+             label: str, num_slots: int, fps: float) -> "_Slots":
+        return cls(
+            counts=counts,
+            label=label,
+            speed_x=rng.uniform(0.02, 0.12, num_slots) / fps,
+            speed_y=rng.uniform(0.02, 0.12, num_slots) / fps,
+            phase_x=rng.uniform(0.0, 2 * np.pi, num_slots),
+            phase_y=rng.uniform(0.0, 2 * np.pi, num_slots),
+            amplitude=rng.uniform(0.55, 0.85, num_slots),
+            contrast=rng.uniform(0.30, 0.70, num_slots),
+        )
+
+    def centres(self, indices: np.ndarray, width: int, height: int):
+        """``(cx, cy)``, each ``(N, slots)``: every slot's centre at
+        every frame of ``indices``."""
+        t = indices.astype(np.float64)[:, None]
+        cx = width * 0.5 * (
+            1.0
+            + self.amplitude
+            * np.sin(2 * np.pi * self.speed_x * t + self.phase_x)
+        )
+        cy = height * 0.5 * (
+            1.0
+            + self.amplitude
+            * np.sin(2 * np.pi * self.speed_y * t + self.phase_y)
+        )
+        return cx, cy
 
 
 class TrafficVideo(SyntheticVideo):
@@ -273,21 +381,13 @@ class TrafficVideo(SyntheticVideo):
         self.count_process = count_process
         self.counts = count_process.counts
 
-        max_objects = count_process.max_objects
         rng = np.random.default_rng((seed, 0xB10B))
         height, width = self.resolution
-        # Per-slot trajectory parameters: objects drift across the scene
-        # on low-frequency Lissajous paths, giving smooth inter-frame
-        # motion (essential for the difference detector).
-        self._speed_x = rng.uniform(0.02, 0.12, max_objects) / fps
-        self._speed_y = rng.uniform(0.02, 0.12, max_objects) / fps
-        self._phase_x = rng.uniform(0.0, 2 * np.pi, max_objects)
-        self._phase_y = rng.uniform(0.0, 2 * np.pi, max_objects)
-        self._amplitude = rng.uniform(0.55, 0.85, max_objects)
-        self._contrast = rng.uniform(0.30, 0.70, max_objects)
+        #: Rendered populations, in accumulation order: the counted
+        #: objects, then (optionally) the distractors.
+        self._populations = [_Slots.draw(
+            rng, self.counts, object_label, count_process.max_objects, fps)]
         self._sigma = max(1.2, min(height, width) / 14.0)
-        self._width = width
-        self._height = height
 
         # Illumination drift: slow sinusoid plus an OU wobble.
         drift_period = max(600.0, num_frames / 4.0)
@@ -311,92 +411,52 @@ class TrafficVideo(SyntheticVideo):
                 seed=seed ^ 0xD157,
             )
             self.distractor_counts = distractors.counts
-            m = distractors.max_objects
-            drng = np.random.default_rng((seed, 0xD157))
-            self._d_speed_x = drng.uniform(0.02, 0.12, m) / fps
-            self._d_speed_y = drng.uniform(0.02, 0.12, m) / fps
-            self._d_phase_x = drng.uniform(0.0, 2 * np.pi, m)
-            self._d_phase_y = drng.uniform(0.0, 2 * np.pi, m)
-            self._d_amplitude = drng.uniform(0.55, 0.85, m)
-            self._d_contrast = drng.uniform(0.30, 0.70, m)
+            self._populations.append(_Slots.draw(
+                np.random.default_rng((seed, 0xD157)),
+                self.distractor_counts,
+                "person" if object_label != "person" else "car",
+                distractors.max_objects, fps))
         else:
             self.distractor_counts = np.zeros(num_frames, dtype=np.int64)
 
-    def _positions(self, index: int, active: int) -> np.ndarray:
-        """Centres of the ``active`` visible objects at frame ``index``."""
-        j = np.arange(active)
-        cx = self._width * 0.5 * (
-            1.0
-            + self._amplitude[j]
-            * np.sin(2 * np.pi * self._speed_x[j] * index + self._phase_x[j])
-        )
-        cy = self._height * 0.5 * (
-            1.0
-            + self._amplitude[j]
-            * np.sin(2 * np.pi * self._speed_y[j] * index + self._phase_y[j])
-        )
-        return np.stack([cx, cy], axis=1)
+    def _scenes(self, indices: np.ndarray) -> np.ndarray:
+        height, width = self.resolution
+        scenes = self._background \
+            + self._illumination[indices][:, None, None]
+        for slots in self._populations:
+            active = slots.counts[indices]
+            cx, cy = slots.centres(indices, width, height)
+            # Slot by slot, so every frame accumulates its blobs in slot
+            # order — float addition is not associative, and this order
+            # is what the pixels are pinned to.
+            for j in range(int(active.max(initial=0))):
+                rows = np.flatnonzero(active > j)
+                centre = (rows, j, None, None)
+                scenes[rows] += _blobs(
+                    _radius2(self._grid, cx[centre], cy[centre]),
+                    self._sigma, slots.contrast[j])
+        return scenes
 
-    def _distractor_positions(self, index: int, active: int) -> np.ndarray:
-        j = np.arange(active)
-        cx = self._width * 0.5 * (
-            1.0
-            + self._d_amplitude[j]
-            * np.sin(2 * np.pi * self._d_speed_x[j] * index
-                     + self._d_phase_x[j])
-        )
-        cy = self._height * 0.5 * (
-            1.0
-            + self._d_amplitude[j]
-            * np.sin(2 * np.pi * self._d_speed_y[j] * index
-                     + self._d_phase_y[j])
-        )
-        return np.stack([cx, cy], axis=1)
-
-    def _render(self, index: int) -> np.ndarray:
-        scene = self._background + self._illumination[index]
-        active = int(self.counts[index])
-        if active:
-            for j, (cx, cy) in enumerate(self._positions(index, active)):
-                scene = scene + _blob(
-                    self._grid, cx, cy, self._sigma, self._contrast[j])
-        n_distract = int(self.distractor_counts[index])
-        if n_distract:
-            positions = self._distractor_positions(index, n_distract)
-            for j, (cx, cy) in enumerate(positions):
-                scene = scene + _blob(
-                    self._grid, cx, cy, self._sigma, self._d_contrast[j])
-        return scene
-
-    def _truth(self, index: int) -> dict:
-        return {"count": float(self.counts[index])}
+    def _signal(self) -> np.ndarray:
+        return self.counts
 
     def _objects(self, index: int) -> List[BoundingBox]:
-        active = int(self.counts[index])
+        height, width = self.resolution
         radius = 2.0 * self._sigma
-        boxes = [
-            BoundingBox(
-                x=float(cx - radius),
-                y=float(cy - radius),
-                width=float(2 * radius),
-                height=float(2 * radius),
-                label=self.object_label,
-            )
-            for cx, cy in self._positions(index, active)
-        ]
-        n_distract = int(self.distractor_counts[index])
-        if n_distract:
-            distractor_label = "person" if self.object_label != "person" \
-                else "car"
+        at = np.array([index])
+        boxes = []
+        for slots in self._populations:
+            cx, cy = slots.centres(at, width, height)
+            active = int(slots.counts[index])
             boxes.extend(
                 BoundingBox(
-                    x=float(cx - radius),
-                    y=float(cy - radius),
+                    x=float(x - radius),
+                    y=float(y - radius),
                     width=float(2 * radius),
                     height=float(2 * radius),
-                    label=distractor_label,
+                    label=slots.label,
                 )
-                for cx, cy in self._distractor_positions(index, n_distract)
+                for x, y in zip(cx[0, :active], cy[0, :active])
             )
         return boxes
 
@@ -482,28 +542,29 @@ class DashcamVideo(SyntheticVideo):
         self.min_distance = min_distance
         self.max_distance = max_distance
         height, width_px = self.resolution
-        self._cx = width_px / 2.0
-        self._cy = height * 0.6
+        # Squared distance of every pixel from the vehicle's centre.
+        self._vehicle_r2 = _radius2(
+            self._grid, width_px / 2.0, height * 0.6)
         # Scrolling road/scenery texture: dashcam footage is never
         # static, so consecutive frames genuinely differ and the
         # difference detector keeps per-frame resolution.
         self._scroll_speed = 0.8  # pixels per frame
         self._texture_period = max(4.0, height / 4.0)
 
-    def _render(self, index: int) -> np.ndarray:
-        scene = self._background.copy()
+    def _scenes(self, indices: np.ndarray) -> np.ndarray:
         yy, _ = self._grid
+        t = indices.astype(np.float64)[:, None, None]
         phase = 2 * np.pi * (
-            yy + self._scroll_speed * index) / self._texture_period
-        scene = scene + 0.05 * np.sin(phase)
-        distance = float(self.distances[index])
+            yy + self._scroll_speed * t) / self._texture_period
+        scenes = self._background + 0.05 * np.sin(phase)
         # Apparent size scales inversely with distance.
-        sigma = max(0.8, 18.0 / distance) * min(self.resolution) / 24.0
-        scene = scene + _blob(self._grid, self._cx, self._cy, sigma, 0.7)
-        return scene
+        sigma = np.maximum(0.8, 18.0 / self.distances[indices]) \
+            * min(self.resolution) / 24.0
+        scenes += _blobs(self._vehicle_r2, sigma[:, None, None], 0.7)
+        return scenes
 
-    def _truth(self, index: int) -> dict:
-        return {"distance": float(self.distances[index])}
+    def _signal(self) -> np.ndarray:
+        return self.distances
 
     def true_distance(self, index: int) -> float:
         return float(self.distances[self._check_index(index)])
@@ -546,17 +607,17 @@ class SentimentVideo(SyntheticVideo):
         )
         self.happiness = 1.0 / (1.0 + np.exp(-latent))
         height, width = self.resolution
-        self._pattern = _blob(
-            self._grid, width * 0.5, height * 0.4,
+        self._pattern = _blobs(
+            _radius2(self._grid, width * 0.5, height * 0.4),
             max(1.5, min(height, width) / 8.0), 1.0,
         )
 
-    def _render(self, index: int) -> np.ndarray:
-        h = float(self.happiness[index])
+    def _scenes(self, indices: np.ndarray) -> np.ndarray:
+        h = self.happiness[indices][:, None, None]
         return self._background + 0.25 * h + 0.4 * h * self._pattern
 
-    def _truth(self, index: int) -> dict:
-        return {"happiness": float(self.happiness[index])}
+    def _signal(self) -> np.ndarray:
+        return self.happiness
 
     def true_happiness(self, index: int) -> float:
         return float(self.happiness[self._check_index(index)])

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, FrameIndexError
 from .frame import BoundingBox, Frame
+from .synthetic import check_indices
 
 
 class VideoSlice:
@@ -69,7 +70,7 @@ class VideoSlice:
 
     def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
         return self.parent.batch_pixels(
-            [self._check_index(i) for i in indices])
+            self.start + check_indices(indices, len(self)))
 
     def frame(self, index: int) -> Frame:
         return self.parent.frame(self._check_index(index))
@@ -149,11 +150,18 @@ class ConcatVideo:
         return self.members[member].pixels(local)
 
     def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
-        frames = [self.pixels(i) for i in indices]
-        if not frames:
-            height, width = self.resolution
-            return np.zeros((0, height, width), dtype=np.float32)
-        return np.stack(frames).astype(np.float32)
+        """One ``batch_pixels`` call per member touched, scattered back
+        into request order (duplicates and arbitrary order allowed)."""
+        indices = check_indices(indices, len(self))
+        offsets = self.offsets()
+        owner = np.searchsorted(offsets, indices, side="right") - 1
+        out = np.empty((indices.size,) + tuple(self.resolution),
+                       dtype=np.float32)
+        for member in np.unique(owner):
+            rows = np.flatnonzero(owner == member)
+            out[rows] = self.members[member].batch_pixels(
+                indices[rows] - offsets[member])
+        return out
 
     def frame(self, index: int) -> Frame:
         member, local = self.locate(index)

@@ -41,22 +41,6 @@ from .view import WindowedVideo
 __all__ = ["WindowedBlockCache", "WindowedIncrementalPhase1"]
 
 
-def _empty_mixture() -> GaussianMixture:
-    empty = np.zeros((0, 1))
-    return GaussianMixture(empty, empty.copy(), empty.copy())
-
-
-def _slice_mixture(parts: List[GaussianMixture], offset: int) \
-        -> GaussianMixture:
-    if not parts:
-        return _empty_mixture()
-    return GaussianMixture(
-        pi=np.concatenate([p.pi for p in parts])[offset:],
-        mu=np.concatenate([p.mu for p in parts])[offset:],
-        sigma=np.concatenate([p.sigma for p in parts])[offset:],
-    )
-
-
 class WindowedBlockCache(BlockInferenceCache):
     """A block cache that evicts expired blocks but keeps their tops.
 
@@ -101,7 +85,7 @@ class WindowedBlockCache(BlockInferenceCache):
         """
         retained = np.asarray(retained, dtype=np.int64)
         if retained.size == 0:  # pragma: no cover - empty video guard
-            return _empty_mixture(), None
+            return GaussianMixture.concatenate([]), None
         num_blocks = -(-retained.size // INFER_BLOCK)
         first_block = cut // INFER_BLOCK
         parts: List[GaussianMixture] = []
@@ -111,26 +95,20 @@ class WindowedBlockCache(BlockInferenceCache):
             key = ids.tobytes()
             mixture: Optional[GaussianMixture] = None
             if b >= first_block:
-                cached = self._blocks.get(b)
-                if cached is None or cached[0] != key:
-                    mixture = proxy.predict_mixtures(video.batch_pixels(ids))
-                    self._blocks[b] = (key, mixture)
-                    if stats is not None:
-                        stats.fresh_inferred_frames += int(ids.size)
-                else:
-                    mixture = cached[1]
+                mixture = self.block(b, ids, proxy, video.batch_pixels, stats)
                 parts.append(mixture)
             cached_top = self._tops.get(b)
             if cached_top is not None and cached_top[0] == key:
                 block_top = cached_top[1]
             else:
                 if mixture is None:
-                    # An expired block whose contents changed (or were
-                    # never seen): one O(block) re-inference heals the
-                    # top, and the mixture is dropped immediately.
-                    mixture = proxy.predict_mixtures(video.batch_pixels(ids))
-                    if stats is not None:
-                        stats.fresh_inferred_frames += int(ids.size)
+                    # An expired block without a top: primed by the
+                    # bootstrap pass (a hit), or its contents changed
+                    # or were never seen (one O(block) re-inference
+                    # heals the top). Either way the mixture is
+                    # retracted again below.
+                    mixture = self.block(
+                        b, ids, proxy, video.batch_pixels, stats)
                 block_top = float(
                     np.max(mixture.mu + truncate_sigmas * mixture.sigma))
                 self._tops[b] = (key, block_top)
@@ -143,7 +121,9 @@ class WindowedBlockCache(BlockInferenceCache):
         for b in [b for b in self._tops if b >= num_blocks]:
             self._tops.pop(b, None)
         offset = cut - first_block * INFER_BLOCK
-        return _slice_mixture(parts, offset), top
+        window = GaussianMixture.concatenate(parts).select(
+            slice(offset, None))
+        return window, top
 
 
 class WindowedIncrementalPhase1(IncrementalPhase1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,18 @@ from repro.core.uncertain import QuantizationGrid, UncertainRelation
 from repro.models import train_proxy_grid
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.video import DashcamVideo, SentimentVideo, TrafficVideo
+
+
+class CountingTraffic(TrafficVideo):
+    """A traffic video that counts how often each frame is rendered."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rendered = Counter()
+
+    def _render(self, indices):
+        self.rendered.update(indices.tolist())
+        return super()._render(indices)
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,9 @@ class TestVisualRoad:
         assert [v.name for v in suite] == \
             ["visual-road-50", "visual-road-250"]
         # Same camera/scene: identical trajectory parameters.
-        assert np.array_equal(suite[0]._speed_x[:4], suite[1]._speed_x[:4])
+        assert np.array_equal(
+            suite[0]._populations[0].speed_x[:4],
+            suite[1]._populations[0].speed_x[:4])
 
     def test_density_scales_visible_counts(self):
         low = visual_road_video(50, num_frames=4_000)

@@ -131,7 +131,8 @@ class TestVisualRoad:
         # the common object slots); only the population — and hence the
         # count process — differs.
         assert a.seed == b.seed
-        np.testing.assert_array_equal(a._speed_x[:4], b._speed_x[:4])
+        np.testing.assert_array_equal(
+            a._populations[0].speed_x[:4], b._populations[0].speed_x[:4])
         assert not np.array_equal(a.counts, b.counts)
 
     def test_videos_are_deterministic(self):
