@@ -7,10 +7,7 @@ on a full scan.
 
 The declarative API separates the three concerns: a ``Session`` opens
 a (video, UDF) pair and caches Phase 1; the fluent builder describes
-the query; ``run()`` executes the compiled plan. (Legacy note: the
-original surface — ``EverestEngine(video, scoring).topk(k=10,
-thres=0.9)`` — still works and is a thin facade over the same
-session.)
+the query; ``run()`` executes the compiled plan.
 
 Run:  python examples/quickstart.py
 """

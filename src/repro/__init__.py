@@ -17,10 +17,6 @@ A :class:`Session` caches Phase 1, so further queries on it
 pay only for Phase 2 cleaning. Registered names work too:
 ``repro.api.open_session("taipei-bus", "count[car]")``.
 
-Legacy note: the original imperative surface is still available —
-``EverestEngine(video, counting_udf("car")).topk(k=5, thres=0.9)`` —
-and is a thin facade over the same session machinery.
-
 See DESIGN.md for the architecture and module inventory.
 """
 
@@ -31,7 +27,7 @@ from .config import (
     Phase2Config,
     SelectCandidateConfig,
 )
-from .core import EverestEngine, QueryReport
+from .core import QueryReport
 from .api import (
     Query,
     QueryExecutor,
@@ -96,7 +92,6 @@ __all__ = [
     "CorpusSubscription",
     "FederatedTopK",
     "open_session",
-    "EverestEngine",
     "QueryReport",
     "EverestConfig",
     "Phase1Config",

@@ -18,9 +18,6 @@ This is the user-facing layer of the reproduction (DESIGN.md §4)::
   standard :class:`~repro.core.result.QueryReport`.
 * :mod:`~repro.api.registry` maps names to UDFs and videos so scripts
   can be driven by strings.
-
-The legacy :class:`~repro.core.engine.EverestEngine` is a thin facade
-over this layer.
 """
 
 from .session import Phase1Entry, Session, phase1_key

@@ -29,6 +29,7 @@ from ..errors import QueryError
 from ..oracle.base import Oracle
 from ..oracle.cost import CostModel
 from ..trace import span as trace_span
+from ..video.streaming import is_sliding
 from .plan import QueryPlan
 from .session import Phase1Entry, Session
 
@@ -58,11 +59,15 @@ class QueryExecutor:
     serial). Single-plan :meth:`execute` always runs in-process.
 
     ``score_cache`` — explicit, or inherited from a service-bound
-    session (:attr:`Session.shared_score_cache`) — swaps the confirming
-    oracle for a :class:`~repro.oracle.cache.CachingOracle`: ledgers
-    and reports are unchanged, but frames another query already cleaned
-    are not physically re-scored. This is the cross-query sharing hook
-    the service layer builds on (DESIGN.md §8).
+    or streaming session (:attr:`Session.shared_score_cache`) — swaps
+    the confirming oracle for a
+    :class:`~repro.oracle.cache.CachingOracle`: ledgers and reports are
+    unchanged, but frames another query already cleaned are not
+    physically re-scored. This is the cross-query sharing hook the
+    service layer builds on (DESIGN.md §8) and what makes a stream's
+    per-event re-certification delta-sized (§7); a session that keeps
+    physical-work counters (``session.stats``) has its cache-miss
+    confirmations counted there, whichever caller ran the plan.
     """
 
     def __init__(
@@ -85,6 +90,11 @@ class QueryExecutor:
 
     def execute(self, plan: QueryPlan) -> QueryReport:
         return self.execute_detailed(plan).report
+
+    def execute_fresh(self, plan: QueryPlan) -> "tuple[QueryReport, int]":
+        """Execute a plan; also return the fresh-confirmation count."""
+        detail = self.execute_detailed(plan)
+        return detail.report, detail.fresh_confirm_calls or 0
 
     def execute_many(
         self,
@@ -115,10 +125,25 @@ class QueryExecutor:
                 f"frames, {plan.udf_name!r}) but the session opened "
                 f"({session.video.name!r}, {len(session.video)} frames, "
                 f"{session.scoring.name!r})")
+        if plan.mode == "frames" and plan.frame_ranges is None \
+                and is_sliding(session.video):
+            # The maintained relation only covers the open window, so
+            # an unrestricted plan would silently mislabel a windowed
+            # answer as a full-prefix one. The fluent builder windows
+            # every plan implicitly; this guard is for hand-built ones.
+            raise QueryError(
+                "plans on a windowed session must carry a sliding "
+                "window; compile them with session.query() (the "
+                "session window applies implicitly)")
         entry = session.phase1(plan.config)
         if plan.mode == "windows":
-            return self._run_windows(plan, entry)
-        return self._run_frames(plan, entry)
+            detail = self._run_windows(plan, entry)
+        else:
+            detail = self._run_frames(plan, entry)
+        stats = getattr(session, "stats", None)
+        if stats is not None:
+            stats.fresh_confirm_calls += detail.fresh_confirm_calls or 0
+        return detail
 
     # ------------------------------------------------------------------
     def _phase2_context(self, plan: QueryPlan):

@@ -17,13 +17,12 @@ builds a second relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EverestConfig
 from ..oracle.base import Oracle, ScoringFunction
 from ..oracle.cost import CostModel
-from ..core.phase1 import Phase1Result, run_phase1
+from ..core.phase1 import Phase1Entry, Phase1Result, run_phase1
 from ..trace import span as trace_span
 from ..video.synthetic import SyntheticVideo
 
@@ -37,15 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: default changes, and ``repr`` formatting (the durable identity the
 #: streaming artifact store persists).
 Phase1Key = Tuple[Tuple[str, object], ...]
-
-
-@dataclass
-class Phase1Entry:
-    """One cached Phase 1 run plus its cost ledger."""
-
-    result: Phase1Result
-    oracle_calls: int
-    cost_model: CostModel
 
 
 def phase1_key(config: EverestConfig) -> Phase1Key:
@@ -133,7 +123,9 @@ def build_phase1_entry(
     """
     cost_model = cost_model if cost_model is not None \
         else CostModel(unit_costs, wall_clock=False)
-    oracle = Oracle(scoring, cost_model, cost_key="oracle_label")
+    # The labelling oracle keeps a ledger of its own: run_phase1 writes
+    # the whole charge sequence, labelling included, into cost_model.
+    oracle = Oracle(scoring, cost_key="oracle_label")
     result = run_phase1(
         video,
         oracle,
@@ -209,9 +201,11 @@ class Session:
         # Ledgers handed out before their Phase 1 runs (so callers can
         # hold a stable reference to the ledger Phase 1 will charge).
         self._phase1_cost_models: Dict[Phase1Key, CostModel] = {}
-        # Service bindings (None outside a QueryService): a shared
-        # artifact provider supplying single-flight Phase-1 builds, and
-        # the service-scope score cache executors confirm through.
+        # A shared artifact provider supplying single-flight Phase-1
+        # builds (None outside a QueryService), and the score cache
+        # executors confirm through (None: every confirmation is a
+        # physical UDF call) — service-scope on a bound session, the
+        # session's own on a stream.
         self.artifacts = None
         self.shared_score_cache = None
 

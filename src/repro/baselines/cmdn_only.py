@@ -28,7 +28,7 @@ def cmdn_only_topk(
 ) -> BaselineResult:
     """Run Phase 1 only; Top-K of the proxy's expected scores."""
     cost_model = CostModel(unit_costs)
-    oracle = Oracle(scoring, cost_model, cost_key="oracle_label")
+    oracle = Oracle(scoring, cost_key="oracle_label")
     # Labelling charges the oracle's own latency.
     cost_model.unit_costs["oracle_label"] = cost_model.unit_costs.get(
         scoring.cost_key, 0.0)

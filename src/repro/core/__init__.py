@@ -10,8 +10,8 @@ This package is the paper's primary contribution:
 * :mod:`~repro.core.cleaner` — the Phase 2 cleaning loop with the
   certain-result condition and batch inference;
 * :mod:`~repro.core.windows` — Top-K tumbling windows (Eq. 9);
-* :mod:`~repro.core.phase1` — CMDN training and D0 construction;
-* :mod:`~repro.core.engine` — the user-facing query engine;
+* :mod:`~repro.core.phase1` — CMDN training, D0 construction and its
+  maintenance under appends and window expiry;
 * :mod:`~repro.core.reference` — brute-force possible-world oracles
   used to validate all of the above.
 """
@@ -36,7 +36,6 @@ from .windows import (
     window_truth,
 )
 from .result import PhaseBreakdown, QueryReport
-from .engine import EverestEngine
 from . import reference
 
 __all__ = [
@@ -60,6 +59,5 @@ __all__ = [
     "window_truth",
     "PhaseBreakdown",
     "QueryReport",
-    "EverestEngine",
     "reference",
 ]

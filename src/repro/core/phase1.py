@@ -1,4 +1,4 @@
-"""Phase 1: build the initial uncertain relation D0 (paper Section 3.2).
+"""Phase 1: build and maintain the uncertain relation D0 (paper Section 3.2).
 
 Steps, each charged to the cost ledger under its Table 8 column:
 
@@ -13,31 +13,56 @@ Steps, each charged to the cost ledger under its Table 8 column:
 5. insert the already-labelled frames as certain tuples (no oracle work
    is wasted).
 
-Steps 3 and 4 are one pass over the video: the detector renders each
-block of clips once and hands the retained rows, pixels in hand, to
-proxy inference, which still scores them in exactly the chunks a
-separate pass over the retained array would (see :class:`RowChunker`).
+One structure does this for every kind of session (DESIGN.md §3, §7,
+§13): :class:`Phase1Maintainer` keeps the difference-detector state
+(:class:`IncrementalDiff`), the proxy's mixtures per 512-row block of
+the retained array (:class:`BlockInferenceCache`) and the labelled
+scores, and :meth:`Phase1Maintainer.rebuild_entry` assembles D0 from
+them. A batch video is the degenerate update sequence — bootstrap,
+never append — which is all :func:`run_phase1` is; a stream appends,
+and a sliding window additionally moves the edge below which rows
+leave the relation.
+
+Steps 3 and 4 are one pass over the video at bootstrap: the detector
+renders each block of clips once and hands the retained rows, pixels in
+hand, to proxy inference, regrouped into the cache's fixed blocks (see
+:class:`RowChunker`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import DiffDetectorConfig, Phase1Config
+from ..config import DiffDetectorConfig, EverestConfig, Phase1Config
+from ..errors import ConfigurationError
 from ..models.cmdn import ProxyScorer
 from ..models.mdn import GaussianMixture
 from ..models.trainer import GridResult, train_proxy_grid
 from ..oracle.base import Oracle
-from ..parallel.pool import resolve_workers
-from ..video.diff import DifferenceDetector, DiffResult
+from ..oracle.cost import CostModel
+from ..video.diff import DifferenceDetector, DiffResult, RetainedSink
+from ..video.streaming import is_sliding
 from ..video.synthetic import SyntheticVideo
-from .uncertain import UncertainRelation, build_relation
+from .uncertain import (
+    UncertainRelation,
+    build_relation,
+    grid_covering,
+    mixture_envelope,
+)
 
-#: Chunk size for proxy inference over the retained frames.
+#: Inference granularity: the retained array is scored (and cached) in
+#: blocks of this many rows. BLAS matmul accumulation differs across
+#: batch shapes, so mixtures are only bit-reproducible at fixed batch
+#: boundaries; 512 equals the internal prediction batch of
+#: :meth:`~repro.models.network.MixtureDensityNetwork.predict`, so a
+#: block is byte-identical to the sub-batch any larger aligned batch
+#: would compute.
+INFER_BLOCK = 512
+
+#: Chunk size of the two-pass reference (a multiple of INFER_BLOCK).
 _INFER_CHUNK = 2_048
 
 
@@ -48,10 +73,10 @@ class RowChunker:
     ids, pixels)`` is called with exactly ``chunk`` rows at a time (the
     last call, from :meth:`close`, with what is left), numbered from 0.
     Proxy inference is only bit-reproducible at fixed batch boundaries
-    (BLAS accumulation differs across batch shapes, DESIGN.md §7), so
-    whoever feeds inference from a producer with its own block size
-    goes through here. At most one chunk of rows is ever pending; every
-    chunk is handed over in a fresh buffer the consumer may keep.
+    (see :data:`INFER_BLOCK`), so whoever feeds inference from a
+    producer with its own block size goes through here. At most one
+    chunk of rows is ever pending; every chunk is handed over in a
+    fresh buffer the consumer may keep.
     """
 
     def __init__(
@@ -92,61 +117,24 @@ class RowChunker:
             self._consume(self._number - 1, ids, pixels)
 
 
-class _ChunkScorer:
-    """Scores pixel chunks with the proxy and concatenates in order.
-
-    With more than one worker, chunks are scored on threads (numpy
-    releases the GIL in the dense kernels) with at most ``workers`` in
-    flight; the result is identical for every worker count.
-    """
-
-    def __init__(self, proxy: ProxyScorer, workers: Optional[int]):
-        self._proxy = proxy
-        self._workers = resolve_workers(workers)
-        self._pool = ThreadPoolExecutor(max_workers=self._workers) \
-            if self._workers > 1 else None
-        self._parts: List[Union[GaussianMixture, Future]] = []
-
-    def __enter__(self) -> "_ChunkScorer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
-    def score(self, pixels: np.ndarray) -> None:
-        if self._pool is None:
-            self._parts.append(self._proxy.predict_mixtures(pixels))
-            return
-        if len(self._parts) >= self._workers:
-            self._parts[-self._workers].result()  # bounds pending pixels
-        self._parts.append(
-            self._pool.submit(self._proxy.predict_mixtures, pixels))
-
-    def mixtures(self) -> GaussianMixture:
-        return GaussianMixture.concatenate(
-            [p.result() if isinstance(p, Future) else p
-             for p in self._parts])
-
-
 def predict_mixtures_chunked(
     proxy: ProxyScorer,
     video: SyntheticVideo,
     retained: np.ndarray,
     *,
     chunk: int = _INFER_CHUNK,
-    workers: Optional[int] = None,
 ) -> GaussianMixture:
-    """Proxy inference over ``retained`` frames, chunked and parallel.
+    """Proxy inference over ``retained`` frames as its own pass.
 
-    The stand-alone form of step 4, for callers that hold only frame
-    ids: each chunk is rendered, then scored like :func:`run_phase1`
-    scores it.
+    The two-pass *reference* for step 4: each chunk of frame ids is
+    rendered, then scored. Tests pin the maintainer's single-pass,
+    block-cached mixtures to it bit for bit.
     """
-    with _ChunkScorer(proxy, workers) as scorer:
-        for start in range(0, retained.size, chunk):
-            scorer.score(video.batch_pixels(retained[start:start + chunk]))
-        return scorer.mixtures()
+    return GaussianMixture.concatenate([
+        proxy.predict_mixtures(
+            video.batch_pixels(retained[start:start + chunk]))
+        for start in range(0, retained.size, chunk)
+    ])
 
 
 def replay_phase1_charges(
@@ -158,19 +146,18 @@ def replay_phase1_charges(
     num_frames: int,
     num_retained: int,
 ) -> None:
-    """Charge ``cost_model`` exactly as :func:`run_phase1` would.
+    """Write the Phase-1 charge sequence — the one place it is spelled.
 
-    The streaming subsystem maintains Phase 1 incrementally but reports
-    batch-equivalent ledgers: after each append it replays the charge
-    sequence a from-scratch :func:`run_phase1` over the current prefix
-    would issue. The order matters — :class:`~repro.oracle.cost.CostModel`
-    accumulates ``seconds`` additively, so only the same sequence of
-    ``charge`` calls reproduces the same floats bit for bit. Keep this
-    in lockstep with the charge sites in :func:`run_phase1` (each line
-    below names the step it mirrors).
+    Every Phase-1 ledger, first build or post-append rebuild, is this
+    sequence over the current prefix (a maintained stream reports
+    batch-equivalent ledgers: after each event it replays what a
+    from-scratch run would charge). The order matters —
+    :class:`~repro.oracle.cost.CostModel` accumulates ``seconds``
+    additively, so only the same sequence of ``charge`` calls
+    reproduces the same floats bit for bit.
     """
-    # Step 1: oracle.score(train) then oracle.score(holdout), then the
-    # decode of both sample batches.
+    # Step 1: the train batch, then the holdout batch, then the decode
+    # of both.
     cost_model.charge("oracle_label", train_labels)
     cost_model.charge("oracle_label", holdout_labels)
     cost_model.charge("decode", train_labels + holdout_labels)
@@ -193,8 +180,18 @@ class Phase1Result:
     diff_result: DiffResult
     #: Exact scores observed while labelling samples (frame -> score).
     known_scores: Dict[int, float]
-    #: Mixtures for each retained frame (aligned with diff retained).
+    #: Mixtures for each retained frame inside the relation (all of
+    #: ``diff_result.retained``, or its open-window tail).
     mixtures: GaussianMixture
+
+
+@dataclass
+class Phase1Entry:
+    """One Phase 1 result plus its cost ledger."""
+
+    result: Phase1Result
+    oracle_calls: int
+    cost_model: CostModel
 
 
 def _sample_indices(
@@ -205,97 +202,366 @@ def _sample_indices(
     return chosen[:train], chosen[train:]
 
 
+class IncrementalDiff:
+    """Difference detection maintained under appends.
+
+    Clip boundaries are multiples of ``clip_size`` in global frame
+    coordinates, exactly as in
+    :class:`~repro.video.diff.DifferenceDetector`; a clip's decisions
+    depend only on its own frames, so only clips intersecting the new
+    frames — at most one provisional clip plus the arrivals — need
+    reprocessing (the provisional clip's anchor frame moves as it
+    grows, which can flip retain decisions). ``extend`` returns the
+    first frame index whose retain decision may have changed.
+    """
+
+    def __init__(self, config: DiffDetectorConfig):
+        self.config = config
+        self.representative = np.zeros(0, dtype=np.int64)
+        self.retained_mask = np.zeros(0, dtype=bool)
+        self.processed = 0
+
+    def extend(
+        self,
+        video: SyntheticVideo,
+        watermark: int,
+        on_retained: Optional[RetainedSink] = None,
+    ) -> int:
+        c = self.config.clip_size
+        if watermark < self.processed:
+            raise ConfigurationError("watermark cannot move backwards")
+        grow = watermark - self.representative.size
+        if grow > 0:
+            self.representative = np.concatenate(
+                [self.representative, np.zeros(grow, dtype=np.int64)])
+            self.retained_mask = np.concatenate(
+                [self.retained_mask, np.zeros(grow, dtype=bool)])
+        # Reprocess from the start of the clip containing the old
+        # watermark: that clip was provisional (its anchor can move).
+        start = self.processed - self.processed % c
+        DifferenceDetector(self.config).scan(
+            video, start, watermark, self.retained_mask,
+            self.representative, on_retained)
+        self.processed = watermark
+        return start
+
+    def result(self) -> DiffResult:
+        return DiffResult(
+            retained=np.flatnonzero(self.retained_mask[:self.processed]),
+            representative=self.representative[:self.processed].copy(),
+            num_frames=self.processed,
+        )
+
+
+class BlockInferenceCache:
+    """Proxy inference cached per 512-row block of the retained array.
+
+    A block is recomputed only when its frame-id contents change (new
+    arrivals, or retain decisions flipped by a provisional clip); the
+    tail partial block is naturally provisional until it fills.
+
+    Blocks below a sliding window's edge hold no mixtures (memory and
+    recompute proportional to the live window, not the prefix), but
+    one float per block survives eviction — ``max(mu + truncate_sigmas
+    * sigma)`` over its rows, keyed by content — so the global grid top
+    (an exact max of maxes) is still that of the full prefix. If an
+    *expired* block's contents later change (a provisional clip
+    straddling the window edge flips a retain decision), its top is
+    healed by one O(block) re-inference: the only case where expiry
+    costs inference, and it is delta-sized.
+    """
+
+    def __init__(self):
+        self._blocks: Dict[int, Tuple[bytes, GaussianMixture]] = {}
+        #: block index -> (frame-id bytes, max(mu + k*sigma) over rows).
+        self._tops: Dict[int, Tuple[bytes, float]] = {}
+
+    @property
+    def cached_blocks(self) -> List[int]:
+        """Block indices currently holding mixtures (tests/debugging)."""
+        return sorted(self._blocks)
+
+    def block(
+        self,
+        b: int,
+        ids: np.ndarray,
+        proxy,
+        pixels_of: Callable[[np.ndarray], np.ndarray],
+        stats=None,
+    ) -> GaussianMixture:
+        """Mixtures of block ``b`` holding frames ``ids``.
+
+        A hit when the slot's frame-id contents match; otherwise
+        inferred from ``pixels_of(ids)`` — ``video.batch_pixels``, or
+        the pixels themselves when a pass already has them in hand —
+        and cached. ``stats.fresh_inferred_frames`` counts the misses.
+        """
+        key = ids.tobytes()
+        cached = self._blocks.get(b)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        mixture = proxy.predict_mixtures(pixels_of(ids))
+        self._blocks[b] = (key, mixture)
+        if stats is not None:
+            stats.fresh_inferred_frames += int(ids.size)
+        return mixture
+
+    def window_state(
+        self,
+        proxy,
+        video,
+        retained: np.ndarray,
+        cut: int,
+        *,
+        truncate_sigmas: float,
+        stats=None,
+    ) -> Tuple[GaussianMixture, Optional[float]]:
+        """Mixtures for ``retained[cut:]`` plus the full-prefix grid top.
+
+        ``cut`` is the number of leading retained rows outside the
+        window (0: no window, nothing is ever evicted). Returns
+        ``(mixtures, top)`` where ``top`` is bitwise
+        :func:`~repro.core.uncertain.mixture_envelope` of *all*
+        retained rows, or ``None`` when nothing is retained.
+        """
+        retained = np.asarray(retained, dtype=np.int64)
+        if retained.size == 0:  # pragma: no cover - empty video guard
+            return GaussianMixture.concatenate([]), None
+        num_blocks = -(-retained.size // INFER_BLOCK)
+        first_block = cut // INFER_BLOCK
+        parts: List[GaussianMixture] = []
+        top: Optional[float] = None
+        for b in range(num_blocks):
+            ids = retained[b * INFER_BLOCK:(b + 1) * INFER_BLOCK]
+            key = ids.tobytes()
+            # Use the locally validated mixture, never a re-read: a
+            # sibling session sharing this cache at a different
+            # watermark may have replaced the slot in the meantime.
+            mixture: Optional[GaussianMixture] = None
+            if b >= first_block:
+                mixture = self.block(b, ids, proxy, video.batch_pixels, stats)
+                parts.append(mixture)
+            cached_top = self._tops.get(b)
+            if cached_top is not None and cached_top[0] == key:
+                block_top = cached_top[1]
+            else:
+                if mixture is None:
+                    # An expired block without a top: primed by the
+                    # bootstrap pass (a hit), or its contents changed
+                    # or were never seen (one O(block) re-inference
+                    # heals the top). Either way the mixture is
+                    # retracted again below.
+                    mixture = self.block(
+                        b, ids, proxy, video.batch_pixels, stats)
+                block_top = mixture_envelope(mixture, truncate_sigmas)
+                self._tops[b] = (key, block_top)
+            top = block_top if top is None else max(top, block_top)
+        # Retraction: expired blocks drop their mixtures, stale trailing
+        # blocks (shrunk retained array) drop everything. pop, not del:
+        # a service-shared cache may see a sibling session trim the
+        # same stale block concurrently.
+        for b in [b for b in self._blocks
+                  if b < first_block or b >= num_blocks]:
+            self._blocks.pop(b, None)
+        for b in [b for b in self._tops if b >= num_blocks]:
+            self._tops.pop(b, None)
+        offset = cut - first_block * INFER_BLOCK
+        window = GaussianMixture.concatenate(parts).select(
+            slice(offset, None))
+        return window, top
+
+
+class Phase1Maintainer:
+    """Assembles D0 from maintained Phase-1 state — the only place.
+
+    :meth:`bootstrap` runs steps 1-5 over the frames that have arrived;
+    after the video grows (or its window slides), extending
+    :attr:`diff` and calling :meth:`rebuild_entry` yields the entry a
+    from-scratch run over the current prefix would: the relation is
+    requantized from cached mixtures (a cheap vectorized step; the
+    labels, the trained proxy and the inference blocks are what is
+    kept) and the ledger is replayed.
+
+    On a live sliding-window video the relation covers window rows
+    only, while the quantization grid, the detector state and the
+    ledger all remain those of the **full prefix** — the batch
+    reference for a windowed answer is a from-scratch run over the
+    whole prefix restricted to the window
+    (:func:`~repro.core.uncertain.restrict_relation`).
+    """
+
+    def __init__(
+        self,
+        video: SyntheticVideo,
+        label_oracle: Oracle,
+        config: EverestConfig,
+        unit_costs: Optional[Dict[str, float]] = None,
+        stats=None,
+    ):
+        self.video = video
+        #: Labels the samples; its own ledger is not Phase 1's (entries
+        #: carry the replayed sequence), its call counters are.
+        self.label_oracle = label_oracle
+        self.scoring = label_oracle.scoring
+        self.config = config
+        self.unit_costs = dict(unit_costs or {})
+        #: Physical-work counters (``fresh_inferred_frames``), if kept.
+        self.stats = stats
+
+        self.diff = IncrementalDiff(config.diff)
+        self.blocks = BlockInferenceCache()
+        self.known_scores: Dict[int, float] = {}
+        #: Work beyond the batch sequence (drift audits, retrains),
+        #: aggregated per ledger key and charged after the replay.
+        self.extra_charges: Dict[str, float] = {}
+        self.grid_result: Optional[GridResult] = None
+        self.proxy: Optional[ProxyScorer] = None
+        self.train_idx = np.zeros(0, dtype=np.int64)
+        self.holdout_idx = np.zeros(0, dtype=np.int64)
+        self._train_scores = np.zeros(0)
+        self._holdout_scores = np.zeros(0)
+
+    def bootstrap(self, cost_model: Optional[CostModel] = None) -> Phase1Entry:
+        """Phase 1 from scratch over the frames that have arrived."""
+        video, phase1, seed = self.video, self.config.phase1, self.config.seed
+        rng = np.random.default_rng(seed)
+        # ``sample_prefix`` (None for plain batch runs) restricts both
+        # the sampling pool and the sample-size arithmetic to a leading
+        # slice of the video — the anchor streaming sessions train
+        # against.
+        pool = phase1.sample_pool(len(video))
+        train_idx, holdout_idx = _sample_indices(
+            rng, pool, phase1.train_sample_size(pool),
+            phase1.holdout_sample_size(pool))
+
+        # 1. Oracle-label the samples (this is real oracle cost).
+        train_scores = self.label_oracle.score(video, train_idx)
+        holdout_scores = self.label_oracle.score(video, holdout_idx)
+        for idx, score in zip(train_idx, train_scores):
+            self.known_scores[int(idx)] = float(score)
+        for idx, score in zip(holdout_idx, holdout_scores):
+            self.known_scores[int(idx)] = float(score)
+        self.train_idx, self.holdout_idx = train_idx, holdout_idx
+        self._train_scores = np.asarray(train_scores, dtype=np.float64)
+        self._holdout_scores = np.asarray(holdout_scores, dtype=np.float64)
+
+        # 2. Train the (g, h) grid; select by holdout NLL.
+        self.grid_result = train_proxy_grid(
+            video.batch_pixels(train_idx),
+            train_scores,
+            video.batch_pixels(holdout_idx),
+            holdout_scores,
+            config=phase1,
+            input_hw=video.resolution,
+            seed=seed,
+        )
+        self.proxy = self.grid_result.proxy
+
+        # 3 + 4. One pass: the detector renders each block of clips
+        # once and the retained rows go, pixels in hand, to the block
+        # cache INFER_BLOCK rows at a time (a block a sibling session
+        # already cached is a hit and is not re-inferred). 5 runs
+        # inside rebuild_entry, on cache hits.
+        blocks = RowChunker(
+            INFER_BLOCK,
+            lambda b, ids, pixels: self.blocks.block(
+                b, ids, self.proxy, lambda _: pixels, self.stats))
+        self.diff.extend(video, len(video), on_retained=blocks.push)
+        blocks.close()
+        return self.rebuild_entry(cost_model)
+
+    def rebuild_entry(
+        self, cost_model: Optional[CostModel] = None
+    ) -> Phase1Entry:
+        """The entry a from-scratch run over the current prefix builds.
+
+        Charges ``cost_model`` (default: a fresh deterministic ledger —
+        Phase-1 charges are purely simulated, so merged ledgers built
+        from them must not re-enable wall-clock timers).
+        """
+        phase1 = self.config.phase1
+        diff_result = self.diff.result()
+        retained = diff_result.retained
+        lo = self.video.window_lo if is_sliding(self.video) else 0
+        cut = int(np.searchsorted(retained, lo, side="left"))
+        mixtures, envelope = self.blocks.window_state(
+            self.proxy,
+            self.video,
+            retained,
+            cut,
+            truncate_sigmas=phase1.truncate_sigmas,
+            stats=self.stats,
+        )
+        step = phase1.quantization_step
+        if step is None:
+            step = self.scoring.step
+        floor = self.scoring.score_floor
+        # The full-prefix grid: every retained row's envelope and every
+        # known score take part — expired or not — exactly as in a
+        # batch run; only the rows *in* the relation are windowed.
+        grid = grid_covering(
+            envelope, floor=floor, step=step,
+            extra_scores=list(self.known_scores.values()))
+        relation = build_relation(
+            retained[cut:],
+            mixtures,
+            floor=floor,
+            step=step,
+            known_scores={
+                f: s for f, s in self.known_scores.items() if f >= lo},
+            truncate_sigmas=phase1.truncate_sigmas,
+            grid=grid,
+        )
+        if cost_model is None:
+            cost_model = CostModel(self.unit_costs, wall_clock=False)
+        replay_phase1_charges(
+            cost_model,
+            train_labels=int(self.train_idx.size),
+            holdout_labels=int(self.holdout_idx.size),
+            sample_epochs=self.grid_result.sample_epochs,
+            num_frames=len(self.video),
+            num_retained=int(retained.size),
+        )
+        for key in sorted(self.extra_charges):
+            cost_model.charge(key, self.extra_charges[key])
+        result = Phase1Result(
+            relation=relation,
+            proxy=self.proxy,
+            grid_result=self.grid_result,
+            diff_result=diff_result,
+            known_scores=self.known_scores,
+            mixtures=mixtures,
+        )
+        return Phase1Entry(
+            result=result,
+            oracle_calls=int(self.train_idx.size + self.holdout_idx.size),
+            cost_model=cost_model,
+        )
+
+
 def run_phase1(
     video: SyntheticVideo,
     oracle: Oracle,
     *,
     config: Optional[Phase1Config] = None,
     diff_config: Optional[DiffDetectorConfig] = None,
-    cost_model=None,
+    cost_model: Optional[CostModel] = None,
     seed: int = 0,
-    infer_workers: Optional[int] = None,
 ) -> Phase1Result:
-    """Build D0 for ``video`` under the given oracle scoring function.
+    """Build D0 for a closed ``video``: a maintainer that never appends.
 
-    ``infer_workers`` parallelizes step 4's chunked proxy inference
-    (default: the ``REPRO_WORKERS`` environment variable, else serial);
-    the result is identical for every worker count.
+    ``oracle`` labels the samples; ``cost_model`` receives the whole
+    Phase-1 charge sequence, labelling included (hand the oracle its
+    own ledger, not this one).
     """
-    config = config if config is not None else Phase1Config()
-    diff_config = diff_config if diff_config is not None \
-        else DiffDetectorConfig()
-    num_frames = len(video)
-    rng = np.random.default_rng(seed)
-    # ``sample_prefix`` (None for plain batch runs) restricts both the
-    # sampling pool and the sample-size arithmetic to a leading slice of
-    # the video — the anchor streaming sessions train against.
-    pool = config.sample_pool(num_frames)
-    train_size = config.train_sample_size(pool)
-    holdout_size = config.holdout_sample_size(pool)
-    train_idx, holdout_idx = _sample_indices(
-        rng, pool, train_size, holdout_size)
-
-    # 1. Oracle-label the samples (this is real oracle cost).
-    train_scores = oracle.score(video, train_idx)
-    holdout_scores = oracle.score(video, holdout_idx)
-    known_scores: Dict[int, float] = {}
-    for idx, score in zip(train_idx, train_scores):
-        known_scores[int(idx)] = float(score)
-    for idx, score in zip(holdout_idx, holdout_scores):
-        known_scores[int(idx)] = float(score)
-
-    if cost_model is not None:
-        cost_model.charge("decode", len(train_idx) + len(holdout_idx))
-    train_pixels = video.batch_pixels(train_idx)
-    holdout_pixels = video.batch_pixels(holdout_idx)
-
-    # 2. Train the (g, h) grid; select by holdout NLL.
-    grid_result = train_proxy_grid(
-        train_pixels,
-        train_scores,
-        holdout_pixels,
-        holdout_scores,
-        config=config,
-        input_hw=video.resolution,
-        seed=seed,
+    maintainer = Phase1Maintainer(
+        video,
+        oracle,
+        EverestConfig(
+            phase1=config if config is not None else Phase1Config(),
+            diff=diff_config if diff_config is not None
+            else DiffDetectorConfig(),
+            seed=seed,
+        ),
     )
-    if cost_model is not None:
-        cost_model.charge("cmdn_train", grid_result.sample_epochs)
-
-    # 3 + 4. Difference detection over the whole video, its retained
-    # rows regrouped into inference chunks and scored (chunk-parallel)
-    # as the pass goes: every frame is rendered once.
-    proxy = grid_result.proxy
-    with _ChunkScorer(proxy, infer_workers) as scorer:
-        chunks = RowChunker(
-            _INFER_CHUNK, lambda number, ids, pixels: scorer.score(pixels))
-        diff_result = DifferenceDetector(diff_config).run(
-            video, on_retained=chunks.push)
-        chunks.close()
-        mixtures = scorer.mixtures()
-    retained = diff_result.retained
-    if cost_model is not None:
-        cost_model.charge("diff_detect", num_frames)
-        cost_model.charge("decode", num_frames)
-        cost_model.charge("cmdn_infer", retained.size)
-
-    # 5. Quantize into x-tuples; known frames become certain tuples.
-    step = config.quantization_step
-    if step is None:
-        step = oracle.scoring.step
-    relation = build_relation(
-        retained,
-        mixtures,
-        floor=oracle.scoring.score_floor,
-        step=step,
-        known_scores=known_scores,
-        truncate_sigmas=config.truncate_sigmas,
-    )
-    return Phase1Result(
-        relation=relation,
-        proxy=proxy,
-        grid_result=grid_result,
-        diff_result=diff_result,
-        known_scores=known_scores,
-        mixtures=mixtures,
-    )
+    return maintainer.bootstrap(cost_model).result

@@ -71,6 +71,37 @@ class QuantizationGrid:
         return np.concatenate(([-np.inf], inner, [np.inf]))
 
 
+def mixture_envelope(
+    mixtures: GaussianMixture, truncate_sigmas: float
+) -> Optional[float]:
+    """``max(mu + k sigma)`` over every row (``None`` without rows).
+
+    An exact max, so the envelope of a row set equals the max of its
+    subsets' envelopes — how the block cache keeps a full-prefix grid
+    while holding only the open window's mixtures (DESIGN.md §13).
+    """
+    if not mixtures.pi.size:
+        return None
+    return float(np.max(mixtures.mu + truncate_sigmas * mixtures.sigma))
+
+
+def grid_covering(
+    envelope: Optional[float],
+    *,
+    floor: float,
+    step: float,
+    extra_scores: Optional[Sequence[float]] = None,
+) -> QuantizationGrid:
+    """The grid reaching a mixture ``envelope`` and every extra score."""
+    top = floor + step  # at least two levels
+    if envelope is not None:
+        top = max(top, envelope)
+    if extra_scores is not None and len(extra_scores) > 0:
+        top = max(top, float(np.max(extra_scores)))
+    num_levels = int(np.ceil((top - floor) / step)) + 1
+    return QuantizationGrid(floor=floor, step=step, num_levels=num_levels)
+
+
 def grid_for(
     mixtures: GaussianMixture,
     *,
@@ -80,14 +111,9 @@ def grid_for(
     truncate_sigmas: float = 3.0,
 ) -> QuantizationGrid:
     """Choose a grid covering all mixtures (to ``k sigma``) and scores."""
-    top = floor + step  # at least two levels
-    if mixtures.pi.size:
-        upper = mixtures.mu + truncate_sigmas * mixtures.sigma
-        top = max(top, float(np.max(upper)))
-    if extra_scores is not None and len(extra_scores) > 0:
-        top = max(top, float(np.max(extra_scores)))
-    num_levels = int(np.ceil((top - floor) / step)) + 1
-    return QuantizationGrid(floor=floor, step=step, num_levels=num_levels)
+    return grid_covering(
+        mixture_envelope(mixtures, truncate_sigmas),
+        floor=floor, step=step, extra_scores=extra_scores)
 
 
 def quantize_mixtures(
@@ -299,8 +325,8 @@ def build_relation(
     ``known_scores`` (the Phase 1 training / holdout samples) are
     inserted as certain tuples; extra known frames not in ``ids`` are
     appended. An explicit ``grid`` overrides :func:`grid_for` — how the
-    windowed maintainer reproduces the full-prefix grid while only
-    materializing the window's mixtures (DESIGN.md §13).
+    Phase-1 maintainer keeps the full-prefix grid while materializing
+    only the open window's mixtures (DESIGN.md §13).
     """
     known_scores = dict(known_scores or {})
     ids = [int(i) for i in ids]

@@ -325,10 +325,7 @@ class VideoCorpus:
         key = phase1_key(config)
         parts = []
         for member in self.members:
-            if member.streaming:
-                entry = member.session._entry
-            else:
-                entry = member.session._phase1_cache.get(key)
+            entry = member.session._phase1_cache.get(key)
             parts.append((id(entry), len(member.video)))
         return tuple(parts)
 

@@ -22,7 +22,7 @@ again. :class:`SharedArtifacts` holds that state at *service* scope:
   original build charged — Phase 1 has no wall-clock timers.
 * **Score / inference cache registries.** One bounded
   :class:`~repro.oracle.cache.ScoreCache` and one streaming
-  :class:`~repro.streaming.phase1_incremental.BlockInferenceCache`
+  :class:`~repro.core.phase1.BlockInferenceCache`
   per artifact *group* (video content × UDF), shared by every session
   the service opens over that group.
 """
@@ -303,7 +303,7 @@ class SharedArtifacts:
         proxies. A session that warm-retrains after drift must detach
         (it does — see ``IncrementalPhase1._warm_retrain``).
         """
-        from ..streaming.phase1_incremental import BlockInferenceCache
+        from ..core.phase1 import BlockInferenceCache
 
         with self._lock:
             cache = self._block_caches.get(artifact)

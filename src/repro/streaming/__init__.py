@@ -6,27 +6,21 @@ This package turns the engine from "query a finished video" into
 * :class:`~repro.streaming.session.StreamingSession` — the appendable
   session: ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
   ``checkpoint`` / ``resume``;
-* :mod:`~repro.streaming.phase1_incremental` — incremental difference
-  detection, block-cached proxy inference, drift auditing and warm
-  retraining;
-* :mod:`~repro.streaming.live_topk` — the cache-backed executor and
-  per-query :class:`~repro.streaming.live_topk.LiveTopK` maintainers;
+* :mod:`~repro.streaming.phase1_incremental` — the Phase-1 maintainer
+  (:mod:`repro.core.phase1`: incremental difference detection,
+  block-cached proxy inference) under appends, plus drift auditing and
+  warm retraining;
+* :mod:`~repro.streaming.live_topk` — per-query
+  :class:`~repro.streaming.live_topk.LiveTopK` maintainers;
 * :mod:`~repro.streaming.store` — the persistent Phase-1 artifact
   store with an atomic, checksum-verified manifest.
 """
 
-from .live_topk import (
-    CachingOracle,
-    LiveTopK,
-    ScoreCache,
-    StreamingQueryExecutor,
-)
+from ..core.phase1 import INFER_BLOCK, BlockInferenceCache, IncrementalDiff
+from .live_topk import CachingOracle, LiveTopK, ScoreCache
 from .phase1_incremental import (
-    BlockInferenceCache,
     DriftTracker,
-    IncrementalDiff,
     IncrementalPhase1,
-    INFER_BLOCK,
     StreamingConfig,
     StreamingStats,
 )
@@ -49,7 +43,6 @@ __all__ = [
     "LiveTopK",
     "ScoreCache",
     "StreamingConfig",
-    "StreamingQueryExecutor",
     "StreamingSession",
     "StreamingStats",
     "read_checkpoint",

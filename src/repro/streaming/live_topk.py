@@ -20,7 +20,7 @@ physical cost streaming actually pays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..api.executor import QueryExecutor
 from ..core.result import QueryReport
@@ -28,33 +28,6 @@ from ..errors import QueryError
 # Promoted to repro.oracle.cache (the service layer shares them across
 # sessions); re-exported here for the streaming-era import path.
 from ..oracle.cache import CachingOracle, ScoreCache  # noqa: F401
-from .phase1_incremental import StreamingStats
-
-
-class StreamingQueryExecutor(QueryExecutor):
-    """The batch executor with a cache-backed confirming oracle.
-
-    Everything else — relation cloning, window aggregation, ledger
-    assembly, report construction — is inherited verbatim (the base
-    executor builds a :class:`~repro.oracle.cache.CachingOracle`
-    whenever it has a score cache), which is what keeps live reports
-    bit-identical to batch ones.
-    """
-
-    def __init__(self, session, *, cache: ScoreCache,
-                 stats: Optional[StreamingStats] = None):
-        super().__init__(session, workers=1, score_cache=cache)
-        self._stats = stats
-
-    def execute_fresh(self, plan) -> "tuple[QueryReport, int]":
-        """Execute a plan; also return the fresh-confirmation count."""
-        self.last_confirm_oracle = None
-        report = self.execute(plan)
-        oracle = self.last_confirm_oracle
-        fresh = getattr(oracle, "fresh_calls", 0) if oracle else 0
-        if self._stats is not None:
-            self._stats.fresh_confirm_calls += fresh
-        return report, fresh
 
 
 @dataclass
@@ -85,7 +58,7 @@ class LiveTopK:
     def __len__(self) -> int:
         return len(self.reports)
 
-    def refresh(self, executor: StreamingQueryExecutor) -> QueryReport:
+    def refresh(self, executor: QueryExecutor) -> QueryReport:
         """Re-certify against the current watermark (called per append)."""
         report, fresh = executor.execute_fresh(self.query.plan())
         self.reports.append(report)

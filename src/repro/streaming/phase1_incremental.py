@@ -1,75 +1,37 @@
-"""Incremental Phase-1 maintenance for streaming sessions (DESIGN.md §7).
+"""Streaming-side Phase-1 maintenance: drift auditing (DESIGN.md §7).
 
 A batch run pays Phase 1 — labelling, CMDN grid training, difference
 detection, proxy inference — once per video. Under appends the naive
-approach re-pays all of it per arrival. This module maintains the
-Phase-1 artifacts *incrementally* while keeping them **bit-identical**
-to a from-scratch batch run over the current prefix (under the pinned
+approach re-pays all of it per arrival.
+:class:`~repro.core.phase1.Phase1Maintainer` keeps the Phase-1
+artifacts *incrementally* while keeping them **bit-identical** to a
+from-scratch batch run over the current prefix (under the pinned
 ``sample_prefix`` training policy), so the live engine inherits the
-batch engine's guarantees verbatim:
+batch engine's guarantees verbatim. This module adds what only a
+growing video needs:
 
-* :class:`IncrementalDiff` re-runs the MSE detector only over clips
-  that gained frames. Clips are aligned to global frame indices (as in
-  the batch detector), so completed clips never change and the one
-  *provisional* clip straddling the old watermark is reprocessed when
-  it grows — its anchor frame moves, which can flip retain decisions.
-* :class:`BlockInferenceCache` caches proxy inference per 512-frame
-  block of the retained array. Blocks — not arbitrary deltas — because
-  BLAS matmul accumulation differs across batch shapes: scoring a
-  delta in a different batch than the batch engine would perturbs the
-  mixtures in the last ulp and breaks bit-equivalence. 512 equals the
-  network's internal prediction batch and divides the chunk size
-  :func:`~repro.core.phase1.run_phase1` scores at, so block
-  boundaries coincide exactly with the batch engine's sub-batches.
+* :class:`IncrementalPhase1` folds one append into the maintainer
+  (``advance``) and shares inference blocks with sibling sessions;
 * :class:`DriftTracker` audits a small oracle-labelled sample of each
   append and compares the proxy's NLL on it against the bootstrap
   holdout reference; sustained excess triggers a *warm retrain*
   (continue training the current weights on bootstrap + audited
   labels). Auditing and retraining charge the ledger honestly and mark
   the session as diverged from the batch reference.
-
-The maintainer rebuilds the uncertain relation from cached mixtures on
-every append (:func:`~repro.core.uncertain.build_relation` is a cheap
-vectorized quantization; the expensive artifacts above are what is
-cached) and replays the batch ledger via
-:func:`~repro.core.phase1.replay_phase1_charges`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from ..config import EverestConfig
-from ..core.phase1 import (
-    _INFER_CHUNK,
-    _sample_indices,
-    Phase1Result,
-    RowChunker,
-    replay_phase1_charges,
-)
-from ..core.uncertain import build_relation
+from ..core.phase1 import BlockInferenceCache, Phase1Maintainer
 from ..errors import ConfigurationError
-from ..models.mdn import GaussianMixture
-from ..models.trainer import train_network, train_proxy_grid
-from ..oracle.cost import CostModel
-from ..video.diff import DifferenceDetector, DiffResult, RetainedSink
-from ..video.streaming import Segment, StreamingVideo
-
-#: Inference cache granularity. Must equal the internal prediction
-#: batch of :meth:`~repro.models.network.MixtureDensityNetwork.predict`
-#: and divide the batch engine's inference chunk, so cached blocks are
-#: byte-identical to the sub-batches a batch run computes.
-INFER_BLOCK = 512
-
-if _INFER_CHUNK % INFER_BLOCK != 0:  # not assert: survives python -O
-    raise RuntimeError(
-        "INFER_BLOCK must divide the batch inference chunk "
-        f"({INFER_BLOCK} vs {_INFER_CHUNK}): block-cached mixtures "
-        "would stop matching batch inference bit for bit")
+from ..models.trainer import train_network
+from ..video.streaming import Segment, is_sliding
 
 
 def _require(condition: bool, message: str) -> None:
@@ -151,121 +113,6 @@ class StreamingStats:
         return self.fresh_label_calls + self.fresh_confirm_calls
 
 
-class IncrementalDiff:
-    """Difference detection maintained under appends.
-
-    Clip boundaries are multiples of ``clip_size`` in global frame
-    coordinates, exactly as in
-    :class:`~repro.video.diff.DifferenceDetector`; a clip's decisions
-    depend only on its own frames, so only clips intersecting the new
-    frames — at most one provisional clip plus the arrivals — need
-    reprocessing. ``extend`` returns the first frame index whose retain
-    decision may have changed.
-    """
-
-    def __init__(self, config):
-        self.config = config
-        self.representative = np.zeros(0, dtype=np.int64)
-        self.retained_mask = np.zeros(0, dtype=bool)
-        self.processed = 0
-
-    def extend(
-        self,
-        video: StreamingVideo,
-        watermark: int,
-        on_retained: Optional[RetainedSink] = None,
-    ) -> int:
-        c = self.config.clip_size
-        if watermark < self.processed:
-            raise ConfigurationError("watermark cannot move backwards")
-        grow = watermark - self.representative.size
-        if grow > 0:
-            self.representative = np.concatenate(
-                [self.representative, np.zeros(grow, dtype=np.int64)])
-            self.retained_mask = np.concatenate(
-                [self.retained_mask, np.zeros(grow, dtype=bool)])
-        # Reprocess from the start of the clip containing the old
-        # watermark: that clip was provisional (its anchor can move).
-        start = self.processed - self.processed % c
-        DifferenceDetector(self.config).scan(
-            video, start, watermark, self.retained_mask,
-            self.representative, on_retained)
-        self.processed = watermark
-        return start
-
-    def result(self) -> DiffResult:
-        return DiffResult(
-            retained=np.flatnonzero(self.retained_mask[:self.processed]),
-            representative=self.representative[:self.processed].copy(),
-            num_frames=self.processed,
-        )
-
-
-class BlockInferenceCache:
-    """Proxy inference cached per 512-frame block of the retained array.
-
-    A block is recomputed only when its frame-id contents change (new
-    arrivals, or retain decisions flipped by a provisional clip); the
-    tail partial block is naturally provisional until it fills. Cached
-    blocks concatenate to the byte-identical mixture matrix the batch
-    engine's chunked inference produces.
-    """
-
-    def __init__(self):
-        self._blocks: Dict[int, Tuple[bytes, GaussianMixture]] = {}
-
-    def clear(self) -> None:
-        self._blocks.clear()
-
-    def block(
-        self,
-        b: int,
-        ids: np.ndarray,
-        proxy,
-        pixels_of: Callable[[np.ndarray], np.ndarray],
-        stats: Optional[StreamingStats] = None,
-    ) -> GaussianMixture:
-        """Mixtures of block ``b`` holding frames ``ids``.
-
-        A hit when the slot's frame-id contents match; otherwise
-        inferred from ``pixels_of(ids)`` — ``video.batch_pixels``, or
-        the pixels themselves when a pass already has them in hand —
-        and cached.
-        """
-        key = ids.tobytes()
-        cached = self._blocks.get(b)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        mixture = proxy.predict_mixtures(pixels_of(ids))
-        self._blocks[b] = (key, mixture)
-        if stats is not None:
-            stats.fresh_inferred_frames += int(ids.size)
-        return mixture
-
-    def mixtures_for(
-        self,
-        proxy,
-        video: StreamingVideo,
-        retained: np.ndarray,
-        stats: Optional[StreamingStats] = None,
-    ) -> GaussianMixture:
-        retained = np.asarray(retained, dtype=np.int64)
-        num_blocks = -(-retained.size // INFER_BLOCK)
-        parts: List[GaussianMixture] = []
-        for b in range(num_blocks):
-            ids = retained[b * INFER_BLOCK:(b + 1) * INFER_BLOCK]
-            # Use the locally validated mixture, never a re-read: a
-            # sibling session sharing this cache at a different
-            # watermark may have replaced the slot in the meantime.
-            parts.append(
-                self.block(b, ids, proxy, video.batch_pixels, stats))
-        for b in [b for b in self._blocks if b >= num_blocks]:
-            # pop, not del: a service-shared cache may see a sibling
-            # session trim the same stale block concurrently.
-            self._blocks.pop(b, None)
-        return GaussianMixture.concatenate(parts)
-
-
 class DriftTracker:
     """Rolling proxy-vs-oracle calibration error on audited frames.
 
@@ -328,132 +175,63 @@ class AppendOutcome:
     audited: int
 
 
-class IncrementalPhase1:
-    """Maintains batch-equivalent Phase-1 artifacts under appends.
+class IncrementalPhase1(Phase1Maintainer):
+    """The Phase-1 maintainer under appends, with drift auditing.
 
-    ``bootstrap()`` mirrors :func:`~repro.core.phase1.run_phase1` step
-    by step over the initial segment (the sampling, training and
-    charging arithmetic is kept in lockstep with that function);
+    ``bootstrap()`` is the batch build over the initial segment;
     ``advance()`` folds one append in. Both return a fresh
-    :class:`~repro.api.session.Phase1Entry` whose ledger replays the
+    :class:`~repro.core.phase1.Phase1Entry` whose ledger replays the
     charges a from-scratch batch run over the current prefix would
-    make.
+    make (plus, once auditing is on, the audit/retrain work a batch
+    run never does).
     """
 
     def __init__(
         self,
-        video: StreamingVideo,
-        scoring,
-        config: EverestConfig,
-        unit_costs: Dict[str, float],
+        video,
         label_oracle,
+        config,
+        unit_costs: Dict[str, float],
         streaming: StreamingConfig,
         stats: StreamingStats,
     ):
-        self.video = video
-        self.scoring = scoring
-        self.config = config
-        self.unit_costs = dict(unit_costs)
-        self.label_oracle = label_oracle
+        super().__init__(video, label_oracle, config, unit_costs, stats)
         self.streaming = streaming
-        self.stats = stats
-
-        self.diff = IncrementalDiff(config.diff)
-        self.blocks = BlockInferenceCache()
-        self.known_scores: Dict[int, float] = {}
-        #: Audit/retrain work beyond the batch replay, aggregated per
-        #: ledger key (a per-event list would grow with stream age).
-        self.extra_charges: Dict[str, float] = {}
         self.retrained_segments: List[int] = []
         #: True once auditing/retraining charged work a batch run would
         #: not have — reports remain valid but stop being bit-equal.
         self.diverged = False
-        self.grid_result = None
-        self.proxy = None
         self.drift_tracker: Optional[DriftTracker] = None
-        self.train_idx = np.zeros(0, dtype=np.int64)
-        self.holdout_idx = np.zeros(0, dtype=np.int64)
-        self._train_scores = np.zeros(0)
-        self._holdout_scores = np.zeros(0)
-        self.sample_epochs = 0
 
     # ------------------------------------------------------------------
-    def adopt_inference_cache(self, shared: "BlockInferenceCache") -> None:
+    def adopt_inference_cache(self, shared: BlockInferenceCache) -> None:
         """Share proxy-inference blocks with sibling sessions.
 
         The service layer keys shared caches by the full artifact
         (video content, UDF, *and* phase1 configuration), under which
         bootstrap proxies are bit-identical — so cached mixtures are
-        interchangeable. A session that has warm-retrained holds a
-        different proxy and must keep its private cache (see
-        :meth:`_warm_retrain`), so adoption is refused after retrain.
+        interchangeable. Refused by a session that has warm-retrained
+        (it holds a different proxy and keeps its private cache, see
+        :meth:`_warm_retrain`) and by a sliding-window session (its
+        evictions must stay invisible to full-prefix siblings).
         """
-        if shared is self.blocks or self.diverged:
+        if shared is self.blocks or self.diverged \
+                or is_sliding(self.video):
             return
         shared._blocks.update(self.blocks._blocks)
+        shared._tops.update(self.blocks._tops)
         self.blocks = shared
 
     # ------------------------------------------------------------------
-    def bootstrap(self):
-        """Phase 1 over the initial segment (run_phase1, incrementally).
-
-        Each numbered step mirrors the same step of
-        :func:`~repro.core.phase1.run_phase1`; the replayed ledger in
-        :meth:`rebuild_entry` re-issues their charges.
-        """
-        video, config = self.video, self.config
-        phase1 = config.phase1
-        num_frames = len(video)
-        rng = np.random.default_rng(config.seed)
-        pool = phase1.sample_pool(num_frames)
-        train_size = phase1.train_sample_size(pool)
-        holdout_size = phase1.holdout_sample_size(pool)
-        train_idx, holdout_idx = _sample_indices(
-            rng, pool, train_size, holdout_size)
-
-        # 1. Oracle-label the samples (fresh calls; cached thereafter).
-        train_scores = self.label_oracle.score(video, train_idx)
-        holdout_scores = self.label_oracle.score(video, holdout_idx)
-        for idx, score in zip(train_idx, train_scores):
-            self.known_scores[int(idx)] = float(score)
-        for idx, score in zip(holdout_idx, holdout_scores):
-            self.known_scores[int(idx)] = float(score)
-        self.train_idx, self.holdout_idx = train_idx, holdout_idx
-        self._train_scores = np.asarray(train_scores, dtype=np.float64)
-        self._holdout_scores = np.asarray(holdout_scores, dtype=np.float64)
-
-        # 2. Train the (g, h) grid; select by holdout NLL.
-        self.grid_result = train_proxy_grid(
-            video.batch_pixels(train_idx),
-            train_scores,
-            video.batch_pixels(holdout_idx),
-            holdout_scores,
-            config=phase1,
-            input_hw=video.resolution,
-            seed=config.seed,
-        )
-        self.proxy = self.grid_result.proxy
-        self.sample_epochs = self.grid_result.sample_epochs
+    def bootstrap(self, cost_model=None):
+        entry = super().bootstrap(cost_model)
         self.drift_tracker = DriftTracker(
             self.grid_result.best_history.holdout_nll,
             window=self.streaming.audit_window,
             min_samples=self.streaming.min_audit_for_drift,
         )
+        return entry
 
-        # 3 + 4. One pass, as in run_phase1: the detector renders each
-        # block of clips once and the retained rows go, pixels in hand,
-        # to the block cache INFER_BLOCK rows at a time (a block a
-        # sibling session already cached is a hit and is not
-        # re-inferred). 5 runs inside rebuild_entry, on cache hits.
-        blocks = RowChunker(
-            INFER_BLOCK,
-            lambda b, ids, pixels: self.blocks.block(
-                b, ids, self.proxy, lambda _: pixels, self.stats))
-        self.diff.extend(video, num_frames, on_retained=blocks.push)
-        blocks.close()
-        return self.rebuild_entry()
-
-    # ------------------------------------------------------------------
     def advance(self, segment: Segment):
         """Fold one append into the Phase-1 state; returns the entry."""
         audited = self._audit(segment)
@@ -472,52 +250,6 @@ class IncrementalPhase1:
             drift=drift,
             retrained=retrained,
             audited=audited,
-        )
-
-    # ------------------------------------------------------------------
-    def rebuild_entry(self):
-        """Assemble a batch-equivalent Phase1Entry for the prefix."""
-        from ..api.session import Phase1Entry
-
-        phase1 = self.config.phase1
-        diff_result = self.diff.result()
-        retained = diff_result.retained
-        mixtures = self.blocks.mixtures_for(
-            self.proxy, self.video, retained, self.stats)
-        step = phase1.quantization_step
-        if step is None:
-            step = self.scoring.step
-        relation = build_relation(
-            retained,
-            mixtures,
-            floor=self.scoring.score_floor,
-            step=step,
-            known_scores=self.known_scores,
-            truncate_sigmas=phase1.truncate_sigmas,
-        )
-        cost_model = CostModel(self.unit_costs)
-        replay_phase1_charges(
-            cost_model,
-            train_labels=int(self.train_idx.size),
-            holdout_labels=int(self.holdout_idx.size),
-            sample_epochs=self.sample_epochs,
-            num_frames=len(self.video),
-            num_retained=int(retained.size),
-        )
-        for key in sorted(self.extra_charges):
-            cost_model.charge(key, self.extra_charges[key])
-        result = Phase1Result(
-            relation=relation,
-            proxy=self.proxy,
-            grid_result=self.grid_result,
-            diff_result=diff_result,
-            known_scores=self.known_scores,
-            mixtures=mixtures,
-        )
-        return Phase1Entry(
-            result=result,
-            oracle_calls=int(self.train_idx.size + self.holdout_idx.size),
-            cost_model=cost_model,
         )
 
     # ------------------------------------------------------------------

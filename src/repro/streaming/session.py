@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..api.executor import QueryExecutor
 from ..api.session import Phase1Entry, Session, phase1_key
 from ..config import EverestConfig
 from ..core.result import QueryReport
@@ -35,12 +36,7 @@ from ..errors import CheckpointError, QueryError
 from ..oracle.cost import CostModel
 from ..trace import span as trace_span
 from ..video.streaming import Segment, StreamingVideo
-from .live_topk import (
-    CachingOracle,
-    LiveTopK,
-    ScoreCache,
-    StreamingQueryExecutor,
-)
+from .live_topk import CachingOracle, LiveTopK, ScoreCache
 from .phase1_incremental import (
     IncrementalPhase1,
     StreamingConfig,
@@ -138,26 +134,29 @@ class StreamingSession(Session):
         self.streaming = streaming if streaming is not None \
             else StreamingConfig()
         self.autosave_path = autosave_path
-        # ``score_cache`` lets the service layer promote this session's
-        # revelation memo to service scope (shared with batch queries
-        # over the same footage); ledgers are unaffected either way.
-        self._cache = score_cache if score_cache is not None \
+        # Every executor over this session confirms through one
+        # revelation memo, which is what makes re-certification
+        # delta-sized. ``score_cache`` lets the service layer promote it
+        # to service scope (shared with batch queries over the same
+        # footage); ledgers are unaffected either way.
+        self.shared_score_cache = score_cache if score_cache is not None \
             else ScoreCache()
         self._stats = StreamingStats()
         #: Service hook: when set, ``append`` hands the per-append
         #: subscription refresh pass to this callable (the service
         #: routes it through its scheduler) instead of running inline.
         self.refresh_dispatcher = None
-        self._label_oracle = CachingOracle(
-            scoring,
-            CostModel(self._unit_costs),
-            cache=self._cache,
-            cost_key="oracle_label",
-        )
         self._incremental = IncrementalPhase1(
-            stream, scoring, self.config, self._unit_costs,
-            self._label_oracle, self.streaming, self._stats)
-        self._entry: Optional[Phase1Entry] = None
+            stream,
+            CachingOracle(
+                scoring,
+                CostModel(self._unit_costs),
+                cache=self.shared_score_cache,
+                cost_key="oracle_label",
+            ),
+            self.config, self._unit_costs, self.streaming, self._stats)
+        #: Where the maintained entry lives in the Phase-1 cache.
+        self._key = phase1_key(self.config)
         self._subscriptions: List[LiveTopK] = []
         self._append_log: List[AppendResult] = []
 
@@ -178,7 +177,8 @@ class StreamingSession(Session):
 
     @property
     def stats(self) -> StreamingStats:
-        self._sync_label_stats()
+        self._stats.fresh_label_calls = \
+            self._incremental.label_oracle.fresh_calls
         return self._stats
 
     @property
@@ -195,15 +195,6 @@ class StreamingSession(Session):
     def append_log(self) -> List[AppendResult]:
         return list(self._append_log)
 
-    def _sync_label_stats(self) -> None:
-        self._stats.fresh_label_calls = self._label_oracle.fresh_calls
-
-    def _ensure_bootstrap(self) -> Phase1Entry:
-        if self._entry is None:
-            self._entry = self._incremental.bootstrap()
-            self._sync_label_stats()
-        return self._entry
-
     def append(self, num_frames: int) -> AppendResult:
         """Reveal ``num_frames`` more source frames and re-certify.
 
@@ -214,51 +205,56 @@ class StreamingSession(Session):
         this append paid, as opposed to the batch-equivalent charges
         its reports carry.
         """
-        self._ensure_bootstrap()
+        self.phase1()
         started = time.perf_counter()
         before = self.stats.snapshot()
         segment = self.video.append(num_frames)
-        self._entry, outcome = self._incremental.advance(segment)
-        # Refresh every subscription even if one fails (e.g. a
-        # subscribed query's oracle budget trips): the watermark and
-        # Phase-1 state have already advanced, so the append must
-        # complete its bookkeeping either way — the first error
-        # re-raises after the result is logged, leaving the session
-        # consistent and retryable. A service-attached session hands
-        # the whole pass to the dispatcher (one scheduled job, so it
-        # competes fairly with batch tenants) and blocks on it — and a
-        # dispatch failure (admission refusal, service closing) is
-        # treated exactly like a refresh failure: bookkeeping below
-        # still runs, the error re-raises at the end.
+        entry, outcome = self._incremental.advance(segment)
+        self._phase1_cache[self._key] = entry
+        self._stats.appends += 1
+        return self._finish_event(
+            started, before, self._append_log,
+            AppendResult(
+                segment=segment,
+                watermark=self.watermark,
+                drift=outcome.drift,
+                retrained=outcome.retrained,
+                audited=outcome.audited,
+                fresh_label_calls=(
+                    self._incremental.label_oracle.fresh_calls
+                    - before["fresh_label_calls"]),
+            ))
+
+    def _finish_event(self, started: float, before: Dict[str, int],
+                      log: list, result):
+        """The tail every clock event (append, tick) shares.
+
+        Refreshes every subscription even if one fails (e.g. a
+        subscribed query's oracle budget trips): the video clock and
+        Phase-1 state have already advanced, so the event must
+        complete its bookkeeping either way — the first error
+        re-raises after the result is logged, leaving the session
+        consistent and retryable. A service-attached session hands
+        the whole pass to the dispatcher (one scheduled job, so it
+        competes fairly with batch tenants) and blocks on it — and a
+        dispatch failure (admission refusal, service closing) is
+        treated exactly like a refresh failure.
+        """
         if self.refresh_dispatcher is not None:
             try:
-                reports, refresh_error = \
+                result.reports, refresh_error = \
                     self.refresh_dispatcher(self._refresh_subscriptions)
             except Exception as error:
-                reports, refresh_error = [], error
+                refresh_error = error
         else:
-            reports, refresh_error = self._refresh_subscriptions()
-        self._stats.appends += 1
-        self._sync_label_stats()
-        after = self._stats.snapshot()
-        result = AppendResult(
-            segment=segment,
-            watermark=self.watermark,
-            reports=reports,
-            drift=outcome.drift,
-            retrained=outcome.retrained,
-            audited=outcome.audited,
-            fresh_label_calls=(
-                after["fresh_label_calls"] - before["fresh_label_calls"]),
-            fresh_confirm_calls=(
-                after["fresh_confirm_calls"]
-                - before["fresh_confirm_calls"]),
-            fresh_inferred_frames=(
-                after["fresh_inferred_frames"]
-                - before["fresh_inferred_frames"]),
-            wall_seconds=time.perf_counter() - started,
-        )
-        self._append_log.append(result)
+            result.reports, refresh_error = self._refresh_subscriptions()
+        after = self.stats.snapshot()
+        result.fresh_confirm_calls = \
+            after["fresh_confirm_calls"] - before["fresh_confirm_calls"]
+        result.fresh_inferred_frames = \
+            after["fresh_inferred_frames"] - before["fresh_inferred_frames"]
+        result.wall_seconds = time.perf_counter() - started
+        log.append(result)
         self._trim_history()
         if self.autosave_path is not None:
             self.checkpoint(self.autosave_path)
@@ -292,7 +288,7 @@ class StreamingSession(Session):
                         "subscription_refresh", category="streaming",
                         subscription=index,
                         watermark=self.watermark) as refresh_span:
-                    report = subscription.refresh(self._executor())
+                    report = subscription.refresh(QueryExecutor(self))
                     if refresh_span is not None:
                         refresh_span.set(
                             k=report.k, confidence=report.confidence)
@@ -320,9 +316,9 @@ class StreamingSession(Session):
         if query.session is not self:
             raise QueryError(
                 "subscribe a query built from this streaming session")
-        self._ensure_bootstrap()
+        self.phase1()
         subscription = LiveTopK(query=query)
-        subscription.refresh(self._executor())
+        subscription.refresh(QueryExecutor(self))
         self._subscriptions.append(subscription)
         return subscription
 
@@ -337,7 +333,7 @@ class StreamingSession(Session):
         member's own live queries, under the same error/bookkeeping
         discipline (and through the service dispatcher when attached).
         """
-        self._ensure_bootstrap()
+        self.phase1()
         self._subscriptions.append(subscription)
 
     @property
@@ -347,13 +343,9 @@ class StreamingSession(Session):
     # ------------------------------------------------------------------
     # Session surface, redirected at the incremental state
     # ------------------------------------------------------------------
-    def _executor(self) -> StreamingQueryExecutor:
-        return StreamingQueryExecutor(
-            self, cache=self._cache, stats=self._stats)
-
     def _check_config(self, config: Optional[EverestConfig]) -> None:
         if config is not None and \
-                phase1_key(config) != phase1_key(self.config):
+                phase1_key(config) != self._key:
             raise QueryError(
                 "streaming sessions maintain Phase 1 for the session "
                 "configuration only; Phase 2 overrides are fine, but "
@@ -361,27 +353,21 @@ class StreamingSession(Session):
 
     def phase1(self, config: Optional[EverestConfig] = None) -> Phase1Entry:
         self._check_config(config)
-        return self._ensure_bootstrap()
+        entry = self._phase1_cache.get(self._key)
+        if entry is None:
+            entry = self._phase1_cache[self._key] = \
+                self._incremental.bootstrap()
+        return entry
 
     def phase1_cost_model(
         self, config: Optional[EverestConfig] = None
     ) -> CostModel:
-        self._check_config(config)
-        return self._ensure_bootstrap().cost_model
-
-    @property
-    def phase1_runs(self) -> int:
-        return 1 if self._entry is not None else 0
+        return self.phase1(config).cost_model
 
     def adopt_phase1(self, entry, config=None) -> None:
         raise QueryError(
             "streaming sessions build Phase 1 incrementally; "
             "adopt_phase1 is a batch-session operation")
-
-    def execute(self, plan) -> QueryReport:
-        # execute_fresh keeps StreamingStats honest: ad-hoc queries pay
-        # cache-miss UDF calls too, not just subscriptions.
-        return self._executor().execute_fresh(plan)[0]
 
     def execute_many(
         self, plans: Sequence, *, workers: Optional[int] = None
@@ -393,8 +379,8 @@ class StreamingSession(Session):
                 "streaming sessions execute serially (the incremental "
                 "state is single-process); fan a sweep out from a "
                 "batch Session instead")
-        executor = self._executor()
-        return [executor.execute_fresh(plan)[0] for plan in plans]
+        executor = QueryExecutor(self)
+        return [executor.execute(plan) for plan in plans]
 
     # ------------------------------------------------------------------
     # Batch reference
@@ -425,7 +411,7 @@ class StreamingSession(Session):
         cache, ledgers, drift state — round-trips, so the resumed
         session re-serves its watermark with zero Phase-1 oracle calls.
         """
-        self._ensure_bootstrap()
+        self.phase1()
         state = self._checkpoint_state()
         write_checkpoint(
             path,
@@ -449,7 +435,7 @@ class StreamingSession(Session):
             "streaming": self.streaming,
             "autosave_path": self.autosave_path,
             "incremental": self._incremental,
-            "cache": self._cache,
+            "cache": self.shared_score_cache,
             "stats": self.stats,
             "append_log": self._append_log,
         }
@@ -487,11 +473,11 @@ class StreamingSession(Session):
         # Splice the persisted components back in. The pickle graph
         # preserved identity between them (the maintainer's label
         # oracle shares the score cache), so rewiring is by reference.
-        session._cache = state["cache"]
+        session.shared_score_cache = state["cache"]
         session._stats = state["stats"]
         session._incremental = state["incremental"]
-        session._label_oracle = session._incremental.label_oracle
         session._append_log = list(state.get("append_log", []))
         session._restore_extra(state)
-        session._entry = session._incremental.rebuild_entry()
+        session._phase1_cache[session._key] = \
+            session._incremental.rebuild_entry()
         return session

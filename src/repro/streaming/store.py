@@ -31,8 +31,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import CheckpointError
 
-#: Bump when the pickled state layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Bump when the pickled state layout changes incompatibly — including
+#: a class the pickle names moving or going away: the manifest check
+#: runs before unpickling, so an old checkpoint is refused cleanly
+#: instead of failing inside ``pickle``. (2: one Phase-1 maintainer and
+#: block cache, in ``repro.core.phase1``.)
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 

@@ -85,11 +85,11 @@ def process_clip(
 ) -> np.ndarray:
     """Keep mask for one clip: MSE against the middle-frame anchor.
 
-    The single per-clip kernel, shared by the batch detector and the
-    streaming :class:`~repro.streaming.phase1_incremental
-    .IncrementalDiff` — their bit-equality contract is structural, not
-    a convention between two copies. A clip's decisions depend only on
-    its own frames, which is what makes incremental maintenance exact.
+    The single per-clip kernel, shared by the stand-alone detector and
+    the maintained :class:`~repro.core.phase1.IncrementalDiff` — their
+    bit-equality contract is structural, not a convention between two
+    copies. A clip's decisions depend only on its own frames, which is
+    what makes incremental maintenance exact.
     ``pixels`` are the clip's already-rendered float32 frames (what
     ``video.batch_pixels(indices)`` returns); omitted, they are
     rendered here.

@@ -48,6 +48,18 @@ def window_frames_for(seconds: float, fps: float) -> int:
     return max(1, int(round(float(seconds) * float(fps))))
 
 
+def is_sliding(video) -> bool:
+    """Whether ``video`` is a live sliding-window view.
+
+    The one kind of video whose maintained relation covers only
+    ``[video.window_lo, len(video))``. Everything closed never slides:
+    a batch source has no window, and a sealed snapshot keeps the full
+    prefix — the batch reference a windowed answer is compared against
+    is a from-scratch run over the whole prefix, restricted per plan.
+    """
+    return hasattr(video, "window_lo") and not video.sealed
+
+
 @dataclass(frozen=True)
 class Segment:
     """One append: frames ``[start, end)`` arrived together."""

@@ -14,15 +14,11 @@ run over the window snapshot.
     stream.tick(300)     # expiry: one report, old frames age out
 """
 
-from .maintenance import WindowedBlockCache, WindowedIncrementalPhase1
-from .session import ExpiryResult, WindowedQueryExecutor, WindowedSession
+from .session import ExpiryResult, WindowedSession
 from .view import WindowedVideo, window_frames_for
 
 __all__ = [
     "ExpiryResult",
-    "WindowedBlockCache",
-    "WindowedIncrementalPhase1",
-    "WindowedQueryExecutor",
     "WindowedSession",
     "WindowedVideo",
     "window_frames_for",

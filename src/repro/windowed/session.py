@@ -9,8 +9,8 @@ kinds of events, each delivering one report per subscription:
 * ``append(n)`` — inserts; inherited, the horizon rides the watermark;
 * ``tick(frames)`` — expiries; advances the horizon without arrivals,
   retracting aged-out frames from the maintained relation and the
-  block-inference cache (:class:`~repro.windowed.maintenance.\
-WindowedIncrementalPhase1`).
+  block-inference cache (the Phase-1 maintainer reads the window edge
+  off the video, :mod:`repro.core.phase1`).
 
 Every windowed report is byte-identical to a fresh batch run over the
 window snapshot: ``batch_session()`` seals the prefix (horizon
@@ -27,14 +27,12 @@ from typing import Dict, List, Optional
 
 from ..core.result import QueryReport
 from ..errors import QueryError
-from ..streaming.live_topk import StreamingQueryExecutor
 from ..streaming.session import StreamingSession
 from ..trace import span as trace_span
 from ..video.streaming import StreamingVideo
-from .maintenance import WindowedIncrementalPhase1
 from .view import WindowedVideo
 
-__all__ = ["ExpiryResult", "WindowedSession", "WindowedQueryExecutor"]
+__all__ = ["ExpiryResult", "WindowedSession"]
 
 
 @dataclass
@@ -68,22 +66,6 @@ class ExpiryResult:
             "fresh_inferred_frames": self.fresh_inferred_frames,
             "wall_seconds": self.wall_seconds,
         }
-
-
-class WindowedQueryExecutor(StreamingQueryExecutor):
-    """Rejects window-less frame plans: the maintained relation only
-    covers the open window, so executing an unrestricted plan against
-    it would silently mislabel a windowed answer as a full-prefix one.
-    The fluent builder windows every plan implicitly; this guard is for
-    hand-built plans."""
-
-    def execute_detailed(self, plan):
-        if plan.mode == "frames" and plan.frame_ranges is None:
-            raise QueryError(
-                "plans on a windowed session must carry a sliding "
-                "window; compile them with session.query() (the "
-                "session window applies implicitly)")
-        return super().execute_detailed(plan)
 
 
 class WindowedSession(StreamingSession):
@@ -122,11 +104,6 @@ class WindowedSession(StreamingSession):
             initial_frames = None
         super().__init__(video, scoring,
                          initial_frames=initial_frames, **kwargs)
-        # Swap in the window-aware maintainer (nothing is bootstrapped
-        # yet, so this replaces state wholesale, not mid-flight).
-        self._incremental = WindowedIncrementalPhase1(
-            self.video, scoring, self.config, self._unit_costs,
-            self._label_oracle, self.streaming, self._stats)
         self._expiry_log: List[ExpiryResult] = []
 
     # ------------------------------------------------------------------
@@ -159,54 +136,27 @@ class WindowedSession(StreamingSession):
         against the narrowed relation — one report per tick, under the
         same bookkeeping-before-reraise discipline as ``append``.
         """
-        self._ensure_bootstrap()
+        self.phase1()
         started = time.perf_counter()
         before = self.stats.snapshot()
         with trace_span(
                 "expiry", category="streaming", frames=frames,
                 horizon=self.video.horizon) as expiry_span:
             horizon = self.video.tick(frames)
-            self._entry = self._incremental.rebuild_entry()
+            self._phase1_cache[self._key] = \
+                self._incremental.rebuild_entry()
             if expiry_span is not None:
                 expiry_span.set(
                     window_lo=self.video.window_lo,
                     watermark=self.watermark)
-        if self.refresh_dispatcher is not None:
-            try:
-                reports, refresh_error = \
-                    self.refresh_dispatcher(self._refresh_subscriptions)
-            except Exception as error:
-                reports, refresh_error = [], error
-        else:
-            reports, refresh_error = self._refresh_subscriptions()
-        self._sync_label_stats()
-        after = self._stats.snapshot()
-        result = ExpiryResult(
-            horizon=horizon,
-            window_lo=self.video.window_lo,
-            ticked_frames=frames,
-            watermark=self.watermark,
-            reports=reports,
-            fresh_confirm_calls=(
-                after["fresh_confirm_calls"]
-                - before["fresh_confirm_calls"]),
-            fresh_inferred_frames=(
-                after["fresh_inferred_frames"]
-                - before["fresh_inferred_frames"]),
-            wall_seconds=time.perf_counter() - started,
-        )
-        self._expiry_log.append(result)
-        self._trim_history()
-        if self.autosave_path is not None:
-            self.checkpoint(self.autosave_path)
-        if refresh_error is not None:
-            raise refresh_error
-        return result
-
-    # ------------------------------------------------------------------
-    def _executor(self) -> WindowedQueryExecutor:
-        return WindowedQueryExecutor(
-            self, cache=self._cache, stats=self._stats)
+        return self._finish_event(
+            started, before, self._expiry_log,
+            ExpiryResult(
+                horizon=horizon,
+                window_lo=self.video.window_lo,
+                ticked_frames=frames,
+                watermark=self.watermark,
+            ))
 
     def _trim_history(self) -> None:
         super()._trim_history()

@@ -1,7 +1,6 @@
 """Tests for the declarative query API (sessions, builder, plans).
 
-Covers the acceptance criteria of the API redesign: fluent queries
-produce reports identical to the legacy engine's, a sweep on one
+Covers the acceptance criteria of the API redesign: a sweep on one
 session runs Phase 1 exactly once, builder clauses validate eagerly,
 window-query edges behave, and reports round-trip through JSON.
 """
@@ -23,7 +22,6 @@ from repro.api import (
     resolve_video,
 )
 from repro.config import EverestConfig, Phase2Config
-from repro.core import EverestEngine
 from repro.core.result import PhaseBreakdown, QueryReport
 from repro.core.windows import num_windows
 from repro.errors import (
@@ -132,30 +130,6 @@ class TestBuilderValidation:
 
 
 class TestSessionQueries:
-    def test_frame_query_matches_engine(self, traffic_video, fast_config):
-        scoring = counting_udf("car")
-        fresh = Session(traffic_video, scoring, config=fast_config)
-        report = fresh.query().topk(5).guarantee(0.9).run()
-        legacy = EverestEngine(
-            traffic_video, scoring, config=fast_config).topk(5, 0.9)
-        assert report.answer_ids == legacy.answer_ids
-        assert report.confidence == legacy.confidence
-        assert report.oracle_calls == legacy.oracle_calls
-        assert report.cleaned == legacy.cleaned
-
-    def test_window_query_matches_engine(self, traffic_video, fast_config):
-        scoring = counting_udf("car")
-        fresh = Session(traffic_video, scoring, config=fast_config)
-        report = (fresh.query()
-                  .windows(size=30).topk(5).guarantee(0.9).run())
-        legacy = EverestEngine(
-            traffic_video, scoring,
-            config=fast_config).topk_windows(5, 0.9, window_size=30)
-        assert report.answer_ids == legacy.answer_ids
-        assert report.confidence == legacy.confidence
-        assert report.oracle_calls == legacy.oracle_calls
-        assert report.window_size == legacy.window_size == 30
-
     def test_sweep_runs_phase1_once(self, traffic_video, fast_config):
         scoring, calls = counting_udf_with_counter()
         fresh = Session(traffic_video, scoring, config=fast_config)
@@ -183,12 +157,12 @@ class TestSessionQueries:
         assert fresh.phase1_runs == 1
 
     def test_facade_phase1_cost_ledger(self, traffic_video, fast_config):
-        engine = EverestEngine(
+        fresh = Session(
             traffic_video, counting_udf("car"), config=fast_config)
-        ledger = engine.phase1_cost  # stable handle before Phase 1
+        ledger = fresh.phase1_cost_model()  # stable handle before Phase 1
         assert ledger.seconds("oracle_label") == 0.0
-        engine.topk(5, 0.9)
-        assert ledger is engine.phase1_cost
+        fresh.query().topk(5).guarantee(0.9).run()
+        assert ledger is fresh.phase1_cost_model()
         assert ledger.seconds("oracle_label") > 0
 
     def test_oracle_budget_clause_enforced(self, traffic_video, fast_config):
@@ -232,12 +206,12 @@ class TestWindowEdges:
 
     def test_invalid_window_step_via_engine_facade(
             self, traffic_video, fast_config):
-        engine = EverestEngine(
+        fresh = Session(
             traffic_video, counting_udf("car"), config=fast_config)
         with pytest.raises(QueryError):
-            engine.topk_windows(5, 0.9, window_size=30, window_step=0.0)
+            fresh.query().windows(size=30, step=0.0)
         with pytest.raises(QueryError):
-            engine.topk_windows(5, 0.9, window_size=-2)
+            fresh.query().windows(size=-2)
 
     def test_window_ids_in_range(self, session, traffic_video):
         report = (session.query()

@@ -1,10 +1,11 @@
-"""Integration tests: the Phase 2 cleaning loop and the full engine."""
+"""Integration tests: the Phase 2 cleaning loop and end-to-end queries."""
 
 import numpy as np
 import pytest
 
 from repro.config import EverestConfig, Phase2Config
-from repro.core import EverestEngine, TopKCleaner
+from repro.api import Session
+from repro.core import TopKCleaner
 from repro.core.cleaner import Phase2Result
 from repro.errors import (
     GuaranteeUnreachableError,
@@ -16,6 +17,10 @@ from repro.oracle import counting_udf
 from repro.oracle.base import exact_scores
 
 from conftest import make_relation
+
+
+def topk(session, k, thres):
+    return session.query().topk(k).guarantee(thres).run()
 
 
 def make_clean_fn(true_scores):
@@ -132,66 +137,66 @@ class TestCleanerUnit:
 class TestEngineEndToEnd:
     @pytest.fixture(scope="class")
     def engine(self, traffic_video, fast_config):
-        return EverestEngine(
+        return Session(
             traffic_video, counting_udf("car"), config=fast_config)
 
     def test_meets_probabilistic_guarantee(self, engine):
-        report = engine.topk(k=5, thres=0.9)
+        report = topk(engine, k=5, thres=0.9)
         assert report.confidence >= 0.9
         assert len(report.answer_ids) == 5
 
     def test_answer_scores_are_exact(self, engine, traffic_video):
-        report = engine.topk(k=5, thres=0.9)
+        report = topk(engine, k=5, thres=0.9)
         for frame, score in zip(report.answer_ids, report.answer_scores):
             assert score == traffic_video.true_count(frame)
 
     def test_high_precision(self, engine, traffic_video):
-        report = engine.topk(k=10, thres=0.9)
+        report = topk(engine, k=10, thres=0.9)
         truth = traffic_video.counts.astype(float)
         metrics = evaluate_answer(report.answer_ids, truth, 10)
         assert metrics.precision >= 0.9
 
     def test_speedup_positive_and_cost_accounted(self, engine):
-        report = engine.topk(k=5, thres=0.9)
+        report = topk(engine, k=5, thres=0.9)
         assert report.simulated_seconds > 0
         assert report.scan_seconds > report.simulated_seconds * 0.5
         assert report.breakdown.phase1_seconds > 0
         assert report.breakdown.confirm_oracle >= 0
 
     def test_cleans_only_a_fraction(self, engine):
-        report = engine.topk(k=5, thres=0.9)
+        report = topk(engine, k=5, thres=0.9)
         assert report.cleaned_fraction < 0.5
 
     def test_phase1_cached_across_queries(self, engine):
-        first = engine.topk(k=5, thres=0.9)
-        second = engine.topk(k=10, thres=0.9)
+        first = topk(engine, k=5, thres=0.9)
+        second = topk(engine, k=10, thres=0.9)
         assert first.breakdown.label_sample == pytest.approx(
             second.breakdown.label_sample)
 
     def test_lower_threshold_not_more_work(self, engine):
-        strict = engine.topk(k=5, thres=0.95)
-        loose = engine.topk(k=5, thres=0.5)
+        strict = topk(engine, k=5, thres=0.95)
+        loose = topk(engine, k=5, thres=0.5)
         assert loose.cleaned <= strict.cleaned
 
     def test_oracle_budget_enforced(self, traffic_video, fast_config):
         from dataclasses import replace
         config = replace(
             fast_config, phase2=Phase2Config(oracle_budget=3))
-        engine = EverestEngine(
+        engine = Session(
             traffic_video, counting_udf("car"), config=config)
         with pytest.raises(OracleBudgetExceededError):
-            engine.topk(k=20, thres=0.99)
+            topk(engine, k=20, thres=0.99)
 
     def test_summary_renders(self, engine):
-        report = engine.topk(k=5, thres=0.9)
+        report = topk(engine, k=5, thres=0.9)
         text = report.summary()
         assert "Top-5" in text and "speedup" in text
 
     def test_tailgating_udf_end_to_end(self, dashcam_video, fast_config):
         from repro.oracle import tailgating_udf
         scoring = tailgating_udf()
-        engine = EverestEngine(dashcam_video, scoring, config=fast_config)
-        report = engine.topk(k=5, thres=0.9)
+        engine = Session(dashcam_video, scoring, config=fast_config)
+        report = topk(engine, k=5, thres=0.9)
         truth = exact_scores(scoring, dashcam_video)
         metrics = evaluate_answer(report.answer_ids, truth, 5)
         assert report.confidence >= 0.9
@@ -200,6 +205,6 @@ class TestEngineEndToEnd:
     def test_sentiment_udf_end_to_end(self, sentiment_video, fast_config):
         from repro.oracle import sentiment_udf
         scoring = sentiment_udf()
-        engine = EverestEngine(sentiment_video, scoring, config=fast_config)
-        report = engine.topk(k=5, thres=0.9)
+        engine = Session(sentiment_video, scoring, config=fast_config)
+        report = topk(engine, k=5, thres=0.9)
         assert report.confidence >= 0.9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import EverestConfig
-from repro.core import EverestEngine
+from repro.api import Session
 from repro.core.windows import (
     WindowCleaner,
     build_window_relation,
@@ -136,9 +136,10 @@ class TestWindowCleaner:
 
 class TestWindowQueries:
     def test_window_query_end_to_end(self, traffic_video, fast_config):
-        engine = EverestEngine(
+        session = Session(
             traffic_video, counting_udf("car"), config=fast_config)
-        report = engine.topk_windows(k=5, thres=0.9, window_size=30)
+        report = (session.query().windows(size=30)
+                  .topk(5).guarantee(0.9).run())
         assert report.confidence >= 0.9
         assert report.window_size == 30
         truth = window_truth(traffic_video.counts.astype(float), 30)
@@ -147,20 +148,22 @@ class TestWindowQueries:
 
     def test_window_size_one_delegates_to_frames(
             self, traffic_video, fast_config):
-        engine = EverestEngine(
+        session = Session(
             traffic_video, counting_udf("car"), config=fast_config)
-        report = engine.topk_windows(k=5, thres=0.9, window_size=1)
+        report = (session.query().windows(size=1)
+                  .topk(5).guarantee(0.9).run())
         assert report.window_size is None
 
     def test_invalid_window_size(self, traffic_video, fast_config):
-        engine = EverestEngine(
+        session = Session(
             traffic_video, counting_udf("car"), config=fast_config)
         with pytest.raises(QueryError):
-            engine.topk_windows(k=5, thres=0.9, window_size=0)
+            session.query().windows(size=0)
 
     def test_window_ids_in_range(self, traffic_video, fast_config):
-        engine = EverestEngine(
+        session = Session(
             traffic_video, counting_udf("car"), config=fast_config)
-        report = engine.topk_windows(k=5, thres=0.9, window_size=50)
+        report = (session.query().windows(size=50)
+                  .topk(5).guarantee(0.9).run())
         count = num_windows(len(traffic_video), 50)
         assert all(0 <= w < count for w in report.answer_ids)

@@ -1,11 +1,11 @@
 """Phase 1 is one pass over the pixels (DESIGN.md §3, §7).
 
-``run_phase1`` (and the streaming bootstrap, its incremental twin)
+``run_phase1`` (and a streaming bootstrap — the same maintainer)
 renders a frame at most once while detecting differences *and*
 inferring — plus the labelled sample batch once — yet produces exactly
 what the two separate passes produced: the same ``DiffResult``, the
 same mixtures at the same BLAS batch boundaries, the same relation and
-the same charge sequence, for every ``infer_workers``.
+the same charge sequence.
 """
 
 from __future__ import annotations
@@ -69,19 +69,19 @@ def two_pass_diff(video, config):
     return np.flatnonzero(retained_mask), representative
 
 
-def run(video, *, workers):
+def run(video):
     cost = RecordingCostModel(wall_clock=False)
-    oracle = Oracle(counting_udf("car"), cost, cost_key="oracle_label")
+    oracle = Oracle(counting_udf("car"), cost_key="oracle_label")
     result = run_phase1(
         video, oracle, config=PHASE1, diff_config=DIFF, cost_model=cost,
-        seed=3, infer_workers=workers)
+        seed=3)
     return result, oracle, cost
 
 
 @pytest.fixture(scope="module")
 def single_pass():
     video = CountingTraffic("single-pass", NUM_FRAMES, seed=21)
-    return (video,) + run(video, workers=1)
+    return (video,) + run(video)
 
 
 def test_every_frame_is_rendered_once_plus_the_sample_batch(single_pass):
@@ -96,11 +96,10 @@ def test_every_frame_is_rendered_once_plus_the_sample_batch(single_pass):
     assert sum(video.rendered.values()) == NUM_FRAMES + len(samples)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_single_pass_equals_the_two_pass_result(single_pass, workers):
+def test_single_pass_equals_the_two_pass_result(single_pass):
     reference_video = TrafficVideo("single-pass", NUM_FRAMES, seed=21)
     result, oracle, _ = run(
-        TrafficVideo("single-pass", NUM_FRAMES, seed=21), workers=workers)
+        TrafficVideo("single-pass", NUM_FRAMES, seed=21))
 
     retained, representative = two_pass_diff(reference_video, DIFF)
     np.testing.assert_array_equal(result.diff_result.retained, retained)
@@ -112,7 +111,7 @@ def test_single_pass_equals_the_two_pass_result(single_pass, workers):
     np.testing.assert_array_equal(detached.representative, representative)
 
     mixtures = predict_mixtures_chunked(
-        result.proxy, reference_video, retained, workers=workers)
+        result.proxy, reference_video, retained)
     for name in ("pi", "mu", "sigma"):
         np.testing.assert_array_equal(
             getattr(result.mixtures, name), getattr(mixtures, name))
@@ -129,7 +128,7 @@ def test_single_pass_equals_the_two_pass_result(single_pass, workers):
         result.relation.exact_scores, relation.exact_scores)
     assert result.relation.grid == relation.grid
 
-    # ... and the worker count changes nothing at all.
+    # ... and a second run changes nothing at all.
     _, baseline, _, _ = single_pass
     for name in ("pi", "mu", "sigma"):
         np.testing.assert_array_equal(
@@ -150,6 +149,16 @@ def test_charge_sequence_still_equals_the_replay(single_pass):
         num_retained=result.diff_result.num_retained,
     )
     assert cost.sequence == replayed.sequence
+    # One function writes both, so also pin the sequence itself.
+    assert cost.sequence == [
+        ("oracle_label", train),
+        ("oracle_label", holdout),
+        ("decode", train + holdout),
+        ("cmdn_train", result.grid_result.sample_epochs),
+        ("diff_detect", NUM_FRAMES),
+        ("decode", NUM_FRAMES),
+        ("cmdn_infer", result.diff_result.num_retained),
+    ]
     assert cost.breakdown() == replayed.breakdown()
     assert cost.total_seconds() == replayed.total_seconds()
 
@@ -184,7 +193,7 @@ def test_row_chunker_regroups_at_fixed_boundaries():
 
 
 # ----------------------------------------------------------------------
-# The incremental twin: bootstrap is the same single pass
+# A streaming bootstrap is the same single pass
 
 STREAM_CONFIG = EverestConfig(phase1=PHASE1)
 

@@ -9,6 +9,7 @@ score cache, and the streaming attachment hooks.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -507,6 +508,53 @@ class TestQueryServiceSurface:
             ).result(WAIT)
             # The report tracks the live watermark, not a frozen blob.
             assert after.num_frames == 800
+
+    def test_predict_prices_a_bootstrapped_stream_warm(self, comp_cfg):
+        with QueryService(
+                workers=1, use_processes=False, ordering="cost") as service:
+            stream = service.open_stream(
+                _video("warm", 97, frames=900), counting_udf("car"),
+                initial_frames=600, config=comp_cfg)
+            plan = stream.query().topk(3).guarantee(0.9).plan()
+            assert not service._predict(stream, plan).phase1_warm
+            stream.phase1()
+            # Bootstrapped: an ad-hoc query pays no Phase-1 build.
+            assert service._predict(stream, plan).phase1_warm
+
+    def test_submit_refuses_window_less_plans_on_a_windowed_stream(
+            self, comp_cfg):
+        # The inline lane must apply the session's own guard: the
+        # maintained relation only covers the open window, so a bare
+        # plan would be answered window-scoped yet labelled full-prefix.
+        with QueryService(workers=1, use_processes=False) as service:
+            stream = service.open_stream(
+                _video("bare", 101, frames=900), counting_udf("car"),
+                initial_frames=600, window_seconds=10.0, config=comp_cfg)
+            plan = stream.query().topk(3).guarantee(0.9).plan()
+            bare = dataclasses.replace(
+                plan, frame_ranges=None, window_seconds=None)
+            with pytest.raises(QueryError, match="sliding window"):
+                stream.execute(bare)
+            with pytest.raises(QueryError, match="sliding window"):
+                service.submit(bare, session=stream).result(WAIT)
+            windowed = service.submit(plan, session=stream).result(WAIT)
+            assert windowed.num_tuples <= stream.video.window_size
+
+    def test_submitted_stream_queries_count_fresh_confirms(self, comp_cfg):
+        with QueryService(workers=1, use_processes=False) as service:
+            stream = service.open_stream(
+                _video("adhoc", 103, frames=900), counting_udf("car"),
+                initial_frames=600, config=comp_cfg)
+            query = stream.query().topk(3).guarantee(0.9)
+            report = service.submit(query).result(WAIT)
+            labels = stream.phase1().oracle_calls
+            assert report.oracle_calls > labels
+            # Ad-hoc confirmations are physical work the stream paid.
+            assert stream.stats.fresh_confirm_calls > 0
+            paid = stream.stats.fresh_confirm_calls
+            # ... once: the same query again hits the stream's cache.
+            service.submit(query).result(WAIT)
+            assert stream.stats.fresh_confirm_calls == paid
 
     def test_prehanded_phase1_ledger_filled_by_shared_build(self, comp_cfg):
         with QueryService(workers=1, use_processes=False) as service:

@@ -11,6 +11,7 @@ store's crash-recovery behaviour.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.errors import (
     VideoError,
 )
 from repro.oracle import CostModel, Oracle, counting_udf
+from repro.oracle.cost import merge_cost_models
 from repro.streaming import (
     BlockInferenceCache,
     CachingOracle,
@@ -36,6 +38,7 @@ from repro.streaming import (
     StreamingConfig,
 )
 from repro.streaming.store import (
+    FORMAT_VERSION,
     MANIFEST_NAME,
     read_checkpoint,
     write_checkpoint,
@@ -145,9 +148,10 @@ def test_block_cache_matches_chunked_inference(traffic_video, trained_proxy):
     cache = BlockInferenceCache()
     stream = StreamingVideo(traffic_video, 600)
     retained = np.arange(0, 600)
-    mine = cache.mixtures_for(trained_proxy, stream, retained)
+    mine, _ = cache.window_state(
+        trained_proxy, stream, retained, 0, truncate_sigmas=3.0)
     reference = predict_mixtures_chunked(
-        trained_proxy, traffic_video, retained, workers=1)
+        trained_proxy, traffic_video, retained)
     np.testing.assert_array_equal(mine.pi, reference.pi)
     np.testing.assert_array_equal(mine.mu, reference.mu)
     np.testing.assert_array_equal(mine.sigma, reference.sigma)
@@ -159,10 +163,11 @@ def test_block_cache_matches_chunked_inference(traffic_video, trained_proxy):
     stats = StreamingStats()
     stream.append(600)
     grown = np.arange(0, 1200)
-    mine2 = cache.mixtures_for(trained_proxy, stream, grown, stats)
+    mine2, _ = cache.window_state(
+        trained_proxy, stream, grown, 0, truncate_sigmas=3.0, stats=stats)
     assert stats.fresh_inferred_frames == grown.size - 512
     reference2 = predict_mixtures_chunked(
-        trained_proxy, traffic_video, grown, workers=1)
+        trained_proxy, traffic_video, grown)
     np.testing.assert_array_equal(mine2.mu, reference2.mu)
 
 
@@ -171,15 +176,17 @@ def test_block_cache_invalidates_on_membership_change(
     cache = BlockInferenceCache()
     stream = StreamingVideo(traffic_video, 900)
     first = np.arange(0, 900, 3)
-    cache.mixtures_for(trained_proxy, stream, first)
+    cache.window_state(
+        trained_proxy, stream, first, 0, truncate_sigmas=3.0)
     # Drop one frame near the front: every block shifts and recomputes.
     from repro.streaming import StreamingStats
     stats = StreamingStats()
     changed = first[first != 3]
-    mine = cache.mixtures_for(trained_proxy, stream, changed, stats)
+    mine, _ = cache.window_state(
+        trained_proxy, stream, changed, 0, truncate_sigmas=3.0, stats=stats)
     assert stats.fresh_inferred_frames == changed.size
     reference = predict_mixtures_chunked(
-        trained_proxy, traffic_video, changed, workers=1)
+        trained_proxy, traffic_video, changed)
     np.testing.assert_array_equal(mine.mu, reference.mu)
 
 
@@ -281,7 +288,7 @@ class TestArtifactStore:
         state, manifest = read_checkpoint(path)
         assert state == {"answer": 42}
         assert manifest["video_name"] == "v"
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == FORMAT_VERSION
 
     def test_rewrite_garbage_collects_old_blobs(self, tmp_path):
         path = tmp_path / "ck"
@@ -314,6 +321,22 @@ class TestArtifactStore:
         with pytest.raises(CheckpointError, match="format"):
             read_checkpoint(path)
 
+    def test_version_1_checkpoint_is_refused_by_the_manifest(self, tmp_path):
+        path = tmp_path / "ck"
+        write_checkpoint(path, {"round": 1})
+        # A version-1 state pickles classes that no longer exist; the
+        # refusal must come from the manifest, before pickle sees it.
+        blob = b"\x80\x04crepro.windowed.maintenance\n" \
+            b"WindowedIncrementalPhase1\n."
+        next(path.glob("state-*.pkl")).write_bytes(blob)
+        manifest_path = path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest["sha256"] = hashlib.sha256(blob).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format 1 unsupported"):
+            Session.resume(path)
+
 
 # ----------------------------------------------------------------------
 # Session-level surfaces not covered by the equivalence suite.
@@ -333,6 +356,33 @@ class TestStreamingSessionSurface:
             num_frames=300, seed=2, config=EverestConfig.fast())
         assert session.watermark == 200
         assert session.video.name == "traffic"
+
+    @pytest.mark.parametrize("window_seconds", [None, 4.0])
+    def test_live_phase1_ledgers_are_deterministic(self, window_seconds):
+        # Phase-1 charges are purely simulated on every path, so a
+        # stream's ledger must say so — before and after an append —
+        # or folding it re-enables wall-clock timers on the merge.
+        stream = Session.open_stream(
+            TrafficVideo("stream-ledger", 360, seed=23),
+            counting_udf("car"), initial_frames=240,
+            window_seconds=window_seconds, config=EverestConfig.fast())
+        assert stream.phase1().cost_model.wall_clock is False
+        stream.append(60)
+        assert stream.phase1().cost_model.wall_clock is False
+        batch = stream.batch_session()
+        merged = merge_cost_models(
+            [batch.phase1().cost_model, stream.phase1().cost_model])
+        assert merged.wall_clock is False
+
+    def test_bootstrapped_stream_is_phase1_cached(
+            self, small_stream_session):
+        stream = small_stream_session
+        stream.phase1()
+        assert stream.phase1_cached()
+        assert stream.phase1_cached(key=phase1_key(stream.config))
+        assert stream.phase1_runs == 1
+        other = dataclasses.replace(stream.config, seed=99)
+        assert not stream.phase1_cached(other)
 
     def test_open_stream_requires_initial_frames(self, traffic_video):
         with pytest.raises(QueryError, match="initial_frames"):

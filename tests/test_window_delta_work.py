@@ -13,12 +13,12 @@ Pinned here:
   cache eviction, not recompute;
 * the subscription's recompiled plan is window-restricted (the
   regression pin for the old full-prefix refresh);
-* :class:`~repro.windowed.maintenance.WindowedBlockCache` eviction and
+* :class:`~repro.core.phase1.BlockInferenceCache` eviction and
   top-healing, unit-tested against a fake proxy (the 480-frame suite
   video never spans two 512-frame inference blocks, so cross-block
   eviction is exercised directly here and at scale by
   ``benchmarks/bench_window_slide.py``);
-* hand-built window-less plans are refused by the windowed executor.
+* hand-built window-less plans are refused on a windowed session.
 """
 
 from __future__ import annotations
@@ -28,17 +28,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import EverestConfig, Session
+from repro import EverestConfig, QueryExecutor, Session
 from repro.config import Phase1Config
+from repro.core.phase1 import INFER_BLOCK, BlockInferenceCache
 from repro.errors import QueryError
 from repro.models.mdn import GaussianMixture
 from repro.oracle import counting_udf
-from repro.streaming.phase1_incremental import (
-    INFER_BLOCK,
-    StreamingStats,
-)
+from repro.streaming import StreamingStats
 from repro.video import TrafficVideo
-from repro.windowed import WindowedBlockCache
 
 NUM_FRAMES = 480
 BOOTSTRAP = 240
@@ -81,7 +78,7 @@ def test_each_frame_is_confirmed_at_most_once_across_events():
             stream.append(size)
         elif kind == "tick":
             stream.tick(size)
-        executor = stream._executor()
+        executor = QueryExecutor(stream)
         executor.execute_fresh(build_query(stream).plan())
         oracle = executor.last_confirm_oracle
         fresh = dict(oracle.fresh_scores) if oracle is not None else {}
@@ -133,11 +130,11 @@ def test_windowed_executor_refuses_window_less_plans():
     bare = dataclasses.replace(
         plan, frame_ranges=None, window_seconds=None)
     with pytest.raises(QueryError):
-        stream._executor().execute_detailed(bare)
+        QueryExecutor(stream).execute_detailed(bare)
 
 
 # ----------------------------------------------------------------------
-# WindowedBlockCache unit tests (fake proxy: cross-block eviction)
+# BlockInferenceCache unit tests (fake proxy: cross-block eviction)
 # ----------------------------------------------------------------------
 class _FakeVideo:
     def batch_pixels(self, ids):
@@ -161,7 +158,7 @@ class _FakeProxy:
 
 
 def test_block_cache_evicts_expired_blocks_but_keeps_tops():
-    cache = WindowedBlockCache()
+    cache = BlockInferenceCache()
     proxy, video = _FakeProxy(), _FakeVideo()
     retained = np.arange(2 * INFER_BLOCK + 176, dtype=np.int64)
     stats = StreamingStats()
@@ -189,7 +186,7 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
 
 
 def test_block_cache_heals_changed_expired_blocks_with_one_inference():
-    cache = WindowedBlockCache()
+    cache = BlockInferenceCache()
     proxy, video = _FakeProxy(), _FakeVideo()
     retained = np.arange(2 * INFER_BLOCK, dtype=np.int64)
     cut = INFER_BLOCK
@@ -218,7 +215,7 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
 
 
 def test_block_cache_drops_stale_trailing_blocks():
-    cache = WindowedBlockCache()
+    cache = BlockInferenceCache()
     proxy, video = _FakeProxy(), _FakeVideo()
     long = np.arange(3 * INFER_BLOCK, dtype=np.int64)
     cache.window_state(proxy, video, long, 0, truncate_sigmas=0.0)
