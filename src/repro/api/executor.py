@@ -6,18 +6,15 @@ the session's Phase 1 artifacts, materializes the frame- or
 window-level uncertain relation, runs the cleaning loop with a fresh
 cost ledger, and assembles the :class:`~repro.core.result.QueryReport`.
 Each execution clones the cached relation, so a query never perturbs
-its session and per-query Table 8 breakdowns stay exact.
-
-Constructed with ``workers > 1``, the executor fans :meth:`execute_many`
-across a process pool (DESIGN.md §6): Phase 1 is built once per
-configuration in this process and shipped to workers that run only
-Phase 2, with reports returned in plan order.
+its session and per-query Table 8 breakdowns stay exact. Sweeps of
+plans fan out one level up (:meth:`Session.execute_many`, DESIGN.md
+§6); every grid point still ends in :meth:`QueryExecutor.execute_detailed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,11 +49,7 @@ class ExecutionDetail:
 
 
 class QueryExecutor:
-    """Executes compiled plans against one session.
-
-    ``workers`` sets the default fan-out of :meth:`execute_many`
-    (``None`` resolves through ``REPRO_WORKERS``, defaulting to
-    serial). Single-plan :meth:`execute` always runs in-process.
+    """Executes compiled plans against one session, in-process.
 
     ``score_cache`` — explicit, or inherited from a service-bound
     or streaming session (:attr:`Session.shared_score_cache`) — swaps
@@ -74,13 +67,9 @@ class QueryExecutor:
         self,
         session: Session,
         *,
-        workers: Optional[int] = None,
         score_cache=None,
     ):
-        from ..parallel.pool import resolve_workers
-
         self.session = session
-        self.workers = resolve_workers(workers)
         if score_cache is None:
             score_cache = getattr(session, "shared_score_cache", None)
         self.score_cache = score_cache
@@ -95,25 +84,6 @@ class QueryExecutor:
         """Execute a plan; also return the fresh-confirmation count."""
         detail = self.execute_detailed(plan)
         return detail.report, detail.fresh_confirm_calls or 0
-
-    def execute_many(
-        self,
-        plans: Sequence[QueryPlan],
-        *,
-        workers: Optional[int] = None,
-    ) -> List[QueryReport]:
-        """Execute a sweep of plans, in plan order.
-
-        With more than one worker the sweep runs on a process pool via
-        :class:`~repro.parallel.runner.ParallelRunner` (deterministic
-        timing is forced so worker count cannot change the reports);
-        otherwise plans execute serially in-process.
-        """
-        from ..parallel.runner import ParallelRunner
-
-        count = self.workers if workers is None else workers
-        runner = ParallelRunner(count)
-        return runner.run_sweep(self.session, plans)
 
     def execute_detailed(self, plan: QueryPlan) -> ExecutionDetail:
         session = self.session

@@ -340,9 +340,9 @@ class Session:
         ``workers`` defaults to the ``REPRO_WORKERS`` environment
         variable, falling back to serial execution.
         """
-        from .executor import QueryExecutor
+        from ..parallel.runner import ParallelRunner
 
-        return QueryExecutor(self, workers=workers).execute_many(plans)
+        return ParallelRunner(workers).run_sweep(self, plans)
 
     # ------------------------------------------------------------------
     def resolved_unit_costs(self) -> Dict[str, float]:

@@ -28,8 +28,8 @@ federated engine executes against:
 
 from __future__ import annotations
 
+import itertools
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +39,7 @@ from ..api.session import Phase1Entry, Session, build_phase1_entry, phase1_key
 from ..config import EverestConfig
 from ..errors import CorpusError, FrameIndexError
 from ..oracle.cost import CostModel
-from ..parallel.pool import resolve_workers
+from ..parallel.pool import PersistentPool, resolve_workers
 from ..video.views import ConcatVideo, VideoSlice
 
 
@@ -293,26 +293,18 @@ class VideoCorpus:
             and key not in member.session._phase1_cache
         ]
         if workers > 1 and len(buildable) > 1:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(buildable))) as pool:
-                futures = [
-                    pool.submit(
-                        build_phase1_entry,
-                        member.video,
-                        member.session.scoring,
-                        member.session._unit_costs,
-                        config,
-                    )
-                    for member in buildable
-                ]
-                # Canonical member order: the earliest shard's failure
-                # is the one the serial loop would hit first.
-                for future in futures:
-                    error = future.exception()
-                    if error is not None:
-                        raise error
-                for member, future in zip(buildable, futures):
-                    member.session.adopt_phase1(future.result(), config)
+            # Canonical member order: the earliest shard's failure is
+            # the one the serial loop would hit first.
+            with PersistentPool(min(workers, len(buildable))) as pool:
+                built = pool.map(
+                    build_phase1_entry,
+                    [member.video for member in buildable],
+                    [member.session.scoring for member in buildable],
+                    [member.session._unit_costs for member in buildable],
+                    itertools.repeat(config),
+                )
+            for member, entry in zip(buildable, built):
+                member.session.adopt_phase1(entry, config)
         return [
             self._member_entry(member, config) for member in self.members
         ]

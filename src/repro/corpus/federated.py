@@ -33,7 +33,6 @@ lands, and pool-lane shard errors re-raise in canonical member order.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +55,7 @@ from ..errors import (
 )
 from ..oracle.base import Oracle
 from ..oracle.cost import CostModel, merge_cost_models
-from ..parallel.pool import resolve_workers, thread_map
+from ..parallel.pool import Shipped, resolve_workers, thread_map
 from ..video.diff import DiffResult
 
 # ----------------------------------------------------------------------
@@ -235,81 +234,48 @@ class InlineShardBackend:
         return thread_map(run, list(jobs), workers=self.workers)
 
 
-@dataclass(frozen=True)
-class _ShardScoreTask:
-    """One shard sub-batch shipped to a pool worker."""
-
-    member_key: Tuple[int, int]
-    #: Pickled ``(video, scoring)`` — the same ``bytes`` object for
-    #: every task on the member, unpickled once per worker (memoized).
-    blob: bytes
-    indices: Tuple[int, ...]
-
-
-#: member_key -> (video, scoring), memoized per pool worker.
-_WORKER_MEMBERS: Dict[Tuple[int, int], Tuple[object, object]] = {}
-
-
-def _pool_score_member(task: _ShardScoreTask) -> np.ndarray:
+def _score_shipped_member(
+    member: Shipped, indices: Tuple[int, ...]
+) -> np.ndarray:
     """Score one shard sub-batch in a pool worker."""
-    memo = _WORKER_MEMBERS.get(task.member_key)
-    if memo is None:
-        memo = pickle.loads(task.blob)
-        _WORKER_MEMBERS[task.member_key] = memo
-    video, scoring = memo
-    frames = [video.frame(i) for i in task.indices]
+    video, scoring = member.resolve()
+    frames = [video.frame(i) for i in indices]
     return np.asarray(scoring(frames), dtype=np.float64)
 
 
 class PoolShardBackend:
     """Ship shard sub-batches to a persistent process pool.
 
-    The service's process lane for corpus queries: each member's
-    ``(video, scoring)`` is pickled once and memoized per worker (the
-    :mod:`repro.service.backend` protocol), so steady-state batches
-    ship only frame ids. Futures are gathered in canonical member
-    order and the earliest member's exception re-raises first —
-    mirroring the sweep runner's grid-order discipline, so a crashed
-    shard worker fails the corpus query deterministically.
+    The service's process lane for corpus queries, on the one pool
+    protocol (DESIGN.md §6): each member's ``(video, scoring)`` is a
+    :class:`~repro.parallel.pool.Shipped` handle — pickled once,
+    unpickled once per worker — and sub-batches are gathered in
+    canonical member order, the earliest member's exception
+    re-raising first, so a crashed shard worker fails the corpus
+    query deterministically.
     """
-
-    _uids = iter(range(1 << 62))
 
     def __init__(self, pool, videos: Sequence, scoring):
         self.pool = pool
         self.videos = list(videos)
         self.scoring = scoring
-        self._uid = next(self._uids)
-        self._blobs: List[Optional[bytes]] = [None] * len(self.videos)
+        self._members: List[Optional[Shipped]] = [None] * len(self.videos)
 
-    def _blob(self, member: int) -> bytes:
-        blob = self._blobs[member]
-        if blob is None:
-            blob = pickle.dumps(
-                (self.videos[member], self.scoring),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            self._blobs[member] = blob
-        return blob
+    def _member(self, member: int) -> Shipped:
+        handle = self._members[member]
+        if handle is None:
+            handle = self._members[member] = Shipped(
+                (self.videos[member], self.scoring))
+        return handle
 
     def score_many(
         self, jobs: Sequence[Tuple[int, Sequence[int]]]
     ) -> List[np.ndarray]:
-        futures = [
-            self.pool.submit(
-                _pool_score_member,
-                _ShardScoreTask(
-                    member_key=(self._uid, member),
-                    blob=self._blob(member),
-                    indices=tuple(int(i) for i in indices),
-                ),
-            )
-            for member, indices in jobs
-        ]
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                raise error
-        return [future.result() for future in futures]
+        return self.pool.map(
+            _score_shipped_member,
+            [self._member(member) for member, _ in jobs],
+            [tuple(int(i) for i in indices) for _, indices in jobs],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +476,7 @@ class _FederatedExecutor(QueryExecutor):
         backend,
         shard_budgets,
     ):
-        super().__init__(session, workers=1)
+        super().__init__(session)
         self.score_cache = None  # members route their own caches
         self._videos = videos
         self._member_names = member_names

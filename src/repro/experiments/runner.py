@@ -186,21 +186,15 @@ def run_everest(
     window_size: Optional[int] = None,
     config: Optional[EverestConfig] = None,
     session: Optional[Session] = None,
-    engine=None,
 ) -> ExperimentRecord:
     """Run one Everest query and evaluate it against the ground truth.
 
     Pass ``session`` to reuse a cached Phase 1 across a parameter sweep
     (the report still accounts the full Phase 1 cost each time).
-    ``engine`` is accepted for backward compatibility and contributes
-    its session.
     """
     if session is None:
-        if engine is not None:
-            session = engine.session
-        else:
-            session = Session(
-                video, scoring, config=config or default_config())
+        session = Session(
+            video, scoring, config=config or default_config())
     query = session.query().topk(k).guarantee(thres)
     if window_size and window_size > 1:
         query = query.windows(size=window_size)

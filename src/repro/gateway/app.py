@@ -424,55 +424,8 @@ class Gateway:
         refusal here happens *before* any frame moves, so that 429 is
         ``applied: false`` and the append itself is the retry.
         """
-        request = AppendRequest.from_body(body)
-        with self._lock:
-            state = self._streams.get(request.stream_id)
-        if state is None:
-            raise KeyError(
-                f"no open stream {request.stream_id!r}; "
-                f"POST /stream first")
-        try:
-            self.quotas.admit_append(request.tenant)
-        except QuotaExceededError as error:
-            # Refused before any frame moved: the append itself is the
-            # retry, and both rejection ledgers record it.
-            self.metrics.count_append_rejected(
-                request.tenant, error.reason)
-            self.service.count_rejection(request.tenant, error.reason)
-            raise
-        started = self._clock()
-        with state.lock:
-            before = state.stream.watermark
-            try:
-                result = state.stream.append(request.frames)
-            except BaseException as error:  # noqa: BLE001 - wire boundary
-                applied = state.stream.watermark > before
-                if not applied:
-                    # Nothing moved (e.g. the source is exhausted):
-                    # an ordinary error response.
-                    raise
-                # Frames landed; only the refresh pass failed. Report
-                # the truth: applied, retryable, watermark advanced.
-                self.metrics.count_append(
-                    request.tenant, request.frames)
-                self.metrics.count_append_error(request.tenant)
-                # No rejection count here: an AdmissionError from the
-                # refresh dispatch was already ledgered by the
-                # scheduler it bounced off, and the append itself was
-                # applied — only the refresh is retryable.
-                status, payload = self._error_response(error)
-                payload.update(
-                    applied=True,
-                    retryable=True,
-                    stream=request.stream_id,
-                    watermark=state.stream.watermark,
-                )
-                return status, payload
-        self.metrics.count_append(request.tenant, request.frames)
-        self.metrics.observe_latency("append", self._clock() - started)
-        payload = result.to_dict()
-        payload.update(applied=True, stream=request.stream_id)
-        return 200, payload
+        return self._stream_event(
+            AppendRequest.from_body(body), "append", "watermark")
 
     def tick(self, body) -> Response:
         """``POST /tick``: advance a windowed stream's clock (expiry).
@@ -484,14 +437,23 @@ class Gateway:
         the refresh is the retry. Ticking an unwindowed stream is a
         400 — expiry only exists where a window does.
         """
-        request = TickRequest.from_body(body)
+        return self._stream_event(
+            TickRequest.from_body(body), "tick", "horizon")
+
+    def _stream_event(self, request, op: str, marker: str) -> Response:
+        """Apply one ``/append`` or ``/tick`` to its stream.
+
+        ``op`` names the session method (and the latency series);
+        ``marker`` is the progress attribute it advances — the event
+        was *applied* exactly when the marker moved.
+        """
         with self._lock:
             state = self._streams.get(request.stream_id)
         if state is None:
             raise KeyError(
                 f"no open stream {request.stream_id!r}; "
                 f"POST /stream first")
-        if not hasattr(state.stream, "tick"):
+        if op == "tick" and not hasattr(state.stream, "tick"):
             raise QueryError(
                 f"stream {request.stream_id!r} has no sliding window; "
                 f"open it with a 'window' field (or '?window=' spec "
@@ -499,30 +461,43 @@ class Gateway:
         try:
             self.quotas.admit_append(request.tenant)
         except QuotaExceededError as error:
+            # Refused before anything moved: the event itself is the
+            # retry, and both rejection ledgers record it.
             self.metrics.count_append_rejected(
                 request.tenant, error.reason)
             self.service.count_rejection(request.tenant, error.reason)
             raise
         started = self._clock()
         with state.lock:
-            before = state.stream.horizon
+            before = getattr(state.stream, marker)
             try:
-                result = state.stream.tick(request.frames)
+                result = getattr(state.stream, op)(request.frames)
             except BaseException as error:  # noqa: BLE001 - wire boundary
-                applied = state.stream.horizon > before
-                if not applied:
+                if not getattr(state.stream, marker) > before:
+                    # Nothing moved (e.g. the source is exhausted):
+                    # an ordinary error response.
                     raise
-                # The clock moved; only the refresh pass failed.
+                # The event landed; only the refresh pass failed.
+                # Report the truth: applied, retryable, marker advanced.
+                if op == "append":
+                    self.metrics.count_append(
+                        request.tenant, request.frames)
                 self.metrics.count_append_error(request.tenant)
+                # No rejection count here: an AdmissionError from the
+                # refresh dispatch was already ledgered by the
+                # scheduler it bounced off, and the event itself was
+                # applied — only the refresh is retryable.
                 status, payload = self._error_response(error)
                 payload.update(
                     applied=True,
                     retryable=True,
                     stream=request.stream_id,
-                    horizon=state.stream.horizon,
+                    **{marker: getattr(state.stream, marker)},
                 )
                 return status, payload
-        self.metrics.observe_latency("tick", self._clock() - started)
+        if op == "append":
+            self.metrics.count_append(request.tenant, request.frames)
+        self.metrics.observe_latency(op, self._clock() - started)
         payload = result.to_dict()
         payload.update(applied=True, stream=request.stream_id)
         return 200, payload

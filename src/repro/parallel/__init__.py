@@ -3,8 +3,11 @@
 Two layers:
 
 * :mod:`repro.parallel.pool` — worker-count resolution (the
-  ``REPRO_WORKERS`` environment variable) and ordered thread mapping
-  for in-process chunk parallelism (proxy inference).
+  ``REPRO_WORKERS`` environment variable), ordered thread mapping for
+  in-process shard scoring, and the one process-pool protocol:
+  :class:`~repro.parallel.pool.PersistentPool` (the only place worker
+  processes are started: ordered gather, restart after a worker death)
+  with the :class:`~repro.parallel.pool.Shipped` ship-once handle.
 * :mod:`repro.parallel.runner` — :class:`ParallelRunner`, the
   process-pool sweep executor: each (session, plan) grid point runs
   Phase 2 in a worker against a Phase 1 result that was built once in
@@ -12,29 +15,18 @@ Two layers:
   CMDN. Reports are bit-identical to the serial path (plans are forced
   to deterministic timing), which ``tests/test_parallel_equivalence.py``
   certifies.
-
-The runner is imported lazily (PEP 562) so that low-level modules —
-:mod:`repro.core.phase1` uses :func:`resolve_workers` — can import
-this package without pulling in :mod:`repro.api` and creating a cycle.
 """
 
 from __future__ import annotations
 
 from .pool import WORKERS_ENV, resolve_workers, thread_map
+from .runner import ParallelRunner, SweepOutcome, run_plans
 
-_RUNNER_EXPORTS = (
+__all__ = [
+    "WORKERS_ENV",
+    "resolve_workers",
+    "thread_map",
     "ParallelRunner",
     "SweepOutcome",
     "run_plans",
-)
-
-__all__ = ["WORKERS_ENV", "resolve_workers", "thread_map",
-           *_RUNNER_EXPORTS]
-
-
-def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from . import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+]

@@ -1,24 +1,32 @@
-"""Worker-count resolution and ordered chunk mapping primitives.
+"""Worker-count resolution and the one process-pool protocol (§6).
 
 This module is the dependency-free floor of :mod:`repro.parallel`: it
-may be imported from anywhere in the library (including
-:mod:`repro.core.phase1`) without creating an import cycle, because it
-depends only on the standard library and :mod:`repro.errors`.
+depends only on the standard library and :mod:`repro.errors`, so any
+layer may import it.
 
 Worker counts resolve through one rule everywhere: an explicit
 argument wins, otherwise the ``REPRO_WORKERS`` environment variable,
 otherwise serial execution. Running the test suite under
 ``REPRO_WORKERS=4`` therefore exercises every pool-aware code path
 without touching a single call site.
+
+Every place the library leaves the process does so through
+:class:`PersistentPool` — the only owner of a
+:class:`~concurrent.futures.ProcessPoolExecutor` — and its two
+protocol pieces: :class:`Shipped`, the ship-once handle (the parent
+pickles an object once; each worker unpickles it once, on first sight
+of its key), and :meth:`PersistentPool.map`, the ordered gather.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 import os
+import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import ConfigurationError, ServiceClosedError
 
@@ -62,8 +70,8 @@ def thread_map(
     """Map ``fn`` over ``items`` preserving order.
 
     With one worker this is a plain loop; otherwise a thread pool
-    (numpy releases the GIL in its inner kernels, so chunked inference
-    scales without pickling anything). Results are returned in input
+    (numpy releases the GIL in its inner kernels, so shard scoring
+    overlaps without pickling anything). Results are returned in input
     order either way, so callers are deterministic regardless of the
     worker count.
     """
@@ -82,44 +90,102 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class PersistentPool:
-    """A lazily started, long-lived process pool.
+#: key -> unpickled object: the one worker-side memo. Only pool
+#: workers write it (the parent never resolves its own handles).
+_WORKER_MEMO: Dict[int, object] = {}
 
-    :class:`~repro.parallel.runner.ParallelRunner` spins up one pool
-    per sweep because each sweep ships its whole payload through the
-    initializer. The query service instead keeps *one* pool alive for
-    its lifetime and ships per-task payloads, so worker-side state
-    (memoized sessions, score caches) persists across queries. This
-    wrapper adds lazy startup, thread-safe submission, and idempotent
-    shutdown on top of :class:`~concurrent.futures.ProcessPoolExecutor`.
+_SHIPPED_KEYS = itertools.count()
+
+
+class Shipped:
+    """A ship-once handle: pickled once here, unpickled once per worker.
+
+    The parent builds one handle per long-lived object (a session
+    spec, a shard member) and puts it in every task that needs the
+    object; the ``bytes`` blob is reused, so the parent pickles once.
+    A worker calls :meth:`resolve`, which unpickles the blob the first
+    time it sees the key and returns the same object ever after — so
+    state a worker hangs off the object (a rebuilt session, a local
+    score cache) persists across tasks. The blob rides every task:
+    a worker that has never seen the key (fresh after a pool restart,
+    or simply not yet routed one) rebuilds from it.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        start_method: Optional[str] = None,
-    ):
+    __slots__ = ("key", "blob")
+
+    def __init__(self, obj):
+        #: Unique per parent process, which is the scope of a pool.
+        self.key = next(_SHIPPED_KEYS)
+        self.blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def resolve(self):
+        """The shipped object (worker side)."""
+        try:
+            return _WORKER_MEMO[self.key]
+        except KeyError:
+            obj = _WORKER_MEMO[self.key] = pickle.loads(self.blob)
+            return obj
+
+
+class PersistentPool:
+    """A lazily started process pool that survives its workers.
+
+    Adds lazy startup, thread-safe submission, an ordered gather
+    (:meth:`map`), restart after a worker death and idempotent
+    shutdown on top of :class:`~concurrent.futures.ProcessPoolExecutor`.
+    The query service keeps one alive for its lifetime so worker-side
+    state (see :class:`Shipped`) persists across queries; a sweep or a
+    corpus ``prepare`` opens one for the duration of the call.
+    """
+
+    def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        self.start_method = start_method
         self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
     def submit(self, fn, /, *args, **kwargs):
-        """Schedule ``fn(*args, **kwargs)`` on the pool (starts lazily)."""
+        """Schedule ``fn(*args, **kwargs)`` on the pool (starts lazily).
+
+        A worker that died (OOM kill, ``os._exit``) breaks the whole
+        executor: its in-flight futures fail with
+        :class:`~concurrent.futures.process.BrokenProcessPool` and it
+        refuses new work for good. Such an executor is dropped here
+        and the task goes to a fresh one — nothing of it had run.
+        """
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("process pool is shut down")
-            if self._executor is None:
-                context = multiprocessing.get_context(self.start_method)
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context)
+            if self._executor is not None:
+                try:
+                    return self._executor.submit(fn, *args, **kwargs)
+                except BrokenProcessPool:
+                    pass
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
             return self._executor.submit(fn, *args, **kwargs)
 
-    @property
-    def started(self) -> bool:
-        return self._executor is not None
+    def map(self, fn, *iterables) -> list:
+        """``fn`` over the zipped ``iterables``; results in task order.
+
+        Every task is submitted up front and gathered in submission
+        order. The *earliest* failing task's exception re-raises — the
+        one a serial loop would have hit first, so failures are as
+        deterministic as results — and tasks that have not started are
+        cancelled rather than left to burn CPU. The pool stays usable.
+        """
+        futures = []
+        try:
+            for args in zip(*iterables):
+                futures.append(self.submit(fn, *args))
+            for future in futures:
+                error = future.exception()
+                if error is not None:
+                    raise error
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+        return [future.result() for future in futures]
 
     def shutdown(self, *, wait: bool = True) -> None:
         with self._lock:

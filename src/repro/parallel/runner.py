@@ -9,12 +9,15 @@ half of each query is hoisted out of the pool:
    pair, the parent builds (or fetches from the session cache) the
    Phase 1 entry — sampling, CMDN grid training, diff detection,
    proxy inference — exactly once.
-2. **Serialize and share.** Videos, scoring functions, configurations
-   and the Phase 1 entries are pickled into one payload per sweep and
-   shipped to each worker through the pool initializer.
-3. **Phase 2 in workers.** Each worker reconstructs its sessions,
-   adopts the prebuilt Phase 1 entries (skipping all CMDN training),
-   and runs only the cleaning loop for its grid points.
+2. **Ship once.** Each session's video, scoring function,
+   configuration and Phase 1 entries are pickled into one
+   :class:`~repro.parallel.pool.Shipped` handle that rides every one
+   of its grid points; a worker unpickles it on first sight.
+3. **Phase 2 in workers.** A grid point is the worker task the
+   service's process lane runs (:mod:`repro.service.backend`) — a
+   batch of one plan with no score cache: the worker reconstructs the
+   session, adopts the prebuilt Phase 1 entries (skipping all CMDN
+   training), and runs only the cleaning loop.
 
 Determinism contract: plans are normalized to ``deterministic_timing``
 (the one nondeterministic report input — wall-clock measurement of
@@ -36,67 +39,12 @@ the satellite regression tests pin this).
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.result import QueryReport
 from ..oracle.cost import CostModel, merge_cost_models
-from .pool import resolve_workers
-
-# ----------------------------------------------------------------------
-# Worker-side protocol. Everything here must be module-level (pickled
-# by reference) and must reconstruct state from the payload alone, so
-# it behaves identically under fork and spawn start methods.
-
-#: Worker-global sessions, indexed like the parent's distinct sessions.
-_WORKER_SESSIONS: List = []
-
-
-@dataclass
-class _SessionSpec:
-    """Everything a worker needs to reconstruct one session."""
-
-    video: object
-    scoring: object
-    config: object
-    unit_costs: Dict[str, float]
-    #: Prebuilt Phase 1 artifacts: one (config, entry) per distinct
-    #: plan configuration seen in the sweep.
-    entries: List[Tuple[object, object]] = field(default_factory=list)
-
-    def build_session(self):
-        from ..api.session import Session
-
-        session = Session(
-            self.video, self.scoring,
-            config=self.config, unit_costs=self.unit_costs)
-        for config, entry in self.entries:
-            session.adopt_phase1(entry, config)
-        return session
-
-
-def _worker_init(payload: bytes) -> None:
-    """Pool initializer: materialize the sweep's sessions once."""
-    global _WORKER_SESSIONS
-    specs: List[_SessionSpec] = pickle.loads(payload)
-    _WORKER_SESSIONS = [spec.build_session() for spec in specs]
-
-
-def _worker_run(task) -> Tuple[QueryReport, CostModel]:
-    """Run one grid point: Phase 2 only, against the adopted Phase 1."""
-    from ..api.executor import QueryExecutor
-
-    session_index, plan = task
-    session = _WORKER_SESSIONS[session_index]
-    detail = QueryExecutor(session, workers=1).execute_detailed(plan)
-    return detail.report, detail.phase2_cost
-
-
-# ----------------------------------------------------------------------
-# Parent-side runner.
+from .pool import PersistentPool, resolve_workers
 
 
 @dataclass
@@ -124,24 +72,13 @@ class ParallelRunner:
     """Fan experiment sweeps across a process pool, Phase 1 shared.
 
     ``workers`` resolves through the usual rule (explicit value, else
-    ``REPRO_WORKERS``, else serial). ``deterministic`` (default on)
-    normalizes every plan to ``deterministic_timing`` so reports are
-    bit-identical across worker counts; turn it off only when wall
-    measurement of select-candidate matters more than reproducibility.
-    ``start_method`` picks the multiprocessing start method (default:
-    the platform default — fork on Linux).
+    ``REPRO_WORKERS``, else serial). Every plan is normalized to
+    ``deterministic_timing`` so reports are bit-identical across
+    worker counts.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        deterministic: bool = True,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        self.deterministic = deterministic
-        self.start_method = start_method
 
     # ------------------------------------------------------------------
     def run_sweep(
@@ -160,6 +97,11 @@ class ParallelRunner:
         """Execute a grid and keep the cost ledgers (grid order)."""
         from ..api.executor import QueryExecutor
         from ..api.session import phase1_key
+        from ..service.backend import (
+            BatchTask,
+            _service_worker_run,
+            ship_spec,
+        )
 
         grid = list(grid)
         if not grid:
@@ -176,77 +118,46 @@ class ParallelRunner:
                 index = len(sessions)
                 session_index[id(session)] = index
                 sessions.append(session)
-            if self.deterministic and not plan.deterministic_timing:
+            if not plan.deterministic_timing:
                 plan = dataclasses.replace(plan, deterministic_timing=True)
             tasks.append((index, plan))
 
         # Phase 1 once per (session, configuration): built here in the
         # parent — workers never train a CMDN.
         phase1_costs: List[CostModel] = []
-        specs = [
-            _SessionSpec(
-                video=session.video,
-                scoring=session.scoring,
-                config=session.config,
-                unit_costs=session.resolved_unit_costs(),
-                entries=[],
-            )
-            for session in sessions
-        ]
+        entries: List[List[Tuple[object, object]]] = [[] for _ in sessions]
         seen_entries: set = set()
         for index, plan in tasks:
-            session = sessions[index]
             key = phase1_key(plan.config)
             if (index, key) in seen_entries:
                 continue
             seen_entries.add((index, key))
-            entry = session.phase1(plan.config)
-            specs[index].entries.append((plan.config, entry))
+            entry = sessions[index].phase1(plan.config)
+            entries[index].append((plan.config, entry))
             phase1_costs.append(entry.cost_model)
 
         if self.workers <= 1 or len(tasks) == 1:
             # Serial fallback: same normalized plans, same sessions, no
             # pool — the reference the parallel path must bit-match.
-            reports: List[QueryReport] = []
-            phase2_costs: List[CostModel] = []
-            for index, plan in tasks:
-                detail = QueryExecutor(
-                    sessions[index], workers=1).execute_detailed(plan)
-                reports.append(detail.report)
-                phase2_costs.append(detail.phase2_cost)
-            return SweepOutcome(
-                reports=reports,
-                phase2_costs=phase2_costs,
-                phase1_costs=phase1_costs,
-            )
-
-        payload = pickle.dumps(specs, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(self.start_method)
-        max_workers = min(self.workers, len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            futures = [pool.submit(_worker_run, task) for task in tasks]
-            # Gather in grid order; re-raise the earliest failure so
-            # errors are deterministic (what the serial loop hits
-            # first), cancelling still-pending grid points rather than
-            # letting the rest of the sweep burn CPU.
-            try:
-                for future in futures:
-                    error = future.exception()
-                    if error is not None:
-                        raise error
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            results = [future.result() for future in futures]
+            details = [
+                QueryExecutor(sessions[index]).execute_detailed(plan)
+                for index, plan in tasks
+            ]
+        else:
+            specs = [
+                ship_spec(session, session_entries)
+                for session, session_entries in zip(sessions, entries)
+            ]
+            with PersistentPool(min(self.workers, len(tasks))) as pool:
+                results = pool.map(_service_worker_run, [
+                    BatchTask(spec=specs[index], plans=(plan,))
+                    for index, plan in tasks
+                ])
+            details = [result.details[0] for result in results]
 
         return SweepOutcome(
-            reports=[report for report, _ in results],
-            phase2_costs=[cost for _, cost in results],
+            reports=[detail.report for detail in details],
+            phase2_costs=[detail.phase2_cost for detail in details],
             phase1_costs=phase1_costs,
         )
 

@@ -8,23 +8,20 @@ Two lanes, chosen per service (``use_processes``):
   kernels, so threads overlap; on a single usable CPU this lane also
   avoids every pickling cost.
 * **Process** — Phase 2 is shipped to a persistent
-  :class:`~repro.parallel.pool.PersistentPool` worker, mirroring the
-  sweep protocol of :mod:`repro.parallel.runner`: the parent builds
-  Phase 1 (single-flight, shared), a worker reconstructs the session
-  once per artifact and runs only the cleaning loop. Two additions
-  over the sweep protocol make it a *service* lane:
-
-  1. **Session memoization.** Payloads carry a stable ``spec_id``; a
-     worker unpickles the session spec the first time it sees the id
-     and reuses it for every later batch, so steady-state traffic
-     ships only plans.
-  2. **Score-cache warm shipping.** Each batch carries the parent's
-     current cache entries for the artifact group; the worker merges
-     them into its local group cache before executing and returns its
-     *new* revelations, which the parent folds back into the shared
-     cache. Scores are deterministic per frame, so the merge is
-     idempotent and reports stay bit-identical — only physical UDF
-     work moves.
+  :class:`~repro.parallel.pool.PersistentPool` worker through the one
+  pool protocol (DESIGN.md §6): the parent builds Phase 1
+  (single-flight, shared) and ships the session spec as a
+  :class:`~repro.parallel.pool.Shipped` handle; a worker reconstructs
+  the session once per handle and runs only the cleaning loop. The
+  sweep runner (:mod:`repro.parallel.runner`) dispatches the very same
+  :class:`BatchTask`, one plan at a time with no score cache. What
+  makes it a *service* lane is **score-cache warm shipping**: each
+  batch carries the parent's current cache entries for the artifact
+  group; the worker merges them into its local group cache before
+  executing and returns its *new* revelations, which the parent folds
+  back into the shared cache. Scores are deterministic per frame, so
+  the merge is idempotent and reports stay bit-identical — only
+  physical UDF work moves.
 
 Determinism contract: identical to DESIGN.md §6 — plans are
 deterministic-timing normalized upstream, so a report is a pure
@@ -34,34 +31,69 @@ byte-identical ``QueryReport.to_json()`` strings.
 
 from __future__ import annotations
 
-import pickle
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..api.executor import ExecutionDetail, QueryExecutor
+from ..api.session import Session
+from ..errors import ServiceError
 from ..oracle.cache import ScoreCache
-from ..parallel.runner import _SessionSpec
+from ..parallel.pool import Shipped
 
-# ----------------------------------------------------------------------
-# Worker-side state and protocol. Module-level (pickled by reference)
-# and rebuilt purely from payloads, exactly like the sweep runner.
 
-#: spec_id -> (session, worker-local group ScoreCache).
-_WORKER_SESSIONS: Dict[int, Tuple[object, ScoreCache]] = {}
+@dataclass
+class _SessionSpec:
+    """Everything a worker needs to reconstruct one session."""
+
+    video: object
+    scoring: object
+    config: object
+    unit_costs: Dict[str, float]
+    #: Prebuilt Phase 1 artifacts: one (config, entry) per distinct
+    #: plan configuration the spec serves.
+    entries: List[Tuple[object, object]]
+
+    # Worker-side state, built on first use and kept for as long as
+    # the worker memoizes the spec. Never touched in the parent, so
+    # neither is pickled.
+    @cached_property
+    def session(self) -> Session:
+        session = Session(
+            self.video, self.scoring,
+            config=self.config, unit_costs=self.unit_costs)
+        for config, entry in self.entries:
+            session.adopt_phase1(entry, config)
+        return session
+
+    @cached_property
+    def score_cache(self) -> ScoreCache:
+        """The worker-local copy of the artifact group's score cache."""
+        return ScoreCache()
+
+
+def ship_spec(session, entries) -> Shipped:
+    """Pickle one worker-session spec (video + config + Phase 1)."""
+    return Shipped(_SessionSpec(
+        video=session.video,
+        scoring=session.scoring,
+        config=session.config,
+        unit_costs=session.resolved_unit_costs(),
+        entries=list(entries),
+    ))
 
 
 @dataclass(frozen=True)
 class BatchTask:
-    """One scheduler batch, shipped to a pool worker."""
+    """Plans to run against one shipped session spec, in a pool worker."""
 
-    spec_id: int
-    #: Pickled ``_SessionSpec`` (entries included). The same ``bytes``
-    #: object is reused for every batch on the artifact, so the parent
-    #: pickles once; workers unpickle once thanks to the memo.
-    spec_blob: bytes
+    spec: Shipped
     plans: Tuple[object, ...]
-    #: Parent-side cache entries the worker may not have yet.
-    cache_items: Tuple[Tuple[int, float], ...]
+    #: Parent-side cache entries the worker may not have yet; ``None``
+    #: runs the batch with no score cache at all (a sweep grid point:
+    #: the confirming oracle is the plain one).
+    cache_items: Optional[Tuple[Tuple[int, float], ...]] = None
     #: Record per-plan spans in the worker and ship them back so the
     #: parent can re-parent them under its lane-dispatch span.
     traced: bool = False
@@ -80,15 +112,14 @@ class BatchResult:
 
 def _service_worker_run(task: BatchTask) -> BatchResult:
     """Execute one batch in a pool worker (Phase 2 only)."""
-    memo = _WORKER_SESSIONS.get(task.spec_id)
-    if memo is None:
-        spec: _SessionSpec = pickle.loads(task.spec_blob)
-        memo = (spec.build_session(), ScoreCache())
-        _WORKER_SESSIONS[task.spec_id] = memo
-    session, cache = memo
-    cache.merge(task.cache_items)
-    before = set(cache.as_dict())
-    executor = QueryExecutor(session, workers=1, score_cache=cache)
+    spec: _SessionSpec = task.spec.resolve()
+    cache = None
+    before: set = set()
+    if task.cache_items is not None:
+        cache = spec.score_cache
+        cache.merge(task.cache_items)
+        before = set(cache.as_dict())
+    executor = QueryExecutor(spec.session, score_cache=cache)
     spans: Optional[List[List[dict]]] = None
     if task.traced:
         # A throwaway worker-side tracer: one trace per plan, dumped to
@@ -108,7 +139,7 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
             spans.append(list(dump["spans"]))
     else:
         details = [executor.execute_detailed(plan) for plan in task.plans]
-    new_scores = {
+    new_scores = {} if cache is None else {
         frame: score
         for frame, score in cache.as_dict().items()
         if frame not in before
@@ -116,41 +147,10 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
     return BatchResult(details=details, new_scores=new_scores, spans=spans)
 
 
-# ----------------------------------------------------------------------
-# Parent-side helpers.
-
-
-def run_batch_inline(session, plans) -> List[ExecutionDetail]:
-    """Execute a batch on the calling thread (the inline lane).
-
-    The inline mirror of :func:`run_batch_in_pool`: same input shape
-    (one session, a batch of plans), same output shape (per-plan
-    :class:`~repro.api.executor.ExecutionDetail`), so the service's
-    lane choice is a pure routing decision. A per-plan failure raises
-    out of this function — the caller fans errors per task, exactly as
-    it would for a pool-lane failure.
-    """
-    executor = QueryExecutor(session, workers=1)
-    return [executor.execute_detailed(plan) for plan in plans]
-
-
-def make_spec_blob(session, entries) -> bytes:
-    """Pickle one worker-session spec (video + config + Phase 1)."""
-    spec = _SessionSpec(
-        video=session.video,
-        scoring=session.scoring,
-        config=session.config,
-        unit_costs=session.resolved_unit_costs(),
-        entries=list(entries),
-    )
-    return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def run_batch_in_pool(
     pool,
     *,
-    spec_id: int,
-    spec_blob: bytes,
+    spec: Shipped,
     plans,
     shared_cache: Optional[ScoreCache],
     shipped: Optional[set] = None,
@@ -159,13 +159,19 @@ def run_batch_in_pool(
     """Ship a batch to the pool; fold revelations back into the cache.
 
     ``shipped`` is the caller-held set of frame ids already sent for
-    this ``spec_id``: only newer parent-cache entries ship (per-batch
+    this ``spec``: only newer parent-cache entries ship (per-batch
     cost tracks the *delta*, not the whole cache). Pool workers are
-    routed arbitrarily, so a given worker may still miss entries a
-    sibling received — harmless, it just re-reveals them physically;
-    shipping is a cost optimization, never a correctness input.
+    routed arbitrarily (and replaced after a crash), so a given worker
+    may still miss entries a sibling received — harmless, it just
+    re-reveals them physically; shipping is a cost optimization, never
+    a correctness input.
+
+    A worker dying under the batch raises a :class:`ServiceError`
+    chaining the pool's ``BrokenProcessPool``: nothing was recorded
+    for the batch, the pool restarts on its next task, so the caller
+    may simply resubmit.
     """
-    items: Tuple[Tuple[int, float], ...] = ()
+    items: Optional[Tuple[Tuple[int, float], ...]] = None
     if shared_cache is not None:
         snapshot = shared_cache.as_dict()
         if shipped is None:
@@ -177,13 +183,13 @@ def run_batch_in_pool(
             )
             shipped.update(snapshot)
     task = BatchTask(
-        spec_id=spec_id,
-        spec_blob=spec_blob,
-        plans=tuple(plans),
-        cache_items=items,
-        traced=traced,
-    )
-    result: BatchResult = pool.submit(_service_worker_run, task).result()
+        spec=spec, plans=tuple(plans), cache_items=items, traced=traced)
+    try:
+        result: BatchResult = pool.submit(_service_worker_run, task).result()
+    except BrokenProcessPool as error:
+        raise ServiceError(
+            "a pool worker died while the batch was in flight; nothing "
+            "was charged, resubmit the queries") from error
     if shared_cache is not None and result.new_scores:
         shared_cache.merge(result.new_scores.items())
         if shipped is not None:

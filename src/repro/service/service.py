@@ -52,7 +52,7 @@ from ..oracle.cost import CostModel, merge_cost_models
 from ..parallel.pool import PersistentPool, available_cpus, resolve_workers
 from ..trace import Tracer, activate
 from .artifacts import SharedArtifacts, group_key
-from .backend import make_spec_blob, run_batch_in_pool
+from .backend import run_batch_in_pool, ship_spec
 from .scheduler import FairScheduler, JobOutcome, QueryFuture
 
 
@@ -217,7 +217,6 @@ class QueryService:
         artifact_entries: Optional[int] = None,
         score_cache_entries: Optional[int] = None,
         warm_dir=None,
-        start_method: Optional[str] = None,
         ordering: str = "fifo",
         estimator=None,
         tracer=None,
@@ -238,18 +237,16 @@ class QueryService:
             score_cache_entries=score_cache_entries,
             warm_dir=warm_dir,
         )
-        self._pool = PersistentPool(
-            self.workers, start_method=start_method) \
+        self._pool = PersistentPool(self.workers) \
             if self.use_processes else None
         self._lock = threading.Lock()
         self._submit_seq = itertools.count()
         self._outcomes: List[QueryOutcome] = []
         self._sessions: Dict[int, Session] = {}
-        self._spec_blobs: Dict[tuple, bytes] = {}
-        self._spec_ids: Dict[tuple, int] = {}
-        #: Frame ids already shipped to the pool per spec_id, so each
-        #: batch carries only the score-cache delta.
-        self._shipped_scores: Dict[int, set] = {}
+        #: (session, phase1_key) -> (shipped session spec, frame ids
+        #: already sent to the pool for it — so each batch carries
+        #: only the score-cache delta).
+        self._remote_specs: Dict[tuple, tuple] = {}
         #: Pool shard-scoring backends, one per submitted corpus.
         self._corpus_backends: Dict[int, object] = {}
         self._closed = False
@@ -378,21 +375,11 @@ class QueryService:
         stream.share_inference_cache(self.artifacts.block_cache(artifact))
 
         def dispatch(refresh):
-            trace, admission = self._begin_trace(
-                "stream_refresh", tenant=tenant,
-                video=stream.video.name, udf=stream.scoring.name)
-            try:
-                future = self._scheduler.submit(
-                    _StreamTask(
-                        refresh=refresh, session=stream, trace=trace),
-                    tenant=tenant,
-                    batch_key=None,
-                )
-            except BaseException as error:  # noqa: BLE001 - re-raised
-                self._trace_refused(trace, admission, error)
-                raise
-            self._trace_submitted(trace, admission, future)
-            return future.result()
+            return self._enqueue(
+                _StreamTask(refresh=refresh, session=stream),
+                "stream_refresh", tenant, None,
+                video=stream.video.name, udf=stream.scoring.name,
+            ).result()
 
         stream.refresh_dispatcher = dispatch
         with self._lock:
@@ -407,22 +394,30 @@ class QueryService:
     # so even refused, crashed, or abandoned queries yield a closed
     # root span. All of it no-ops (trace is None) with the null tracer.
     # ------------------------------------------------------------------
-    def _begin_trace(self, name: str, **attrs):
-        """A new trace with its admission span open (``(None, None)``
-        when tracing is off)."""
-        trace = self.tracer.begin(name, **attrs)
+    def _enqueue(
+        self, task, name: str, tenant: str, batch_key, **attrs
+    ) -> QueryFuture:
+        """Hand ``task`` to the scheduler under a new ``name`` trace."""
+        tracer = self.tracer
+        trace = tracer.begin(name, tenant=tenant, **attrs)
         if trace is None:
-            return None, None
-        return trace, trace.start_span("admission", category="scheduler")
-
-    def _trace_submitted(self, trace, admission, future) -> None:
-        """The request was queued: admission over, queue wait begins."""
-        if trace is None:
-            return
+            return self._scheduler.submit(
+                task, tenant=tenant, batch_key=batch_key)
+        task = dataclasses.replace(task, trace=trace)
+        admission = trace.start_span("admission", category="scheduler")
+        try:
+            future = self._scheduler.submit(
+                task, tenant=tenant, batch_key=batch_key)
+        except BaseException as error:  # noqa: BLE001 - re-raised
+            # The scheduler refused the request (admission / closed).
+            status = f"error:{type(error).__name__}"
+            admission.finish(status=status)
+            tracer.finish(trace, status=status)
+            raise
+        # The request was queued: admission over, queue wait begins.
         admission.finish()
         trace.start_span("queue_wait", category="scheduler")
         future.trace_id = trace.trace_id
-        tracer = self.tracer
 
         def _finish(done_future: QueryFuture) -> None:
             error = done_future._error
@@ -432,14 +427,7 @@ class QueryService:
                 else f"error:{type(error).__name__}")
 
         future.add_done_callback(_finish)
-
-    def _trace_refused(self, trace, admission, error) -> None:
-        """The scheduler refused the request (admission / closed)."""
-        if trace is None:
-            return
-        status = f"error:{type(error).__name__}"
-        admission.finish(status=status)
-        self.tracer.finish(trace, status=status)
+        return future
 
     @staticmethod
     def _trace_pickup(task, **attrs):
@@ -502,21 +490,13 @@ class QueryService:
             self.adopt_session(session)
         with self._lock:
             self._sessions.setdefault(id(session), session)
-        trace, admission = self._begin_trace(
-            "query", tenant=tenant, video=plan.video_name,
-            udf=plan.udf_name, k=plan.k, thres=plan.thres)
         task = _QueryTask(
             session=session, plan=plan, tenant=tenant,
-            seq=next(self._submit_seq), trace=trace)
-        batch_key = (id(session), phase1_key(plan.config))
-        try:
-            future = self._scheduler.submit(
-                task, tenant=tenant, batch_key=batch_key)
-        except BaseException as error:  # noqa: BLE001 - re-raised
-            self._trace_refused(trace, admission, error)
-            raise
-        self._trace_submitted(trace, admission, future)
-        return future
+            seq=next(self._submit_seq))
+        return self._enqueue(
+            task, "query", tenant, (id(session), phase1_key(plan.config)),
+            video=plan.video_name, udf=plan.udf_name,
+            k=plan.k, thres=plan.thres)
 
     def _submit_corpus(self, query, *, tenant: str) -> QueryFuture:
         """Queue one federated corpus query (DESIGN.md §9).
@@ -535,22 +515,13 @@ class QueryService:
                 self.adopt_session(member.session)
         if not query._deterministic_timing:
             query = dataclasses.replace(query, _deterministic_timing=True)
-        trace, admission = self._begin_trace(
-            "corpus_query", tenant=tenant,
-            shards=len(corpus.members), udf=corpus.scoring.name)
         task = _CorpusTask(
-            query=query, tenant=tenant, seq=next(self._submit_seq),
-            trace=trace)
+            query=query, tenant=tenant, seq=next(self._submit_seq))
         with self._lock:
             self._sessions.setdefault(id(corpus), corpus)
-        try:
-            future = self._scheduler.submit(
-                task, tenant=tenant, batch_key=None)
-        except BaseException as error:  # noqa: BLE001 - re-raised
-            self._trace_refused(trace, admission, error)
-            raise
-        self._trace_submitted(trace, admission, future)
-        return future
+        return self._enqueue(
+            task, "corpus_query", tenant, None,
+            shards=len(corpus.members), udf=corpus.scoring.name)
 
     def _corpus_backend(self, corpus):
         """The shard-scoring backend for this service's lane.
@@ -814,7 +785,7 @@ class QueryService:
         details: List[Optional[ExecutionDetail]] = []
         errors: List[Optional[BaseException]] = []
         # Streaming sessions always execute inline: the process lane
-        # memoizes a pickled snapshot of the session per spec_id, and a
+        # memoizes a pickled snapshot of the session per spec, and a
         # stream's video advances between appends — a worker would
         # answer over a stale watermark while the inline lane answers
         # over the live one. Batch sessions are immutable snapshots, so
@@ -855,7 +826,7 @@ class QueryService:
                     if lane_span is not None:
                         lane_span.finish()
         else:
-            executor = QueryExecutor(session, workers=1)
+            executor = QueryExecutor(session)
             for task, exec_span in zip(tasks, exec_spans):
                 try:
                     with activate(exec_span):
@@ -925,17 +896,14 @@ class QueryService:
     def _execute_remote(self, session, plans, entries, *, traced=False):
         key = (id(session), phase1_key(plans[0].config))
         with self._lock:
-            blob = self._spec_blobs.get(key)
-            if blob is None:
-                blob = make_spec_blob(session, entries)
-                self._spec_blobs[key] = blob
-                self._spec_ids[key] = len(self._spec_ids)
-            spec_id = self._spec_ids[key]
-            shipped = self._shipped_scores.setdefault(spec_id, set())
+            remote = self._remote_specs.get(key)
+            if remote is None:
+                remote = self._remote_specs[key] = (
+                    ship_spec(session, entries), set())
+        spec, shipped = remote
         return run_batch_in_pool(
             self._pool,
-            spec_id=spec_id,
-            spec_blob=blob,
+            spec=spec,
             plans=plans,
             shared_cache=session.shared_score_cache,
             shipped=shipped,

@@ -193,8 +193,7 @@ def test_executor_workers_and_query_parallel_flag(
         QueryExecutor(sweep_session).execute(plan)
         for plan in sweep_plans
     ]
-    pooled = QueryExecutor(sweep_session, workers=2).execute_many(
-        sweep_plans)
+    pooled = sweep_session.execute_many(sweep_plans, workers=2)
     # Pooled reports are the deterministic-timing normalization of the
     # serial ones: identical up to the measured select-candidate time.
     for a, b in zip(pooled, serial):

@@ -10,8 +10,10 @@ score cache, and the streaming attachment hooks.
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -39,6 +41,24 @@ WAIT = 60.0
 
 def _video(name="comp", seed=31, frames=600):
     return TrafficVideo(name, frames, seed=seed)
+
+
+class WorkerKillingTraffic(TrafficVideo):
+    """Kills the first *other* process that reads a frame while armed.
+
+    The fuse is a file, so exactly one worker dies however many hold a
+    copy of the video; the arming process itself is immune.
+    """
+
+    def arm(self, fuse) -> None:
+        fuse.touch()
+        self._fuse, self._home = str(fuse), os.getpid()
+
+    def frame(self, index):
+        if os.getpid() != self._home and os.path.exists(self._fuse):
+            os.remove(self._fuse)
+            os._exit(1)
+        return super().frame(index)
 
 
 # ----------------------------------------------------------------------
@@ -578,3 +598,29 @@ class TestQueryServiceSurface:
             with pytest.raises(TimeoutError):
                 service.gather([future], timeout=0.0)
             assert future.result(WAIT) is not None
+
+    def test_a_dead_pool_worker_fails_only_its_batch(
+            self, comp_cfg, tmp_path):
+        # ROADMAP 4(i): an OOM-killed worker used to wedge every later
+        # process-lane batch until the service restarted.
+        video = WorkerKillingTraffic("fuse", 600, seed=101)
+        video.arm(tmp_path / "fuse")
+        with QueryService(workers=2, use_processes=True) as service:
+            session = service.open_session(
+                video, counting_udf("car"), config=comp_cfg)
+            plan = session.query().topk(3).guarantee(0.9) \
+                .deterministic_timing().plan()
+            with pytest.raises(ServiceError) as caught:
+                service.submit(plan, session=session).result(WAIT)
+            assert isinstance(caught.value.__cause__, BrokenProcessPool)
+            assert not (tmp_path / "fuse").exists()
+            # The failed batch recorded no Phase-2 ledger.
+            assert service.outcomes() == []
+            builds = service.stats()["builds"]
+            # The same plan again: a fresh pool, the same artifact.
+            report = service.submit(plan, session=session).result(WAIT)
+            assert service.stats()["builds"] == builds == 1
+            assert service.stats()["failed"] == 1
+            assert len(service.outcomes()) == 1
+        inline = Session(video, counting_udf("car"), config=comp_cfg)
+        assert report.to_json() == inline.execute(plan).to_json()
