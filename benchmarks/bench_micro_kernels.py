@@ -5,17 +5,30 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 
 * incremental Eq. 3 confidence vs naive Eq. 2 recomputation;
 * upper-bound early stopping vs exhaustive argmax E[X_f];
-* renderer, difference-detector and CMDN inference throughput.
+* renderer, difference-detector and CMDN inference throughput;
+* one CMDN ``train_step`` per default grid shape, and the oracle's
+  per-frame cost at batch 1 / 8 / 500 (recorded, not gated).
 """
 
 import numpy as np
 import pytest
 
-from repro.config import SelectCandidateConfig
+from repro.config import (
+    DEFAULT_CMDN_GRID,
+    Phase1Config,
+    SelectCandidateConfig,
+)
 from repro.core.select_candidate import CandidateSelector
 from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
-from repro.models import FeatureMDNProxy, extract_features
+from repro.models import (
+    Adam,
+    FeatureMDNProxy,
+    NUM_FEATURES,
+    build_feature_mdn,
+    extract_features,
+)
+from repro.oracle import CostModel, Oracle, counting_udf
 from repro.video import (
     DashcamVideo,
     DifferenceDetector,
@@ -174,3 +187,48 @@ def test_mdn_inference_throughput(benchmark, trained_bench_proxy=None):
     mix = benchmark(run)
     _record("mdn_inference", timed_call(run)[1])
     assert mix.pi.shape[0] == 1_000
+
+
+@pytest.mark.parametrize(
+    "shape", DEFAULT_CMDN_GRID, ids=lambda shape: "g%dh%d" % shape)
+def test_mdn_train_step(benchmark, shape):
+    """µs per ``train_step`` at the default batch size."""
+    gaussians, hypotheses = shape
+    batch = Phase1Config().batch_size
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(batch, NUM_FEATURES))
+    y = rng.normal(size=batch)
+    network = build_feature_mdn(
+        num_gaussians=gaussians, num_hypotheses=hypotheses)
+    network.fit_target_scaling(y)
+    optimizer = Adam(Phase1Config().learning_rate)
+    steps = 200
+
+    def run():
+        for _ in range(steps):
+            network.train_step(x, y, optimizer)
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    write_bench_result(
+        "micro_kernels", scale=scale_label(),
+        **{f"mdn_train_step_g{gaussians}_h{hypotheses}_us":
+           timed_call(run)[1] / steps * 1e6})
+
+
+@pytest.mark.parametrize("batch", [1, 8, 500])
+def test_oracle_score_batch(benchmark, batch):
+    """µs per oracle-scored frame: a confirm (1), a cleaning batch (8)
+    and a labelling call (500)."""
+    video = TrafficVideo("bench-oracle", 3_000, seed=5)
+    oracle = Oracle(counting_udf("car"), CostModel())
+    starts = range(0, 2_000, batch)
+
+    def run():
+        for start in starts:
+            oracle.score(video, range(start, start + batch))
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    write_bench_result(
+        "micro_kernels", scale=scale_label(),
+        **{f"oracle_score_batch{batch}_us_per_frame":
+           timed_call(run)[1] / (len(starts) * batch) * 1e6})

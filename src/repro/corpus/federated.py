@@ -228,8 +228,8 @@ class InlineShardBackend:
         def run(job: Tuple[int, Sequence[int]]) -> np.ndarray:
             member, indices = job
             video = self.videos[member]
-            frames = [video.frame(i) for i in indices]
-            return np.asarray(self.scoring(frames), dtype=np.float64)
+            return np.asarray(
+                self.scoring(video.frames(indices)), dtype=np.float64)
 
         return thread_map(run, list(jobs), workers=self.workers)
 
@@ -239,8 +239,7 @@ def _score_shipped_member(
 ) -> np.ndarray:
     """Score one shard sub-batch in a pool worker."""
     video, scoring = member.resolve()
-    frames = [video.frame(i) for i in indices]
-    return np.asarray(scoring(frames), dtype=np.float64)
+    return np.asarray(scoring(video.frames(indices)), dtype=np.float64)
 
 
 class PoolShardBackend:

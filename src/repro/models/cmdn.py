@@ -82,24 +82,49 @@ def build_feature_mdn(
     return MixtureDensityNetwork(layers, head)
 
 
+def mean_nll(mixtures: GaussianMixture, scores: np.ndarray) -> float:
+    """Model-selection criterion (paper: smallest NLL wins)."""
+    return float(-np.mean(mixtures.log_likelihood(np.asarray(scores))))
+
+
 class ProxyScorer:
-    """Interface: map frame pixels to score distributions."""
+    """Interface: map frame pixels to score distributions.
+
+    ``prepare_inputs`` is two steps: :meth:`featurize`, which depends
+    only on the proxy *family* (every candidate of a grid computes the
+    same array from the same pixels, so the trainer computes it once),
+    and :meth:`inputs`, the candidate's own part.
+    """
 
     #: (num_gaussians, num_hypotheses) of this proxy.
     hyperparameters: tuple
+    network: MixtureDensityNetwork
+
+    @staticmethod
+    def featurize(pixels: np.ndarray) -> np.ndarray:
+        """The candidate-independent representation of ``(N, H, W)``
+        pixels. Callers share the result: it must not be written to."""
+        raise NotImplementedError
+
+    def fit_inputs(self, features: np.ndarray) -> np.ndarray:
+        """Network inputs of the *training* features, fitting whatever
+        input scaling the proxy has on them first."""
+        return self.inputs(features)
+
+    def inputs(self, features: np.ndarray) -> np.ndarray:
+        """Network inputs of featurized frames."""
+        raise NotImplementedError
 
     def prepare_inputs(self, pixels: np.ndarray) -> np.ndarray:
         """Convert ``(N, H, W)`` pixels to network inputs."""
-        raise NotImplementedError
+        return self.inputs(self.featurize(pixels))
 
     def predict_mixtures(self, pixels: np.ndarray) -> GaussianMixture:
         """Score distributions (in score units) for a pixel batch."""
         raise NotImplementedError
 
     def holdout_nll(self, pixels: np.ndarray, scores: np.ndarray) -> float:
-        """Model-selection criterion (paper: smallest NLL wins)."""
-        mix = self.predict_mixtures(pixels)
-        return float(-np.mean(mix.log_likelihood(np.asarray(scores))))
+        return mean_nll(self.predict_mixtures(pixels), scores)
 
 
 class ConvMDNProxy(ProxyScorer):
@@ -123,11 +148,15 @@ class ConvMDNProxy(ProxyScorer):
         )
         self.hyperparameters = (num_gaussians, num_hypotheses)
 
-    def prepare_inputs(self, pixels: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def featurize(pixels: np.ndarray) -> np.ndarray:
         arr = np.asarray(pixels, dtype=np.float64)
         if arr.ndim == 2:
             arr = arr[None]
         return arr[:, None, :, :]  # add channel axis
+
+    def inputs(self, features: np.ndarray) -> np.ndarray:
+        return features
 
     def predict_mixtures(self, pixels: np.ndarray) -> GaussianMixture:
         return self.network.predict(self.prepare_inputs(pixels))
@@ -152,14 +181,17 @@ class FeatureMDNProxy(ProxyScorer):
         self._scaler_fitted = False
         self.hyperparameters = (num_gaussians, num_hypotheses)
 
-    def fit_scaler(self, pixels: np.ndarray) -> None:
-        self.scaler.fit(extract_features(pixels))
-        self._scaler_fitted = True
+    featurize = staticmethod(extract_features)
 
-    def prepare_inputs(self, pixels: np.ndarray) -> np.ndarray:
+    def fit_inputs(self, features: np.ndarray) -> np.ndarray:
+        self.scaler.fit(features)
+        self._scaler_fitted = True
+        return self.inputs(features)
+
+    def inputs(self, features: np.ndarray) -> np.ndarray:
         if not self._scaler_fitted:
             raise NotFittedError("FeatureMDNProxy scaler not fitted")
-        return self.scaler.transform(extract_features(pixels))
+        return self.scaler.transform(features)
 
     def predict_mixtures(self, pixels: np.ndarray) -> GaussianMixture:
         return self.network.predict(self.prepare_inputs(pixels))

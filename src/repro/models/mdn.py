@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import ShapeError
 from .layers import Layer, _he_init
@@ -26,6 +25,49 @@ from .layers import Layer, _he_init
 SIGMA_FLOOR = 1e-3
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a), axis=-1, keepdims=True))`` of a float64 array.
+
+    Mirrors, operation for operation, what SciPy 1.17's ``logsumexp``
+    computes for real input without weights, so results are byte-equal
+    to it (``tests/test_models_bytes.py``) while the trained weights do
+    not depend on the installed SciPy: the maxima of a
+    row are masked to ``-inf`` and counted (``m``) instead of being
+    exponentiated, the rest is shifted by the row maximum, and the
+    result is ``log1p(sum / m) + log(m) + max``. Rows whose result is
+    not finite (a ``+-inf`` maximum, a NaN) take the direct
+    ``log(sum(exp(a)))`` instead, whose IEEE behaviour is the answer.
+    SciPy's sign bookkeeping is left out: without weights the shifted
+    sum is never negative.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=-1, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+        shifted = np.where(is_max, -np.inf, a)
+        shifted -= a_max
+        s = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.exp(a).sum(axis=-1, keepdims=True))
+            out = np.where(finite, out, direct)
+    return out
+
+
+def _log_components(pi, mu, sigma, y) -> Tuple[np.ndarray, np.ndarray]:
+    """``log(pi_j N(y | mu_j, sigma_j))`` per component, and the
+    standardized residual ``z`` it was computed from."""
+    z = (y - mu) / sigma
+    log_comp = (
+        np.log(np.clip(pi, 1e-300, None))
+        - np.log(sigma)
+        - 0.5 * (z * z + _LOG_2PI)
+    )
+    return log_comp, z
 
 
 @dataclass(frozen=True)
@@ -76,13 +118,9 @@ class GaussianMixture:
     def log_likelihood(self, y: np.ndarray) -> np.ndarray:
         """Per-sample log p(y) for batched parameters."""
         y = np.asarray(y, dtype=np.float64)[..., None]
-        z = (y - self.mu) / self.sigma
-        log_comp = (
-            np.log(np.clip(self.pi, 1e-300, None))
-            - np.log(self.sigma)
-            - 0.5 * (z * z + _LOG_2PI)
-        )
-        return logsumexp(log_comp, axis=-1)
+        log_comp, _ = _log_components(self.pi, self.mu, self.sigma, y)
+        # [()] turns the 0-d result of an unbatched mixture into a scalar.
+        return _row_logsumexp(log_comp)[..., 0][()]
 
     def select(self, index) -> "GaussianMixture":
         """Slice batched parameters (e.g. one frame's mixture)."""
@@ -147,12 +185,17 @@ class MDNHead(Layer):
             self._cache = (x, out)
         return out
 
-    def mixture(self, raw: np.ndarray) -> GaussianMixture:
-        """Decode raw pre-activations into mixture parameters."""
+    def _decode(self, raw: np.ndarray):
+        """``(pi, mu, sigma)`` arrays of raw pre-activations."""
         g = self.num_components
         pi = _softmax(raw[:, :g])
         mu = raw[:, g:2 * g]
         sigma = _softplus(raw[:, 2 * g:]) + SIGMA_FLOOR
+        return pi, mu, sigma
+
+    def mixture(self, raw: np.ndarray) -> GaussianMixture:
+        """Decode raw pre-activations into mixture parameters."""
+        pi, mu, sigma = self._decode(raw)
         return GaussianMixture(pi=pi, mu=mu, sigma=sigma)
 
     def nll(self, raw: np.ndarray, y: np.ndarray) -> float:
@@ -165,27 +208,22 @@ class MDNHead(Layer):
         x, raw = self._cache
         n = raw.shape[0]
         g = self.num_components
-        mix = self.mixture(raw)
+        pi, mu, sigma = self._decode(raw)
         y_col = np.asarray(y, dtype=np.float64)[:, None]
 
-        z = (y_col - mix.mu) / mix.sigma
-        log_comp = (
-            np.log(np.clip(mix.pi, 1e-300, None))
-            - np.log(mix.sigma)
-            - 0.5 * (z * z + _LOG_2PI)
-        )
-        log_norm = logsumexp(log_comp, axis=-1, keepdims=True)
+        log_comp, z = _log_components(pi, mu, sigma, y_col)
+        log_norm = _row_logsumexp(log_comp)
         resp = np.exp(log_comp - log_norm)  # responsibilities gamma
         loss = float(-np.mean(log_norm))
 
         # Gradients of mean NLL wrt raw pre-activations.
         grad_raw = np.empty_like(raw)
-        grad_raw[:, :g] = (mix.pi - resp) / n                # pi logits
-        grad_raw[:, g:2 * g] = (resp * (-z) / mix.sigma) / n  # means
+        grad_raw[:, :g] = (pi - resp) / n                # pi logits
+        grad_raw[:, g:2 * g] = (resp * (-z) / sigma) / n  # means
         # d sigma / d pre-sigma = sigmoid(pre-sigma)
         pre_sigma = raw[:, 2 * g:]
         dsigma = 1.0 / (1.0 + np.exp(-pre_sigma))
-        grad_sigma = resp * (1.0 / mix.sigma - z * z / mix.sigma) / n
+        grad_sigma = resp * (1.0 / sigma - z * z / sigma) / n
         grad_raw[:, 2 * g:] = grad_sigma * dsigma
 
         self.grads["W"] += x.T @ grad_raw

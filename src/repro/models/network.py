@@ -4,8 +4,18 @@
 dense stack) into an :class:`~repro.models.mdn.MDNHead` and exposes:
 
 * :meth:`predict` — mixture parameters for a batch of inputs;
-* :meth:`train_step` — one minibatch NLL gradient step (via optimizer);
-* :meth:`nll` — holdout NLL for model selection (paper Section 3.2).
+* :meth:`train_step` — one minibatch NLL gradient step (via optimizer).
+
+Every parameter of every layer lives in one contiguous vector (and
+every gradient in a second one); the layers' ``params`` / ``grads``
+entries are reshaped views into them. The optimizer therefore sees one
+``(layer, name, array)`` triple — the network itself, ``"theta"`` —
+and zeroing the gradients is one fill. Optimizer updates are
+elementwise, so the packed step is bit-identical to stepping each
+array on its own. A pickle does not preserve aliasing between arrays:
+the vectors are left out of the pickled state and rebuilt from the
+layers' own arrays on load (:meth:`__setstate__`), or a restored
+network would silently stop learning.
 
 Target standardization is handled internally: training targets are
 scaled to zero mean / unit variance, and predicted mixtures are mapped
@@ -33,23 +43,49 @@ class MixtureDensityNetwork:
         self._y_mean = 0.0
         self._y_scale = 1.0
         self._fitted = False
+        self._pack()
 
     # ------------------------------------------------------------------
     # Parameter plumbing (for optimizers)
     # ------------------------------------------------------------------
+    def _pack(self) -> None:
+        """Move every layer's parameters into one vector, in layer
+        order, and rebind the layers' arrays as views of it (gradients
+        likewise, zeroed)."""
+        layers = self.layers + [self.head]
+        theta = np.concatenate(
+            [v.ravel() for layer in layers for v in layer.params.values()])
+        grad = np.zeros_like(theta)
+        start = 0
+        for layer in layers:
+            for name, value in layer.params.items():
+                span = slice(start, start + value.size)
+                layer.params[name] = theta[span].reshape(value.shape)
+                layer.grads[name] = grad[span].reshape(value.shape)
+                start = span.stop
+        #: The optimizer protocol's view of the network: one parameter.
+        self.params = {"theta": theta}
+        self.grads = {"theta": grad}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["params"], state["grads"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._pack()
+
     @property
     def parameters(self):
         """Yield ``(layer, name, array)`` triples for all parameters."""
-        for layer in list(self.layers) + [self.head]:
-            for name, value in layer.params.items():
-                yield layer, name, value
+        yield self, "theta", self.params["theta"]
 
     def zero_grads(self) -> None:
-        for layer in list(self.layers) + [self.head]:
-            layer.zero_grads()
+        self.grads["theta"].fill(0.0)
 
     def num_parameters(self) -> int:
-        return sum(v.size for _, _, v in self.parameters)
+        return self.params["theta"].size
 
     # ------------------------------------------------------------------
     # Target scaling
@@ -111,8 +147,3 @@ class MixtureDensityNetwork:
             mu=np.concatenate(mus),
             sigma=np.concatenate(sigmas),
         )
-
-    def nll(self, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
-        """Mean NLL in score units (model-selection criterion)."""
-        mix = self.predict(x, batch_size=batch_size)
-        return float(-np.mean(mix.log_likelihood(np.asarray(y))))

@@ -7,7 +7,11 @@ the smallest negative log-likelihood.
 
 :func:`train_proxy_grid` reproduces that protocol for either proxy
 family and reports per-candidate histories, so callers (Phase 1, the
-breakdown experiment) can charge training cost and log selection.
+breakdown experiment) can charge training cost and log selection. What
+the candidates share is computed once: the grid featurizes the train
+and holdout pixels a single time and every candidate fits its own input
+scaling, trains and is scored on those two matrices, which do not
+outlive the call.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from ..config import Phase1Config
 from ..errors import ConfigurationError
-from .cmdn import ConvMDNProxy, FeatureMDNProxy, ProxyScorer
+from .cmdn import ConvMDNProxy, FeatureMDNProxy, ProxyScorer, mean_nll
 from .optim import Adam
 
 
@@ -44,8 +48,12 @@ class GridResult:
 
     @property
     def best_history(self) -> TrainingHistory:
-        best = min(self.histories, key=lambda h: h.holdout_nll)
-        return best
+        return self.histories[_best_index(self.histories)]
+
+
+def _best_index(histories: Sequence[TrainingHistory]) -> int:
+    """The first candidate with the smallest holdout NLL."""
+    return int(np.argmin([h.holdout_nll for h in histories]))
 
 
 def _iterate_minibatches(
@@ -56,6 +64,13 @@ def _iterate_minibatches(
     order = rng.permutation(num_samples)
     for start in range(0, num_samples, batch_size):
         yield order[start:start + batch_size]
+
+
+def _check_sample(pixels: np.ndarray, scores: np.ndarray) -> None:
+    if len(pixels) != len(scores):
+        raise ConfigurationError("pixels and scores must align")
+    if len(pixels) == 0:
+        raise ConfigurationError("cannot train on an empty sample")
 
 
 def train_network(
@@ -69,13 +84,24 @@ def train_network(
     seed: int = 0,
 ) -> List[float]:
     """Fit one proxy network; returns per-epoch mean NLL (scaled units)."""
-    if len(train_pixels) != len(train_scores):
-        raise ConfigurationError("pixels and scores must align")
-    if len(train_pixels) == 0:
-        raise ConfigurationError("cannot train on an empty sample")
-    if isinstance(proxy, FeatureMDNProxy):
-        proxy.fit_scaler(train_pixels)
-    inputs = proxy.prepare_inputs(train_pixels)
+    _check_sample(train_pixels, train_scores)
+    return _fit(
+        proxy, proxy.featurize(train_pixels), train_scores, epochs=epochs,
+        batch_size=batch_size, learning_rate=learning_rate, seed=seed)
+
+
+def _fit(
+    proxy: ProxyScorer,
+    train_features: np.ndarray,
+    train_scores: np.ndarray,
+    *,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    seed: int,
+) -> List[float]:
+    """:func:`train_network` on already featurized frames."""
+    inputs = proxy.fit_inputs(train_features)
     network = proxy.network
     network.fit_target_scaling(train_scores)
     optimizer = Adam(learning_rate)
@@ -107,47 +133,46 @@ def train_proxy_grid(
     ``input_hw`` is required for the conv proxy (when
     ``config.use_feature_mdn`` is False).
     """
+    _check_sample(train_pixels, train_scores)
+    if config.use_feature_mdn:
+        family, family_args = FeatureMDNProxy, ()
+    elif input_hw is None:
+        raise ConfigurationError("input_hw required for the conv CMDN")
+    else:
+        family, family_args = ConvMDNProxy, (input_hw,)
+    train_features = family.featurize(train_pixels)
+    holdout_features = family.featurize(holdout_pixels)
+
     histories: List[TrainingHistory] = []
     candidates: List[ProxyScorer] = []
-    sample_epochs = 0
-
     for i, (g, h) in enumerate(config.cmdn_grid):
-        if config.use_feature_mdn:
-            proxy: ProxyScorer = FeatureMDNProxy(
-                num_gaussians=g, num_hypotheses=h, seed=seed + 31 * i)
-        else:
-            if input_hw is None:
-                raise ConfigurationError(
-                    "input_hw required for the conv CMDN")
-            proxy = ConvMDNProxy(
-                input_hw,
-                num_gaussians=g,
-                num_hypotheses=h,
-                seed=seed + 31 * i,
-            )
+        proxy: ProxyScorer = family(
+            *family_args, num_gaussians=g, num_hypotheses=h,
+            seed=seed + 31 * i)
         start = time.perf_counter()
-        epoch_losses = train_network(
+        epoch_losses = _fit(
             proxy,
-            train_pixels,
+            train_features,
             train_scores,
             epochs=config.epochs,
             batch_size=config.batch_size,
             learning_rate=config.learning_rate,
             seed=seed + 7 * i,
         )
-        history = TrainingHistory(
+        holdout_nll = mean_nll(
+            proxy.network.predict(proxy.inputs(holdout_features)),
+            holdout_scores)
+        histories.append(TrainingHistory(
             hyperparameters=(g, h),
             epoch_losses=epoch_losses,
-            holdout_nll=proxy.holdout_nll(holdout_pixels, holdout_scores),
+            holdout_nll=holdout_nll,
             wall_seconds=time.perf_counter() - start,
-        )
-        histories.append(history)
+        ))
         candidates.append(proxy)
-        sample_epochs += len(train_pixels) * config.epochs
 
-    best_index = int(np.argmin([h.holdout_nll for h in histories]))
     return GridResult(
-        proxy=candidates[best_index],
+        proxy=candidates[_best_index(histories)],
         histories=histories,
-        sample_epochs=sample_epochs,
+        sample_epochs=len(config.cmdn_grid)
+        * len(train_pixels) * config.epochs,
     )

@@ -113,8 +113,7 @@ class Oracle:
         add_event(
             "oracle_confirm", frames=len(indices), fresh=len(indices),
             cached=0, cost_key=self.cost_key)
-        frames = [video.frame(i) for i in indices]
-        return self.scoring(frames)
+        return self.scoring(video.frames(indices))
 
     def score_all(self, video: SyntheticVideo) -> np.ndarray:
         """Scan-and-test: oracle-score every frame of the video."""
@@ -124,10 +123,9 @@ class Oracle:
 def exact_scores(scoring: ScoringFunction, video: SyntheticVideo) -> np.ndarray:
     """Ground-truth scores of every frame, for metrics only (no cost).
 
-    Uses the UDF's fast path when available, otherwise scores frames
-    one by one without charging the ledger.
+    Uses the UDF's fast path when available, otherwise scores every
+    frame without charging the ledger.
     """
     if scoring.exact_scores_fn is not None:
         return np.asarray(scoring.exact_scores_fn(video), dtype=np.float64)
-    frames = [video.frame(i) for i in range(len(video))]
-    return scoring(frames)
+    return scoring(video.frames(range(len(video))))

@@ -175,8 +175,8 @@ class CachingOracle(Oracle):
             if i not in known and not (i in seen or seen.add(i))
         ]
         if missing:
-            frames = [video.frame(i) for i in missing]
-            for i, score in zip(missing, self.scoring(frames)):
+            fresh = self.scoring(video.frames(missing))
+            for i, score in zip(missing, fresh):
                 score = float(score)
                 known[i] = score
                 self.fresh_scores[i] = score

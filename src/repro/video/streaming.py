@@ -184,9 +184,6 @@ class StreamingVideo(SyntheticVideo):
     def _signal(self) -> np.ndarray:
         return self.source._signal()[:self.num_frames]
 
-    def _objects(self, index: int) -> List[BoundingBox]:
-        return self.source._objects(index)
-
     def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
         return self.source.batch_pixels(
             check_indices(indices, self.num_frames))

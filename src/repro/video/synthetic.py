@@ -170,13 +170,10 @@ class SyntheticVideo:
         """The per-frame latent array behind :attr:`signal_key`."""
         raise NotImplementedError
 
-    def _truth(self, index: int) -> dict:
-        """Return the ground-truth signal dict for frame ``index``."""
-        return {self.signal_key: float(self._signal()[index])}
-
-    def _objects(self, index: int) -> List[BoundingBox]:
-        """Return ground-truth boxes; default none."""
-        return []
+    def _objects(self, indices: np.ndarray) -> List[List[BoundingBox]]:
+        """Ground-truth boxes of each frame of ``indices``; default
+        none. Elementwise per frame, like :meth:`_scenes`."""
+        return [[] for _ in range(indices.size)]
 
     # ------------------------------------------------------------------
     # Public API
@@ -220,23 +217,44 @@ class SyntheticVideo:
             out[block] = self._render(indices[block])
         return out
 
+    def _frames(self, indices: np.ndarray) -> List[Frame]:
+        """Frames (lazy pixels + ground truth) of checked ``indices``."""
+        signal = self._signal()[indices].astype(np.float64)
+        return [
+            Frame(
+                index=index,
+                video=self,
+                timestamp=index / self.fps,
+                truth={self.signal_key: value},
+                objects=boxes,
+            )
+            for index, value, boxes in zip(
+                indices.tolist(), signal.tolist(), self._objects(indices))
+        ]
+
     def frame(self, index: int) -> Frame:
         """Return the full :class:`Frame` (lazy pixels + ground truth)."""
-        index = self._check_index(index)
-        return Frame(
-            index=index,
-            video=self,
-            timestamp=index / self.fps,
-            truth=self._truth(index),
-            objects=self._objects(index),
-        )
+        return self._frames(np.array([self._check_index(index)]))[0]
+
+    def frames(self, indices: Iterable[int]) -> List[Frame]:
+        """``[self.frame(i) for i in indices]``, field for field
+        (duplicates and arbitrary order allowed), with the per-frame
+        ground truth computed for the whole batch at once.
+
+        A subclass that overrides :meth:`frame` — a view delegating to
+        its source, a test's fault seam — still has it called once per
+        index: only the base implementation is ever batched.
+        """
+        if type(self).frame is not SyntheticVideo.frame:
+            return [self.frame(i) for i in indices]
+        return self._frames(check_indices(indices, self.num_frames))
 
     def __getitem__(self, index: int) -> Frame:
         return self.frame(index)
 
     def objects(self, index: int) -> List[BoundingBox]:
         """Ground-truth boxes for frame ``index`` without rendering it."""
-        return self._objects(self._check_index(index))
+        return self._objects(np.array([self._check_index(index)]))[0]
 
     def truth_array(self, key: Optional[str] = None) -> np.ndarray:
         """Ground-truth signal for every frame as one array.
@@ -440,24 +458,21 @@ class TrafficVideo(SyntheticVideo):
     def _signal(self) -> np.ndarray:
         return self.counts
 
-    def _objects(self, index: int) -> List[BoundingBox]:
+    def _objects(self, indices: np.ndarray) -> List[List[BoundingBox]]:
         height, width = self.resolution
         radius = 2.0 * self._sigma
-        at = np.array([index])
-        boxes = []
+        side = float(2 * radius)
+        boxes: List[List[BoundingBox]] = [[] for _ in range(indices.size)]
         for slots in self._populations:
-            cx, cy = slots.centres(at, width, height)
-            active = int(slots.counts[index])
-            boxes.extend(
-                BoundingBox(
-                    x=float(x - radius),
-                    y=float(y - radius),
-                    width=float(2 * radius),
-                    height=float(2 * radius),
-                    label=slots.label,
+            cx, cy = slots.centres(indices, width, height)
+            for frame_boxes, xs, ys, active in zip(
+                    boxes, (cx - radius).tolist(), (cy - radius).tolist(),
+                    slots.counts[indices].tolist()):
+                frame_boxes.extend(
+                    BoundingBox(x=x, y=y, width=side, height=side,
+                                label=slots.label)
+                    for x, y in zip(xs[:active], ys[:active])
                 )
-                for x, y in zip(cx[0, :active], cy[0, :active])
-            )
         return boxes
 
     def true_count(self, index: int) -> int:

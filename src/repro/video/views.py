@@ -75,6 +75,9 @@ class VideoSlice:
     def frame(self, index: int) -> Frame:
         return self.parent.frame(self._check_index(index))
 
+    def frames(self, indices: Iterable[int]) -> List[Frame]:
+        return [self.frame(i) for i in indices]
+
     def __getitem__(self, index: int) -> Frame:
         return self.frame(index)
 
@@ -166,6 +169,9 @@ class ConcatVideo:
     def frame(self, index: int) -> Frame:
         member, local = self.locate(index)
         return self.members[member].frame(local)
+
+    def frames(self, indices: Iterable[int]) -> List[Frame]:
+        return [self.frame(i) for i in indices]
 
     def __getitem__(self, index: int) -> Frame:
         return self.frame(index)
