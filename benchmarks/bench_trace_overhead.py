@@ -12,17 +12,22 @@ PR's contract, at every scale):
 * **Exportability** — the Chrome ``trace_event`` document for the
   whole workload round-trips through JSON and every span nests inside
   its parent;
-* **Overhead** — tracing costs <= 5% process CPU time on the inline
-  lane. Measurement discipline, because a shared 1-CPU container
-  swings +-10% run to run from scheduler placement, GC, and CPU
-  steal/frequency drift — enough to fail any naive wall-clock gate
-  spuriously: the garbage collector is quiesced (collect, then
-  disable) around each timed run, arms alternate off/on in adjacent
-  pairs after a discarded warm-up pair, overhead is computed per pair
-  (slow drift hits both arms of a pair equally), and the gate takes
-  the **cleanest pair** — the best-case pair approximates the true
-  code cost, while every aggregate of noisy pairs inherits the noise.
-  The per-pair spread and wall times are reported alongside.
+* **Overhead** — *recorded, not gated*: on this class of box the
+  number reads anywhere from -25% to +21% against what used to be a
+  <= 5% gate, so asserting on it proved nothing. perfbench's
+  ``trace.overhead_frac`` (under its noise model) is the measured
+  successor; the figure below stays in the summary as
+  ``overhead_fraction`` / ``overhead_pairs`` for the record.
+  Measurement discipline, because a shared 1-CPU container swings
+  +-10% run to run from scheduler placement, GC, and CPU
+  steal/frequency drift: the garbage collector is quiesced (collect,
+  then disable) around each timed run, arms alternate off/on in
+  adjacent pairs after a discarded warm-up pair, overhead is computed
+  per pair (slow drift hits both arms of a pair equally), and the
+  headline is the **cleanest pair** — the best-case pair approximates
+  the true code cost, while every aggregate of noisy pairs inherits
+  the noise. The per-pair spread and wall times are reported
+  alongside.
 
 The machine-readable summary lands in ``results/BENCH_trace.json``
 (override with ``REPRO_BENCH_TRACE_JSON``).
@@ -42,7 +47,6 @@ from repro.video import TrafficVideo
 
 from bench_util import scale_label, write_bench_result
 
-MAX_OVERHEAD = 0.05
 MIN_COVERAGE = 0.95
 TIMING_RUNS = 5
 
@@ -182,7 +186,7 @@ def test_trace_overhead(bench_scale, bench_strict, benchmark=None):
     # Single worker so the arms are serial and free of thread-scheduler
     # contention; one discarded warm-up pair, then TIMING_RUNS
     # alternating quiesced pairs with the min per arm filtering load
-    # spikes. The gate is process CPU time (see module docstring).
+    # spikes. Process CPU time, recorded only (see module docstring).
     for tracer in (NULL_TRACER, Tracer(ring=queries)):
         _run(workload, frames, tracer=tracer,
              use_processes=False, workers=1)
@@ -209,8 +213,7 @@ def test_trace_overhead(bench_scale, bench_strict, benchmark=None):
          f"{wall_off:.3f}s", "-"],
         [f"tracing on (min of {TIMING_RUNS})", f"{cpu_on:.3f}s",
          f"{wall_on:.3f}s", "-"],
-        ["overhead (cleanest pair)", f"{overhead:+.2%}", "-",
-         f"<= {MAX_OVERHEAD:.0%}"],
+        ["overhead (cleanest pair)", f"{overhead:+.2%}", "-", "-"],
         ["overhead (median pair)", f"{median_overhead:+.2%}", "-", "-"],
         ["worst root coverage", f"{min(coverage.values()):.2%}", "-",
          f">= {MIN_COVERAGE:.0%}"],
@@ -225,7 +228,7 @@ def test_trace_overhead(bench_scale, bench_strict, benchmark=None):
         "trace",
         scale=scale_label(bench_scale),
         seconds=sum(wall for wall, _ in off_runs + on_runs),
-        margin=MAX_OVERHEAD - overhead,
+        margin=min(coverage.values()) - MIN_COVERAGE,
         queries=queries,
         frames=frames,
         cpu_off_seconds=cpu_off,
@@ -234,15 +237,10 @@ def test_trace_overhead(bench_scale, bench_strict, benchmark=None):
         wall_on_seconds=wall_on,
         overhead_fraction=overhead,
         overhead_pairs=pair_overheads,
-        max_overhead=MAX_OVERHEAD,
         min_root_coverage=min(coverage.values()),
         byte_identical=True,
         ledger_identical=True,
     )
-
-    assert overhead <= MAX_OVERHEAD, (
-        f"tracing cost {overhead:.2%} CPU time "
-        f"(gate: <= {MAX_OVERHEAD:.0%})")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,7 +14,7 @@ plans fan out one level up (:meth:`Session.execute_many`, DESIGN.md
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,12 @@ class QueryExecutor:
     per-event re-certification delta-sized (§7); a session that keeps
     physical-work counters (``session.stats``) has its cache-miss
     confirmations counted there, whichever caller ran the plan.
+
+    ``confirm_oracle`` — a ``(plan, phase2_cost) -> Oracle`` factory —
+    replaces the confirming oracle altogether; relation cloning, the
+    cleaning loop, ledger assembly and report construction stay as
+    they are. This is how a corpus query routes confirmations to its
+    shards (DESIGN.md §9).
     """
 
     def __init__(
@@ -68,14 +74,22 @@ class QueryExecutor:
         session: Session,
         *,
         score_cache=None,
+        confirm_oracle: Optional[
+            Callable[[QueryPlan, CostModel], Oracle]] = None,
     ):
         self.session = session
         if score_cache is None:
-            score_cache = getattr(session, "shared_score_cache", None)
+            score_cache = session.shared_score_cache
         self.score_cache = score_cache
+        # The factory or None — not a bound method of self, which would
+        # be a reference cycle keeping every executor (and the relation
+        # copies its oracle closes over) alive until the cyclic GC runs.
+        self._confirm_oracle = confirm_oracle
         #: The confirming oracle behind the most recent execution —
-        #: how callers (streaming, service) read cache-miss counts.
+        #: how callers (corpus, tests) read its per-shard attribution.
         self.last_confirm_oracle: Optional[Oracle] = None
+        #: Cache-miss confirmations of every plan this executor ran.
+        self.fresh_confirm_calls = 0
 
     def execute(self, plan: QueryPlan) -> QueryReport:
         return self.execute_detailed(plan).report
@@ -110,9 +124,11 @@ class QueryExecutor:
             detail = self._run_windows(plan, entry)
         else:
             detail = self._run_frames(plan, entry)
-        stats = getattr(session, "stats", None)
+        fresh = detail.fresh_confirm_calls or 0
+        self.fresh_confirm_calls += fresh
+        stats = session.stats
         if stats is not None:
-            stats.fresh_confirm_calls += detail.fresh_confirm_calls or 0
+            stats.count_fresh_confirms(fresh)
         return detail
 
     # ------------------------------------------------------------------
@@ -120,11 +136,12 @@ class QueryExecutor:
         """A fresh per-query cost ledger plus the confirming oracle."""
         phase2_cost = CostModel(
             plan.unit_costs, wall_clock=not plan.deterministic_timing)
-        confirm_oracle = self._confirm_oracle(plan, phase2_cost)
+        make_oracle = self._confirm_oracle or self._default_confirm_oracle
+        confirm_oracle = make_oracle(plan, phase2_cost)
         self.last_confirm_oracle = confirm_oracle
         return phase2_cost, confirm_oracle
 
-    def _confirm_oracle(
+    def _default_confirm_oracle(
         self, plan: QueryPlan, phase2_cost: CostModel
     ) -> Oracle:
         """The Phase 2 confirming oracle (cache-backed when shared)."""

@@ -100,9 +100,9 @@ class Query:
 
         Sliding-window semantics (DESIGN.md §13): the answer is the
         Top-K over frames in ``[horizon - seconds, watermark)``, where
-        the horizon is the stream clock for
-        :class:`~repro.windowed.WindowedVideo` sources and the end of
-        the video otherwise. Mutually exclusive with the tumbling
+        the horizon is the stream clock for windowed
+        :class:`~repro.video.streaming.StreamingVideo` sources and the
+        end of the video otherwise. Mutually exclusive with the tumbling
         ``windows(size=...)`` relation. On a windowed streaming session
         the clause is implicit — every query is windowed to the
         session's window — and an explicit value may not exceed it.
@@ -285,16 +285,11 @@ class Query:
     def subscribe(self):
         """Maintain this query live over a streaming session.
 
-        Only valid on queries built from a
-        :class:`~repro.streaming.session.StreamingSession`. Returns a
+        Only valid on queries built from a live session
+        (:meth:`Session.open_stream`; a closed one refuses). Returns a
         :class:`~repro.streaming.live_topk.LiveTopK` that is refreshed
         immediately and then re-certified on every ``append`` — one
         report per append, batch-equivalent ledgers, fresh oracle work
         proportional to the delta.
         """
-        subscribe = getattr(self.session, "subscribe", None)
-        if subscribe is None:
-            raise QueryError(
-                "subscribe() needs a streaming session; open one with "
-                "Session.open_stream(...)")
-        return subscribe(self)
+        return self.session.subscribe(self)

@@ -438,6 +438,23 @@ def resolve_video(name: str, **kwargs) -> SyntheticVideo:
     return factory(**kwargs)
 
 
+def resolve_pair(video, scoring, **video_kwargs):
+    """Resolve registry names on either side of ``(video, scoring)``.
+
+    Objects pass through; ``video_kwargs`` forward to the video
+    builder and therefore need a registry name.
+    """
+    if isinstance(video, str):
+        video = resolve_video(video, **video_kwargs)
+    elif video_kwargs:
+        raise TypeError(
+            "video keyword arguments need a registry name, "
+            "not a video object")
+    if isinstance(scoring, str):
+        scoring = resolve_udf(scoring)
+    return video, scoring
+
+
 def open_session(
     video,
     scoring,

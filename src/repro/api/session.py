@@ -13,23 +13,65 @@ configuration D0 actually depends on — ``(phase1, diff, seed)`` — so
 queries that override only Phase 2 knobs (batch size, oracle budget)
 still hit the cache, while a changed training grid transparently
 builds a second relation.
+
+There is one session class; what it can do beyond answering queries
+is read off its video. Over a growing
+:class:`~repro.video.streaming.StreamingVideo` the session is **live**
+(DESIGN.md §7) — it maintains D0 incrementally under a training policy
+pinned to the bootstrap segment, so every live answer is comparable,
+bit-identically while drift auditing is off, to a batch run over the
+same frames:
+
+    stream = Session.open_stream(video, "count[car]", initial_frames=5_000)
+    live = stream.query().topk(10).guarantee(0.9).subscribe()
+    stream.append(900)        # one report per append, per subscription
+    live.latest.summary()
+
+Under ``window_seconds`` the video also slides (§13, and the view's
+own module, :mod:`repro.video.streaming`): answers cover the last
+``window_seconds`` of stream time, ``tick(frames)`` expires frames
+without arrivals, and every windowed report is byte-identical to a
+fresh batch run over the window snapshot — ``batch_session()`` seals
+the prefix (horizon included), and a plain batch query over it
+compiles to the same window-restricted plan.
+
+A closed video is the stream that never appends, an unwindowed stream
+the window that never expires: the events a video cannot do are
+refused with a :class:`~repro.errors.QueryError` naming how to open
+the right thing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EverestConfig
+from ..errors import CheckpointError, QueryError
 from ..oracle.base import Oracle, ScoringFunction
+from ..oracle.cache import CachingOracle, ScoreCache
 from ..oracle.cost import CostModel
 from ..core.phase1 import Phase1Entry, Phase1Result, run_phase1
 from ..trace import span as trace_span
+from ..video.streaming import Segment, StreamingVideo
 from ..video.synthetic import SyntheticVideo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .query import Query
     from .plan import QueryPlan
     from ..core.result import QueryReport
+
+
+def _streaming():
+    """:mod:`repro.streaming`, imported on first use: its package import
+    reaches back here (``live_topk`` -> ``api.executor`` ->
+    ``api.session``), so a module-top import is a cycle."""
+    from .. import streaming
+
+    return streaming
+
 
 #: Cache key capturing everything D0 depends on: explicit
 #: ``(field, value)`` pairs, stable across dataclass field reordering,
@@ -175,8 +217,93 @@ def estimate_phase1_seconds(
     )
 
 
+@dataclass
+class AppendResult:
+    """Everything one ``append`` changed, for callers and experiments."""
+
+    segment: Segment
+    watermark: int
+    #: One refreshed report per live subscription, in subscribe order.
+    reports: List["QueryReport"] = field(default_factory=list)
+    #: Drift statistic after auditing (None while unknown / disabled).
+    drift: Optional[float] = None
+    retrained: bool = False
+    audited: int = 0
+    #: Physical (cache-miss) work this append actually paid.
+    fresh_label_calls: int = 0
+    fresh_confirm_calls: int = 0
+    fresh_inferred_frames: int = 0
+    wall_seconds: float = 0.0
+
+    @property
+    def fresh_oracle_calls(self) -> int:
+        return self.fresh_label_calls + self.fresh_confirm_calls
+
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-safe summary (the gateway's ``/append`` payload).
+
+        Reports are serialized through their canonical
+        :meth:`~repro.core.result.QueryReport.to_json` strings so the
+        wire bytes equal direct in-process execution's.
+        """
+        return {
+            "segment": {
+                "index": self.segment.index,
+                "start": self.segment.start,
+                "end": self.segment.end,
+            },
+            "watermark": self.watermark,
+            "reports": [report.to_json() for report in self.reports],
+            "drift": self.drift,
+            "retrained": self.retrained,
+            "audited": self.audited,
+            "fresh_label_calls": self.fresh_label_calls,
+            "fresh_confirm_calls": self.fresh_confirm_calls,
+            "fresh_inferred_frames": self.fresh_inferred_frames,
+            "wall_seconds": self.wall_seconds,
+        }
+
+
+@dataclass
+class ExpiryResult:
+    """Everything one expiry ``tick`` changed (the append-side twin of
+    :class:`AppendResult`)."""
+
+    #: Stream clock after the tick, in frames.
+    horizon: int
+    #: First frame id inside the window after the tick.
+    window_lo: int
+    #: How many frames the tick advanced the clock.
+    ticked_frames: int
+    watermark: int
+    #: One refreshed report per live subscription, in subscribe order.
+    reports: List["QueryReport"] = field(default_factory=list)
+    #: Physical (cache-miss) work this tick actually paid.
+    fresh_confirm_calls: int = 0
+    fresh_inferred_frames: int = 0
+    wall_seconds: float = 0.0
+
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-safe summary (the gateway's ``/tick`` payload)."""
+        return {
+            "horizon": self.horizon,
+            "window_lo": self.window_lo,
+            "ticked_frames": self.ticked_frames,
+            "watermark": self.watermark,
+            "reports": [report.to_json() for report in self.reports],
+            "fresh_confirm_calls": self.fresh_confirm_calls,
+            "fresh_inferred_frames": self.fresh_inferred_frames,
+            "wall_seconds": self.wall_seconds,
+        }
+
+
 class Session:
-    """An opened (video, scoring function) pair that serves queries."""
+    """An opened (video, scoring function) pair that serves queries.
+
+    ``streaming`` (a ``StreamingConfig``), ``autosave_path`` and
+    ``score_cache`` configure a live session; a closed video refuses
+    them.
+    """
 
     def __init__(
         self,
@@ -185,10 +312,26 @@ class Session:
         *,
         config: Optional[EverestConfig] = None,
         unit_costs: Optional[Dict[str, float]] = None,
+        streaming=None,
+        autosave_path=None,
+        score_cache: Optional[ScoreCache] = None,
     ):
         self.video = video
         self.scoring = scoring
-        self.config = config if config is not None else EverestConfig()
+        #: Whether the video can still grow (an unsealed
+        #: ``StreamingVideo``), read once: the one fact every layer
+        #: tells session kinds apart by.
+        self.live = isinstance(video, StreamingVideo) and not video.sealed
+        config = config if config is not None else EverestConfig()
+        if self.live and config.phase1.sample_prefix is None:
+            # Pin training to the bootstrap segment: the policy under
+            # which live answers equal batch re-runs (DESIGN.md §7).
+            config = dataclasses.replace(
+                config,
+                phase1=dataclasses.replace(
+                    config.phase1, sample_prefix=video.watermark),
+            )
+        self.config = config
         # Labelling and confirming charge the same per-frame latency as
         # the UDF's oracle, under dedicated Table 8 ledger keys.
         base = CostModel(unit_costs)
@@ -208,6 +351,46 @@ class Session:
         # session's own on a stream.
         self.artifacts = None
         self.shared_score_cache = None
+        #: Service hook: when set, a clock event hands its subscription
+        #: refresh pass to this callable (the service routes it through
+        #: its scheduler) instead of running inline.
+        self.refresh_dispatcher = None
+        self.streaming = streaming
+        self.autosave_path = autosave_path
+        self._stats = None
+        self._subscriptions: list = []
+        self._append_log: List[AppendResult] = []
+        self._expiry_log: List[ExpiryResult] = []
+        if not self.live:
+            if streaming is not None or autosave_path is not None \
+                    or score_cache is not None:
+                raise QueryError(
+                    "streaming=, autosave_path= and score_cache= need a "
+                    "growing video and this one is closed; open it with "
+                    "Session.open_stream(..., window_seconds=...)")
+            return
+        live = _streaming()
+        if streaming is None:
+            self.streaming = live.StreamingConfig()
+        # Every executor over this session confirms through one
+        # revelation memo, which is what makes re-certification
+        # delta-sized. ``score_cache`` lets the service layer promote it
+        # to service scope (shared with batch queries over the same
+        # footage); ledgers are unaffected either way.
+        self.shared_score_cache = score_cache if score_cache is not None \
+            else ScoreCache()
+        self._stats = live.StreamingStats()
+        self._incremental = live.IncrementalPhase1(
+            video,
+            CachingOracle(
+                scoring,
+                CostModel(self._unit_costs),
+                cache=self.shared_score_cache,
+                cost_key="oracle_label",
+            ),
+            self.config, self._unit_costs, self.streaming, self._stats)
+        #: Where the maintained entry lives in the Phase-1 cache.
+        self._key = phase1_key(self.config)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -226,16 +409,9 @@ class Session:
         e.g. ``Session.open("daxi-old-street", "count[person]")``.
         Extra keyword arguments are forwarded to the video builder.
         """
-        from .registry import resolve_udf, resolve_video
+        from .registry import resolve_pair
 
-        if isinstance(video, str):
-            video = resolve_video(video, **video_kwargs)
-        elif video_kwargs:
-            raise TypeError(
-                "video keyword arguments need a registry name, "
-                "not a video object")
-        if isinstance(scoring, str):
-            scoring = resolve_udf(scoring)
+        video, scoring = resolve_pair(video, scoring, **video_kwargs)
         return cls(video, scoring, config=config, unit_costs=unit_costs)
 
     @classmethod
@@ -252,66 +428,53 @@ class Session:
         score_cache=None,
         window_seconds: Optional[float] = None,
         **video_kwargs,
-    ):
-        """Open a streaming session over a growing video (DESIGN.md §7).
+    ) -> "Session":
+        """Open a live session over a growing video (DESIGN.md §7).
 
         ``video`` may be a closed source (object or registry name —
         wrapped with ``initial_frames`` as the bootstrap segment) or a
         ready :class:`~repro.video.streaming.StreamingVideo`.
         ``streaming`` takes a
         :class:`~repro.streaming.phase1_incremental.StreamingConfig`
-        (drift auditing / warm-retraining knobs). Returns a
-        :class:`~repro.streaming.session.StreamingSession`:
-        ``append(n)`` reveals frames, ``query()...subscribe()`` yields
-        a report per append, ``checkpoint(path)`` persists the Phase-1
-        artifacts.
+        (drift auditing / warm-retraining knobs). On the returned
+        session ``append(n)`` reveals frames,
+        ``query()...subscribe()`` yields a report per append, and
+        ``checkpoint(path)`` persists the Phase-1 artifacts.
 
-        ``window_seconds`` opens a sliding-window session instead
-        (:class:`~repro.windowed.WindowedSession`, DESIGN.md §13):
+        ``window_seconds`` makes the video slide (DESIGN.md §13):
         answers cover only the last ``window_seconds`` of stream time,
         ``tick(frames)`` expires frames without arrivals, and every
         subscription delivers one report per append *and* per tick.
         """
-        from ..streaming.session import StreamingSession
-        from ..windowed.session import WindowedSession
-        from ..windowed.view import WindowedVideo
-        from .registry import resolve_udf, resolve_video
+        from .registry import resolve_pair
 
-        if isinstance(video, str):
-            video = resolve_video(video, **video_kwargs)
-        elif video_kwargs:
-            raise TypeError(
-                "video keyword arguments need a registry name, "
-                "not a video object")
-        if isinstance(scoring, str):
-            scoring = resolve_udf(scoring)
-        if window_seconds is not None or isinstance(video, WindowedVideo):
-            return WindowedSession(
-                video, scoring, window_seconds=window_seconds,
-                initial_frames=initial_frames,
-                config=config, unit_costs=unit_costs,
-                streaming=streaming, autosave_path=autosave_path,
-                score_cache=score_cache)
-        # initial_frames is forwarded unconditionally: the constructor
-        # validates the (StreamingVideo, initial_frames) combinations.
-        return StreamingSession(
-            video, scoring, initial_frames=initial_frames,
-            config=config, unit_costs=unit_costs,
+        video, scoring = resolve_pair(video, scoring, **video_kwargs)
+        if isinstance(video, StreamingVideo):
+            if initial_frames is not None:
+                raise QueryError(
+                    "initial_frames is implied by an existing "
+                    "StreamingVideo; pass one or the other")
+            if window_seconds is not None \
+                    and float(window_seconds) != video.window_seconds:
+                raise QueryError(
+                    f"window_seconds={window_seconds!r} conflicts with "
+                    f"the StreamingVideo's own ({video.window_seconds!r}); "
+                    f"pass one or the other, or wrap the closed source")
+            if video.sealed:
+                raise QueryError(
+                    f"video {video.name!r} is a sealed snapshot and "
+                    f"never grows; open_stream the live view instead")
+        else:
+            if initial_frames is None:
+                raise QueryError(
+                    "open_stream needs initial_frames: the bootstrap "
+                    "segment Phase 1 trains on")
+            video = StreamingVideo(
+                video, initial_frames, window_seconds=window_seconds)
+        return cls(
+            video, scoring, config=config, unit_costs=unit_costs,
             streaming=streaming, autosave_path=autosave_path,
             score_cache=score_cache)
-
-    @classmethod
-    def resume(cls, path):
-        """Warm-start a streaming session from a checkpoint directory.
-
-        The resumed session re-serves its watermark with zero Phase-1
-        oracle calls: CMDN weights, the difference-detector state, the
-        inference cache, revealed scores and ledgers all come from the
-        artifact store. Subscriptions are not persisted — re-subscribe.
-        """
-        from ..streaming.session import StreamingSession
-
-        return StreamingSession.resume(path)
 
     # ------------------------------------------------------------------
     def query(self) -> "Query":
@@ -320,11 +483,14 @@ class Session:
 
         return Query(session=self)
 
+    def _executor(self):
+        from .executor import QueryExecutor  # imports this module
+
+        return QueryExecutor(self)
+
     def execute(self, plan: "QueryPlan") -> "QueryReport":
         """Run a compiled plan against this session's cached Phase 1."""
-        from .executor import QueryExecutor
-
-        return QueryExecutor(self).execute(plan)
+        return self._executor().execute(plan)
 
     def execute_many(
         self,
@@ -338,24 +504,51 @@ class Session:
         shared with the workers (DESIGN.md §6); reports come back in
         plan order and are identical for every worker count.
         ``workers`` defaults to the ``REPRO_WORKERS`` environment
-        variable, falling back to serial execution.
+        variable, falling back to serial execution. A live session
+        executes serially.
         """
+        if self.live:
+            if workers is not None and workers > 1:
+                # Make the single-process constraint visible instead of
+                # silently delivering no speedup.
+                raise QueryError(
+                    "streaming sessions execute serially (the incremental "
+                    "state is single-process); fan a sweep out from a "
+                    "batch Session instead")
+            executor = self._executor()
+            return [executor.execute(plan) for plan in plans]
         from ..parallel.runner import ParallelRunner
 
         return ParallelRunner(workers).run_sweep(self, plans)
 
     # ------------------------------------------------------------------
+    # Phase 1: the maintained entry for the pinned key when live; the
+    # keyed cache, pre-handed ledgers and single-flight lease otherwise
+    # ------------------------------------------------------------------
     def resolved_unit_costs(self) -> Dict[str, float]:
         """The full ledger-key -> seconds map queries will charge."""
         return dict(CostModel(self._unit_costs).unit_costs)
 
+    def _phase1_key(self, config: Optional[EverestConfig]) -> Phase1Key:
+        """The cache key ``config`` (None: the session's) resolves to."""
+        if not self.live:
+            return phase1_key(config if config is not None else self.config)
+        if config is not None and phase1_key(config) != self._key:
+            raise QueryError(
+                "streaming sessions maintain Phase 1 for the session "
+                "configuration only; Phase 2 overrides are fine, but "
+                "a different (phase1, diff, seed) needs its own session")
+        return self._key
+
     def phase1_cost_model(
         self, config: Optional[EverestConfig] = None
     ) -> CostModel:
-        """The ledger Phase 1 under ``config`` charges (no Phase 1 run)."""
-        config = config if config is not None else self.config
-        key = phase1_key(config)
-        entry = self._phase1_cache.get(key)
+        """The ledger Phase 1 under ``config`` charges (no Phase 1 run,
+        except that a live session bootstraps: its ledger is replayed
+        per event, so there is none to pre-hand)."""
+        key = self._phase1_key(config)
+        entry = self.phase1(config) if self.live \
+            else self._phase1_cache.get(key)
         if entry is not None:
             return entry.cost_model
         # Deterministic like every Phase-1 ledger: the build it will
@@ -370,11 +563,17 @@ class Session:
         build to the shared artifact layer — concurrent sessions over
         the same ``phase1_key`` block on one single-flight build — and
         pins the leased entry locally so later queries skip the store.
+        A live session bootstraps its maintainer instead; every clock
+        event then replaces the entry under the same key.
         """
-        config = config if config is not None else self.config
-        key = phase1_key(config)
+        key = self._phase1_key(config)
         entry = self._phase1_cache.get(key)
-        if entry is None:
+        if entry is not None:
+            return entry
+        if self.live:
+            entry = self._incremental.bootstrap()
+        else:
+            config = config if config is not None else self.config
             with trace_span("phase1", category="phase1") as p1_span:
                 if self.artifacts is not None:
                     entry = self.artifacts.lease(self, config, key)
@@ -399,8 +598,15 @@ class Session:
                         shared=self.artifacts is not None,
                         sim_seconds_total=entry.cost_model.total_seconds(),
                         oracle_calls=entry.oracle_calls)
-            self._phase1_cache[key] = entry
+        self._phase1_cache[key] = entry
         return entry
+
+    def _refuse_live(self, operation: str) -> None:
+        if self.live:
+            raise QueryError(
+                f"{operation} is for closed videos: a live session keeps "
+                f"its own Phase 1 and labels through its own score cache;"
+                f" wire it in with QueryService.attach_stream(stream)")
 
     def bind_service(self, artifacts, score_cache=None) -> "Session":
         """Attach this session to a service's shared artifact layer.
@@ -411,6 +617,7 @@ class Session:
         :class:`~repro.oracle.cache.ScoreCache`, so queries reuse
         frames other queries already cleaned. Returns ``self``.
         """
+        self._refuse_live("bind_service")
         self.artifacts = artifacts
         self.shared_score_cache = score_cache
         return self
@@ -428,8 +635,8 @@ class Session:
         executing plans. The entry must have been built under the same
         ``(phase1, diff, seed)`` configuration it is adopted for.
         """
-        config = config if config is not None else self.config
-        self._phase1_cache[phase1_key(config)] = entry
+        self._refuse_live("adopt_phase1")
+        self._phase1_cache[self._phase1_key(config)] = entry
 
     def phase1_cached(
         self,
@@ -463,6 +670,345 @@ class Session:
         costs = self.resolved_unit_costs()
         per_frame = costs.get(self.scoring.cost_key, 0.0) + costs["decode"]
         return len(self.video) * per_frame
+
+    # ------------------------------------------------------------------
+    # What a growing video adds: clock events and live answers
+    # ------------------------------------------------------------------
+    def _require_live(self, operation: str, *, windowed: bool = False):
+        """Refuse a clock event (or live state) the video cannot do."""
+        if not self.live:
+            raise QueryError(
+                f"{operation} needs a streaming session and this video "
+                f"is closed; open a growing one with "
+                f"Session.open_stream(..., window_seconds=...)")
+        if windowed and self.video.window_frames is None:
+            raise QueryError(
+                f"{operation} needs a sliding window; open the stream "
+                f"with Session.open_stream(..., window_seconds=...)")
+
+    @property
+    def watermark(self) -> int:
+        return self.video.watermark
+
+    @property
+    def segments(self) -> List[Segment]:
+        return self.video.segments
+
+    @property
+    def window_seconds(self) -> Optional[float]:
+        return self.video.window_seconds
+
+    @property
+    def window_frames(self) -> Optional[int]:
+        """Sliding-window length in frames (None: never expires)."""
+        return self.video.window_frames
+
+    @property
+    def horizon(self) -> int:
+        return self.video.horizon
+
+    @property
+    def window_lo(self) -> int:
+        return self.video.window_lo
+
+    @property
+    def stats(self):
+        """Physical-work counters (``StreamingStats``); ``None`` when
+        closed — executors count cache misses here only if it exists."""
+        if self._stats is not None:
+            self._stats.fresh_label_calls = \
+                self._incremental.label_oracle.fresh_calls
+        return self._stats
+
+    @property
+    def diverged(self) -> bool:
+        """True once auditing/retraining broke batch-ledger equality."""
+        return self._incremental.diverged
+
+    @property
+    def drift(self) -> Optional[float]:
+        tracker = self._incremental.drift_tracker
+        return tracker.drift if tracker is not None else None
+
+    @property
+    def append_log(self) -> List[AppendResult]:
+        return list(self._append_log)
+
+    @property
+    def expiry_log(self) -> List[ExpiryResult]:
+        return list(self._expiry_log)
+
+    @property
+    def subscriptions(self) -> list:
+        return list(self._subscriptions)
+
+    def append(self, num_frames: int) -> AppendResult:
+        """Reveal ``num_frames`` more source frames and re-certify.
+
+        Folds the arrivals into the Phase-1 state (diff, inference,
+        relation; drift audit and possible warm retrain when enabled),
+        refreshes every subscription, and returns the
+        :class:`AppendResult` — including the physical cache-miss work
+        this append paid, as opposed to the batch-equivalent charges
+        its reports carry.
+        """
+        self._require_live("append()")
+        self.phase1()
+        started = time.perf_counter()
+        before = self.stats.snapshot()
+        segment = self.video.append(num_frames)
+        entry, outcome = self._incremental.advance(segment)
+        self._phase1_cache[self._key] = entry
+        self._stats.appends += 1
+        return self._finish_event(
+            started, before, self._append_log,
+            AppendResult(
+                segment=segment,
+                watermark=self.watermark,
+                drift=outcome.drift,
+                retrained=outcome.retrained,
+                audited=outcome.audited,
+                fresh_label_calls=(
+                    self._incremental.label_oracle.fresh_calls
+                    - before["fresh_label_calls"]),
+            ))
+
+    def tick(self, frames: int) -> ExpiryResult:
+        """Advance the stream clock without arrivals; expire frames.
+
+        The window's lower edge moves forward, evicted inference
+        blocks are retracted, and every subscription is refreshed
+        against the narrowed relation — one report per tick, under the
+        same bookkeeping-before-reraise discipline as ``append``.
+        """
+        self._require_live("tick()", windowed=True)
+        self.phase1()
+        started = time.perf_counter()
+        before = self.stats.snapshot()
+        with trace_span(
+                "expiry", category="streaming", frames=frames,
+                horizon=self.video.horizon) as expiry_span:
+            horizon = self.video.tick(frames)
+            self._phase1_cache[self._key] = \
+                self._incremental.rebuild_entry()
+            if expiry_span is not None:
+                expiry_span.set(
+                    window_lo=self.video.window_lo,
+                    watermark=self.watermark)
+        return self._finish_event(
+            started, before, self._expiry_log,
+            ExpiryResult(
+                horizon=horizon,
+                window_lo=self.video.window_lo,
+                ticked_frames=frames,
+                watermark=self.watermark,
+            ))
+
+    def _finish_event(self, started: float, before: Dict[str, int],
+                      log: list, result):
+        """The tail every clock event (append, tick) shares.
+
+        Refreshes every subscription even if one fails (e.g. a
+        subscribed query's oracle budget trips): the video clock and
+        Phase-1 state have already advanced, so the event must
+        complete its bookkeeping either way — the first error
+        re-raises after the result is logged, leaving the session
+        consistent and retryable. A service-attached session hands
+        the whole pass to the dispatcher (one scheduled job, so it
+        competes fairly with batch tenants) and blocks on it — and a
+        dispatch failure (admission refusal, service closing) is
+        treated exactly like a refresh failure. The event reports the
+        confirmations its own pass paid, not a diff of the session-wide
+        counter, which ad-hoc queries on other threads bump mid-event.
+        """
+        if self.refresh_dispatcher is not None:
+            try:
+                result.reports, result.fresh_confirm_calls, refresh_error \
+                    = self.refresh_dispatcher(self._refresh_subscriptions)
+            except Exception as error:
+                refresh_error = error
+        else:
+            result.reports, result.fresh_confirm_calls, refresh_error = \
+                self._refresh_subscriptions()
+        result.fresh_inferred_frames = \
+            self._stats.fresh_inferred_frames \
+            - before["fresh_inferred_frames"]
+        result.wall_seconds = time.perf_counter() - started
+        log.append(result)
+        self._trim_history()
+        if self.autosave_path is not None:
+            self.checkpoint(self.autosave_path)
+        if refresh_error is not None:
+            raise refresh_error
+        return result
+
+    def _trim_history(self) -> None:
+        """Bound per-event history under ``max_history``.
+
+        Trims only *delivered* results — the append and expiry logs
+        and each subscription's report history (the latest always
+        survives). Phase-1 bookkeeping and, under a window, the
+        window's own frame set are never touched: history pruning must
+        not evict frames still inside an open window (DESIGN.md §13).
+        """
+        limit = self.streaming.max_history
+        if limit is None:
+            return
+        del self._append_log[:-limit]
+        del self._expiry_log[:-limit]
+        for subscription in self._subscriptions:
+            subscription.trim(limit)
+
+    def _refresh_subscriptions(self):
+        """One refresh pass over every subscription (see append):
+        ``(reports, fresh, first_error)``, ``fresh`` being the cache-miss
+        confirmations of the pass's own executor (an external
+        subscription that ignores it contributes none)."""
+        executor = self._executor()
+        reports: List["QueryReport"] = []
+        refresh_error: Optional[BaseException] = None
+        for index, subscription in enumerate(self._subscriptions):
+            try:
+                with trace_span(
+                        "subscription_refresh", category="streaming",
+                        subscription=index,
+                        watermark=self.watermark) as refresh_span:
+                    report = subscription.refresh(executor)
+                    if refresh_span is not None:
+                        refresh_span.set(
+                            k=report.k, confidence=report.confidence)
+                reports.append(report)
+            except Exception as error:
+                if refresh_error is None:
+                    refresh_error = error
+        return reports, executor.fresh_confirm_calls, refresh_error
+
+    def share_inference_cache(self, shared) -> None:
+        """Adopt a service-scope block-inference cache (DESIGN.md §8).
+
+        Proxy mixtures already inferred by sibling sessions over the
+        same artifact become free here (and vice versa). No-op once
+        this session has warm-retrained — its proxy is private then.
+        """
+        self._require_live("share_inference_cache()")
+        self._incremental.adopt_inference_cache(shared)
+
+    def subscribe(self, query):
+        """Register a query for per-event maintenance.
+
+        Returns a :class:`~repro.streaming.live_topk.LiveTopK`,
+        refreshed immediately (its first report answers over the
+        current watermark) and again on every append and tick.
+        """
+        self._require_live("subscribe()")
+        if query.session is not self:
+            raise QueryError(
+                "subscribe a query built from this streaming session")
+        self.phase1()
+        subscription = _streaming().LiveTopK(query=query)
+        subscription.refresh(self._executor())
+        self._subscriptions.append(subscription)
+        return subscription
+
+    def attach_subscription(self, subscription) -> None:
+        """Register an external live consumer refreshed on every event.
+
+        The object only needs the subscription protocol —
+        ``refresh(executor)`` returning a report and
+        ``trim(max_history)``. This is how corpus subscriptions
+        (DESIGN.md §9) ride the per-append refresh pass: a member's
+        append re-certifies the *federated* answer alongside the
+        member's own live queries, under the same error/bookkeeping
+        discipline (and through the service dispatcher when attached).
+        """
+        self._require_live("attach_subscription()")
+        self.phase1()
+        self._subscriptions.append(subscription)
+
+    def batch_session(self) -> "Session":
+        """A from-scratch batch session over the current prefix.
+
+        Shares nothing with this session except the (sealed) frames
+        and the pinned configuration — the reference the equivalence
+        suite compares live answers against.
+        """
+        self._require_live("batch_session()")
+        return Session(
+            self.video.snapshot(),
+            self.scoring,
+            config=self.config,
+            unit_costs=self._unit_costs,
+        )
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def checkpoint(self, path) -> None:
+        """Persist the full streaming state to ``path`` (a directory).
+
+        Subscriptions are not persisted (they close over live session
+        objects); re-subscribe after :meth:`resume`. Everything else —
+        watermark, horizon, CMDN weights, diff arrays, inference
+        blocks, score cache, ledgers, drift state — round-trips, so
+        the resumed session re-serves its watermark with zero Phase-1
+        oracle calls.
+        """
+        self._require_live("checkpoint()")
+        self.phase1()
+        # The maintainer carries the video, UDF, configurations, score
+        # cache and stats by reference; only the logs sit beside it.
+        _streaming().write_checkpoint(
+            path,
+            {
+                "incremental": self._incremental,
+                "autosave_path": self.autosave_path,
+                "append_log": self._append_log,
+                "expiry_log": self._expiry_log,
+            },
+            metadata={
+                "video_name": self.video.name,
+                "udf_name": self.scoring.name,
+                "watermark": self.watermark,
+                "segments": len(self.video.segments),
+                "diverged": self.diverged,
+            },
+        )
+
+    @classmethod
+    def resume(cls, path) -> "Session":
+        """Warm-start a live session from a checkpoint directory.
+
+        The resumed session re-serves its watermark with zero Phase-1
+        oracle calls: CMDN weights, the difference-detector state, the
+        inference cache, revealed scores and ledgers all come from the
+        artifact store; the pickled video carries its own window, so a
+        windowed stream resumes windowed. Subscriptions are not
+        persisted — re-subscribe.
+        """
+        state, _manifest = _streaming().read_checkpoint(path)
+        try:
+            restored = state["incremental"]
+            # Everything is read off the restored maintainer, so the
+            # session is rewired to it by reference: the pickle graph
+            # preserved that its label oracle shares the score cache.
+            session = cls(
+                restored.video,
+                restored.scoring,
+                config=restored.config,
+                unit_costs=restored.unit_costs,
+                streaming=restored.streaming,
+                autosave_path=state["autosave_path"],
+                score_cache=restored.label_oracle.cache,
+            )
+            session._append_log = list(state["append_log"])
+            session._expiry_log = list(state["expiry_log"])
+        except KeyError as error:  # pragma: no cover - corrupt state
+            raise CheckpointError(
+                f"checkpoint state is missing field {error}") from error
+        session._incremental, session._stats = restored, restored.stats
+        session._phase1_cache[session._key] = \
+            session._incremental.rebuild_entry()
+        return session
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -57,7 +57,7 @@ class CorpusMember:
     @property
     def streaming(self) -> bool:
         """Streaming members maintain Phase 1 incrementally."""
-        return hasattr(self.session, "append")
+        return self.session.live
 
 
 @dataclass

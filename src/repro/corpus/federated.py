@@ -455,64 +455,6 @@ class CorpusOutcome:
         return dict(zip(self.member_names, self.shard_confirms))
 
 
-class _FederatedExecutor(QueryExecutor):
-    """The plain executor with the confirming oracle swapped out.
-
-    Relation cloning, the cleaning loop, ledger assembly and report
-    construction are inherited verbatim — the corpus report *is* a
-    plain report over the merged relation. Only frame-mode plans are
-    accepted: window semantics across shard boundaries are undefined.
-    """
-
-    def __init__(
-        self,
-        session,
-        *,
-        videos,
-        member_names,
-        offsets,
-        caches,
-        backend,
-        shard_budgets,
-    ):
-        super().__init__(session)
-        self.score_cache = None  # members route their own caches
-        self._videos = videos
-        self._member_names = member_names
-        self._offsets = offsets
-        self._caches = caches
-        self._backend = backend
-        self._shard_budgets = shard_budgets
-
-    def execute_detailed(self, plan):
-        if plan.mode != "frames":
-            raise QueryError(
-                "corpus queries rank frames; window aggregation across "
-                "shard boundaries is undefined — query a member "
-                "session for windows")
-        return super().execute_detailed(plan)
-
-    def _confirm_oracle(self, plan, phase2_cost: CostModel) -> Oracle:
-        shard_costs = [
-            CostModel(
-                plan.unit_costs,
-                wall_clock=not plan.deterministic_timing)
-            for _ in self._videos
-        ]
-        return FederatedOracle(
-            self.session.scoring,
-            phase2_cost,
-            videos=self._videos,
-            member_names=self._member_names,
-            offsets=self._offsets,
-            backend=self._backend,
-            shard_costs=shard_costs,
-            caches=self._caches,
-            budget=plan.oracle_budget,
-            shard_budgets=self._shard_budgets,
-        )
-
-
 class FederatedTopK:
     """Federated top-k over a :class:`~repro.corpus.corpus.VideoCorpus`.
 
@@ -546,26 +488,51 @@ class FederatedTopK:
         *,
         shard_budgets: Optional[Sequence[Optional[int]]] = None,
     ) -> CorpusOutcome:
-        """Run one compiled plan federated; returns the full outcome."""
+        """Run one compiled plan federated; returns the full outcome.
+
+        The plain executor runs it with the confirming oracle swapped
+        out — relation cloning, the cleaning loop, ledger assembly and
+        report construction are the single-video ones, so the corpus
+        report *is* a plain report over the merged relation. Only
+        frame-mode plans are accepted: window semantics across shard
+        boundaries are undefined.
+        """
+        if plan.mode != "frames":  # before the merge builds any Phase 1
+            raise QueryError(
+                "corpus queries rank frames; window aggregation across "
+                "shard boundaries is undefined — query a member "
+                "session for windows")
         corpus = self.corpus
         state = corpus.merged_state(plan.config)
         videos = [member.video for member in corpus.members]
         backend = self.backend if self.backend is not None \
             else InlineShardBackend(
                 videos, corpus.scoring, workers=self.shard_workers)
+        # Members route their own caches (local frame ids).
         caches = [
-            getattr(member.session, "shared_score_cache", None)
-            for member in corpus.members
-        ]
-        executor = _FederatedExecutor(
-            state.session,
-            videos=videos,
-            member_names=corpus.member_names,
-            offsets=corpus.offsets(),
-            caches=caches,
-            backend=backend,
-            shard_budgets=shard_budgets,
-        )
+            member.session.shared_score_cache for member in corpus.members]
+
+        def confirm_oracle(plan, phase2_cost: CostModel) -> Oracle:
+            return FederatedOracle(
+                corpus.scoring,
+                phase2_cost,
+                videos=videos,
+                member_names=corpus.member_names,
+                offsets=corpus.offsets(),
+                backend=backend,
+                shard_costs=[
+                    CostModel(
+                        plan.unit_costs,
+                        wall_clock=not plan.deterministic_timing)
+                    for _ in videos
+                ],
+                caches=caches,
+                budget=plan.oracle_budget,
+                shard_budgets=shard_budgets,
+            )
+
+        executor = QueryExecutor(
+            state.session, confirm_oracle=confirm_oracle)
         detail = executor.execute_detailed(plan)
         oracle = executor.last_confirm_oracle
         assert isinstance(oracle, FederatedOracle)

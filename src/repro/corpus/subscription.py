@@ -1,7 +1,7 @@
 """Live federated answers over streaming corpora.
 
 A :class:`CorpusSubscription` keeps one federated top-k answer current
-while corpus members grow: it registers a lightweight hook with every
+while corpus members grow: it registers itself with every
 *streaming* member, and whichever member appends next triggers one
 global refresh — the merged corpus state is fingerprint-invalidated by
 the member's new Phase-1 entry, re-merged, and the federated query
@@ -27,25 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .query import CorpusQuery
 
 
-class _MemberHook:
-    """The per-member adapter a streaming session refreshes per append.
-
-    Implements the session's subscription protocol (``refresh`` /
-    ``trim``) but delegates to the corpus-level subscription — the
-    member's executor argument is ignored, because a corpus refresh
-    re-runs the *federated* engine, not a single-member query.
-    """
-
-    def __init__(self, subscription: "CorpusSubscription"):
-        self.subscription = subscription
-
-    def refresh(self, executor) -> QueryReport:
-        return self.subscription.refresh()
-
-    def trim(self, max_history: int) -> None:
-        self.subscription.trim(max_history)
-
-
 @dataclass
 class CorpusSubscription:
     """One continuously maintained federated top-k answer."""
@@ -68,7 +49,7 @@ class CorpusSubscription:
         subscription = cls(query=query)
         subscription.refresh()
         for member in streaming:
-            member.session.attach_subscription(_MemberHook(subscription))
+            member.session.attach_subscription(subscription)
         return subscription
 
     @property
@@ -89,8 +70,13 @@ class CorpusSubscription:
     def __len__(self) -> int:
         return len(self.reports)
 
-    def refresh(self) -> QueryReport:
-        """Re-certify the federated answer over the current members."""
+    def refresh(self, executor=None) -> QueryReport:
+        """Re-certify the federated answer over the current members.
+
+        ``executor`` is what a member session's refresh pass hands
+        every subscription; it is ignored, because a corpus refresh
+        re-runs the *federated* engine, not a single-member query.
+        """
         outcome = self.query.run_detailed()
         self.outcomes.append(outcome)
         self.reports.append(outcome.report)

@@ -369,9 +369,6 @@ class Gateway:
                                f"already open",
                 }
         config = self.config.session_config
-        open_kwargs = {}
-        if request.window_seconds is not None:
-            open_kwargs["window_seconds"] = request.window_seconds
         stream = self.service.open_stream(
             request.spec.video,
             request.spec.udf,
@@ -379,7 +376,7 @@ class Gateway:
             tenant=request.tenant,
             config=config if config is not None else EverestConfig.fast(),
             video_kwargs=dict(self.config.video_kwargs),
-            **open_kwargs,
+            window_seconds=request.window_seconds,
         )
         live = stream.query().topk(request.k) \
             .guarantee(request.guarantee).subscribe()
@@ -453,7 +450,7 @@ class Gateway:
             raise KeyError(
                 f"no open stream {request.stream_id!r}; "
                 f"POST /stream first")
-        if op == "tick" and not hasattr(state.stream, "tick"):
+        if op == "tick" and state.stream.window_frames is None:
             raise QueryError(
                 f"stream {request.stream_id!r} has no sliding window; "
                 f"open it with a 'window' field (or '?window=' spec "

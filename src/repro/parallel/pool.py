@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-from ..errors import ConfigurationError, ServiceClosedError
+from ..errors import ConfigurationError, ServiceClosedError, ServiceError
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -172,6 +172,12 @@ class PersistentPool:
         one a serial loop would have hit first, so failures are as
         deterministic as results — and tasks that have not started are
         cancelled rather than left to burn CPU. The pool stays usable.
+
+        A worker dying under the gather raises a
+        :class:`~repro.errors.ServiceError` chaining the
+        ``BrokenProcessPool`` — the one translation of a dead worker:
+        nothing was recorded and the pool restarts on its next task, so
+        the caller may resubmit. (:meth:`submit` keeps the raw error.)
         """
         futures = []
         try:
@@ -179,6 +185,10 @@ class PersistentPool:
                 futures.append(self.submit(fn, *args))
             for future in futures:
                 error = future.exception()
+                if isinstance(error, BrokenProcessPool):
+                    raise ServiceError(
+                        "a pool worker died while the tasks were in "
+                        "flight; nothing was recorded, resubmit") from error
                 if error is not None:
                     raise error
         except BaseException:

@@ -31,14 +31,12 @@ byte-identical ``QueryReport.to_json()`` strings.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..api.executor import ExecutionDetail, QueryExecutor
 from ..api.session import Session
-from ..errors import ServiceError
 from ..oracle.cache import ScoreCache
 from ..parallel.pool import Shipped
 
@@ -166,10 +164,9 @@ def run_batch_in_pool(
     re-reveals them physically; shipping is a cost optimization, never
     a correctness input.
 
-    A worker dying under the batch raises a :class:`ServiceError`
-    chaining the pool's ``BrokenProcessPool``: nothing was recorded
-    for the batch, the pool restarts on its next task, so the caller
-    may simply resubmit.
+    A worker dying under the batch raises ``pool.map``'s
+    :class:`~repro.errors.ServiceError`: nothing was recorded for the
+    batch, so the caller may simply resubmit.
     """
     items: Optional[Tuple[Tuple[int, float], ...]] = None
     if shared_cache is not None:
@@ -184,12 +181,7 @@ def run_batch_in_pool(
             shipped.update(snapshot)
     task = BatchTask(
         spec=spec, plans=tuple(plans), cache_items=items, traced=traced)
-    try:
-        result: BatchResult = pool.submit(_service_worker_run, task).result()
-    except BrokenProcessPool as error:
-        raise ServiceError(
-            "a pool worker died while the batch was in flight; nothing "
-            "was charged, resubmit the queries") from error
+    result: BatchResult = pool.map(_service_worker_run, [task])[0]
     if shared_cache is not None and result.new_scores:
         shared_cache.merge(result.new_scores.items())
         if shipped is not None:

@@ -171,7 +171,7 @@ class _QueryTask:
 class _StreamTask:
     """Scheduler payload for one streaming append's refresh pass."""
 
-    refresh: object  # zero-arg callable -> (reports, first error)
+    refresh: object  # zero-arg callable -> (reports, fresh, first error)
     session: object
     trace: object = None
 
@@ -304,7 +304,12 @@ class QueryService:
         return self.adopt_session(session)
 
     def adopt_session(self, session: Session) -> Session:
-        """Bind an existing batch session to the shared artifact layer."""
+        """Bind an existing batch session to the shared artifact layer.
+
+        A live one is refused (:meth:`attach_stream` is its way in):
+        swapping its score cache would leave it confirming through one
+        cache and labelling through another.
+        """
         self._check_open()
         group = group_key(session.video, session.scoring)
         session.bind_service(
@@ -332,16 +337,12 @@ class QueryService:
         objects or registry names like :meth:`Session.open_stream`.
         """
         self._check_open()
-        from ..api.registry import resolve_udf, resolve_video
+        from ..api.registry import resolve_pair
 
-        video_kwargs = kwargs.pop("video_kwargs", None) or {}
-        if isinstance(video, str):
-            video = resolve_video(video, **video_kwargs)
-        elif video_kwargs:
-            raise QueryError(
-                "video_kwargs needs a registry name, not a video object")
-        if isinstance(scoring, str):
-            scoring = resolve_udf(scoring)
+        # Resolved here, not in Session.open_stream: the shared score
+        # cache is keyed by the resolved pair.
+        video, scoring = resolve_pair(
+            video, scoring, **(kwargs.pop("video_kwargs", None) or {}))
         stream = Session.open_stream(
             video, scoring, initial_frames=initial_frames,
             score_cache=self.artifacts.score_cache(
@@ -362,11 +363,9 @@ class QueryService:
         inference.
         """
         self._check_open()
-        from ..streaming.session import StreamingSession
-
-        if not isinstance(stream, StreamingSession):
+        if not (isinstance(stream, Session) and stream.live):
             raise QueryError(
-                "attach_stream expects a StreamingSession; open one "
+                "attach_stream expects a live session; open one "
                 "with Session.open_stream(...) or service.open_stream")
         artifact = (
             group_key(stream.video, stream.scoring),
@@ -486,7 +485,7 @@ class QueryService:
         # their confirmations hit the group score cache. Streaming
         # sessions keep their own incremental machinery (attach_stream
         # wires them in explicitly).
-        if session.artifacts is None and not hasattr(session, "append"):
+        if session.artifacts is None and not session.live:
             self.adopt_session(session)
         with self._lock:
             self._sessions.setdefault(id(session), session)
@@ -681,8 +680,7 @@ class QueryService:
         coverage = 0.0
         if cache is not None and plan.num_tuples > 0:
             coverage = min(1.0, len(cache) / plan.num_tuples)
-        pool_ok = self._pool is not None \
-            and not hasattr(session, "append")
+        pool_ok = self._pool is not None and not session.live
         return self._estimator.predict(
             plan,
             group=group,
@@ -719,7 +717,6 @@ class QueryService:
 
     def _run_stream(self, task: _StreamTask) -> JobOutcome:
         exec_span = self._trace_pickup(task, lane="inline")
-        before = task.session.stats.fresh_confirm_calls
         try:
             with activate(exec_span):
                 value = task.refresh()
@@ -729,7 +726,9 @@ class QueryService:
             return JobOutcome(error=error)
         confirm_unit = task.session.resolved_unit_costs() \
             .get("oracle_confirm", 0.0)
-        fresh = task.session.stats.fresh_confirm_calls - before
+        # What the pass itself paid — not a diff of the session-wide
+        # counter, which concurrent ad-hoc queries on the stream bump.
+        fresh = value[1]
         if exec_span is not None:
             exec_span.set(fresh_confirm_calls=fresh).finish()
         return JobOutcome(value=value, charge=fresh * confirm_unit)
@@ -792,7 +791,7 @@ class QueryService:
         # only they may ship. The estimator can route a batch whose
         # predicted Phase-2 work does not clear the pool's observed
         # overhead back inline (lane never changes report bytes).
-        use_pool = self._pool is not None and not hasattr(session, "append")
+        use_pool = self._pool is not None and not session.live
         if use_pool and predictions is not None:
             use_pool = any(p.lane == "process" for p in predictions)
         lane = "process" if use_pool else "inline"

@@ -3,9 +3,10 @@
 This package turns the engine from "query a finished video" into
 "maintain answers over a growing one" (DESIGN.md §7):
 
-* :class:`~repro.streaming.session.StreamingSession` — the appendable
-  session: ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
-  ``checkpoint`` / ``resume``;
+* the live :class:`~repro.api.session.Session` —
+  ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
+  ``checkpoint`` / ``resume`` (``StreamingSession`` is an alias of the
+  one session class);
 * :mod:`~repro.streaming.phase1_incremental` — the Phase-1 maintainer
   (:mod:`repro.core.phase1`: incremental difference detection,
   block-cached proxy inference) under appends, plus drift auditing and

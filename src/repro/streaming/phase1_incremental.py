@@ -22,6 +22,7 @@ growing video needs:
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
@@ -32,6 +33,11 @@ from ..core.phase1 import BlockInferenceCache, Phase1Maintainer
 from ..errors import ConfigurationError
 from ..models.trainer import train_network
 from ..video.streaming import Segment, is_sliding
+
+
+#: Guards :meth:`StreamingStats.count_fresh_confirms`. Module-level:
+#: the stats object is pickled into checkpoints and a lock is not.
+_STATS_LOCK = threading.Lock()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -111,6 +117,12 @@ class StreamingStats:
     @property
     def fresh_oracle_calls(self) -> int:
         return self.fresh_label_calls + self.fresh_confirm_calls
+
+    def count_fresh_confirms(self, calls: int) -> None:
+        """Add one execution's cache-miss confirmations, atomically:
+        any scheduler thread may run a plan on the session mid-event."""
+        with _STATS_LOCK:
+            self.fresh_confirm_calls += calls
 
 
 class DriftTracker:

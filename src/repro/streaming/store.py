@@ -3,7 +3,8 @@
 A checkpoint is a directory holding:
 
 * ``state-<sha12>.pkl`` — the pickled session state: the streaming
-  video view (source + watermark + segments), the scoring function,
+  video view (source + watermark + segments + window and horizon),
+  the scoring function,
   configurations, the incremental Phase-1 maintainer (trained CMDN
   weights, diff arrays, block inference cache, known scores, ledger
   replay inputs, drift state), the revealed-score cache, and the
@@ -35,8 +36,9 @@ from ..errors import CheckpointError
 #: a class the pickle names moving or going away: the manifest check
 #: runs before unpickling, so an old checkpoint is refused cleanly
 #: instead of failing inside ``pickle``. (2: one Phase-1 maintainer and
-#: block cache, in ``repro.core.phase1``.)
-FORMAT_VERSION = 2
+#: block cache, in ``repro.core.phase1``. 3: one session class and one
+#: live view — a version-2 ``StreamingVideo`` lacks the window fields.)
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 

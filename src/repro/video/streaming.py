@@ -16,13 +16,32 @@ top-k maintainer re-certifies. Because the source is deterministic,
 frame ``i`` of a streaming video is bit-identical to frame ``i`` of
 the closed source, which is what makes live answers comparable (and,
 with a pinned training prefix, bit-identical) to batch re-runs.
+
+With ``window_seconds`` the view has a second clock: alongside the
+watermark it tracks a **horizon** — the stream time up to which
+answers must be current. The open window is
+``[horizon - window, watermark)``:
+
+* ``append(n)`` reveals frames and advances the horizon to the new
+  watermark (inserts slide the window forward);
+* ``tick(frames)`` advances the horizon *without* arrivals (pure
+  expiry: old frames age out even when nothing new shows up).
+
+Expiry is logical: aged-out frames remain readable (batch reference
+runs over the full prefix still work; ledgers still charge for the
+whole history, keeping them batch-equivalent), but they leave the
+answer set, the maintained relation, and the block-inference cache.
+See DESIGN.md §13 for the insert/expiry ordering and the retraction
+path. ``window_seconds=None`` is the window that never expires: the
+window starts at frame 0, the horizon rides the watermark, and
+``tick`` is refused.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -57,7 +76,8 @@ def is_sliding(video) -> bool:
     prefix — the batch reference a windowed answer is compared against
     is a from-scratch run over the whole prefix, restricted per plan.
     """
-    return hasattr(video, "window_lo") and not video.sealed
+    return isinstance(video, StreamingVideo) and not video.sealed \
+        and video.window_frames is not None
 
 
 @dataclass(frozen=True)
@@ -85,7 +105,8 @@ class StreamingVideo(SyntheticVideo):
     ``pixels``, ``batch_pixels`` and ``truth_array`` all work — but its
     length is the current watermark and grows with :meth:`append`.
     ``snapshot()`` freezes the current prefix into a sealed view for
-    batch reference runs.
+    batch reference runs. Under ``window_seconds`` the frame set also
+    slides (module docstring).
     """
 
     def __init__(
@@ -93,6 +114,7 @@ class StreamingVideo(SyntheticVideo):
         source: SyntheticVideo,
         initial_frames: int,
         *,
+        window_seconds: Optional[float] = None,
         sealed: bool = False,
     ):
         if isinstance(source, StreamingVideo):
@@ -115,9 +137,16 @@ class StreamingVideo(SyntheticVideo):
         self.sealed = bool(sealed)
         self._segments: List[Segment] = [
             Segment(index=0, start=0, end=initial_frames)]
+        self.window_seconds = None if window_seconds is None \
+            else float(window_seconds)
+        #: Window length in frames; None: the window never expires.
+        self.window_frames = None if window_seconds is None \
+            else window_frames_for(window_seconds, self.fps)
+        #: Stream clock, in frames; starts at the bootstrap watermark.
+        self.horizon = self.num_frames
 
     # ------------------------------------------------------------------
-    # Watermark / segment bookkeeping
+    # Watermark / horizon / segment bookkeeping
     # ------------------------------------------------------------------
     @property
     def watermark(self) -> int:
@@ -134,10 +163,23 @@ class StreamingVideo(SyntheticVideo):
         """Arrival history, bootstrap segment first."""
         return list(self._segments)
 
+    @property
+    def window_lo(self) -> int:
+        """First frame id inside the open window."""
+        if self.window_frames is None:
+            return 0
+        return max(0, self.horizon - self.window_frames)
+
+    @property
+    def window_size(self) -> int:
+        """Frames currently inside ``[window_lo, watermark)``."""
+        return self.num_frames - self.window_lo
+
     def append(self, num_frames: int) -> Segment:
         """Reveal the next ``num_frames`` source frames.
 
-        Returns the new :class:`Segment`. Raises
+        The horizon slides to the new watermark. Returns the new
+        :class:`Segment`. Raises
         :class:`~repro.errors.VideoError` on a sealed snapshot or when
         the source is exhausted.
         """
@@ -156,16 +198,53 @@ class StreamingVideo(SyntheticVideo):
         segment = Segment(
             index=len(self._segments), start=start, end=self.num_frames)
         self._segments.append(segment)
+        self.horizon = max(self.horizon, self.num_frames)
         return segment
+
+    def tick(self, frames: int) -> int:
+        """Advance the stream clock by ``frames`` without arrivals.
+
+        Frames whose age exceeds the window expire. Refuses to advance
+        past the point where the window would no longer contain any
+        arrived frame (an empty window has no Top-K answer); returns
+        the new horizon.
+        """
+        if self.sealed:
+            raise VideoError(
+                f"video {self.name!r} is a sealed snapshot; "
+                f"tick the live stream instead")
+        if self.window_frames is None:
+            raise VideoError(
+                f"video {self.name!r} has no sliding window, so nothing "
+                f"ever expires; wrap the source with window_seconds=...")
+        if not isinstance(frames, int) or isinstance(frames, bool) \
+                or frames < 1:
+            raise ConfigurationError(
+                f"tick needs a positive integer frame count, got {frames!r}")
+        new_horizon = self.horizon + frames
+        if new_horizon - self.window_frames >= self.num_frames:
+            raise VideoError(
+                f"tick({frames}) would empty the window: horizon "
+                f"{new_horizon} minus window {self.window_frames} passes "
+                f"the watermark {self.num_frames}")
+        self.horizon = new_horizon
+        return self.horizon
 
     def append_until(self, watermark: int) -> Segment:
         """Advance to an absolute watermark (convenience for replays)."""
         return self.append(watermark - self.num_frames)
 
     def snapshot(self) -> "StreamingVideo":
-        """A sealed copy of the current prefix (for batch reference runs)."""
-        frozen = StreamingVideo(self.source, self.num_frames, sealed=True)
+        """A sealed copy of the current prefix (for batch reference
+        runs), preserving watermark, horizon and window."""
+        frozen = StreamingVideo(
+            self.source,
+            self.num_frames,
+            window_seconds=self.window_seconds,
+            sealed=True,
+        )
         frozen._segments = list(self._segments)
+        frozen.horizon = self.horizon
         return frozen
 
     # ------------------------------------------------------------------
@@ -191,6 +270,8 @@ class StreamingVideo(SyntheticVideo):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "sealed" if self.sealed else "live"
         return (
-            f"StreamingVideo({self.name!r}, watermark={self.num_frames}/"
+            f"StreamingVideo({self.name!r}, "
+            f"window=[{self.window_lo}, {self.num_frames}), "
+            f"horizon={self.horizon}, watermark={self.num_frames}/"
             f"{len(self.source)}, segments={len(self._segments)}, {state})"
         )

@@ -1,108 +1,8 @@
-"""The sliding-window view over a streaming video.
+"""Alias module: ``WindowedVideo`` is the one live view,
+:class:`~repro.video.streaming.StreamingVideo` (``window_seconds=None``
+is the window that never expires)."""
 
-A :class:`WindowedVideo` is a :class:`~repro.video.streaming.StreamingVideo`
-with a second clock: alongside the **watermark** (frames that have
-arrived), it tracks a **horizon** — the stream time up to which answers
-must be current. The open window is ``[horizon - window, watermark)``:
-
-* ``append(n)`` reveals frames and advances the horizon to the new
-  watermark (inserts slide the window forward);
-* ``tick(frames)`` advances the horizon *without* arrivals (pure
-  expiry: old frames age out even when nothing new shows up).
-
-Expiry is logical: aged-out frames remain readable (batch reference
-runs over the full prefix still work; ledgers still charge for the
-whole history, keeping them batch-equivalent), but they leave the
-answer set, the maintained relation, and the block-inference cache.
-See DESIGN.md §13 for the insert/expiry ordering and the retraction
-path.
-"""
-
-from __future__ import annotations
-
-from ..errors import ConfigurationError, VideoError
-from ..video.streaming import StreamingVideo, window_frames_for
-from ..video.synthetic import SyntheticVideo
+from ..video.streaming import StreamingVideo as WindowedVideo
+from ..video.streaming import window_frames_for
 
 __all__ = ["WindowedVideo", "window_frames_for"]
-
-
-class WindowedVideo(StreamingVideo):
-    """A streaming prefix whose frame set slides under a time window."""
-
-    def __init__(
-        self,
-        source: SyntheticVideo,
-        initial_frames: int,
-        *,
-        window_seconds: float,
-        sealed: bool = False,
-    ):
-        super().__init__(source, initial_frames, sealed=sealed)
-        self.window_seconds = float(window_seconds)
-        self.window_frames = window_frames_for(window_seconds, self.fps)
-        #: Stream clock, in frames; starts at the bootstrap watermark.
-        self.horizon = self.num_frames
-
-    # ------------------------------------------------------------------
-    @property
-    def window_lo(self) -> int:
-        """First frame id inside the open window."""
-        return max(0, self.horizon - self.window_frames)
-
-    @property
-    def window_size(self) -> int:
-        """Frames currently inside ``[window_lo, watermark)``."""
-        return self.num_frames - self.window_lo
-
-    def append(self, num_frames: int):
-        """Reveal frames and slide the horizon to the new watermark."""
-        segment = super().append(num_frames)
-        self.horizon = max(self.horizon, self.num_frames)
-        return segment
-
-    def tick(self, frames: int) -> int:
-        """Advance the stream clock by ``frames`` without arrivals.
-
-        Frames whose age exceeds the window expire. Refuses to advance
-        past the point where the window would no longer contain any
-        arrived frame (an empty window has no Top-K answer); returns
-        the new horizon.
-        """
-        if self.sealed:
-            raise VideoError(
-                f"video {self.name!r} is a sealed snapshot; "
-                f"tick the live stream instead")
-        if not isinstance(frames, int) or isinstance(frames, bool) \
-                or frames < 1:
-            raise ConfigurationError(
-                f"tick needs a positive integer frame count, got {frames!r}")
-        new_horizon = self.horizon + frames
-        if new_horizon - self.window_frames >= self.num_frames:
-            raise VideoError(
-                f"tick({frames}) would empty the window: horizon "
-                f"{new_horizon} minus window {self.window_frames} passes "
-                f"the watermark {self.num_frames}")
-        self.horizon = new_horizon
-        return self.horizon
-
-    def snapshot(self) -> "WindowedVideo":
-        """A sealed copy preserving watermark, horizon and window."""
-        frozen = WindowedVideo(
-            self.source,
-            self.num_frames,
-            window_seconds=self.window_seconds,
-            sealed=True,
-        )
-        frozen._segments = list(self._segments)
-        frozen.horizon = self.horizon
-        return frozen
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "sealed" if self.sealed else "live"
-        return (
-            f"WindowedVideo({self.name!r}, "
-            f"window=[{self.window_lo}, {self.num_frames}), "
-            f"horizon={self.horizon}, watermark={self.num_frames}/"
-            f"{len(self.source)}, {state})"
-        )

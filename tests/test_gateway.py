@@ -458,6 +458,90 @@ class TestGatewayFlows:
             "stream": "missing", "frames": 10})
         assert status == 404
 
+    def test_windowed_stream_and_tick_match_the_in_process_session(
+            self, gateway):
+        from repro import Session
+
+        def timeless(report_json):
+            # Standing queries keep wall-clock timing on; everything
+            # else in the report is a pure function of the stream.
+            report = json.loads(report_json)
+            report["breakdown"].pop("select_candidate")
+            return report
+
+        status, body = gateway.handle("POST", "/stream", {
+            "tenant": "bob", "stream": "win-a",
+            "spec": "count[car]/traffic", "initial_frames": 240,
+            "k": 3, "window": 5.0})
+        assert status == 201
+        assert (body["window_seconds"], body["window_frames"],
+                body["window_lo"]) == (5.0, 150, 90)
+        twin = Session.open_stream(
+            "traffic", "count[car]", initial_frames=240,
+            window_seconds=5.0, config=EverestConfig.fast(),
+            **VIDEO_KWARGS)
+        live = twin.query().topk(3).guarantee(0.9).subscribe()
+        assert timeless(body["report_json"]) == \
+            timeless(live.latest.to_json())
+
+        for op, frames in (("append", 40), ("tick", 30)):
+            status, body = gateway.handle("POST", f"/{op}", {
+                "tenant": "bob", "stream": "win-a", "frames": frames})
+            assert status == 200 and body["applied"] is True
+            expected = getattr(twin, op)(frames).to_dict()
+            assert set(body) == set(expected) | {"applied", "stream"}
+            # Physical work depends on what the service-scope caches
+            # already hold (other streams over the same footage), so it
+            # can only be less than the standalone twin's.
+            physical = {key for key in expected if key.startswith("fresh_")}
+            for key in physical:
+                assert 0 <= body[key] <= expected[key], key
+            for key in set(expected) - physical - {
+                    "reports", "wall_seconds"}:
+                assert body[key] == expected[key], key
+            assert [timeless(r) for r in body["reports"]] == \
+                [timeless(r) for r in expected["reports"]]
+        assert (body["horizon"], body["window_lo"], body["ticked_frames"],
+                body["watermark"]) == (310, 160, 30, 280)
+        assert len(body["reports"]) == 1
+
+    def test_tick_refusals_move_nothing(self, gateway):
+        status, _ = gateway.handle("POST", "/tick", {
+            "stream": "missing", "frames": 10})
+        assert status == 404
+        # Expiry only exists where a window does: the gateway asks the
+        # session, whose class has a tick() whatever its video.
+        status, _ = gateway.handle("POST", "/stream", {
+            "tenant": "bob", "stream": "no-window",
+            "spec": "count[car]/traffic", "initial_frames": 240, "k": 3})
+        assert status == 201
+        stream = gateway._streams["no-window"].stream
+        status, body = gateway.handle("POST", "/tick", {
+            "tenant": "bob", "stream": "no-window", "frames": 10})
+        assert status == 400 and body["error"] == "QueryError"
+        assert "'window' field" in body["message"]  # the wire-level hint
+        assert stream.horizon == stream.watermark == 240
+        assert stream.expiry_log == []
+
+    def test_tick_quota_refusal_leaves_the_horizon_unmoved(self):
+        config = GatewayConfig(
+            video_kwargs=dict(VIDEO_KWARGS),
+            tenant_quotas={"ticky": QuotaPolicy(
+                append_rate=1e-6, append_burst=1)})
+        with Gateway(config=config, workers=1, use_processes=False) as gw:
+            status, _ = gw.handle("POST", "/stream", {
+                "tenant": "ticky", "stream": "q",
+                "spec": "count[car]/traffic", "initial_frames": 240,
+                "k": 3, "window": 5.0})
+            assert status == 201
+            tick = {"tenant": "ticky", "stream": "q", "frames": 20}
+            status, body = gw.handle("POST", "/tick", tick)
+            assert status == 200 and body["horizon"] == 260
+            status, body = gw.handle("POST", "/tick", tick)
+            assert status == 429 and body["reason"] == "rate"
+            assert "applied" not in body
+            assert gw._streams["q"].stream.horizon == 260
+
     def test_metrics_and_stats_endpoints(self, gateway):
         status, text = gateway.handle("GET", "/metrics")
         assert status == 200

@@ -624,3 +624,35 @@ class TestQueryServiceSurface:
             assert len(service.outcomes()) == 1
         inline = Session(video, counting_udf("car"), config=comp_cfg)
         assert report.to_json() == inline.execute(plan).to_json()
+
+    def test_a_dead_shard_worker_fails_the_corpus_query_retryably(
+            self, comp_cfg, tmp_path):
+        # ROADMAP 6(v): a pooled corpus query used to surface the raw
+        # BrokenProcessPool; pool.map is the one translation now.
+        from repro.corpus import VideoCorpus
+
+        def videos(first=TrafficVideo):
+            return [first("shard-a", 400, seed=101),
+                    TrafficVideo("shard-b", 400, seed=102)]
+
+        members = videos(WorkerKillingTraffic)
+        members[0].arm(tmp_path / "fuse")
+        with QueryService(workers=2, use_processes=True) as service:
+            corpus = VideoCorpus.open(
+                members, counting_udf("car"), config=comp_cfg)
+            query = corpus.query().topk(4).guarantee(0.9)
+            with pytest.raises(ServiceError) as caught:
+                service.submit(query).result(WAIT)
+            assert isinstance(caught.value.__cause__, BrokenProcessPool)
+            assert not (tmp_path / "fuse").exists()
+            # Nothing recorded for the failed query: no outcome, and no
+            # Phase-2 ledger in the service-level merge.
+            assert service.outcomes() == []
+            assert service.merged_cost().seconds("oracle_confirm") == 0.0
+            report = service.submit(query).result(WAIT)
+            assert service.stats()["failed"] == 1
+            assert len(service.outcomes()) == 1
+        inline = VideoCorpus.open(
+            videos(), counting_udf("car"), config=comp_cfg)
+        assert report.to_json() == inline.query().topk(4).guarantee(0.9) \
+            .deterministic_timing().run().to_json()

@@ -322,20 +322,26 @@ class TestArtifactStore:
             read_checkpoint(path)
 
     def test_version_1_checkpoint_is_refused_by_the_manifest(self, tmp_path):
-        path = tmp_path / "ck"
-        write_checkpoint(path, {"round": 1})
-        # A version-1 state pickles classes that no longer exist; the
-        # refusal must come from the manifest, before pickle sees it.
-        blob = b"\x80\x04crepro.windowed.maintenance\n" \
-            b"WindowedIncrementalPhase1\n."
-        next(path.glob("state-*.pkl")).write_bytes(blob)
-        manifest_path = path / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
-        manifest["sha256"] = hashlib.sha256(blob).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="format 1 unsupported"):
-            Session.resume(path)
+        # Every superseded format, not only version 1 (the name is
+        # pinned by the test floor): an old state pickles classes that
+        # no longer exist (1) or a StreamingVideo without the window
+        # fields (2); the refusal must come from the manifest, before
+        # pickle sees it.
+        for version in range(1, FORMAT_VERSION):
+            path = tmp_path / f"ck{version}"
+            write_checkpoint(path, {"round": 1})
+            blob = b"\x80\x04crepro.windowed.maintenance\n" \
+                b"WindowedIncrementalPhase1\n."
+            next(path.glob("state-*.pkl")).write_bytes(blob)
+            manifest_path = path / MANIFEST_NAME
+            manifest = json.loads(manifest_path.read_text())
+            manifest["format_version"] = version
+            manifest["sha256"] = hashlib.sha256(blob).hexdigest()
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(
+                    CheckpointError, match=f"format {version} unsupported"):
+                Session.resume(path)
+        assert FORMAT_VERSION == 3
 
 
 # ----------------------------------------------------------------------

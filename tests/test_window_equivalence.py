@@ -208,7 +208,7 @@ def test_service_hosted_windowed_stream_round_trip():
             make_source(), counting_udf("car"),
             initial_frames=BOOTSTRAP, window_seconds=WINDOW_SECONDS,
             config=STREAM_CONFIG)
-        assert isinstance(stream, WindowedSession)
+        assert stream.window_frames is not None
         live = build_query(stream).subscribe()
         stream.append(120)
         result = stream.tick(80)
@@ -246,7 +246,7 @@ def test_resume_restores_window_state_and_equivalence(tmp_path):
     stream.checkpoint(path)
 
     resumed = Session.resume(path)
-    assert isinstance(resumed, WindowedSession)
+    assert resumed.window_frames is not None
     assert resumed.horizon == stream.horizon
     assert resumed.window_frames == stream.window_frames
     assert len(resumed.expiry_log) == 1
@@ -320,16 +320,20 @@ def test_fully_expired_window_is_a_clean_error():
 
 def test_windowed_session_constructor_guards():
     udf = counting_udf("car")
-    with pytest.raises(QueryError):
-        WindowedSession(make_source(), udf, initial_frames=BOOTSTRAP)
-    with pytest.raises(QueryError):
-        WindowedSession(make_source(), udf,
-                        window_seconds=WINDOW_SECONDS)
+    with pytest.raises(QueryError, match="initial_frames"):
+        Session.open_stream(make_source(), udf,
+                            window_seconds=WINDOW_SECONDS)
     from repro.video.streaming import StreamingVideo
-    with pytest.raises(QueryError):
-        WindowedSession(StreamingVideo(make_source(), BOOTSTRAP), udf,
-                        window_seconds=WINDOW_SECONDS)
+    with pytest.raises(QueryError, match="conflicts"):
+        Session.open_stream(StreamingVideo(make_source(), BOOTSTRAP), udf,
+                            window_seconds=WINDOW_SECONDS)
     video = WindowedVideo(
         make_source(), BOOTSTRAP, window_seconds=WINDOW_SECONDS)
-    with pytest.raises(QueryError):
-        WindowedSession(video, udf, window_seconds=WINDOW_SECONDS * 2)
+    with pytest.raises(QueryError, match="conflicts"):
+        Session.open_stream(video, udf, window_seconds=WINDOW_SECONDS * 2)
+    with pytest.raises(QueryError, match="initial_frames is implied"):
+        Session.open_stream(video, udf, initial_frames=BOOTSTRAP)
+    with pytest.raises(QueryError, match="sealed"):
+        Session.open_stream(video.snapshot(), udf)
+    # The video's own window is the session's.
+    assert Session.open_stream(video, udf).window_frames == WINDOW_FRAMES
