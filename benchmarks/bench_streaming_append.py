@@ -11,7 +11,10 @@ and asserts the acceptance contract:
 * per-append **fresh oracle work grows with the delta, not the
   watermark**: every append's fresh calls stay below the batch run's
   total, the live total is a small fraction of the batch total, and
-  the later appends do not trend upward with the prefix length.
+  the later appends do not trend upward with the prefix length;
+* per-append **render work tracks the delta too**: an append renders
+  each arriving frame once plus at most the provisional clip it
+  re-decides — never the inference block it extends.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.experiments.runner import (
 )
 from repro.oracle import counting_udf
 
-from bench_util import scale_label, write_bench_result
+from bench_util import count_renders, scale_label, write_bench_result
 
 NUM_APPENDS = 6
 BOOTSTRAP_FRACTION = 0.4
@@ -39,6 +42,7 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
     bootstrap = int(BOOTSTRAP_FRACTION * len(video))
     chunk = (len(video) - bootstrap) // NUM_APPENDS
 
+    renders = count_renders(video)
     stream = Session.open_stream(
         video, counting_udf(video.object_label),
         initial_frames=bootstrap, config=config)
@@ -48,8 +52,11 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
     rows = []
     fresh_calls = []
     batch_calls = []
+    rendered = []
     for _ in range(NUM_APPENDS):
+        before = renders()
         result = stream.append(chunk)
+        rendered.append(renders() - before)
 
         started = time.perf_counter()
         batch = stream.batch_session()
@@ -88,6 +95,7 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
         appends=NUM_APPENDS,
         fresh_calls=fresh_calls,
         batch_calls=batch_calls,
+        renders_per_appended_frame=sum(rendered) / (NUM_APPENDS * chunk),
         byte_identical=True,
     )
 
@@ -106,3 +114,7 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
     early, late = fresh_calls[:half], fresh_calls[half:]
     assert sum(late) / len(late) <= max(sum(early) / len(early), chunk), \
         f"fresh cost trends with the watermark: {fresh_calls}"
+    # (4) Physical render work is delta-sized as well: the arrivals
+    # once, plus the re-scanned provisional clip.
+    assert all(r <= chunk + config.diff.clip_size for r in rendered), \
+        f"an append re-rendered frames it already had: {rendered}"

@@ -17,7 +17,7 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 # Re-exported for the bench modules: the affinity-aware CPU count now
 # lives in the library (the service's process-lane heuristic uses it).
@@ -57,6 +57,24 @@ def timed_call(fn, *args, **kwargs):
     started = time.perf_counter()
     value = fn(*args, **kwargs)
     return value, time.perf_counter() - started
+
+
+def count_renders(video) -> Callable[[], int]:
+    """Count the frames ``video`` renders from now on.
+
+    Wraps the instance's renderer (every pixel read goes through it)
+    and returns a reader of the running total — the streaming benches
+    difference it around each event to gate *physical* render work,
+    next to the fresh-oracle counters the sessions report themselves.
+    """
+    render, total = video._render, [0]
+
+    def counting_render(indices):
+        total[0] += len(indices)
+        return render(indices)
+
+    video._render = counting_render
+    return lambda: total[0]
 
 
 def scale_label(bench_scale=None) -> str:

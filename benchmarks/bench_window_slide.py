@@ -13,7 +13,9 @@ Prints the per-event comparison and asserts the acceptance contract:
   length**: tripling the window must not meaningfully change the
   per-event fresh-confirmation cost;
 * pure expiry ticks run zero fresh proxy inference (retraction is
-  cache eviction, not recompute).
+  cache eviction, not recompute) and render nothing, and an append
+  renders each arriving frame once plus at most the provisional clip
+  it re-decides.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from repro.experiments.runner import (
 )
 from repro.oracle import counting_udf
 
-from bench_util import scale_label, write_bench_result
+from bench_util import count_renders, scale_label, write_bench_result
 
 NUM_ROUNDS = 3  # each round is one append followed by one tick
 BOOTSTRAP_FRACTION = 0.4
 WINDOW_FRACTIONS = (0.25, 0.75)
 
 
-def _run_schedule(video, config, window_frames, schedule):
+def _run_schedule(video, config, window_frames, schedule, renders):
     """One windowed stream through ``schedule``; returns cost rows."""
     stream = Session.open_stream(
         video, counting_udf(video.object_label),
@@ -46,8 +48,10 @@ def _run_schedule(video, config, window_frames, schedule):
     events = []
     for kind, size in schedule:
         started = time.perf_counter()
+        rendered = renders()
         result = stream.append(size) if kind == "append" \
             else stream.tick(size)
+        rendered = renders() - rendered
         live_seconds = time.perf_counter() - started
 
         batch = stream.batch_session()
@@ -61,12 +65,17 @@ def _run_schedule(video, config, window_frames, schedule):
             assert result.fresh_inferred_frames == 0, (
                 f"expiry ran fresh inference: "
                 f"{result.fresh_inferred_frames} frames")
+            assert rendered == 0, f"expiry rendered {rendered} frames"
+        else:
+            assert rendered <= size + config.diff.clip_size, (
+                f"an append of {size} frames rendered {rendered}")
         events.append({
             "kind": kind,
             "size": size,
             "window_lo": stream.window_lo,
             "watermark": stream.watermark,
             "fresh_confirms": result.fresh_confirm_calls,
+            "rendered": rendered,
             "batch_calls": reference.oracle_calls,
             "live_seconds": live_seconds,
         })
@@ -86,8 +95,9 @@ def test_window_slide_cost_tracks_delta_not_window(bench_scale):
         max(int(fraction * len(video)), tick + 1)
         for fraction in WINDOW_FRACTIONS
     ]
+    renders = count_renders(video)
     runs = {
-        wf: _run_schedule(video, config, wf, schedule)
+        wf: _run_schedule(video, config, wf, schedule, renders)
         for wf in windows
     }
 
@@ -130,6 +140,9 @@ def test_window_slide_cost_tracks_delta_not_window(bench_scale):
         fresh_small=fresh_small,
         fresh_large=fresh_large,
         batch_calls=[e["batch_calls"] for e in runs[small]],
+        renders_per_appended_frame=sum(
+            e["rendered"] for events in runs.values() for e in events)
+        / (len(runs) * NUM_ROUNDS * chunk),
         byte_identical=True,
     )
     assert mean_large <= bound, (

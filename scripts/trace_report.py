@@ -4,7 +4,10 @@ Reads the rotated JSONL log a :class:`repro.trace.Tracer` writes
 (``REPRO_TRACE_LOG=...`` or ``Tracer(jsonl_path=...)``), aggregates
 spans by ``(category, name)`` and prints a breakdown table — count,
 total/mean/max wall seconds, total simulated ledger seconds, error
-count. ``--chrome out.json`` additionally reconstructs the traces and
+count, and the totals of the spans' work counters (integer attributes
+named ``rows*`` / ``blocks_*``: what a Phase-1 ``block_miss`` scored,
+featurized and took from the scan, what a ``requantize`` redid or
+reused). ``--chrome out.json`` additionally reconstructs the traces and
 writes a Chrome ``trace_event`` document (load in ``about://tracing``
 or https://ui.perfetto.dev for a flamegraph).
 
@@ -65,17 +68,25 @@ def span_records(
     return spans
 
 
+#: Span attributes that count work (summed per row of the table).
+COUNTER_PREFIXES = ("rows", "blocks_")
+
+
 def aggregate(
     spans: List[Dict[str, object]]
-) -> "OrderedDict[Tuple[str, str], Dict[str, float]]":
+) -> "OrderedDict[Tuple[str, str], Dict[str, object]]":
     """Per ``(category, name)`` totals, ordered by total wall seconds."""
-    rows: Dict[Tuple[str, str], Dict[str, float]] = {}
+    rows: Dict[Tuple[str, str], Dict[str, object]] = {}
     for span in spans:
         key = (str(span.get("category")), str(span.get("name")))
         row = rows.setdefault(key, {
             "count": 0, "seconds": 0.0, "max_seconds": 0.0,
-            "sim_seconds": 0.0, "errors": 0,
+            "sim_seconds": 0.0, "errors": 0, "counters": {},
         })
+        for name, value in (span.get("attrs") or {}).items():
+            if name.startswith(COUNTER_PREFIXES) and type(value) is int:
+                row["counters"][name] = \
+                    row["counters"].get(name, 0) + value
         duration = float(span.get("duration") or 0.0)
         row["count"] += 1
         row["seconds"] += duration
@@ -89,9 +100,9 @@ def aggregate(
     return ordered
 
 
-def render(rows: "OrderedDict[Tuple[str, str], Dict[str, float]]") -> str:
+def render(rows: "OrderedDict[Tuple[str, str], Dict[str, object]]") -> str:
     header = ("category", "span", "count", "total(s)", "mean(ms)",
-              "max(ms)", "sim(s)", "errors")
+              "max(ms)", "sim(s)", "errors", "counters")
     table = [header]
     for (category, name), row in rows.items():
         mean_ms = 1e3 * row["seconds"] / max(row["count"], 1)
@@ -100,6 +111,8 @@ def render(rows: "OrderedDict[Tuple[str, str], Dict[str, float]]") -> str:
             f"{row['seconds']:.3f}", f"{mean_ms:.2f}",
             f"{row['max_seconds'] * 1e3:.2f}",
             f"{row['sim_seconds']:.3f}", str(int(row["errors"])),
+            " ".join(f"{name}={total}"
+                     for name, total in sorted(row["counters"].items())),
         ))
     widths = [
         max(len(line[column]) for line in table)
@@ -108,8 +121,10 @@ def render(rows: "OrderedDict[Tuple[str, str], Dict[str, float]]") -> str:
     lines = []
     for index, line in enumerate(table):
         lines.append("  ".join(
-            cell.ljust(width) if column < 2 else cell.rjust(width)
-            for column, (cell, width) in enumerate(zip(line, widths))))
+            cell.rjust(width) if 2 <= column < len(header) - 1
+            else cell.ljust(width)
+            for column, (cell, width) in enumerate(zip(line, widths))
+        ).rstrip())
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)

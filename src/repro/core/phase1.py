@@ -23,10 +23,11 @@ never append — which is all :func:`run_phase1` is; a stream appends,
 and a sliding window additionally moves the edge below which rows
 leave the relation.
 
-Steps 3 and 4 are one pass over the video at bootstrap: the detector
-renders each block of clips once and hands the retained rows, pixels in
-hand, to proxy inference, regrouped into the cache's fixed blocks (see
-:class:`RowChunker`).
+Steps 3 and 4 are one pass over the frames that arrived — all of them
+at bootstrap, an append's afterwards: the detector renders each block
+of clips once and hands the retained rows, pixels in hand, to proxy
+inference, regrouped into the cache's fixed blocks (see
+:class:`RowChunker`, :meth:`Phase1Maintainer.scan_arrivals`).
 """
 
 from __future__ import annotations
@@ -43,14 +44,17 @@ from ..models.mdn import GaussianMixture
 from ..models.trainer import GridResult, train_proxy_grid
 from ..oracle.base import Oracle
 from ..oracle.cost import CostModel
+from ..trace import span as trace_span
 from ..video.diff import DifferenceDetector, DiffResult, RetainedSink
 from ..video.streaming import is_sliding
 from ..video.synthetic import SyntheticVideo
 from .uncertain import (
+    QuantizationGrid,
     UncertainRelation,
     build_relation,
     grid_covering,
     mixture_envelope,
+    quantize_mixtures,
 )
 
 #: Inference granularity: the retained array is scored (and cached) in
@@ -70,8 +74,11 @@ class RowChunker:
     """Regroups rows that arrive in arbitrary batches into fixed chunks.
 
     ``push(ids, pixels)`` accepts any number of rows; ``consume(number,
-    ids, pixels)`` is called with exactly ``chunk`` rows at a time (the
-    last call, from :meth:`close`, with what is left), numbered from 0.
+    ids, pixels)`` is called with the rows of one chunk at a time (the
+    last call, from :meth:`close`, with what is left). The producer's
+    first row is row ``first_row`` of the chunked array: chunks are
+    numbered, and end, where the array's own do, so the first one
+    carries only the rows from ``first_row`` on.
     Proxy inference is only bit-reproducible at fixed batch boundaries
     (see :data:`INFER_BLOCK`), so whoever feeds inference from a
     producer with its own block size goes through here. At most one
@@ -83,13 +90,15 @@ class RowChunker:
         self,
         chunk: int,
         consume: Callable[[int, np.ndarray, np.ndarray], None],
+        first_row: int = 0,
     ):
         self._chunk = chunk
         self._consume = consume
         self._ids: Optional[np.ndarray] = None
         self._pixels: Optional[np.ndarray] = None
-        self._fill = 0
-        self._number = 0
+        #: Rows ``[_start, _fill)`` of the pending chunk are buffered.
+        self._start = self._fill = first_row % chunk
+        self._number = first_row // chunk
 
     def push(self, ids: np.ndarray, pixels: np.ndarray) -> None:
         taken = 0
@@ -109,10 +118,11 @@ class RowChunker:
 
     def close(self) -> None:
         """Hand over the pending rows, if any, as a (short) chunk."""
-        if self._fill:
-            ids, pixels = self._ids[:self._fill], self._pixels[:self._fill]
+        if self._fill > self._start:
+            rows = slice(self._start, self._fill)
+            ids, pixels = self._ids[rows], self._pixels[rows]
             self._ids = self._pixels = None
-            self._fill = 0
+            self._start = self._fill = 0
             self._number += 1
             self._consume(self._number - 1, ids, pixels)
 
@@ -221,13 +231,19 @@ class IncrementalDiff:
         self.retained_mask = np.zeros(0, dtype=bool)
         self.processed = 0
 
+    @property
+    def provisional_from(self) -> int:
+        """Start of the clip holding the watermark — provisional (its
+        anchor can move), so the next :meth:`extend` re-decides it.
+        Retain decisions below this frame are final."""
+        return self.processed - self.processed % self.config.clip_size
+
     def extend(
         self,
         video: SyntheticVideo,
         watermark: int,
         on_retained: Optional[RetainedSink] = None,
     ) -> int:
-        c = self.config.clip_size
         if watermark < self.processed:
             raise ConfigurationError("watermark cannot move backwards")
         grow = watermark - self.representative.size
@@ -236,9 +252,7 @@ class IncrementalDiff:
                 [self.representative, np.zeros(grow, dtype=np.int64)])
             self.retained_mask = np.concatenate(
                 [self.retained_mask, np.zeros(grow, dtype=bool)])
-        # Reprocess from the start of the clip containing the old
-        # watermark: that clip was provisional (its anchor can move).
-        start = self.processed - self.processed % c
+        start = self.provisional_from
         DifferenceDetector(self.config).scan(
             video, start, watermark, self.retained_mask,
             self.representative, on_retained)
@@ -253,12 +267,62 @@ class IncrementalDiff:
         )
 
 
+def _rows_by_id(
+    ids: np.ndarray,
+    held: Optional[Tuple[np.ndarray, np.ndarray]],
+    compute: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, int]:
+    """One row per frame of ``ids``, reusing the rows already in hand.
+
+    ``held = (frame ids, their rows)`` (ids ascending) supplies the
+    rows whose frame id matches; ``compute(missing ids)`` the rest.
+    Matching is by frame id, so rows held for other frames — a retain
+    decision flipped since, a sibling session at another watermark —
+    are a miss, never a wrong row. Returns the rows and how many of
+    them were in hand.
+    """
+    if held is None or not held[0].size:
+        return compute(ids), 0
+    held_ids, held_rows = held
+    at = np.minimum(np.searchsorted(held_ids, ids), held_ids.size - 1)
+    found = held_ids[at] == ids
+    if found.all():
+        # Every id held and as many held as asked for: the same rows.
+        rows = held_rows if ids.size == held_ids.size else held_rows[at]
+        return rows, int(ids.size)
+    rest = compute(ids[~found])
+    rows = np.empty((ids.size,) + rest.shape[1:], dtype=rest.dtype)
+    rows[found] = held_rows[at[found]]
+    rows[~found] = rest
+    return rows, int(found.sum())
+
+
 class BlockInferenceCache:
     """Proxy inference cached per 512-row block of the retained array.
 
     A block is recomputed only when its frame-id contents change (new
     arrivals, or retain decisions flipped by a provisional clip); the
     tail partial block is naturally provisional until it fills.
+
+    Recomputing a block costs what changed in it, at each layer (a
+    proxy is ``featurize`` then the network, and only the network's
+    bits depend on the batch — DESIGN.md §7):
+
+    * pixels a pass has in hand (``scanned``) are not rendered again;
+    * the ``featurize`` rows of the one partial tail block are kept,
+      matched by frame id (:func:`_rows_by_id`), so a grown block
+      featurizes its new rows only — and then runs the network over
+      the *whole* block's inputs, the batch shape that makes its
+      mixtures bit-reproducible;
+    * each block's quantized pmf rows are kept next to its mixtures,
+      keyed by (block content, grid, ``truncate_sigmas``):
+      quantization is row-independent too, so a window is requantized
+      only where a block or the grid changed.
+
+    Both kinds of derived rows are swapped in as one reference, never
+    written in place (sibling sessions may share the cache), are
+    bounded — fewer than a block of feature rows, pmf rows only for
+    blocks holding mixtures — and are left out of pickles.
 
     Blocks below a sliding window's edge hold no mixtures (memory and
     recompute proportional to the live window, not the prefix), but
@@ -275,6 +339,28 @@ class BlockInferenceCache:
         self._blocks: Dict[int, Tuple[bytes, GaussianMixture]] = {}
         #: block index -> (frame-id bytes, max(mu + k*sigma) over rows).
         self._tops: Dict[int, Tuple[bytes, float]] = {}
+        #: block index -> (frame-id bytes, grid, k, pmf rows).
+        self._pmfs: Dict[
+            int, Tuple[bytes, QuantizationGrid, float, np.ndarray]] = {}
+        #: (frame ids, featurize rows) of the last partial block scored.
+        self._tail: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __getstate__(self):
+        # Derived rows stay out of checkpoints: a resumed session
+        # recomputes them on first use.
+        return {"_blocks": self._blocks, "_tops": self._tops}
+
+    def __setstate__(self, state) -> None:
+        self.__init__()
+        self.__dict__.update(state)
+
+    def merge(self, other: "BlockInferenceCache") -> None:
+        """Take over everything ``other`` holds (its entries win)."""
+        self._blocks.update(other._blocks)
+        self._tops.update(other._tops)
+        self._pmfs.update(other._pmfs)
+        if other._tail is not None:
+            self._tail = other._tail
 
     @property
     def cached_blocks(self) -> List[int]:
@@ -286,25 +372,70 @@ class BlockInferenceCache:
         b: int,
         ids: np.ndarray,
         proxy,
-        pixels_of: Callable[[np.ndarray], np.ndarray],
+        video,
         stats=None,
+        scanned: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> GaussianMixture:
         """Mixtures of block ``b`` holding frames ``ids``.
 
-        A hit when the slot's frame-id contents match; otherwise
-        inferred from ``pixels_of(ids)`` — ``video.batch_pixels``, or
-        the pixels themselves when a pass already has them in hand —
-        and cached. ``stats.fresh_inferred_frames`` counts the misses.
+        A hit when the slot's frame-id contents match; otherwise the
+        block's feature rows are completed — kept tail rows first, then
+        ``scanned = (frame ids, float32 pixels)`` a pass has in hand,
+        ``video.batch_pixels`` for whatever neither covers — scored as
+        one batch and cached. ``stats.fresh_inferred_frames`` counts
+        the rows through the network.
         """
         key = ids.tobytes()
         cached = self._blocks.get(b)
         if cached is not None and cached[0] == key:
             return cached[1]
-        mixture = proxy.predict_mixtures(pixels_of(ids))
+        with trace_span(
+                "block_miss", category="phase1", block=b,
+                rows=int(ids.size), rows_featurized=0,
+                rows_from_scan=0) as miss_span:
+
+            def featurize(missing: np.ndarray) -> np.ndarray:
+                pixels, from_scan = _rows_by_id(
+                    missing, scanned, video.batch_pixels)
+                if miss_span is not None:
+                    miss_span.set(
+                        rows_featurized=int(missing.size),
+                        rows_from_scan=from_scan)
+                return proxy.featurize(pixels)
+
+            features, _ = _rows_by_id(ids, self._tail, featurize)
+            mixture = proxy.predict_features(features)
+        if ids.size < INFER_BLOCK:
+            self._tail = (ids.copy(), features)
         self._blocks[b] = (key, mixture)
         if stats is not None:
             stats.fresh_inferred_frames += int(ids.size)
         return mixture
+
+    def _quantized(
+        self,
+        window: List[Tuple[int, bytes, GaussianMixture]],
+        grid: QuantizationGrid,
+        truncate_sigmas: float,
+    ) -> List[np.ndarray]:
+        """Pmf rows of the window's blocks on ``grid``, block by block:
+        kept rows where block content, grid and ``truncate_sigmas`` are
+        all unchanged, requantized (and kept) otherwise."""
+        rows: List[np.ndarray] = []
+        requantized = 0
+        with trace_span("requantize", category="phase1") as span:
+            for b, key, mixture in window:
+                kept = self._pmfs.get(b)
+                if kept is None or kept[:3] != (key, grid, truncate_sigmas):
+                    kept = (key, grid, truncate_sigmas, quantize_mixtures(
+                        mixture, grid, truncate_sigmas=truncate_sigmas))
+                    self._pmfs[b] = kept
+                    requantized += 1
+                rows.append(kept[3])
+            if span is not None:
+                span.set(blocks_requantized=requantized,
+                         blocks_reused=len(window) - requantized)
+        return rows
 
     def window_state(
         self,
@@ -314,73 +445,81 @@ class BlockInferenceCache:
         cut: int,
         *,
         truncate_sigmas: float,
+        grid_of: Callable[[Optional[float]], QuantizationGrid],
         stats=None,
-    ) -> Tuple[GaussianMixture, Optional[float]]:
-        """Mixtures for ``retained[cut:]`` plus the full-prefix grid top.
+    ) -> Tuple[GaussianMixture, QuantizationGrid, np.ndarray]:
+        """Mixtures and pmf rows for ``retained[cut:]`` on the
+        full-prefix grid.
 
         ``cut`` is the number of leading retained rows outside the
-        window (0: no window, nothing is ever evicted). Returns
-        ``(mixtures, top)`` where ``top`` is bitwise
-        :func:`~repro.core.uncertain.mixture_envelope` of *all*
-        retained rows, or ``None`` when nothing is retained.
+        window (0: no window, nothing is ever evicted).
+        ``grid_of(top)`` chooses the quantization grid given ``top``,
+        bitwise :func:`~repro.core.uncertain.mixture_envelope` of *all*
+        retained rows (``None`` when nothing is retained). Returns
+        ``(mixtures, grid, pmf)``; the pmf rows are bitwise
+        :func:`~repro.core.uncertain.quantize_mixtures` of the
+        mixtures and the caller's to keep.
         """
         retained = np.asarray(retained, dtype=np.int64)
-        if retained.size == 0:  # pragma: no cover - empty video guard
-            return GaussianMixture.concatenate([]), None
         num_blocks = -(-retained.size // INFER_BLOCK)
         first_block = cut // INFER_BLOCK
-        parts: List[GaussianMixture] = []
+        #: The window's blocks as validated by this pass, never
+        #: re-read: a sibling session sharing this cache at a different
+        #: watermark may replace a slot in the meantime.
+        window: List[Tuple[int, bytes, GaussianMixture]] = []
         top: Optional[float] = None
         for b in range(num_blocks):
             ids = retained[b * INFER_BLOCK:(b + 1) * INFER_BLOCK]
             key = ids.tobytes()
-            # Use the locally validated mixture, never a re-read: a
-            # sibling session sharing this cache at a different
-            # watermark may have replaced the slot in the meantime.
             mixture: Optional[GaussianMixture] = None
             if b >= first_block:
-                mixture = self.block(b, ids, proxy, video.batch_pixels, stats)
-                parts.append(mixture)
+                mixture = self.block(b, ids, proxy, video, stats)
+                window.append((b, key, mixture))
             cached_top = self._tops.get(b)
             if cached_top is not None and cached_top[0] == key:
                 block_top = cached_top[1]
             else:
                 if mixture is None:
                     # An expired block without a top: primed by the
-                    # bootstrap pass (a hit), or its contents changed
-                    # or were never seen (one O(block) re-inference
-                    # heals the top). Either way the mixture is
-                    # retracted again below.
-                    mixture = self.block(
-                        b, ids, proxy, video.batch_pixels, stats)
+                    # scan (a hit), or its contents changed or were
+                    # never seen (one O(block) re-inference heals the
+                    # top). Either way the mixture is retracted again
+                    # below.
+                    mixture = self.block(b, ids, proxy, video, stats)
                 block_top = mixture_envelope(mixture, truncate_sigmas)
                 self._tops[b] = (key, block_top)
             top = block_top if top is None else max(top, block_top)
-        # Retraction: expired blocks drop their mixtures, stale trailing
-        # blocks (shrunk retained array) drop everything. pop, not del:
-        # a service-shared cache may see a sibling session trim the
-        # same stale block concurrently.
-        for b in [b for b in self._blocks
-                  if b < first_block or b >= num_blocks]:
-            self._blocks.pop(b, None)
+        grid = grid_of(top)
+        rows = self._quantized(window, grid, truncate_sigmas)
+        # Retraction: expired blocks drop their mixtures and pmf rows,
+        # stale trailing blocks (shrunk retained array) drop
+        # everything. pop, not del: a service-shared cache may see a
+        # sibling session trim the same stale block concurrently.
+        for held in (self._blocks, self._pmfs):
+            for b in [b for b in held
+                      if b < first_block or b >= num_blocks]:
+                held.pop(b, None)
         for b in [b for b in self._tops if b >= num_blocks]:
             self._tops.pop(b, None)
         offset = cut - first_block * INFER_BLOCK
-        window = GaussianMixture.concatenate(parts).select(
-            slice(offset, None))
-        return window, top
+        mixtures = GaussianMixture.concatenate(
+            [mixture for _, _, mixture in window]).select(
+                slice(offset, None))
+        pmf = np.concatenate(rows)[offset:] if rows \
+            else np.zeros((0, grid.num_levels))
+        return mixtures, grid, pmf
 
 
 class Phase1Maintainer:
     """Assembles D0 from maintained Phase-1 state — the only place.
 
     :meth:`bootstrap` runs steps 1-5 over the frames that have arrived;
-    after the video grows (or its window slides), extending
-    :attr:`diff` and calling :meth:`rebuild_entry` yields the entry a
-    from-scratch run over the current prefix would: the relation is
-    requantized from cached mixtures (a cheap vectorized step; the
-    labels, the trained proxy and the inference blocks are what is
-    kept) and the ledger is replayed.
+    after the video grows (:meth:`scan_arrivals`) or its window
+    slides, :meth:`rebuild_entry` yields the entry a from-scratch run
+    over the current prefix would: the labels, the trained proxy and
+    the inference blocks (mixtures and their pmf rows) are kept, the
+    relation is assembled from them — requantizing only blocks that
+    changed — and the ledger is replayed.
 
     On a live sliding-window video the relation covers window rows
     only, while the quantization grid, the detector state and the
@@ -457,18 +596,35 @@ class Phase1Maintainer:
         )
         self.proxy = self.grid_result.proxy
 
-        # 3 + 4. One pass: the detector renders each block of clips
-        # once and the retained rows go, pixels in hand, to the block
-        # cache INFER_BLOCK rows at a time (a block a sibling session
-        # already cached is a hit and is not re-inferred). 5 runs
-        # inside rebuild_entry, on cache hits.
+        # 3 + 4 are one pass; 5 runs inside rebuild_entry, on cache
+        # hits.
+        self.scan_arrivals()
+        return self.rebuild_entry(cost_model)
+
+    def scan_arrivals(self) -> int:
+        """Steps 3 + 4 over the frames that arrived since the last scan.
+
+        One pass: the detector renders each block of clips once — the
+        arrivals plus the provisional clip it re-decides — and the
+        retained rows go, pixels in hand, to the block cache
+        INFER_BLOCK rows at a time (a block a sibling session already
+        cached is a hit and is not re-inferred). Returns the first
+        frame whose retain decision may have changed.
+        """
+        # Rows retained below the re-scanned clip are final; those of
+        # them in the block the scan's first row falls into lead it.
+        settled = np.flatnonzero(
+            self.diff.retained_mask[:self.diff.provisional_from])
         blocks = RowChunker(
             INFER_BLOCK,
             lambda b, ids, pixels: self.blocks.block(
-                b, ids, self.proxy, lambda _: pixels, self.stats))
-        self.diff.extend(video, len(video), on_retained=blocks.push)
+                b, np.concatenate([settled[b * INFER_BLOCK:], ids]),
+                self.proxy, self.video, self.stats, scanned=(ids, pixels)),
+            first_row=settled.size)
+        start = self.diff.extend(
+            self.video, len(self.video), on_retained=blocks.push)
         blocks.close()
-        return self.rebuild_entry(cost_model)
+        return start
 
     def rebuild_entry(
         self, cost_model: Optional[CostModel] = None
@@ -484,14 +640,6 @@ class Phase1Maintainer:
         retained = diff_result.retained
         lo = self.video.window_lo if is_sliding(self.video) else 0
         cut = int(np.searchsorted(retained, lo, side="left"))
-        mixtures, envelope = self.blocks.window_state(
-            self.proxy,
-            self.video,
-            retained,
-            cut,
-            truncate_sigmas=phase1.truncate_sigmas,
-            stats=self.stats,
-        )
         step = phase1.quantization_step
         if step is None:
             step = self.scoring.step
@@ -499,9 +647,17 @@ class Phase1Maintainer:
         # The full-prefix grid: every retained row's envelope and every
         # known score take part — expired or not — exactly as in a
         # batch run; only the rows *in* the relation are windowed.
-        grid = grid_covering(
-            envelope, floor=floor, step=step,
-            extra_scores=list(self.known_scores.values()))
+        mixtures, grid, pmf = self.blocks.window_state(
+            self.proxy,
+            self.video,
+            retained,
+            cut,
+            truncate_sigmas=phase1.truncate_sigmas,
+            grid_of=lambda envelope: grid_covering(
+                envelope, floor=floor, step=step,
+                extra_scores=list(self.known_scores.values())),
+            stats=self.stats,
+        )
         relation = build_relation(
             retained[cut:],
             mixtures,
@@ -511,6 +667,7 @@ class Phase1Maintainer:
                 f: s for f, s in self.known_scores.items() if f >= lo},
             truncate_sigmas=phase1.truncate_sigmas,
             grid=grid,
+            pmf=pmf,
         )
         if cost_model is None:
             cost_model = CostModel(self.unit_costs, wall_clock=False)

@@ -195,7 +195,7 @@ class UncertainRelation:
         self.certain = np.zeros(ids.size, dtype=bool)
         #: Exact (unquantized) score for certain tuples, NaN otherwise.
         self.exact_scores = np.full(ids.size, np.nan)
-        self._pos: Dict[int, int] = {int(f): i for i, f in enumerate(ids)}
+        self._pos: Dict[int, int] = dict(zip(ids.tolist(), range(ids.size)))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -279,10 +279,26 @@ class UncertainRelation:
         return self.pmf @ levels
 
     def copy(self) -> "UncertainRelation":
-        clone = UncertainRelation(self.ids.copy(), self.pmf.copy(), self.grid)
-        clone.certain = self.certain.copy()
-        clone.exact_scores = self.exact_scores.copy()
-        clone.cdf = self.cdf.copy()
+        return self._clone(None)
+
+    def _clone(self, rows: Optional[np.ndarray]) -> "UncertainRelation":
+        """A deep copy of the tuples at ``rows`` (a boolean mask, order
+        preserved; ``None``: all of them).
+
+        Clones the already-validated fields: nothing is re-checked or
+        re-accumulated (the constructor validates whatever is built
+        from outside).
+        """
+        take = np.copy if rows is None else (lambda field: field[rows])
+        clone = object.__new__(UncertainRelation)
+        clone.grid = self.grid
+        clone.ids = take(self.ids)
+        clone.pmf = take(self.pmf)
+        clone.cdf = take(self.cdf)
+        clone.certain = take(self.certain)
+        clone.exact_scores = take(self.exact_scores)
+        clone._pos = dict(self._pos) if rows is None else dict(
+            zip(clone.ids.tolist(), range(clone.ids.size)))
         return clone
 
 
@@ -301,12 +317,7 @@ def restrict_relation(
     mask = np.zeros(relation.ids.size, dtype=bool)
     for lo, hi in ranges:
         mask |= (relation.ids >= int(lo)) & (relation.ids < int(hi))
-    clone = UncertainRelation(
-        relation.ids[mask], relation.pmf[mask], relation.grid)
-    clone.certain = relation.certain[mask].copy()
-    clone.exact_scores = relation.exact_scores[mask].copy()
-    clone.cdf = relation.cdf[mask].copy()
-    return clone
+    return relation._clone(mask)
 
 
 def build_relation(
@@ -318,6 +329,7 @@ def build_relation(
     known_scores: Optional[Dict[int, float]] = None,
     truncate_sigmas: float = 3.0,
     grid: Optional[QuantizationGrid] = None,
+    pmf: Optional[np.ndarray] = None,
 ) -> UncertainRelation:
     """Build D0 from proxy mixtures plus already-known exact scores.
 
@@ -326,7 +338,11 @@ def build_relation(
     inserted as certain tuples; extra known frames not in ``ids`` are
     appended. An explicit ``grid`` overrides :func:`grid_for` — how the
     Phase-1 maintainer keeps the full-prefix grid while materializing
-    only the open window's mixtures (DESIGN.md §13).
+    only the open window's mixtures (DESIGN.md §13) — and ``pmf``,
+    the mixtures' rows already quantized on that grid
+    (:func:`quantize_mixtures` is row-independent, so the maintainer
+    keeps them per inference block), replaces the quantization pass;
+    the relation takes the array over and cleans it in place.
     """
     known_scores = dict(known_scores or {})
     ids = [int(i) for i in ids]
@@ -341,7 +357,9 @@ def build_relation(
             extra_scores=all_scores,
             truncate_sigmas=truncate_sigmas,
         )
-    pmf = quantize_mixtures(mixtures, grid, truncate_sigmas=truncate_sigmas)
+    if pmf is None:
+        pmf = quantize_mixtures(
+            mixtures, grid, truncate_sigmas=truncate_sigmas)
     if extra_ids:
         pmf = np.vstack([pmf, np.zeros((len(extra_ids), grid.num_levels))])
     full_ids = ids + extra_ids
@@ -351,10 +369,7 @@ def build_relation(
         pmf[len(ids) + offset, level] = 1.0
 
     relation = UncertainRelation(full_ids, pmf, grid)
-    for frame, score in known_scores.items():
-        position = relation.position(frame)
-        if not relation.certain[position]:
-            relation.mark_certain(position, score)
-        else:
-            relation.exact_scores[position] = float(score)
+    relation.mark_certain_many(
+        [relation.position(frame) for frame in known_scores],
+        list(known_scores.values()))
     return relation

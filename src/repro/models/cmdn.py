@@ -93,7 +93,14 @@ class ProxyScorer:
     ``prepare_inputs`` is two steps: :meth:`featurize`, which depends
     only on the proxy *family* (every candidate of a grid computes the
     same array from the same pixels, so the trainer computes it once),
-    and :meth:`inputs`, the candidate's own part.
+    and :meth:`inputs`, the candidate's own part. Inference splits at
+    the same seam: ``predict_mixtures(pixels)`` is
+    ``predict_features(featurize(pixels))``. ``featurize`` is
+    row-independent (a row's features depend on that frame's pixels
+    only, bit for bit), so its rows can be kept and reused frame by
+    frame; the network half is bit-reproducible only per batch shape,
+    so it always sees a whole batch
+    (:class:`~repro.core.phase1.BlockInferenceCache`).
     """
 
     #: (num_gaussians, num_hypotheses) of this proxy.
@@ -119,8 +126,15 @@ class ProxyScorer:
         """Convert ``(N, H, W)`` pixels to network inputs."""
         return self.inputs(self.featurize(pixels))
 
+    def predict_features(self, features: np.ndarray) -> GaussianMixture:
+        """Score distributions (in score units) of featurized frames:
+        the network half of :meth:`predict_mixtures`."""
+        return self.network.predict(self.inputs(features))
+
     def predict_mixtures(self, pixels: np.ndarray) -> GaussianMixture:
-        """Score distributions (in score units) for a pixel batch."""
+        """Score distributions (in score units) for a pixel batch:
+        ``predict_features(featurize(pixels))``, spelled in each family
+        (perfbench's tracer wraps the classes' own attributes)."""
         raise NotImplementedError
 
     def holdout_nll(self, pixels: np.ndarray, scores: np.ndarray) -> float:
@@ -159,7 +173,7 @@ class ConvMDNProxy(ProxyScorer):
         return features
 
     def predict_mixtures(self, pixels: np.ndarray) -> GaussianMixture:
-        return self.network.predict(self.prepare_inputs(pixels))
+        return self.predict_features(self.featurize(pixels))
 
 
 class FeatureMDNProxy(ProxyScorer):
@@ -194,4 +208,4 @@ class FeatureMDNProxy(ProxyScorer):
         return self.scaler.transform(features)
 
     def predict_mixtures(self, pixels: np.ndarray) -> GaussianMixture:
-        return self.network.predict(self.prepare_inputs(pixels))
+        return self.predict_features(self.featurize(pixels))

@@ -230,8 +230,7 @@ class IncrementalPhase1(Phase1Maintainer):
         if shared is self.blocks or self.diverged \
                 or is_sliding(self.video):
             return
-        shared._blocks.update(self.blocks._blocks)
-        shared._tops.update(self.blocks._tops)
+        shared.merge(self.blocks)
         self.blocks = shared
 
     # ------------------------------------------------------------------
@@ -255,7 +254,7 @@ class IncrementalPhase1(Phase1Maintainer):
                 self.drift_tracker.exceeds(self.streaming.drift_threshold):
             self._warm_retrain(segment)
             retrained = True
-        invalidated_from = self.diff.extend(self.video, len(self.video))
+        invalidated_from = self.scan_arrivals()
         entry = self.rebuild_entry()
         return entry, AppendOutcome(
             invalidated_from=invalidated_from,

@@ -9,6 +9,7 @@ from repro.core.uncertain import (
     build_relation,
     grid_for,
     quantize_mixtures,
+    restrict_relation,
 )
 from repro.errors import ConfigurationError, UncertainRelationError
 from repro.models import GaussianMixture
@@ -24,6 +25,23 @@ def mixture(mus, sigmas, pis=None):
     else:
         pis = np.atleast_2d(np.asarray(pis, dtype=float))
     return GaussianMixture(pi=pis, mu=mus, sigma=sigmas)
+
+
+def random_mixture(rng, rows, components=5):
+    pi = rng.random((rows, components)) + 0.05
+    return GaussianMixture(
+        pi=pi / pi.sum(axis=1, keepdims=True),
+        mu=rng.random((rows, components)) * 14.0,
+        sigma=rng.random((rows, components)) * 2.0 + 0.05)
+
+
+def assert_same_relation(a, b):
+    assert a.grid == b.grid
+    for field in ("ids", "pmf", "cdf", "certain", "exact_scores"):
+        mine, theirs = getattr(a, field), getattr(b, field)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes(), field
+    assert a._pos == b._pos
 
 
 class TestQuantizationGrid:
@@ -109,6 +127,23 @@ class TestQuantizeMixtures:
         grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=4)
         assert quantize_mixtures(mix, grid).shape == (0, 4)
 
+    def test_rows_are_independent_at_the_byte_level(self):
+        """The licence for keeping pmf rows per inference block
+        (DESIGN.md §7): a row's pmf depends on that row's mixture (and
+        the grid) only. No tolerance — a failure here is the finding."""
+        rng = np.random.default_rng(3)
+        mix = random_mixture(rng, 1_400)
+        grid = grid_for(mix, floor=0.0, step=1.0)
+        whole = quantize_mixtures(mix, grid)
+        for trial in range(300):
+            a = int(rng.integers(0, 1_400))
+            b = a + 1 if trial < 20 else int(rng.integers(a + 1, 1_401))
+            part = quantize_mixtures(mix.select(slice(a, b)), grid)
+            assert part.tobytes() == whole[a:b].tobytes(), (a, b)
+        rows = np.sort(rng.choice(1_400, size=511, replace=False))
+        assert quantize_mixtures(mix.select(rows), grid).tobytes() \
+            == whole[rows].tobytes()
+
 
 class TestUncertainRelation:
     def test_cdf_is_cumulative(self, tiny_relation):
@@ -145,6 +180,39 @@ class TestUncertainRelation:
         clone.mark_certain(0, 1.0)
         assert not tiny_relation.certain[0]
 
+    def test_clones_equal_a_validated_rebuild(self):
+        """``copy`` / ``restrict_relation`` clone the validated fields
+        instead of re-running the constructor: same bytes, no shared
+        arrays, positions of the rows that are left."""
+        rng = np.random.default_rng(8)
+        ids = np.arange(100, 160)
+        relation = build_relation(
+            ids, random_mixture(rng, ids.size), floor=0.0, step=1.0,
+            known_scores={104: 3.0, 131: 9.0, 500: 2.0})
+
+        def rebuilt(mask):
+            clone = UncertainRelation(
+                relation.ids[mask], relation.pmf[mask], relation.grid)
+            clone.certain = relation.certain[mask].copy()
+            clone.exact_scores = relation.exact_scores[mask].copy()
+            clone.cdf = relation.cdf[mask].copy()
+            return clone
+
+        everything = np.ones(len(relation), dtype=bool)
+        window = (relation.ids >= 120) & (relation.ids < 150)
+        for clone, mask in (
+                (relation.copy(), everything),
+                (restrict_relation(relation, [(0, 10**6)]), everything),
+                (restrict_relation(relation, [(120, 150)]), window)):
+            assert_same_relation(clone, rebuilt(mask))
+            for field in ("ids", "pmf", "cdf", "certain", "exact_scores"):
+                assert not np.shares_memory(
+                    getattr(clone, field), getattr(relation, field))
+        windowed = restrict_relation(relation, [(120, 150)])
+        assert windowed.position(131) == 11
+        with pytest.raises(UncertainRelationError):
+            windowed.position(104)
+
     def test_duplicate_ids_rejected(self):
         grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=2)
         pmf = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -180,3 +248,34 @@ class TestBuildRelation:
         mix = mixture([[2.0], [3.0]], [[0.5], [0.5]])
         relation = build_relation([0, 1], mix, floor=0.0, step=1.0)
         assert relation.num_certain == 0
+
+    @pytest.mark.parametrize("known_scores", [
+        {},
+        {4: 4.0, 40: 11.0},               # known rows inside ``ids``
+        {4: 4.0, 900: 2.0, 901: 7.0},     # extra known ids appended
+        {4: 4.0, 900: 29.0},              # a known score extends the grid
+    ], ids=["none", "inside", "extra-ids", "grid-extension"])
+    def test_rows_given_equal_rows_requantized(self, known_scores):
+        """Handing ``build_relation`` pmf rows quantized block by block
+        (what the Phase-1 maintainer keeps) builds the relation a
+        one-pass quantization builds, bit for bit."""
+        rng = np.random.default_rng(12)
+        ids = np.arange(0, 120, 2)
+        mix = random_mixture(rng, ids.size)
+        arguments = dict(
+            floor=0.0, step=1.0, known_scores=known_scores,
+            truncate_sigmas=2.5)
+        reference = build_relation(ids, mix, **arguments)
+        grid = reference.grid
+        if 29.0 in known_scores.values():
+            assert grid.num_levels == 30 > grid_for(
+                mix, floor=0.0, step=1.0, truncate_sigmas=2.5).num_levels
+        rows = np.concatenate([
+            quantize_mixtures(
+                mix.select(slice(lo, lo + 25)), grid, truncate_sigmas=2.5)
+            for lo in range(0, ids.size, 25)])
+        handed = rows.copy()
+        given = build_relation(ids, mix, grid=grid, pmf=handed, **arguments)
+        assert_same_relation(given, reference)
+        assert len(given) == ids.size + sum(f >= 900 for f in known_scores)
+        assert given.num_certain == len(known_scores)

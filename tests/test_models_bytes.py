@@ -9,7 +9,12 @@ bytes are pinned at three levels:
 * the packed optimizer step against the per-parameter Adam loop it
   replaced (kept here, as the reference);
 * sha256 digests of trained parameters, loss histories and the Phase-1
-  relation, recorded at commit ``915406e`` before ``models/`` changed.
+  relation, recorded at commit ``915406e`` before ``models/`` changed;
+* ``featurize`` is row-independent for both proxy families — the
+  licence under which the block cache keeps feature rows per frame and
+  scores a block assembled from kept and new rows (DESIGN.md §7). If
+  it fails on some numpy, the failure is the finding: the cache must
+  stop keeping rows there, not compare with a tolerance.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from scipy.special import logsumexp
 
 from repro import EverestConfig, Session
 from repro.models import Adam, build_feature_mdn
+from repro.models.cmdn import ConvMDNProxy, FeatureMDNProxy
 from repro.models.mdn import _row_logsumexp
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
@@ -198,3 +204,40 @@ def test_phase1_training_bytes_are_pinned(name, seed, config):
         "mixtures": _digest(
             result.mixtures.pi, result.mixtures.mu, result.mixtures.sigma),
     } == PINS[(name, seed, config)]
+
+
+# ----------------------------------------------------------------------
+# (d) a frame's feature row depends on that frame's pixels only
+
+
+@pytest.mark.parametrize("family", [FeatureMDNProxy, ConvMDNProxy])
+def test_featurize_is_row_independent(family):
+    block = 512
+    video = TrafficVideo("rows", block, seed=5)
+    ids = np.arange(block)
+    pixels = video.batch_pixels(ids)
+    whole = family.featurize(pixels)
+    assert whole.shape[0] == block
+
+    def check(rows, part):
+        assert family.featurize(part).tobytes() == whole[rows].tobytes(), \
+            rows
+
+    rng = np.random.default_rng(9)
+    # Contiguous splits, every batch size from one frame to a block
+    # short of one row somewhere among them.
+    for n in (1, 2, 3, 7, 8, 9, 63, 64, 65, 511):
+        check(slice(0, n), pixels[:n])
+        check(slice(block - n, block), pixels[block - n:])
+    for _ in range(200):
+        a = int(rng.integers(0, block))
+        b = int(rng.integers(a + 1, block + 1))
+        check(slice(a, b), pixels[a:b])
+    # Gathered rows (how a block is assembled from kept and new rows),
+    # and the same frames rendered on their own.
+    for trial in range(40):
+        rows = np.sort(rng.choice(
+            block, size=int(rng.integers(1, block)), replace=False))
+        check(rows, pixels[rows])
+        if trial < 8:
+            check(rows, video.batch_pixels(ids[rows]))

@@ -13,6 +13,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +23,14 @@ import pytest
 from repro import EverestConfig, Session
 from repro.api.session import phase1_key
 from repro.config import DiffDetectorConfig, Phase1Config
-from repro.core.phase1 import predict_mixtures_chunked
+from repro.core.phase1 import predict_mixtures_chunked, run_phase1
+from repro.core.uncertain import (
+    build_relation,
+    grid_covering,
+    grid_for,
+    quantize_mixtures,
+    restrict_relation,
+)
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -30,12 +40,14 @@ from repro.errors import (
 )
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.oracle.cost import merge_cost_models
+from repro.models.cmdn import ConvMDNProxy
 from repro.streaming import (
     BlockInferenceCache,
     CachingOracle,
     IncrementalDiff,
     ScoreCache,
     StreamingConfig,
+    StreamingStats,
 )
 from repro.streaming.store import (
     FORMAT_VERSION,
@@ -44,6 +56,8 @@ from repro.streaming.store import (
     write_checkpoint,
 )
 from repro.video import DifferenceDetector, StreamingVideo, TrafficVideo
+
+from conftest import CountingTraffic
 
 
 # ----------------------------------------------------------------------
@@ -144,12 +158,26 @@ def test_incremental_diff_rejects_backwards_watermark():
 # ----------------------------------------------------------------------
 # BlockInferenceCache: byte-identical to the batch inference path.
 
+def _count_grid(top):
+    return grid_covering(top, floor=0.0, step=1.0)
+
+
+def _window_state(cache, proxy, video, retained, stats=None):
+    """The cache's mixtures, after checking that the pmf rows it keeps
+    per block are the mixtures' one-pass quantization, bit for bit."""
+    mixtures, grid, pmf = cache.window_state(
+        proxy, video, retained, 0, truncate_sigmas=3.0,
+        grid_of=_count_grid, stats=stats)
+    assert grid == grid_for(mixtures, floor=0.0, step=1.0)
+    np.testing.assert_array_equal(pmf, quantize_mixtures(mixtures, grid))
+    return mixtures
+
+
 def test_block_cache_matches_chunked_inference(traffic_video, trained_proxy):
     cache = BlockInferenceCache()
     stream = StreamingVideo(traffic_video, 600)
     retained = np.arange(0, 600)
-    mine, _ = cache.window_state(
-        trained_proxy, stream, retained, 0, truncate_sigmas=3.0)
+    mine = _window_state(cache, trained_proxy, stream, retained)
     reference = predict_mixtures_chunked(
         trained_proxy, traffic_video, retained)
     np.testing.assert_array_equal(mine.pi, reference.pi)
@@ -159,12 +187,10 @@ def test_block_cache_matches_chunked_inference(traffic_video, trained_proxy):
     # Growing the retained set recomputes only the changed tail blocks
     # (the full leading block stays cached), and stays byte-identical
     # to a from-scratch chunked run.
-    from repro.streaming import StreamingStats
     stats = StreamingStats()
     stream.append(600)
     grown = np.arange(0, 1200)
-    mine2, _ = cache.window_state(
-        trained_proxy, stream, grown, 0, truncate_sigmas=3.0, stats=stats)
+    mine2 = _window_state(cache, trained_proxy, stream, grown, stats)
     assert stats.fresh_inferred_frames == grown.size - 512
     reference2 = predict_mixtures_chunked(
         trained_proxy, traffic_video, grown)
@@ -176,18 +202,327 @@ def test_block_cache_invalidates_on_membership_change(
     cache = BlockInferenceCache()
     stream = StreamingVideo(traffic_video, 900)
     first = np.arange(0, 900, 3)
-    cache.window_state(
-        trained_proxy, stream, first, 0, truncate_sigmas=3.0)
+    _window_state(cache, trained_proxy, stream, first)
     # Drop one frame near the front: every block shifts and recomputes.
-    from repro.streaming import StreamingStats
     stats = StreamingStats()
     changed = first[first != 3]
-    mine, _ = cache.window_state(
-        trained_proxy, stream, changed, 0, truncate_sigmas=3.0, stats=stats)
+    mine = _window_state(cache, trained_proxy, stream, changed, stats)
     assert stats.fresh_inferred_frames == changed.size
     reference = predict_mixtures_chunked(
         trained_proxy, traffic_video, changed)
     np.testing.assert_array_equal(mine.mu, reference.mu)
+
+
+@pytest.mark.parametrize("family", ["feature", "conv"])
+def test_grown_block_scores_like_a_fresh_one(family, trained_proxy):
+    """A tail block that grows is featurized for its new rows only, from
+    pixels in hand where a scan has them, and still scored as one batch:
+    the mixtures are those of the whole block rendered in one go."""
+    video = CountingTraffic("grown-block", 600, seed=31)
+    if family == "feature":
+        proxy = trained_proxy
+    else:
+        proxy = ConvMDNProxy(
+            video.resolution, num_gaussians=2, num_hypotheses=6,
+            num_conv_layers=1, seed=2)
+        proxy.network.fit_target_scaling(video.counts[:64])
+    reference = TrafficVideo("grown-block", 600, seed=31)
+    cache = BlockInferenceCache()
+    stats = StreamingStats()
+    ids = np.arange(0, 600, 1, dtype=np.int64)
+
+    def check(b, rows, scanned=None):
+        before = sum(video.rendered.values())
+        mixture = cache.block(b, rows, proxy, video, stats, scanned=scanned)
+        fresh = proxy.predict_mixtures(reference.batch_pixels(rows))
+        for name in ("pi", "mu", "sigma"):
+            assert getattr(mixture, name).tobytes() \
+                == getattr(fresh, name).tobytes(), name
+        return sum(video.rendered.values()) - before
+
+    # Nothing in hand: the block is rendered.
+    assert check(0, ids[:100]) == 100
+    # Grown by 60 rows a scan already rendered: nothing is rendered.
+    arrivals = (ids[100:160], reference.batch_pixels(ids[100:160]))
+    assert check(0, ids[:160], arrivals) == 0
+    # A retain decision flipped (row 150 gone), 40 arrivals, 5 of them
+    # not covered by the scan: only those 5 are rendered.
+    rows = np.concatenate([ids[:150], ids[151:200]])
+    assert check(0, rows, (ids[160:195],
+                           reference.batch_pixels(ids[160:195]))) == 5
+    # The block fills (512 rows) and the next one starts: the kept rows
+    # carry over by frame id, whichever block asks.
+    grown = np.concatenate([rows, ids[200:]])
+    assert check(0, grown[:512]) == 512 - rows.size
+    assert check(1, grown[512:]) == grown.size - 512
+    assert check(1, grown[512:]) == 0  # a hit
+    assert stats.fresh_inferred_frames \
+        == 100 + 160 + rows.size + 512 + (grown.size - 512)
+    # Kept feature rows never reach a block's worth.
+    assert cache._tail[0].size == cache._tail[1].shape[0] < 512
+
+
+# ----------------------------------------------------------------------
+# Maintained Phase-1 state == the same state built from scratch.
+
+MAINTAIN_CONFIG = EverestConfig(phase1=Phase1Config(
+    sample_fraction=0.05, min_train_samples=96, holdout_samples=48,
+    cmdn_grid=((3, 12),), epochs=15))
+
+
+def _window_cut(stream, retained) -> int:
+    lo = stream.video.window_lo if stream.window_frames else 0
+    return int(np.searchsorted(retained, lo, side="left"))
+
+
+def assert_built_from_scratch(stream):
+    """The maintained detector state, mixtures and relation are, bit
+    for bit, what the two-pass reference builds over the prefix with
+    the session's current proxy: detached detector, chunked inference,
+    one-pass quantization, window restriction. While the session has
+    not diverged (no audit, no retrain) that is also ``run_phase1``
+    over the prefix from nothing — labels, training and all."""
+    result = stream.phase1().result
+    prefix = stream.video.snapshot()
+    detached = DifferenceDetector(stream.config.diff).run(prefix)
+    retained = result.diff_result.retained
+    np.testing.assert_array_equal(retained, detached.retained)
+    np.testing.assert_array_equal(
+        result.diff_result.representative, detached.representative)
+
+    cut = _window_cut(stream, retained)
+    reference = predict_mixtures_chunked(result.proxy, prefix, retained)
+    for name in ("pi", "mu", "sigma"):
+        assert getattr(result.mixtures, name).tobytes() \
+            == getattr(reference, name)[cut:].tobytes(), name
+
+    scoring, phase1 = stream.scoring, stream.config.phase1
+    lo = stream.video.window_lo if stream.window_frames else 0
+
+    def same_relation(full):
+        window = restrict_relation(full, [(lo, stream.watermark)])
+        assert result.relation.grid == window.grid
+        for field in ("ids", "pmf", "cdf", "certain", "exact_scores"):
+            assert getattr(result.relation, field).tobytes() \
+                == getattr(window, field).tobytes(), field
+
+    same_relation(build_relation(
+        retained, reference, floor=scoring.score_floor, step=scoring.step,
+        known_scores=result.known_scores,
+        truncate_sigmas=phase1.truncate_sigmas))
+    if not stream.diverged:
+        same_relation(run_phase1(
+            prefix, Oracle(scoring, cost_key="oracle_label"),
+            config=phase1, diff_config=stream.config.diff,
+            seed=stream.config.seed).relation)
+
+
+def test_flipped_retain_decisions_keep_the_state_from_scratch():
+    # Appends far shorter than a clip: every one re-decides the
+    # provisional clip, and the tail block crosses the 512-row
+    # boundary while rows inside it come and go.
+    stream = Session.open_stream(
+        TrafficVideo("maintain-flips", 720, seed=17), counting_udf("car"),
+        initial_frames=517, config=MAINTAIN_CONFIG)
+    rng = np.random.default_rng(4)
+    flips, sizes = 0, []
+    assert stream.phase1().result.diff_result.num_retained < 512
+    while stream.video.remaining:
+        size = int(min(rng.integers(1, 20), stream.video.remaining))
+        watermark = stream.watermark
+        kept = stream.phase1().result.diff_result.retained
+        stream.append(size)
+        after = stream.phase1().result.diff_result.retained
+        flips += len(set(kept) ^ set(after[after < watermark]))
+        sizes.append(size)
+        if len(sizes) % 3 == 0 or not stream.video.remaining:
+            assert_built_from_scratch(stream)
+    assert flips > 20
+    assert stream.phase1().result.diff_result.num_retained > 512 + 64
+    assert not stream.diverged
+
+
+def test_a_drift_retrain_between_appends_keeps_the_state_from_scratch():
+    # Threshold -100 always trips once enough frames are audited: every
+    # append past the first retrains, swaps in a private cache and
+    # re-scores the whole prefix with the arrivals' pixels in hand.
+    stream = Session.open_stream(
+        TrafficVideo("maintain-drift", 1_000, seed=19), counting_udf("car"),
+        initial_frames=500, config=MAINTAIN_CONFIG,
+        streaming=StreamingConfig(
+            audit_fraction=0.2, drift_threshold=-100.0,
+            min_audit_for_drift=8))
+    stream.query().topk(3).guarantee(0.85).subscribe()
+    for size in (90, 7, 130, 1, 200):
+        stream.append(size)
+        assert_built_from_scratch(stream)
+    assert stream.stats.retrain_count >= 3 and stream.diverged
+    assert stream.phase1().result.diff_result.num_retained > 512
+
+
+def test_window_edge_and_healed_blocks_keep_the_state_from_scratch():
+    # 300-frame window over a stream whose retained rows span four
+    # inference blocks: ticks slide the edge across a block boundary
+    # (eviction only), then one append longer than the window changes
+    # a block that is already expired — its top is healed by the scan,
+    # its mixtures never stay.
+    stream = Session.open_stream(
+        TrafficVideo("maintain-window", 2_000, seed=17), counting_udf("car"),
+        initial_frames=600, window_seconds=10.0, config=MAINTAIN_CONFIG)
+    stream.query().topk(3).guarantee(0.85).subscribe()
+    cache = stream._incremental.blocks
+    slid = healed = 0
+    for kind, size in (("append", 150), ("tick", 100), ("tick", 150),
+                       ("append", 1_200), ("tick", 50), ("append", 30),
+                       ("tick", 120), ("append", 17)):
+        before = stream.phase1().result.diff_result.retained
+        first_block = _window_cut(stream, before) // 512
+        result = stream.append(size) if kind == "append" \
+            else stream.tick(size)
+        after = stream.phase1().result.diff_result.retained
+        now_first = _window_cut(stream, after) // 512
+        if kind == "tick":
+            assert result.fresh_inferred_frames == 0
+            slid += now_first > first_block
+        for b in range(now_first):
+            rows = slice(b * 512, (b + 1) * 512)
+            if not np.array_equal(before[rows], after[rows]):
+                healed += 1
+                assert cache._tops[b][0] == after[rows].tobytes()
+        assert cache.cached_blocks == list(range(now_first, -(-after.size // 512)))
+        assert sorted(cache._pmfs) == cache.cached_blocks
+        assert_built_from_scratch(stream)
+    assert slid >= 1 and healed >= 1
+    assert not stream.diverged
+
+
+# ----------------------------------------------------------------------
+# The cache's derived rows: out of checkpoints, safe to share.
+
+def _event_bytes(stream, result):
+    entry = stream.phase1()
+    return (
+        [report.to_json() for report in result.reports],
+        result.fresh_inferred_frames,
+        entry.result.relation.pmf.tobytes(),
+        entry.result.relation.ids.tobytes(),
+        entry.result.mixtures.mu.tobytes(),
+        entry.cost_model.breakdown(),
+    )
+
+
+def test_resume_mid_block_continues_byte_for_byte(tmp_path):
+    def open_window_stream():
+        video = CountingTraffic("resume-mid-block", 1_400, seed=29)
+        stream = Session.open_stream(
+            video, counting_udf("car"), initial_frames=700,
+            window_seconds=15.0, config=MAINTAIN_CONFIG)
+        stream.query().topk(3).guarantee(0.85).deterministic_timing() \
+            .subscribe()
+        stream.append(140)
+        stream.tick(60)
+        stream.append(75)
+        return video, stream
+
+    _, straight = open_window_stream()
+    _, interrupted = open_window_stream()
+    cache = interrupted._incremental.blocks
+    tail_rows = interrupted.phase1().result.diff_result.num_retained % 512
+    assert 0 < tail_rows == cache._tail[0].size  # mid-block
+    assert cache._pmfs and sorted(cache._pmfs) == cache.cached_blocks
+    interrupted.checkpoint(tmp_path / "ck")
+
+    # Derived rows stay out of the pickle — which is therefore laid out
+    # exactly as the parent commit wrote it: format 3 resumes both ways.
+    pickled = pickle.loads(pickle.dumps(interrupted._incremental)).blocks
+    assert set(cache.__getstate__()) == {"_blocks", "_tops"}
+    assert pickled._pmfs == {} and pickled._tail is None
+    assert pickled.cached_blocks == cache.cached_blocks
+    assert FORMAT_VERSION == 3
+
+    resumed = Session.resume(tmp_path / "ck")
+    resumed.query().topk(3).guarantee(0.85).deterministic_timing() \
+        .subscribe()
+    video = resumed.video.source
+    assert resumed._incremental.blocks._tail is None
+    for kind, size in (("append", 33), ("tick", 45), ("append", 150),
+                       ("append", 260), ("tick", 10)):
+        rendered = sum(video.rendered.values())
+        results = [
+            session.append(size) if kind == "append" else session.tick(size)
+            for session in (straight, resumed)]
+        assert _event_bytes(resumed, results[1]) \
+            == _event_bytes(straight, results[0])
+        # Only the first append after a resume renders what the
+        # dropped feature rows covered; afterwards they are back.
+        if (kind, size) == ("append", 33):
+            assert sum(video.rendered.values()) - rendered >= tail_rows
+        if (kind, size) == ("append", 150):
+            assert sum(video.rendered.values()) - rendered < 150 + 30
+    assert_built_from_scratch(resumed)
+
+
+def test_sibling_streams_share_a_cache_across_threads():
+    """Two streams over one artifact, at different watermarks, sharing
+    one inference cache from two threads: kept rows are matched by frame
+    id and swapped in as one reference, so whatever the interleaving
+    each stays byte-equal to the batch re-run over its own prefix."""
+    def open_sibling():
+        stream = Session.open_stream(
+            TrafficVideo("siblings", 900, seed=37), counting_udf("car"),
+            initial_frames=480, config=MAINTAIN_CONFIG)
+        live = stream.query().topk(3).guarantee(0.85) \
+            .deterministic_timing().subscribe()
+        return stream, live
+
+    shared = BlockInferenceCache()
+    schedules = ((25, 40, 7, 90, 31, 60), (60, 3, 110, 15, 70, 12, 45))
+    siblings = [open_sibling() for _ in schedules]
+    for stream, _ in siblings:
+        stream.share_inference_cache(shared)
+        assert stream._incremental.blocks is shared
+    served = [[] for _ in schedules]
+    errors = []
+
+    def drive(index):
+        stream, live = siblings[index]
+        try:
+            for size in schedules[index]:
+                stream.append(size)
+                relation = stream.phase1().result.relation
+                served[index].append((
+                    stream.watermark, live.latest.to_json(),
+                    relation.pmf.tobytes(), relation.ids.tobytes()))
+        except Exception as error:  # surfaced below, with the traceback
+            errors.append(error)
+
+    threads = [threading.Thread(target=drive, args=(i,))
+               for i in range(len(schedules))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    assert [len(events) for events in served] == [6, 7]
+
+    source = TrafficVideo("siblings", 900, seed=37)
+    for events in served:
+        for watermark, report, pmf, ids in events:
+            batch = Session(
+                StreamingVideo(source, watermark, sealed=True),
+                counting_udf("car"), config=siblings[0][0].config)
+            assert batch.query().topk(3).guarantee(0.85) \
+                .deterministic_timing().run().to_json() == report
+            relation = batch.phase1().result.relation
+            assert relation.pmf.tobytes() == pmf
+            assert relation.ids.tobytes() == ids
 
 
 # ----------------------------------------------------------------------

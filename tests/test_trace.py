@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 import pytest
 
-from repro import QueryService
+from repro import QueryService, Session
 from repro.config import EverestConfig
 from repro.corpus import VideoCorpus
 from repro.errors import AdmissionError
@@ -418,6 +419,64 @@ def test_tracer_writes_spans_and_summary_to_jsonl(tmp_path):
         "spans": [r for r in records if r["type"] == "span"],
     }])
     assert len(rebuilt["traceEvents"]) == 3
+
+
+def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
+    """One ``block_miss`` span per re-scored block and one
+    ``requantize`` span per rebuilt relation, with the work each did;
+    ``scripts/trace_report.py`` totals them. Observation only: the
+    traced stream answers like its untraced twin."""
+    def open_stream():
+        stream = Session.open_stream(
+            _video(17, frames=420), counting_udf("car"),
+            initial_frames=240, window_seconds=6.0, config=FAST())
+        live = stream.query().topk(3).guarantee(0.9) \
+            .deterministic_timing().subscribe()
+        return stream, live
+
+    path = tmp_path / "events.jsonl"
+    tracer = Tracer(jsonl_path=path)
+    (traced, traced_live), (plain, plain_live) = open_stream(), open_stream()
+    retained = traced.phase1().result.diff_result.num_retained
+    with tracer.trace("append"):
+        traced.append(60)
+    with tracer.trace("tick"):
+        traced.tick(30)
+    plain.append(60)
+    plain.tick(30)
+    assert [r.to_json() for r in traced_live.reports] \
+        == [r.to_json() for r in plain_live.reports]
+
+    spans = {}
+    for record in read_jsonl([str(path)]):
+        if record["type"] == "span" and record["category"] == "phase1":
+            spans.setdefault(record["name"], []).append(record["attrs"])
+    grown = traced.phase1().result.diff_result.num_retained
+    # The append re-scored the one (tail) block: all of its rows went
+    # through the network, only the new ones were featurized, and every
+    # one of those came from the scan's pixels. The tick scored nothing.
+    (miss,) = spans["block_miss"]
+    assert miss["block"] == 0 and miss["rows"] == grown
+    assert grown - retained <= miss["rows_featurized"] < 60 + 30
+    assert miss["rows_from_scan"] == miss["rows_featurized"]
+    assert spans["requantize"] == [
+        {"blocks_requantized": 1, "blocks_reused": 0},
+        {"blocks_requantized": 0, "blocks_reused": 1}]
+
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts"))
+    try:
+        import trace_report
+    finally:
+        sys.path.pop(0)
+    rows = trace_report.aggregate(trace_report.span_records(
+        trace_report.load_records(str(path)), None))
+    assert rows[("phase1", "block_miss")]["counters"] == {
+        "rows": grown, "rows_featurized": miss["rows_featurized"],
+        "rows_from_scan": miss["rows_from_scan"]}
+    assert rows[("phase1", "requantize")]["counters"] == {
+        "blocks_requantized": 1, "blocks_reused": 1}
+    assert f"rows={grown} " in trace_report.render(rows)
 
 
 def test_profile_attr_captured_when_enabled():

@@ -11,6 +11,9 @@ Pinned here:
 * fresh confirmations only ever target frames inside the open window;
 * pure expiry ticks run **zero** fresh proxy inference — retraction is
   cache eviction, not recompute;
+* an append *renders* each arriving frame once plus at most the
+  provisional clip it re-decides — never the tail inference block it
+  extends — and a tick renders nothing;
 * the subscription's recompiled plan is window-restricted (the
   regression pin for the old full-prefix refresh);
 * :class:`~repro.core.phase1.BlockInferenceCache` eviction and
@@ -24,18 +27,22 @@ Pinned here:
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import EverestConfig, QueryExecutor, Session
-from repro.config import Phase1Config
+from repro.config import DiffDetectorConfig, Phase1Config
 from repro.core.phase1 import INFER_BLOCK, BlockInferenceCache
+from repro.core.uncertain import QuantizationGrid, quantize_mixtures
 from repro.errors import QueryError
 from repro.models.mdn import GaussianMixture
 from repro.oracle import counting_udf
 from repro.streaming import StreamingStats
 from repro.video import TrafficVideo
+
+from conftest import CountingTraffic
 
 NUM_FRAMES = 480
 BOOTSTRAP = 240
@@ -107,6 +114,76 @@ def test_pure_ticks_run_zero_fresh_inference():
     assert live.latest.num_tuples <= stream.video.window_size
 
 
+CLIP = STREAM_CONFIG.diff.clip_size
+
+#: Append sizes crossing clip and block boundaries. When every frame is
+#: retained rows are frames, and from the 240-row bootstrap the appends
+#: leave the tail block at 390, 391, 420, then exactly full (512),
+#: one row short (1 023), full again (1 024, 1 536) and spilling over
+#: two blocks (2 236); ticks apply to the sliding run only.
+DELTA_SCHEDULE = (
+    ("append", 150), ("append", 1), ("tick", 40), ("append", CLIP - 1),
+    ("append", 92), ("append", 511), ("tick", 300), ("append", 1),
+    ("append", 512), ("tick", 90), ("append", 700))
+
+
+def _rows_in_changed_blocks(before: np.ndarray, after: np.ndarray) -> int:
+    """Rows of the inference blocks whose frame-id content changed:
+    what the proxy has to score again, whoever renders the pixels."""
+    return sum(
+        after[lo:lo + INFER_BLOCK].size
+        for lo in range(0, after.size, INFER_BLOCK)
+        if not np.array_equal(
+            before[lo:lo + INFER_BLOCK], after[lo:lo + INFER_BLOCK]))
+
+
+@pytest.mark.parametrize("window_frames", [None, 600])
+@pytest.mark.parametrize("mse_threshold", [
+    STREAM_CONFIG.diff.mse_threshold,  # provisional clips flip decisions
+    0.0,  # every frame retained: blocks fill exactly
+])
+def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
+    video = CountingTraffic("window-delta-renders", 2_300, seed=17)
+    stream = Session.open_stream(
+        video, counting_udf("car"), initial_frames=BOOTSTRAP,
+        window_seconds=window_frames / FPS if window_frames else None,
+        config=dataclasses.replace(
+            STREAM_CONFIG,
+            diff=DiffDetectorConfig(mse_threshold=mse_threshold)))
+    build_query(stream).subscribe()
+    appended = 0
+    for kind, size in DELTA_SCHEDULE:
+        if kind == "tick" and window_frames is None:
+            continue
+        retained = stream.phase1().result.diff_result.retained
+        watermark = stream.watermark
+        before = Counter(video.rendered)
+        result = stream.append(size) if kind == "append" \
+            else stream.tick(size)
+        rendered = Counter(video.rendered)
+        rendered.subtract(before)
+        rendered = +rendered
+        if kind == "tick":
+            assert not rendered
+            assert result.fresh_inferred_frames == 0
+            continue
+        appended += size
+        arrivals = range(watermark, watermark + size)
+        provisional = range(watermark - watermark % CLIP, watermark)
+        # Every arrival exactly once; beyond them only the re-scanned
+        # provisional clip, at most once per frame. (The parent also
+        # re-rendered the tail block's leading rows: up to 511 more.)
+        assert all(rendered[frame] == 1 for frame in arrivals)
+        assert set(rendered) <= set(arrivals) | set(provisional)
+        assert sum(rendered.values()) <= size + len(provisional)
+        # The rows through the network are what they always were.
+        assert result.fresh_inferred_frames == _rows_in_changed_blocks(
+            retained, stream.phase1().result.diff_result.retained)
+    assert stream.watermark == BOOTSTRAP + appended == 2_236
+    if mse_threshold == 0.0:
+        assert stream.phase1().result.diff_result.num_retained == 2_236
+
+
 def test_subscription_plan_is_window_restricted():
     stream = open_window_stream()
     live = build_query(stream).subscribe()
@@ -137,8 +214,14 @@ def test_windowed_executor_refuses_window_less_plans():
 # BlockInferenceCache unit tests (fake proxy: cross-block eviction)
 # ----------------------------------------------------------------------
 class _FakeVideo:
+    """A frame's "pixels" are its id."""
+
+    def __init__(self):
+        self.rendered = []
+
     def batch_pixels(self, ids):
-        return np.asarray(ids, dtype=np.int64)
+        self.rendered.append(np.asarray(ids).copy())
+        return np.asarray(ids, dtype=np.float32)
 
 
 class _FakeProxy:
@@ -147,14 +230,32 @@ class _FakeProxy:
     def __init__(self):
         self.inferred = []
 
-    def predict_mixtures(self, ids) -> GaussianMixture:
-        self.inferred.append(np.asarray(ids).copy())
-        column = np.asarray(ids, dtype=np.float64).reshape(-1, 1)
+    @staticmethod
+    def featurize(pixels) -> np.ndarray:
+        return np.asarray(pixels, dtype=np.float64).reshape(-1, 1)
+
+    def predict_features(self, features) -> GaussianMixture:
+        self.inferred.append(features[:, 0].astype(np.int64))
         return GaussianMixture(
-            pi=np.ones_like(column),
-            mu=column,
-            sigma=np.ones_like(column),
+            pi=np.ones_like(features),
+            mu=features,
+            sigma=np.ones_like(features),
         )
+
+
+def _window_state(cache, proxy, video, retained, cut, **kwargs):
+    """``(mixtures, top)`` of one ``window_state`` pass on a two-level
+    grid, after checking the pmf rows it assembled for the window."""
+    tops = []
+    grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=2)
+    mixtures, _, pmf = cache.window_state(
+        proxy, video, retained, cut,
+        grid_of=lambda top: tops.append(top) or grid, **kwargs)
+    np.testing.assert_array_equal(pmf, quantize_mixtures(
+        mixtures, grid, truncate_sigmas=kwargs["truncate_sigmas"]))
+    # Pmf rows are kept exactly for the blocks that hold mixtures.
+    assert sorted(cache._pmfs) == cache.cached_blocks
+    return mixtures, tops[0]
 
 
 def test_block_cache_evicts_expired_blocks_but_keeps_tops():
@@ -163,8 +264,8 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
     retained = np.arange(2 * INFER_BLOCK + 176, dtype=np.int64)
     stats = StreamingStats()
 
-    mixtures, top = cache.window_state(
-        proxy, video, retained, 0, truncate_sigmas=2.0, stats=stats)
+    mixtures, top = _window_state(
+        cache, proxy, video, retained, 0, truncate_sigmas=2.0, stats=stats)
     assert cache.cached_blocks == [0, 1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size
@@ -175,8 +276,8 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
     # Slide the cut past block 0: its mixtures are retracted, its top
     # survives, and nothing is re-inferred.
     cut = INFER_BLOCK + 88
-    mixtures, top = cache.window_state(
-        proxy, video, retained, cut, truncate_sigmas=2.0, stats=stats)
+    mixtures, top = _window_state(
+        cache, proxy, video, retained, cut, truncate_sigmas=2.0, stats=stats)
     assert cache.cached_blocks == [1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size - cut
@@ -190,8 +291,8 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
     proxy, video = _FakeProxy(), _FakeVideo()
     retained = np.arange(2 * INFER_BLOCK, dtype=np.int64)
     cut = INFER_BLOCK
-    cache.window_state(
-        proxy, video, retained, cut, truncate_sigmas=0.0)
+    _window_state(
+        cache, proxy, video, retained, cut, truncate_sigmas=0.0)
     assert cache.cached_blocks == [1]
     assert len(proxy.inferred) == 2  # the expired block paid for its top
 
@@ -200,16 +301,16 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
     # the mixture stays evicted.
     changed = retained.copy()
     changed[10] = 10**6
-    _, top = cache.window_state(
-        proxy, video, changed, cut, truncate_sigmas=0.0)
+    _, top = _window_state(
+        cache, proxy, video, changed, cut, truncate_sigmas=0.0)
     assert len(proxy.inferred) == 3
     assert np.array_equal(proxy.inferred[-1], changed[:INFER_BLOCK])
     assert cache.cached_blocks == [1]
     assert top == 10.0**6
 
     # Same content again: fully cached, no inference at all.
-    _, top = cache.window_state(
-        proxy, video, changed, cut, truncate_sigmas=0.0)
+    _, top = _window_state(
+        cache, proxy, video, changed, cut, truncate_sigmas=0.0)
     assert len(proxy.inferred) == 3
     assert top == 10.0**6
 
@@ -218,12 +319,12 @@ def test_block_cache_drops_stale_trailing_blocks():
     cache = BlockInferenceCache()
     proxy, video = _FakeProxy(), _FakeVideo()
     long = np.arange(3 * INFER_BLOCK, dtype=np.int64)
-    cache.window_state(proxy, video, long, 0, truncate_sigmas=0.0)
+    _window_state(cache, proxy, video, long, 0, truncate_sigmas=0.0)
     assert cache.cached_blocks == [0, 1, 2]
     # The retained array shrank (a retrain rebuilt the detector):
     # trailing blocks beyond the new extent drop mixtures *and* tops.
     short = long[:INFER_BLOCK]
-    _, top = cache.window_state(
-        proxy, video, short, 0, truncate_sigmas=0.0)
+    _, top = _window_state(
+        cache, proxy, video, short, 0, truncate_sigmas=0.0)
     assert cache.cached_blocks == [0]
     assert top == float(short[-1])
