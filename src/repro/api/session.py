@@ -53,7 +53,7 @@ from ..errors import CheckpointError, QueryError
 from ..oracle.base import Oracle, ScoringFunction
 from ..oracle.cache import CachingOracle, ScoreCache
 from ..oracle.cost import CostModel
-from ..core.phase1 import Phase1Entry, Phase1Result, run_phase1
+from ..core.phase1 import Phase1Entry, run_phase1
 from ..trace import span as trace_span
 from ..video.streaming import Segment, StreamingVideo
 from ..video.synthetic import SyntheticVideo
@@ -654,11 +654,6 @@ class Session:
         if key is None:
             key = phase1_key(config if config is not None else self.config)
         return key in self._phase1_cache
-
-    @property
-    def phase1_result(self) -> Phase1Result:
-        """Phase 1 artifacts under the session config (runs on first use)."""
-        return self.phase1().result
 
     @property
     def phase1_runs(self) -> int:

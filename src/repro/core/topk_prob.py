@@ -58,9 +58,6 @@ class ConfidenceState:
         """Boolean mask (by position) of still-uncertain tuples."""
         return self._uncertain
 
-    def is_uncertain(self, position: int) -> bool:
-        return bool(self._uncertain[position])
-
     def remove(self, position: int) -> None:
         """Remove a tuple from the joint CDF (it has been cleaned)."""
         if not self._uncertain[position]:

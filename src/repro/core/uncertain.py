@@ -265,11 +265,6 @@ class UncertainRelation:
         self.exact_scores[positions] = scores
         return levels
 
-    def certain_levels(self) -> np.ndarray:
-        """Grid levels of all certain tuples (aligned with positions)."""
-        positions = np.flatnonzero(self.certain)
-        return self.grid.level_of(self.exact_scores[positions])
-
     def uncertain_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.certain)
 

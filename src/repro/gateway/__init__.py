@@ -13,10 +13,10 @@ from .http import GatewayServer
 from .metrics import GatewayMetrics, parse_metrics_text
 from .quotas import QuotaBook, QuotaPolicy
 from .results import ResultEntry, ResultStore
-from .wire import AppendRequest, QueryRequest, StreamRequest
+from .wire import EventRequest, QueryRequest, StreamRequest
 
 __all__ = [
-    "AppendRequest",
+    "EventRequest",
     "Gateway",
     "GatewayConfig",
     "GatewayMetrics",

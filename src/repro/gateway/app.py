@@ -62,12 +62,7 @@ from ..service.service import QueryService
 from .metrics import GatewayMetrics
 from .quotas import QuotaBook, QuotaPolicy
 from .results import ResultStore
-from .wire import (
-    AppendRequest,
-    QueryRequest,
-    StreamRequest,
-    TickRequest,
-)
+from .wire import EventRequest, QueryRequest, StreamRequest
 
 Clock = Callable[[], float]
 
@@ -250,13 +245,14 @@ class Gateway:
         except BaseException as error:  # noqa: BLE001 - re-raised
             self.quotas.release(tenant)
             if isinstance(error, AdmissionError):
-                self.metrics.count_rejected(tenant, error.reason)
+                self.metrics.count(
+                    "queries_rejected", tenant, error.reason)
             elif isinstance(error, ServiceClosedError):
-                self.metrics.count_rejected(tenant, "closed")
+                self.metrics.count("queries_rejected", tenant, "closed")
             if result_id is not None:
                 self.results.fail(result_id, error)
             raise
-        self.metrics.count_submitted(tenant)
+        self.metrics.count("queries_submitted", tenant)
         trace_id = getattr(future, "trace_id", None)
         if trace_id is not None:
             # Pending polls already see the trace id; the summary
@@ -269,15 +265,15 @@ class Gateway:
                 report = done_future.result(0)
             except BaseException as error:  # noqa: BLE001 - recorded
                 self.results.fail(_id, error)
-                self.metrics.count_failed(_t)
+                self.metrics.count("queries_failed", _t)
             else:
                 self.results.complete(_id, report)
-                self.metrics.count_completed(_t)
+                self.metrics.count("queries_completed", _t)
             elapsed = self._clock() - _start
             self.metrics.observe_latency("query", elapsed)
             threshold = self.config.slow_query_seconds
             if threshold is not None and elapsed > threshold:
-                self.metrics.count_slow_query(_t)
+                self.metrics.count("slow_queries", _t)
             if _trace_id is not None:
                 trace = self.service.tracer.get(_trace_id)
                 if trace is not None:
@@ -352,7 +348,7 @@ class Gateway:
 
     def _count_rejection(self, tenant: str, reason: str) -> None:
         """Land one quota refusal in both ledgers (gateway + service)."""
-        self.metrics.count_rejected(tenant, reason)
+        self.metrics.count("queries_rejected", tenant, reason)
         self.service.count_rejection(tenant, reason)
 
     # ------------------------------------------------------------------
@@ -422,7 +418,8 @@ class Gateway:
         ``applied: false`` and the append itself is the retry.
         """
         return self._stream_event(
-            AppendRequest.from_body(body), "append", "watermark")
+            EventRequest.from_body(body, "how many to reveal"),
+            "append", "watermark")
 
     def tick(self, body) -> Response:
         """``POST /tick``: advance a windowed stream's clock (expiry).
@@ -435,7 +432,9 @@ class Gateway:
         400 — expiry only exists where a window does.
         """
         return self._stream_event(
-            TickRequest.from_body(body), "tick", "horizon")
+            EventRequest.from_body(
+                body, "how far to advance the stream clock"),
+            "tick", "horizon")
 
     def _stream_event(self, request, op: str, marker: str) -> Response:
         """Apply one ``/append`` or ``/tick`` to its stream.
@@ -460,8 +459,8 @@ class Gateway:
         except QuotaExceededError as error:
             # Refused before anything moved: the event itself is the
             # retry, and both rejection ledgers record it.
-            self.metrics.count_append_rejected(
-                request.tenant, error.reason)
+            self.metrics.count(
+                "appends_rejected", request.tenant, error.reason)
             self.service.count_rejection(request.tenant, error.reason)
             raise
         started = self._clock()
@@ -479,7 +478,7 @@ class Gateway:
                 if op == "append":
                     self.metrics.count_append(
                         request.tenant, request.frames)
-                self.metrics.count_append_error(request.tenant)
+                self.metrics.count("append_errors", request.tenant)
                 # No rejection count here: an AdmissionError from the
                 # refresh dispatch was already ledgered by the
                 # scheduler it bounced off, and the event itself was

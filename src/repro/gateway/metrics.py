@@ -2,22 +2,17 @@
 
 :class:`GatewayMetrics` is the gateway's counter/histogram registry;
 ``render()`` produces the ``text/plain; version=0.0.4`` exposition
-format served at ``GET /metrics``. The catalog (all prefixed
-``everest_gateway_`` / ``everest_service_``):
-
-* ``queries_submitted_total{tenant=}`` / ``queries_completed_total`` /
-  ``queries_failed_total`` — per-tenant query lifecycle counters;
-* ``queries_rejected_total{tenant=,reason=}`` — backpressure refusals
-  by :class:`~repro.errors.AdmissionError` reason code;
-* ``appends_total{tenant=}`` / ``append_frames_total`` /
-  ``appends_dropped_total`` — streaming ingest (the dropped counter
-  exists to be provably zero);
-* ``latency_seconds{op=,quantile=}`` + ``_count`` / ``_sum`` —
-  p50/p95/p99 summaries per operation (query end-to-end, append,
-  http request handling);
-* ``queue_depth`` / ``inflight`` gauges and the service-side
-  Phase-1 cache counters (builds/hits/warm hits → hit rate), lifted
-  from :class:`~repro.service.service.ServiceStats` at render time.
+format served at ``GET /metrics``. The catalog is stated once per
+side: the gateway's own counters are the rows of :data:`FAMILIES`
+(``everest_gateway_<family>_total``, recorded through
+:meth:`GatewayMetrics.count`), the engine-side samples
+(``everest_service_*``: queue depth, scheduler totals, Phase-1 cache
+counters and hit rate, optimizer calibration, per-tenant fairness
+charges) are whichever :class:`~repro.service.service.ServiceStats`
+fields name a metric in their metadata, lifted at render time. Between
+the two sit the ``latency_seconds{op=,quantile=}`` + ``_count`` /
+``_sum`` summaries — p50/p95/p99 per operation (query end-to-end,
+append, tick).
 
 ``parse_metrics_text()`` is the inverse the tests and the load
 benchmark reconcile against — counters exported here must equal the
@@ -26,15 +21,52 @@ load generator's ground-truth tallies exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Quantiles exported for every latency summary.
 QUANTILES = (0.5, 0.95, 0.99)
 
 #: A parsed sample: (metric name, ((label, value), ...)) -> value.
 LabelSet = Tuple[Tuple[str, str], ...]
+
+
+#: The gateway's counter families in exposition order: family ->
+#: (label names, help text), exported as
+#: ``everest_gateway_<family>_total``. A new counter is one row here
+#: and a :meth:`GatewayMetrics.count` call where the event happens.
+FAMILIES: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "queries_submitted": (("tenant",), "Queries accepted per tenant."),
+    "queries_completed": (("tenant",), "Queries completed per tenant."),
+    "queries_failed": (("tenant",), "Queries that raised per tenant."),
+    "queries_rejected": (
+        ("tenant", "reason"),
+        "Backpressure refusals per tenant and reason code."),
+    "appends": (("tenant",), "Streaming appends applied per tenant."),
+    "appends_rejected": (
+        ("tenant", "reason"),
+        "Appends refused before any frame moved, per tenant and reason "
+        "code."),
+    "append_frames": (
+        ("tenant",), "Frames revealed by appends per tenant."),
+    "append_errors": (
+        ("tenant",),
+        "Appends whose refresh pass raised (frames still applied)."),
+    # Appends accepted but whose frames did not land. The streaming
+    # append contract (DESIGN.md §7) applies every append fully before
+    # any refresh error can surface, and nothing increments this
+    # family: it is kept for wire compatibility, not as evidence.
+    "appends_dropped": (
+        ("tenant",), "Appends whose frames failed to land (invariant: 0)."),
+    # Completed queries whose end-to-end latency exceeded the
+    # gateway's slow-query threshold.
+    "slow_queries": (
+        ("tenant",),
+        "Completed queries over the slow-query latency threshold, per "
+        "tenant."),
+}
 
 
 def _escape_label(value: str) -> str:
@@ -48,6 +80,26 @@ def _format_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
+
+
+def _sample(name: str, labels, value: float) -> str:
+    """One exposition line; ``labels`` is ``(name, value)`` pairs."""
+    rendered = ",".join(
+        f'{key}="{_escape_label(str(label))}"' for key, label in labels)
+    return f"{name}{{{rendered}}} {_format_value(value)}" if rendered \
+        else f"{name} {_format_value(value)}"
+
+
+def _family(name: str, help_text: str, label_names, samples) -> List[str]:
+    """HELP, TYPE and sample lines of one counter or gauge family;
+    ``samples`` maps label-value tuples to values."""
+    kind = "counter" if name.endswith("_total") else "gauge"
+    return [
+        f"# HELP {name} {help_text}",
+        f"# TYPE {name} {kind}",
+        *(_sample(name, zip(label_names, labels), samples[labels])
+          for labels in sorted(samples)),
+    ]
 
 
 def quantile(sorted_samples: List[float], q: float) -> float:
@@ -104,56 +156,25 @@ class GatewayMetrics:
     def __init__(self, *, max_latency_samples: int = 65_536):
         self._lock = threading.Lock()
         self.max_latency_samples = max_latency_samples
-        self.submitted: Dict[str, int] = {}
-        self.completed: Dict[str, int] = {}
-        self.failed: Dict[str, int] = {}
-        self.rejected: Dict[Tuple[str, str], int] = {}
-        self.appends: Dict[str, int] = {}
-        self.appends_rejected: Dict[Tuple[str, str], int] = {}
-        self.append_frames: Dict[str, int] = {}
-        self.append_errors: Dict[str, int] = {}
-        #: Appends accepted but whose frames did not land. The
-        #: streaming append contract (DESIGN.md §7) makes every append
-        #: fully-applied before any refresh error can surface, so this
-        #: stays zero; it is exported so the invariant is checkable.
-        self.dropped_appends: Dict[str, int] = {}
-        #: Completed queries whose end-to-end latency exceeded the
-        #: gateway's slow-query threshold, per tenant.
-        self.slow_queries: Dict[str, int] = {}
+        #: family -> label values -> count.
+        self._counts: Dict[str, Dict[Tuple[str, ...], int]] = {
+            family: {} for family in FAMILIES}
         self._latency: Dict[str, LatencySummary] = {}
 
     # -- recording -----------------------------------------------------
-    def _bump(self, table: Dict, key, amount: int = 1) -> None:
+    def count(self, family: str, *labels: str, amount: int = 1) -> None:
+        """Add ``amount`` to one sample of a :data:`FAMILIES` row."""
+        if len(labels) != len(FAMILIES[family][0]):
+            raise ValueError(
+                f"{family} takes labels {FAMILIES[family][0]}, got {labels}")
         with self._lock:
-            table[key] = table.get(key, 0) + amount
-
-    def count_submitted(self, tenant: str) -> None:
-        self._bump(self.submitted, tenant)
-
-    def count_completed(self, tenant: str) -> None:
-        self._bump(self.completed, tenant)
-
-    def count_failed(self, tenant: str) -> None:
-        self._bump(self.failed, tenant)
-
-    def count_rejected(self, tenant: str, reason: str) -> None:
-        self._bump(self.rejected, (tenant, reason))
+            samples = self._counts[family]
+            samples[labels] = samples.get(labels, 0) + amount
 
     def count_append(self, tenant: str, frames: int) -> None:
-        self._bump(self.appends, tenant)
-        self._bump(self.append_frames, tenant, frames)
-
-    def count_append_error(self, tenant: str) -> None:
-        self._bump(self.append_errors, tenant)
-
-    def count_append_rejected(self, tenant: str, reason: str) -> None:
-        self._bump(self.appends_rejected, (tenant, reason))
-
-    def count_dropped_append(self, tenant: str) -> None:
-        self._bump(self.dropped_appends, tenant)
-
-    def count_slow_query(self, tenant: str) -> None:
-        self._bump(self.slow_queries, tenant)
+        """One applied append and the frames it revealed."""
+        self.count("appends", tenant)
+        self.count("append_frames", tenant, amount=frames)
 
     def observe_latency(self, op: str, seconds: float) -> None:
         with self._lock:
@@ -180,148 +201,39 @@ class GatewayMetrics:
         """
         with self._lock:
             lines: List[str] = []
-            self._counter(
-                lines, "everest_gateway_queries_submitted_total",
-                "Queries accepted per tenant.",
-                {(("tenant", t),): v for t, v in self.submitted.items()})
-            self._counter(
-                lines, "everest_gateway_queries_completed_total",
-                "Queries completed per tenant.",
-                {(("tenant", t),): v for t, v in self.completed.items()})
-            self._counter(
-                lines, "everest_gateway_queries_failed_total",
-                "Queries that raised per tenant.",
-                {(("tenant", t),): v for t, v in self.failed.items()})
-            self._counter(
-                lines, "everest_gateway_queries_rejected_total",
-                "Backpressure refusals per tenant and reason code.",
-                {(("tenant", t), ("reason", r)): v
-                 for (t, r), v in self.rejected.items()})
-            self._counter(
-                lines, "everest_gateway_appends_total",
-                "Streaming appends applied per tenant.",
-                {(("tenant", t),): v for t, v in self.appends.items()})
-            self._counter(
-                lines, "everest_gateway_appends_rejected_total",
-                "Appends refused before any frame moved, per tenant "
-                "and reason code.",
-                {(("tenant", t), ("reason", r)): v
-                 for (t, r), v in self.appends_rejected.items()})
-            self._counter(
-                lines, "everest_gateway_append_frames_total",
-                "Frames revealed by appends per tenant.",
-                {(("tenant", t),): v
-                 for t, v in self.append_frames.items()})
-            self._counter(
-                lines, "everest_gateway_append_errors_total",
-                "Appends whose refresh pass raised (frames still "
-                "applied).",
-                {(("tenant", t),): v
-                 for t, v in self.append_errors.items()})
-            self._counter(
-                lines, "everest_gateway_appends_dropped_total",
-                "Appends whose frames failed to land (invariant: 0).",
-                {(("tenant", t),): v
-                 for t, v in self.dropped_appends.items()})
-            self._counter(
-                lines, "everest_gateway_slow_queries_total",
-                "Completed queries over the slow-query latency "
-                "threshold, per tenant.",
-                {(("tenant", t),): v
-                 for t, v in self.slow_queries.items()})
+            for family, (label_names, help_text) in FAMILIES.items():
+                lines += _family(
+                    f"everest_gateway_{family}_total", help_text,
+                    label_names, self._counts[family])
+            name = "everest_gateway_latency_seconds"
             for op, summary in sorted(self._latency.items()):
-                name = "everest_gateway_latency_seconds"
                 lines.append(f"# TYPE {name} summary")
-                for q, value in summary.quantiles().items():
-                    lines.append(
-                        f'{name}{{op="{_escape_label(op)}",'
-                        f'quantile="{q:g}"}} {_format_value(value)}')
+                lines.extend(
+                    _sample(name, (("op", op), ("quantile", f"{q:g}")), value)
+                    for q, value in summary.quantiles().items())
                 lines.append(
-                    f'{name}_count{{op="{_escape_label(op)}"}} '
-                    f'{summary.count}')
+                    _sample(f"{name}_count", (("op", op),), summary.count))
                 lines.append(
-                    f'{name}_sum{{op="{_escape_label(op)}"}} '
-                    f'{_format_value(summary.sum)}')
+                    _sample(f"{name}_sum", (("op", op),), summary.sum))
         if service_stats is not None:
             self._render_service(lines, service_stats)
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def _counter(
-        lines: List[str],
-        name: str,
-        help_text: str,
-        samples: Mapping[LabelSet, float],
-    ) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} counter")
-        for labels in sorted(samples):
-            rendered = ",".join(
-                f'{key}="{_escape_label(str(value))}"'
-                for key, value in labels)
-            lines.append(f"{name}{{{rendered}}} "
-                         f"{_format_value(samples[labels])}")
-
-    @staticmethod
     def _render_service(lines: List[str], stats) -> None:
-        gauges = (
-            ("everest_service_queue_depth",
-             "Queries queued but not yet running.", stats.pending),
-            ("everest_service_submitted_total",
-             "Scheduler-accepted submissions.", stats.submitted),
-            ("everest_service_completed_total",
-             "Scheduler-completed queries.", stats.completed),
-            ("everest_service_failed_total",
-             "Scheduler-failed queries.", stats.failed),
-            ("everest_service_rejected_total",
-             "Scheduler/gateway-refused submissions.", stats.rejected),
-            ("everest_service_phase1_builds_total",
-             "Distinct Phase-1 builds paid for.", stats.builds),
-            ("everest_service_phase1_hits_total",
-             "Phase-1 leases served from the shared store.", stats.hits),
-            ("everest_service_phase1_warm_hits_total",
-             "Phase-1 leases served from the warm tier.",
-             stats.warm_hits),
-            ("everest_service_phase1_hit_rate",
-             "Share of Phase-1 leases that skipped a build.",
-             stats.phase1_hit_rate),
-            ("everest_service_score_cache_entries",
-             "Frames resident in shared score caches.",
-             stats.cached_scores),
-            ("everest_service_phase1_build_seconds",
-             "Simulated seconds paid across every Phase-1 build, "
-             "including rebuilds of evicted keys.",
-             stats.build_seconds),
-            ("everest_service_planned_total",
-             "Queries submitted through an optimizer WorkloadPlan.",
-             stats.planned),
-            ("everest_service_calibration_observed_total",
-             "Completed queries with an estimated-vs-actual cost pair.",
-             stats.calibration_observed),
-            ("everest_service_estimated_cost_seconds",
-             "Sum of optimizer-predicted Phase-2 ledger seconds.",
-             stats.estimated_seconds),
-            ("everest_service_actual_cost_seconds",
-             "Sum of actual Phase-2 ledger seconds over the same "
-             "queries.", stats.actual_seconds),
-            ("everest_service_calibration_error",
-             "Mean |estimated - actual| / actual over observed "
-             "queries.", stats.calibration_error),
-        )
-        for name, help_text, value in gauges:
-            kind = "counter" if name.endswith("_total") else "gauge"
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name} {_format_value(value)}")
-        lines.append(
-            "# HELP everest_service_tenant_charge_seconds "
-            "Accumulated fairness charge per tenant (oracle seconds).")
-        lines.append("# TYPE everest_service_tenant_charge_seconds gauge")
-        for tenant in sorted(stats.tenants):
-            lines.append(
-                f'everest_service_tenant_charge_seconds'
-                f'{{tenant="{_escape_label(tenant)}"}} '
-                f'{_format_value(stats.tenants[tenant])}')
+        """The ``ServiceStats`` fields that name a metric, by slot."""
+        exported = sorted(
+            (f for f in dataclasses.fields(stats) if "metric" in f.metadata),
+            key=lambda f: f.metadata["slot"])
+        for exported_field in exported:
+            value = getattr(stats, exported_field.name)
+            per_tenant = isinstance(value, dict)
+            lines += _family(
+                exported_field.metadata["metric"],
+                exported_field.metadata["help"],
+                ("tenant",) if per_tenant else (),
+                {(tenant,): charge for tenant, charge in value.items()}
+                if per_tenant else {(): value})
 
 
 def parse_metrics_text(text: str) -> Dict[Tuple[str, LabelSet], float]:

@@ -71,6 +71,31 @@ def _parse_positive_int(body: Dict, key: str, default=None):
     return int(value)
 
 
+def _parse_spec(body: Dict) -> QuerySpec:
+    raw_spec = body.get("spec")
+    if raw_spec is None:
+        raise ConfigurationError("request is missing 'spec'")
+    return parse_query_spec(raw_spec)
+
+
+def _parse_guarantee(body: Dict) -> float:
+    guarantee = body.get("guarantee", 0.9)
+    if isinstance(guarantee, bool) or \
+            not isinstance(guarantee, numbers.Real) or \
+            not 0.0 < float(guarantee) <= 1.0:
+        raise ConfigurationError(
+            f"guarantee must be a number in (0, 1], got {guarantee!r}")
+    return float(guarantee)
+
+
+def _parse_stream_id(body: Dict) -> str:
+    stream_id = body.get("stream")
+    if not isinstance(stream_id, str) or not stream_id.strip():
+        raise ConfigurationError(
+            f"stream must be a non-empty string id, got {stream_id!r}")
+    return stream_id.strip()
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """A validated ``POST /query`` body."""
@@ -92,18 +117,9 @@ class QueryRequest:
     def from_body(cls, body) -> "QueryRequest":
         body = _require_mapping(body)
         _no_unknown_fields(body, cls.FIELDS)
-        raw_spec = body.get("spec")
-        if raw_spec is None:
-            raise ConfigurationError("request is missing 'spec'")
-        spec = parse_query_spec(raw_spec)
-
+        spec = _parse_spec(body)
         k = _parse_positive_int(body, "k", 50)
-        guarantee = body.get("guarantee", 0.9)
-        if isinstance(guarantee, bool) or \
-                not isinstance(guarantee, numbers.Real) or \
-                not 0.0 < float(guarantee) <= 1.0:
-            raise ConfigurationError(
-                f"guarantee must be a number in (0, 1], got {guarantee!r}")
+        guarantee = _parse_guarantee(body)
 
         window_size = _parse_positive_int(body, "window")
         window_step = body.get("window_step")
@@ -133,7 +149,7 @@ class QueryRequest:
             spec=spec,
             spec_string=spec.canonical(),
             k=k,
-            guarantee=float(guarantee),
+            guarantee=guarantee,
             window_size=window_size,
             window_step=window_step,
             oracle_budget=_parse_positive_int(body, "oracle_budget"),
@@ -180,29 +196,18 @@ class StreamRequest:
     def from_body(cls, body) -> "StreamRequest":
         body = _require_mapping(body)
         _no_unknown_fields(body, cls.FIELDS)
-        stream_id = body.get("stream")
-        if not isinstance(stream_id, str) or not stream_id.strip():
-            raise ConfigurationError(
-                f"stream must be a non-empty string id, got {stream_id!r}")
-        raw_spec = body.get("spec")
-        if raw_spec is None:
-            raise ConfigurationError("request is missing 'spec'")
-        spec = parse_query_spec(raw_spec)
+        stream_id = _parse_stream_id(body)
+        spec = _parse_spec(body)
         if spec.kind != "video":
             raise ConfigurationError(
                 f"streams need a 'udf/video' spec, got corpus spec "
-                f"{raw_spec!r}")
+                f"{body['spec']!r}")
         initial = _parse_positive_int(body, "initial_frames")
         if initial is None:
             raise ConfigurationError(
                 "request is missing 'initial_frames' (the bootstrap "
                 "segment Phase 1 trains on)")
-        guarantee = body.get("guarantee", 0.9)
-        if isinstance(guarantee, bool) or \
-                not isinstance(guarantee, numbers.Real) or \
-                not 0.0 < float(guarantee) <= 1.0:
-            raise ConfigurationError(
-                f"guarantee must be a number in (0, 1], got {guarantee!r}")
+        guarantee = _parse_guarantee(body)
         window = body.get("window")
         if window is not None:
             if isinstance(window, bool) or \
@@ -223,19 +228,24 @@ class StreamRequest:
             window = spec.window_seconds
         return cls(
             tenant=parse_tenant(body),
-            stream_id=stream_id.strip(),
+            stream_id=stream_id,
             spec=spec,
             spec_string=spec.canonical(),
             initial_frames=initial,
             k=_parse_positive_int(body, "k", 10),
-            guarantee=float(guarantee),
+            guarantee=guarantee,
             window_seconds=window,
         )
 
 
 @dataclass(frozen=True)
-class AppendRequest:
-    """A validated ``POST /append`` body."""
+class EventRequest:
+    """A validated ``POST /append`` or ``POST /tick`` body.
+
+    Both are one event on one stream, ``frames`` long: frames revealed
+    (append) or stream-clock frames elapsed (tick, on a windowed
+    stream). Which one is the route's business, not the body's.
+    """
 
     tenant: str
     stream_id: str
@@ -244,49 +254,15 @@ class AppendRequest:
     FIELDS = ("tenant", "stream", "frames")
 
     @classmethod
-    def from_body(cls, body) -> "AppendRequest":
+    def from_body(cls, body, meaning: str) -> "EventRequest":
+        """``meaning`` says what ``frames`` counts on the calling
+        route — the hint a body without the field is answered with."""
         body = _require_mapping(body)
         _no_unknown_fields(body, cls.FIELDS)
-        stream_id = body.get("stream")
-        if not isinstance(stream_id, str) or not stream_id.strip():
-            raise ConfigurationError(
-                f"stream must be a non-empty string id, got {stream_id!r}")
+        stream_id = _parse_stream_id(body)
         frames = _parse_positive_int(body, "frames")
         if frames is None:
             raise ConfigurationError(
-                "request is missing 'frames' (how many to reveal)")
+                f"request is missing 'frames' ({meaning})")
         return cls(
-            tenant=parse_tenant(body),
-            stream_id=stream_id.strip(),
-            frames=frames,
-        )
-
-
-@dataclass(frozen=True)
-class TickRequest:
-    """A validated ``POST /tick`` body (expiry on a windowed stream)."""
-
-    tenant: str
-    stream_id: str
-    frames: int
-
-    FIELDS = ("tenant", "stream", "frames")
-
-    @classmethod
-    def from_body(cls, body) -> "TickRequest":
-        body = _require_mapping(body)
-        _no_unknown_fields(body, cls.FIELDS)
-        stream_id = body.get("stream")
-        if not isinstance(stream_id, str) or not stream_id.strip():
-            raise ConfigurationError(
-                f"stream must be a non-empty string id, got {stream_id!r}")
-        frames = _parse_positive_int(body, "frames")
-        if frames is None:
-            raise ConfigurationError(
-                "request is missing 'frames' (how far to advance the "
-                "stream clock)")
-        return cls(
-            tenant=parse_tenant(body),
-            stream_id=stream_id.strip(),
-            frames=frames,
-        )
+            tenant=parse_tenant(body), stream_id=stream_id, frames=frames)

@@ -27,7 +27,7 @@ that while gating the cost margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api.plan import QueryPlan
 from ..api.query import Query
@@ -105,14 +105,18 @@ class WorkloadPlanner:
         queries: Sequence,
         *,
         session: Optional[Session] = None,
-        pool_available: bool = False,
+        lane: Callable[[Session], str] = lambda session: "inline",
     ) -> WorkloadPlan:
         """Plan a set of pending submissions.
 
         ``queries`` holds fluent :class:`~repro.api.query.Query`
         objects (session implied) or compiled
         :class:`~repro.api.plan.QueryPlan` objects (pass ``session=``,
-        exactly like ``QueryService.submit``).
+        exactly like ``QueryService.submit``). ``lane`` is the
+        executing service's lane rule (``QueryService._lane``): the
+        planner may only choose the process lane for a session the
+        service would actually ship, so the plan it explains is the
+        plan that runs.
         """
         resolved = [
             self._resolve(index, query, session)
@@ -144,7 +148,7 @@ class WorkloadPlanner:
                         digest=artifact_digest(artifact),
                         warm=already_warm,
                         cache_coverage=coverage,
-                        pool_available=pool_available,
+                        pool_available=lane(qsession) != "inline",
                     ),
                     artifact=artifact,
                 )
@@ -167,7 +171,7 @@ class WorkloadPlanner:
                         digest=p.digest,
                         warm=True,
                         cache_coverage=coverage,
-                        pool_available=pool_available,
+                        pool_available=lane(p.session) != "inline",
                     ),
                     artifact=artifact,
                 )

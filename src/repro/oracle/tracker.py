@@ -27,10 +27,6 @@ class Track:
     last_frame: int = -1
 
     @property
-    def first_frame(self) -> int:
-        return min(self.boxes) if self.boxes else -1
-
-    @property
     def length(self) -> int:
         return len(self.boxes)
 
@@ -103,7 +99,3 @@ class IoUTracker:
 
         assignments.sort(key=lambda pair: pair[0])
         return assignments
-
-    @property
-    def num_tracks(self) -> int:
-        return len(self.tracks)

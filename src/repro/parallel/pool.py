@@ -143,6 +143,11 @@ class PersistentPool:
         self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
+        #: Executors dropped because a worker of theirs died. Whatever
+        #: a caller believes the *workers* hold (memoized handles, the
+        #: score-cache entries it shipped them) is true only while this
+        #: number stands still.
+        self.restarts = 0
 
     def submit(self, fn, /, *args, **kwargs):
         """Schedule ``fn(*args, **kwargs)`` on the pool (starts lazily).
@@ -153,16 +158,21 @@ class PersistentPool:
         refuses new work for good. Such an executor is dropped here
         and the task goes to a fresh one — nothing of it had run.
         """
+        return self._submit(fn, args, kwargs)[0]
+
+    def _submit(self, fn, args, kwargs):
+        """``(future, restarts at the time its executor took it)``."""
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("process pool is shut down")
             if self._executor is not None:
                 try:
-                    return self._executor.submit(fn, *args, **kwargs)
+                    return (self._executor.submit(fn, *args, **kwargs),
+                            self.restarts)
                 except BrokenProcessPool:
-                    pass
+                    self.restarts += 1
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            return self._executor.submit(fn, *args, **kwargs)
+            return self._executor.submit(fn, *args, **kwargs), self.restarts
 
     def map(self, fn, *iterables) -> list:
         """``fn`` over the zipped ``iterables``; results in task order.
@@ -176,26 +186,32 @@ class PersistentPool:
         A worker dying under the gather raises a
         :class:`~repro.errors.ServiceError` chaining the
         ``BrokenProcessPool`` — the one translation of a dead worker:
-        nothing was recorded and the pool restarts on its next task, so
-        the caller may resubmit. (:meth:`submit` keeps the raw error.)
+        nothing was recorded, the broken executor is dropped on the
+        spot (so :attr:`restarts` has moved by the time the caller
+        sees the error) and the pool restarts on its next task, so the
+        caller may resubmit. (:meth:`submit` keeps the raw error.)
         """
-        futures = []
+        submitted = []
         try:
             for args in zip(*iterables):
-                futures.append(self.submit(fn, *args))
-            for future in futures:
+                submitted.append(self._submit(fn, args, {}))
+            for future, restarts in submitted:
                 error = future.exception()
                 if isinstance(error, BrokenProcessPool):
+                    with self._lock:
+                        if self.restarts == restarts:
+                            self._executor = None
+                            self.restarts += 1
                     raise ServiceError(
                         "a pool worker died while the tasks were in "
                         "flight; nothing was recorded, resubmit") from error
                 if error is not None:
                     raise error
         except BaseException:
-            for future in futures:
+            for future, _ in submitted:
                 future.cancel()
             raise
-        return [future.result() for future in futures]
+        return [future.result() for future, _ in submitted]
 
     def shutdown(self, *, wait: bool = True) -> None:
         with self._lock:

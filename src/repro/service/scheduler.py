@@ -300,22 +300,39 @@ class FairScheduler:
         with self._lock:
             self._count_rejection(tenant, reason)
 
+    def snapshot(self) -> Dict[str, object]:
+        """Every counter and per-tenant ledger, read at one instant.
+
+        One lock acquisition for the lot, so the counters of a snapshot
+        agree with each other (``completed + failed + pending <=
+        submitted``) however many workers are finishing batches. Keys
+        are the :class:`~repro.service.service.ServiceStats` fields
+        the scheduler owns.
+        """
+        with self._lock:
+            return {
+                "submitted": self.submitted,
+                "completed": self.completed,
+                "failed": self.failed,
+                "rejected": self.rejected,
+                "pending": self._pending,
+                "tenants": dict(self._charged),
+                "rejections": {
+                    tenant: dict(reasons)
+                    for tenant, reasons in self._rejections.items()
+                },
+            }
+
     def charges(self) -> Dict[str, float]:
         """Accumulated fairness charge per tenant (oracle seconds)."""
-        with self._lock:
-            return dict(self._charged)
+        return self.snapshot()["tenants"]
 
     def rejections(self) -> Dict[str, Dict[str, int]]:
         """Refused submissions per tenant, keyed by reason code."""
-        with self._lock:
-            return {
-                tenant: dict(reasons)
-                for tenant, reasons in self._rejections.items()
-            }
+        return self.snapshot()["rejections"]
 
     def pending(self) -> int:
-        with self._lock:
-            return self._pending
+        return self.snapshot()["pending"]
 
     # ------------------------------------------------------------------
     def _next_batch(self) -> Optional[List[Job]]:

@@ -39,6 +39,7 @@ import itertools
 import json
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -56,6 +57,20 @@ from .backend import run_batch_in_pool, ship_spec
 from .scheduler import FairScheduler, JobOutcome, QueryFuture
 
 
+def _metric(slot: int, name: str, help_text: str) -> Dict[str, object]:
+    """Field metadata that makes a :class:`ServiceStats` field a
+    ``/metrics`` sample (``everest_service_<name>``).
+
+    The counter catalog (DESIGN.md §10): a field names its own metric
+    and help text and ``GatewayMetrics`` renders whatever fields carry
+    them, so a new exported counter is one field here and nothing
+    anywhere else. ``slot`` is its place in the exposition, whose
+    order is wire format.
+    """
+    return {"slot": slot, "metric": f"everest_service_{name}",
+            "help": help_text}
+
+
 @dataclass
 class ServiceStats:
     """A typed snapshot of service health counters.
@@ -68,60 +83,88 @@ class ServiceStats:
     ``stats["builds"]`` access is kept for existing callers.
     """
 
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
+    submitted: int = field(default=0, metadata=_metric(
+        2, "submitted_total", "Scheduler-accepted submissions."))
+    completed: int = field(default=0, metadata=_metric(
+        3, "completed_total", "Scheduler-completed queries."))
+    failed: int = field(default=0, metadata=_metric(
+        4, "failed_total", "Scheduler-failed queries."))
     #: Refused submissions (admission control / closed service).
-    rejected: int = 0
-    pending: int = 0
+    rejected: int = field(default=0, metadata=_metric(
+        5, "rejected_total", "Scheduler/gateway-refused submissions."))
+    pending: int = field(default=0, metadata=_metric(
+        1, "queue_depth", "Queries queued but not yet running."))
     workers: int = 0
     use_processes: bool = False
     # Shared-artifact layer (ArtifactStats plus registry sizes).
-    builds: int = 0
-    hits: int = 0
+    builds: int = field(default=0, metadata=_metric(
+        6, "phase1_builds_total", "Distinct Phase-1 builds paid for."))
+    hits: int = field(default=0, metadata=_metric(
+        7, "phase1_hits_total",
+        "Phase-1 leases served from the shared store."))
     single_flight_waits: int = 0
-    warm_hits: int = 0
+    warm_hits: int = field(default=0, metadata=_metric(
+        8, "phase1_warm_hits_total",
+        "Phase-1 leases served from the warm tier."))
     warm_writes: int = 0
     evictions: int = 0
     resident_entries: int = 0
     score_cache_groups: int = 0
-    cached_scores: int = 0
+    cached_scores: int = field(default=0, metadata=_metric(
+        10, "score_cache_entries",
+        "Frames resident in shared score caches."))
     #: Simulated seconds paid across every Phase-1 build incl. rebuilds.
-    build_seconds: float = 0.0
+    build_seconds: float = field(default=0.0, metadata=_metric(
+        11, "phase1_build_seconds",
+        "Simulated seconds paid across every Phase-1 build, including "
+        "rebuilds of evicted keys."))
     # Cost-based optimizer (DESIGN.md §11).
     #: The scheduler's ordering policy: ``"fifo"`` or ``"cost"``.
     ordering: str = "fifo"
     #: Queries submitted through a WorkloadPlan (submit_plan).
-    planned: int = 0
+    planned: int = field(default=0, metadata=_metric(
+        12, "planned_total",
+        "Queries submitted through an optimizer WorkloadPlan."))
     #: Completed queries with an estimated-vs-actual calibration pair.
-    calibration_observed: int = 0
+    calibration_observed: int = field(default=0, metadata=_metric(
+        13, "calibration_observed_total",
+        "Completed queries with an estimated-vs-actual cost pair."))
     #: Sum of predicted Phase-2 ledger seconds over observed queries.
-    estimated_seconds: float = 0.0
+    estimated_seconds: float = field(default=0.0, metadata=_metric(
+        14, "estimated_cost_seconds",
+        "Sum of optimizer-predicted Phase-2 ledger seconds."))
     #: Sum of actual Phase-2 ledger seconds over the same queries.
-    actual_seconds: float = 0.0
+    actual_seconds: float = field(default=0.0, metadata=_metric(
+        15, "actual_cost_seconds",
+        "Sum of actual Phase-2 ledger seconds over the same queries."))
     #: Mean |estimated - actual| / actual over observed queries.
-    calibration_error: float = 0.0
-    #: tenant -> accumulated fairness charge (oracle seconds).
-    tenants: Dict[str, float] = field(default_factory=dict)
+    calibration_error: float = field(default=0.0, metadata=_metric(
+        16, "calibration_error",
+        "Mean |estimated - actual| / actual over observed queries."))
+    #: tenant -> accumulated fairness charge (oracle seconds); one
+    #: sample per tenant.
+    tenants: Dict[str, float] = field(default_factory=dict, metadata=_metric(
+        17, "tenant_charge_seconds",
+        "Accumulated fairness charge per tenant (oracle seconds)."))
     #: tenant -> reason code -> refused submissions.
     rejections: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Summaries of the most recently completed traces, newest first
     #: (empty with the no-op tracer). See DESIGN.md §12.
     recent_traces: List[Dict[str, object]] = field(default_factory=list)
+    #: Fraction of Phase-1 leases served from the shared store
+    #: (derived from the three counters above it in the exposition).
+    phase1_hit_rate: float = field(init=False, metadata=_metric(
+        9, "phase1_hit_rate",
+        "Share of Phase-1 leases that skipped a build."))
 
-    @property
-    def phase1_hit_rate(self) -> float:
-        """Fraction of Phase-1 leases served from the shared store."""
+    def __post_init__(self):
         served = self.hits + self.builds + self.warm_hits
-        if served == 0:
-            return 0.0
-        return (self.hits + self.warm_hits) / served
+        self.phase1_hit_rate = \
+            (self.hits + self.warm_hits) / served if served else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         """A JSON-safe dict (nested tenant maps copied)."""
-        data = dataclasses.asdict(self)
-        data["phase1_hit_rate"] = self.phase1_hit_rate
-        return data
+        return dataclasses.asdict(self)
 
     def to_json(self, **dumps_kwargs) -> str:
         """Serialize the snapshot to a JSON string."""
@@ -156,34 +199,38 @@ class QueryOutcome:
 
 
 @dataclass(frozen=True)
-class _QueryTask:
-    """Scheduler payload for one submitted plan."""
+class _Job:
+    """The one scheduler payload: ``work`` to run against ``target``.
 
-    session: Session
-    plan: QueryPlan
+    Three kinds of work share it — and everything in the service but
+    one execute function each: a compiled
+    :class:`~repro.api.plan.QueryPlan` on a session, a
+    :class:`~repro.corpus.query.CorpusQuery` on its corpus, and a
+    stream's refresh pass (a zero-argument callable returning
+    ``(reports, fresh confirmations, first error)``) on the stream.
+    """
+
+    target: object
+    work: object
     tenant: str
-    seq: int
-    #: The query's :class:`~repro.trace.Trace` (None when tracing off).
+    #: Submission order (ties ledger merging to a canonical order);
+    #: ``None`` for a refresh pass, which is not a submission.
+    seq: Optional[int]
+    #: The job's :class:`~repro.trace.Trace` (None when tracing off).
     trace: object = None
 
 
-@dataclass(frozen=True)
-class _StreamTask:
-    """Scheduler payload for one streaming append's refresh pass."""
+class _Remote:
+    """What the pool's workers hold for one (session, phase-1 key)."""
 
-    refresh: object  # zero-arg callable -> (reports, fresh, first error)
-    session: object
-    trace: object = None
-
-
-@dataclass(frozen=True)
-class _CorpusTask:
-    """Scheduler payload for one federated corpus query."""
-
-    query: object  # repro.corpus.query.CorpusQuery
-    tenant: str
-    seq: int
-    trace: object = None
+    def __init__(self, spec, restarts: int):
+        #: The shipped session spec (pickled once, see ``Shipped``).
+        self.spec = spec
+        #: Score-cache frame ids already sent for it, so each batch
+        #: carries only the delta.
+        self.shipped: set = set()
+        #: ``pool.restarts`` when ``shipped`` was last true.
+        self.restarts = restarts
 
 
 class QueryService:
@@ -242,13 +289,13 @@ class QueryService:
         self._lock = threading.Lock()
         self._submit_seq = itertools.count()
         self._outcomes: List[QueryOutcome] = []
-        self._sessions: Dict[int, Session] = {}
-        #: (session, phase1_key) -> (shipped session spec, frame ids
-        #: already sent to the pool for it — so each batch carries
-        #: only the score-cache delta).
-        self._remote_specs: Dict[tuple, tuple] = {}
-        #: Pool shard-scoring backends, one per submitted corpus.
-        self._corpus_backends: Dict[int, object] = {}
+        #: What the pool holds for a target, dropped with the target:
+        #: ``{phase1_key: _Remote}`` for a session, ``{None: shard
+        #: backend}`` for a corpus. The service keeps no session alive
+        #: — the artifact LRU bounds its memory, not its history.
+        self._pool_state = weakref.WeakKeyDictionary()
+        #: Attached streams, for :meth:`close` to detach.
+        self._streams = weakref.WeakSet()
         self._closed = False
         self._planned = 0
         # The cost estimator calibrates online from completed queries;
@@ -314,8 +361,6 @@ class QueryService:
         group = group_key(session.video, session.scoring)
         session.bind_service(
             self.artifacts, self.artifacts.score_cache(group))
-        with self._lock:
-            self._sessions[id(session)] = session
         return session
 
     def open_stream(
@@ -374,15 +419,15 @@ class QueryService:
         stream.share_inference_cache(self.artifacts.block_cache(artifact))
 
         def dispatch(refresh):
+            job = _Job(target=stream, work=refresh, tenant=tenant, seq=None)
             return self._enqueue(
-                _StreamTask(refresh=refresh, session=stream),
-                "stream_refresh", tenant, None,
+                job, "stream_refresh", None,
                 video=stream.video.name, udf=stream.scoring.name,
             ).result()
 
         stream.refresh_dispatcher = dispatch
         with self._lock:
-            self._sessions[id(stream)] = stream
+            self._streams.add(stream)
         return stream
 
     # ------------------------------------------------------------------
@@ -394,24 +439,22 @@ class QueryService:
     # root span. All of it no-ops (trace is None) with the null tracer.
     # ------------------------------------------------------------------
     def _enqueue(
-        self, task, name: str, tenant: str, batch_key, **attrs
+        self, job: _Job, name: str, batch_key, **attrs
     ) -> QueryFuture:
-        """Hand ``task`` to the scheduler under a new ``name`` trace."""
-        tracer = self.tracer
+        """Hand ``job`` to the scheduler under a new ``name`` trace."""
+        tracer, tenant = self.tracer, job.tenant
         trace = tracer.begin(name, tenant=tenant, **attrs)
         if trace is None:
             return self._scheduler.submit(
-                task, tenant=tenant, batch_key=batch_key)
-        task = dataclasses.replace(task, trace=trace)
+                job, tenant=tenant, batch_key=batch_key)
+        job = dataclasses.replace(job, trace=trace)
         admission = trace.start_span("admission", category="scheduler")
         try:
             future = self._scheduler.submit(
-                task, tenant=tenant, batch_key=batch_key)
+                job, tenant=tenant, batch_key=batch_key)
         except BaseException as error:  # noqa: BLE001 - re-raised
             # The scheduler refused the request (admission / closed).
-            status = f"error:{type(error).__name__}"
-            admission.finish(status=status)
-            tracer.finish(trace, status=status)
+            tracer.finish(trace, status=f"error:{type(error).__name__}")
             raise
         # The request was queued: admission over, queue wait begins.
         admission.finish()
@@ -419,6 +462,8 @@ class QueryService:
         future.trace_id = trace.trace_id
 
         def _finish(done_future: QueryFuture) -> None:
+            # Also where a failure closes its spans: Trace.finish
+            # closes whatever is still open under the error status.
             error = done_future._error
             tracer.finish(
                 trace,
@@ -429,9 +474,9 @@ class QueryService:
         return future
 
     @staticmethod
-    def _trace_pickup(task, **attrs):
-        """Close the task's queue wait, open its execute span (or None)."""
-        trace = task.trace
+    def _pickup(job: _Job, **attrs):
+        """Close the job's queue wait, open its execute span (or None)."""
+        trace = job.trace
         if trace is None:
             return None
         trace.close_open("queue_wait")
@@ -487,13 +532,11 @@ class QueryService:
         # wires them in explicitly).
         if session.artifacts is None and not session.live:
             self.adopt_session(session)
-        with self._lock:
-            self._sessions.setdefault(id(session), session)
-        task = _QueryTask(
-            session=session, plan=plan, tenant=tenant,
+        job = _Job(
+            target=session, work=plan, tenant=tenant,
             seq=next(self._submit_seq))
         return self._enqueue(
-            task, "query", tenant, (id(session), phase1_key(plan.config)),
+            job, "query", (session, phase1_key(plan.config)),
             video=plan.video_name, udf=plan.udf_name,
             k=plan.k, thres=plan.thres)
 
@@ -514,79 +557,12 @@ class QueryService:
                 self.adopt_session(member.session)
         if not query._deterministic_timing:
             query = dataclasses.replace(query, _deterministic_timing=True)
-        task = _CorpusTask(
-            query=query, tenant=tenant, seq=next(self._submit_seq))
-        with self._lock:
-            self._sessions.setdefault(id(corpus), corpus)
+        job = _Job(
+            target=corpus, work=query, tenant=tenant,
+            seq=next(self._submit_seq))
         return self._enqueue(
-            task, "corpus_query", tenant, None,
+            job, "corpus_query", None,
             shards=len(corpus.members), udf=corpus.scoring.name)
-
-    def _corpus_backend(self, corpus):
-        """The shard-scoring backend for this service's lane.
-
-        Streaming members pin the inline backend for the same reason
-        plain streaming submissions never ship to the pool: the pool
-        memoizes a pickled snapshot of each member's video per worker,
-        and a stream's watermark advances between appends — a worker
-        would score against a stale (shorter) copy while the inline
-        backend reads the live view.
-        """
-        if self._pool is None or \
-                any(member.streaming for member in corpus.members):
-            return None  # FederatedTopK builds its own thread backend
-        from ..corpus.federated import PoolShardBackend
-
-        with self._lock:
-            backend = self._corpus_backends.get(id(corpus))
-            if backend is None:
-                backend = PoolShardBackend(
-                    self._pool,
-                    [member.video for member in corpus.members],
-                    corpus.scoring,
-                )
-                self._corpus_backends[id(corpus)] = backend
-        return backend
-
-    def _run_corpus(self, task: "_CorpusTask") -> JobOutcome:
-        from ..corpus.federated import FederatedTopK
-
-        query = task.query
-        exec_span = self._trace_pickup(
-            task, lane="process" if self._pool is not None else "inline")
-        try:
-            with activate(exec_span):
-                engine = FederatedTopK(
-                    query.corpus,
-                    shard_workers=self.workers,
-                    backend=self._corpus_backend(query.corpus),
-                )
-                outcome = engine.execute_detailed(
-                    query.plan(),
-                    shard_budgets=query._shard_budget_list(),
-                )
-        except BaseException as error:  # noqa: BLE001 - to the future
-            if exec_span is not None:
-                exec_span.finish(status=f"error:{type(error).__name__}")
-            return JobOutcome(error=error)
-        record = QueryOutcome(
-            tenant=task.tenant,
-            report=outcome.report,
-            phase2_cost=outcome.phase2_cost,
-            fresh_confirm_calls=outcome.fresh_confirm_calls,
-            seq=task.seq,
-        )
-        with self._lock:
-            self._outcomes.append(record)
-        if exec_span is not None:
-            exec_span.set(
-                fresh_confirm_calls=outcome.fresh_confirm_calls,
-                sim_seconds_total=outcome.phase2_cost.total_seconds(),
-            ).finish()
-        return JobOutcome(
-            value=outcome.report,
-            charge=outcome.phase2_cost.seconds("oracle_confirm"),
-        )
 
     def submit_many(
         self,
@@ -643,8 +619,7 @@ class QueryService:
         from ..optimizer import WorkloadPlanner
 
         planner = WorkloadPlanner(self.estimator(), artifacts=self.artifacts)
-        return planner.plan(
-            queries, session=session, pool_available=self._pool is not None)
+        return planner.plan(queries, session=session, lane=self._lane)
 
     def submit_plan(
         self,
@@ -680,234 +655,266 @@ class QueryService:
         coverage = 0.0
         if cache is not None and plan.num_tuples > 0:
             coverage = min(1.0, len(cache) / plan.num_tuples)
-        pool_ok = self._pool is not None and not session.live
         return self._estimator.predict(
             plan,
             group=group,
             digest=artifact_digest(artifact),
             warm=warm,
             cache_coverage=coverage,
-            pool_available=pool_ok,
+            pool_available=self._lane(session) != "inline",
         )
 
-    def _task_cost(self, payload) -> float:
+    def _task_cost(self, job: _Job) -> float:
         """The scheduler policy's pricing hook (physical seconds).
 
         Stream refreshes and corpus jobs price as 0.0 — they keep
         plain FIFO semantics within their tenant.
         """
-        if not isinstance(payload, _QueryTask) or self._estimator is None:
+        if not isinstance(job.work, QueryPlan) or self._estimator is None:
             return 0.0
-        return self._predict(
-            payload.session, payload.plan).physical_seconds
+        return self._predict(job.target, job.work).physical_seconds
 
     # ------------------------------------------------------------------
-    # Execution (called on scheduler worker threads)
+    # Execution (called on scheduler worker threads): every job is
+    # picked up, executed by its kind's function, and settled.
     # ------------------------------------------------------------------
-    def _run_batch(self, payloads) -> List[JobOutcome]:
-        first = payloads[0]
-        if isinstance(first, _StreamTask):
-            # Stream refreshes are submitted with batch_key=None, so
-            # they arrive one per batch.
-            return [self._run_stream(task) for task in payloads]
-        if isinstance(first, _CorpusTask):
-            # Corpus queries likewise arrive one per batch.
-            return [self._run_corpus(task) for task in payloads]
-        return self._run_queries(list(payloads))
+    def _lane(self, target) -> str:
+        """Where work on ``target`` runs: ``"process"`` or ``"inline"``.
 
-    def _run_stream(self, task: _StreamTask) -> JobOutcome:
-        exec_span = self._trace_pickup(task, lane="inline")
-        try:
-            with activate(exec_span):
-                value = task.refresh()
-        except BaseException as error:  # noqa: BLE001 - to the future
-            if exec_span is not None:
-                exec_span.finish(status=f"error:{type(error).__name__}")
-            return JobOutcome(error=error)
-        confirm_unit = task.session.resolved_unit_costs() \
-            .get("oracle_confirm", 0.0)
+        The one statement of the lane rule. The process lane memoizes a
+        pickled snapshot of the target's video(s) per pool worker, so
+        only an immutable snapshot may ship: a closed session, or a
+        corpus with no streaming member. A stream's watermark advances
+        between appends — a worker would answer over a stale (shorter)
+        copy, and crash confirming appended frames, while the inline
+        lane reads the live view. Query batches, the corpus shard
+        backend, the execute span's ``lane``, :meth:`_predict` and the
+        workload planner all ask here; the lane never changes a report
+        byte.
+        """
+        sessions = [target] if isinstance(target, Session) \
+            else [member.session for member in target.members]
+        if self._pool is None or any(s.live for s in sessions):
+            return "inline"
+        return "process"
+
+    def _pooled(self, target, key, build):
+        """What the pool holds for ``(target, key)``, built on first use.
+
+        Lives exactly as long as ``target`` does (see ``_pool_state``).
+        """
+        with self._lock:
+            held = self._pool_state.setdefault(target, {})
+            if key not in held:
+                held[key] = build()
+            return held[key]
+
+    def _run_batch(self, jobs: Sequence[_Job]) -> List[JobOutcome]:
+        """Pick up, execute, settle — the one path every job takes.
+
+        Whatever fails the *whole* batch simply raises out of here:
+        ``FairScheduler._spread_error`` is the one place an error is
+        fanned out (a private copy per future), and each failed
+        future's done-callback finishes its trace, which closes the
+        spans the failure left open under ``error:<Type>``.
+        """
+        work = jobs[0].work
+        lane = self._lane(jobs[0].target)
+        spans = [
+            self._pickup(job, batch_size=len(jobs), lane=lane)
+            for job in jobs
+        ]
+        if isinstance(work, QueryPlan):
+            results = self._execute_queries(jobs, spans, lane)
+        else:
+            # Submitted with batch_key=None: one job per batch.
+            execute = self._execute_refresh if callable(work) \
+                else self._execute_corpus
+            results = [
+                execute(job, span, lane) for job, span in zip(jobs, spans)]
+        return [
+            self._settle(job, span, result)
+            for job, span, result in zip(jobs, spans, results)
+        ]
+
+    def _settle(self, job: _Job, span, result) -> JobOutcome:
+        """The one tail: outcome log, trace attributes, scheduler outcome.
+
+        ``result`` is what the kind's execute function produced for
+        this job: an exception (a plan that failed alone inside an
+        inline batch; its trace is closed like a whole-batch failure's)
+        or a detail carrying ``report``, ``phase2_cost`` and
+        ``fresh_confirm_calls``. A refresh pass has no ledger of its
+        own (``phase2_cost`` is None — its reports' ledgers stay with
+        the stream's subscriptions), so it logs no outcome and charges
+        its tenant the confirmations the pass physically paid.
+        """
+        if isinstance(result, BaseException):
+            return JobOutcome(error=result)
+        cost, fresh = result.phase2_cost, result.fresh_confirm_calls
+        attrs = {"fresh_confirm_calls": fresh}
+        if cost is None:
+            charge = fresh * job.target.resolved_unit_costs() \
+                .get("oracle_confirm", 0.0)
+        else:
+            charge = cost.seconds("oracle_confirm")
+            attrs["sim_seconds_total"] = total = cost.total_seconds()
+            if span is not None:
+                # Beside the estimate (when an estimator made one):
+                # per-query calibration error, readable in the export.
+                job.trace.root.set(actual_phase2_seconds=total)
+            outcome = QueryOutcome(
+                tenant=job.tenant,
+                report=result.report,
+                phase2_cost=cost,
+                fresh_confirm_calls=fresh,
+                seq=job.seq,
+            )
+            with self._lock:
+                self._outcomes.append(outcome)
+        if span is not None:
+            span.set(**attrs).finish()
+        return JobOutcome(value=result.report, charge=charge)
+
+    def _execute_refresh(self, job: _Job, span, lane) -> ExecutionDetail:
+        """One stream's refresh pass, on this thread (a stream is live,
+        so its lane is always inline: streaming state is single-process).
+        """
+        with activate(span):
+            value = job.work()
         # What the pass itself paid — not a diff of the session-wide
         # counter, which concurrent ad-hoc queries on the stream bump.
-        fresh = value[1]
-        if exec_span is not None:
-            exec_span.set(fresh_confirm_calls=fresh).finish()
-        return JobOutcome(value=value, charge=fresh * confirm_unit)
+        return ExecutionDetail(
+            report=value, phase2_cost=None, fresh_confirm_calls=value[1])
 
-    def _run_queries(self, tasks: List[_QueryTask]) -> List[JobOutcome]:
+    def _execute_corpus(self, job: _Job, span, lane):
+        """One federated query: the Phase-2 loop runs here, shard
+        scoring on ``lane`` (pool workers, or the engine's own threads).
+        """
+        from ..corpus.federated import FederatedTopK, PoolShardBackend
+
+        query, corpus = job.work, job.target
+        backend = None  # inline: FederatedTopK builds a thread backend
+        if lane != "inline":
+            backend = self._pooled(corpus, None, lambda: PoolShardBackend(
+                self._pool,
+                [member.video for member in corpus.members],
+                corpus.scoring,
+            ))
+        with activate(span):
+            return FederatedTopK(
+                corpus, shard_workers=self.workers, backend=backend,
+            ).execute_detailed(
+                query.plan(), shard_budgets=query._shard_budget_list())
+
+    def _execute_queries(self, jobs: Sequence[_Job], spans, lane) -> list:
+        """One same-artifact batch of plans; a detail or an error each."""
         from .artifacts import artifact_digest
 
-        session = tasks[0].session
-        outcomes: List[JobOutcome] = []
+        session = jobs[0].target
+        plans = [job.work for job in jobs]
         estimator = self._estimator
-        exec_spans = [
-            self._trace_pickup(task, batch_size=len(tasks))
-            for task in tasks
-        ]
         # Predict before touching the shared store: the estimator must
         # see the same warm/cold state the policy priced, so the
         # calibration pair reflects the decision actually made.
-        predictions = None
+        predictions = [None] * len(jobs)
         if estimator is not None:
             try:
                 predictions = [
-                    self._predict(task.session, task.plan)
-                    for task in tasks
-                ]
+                    self._predict(session, plan) for plan in plans]
             except Exception:  # noqa: BLE001 - prediction is advisory
-                predictions = None
+                pass
         # Phase 1 first: single-flight through the shared store (the
         # batch shares one artifact by construction of batch_key).
-        # Each lease runs under its task's execute span, so the build
+        # Each lease runs under its job's execute span, so the build
         # (or wait) lands in the paying query's trace while batchmates
         # record cache hits.
-        try:
-            entries = []
-            for task, exec_span in zip(tasks, exec_spans):
-                with activate(exec_span):
-                    entries.append(
-                        (task.plan.config,
-                         session.phase1(task.plan.config)))
-        except BaseException as error:  # noqa: BLE001 - to the futures
-            for exec_span in exec_spans:
-                if exec_span is not None:
-                    exec_span.finish(
-                        status=f"error:{type(error).__name__}")
-            return [JobOutcome(error=error) for _ in tasks]
+        entries = []
+        for plan, span in zip(plans, spans):
+            with activate(span):
+                entries.append((plan.config, session.phase1(plan.config)))
         group = group_key(session.video, session.scoring)
-        if estimator is not None and entries:
-            # One artifact per batch by construction of batch_key.
+        if estimator is not None:
             estimator.observe_build(
-                artifact_digest((group, phase1_key(tasks[0].plan.config))),
+                artifact_digest((group, phase1_key(plans[0].config))),
                 entries[0][1].cost_model,
             )
-
-        details: List[Optional[ExecutionDetail]] = []
-        errors: List[Optional[BaseException]] = []
-        # Streaming sessions always execute inline: the process lane
-        # memoizes a pickled snapshot of the session per spec, and a
-        # stream's video advances between appends — a worker would
-        # answer over a stale watermark while the inline lane answers
-        # over the live one. Batch sessions are immutable snapshots, so
-        # only they may ship. The estimator can route a batch whose
-        # predicted Phase-2 work does not clear the pool's observed
-        # overhead back inline (lane never changes report bytes).
-        use_pool = self._pool is not None and not session.live
-        if use_pool and predictions is not None:
-            use_pool = any(p.lane == "process" for p in predictions)
-        lane = "process" if use_pool else "inline"
-        traced = any(span is not None for span in exec_spans)
+        # The estimator can route a batch whose predicted Phase-2 work
+        # does not clear the pool's observed overhead back inline.
+        if predictions[0] is not None \
+                and all(p.lane == "inline" for p in predictions):
+            lane = "inline"
+            for span in spans:
+                if span is not None:
+                    span.set(lane=lane)
         started = time.perf_counter()
-        if use_pool:
-            lane_spans = [
-                None if span is None else task.trace.start_span(
-                    "lane_dispatch", category="service",
-                    parent=span, attrs={"lane": "process"})
-                for task, span in zip(tasks, exec_spans)
-            ]
-            try:
-                result = self._execute_remote(
-                    session, [task.plan for task in tasks], entries,
-                    traced=traced)
-                details = list(result.details)
-                errors = [None] * len(details)
-                # Re-parent worker-side spans under each query's
-                # lane-dispatch span (rebased to the parent clock).
-                for task, lane_span, dumps in zip(
-                        tasks, lane_spans,
-                        result.spans or [None] * len(tasks)):
-                    if lane_span is not None and dumps:
-                        task.trace.adopt(dumps, parent=lane_span)
-            except BaseException as error:  # noqa: BLE001
-                details = [None] * len(tasks)
-                errors = [error] * len(tasks)
-            finally:
-                for lane_span in lane_spans:
-                    if lane_span is not None:
-                        lane_span.finish()
-        else:
+        if lane == "inline":
             executor = QueryExecutor(session)
-            for task, exec_span in zip(tasks, exec_spans):
+            results = []
+            for plan, span in zip(plans, spans):
                 try:
-                    with activate(exec_span):
-                        details.append(
-                            executor.execute_detailed(task.plan))
-                    errors.append(None)
-                except BaseException as error:  # noqa: BLE001
-                    details.append(None)
-                    errors.append(error)
-        elapsed = time.perf_counter() - started
-        per_query_wall = elapsed / len(tasks) if tasks else 0.0
+                    with activate(span):
+                        results.append(executor.execute_detailed(plan))
+                except Exception as error:  # noqa: BLE001 - settled
+                    results.append(error)
+        else:
+            results = self._ship(jobs, spans, entries, lane)
+        per_query_wall = (time.perf_counter() - started) / len(jobs)
 
-        for index, (task, detail, error) in enumerate(
-                zip(tasks, details, errors)):
-            exec_span = exec_spans[index]
-            if error is not None or detail is None:
-                if exec_span is not None:
-                    exec_span.set(lane=lane).finish(
-                        status=f"error:{type(error).__name__}"
-                        if error is not None else "error:no-result")
-                outcomes.append(JobOutcome(
-                    error=error if error is not None
-                    else ServiceError("query produced no result")))
+        for job, detail, predicted in zip(jobs, results, predictions):
+            if isinstance(detail, BaseException):
                 continue
-            predicted = predictions[index] \
-                if predictions is not None else None
             if estimator is not None:
                 estimator.observe_query(
-                    task.plan,
+                    job.work,
                     group=group,
                     phase2_cost=detail.phase2_cost,
                     wall_seconds=per_query_wall,
                     lane=lane,
                     predicted=predicted,
                 )
-            if exec_span is not None:
-                # Estimated-vs-actual on the trace root: per-query
-                # calibration error becomes inspectable in the export
-                # (the estimate exists only under a cost estimator).
-                task.trace.root.set(
-                    actual_phase2_seconds=(
-                        detail.phase2_cost.total_seconds()))
-                if predicted is not None:
-                    task.trace.root.set(
-                        estimated_phase2_seconds=predicted.phase2_seconds,
-                        estimated_lane=predicted.lane,
-                    )
-                exec_span.set(
-                    lane=lane,
-                    sim_seconds_total=detail.phase2_cost.total_seconds(),
-                ).finish()
-            outcome = QueryOutcome(
-                tenant=task.tenant,
-                report=detail.report,
-                phase2_cost=detail.phase2_cost,
-                fresh_confirm_calls=detail.fresh_confirm_calls,
-                seq=task.seq,
-            )
-            with self._lock:
-                self._outcomes.append(outcome)
-            outcomes.append(JobOutcome(
-                value=detail.report,
-                charge=detail.phase2_cost.seconds("oracle_confirm"),
-            ))
-        return outcomes
+            if job.trace is not None and predicted is not None:
+                job.trace.root.set(
+                    estimated_phase2_seconds=predicted.phase2_seconds,
+                    estimated_lane=predicted.lane,
+                )
+        return results
 
-    def _execute_remote(self, session, plans, entries, *, traced=False):
-        key = (id(session), phase1_key(plans[0].config))
+    def _ship(self, jobs: Sequence[_Job], spans, entries, lane) -> list:
+        """Run a batch's Phase 2 in a pool worker; a detail per plan."""
+        session = jobs[0].target
+        pool = self._pool
+        remote = self._pooled(
+            session, phase1_key(jobs[0].work.config),
+            lambda: _Remote(ship_spec(session, entries), pool.restarts))
         with self._lock:
-            remote = self._remote_specs.get(key)
-            if remote is None:
-                remote = self._remote_specs[key] = (
-                    ship_spec(session, entries), set())
-        spec, shipped = remote
-        return run_batch_in_pool(
-            self._pool,
-            spec=spec,
-            plans=plans,
+            if remote.restarts != pool.restarts:
+                # The workers those frames were sent to died with their
+                # executor; its successor's start with empty caches.
+                remote.shipped.clear()
+                remote.restarts = pool.restarts
+        lane_spans = [
+            None if span is None else job.trace.start_span(
+                "lane_dispatch", category="service",
+                parent=span, attrs={"lane": lane})
+            for job, span in zip(jobs, spans)
+        ]
+        result = run_batch_in_pool(
+            pool,
+            spec=remote.spec,
+            plans=[job.work for job in jobs],
             shared_cache=session.shared_score_cache,
-            shipped=shipped,
-            traced=traced,
+            shipped=remote.shipped,
+            traced=any(span is not None for span in spans),
         )
+        # Re-parent worker-side spans under each query's lane-dispatch
+        # span (rebased to the parent clock).
+        for job, lane_span, dumps in zip(
+                jobs, lane_spans, result.spans or [None] * len(jobs)):
+            if lane_span is not None:
+                job.trace.adopt(dumps or [], parent=lane_span)
+                lane_span.finish()
+        return list(result.details)
 
     # ------------------------------------------------------------------
     # Accounting and introspection
@@ -957,7 +964,6 @@ class QueryService:
         per-tenant admission-rejection counters); mapping-style access
         keeps working for callers written against the old dict.
         """
-        snapshot = self.artifacts.snapshot()
         calibration = {}
         if self._estimator is not None:
             cal = self._estimator.calibration()
@@ -970,23 +976,14 @@ class QueryService:
         with self._lock:
             planned = self._planned
         return ServiceStats(
-            submitted=self._scheduler.submitted,
-            completed=self._scheduler.completed,
-            failed=self._scheduler.failed,
-            rejected=self._scheduler.rejected,
-            pending=self._scheduler.pending(),
+            **self._scheduler.snapshot(),
+            **self.artifacts.snapshot(),
+            **calibration,
             workers=self.workers,
             use_processes=self.use_processes,
-            tenants=self.tenant_charges(),
-            rejections=self._scheduler.rejections(),
             ordering=self.ordering,
             planned=planned,
             recent_traces=self.tracer.summaries(limit=16),
-            **calibration,
-            **{key: snapshot[key] for key in (
-                "builds", "hits", "single_flight_waits", "warm_hits",
-                "warm_writes", "evictions", "resident_entries",
-                "score_cache_groups", "cached_scores", "build_seconds")},
         )
 
     # ------------------------------------------------------------------
@@ -1014,9 +1011,8 @@ class QueryService:
             except Exception:  # noqa: BLE001 - persistence best-effort
                 pass
         with self._lock:
-            for session in self._sessions.values():
-                if getattr(session, "refresh_dispatcher", None) is not None:
-                    session.refresh_dispatcher = None
+            for stream in self._streams:
+                stream.refresh_dispatcher = None
 
     def __enter__(self) -> "QueryService":
         return self

@@ -358,7 +358,7 @@ def test_streaming_member_corpus_never_ships_to_the_pool(udf):
     the inline backend: the pool memoizes pickled member videos per
     worker, so a shipped stream would answer over a stale watermark
     (and crash confirming appended frames). Mirrors the plain-query
-    streaming pin in ``QueryService._run_queries``."""
+    streaming pin: both ask ``QueryService._lane``."""
     source = TrafficVideo("corpus-pool-live", 560, seed=57)
     stream = Session.open_stream(
         source, udf, initial_frames=360, config=CORPUS_CONFIG)
@@ -371,7 +371,7 @@ def test_streaming_member_corpus_never_ships_to_the_pool(udf):
     try:
         with QueryService(workers=2, use_processes=True) as service:
             # The lane guard itself: no pool backend for this corpus.
-            assert service._corpus_backend(corpus) is None
+            assert service._lane(corpus) == "inline"
 
             first = service.submit(query).result(240)
             stream.append(150)

@@ -37,7 +37,7 @@ from repro.gateway import (
     ResultStore,
     parse_metrics_text,
 )
-from repro.gateway.wire import AppendRequest, QueryRequest, StreamRequest
+from repro.gateway.wire import EventRequest, QueryRequest, StreamRequest
 
 VIDEO_KWARGS = {"num_frames": 500, "seed": 5}
 
@@ -238,10 +238,10 @@ class TestResultStore:
 class TestMetrics:
     def test_render_parse_round_trip(self):
         metrics = GatewayMetrics()
-        metrics.count_submitted("a")
-        metrics.count_submitted("a")
-        metrics.count_completed("a")
-        metrics.count_rejected("b", "rate")
+        metrics.count("queries_submitted", "a")
+        metrics.count("queries_submitted", "a")
+        metrics.count("queries_completed", "a")
+        metrics.count("queries_rejected", "b", "rate")
         metrics.count_append("a", 30)
         metrics.observe_latency("query", 0.5)
         metrics.observe_latency("query", 1.5)
@@ -275,7 +275,7 @@ class TestMetrics:
     def test_label_escaping_round_trips(self):
         metrics = GatewayMetrics()
         nasty = 'te"na\nt'
-        metrics.count_submitted(nasty)
+        metrics.count("queries_submitted", nasty)
         samples = parse_metrics_text(metrics.render())
         assert samples[("everest_gateway_queries_submitted_total",
                         (("tenant", nasty),))] == 1
@@ -326,15 +326,15 @@ class TestWire:
             "initial_frames": 100, "k": 5, "tenant": "bob"})
         assert stream.stream_id == "s1"
         assert stream.initial_frames == 100
-        append = AppendRequest.from_body(
-            {"stream": "s1", "frames": 30})
+        append = EventRequest.from_body(
+            {"stream": "s1", "frames": 30}, "how many to reveal")
         assert (append.stream_id, append.frames) == ("s1", 30)
         with pytest.raises(ConfigurationError):
             StreamRequest.from_body({
                 "stream": "s1", "spec": "count[car]@{a,b}",
                 "initial_frames": 100})
         with pytest.raises(ConfigurationError):
-            AppendRequest.from_body({"stream": "s1"})
+            EventRequest.from_body({"stream": "s1"}, "how many to reveal")
 
 
 # ----------------------------------------------------------------------

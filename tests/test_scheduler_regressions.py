@@ -8,7 +8,9 @@ Three bugs, each pinned by a test that fails on the pre-fix code:
   and a ``add_done_callback`` hook could miss its window.
 * A failed batch fanned one exception *instance* to every future;
   concurrent ``result()`` re-raises then mutated the shared
-  ``__traceback__`` across callers.
+  ``__traceback__`` across callers. (Fixed in the scheduler first;
+  the service's own batch path went around the fix twice — its
+  Phase-1 lease and its pool dispatch — until both simply raised.)
 * ``merge_cost_models()`` always produced a ``wall_clock=True`` model,
   so merging all-deterministic ledgers silently lost the determinism
   flag downstream folds rely on.
@@ -25,7 +27,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionError
+from repro import EverestConfig, QueryService
+from repro.errors import AdmissionError, ServiceError
+from repro.oracle import counting_udf
 from repro.oracle.cost import CostModel, merge_cost_models
 from repro.service.scheduler import (
     FairScheduler,
@@ -34,6 +38,9 @@ from repro.service.scheduler import (
     QueryFuture,
     _clone_error,
 )
+from repro.trace import Tracer
+from repro.video import TrafficVideo
+from test_service import WorkerKillingTraffic
 
 SETTINGS = settings(
     max_examples=25,
@@ -211,6 +218,99 @@ class TestBatchErrorIsolation:
 
         original = Stubborn("x")
         assert _clone_error(original) is original
+
+
+class TestServiceBatchErrorIsolation:
+    """The same contract one layer up: a *service* batch that fails as
+    a whole — in its Phase-1 lease, or in its pool dispatch — gives
+    each future its own exception, through the scheduler's one
+    fan-out."""
+
+    WAIT = 60.0
+
+    def _failed_pair(self, service, broken):
+        """Two same-artifact queries on ``broken``, queued behind a
+        busy worker so they dispatch as one batch; their exceptions."""
+        config = EverestConfig.fast()
+        primer = service.open_session(
+            TrafficVideo("primer", 300, seed=3), counting_udf("car"),
+            config=config)
+        entered, release = threading.Event(), threading.Event()
+        build = primer.phase1
+
+        def gated_phase1(config=None):
+            entered.set()
+            assert release.wait(self.WAIT)
+            return build(config)
+
+        primer.phase1 = gated_phase1
+        first = service.submit(primer.query().topk(2).guarantee(0.8))
+        assert entered.wait(self.WAIT)
+        pair = [
+            service.submit(broken.query().topk(k).guarantee(0.8))
+            for k in (2, 3)
+        ]
+        release.set()
+        errors = [future.exception(self.WAIT) for future in pair]
+        assert first.result(self.WAIT) is not None
+        assert service.stats().failed == 2
+        return pair, errors
+
+    def _assert_isolated(self, errors, kind):
+        one, other = errors
+        assert one is not other
+        assert type(one) is type(other) is kind and one.args == other.args
+        # Independent tracebacks: re-raising one leaves the other's be.
+        untouched = other.__traceback__
+        with pytest.raises(kind):
+            raise one
+        assert other.__traceback__ is untouched
+
+    def test_a_failed_phase1_lease_gives_each_future_its_own(self):
+        tracer = Tracer()
+        with QueryService(
+                workers=1, use_processes=False, tracer=tracer) as service:
+            broken = service.open_session(
+                TrafficVideo("broken", 300, seed=4), counting_udf("car"),
+                config=EverestConfig.fast())
+
+            def exploding_phase1(config=None):
+                raise RuntimeError("phase 1 exploded", 7)
+
+            broken.phase1 = exploding_phase1
+            pair, errors = self._failed_pair(service, broken)
+        self._assert_isolated(errors, RuntimeError)
+        assert errors[0].args == ("phase 1 exploded", 7)
+        # Nothing closed the failed jobs' spans by hand: finishing the
+        # trace did, under the error.
+        for future in pair:
+            trace = tracer.get(future.trace_id)
+            assert trace.finished
+            assert trace.root.status == "error:RuntimeError"
+            assert all(not span.open for span in trace.spans)
+            assert {span.status for span in trace.spans
+                    if span.name == "execute"} == {"error:RuntimeError"}
+
+    def test_a_dead_pool_worker_gives_each_future_its_own(self, tmp_path):
+        video = WorkerKillingTraffic("fused", 300, seed=5)
+        video.arm(tmp_path / "fuse")
+        tracer = Tracer()
+        with QueryService(
+                workers=1, use_processes=True, tracer=tracer) as service:
+            fused = service.open_session(
+                video, counting_udf("car"), config=EverestConfig.fast())
+            pair, errors = self._failed_pair(service, fused)
+            # Still the retryable contract: the same query again answers.
+            assert service.submit(
+                fused.query().topk(2).guarantee(0.8)
+            ).result(self.WAIT) is not None
+        self._assert_isolated(errors, ServiceError)
+        for error in errors:
+            assert type(error.__cause__).__name__ == "BrokenProcessPool"
+        for future in pair:
+            trace = tracer.get(future.trace_id)
+            assert trace.root.status == "error:ServiceError"
+            assert all(not span.open for span in trace.spans)
 
 
 class TestMergeWallClockPropagation:

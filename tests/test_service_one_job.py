@@ -1,0 +1,499 @@
+"""One job through the service, one counter catalog (DESIGN.md §8/§10).
+
+Three kinds of pins:
+
+* **Bytes frozen.** ``GET /metrics`` and ``GET /stats`` for a fixed,
+  populated gateway, and the 400 bodies of every wire validation,
+  compared against goldens under ``tests/data/`` recorded *before* the
+  request path was collapsed — exposition order, ``# HELP`` / ``# TYPE``
+  lines and number formatting included.
+* **Shape pinned.** ``service/service.py`` has one scheduler payload,
+  one place that builds a ``JobOutcome``, one statement of the lane
+  rule and no ``id()``-keyed table; ``gateway/metrics.py`` has one
+  ``count``.
+* **The defects the copies had drifted into**, each failing before the
+  collapse: the service outliving its sessions, a trace and a plan
+  naming a lane that did not run, stale ``shipped`` sets after a pool
+  restart. (The shared exception instance sits next to its scheduler
+  twin in ``test_scheduler_regressions.py``.)
+
+Regenerate the goldens after an intentional exposition change with::
+
+    REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_service_one_job.py
+"""
+
+from __future__ import annotations
+
+import ast
+import gc
+import json
+import os
+import pathlib
+import sys
+import threading
+import weakref
+
+import pytest
+
+import repro
+from repro import EverestConfig, QueryService, Session, VideoCorpus
+from repro.gateway import Gateway, GatewayConfig, QuotaPolicy
+from repro.oracle import counting_udf
+from repro.trace import NULL_TRACER, Tracer
+from repro.video import TrafficVideo
+from test_service import WorkerKillingTraffic
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(repro.__file__).resolve().parent
+WAIT = 120.0
+
+
+class FakeClock:
+    """A manually advanced monotonic clock."""
+
+    def __init__(self, now: float = 1000.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _check_golden(name: str, text: str) -> None:
+    path = GOLDEN_DIR / name
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        path.write_text(text, "utf-8")
+    assert text == path.read_text("utf-8")
+
+
+# ----------------------------------------------------------------------
+# (i) Bytes frozen.
+
+@pytest.fixture(scope="module")
+def populated():
+    """``(metrics text, stats payload)`` of one fixed busy gateway.
+
+    Real traffic where it is cheap — two tenants' queries on a
+    cost-ordered service (one build, hits, calibration pairs), a corpus
+    query, a plain and a windowed stream with an append and a tick, a
+    rate refusal on each bucket, a closed-service refusal — and direct
+    ledger entries for what only a race produces (the other two reason
+    codes, a failed query, a refresh error, a slow query), for the
+    family nothing increments, and for a tenant label the wire would
+    refuse. Every request is drained before the next, so the order of
+    every float addition is fixed.
+    """
+    service = QueryService(
+        workers=1, use_processes=False, ordering="cost",
+        tracer=NULL_TRACER)
+    config = GatewayConfig(
+        video_kwargs={"num_frames": 500, "seed": 5},
+        tenant_quotas={"bob": QuotaPolicy(rate=1.0, burst=1)},
+    )
+    gateway = Gateway(service, config=config, clock=FakeClock())
+
+    def post(path, body, expect):
+        status, payload = gateway.handle("POST", path, body)
+        assert status == expect, payload
+        assert service.drain(WAIT)
+        return payload
+
+    post("/query", {"tenant": "alice", "spec": "count[car]/traffic",
+                    "k": 3}, 202)
+    post("/query", {"tenant": "alice", "spec": "count[car]/traffic",
+                    "k": 5, "guarantee": 0.8}, 202)
+    post("/query", {"tenant": "bob", "spec": "count[car]/traffic",
+                    "k": 4}, 202)
+    post("/query", {"tenant": "bob", "spec": "count[car]/traffic",
+                    "k": 4}, 429)
+    post("/query", {"tenant": "alice",
+                    "spec": "count[car]@{traffic,dashcam}", "k": 3}, 202)
+    post("/stream", {"tenant": "dave", "stream": "s1",
+                     "spec": "count[car]/traffic", "initial_frames": 300,
+                     "k": 3}, 201)
+    post("/append", {"tenant": "dave", "stream": "s1", "frames": 60}, 200)
+    post("/stream", {"tenant": "dave", "stream": "w1",
+                     "spec": "count[car]/dashcam", "initial_frames": 300,
+                     "k": 3, "window": 8.0}, 201)
+    post("/tick", {"tenant": "dave", "stream": "w1", "frames": 30}, 200)
+    post("/append", {"tenant": "bob", "stream": "s1", "frames": 20}, 200)
+    post("/append", {"tenant": "bob", "stream": "s1", "frames": 20}, 429)
+    gateway._count_rejection("carol", "max_inflight")
+    gateway._count_rejection("carol", "max_pending")
+    metrics = gateway.metrics
+    metrics.count("queries_failed", "carol")
+    metrics.count("append_errors", "dave")
+    metrics.count("appends_dropped", "dave")
+    metrics.count("slow_queries", "alice")
+    metrics.count("queries_submitted", 'te"na\nt\\x')
+    metrics.observe_latency("query", 0.25)
+    metrics.observe_latency("query", 0.1 + 0.2)
+    metrics.observe_latency("http", 2.0)
+    service.close()
+    post("/query", {"tenant": "alice", "spec": "count[car]/traffic",
+                    "k": 3}, 503)
+    status, text = gateway.handle("GET", "/metrics")
+    assert status == 200
+    status, stats = gateway.handle("GET", "/stats")
+    assert status == 200
+    gateway.close()
+    return text, stats
+
+
+def test_metrics_exposition_is_byte_frozen(populated):
+    text, _ = populated
+    _check_golden("gateway_metrics.txt", text)
+    # The golden is only worth its bytes if the state is populated:
+    # every counter family has a sample, every reason code a refusal.
+    families = [line.split()[2] for line in text.splitlines()
+                if line.startswith("# TYPE everest_gateway_")]
+    for family in families:
+        assert any(line.startswith(family) for line in text.splitlines()
+                   if not line.startswith("#")), family
+    for reason in ("rate", "max_inflight", "max_pending", "closed"):
+        assert f'reason="{reason}"' in text
+    assert r'tenant="te\"na\nt\\x"' in text
+
+
+def test_stats_json_is_byte_frozen(populated):
+    _, stats = populated
+    assert stats["ordering"] == "cost" and stats["calibration_observed"] > 0
+    assert len(stats["tenants"]) >= 2
+    _check_golden("gateway_stats.json", json.dumps(stats, indent=1) + "\n")
+
+
+#: Every validation `gateway/wire.py` performs itself (spec grammar
+#: errors belong to the registry), one body each.
+MALFORMED = [
+    ("/query", None),
+    ("/query", {}),
+    ("/query", {"spec": "count[car]/traffic", "surprise": 1}),
+    ("/query", {"spec": "count[car]/traffic", "tenant": ""}),
+    ("/query", {"spec": "count[car]/traffic", "tenant": "x" * 129}),
+    ("/query", {"spec": "count[car]/traffic", "tenant": 'a"b'}),
+    ("/query", {"spec": "count[car]/traffic", "k": True}),
+    ("/query", {"spec": "count[car]/traffic", "k": 0}),
+    ("/query", {"spec": "count[car]/traffic", "guarantee": 1.5}),
+    ("/query", {"spec": "count[car]/traffic", "guarantee": "high"}),
+    ("/query", {"spec": "count[car]/traffic", "window_step": 0}),
+    ("/query", {"spec": "count[car]/traffic", "window_step": 2.0}),
+    ("/query", {"spec": "count[car]@{a,b}", "window": 5}),
+    ("/query", {"spec": "count[car]/traffic?window=5", "window": 5}),
+    ("/stream", []),
+    ("/stream", {"stream": "s", "initial_frames": 9}),
+    ("/stream", {"stream": " ", "spec": "count[car]/traffic",
+                 "initial_frames": 9}),
+    ("/stream", {"stream": "s", "spec": "count[car]@{a,b}",
+                 "initial_frames": 9}),
+    ("/stream", {"stream": "s", "spec": "count[car]/traffic"}),
+    ("/stream", {"stream": "s", "spec": "count[car]/traffic",
+                 "initial_frames": 9, "guarantee": 0}),
+    ("/stream", {"stream": "s", "spec": "count[car]/traffic",
+                 "initial_frames": 9, "window": -1}),
+    ("/stream", {"stream": "s", "spec": "count[car]/traffic?window=5",
+                 "initial_frames": 9, "window": 6}),
+    ("/stream", {"stream": "s", "spec": "count[car]/traffic",
+                 "initial_frames": 9, "frames": 3}),
+    ("/append", "frames"),
+    ("/append", {"stream": 7, "frames": 3}),
+    ("/append", {"stream": "s"}),
+    ("/append", {"stream": "s", "frames": 0}),
+    ("/append", {"stream": "s", "frames": 3, "k": 1}),
+    ("/tick", {"stream": "", "frames": 3}),
+    ("/tick", {"stream": "s"}),
+    ("/tick", {"stream": "s", "frames": 1.5}),
+    ("/tick", {"stream": "s", "frames": 3, "tenant": 9}),
+]
+
+
+def test_wire_refusals_are_byte_frozen():
+    with Gateway(workers=1, use_processes=False) as gateway:
+        answers = []
+        for path, body in MALFORMED:
+            status, payload = gateway.handle("POST", path, body)
+            assert status == 400, (path, body, payload)
+            answers.append({"path": path, "body": body, **payload})
+        assert gateway.service.stats().submitted == 0
+    _check_golden(
+        "gateway_wire_400.json", json.dumps(answers, indent=1) + "\n")
+
+
+# ----------------------------------------------------------------------
+# (ii) Shape pinned.
+
+def _tree(relative: str) -> ast.Module:
+    return ast.parse((SRC / relative).read_text("utf-8"))
+
+
+def _enclosing_functions(tree: ast.Module, wanted) -> set:
+    """Names of the functions containing a node ``wanted`` accepts."""
+    found = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(wanted(node) for node in ast.walk(function)):
+                found.add(function.name)
+    return found
+
+
+def _calls(name: str):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def test_service_has_one_scheduler_payload():
+    """Whatever carries a trace through the scheduler is the payload."""
+    payloads = [
+        node.name for node in _tree("service/service.py").body
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.AnnAssign) and item.target.id == "trace"
+            for item in node.body)
+    ]
+    assert payloads == ["_Job"]
+
+
+def test_service_settles_in_one_place():
+    tree = _tree("service/service.py")
+    assert _enclosing_functions(tree, _calls("JobOutcome")) == {"_settle"}
+    assert _enclosing_functions(tree, _calls("QueryOutcome")) == {"_settle"}
+
+
+def test_service_keys_nothing_by_id():
+    tree = _tree("service/service.py")
+    assert not any(_calls("id")(node) for node in ast.walk(tree))
+
+
+def test_the_process_lane_is_named_in_one_place():
+    names_it = _enclosing_functions(
+        _tree("service/service.py"),
+        lambda node: isinstance(node, ast.Constant)
+        and node.value == "process")
+    assert names_it == {"_lane"}
+
+
+def test_gateway_metrics_has_one_count():
+    counters = {
+        node.name for node in ast.walk(_tree("gateway/metrics.py"))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("count")
+    }
+    assert counters == {"count", "count_append"}
+
+
+# ----------------------------------------------------------------------
+# (iii) A snapshot's counters agree with each other.
+
+def test_every_stats_snapshot_is_consistent_under_load():
+    with QueryService(
+            workers=2, use_processes=False, max_pending=None) as service:
+        session = service.open_session(
+            TrafficVideo("snap", 300, seed=61), counting_udf("car"),
+            config=EverestConfig.fast())
+        query = session.query().topk(2).guarantee(0.8)
+        service.submit(query).result(WAIT)  # Phase 1 out of the way
+        stop, torn = threading.Event(), []
+
+        def sample():
+            while not stop.is_set():
+                stats = service.stats()
+                settled = stats.completed + stats.failed + stats.pending
+                if settled > stats.submitted:
+                    torn.append(stats.as_dict())
+
+        def submit():
+            for _ in range(50):
+                service.submit(query)
+
+        sampler = threading.Thread(target=sample)
+        submitters = [threading.Thread(target=submit) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # tear what can be torn
+        try:
+            sampler.start()
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(WAIT)
+            assert service.drain(WAIT)
+        finally:
+            stop.set()
+            sampler.join(WAIT)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (sampler, *submitters))
+        assert torn == []
+        assert service.stats().completed == 201
+
+
+# ----------------------------------------------------------------------
+# The defects.
+
+FAST = EverestConfig.fast()
+
+
+def _plan(session, k):
+    return session.query().topk(k).guarantee(0.9) \
+        .deterministic_timing().plan()
+
+
+def _live_shipped() -> int:
+    from repro.parallel.pool import Shipped
+
+    gc.collect()
+    return sum(isinstance(o, Shipped) for o in gc.get_objects())
+
+
+def test_the_service_does_not_outlive_its_sessions():
+    """``artifact_entries=1`` used to bound nothing on the process
+    lane: the service pinned every session it had seen (each pinning
+    its leased entry) and a pickled spec per session, forever."""
+    udf = counting_udf("car")
+    blobs = _live_shipped()
+    with QueryService(
+            workers=2, use_processes=True, artifact_entries=1) as service:
+        sessions = [
+            service.open_session(
+                TrafficVideo(f"gone-{i}", 300, seed=70 + i), udf,
+                config=FAST)
+            for i in range(4)
+        ]
+        for session in sessions:
+            service.submit(_plan(session, 3), session=session).result(WAIT)
+        assert _live_shipped() == blobs + 4
+        watchers = [weakref.ref(session) for session in sessions]
+        del sessions, session
+        assert _live_shipped() == blobs
+        assert [watcher() for watcher in watchers] == [None] * 4
+        stats = service.stats()
+        assert (stats.resident_entries, stats.evictions) == (1, 3)
+
+
+def test_a_held_session_keeps_what_the_pool_has_of_it(monkeypatch):
+    import repro.service.service as service_module
+
+    ships = []
+    real = service_module.run_batch_in_pool
+
+    def spy(pool, **kwargs):
+        ships.append((kwargs["spec"].key, kwargs["shipped"]))
+        return real(pool, **kwargs)
+
+    monkeypatch.setattr(service_module, "run_batch_in_pool", spy)
+    with QueryService(workers=1, use_processes=True) as service:
+        session = service.open_session(
+            TrafficVideo("held", 300, seed=81), counting_udf("car"),
+            config=FAST)
+        for k in (2, 4):
+            gc.collect()
+            service.submit(_plan(session, k), session=session).result(WAIT)
+    (first_key, first_set), (second_key, second_set) = ships
+    # Pickled once, and the second batch shipped a delta against the
+    # same frame-id set the first one filled.
+    assert first_key == second_key
+    assert first_set is second_set and len(first_set) > 0
+
+
+def test_close_detaches_attached_streams_and_nothing_else():
+    udf = counting_udf("car")
+    service = QueryService(workers=1, use_processes=False)
+    stream = service.open_stream(
+        TrafficVideo("detach", 500, seed=83), udf, initial_frames=300,
+        config=FAST)
+    adopted = service.open_session(
+        TrafficVideo("mine", 300, seed=84), udf, config=FAST)
+    mine = adopted.refresh_dispatcher = object()
+    assert stream.refresh_dispatcher is not None
+    service.close()
+    assert stream.refresh_dispatcher is None
+    assert adopted.refresh_dispatcher is mine
+
+
+def _execute_span(tracer, future):
+    trace = tracer.get(future.trace_id)
+    (execute,) = [s for s in trace.spans if s.name == "execute"]
+    return execute
+
+
+@pytest.fixture(scope="module")
+def pooled_traced():
+    """A traced process-lane service, a stream and a closed session."""
+    udf = counting_udf("car")
+    tracer = Tracer()
+    with QueryService(
+            workers=2, use_processes=True, tracer=tracer) as service:
+        stream = Session.open_stream(
+            TrafficVideo("lane-live", 500, seed=57), udf,
+            initial_frames=300, config=FAST)
+        closed = service.open_session(
+            TrafficVideo("lane-fixed", 300, seed=58), udf, config=FAST)
+        yield service, tracer, stream, closed
+
+
+def test_the_trace_names_the_lane_that_ran(pooled_traced):
+    service, tracer, stream, closed = pooled_traced
+    # A corpus with a streaming member runs inline — and says so.
+    corpus = VideoCorpus([stream, closed])
+    future = service.submit(corpus.query().topk(3).guarantee(0.85))
+    future.result(WAIT)
+    assert _execute_span(tracer, future).attrs["lane"] == "inline"
+    # So does a stream's own query; a closed session still ships.
+    for session, lane in ((stream, "inline"), (closed, "process")):
+        future = service.submit(session.query().topk(3).guarantee(0.9))
+        future.result(WAIT)
+        assert _execute_span(tracer, future).attrs["lane"] == lane
+
+
+def test_the_plan_names_the_lane_that_will_run(pooled_traced):
+    service, _, stream, closed = pooled_traced
+    for session, lane in ((stream, "inline"), (closed, "process")):
+        item = service.plan_workload(
+            [session.query().topk(4).guarantee(0.9)]).items[0]
+        assert item.prediction.lane == lane
+        assert f"lane={lane}" in item.prediction.describe()
+        # The planner, the scheduler's pricing and execution agree.
+        assert service._predict(session, item.plan).lane == lane
+
+
+def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
+    """ROADMAP 6(v): after a restart the ``shipped`` frame ids described
+    workers that no longer existed, so later batches shipped a delta
+    the new workers could not use and re-revealed physically."""
+    from repro.errors import ServiceError
+
+    udf = counting_udf("car")
+    video = WorkerKillingTraffic("restart", 600, seed=101)
+    fuse = tmp_path / "fuse"
+    video.arm(fuse)
+    fuse.unlink()  # armed (every copy knows the fuse), not yet lit
+
+    with QueryService(workers=1, use_processes=False) as inline:
+        twin = inline.open_session(video, udf, config=FAST)
+        for k in (3, 20):
+            inline.submit(_plan(twin, k), session=twin).result(WAIT)
+        expected = inline.outcomes()
+
+    with QueryService(workers=1, use_processes=True) as service:
+        session = service.open_session(video, udf, config=FAST)
+        sent = []
+        real_map = service._pool.map
+
+        def spy(fn, tasks):
+            sent.append(len(tasks[0].cache_items))
+            return real_map(fn, tasks)
+
+        service._pool.map = spy
+        service.submit(_plan(session, 3), session=session).result(WAIT)
+        fuse.touch()
+        with pytest.raises(ServiceError):
+            service.submit(_plan(session, 20), session=session).result(WAIT)
+        assert not fuse.exists()
+        cached = len(session.shared_score_cache)
+        service.submit(_plan(session, 20), session=session).result(WAIT)
+        # The first batch after the restart carried the whole cache …
+        assert sent == [0, 0, cached] and cached > 0
+        assert service._pool.restarts == 1
+        outcomes = service.outcomes()
+    # … so it paid no physical confirmation for a frame the parent
+    # already held: exactly what the inline lane pays for the plan.
+    assert [o.report.to_json() for o in outcomes] == \
+        [e.report.to_json() for e in expected]
+    assert [o.fresh_confirm_calls for o in outcomes] == \
+        [e.fresh_confirm_calls for e in expected]
