@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..errors import ConfigurationError, UncertainRelationError
 from ..models.mdn import GaussianMixture
@@ -145,8 +145,8 @@ def quantize_mixtures(
         hi_j = hi[:, j][:, None]
         clipped_lo = np.clip(edges[None, :-1], lo_j, hi_j)
         clipped_hi = np.clip(edges[None, 1:], lo_j, hi_j)
-        mass = norm.cdf((clipped_hi - mu) / sigma) \
-            - norm.cdf((clipped_lo - mu) / sigma)
+        mass = ndtr((clipped_hi - mu) / sigma) \
+            - ndtr((clipped_lo - mu) / sigma)
         # Spread the trimmed tail mass evenly over the touched bins.
         touched = clipped_hi > clipped_lo
         num_touched = np.maximum(touched.sum(axis=1, keepdims=True), 1)

@@ -39,7 +39,7 @@ from ..api.session import Phase1Entry, Session, build_phase1_entry, phase1_key
 from ..config import EverestConfig
 from ..errors import CorpusError, FrameIndexError
 from ..oracle.cost import CostModel
-from ..parallel.pool import PersistentPool, resolve_workers
+from ..parallel.pool import PersistentPool, resolve_workers, thread_map
 from ..video.views import ConcatVideo, VideoSlice
 
 
@@ -270,14 +270,18 @@ class VideoCorpus:
     ) -> List[Phase1Entry]:
         """Build (or fetch) every member's Phase-1 entry, in order.
 
-        ``workers > 1`` fans the missing *plain-session* builds across
-        a process pool — each worker runs one shard's sampling, CMDN
-        grid training and proxy inference, and the parent adopts the
-        (purely simulated, bit-identical) entries in canonical member
-        order, re-raising the earliest member's failure first. Members
-        that are streaming, service-bound, or already built are served
-        in-process. Split corpora adopt the archive's entry and build
-        nothing.
+        ``workers > 1`` fans the missing builds out. *Plain-session*
+        members go across a short-lived process pool — each worker
+        runs one shard's sampling, CMDN grid training and proxy
+        inference, and the parent adopts the (purely simulated,
+        bit-identical) entries. *Service-bound* members lease through
+        their store side by side on threads when the store builds in
+        pool workers (a lease then waits on a worker, not on the GIL).
+        Either way entries come back in canonical member order and the
+        earliest member's failure re-raises first. Members that are
+        streaming, already built, or bound to a store that builds on
+        the leasing thread are served in-process, one after another.
+        Split corpora adopt the archive's entry and build nothing.
         """
         config = config if config is not None else self.config
         workers = resolve_workers(workers)
@@ -286,12 +290,13 @@ class VideoCorpus:
             return [entry] * self.num_members
 
         key = phase1_key(config)
-        buildable = [
+        missing = [
             member for member in self.members
             if not member.streaming
-            and member.session.artifacts is None
             and key not in member.session._phase1_cache
         ]
+        buildable = [
+            member for member in missing if member.session.artifacts is None]
         if workers > 1 and len(buildable) > 1:
             # Canonical member order: the earliest shard's failure is
             # the one the serial loop would hit first.
@@ -305,6 +310,13 @@ class VideoCorpus:
                 )
             for member, entry in zip(buildable, built):
                 member.session.adopt_phase1(entry, config)
+        thread_map(
+            lambda member: member.session.phase1(config),
+            [member for member in missing
+             if member.session.artifacts is not None
+             and member.session.artifacts.build_pool(member.session)
+             is not None],
+            workers=workers)
         return [
             self._member_entry(member, config) for member in self.members
         ]

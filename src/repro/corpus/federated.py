@@ -247,11 +247,11 @@ class PoolShardBackend:
 
     The service's process lane for corpus queries, on the one pool
     protocol (DESIGN.md §6): each member's ``(video, scoring)`` is a
-    :class:`~repro.parallel.pool.Shipped` handle — pickled once,
-    unpickled once per worker — and sub-batches are gathered in
-    canonical member order, the earliest member's exception
-    re-raising first, so a crashed shard worker fails the corpus
-    query deterministically.
+    :class:`~repro.parallel.pool.Shipped` handle — pickled once, sent
+    to and unpickled by each worker once — and sub-batches are
+    gathered in canonical member order, the earliest member's
+    exception re-raising first, so a crashed shard worker fails the
+    corpus query deterministically.
     """
 
     def __init__(self, pool, videos: Sequence, scoring):
@@ -459,10 +459,11 @@ class FederatedTopK:
     """Federated top-k over a :class:`~repro.corpus.corpus.VideoCorpus`.
 
     ``shard_workers`` fans per-shard confirmation scoring across
-    threads (default: ``REPRO_WORKERS``, else serial); ``backend``
-    overrides the scoring transport entirely (the service passes a
-    :class:`PoolShardBackend` on its process lane). Neither can change
-    a report byte.
+    threads, and a cold corpus's missing member builds out
+    (:meth:`~repro.corpus.corpus.VideoCorpus.prepare`; default:
+    ``REPRO_WORKERS``, else serial); ``backend`` overrides the scoring
+    transport entirely (the service passes a :class:`PoolShardBackend`
+    on its process lane). Neither can change a report byte.
     """
 
     def __init__(
@@ -503,7 +504,8 @@ class FederatedTopK:
                 "shard boundaries is undefined — query a member "
                 "session for windows")
         corpus = self.corpus
-        state = corpus.merged_state(plan.config)
+        state = corpus.merged_state(
+            plan.config, workers=self.shard_workers)
         videos = [member.video for member in corpus.members]
         backend = self.backend if self.backend is not None \
             else InlineShardBackend(

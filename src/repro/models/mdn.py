@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from ..errors import ShapeError
 from .layers import Layer, _he_init
@@ -110,10 +111,9 @@ class GaussianMixture:
         return np.sum(self.pi * comp, axis=-1)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        from scipy.stats import norm
-
         x = np.asarray(x, dtype=np.float64)[..., None]
-        return np.sum(self.pi * norm.cdf(x, self.mu, self.sigma), axis=-1)
+        return np.sum(
+            self.pi * ndtr((x - self.mu) / self.sigma), axis=-1)
 
     def log_likelihood(self, y: np.ndarray) -> np.ndarray:
         """Per-sample log p(y) for batched parameters."""

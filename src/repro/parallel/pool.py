@@ -14,19 +14,33 @@ Every place the library leaves the process does so through
 :class:`PersistentPool` — the only owner of a
 :class:`~concurrent.futures.ProcessPoolExecutor` — and its two
 protocol pieces: :class:`Shipped`, the ship-once handle (the parent
-pickles an object once; each worker unpickles it once, on first sight
-of its key), and :meth:`PersistentPool.map`, the ordered gather.
+pickles an object once; each worker unpickles it once), and
+:meth:`PersistentPool.map`, the ordered gather.
+
+The wire protocol, stated once. A task crosses as ``(payload, keys,
+blobs)``: the pickled call, in which every :class:`Shipped` handle —
+at any depth — is *bare* (its key, no blob); the keys of the handles
+it names; and the blobs the parent chose to send along. The worker
+(:func:`_run_call`) resolves before it runs: if it has never been sent
+one of the keys it raises :class:`NotShipped` without unpickling the
+call, so a missed task has had no side effect, and ``map`` — the one
+place that reads answers — sends that task again with its blobs. A
+blob therefore crosses once per worker that needs it, not once per
+task. Worker code never touches a lock it inherited from the parent
+(the pool forks while other threads hold theirs).
 """
 
 from __future__ import annotations
 
+import contextvars
+import io
 import itertools
 import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigurationError, ServiceClosedError, ServiceError
 
@@ -69,11 +83,13 @@ def thread_map(
 ) -> List[R]:
     """Map ``fn`` over ``items`` preserving order.
 
-    With one worker this is a plain loop; otherwise a thread pool
-    (numpy releases the GIL in its inner kernels, so shard scoring
-    overlaps without pickling anything). Results are returned in input
-    order either way, so callers are deterministic regardless of the
-    worker count.
+    With one worker this is a plain loop; otherwise a thread pool.
+    Threads overlap only where the work leaves the GIL: shard scoring
+    does (a few large numpy kernels per call), and so does waiting on
+    a pool worker; a Phase-1 build does not (training is ~70 small
+    numpy calls a step — two builds on two threads measured 1.97x the
+    serial wall). Results are returned in input order either way, so
+    callers are deterministic regardless of the worker count.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or len(items) <= 1:
@@ -90,11 +106,16 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: key -> unpickled object: the one worker-side memo. Only pool
-#: workers write it (the parent never resolves its own handles).
+#: key -> unpickled object: the one worker-side memo. Pool workers
+#: write it in :func:`_run_call`; the parent only when it resolves one
+#: of its own handles.
 _WORKER_MEMO: Dict[int, object] = {}
 
 _SHIPPED_KEYS = itertools.count()
+
+
+class NotShipped(LookupError):
+    """A worker was handed a bare handle for a key it was never sent."""
 
 
 class Shipped:
@@ -102,13 +123,14 @@ class Shipped:
 
     The parent builds one handle per long-lived object (a session
     spec, a shard member) and puts it in every task that needs the
-    object; the ``bytes`` blob is reused, so the parent pickles once.
-    A worker calls :meth:`resolve`, which unpickles the blob the first
-    time it sees the key and returns the same object ever after — so
-    state a worker hangs off the object (a rebuilt session, a local
-    score cache) persists across tasks. The blob rides every task:
-    a worker that has never seen the key (fresh after a pool restart,
-    or simply not yet routed one) rebuilds from it.
+    object, at any depth. Wherever a handle is pickled it crosses
+    bare — its key alone; the blob travels beside the task, and only
+    when the pool sends it (see the module docstring). A worker calls
+    :meth:`resolve` and gets the same object ever after — so state a
+    worker hangs off the object (a rebuilt session, a local score
+    cache) persists across tasks. A worker that has never seen the key
+    (fresh after a pool restart, or simply not yet routed one) says so
+    and is sent the blob.
     """
 
     __slots__ = ("key", "blob")
@@ -118,13 +140,56 @@ class Shipped:
         self.key = next(_SHIPPED_KEYS)
         self.blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
+    def __getstate__(self):
+        return (self.key,)
+
+    def __setstate__(self, state):
+        (self.key,) = state
+        self.blob = None
+
     def resolve(self):
         """The shipped object (worker side)."""
         try:
             return _WORKER_MEMO[self.key]
         except KeyError:
+            if self.blob is None:
+                raise NotShipped(self.key) from None
             obj = _WORKER_MEMO[self.key] = pickle.loads(self.blob)
             return obj
+
+
+class _CallPickler(pickle.Pickler):
+    """Pickles one call and notes which handles it names."""
+
+    def __init__(self, file):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.handles: Dict[int, Shipped] = {}
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Shipped):
+            self.handles[obj.key] = obj
+        return NotImplemented
+
+
+def _pickle_call(fn, args, kwargs) -> Tuple[bytes, Dict[int, Shipped]]:
+    """``(payload, {key: handle named in it})`` for one task."""
+    buffer = io.BytesIO()
+    pickler = _CallPickler(buffer)
+    pickler.dump((fn, args, kwargs))
+    return buffer.getvalue(), pickler.handles
+
+
+def _run_call(payload: bytes, keys: Tuple[int, ...], blobs: Dict[int, bytes]):
+    """The worker side of every task: resolve, then run."""
+    missing = [
+        key for key in keys if key not in _WORKER_MEMO and key not in blobs]
+    if missing:
+        raise NotShipped(*missing)
+    for key, blob in blobs.items():
+        if key not in _WORKER_MEMO:
+            _WORKER_MEMO[key] = pickle.loads(blob)
+    fn, args, kwargs = pickle.loads(payload)
+    return fn(*args, **kwargs)
 
 
 class PersistentPool:
@@ -152,34 +217,48 @@ class PersistentPool:
     def submit(self, fn, /, *args, **kwargs):
         """Schedule ``fn(*args, **kwargs)`` on the pool (starts lazily).
 
+        Nothing reads the answer here, so nothing could answer a miss:
+        the task carries the blob of every handle it names.
+
         A worker that died (OOM kill, ``os._exit``) breaks the whole
         executor: its in-flight futures fail with
         :class:`~concurrent.futures.process.BrokenProcessPool` and it
         refuses new work for good. Such an executor is dropped here
         and the task goes to a fresh one — nothing of it had run.
         """
-        return self._submit(fn, args, kwargs)[0]
+        return self._submit(*_pickle_call(fn, args, kwargs), carry=True)[0]
 
-    def _submit(self, fn, args, kwargs):
+    def _submit(self, payload, handles, *, carry: bool):
         """``(future, restarts at the time its executor took it)``."""
+        task = (_run_call, payload, tuple(handles), {
+            key: handle.blob for key, handle in handles.items()
+        } if carry else {})
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("process pool is shut down")
             if self._executor is not None:
                 try:
-                    return (self._executor.submit(fn, *args, **kwargs),
-                            self.restarts)
+                    return self._executor.submit(*task), self.restarts
                 except BrokenProcessPool:
                     self.restarts += 1
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            return self._executor.submit(fn, *args, **kwargs), self.restarts
+            # The executor forks every worker inside its first submit,
+            # and a fork copies the submitting thread's context
+            # variables — the trace span it happens to be inside, for
+            # one. Workers start from an empty context instead.
+            return contextvars.Context().run(
+                self._executor.submit, *task), self.restarts
 
     def map(self, fn, *iterables) -> list:
         """``fn`` over the zipped ``iterables``; results in task order.
 
-        Every task is submitted up front and gathered in submission
-        order. The *earliest* failing task's exception re-raises — the
-        one a serial loop would have hit first, so failures are as
+        Every task is submitted up front, handles bare, and gathered
+        in submission order. A task whose worker answered
+        :class:`NotShipped` is sent again with its blobs — a miss
+        answers at once and nothing of the task has run, so the misses
+        are all resent before the gather blocks on real work. The
+        *earliest* failing task's exception re-raises — the one a
+        serial loop would have hit first, so failures are as
         deterministic as results — and tasks that have not started are
         cancelled rather than left to burn CPU. The pool stays usable.
 
@@ -191,10 +270,17 @@ class PersistentPool:
         sees the error) and the pool restarts on its next task, so the
         caller may resubmit. (:meth:`submit` keeps the raw error.)
         """
+        calls = [_pickle_call(fn, args, {}) for args in zip(*iterables)]
         submitted = []
         try:
-            for args in zip(*iterables):
-                submitted.append(self._submit(fn, args, {}))
+            for call in calls:
+                submitted.append(self._submit(*call, carry=False))
+            for index, call in enumerate(calls):
+                error = submitted[index][0].exception()
+                if isinstance(error, NotShipped):
+                    submitted[index] = self._submit(*call, carry=True)
+                elif error is not None:
+                    break  # the gather raises it, or an earlier resend's
             for future, restarts in submitted:
                 error = future.exception()
                 if isinstance(error, BrokenProcessPool):

@@ -11,8 +11,9 @@ half of each query is hoisted out of the pool:
    proxy inference — exactly once.
 2. **Ship once.** Each session's video, scoring function,
    configuration and Phase 1 entries are pickled into one
-   :class:`~repro.parallel.pool.Shipped` handle that rides every one
-   of its grid points; a worker unpickles it on first sight.
+   :class:`~repro.parallel.pool.Shipped` handle that every one of its
+   grid points names; a worker is sent the blob when it first needs it
+   and unpickles it once.
 3. **Phase 2 in workers.** A grid point is the worker task the
    service's process lane runs (:mod:`repro.service.backend`) — a
    batch of one plan with no score cache: the worker reconstructs the

@@ -10,6 +10,10 @@ again. :class:`SharedArtifacts` holds that state at *service* scope:
   same :func:`~repro.api.session.phase1_key` block on one build; the
   winner's entry is shared by reference. Exactly one build per
   distinct key, no matter how many sessions, threads, or tenants ask.
+  On a service's process lane the winner runs the build in a pool
+  worker (:func:`~repro.service.backend.build_in_pool`) — the
+  scheduler's threads would convoy on the GIL — and everything else
+  about the lease is the same.
 * **Bounded LRU.** ``max_entries`` caps resident Phase-1 entries;
   evicted keys rebuild (or warm-load) on next use. Sessions pin the
   entries they have leased, so eviction bounds *service* memory
@@ -40,6 +44,8 @@ from ..errors import ConfigurationError, ServiceError
 from ..oracle.cache import ScoreCache
 from ..oracle.cost import CostModel
 from ..trace import add_event, span as trace_span
+from .backend import build_in_pool
+from .scheduler import _clone_error
 
 #: Identity of the (video content, UDF) pair an artifact belongs to.
 #: Synthetic videos are fully determined by (family, name, length,
@@ -132,6 +138,10 @@ class SharedArtifacts:
         self._score_caches: Dict[GroupKey, ScoreCache] = {}
         self._block_caches: Dict[ArtifactKey, object] = {}
         self.stats = ArtifactStats()
+        #: ``session -> the pool its builds run in`` (None: on the
+        #: leasing thread). A service installs its lane rule here; a
+        #: store on its own builds inline.
+        self.build_pool = lambda session: None
 
     # ------------------------------------------------------------------
     # Phase-1 entries
@@ -143,7 +153,8 @@ class SharedArtifacts:
         builds (warm-loading first when a warm tier is configured)
         while every concurrent caller on the same key blocks and then
         shares the result. A failed build raises in every blocked
-        caller and the key becomes buildable again.
+        caller (a private copy each, chained to the builder's error)
+        and the key becomes buildable again.
         """
         artifact = (group_key(session.video, session.scoring), key)
         while True:
@@ -170,7 +181,9 @@ class SharedArtifacts:
                 # The builder stored the entry before signalling; loop
                 # to fetch it (and refresh its LRU position) normally.
                 continue
-            raise build.error
+            # A private copy per waiter: they re-raise on different
+            # threads, and a raise writes to the instance it raises.
+            raise _clone_error(build.error) from build.error
 
         try:
             with trace_span(
@@ -179,9 +192,12 @@ class SharedArtifacts:
                 entry = self._load_warm(artifact)
                 warm = entry is not None
                 if entry is None:
-                    entry = build_phase1_entry(
+                    pool = self.build_pool(session)
+                    args = (
                         session.video, session.scoring,
                         session.resolved_unit_costs(), config)
+                    entry = build_phase1_entry(*args) if pool is None \
+                        else build_in_pool(pool, *args)
                     with self._lock:
                         self.stats.builds += 1
                         self.stats.build_seconds += \

@@ -1,21 +1,28 @@
-"""Execution lanes: where a scheduled batch of plans actually runs.
+"""Execution lanes: where a Phase-1 build and a batch of plans run.
 
 Two lanes, chosen per service (``use_processes``):
 
-* **Inline** — the scheduler's worker thread executes Phase 2 itself
-  through a :class:`~repro.api.executor.QueryExecutor` bound to the
-  service-scope score cache. Numpy releases the GIL in the hot
-  kernels, so threads overlap; on a single usable CPU this lane also
-  avoids every pickling cost.
-* **Process** — Phase 2 is shipped to a persistent
-  :class:`~repro.parallel.pool.PersistentPool` worker through the one
-  pool protocol (DESIGN.md §6): the parent builds Phase 1
-  (single-flight, shared) and ships the session spec as a
-  :class:`~repro.parallel.pool.Shipped` handle; a worker reconstructs
-  the session once per handle and runs only the cleaning loop. The
-  sweep runner (:mod:`repro.parallel.runner`) dispatches the very same
-  :class:`BatchTask`, one plan at a time with no score cache. What
-  makes it a *service* lane is **score-cache warm shipping**: each
+* **Inline** — the scheduler's worker thread builds Phase 1 and
+  executes Phase 2 itself, the latter through a
+  :class:`~repro.api.executor.QueryExecutor` bound to the
+  service-scope score cache. Nothing is pickled, which is all there is
+  to win on a single usable CPU. Threads overlap only where numpy
+  leaves the GIL for long: Phase 2's few large kernels do, Phase-1
+  training (~70 small numpy calls a step) does not — two builds on two
+  threads measured 1.97x the *serial* wall, so with ``workers > 1``
+  this lane's cold builds still convoy (ROADMAP 3).
+* **Process** — both halves leave the process through the one pool
+  protocol (DESIGN.md §6) on a persistent
+  :class:`~repro.parallel.pool.PersistentPool`. The single-flight
+  builder runs the one build routine in a worker
+  (:func:`build_in_pool`) and adopts the entry it returns; the parent
+  then ships the session spec as a
+  :class:`~repro.parallel.pool.Shipped` handle, and a worker
+  reconstructs the session once per handle and runs only the cleaning
+  loop. The sweep runner (:mod:`repro.parallel.runner`) dispatches the
+  very same :class:`BatchTask`, one plan at a time with no score
+  cache. What makes it a *service* lane is **score-cache warm
+  shipping**: each
   batch carries the parent's current cache entries for the artifact
   group; the worker merges them into its local group cache before
   executing and returns its *new* revelations, which the parent folds
@@ -36,9 +43,10 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..api.executor import ExecutionDetail, QueryExecutor
-from ..api.session import Session
+from ..api.session import Phase1Entry, Session, build_phase1_entry
 from ..oracle.cache import ScoreCache
 from ..parallel.pool import Shipped
+from ..trace import Tracer, active_span
 
 
 @dataclass
@@ -108,6 +116,51 @@ class BatchResult:
     spans: Optional[List[List[dict]]] = None
 
 
+def _traced(name: str, fn, *args):
+    """``(fn(*args), span dumps)`` under a throwaway worker-side tracer.
+
+    Instrumentation sites below ``fn`` see an active span exactly as
+    they would in the inline lane. The dumps are plain dicts for the
+    wire; the parent rebases them under a span of its own (worker
+    perf_counter epochs are unrelated to the parent's).
+    """
+    with Tracer(ring=1).trace(name) as trace:
+        result = fn(*args)
+    return result, list(trace.to_dict()["spans"])
+
+
+def _build_worker_run(video, scoring, unit_costs, config, traced: bool):
+    """Build one Phase-1 entry in a pool worker; ``(entry, spans)``."""
+    if traced:
+        return _traced(
+            "worker_build", build_phase1_entry,
+            video, scoring, unit_costs, config)
+    return build_phase1_entry(video, scoring, unit_costs, config), None
+
+
+def build_in_pool(pool, video, scoring, unit_costs, config) -> Phase1Entry:
+    """Run the one Phase-1 build routine in a pool worker.
+
+    The entry that comes back is the inline build's field for field,
+    but for the networks' ``grads`` (re-packed to zero on unpickle —
+    what the next ``zero_grads`` leaves anyway) and
+    ``TrainingHistory.wall_seconds`` (measured wall time). Under an
+    active span the build runs traced and its spans are adopted below
+    that span, as a lane-dispatch span adopts Phase 2's.
+
+    A worker dying under the build raises ``pool.map``'s
+    :class:`~repro.errors.ServiceError`: nothing was built, so the
+    caller may simply try again.
+    """
+    parent = active_span()
+    entry, spans = pool.map(
+        _build_worker_run, [video], [scoring], [unit_costs], [config],
+        [parent is not None])[0]
+    if parent is not None:
+        parent.trace.adopt(spans, parent=parent)
+    return entry
+
+
 def _service_worker_run(task: BatchTask) -> BatchResult:
     """Execute one batch in a pool worker (Phase 2 only)."""
     spec: _SessionSpec = task.spec.resolve()
@@ -120,21 +173,12 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
     executor = QueryExecutor(spec.session, score_cache=cache)
     spans: Optional[List[List[dict]]] = None
     if task.traced:
-        # A throwaway worker-side tracer: one trace per plan, dumped to
-        # plain dicts for the wire. Instrumentation sites below see an
-        # active span exactly as they would in the inline lane; the
-        # parent rebases the dumps under its own lane-dispatch span
-        # (worker perf_counter epochs are unrelated to the parent's).
-        from ..trace import Tracer
-
-        tracer = Tracer(ring=len(task.plans) or 1)
-        details = []
-        spans = []
+        details, spans = [], []
         for plan in task.plans:
-            with tracer.trace("worker_execute") as trace:
-                details.append(executor.execute_detailed(plan))
-            dump = trace.to_dict()
-            spans.append(list(dump["spans"]))
+            detail, dumps = _traced(
+                "worker_execute", executor.execute_detailed, plan)
+            details.append(detail)
+            spans.append(dumps)
     else:
         details = [executor.execute_detailed(plan) for plan in task.plans]
     new_scores = {} if cache is None else {

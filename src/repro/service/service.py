@@ -242,8 +242,9 @@ class QueryService:
         Concurrent executions (scheduler threads; also the process
         pool's size). Defaults through ``REPRO_WORKERS``.
     use_processes:
-        Ship Phase 2 to a persistent process pool. Default: automatic
-        — on when more than one worker *and* more than one usable CPU.
+        Run Phase-1 builds and Phase 2 in a persistent process pool.
+        Default: automatic — on when more than one worker *and* more
+        than one usable CPU.
     max_pending:
         Admission-control bound on queued (not yet running) queries.
     max_batch:
@@ -286,6 +287,9 @@ class QueryService:
         )
         self._pool = PersistentPool(self.workers) \
             if self.use_processes else None
+        # Phase-1 builds go where the lane rule sends Phase 2.
+        self.artifacts.build_pool = lambda session: \
+            None if self._lane(session) == "inline" else self._pool
         self._lock = threading.Lock()
         self._submit_seq = itertools.count()
         self._outcomes: List[QueryOutcome] = []
@@ -687,10 +691,10 @@ class QueryService:
         corpus with no streaming member. A stream's watermark advances
         between appends — a worker would answer over a stale (shorter)
         copy, and crash confirming appended frames, while the inline
-        lane reads the live view. Query batches, the corpus shard
-        backend, the execute span's ``lane``, :meth:`_predict` and the
-        workload planner all ask here; the lane never changes a report
-        byte.
+        lane reads the live view. Query batches, Phase-1 builds (the
+        artifact store's ``build_pool``), the corpus shard backend, the
+        execute span's ``lane``, :meth:`_predict` and the workload
+        planner all ask here; the lane never changes a report byte.
         """
         sessions = [target] if isinstance(target, Session) \
             else [member.session for member in target.members]

@@ -33,10 +33,26 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy import signal as _signal
 
 from ..errors import ConfigurationError, FrameIndexError
 from .frame import BoundingBox, Frame
+
+
+def _ar1(eps: np.ndarray, coefficient: float) -> np.ndarray:
+    """``y[n] = eps[n] + coefficient * y[n-1]``, starting from rest.
+
+    Byte-equal to SciPy's ``lfilter([1], [1, -coefficient], eps)`` —
+    one multiply, then one add, per sample — which is the test oracle
+    now (``tests/test_models_bytes.py``): importing SciPy's signal
+    stack cost every process 0.1 s for this loop, run once or twice
+    per video at construction (0.2 ms per 3 000 samples).
+    """
+    out = []
+    y = 0.0
+    for x in eps.tolist():
+        y = x + coefficient * y
+        out.append(y)
+    return np.array(out, dtype=np.float64)
 
 
 class ObjectCountProcess:
@@ -80,9 +96,8 @@ class ObjectCountProcess:
             amplitude = burst_amplitude * rng.uniform(0.5, 1.0)
             intensity += amplitude * np.exp(-0.5 * ((t - center) / width) ** 2)
 
-        # AR(1) perturbation, vectorized through an IIR filter.
         eps = rng.normal(0.0, noise_scale, size=num_frames)
-        perturbation = _signal.lfilter([1.0], [1.0, -ar_coefficient], eps)
+        perturbation = _ar1(eps, ar_coefficient)
 
         counts = np.rint(intensity + perturbation)
         self.counts = np.clip(counts, 0, max_objects).astype(np.int64)
@@ -487,11 +502,10 @@ def _ou_process(
     volatility: float,
     seed: int,
 ) -> np.ndarray:
-    """Ornstein-Uhlenbeck path sampled once per frame (vectorized)."""
+    """Ornstein-Uhlenbeck path sampled once per frame."""
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, volatility, num_frames)
-    deviations = _signal.lfilter([1.0], [1.0, -(1.0 - reversion)], eps)
-    return mean + deviations
+    return mean + _ar1(eps, 1.0 - reversion)
 
 
 class DashcamVideo(SyntheticVideo):

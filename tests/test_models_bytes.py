@@ -14,7 +14,14 @@ bytes are pinned at three levels:
   licence under which the block cache keeps feature rows per frame and
   scores a block assembled from kept and new rows (DESIGN.md §7). If
   it fails on some numpy, the failure is the finding: the cache must
-  stop keeping rows there, not compare with a tolerance.
+  stop keeping rows there, not compare with a tolerance;
+* the two SciPy calls ``import repro`` no longer pays for, against
+  SciPy as the oracle: the AR(1) recursion of the synthetic generators
+  vs ``scipy.signal.lfilter`` and ``scipy.special.ndtr`` vs
+  ``scipy.stats.norm.cdf`` through both of its call sites — plus
+  sha256 digests of the generators' output for the seeds perfbench
+  uses, recorded at commit ``ca02269`` before ``video/synthetic.py``
+  changed.
 """
 
 from __future__ import annotations
@@ -23,14 +30,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from repro import EverestConfig, Session
+from repro.core.uncertain import QuantizationGrid, quantize_mixtures
 from repro.models import Adam, build_feature_mdn
 from repro.models.cmdn import ConvMDNProxy, FeatureMDNProxy
-from repro.models.mdn import _row_logsumexp
+from repro.models.mdn import GaussianMixture, _row_logsumexp
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
+from repro.video.synthetic import ObjectCountProcess, _ar1, _ou_process
 
 
 # ----------------------------------------------------------------------
@@ -241,3 +252,100 @@ def test_featurize_is_row_independent(family):
         check(rows, pixels[rows])
         if trial < 8:
             check(rows, video.batch_pixels(ids[rows]))
+
+
+# ----------------------------------------------------------------------
+# (e) the two in-house replacements for SciPy's signal and stats stacks
+
+
+@pytest.mark.parametrize(
+    "coefficient", [0.0, 0.5, 0.95, 0.99, 0.995, 0.996, 0.9999])
+def test_ar1_matches_lfilter_bytes(coefficient):
+    rng = np.random.default_rng(int(coefficient * 10_000))
+    for length in (1, 2, 7, 1_500, 3_000, 20_000):
+        for scale in (0.02, 0.35, 40.0):
+            eps = rng.normal(0.0, scale, length)
+            ours = _ar1(eps, coefficient)
+            theirs = lfilter([1.0], [1.0, -coefficient], eps)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes(), (length, scale)
+
+
+#: sha256 prefixes of ``ObjectCountProcess.counts`` followed by an
+#: ``_ou_process`` path, as ``TrafficVideo(seed=...)`` derives them.
+GENERATOR_PINS = {
+    301: "f4a14383e96a8fb7", 302: "ac560e12cad9da5e",
+    303: "5f37045c09795ab1", 304: "192719ca50515052",
+    311: "8023cccab86b733a", 312: "4743bedfc6c936ce",
+    313: "d0481bfdcf80cfdc", 314: "578fd2339818a3ab",
+    321: "60091d27a38b3e00",
+    331: "bdd9c8ec6270d5e3", 332: "c133a2b0de9f17de",
+    333: "121c56b2582e1181", 334: "11f1253f2ab8f5f5",
+}
+
+
+def test_generator_bytes_are_pinned_for_the_perfbench_seeds():
+    digests = {}
+    for seed in GENERATOR_PINS:
+        sha = hashlib.sha256()
+        sha.update(ObjectCountProcess(
+            3_000, seed=seed ^ 0xC0FFEE).counts.tobytes())
+        sha.update(_ou_process(
+            3_000, mean=0.0, reversion=0.01, volatility=0.02,
+            seed=seed ^ 0x111).tobytes())
+        digests[seed] = sha.hexdigest()[:16]
+    assert digests == GENERATOR_PINS
+
+
+def _quantize_with_norm_cdf(mixtures, grid, truncate_sigmas=3.0):
+    """``quantize_mixtures`` as it was, on ``scipy.stats.norm.cdf``."""
+    edges = grid.edges()
+    pmf = np.zeros((mixtures.pi.shape[0], grid.num_levels))
+    lo = mixtures.mu - truncate_sigmas * mixtures.sigma
+    hi = mixtures.mu + truncate_sigmas * mixtures.sigma
+    for j in range(mixtures.pi.shape[1]):
+        mu = mixtures.mu[:, j][:, None]
+        sigma = mixtures.sigma[:, j][:, None]
+        lo_j, hi_j = lo[:, j][:, None], hi[:, j][:, None]
+        clipped_lo = np.clip(edges[None, :-1], lo_j, hi_j)
+        clipped_hi = np.clip(edges[None, 1:], lo_j, hi_j)
+        mass = norm.cdf((clipped_hi - mu) / sigma) \
+            - norm.cdf((clipped_lo - mu) / sigma)
+        touched = clipped_hi > clipped_lo
+        num_touched = np.maximum(touched.sum(axis=1, keepdims=True), 1)
+        trimmed = 1.0 - mass.sum(axis=1, keepdims=True)
+        mass = mass + touched * (trimmed / num_touched)
+        pmf += mixtures.pi[:, j][:, None] * mass
+    totals = pmf.sum(axis=1, keepdims=True)
+    totals[totals <= 0] = 1.0
+    return np.clip(pmf / totals, 0.0, None)
+
+
+def _mixtures(rng, rows, components, sigma_scale):
+    pi = rng.dirichlet(np.ones(components), rows)
+    mu = rng.normal(6.0, 5.0, (rows, components))
+    sigma = np.abs(rng.normal(0.0, sigma_scale, (rows, components))) + 1e-3
+    return GaussianMixture(pi=pi, mu=mu, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma_scale", [1e-3, 0.3, 2.0, 40.0])
+def test_ndtr_matches_norm_cdf_bytes_through_both_call_sites(sigma_scale):
+    rng = np.random.default_rng(int(sigma_scale * 1_000))
+    for components in (1, 3, 8):
+        mixtures = _mixtures(rng, 400, components, sigma_scale)
+        for truncate in (3.0, 50.0):  # 50 sigma: |z| > 38 reaches ndtr
+            for grid in (QuantizationGrid(0.0, 1.0, 24),
+                         QuantizationGrid(-3.0, 0.05, 400)):
+                assert quantize_mixtures(
+                    mixtures, grid, truncate_sigmas=truncate
+                ).tobytes() == _quantize_with_norm_cdf(
+                    mixtures, grid, truncate).tobytes()
+        x = np.concatenate([
+            rng.normal(6.0, 10.0, 394),
+            [-np.inf, np.inf, -1e300, 1e300, 0.0, -0.0],
+        ])
+        ours = mixtures.cdf(x)
+        theirs = np.sum(mixtures.pi * norm.cdf(
+            x[..., None], mixtures.mu, mixtures.sigma), axis=-1)
+        assert ours.tobytes() == theirs.tobytes()
+        assert ours[394] == 0.0 and abs(ours[395] - 1.0) < 1e-12

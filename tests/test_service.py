@@ -605,9 +605,14 @@ class TestQueryServiceSurface:
         # process-lane batch until the service restarted.
         video = WorkerKillingTraffic("fuse", 600, seed=101)
         video.arm(tmp_path / "fuse")
+        (tmp_path / "fuse").unlink()  # armed, not yet lit
         with QueryService(workers=2, use_processes=True) as service:
             session = service.open_session(
                 video, counting_udf("car"), config=comp_cfg)
+            # The build runs in a pool worker too (the next test lights
+            # the fuse under it); this one dies in Phase 2.
+            session.phase1()
+            (tmp_path / "fuse").touch()
             plan = session.query().topk(3).guarantee(0.9) \
                 .deterministic_timing().plan()
             with pytest.raises(ServiceError) as caught:
@@ -621,6 +626,41 @@ class TestQueryServiceSurface:
             report = service.submit(plan, session=session).result(WAIT)
             assert service.stats()["builds"] == builds == 1
             assert service.stats()["failed"] == 1
+            assert len(service.outcomes()) == 1
+        inline = Session(video, counting_udf("car"), config=comp_cfg)
+        assert report.to_json() == inline.execute(plan).to_json()
+
+    def test_a_dead_build_worker_fails_only_its_batch(
+            self, comp_cfg, tmp_path):
+        # The same fuse lit from the start fires inside the Phase-1
+        # build, which the process lane runs in a pool worker.
+        video = WorkerKillingTraffic("fuse", 600, seed=101)
+        video.arm(tmp_path / "fuse")
+        warm = tmp_path / "warm"
+        with QueryService(
+                workers=2, use_processes=True, warm_dir=warm) as service:
+            session = service.open_session(
+                video, counting_udf("car"), config=comp_cfg)
+            plan = session.query().topk(3).guarantee(0.9) \
+                .deterministic_timing().plan()
+            with pytest.raises(ServiceError) as caught:
+                service.submit(plan, session=session).result(WAIT)
+            assert isinstance(caught.value.__cause__, BrokenProcessPool)
+            assert not (tmp_path / "fuse").exists()
+            # Nothing was recorded, admitted or written for the build
+            # that died, and its key is buildable again.
+            assert service.outcomes() == []
+            stats = service.stats()
+            assert (stats["builds"], stats["resident_entries"],
+                    stats["warm_writes"]) == (0, 0, 0)
+            assert not warm.exists()
+            assert not session.phase1_cached(plan.config)
+            # The same plan again: a fresh pool builds and answers.
+            report = service.submit(plan, session=session).result(WAIT)
+            stats = service.stats()
+            assert (stats["builds"], stats["failed"],
+                    stats["warm_writes"]) == (1, 1, 1)
+            assert service._pool.restarts == 1
             assert len(service.outcomes()) == 1
         inline = Session(video, counting_udf("car"), config=comp_cfg)
         assert report.to_json() == inline.execute(plan).to_json()

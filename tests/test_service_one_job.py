@@ -457,6 +457,7 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
     workers that no longer existed, so later batches shipped a delta
     the new workers could not use and re-revealed physically."""
     from repro.errors import ServiceError
+    from repro.service.backend import _service_worker_run
 
     udf = counting_udf("car")
     video = WorkerKillingTraffic("restart", 600, seed=101)
@@ -475,9 +476,10 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
         sent = []
         real_map = service._pool.map
 
-        def spy(fn, tasks):
-            sent.append(len(tasks[0].cache_items))
-            return real_map(fn, tasks)
+        def spy(fn, *iterables):
+            if fn is _service_worker_run:  # not the Phase-1 build
+                sent.append(len(iterables[0][0].cache_items))
+            return real_map(fn, *iterables)
 
         service._pool.map = spy
         service.submit(_plan(session, 3), session=session).result(WAIT)
