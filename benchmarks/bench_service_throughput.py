@@ -1,24 +1,21 @@
-"""Bench for the concurrent query service: throughput vs serial.
+"""Bench for the concurrent query service: throughput vs a for-loop.
 
 A mixed 16-query workload — four videos x four (k, thres, window)
-shapes, the traffic profile of independent tenants — is executed three
+shapes, the traffic profile of independent tenants — is executed two
 ways:
 
-* **serial-independent** — the no-service reference: each query
-  arrives on its own and pays its own Phase 1 (a fresh ``Session``
-  per query), executed one after another;
 * **serial-shared** — one ``Session`` per video executed serially
-  (Phase 1 amortized by hand, no concurrency);
+  (Phase 1 amortized by hand, no concurrency): the honest baseline;
 * **service** — one ``QueryService`` at 4 workers: single-flight
   Phase-1 sharing, cross-query score-cache reuse, concurrent Phase 2.
 
-Acceptance (the PR's contract): the service at 4 workers sustains
-**>= 2x** the serial-independent throughput on the mixed workload —
-on any hardware, because single-flight sharing alone removes 12 of
-the 16 Phase-1 builds. With >= 4 usable CPUs the service must *also*
-beat the hand-amortized serial-shared baseline (that margin is pure
-concurrency, so it is reported but not asserted on fewer CPUs).
-Reports are asserted byte-identical across all three executions.
+Gates: reports byte-identical across both executions, and exactly one
+Phase-1 build per video. ``service / serial-shared`` is recorded; with
+>= 4 usable CPUs the service must beat the baseline by >= 1.5x (that
+margin is pure concurrency, so on fewer CPUs it is reported only).
+The old ">= 2x a fresh Session per query" gate compared against a
+strawman — single-flight sharing alone removes 12 of 16 builds — and
+is gone; perfbench's ``service_mixed`` is the measured workload.
 """
 
 from __future__ import annotations
@@ -63,15 +60,6 @@ def _query(session, k, thres, window):
     return query
 
 
-def _run_serial_independent(workload):
-    reports = []
-    for seed, k, thres, window in workload:
-        session = Session(
-            _video(seed), counting_udf("car"), config=_config())
-        reports.append(_query(session, k, thres, window).run())
-    return reports
-
-
 def _run_serial_shared(workload):
     sessions = {
         seed: Session(_video(seed), counting_udf("car"), config=_config())
@@ -105,10 +93,6 @@ def test_service_throughput(benchmark=None):
     workload = _workload()
 
     start = time.perf_counter()
-    independent = _run_serial_independent(workload)
-    t_independent = time.perf_counter() - start
-
-    start = time.perf_counter()
     shared = _run_serial_shared(workload)
     t_shared = time.perf_counter() - start
 
@@ -117,15 +101,12 @@ def test_service_throughput(benchmark=None):
     t_service = time.perf_counter() - start
 
     queries = len(workload)
+    speedup = t_shared / t_service
     rows = [
-        ["serial-independent", f"{t_independent:.2f}s",
-         f"{queries / t_independent:.2f} q/s", "1.00x"],
         ["serial-shared", f"{t_shared:.2f}s",
-         f"{queries / t_shared:.2f} q/s",
-         f"{t_independent / t_shared:.2f}x"],
+         f"{queries / t_shared:.2f} q/s", "1.00x"],
         [f"service ({WORKERS} workers)", f"{t_service:.2f}s",
-         f"{queries / t_service:.2f} q/s",
-         f"{t_independent / t_service:.2f}x"],
+         f"{queries / t_service:.2f} q/s", f"{speedup:.2f}x"],
     ]
     print()
     print(format_table(
@@ -136,42 +117,33 @@ def test_service_throughput(benchmark=None):
               f"CPUs, lane={'processes' if stats['use_processes'] else 'threads'}",
     ))
 
-    # Same answers everywhere, byte for byte.
-    reference = [report.to_json() for report in independent]
-    assert [report.to_json() for report in shared] == reference
-    assert [report.to_json() for report in serviced] == reference
+    # Same answers, byte for byte.
+    assert [report.to_json() for report in serviced] == \
+        [report.to_json() for report in shared]
 
-    # Cross-query sharing did its job: one build per video, and some
-    # confirmations came physically free from the shared score cache.
+    # Cross-query sharing did its job: one build per video.
     assert stats["builds"] == len(VIDEO_SEEDS)
     assert stats["completed"] == queries
 
-    # Throughput acceptance: >= 2x over the no-service baseline.
-    speedup = t_independent / t_service
+    # With real parallel hardware the service must beat the
+    # hand-amortized serial baseline (pure concurrency margin).
+    gated = available_cpus() >= 4
     write_bench_result(
         "service_throughput",
         scale=scale_label(),
-        seconds=t_independent + t_shared + t_service,
-        margin=speedup - 2.0,
+        seconds=t_shared + t_service,
+        margin=speedup - 1.5 if gated else None,
         queries=queries,
-        serial_independent_seconds=t_independent,
         serial_shared_seconds=t_shared,
         service_seconds=t_service,
         speedup=speedup,
         builds=stats["builds"],
         byte_identical=True,
     )
-    assert speedup >= 2.0, (
-        f"expected the service to sustain >= 2x serial-independent "
-        f"throughput, got {speedup:.2f}x")
-
-    # With real parallel hardware the service must also beat the
-    # hand-amortized serial baseline (pure concurrency margin).
-    if available_cpus() >= 4:
-        concurrency = t_shared / t_service
-        assert concurrency >= 1.5, (
+    if gated:
+        assert speedup >= 1.5, (
             f"expected >= 1.5x over serial-shared on "
-            f"{available_cpus()} CPUs, got {concurrency:.2f}x")
+            f"{available_cpus()} CPUs, got {speedup:.2f}x")
 
 
 if __name__ == "__main__":  # pragma: no cover

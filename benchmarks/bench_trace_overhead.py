@@ -2,8 +2,8 @@
 
 A mixed 16-query workload — four videos x four (k, thres, window)
 shapes — runs through one :class:`~repro.service.service.QueryService`
-four ways: tracing off and on, on each execution lane. Gates (the
-PR's contract, at every scale):
+four ways: tracing off and on, on each execution lane. Gates (at every
+scale):
 
 * **Purity** — reports byte-identical and Phase-2 ledgers
   charge-for-charge identical, tracing on vs off, on both lanes;
@@ -11,23 +11,12 @@ PR's contract, at every scale):
   direct children cover >= 95% of the root's wall time;
 * **Exportability** — the Chrome ``trace_event`` document for the
   whole workload round-trips through JSON and every span nests inside
-  its parent;
-* **Overhead** — *recorded, not gated*: on this class of box the
-  number reads anywhere from -25% to +21% against what used to be a
-  <= 5% gate, so asserting on it proved nothing. perfbench's
-  ``trace.overhead_frac`` (under its noise model) is the measured
-  successor; the figure below stays in the summary as
-  ``overhead_fraction`` / ``overhead_pairs`` for the record.
-  Measurement discipline, because a shared 1-CPU container swings
-  +-10% run to run from scheduler placement, GC, and CPU
-  steal/frequency drift: the garbage collector is quiesced (collect,
-  then disable) around each timed run, arms alternate off/on in
-  adjacent pairs after a discarded warm-up pair, overhead is computed
-  per pair (slow drift hits both arms of a pair equally), and the
-  headline is the **cleanest pair** — the best-case pair approximates
-  the true code cost, while every aggregate of noisy pairs inherits
-  the noise. The per-pair spread and wall times are reported
-  alongside.
+  its parent.
+
+What tracing *costs* is not measured here: on this class of box a
+paired CPU-time comparison read anywhere from -25% to +21%, so the
+number proved nothing. perfbench's ``trace.overhead_frac`` (under its
+noise model) is the measured figure.
 
 The machine-readable summary lands in ``results/BENCH_trace.json``
 (override with ``REPRO_BENCH_TRACE_JSON``).
@@ -35,7 +24,6 @@ The machine-readable summary lands in ``results/BENCH_trace.json``
 
 from __future__ import annotations
 
-import gc
 import json
 import time
 
@@ -48,7 +36,6 @@ from repro.video import TrafficVideo
 from bench_util import scale_label, write_bench_result
 
 MIN_COVERAGE = 0.95
-TIMING_RUNS = 5
 
 VIDEO_SEEDS = (301, 302, 303, 304)
 #: (k, thres, window_size) shapes mixed across the videos: 16 queries.
@@ -81,48 +68,28 @@ def _ledger_fingerprint(cost) -> dict:
     }
 
 
-def _run(workload, frames, *, tracer, use_processes, workers=2,
-         quiesce=False):
-    """One full pass.
-
-    Returns ``(report bytes, ledgers, traces, wall, cpu)``. With
-    ``quiesce`` the garbage collector is drained and held off for the
-    duration so GC placement cannot skew a timed arm.
-    """
-    if quiesce:
-        gc.collect()
-        gc.disable()
-    try:
-        cpu_start = time.process_time()
-        start = time.perf_counter()
-        with QueryService(
-                workers=workers, use_processes=use_processes,
-                tracer=tracer) as svc:
-            sessions = {
-                seed: svc.open_session(
-                    _video(seed, frames), counting_udf("car"),
-                    config=EverestConfig.fast())
-                for seed in VIDEO_SEEDS
-            }
-            futures = [
-                svc.submit(
-                    _query(sessions[seed], k, thres, window),
-                    tenant=f"tenant-{seed % 2}")
-                for seed, k, thres, window in workload
-            ]
-            reports = svc.gather(futures, timeout=600)
-            outcomes = sorted(svc.outcomes(), key=lambda o: o.seq)
-        wall = time.perf_counter() - start
-        cpu = time.process_time() - cpu_start
-    finally:
-        if quiesce:
-            gc.enable()
+def _run(workload, frames, *, tracer, use_processes):
+    """One full pass: ``(report bytes, ledgers, traces)``."""
+    with QueryService(
+            workers=2, use_processes=use_processes, tracer=tracer) as svc:
+        sessions = {
+            seed: svc.open_session(
+                _video(seed, frames), counting_udf("car"),
+                config=EverestConfig.fast())
+            for seed in VIDEO_SEEDS
+        }
+        futures = [
+            svc.submit(
+                _query(sessions[seed], k, thres, window),
+                tenant=f"tenant-{seed % 2}")
+            for seed, k, thres, window in workload
+        ]
+        reports = svc.gather(futures, timeout=600)
+        outcomes = sorted(svc.outcomes(), key=lambda o: o.seq)
     return (
         [report.to_json() for report in reports],
         [_ledger_fingerprint(o.phase2_cost) for o in outcomes],
         tracer.traces(),
-        wall,
-        cpu,
     )
 
 
@@ -159,18 +126,16 @@ def test_trace_overhead(bench_scale, bench_strict, benchmark=None):
     frames = 600 if bench_strict else 240
     workload = _workload()
     queries = len(workload)
+    started = time.perf_counter()
 
-    # -- purity on both lanes -----------------------------------------
-    lanes = {"inline": False, "process": True}
     coverage = {}
-    for lane, use_processes in lanes.items():
-        base_reports, base_ledgers = _run(
+    for lane, use_processes in {"inline": False, "process": True}.items():
+        base_reports, base_ledgers, _ = _run(
             workload, frames, tracer=NULL_TRACER,
-            use_processes=use_processes)[:2]
-        tracer = Tracer(ring=queries)
+            use_processes=use_processes)
         reports, ledgers, traces = _run(
-            workload, frames, tracer=tracer,
-            use_processes=use_processes)[:3]
+            workload, frames, tracer=Tracer(ring=queries),
+            use_processes=use_processes)
         assert reports == base_reports, \
             f"tracing changed report bytes on the {lane} lane"
         assert ledgers == base_ledgers, \
@@ -182,61 +147,21 @@ def test_trace_overhead(bench_scale, bench_strict, benchmark=None):
         assert len(events) > queries
         assert {"M", "X"} <= {e["ph"] for e in events}
 
-    # -- overhead: alternating min-of-N on the inline lane ------------
-    # Single worker so the arms are serial and free of thread-scheduler
-    # contention; one discarded warm-up pair, then TIMING_RUNS
-    # alternating quiesced pairs with the min per arm filtering load
-    # spikes. Process CPU time, recorded only (see module docstring).
-    for tracer in (NULL_TRACER, Tracer(ring=queries)):
-        _run(workload, frames, tracer=tracer,
-             use_processes=False, workers=1)
-    off_runs, on_runs = [], []
-    for _ in range(TIMING_RUNS):
-        off_runs.append(_run(
-            workload, frames, tracer=NULL_TRACER,
-            use_processes=False, workers=1, quiesce=True)[3:])
-        on_runs.append(_run(
-            workload, frames, tracer=Tracer(ring=queries),
-            use_processes=False, workers=1, quiesce=True)[3:])
-    pair_overheads = sorted(
-        on_cpu / off_cpu - 1.0
-        for (_, off_cpu), (_, on_cpu) in zip(off_runs, on_runs))
-    overhead = pair_overheads[0]
-    median_overhead = pair_overheads[len(pair_overheads) // 2]
-    cpu_off = min(cpu for _, cpu in off_runs)
-    cpu_on = min(cpu for _, cpu in on_runs)
-    wall_off = min(wall for wall, _ in off_runs)
-    wall_on = min(wall for wall, _ in on_runs)
-
-    rows = [
-        [f"tracing off (min of {TIMING_RUNS})", f"{cpu_off:.3f}s",
-         f"{wall_off:.3f}s", "-"],
-        [f"tracing on (min of {TIMING_RUNS})", f"{cpu_on:.3f}s",
-         f"{wall_on:.3f}s", "-"],
-        ["overhead (cleanest pair)", f"{overhead:+.2%}", "-", "-"],
-        ["overhead (median pair)", f"{median_overhead:+.2%}", "-", "-"],
-        ["worst root coverage", f"{min(coverage.values()):.2%}", "-",
-         f">= {MIN_COVERAGE:.0%}"],
-    ]
     print()
     print(format_table(
-        ("measurement", "cpu", "wall", "gate"), rows,
-        title=f"Trace overhead: {queries}-query mixed workload, "
-              f"{frames} frames/video"))
+        ("lane", "worst root coverage", "gate"),
+        [[lane, f"{worst:.2%}", f">= {MIN_COVERAGE:.0%}"]
+         for lane, worst in coverage.items()],
+        title=f"Trace purity + completeness: {queries}-query mixed "
+              f"workload, {frames} frames/video"))
 
     write_bench_result(
         "trace",
         scale=scale_label(bench_scale),
-        seconds=sum(wall for wall, _ in off_runs + on_runs),
+        seconds=time.perf_counter() - started,
         margin=min(coverage.values()) - MIN_COVERAGE,
         queries=queries,
         frames=frames,
-        cpu_off_seconds=cpu_off,
-        cpu_on_seconds=cpu_on,
-        wall_off_seconds=wall_off,
-        wall_on_seconds=wall_on,
-        overhead_fraction=overhead,
-        overhead_pairs=pair_overheads,
         min_root_coverage=min(coverage.values()),
         byte_identical=True,
         ledger_identical=True,

@@ -23,6 +23,10 @@ is printed really has no other mention. Dunder methods are skipped
 (the interpreter calls them), and a re-export — an import line, an
 ``__all__`` entry — is a mention like any other.
 
+It also prints the package's total line count (``find src/repro -name
+'*.py' | xargs cat | wc -l``), so every CI log carries the number
+ROADMAP 7 asks each PR to report.
+
 Usage: ``python scripts/unused_surface.py``. It prints and gates
 nothing.
 """
@@ -96,6 +100,11 @@ def audit():
 
 
 def main() -> None:
+    # The `wc -l` figure ROADMAP 7's rule reports next to every result.
+    total = sum(
+        path.read_text("utf-8").count("\n")
+        for path in PACKAGE.rglob("*.py"))
+    print(f"src/repro: {total} lines")
     for title, found in zip(("unreferenced", "test-only"), audit()):
         print(f"{title}: {len(found)} definitions, "
               f"{sum(d.lines for d in found)} lines")

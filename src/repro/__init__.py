@@ -37,7 +37,6 @@ from .api import (
 )
 from .parallel import ParallelRunner, resolve_workers
 from .corpus import (
-    CorpusQuery,
     CorpusSubscription,
     FederatedTopK,
     VideoCorpus,
@@ -88,7 +87,6 @@ __all__ = [
     "WindowedSession",
     "WindowedVideo",
     "VideoCorpus",
-    "CorpusQuery",
     "CorpusSubscription",
     "FederatedTopK",
     "open_session",

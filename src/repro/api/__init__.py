@@ -11,8 +11,9 @@ This is the user-facing layer of the reproduction (DESIGN.md §4)::
 
 * :class:`Session` opens a (video, UDF) pair once and owns the Phase-1
   cache and cost ledgers; many queries share one relation build.
-* :class:`Query` is the fluent, immutable builder; every clause
-  validates eagerly and returns a new builder.
+* :class:`Query` is the fluent, immutable builder — the same class
+  over a session or a :class:`~repro.corpus.corpus.VideoCorpus`; every
+  clause validates eagerly and returns a new builder.
 * :class:`QueryPlan` is the compiled, inspectable form
   (``query.explain()``), executed by :class:`QueryExecutor` into the
   standard :class:`~repro.core.result.QueryReport`.

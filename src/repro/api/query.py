@@ -1,4 +1,4 @@
-"""The fluent, immutable query builder.
+"""The fluent, immutable query builder — one class for every target.
 
 ``session.query().windows(size=30).topk(k=10).guarantee(0.9)`` builds
 a description of a Top-K query one clause at a time. Every clause
@@ -12,8 +12,25 @@ and forked across a sweep without aliasing surprises::
     for k in (5, 10, 25):
         report = base.topk(k).run()
 
-``plan()`` compiles the builder to an executable
-:class:`~repro.api.plan.QueryPlan`; ``run()`` compiles and executes.
+The *target* is a :class:`~repro.api.session.Session` or a
+:class:`~repro.corpus.corpus.VideoCorpus` — anything exposing
+``scoring``, ``config``, ``resolved_unit_costs()`` and ``query()``.
+Both compile to the same :class:`~repro.api.plan.QueryPlan` (a corpus
+plan targets the concatenated frame namespace, which is what makes
+federated execution byte-comparable to a plain run)::
+
+    outcome = (corpus.query()
+               .topk(10).guarantee(0.9)
+               .oracle_budget(500).shard_budget("cam2", 100)
+               .run_detailed())
+    outcome.allocation()     # confirms per shard
+    outcome.merged_cost()    # canonical corpus ledger
+
+Two clauses belong to one kind of target and are refused on the other
+with an error naming the right door: tumbling ``windows(size=...)``
+needs a session (aggregation across shard boundaries is undefined),
+``shard_budget`` needs a corpus. ``plan()`` compiles the builder;
+``run()`` compiles and executes.
 """
 
 from __future__ import annotations
@@ -21,51 +38,72 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..config import EverestConfig
 from ..core.windows import WINDOW_STEP_DIVISOR
-from ..errors import ConfigurationError, QueryError
+from ..errors import ConfigurationError, CorpusError, QueryError
+from ..video.streaming import window_frames_for
 from .plan import QueryPlan
+from .session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.result import QueryReport
-    from .session import Session
 
 #: Sentinel distinguishing "not set" from an explicit ``None``.
 _UNSET = object()
 
 
+def _positive_int(value, rule: str, error=QueryError) -> int:
+    """``value`` as an int, or ``error`` unless it is an integer >= 1."""
+    # Integral (not bare int) so numpy integers keep working; bool is an
+    # Integral but never a count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise error(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def _positive_real(value, rule: str, *, most: float = float("inf")) -> float:
+    """``value`` as a float, or a QueryError unless it is a finite real
+    in ``(0, most]`` (NaN fails the first comparison)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0.0 < value <= most or value == float("inf"):
+        raise QueryError(f"{rule}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Query:
-    """An immutable, partially built Top-K query."""
+    """An immutable, partially built Top-K query over one target."""
 
-    session: "Session" = field(repr=False, compare=False)
+    target: object = field(repr=False, compare=False)
     _k: int = 50
     _thres: float = 0.9
     _mode: str = "frames"
     _window_size: Optional[int] = None
     _window_step: Optional[float] = None
     _oracle_budget: object = _UNSET
+    _shard_budgets: Tuple[Tuple[str, int], ...] = ()
     _config: Optional[EverestConfig] = None
     _deterministic_timing: bool = False
     _window_seconds: Optional[float] = None
 
+    @property
+    def _corpus(self):
+        """The target when it is a corpus, ``None`` for a session."""
+        return None if isinstance(self.target, Session) else self.target
+
     # -- clauses -------------------------------------------------------
     def topk(self, k: int) -> "Query":
         """Ask for the Top-``k`` highest-scoring frames or windows."""
-        # Integral (not bare int) so numpy integers keep working.
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool) \
-                or k < 1:
-            raise QueryError(f"k must be a positive integer, got {k!r}")
-        return dataclasses.replace(self, _k=int(k))
+        return dataclasses.replace(self, _k=_positive_int(
+            k, "k must be a positive integer"))
 
     def guarantee(self, thres: float) -> "Query":
         """Require the answer to be exact with probability >= ``thres``."""
-        if not 0.0 < thres <= 1.0:
-            raise QueryError(
-                f"guarantee threshold must be in (0, 1], got {thres!r}")
-        return dataclasses.replace(self, _thres=float(thres))
+        return dataclasses.replace(self, _thres=_positive_real(
+            thres, "guarantee threshold must be in (0, 1]", most=1.0))
 
     def frames(self) -> "Query":
         """Rank individual frames (the default)."""
@@ -79,63 +117,90 @@ class Query:
 
         ``step`` is the window relation's quantization step; the
         default is the UDF step / 4 (windows live on a finer scale
-        than single frames). ``size=1`` is the frame query.
+        than single frames). ``size=1`` is the frame query. Sessions
+        only.
         """
-        if not isinstance(size, numbers.Integral) or isinstance(size, bool) \
-                or size < 1:
+        if self._corpus is not None:
             raise QueryError(
-                f"window size must be a positive integer, got {size!r}")
-        if step is not None and not step > 0:
-            raise QueryError(
-                f"window_step must be positive, got {step!r}")
+                "tumbling windows(size=...) cannot target a corpus: "
+                "window aggregation across shard boundaries is undefined; "
+                "build the query from a member session's query() instead")
+        size = _positive_int(
+            size, "window size must be a positive integer")
+        if step is not None:
+            # Kept as given (not the validator's float): the step rides
+            # the plan verbatim.
+            _positive_real(step, "window_step must be positive")
         if self._window_seconds is not None:
             raise QueryError(
                 "tumbling windows(size=...) cannot be combined with a "
                 "sliding window(seconds=...) clause")
         return dataclasses.replace(
-            self, _mode="windows", _window_size=int(size), _window_step=step)
+            self, _mode="windows", _window_size=size, _window_step=step)
 
     def window(self, *, seconds: float) -> "Query":
-        """Restrict the query to the last ``seconds`` of the video.
+        """Restrict the query to the last ``seconds`` of every video.
 
         Sliding-window semantics (DESIGN.md §13): the answer is the
-        Top-K over frames in ``[horizon - seconds, watermark)``, where
-        the horizon is the stream clock for windowed
+        Top-K over frames in ``[horizon - seconds, watermark)`` of each
+        video under the target — one range for a session, one per
+        member (in the concatenated namespace) for a corpus — where the
+        horizon is the stream clock for windowed
         :class:`~repro.video.streaming.StreamingVideo` sources and the
         end of the video otherwise. Mutually exclusive with the tumbling
-        ``windows(size=...)`` relation. On a windowed streaming session
-        the clause is implicit — every query is windowed to the
-        session's window — and an explicit value may not exceed it.
+        ``windows(size=...)`` relation. On a windowed stream the clause
+        is implicit — every query is windowed to the stream's own
+        window — and an explicit value may not exceed it.
         """
-        if isinstance(seconds, bool) \
-                or not isinstance(seconds, numbers.Real) \
-                or not float(seconds) > 0.0 \
-                or not float(seconds) < float("inf"):
-            raise QueryError(
-                f"window seconds must be a positive finite number, "
-                f"got {seconds!r}")
+        seconds = _positive_real(
+            seconds, "window seconds must be a positive finite number")
         if self._mode == "windows":
             raise QueryError(
                 "sliding window(seconds=...) cannot be combined with a "
                 "tumbling windows(size=...) relation")
-        return dataclasses.replace(self, _window_seconds=float(seconds))
+        return dataclasses.replace(self, _window_seconds=seconds)
 
     def oracle_budget(self, budget: Optional[int]) -> "Query":
-        """Cap Phase 2 oracle invocations (``None`` = unbounded)."""
+        """Cap Phase 2 oracle invocations (``None`` = unbounded); the
+        *global* spend across every shard on a corpus."""
         if budget is not None:
-            if not isinstance(budget, numbers.Integral) \
-                    or isinstance(budget, bool) or budget < 1:
-                raise ConfigurationError(
-                    f"oracle_budget must be None or a positive integer, "
-                    f"got {budget!r}")
-            budget = int(budget)
+            budget = _positive_int(
+                budget, "oracle_budget must be None or a positive integer",
+                ConfigurationError)
         return dataclasses.replace(self, _oracle_budget=budget)
 
+    def shard_budget(self, member: str, budget: int) -> "Query":
+        """Cap one corpus member's share of the oracle spend.
+
+        A shard hitting its cap mid-allocation fails the query with a
+        deterministic
+        :class:`~repro.errors.ShardBudgetExceededError` *before* any
+        charge from the offending batch lands. Corpora only.
+        """
+        corpus = self._corpus
+        if corpus is None:
+            raise QueryError(
+                "shard_budget(...) caps one member of a corpus and this "
+                "query targets a single session; use oracle_budget(...) "
+                "here, or build the query from VideoCorpus.query()")
+        if member not in corpus.member_names:
+            raise CorpusError(
+                f"unknown corpus member {member!r}; members: "
+                f"{', '.join(corpus.member_names)}")
+        budget = _positive_int(
+            budget, "shard budget must be a positive integer",
+            ConfigurationError)
+        budgets = tuple(
+            (name, cap) for name, cap in self._shard_budgets
+            if name != member
+        ) + ((member, budget),)
+        return dataclasses.replace(self, _shard_budgets=budgets)
+
     def with_config(self, config: EverestConfig) -> "Query":
-        """Override the session configuration for this query only.
+        """Override the target's configuration for this query only.
 
         Overrides that keep ``(phase1, diff, seed)`` untouched still
-        hit the session's Phase 1 cache.
+        hit the Phase 1 cache.
         """
         if not isinstance(config, EverestConfig):
             raise ConfigurationError(
@@ -153,117 +218,14 @@ class Query:
         return dataclasses.replace(
             self, _deterministic_timing=bool(enabled))
 
-    # -- compilation and execution -------------------------------------
-    def plan(self) -> QueryPlan:
-        """Compile to an executable plan (cheap; Phase 1 not run)."""
-        session = self.session
-        config = self._config if self._config is not None else session.config
-        mode = self._mode
-        window_size = self._window_size
-        window_step = self._window_step
-        if mode == "windows" and window_size == 1:
-            # A 1-frame window is the frame query (paper Section 3.4).
-            mode, window_size, window_step = "frames", None, None
-        if mode == "windows" and window_step is None:
-            window_step = session.scoring.step / WINDOW_STEP_DIVISOR
-        budget = (
-            config.phase2.oracle_budget
-            if self._oracle_budget is _UNSET else self._oracle_budget
-        )
-        frame_ranges, window_seconds = self._resolve_window(mode)
-        return QueryPlan(
-            video_name=session.video.name,
-            udf_name=session.scoring.name,
-            num_frames=len(session.video),
-            mode=mode,
-            k=self._k,
-            thres=self._thres,
-            window_size=window_size,
-            window_step=window_step,
-            oracle_budget=budget,
-            config=config,
-            unit_costs=session.resolved_unit_costs(),
-            deterministic_timing=self._deterministic_timing,
-            frame_ranges=frame_ranges,
-            window_seconds=window_seconds,
-        )
+    def over_corpus(self, corpus) -> "Query":
+        """The same query — K, guarantee, budget, config override,
+        timing mode, sliding window — re-targeted at a whole corpus.
 
-    def _resolve_window(self, mode):
-        """Compile the sliding-window clause to a frame range.
-
-        On a windowed video the session window applies implicitly; an
-        explicit clause may narrow but never widen it (the maintained
-        relation only covers the session window).
-        """
-        from ..video.streaming import window_frames_for
-
-        video = self.session.video
-        session_window = getattr(video, "window_frames", None)
-        seconds = self._window_seconds
-        if seconds is None and session_window is None:
-            return None, None
-        if mode != "frames":  # pragma: no cover - clauses reject earlier
-            raise QueryError(
-                "sliding windows require the frame relation")
-        num_frames = len(video)
-        horizon = int(getattr(video, "horizon", num_frames))
-        if seconds is None:
-            window_frames = session_window
-            seconds = float(video.window_seconds)
-        else:
-            window_frames = window_frames_for(seconds, video.fps)
-            if session_window is not None \
-                    and window_frames > session_window:
-                raise QueryError(
-                    f"window of {seconds:g}s ({window_frames} frames) is "
-                    f"wider than the session window "
-                    f"({session_window} frames); the maintained relation "
-                    f"does not cover it")
-        lo = max(0, horizon - window_frames)
-        if lo >= num_frames:
-            raise QueryError(
-                f"window of {seconds:g}s has fully expired: it starts at "
-                f"frame {lo} but the stream has only {num_frames} frames")
-        return ((lo, num_frames),), float(seconds)
-
-    def explain(self) -> str:
-        """The compiled plan, rendered for humans."""
-        return self.plan().explain()
-
-    def run(
-        self,
-        *,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-    ) -> "QueryReport":
-        """Compile and execute, returning the full query report.
-
-        ``parallel=True`` routes execution through the sweep path
-        (:class:`~repro.parallel.runner.ParallelRunner`) under its
-        deterministic-timing contract, making the report bit-identical
-        to ``self.deterministic_timing().run()``. A single plan is not
-        worth a pool, so the runner's serial fallback executes it
-        in-process; actual fan-out happens when several plans go
-        through :meth:`Session.execute_many` together. ``workers``
-        defaults to the ``REPRO_WORKERS`` environment variable.
-        """
-        if not parallel:
-            return self.session.execute(self.plan())
-        return self.session.execute_many(
-            [self.plan()], workers=workers)[0]
-
-    def over_corpus(self, corpus) -> "object":
-        """Re-target this query's parameters at a whole corpus.
-
-        Returns a :class:`~repro.corpus.query.CorpusQuery` carrying
-        this builder's K, guarantee, budget, config override, timing
-        mode and sliding-window clause — the federated equivalent of
-        the same query. The session is dropped (the corpus owns one
-        per member); tumbling window clauses do not transfer, since
-        window aggregation across shard boundaries is undefined.
+        Tumbling window clauses do not transfer: window aggregation
+        across shard boundaries is undefined.
         """
         from ..corpus.corpus import VideoCorpus
-        from ..corpus.query import CorpusQuery
 
         if not isinstance(corpus, VideoCorpus):
             raise QueryError(
@@ -272,24 +234,169 @@ class Query:
             raise QueryError(
                 "window queries cannot target a corpus; window "
                 "aggregation across shard boundaries is undefined")
-        return CorpusQuery(
-            corpus=corpus,
-            _k=self._k,
-            _thres=self._thres,
-            _oracle_budget=self._oracle_budget,
-            _config=self._config,
-            _deterministic_timing=self._deterministic_timing,
-            _window_seconds=self._window_seconds,
+        return dataclasses.replace(self, target=corpus)
+
+    # -- compilation and execution -------------------------------------
+    def _videos(self):
+        """``(video, offset, where)`` per video under the target, in
+        the order (and at the offsets) of the target's frame namespace;
+        ``where`` names the member in error messages."""
+        corpus = self._corpus
+        if corpus is None:
+            return [(self.target.video, 0, "")]
+        return [
+            (member.video, int(offset), f" on member {member.name!r}")
+            for member, offset in zip(corpus.members, corpus.offsets())
+        ]
+
+    def plan(self) -> QueryPlan:
+        """Compile to an executable plan (cheap; Phase 1 not run)."""
+        target, corpus = self.target, self._corpus
+        config = self._config if self._config is not None else target.config
+        mode = self._mode
+        window_size = self._window_size
+        window_step = self._window_step
+        if mode == "windows" and window_size == 1:
+            # A 1-frame window is the frame query (paper Section 3.4).
+            mode, window_size, window_step = "frames", None, None
+        if mode == "windows" and window_step is None:
+            window_step = target.scoring.step / WINDOW_STEP_DIVISOR
+        budget = (
+            config.phase2.oracle_budget
+            if self._oracle_budget is _UNSET else self._oracle_budget
+        )
+        videos = self._videos()
+        frame_ranges, window_seconds = self._resolve_window(mode, videos)
+        return QueryPlan(
+            video_name=(target.video if corpus is None else corpus).name,
+            udf_name=target.scoring.name,
+            num_frames=sum(len(video) for video, _, _ in videos),
+            mode=mode,
+            k=self._k,
+            thres=self._thres,
+            window_size=window_size,
+            window_step=window_step,
+            oracle_budget=budget,
+            config=config,
+            unit_costs=target.resolved_unit_costs(),
+            deterministic_timing=self._deterministic_timing,
+            frame_ranges=frame_ranges,
+            window_seconds=window_seconds,
         )
 
-    def subscribe(self):
-        """Maintain this query live over a streaming session.
+    def _resolve_window(self, mode, videos):
+        """The one sliding-window rule: ``(frame_ranges, seconds)``.
 
-        Only valid on queries built from a live session
-        (:meth:`Session.open_stream`; a closed one refuses). Returns a
-        :class:`~repro.streaming.live_topk.LiveTopK` that is refreshed
-        immediately and then re-certified on every ``append`` — one
-        report per append, batch-equivalent ledgers, fresh oracle work
-        proportional to the delta.
+        Per video: its own window (a windowed stream's) applies
+        implicitly; an explicit clause may narrow but never widen it
+        (the maintained relation only covers the video's window); the
+        range starts ``window`` frames below the video's horizon — the
+        stream clock where there is one, the end otherwise — and is
+        offset into the target's namespace. A video with neither
+        window contributes all its frames; a target with neither is
+        unrestricted (``None``). ``seconds`` is the clause, else the
+        widest implicit window.
         """
-        return self.session.subscribe(self)
+        explicit = self._window_seconds
+        ranges, reported = [], explicit
+        for video, offset, where in videos:
+            num_frames = len(video)
+            own = getattr(video, "window_frames", None)
+            if explicit is None and own is None:
+                ranges.append((offset, offset + num_frames))
+                continue
+            if mode != "frames":
+                raise QueryError(
+                    "sliding windows require the frame relation")
+            seconds = explicit if explicit is not None \
+                else float(video.window_seconds)
+            window_frames = own if explicit is None \
+                else window_frames_for(seconds, video.fps)
+            if own is not None and window_frames > own:
+                raise QueryError(
+                    f"window of {seconds:g}s ({window_frames} frames) is "
+                    f"wider than the session window ({own} frames){where}; "
+                    f"the maintained relation does not cover it")
+            horizon = int(getattr(video, "horizon", num_frames))
+            lo = max(0, horizon - window_frames)
+            if lo >= num_frames:
+                raise QueryError(
+                    f"window of {seconds:g}s has fully expired{where}: it "
+                    f"starts at frame {lo} but only {num_frames} frames "
+                    f"have arrived")
+            ranges.append((offset + lo, offset + num_frames))
+            reported = seconds if reported is None else max(reported, seconds)
+        if reported is None:
+            return None, None
+        return tuple(ranges), reported
+
+    def explain(self) -> str:
+        """The compiled plan (plus a corpus's shard map), for humans."""
+        text = self.plan().explain()
+        corpus = self._corpus
+        if corpus is None:
+            return text
+        shards = ", ".join(
+            f"{member.name}[{int(offset)}:{int(offset) + len(member.video)}]"
+            for member, offset in zip(corpus.members, corpus.offsets())
+        )
+        budgets = ", ".join(
+            f"{name}<={cap}" for name, cap in self._shard_budgets
+        ) or "none"
+        return "\n".join([
+            text,
+            f"  shards   : {shards}",
+            f"  caps     : {budgets} (per-shard)",
+        ])
+
+    def run_detailed(self, *, shard_workers: Optional[int] = None,
+                     backend=None):
+        """Compile and execute; the full outcome behind the report.
+
+        An :class:`~repro.api.executor.ExecutionDetail` for a session,
+        a :class:`~repro.corpus.federated.CorpusOutcome` (allocation,
+        per-shard ledgers) for a corpus — both carry ``.report``.
+        ``shard_workers`` / ``backend`` pick a corpus's shard-scoring
+        transport and can change no report byte; a session has no
+        shards and refuses them.
+        """
+        plan = self.plan()
+        corpus = self._corpus
+        if corpus is None:
+            if shard_workers is not None or backend is not None:
+                raise QueryError(
+                    "shard_workers= / backend= fan a corpus's shards out "
+                    "and this query targets a single session; sweep "
+                    "several plans with Session.execute_many(...)")
+            return self.target._executor().execute_detailed(plan)
+        from ..corpus.federated import FederatedTopK
+
+        caps = dict(self._shard_budgets)
+        return FederatedTopK(
+            corpus, shard_workers=shard_workers, backend=backend,
+        ).execute_detailed(
+            plan,
+            shard_budgets=[caps.get(name) for name in corpus.member_names])
+
+    def run(self, *, shard_workers: Optional[int] = None) -> "QueryReport":
+        """Compile and execute, returning the full query report."""
+        return self.run_detailed(shard_workers=shard_workers).report
+
+    def subscribe(self):
+        """Maintain this query live over a growing target.
+
+        On a live session (:meth:`Session.open_stream`; a closed one
+        refuses) returns a
+        :class:`~repro.streaming.live_topk.LiveTopK`, refreshed
+        immediately and then re-certified on every ``append`` / ``tick``
+        — one report per event, batch-equivalent ledgers, fresh oracle
+        work proportional to the delta. On a corpus (at least one
+        streaming member) returns a
+        :class:`~repro.corpus.subscription.CorpusSubscription`: every
+        member event refreshes the global federated answer.
+        """
+        if self._corpus is None:
+            return self.target.subscribe(self)
+        from ..corpus.subscription import CorpusSubscription
+
+        return CorpusSubscription.attach(self)

@@ -481,7 +481,7 @@ class Session:
         """Start building a query against this session (fluent API)."""
         from .query import Query
 
-        return Query(session=self)
+        return Query(target=self)
 
     def _executor(self):
         from .executor import QueryExecutor  # imports this module
@@ -896,7 +896,7 @@ class Session:
         current watermark) and again on every append and tick.
         """
         self._require_live("subscribe()")
-        if query.session is not self:
+        if query.target is not self:
             raise QueryError(
                 "subscribe a query built from this streaming session")
         self.phase1()

@@ -362,11 +362,6 @@ class BlockInferenceCache:
         if other._tail is not None:
             self._tail = other._tail
 
-    @property
-    def cached_blocks(self) -> List[int]:
-        """Block indices currently holding mixtures (tests/debugging)."""
-        return sorted(self._blocks)
-
     def block(
         self,
         b: int,

@@ -13,10 +13,12 @@ execution over the concatenated footage (DESIGN.md §9).
     corpus = VideoCorpus.open(["taipei-bus", "archie-day2"], "count[car]")
     outcome = corpus.query().topk(10).guarantee(0.9).run_detailed()
     outcome.report.summary(); outcome.answer_members()
+
+``corpus.query()`` is the same :class:`~repro.api.query.Query` builder a
+session hands out, targeted at the corpus.
 """
 
 from .corpus import CorpusMember, VideoCorpus
-from .query import CorpusQuery
 from .federated import (
     CorpusOutcome,
     FederatedOracle,
@@ -30,7 +32,6 @@ from .subscription import CorpusSubscription
 __all__ = [
     "VideoCorpus",
     "CorpusMember",
-    "CorpusQuery",
     "CorpusOutcome",
     "CorpusSubscription",
     "FederatedTopK",

@@ -236,11 +236,6 @@ class VideoCorpus:
             np.searchsorted(offsets, global_id, side="right")) - 1
         return member, global_id - int(offsets[member])
 
-    def member_of(self, global_id: int) -> Tuple[str, int]:
-        """``(member_name, local_frame)`` owning a global frame id."""
-        member, local = self.locate(global_id)
-        return self.members[member].name, local
-
     def resolved_unit_costs(self) -> Dict[str, float]:
         return self.members[0].session.resolved_unit_costs()
 
@@ -389,11 +384,11 @@ class VideoCorpus:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(self) -> "CorpusQuery":
+    def query(self) -> "Query":
         """Start building a federated top-k query (fluent API)."""
-        from .query import CorpusQuery
+        from ..api.query import Query
 
-        return CorpusQuery(corpus=self)
+        return Query(target=self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

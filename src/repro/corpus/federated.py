@@ -45,7 +45,6 @@ from ..core.result import QueryReport
 from ..core.uncertain import (
     QuantizationGrid,
     UncertainRelation,
-    grid_for,
     quantize_mixtures,
 )
 from ..errors import (
@@ -64,32 +63,20 @@ from ..video.diff import DiffResult
 
 
 def merged_grid(
-    results: Sequence[Phase1Result],
-    *,
-    floor: float,
-    step: float,
-    truncate_sigmas: float,
+    results: Sequence[Phase1Result], *, floor: float, step: float
 ) -> QuantizationGrid:
     """One quantization grid covering every shard's mixtures and labels.
 
-    Each member's grid is computed exactly as
-    :func:`~repro.core.uncertain.grid_for` would for a single-video
-    build; the shared grid takes the widest. ``ceil`` is monotone, so
-    the maximum of the per-member level counts equals the level count a
-    joint build over the concatenated mixtures would choose — which is
-    what keeps a corpus-of-one bit-identical to the plain build.
+    Each member's relation already sits on the grid a single-video
+    build chose for it — over its *full prefix* even when a sliding
+    window has evicted the mixtures below the edge; the shared grid
+    takes the widest. ``ceil`` is monotone, so the maximum of the
+    per-member level counts equals the level count a joint build over
+    the concatenated mixtures would choose — which is what keeps a
+    corpus-of-one bit-identical to the plain build.
     """
-    num_levels = 1
-    for result in results:
-        grid = grid_for(
-            result.mixtures,
-            floor=floor,
-            step=step,
-            extra_scores=list(result.known_scores.values()),
-            truncate_sigmas=truncate_sigmas,
-        )
-        num_levels = max(num_levels, grid.num_levels)
-    return QuantizationGrid(floor=floor, step=step, num_levels=num_levels)
+    return QuantizationGrid(floor=floor, step=step, num_levels=max(
+        result.relation.grid.num_levels for result in results))
 
 
 def merge_phase1_results(
@@ -115,10 +102,10 @@ def merge_phase1_results(
     relation is the cross-shard artifact). The merged result serves
     frame-mode queries only.
     """
-    grid = merged_grid(
-        results, floor=floor, step=step, truncate_sigmas=truncate_sigmas)
+    grid = merged_grid(results, floor=floor, step=step)
 
     id_blocks: List[np.ndarray] = []
+    retained_blocks: List[np.ndarray] = []
     pmf_blocks: List[np.ndarray] = []
     rep_blocks: List[np.ndarray] = []
     known_global: Dict[int, float] = {}
@@ -127,8 +114,12 @@ def merge_phase1_results(
     for offset, result in zip(offsets, results):
         offset = int(offset)
         retained = result.diff_result.retained.astype(np.int64) + offset
-        id_blocks.append(retained)
-        retained_global.update(int(i) for i in retained)
+        retained_blocks.append(retained)
+        # The rows the mixtures cover: all of them, or the open-window
+        # tail on a sliding member (lower rows have been evicted).
+        covered = retained[retained.size - len(result.mixtures.mu):]
+        id_blocks.append(covered)
+        retained_global.update(int(i) for i in covered)
         pmf_blocks.append(
             quantize_mixtures(
                 result.mixtures, grid, truncate_sigmas=truncate_sigmas))
@@ -156,7 +147,7 @@ def merge_phase1_results(
             relation.exact_scores[position] = float(score)
 
     diff = DiffResult(
-        retained=np.concatenate(id_blocks),
+        retained=np.concatenate(retained_blocks),
         representative=np.concatenate(rep_blocks),
         num_frames=total_frames,
     )

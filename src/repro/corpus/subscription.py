@@ -23,24 +23,24 @@ from ..core.result import QueryReport
 from ..errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..api.query import Query
     from .federated import CorpusOutcome
-    from .query import CorpusQuery
 
 
 @dataclass
 class CorpusSubscription:
     """One continuously maintained federated top-k answer."""
 
-    query: object  # repro.corpus.query.CorpusQuery (frozen dataclass)
+    query: object  # repro.api.query.Query over a corpus (frozen dataclass)
     reports: List[QueryReport] = field(default_factory=list)
     #: The full outcome behind each report (allocation, ledgers).
     outcomes: List["CorpusOutcome"] = field(default_factory=list)
 
     @classmethod
-    def attach(cls, query: "CorpusQuery") -> "CorpusSubscription":
+    def attach(cls, query: "Query") -> "CorpusSubscription":
         """Register with every streaming member and refresh once."""
         streaming = [
-            member for member in query.corpus.members if member.streaming
+            member for member in query.target.members if member.streaming
         ]
         if not streaming:
             raise QueryError(
@@ -57,12 +57,6 @@ class CorpusSubscription:
         if not self.reports:
             raise QueryError("subscription has not produced a report yet")
         return self.reports[-1]
-
-    @property
-    def latest_outcome(self) -> "CorpusOutcome":
-        if not self.outcomes:
-            raise QueryError("subscription has not produced a report yet")
-        return self.outcomes[-1]
 
     def __iter__(self):
         return iter(self.reports)

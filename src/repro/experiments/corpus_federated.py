@@ -28,6 +28,7 @@ from .runner import (
     ExperimentScale,
     config_for,
     counting_videos,
+    experiment_main,
     format_table,
 )
 
@@ -135,15 +136,7 @@ def render(measurement: CorpusMeasurement) -> str:
     return f"{table}\n{footer}"
 
 
-def main(
-    scale: ExperimentScale = ExperimentScale.paper(),
-    *,
-    workers: Optional[int] = None,
-    **kwargs,
-) -> str:
-    output = render(run(scale, workers=workers, **kwargs))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry point

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..baselines import (
     calibrated_select_and_topk,
     cmdn_only_topk,
@@ -29,6 +27,7 @@ from .runner import (
     config_for,
     counting_videos,
     evaluate_baseline,
+    experiment_main,
     format_table,
     object_label_for,
     record_row,
@@ -99,10 +98,7 @@ def render(records: List[ExperimentRecord]) -> str:
     )
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..api.session import Session
-from ..oracle.detector import counting_udf
 from .runner import (
     ExperimentRecord,
     ExperimentScale,
     SweepPoint,
-    config_for,
-    counting_videos,
-    execute_sweep,
+    counting_sweep,
+    experiment_main,
     format_table,
-    object_label_for,
 )
 
 #: The paper's threshold sweep.
@@ -35,16 +31,11 @@ def run(
     videos=None,
     workers: Optional[int] = None,
 ) -> List[ExperimentRecord]:
-    if videos is None:
-        videos = counting_videos(scale)
-    config = config_for(scale)
-    points: List[SweepPoint] = []
-    for video in videos:
-        scoring = counting_udf(object_label_for(video))
-        session = Session(video, scoring, config=config)
-        points.extend(
-            SweepPoint(session, k=k, thres=thres) for thres in thresholds)
-    return execute_sweep(points, workers=workers)
+    return counting_sweep(
+        scale,
+        lambda session: [
+            SweepPoint(session, k=k, thres=thres) for thres in thresholds],
+        videos=videos, workers=workers)
 
 
 def render(records: List[ExperimentRecord]) -> str:
@@ -66,10 +57,7 @@ def render(records: List[ExperimentRecord]) -> str:
     )
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

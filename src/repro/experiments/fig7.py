@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..api.session import Session
-from ..oracle.detector import counting_udf
 from .runner import (
     ExperimentRecord,
     ExperimentScale,
     SweepPoint,
-    config_for,
-    counting_videos,
-    execute_sweep,
+    counting_sweep,
+    experiment_main,
     format_table,
-    object_label_for,
 )
 
 #: The paper's window-size sweep (frames; 1 = no window).
@@ -37,21 +33,16 @@ def run(
     videos=None,
     workers: Optional[int] = None,
 ) -> List[ExperimentRecord]:
-    if videos is None:
-        videos = counting_videos(scale)
-    config = config_for(scale)
-    points: List[SweepPoint] = []
-    for video in videos:
-        scoring = counting_udf(object_label_for(video))
-        session = Session(video, scoring, config=config)
-        for window in window_sizes:
+    return counting_sweep(
+        scale,
+        lambda session: [
+            SweepPoint(session, k=k, thres=thres,
+                       window_size=None if window == 1 else window)
+            for window in window_sizes
             # Keep at least ~3K windows so Top-K remains meaningful.
-            if window > 1 and len(video) // window < 3 * k:
-                continue
-            points.append(SweepPoint(
-                session, k=k, thres=thres,
-                window_size=None if window == 1 else window))
-    return execute_sweep(points, workers=workers)
+            if window == 1 or len(session.video) // window >= 3 * k
+        ],
+        videos=videos, workers=workers)
 
 
 def render(records: List[ExperimentRecord]) -> str:
@@ -74,10 +65,7 @@ def render(records: List[ExperimentRecord]) -> str:
     )
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

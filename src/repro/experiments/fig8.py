@@ -16,6 +16,7 @@ from .runner import (
     ExperimentRecord,
     ExperimentScale,
     config_for,
+    experiment_main,
     format_table,
     run_everest,
 )
@@ -64,10 +65,7 @@ def render(records: List[ExperimentRecord]) -> str:
     )
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

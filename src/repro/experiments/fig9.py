@@ -20,6 +20,7 @@ from .runner import (
     config_for,
     dashcam_videos,
     execute_sweep,
+    experiment_main,
     format_table,
 )
 
@@ -87,10 +88,7 @@ def render(records: List[ExperimentRecord]) -> str:
     )
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,19 +11,20 @@ UDF) pair, so parameter sweeps share a single Phase 1 build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api.session import Session
-from ..config import EverestConfig, Phase1Config
+from ..config import EverestConfig
 from ..core.result import QueryReport
 from ..core.windows import window_truth
 from ..metrics import QualityMetrics, evaluate_answer
 from ..oracle.base import ScoringFunction, exact_scores
+from ..oracle.detector import counting_udf
 from ..parallel import ParallelRunner, resolve_workers
-from ..video.datasets import COUNTING_DATASETS, DASHCAM_DATASETS, DatasetSpec
+from ..video.datasets import COUNTING_DATASETS, DASHCAM_DATASETS
 from ..video.synthetic import SyntheticVideo
 
 
@@ -264,6 +265,37 @@ def execute_sweep(
         if point.label is not None:
             record.extras["scenario"] = point.label
     return records
+
+
+def counting_sweep(
+    scale: ExperimentScale,
+    points_for,
+    *,
+    videos=None,
+    workers: Optional[int] = None,
+) -> List[ExperimentRecord]:
+    """The sweep shape figs 5-7 and Table 8 share: one session per
+    counting video (so a video's grid points share one Phase 1),
+    ``points_for(session)`` grid points each, executed as one sweep."""
+    if videos is None:
+        videos = counting_videos(scale)
+    config = config_for(scale)
+    points: List[SweepPoint] = []
+    for video in videos:
+        scoring = counting_udf(object_label_for(video))
+        points.extend(points_for(Session(video, scoring, config=config)))
+    return execute_sweep(points, workers=workers)
+
+
+def experiment_main(run, render):
+    """The ``main(scale, **run_kwargs)`` every experiment module
+    exposes: run, render, print, return the rendered text."""
+    def main(scale: ExperimentScale = ExperimentScale.paper(),
+             **kwargs) -> str:
+        output = render(run(scale, **kwargs))
+        print(output)
+        return output
+    return main
 
 
 def evaluate_baseline(

@@ -19,13 +19,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..api.session import Session
 from ..errors import ConfigurationError
 from ..oracle.detector import counting_udf
 from ..video.datasets import COUNTING_DATASETS
-from .runner import ExperimentScale, config_for, format_table
+from .runner import (
+    ExperimentScale,
+    config_for,
+    experiment_main,
+    format_table,
+)
 
 
 @dataclass
@@ -128,10 +133,7 @@ def render(measurements: Sequence[AppendMeasurement]) -> str:
     )
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,17 +16,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..api.session import Session
-from ..oracle.detector import counting_udf
 from .runner import (
     ExperimentRecord,
     ExperimentScale,
     SweepPoint,
-    config_for,
-    counting_videos,
-    execute_sweep,
+    counting_sweep,
+    experiment_main,
     format_table,
-    object_label_for,
 )
 
 
@@ -39,17 +35,9 @@ def run(
     workers: Optional[int] = None,
 ) -> List[ExperimentRecord]:
     """Run the default query per video, keeping the full reports."""
-    if videos is None:
-        videos = counting_videos(scale)
-    config = config_for(scale)
-    points = [
-        SweepPoint(
-            Session(video, counting_udf(object_label_for(video)),
-                    config=config),
-            k=k, thres=thres)
-        for video in videos
-    ]
-    return execute_sweep(points, workers=workers)
+    return counting_sweep(
+        scale, lambda session: [SweepPoint(session, k=k, thres=thres)],
+        videos=videos, workers=workers)
 
 
 def render(records: List[ExperimentRecord]) -> str:
@@ -86,10 +74,7 @@ def render(records: List[ExperimentRecord]) -> str:
     return part_a + "\n\n" + part_b
 
 
-def main(scale: ExperimentScale = ExperimentScale.paper()) -> str:
-    output = render(run(scale))
-    print(output)
-    return output
+main = experiment_main(run, render)
 
 
 if __name__ == "__main__":  # pragma: no cover

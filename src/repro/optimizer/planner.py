@@ -191,15 +191,15 @@ class WorkloadPlanner:
     def _resolve(
         self, index: int, query, session: Optional[Session]
     ) -> Tuple[int, Session, QueryPlan]:
-        if isinstance(query, Query):
-            return index, query.session, query.plan()
+        if isinstance(query, Query) and isinstance(query.target, Session):
+            return index, query.target, query.plan()
         if isinstance(query, QueryPlan):
             if session is None:
                 raise QueryError(
                     "planning a compiled QueryPlan needs session=...")
             return index, session, query
         raise QueryError(
-            f"plan expects a Query or QueryPlan, got {query!r}")
+            f"plan expects a session Query or QueryPlan, got {query!r}")
 
     def _warm(self, artifact: tuple, session: Session) -> bool:
         if session.phase1_cached(

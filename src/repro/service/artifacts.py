@@ -228,10 +228,6 @@ class SharedArtifacts:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
 
-    def resident_keys(self) -> List[ArtifactKey]:
-        with self._lock:
-            return list(self._entries)
-
     def resident(self, artifact: ArtifactKey) -> bool:
         """Whether the artifact is resident right now (no LRU touch)."""
         with self._lock:

@@ -205,7 +205,7 @@ class _Job:
     Three kinds of work share it — and everything in the service but
     one execute function each: a compiled
     :class:`~repro.api.plan.QueryPlan` on a session, a
-    :class:`~repro.corpus.query.CorpusQuery` on its corpus, and a
+    :class:`~repro.api.query.Query` on its corpus, and a
     stream's refresh pass (a zero-argument callable returning
     ``(reports, fresh confirmations, first error)``) on the stream.
     """
@@ -499,7 +499,7 @@ class QueryService:
         """Queue one query; returns a future for its report.
 
         ``query`` is a fluent :class:`~repro.api.query.Query` (its
-        session is implied) or a compiled
+        target — a session or a corpus — is implied) or a compiled
         :class:`~repro.api.plan.QueryPlan` (pass ``session=``). Plans
         are normalized to deterministic timing so results are
         bit-identical to serial execution regardless of scheduling.
@@ -511,13 +511,11 @@ class QueryService:
         if self._closed:
             self._scheduler.count_rejection(tenant, "closed")
             raise ServiceClosedError("query service is closed")
-        from ..corpus.query import CorpusQuery
-
-        if isinstance(query, CorpusQuery):
-            return self._submit_corpus(query, tenant=tenant)
         if isinstance(query, Query):
+            if not isinstance(query.target, Session):
+                return self._submit_corpus(query, tenant=tenant)
             if session is None:
-                session = query.session
+                session = query.target
             plan = query.plan()
         elif isinstance(query, QueryPlan):
             if session is None:
@@ -555,31 +553,17 @@ class QueryService:
         service's lane — pool workers when the process lane is up,
         threads otherwise. The lane cannot change a report byte.
         """
-        corpus = query.corpus
+        corpus = query.target
         for member in corpus.members:
             if not member.streaming and member.session.artifacts is None:
                 self.adopt_session(member.session)
-        if not query._deterministic_timing:
-            query = dataclasses.replace(query, _deterministic_timing=True)
+        query = query.deterministic_timing()
         job = _Job(
             target=corpus, work=query, tenant=tenant,
             seq=next(self._submit_seq))
         return self._enqueue(
             job, "corpus_query", None,
             shards=len(corpus.members), udf=corpus.scoring.name)
-
-    def submit_many(
-        self,
-        queries: Sequence,
-        *,
-        session: Optional[Session] = None,
-        tenant: str = "default",
-    ) -> List[QueryFuture]:
-        """Submit a sequence of queries/plans (one future each)."""
-        return [
-            self.submit(query, session=session, tenant=tenant)
-            for query in queries
-        ]
 
     def gather(
         self,
@@ -795,9 +779,9 @@ class QueryService:
         """One federated query: the Phase-2 loop runs here, shard
         scoring on ``lane`` (pool workers, or the engine's own threads).
         """
-        from ..corpus.federated import FederatedTopK, PoolShardBackend
+        from ..corpus.federated import PoolShardBackend
 
-        query, corpus = job.work, job.target
+        corpus = job.target
         backend = None  # inline: FederatedTopK builds a thread backend
         if lane != "inline":
             backend = self._pooled(corpus, None, lambda: PoolShardBackend(
@@ -806,10 +790,8 @@ class QueryService:
                 corpus.scoring,
             ))
         with activate(span):
-            return FederatedTopK(
-                corpus, shard_workers=self.workers, backend=backend,
-            ).execute_detailed(
-                query.plan(), shard_budgets=query._shard_budget_list())
+            return job.work.run_detailed(
+                shard_workers=self.workers, backend=backend)
 
     def _execute_queries(self, jobs: Sequence[_Job], spans, lane) -> list:
         """One same-artifact batch of plans; a detail or an error each."""

@@ -344,7 +344,7 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
     # And the live member's shard is the advanced prefix: the merged
     # state was fingerprint-invalidated, not served stale.
     assert corpus.total_frames == 520 + 260
-    assert subscription.latest_outcome.allocation().keys() == \
+    assert subscription.outcomes[-1].allocation().keys() == \
         {"corpus-live", "corpus-fixed"}
 
 

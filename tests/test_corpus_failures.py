@@ -222,7 +222,8 @@ class TestCorpusValidation:
         assert corpus.locate(0) == (0, 0)
         assert corpus.locate(299) == (0, 299)
         assert corpus.locate(300) == (1, 0)
-        assert corpus.member_of(899) == ("fail-cam2", 299)
+        assert corpus.locate(899) == (2, 299)
+        assert corpus.member_names[2] == "fail-cam2"
         with pytest.raises(FrameIndexError):
             corpus.locate(900)
         with pytest.raises(FrameIndexError):

@@ -203,8 +203,10 @@ def test_executor_workers_and_query_parallel_flag(
         assert a.cleaned == b.cleaned
         assert a.oracle_calls == b.oracle_calls
 
-    via_query = sweep_session.query().topk(3).guarantee(0.9).run(
-        parallel=True, workers=2)
+    # A single plan through the sweep path (what the removed
+    # ``run(parallel=True, workers=2)`` spelled).
+    via_query, = sweep_session.execute_many(
+        [sweep_session.query().topk(3).guarantee(0.9).plan()], workers=2)
     reference = sweep_session.query().topk(3).guarantee(0.9) \
         .deterministic_timing().run()
     assert via_query.to_json() == reference.to_json()

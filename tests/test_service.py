@@ -364,7 +364,11 @@ class TestSharedArtifacts:
         store.lease(session, alt_cfg, phase1_key(alt_cfg))
         assert store.stats.builds == 2
         assert store.stats.evictions == 1
-        assert len(store.resident_keys()) == 1
+        from repro.service.artifacts import group_key
+
+        group = group_key(session.video, session.scoring)
+        assert [store.resident((group, phase1_key(config)))
+                for config in (comp_cfg, alt_cfg)] == [False, True]
         # The evicted key's ledger survives for merged accounting.
         assert len(store.phase1_ledgers()) == 2
         # The evicted key rebuilds on next lease.
@@ -444,7 +448,7 @@ class TestQueryServiceSurface:
             queries = [
                 session.query().topk(k).guarantee(0.9) for k in (3, 4)]
             reports = service.gather(
-                service.submit_many(queries), timeout=WAIT)
+                [service.submit(query) for query in queries], timeout=WAIT)
             assert [r.k for r in reports] == [3, 4]
             assert all(r.confidence >= 0.9 for r in reports)
 

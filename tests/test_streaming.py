@@ -389,8 +389,8 @@ def test_window_edge_and_healed_blocks_keep_the_state_from_scratch():
             if not np.array_equal(before[rows], after[rows]):
                 healed += 1
                 assert cache._tops[b][0] == after[rows].tobytes()
-        assert cache.cached_blocks == list(range(now_first, -(-after.size // 512)))
-        assert sorted(cache._pmfs) == cache.cached_blocks
+        assert sorted(cache._blocks) == list(range(now_first, -(-after.size // 512)))
+        assert sorted(cache._pmfs) == sorted(cache._blocks)
         assert_built_from_scratch(stream)
     assert slid >= 1 and healed >= 1
     assert not stream.diverged
@@ -429,7 +429,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     cache = interrupted._incremental.blocks
     tail_rows = interrupted.phase1().result.diff_result.num_retained % 512
     assert 0 < tail_rows == cache._tail[0].size  # mid-block
-    assert cache._pmfs and sorted(cache._pmfs) == cache.cached_blocks
+    assert cache._pmfs and sorted(cache._pmfs) == sorted(cache._blocks)
     interrupted.checkpoint(tmp_path / "ck")
 
     # Derived rows stay out of the pickle — which is therefore laid out
@@ -437,7 +437,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     pickled = pickle.loads(pickle.dumps(interrupted._incremental)).blocks
     assert set(cache.__getstate__()) == {"_blocks", "_tops"}
     assert pickled._pmfs == {} and pickled._tail is None
-    assert pickled.cached_blocks == cache.cached_blocks
+    assert sorted(pickled._blocks) == sorted(cache._blocks)
     assert FORMAT_VERSION == 3
 
     resumed = Session.resume(tmp_path / "ck")

@@ -254,7 +254,7 @@ def _window_state(cache, proxy, video, retained, cut, **kwargs):
     np.testing.assert_array_equal(pmf, quantize_mixtures(
         mixtures, grid, truncate_sigmas=kwargs["truncate_sigmas"]))
     # Pmf rows are kept exactly for the blocks that hold mixtures.
-    assert sorted(cache._pmfs) == cache.cached_blocks
+    assert sorted(cache._pmfs) == sorted(cache._blocks)
     return mixtures, tops[0]
 
 
@@ -266,7 +266,7 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
 
     mixtures, top = _window_state(
         cache, proxy, video, retained, 0, truncate_sigmas=2.0, stats=stats)
-    assert cache.cached_blocks == [0, 1, 2]
+    assert sorted(cache._blocks) == [0, 1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size
     # The exact grid_for term: max(mu + truncate_sigmas * sigma).
@@ -278,7 +278,7 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
     cut = INFER_BLOCK + 88
     mixtures, top = _window_state(
         cache, proxy, video, retained, cut, truncate_sigmas=2.0, stats=stats)
-    assert cache.cached_blocks == [1, 2]
+    assert sorted(cache._blocks) == [1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size - cut
     assert float(mixtures.mu[0, 0]) == float(retained[cut])
@@ -293,7 +293,7 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
     cut = INFER_BLOCK
     _window_state(
         cache, proxy, video, retained, cut, truncate_sigmas=0.0)
-    assert cache.cached_blocks == [1]
+    assert sorted(cache._blocks) == [1]
     assert len(proxy.inferred) == 2  # the expired block paid for its top
 
     # An expired block's content changes (a straddling retain decision
@@ -305,7 +305,7 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
         cache, proxy, video, changed, cut, truncate_sigmas=0.0)
     assert len(proxy.inferred) == 3
     assert np.array_equal(proxy.inferred[-1], changed[:INFER_BLOCK])
-    assert cache.cached_blocks == [1]
+    assert sorted(cache._blocks) == [1]
     assert top == 10.0**6
 
     # Same content again: fully cached, no inference at all.
@@ -320,11 +320,11 @@ def test_block_cache_drops_stale_trailing_blocks():
     proxy, video = _FakeProxy(), _FakeVideo()
     long = np.arange(3 * INFER_BLOCK, dtype=np.int64)
     _window_state(cache, proxy, video, long, 0, truncate_sigmas=0.0)
-    assert cache.cached_blocks == [0, 1, 2]
+    assert sorted(cache._blocks) == [0, 1, 2]
     # The retained array shrank (a retrain rebuilt the detector):
     # trailing blocks beyond the new extent drop mixtures *and* tops.
     short = long[:INFER_BLOCK]
     _, top = _window_state(
         cache, proxy, video, short, 0, truncate_sigmas=0.0)
-    assert cache.cached_blocks == [0]
+    assert sorted(cache._blocks) == [0]
     assert top == float(short[-1])

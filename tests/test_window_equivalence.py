@@ -192,9 +192,9 @@ def test_windowed_process_lane_matches_inline():
     # Streaming state is single-process, so the sweep lane runs on the
     # batch side: a pooled run over the window snapshot must land on
     # the same bytes as the live windowed answer.
-    serial_sweep = build_query(stream).run(parallel=True)
-    process = build_query(stream.batch_session()).run(
-        parallel=True, workers=2)
+    serial_sweep, = stream.execute_many([build_query(stream).plan()])
+    batch = stream.batch_session()
+    process, = batch.execute_many([build_query(batch).plan()], workers=2)
     assert inline.to_json() == serial_sweep.to_json()
     assert inline.to_json() == process.to_json()
     assert inline.to_json() == batch_reference(stream)
