@@ -7,17 +7,26 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 * upper-bound early stopping vs exhaustive argmax E[X_f];
 * renderer, difference-detector and CMDN inference throughput;
 * one CMDN ``train_step`` per default grid shape, and the oracle's
-  per-frame cost at batch 1 / 8 / 500 (recorded, not gated).
+  per-frame cost at batch 1 / 8 / 500 (recorded, not gated);
+* the Phase-2 split of a warm query on a 3 000-frame entry: µs per
+  cleaning iteration for select / running Top-K / batch update /
+  confirm (plain and cache-hit) and µs per query for state set-up and
+  the window-relation fetch (recorded, not gated — DESIGN.md §3).
 """
+
+import time
 
 import numpy as np
 import pytest
 
+from repro import EverestConfig, Session
+from repro.api.executor import QueryExecutor
 from repro.config import (
     DEFAULT_CMDN_GRID,
     Phase1Config,
     SelectCandidateConfig,
 )
+from repro.core.cleaner import TopKCleaner
 from repro.core.select_candidate import CandidateSelector
 from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
@@ -29,6 +38,7 @@ from repro.models import (
     extract_features,
 )
 from repro.oracle import CostModel, Oracle, counting_udf
+from repro.oracle.cache import CachingOracle, ScoreCache
 from repro.video import (
     DashcamVideo,
     DifferenceDetector,
@@ -232,3 +242,78 @@ def test_oracle_score_batch(benchmark, batch):
         "micro_kernels", scale=scale_label(),
         **{f"oracle_score_batch{batch}_us_per_frame":
            timed_call(run)[1] / (len(starts) * batch) * 1e6})
+
+
+def test_phase2_iteration_split(benchmark, monkeypatch):
+    """Where a warm query's time goes, per cleaning iteration and per
+    query: wrapping timers around the loop's four steps. Their sum is
+    less than the op (the loop's own bookkeeping, report assembly)."""
+    session = Session(
+        TrafficVideo("bench-phase2", 3_000, seed=301), counting_udf("car"),
+        config=EverestConfig())
+    entry = session.phase1()
+    plans = [
+        session.query().topk(k).guarantee(thres).deterministic_timing()
+        .plan() for k, thres in ((10, 0.99), (50, 0.9), (100, 0.99))]
+    spent = {}
+
+    def timed(owner, name, step):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent[step] = spent.get(step, 0.0) \
+                    + time.perf_counter() - started
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def per_iteration(executor):
+        """µs per cleaning iteration of each timed step, one sweep."""
+        spent.clear()
+        iterations = sum(
+            executor.execute(plan).iterations for plan in plans)
+        return {step: seconds / iterations * 1e6
+                for step, seconds in spent.items()}
+
+    timed(CandidateSelector, "select", "select")
+    timed(TopKCleaner, "_best", "running_topk")
+    timed(TopKCleaner, "_certain_topk", "running_topk")
+    timed(ConfidenceState, "_remove_rows", "batch_update")
+    timed(UncertainRelation, "_mark_rows", "batch_update")
+    timed(Oracle, "score", "confirm_plain")
+    timed(CachingOracle, "score", "confirm_cache_hit")
+    metrics = per_iteration(QueryExecutor(session))
+    caching = QueryExecutor(session, score_cache=ScoreCache())
+    per_iteration(caching)  # fills the cache
+    metrics["confirm_cache_hit"] = \
+        per_iteration(caching)["confirm_cache_hit"]
+    monkeypatch.undo()
+    metrics = {f"phase2_{step}_us_per_iter": value
+               for step, value in metrics.items()}
+
+    relation = entry.result.relation
+    rounds = 200
+
+    def state_setup():
+        for _ in range(rounds):
+            ConfidenceState(relation.copy())
+
+    def window_fetch():
+        for _ in range(rounds):
+            entry.window_relation(
+                window_size=30, floor=0.0, step=0.25,
+                truncate_sigmas=3.0).copy()
+
+    window_fetch()  # derived on first use; the fetch is what repeats
+    benchmark.pedantic(state_setup, rounds=1, iterations=1)
+    metrics["phase2_state_setup_us_per_query"] = \
+        timed_call(state_setup)[1] / rounds * 1e6
+    metrics["phase2_window_relation_fetch_us_per_query"] = \
+        timed_call(window_fetch)[1] / rounds * 1e6
+    write_bench_result("micro_kernels", scale=scale_label(), **metrics)
+    print()
+    for name, value in metrics.items():
+        print(f"{name:48s} {value:10.1f}")
+    assert len(metrics) == 7

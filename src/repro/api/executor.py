@@ -21,7 +21,7 @@ import numpy as np
 from ..core.cleaner import TopKCleaner
 from ..core.result import PhaseBreakdown, QueryReport
 from ..core.uncertain import restrict_relation
-from ..core.windows import WindowCleaner, build_window_relation
+from ..core.windows import WindowCleaner
 from ..errors import QueryError
 from ..oracle.base import Oracle
 from ..oracle.cost import CostModel
@@ -229,20 +229,16 @@ class QueryExecutor:
         self, plan: QueryPlan, entry: Phase1Entry
     ) -> ExecutionDetail:
         session = self.session
-        phase1 = entry.result
         assert plan.window_size is not None and plan.window_step is not None
         with trace_span(
                 "window_relation", category="phase2",
                 window_size=plan.window_size, window_step=plan.window_step):
-            relation = build_window_relation(
-                phase1.mixtures,
-                phase1.diff_result.retained,
-                phase1.diff_result,
+            relation = entry.window_relation(
                 window_size=plan.window_size,
                 floor=session.scoring.score_floor,
                 step=plan.window_step,
                 truncate_sigmas=plan.config.phase1.truncate_sigmas,
-            )
+            ).copy()
         phase2_cost, confirm_oracle = self._phase2_context(plan)
         clean_fn = WindowCleaner(
             video=session.video,

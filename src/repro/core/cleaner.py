@@ -23,7 +23,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import Phase2Config
-from ..errors import GuaranteeUnreachableError, QueryError
+from ..errors import (
+    GuaranteeUnreachableError,
+    OracleError,
+    QueryError,
+    UncertainRelationError,
+)
 from ..trace import span as trace_span
 from .select_candidate import CandidateSelector, SelectionStats
 from .topk_prob import ConfidenceState
@@ -74,37 +79,59 @@ class TopKCleaner:
         self.selector = CandidateSelector(
             relation, self.state, config.select_candidate)
         self.cleaned = 0
+        #: Positions of the certain Top-K, best first — ``None`` until
+        #: the bootstrap has made K tuples certain.
+        self._top: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _clean_positions(self, positions: np.ndarray) -> None:
+        """One validated batch update of state, relation and Top-K:
+        everything is checked before anything is written."""
         positions = np.asarray(positions, dtype=np.int64)
-        ids = [int(self.relation.ids[p]) for p in positions]
+        ids = self.relation.ids[positions].tolist()
+        if len(set(ids)) != len(ids):
+            raise UncertainRelationError("batch positions must be unique")
         if self.reader is not None:
             self.reader.prefetch(len(ids))
         scores = np.asarray(self.clean_fn(ids), dtype=np.float64)
         if scores.shape != (len(ids),):
             raise QueryError(
                 f"clean_fn returned shape {scores.shape} for {len(ids)} ids")
+        if not np.isfinite(scores).all():
+            raise OracleError(
+                f"clean_fn returned non-finite scores {scores.tolist()} "
+                f"for ids {ids}")
         # One vectorized pass per batch over the joint CDF and the
         # relation instead of one O(L) update per tuple.
-        self.state.remove_many(positions)
-        self.relation.mark_certain_many(positions, scores)
+        self.state._remove_rows(positions)
+        self.relation._mark_rows(positions, scores)
         self.cleaned += len(ids)
+        if self._top is not None:
+            self._top = self._best(
+                np.concatenate((self._top, positions)), self._top.size)
+
+    def _best(self, positions: np.ndarray, k: int) -> np.ndarray:
+        """The ``k`` best of the certain ``positions``, best first.
+
+        Ties break toward lower tuple id, matching the exact-result
+        definition used by the metrics. Ids are unique, so this is a
+        total order: merging a batch into the kept K picks exactly the
+        K a full sort of every certain tuple would.
+        """
+        order = np.lexsort((
+            self.relation.ids[positions],
+            -self.relation.exact_scores[positions]))
+        return positions[order[:k]]
 
     def _certain_topk(self, k: int) -> Tuple[np.ndarray, int, int]:
         """Current answer positions plus (S_k, S_p) grid levels.
 
-        Ties break toward lower tuple id, matching the exact-result
-        definition used by the metrics.
+        The bootstrap ends with the one full sort; from then on every
+        cleaned batch is merged into the kept K.
         """
-        certain_positions = np.flatnonzero(self.relation.certain)
-        if certain_positions.size < k:
-            raise QueryError("fewer than K certain tuples")
-        scores = self.relation.exact_scores[certain_positions]
-        ids = self.relation.ids[certain_positions]
-        order = np.lexsort((ids, -scores))
-        top = certain_positions[order[:k]]
-        levels = self.relation.grid.level_of(self.relation.exact_scores[top])
+        top = self._top
+        levels = self.relation.grid.level_of(
+            self.relation.exact_scores[top[-2:]])
         k_level = int(levels[-1])
         p_level = int(levels[-2]) if k >= 2 else self.relation.grid.max_level
         return top, k_level, p_level
@@ -121,6 +148,7 @@ class TopKCleaner:
             take = min(max(missing, self.config.batch_size), uncertain.size)
             best = np.argsort(-expected, kind="stable")[:take]
             self._clean_positions(uncertain[best])
+        self._top = self._best(np.flatnonzero(self.relation.certain), k)
 
     # ------------------------------------------------------------------
     def run(self, k: int, thres: float) -> Phase2Result:

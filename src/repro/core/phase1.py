@@ -56,6 +56,7 @@ from .uncertain import (
     mixture_envelope,
     quantize_mixtures,
 )
+from .windows import build_window_relation
 
 #: Inference granularity: the retained array is scored (and cached) in
 #: blocks of this many rows. BLAS matmul accumulation differs across
@@ -202,6 +203,37 @@ class Phase1Entry:
     result: Phase1Result
     oracle_calls: int
     cost_model: CostModel
+
+    def window_relation(
+        self, *, window_size: int, floor: float, step: float,
+        truncate_sigmas: float,
+    ) -> UncertainRelation:
+        """The pristine window-level relation of one window shape.
+
+        A pure function of this entry, so it is built on first use and
+        kept: every query clones it, exactly as frame queries clone
+        ``result.relation``. Two threads racing the first use build
+        equal relations and one is kept. Derived state: never pickled.
+        """
+        memo = self.__dict__.setdefault("_window_relations", {})
+        key = (window_size, step, floor, truncate_sigmas)
+        relation = memo.get(key)
+        if relation is None:
+            relation = memo[key] = build_window_relation(
+                self.result.mixtures,
+                self.result.diff_result.retained,
+                self.result.diff_result,
+                window_size=window_size,
+                floor=floor,
+                step=step,
+                truncate_sigmas=truncate_sigmas,
+            )
+        return relation
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_window_relations", None)
+        return state
 
 
 def _sample_indices(

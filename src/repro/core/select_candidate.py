@@ -28,7 +28,7 @@ change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -102,8 +102,8 @@ class CandidateSelector:
 
         # One fused exclusion matrix over every level of the case
         # analysis: column 0 is S_k, the last column is S_p.
-        levels = np.arange(k_level, p_level + 1)
-        excluding = self.state.joint_cdf_excluding_levels(positions, levels)
+        excluding = self.state.joint_cdf_excluding_levels(
+            positions, k_level, p_level)
 
         # Case s <= S_k: the answer and threshold are unchanged.
         expected = cdf[positions, k_level] * excluding[:, 0]
@@ -150,18 +150,19 @@ class CandidateSelector:
         ``config.use_upper_bound`` is set; otherwise evaluates every
         uncertain frame exactly (the ablation baseline).
         """
-        available = np.flatnonzero(self.state.uncertain_mask)
+        available = self.state.num_uncertain
         self.stats.calls += 1
-        self.stats.frames_available += available.size
-        if available.size == 0:
-            return available
-        batch_size = min(batch_size, available.size)
+        self.stats.frames_available += available
+        if available == 0:
+            return np.zeros(0, dtype=np.int64)
+        batch_size = min(batch_size, available)
 
         if not self.config.use_upper_bound:
-            expected = self.expected_confidences(available, k_level, p_level)
+            positions = np.flatnonzero(self.state.uncertain_mask)
+            expected = self.expected_confidences(positions, k_level, p_level)
             best = np.argsort(-expected, kind="stable")[:batch_size]
-            self.stats.frames_examined += available.size
-            return available[best]
+            self.stats.frames_examined += available
+            return positions[best]
 
         if self._needs_resort(iteration, k_level, p_level):
             self._resort(iteration, k_level, p_level)
@@ -169,8 +170,10 @@ class CandidateSelector:
 
         gamma = self.state.joint_cdf(p_level)
         p_hat = self.state.topk_prob(k_level)
-        kept_pos: List[np.ndarray] = []
-        kept_exp: List[np.ndarray] = []
+        # The best ``batch_size`` frames examined so far, best first
+        # (ties in scan order): all a later chunk can be ranked against.
+        kept_pos = np.zeros(0, dtype=np.int64)
+        kept_exp = np.zeros(0)
         examined = 0
 
         order = self._order
@@ -179,28 +182,21 @@ class CandidateSelector:
         cursor = 0
         while cursor < order.size:
             chunk = order[cursor:cursor + _CHUNK]
-            chunk_psi = stale_psi[cursor:cursor + _CHUNK]
             cursor += _CHUNK
-            alive = mask[chunk]
-            chunk = chunk[alive]
-            chunk_psi = chunk_psi[alive]
+            chunk = chunk[mask[chunk]]
             if chunk.size == 0:
                 continue
             expected = self.expected_confidences(chunk, k_level, p_level)
             examined += chunk.size
-            kept_pos.append(chunk)
-            kept_exp.append(expected)
-
-            total = sum(arr.size for arr in kept_pos)
-            if total >= batch_size and cursor < order.size:
-                all_exp = np.concatenate(kept_exp)
-                kth_best = np.partition(all_exp, -batch_size)[-batch_size]
+            if kept_pos.size:
+                chunk = np.concatenate((kept_pos, chunk))
+                expected = np.concatenate((kept_exp, expected))
+            best = np.argsort(-expected, kind="stable")[:batch_size]
+            kept_pos, kept_exp = chunk[best], expected[best]
+            if examined >= batch_size and cursor < order.size:
                 next_bound = p_hat + gamma * stale_psi[cursor]
-                if next_bound <= kth_best:
+                if next_bound <= kept_exp[-1]:
                     break
 
         self.stats.frames_examined += examined
-        all_pos = np.concatenate(kept_pos)
-        all_exp = np.concatenate(kept_exp)
-        best = np.argsort(-all_exp, kind="stable")[:batch_size]
-        return all_pos[best]
+        return kept_pos

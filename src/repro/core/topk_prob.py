@@ -30,29 +30,30 @@ class ConfidenceState:
     """Incrementally maintained joint CDF over the uncertain tuples.
 
     ``log_cdf[p, t]`` is ``log F_f(t)`` for the tuple at position ``p``
-    (``-inf`` where ``F_f(t) = 0``). The joint CDF over *currently
-    uncertain* tuples is tracked as a finite log-sum plus a per-level
-    count of ``-inf`` contributions, so removals (cleanings) never
-    divide by zero.
+    (0 where ``F_f(t) = 0``, which ``_neg_inf`` marks). The joint CDF
+    over *currently uncertain* tuples is tracked as a finite log-sum
+    plus a per-level count of ``-inf`` contributions, so removals
+    (cleanings) never divide by zero.
+
+    The two tables are the relation's :meth:`~UncertainRelation.
+    log_tables` — derived once per Phase-1 entry and shared read-only
+    by every query's copy; only the two small vectors are this
+    state's own. Rows are read while their tuple is uncertain, and
+    cleaning rewrites certain rows only, so the tables a state took
+    stay valid for its whole run.
     """
 
     def __init__(self, relation: UncertainRelation):
         self.relation = relation
-        with np.errstate(divide="ignore"):
-            self.log_cdf = np.log(relation.cdf)
-        self._neg_inf = np.isneginf(self.log_cdf)
-        uncertain = ~relation.certain
-        self._uncertain = uncertain.copy()
-        finite = np.where(self._neg_inf, 0.0, self.log_cdf)
-        self.finite_sum = (finite * uncertain[:, None]).sum(axis=0)
-        self.zero_count = (
-            self._neg_inf & uncertain[:, None]).sum(axis=0).astype(np.int64)
+        self.log_cdf, self._neg_inf, finite_sum, zero_count = \
+            relation.log_tables()
+        self.finite_sum = finite_sum.copy()
+        self.zero_count = zero_count.copy()
+        self._uncertain = ~relation.certain
+        #: How many tuples are still uncertain (a maintained counter).
+        self.num_uncertain = int(self._uncertain.sum())
 
     # ------------------------------------------------------------------
-    @property
-    def num_uncertain(self) -> int:
-        return int(self._uncertain.sum())
-
     @property
     def uncertain_mask(self) -> np.ndarray:
         """Boolean mask (by position) of still-uncertain tuples."""
@@ -60,35 +61,29 @@ class ConfidenceState:
 
     def remove(self, position: int) -> None:
         """Remove a tuple from the joint CDF (it has been cleaned)."""
-        if not self._uncertain[position]:
-            raise UncertainRelationError(
-                f"position {position} is not an uncertain tuple")
-        row_inf = self._neg_inf[position]
-        self.finite_sum -= np.where(row_inf, 0.0, self.log_cdf[position])
-        self.zero_count -= row_inf.astype(np.int64)
-        self._uncertain[position] = False
+        self._remove_rows(np.array([position], dtype=np.int64))
 
     def remove_many(self, positions: np.ndarray) -> None:
         """Remove a batch of cleaned tuples in one vectorized pass.
 
-        Equivalent to calling :meth:`remove` per position (up to
-        floating-point summation order in ``finite_sum``), but one
-        numpy reduction per batch instead of one ``O(L)`` pass per
+        One numpy reduction per batch instead of one ``O(L)`` pass per
         tuple — the Phase 2 cleaning loop's hot path.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return
         if positions.size != np.unique(positions).size:
             raise UncertainRelationError("batch positions must be unique")
-        if not np.all(self._uncertain[positions]):
+        self._remove_rows(positions)
+
+    def _remove_rows(self, positions: np.ndarray) -> None:
+        """:meth:`remove_many` for int64 ``positions`` the caller has
+        already checked to be unique."""
+        if not self._uncertain[positions].all():
             raise UncertainRelationError(
                 "batch contains tuples that are not uncertain")
-        rows_inf = self._neg_inf[positions]
-        rows_log = np.where(rows_inf, 0.0, self.log_cdf[positions])
-        self.finite_sum -= rows_log.sum(axis=0)
-        self.zero_count -= rows_inf.sum(axis=0)
+        self.finite_sum -= self.log_cdf[positions].sum(axis=0)
+        self.zero_count -= self._neg_inf[positions].sum(axis=0)
         self._uncertain[positions] = False
+        self.num_uncertain -= positions.size
 
     # ------------------------------------------------------------------
     def log_joint_cdf(self, level: int) -> float:
@@ -120,36 +115,27 @@ class ConfidenceState:
     ) -> np.ndarray:
         """``prod_{f' != f} F_f'(level)`` for each position ``f``.
 
-        Vectorized helper for Select-candidate: the joint CDF with one
-        tuple factored out, valid even when that tuple's own CDF is 0.
+        The joint CDF with one tuple factored out, valid even when
+        that tuple's own CDF is 0.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        own_inf = self._neg_inf[positions, level]
-        own_log = self.log_cdf[positions, level]
-        effective_zeros = self.zero_count[level] - own_inf.astype(np.int64)
-        log_excl = self.finite_sum[level] - np.where(own_inf, 0.0, own_log)
-        return np.where(effective_zeros == 0, np.exp(log_excl), 0.0)
+        return self.joint_cdf_excluding_levels(positions, level, level)[:, 0]
 
     def joint_cdf_excluding_levels(
-        self, positions: np.ndarray, levels: np.ndarray
+        self, positions: np.ndarray, first: int, last: int
     ) -> np.ndarray:
-        """:meth:`joint_cdf_excluding` over many levels at once.
+        """:meth:`joint_cdf_excluding` over levels ``first..last``.
 
-        Returns a ``(num_positions, num_levels)`` matrix whose column
-        ``j`` equals ``joint_cdf_excluding(positions, levels[j])`` —
-        one fused pass for Select-candidate's Equation 6 case analysis
-        instead of one call per grid level.
+        Returns a ``(num_positions, last - first + 1)`` matrix whose
+        column ``j`` is level ``first + j`` — one fused pass for
+        Select-candidate's Equation 6 case analysis instead of one
+        call per grid level.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        levels = np.asarray(levels, dtype=np.int64)
-        own_inf = self._neg_inf[positions[:, None], levels[None, :]]
-        own_log = self.log_cdf[positions[:, None], levels[None, :]]
-        effective_zeros = (
-            self.zero_count[levels][None, :] - own_inf.astype(np.int64))
-        log_excl = (
-            self.finite_sum[levels][None, :]
-            - np.where(own_inf, 0.0, own_log))
-        return np.where(effective_zeros == 0, np.exp(log_excl), 0.0)
+        levels = slice(first, last + 1)
+        own_inf = self._neg_inf[positions, levels]
+        log_excl = self.finite_sum[levels] - self.log_cdf[positions, levels]
+        return np.where(
+            self.zero_count[levels] == own_inf, np.exp(log_excl), 0.0)
 
     # ------------------------------------------------------------------
     def topk_prob_direct(self, threshold_level: Optional[int]) -> float:

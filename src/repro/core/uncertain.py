@@ -167,6 +167,12 @@ class UncertainRelation:
     a point mass and records the exact score.
     """
 
+    #: Memo of :meth:`log_tables` — derived state: shared read-only
+    #: with every copy, dropped by in-place cleaning (popped, so a
+    #: relation without one has a fresh relation's ``vars``), never
+    #: pickled.
+    _log_tables = None
+
     def __init__(
         self,
         ids: Sequence[int],
@@ -224,6 +230,7 @@ class UncertainRelation:
         if self.certain[position]:
             raise UncertainRelationError(
                 f"tuple at position {position} already certain")
+        self.__dict__.pop("_log_tables", None)
         level = int(self.grid.level_of(score))
         self.pmf[position, :] = 0.0
         self.pmf[position, level] = 1.0
@@ -253,9 +260,17 @@ class UncertainRelation:
         if positions.size != np.unique(positions).size:
             raise UncertainRelationError(
                 "batch positions must be unique")
-        if np.any(self.certain[positions]):
+        return self._mark_rows(positions, scores)
+
+    def _mark_rows(
+        self, positions: np.ndarray, scores: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`mark_certain_many` for int64 ``positions`` the caller
+        has already checked to be unique and aligned with ``scores``."""
+        if self.certain[positions].any():
             raise UncertainRelationError(
                 "batch contains already-certain tuples")
+        self.__dict__.pop("_log_tables", None)
         levels = self.grid.level_of(scores)
         self.pmf[positions, :] = 0.0
         self.pmf[positions, levels] = 1.0
@@ -273,6 +288,32 @@ class UncertainRelation:
         levels = self.grid.score_of(np.arange(self.grid.num_levels))
         return self.pmf @ levels
 
+    def log_tables(self):
+        """``(log F, F == 0, finite_sum, zero_count)`` of the tuples as
+        they are now: what Topk-prob starts every query from.
+
+        ``log F`` is the ``(N, L)`` log-cdf with 0 stored where
+        ``F == 0`` (the mask says where); the two ``(L,)`` vectors are
+        its column sums and the mask's over the uncertain rows. Built
+        on first use and kept: callers only read the tables and copy
+        the vectors. Two threads racing the first use both build the
+        same values; either assignment may win.
+        """
+        tables = self._log_tables
+        if tables is None:
+            with np.errstate(divide="ignore"):
+                log_cdf = np.log(self.cdf)
+            zero = np.isneginf(log_cdf)
+            log_cdf[zero] = 0.0
+            tables = self._log_tables = _with_sums(
+                log_cdf, zero, ~self.certain)
+        return tables
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_log_tables", None)
+        return state
+
     def copy(self) -> "UncertainRelation":
         return self._clone(None)
 
@@ -282,7 +323,8 @@ class UncertainRelation:
 
         Clones the already-validated fields: nothing is re-checked or
         re-accumulated (the constructor validates whatever is built
-        from outside).
+        from outside). The clone shares this relation's
+        :meth:`log_tables` (a row subset takes rows of them).
         """
         take = np.copy if rows is None else (lambda field: field[rows])
         clone = object.__new__(UncertainRelation)
@@ -294,7 +336,17 @@ class UncertainRelation:
         clone.exact_scores = take(self.exact_scores)
         clone._pos = dict(self._pos) if rows is None else dict(
             zip(clone.ids.tolist(), range(clone.ids.size)))
+        tables = self.log_tables()
+        clone._log_tables = tables if rows is None else _with_sums(
+            tables[0][rows], tables[1][rows], ~clone.certain)
         return clone
+
+
+def _with_sums(log_cdf: np.ndarray, zero: np.ndarray, uncertain: np.ndarray):
+    """The :meth:`UncertainRelation.log_tables` tuple of these rows."""
+    rows = uncertain[:, None]
+    return (log_cdf, zero, (log_cdf * rows).sum(axis=0),
+            (zero & rows).sum(axis=0).astype(np.int64))
 
 
 def restrict_relation(
@@ -312,7 +364,9 @@ def restrict_relation(
     mask = np.zeros(relation.ids.size, dtype=bool)
     for lo, hi in ranges:
         mask |= (relation.ids >= int(lo)) & (relation.ids < int(hi))
-    return relation._clone(mask)
+    # A windowed maintainer's relation is the window already: the
+    # identity mask is a plain copy (same rows, same derived tables).
+    return relation._clone(None if mask.all() else mask)
 
 
 def build_relation(

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import OracleBudgetExceededError
+from ..errors import OracleBudgetExceededError, OracleError
 from ..trace import add_event
 from ..video.frame import Frame
 from ..video.synthetic import SyntheticVideo
@@ -70,7 +70,16 @@ class ScoringFunction:
         return 1.0 if self.quantization_step is None else self.quantization_step
 
     def __call__(self, frames: List[Frame]) -> np.ndarray:
-        return np.asarray(self.score_frames(frames), dtype=np.float64)
+        """The frames' scores — the one boundary every oracle scores
+        through, so a ``NaN`` / ``inf`` is refused here, before any
+        score cache, relation or training set can take it in."""
+        scores = np.asarray(self.score_frames(frames), dtype=np.float64)
+        if not np.isfinite(scores).all():
+            bad = [frame.index for frame, score in zip(frames, scores.ravel())
+                   if not np.isfinite(score)]
+            raise OracleError(
+                f"{self.name} returned non-finite scores for frames {bad}")
+        return scores
 
 
 class Oracle:

@@ -30,6 +30,7 @@ keeps the original one-frame-at-a-time renderer as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -476,18 +477,21 @@ class TrafficVideo(SyntheticVideo):
     def _objects(self, indices: np.ndarray) -> List[List[BoundingBox]]:
         height, width = self.resolution
         radius = 2.0 * self._sigma
-        side = float(2 * radius)
+        side = repeat(float(2 * radius))
         boxes: List[List[BoundingBox]] = [[] for _ in range(indices.size)]
         for slots in self._populations:
+            active = slots.counts[indices]
+            # Only slots some frame of the batch shows are boxed.
+            top = int(active.max(initial=0))
+            if top == 0:
+                continue
             cx, cy = slots.centres(indices, width, height)
-            for frame_boxes, xs, ys, active in zip(
-                    boxes, (cx - radius).tolist(), (cy - radius).tolist(),
-                    slots.counts[indices].tolist()):
-                frame_boxes.extend(
-                    BoundingBox(x=x, y=y, width=side, height=side,
-                                label=slots.label)
-                    for x, y in zip(xs[:active], ys[:active])
-                )
+            label = repeat(slots.label)
+            for frame_boxes, xs, ys, count in zip(
+                    boxes, (cx[:, :top] - radius).tolist(),
+                    (cy[:, :top] - radius).tolist(), active.tolist()):
+                frame_boxes.extend(map(
+                    BoundingBox, xs[:count], ys[:count], side, side, label))
         return boxes
 
     def true_count(self, index: int) -> int:

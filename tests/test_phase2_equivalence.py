@@ -1,0 +1,398 @@
+"""The Phase-2 loop against its frozen reference, and the work it may do.
+
+Three contracts (DESIGN.md §3):
+
+* **Differential.** ``TopKCleaner`` — shared log tables, running
+  certain Top-K, one validated batch update, pruned Select-candidate
+  scan — returns field-for-field the ``Phase2Result`` of
+  ``reference_phase2.ReferenceCleaner`` (the loop as it stood before,
+  kept verbatim), cleans the same id batches in the same order and
+  reports equal ``SelectionStats``.
+* **Work pins.** What is a pure function of a Phase-1 entry is derived
+  once per entry, however many queries read it, and a stream's append
+  invalidates it by rebuilding the entry.
+* **Derived state never crosses a pipe or lands on disk.**
+"""
+
+import pickle
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import EverestConfig, QueryService, Session
+from repro.config import Phase2Config, SelectCandidateConfig
+from repro.core import phase1 as core_phase1
+from repro.core import uncertain
+from repro.core.cleaner import TopKCleaner
+from repro.core.uncertain import (
+    QuantizationGrid,
+    UncertainRelation,
+    restrict_relation,
+)
+from repro.core.windows import window_truth
+from repro.oracle import counting_udf
+from repro.service.backend import ship_spec
+from repro.video import TrafficVideo
+
+from reference_phase2 import ReferenceCleaner
+
+WAIT = 60.0
+FAST = EverestConfig.fast()
+SETTINGS = settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# ----------------------------------------------------------------------
+# Differential: the optimised loop == the frozen loop.
+
+
+def _both(relation, truth, k, thres, config):
+    """Run both loops on copies of ``relation``; return what each saw.
+
+    ``truth`` maps tuple id -> exact score. Each side records the id
+    batches its ``clean_fn`` was handed.
+    """
+    outcomes = []
+    for cleaner_type in (ReferenceCleaner, TopKCleaner):
+        batches = []
+
+        def clean_fn(ids, batches=batches):
+            batches.append(list(ids))
+            return np.asarray([truth[i] for i in ids], dtype=np.float64)
+
+        clone = relation.copy()
+        result = cleaner_type(clone, clean_fn, config).run(k, thres)
+        outcomes.append((result, batches, clone))
+    return outcomes
+
+
+def _assert_same(outcomes):
+    (ref, ref_batches, ref_rel), (new, new_batches, new_rel) = outcomes
+    assert new_batches == ref_batches
+    assert new.answer_ids == ref.answer_ids
+    assert new.answer_scores == ref.answer_scores
+    assert new.confidence == ref.confidence
+    assert new.iterations == ref.iterations
+    assert new.cleaned == ref.cleaned
+    assert new.confidence_trace == ref.confidence_trace
+    assert new.selection_stats == ref.selection_stats
+    assert new == ref  # and any field added later
+    for field in ("pmf", "cdf", "certain", "exact_scores"):
+        assert getattr(new_rel, field).tobytes() \
+            == getattr(ref_rel, field).tobytes(), field
+
+
+@st.composite
+def phase2_cases(draw):
+    """A small relation built to hit the loop's corners.
+
+    Scores come from a three-value pool so exact scores tie (the id
+    tie-break decides the answer); ids are a shuffled range so
+    position order is not id order; pmfs may start with zero levels so
+    ``F_f(t) = 0`` and the ``-inf`` bookkeeping runs; the number of
+    certain tuples ranges from 0 (bootstrap from nothing) past K.
+    """
+    n = draw(st.integers(2, 14))
+    levels = draw(st.integers(2, 6))
+    ids = draw(st.permutations(range(100, 100 + n)))
+    pmf = np.zeros((n, levels))
+    for row in range(n):
+        lead = draw(st.integers(0, levels - 1))
+        weights = draw(st.lists(
+            st.floats(0.05, 1.0), min_size=levels - lead,
+            max_size=levels - lead))
+        pmf[row, lead:] = np.asarray(weights) / np.sum(weights)
+    pool = draw(st.lists(
+        st.integers(0, levels - 1), min_size=1, max_size=3))
+    truth = {i: float(draw(st.sampled_from(pool))) for i in ids}
+    relation = UncertainRelation(
+        list(ids), pmf, QuantizationGrid(0.0, 1.0, levels))
+    certain = draw(st.lists(
+        st.integers(0, n - 1), max_size=n - 1, unique=True))
+    if certain:
+        relation.mark_certain_many(certain, [truth[ids[p]] for p in certain])
+    k = draw(st.sampled_from([1, 2, n // 2 or 1, n]))
+    thres = draw(st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+    config = Phase2Config(
+        batch_size=draw(st.sampled_from([1, 2, 8])),
+        select_candidate=SelectCandidateConfig(
+            use_upper_bound=draw(st.booleans()),
+            resort_every=draw(st.sampled_from([1, 3])),
+            resort_warmup=draw(st.sampled_from([0, 2, 10]))))
+    return relation, truth, k, thres, config
+
+
+@SETTINGS
+@given(case=phase2_cases())
+def test_small_relations_match_the_reference(case):
+    _assert_same(_both(*case))
+
+
+@pytest.mark.parametrize("use_upper_bound", [True, False])
+@pytest.mark.parametrize("seed,flat", [(1, False), (2, True), (3, True)])
+def test_multi_chunk_scans_match_the_reference(seed, flat, use_upper_bound):
+    """1 400 uncertain tuples: the scan crosses its 512-row chunks
+    (flat pmfs weaken the Eq. 7 bound, so it stops late) and the
+    kept-best pruning ranks every chunk against the ones before."""
+    rng = np.random.default_rng(seed)
+    n, levels = 1_500, 9
+    weights = rng.uniform(0.9, 1.0, (n, levels)) if flat \
+        else rng.gamma(0.4, size=(n, levels)) + 1e-6
+    lead = rng.integers(0, 4, n)
+    weights[np.arange(levels)[None, :] < lead[:, None]] = 0.0
+    pmf = weights / weights.sum(axis=1, keepdims=True)
+    ids = rng.permutation(n) + 10
+    truth = dict(zip(ids.tolist(), rng.integers(0, levels, n).astype(float)))
+    relation = UncertainRelation(ids, pmf, QuantizationGrid(0.0, 1.0, levels))
+    known = rng.choice(n, 100, replace=False)
+    relation.mark_certain_many(known, [truth[int(ids[p])] for p in known])
+    config = Phase2Config(
+        batch_size=8, select_candidate=SelectCandidateConfig(
+            use_upper_bound=use_upper_bound))
+    outcomes = _both(relation, truth, 50 if flat else 20, 0.9, config)
+    _assert_same(outcomes)
+    stats = outcomes[1][0].selection_stats
+    assert stats.calls > 0
+    if flat and use_upper_bound:
+        assert stats.frames_examined > 512 * stats.calls  # crossed chunks
+
+
+@pytest.fixture(scope="module")
+def session():
+    session = Session(
+        TrafficVideo("phase2-eq", 900, seed=77), counting_udf("car"),
+        config=FAST)
+    session.phase1()
+    return session
+
+
+@pytest.mark.parametrize("k,thres", [(1, 0.9), (5, 0.9), (20, 0.99)])
+def test_phase1_relations_match_the_reference(session, k, thres):
+    """A real D0, a row-restricted one (the sliding-window primitive:
+    its tables are rows of the entry's) and a window-level one."""
+    entry = session.phase1()
+    truth = session.video.truth_array()
+    frames = dict(enumerate(truth.tolist()))
+    full = entry.result.relation
+    restricted = restrict_relation(full, [(100, 400), (600, 850)])
+    assert 0 < len(restricted) < len(full)
+    windows = entry.window_relation(
+        window_size=30, floor=0.0, step=0.25, truncate_sigmas=3.0)
+    window_scores = dict(enumerate(window_truth(truth, 30).tolist()))
+    for relation, scores in ((full, frames), (restricted, frames),
+                             (windows, window_scores)):
+        _assert_same(_both(relation, scores, k, thres, Phase2Config()))
+
+
+# ----------------------------------------------------------------------
+# Work pins: derived once per entry, not once per query.
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count table builds and window-relation builds by wrapping."""
+    counts = {"tables": 0, "window_relations": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        uncertain, "_with_sums", counted("tables", uncertain._with_sums))
+    monkeypatch.setattr(
+        core_phase1, "build_window_relation",
+        counted("window_relations", core_phase1.build_window_relation))
+    return counts
+
+
+def _fresh_session(name="pins", seed=78, frames=700):
+    session = Session(
+        TrafficVideo(name, frames, seed=seed), counting_udf("car"),
+        config=FAST)
+    session.phase1()
+    return session
+
+
+def _ask(session, k=5, window=0):
+    query = session.query().topk(k).guarantee(0.9).deterministic_timing()
+    if window:
+        query = query.windows(size=window)
+    return query.run().to_json()
+
+
+def test_log_tables_are_built_once_per_entry(derivations):
+    session = _fresh_session()
+    reports = [_ask(session, k) for k in (3, 5, 8, 5, 3, 12)]
+    assert derivations == {"tables": 1, "window_relations": 0}
+    assert reports[1] == reports[3] and reports[0] == reports[4]
+    # Every query cleaned a copy: the entry's relation is still D0 and
+    # still holds the tables its copies share.
+    relation = session.phase1().result.relation
+    assert relation.log_tables() is relation.copy().log_tables()
+    assert derivations["tables"] == 1
+
+
+def test_window_relations_are_built_once_per_shape(derivations):
+    session = _fresh_session()
+    for _ in range(3):
+        for window in (20, 30):
+            _ask(session, window=window)
+    _ask(session, k=7, window=30)  # K is not part of the shape
+    # One relation and one set of tables per window shape.
+    assert derivations == {"tables": 2, "window_relations": 2}
+
+
+def test_in_place_cleaning_drops_the_relations_own_tables():
+    session = _fresh_session()
+    relation = session.phase1().result.relation.copy()
+    tables = relation.log_tables()
+    position = int(relation.uncertain_positions()[0])
+    relation.mark_certain(position, 2.0)
+    rebuilt = relation.log_tables()
+    assert rebuilt is not tables
+    # The sums left the cleaned row out; the entry's own are untouched.
+    assert not np.array_equal(rebuilt[2], tables[2])
+    assert session.phase1().result.relation.log_tables() is tables
+
+
+def test_two_threads_racing_the_first_use_answer_identically():
+    """Inline lane, two scheduler threads, nothing derived yet: both
+    queries reach ``log_tables`` / ``window_relation`` first."""
+    shapes = [(5, 0), (8, 0), (5, 30), (8, 30)]
+    serial = _fresh_session("race", 79)
+    expected = [_ask(serial, k, window) for k, window in shapes]
+    for _ in range(3):
+        with QueryService(workers=2, use_processes=False) as service:
+            session = service.open_session(
+                TrafficVideo("race", 700, seed=79), counting_udf("car"),
+                config=FAST)
+            session.phase1()
+            queries = []
+            for k, window in shapes:
+                query = session.query().topk(k).guarantee(0.9)
+                queries.append(
+                    query.windows(size=window) if window else query)
+            reports = service.gather(
+                [service.submit(query) for query in queries], timeout=WAIT)
+        assert [report.to_json() for report in reports] == expected
+
+
+def test_racing_first_use_of_one_relation_from_bare_threads():
+    """The same race without the service in between: every thread gets
+    tables equal to a serial build's, whichever assignment wins."""
+    pristine = _fresh_session("race-bare", 80).phase1().result.relation
+    serial = pristine.copy().log_tables()
+    pristine.__dict__.pop("_log_tables")
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def first_use():
+        barrier.wait(timeout=WAIT)
+        seen.append(pristine.log_tables())
+
+    threads = [threading.Thread(target=first_use) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=WAIT)
+        assert not thread.is_alive()
+    assert len(seen) == 4
+    for tables in seen:
+        for mine, theirs in zip(tables, serial):
+            assert mine.tobytes() == theirs.tobytes()
+
+
+def test_a_streams_append_invalidates_by_rebuilding_the_entry(derivations):
+    def open_stream():
+        return Session.open_stream(
+            TrafficVideo("pins-live", 1_000, seed=81), counting_udf("car"),
+            initial_frames=700, config=FAST)
+
+    stream, twin = open_stream(), open_stream()
+    before = stream.phase1()
+    _ask(stream), _ask(stream), _ask(stream, window=30)
+    assert "_log_tables" in vars(before.result.relation)
+    assert len(vars(before)["_window_relations"]) == 1
+    built = dict(derivations)
+
+    stream.append(150)
+    after = stream.phase1()
+    assert after is not before
+    assert "_log_tables" not in vars(after.result.relation)
+    assert "_window_relations" not in vars(after)
+    twin.append(150)
+    assert _ask(stream) == _ask(twin)
+    assert _ask(stream, window=30) == _ask(twin, window=30)
+    # stream and twin each derived the new entry's tables once.
+    assert derivations["tables"] == built["tables"] + 4
+    assert derivations["window_relations"] == built["window_relations"] + 2
+
+
+# ----------------------------------------------------------------------
+# Derived state never crosses a pipe or lands on disk.
+
+
+def _warm(session):
+    """Ten warm queries, frame and window shapes: every memo is full."""
+    return [
+        _ask(session, k, window)
+        for k in (3, 5, 8, 12, 20) for window in (0, 30)]
+
+
+def _tree_bytes(path):
+    return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
+
+
+def test_a_shipped_spec_carries_no_derived_state():
+    session = _fresh_session("ship", 82)
+    entry = session.phase1()
+    entries = [(session.config, entry)]
+    cold = ship_spec(session, entries).blob
+    reports = _warm(session)
+    assert "_log_tables" in vars(entry.result.relation)
+    assert vars(entry)["_window_relations"]
+    warm = ship_spec(session, entries).blob
+    # Not one byte more than before any query ran — which is the blob
+    # the parent commit ships (nothing else about the entry changed).
+    assert len(warm) == len(cold) and warm == cold
+    assert b"_log_tables" not in warm and b"_window_relations" not in warm
+
+    # ...and what arrives answers as the original does.
+    received = pickle.loads(pickle.dumps(entry))
+    assert "_log_tables" not in vars(received.result.relation)
+    assert "_window_relations" not in vars(received)
+    other = Session(session.video, session.scoring, config=FAST)
+    other.adopt_phase1(received, session.config)
+    assert _warm(other) == reports
+    assert other.phase1() is received  # nothing was rebuilt
+
+
+def test_a_stream_checkpoint_carries_no_derived_state(tmp_path):
+    stream = Session.open_stream(
+        TrafficVideo("ck", 1_000, seed=83), counting_udf("car"),
+        initial_frames=700, config=FAST)
+    stream.append(120)
+    reports = _warm(stream)
+    entry = stream.phase1()
+    assert "_log_tables" in vars(entry.result.relation)
+    stream.checkpoint(tmp_path / "warm")
+    # Strip every memo by hand: the state the parent commit would hold.
+    vars(entry.result.relation).pop("_log_tables")
+    vars(entry).pop("_window_relations")
+    stream.checkpoint(tmp_path / "stripped")
+    assert _tree_bytes(tmp_path / "warm") \
+        == _tree_bytes(tmp_path / "stripped")
+    for blob in (tmp_path / "warm").rglob("*"):
+        if blob.is_file():
+            assert b"_log_tables" not in blob.read_bytes()
+            assert b"_window_relations" not in blob.read_bytes()
+    resumed = Session.resume(tmp_path / "warm")
+    assert _warm(resumed) == reports
