@@ -11,10 +11,17 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 * the Phase-2 split of a warm query on a 3 000-frame entry: µs per
   cleaning iteration for select / running Top-K / batch update /
   confirm (plain and cache-hit) and µs per query for state set-up and
-  the window-relation fetch (recorded, not gated — DESIGN.md §3).
+  the window-relation fetch (recorded, not gated — DESIGN.md §3);
+* what a Phase-1 build pays per frame on a 3 000-frame video: µs per
+  frame rendered, µs per row featurized (the frozen two-partition
+  reference vs the one-sort extractor, a 512-row block and a 170-row
+  append) and the renders / featurized rows of one build (recorded,
+  not gated — DESIGN.md §3).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +53,16 @@ from repro.video import (
     TrafficVideo,
 )
 
-from bench_util import scale_label, timed_call, write_bench_result
+from bench_util import (
+    count_renders,
+    scale_label,
+    timed_call,
+    write_bench_result,
+)
+
+# The extractor the one-sort one replaced, frozen next to the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import reference_features  # noqa: E402
 
 
 def _record(metric: str, elapsed: float) -> None:
@@ -317,3 +333,49 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     for name, value in metrics.items():
         print(f"{name:48s} {value:10.1f}")
     assert len(metrics) == 7
+
+
+def test_phase1_frame_costs(benchmark, monkeypatch):
+    """What a cold build pays per frame: render, featurize (reference
+    vs one sort), and how many of each one build does."""
+    video = TrafficVideo("bench-phase1", 3_000, seed=501)
+
+    def best_us_per_row(fn, rows, rounds=15):
+        return min(timed_call(fn)[1] for _ in range(rounds)) / rows * 1e6
+
+    block = np.arange(512)
+    metrics = {"phase1_render_us_per_frame": best_us_per_row(
+        lambda: video.batch_pixels(block), block.size, rounds=5)}
+    for rows in (512, 170):
+        pixels = video.batch_pixels(np.arange(rows))
+        for name, featurize in (
+                ("reference", reference_features.extract_features),
+                ("one_sort", extract_features)):
+            metrics[f"phase1_featurize_{name}_{rows}_us_per_row"] = \
+                best_us_per_row(lambda: featurize(pixels), rows)
+
+    featurized = []
+    featurize = FeatureMDNProxy.featurize
+
+    def counting_featurize(pixels):
+        featurized.append(len(pixels))
+        return featurize(pixels)
+
+    monkeypatch.setattr(
+        FeatureMDNProxy, "featurize", staticmethod(counting_featurize))
+    renders = count_renders(video)
+    session = Session(video, counting_udf("car"), config=EverestConfig())
+    entry, seconds = timed_call(
+        benchmark.pedantic, session.phase1, rounds=1, iterations=1)
+    metrics["phase1_build_ms"] = seconds * 1e3
+    metrics["phase1_renders_per_build"] = renders()
+    metrics["phase1_featurized_rows_per_build"] = sum(featurized)
+    write_bench_result("micro_kernels", scale=scale_label(), **metrics)
+    print()
+    for name, value in metrics.items():
+        print(f"{name:48s} {value:10.1f}")
+    # One render per frame; a retained row and a sampled row once each.
+    result = entry.result
+    assert metrics["phase1_renders_per_build"] == len(video)
+    assert metrics["phase1_featurized_rows_per_build"] == len(
+        set(result.known_scores) | set(result.diff_result.retained.tolist()))

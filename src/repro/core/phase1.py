@@ -27,7 +27,9 @@ Steps 3 and 4 are one pass over the frames that arrived — all of them
 at bootstrap, an append's afterwards: the detector renders each block
 of clips once and hands the retained rows, pixels in hand, to proxy
 inference, regrouped into the cache's fixed blocks (see
-:class:`RowChunker`, :meth:`Phase1Maintainer.scan_arrivals`).
+:class:`RowChunker`, :meth:`Phase1Maintainer.scan_arrivals`). A
+bootstrap's pass takes the labelled sample's pixels and feature rows
+from step 2, so a build renders and featurizes every frame once.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..config import DiffDetectorConfig, EverestConfig, Phase1Config
 from ..errors import ConfigurationError
 from ..models.cmdn import ProxyScorer
 from ..models.mdn import GaussianMixture
-from ..models.trainer import GridResult, train_proxy_grid
+from ..models.trainer import GridResult, proxy_family, train_proxy_grid
 from ..oracle.base import Oracle
 from ..oracle.cost import CostModel
 from ..trace import span as trace_span
@@ -275,6 +277,7 @@ class IncrementalDiff:
         video: SyntheticVideo,
         watermark: int,
         on_retained: Optional[RetainedSink] = None,
+        render: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> int:
         if watermark < self.processed:
             raise ConfigurationError("watermark cannot move backwards")
@@ -287,7 +290,7 @@ class IncrementalDiff:
         start = self.provisional_from
         DifferenceDetector(self.config).scan(
             video, start, watermark, self.retained_mask,
-            self.representative, on_retained)
+            self.representative, on_retained, render)
         self.processed = watermark
         return start
 
@@ -402,15 +405,18 @@ class BlockInferenceCache:
         video,
         stats=None,
         scanned: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        featurized: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> GaussianMixture:
         """Mixtures of block ``b`` holding frames ``ids``.
 
         A hit when the slot's frame-id contents match; otherwise the
         block's feature rows are completed — kept tail rows first, then
-        ``scanned = (frame ids, float32 pixels)`` a pass has in hand,
-        ``video.batch_pixels`` for whatever neither covers — scored as
-        one batch and cached. ``stats.fresh_inferred_frames`` counts
-        the rows through the network.
+        ``featurized = (frame ids, featurize rows)`` the caller holds
+        (a bootstrap's labelled sample), then ``scanned = (frame ids,
+        float32 pixels)`` a pass has in hand, ``video.batch_pixels``
+        for whatever none covers — scored as one batch and cached.
+        ``stats.fresh_inferred_frames`` counts the rows through the
+        network.
         """
         key = ids.tobytes()
         cached = self._blocks.get(b)
@@ -430,7 +436,9 @@ class BlockInferenceCache:
                         rows_from_scan=from_scan)
                 return proxy.featurize(pixels)
 
-            features, _ = _rows_by_id(ids, self._tail, featurize)
+            features, _ = _rows_by_id(
+                ids, self._tail,
+                lambda rest: _rows_by_id(rest, featurized, featurize)[0])
             mixture = proxy.predict_features(features)
         if ids.size < INFER_BLOCK:
             self._tail = (ids.copy(), features)
@@ -596,9 +604,17 @@ class Phase1Maintainer:
         # slice of the video — the anchor streaming sessions train
         # against.
         pool = phase1.sample_pool(len(video))
-        train_idx, holdout_idx = _sample_indices(
-            rng, pool, phase1.train_sample_size(pool),
-            phase1.holdout_sample_size(pool))
+        train = phase1.train_sample_size(pool)
+        holdout = phase1.holdout_sample_size(pool)
+        if train >= pool:
+            # Refused before a label is bought; a split that leaves any
+            # holdout frame at all is left as it is (DESIGN.md §3).
+            raise ConfigurationError(
+                f"cannot build Phase 1 on {pool} frames: {train} training "
+                f"samples leave none of them for the {holdout}-frame "
+                "holdout (lower phase1.min_train_samples, or start from "
+                "more frames)")
+        train_idx, holdout_idx = _sample_indices(rng, pool, train, holdout)
 
         # 1. Oracle-label the samples (this is real oracle cost).
         train_scores = self.label_oracle.score(video, train_idx)
@@ -611,11 +627,16 @@ class Phase1Maintainer:
         self._train_scores = np.asarray(train_scores, dtype=np.float64)
         self._holdout_scores = np.asarray(holdout_scores, dtype=np.float64)
 
-        # 2. Train the (g, h) grid; select by holdout NLL.
+        # 2. Render and featurize the sample once, by frame id; train
+        # the (g, h) grid on those rows; select by holdout NLL.
+        sample = np.sort(np.concatenate([train_idx, holdout_idx]))
+        pixels = video.batch_pixels(sample)
+        features = proxy_family(
+            phase1, video.resolution)[0].featurize(pixels)
         self.grid_result = train_proxy_grid(
-            video.batch_pixels(train_idx),
+            features[np.searchsorted(sample, train_idx)],
             train_scores,
-            video.batch_pixels(holdout_idx),
+            features[np.searchsorted(sample, holdout_idx)],
             holdout_scores,
             config=phase1,
             input_hw=video.resolution,
@@ -623,21 +644,37 @@ class Phase1Maintainer:
         )
         self.proxy = self.grid_result.proxy
 
-        # 3 + 4 are one pass; 5 runs inside rebuild_entry, on cache
-        # hits.
-        self.scan_arrivals()
+        # 3 + 4 are one pass, which reuses the sample's rows; 5 runs
+        # inside rebuild_entry, on cache hits.
+        self.scan_arrivals(sample=(sample, pixels, features))
         return self.rebuild_entry(cost_model)
 
-    def scan_arrivals(self) -> int:
+    def scan_arrivals(
+        self,
+        sample: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    ) -> int:
         """Steps 3 + 4 over the frames that arrived since the last scan.
 
         One pass: the detector renders each block of clips once — the
         arrivals plus the provisional clip it re-decides — and the
         retained rows go, pixels in hand, to the block cache
         INFER_BLOCK rows at a time (a block a sibling session already
-        cached is a hit and is not re-inferred). Returns the first
-        frame whose retain decision may have changed.
+        cached is a hit and is not re-inferred). ``sample = (frame ids
+        ascending, float32 pixels, featurize rows)`` are frames the
+        caller holds for this call only (a bootstrap's labelled
+        sample): the pass fills their rows in by frame id and renders
+        and featurizes the rest. Returns the first frame whose retain
+        decision may have changed.
         """
+        render = featurized = None
+        if sample is not None:
+            held_ids, held_pixels, held_features = sample
+            featurized = (held_ids, held_features)
+
+            def render(ids: np.ndarray) -> np.ndarray:
+                return _rows_by_id(
+                    ids, (held_ids, held_pixels), self.video.batch_pixels)[0]
+
         # Rows retained below the re-scanned clip are final; those of
         # them in the block the scan's first row falls into lead it.
         settled = np.flatnonzero(
@@ -646,10 +683,12 @@ class Phase1Maintainer:
             INFER_BLOCK,
             lambda b, ids, pixels: self.blocks.block(
                 b, np.concatenate([settled[b * INFER_BLOCK:], ids]),
-                self.proxy, self.video, self.stats, scanned=(ids, pixels)),
+                self.proxy, self.video, self.stats, scanned=(ids, pixels),
+                featurized=featurized),
             first_row=settled.size)
         start = self.diff.extend(
-            self.video, len(self.video), on_retained=blocks.push)
+            self.video, len(self.video), on_retained=blocks.push,
+            render=render)
         blocks.close()
         return start
 

@@ -29,6 +29,11 @@ GRID = 3
 NUM_FEATURES = 4 + 1 + GRID * GRID + 2
 
 
+#: Rows featurized per pass: the float64 temporaries of one chunk stay
+#: cache-sized. Rows are independent, so chunking cannot move a byte.
+_FEATURE_CHUNK = 128
+
+
 def extract_features(pixels: np.ndarray) -> np.ndarray:
     """Extract features from frames.
 
@@ -41,20 +46,43 @@ def extract_features(pixels: np.ndarray) -> np.ndarray:
     -------
     ``(N, NUM_FEATURES)`` float64 array (``N=1`` for a single frame).
     """
-    arr = np.asarray(pixels, dtype=np.float64)
+    arr = np.asarray(pixels)
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3:
         raise ShapeError(f"expected (H, W) or (N, H, W), got {arr.shape}")
-    n, h, w = arr.shape
+    features = np.empty((arr.shape[0], NUM_FEATURES))
+    for lo in range(0, arr.shape[0], _FEATURE_CHUNK):
+        features[lo:lo + _FEATURE_CHUNK] = _chunk_features(
+            arr[lo:lo + _FEATURE_CHUNK].astype(np.float64, copy=False))
+    return features
 
+
+def _chunk_features(arr: np.ndarray) -> np.ndarray:
+    """The feature rows of one ``(n, H, W)`` float64 chunk."""
+    n, h, w = arr.shape
     flat = arr.reshape(n, -1)
     mean = flat.mean(axis=1)
     std = flat.std(axis=1)
-    peak = flat.max(axis=1)
-    p90 = np.percentile(flat, 90, axis=1)
-    median = np.median(flat, axis=1)
-    foreground = np.maximum(flat - median[:, None], 0.0).sum(axis=1) / (h * w)
+
+    # One sort supplies every order statistic, byte-equal to ``np.max``,
+    # ``np.median`` and ``np.percentile(..., 90)`` (DESIGN.md §3): the
+    # median is the mean of the middle one or two, the percentile
+    # NumPy's two-sided linear interpolation at index ``0.9 (m - 1)``.
+    ordered = np.sort(flat, axis=1)
+    m = h * w
+    peak = ordered[:, -1]
+    median = (ordered[:, (m - 1) // 2] + ordered[:, m // 2]) / 2.0
+    virtual = (m - 1) * (90 / 100)
+    below = int(virtual)
+    t = virtual - below
+    lower, upper = ordered[:, below], ordered[:, min(below + 1, m - 1)]
+    p90 = upper - (upper - lower) * (1 - t) if t >= 0.5 \
+        else lower + (upper - lower) * t
+    # A NaN sorts last and poisons both statistics, as in NumPy.
+    poisoned = np.isnan(peak)
+    median[poisoned] = p90[poisoned] = np.nan
+    foreground = np.maximum(flat - median[:, None], 0.0).sum(axis=1) / m
 
     # Coarse spatial grid of block means.
     gh, gw = h // GRID, w // GRID

@@ -8,17 +8,16 @@ the smallest negative log-likelihood.
 :func:`train_proxy_grid` reproduces that protocol for either proxy
 family and reports per-candidate histories, so callers (Phase 1, the
 breakdown experiment) can charge training cost and log selection. What
-the candidates share is computed once: the grid featurizes the train
-and holdout pixels a single time and every candidate fits its own input
-scaling, trains and is scored on those two matrices, which do not
-outlive the call.
+the candidates share is computed once, by the caller: the grid is
+handed the train and holdout samples featurized and every candidate
+fits its own input scaling, trains and is scored on those two matrices.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -118,10 +117,25 @@ def _fit(
     return losses
 
 
+def proxy_family(
+    config: Phase1Config, input_hw: Optional[Sequence[int]] = None
+) -> Tuple[Type[ProxyScorer], tuple]:
+    """The proxy class ``config`` trains and its positional arguments.
+
+    ``input_hw`` is required for the conv proxy (when
+    ``config.use_feature_mdn`` is False).
+    """
+    if config.use_feature_mdn:
+        return FeatureMDNProxy, ()
+    if input_hw is None:
+        raise ConfigurationError("input_hw required for the conv CMDN")
+    return ConvMDNProxy, (input_hw,)
+
+
 def train_proxy_grid(
-    train_pixels: np.ndarray,
+    train_features: np.ndarray,
     train_scores: np.ndarray,
-    holdout_pixels: np.ndarray,
+    holdout_features: np.ndarray,
     holdout_scores: np.ndarray,
     *,
     config: Phase1Config = Phase1Config(),
@@ -130,18 +144,12 @@ def train_proxy_grid(
 ) -> GridResult:
     """Train the ``(g, h)`` grid and keep the smallest-holdout-NLL model.
 
-    ``input_hw`` is required for the conv proxy (when
-    ``config.use_feature_mdn`` is False).
+    The two samples come featurized — the rows ``featurize`` of
+    :func:`proxy_family` makes of their pixels — because the caller
+    (Phase 1) has a second use for the same rows.
     """
-    _check_sample(train_pixels, train_scores)
-    if config.use_feature_mdn:
-        family, family_args = FeatureMDNProxy, ()
-    elif input_hw is None:
-        raise ConfigurationError("input_hw required for the conv CMDN")
-    else:
-        family, family_args = ConvMDNProxy, (input_hw,)
-    train_features = family.featurize(train_pixels)
-    holdout_features = family.featurize(holdout_pixels)
+    _check_sample(train_features, train_scores)
+    family, family_args = proxy_family(config, input_hw)
 
     histories: List[TrainingHistory] = []
     candidates: List[ProxyScorer] = []
@@ -174,5 +182,5 @@ def train_proxy_grid(
         proxy=candidates[_best_index(histories)],
         histories=histories,
         sample_epochs=len(config.cmdn_grid)
-        * len(train_pixels) * config.epochs,
+        * len(train_features) * config.epochs,
     )

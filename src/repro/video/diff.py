@@ -124,11 +124,14 @@ class DifferenceDetector:
         retained_mask: np.ndarray,
         representative: np.ndarray,
         on_retained: Optional[RetainedSink] = None,
+        render: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         """Decide frames ``[start, stop)`` clip by clip, in place.
 
         ``start`` must be clip-aligned. Every frame is rendered exactly
-        once, a block of whole clips per ``batch_pixels`` call; each
+        once, a block of whole clips per ``render`` call
+        (``video.batch_pixels``, unless the caller already holds some
+        of the frames' pixels and renders only the rest); each
         clip is decided by :func:`process_clip` (the paper runs clips
         in parallel; the computation is identical either way) and the
         decisions are written into ``retained_mask`` /
@@ -139,9 +142,10 @@ class DifferenceDetector:
         c = self.config.clip_size
         threshold = self.config.mse_threshold
         block = max(1, _SCAN_BLOCK // c) * c
+        render = render or video.batch_pixels
         for lo in range(start, stop, block):
             indices = np.arange(lo, min(lo + block, stop), dtype=np.int64)
-            pixels = video.batch_pixels(indices)
+            pixels = render(indices)
             for s in range(0, indices.size, c):
                 clip = indices[s:s + c]
                 keep = process_clip(video, clip, threshold, pixels[s:s + c])

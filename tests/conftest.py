@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.config import EverestConfig, Phase1Config
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
-from repro.models import train_proxy_grid
+from repro.models import extract_features, train_proxy_grid
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.video import DashcamVideo, SentimentVideo, TrafficVideo
 
@@ -65,9 +65,9 @@ def trained_proxy(traffic_video):
     train_idx = rng.choice(len(traffic_video), 250, replace=False)
     holdout_idx = rng.choice(len(traffic_video), 80, replace=False)
     grid = train_proxy_grid(
-        traffic_video.batch_pixels(train_idx),
+        extract_features(traffic_video.batch_pixels(train_idx)),
         traffic_video.counts[train_idx],
-        traffic_video.batch_pixels(holdout_idx),
+        extract_features(traffic_video.batch_pixels(holdout_idx)),
         traffic_video.counts[holdout_idx],
         config=Phase1Config(cmdn_grid=((3, 16),), epochs=25),
     )

@@ -275,8 +275,8 @@ def test_pool_lane_reraises_in_canonical_shard_order(udf):
 
 def test_pooled_prepare_reraises_in_canonical_member_order(udf):
     videos = [
-        ExplodingVideo("prep-boom-a", 80, seed=90),
-        ExplodingVideo("prep-boom-b", 80, seed=91),
+        ExplodingVideo("prep-boom-a", 120, seed=90),
+        ExplodingVideo("prep-boom-b", 120, seed=91),
     ]
     corpus = VideoCorpus.open(videos, udf, config=FAST)
     with pytest.raises(RuntimeError) as excinfo:

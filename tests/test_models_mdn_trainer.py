@@ -161,9 +161,12 @@ class TestTrainer:
         rng = np.random.default_rng(1)
         tr = rng.choice(len(traffic_video), 200, replace=False)
         ho = rng.choice(len(traffic_video), 60, replace=False)
+        featurize = FeatureMDNProxy.featurize
         result = train_proxy_grid(
-            traffic_video.batch_pixels(tr), traffic_video.counts[tr],
-            traffic_video.batch_pixels(ho), traffic_video.counts[ho],
+            featurize(traffic_video.batch_pixels(tr)),
+            traffic_video.counts[tr],
+            featurize(traffic_video.batch_pixels(ho)),
+            traffic_video.counts[ho],
             config=Phase1Config(
                 cmdn_grid=((2, 8), (4, 16)), epochs=15),
         )
@@ -214,9 +217,12 @@ class TestTrainer:
         rng = np.random.default_rng(3)
         tr = rng.choice(len(traffic_video), 60, replace=False)
         ho = rng.choice(len(traffic_video), 30, replace=False)
+        featurize = ConvMDNProxy.featurize
         result = train_proxy_grid(
-            traffic_video.batch_pixels(tr), traffic_video.counts[tr],
-            traffic_video.batch_pixels(ho), traffic_video.counts[ho],
+            featurize(traffic_video.batch_pixels(tr)),
+            traffic_video.counts[tr],
+            featurize(traffic_video.batch_pixels(ho)),
+            traffic_video.counts[ho],
             config=Phase1Config(
                 cmdn_grid=((2, 8),), epochs=2, use_feature_mdn=False),
             input_hw=traffic_video.resolution,
