@@ -1,28 +1,30 @@
-"""Acceptance bench for the cost-based multi-query optimizer.
+"""Acceptance bench for workload planning (DESIGN.md §11).
 
 A mixed 32-query workload — four videos x eight (k, thres) shapes,
 every query arriving on its *own* session (independent tenants who
-never hand-share state) — is executed three ways:
+never hand-share state) — is executed three ways, the two service arms
+on the *same default service* (one worker, a 2-entry artifact LRU):
 
 * **serial reference** — one session per video executed serially: the
-  byte-identity oracle for both services;
-* **service-fifo** — ``QueryService(ordering="fifo")`` with a
-  2-entry artifact LRU, queries submitted in arrival (interleaved)
-  order: every lease misses residency and rebuilds — the thrash a
-  cost-blind order pays;
-* **service-cost** — the same service with ``ordering="cost"``,
-  submissions routed through ``plan_workload()`` / ``submit_plan()``:
-  the planner groups same-artifact queries and the scheduler policy
-  keeps serving the warm artifact, so each artifact builds once.
+  byte-identity oracle for both service arms;
+* **arrival order** — queries submitted one by one as they arrive
+  (video-interleaved): every lease misses residency and rebuilds — the
+  thrash an order blind to artifacts pays;
+* **planned order** — the same submissions routed through
+  ``plan_workload()`` / ``submit_plan()``: the plan groups
+  same-artifact queries, so each artifact builds once.
 
-Acceptance (the PR's contract), gated at every scale:
+What is measured is Phase-1 builds and the simulated seconds the run
+physically paid (builds plus cache-missing confirmations) — nothing is
+priced or predicted. Acceptance, gated at every scale:
 
 * all three executions produce **byte-identical** reports per query —
-  the optimizer moves cost, never answers;
-* the optimizer pays **one build per video** (4) while FIFO pays one
-  per query (32);
-* the optimizer's physical simulated cost (builds + cache-missing
-  confirmations) beats FIFO by **>= 2x** (structural: ~8x expected).
+  the plan moves cost, never answers;
+* planned order pays **one build per video** (4) while arrival order
+  pays one per query (32);
+* planned order's physical simulated cost beats arrival order's by
+  **>= 2x** (structural: ~7x expected); at quick scale the simulated
+  ledgers are deterministic and pinned to the digit.
 
 The machine-readable summary lands in ``results/BENCH_optimizer.json``
 (override with ``REPRO_BENCH_OPTIMIZER_JSON``).
@@ -40,14 +42,17 @@ from repro.video import TrafficVideo
 
 from bench_util import write_bench_result
 
-#: Margin the optimizer must clear over FIFO on physical cost.
+#: Margin planned order must clear over arrival order on physical cost.
 MIN_PHYSICAL_RATIO = 2.0
+#: Quick scale, to the digit: (builds, physical simulated seconds).
+QUICK_ARRIVAL = (32, 1437.2)
+QUICK_PLANNED = (4, 198.0)
 
 VIDEO_SEEDS = (201, 202, 203, 204)
 #: (k, thres) shapes mixed across the videos: 8 per video.
 SHAPES = tuple(
     (k, thres) for thres in (0.9, 0.95) for k in (3, 5, 8, 10))
-#: Artifact LRU small enough that interleaved FIFO order thrashes it.
+#: Artifact LRU small enough that interleaved arrival order thrashes it.
 ARTIFACT_ENTRIES = 2
 
 
@@ -113,32 +118,24 @@ def _physical_seconds(service):
     return stats.build_seconds + confirm_seconds, stats
 
 
-def _run_fifo(workload, frames):
+def _run_service(workload, frames, *, planned):
+    """The 32 queries on a default service, in arrival or planned order."""
     with QueryService(
             workers=1, use_processes=False,
-            artifact_entries=ARTIFACT_ENTRIES) as service:
-        sessions = _open_sessions(service, workload, frames)
-        futures = [
-            service.submit(_query(session, k, thres), tenant="bench")
-            for session, (_seed, k, thres) in zip(sessions, workload)
-        ]
-        reports = service.gather(futures, timeout=600)
-        physical, stats = _physical_seconds(service)
-    return reports, physical, stats
-
-
-def _run_cost(workload, frames):
-    with QueryService(
-            workers=1, use_processes=False, ordering="cost",
             artifact_entries=ARTIFACT_ENTRIES) as service:
         sessions = _open_sessions(service, workload, frames)
         queries = [
             _query(session, k, thres)
             for session, (_seed, k, thres) in zip(sessions, workload)
         ]
-        plan = service.plan_workload(queries)
-        reports = service.gather(
-            service.submit_plan(plan, tenant="bench"), timeout=600)
+        if planned:
+            plan = service.plan_workload(queries)
+            futures = service.submit_plan(plan, tenant="bench")
+        else:
+            plan = None
+            futures = [
+                service.submit(query, tenant="bench") for query in queries]
+        reports = service.gather(futures, timeout=600)
         physical, stats = _physical_seconds(service)
     return reports, physical, stats, plan
 
@@ -153,52 +150,57 @@ def test_optimizer_workload(bench_scale, bench_strict, benchmark=None):
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    fifo_reports, fifo_physical, fifo_stats = _run_fifo(workload, frames)
-    t_fifo = time.perf_counter() - start
+    arrival_reports, arrival_physical, arrival_stats, _ = _run_service(
+        workload, frames, planned=False)
+    t_arrival = time.perf_counter() - start
 
     start = time.perf_counter()
-    cost_reports, cost_physical, cost_stats, plan = _run_cost(
-        workload, frames)
-    t_cost = time.perf_counter() - start
+    planned_reports, planned_physical, planned_stats, plan = _run_service(
+        workload, frames, planned=True)
+    t_planned = time.perf_counter() - start
 
-    ratio = fifo_physical / cost_physical
+    ratio = arrival_physical / planned_physical
     rows = [
         ["serial reference", f"{t_serial:.2f}s", "-", "-", "-"],
-        ["service-fifo", f"{t_fifo:.2f}s", str(fifo_stats.builds),
-         f"{fifo_physical:.1f}s", "1.00x"],
-        ["service-cost", f"{t_cost:.2f}s", str(cost_stats.builds),
-         f"{cost_physical:.1f}s", f"{ratio:.2f}x"],
+        ["arrival order", f"{t_arrival:.2f}s", str(arrival_stats.builds),
+         f"{arrival_physical:.1f}s", "1.00x"],
+        ["planned order", f"{t_planned:.2f}s", str(planned_stats.builds),
+         f"{planned_physical:.1f}s", f"{ratio:.2f}x"],
     ]
     print()
     print(format_table(
         ("execution", "wall-clock", "builds", "physical cost", "margin"),
         rows,
-        title=f"Optimizer: {queries}-query mixed workload over "
+        title=f"Workload plan: {queries}-query mixed workload over "
               f"{len(VIDEO_SEEDS)} videos x {len(SHAPES)} shapes, "
               f"artifact LRU={ARTIFACT_ENTRIES}, {frames} frames",
     ))
 
-    # Byte identity: the optimizer moves cost, never answers.
+    # Byte identity: the plan moves cost, never answers.
     expected = [report.to_json() for report in reference]
-    assert [report.to_json() for report in fifo_reports] == expected
-    assert [report.to_json() for report in cost_reports] == expected
+    assert [report.to_json() for report in arrival_reports] == expected
+    assert [report.to_json() for report in planned_reports] == expected
 
-    # Structure: FIFO thrashes the 2-entry LRU (one build per query),
-    # the planned order builds each artifact exactly once.
-    assert fifo_stats.builds == queries
-    assert cost_stats.builds == len(VIDEO_SEEDS)
-    assert cost_stats.planned == queries
-    assert cost_stats.calibration_observed == queries
+    # Structure: arrival order thrashes the 2-entry LRU (one build per
+    # query), the planned order builds each artifact exactly once.
+    assert arrival_stats.builds == queries
+    assert planned_stats.builds == len(VIDEO_SEEDS)
+    assert (arrival_stats.planned, planned_stats.planned) == (0, queries)
 
     # The gated margin.
     assert ratio >= MIN_PHYSICAL_RATIO, (
-        f"expected the cost ordering to pay <= 1/{MIN_PHYSICAL_RATIO}x "
-        f"FIFO's physical cost, got {ratio:.2f}x")
+        f"expected planned order to pay <= 1/{MIN_PHYSICAL_RATIO}x "
+        f"arrival order's physical cost, got {ratio:.2f}x")
+    if not bench_strict:
+        assert (arrival_stats.builds, round(arrival_physical, 1)) \
+            == QUICK_ARRIVAL
+        assert (planned_stats.builds, round(planned_physical, 1)) \
+            == QUICK_PLANNED
 
     out = write_bench_result(
         "optimizer",
         scale="bench" if bench_strict else "quick",
-        seconds=t_serial + t_fifo + t_cost,
+        seconds=t_serial + t_arrival + t_planned,
         margin=ratio - MIN_PHYSICAL_RATIO,
         queries=queries,
         videos=len(VIDEO_SEEDS),
@@ -206,20 +208,17 @@ def test_optimizer_workload(bench_scale, bench_strict, benchmark=None):
         artifact_entries=ARTIFACT_ENTRIES,
         byte_identical=True,
         planned_order=plan.order(),
-        fifo={
-            "wall_seconds": round(t_fifo, 3),
-            "builds": fifo_stats.builds,
-            "build_seconds": round(fifo_stats.build_seconds, 3),
-            "physical_seconds": round(fifo_physical, 3),
+        arrival={
+            "wall_seconds": round(t_arrival, 3),
+            "builds": arrival_stats.builds,
+            "build_seconds": round(arrival_stats.build_seconds, 3),
+            "physical_seconds": round(arrival_physical, 3),
         },
-        cost={
-            "wall_seconds": round(t_cost, 3),
-            "builds": cost_stats.builds,
-            "build_seconds": round(cost_stats.build_seconds, 3),
-            "physical_seconds": round(cost_physical, 3),
-            "estimated_seconds": round(cost_stats.estimated_seconds, 3),
-            "actual_seconds": round(cost_stats.actual_seconds, 3),
-            "calibration_error": round(cost_stats.calibration_error, 4),
+        planned={
+            "wall_seconds": round(t_planned, 3),
+            "builds": planned_stats.builds,
+            "build_seconds": round(planned_stats.build_seconds, 3),
+            "physical_seconds": round(planned_physical, 3),
         },
         physical_ratio=round(ratio, 3),
         min_physical_ratio=MIN_PHYSICAL_RATIO,

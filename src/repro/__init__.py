@@ -41,7 +41,7 @@ from .corpus import (
     FederatedTopK,
     VideoCorpus,
 )
-from .optimizer import CostEstimator, WorkloadPlanner
+from .optimizer import WorkloadPlanner
 from .service import QueryFuture, QueryService
 from .trace import NULL_TRACER, Trace, Tracer
 from .streaming import StreamingConfig, StreamingSession
@@ -76,7 +76,6 @@ __all__ = [
     "resolve_workers",
     "QueryFuture",
     "QueryService",
-    "CostEstimator",
     "WorkloadPlanner",
     "Tracer",
     "Trace",

@@ -130,15 +130,8 @@ class QueryPlan:
         decode = self.unit_costs.get("decode", 0.0)
         return confirm, decode
 
-    def explain(self, *, estimate=None) -> str:
-        """Render the plan as an indented, human-readable tree.
-
-        ``estimate`` optionally attaches an optimizer
-        :class:`~repro.optimizer.estimator.CostPrediction` (from
-        ``QueryService.plan_workload`` or ``CostEstimator.predict``):
-        the rendered tree then carries the predicted Phase-1 tier,
-        expected confirmations, chosen lane and physical cost.
-        """
+    def explain(self) -> str:
+        """Render the plan as an indented, human-readable tree."""
         phase1 = self.config.phase1
         labels = phase1.train_sample_size(self.num_frames)
         holdout = phase1.holdout_sample_size(self.num_frames)
@@ -147,7 +140,7 @@ class QueryPlan:
         # Frame relations keep only diff-detector-retained frames, a
         # count unknown until Phase 1 runs — report an upper bound.
         bound = "" if self.mode == "windows" else "<= "
-        lines = [
+        return "\n".join([
             f"QueryPlan: top-{self.k} {kind}, guarantee >= {self.thres:g}",
             f"  source   : video '{self.video_name}' "
             f"({self.num_frames:,} frames) · udf '{self.udf_name}'",
@@ -161,7 +154,4 @@ class QueryPlan:
             f"  costs    : oracle={confirm:g}s/frame "
             f"decode={decode:g}s/frame (simulated)",
             f"  seed     : {self.config.seed}",
-        ]
-        if estimate is not None:
-            lines.append(f"  optimizer: {estimate.describe()}")
-        return "\n".join(lines)
+        ])

@@ -183,40 +183,6 @@ def build_phase1_entry(
     )
 
 
-def estimate_phase1_seconds(
-    num_frames: int,
-    unit_costs: Dict[str, float],
-    config: EverestConfig,
-    *,
-    retained_fraction: float = 1.0,
-) -> float:
-    """A prior for one Phase-1 build's simulated cost (no build run).
-
-    Mirrors the charge structure of
-    :func:`~repro.core.phase1.replay_phase1_charges` with the two
-    quantities unknowable before the build estimated: the number of
-    retained frames (``retained_fraction`` of the prefix; the
-    difference detector discards the rest) and the grid's
-    sample-epochs (every candidate trains on the full sample for every
-    epoch). This is the cold-start prior the optimizer's
-    :class:`~repro.optimizer.estimator.CostEstimator` uses until real
-    build ledgers calibrate it.
-    """
-    phase1 = config.phase1
-    pool = phase1.sample_pool(num_frames)
-    train = phase1.train_sample_size(pool)
-    holdout = phase1.holdout_sample_size(pool)
-    retained = retained_fraction * num_frames
-    get = unit_costs.get
-    return (
-        (train + holdout) * (get("oracle_label", 0.0) + get("decode", 0.0))
-        + train * phase1.epochs * len(phase1.cmdn_grid)
-        * get("cmdn_train", 0.0)
-        + num_frames * (get("diff_detect", 0.0) + get("decode", 0.0))
-        + retained * get("cmdn_infer", 0.0)
-    )
-
-
 @dataclass
 class AppendResult:
     """Everything one ``append`` changed, for callers and experiments."""
@@ -649,7 +615,7 @@ class Session:
         Pass either a configuration (``None`` means the session
         config) or a precomputed ``key``. A pinned entry means a query
         under that configuration pays zero new Phase-1 cost — the
-        warmness signal the cost optimizer orders by.
+        warmness signal the workload planner reads.
         """
         if key is None:
             key = phase1_key(config if config is not None else self.config)

@@ -7,8 +7,7 @@ side: the gateway's own counters are the rows of :data:`FAMILIES`
 (``everest_gateway_<family>_total``, recorded through
 :meth:`GatewayMetrics.count`), the engine-side samples
 (``everest_service_*``: queue depth, scheduler totals, Phase-1 cache
-counters and hit rate, optimizer calibration, per-tenant fairness
-charges) are whichever :class:`~repro.service.service.ServiceStats`
+counters and hit rate, planned queries, per-tenant fairness charges) are whichever :class:`~repro.service.service.ServiceStats`
 fields name a metric in their metadata, lifted at render time. Between
 the two sit the ``latency_seconds{op=,quantile=}`` + ``_count`` /
 ``_sum`` summaries — p50/p95/p99 per operation (query end-to-end,

@@ -1,32 +1,11 @@
-"""Cost-based multi-query optimization (DESIGN.md §11).
+"""Multi-query workload planning (DESIGN.md §11).
 
-Three pieces, layered on the concurrent query service:
-
-* :class:`~repro.optimizer.estimator.CostEstimator` — per-(video, UDF,
-  config) cost predictions calibrated online from the ledger history
-  :class:`~repro.oracle.cost.CostModel` already records, persisted
-  through the §7 artifact store.
-* :class:`~repro.optimizer.planner.WorkloadPlanner` — orders a set of
-  pending submissions cheapest-first with shared-artifact awareness
-  and chooses each query's lane.
-* :class:`~repro.optimizer.policy.CostOrderedPolicy` — the pluggable
-  :class:`~repro.service.scheduler.OrderingPolicy` that applies the
-  same discipline inside the FairScheduler's per-tenant queues
-  (fairness across tenants is untouched).
-
-``QueryService(ordering="cost")`` wires all three together.
+:class:`~repro.optimizer.planner.WorkloadPlanner` orders a set of
+pending submissions so queries sharing a Phase-1 artifact run while it
+is resident; ``QueryService.plan_workload()`` / ``submit_plan()`` are
+its front door.
 """
 
-from .estimator import CalibrationStats, CostEstimator, CostPrediction
 from .planner import PlannedQuery, WorkloadPlan, WorkloadPlanner
-from .policy import CostOrderedPolicy
 
-__all__ = [
-    "CalibrationStats",
-    "CostEstimator",
-    "CostOrderedPolicy",
-    "CostPrediction",
-    "PlannedQuery",
-    "WorkloadPlan",
-    "WorkloadPlanner",
-]
+__all__ = ["PlannedQuery", "WorkloadPlan", "WorkloadPlanner"]

@@ -1,27 +1,24 @@
-"""Workload-level planning: order, lanes and batch composition.
+"""Workload-level planning: which queries share a Phase-1 artifact.
 
-Given a set of pending submissions, :class:`WorkloadPlanner` produces a
-:class:`WorkloadPlan` — an execution order plus per-query predictions —
-that minimizes the *physical* cost the workload pays:
+Phase 1 (label, train, infer) dominates what a workload pays, so the
+one cross-query decision worth making is *which queries run while
+their artifact is resident*. :class:`WorkloadPlanner` turns a list of
+pending submissions into a :class:`WorkloadPlan` by one rule, a stable
+group-by on the artifact identity ``(group_key(video, scoring),
+phase1_key(config))``:
 
-* **Shared-artifact grouping.** Queries on the same Phase-1 artifact
-  (same ``(video content, UDF, phase1_key)``) run consecutively: the
-  first query of a group pays the cold build (or finds it warm) and
-  every later one rides the shared store instead of thrashing the
-  residency LRU. The group's first query is its cache-warmer — it runs
-  *before* the queries it warms, which is the whole point.
-* **Cheapest-first.** Groups are ordered by their predicted total
-  physical cost, and queries inside a group by their predicted Phase-2
-  cost — the ``sort_by_cost`` discipline of workload-level query
-  optimizers, on the ledger-calibrated estimates of
-  :class:`~repro.optimizer.estimator.CostEstimator`.
-* **Lane choice.** Each prediction carries the lane
-  (inline vs process pool) whose observed overhead its work clears.
+* queries on the same artifact run consecutively, in submission order:
+  the group's first query pays the build (or finds it warm) and every
+  later one rides the shared store instead of thrashing its LRU;
+* a group whose first query pays no build — the artifact is resident
+  in the shared store or pinned by that query's session — leads, so it
+  is served before a cold build can evict it; all other groups keep
+  the order their first queries were submitted in.
 
-The plan is *advisory about cost, never about bytes*: reports are pure
-functions of (video, scoring, config, plan), so any execution order
-produces byte-identical reports — the optimizer bench asserts exactly
-that while gating the cost margin.
+The plan prices nothing. Reports are pure functions of (video, scoring,
+config, plan), so any execution order produces byte-identical reports;
+what the order changes is how many Phase-1 builds the workload pays —
+the optimizer bench counts them (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -33,25 +30,24 @@ from ..api.plan import QueryPlan
 from ..api.query import Query
 from ..api.session import Session, phase1_key
 from ..errors import QueryError
-from ..service.artifacts import artifact_digest, group_key
-from .estimator import CostEstimator, CostPrediction
+from ..service.artifacts import group_key
 
 
 @dataclass(frozen=True)
 class PlannedQuery:
-    """One submission with its predicted cost and chosen lane."""
+    """One submission with its place in the plan."""
 
     #: Position in the caller's original submission list.
     index: int
     session: Session
     plan: QueryPlan
-    prediction: CostPrediction
     #: Identity of the Phase-1 artifact the query needs.
     artifact: tuple
-
-    @property
-    def digest(self) -> str:
-        return artifact_digest(self.artifact)
+    #: Whether the query pays no Phase-1 build: its artifact is resident
+    #: or session-pinned, or an earlier query of its group builds it.
+    warm: bool
+    #: The lane the executing service's lane rule names for its session.
+    lane: str
 
 
 @dataclass(frozen=True)
@@ -60,24 +56,17 @@ class WorkloadPlan:
 
     items: Tuple[PlannedQuery, ...]
 
-    @property
-    def estimated_physical_seconds(self) -> float:
-        return sum(i.prediction.physical_seconds for i in self.items)
-
-    @property
-    def estimated_total_seconds(self) -> float:
-        return sum(i.prediction.total_seconds for i in self.items)
-
     def order(self) -> List[int]:
         """Original submission indices in execution order."""
         return [item.index for item in self.items]
 
     def explain(self) -> str:
         """Render the planned order as an indented, readable table."""
+        artifacts = {item.artifact for item in self.items}
+        builds = sum(not item.warm for item in self.items)
         lines = [
-            f"WorkloadPlan: {len(self.items)} queries, "
-            f"~{self.estimated_physical_seconds:.1f}s physical "
-            f"(~{self.estimated_total_seconds:.1f}s ledger)",
+            f"WorkloadPlan: {len(self.items)} queries over "
+            f"{len(artifacts)} artifacts, {builds} to build",
         ]
         for position, item in enumerate(self.items):
             plan = item.plan
@@ -85,21 +74,19 @@ class WorkloadPlan:
                 f"  {position:3d}. [#{item.index}] "
                 f"{plan.video_name}/{plan.udf_name} "
                 f"top-{plan.k}@{plan.thres:g} {plan.mode} · "
-                f"{item.prediction.describe()}"
+                f"{'warm' if item.warm else 'cold'} · lane={item.lane}"
             )
         return "\n".join(lines)
 
 
 class WorkloadPlanner:
-    """Orders pending submissions cheapest-first, artifacts shared."""
+    """Groups pending submissions by the Phase-1 artifact they share."""
 
-    def __init__(self, estimator: CostEstimator, *, artifacts=None):
-        self.estimator = estimator
+    def __init__(self, *, artifacts=None):
         #: Optional :class:`~repro.service.artifacts.SharedArtifacts`
-        #: consulted for residency and score-cache coverage.
+        #: consulted for residency.
         self.artifacts = artifacts
 
-    # ------------------------------------------------------------------
     def plan(
         self,
         queries: Sequence,
@@ -113,104 +100,50 @@ class WorkloadPlanner:
         objects (session implied) or compiled
         :class:`~repro.api.plan.QueryPlan` objects (pass ``session=``,
         exactly like ``QueryService.submit``). ``lane`` is the
-        executing service's lane rule (``QueryService._lane``): the
-        planner may only choose the process lane for a session the
-        service would actually ship, so the plan it explains is the
-        plan that runs.
+        executing service's lane rule (``QueryService._lane``), so the
+        plan it explains is the plan that runs.
         """
-        resolved = [
-            self._resolve(index, query, session)
-            for index, query in enumerate(queries)
-        ]
-        # Group by artifact; predict each query with warm=True for
-        # every group member after the first — the planner itself is
-        # what makes them warm by running the group head first.
-        groups: Dict[tuple, List[Tuple[int, Session, QueryPlan]]] = {}
-        for index, qsession, qplan in resolved:
+        groups: Dict[tuple, List[PlannedQuery]] = {}
+        for index, query in enumerate(queries):
+            qsession, qplan = self._resolve(query, session)
             artifact = (
                 group_key(qsession.video, qsession.scoring),
                 phase1_key(qplan.config),
             )
-            groups.setdefault(artifact, []).append((index, qsession, qplan))
-
-        planned_groups: List[List[PlannedQuery]] = []
-        for artifact, members in groups.items():
-            already_warm = self._warm(artifact, members[0][1])
-            coverage = self._coverage(artifact[0], members[0][2])
-            predictions = [
-                PlannedQuery(
-                    index=index,
-                    session=qsession,
-                    plan=qplan,
-                    prediction=self.estimator.predict(
-                        qplan,
-                        group=artifact[0],
-                        digest=artifact_digest(artifact),
-                        warm=already_warm,
-                        cache_coverage=coverage,
-                        pool_available=lane(qsession) != "inline",
-                    ),
-                    artifact=artifact,
-                )
-                for index, qsession, qplan in members
-            ]
-            # Cheapest Phase 2 leads the group (it is the warmer);
-            # submission order breaks ties so planning is stable.
-            predictions.sort(
-                key=lambda p: (p.prediction.phase2_seconds, p.index))
-            # Only the head can pay the build: re-predict the rest warm.
-            head, rest = predictions[0], predictions[1:]
-            rest = [
-                PlannedQuery(
-                    index=p.index,
-                    session=p.session,
-                    plan=p.plan,
-                    prediction=self.estimator.predict(
-                        p.plan,
-                        group=artifact[0],
-                        digest=p.digest,
-                        warm=True,
-                        cache_coverage=coverage,
-                        pool_available=lane(p.session) != "inline",
-                    ),
-                    artifact=artifact,
-                )
-                for p in rest
-            ]
-            planned_groups.append([head, *rest])
-
-        # Cheapest group first; head index breaks ties for stability.
-        planned_groups.sort(key=lambda g: (
-            sum(item.prediction.physical_seconds for item in g),
-            g[0].index,
-        ))
+            members = groups.setdefault(artifact, [])
+            members.append(PlannedQuery(
+                index=index,
+                session=qsession,
+                plan=qplan,
+                artifact=artifact,
+                # Only a group's first query can pay the build: running
+                # it first is what makes the rest warm.
+                warm=bool(members) or self._warm(artifact, qsession),
+                lane=lane(qsession),
+            ))
+        # Stable: warm-headed groups lead, the rest keep the order
+        # their first queries arrived in (dicts iterate in insertion
+        # order).
+        ordered = sorted(groups.values(), key=lambda group: not group[0].warm)
         return WorkloadPlan(
-            items=tuple(item for g in planned_groups for item in g))
+            items=tuple(item for group in ordered for item in group))
 
-    # ------------------------------------------------------------------
+    @staticmethod
     def _resolve(
-        self, index: int, query, session: Optional[Session]
-    ) -> Tuple[int, Session, QueryPlan]:
+        query, session: Optional[Session]
+    ) -> Tuple[Session, QueryPlan]:
         if isinstance(query, Query) and isinstance(query.target, Session):
-            return index, query.target, query.plan()
+            return query.target, query.plan()
         if isinstance(query, QueryPlan):
             if session is None:
                 raise QueryError(
                     "planning a compiled QueryPlan needs session=...")
-            return index, session, query
+            return session, query
         raise QueryError(
             f"plan expects a session Query or QueryPlan, got {query!r}")
 
     def _warm(self, artifact: tuple, session: Session) -> bool:
-        if session.phase1_cached(
-                config=None, key=artifact[1]):
+        if session.phase1_cached(key=artifact[1]):
             return True
-        if self.artifacts is not None:
-            return self.artifacts.resident(artifact)
-        return False
-
-    def _coverage(self, group, plan: QueryPlan) -> float:
-        if self.artifacts is None or plan.num_tuples <= 0:
-            return 0.0
-        cache = self.artifacts.score_cache(group)
-        return min(1.0, len(cache) / plan.num_tuples)
+        return self.artifacts is not None \
+            and self.artifacts.resident(artifact)

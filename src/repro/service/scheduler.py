@@ -9,7 +9,9 @@ them into results — so its three policies are testable in isolation:
   queued (running work does not count); a submission beyond that
   raises :class:`~repro.errors.AdmissionError` immediately instead of
   queueing without bound. A closed scheduler raises
-  :class:`~repro.errors.ServiceClosedError`.
+  :class:`~repro.errors.ServiceClosedError`. Several payloads
+  submitted together (:meth:`FairScheduler.submit_all`, a workload
+  plan) are admitted whole or refused whole.
 * **Per-tenant fairness.** Every tenant accumulates the *oracle
   charge* of its completed work (reported by ``run_batch``, in
   simulated oracle seconds). A free worker always serves the queued
@@ -18,9 +20,10 @@ them into results — so its three policies are testable in isolation:
   tenant and arrival order breaking ties.
 * **Batching.** When a worker picks a job it also drains immediately
   following jobs of the same tenant with the same ``batch_key`` (up
-  to ``max_batch``), handing ``run_batch`` the whole list. The
-  process backend turns this into one worker-pool round trip per
-  batch instead of one per query.
+  to ``max_batch``), handing ``run_batch`` the whole list
+  (:func:`take_batch`, the one dequeue rule). The process backend
+  turns this into one worker-pool round trip per batch instead of one
+  per query.
 
 Workers are threads; the heavy lifting inside ``run_batch`` either
 releases the GIL (numpy kernels) or is shipped to the process pool by
@@ -34,7 +37,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AdmissionError, ServiceClosedError, ServiceError
 
@@ -168,39 +171,23 @@ def _clone_error(error: BaseException) -> BaseException:
     return clone
 
 
-class OrderingPolicy:
-    """How a worker composes its next batch from a tenant's queue.
+def take_batch(queue: Deque[Job], max_batch: int) -> List[Job]:
+    """Pop a tenant's next batch: the dequeue rule, stated once.
 
-    The scheduler keeps cross-tenant fairness to itself (the deficit
-    rule on accumulated charge is not pluggable — it is the service's
-    isolation guarantee); what a policy *can* choose is which of the
-    winning tenant's queued jobs run next and which ride along in the
-    same batch. ``take_batch`` must remove the returned jobs from
-    ``queue`` and return at least one job when the queue is non-empty.
-
-    The default :class:`FifoPolicy` preserves submission order and
-    batches only immediately adjacent same-``batch_key`` jobs; the
-    cost-based optimizer (:mod:`repro.optimizer.policy`) reorders
-    cheapest-first and gathers same-key jobs from anywhere in the
-    queue.
+    Submission order, with the immediately following jobs of the same
+    ``batch_key`` (never ``None``) riding along, up to ``max_batch``.
+    FIFO inside a tenant is what makes starvation impossible: a job's
+    wait is bounded by what was queued before it, whatever arrives
+    after. Cross-query reordering happens *before* the queue — a
+    :class:`~repro.optimizer.planner.WorkloadPlan` submits same-artifact
+    queries adjacently, and adjacency is all this rule needs.
     """
-
-    def take_batch(
-        self, queue: Deque[Job], max_batch: int
-    ) -> List[Job]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class FifoPolicy(OrderingPolicy):
-    """Submission order, adjacency-only batching (the default)."""
-
-    def take_batch(self, queue: Deque[Job], max_batch: int) -> List[Job]:
-        batch = [queue.popleft()]
-        while (queue and len(batch) < max_batch
-               and batch[0].batch_key is not None
-               and queue[0].batch_key == batch[0].batch_key):
-            batch.append(queue.popleft())
-        return batch
+    batch = [queue.popleft()]
+    while (queue and len(batch) < max_batch
+           and batch[0].batch_key is not None
+           and queue[0].batch_key == batch[0].batch_key):
+        batch.append(queue.popleft())
+    return batch
 
 
 class FairScheduler:
@@ -213,7 +200,6 @@ class FairScheduler:
         workers: int = 1,
         max_pending: Optional[int] = None,
         max_batch: int = 8,
-        policy: Optional[OrderingPolicy] = None,
     ):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
@@ -225,7 +211,6 @@ class FairScheduler:
         self._run_batch = run_batch
         self.max_pending = max_pending
         self.max_batch = max_batch
-        self.policy = policy if policy is not None else FifoPolicy()
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
@@ -260,27 +245,45 @@ class FairScheduler:
         batch_key: object = None,
     ) -> QueryFuture:
         """Queue a payload; returns its future. May raise AdmissionError."""
+        return self.submit_all([(payload, batch_key)], tenant=tenant)[0]
+
+    def submit_all(
+        self,
+        items: Sequence[Tuple[object, object]],
+        *,
+        tenant: str = "default",
+    ) -> List[QueryFuture]:
+        """Queue ``(payload, batch_key)`` pairs whole or not at all.
+
+        One lock acquisition admits every pair, adjacent and in order,
+        or refuses them all: on a refusal nothing is queued and one
+        rejection is counted, so a caller never holds half a plan.
+        """
         with self._lock:
             if self._closed:
                 self._count_rejection(tenant, "closed")
                 raise ServiceClosedError("scheduler is closed")
             if self.max_pending is not None and \
-                    self._pending >= self.max_pending:
+                    self._pending + len(items) > self.max_pending:
                 self._count_rejection(tenant, "max_pending")
                 raise AdmissionError(
-                    f"{self._pending} queries already pending "
-                    f"(max_pending={self.max_pending}); retry later",
+                    f"{self._pending} queries already pending, "
+                    f"{len(items)} more would exceed "
+                    f"max_pending={self.max_pending}; retry later",
                     reason="max_pending", tenant=tenant)
-            future = QueryFuture(next(self._seq), tenant)
-            job = Job(
-                seq=future.seq, tenant=tenant,
-                batch_key=batch_key, payload=payload, future=future)
-            self._queues.setdefault(tenant, deque()).append(job)
+            queue = self._queues.setdefault(tenant, deque())
             self._charged.setdefault(tenant, 0.0)
-            self._pending += 1
-            self.submitted += 1
-            self._work_ready.notify()
-            return future
+            futures = []
+            for payload, batch_key in items:
+                future = QueryFuture(next(self._seq), tenant)
+                queue.append(Job(
+                    seq=future.seq, tenant=tenant,
+                    batch_key=batch_key, payload=payload, future=future))
+                futures.append(future)
+            self._pending += len(items)
+            self.submitted += len(items)
+            self._work_ready.notify(len(items))
+            return futures
 
     def _count_rejection(self, tenant: str, reason: str) -> None:
         """Record one refused submission (caller holds the lock)."""
@@ -350,12 +353,7 @@ class FairScheduler:
                 best = tenant
         if best is None:
             return None
-        queue = self._queues[best]
-        batch = self.policy.take_batch(queue, self.max_batch)
-        if not batch:  # pragma: no cover - policy contract violation
-            raise ServiceError(
-                f"{type(self.policy).__name__}.take_batch returned an "
-                f"empty batch from a non-empty queue")
+        batch = take_batch(self._queues[best], self.max_batch)
         self._pending -= len(batch)
         self._running += len(batch)
         return batch

@@ -38,7 +38,6 @@ import dataclasses
 import itertools
 import json
 import threading
-import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -48,7 +47,7 @@ from ..api.plan import QueryPlan
 from ..api.query import Query
 from ..api.session import Session, phase1_key
 from ..core.result import QueryReport
-from ..errors import QueryError, ServiceClosedError, ServiceError
+from ..errors import QueryError, ServiceClosedError
 from ..oracle.cost import CostModel, merge_cost_models
 from ..parallel.pool import PersistentPool, available_cpus, resolve_workers
 from ..trace import Tracer, activate
@@ -118,33 +117,14 @@ class ServiceStats:
         11, "phase1_build_seconds",
         "Simulated seconds paid across every Phase-1 build, including "
         "rebuilds of evicted keys."))
-    # Cost-based optimizer (DESIGN.md §11).
-    #: The scheduler's ordering policy: ``"fifo"`` or ``"cost"``.
-    ordering: str = "fifo"
-    #: Queries submitted through a WorkloadPlan (submit_plan).
+    #: Queries submitted through a WorkloadPlan (DESIGN.md §11).
     planned: int = field(default=0, metadata=_metric(
         12, "planned_total",
         "Queries submitted through an optimizer WorkloadPlan."))
-    #: Completed queries with an estimated-vs-actual calibration pair.
-    calibration_observed: int = field(default=0, metadata=_metric(
-        13, "calibration_observed_total",
-        "Completed queries with an estimated-vs-actual cost pair."))
-    #: Sum of predicted Phase-2 ledger seconds over observed queries.
-    estimated_seconds: float = field(default=0.0, metadata=_metric(
-        14, "estimated_cost_seconds",
-        "Sum of optimizer-predicted Phase-2 ledger seconds."))
-    #: Sum of actual Phase-2 ledger seconds over the same queries.
-    actual_seconds: float = field(default=0.0, metadata=_metric(
-        15, "actual_cost_seconds",
-        "Sum of actual Phase-2 ledger seconds over the same queries."))
-    #: Mean |estimated - actual| / actual over observed queries.
-    calibration_error: float = field(default=0.0, metadata=_metric(
-        16, "calibration_error",
-        "Mean |estimated - actual| / actual over observed queries."))
     #: tenant -> accumulated fairness charge (oracle seconds); one
     #: sample per tenant.
     tenants: Dict[str, float] = field(default_factory=dict, metadata=_metric(
-        17, "tenant_charge_seconds",
+        13, "tenant_charge_seconds",
         "Accumulated fairness charge per tenant (oracle seconds)."))
     #: tenant -> reason code -> refused submissions.
     rejections: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -265,13 +245,8 @@ class QueryService:
         artifact_entries: Optional[int] = None,
         score_cache_entries: Optional[int] = None,
         warm_dir=None,
-        ordering: str = "fifo",
-        estimator=None,
         tracer=None,
     ):
-        if ordering not in ("fifo", "cost"):
-            raise ServiceError(
-                f"ordering must be 'fifo' or 'cost', got {ordering!r}")
         # Per-query tracing (DESIGN.md §12): defaults through
         # REPRO_TRACE to the shared no-op tracer, which costs nothing.
         self.tracer = tracer if tracer is not None else Tracer.from_env()
@@ -279,7 +254,6 @@ class QueryService:
         if use_processes is None:
             use_processes = self.workers > 1 and available_cpus() > 1
         self.use_processes = bool(use_processes)
-        self.ordering = ordering
         self.artifacts = SharedArtifacts(
             max_entries=artifact_entries,
             score_cache_entries=score_cache_entries,
@@ -302,30 +276,11 @@ class QueryService:
         self._streams = weakref.WeakSet()
         self._closed = False
         self._planned = 0
-        # The cost estimator calibrates online from completed queries;
-        # with a warm tier configured its history persists alongside
-        # the Phase-1 checkpoints (saved on close, loaded on start).
-        self._estimator = estimator
-        if self._estimator is None and ordering == "cost":
-            from ..optimizer import CostEstimator
-
-            path = None
-            if warm_dir is not None:
-                from pathlib import Path
-
-                path = Path(warm_dir) / "cost_estimator"
-            self._estimator = CostEstimator(path=path)
-        policy = None
-        if ordering == "cost":
-            from ..optimizer import CostOrderedPolicy
-
-            policy = CostOrderedPolicy(self._task_cost)
         self._scheduler = FairScheduler(
             self._run_batch,
             workers=self.workers,
             max_pending=max_pending,
             max_batch=max_batch,
-            policy=policy,
         )
 
     # ------------------------------------------------------------------
@@ -424,10 +379,10 @@ class QueryService:
 
         def dispatch(refresh):
             job = _Job(target=stream, work=refresh, tenant=tenant, seq=None)
-            return self._enqueue(
-                job, "stream_refresh", None,
-                video=stream.video.name, udf=stream.scoring.name,
-            ).result()
+            attrs = dict(video=stream.video.name, udf=stream.scoring.name)
+            (future,) = self._enqueue(
+                "stream_refresh", tenant, [(job, None, attrs)])
+            return future.result()
 
         stream.refresh_dispatcher = dispatch
         with self._lock:
@@ -443,39 +398,54 @@ class QueryService:
     # root span. All of it no-ops (trace is None) with the null tracer.
     # ------------------------------------------------------------------
     def _enqueue(
-        self, job: _Job, name: str, batch_key, **attrs
-    ) -> QueryFuture:
-        """Hand ``job`` to the scheduler under a new ``name`` trace."""
-        tracer, tenant = self.tracer, job.tenant
-        trace = tracer.begin(name, tenant=tenant, **attrs)
-        if trace is None:
-            return self._scheduler.submit(
-                job, tenant=tenant, batch_key=batch_key)
-        job = dataclasses.replace(job, trace=trace)
-        admission = trace.start_span("admission", category="scheduler")
+        self, name: str, tenant: str, entries: Sequence[tuple]
+    ) -> List[QueryFuture]:
+        """Hand ``tenant``'s ``entries`` — ``(job, batch_key, trace
+        attrs)`` triples — to the scheduler, whole or not at all, each
+        under a new ``name`` trace."""
+        tracer = self.tracer
+        items, admissions = [], []
+        for job, batch_key, attrs in entries:
+            trace = tracer.begin(name, tenant=tenant, **attrs)
+            admission = None
+            if trace is not None:
+                job = dataclasses.replace(job, trace=trace)
+                admission = trace.start_span(
+                    "admission", category="scheduler")
+            items.append((job, batch_key))
+            admissions.append(admission)
         try:
-            future = self._scheduler.submit(
-                job, tenant=tenant, batch_key=batch_key)
+            futures = self._scheduler.submit_all(items, tenant=tenant)
         except BaseException as error:  # noqa: BLE001 - re-raised
-            # The scheduler refused the request (admission / closed).
-            tracer.finish(trace, status=f"error:{type(error).__name__}")
+            # The scheduler refused the lot (admission / closed).
+            for job, _key in items:
+                tracer.finish(
+                    job.trace, status=f"error:{type(error).__name__}")
             raise
-        # The request was queued: admission over, queue wait begins.
-        admission.finish()
-        trace.start_span("queue_wait", category="scheduler")
-        future.trace_id = trace.trace_id
+        for (job, _key), admission, future in zip(items, admissions, futures):
+            trace = job.trace
+            if trace is not None:
+                # The request was queued: admission over, queue wait begins.
+                admission.finish()
+                trace.start_span("queue_wait", category="scheduler")
+                future.trace_id = trace.trace_id
+                future.add_done_callback(self._trace_closer(trace))
+        return futures
 
+    def _trace_closer(self, trace):
+        """A done-callback that finishes ``trace``.
+
+        Also where a failure closes its spans: Trace.finish closes
+        whatever is still open under the error status.
+        """
         def _finish(done_future: QueryFuture) -> None:
-            # Also where a failure closes its spans: Trace.finish
-            # closes whatever is still open under the error status.
             error = done_future._error
-            tracer.finish(
+            self.tracer.finish(
                 trace,
                 status="ok" if error is None
                 else f"error:{type(error).__name__}")
 
-        future.add_done_callback(_finish)
-        return future
+        return _finish
 
     @staticmethod
     def _pickup(job: _Job, **attrs):
@@ -508,9 +478,7 @@ class QueryService:
         after :meth:`close`; either refusal lands in the per-tenant
         rejection counters :meth:`stats` reports.
         """
-        if self._closed:
-            self._scheduler.count_rejection(tenant, "closed")
-            raise ServiceClosedError("query service is closed")
+        self._refuse_closed(tenant)
         if isinstance(query, Query):
             if not isinstance(query.target, Session):
                 return self._submit_corpus(query, tenant=tenant)
@@ -525,6 +493,19 @@ class QueryService:
         else:
             raise QueryError(
                 f"submit expects a Query or QueryPlan, got {query!r}")
+        (future,) = self._enqueue(
+            "query", tenant, [self._query_entry(plan, session, tenant)])
+        return future
+
+    def _refuse_closed(self, tenant: str) -> None:
+        if self._closed:
+            self._scheduler.count_rejection(tenant, "closed")
+            raise ServiceClosedError("query service is closed")
+
+    def _query_entry(
+        self, plan: QueryPlan, session: Session, tenant: str
+    ) -> tuple:
+        """One plan on its session, ready for :meth:`_enqueue`."""
         if not plan.deterministic_timing:
             plan = dataclasses.replace(plan, deterministic_timing=True)
         # Plain batch sessions are adopted on first submission so their
@@ -537,10 +518,9 @@ class QueryService:
         job = _Job(
             target=session, work=plan, tenant=tenant,
             seq=next(self._submit_seq))
-        return self._enqueue(
-            job, "query", (session, phase1_key(plan.config)),
-            video=plan.video_name, udf=plan.udf_name,
-            k=plan.k, thres=plan.thres)
+        attrs = dict(video=plan.video_name, udf=plan.udf_name,
+                     k=plan.k, thres=plan.thres)
+        return job, (session, phase1_key(plan.config)), attrs
 
     def _submit_corpus(self, query, *, tenant: str) -> QueryFuture:
         """Queue one federated corpus query (DESIGN.md §9).
@@ -561,9 +541,9 @@ class QueryService:
         job = _Job(
             target=corpus, work=query, tenant=tenant,
             seq=next(self._submit_seq))
-        return self._enqueue(
-            job, "corpus_query", None,
-            shards=len(corpus.members), udf=corpus.scoring.name)
+        attrs = dict(shards=len(corpus.members), udf=corpus.scoring.name)
+        (future,) = self._enqueue("corpus_query", tenant, [(job, None, attrs)])
+        return future
 
     def gather(
         self,
@@ -575,38 +555,27 @@ class QueryService:
         return [future.result(timeout) for future in futures]
 
     # ------------------------------------------------------------------
-    # Cost-based workload planning (DESIGN.md §11)
+    # Workload planning (DESIGN.md §11)
     # ------------------------------------------------------------------
-    def estimator(self):
-        """The service's :class:`~repro.optimizer.estimator.CostEstimator`.
-
-        Created on first use when the service was not constructed with
-        one (``ordering="cost"`` constructs it eagerly).
-        """
-        if self._estimator is None:
-            from ..optimizer import CostEstimator
-
-            self._estimator = CostEstimator()
-        return self._estimator
-
     def plan_workload(
         self,
         queries: Sequence,
         *,
         session: Optional[Session] = None,
     ):
-        """Plan a set of pending submissions cheapest-first.
+        """Order pending submissions so shared Phase-1 artifacts build once.
 
-        Returns a :class:`~repro.optimizer.planner.WorkloadPlan`:
-        execution order, per-query cost predictions and lane choices,
-        with same-artifact queries grouped so cache-warming queries
-        run before the queries they warm. ``plan.explain()`` renders
-        the decisions; :meth:`submit_plan` executes them.
+        Returns a :class:`~repro.optimizer.planner.WorkloadPlan`: the
+        queries grouped by the artifact they need (warm groups first,
+        then first-submission order), each naming the lane it will run
+        on. Read-only — planning changes nothing about how this or any
+        later submission runs. ``plan.explain()`` renders the order;
+        :meth:`submit_plan` executes it.
         """
         self._check_open()
         from ..optimizer import WorkloadPlanner
 
-        planner = WorkloadPlanner(self.estimator(), artifacts=self.artifacts)
+        planner = WorkloadPlanner(artifacts=self.artifacts)
         return planner.plan(queries, session=session, lane=self._lane)
 
     def submit_plan(
@@ -619,48 +588,23 @@ class QueryService:
 
         Returns futures aligned with the *original* submission list
         the plan was built from (``futures[i]`` answers ``queries[i]``
-        no matter where the planner scheduled it).
+        no matter where the planner scheduled it). The plan is admitted
+        whole or refused whole: beyond ``max_pending`` (or on a closed
+        service) nothing is queued and one rejection is counted, so no
+        query ever runs that the caller holds no future for.
         """
-        futures: List[Optional[QueryFuture]] = \
-            [None] * len(workload_plan.items)
-        for item in workload_plan.items:
-            futures[item.index] = self.submit(
-                item.plan, session=item.session, tenant=tenant)
+        self._refuse_closed(tenant)
+        items = workload_plan.items
+        planned = self._enqueue("query", tenant, [
+            self._query_entry(item.plan, item.session, tenant)
+            for item in items
+        ])
         with self._lock:
-            self._planned += len(workload_plan.items)
+            self._planned += len(items)
+        futures: List[Optional[QueryFuture]] = [None] * len(items)
+        for item, future in zip(items, planned):
+            futures[item.index] = future
         return futures  # type: ignore[return-value]
-
-    def _predict(self, session: Session, plan: QueryPlan):
-        """Estimate one task's cost under the current shared state."""
-        from .artifacts import artifact_digest
-
-        group = group_key(session.video, session.scoring)
-        key = phase1_key(plan.config)
-        artifact = (group, key)
-        warm = session.phase1_cached(key=key) \
-            or self.artifacts.resident(artifact)
-        cache = session.shared_score_cache
-        coverage = 0.0
-        if cache is not None and plan.num_tuples > 0:
-            coverage = min(1.0, len(cache) / plan.num_tuples)
-        return self._estimator.predict(
-            plan,
-            group=group,
-            digest=artifact_digest(artifact),
-            warm=warm,
-            cache_coverage=coverage,
-            pool_available=self._lane(session) != "inline",
-        )
-
-    def _task_cost(self, job: _Job) -> float:
-        """The scheduler policy's pricing hook (physical seconds).
-
-        Stream refreshes and corpus jobs price as 0.0 — they keep
-        plain FIFO semantics within their tenant.
-        """
-        if not isinstance(job.work, QueryPlan) or self._estimator is None:
-            return 0.0
-        return self._predict(job.target, job.work).physical_seconds
 
     # ------------------------------------------------------------------
     # Execution (called on scheduler worker threads): every job is
@@ -677,8 +621,8 @@ class QueryService:
         copy, and crash confirming appended frames, while the inline
         lane reads the live view. Query batches, Phase-1 builds (the
         artifact store's ``build_pool``), the corpus shard backend, the
-        execute span's ``lane``, :meth:`_predict` and the workload
-        planner all ask here; the lane never changes a report byte.
+        execute span's ``lane`` and the workload planner all ask here;
+        the lane never changes a report byte.
         """
         sessions = [target] if isinstance(target, Session) \
             else [member.session for member in target.members]
@@ -746,11 +690,7 @@ class QueryService:
                 .get("oracle_confirm", 0.0)
         else:
             charge = cost.seconds("oracle_confirm")
-            attrs["sim_seconds_total"] = total = cost.total_seconds()
-            if span is not None:
-                # Beside the estimate (when an estimator made one):
-                # per-query calibration error, readable in the export.
-                job.trace.root.set(actual_phase2_seconds=total)
+            attrs["sim_seconds_total"] = cost.total_seconds()
             outcome = QueryOutcome(
                 tenant=job.tenant,
                 report=result.report,
@@ -795,21 +735,8 @@ class QueryService:
 
     def _execute_queries(self, jobs: Sequence[_Job], spans, lane) -> list:
         """One same-artifact batch of plans; a detail or an error each."""
-        from .artifacts import artifact_digest
-
         session = jobs[0].target
         plans = [job.work for job in jobs]
-        estimator = self._estimator
-        # Predict before touching the shared store: the estimator must
-        # see the same warm/cold state the policy priced, so the
-        # calibration pair reflects the decision actually made.
-        predictions = [None] * len(jobs)
-        if estimator is not None:
-            try:
-                predictions = [
-                    self._predict(session, plan) for plan in plans]
-            except Exception:  # noqa: BLE001 - prediction is advisory
-                pass
         # Phase 1 first: single-flight through the shared store (the
         # batch shares one artifact by construction of batch_key).
         # Each lease runs under its job's execute span, so the build
@@ -819,51 +746,16 @@ class QueryService:
         for plan, span in zip(plans, spans):
             with activate(span):
                 entries.append((plan.config, session.phase1(plan.config)))
-        group = group_key(session.video, session.scoring)
-        if estimator is not None:
-            estimator.observe_build(
-                artifact_digest((group, phase1_key(plans[0].config))),
-                entries[0][1].cost_model,
-            )
-        # The estimator can route a batch whose predicted Phase-2 work
-        # does not clear the pool's observed overhead back inline.
-        if predictions[0] is not None \
-                and all(p.lane == "inline" for p in predictions):
-            lane = "inline"
-            for span in spans:
-                if span is not None:
-                    span.set(lane=lane)
-        started = time.perf_counter()
-        if lane == "inline":
-            executor = QueryExecutor(session)
-            results = []
-            for plan, span in zip(plans, spans):
-                try:
-                    with activate(span):
-                        results.append(executor.execute_detailed(plan))
-                except Exception as error:  # noqa: BLE001 - settled
-                    results.append(error)
-        else:
-            results = self._ship(jobs, spans, entries, lane)
-        per_query_wall = (time.perf_counter() - started) / len(jobs)
-
-        for job, detail, predicted in zip(jobs, results, predictions):
-            if isinstance(detail, BaseException):
-                continue
-            if estimator is not None:
-                estimator.observe_query(
-                    job.work,
-                    group=group,
-                    phase2_cost=detail.phase2_cost,
-                    wall_seconds=per_query_wall,
-                    lane=lane,
-                    predicted=predicted,
-                )
-            if job.trace is not None and predicted is not None:
-                job.trace.root.set(
-                    estimated_phase2_seconds=predicted.phase2_seconds,
-                    estimated_lane=predicted.lane,
-                )
+        if lane != "inline":
+            return self._ship(jobs, spans, entries, lane)
+        executor = QueryExecutor(session)
+        results = []
+        for plan, span in zip(plans, spans):
+            try:
+                with activate(span):
+                    results.append(executor.execute_detailed(plan))
+            except Exception as error:  # noqa: BLE001 - settled
+                results.append(error)
         return results
 
     def _ship(self, jobs: Sequence[_Job], spans, entries, lane) -> list:
@@ -950,24 +842,13 @@ class QueryService:
         per-tenant admission-rejection counters); mapping-style access
         keeps working for callers written against the old dict.
         """
-        calibration = {}
-        if self._estimator is not None:
-            cal = self._estimator.calibration()
-            calibration = dict(
-                calibration_observed=cal.observed,
-                estimated_seconds=cal.estimated_seconds,
-                actual_seconds=cal.actual_seconds,
-                calibration_error=cal.mean_abs_relative_error,
-            )
         with self._lock:
             planned = self._planned
         return ServiceStats(
             **self._scheduler.snapshot(),
             **self.artifacts.snapshot(),
-            **calibration,
             workers=self.workers,
             use_processes=self.use_processes,
-            ordering=self.ordering,
             planned=planned,
             recent_traces=self.tracer.summaries(limit=16),
         )
@@ -991,11 +872,6 @@ class QueryService:
         self._scheduler.close(wait=True)
         if self._pool is not None:
             self._pool.shutdown()
-        if self._estimator is not None and self._estimator.path is not None:
-            try:
-                self._estimator.save()
-            except Exception:  # noqa: BLE001 - persistence best-effort
-                pass
         with self._lock:
             for stream in self._streams:
                 stream.refresh_dispatcher = None

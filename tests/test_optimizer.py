@@ -1,32 +1,33 @@
-"""Tests for the cost-based multi-query optimizer (DESIGN.md §11).
+"""Tests for multi-query workload planning (DESIGN.md §11).
 
-Each layer in isolation — the ledger-calibrated
-:class:`~repro.optimizer.estimator.CostEstimator`, the
-shared-artifact-aware :class:`~repro.optimizer.planner.WorkloadPlanner`
-and the scheduler-side
-:class:`~repro.optimizer.policy.CostOrderedPolicy` — plus the service
-integration contract: ``ordering="cost"`` changes *when* work runs and
-what it physically costs, never the bytes of any report.
+The plan is the whole optimizer: a stable group-by on the Phase-1
+artifact a query needs. Pinned here are the grouping rule (unit cases
+and one hypothesis property that also executes the plan), the service
+contract — planning is read-only, a planned order changes *when* work
+runs and how many builds it pays, never a report byte — and plan
+admission, which is whole or nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+import sys
+import threading
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import EverestConfig, QueryService, Session
-from repro.api.session import estimate_phase1_seconds, phase1_key
-from repro.errors import QueryError, ServiceError
-from repro.optimizer import (
-    CostEstimator,
-    CostOrderedPolicy,
-    WorkloadPlanner,
-)
-from repro.oracle.cost import CostModel
-from repro.service.artifacts import artifact_digest, group_key
-from repro.service.scheduler import Job, QueryFuture
+from repro.errors import AdmissionError, QueryError, ServiceClosedError
+from repro.optimizer import WorkloadPlanner
+from repro.service.scheduler import FairScheduler
+from repro.trace import Tracer
 from repro.video import TrafficVideo
 
 CONFIG = EverestConfig.fast()
+WAIT = 120.0
 
 
 def _session(name="opt", seed=11, frames=400):
@@ -36,193 +37,6 @@ def _session(name="opt", seed=11, frames=400):
 
 def _plan(session, k=3):
     return session.query().topk(k).guarantee(0.9).plan()
-
-
-# ----------------------------------------------------------------------
-# CostEstimator
-
-
-class TestCostEstimator:
-    def test_cold_prediction_uses_phase1_prior(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        pred = estimator.predict(
-            plan, group="g", digest="d", warm=False)
-        assert pred.phase1_seconds == pytest.approx(
-            estimate_phase1_seconds(
-                plan.num_frames, plan.unit_costs, plan.config))
-        assert not pred.phase1_warm
-        assert pred.lane == "inline"
-        assert pred.physical_seconds > pred.phase2_seconds
-
-    def test_warm_prediction_charges_no_phase1(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        pred = estimator.predict(plan, group="g", digest="d", warm=True)
-        assert pred.phase1_seconds == 0.0
-        assert pred.phase1_warm
-        assert pred.physical_seconds == pytest.approx(
-            pred.phase2_seconds * pred.fresh_fraction)
-
-    def test_build_history_replaces_prior(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        ledger = CostModel(plan.unit_costs, wall_clock=False)
-        ledger.add_seconds("cmdn_train", 12.5)
-        estimator.observe_build("d", ledger)
-        pred = estimator.predict(plan, group="g", digest="d", warm=False)
-        assert pred.phase1_seconds == pytest.approx(12.5)
-
-    def test_query_history_replaces_confirm_prior(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        cold = estimator.predict(plan, group="g", digest="d", warm=True)
-        ledger = CostModel(plan.unit_costs, wall_clock=False)
-        ledger.charge("oracle_confirm", 7)
-        estimator.observe_query(
-            plan, group="g", phase2_cost=ledger,
-            wall_seconds=0.1, lane="inline", predicted=cold)
-        warmed = estimator.predict(plan, group="g", digest="d", warm=True)
-        assert warmed.confirm_calls == pytest.approx(7)
-        assert warmed.confirm_calls != cold.confirm_calls
-
-    def test_calibration_tracks_estimate_vs_actual(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        pred = estimator.predict(plan, group="g", digest="d", warm=True)
-        ledger = CostModel(plan.unit_costs, wall_clock=False)
-        ledger.charge("oracle_confirm", 10)
-        estimator.observe_query(
-            plan, group="g", phase2_cost=ledger,
-            wall_seconds=0.1, lane="inline", predicted=pred)
-        cal = estimator.calibration()
-        assert cal.observed == 1
-        assert cal.estimated_seconds == pytest.approx(pred.phase2_seconds)
-        assert cal.actual_seconds == pytest.approx(ledger.total_seconds())
-        assert cal.mean_abs_relative_error >= 0.0
-
-    def test_cache_coverage_scales_physical_cost(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        dry = estimator.predict(plan, group="g", digest="d", warm=True)
-        half = estimator.predict(
-            plan, group="g", digest="d", warm=True, cache_coverage=0.5)
-        assert half.fresh_fraction == pytest.approx(0.5)
-        assert half.physical_seconds == pytest.approx(
-            dry.physical_seconds / 2)
-        # Ledger view is untouched: coverage saves physical work only.
-        assert half.phase2_seconds == pytest.approx(dry.phase2_seconds)
-
-    def test_lane_choice_clears_overhead(self):
-        session = _session()
-        plan = _plan(session)
-        estimator = CostEstimator()
-        assert estimator.predict(
-            plan, group="g", digest="d", warm=True,
-            pool_available=False).lane == "inline"
-        heavy = estimator.predict(
-            plan, group="g", digest="d", warm=True, pool_available=True)
-        assert heavy.lane == "process"  # prior confirms dwarf overhead
-        assert estimator.predict(
-            plan, group="g", digest="d", warm=True, cache_coverage=1.0,
-            pool_available=True).lane == "inline"
-
-    def test_persistence_round_trip(self, tmp_path):
-        session = _session()
-        plan = _plan(session)
-        target = tmp_path / "estimator"
-        first = CostEstimator(path=target)
-        ledger = CostModel(plan.unit_costs, wall_clock=False)
-        ledger.charge("oracle_confirm", 9)
-        pred = first.predict(plan, group="g", digest="d", warm=True)
-        first.observe_query(
-            plan, group="g", phase2_cost=ledger,
-            wall_seconds=0.2, lane="inline", predicted=pred)
-        first.observe_build("d", ledger)
-        first.save()
-
-        second = CostEstimator(path=target)
-        assert second.calibration() == first.calibration()
-        again = second.predict(plan, group="g", digest="d", warm=False)
-        assert again.phase1_seconds == pytest.approx(
-            ledger.total_seconds())
-        assert again.confirm_calls == pytest.approx(9)
-
-    def test_missing_checkpoint_is_a_cold_start(self, tmp_path):
-        estimator = CostEstimator(path=tmp_path / "never-written")
-        assert estimator.calibration().observed == 0
-        with pytest.raises(ValueError):
-            CostEstimator().save()
-
-
-# ----------------------------------------------------------------------
-# CostOrderedPolicy
-
-
-def _jobs(specs):
-    """Jobs from (cost, batch_key) pairs; payload carries the cost."""
-    from collections import deque
-
-    queue = deque()
-    for seq, (cost, key) in enumerate(specs):
-        queue.append(Job(
-            seq=seq, tenant="t", batch_key=key,
-            payload=cost, future=QueryFuture(seq, "t")))
-    return queue
-
-
-class TestCostOrderedPolicy:
-    def test_cheapest_job_leads(self):
-        policy = CostOrderedPolicy(float)
-        queue = _jobs([(5.0, "a"), (1.0, "b"), (3.0, "c")])
-        batch = policy.take_batch(queue, max_batch=8)
-        assert [job.payload for job in batch] == [1.0]
-        assert [job.payload for job in queue] == [5.0, 3.0]
-
-    def test_gathers_same_key_beyond_adjacency(self):
-        policy = CostOrderedPolicy(float)
-        # a and b interleaved: FIFO adjacency would batch one at a
-        # time; the cost policy gathers all of the lead's key.
-        queue = _jobs([(2.0, "a"), (9.0, "b"), (2.5, "a"), (8.0, "b")])
-        batch = policy.take_batch(queue, max_batch=8)
-        assert [job.batch_key for job in batch] == ["a", "a"]
-        assert [job.payload for job in batch] == [2.0, 2.5]
-        assert [job.batch_key for job in queue] == ["b", "b"]
-
-    def test_max_batch_bounds_the_gather(self):
-        policy = CostOrderedPolicy(float)
-        queue = _jobs([(1.0, "a")] * 5)
-        batch = policy.take_batch(queue, max_batch=3)
-        assert len(batch) == 3
-        assert len(queue) == 2
-
-    def test_none_batch_key_never_gathers(self):
-        policy = CostOrderedPolicy(float)
-        queue = _jobs([(1.0, None), (2.0, None)])
-        batch = policy.take_batch(queue, max_batch=8)
-        assert len(batch) == 1
-
-    def test_cost_failure_degrades_to_fifo(self):
-        def broken(payload):
-            raise RuntimeError("no price")
-
-        policy = CostOrderedPolicy(broken)
-        queue = _jobs([(7.0, "a"), (1.0, "b")])
-        batch = policy.take_batch(queue, max_batch=8)
-        # Every job prices 0.0; seq breaks the tie -> submission order.
-        assert [job.seq for job in batch] == [0]
-
-    def test_equal_costs_keep_submission_order(self):
-        policy = CostOrderedPolicy(lambda payload: 1.0)
-        queue = _jobs([(1.0, "a"), (1.0, "b"), (1.0, "c")])
-        batch = policy.take_batch(queue, max_batch=8)
-        assert [job.seq for job in batch] == [0]
 
 
 # ----------------------------------------------------------------------
@@ -241,12 +55,11 @@ class TestWorkloadPlanner:
             session.query().topk(5).guarantee(0.9),
             other.query().topk(5).guarantee(0.9),
         ]
-        plan = WorkloadPlanner(CostEstimator()).plan(queries)
-        digests = [item.digest for item in plan.items]
-        # Two groups, each contiguous.
-        assert len(set(digests)) == 2
-        assert digests[0] == digests[1] and digests[2] == digests[3]
-        assert sorted(plan.order()) == [0, 1, 2, 3]
+        plan = WorkloadPlanner().plan(queries)
+        artifacts = [item.artifact for item in plan.items]
+        # Two groups, each contiguous, in first-submission order.
+        assert len(set(artifacts)) == 2
+        assert plan.order() == [0, 2, 1, 3]
 
     def test_only_group_head_pays_the_build(self):
         session = _session()
@@ -254,53 +67,173 @@ class TestWorkloadPlanner:
             session.query().topk(5).guarantee(0.9),
             session.query().topk(3).guarantee(0.9),
         ]
-        plan = WorkloadPlanner(CostEstimator()).plan(queries)
-        head, tail = plan.items
-        assert not head.prediction.phase1_warm
-        assert head.prediction.phase1_seconds > 0
-        assert tail.prediction.phase1_warm
-        assert tail.prediction.phase1_seconds == 0.0
-        # Cheapest Phase 2 leads (k=3 confirms less under the prior).
-        assert head.plan.k == 3
+        head, tail = WorkloadPlanner().plan(queries).items
+        assert not head.warm and tail.warm
+        # Submission order inside a group: nothing is re-ranked.
+        assert (head.plan.k, tail.plan.k) == (5, 3)
 
     def test_session_pinned_artifact_plans_warm(self):
         session = _session()
+        cold = _session("opt-cold", seed=13)
+        queries = [
+            cold.query().topk(3).guarantee(0.9),
+            session.query().topk(3).guarantee(0.9),
+        ]
+        assert WorkloadPlanner().plan(queries).order() == [0, 1]
         session.phase1(CONFIG)  # pin the artifact in the session
-        plan = WorkloadPlanner(CostEstimator()).plan(
-            [session.query().topk(3).guarantee(0.9)])
-        assert plan.items[0].prediction.phase1_warm
+        plan = WorkloadPlanner().plan(queries)
+        # The pinned group leads; the cold one keeps its place after it.
+        assert plan.order() == [1, 0]
+        assert [item.warm for item in plan.items] == [True, False]
 
     def test_compiled_plan_needs_session(self):
         session = _session()
         compiled = _plan(session)
-        planner = WorkloadPlanner(CostEstimator())
+        planner = WorkloadPlanner()
         with pytest.raises(QueryError):
             planner.plan([compiled])
+        with pytest.raises(QueryError):
+            planner.plan(["top-3"])
         plan = planner.plan([compiled], session=session)
         assert plan.items[0].plan is compiled
 
     def test_explain_renders_every_item(self):
         session = _session()
-        plan = WorkloadPlanner(CostEstimator()).plan(
-            [session.query().topk(3).guarantee(0.9)])
+        plan = WorkloadPlanner().plan(
+            [session.query().topk(k).guarantee(0.9) for k in (3, 5)])
         text = plan.explain()
-        assert "WorkloadPlan: 1 queries" in text
-        assert "top-3@0.9" in text
-        assert "physical" in text
+        assert "WorkloadPlan: 2 queries over 1 artifacts, 1 to build" in text
+        assert "[#0] opt/count[car] top-3@0.9 frames · cold · lane=inline" \
+            in text
+        assert "[#1] opt/count[car] top-5@0.9 frames · warm · lane=inline" \
+            in text
 
-    def test_plan_explain_accepts_estimate(self):
-        session = _session()
-        compiled = _plan(session)
-        pred = CostEstimator().predict(
-            compiled, group="g", digest="d", warm=False)
-        text = compiled.explain(estimate=pred)
-        assert "optimizer:" in text
-        assert "cold" in text
-        assert compiled.explain().count("\n") == text.count("\n") - 1
+
+# ----------------------------------------------------------------------
+# The grouping rule, as a property — and executed.
+
+#: (k, thres) shapes a property example mixes per artifact.
+SHAPES = ((2, 0.9), (3, 0.9), (5, 0.9), (2, 0.95), (4, 0.8), (6, 0.85))
+_REFERENCE = {}
+
+
+def _prop_video(artifact: int) -> TrafficVideo:
+    return TrafficVideo(f"plan-{artifact}", 300, seed=40 + artifact)
+
+
+def _reference(artifact: int, shape: int) -> str:
+    """Plain serial ``Session`` bytes for one (artifact, shape)."""
+    if (artifact, shape) not in _REFERENCE:
+        session = Session.open(
+            _prop_video(artifact), "count[car]", config=CONFIG)
+        for index, (k, thres) in enumerate(SHAPES):
+            _REFERENCE[artifact, index] = session.query().topk(k) \
+                .guarantee(thres).deterministic_timing().run().to_json()
+    return _REFERENCE[artifact, shape]
+
+
+@st.composite
+def _workloads(draw):
+    """An interleaving of 2-5 artifacts x 1-6 shapes, plus which
+    artifact (if any) is store-resident and which session-pinned."""
+    count = draw(st.integers(2, 5))
+    submissions = [
+        (artifact, shape)
+        for artifact in range(count)
+        for shape in draw(st.lists(
+            st.sampled_from(range(len(SHAPES))), min_size=1, max_size=6,
+            unique=True))
+    ]
+    choice = st.one_of(st.none(), st.integers(0, count - 1))
+    return draw(st.permutations(submissions)), draw(choice), draw(choice)
+
+
+class TestGroupingRule:
+    @settings(max_examples=20, deadline=None)
+    @given(_workloads())
+    def test_the_plan_is_a_stable_group_by_that_builds_each_artifact_once(
+            self, workload):
+        submissions, resident, pinned = workload
+        artifacts = [artifact for artifact, _ in submissions]
+        with QueryService(
+                workers=1, use_processes=False,
+                artifact_entries=1) as service:
+            def open_session(artifact):
+                return service.open_session(
+                    _prop_video(artifact), "count[car]", config=CONFIG)
+
+            # The pinned artifact's queries share one session that has
+            # already leased its entry; everyone else arrives on a
+            # session of their own, so only residency can save a build.
+            shared = None
+            if pinned is not None:
+                shared = open_session(pinned)
+                shared.phase1()
+            if resident is not None:
+                open_session(resident).phase1()  # evicts the pinned one
+            sessions = [
+                shared if artifact == pinned else open_session(artifact)
+                for artifact in artifacts
+            ]
+            queries = [
+                session.query().topk(SHAPES[shape][0])
+                .guarantee(SHAPES[shape][1])
+                for session, (_, shape) in zip(sessions, submissions)
+            ]
+            plan = service.plan_workload(queries)
+            order = plan.order()
+
+            # A permutation of the submissions …
+            assert sorted(order) == list(range(len(submissions)))
+            # … each artifact contiguous and in submission order …
+            runs = [artifacts[index] for index in order]
+            groups = [a for i, a in enumerate(runs)
+                      if i == 0 or runs[i - 1] != a]
+            assert len(groups) == len(set(artifacts))
+            for artifact in groups:
+                mine = [i for i in order if artifacts[i] == artifact]
+                assert mine == sorted(mine)
+            # … resident / pinned groups first, every group otherwise
+            # where its first query was submitted.
+            warm = {resident, pinned} - {None}
+            assert groups == sorted(
+                groups, key=lambda a: (a not in warm, artifacts.index(a)))
+            for item in plan.items:
+                first = artifacts.index(artifacts[item.index]) == item.index
+                assert item.warm == (
+                    not first or artifacts[item.index] in warm)
+
+            reports = service.gather(service.submit_plan(plan), timeout=WAIT)
+            stats = service.stats()
+        # One build per distinct artifact, pre-warming included; bytes
+        # equal to serial execution; futures[i] answers queries[i].
+        assert stats.builds == len(set(artifacts))
+        assert stats.planned == len(submissions)
+        assert [report.to_json() for report in reports] == [
+            _reference(artifact, shape) for artifact, shape in submissions]
 
 
 # ----------------------------------------------------------------------
 # Service integration
+
+
+def _delta(before, after):
+    """What moved between two ``stats().as_dict()`` snapshots."""
+    moved = {}
+    for key, value in after.items():
+        if isinstance(value, dict):
+            inner = {k: v - before[key].get(k, 0) for k, v in value.items()
+                     if not isinstance(v, dict)}
+            moved.update({f"{key}.{k}": v for k, v in inner.items() if v})
+        elif isinstance(value, (int, float)) and value != before[key]:
+            moved[key] = value - before[key]
+    return moved
+
+
+def _snapshot(service):
+    stats = service.stats().as_dict()
+    del stats["recent_traces"]
+    return stats
 
 
 class TestServiceIntegration:
@@ -311,95 +244,244 @@ class TestServiceIntegration:
                 config=CONFIG)
             for name, seed in (("int-a", 21), ("int-b", 22))
         ]
-        # Interleave artifacts so FIFO order alternates between them.
+        # Interleave artifacts so arrival order alternates between them.
         return [
             sessions[i % 2].query().topk(3 + 2 * (i // 2)).guarantee(0.9)
             for i in range(4)
         ]
 
-    def test_rejects_unknown_ordering(self):
-        with pytest.raises(ServiceError):
-            QueryService(workers=1, ordering="priority")
+    def test_no_knob_selects_an_ordering(self):
+        def parameters(function):
+            return [name for name in inspect.signature(function).parameters
+                    if name != "self"]
 
-    def test_cost_ordering_matches_fifo_bytes(self):
-        with QueryService(workers=1, use_processes=False) as fifo:
+        assert parameters(QueryService.__init__) == [
+            "workers", "use_processes", "max_pending", "max_batch",
+            "artifact_entries", "score_cache_entries", "warm_dir", "tracer"]
+        assert parameters(FairScheduler.__init__) == [
+            "run_batch", "workers", "max_pending", "max_batch"]
+        with pytest.raises(TypeError):
+            QueryService(workers=1, ordering="cost")
+
+    def test_planned_order_matches_arrival_order_bytes(self):
+        with QueryService(workers=1, use_processes=False) as arrival:
             baseline = [
                 r.to_json()
-                for r in fifo.gather(
-                    [fifo.submit(q) for q in self._queries(fifo)])
+                for r in arrival.gather(
+                    [arrival.submit(q) for q in self._queries(arrival)])
             ]
-        with QueryService(
-                workers=1, use_processes=False, ordering="cost") as cost:
-            queries = self._queries(cost)
-            wplan = cost.plan_workload(queries)
-            reports = cost.gather(cost.submit_plan(wplan))
-            optimized = [r.to_json() for r in reports]
-        assert optimized == baseline
+        with QueryService(workers=1, use_processes=False) as planned:
+            wplan = planned.plan_workload(self._queries(planned))
+            reports = planned.gather(planned.submit_plan(wplan))
+        assert [r.to_json() for r in reports] == baseline
 
     def test_submit_plan_aligns_futures_with_submission_order(self):
-        with QueryService(
-                workers=1, use_processes=False, ordering="cost") as service:
+        with QueryService(workers=1, use_processes=False) as service:
             queries = self._queries(service)
             wplan = service.plan_workload(queries)
             # The interleaved submission reorders into contiguous
             # artifact groups: a permutation, not the identity.
-            assert sorted(wplan.order()) == list(range(len(queries)))
-            assert wplan.order() != list(range(len(queries)))
+            assert wplan.order() == [0, 2, 1, 3]
             reports = service.gather(service.submit_plan(wplan))
             # futures[i] answers queries[i]: k values line up.
             for query, report in zip(queries, reports):
                 assert report.k == query.plan().k
 
     def test_stats_surface_optimizer_fields(self):
-        with QueryService(
-                workers=1, use_processes=False, ordering="cost") as service:
+        with QueryService(workers=1, use_processes=False) as service:
             queries = self._queries(service)
             service.gather(
                 service.submit_plan(service.plan_workload(queries)))
             stats = service.stats()
-            assert stats.ordering == "cost"
             assert stats.planned == len(queries)
-            assert stats.calibration_observed == len(queries)
-            assert stats.estimated_seconds > 0
-            assert stats.actual_seconds > 0
+            assert stats.builds == 2
             assert stats.build_seconds > 0
             payload = stats.as_dict()
-            for field in ("ordering", "planned", "calibration_observed",
-                          "estimated_seconds", "actual_seconds",
-                          "calibration_error", "build_seconds"):
-                assert field in payload
+            assert payload["planned"] == len(queries)
+            assert payload["build_seconds"] == stats.build_seconds
 
-    def test_fifo_service_reports_fifo_stats(self):
+    def test_an_unplanned_service_reports_planned_zero(self):
         with QueryService(workers=1, use_processes=False) as service:
             stats = service.stats()
-            assert stats.ordering == "fifo"
             assert stats.planned == 0
-            assert stats.calibration_observed == 0
+            # Nothing prices: the calibration gauges are gone.
+            assert not {"ordering", "calibration_observed",
+                        "estimated_seconds", "actual_seconds",
+                        "calibration_error"} & set(stats.as_dict())
 
-    def test_estimator_persists_through_warm_dir(self, tmp_path):
-        video = TrafficVideo("persist", 400, seed=23)
+    def test_planning_is_read_only(self):
+        """``plan_workload`` used to create an estimator as a side
+        effect, after which every execution predicted, observed and
+        could override its lane: a query method changed how later
+        submissions ran."""
+        tracer = Tracer()
         with QueryService(
-                workers=1, use_processes=False, ordering="cost",
-                warm_dir=tmp_path) as service:
+                workers=1, use_processes=False, tracer=tracer) as service:
             session = service.open_session(
-                video, "count[car]", config=CONFIG)
-            service.submit(
-                session.query().topk(3).guarantee(0.9)).result(60)
-        reborn = CostEstimator(path=tmp_path / "cost_estimator")
-        assert reborn.calibration().observed == 1
-
-    def test_calibration_improves_with_history(self):
-        """The second identical query predicts from observed ledgers."""
-        with QueryService(
-                workers=1, use_processes=False, ordering="cost") as service:
-            session = service.open_session(
-                TrafficVideo("cal", 400, seed=24), "count[car]",
+                TrafficVideo("ro", 400, seed=25), "count[car]",
                 config=CONFIG)
+            query = session.query().topk(4).guarantee(0.9)
+            # Build and fill the score cache, so the two submissions
+            # compared below do identical physical work.
+            service.submit(query).result(WAIT)
+
+            def submission(tenant):
+                # A tenant of its own: its charge starts from 0.0, so
+                # the two deltas compare exactly.
+                before = _snapshot(service)
+                future = service.submit(query, tenant=tenant)
+                report = future.result(WAIT)
+                assert service.drain(WAIT)
+                moved = _delta(before, _snapshot(service))
+                trace = tracer.get(future.trace_id)
+                (execute,) = [s for s in trace.spans if s.name == "execute"]
+                return (moved.pop(f"tenants.{tenant}"), moved,
+                        execute.attrs["lane"],
+                        sorted(set(trace.root.attrs) - {"tenant"}),
+                        report.to_json())
+
+            first = submission("before")
+            before = _snapshot(service)
+            service.plan_workload([query, query])
+            assert _snapshot(service) == before
+            assert submission("after") == first
+            assert first[0] > 0
+            assert first[1] == {"submitted": 1, "completed": 1}
+
+
+# ----------------------------------------------------------------------
+# Plan admission: whole or nothing.
+
+
+@contextlib.contextmanager
+def _parked(service):
+    """Block the service's batches until ``release`` is set (or exit)."""
+    entered, release = threading.Event(), threading.Event()
+    scheduler = service._scheduler
+    run_batch = scheduler._run_batch
+
+    def parked(payloads):
+        entered.set()
+        assert release.wait(WAIT)
+        return run_batch(payloads)
+
+    scheduler._run_batch = parked
+    try:
+        yield entered, release
+    finally:
+        release.set()
+
+
+class TestPlanAdmission:
+    def _service(self, max_pending):
+        service = QueryService(
+            workers=1, use_processes=False, max_pending=max_pending)
+        session = service.open_session(
+            TrafficVideo("adm", 300, seed=26), "count[car]", config=CONFIG)
+        return service, session
+
+    def test_a_plan_larger_than_max_pending_is_refused_whole(self):
+        service, session = self._service(max_pending=3)
+        with service:
+            plan = service.plan_workload(
+                [session.query().topk(k).guarantee(0.9)
+                 for k in range(2, 10)])
+            with pytest.raises(AdmissionError) as refused:
+                service.submit_plan(plan, tenant="t")
+            assert refused.value.reason == "max_pending"
+            assert "8 more" in str(refused.value)
+            assert "max_pending=3" in str(refused.value)
+            assert service.drain(WAIT)
+            stats = service.stats()
+            # Nothing ran that the caller holds no future for.
+            assert (stats.submitted, stats.completed, stats.pending,
+                    stats.planned) == (0, 0, 0, 0)
+            assert stats.rejected == 1
+            assert stats.rejections == {"t": {"max_pending": 1}}
+            assert service.outcomes() == []
+
+    def test_a_plan_that_does_not_fit_behind_queued_work_is_refused_whole(
+            self):
+        service, session = self._service(max_pending=6)
+        with service, _parked(service) as (entered, release):
             query = session.query().topk(3).guarantee(0.9)
-            first = service.submit(query)
-            first.result(60)
-            plan = query.plan()
-            pred = service._predict(session, plan)
-            actual = service.outcomes()[0].phase2_cost.total_seconds()
-            assert pred.phase2_seconds == pytest.approx(actual)
-            assert pred.phase1_warm  # the artifact is now resident
+            running = service.submit(query, tenant="t")
+            assert entered.wait(WAIT)
+            queued = [service.submit(query, tenant="t") for _ in range(3)]
+            plan = service.plan_workload(
+                [session.query().topk(k).guarantee(0.9) for k in (2, 4, 5, 6)])
+            with pytest.raises(AdmissionError, match="3 queries already"):
+                service.submit_plan(plan, tenant="t")
+            stats = service.stats()
+            assert (stats.submitted, stats.pending, stats.planned) == (4, 3, 0)
+            assert stats.rejections == {"t": {"max_pending": 1}}
+            # One fewer and it fits: admitted whole, counted whole.
+            smaller = service.plan_workload(
+                [session.query().topk(k).guarantee(0.9) for k in (2, 4, 5)])
+            futures = service.submit_plan(smaller, tenant="t")
+            stats = service.stats()
+            assert (stats.submitted, stats.pending, stats.planned) == (7, 6, 3)
+            release.set()
+            assert [f.result(WAIT).k for f in futures] == [2, 4, 5]
+            assert all(f.result(WAIT).k == 3 for f in (running, *queued))
+
+    def test_a_closed_service_refuses_a_plan(self):
+        service, session = self._service(max_pending=8)
+        plan = service.plan_workload(
+            [session.query().topk(k).guarantee(0.9) for k in (2, 3)])
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.submit_plan(plan, tenant="t")
+        stats = service.stats()
+        assert (stats.submitted, stats.planned) == (0, 0)
+        assert stats.rejections == {"t": {"closed": 1}}
+
+    def test_plan_admission_is_atomic_against_a_racing_submitter(self):
+        """A second thread submits into the same tenant while plans are
+        admitted: ``submitted`` only ever moves by 0 or a plan's length,
+        so the books balance to the last query."""
+        size = 5
+        service, session = self._service(max_pending=8)
+        with service:
+            query = session.query().topk(3).guarantee(0.9)
+            service.submit(query).result(WAIT)  # Phase 1 out of the way
+            plan = service.plan_workload([query] * size)
+            singles = {"ok": 0, "refused": 0}
+            stop = threading.Event()
+
+            def racer():
+                while not stop.is_set():
+                    try:
+                        service.submit(query, tenant="t")
+                        singles["ok"] += 1
+                    except AdmissionError:
+                        singles["refused"] += 1
+                        time.sleep(0.005)  # let the queue drain a little
+
+            thread = threading.Thread(target=racer)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # tear what can be torn
+            plans = {"ok": 0, "refused": 0}
+            try:
+                thread.start()
+                deadline = time.monotonic() + WAIT
+                while plans["ok"] < 10 and time.monotonic() < deadline:
+                    try:
+                        service.submit_plan(plan, tenant="t")
+                        plans["ok"] += 1
+                    except AdmissionError:
+                        plans["refused"] += 1
+                        time.sleep(0.0005)
+            finally:
+                stop.set()
+                thread.join(WAIT)
+                sys.setswitchinterval(interval)
+            assert not thread.is_alive()
+            assert service.drain(WAIT)
+            stats = service.stats()
+            assert plans["ok"] == 10 and plans["refused"] > 0
+            assert stats.planned == size * plans["ok"]
+            assert stats.submitted == 1 + singles["ok"] + size * plans["ok"]
+            assert stats.completed == stats.submitted
+            assert stats.rejections.get("t", {}).get("max_pending", 0) \
+                == singles["refused"] + plans["refused"]

@@ -20,6 +20,7 @@ every tenant's queue drains in bounded turns (and in FIFO order within
 each tenant).
 """
 
+import collections
 import threading
 import time
 
@@ -33,10 +34,11 @@ from repro.oracle import counting_udf
 from repro.oracle.cost import CostModel, merge_cost_models
 from repro.service.scheduler import (
     FairScheduler,
-    FifoPolicy,
+    Job,
     JobOutcome,
     QueryFuture,
     _clone_error,
+    take_batch,
 )
 from repro.trace import Tracer
 from repro.video import TrafficVideo
@@ -435,7 +437,6 @@ class TestFifoPolicyContract:
     def test_adjacent_same_key_jobs_batch(self):
         runner = GatedRunner()
         scheduler = FairScheduler(runner, workers=1, max_batch=8)
-        assert isinstance(scheduler.policy, FifoPolicy)
         try:
             scheduler.submit("primer", tenant="primer")
             assert runner.entered.wait(10)
@@ -448,3 +449,28 @@ class TestFifoPolicyContract:
             assert sizes == [1, 3]
         finally:
             scheduler.close()
+
+    # The dequeue rule itself (``take_batch``), without a scheduler.
+    @staticmethod
+    def _queue(keys):
+        return collections.deque(
+            Job(seq=seq, tenant="t", batch_key=key, payload=seq,
+                future=QueryFuture(seq, "t"))
+            for seq, key in enumerate(keys))
+
+    def test_max_batch_bounds_the_batch(self):
+        queue = self._queue(["a"] * 5)
+        assert [job.seq for job in take_batch(queue, 3)] == [0, 1, 2]
+        assert [job.seq for job in queue] == [3, 4]
+
+    def test_none_batch_key_never_batches(self):
+        queue = self._queue([None, None])
+        assert [job.seq for job in take_batch(queue, 8)] == [0]
+
+    def test_submission_order_leads_and_only_neighbours_ride_along(self):
+        # a and b interleaved: the first-submitted job leads, and a
+        # same-key job further back does not jump the queue.
+        queue = self._queue(["a", "a", "b", "a"])
+        assert [job.seq for job in take_batch(queue, 8)] == [0, 1]
+        assert [job.seq for job in take_batch(queue, 8)] == [2]
+        assert [job.seq for job in queue] == [3]

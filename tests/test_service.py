@@ -533,17 +533,16 @@ class TestQueryServiceSurface:
             # The report tracks the live watermark, not a frozen blob.
             assert after.num_frames == 800
 
-    def test_predict_prices_a_bootstrapped_stream_warm(self, comp_cfg):
-        with QueryService(
-                workers=1, use_processes=False, ordering="cost") as service:
+    def test_the_plan_reads_a_bootstrapped_stream_warm(self, comp_cfg):
+        with QueryService(workers=1, use_processes=False) as service:
             stream = service.open_stream(
                 _video("warm", 97, frames=900), counting_udf("car"),
                 initial_frames=600, config=comp_cfg)
-            plan = stream.query().topk(3).guarantee(0.9).plan()
-            assert not service._predict(stream, plan).phase1_warm
+            query = stream.query().topk(3).guarantee(0.9)
+            assert not service.plan_workload([query]).items[0].warm
             stream.phase1()
             # Bootstrapped: an ad-hoc query pays no Phase-1 build.
-            assert service._predict(stream, plan).phase1_warm
+            assert service.plan_workload([query]).items[0].warm
 
     def test_submit_refuses_window_less_plans_on_a_windowed_stream(
             self, comp_cfg):

@@ -72,10 +72,10 @@ def _check_golden(name: str, text: str) -> None:
 def populated():
     """``(metrics text, stats payload)`` of one fixed busy gateway.
 
-    Real traffic where it is cheap — two tenants' queries on a
-    cost-ordered service (one build, hits, calibration pairs), a corpus
-    query, a plain and a windowed stream with an append and a tick, a
-    rate refusal on each bucket, a closed-service refusal — and direct
+    Real traffic where it is cheap — two tenants' queries (one build,
+    hits), a corpus query, a plain and a windowed stream with an append
+    and a tick, a rate refusal on each bucket, a closed-service refusal
+    — and direct
     ledger entries for what only a race produces (the other two reason
     codes, a failed query, a refresh error, a slow query), for the
     family nothing increments, and for a tenant label the wire would
@@ -83,8 +83,7 @@ def populated():
     every float addition is fixed.
     """
     service = QueryService(
-        workers=1, use_processes=False, ordering="cost",
-        tracer=NULL_TRACER)
+        workers=1, use_processes=False, tracer=NULL_TRACER)
     config = GatewayConfig(
         video_kwargs={"num_frames": 500, "seed": 5},
         tenant_quotas={"bob": QuotaPolicy(rate=1.0, burst=1)},
@@ -156,7 +155,6 @@ def test_metrics_exposition_is_byte_frozen(populated):
 
 def test_stats_json_is_byte_frozen(populated):
     _, stats = populated
-    assert stats["ordering"] == "cost" and stats["calibration_observed"] > 0
     assert len(stats["tenants"]) >= 2
     _check_golden("gateway_stats.json", json.dumps(stats, indent=1) + "\n")
 
@@ -442,14 +440,17 @@ def test_the_trace_names_the_lane_that_ran(pooled_traced):
 
 
 def test_the_plan_names_the_lane_that_will_run(pooled_traced):
-    service, _, stream, closed = pooled_traced
+    service, tracer, stream, closed = pooled_traced
     for session, lane in ((stream, "inline"), (closed, "process")):
-        item = service.plan_workload(
-            [session.query().topk(4).guarantee(0.9)]).items[0]
-        assert item.prediction.lane == lane
-        assert f"lane={lane}" in item.prediction.describe()
-        # The planner, the scheduler's pricing and execution agree.
-        assert service._predict(session, item.plan).lane == lane
+        plan = service.plan_workload(
+            [session.query().topk(4).guarantee(0.9)])
+        (item,) = plan.items
+        assert item.lane == lane == service._lane(session)
+        assert f"lane={lane}" in plan.explain()
+        # The plan and execution agree.
+        (future,) = service.submit_plan(plan)
+        future.result(WAIT)
+        assert _execute_span(tracer, future).attrs["lane"] == lane
 
 
 def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
