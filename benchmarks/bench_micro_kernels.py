@@ -10,8 +10,10 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
   per-frame cost at batch 1 / 8 / 500 (recorded, not gated);
 * the Phase-2 split of a warm query on a 3 000-frame entry: µs per
   cleaning iteration for select / running Top-K / batch update /
-  confirm (plain and cache-hit) and µs per query for state set-up and
-  the window-relation fetch (recorded, not gated — DESIGN.md §3);
+  confirm (plain and cache-hit), µs per query for state set-up and
+  the window-relation fetch, and µs for a shape's first run on a
+  session the other shapes warmed, with and without the session's
+  score cache (recorded, not gated — DESIGN.md §3);
 * what a Phase-1 build pays per frame on a 3 000-frame video: µs per
   frame rendered, µs per row featurized (the frozen two-partition
   reference vs the one-sort extractor, a 512-row block and a 170-row
@@ -45,7 +47,7 @@ from repro.models import (
     extract_features,
 )
 from repro.oracle import CostModel, Oracle, counting_udf
-from repro.oracle.cache import CachingOracle, ScoreCache
+from repro.oracle.cache import CachingOracle
 from repro.video import (
     DashcamVideo,
     DifferenceDetector,
@@ -273,6 +275,17 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
         .plan() for k, thres in ((10, 0.99), (50, 0.9), (100, 0.99))]
     spent = {}
 
+    def plain(plan, phase2_cost):
+        """Every confirmation a physical UDF call: no score cache."""
+        return Oracle(session.scoring, phase2_cost,
+                      cost_key="oracle_confirm", budget=plan.oracle_budget)
+
+    def shape_plan(target, shape):
+        k, thres, window = shape
+        query = target.query().topk(k).guarantee(thres) \
+            .deterministic_timing()
+        return (query.windows(size=window) if window else query).plan()
+
     def timed(owner, name, step):
         original = getattr(owner, name)
 
@@ -300,14 +313,36 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     timed(UncertainRelation, "_mark_rows", "batch_update")
     timed(Oracle, "score", "confirm_plain")
     timed(CachingOracle, "score", "confirm_cache_hit")
-    metrics = per_iteration(QueryExecutor(session))
-    caching = QueryExecutor(session, score_cache=ScoreCache())
-    per_iteration(caching)  # fills the cache
+    metrics = per_iteration(QueryExecutor(session, confirm_oracle=plain))
+    caching = QueryExecutor(session)
+    per_iteration(caching)  # fills the session's cache
     metrics["confirm_cache_hit"] = \
         per_iteration(caching)["confirm_cache_hit"]
     monkeypatch.undo()
     metrics = {f"phase2_{step}_us_per_iter": value
                for step, value in metrics.items()}
+
+    # A shape's first run on a session its other shapes already warmed:
+    # what the session's own score cache saves on a query never run.
+    # (perfbench's warm_sweep shapes: k, thres, window size or 0.)
+    shapes = [
+        (10, 0.9, 0), (10, 0.99, 0), (25, 0.9, 0), (50, 0.9, 0),
+        (50, 0.99, 0), (100, 0.9, 0), (100, 0.99, 0), (200, 0.99, 0),
+        (10, 0.9, 30), (10, 0.9, 150)]
+    for name, factory in (("cached", None), ("plain", plain)):
+        seconds = 0.0
+        for shape in shapes:
+            warmed = Session(session.video, session.scoring,
+                             config=session.config)
+            warmed.adopt_phase1(entry)
+            executor = QueryExecutor(warmed, confirm_oracle=factory)
+            for other in shapes:
+                if other != shape:
+                    executor.execute(shape_plan(warmed, other))
+            plan = shape_plan(warmed, shape)
+            seconds += timed_call(executor.execute, plan)[1]
+        metrics[f"phase2_first_run_warmed_{name}_us_per_query"] = \
+            seconds / len(shapes) * 1e6
 
     relation = entry.result.relation
     rounds = 200
@@ -332,7 +367,7 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     print()
     for name, value in metrics.items():
         print(f"{name:48s} {value:10.1f}")
-    assert len(metrics) == 7
+    assert len(metrics) == 9
 
 
 def test_phase1_frame_costs(benchmark, monkeypatch):

@@ -108,13 +108,10 @@ def _physical_seconds(service):
     stats = service.stats()
     confirm_seconds = 0.0
     for outcome in service.outcomes():
-        fresh = outcome.fresh_confirm_calls
-        if fresh is None:
-            fresh = outcome.phase2_cost.units("oracle_confirm")
         per_call = (
             outcome.phase2_cost.seconds("oracle_confirm")
             / max(outcome.phase2_cost.units("oracle_confirm"), 1.0))
-        confirm_seconds += fresh * per_call
+        confirm_seconds += outcome.fresh_confirm_calls * per_call
     return stats.build_seconds + confirm_seconds, stats
 
 

@@ -24,6 +24,7 @@ from ..core.uncertain import restrict_relation
 from ..core.windows import WindowCleaner
 from ..errors import QueryError
 from ..oracle.base import Oracle
+from ..oracle.cache import CachingOracle
 from ..oracle.cost import CostModel
 from ..trace import span as trace_span
 from ..video.streaming import is_sliding
@@ -39,28 +40,29 @@ class ExecutionDetail:
     :meth:`~repro.oracle.cost.CostModel.merge_from`): it contains only
     this query's Phase 2 charges, never the shared Phase 1 ledger.
     ``fresh_confirm_calls`` is the physical (cache-miss) confirmation
-    count when the executor ran with a shared score cache, ``None``
-    otherwise — the ledger always carries the full charges either way.
+    count — the ledger always carries the full charges.
     """
 
     report: QueryReport
     phase2_cost: CostModel
-    fresh_confirm_calls: Optional[int] = None
+    fresh_confirm_calls: int
 
 
 class QueryExecutor:
     """Executes compiled plans against one session, in-process.
 
-    ``score_cache`` — explicit, or inherited from a service-bound
-    or streaming session (:attr:`Session.shared_score_cache`) — swaps
-    the confirming oracle for a
-    :class:`~repro.oracle.cache.CachingOracle`: ledgers and reports are
-    unchanged, but frames another query already cleaned are not
-    physically re-scored. This is the cross-query sharing hook the
-    service layer builds on (DESIGN.md §8) and what makes a stream's
-    per-event re-certification delta-sized (§7); a session that keeps
-    physical-work counters (``session.stats``) has its cache-miss
-    confirmations counted there, whichever caller ran the plan.
+    Confirmations go through a
+    :class:`~repro.oracle.cache.CachingOracle` over the session's
+    :attr:`Session.shared_score_cache` (its own, its stream's, or its
+    service group's): ledgers and reports are those of a plain
+    :class:`~repro.oracle.base.Oracle`, but frames an earlier query
+    already cleaned are not physically re-scored. This
+    is what makes a repeated query cheap, the cross-query sharing hook
+    the service layer builds on (DESIGN.md §8) and what makes a
+    stream's per-event re-certification delta-sized (§7); a session
+    that keeps physical-work counters (``session.stats``) has its
+    cache-miss confirmations counted there, whichever caller ran the
+    plan.
 
     ``confirm_oracle`` — a ``(plan, phase2_cost) -> Oracle`` factory —
     replaces the confirming oracle altogether; relation cloning, the
@@ -73,14 +75,10 @@ class QueryExecutor:
         self,
         session: Session,
         *,
-        score_cache=None,
         confirm_oracle: Optional[
             Callable[[QueryPlan, CostModel], Oracle]] = None,
     ):
         self.session = session
-        if score_cache is None:
-            score_cache = session.shared_score_cache
-        self.score_cache = score_cache
         # The factory or None — not a bound method of self, which would
         # be a reference cycle keeping every executor (and the relation
         # copies its oracle closes over) alive until the cyclic GC runs.
@@ -97,7 +95,7 @@ class QueryExecutor:
     def execute_fresh(self, plan: QueryPlan) -> "tuple[QueryReport, int]":
         """Execute a plan; also return the fresh-confirmation count."""
         detail = self.execute_detailed(plan)
-        return detail.report, detail.fresh_confirm_calls or 0
+        return detail.report, detail.fresh_confirm_calls
 
     def execute_detailed(self, plan: QueryPlan) -> ExecutionDetail:
         session = self.session
@@ -124,11 +122,10 @@ class QueryExecutor:
             detail = self._run_windows(plan, entry)
         else:
             detail = self._run_frames(plan, entry)
-        fresh = detail.fresh_confirm_calls or 0
-        self.fresh_confirm_calls += fresh
+        self.fresh_confirm_calls += detail.fresh_confirm_calls
         stats = session.stats
         if stats is not None:
-            stats.count_fresh_confirms(fresh)
+            stats.count_fresh_confirms(detail.fresh_confirm_calls)
         return detail
 
     # ------------------------------------------------------------------
@@ -144,20 +141,11 @@ class QueryExecutor:
     def _default_confirm_oracle(
         self, plan: QueryPlan, phase2_cost: CostModel
     ) -> Oracle:
-        """The Phase 2 confirming oracle (cache-backed when shared)."""
-        if self.score_cache is not None:
-            from ..oracle.cache import CachingOracle
-
-            return CachingOracle(
-                self.session.scoring,
-                phase2_cost,
-                cache=self.score_cache,
-                cost_key="oracle_confirm",
-                budget=plan.oracle_budget,
-            )
-        return Oracle(
+        """The Phase 2 confirming oracle, over the session's cache."""
+        return CachingOracle(
             self.session.scoring,
             phase2_cost,
+            cache=self.session.shared_score_cache,
             cost_key="oracle_confirm",
             budget=plan.oracle_budget,
         )
@@ -177,24 +165,23 @@ class QueryExecutor:
                 k=plan.k, thres=plan.thres,
                 mode=plan.mode) as loop_span:
             outcome = cleaner.run(plan.k, plan.thres)
+            # A factory's plain Oracle pays every confirmation.
+            fresh = getattr(
+                confirm_oracle, "fresh_calls", confirm_oracle.calls)
             if loop_span is not None:
                 loop_span.set(
                     iterations=outcome.iterations,
                     cleaned=outcome.cleaned,
                     confidence=outcome.confidence,
                     confirm_calls=confirm_oracle.calls,
-                    fresh_confirm_calls=getattr(
-                        confirm_oracle, "fresh_calls", None))
+                    fresh_confirm_calls=fresh)
         report = self._report(
             plan, outcome, entry, phase2_cost,
             oracle_calls=entry.oracle_calls + confirm_oracle.calls,
             num_tuples=len(relation),
         )
         return ExecutionDetail(
-            report=report,
-            phase2_cost=phase2_cost,
-            fresh_confirm_calls=getattr(confirm_oracle, "fresh_calls", None),
-        )
+            report=report, phase2_cost=phase2_cost, fresh_confirm_calls=fresh)
 
     def _run_frames(
         self, plan: QueryPlan, entry: Phase1Entry

@@ -312,11 +312,13 @@ class Session:
         self._phase1_cost_models: Dict[Phase1Key, CostModel] = {}
         # A shared artifact provider supplying single-flight Phase-1
         # builds (None outside a QueryService), and the score cache
-        # executors confirm through (None: every confirmation is a
-        # physical UDF call) — service-scope on a bound session, the
-        # session's own on a stream.
+        # every executor confirms through: the session's own (on a
+        # stream also its label oracle's), or the service's group cache
+        # once bound. Ledgers and reports are unaffected either way —
+        # only frames never confirmed here pay a physical UDF call.
         self.artifacts = None
-        self.shared_score_cache = None
+        self.shared_score_cache = score_cache if score_cache is not None \
+            else ScoreCache()
         #: Service hook: when set, a clock event hands its subscription
         #: refresh pass to this callable (the service routes it through
         #: its scheduler) instead of running inline.
@@ -338,13 +340,10 @@ class Session:
         live = _streaming()
         if streaming is None:
             self.streaming = live.StreamingConfig()
-        # Every executor over this session confirms through one
-        # revelation memo, which is what makes re-certification
-        # delta-sized. ``score_cache`` lets the service layer promote it
-        # to service scope (shared with batch queries over the same
-        # footage); ledgers are unaffected either way.
-        self.shared_score_cache = score_cache if score_cache is not None \
-            else ScoreCache()
+        # Labels land in the same memo the executors confirm through,
+        # which is what makes re-certification delta-sized.
+        # ``score_cache`` lets the service layer promote it to service
+        # scope (shared with batch queries over the same footage).
         self._stats = live.StreamingStats()
         self._incremental = live.IncrementalPhase1(
             video,
@@ -580,12 +579,15 @@ class Session:
         ``artifacts`` supplies single-flight Phase-1 builds (an object
         with ``lease(session, config, key)``); ``score_cache`` makes
         every executor confirm through the service-scope
-        :class:`~repro.oracle.cache.ScoreCache`, so queries reuse
-        frames other queries already cleaned. Returns ``self``.
+        :class:`~repro.oracle.cache.ScoreCache` instead of the
+        session's own, so queries reuse frames other queries already
+        cleaned (without one the session keeps its own). Returns
+        ``self``.
         """
         self._refuse_live("bind_service")
         self.artifacts = artifacts
-        self.shared_score_cache = score_cache
+        if score_cache is not None:
+            self.shared_score_cache = score_cache
         return self
 
     def adopt_phase1(

@@ -283,8 +283,7 @@ class FederatedOracle(Oracle):
     concatenated reference. On top of that it keeps per-shard
     attribution — one :class:`~repro.oracle.cost.CostModel` view, call
     counter and optional budget per member — and consults the members'
-    shared score caches (local frame ids) when the corpus is
-    service-bound.
+    score caches (local frame ids).
 
     Failure discipline: the global budget, then every shard budget in
     canonical member order, are checked *before* the batch charges
@@ -416,8 +415,8 @@ class CorpusOutcome:
     shard_confirms: List[int]
     member_names: List[str]
     offsets: List[int]
-    #: Physical (cache-miss) confirmations, when members share caches.
-    fresh_confirm_calls: Optional[int] = None
+    #: Physical (cache-miss) confirmations.
+    fresh_confirm_calls: int
 
     def merged_cost(self) -> CostModel:
         """The canonical corpus ledger (DESIGN.md §9 merge order).
@@ -537,7 +536,5 @@ class FederatedTopK:
             shard_confirms=list(oracle.shard_calls),
             member_names=corpus.member_names,
             offsets=[int(o) for o in corpus.offsets()],
-            fresh_confirm_calls=(
-                oracle.fresh_calls if any(
-                    cache is not None for cache in caches) else None),
+            fresh_confirm_calls=oracle.fresh_calls,
         )

@@ -10,12 +10,13 @@ charging its cost ledger and counting calls exactly as the base oracle
 would. Reports produced through a caching oracle are therefore
 bit-identical to uncached runs; only the *physical* work shrinks.
 
-The cache started life inside the streaming layer (one cache per
-streaming session, shared by the label oracle, the drift auditor and
-every subscription). The query service promotes it to service scope:
-one bounded cache per (video, UDF) artifact group, shared by every
-concurrent query over that group, so one query's cleaned tuples become
-every later query's warm start (DESIGN.md §8). Service-scope caches
+Every session confirms through one: a plain session through its own,
+so a repeated or overlapping query re-scores nothing it already
+confirmed; a stream through the cache its label oracle, drift auditor
+and subscriptions share. The query service promotes it to service
+scope: one bounded cache per (video, UDF) artifact group, shared by
+every concurrent query over that group, so one query's cleaned tuples
+become every later query's warm start (DESIGN.md §8). Service-scope caches
 are bounded (``max_entries``, LRU) and thread-safe — eviction and
 concurrent access can change which invocations are physical, never
 what any query answers or charges.
@@ -59,8 +60,7 @@ class ScoreCache:
         self._lock = threading.Lock()
         self._scores: "OrderedDict[int, float]" = OrderedDict()
         self.evictions = 0
-        for frame, score in (scores or {}).items():
-            self.put(frame, score)
+        self.merge((scores or {}).items())
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -76,14 +76,7 @@ class ScoreCache:
             return self._scores[frame]
 
     def put(self, frame: int, score: float) -> None:
-        with self._lock:
-            frame = int(frame)
-            self._scores[frame] = float(score)
-            self._scores.move_to_end(frame)
-            if self.max_entries is not None:
-                while len(self._scores) > self.max_entries:
-                    self._scores.popitem(last=False)
-                    self.evictions += 1
+        self.merge(((frame, score),))
 
     def lookup(self, frames: Iterable[int]) -> Dict[int, float]:
         """The cached subset of ``frames`` as one consistent snapshot.
@@ -103,9 +96,18 @@ class ScoreCache:
             return found
 
     def merge(self, items: Iterable[Tuple[int, float]]) -> None:
-        """Fold ``(frame, score)`` pairs in (bulk :meth:`put`)."""
-        for frame, score in items:
-            self.put(frame, score)
+        """Fold ``(frame, score)`` pairs in under one lock — exactly the
+        entries and evictions :meth:`put` per pair would leave."""
+        with self._lock:
+            scores, bound = self._scores, self.max_entries
+            for frame, score in items:
+                frame = int(frame)
+                scores[frame] = float(score)
+                scores.move_to_end(frame)
+                if bound is not None:
+                    while len(scores) > bound:
+                        scores.popitem(last=False)
+                        self.evictions += 1
 
     def as_dict(self) -> Dict[int, float]:
         with self._lock:
@@ -175,12 +177,13 @@ class CachingOracle(Oracle):
             if i not in known and not (i in seen or seen.add(i))
         ]
         if missing:
-            fresh = self.scoring(video.frames(missing))
-            for i, score in zip(missing, fresh):
-                score = float(score)
-                known[i] = score
-                self.fresh_scores[i] = score
-                self.cache.put(i, score)
+            # Scored before anything is stored: a refused batch (a
+            # non-finite score) leaves no trace in the cache.
+            revealed = dict(zip(
+                missing, map(float, self.scoring(video.frames(missing)))))
+            known.update(revealed)
+            self.fresh_scores.update(revealed)
+            self.cache.merge(revealed.items())
             self.fresh_calls += len(missing)
         add_event(
             "oracle_confirm", frames=len(indices), fresh=len(missing),

@@ -16,9 +16,9 @@ half of each query is hoisted out of the pool:
    and unpickles it once.
 3. **Phase 2 in workers.** A grid point is the worker task the
    service's process lane runs (:mod:`repro.service.backend`) — a
-   batch of one plan with no score cache: the worker reconstructs the
-   session, adopts the prebuilt Phase 1 entries (skipping all CMDN
-   training), and runs only the cleaning loop.
+   batch of one plan with nothing to merge: the worker reconstructs
+   the session, adopts the prebuilt Phase 1 entries (skipping all CMDN
+   training) and runs only the cleaning loop, through its own cache.
 
 Determinism contract: plans are normalized to ``deterministic_timing``
 (the one nondeterministic report input — wall-clock measurement of

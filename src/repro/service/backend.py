@@ -19,12 +19,12 @@ Two lanes, chosen per service (``use_processes``):
   then ships the session spec as a
   :class:`~repro.parallel.pool.Shipped` handle, and a worker
   reconstructs the session once per handle and runs only the cleaning
-  loop. The sweep runner (:mod:`repro.parallel.runner`) dispatches the
-  very same :class:`BatchTask`, one plan at a time with no score
-  cache. What makes it a *service* lane is **score-cache warm
-  shipping**: each
+  loop, confirming through that session's own score cache. The sweep
+  runner (:mod:`repro.parallel.runner`) dispatches the very same
+  :class:`BatchTask`, one plan at a time with nothing to merge. What
+  makes it a *service* lane is **score-cache warm shipping**: each
   batch carries the parent's current cache entries for the artifact
-  group; the worker merges them into its local group cache before
+  group; the worker merges them into its session's cache before
   executing and returns its *new* revelations, which the parent folds
   back into the shared cache. Scores are deterministic per frame, so
   the merge is idempotent and reports stay bit-identical — only
@@ -62,8 +62,9 @@ class _SessionSpec:
     entries: List[Tuple[object, object]]
 
     # Worker-side state, built on first use and kept for as long as
-    # the worker memoizes the spec. Never touched in the parent, so
-    # neither is pickled.
+    # the worker memoizes the spec — the session's own score cache is
+    # the worker-local copy of the artifact group's. Never touched in
+    # the parent, so never pickled.
     @cached_property
     def session(self) -> Session:
         session = Session(
@@ -72,11 +73,6 @@ class _SessionSpec:
         for config, entry in self.entries:
             session.adopt_phase1(entry, config)
         return session
-
-    @cached_property
-    def score_cache(self) -> ScoreCache:
-        """The worker-local copy of the artifact group's score cache."""
-        return ScoreCache()
 
 
 def ship_spec(session, entries) -> Shipped:
@@ -97,8 +93,7 @@ class BatchTask:
     spec: Shipped
     plans: Tuple[object, ...]
     #: Parent-side cache entries the worker may not have yet; ``None``
-    #: runs the batch with no score cache at all (a sweep grid point:
-    #: the confirming oracle is the plain one).
+    #: (a sweep grid point) has nothing to merge.
     cache_items: Optional[Tuple[Tuple[int, float], ...]] = None
     #: Record per-plan spans in the worker and ship them back so the
     #: parent can re-parent them under its lane-dispatch span.
@@ -164,13 +159,11 @@ def build_in_pool(pool, video, scoring, unit_costs, config) -> Phase1Entry:
 def _service_worker_run(task: BatchTask) -> BatchResult:
     """Execute one batch in a pool worker (Phase 2 only)."""
     spec: _SessionSpec = task.spec.resolve()
-    cache = None
-    before: set = set()
-    if task.cache_items is not None:
-        cache = spec.score_cache
+    cache = spec.session.shared_score_cache
+    if task.cache_items:
         cache.merge(task.cache_items)
-        before = set(cache.as_dict())
-    executor = QueryExecutor(spec.session, score_cache=cache)
+    before = set(cache.as_dict())
+    executor = QueryExecutor(spec.session)
     spans: Optional[List[List[dict]]] = None
     if task.traced:
         details, spans = [], []
@@ -181,7 +174,7 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
             spans.append(dumps)
     else:
         details = [executor.execute_detailed(plan) for plan in task.plans]
-    new_scores = {} if cache is None else {
+    new_scores = {
         frame: score
         for frame, score in cache.as_dict().items()
         if frame not in before
@@ -194,7 +187,7 @@ def run_batch_in_pool(
     *,
     spec: Shipped,
     plans,
-    shared_cache: Optional[ScoreCache],
+    shared_cache: ScoreCache,
     shipped: Optional[set] = None,
     traced: bool = False,
 ) -> BatchResult:
@@ -212,21 +205,19 @@ def run_batch_in_pool(
     :class:`~repro.errors.ServiceError`: nothing was recorded for the
     batch, so the caller may simply resubmit.
     """
-    items: Optional[Tuple[Tuple[int, float], ...]] = None
-    if shared_cache is not None:
-        snapshot = shared_cache.as_dict()
-        if shipped is None:
-            items = tuple(snapshot.items())
-        else:
-            items = tuple(
-                (frame, score) for frame, score in snapshot.items()
-                if frame not in shipped
-            )
-            shipped.update(snapshot)
+    snapshot = shared_cache.as_dict()
+    if shipped is None:
+        items = tuple(snapshot.items())
+    else:
+        items = tuple(
+            (frame, score) for frame, score in snapshot.items()
+            if frame not in shipped
+        )
+        shipped.update(snapshot)
     task = BatchTask(
         spec=spec, plans=tuple(plans), cache_items=items, traced=traced)
     result: BatchResult = pool.map(_service_worker_run, [task])[0]
-    if shared_cache is not None and result.new_scores:
+    if result.new_scores:
         shared_cache.merge(result.new_scores.items())
         if shipped is not None:
             # The executing worker holds its own revelations already;

@@ -172,8 +172,8 @@ class QueryOutcome:
     report: QueryReport
     phase2_cost: CostModel
     #: Physical (cache-miss) confirmations; equals the report's
-    #: confirmation count only when nothing was shared.
-    fresh_confirm_calls: Optional[int]
+    #: confirmation count only when no frame was cached yet.
+    fresh_confirm_calls: int
     #: Submission order (ties ledger merging to a canonical order).
     seq: int = 0
 

@@ -137,10 +137,12 @@ class TestSessionQueries:
         second = fresh.query().windows(size=30).topk(5).guarantee(0.9).run()
         assert fresh.phase1_runs == 1
         # Oracle label calls were charged exactly once: the UDF scored
-        # the Phase 1 sample once plus each query's confirmations.
+        # the Phase 1 sample once plus each frame either query confirmed
+        # — once, through the session's score cache.
         phase1_labels = fresh.phase1().oracle_calls
-        expected = first.oracle_calls + second.oracle_calls - phase1_labels
-        assert calls["frames"] == expected
+        charged = first.oracle_calls + second.oracle_calls - phase1_labels
+        assert calls["frames"] == \
+            phase1_labels + len(fresh.shared_score_cache) <= charged
         # Both reports still account the identical full Phase 1 cost.
         assert first.breakdown.label_sample == pytest.approx(
             second.breakdown.label_sample)

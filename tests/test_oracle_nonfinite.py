@@ -20,7 +20,6 @@ import pytest
 
 from repro import EverestConfig, QueryService, Session
 from repro.api import registry
-from repro.api.executor import QueryExecutor
 from repro.api.registry import resolve_query_spec
 from repro.config import Phase2Config
 from repro.core.cleaner import TopKCleaner
@@ -69,10 +68,9 @@ def _query(session, k=5):
 def healthy():
     """What a healthy run labels and confirms: ``(labels, confirms)``."""
     session = Session(_video(), counting_udf("car"), config=FAST)
-    cache = ScoreCache()
-    QueryExecutor(session, score_cache=cache).execute(_query(session).plan())
+    _query(session).run()
     labels = sorted(session.phase1().result.known_scores)
-    confirms = list(cache.as_dict())
+    confirms = list(session.shared_score_cache.as_dict())
     assert confirms and not set(confirms) & set(labels)
     return labels, confirms
 
@@ -105,10 +103,8 @@ def test_a_confirmed_non_finite_score_fails_the_query(healthy, value):
         _video(), poisoned_udf(confirms[:1], value), config=FAST)
     with pytest.raises(OracleError, match=str(confirms[0])):
         _query(session).run()
-    cache = ScoreCache()
-    with pytest.raises(OracleError):
-        QueryExecutor(session, score_cache=cache).execute(
-            _query(session).plan())
+    # The session's own cache kept what came before, never the bad one.
+    cache = session.shared_score_cache
     assert confirms[0] not in cache
     assert np.isfinite(list(cache.as_dict().values())).all()
 
@@ -211,10 +207,8 @@ def test_the_error_reaches_the_wire(monkeypatch):
     monkeypatch.setitem(registry._udf_registry, "poisoned", factory)
     reference = resolve_query_spec(
         "count[car]/traffic", config=FAST, **VIDEO_KWARGS)
-    cache = ScoreCache()
-    QueryExecutor(reference, score_cache=cache).execute(
-        reference.query().topk(4).guarantee(0.9).plan())
-    confirmed = next(iter(cache.as_dict()))
+    reference.query().topk(4).guarantee(0.9).run()
+    confirmed = next(iter(reference.shared_score_cache.as_dict()))
 
     config = GatewayConfig(video_kwargs=dict(VIDEO_KWARGS))
     with Gateway(config=config, workers=1, use_processes=False) as gateway:

@@ -54,11 +54,17 @@ def _unpickle_count(name: str) -> int:
 
 
 def _sweep_tasks(pool, session, plans):
-    """What ``ParallelRunner`` dispatches: one cache-less plan a task."""
+    """What ``ParallelRunner`` dispatches: one plan a task, no cache
+    entries to merge — the worker's session confirms through its own
+    cache, so a frame is scored once per worker, not once per plan."""
     spec = ship_spec(session, [(session.config, session.phase1())])
     results = pool.map(_service_worker_run, [
         BatchTask(spec=spec, plans=(plan,)) for plan in plans])
-    assert all(r.details[0].fresh_confirm_calls is None for r in results)
+    details = [r.details[0] for r in results]
+    labels = session.phase1().oracle_calls
+    assert sum(d.fresh_confirm_calls for d in details) == \
+        sum(len(r.new_scores) for r in results) < \
+        sum(d.report.oracle_calls - labels for d in details)
 
 
 def _service_batches(pool, session, plans):
