@@ -57,7 +57,7 @@ def test_corpus_federated_speedup(bench_scale, bench_strict):
         start = time.perf_counter()
         outcomes[workers] = (
             corpus.query().topk(TOP_K).guarantee(THRES)
-            .deterministic_timing().run_detailed()
+            .run_detailed()
         )
         query_timings[workers] = time.perf_counter() - start
         corpora[workers] = corpus
@@ -97,8 +97,7 @@ def test_corpus_federated_speedup(bench_scale, bench_strict):
         corpus.scoring, config=config_for(bench_scale))
     reference_session.adopt_phase1(state.entry, config_for(bench_scale))
     reference = QueryExecutor(reference_session).execute(
-        corpus.query().topk(TOP_K).guarantee(THRES)
-        .deterministic_timing().plan())
+        corpus.query().topk(TOP_K).guarantee(THRES).plan())
     assert reference.to_json() == baseline
 
     speedup = prepare_timings[1] / prepare_timings[4]

@@ -111,7 +111,7 @@ def _reference_reports(report) -> dict:
             targets[spec] = target
         references[(spec, k, guarantee)] = (
             target.query().topk(k).guarantee(guarantee)
-            .deterministic_timing().run().to_json())
+            .run().to_json())
     return references
 
 

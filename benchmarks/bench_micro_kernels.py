@@ -271,8 +271,7 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
         config=EverestConfig())
     entry = session.phase1()
     plans = [
-        session.query().topk(k).guarantee(thres).deterministic_timing()
-        .plan() for k, thres in ((10, 0.99), (50, 0.9), (100, 0.99))]
+        session.query().topk(k).guarantee(thres).plan() for k, thres in ((10, 0.99), (50, 0.9), (100, 0.99))]
     spent = {}
 
     def plain(plan, phase2_cost):
@@ -282,8 +281,7 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
 
     def shape_plan(target, shape):
         k, thres, window = shape
-        query = target.query().topk(k).guarantee(thres) \
-            .deterministic_timing()
+        query = target.query().topk(k).guarantee(thres)
         return (query.windows(size=window) if window else query).plan()
 
     def timed(owner, name, step):

@@ -78,7 +78,7 @@ def _workload():
 
 
 def _query(session, k, thres):
-    return session.query().topk(k).guarantee(thres).deterministic_timing()
+    return session.query().topk(k).guarantee(thres)
 
 
 def _run_serial(workload, frames):

@@ -54,7 +54,7 @@ def _workload():
 
 
 def _query(session, k, thres, window):
-    query = session.query().topk(k).guarantee(thres).deterministic_timing()
+    query = session.query().topk(k).guarantee(thres)
     if window:
         query = query.windows(size=window)
     return query

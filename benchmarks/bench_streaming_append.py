@@ -46,8 +46,7 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
     stream = Session.open_stream(
         video, counting_udf(video.object_label),
         initial_frames=bootstrap, config=config)
-    live = (stream.query().topk(10).guarantee(0.9)
-            .deterministic_timing().subscribe())
+    live = stream.query().topk(10).guarantee(0.9).subscribe()
 
     rows = []
     fresh_calls = []
@@ -60,8 +59,7 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
 
         started = time.perf_counter()
         batch = stream.batch_session()
-        reference = (batch.query().topk(10).guarantee(0.9)
-                     .deterministic_timing().run())
+        reference = batch.query().topk(10).guarantee(0.9).run()
         batch_seconds = time.perf_counter() - started
 
         assert reference.to_json() == live.latest.to_json(), \

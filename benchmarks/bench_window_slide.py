@@ -43,8 +43,7 @@ def _run_schedule(video, config, window_frames, schedule, renders):
         video, counting_udf(video.object_label),
         initial_frames=int(BOOTSTRAP_FRACTION * len(video)),
         window_seconds=window_frames / video.fps, config=config)
-    live = (stream.query().topk(10).guarantee(0.9)
-            .deterministic_timing().subscribe())
+    live = stream.query().topk(10).guarantee(0.9).subscribe()
     events = []
     for kind, size in schedule:
         started = time.perf_counter()
@@ -55,8 +54,7 @@ def _run_schedule(video, config, window_frames, schedule, renders):
         live_seconds = time.perf_counter() - started
 
         batch = stream.batch_session()
-        reference = (batch.query().topk(10).guarantee(0.9)
-                     .deterministic_timing().run())
+        reference = batch.query().topk(10).guarantee(0.9).run()
         assert reference.to_json() == live.latest.to_json(), (
             f"windowed report diverged from batch at watermark "
             f"{stream.watermark}, horizon {stream.horizon}, "

@@ -33,8 +33,7 @@ def main() -> None:
         for i in range(3)
     ]
     corpus = VideoCorpus.open(cameras, counting_udf("car"), config=config)
-    query = (corpus.query().topk(10).guarantee(0.9)
-             .deterministic_timing())
+    query = corpus.query().topk(10).guarantee(0.9)
     print(query.explain(), "\n")
 
     outcome = query.run_detailed()
@@ -55,10 +54,8 @@ def main() -> None:
         config=config)
     archive.phase1()  # the archive's one-off build
     shards = VideoCorpus.from_split(archive, [500, 1_000])
-    split_report = (shards.query().topk(5).guarantee(0.9)
-                    .deterministic_timing().run())
-    whole_report = (archive.query().topk(5).guarantee(0.9)
-                    .deterministic_timing().run())
+    split_report = shards.query().topk(5).guarantee(0.9).run()
+    whole_report = archive.query().topk(5).guarantee(0.9).run()
     print(f"split-vs-whole byte-identical: "
           f"{split_report.to_json() == whole_report.to_json()}")
 

@@ -35,7 +35,6 @@ def main() -> None:
     live = (session.query()
             .topk(5)
             .guarantee(0.9)
-            .deterministic_timing()
             .subscribe())
 
     print(f"bootstrap @ {session.watermark} frames, window "
@@ -69,7 +68,7 @@ def main() -> None:
     # The standing answer is exactly the batch answer over the window.
     reference = (session.batch_session().query()
                  .topk(5).guarantee(0.9)
-                 .deterministic_timing().run())
+                 .run())
     print()
     print(f"byte-identical to a fresh batch run over "
           f"[{session.window_lo:,}, {session.watermark:,}): "

@@ -131,8 +131,7 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     def _phase2_context(self, plan: QueryPlan):
         """A fresh per-query cost ledger plus the confirming oracle."""
-        phase2_cost = CostModel(
-            plan.unit_costs, wall_clock=not plan.deterministic_timing)
+        phase2_cost = CostModel(plan.unit_costs)
         make_oracle = self._confirm_oracle or self._default_confirm_oracle
         confirm_oracle = make_oracle(plan, phase2_cost)
         self.last_confirm_oracle = confirm_oracle
@@ -251,7 +250,6 @@ class QueryExecutor:
                 + p1.seconds("diff_detect")
                 + p1.seconds("decode")
             ),
-            select_candidate=phase2_cost.seconds("select_candidate"),
             confirm_oracle=(
                 phase2_cost.seconds("oracle_confirm")
                 + phase2_cost.seconds("decode")

@@ -40,10 +40,6 @@ class QueryPlan:
     config: EverestConfig
     #: Resolved per-unit simulated latencies (ledger key -> seconds).
     unit_costs: Dict[str, float]
-    #: Skip wall-clock measurement of the algorithmic stages so the
-    #: report depends only on the plan and the Phase 1 artifacts —
-    #: required for reports to be bit-identical across pool workers.
-    deterministic_timing: bool = False
     #: Sliding-window restriction: disjoint, ascending ``[lo, hi)``
     #: frame-id ranges the cleaner may see (None = whole relation).
     #: One range for single-video windows; one per member (in global

@@ -86,7 +86,6 @@ class Query:
     _oracle_budget: object = _UNSET
     _shard_budgets: Tuple[Tuple[str, int], ...] = ()
     _config: Optional[EverestConfig] = None
-    _deterministic_timing: bool = False
     _window_seconds: Optional[float] = None
 
     @property
@@ -207,20 +206,17 @@ class Query:
                 f"with_config expects an EverestConfig, got {config!r}")
         return dataclasses.replace(self, _config=config)
 
-    def deterministic_timing(self, enabled: bool = True) -> "Query":
-        """Make the report a pure function of the plan and Phase 1.
+    def deterministic_timing(self) -> "Query":
+        """A no-op kept for old callers: returns this query unchanged.
 
-        Disables wall-clock measurement of the algorithmic stages
-        (select-candidate), which is the only nondeterministic input to
-        a :class:`~repro.core.result.QueryReport`. Parallel execution
-        forces this on so serial and pooled runs are bit-identical.
+        Every report is a pure function of its plan and Phase 1; the
+        ledger never reads a clock.
         """
-        return dataclasses.replace(
-            self, _deterministic_timing=bool(enabled))
+        return self
 
     def over_corpus(self, corpus) -> "Query":
         """The same query — K, guarantee, budget, config override,
-        timing mode, sliding window — re-targeted at a whole corpus.
+        sliding window — re-targeted at a whole corpus.
 
         Tumbling window clauses do not transfer: window aggregation
         across shard boundaries is undefined.
@@ -279,7 +275,6 @@ class Query:
             oracle_budget=budget,
             config=config,
             unit_costs=target.resolved_unit_costs(),
-            deterministic_timing=self._deterministic_timing,
             frame_ranges=frame_ranges,
             window_seconds=window_seconds,
         )

@@ -156,15 +156,12 @@ def build_phase1_entry(
 
     The one Phase-1 build routine, shared by :meth:`Session.phase1`
     and the service artifact layer (whose single-flight builds happen
-    outside any one session). Charges are purely simulated — no
-    wall-clock timers run during Phase 1 — so two builds of the same
-    ``(video, scoring, config)`` produce bit-identical entries; the
-    default ledger is marked ``wall_clock=False`` accordingly, so
-    merged ledgers built from Phase-1 folds stay deterministic
-    (:func:`~repro.oracle.cost.merge_cost_models` propagates the flag).
+    outside any one session). Charges are purely simulated, so two
+    builds of the same ``(video, scoring, config)`` produce
+    bit-identical entries.
     """
     cost_model = cost_model if cost_model is not None \
-        else CostModel(unit_costs, wall_clock=False)
+        else CostModel(unit_costs)
     # The labelling oracle keeps a ledger of its own: run_phase1 writes
     # the whole charge sequence, labelling included, into cost_model.
     oracle = Oracle(scoring, cost_key="oracle_label")
@@ -516,10 +513,8 @@ class Session:
             else self._phase1_cache.get(key)
         if entry is not None:
             return entry.cost_model
-        # Deterministic like every Phase-1 ledger: the build it will
-        # receive charges from never runs wall-clock timers.
         return self._phase1_cost_models.setdefault(
-            key, CostModel(self._unit_costs, wall_clock=False))
+            key, CostModel(self._unit_costs))
 
     def phase1(self, config: Optional[EverestConfig] = None) -> Phase1Entry:
         """The cached Phase 1 artifacts for ``config`` (runs on miss).

@@ -189,12 +189,7 @@ class TopKCleaner:
                         confidence_trace=trace,
                         selection_stats=self.selector.stats,
                     )
-                if self.cost_model is not None:
-                    with self.cost_model.timer("select_candidate"):
-                        candidates = self.selector.select(
-                            iteration, k_level, p_level,
-                            self.config.batch_size)
-                else:
+                with trace_span("select", category="phase2"):
                     candidates = self.selector.select(
                         iteration, k_level, p_level, self.config.batch_size)
                 if candidates.size == 0:  # pragma: no cover - defensive

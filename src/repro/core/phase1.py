@@ -736,7 +736,7 @@ class Phase1Maintainer:
             pmf=pmf,
         )
         if cost_model is None:
-            cost_model = CostModel(self.unit_costs, wall_clock=False)
+            cost_model = CostModel(self.unit_costs)
         replay_phase1_charges(
             cost_model,
             train_labels=int(self.train_idx.size),

@@ -9,7 +9,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 @dataclass
 class PhaseBreakdown:
-    """Simulated seconds per Table 8 column."""
+    """Simulated seconds per Table 8 column.
+
+    ``select_candidate`` is always 0.0: select-candidate runs at native
+    speed, so its real time is observed by the ``select`` trace span,
+    never charged to the simulated ledger.
+    """
 
     label_sample: float = 0.0
     cmdn_training: float = 0.0

@@ -512,12 +512,7 @@ class FederatedTopK:
                 member_names=corpus.member_names,
                 offsets=corpus.offsets(),
                 backend=backend,
-                shard_costs=[
-                    CostModel(
-                        plan.unit_costs,
-                        wall_clock=not plan.deterministic_timing)
-                    for _ in videos
-                ],
+                shard_costs=[CostModel(plan.unit_costs) for _ in videos],
                 caches=caches,
                 budget=plan.oracle_budget,
                 shard_budgets=shard_budgets,

@@ -76,7 +76,7 @@ def run(
     corpus.prepare(workers=workers)
     outcome = (
         corpus.query().topk(k).guarantee(thres)
-        .deterministic_timing().run_detailed()
+        .run_detailed()
     )
 
     answer_counts = {name: 0 for name in corpus.member_names}

@@ -77,8 +77,7 @@ def run(
 
     stream = Session.open_stream(
         video, scoring, initial_frames=bootstrap, config=config)
-    live = (stream.query().topk(k).guarantee(thres)
-            .deterministic_timing().subscribe())
+    live = stream.query().topk(k).guarantee(thres).subscribe()
 
     measurements: List[AppendMeasurement] = []
     # Exactly num_appends equal chunks; the floor's remainder frames
@@ -88,8 +87,7 @@ def run(
 
         batch_started = time.perf_counter()
         batch = stream.batch_session()
-        reference = (batch.query().topk(k).guarantee(thres)
-                     .deterministic_timing().run())
+        reference = batch.query().topk(k).guarantee(thres).run()
         batch_seconds = time.perf_counter() - batch_started
 
         measurements.append(AppendMeasurement(

@@ -11,18 +11,16 @@ decode, etc.). Reported "runtime" is then the ledger total, and speedup
 is the ratio of ledger totals — preserving the shape of Figures 4-9 and
 Table 8.
 
-Real wall-clock of the *algorithmic* parts (select-candidate,
-topk-prob) is additionally measured with :meth:`CostModel.timer` and
-added to the total, since those run at native speed in both the paper
-and here.
+The ledger is simulated only: it never reads a clock, so it is a pure
+function of (video, UDF, config, plan) on every path. Real time spent
+in the algorithmic parts (select-candidate) is observed by the
+``select`` trace span (:mod:`repro.trace`), never charged here.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 from ..errors import ConfigurationError
 
@@ -60,21 +58,9 @@ class CostEntry:
 
 
 class CostModel:
-    """A ledger of simulated latencies plus measured algorithm time.
+    """A ledger of simulated latencies: per-unit charges by key."""
 
-    ``wall_clock=False`` puts the ledger in deterministic mode:
-    :meth:`timer` stops measuring real time (simulated charges are
-    unaffected), so two runs of the same deterministic workload — e.g.
-    the same query on different pool workers — produce bit-identical
-    ledgers and therefore bit-identical reports.
-    """
-
-    def __init__(
-        self,
-        unit_costs: Optional[Mapping[str, float]] = None,
-        *,
-        wall_clock: bool = True,
-    ):
+    def __init__(self, unit_costs: Optional[Mapping[str, float]] = None):
         merged = dict(DEFAULT_UNIT_COSTS)
         if unit_costs:
             merged.update(unit_costs)
@@ -83,7 +69,6 @@ class CostModel:
                 raise ConfigurationError(
                     f"unit cost for {key!r} must be >= 0, got {value}")
         self.unit_costs: Dict[str, float] = merged
-        self.wall_clock = wall_clock
         self._entries: Dict[str, CostEntry] = {}
 
     def _entry(self, key: str) -> CostEntry:
@@ -99,27 +84,6 @@ class CostModel:
         entry.units += units
         entry.seconds += seconds
         return seconds
-
-    def add_seconds(self, key: str, seconds: float) -> None:
-        """Record measured wall-clock seconds under ``key``."""
-        if seconds < 0:
-            raise ConfigurationError("seconds must be >= 0")
-        self._entry(key).seconds += seconds
-
-    @contextmanager
-    def timer(self, key: str) -> Iterator[None]:
-        """Measure a ``with`` block's wall time into ``key``.
-
-        A no-op in deterministic mode (``wall_clock=False``).
-        """
-        if not self.wall_clock:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_seconds(key, time.perf_counter() - start)
 
     def units(self, key: str) -> float:
         return self._entries.get(key, CostEntry()).units
@@ -147,7 +111,7 @@ class CostModel:
         self._entries.clear()
 
     def copy(self) -> "CostModel":
-        clone = CostModel(self.unit_costs, wall_clock=self.wall_clock)
+        clone = CostModel(self.unit_costs)
         for key, entry in self._entries.items():
             clone._entries[key] = CostEntry(entry.units, entry.seconds)
         return clone
@@ -179,22 +143,9 @@ def merge_cost_models(
     models: "list[CostModel] | tuple[CostModel, ...]",
     *,
     unit_costs: Optional[Mapping[str, float]] = None,
-    wall_clock: Optional[bool] = None,
 ) -> CostModel:
-    """A fresh ledger holding the key-wise sum of ``models``' charges.
-
-    ``wall_clock`` propagates from the inputs unless overridden: the
-    merge is deterministic exactly when *every* input ledger is
-    (``wall_clock=False``). The old behaviour — always constructing a
-    ``wall_clock=True`` merge — silently re-enabled :meth:`~CostModel.timer`
-    on the fold of an all-deterministic workload, breaking the
-    bit-identical-ledger guarantee for anything charged post-merge. An
-    empty ``models`` keeps the wall-clock default.
-    """
-    models = list(models)
-    if wall_clock is None:
-        wall_clock = any(m.wall_clock for m in models) if models else True
-    merged = CostModel(unit_costs, wall_clock=wall_clock)
+    """A fresh ledger holding the key-wise sum of ``models``' charges."""
+    merged = CostModel(unit_costs)
     for model in models:
         merged.merge_from(model)
     return merged

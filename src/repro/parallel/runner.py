@@ -20,13 +20,10 @@ half of each query is hoisted out of the pool:
    the session, adopts the prebuilt Phase 1 entries (skipping all CMDN
    training) and runs only the cleaning loop, through its own cache.
 
-Determinism contract: plans are normalized to ``deterministic_timing``
-(the one nondeterministic report input — wall-clock measurement of
-select-candidate — is disabled), after which a report is a pure
-function of (video, scoring, config, plan). Serial and parallel
-execution at any worker count therefore produce **bit-identical**
-``QueryReport.to_json()`` strings, which
-``tests/test_parallel_equivalence.py`` certifies. Worker exceptions
+Determinism contract: a report is always a pure function of (video,
+scoring, config, plan), so serial and parallel execution at any worker
+count produce **bit-identical** ``QueryReport.to_json()`` strings
+(``tests/test_parallel_equivalence.py``). Worker exceptions
 are re-raised in the parent in grid order — the error the serial loop
 would have hit first — so failures are deterministic too.
 
@@ -39,7 +36,6 @@ the satellite regression tests pin this).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,9 +69,7 @@ class ParallelRunner:
     """Fan experiment sweeps across a process pool, Phase 1 shared.
 
     ``workers`` resolves through the usual rule (explicit value, else
-    ``REPRO_WORKERS``, else serial). Every plan is normalized to
-    ``deterministic_timing`` so reports are bit-identical across
-    worker counts.
+    ``REPRO_WORKERS``, else serial).
     """
 
     def __init__(self, workers: Optional[int] = None):
@@ -108,8 +102,7 @@ class ParallelRunner:
         if not grid:
             return SweepOutcome(reports=[], phase2_costs=[], phase1_costs=[])
 
-        # Normalize plans (deterministic timing) and index the distinct
-        # sessions in first-appearance order.
+        # Index the distinct sessions in first-appearance order.
         sessions: List = []
         session_index: Dict[int, int] = {}
         tasks: List[Tuple[int, object]] = []
@@ -119,8 +112,6 @@ class ParallelRunner:
                 index = len(sessions)
                 session_index[id(session)] = index
                 sessions.append(session)
-            if not plan.deterministic_timing:
-                plan = dataclasses.replace(plan, deterministic_timing=True)
             tasks.append((index, plan))
 
         # Phase 1 once per (session, configuration): built here in the

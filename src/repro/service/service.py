@@ -24,10 +24,9 @@ Phase-1 builds, a bounded per-group score cache that turns one query's
 cleaned tuples into every later query's warm start, and a warm-start
 checkpoint tier.
 
-Determinism contract: every submitted plan is normalized to
-``deterministic_timing`` (exactly like the sweep runner), after which
-service reports are **bit-identical** to plain serial ``Session``
-execution — the differential harness certifies it. Ledger semantics
+Determinism contract: a report is always a pure function of its
+inputs, so service reports are **bit-identical** to plain serial
+``Session`` execution — the differential harness certifies it. Ledger semantics
 are per query: each report's Phase 2 charges land in their own ledger,
 :meth:`merged_cost` adds each distinct Phase-1 ledger exactly once.
 """
@@ -506,8 +505,6 @@ class QueryService:
         self, plan: QueryPlan, session: Session, tenant: str
     ) -> tuple:
         """One plan on its session, ready for :meth:`_enqueue`."""
-        if not plan.deterministic_timing:
-            plan = dataclasses.replace(plan, deterministic_timing=True)
         # Plain batch sessions are adopted on first submission so their
         # Phase-1 builds go single-flight through the shared store and
         # their confirmations hit the group score cache. Streaming
@@ -537,7 +534,6 @@ class QueryService:
         for member in corpus.members:
             if not member.streaming and member.session.artifacts is None:
                 self.adopt_session(member.session)
-        query = query.deterministic_timing()
         job = _Job(
             target=corpus, work=query, tenant=tenant,
             seq=next(self._submit_seq))

@@ -93,13 +93,11 @@ def member_corpus(member_videos, udf):
 def test_corpus_of_one_matches_plain_session(udf):
     video = TrafficVideo("corpus-solo", 420, seed=31)
     plain = Session(video, udf, config=CORPUS_CONFIG)
-    plan = (plain.query().topk(4).guarantee(0.9)
-            .deterministic_timing().plan())
+    plan = plain.query().topk(4).guarantee(0.9).plan()
     reference = QueryExecutor(plain).execute_detailed(plan)
 
     corpus = VideoCorpus.open([video], udf, config=CORPUS_CONFIG)
-    outcome = (corpus.query().topk(4).guarantee(0.9)
-               .deterministic_timing().run_detailed())
+    outcome = corpus.query().topk(4).guarantee(0.9).run_detailed()
 
     assert outcome.report.to_json() == reference.report.to_json()
     reference_merged = merge_cost_models(
@@ -128,10 +126,9 @@ def test_split_corpus_matches_unsplit_archive(data, archive_session):
         st.one_of(st.none(), st.integers(5, 400)), label="budget")
 
     plan = (archive_session.query().topk(k).guarantee(thres)
-            .oracle_budget(budget).deterministic_timing().plan())
+            .oracle_budget(budget).plan())
     corpus = VideoCorpus.from_split(archive_session, boundaries)
-    query = (corpus.query().topk(k).guarantee(thres)
-             .oracle_budget(budget).deterministic_timing())
+    query = corpus.query().topk(k).guarantee(thres).oracle_budget(budget)
 
     try:
         reference = QueryExecutor(archive_session).execute_detailed(plan)
@@ -164,8 +161,7 @@ def test_split_corpus_matches_unsplit_archive(data, archive_session):
 
 def test_member_corpus_matches_concat_reference(
         member_corpus, member_videos, udf):
-    query = (member_corpus.query().topk(5).guarantee(0.9)
-             .deterministic_timing())
+    query = member_corpus.query().topk(5).guarantee(0.9)
     outcome = query.run_detailed()
 
     state = member_corpus.merged_state()
@@ -197,8 +193,7 @@ def test_member_corpus_matches_concat_reference(
 )
 def test_member_corpus_matches_concat_reference_swept(
         member_corpus, member_videos, udf, k, thres):
-    query = (member_corpus.query().topk(k).guarantee(thres)
-             .deterministic_timing())
+    query = member_corpus.query().topk(k).guarantee(thres)
     outcome = query.run_detailed()
 
     state = member_corpus.merged_state()
@@ -216,8 +211,7 @@ def test_member_corpus_matches_concat_reference_swept(
 
 
 def test_shard_workers_and_over_corpus_are_neutral(member_corpus):
-    base = (member_corpus.query().topk(4).guarantee(0.9)
-            .deterministic_timing())
+    base = member_corpus.query().topk(4).guarantee(0.9)
     serial = base.run_detailed(shard_workers=1)
     threaded = base.run_detailed(shard_workers=3)
     assert serial.report.to_json() == threaded.report.to_json()
@@ -226,8 +220,8 @@ def test_shard_workers_and_over_corpus_are_neutral(member_corpus):
 
     # Query.over_corpus carries the same parameters across.
     member = member_corpus.members[0].session
-    rebound = (member.query().topk(4).guarantee(0.9)
-               .deterministic_timing().over_corpus(member_corpus))
+    rebound = member.query().topk(4).guarantee(0.9) \
+        .over_corpus(member_corpus)
     assert rebound.run().to_json() == serial.report.to_json()
 
 
@@ -244,7 +238,7 @@ def test_pooled_prepare_matches_serial_build(member_videos, udf):
     pooled.prepare(workers=2)
 
     query = lambda corpus: (corpus.query().topk(4).guarantee(0.9)  # noqa: E731
-                            .deterministic_timing().run_detailed())
+                            .run_detailed())
     serial_outcome = query(serial)
     pooled_outcome = query(pooled)
     assert pooled_outcome.report.to_json() == \
@@ -270,8 +264,7 @@ def test_window_queries_are_rejected(member_corpus):
     with pytest.raises(QueryError):
         from repro.corpus.federated import FederatedTopK
 
-        plan = (member.query().windows(size=10).topk(3)
-                .deterministic_timing().plan())
+        plan = member.query().windows(size=10).topk(3).plan()
         FederatedTopK(member_corpus).execute(plan)
 
 
@@ -284,8 +277,7 @@ def test_service_submitted_corpus_matches_inline(
         member_videos, udf, use_processes):
     inline_corpus = VideoCorpus.open(
         member_videos, udf, config=CORPUS_CONFIG)
-    inline = (inline_corpus.query().topk(3).guarantee(0.9)
-              .deterministic_timing().run())
+    inline = inline_corpus.query().topk(3).guarantee(0.9).run()
 
     corpus = VideoCorpus.open(member_videos, udf, config=CORPUS_CONFIG)
     try:
@@ -323,8 +315,7 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
         config=CORPUS_CONFIG)
     corpus = VideoCorpus([stream, closed])
 
-    subscription = (corpus.query().topk(3).guarantee(0.85)
-                    .deterministic_timing().subscribe())
+    subscription = corpus.query().topk(3).guarantee(0.85).subscribe()
     assert len(subscription) == 1
     assert subscription.latest.num_frames == 400 + 260
 
@@ -337,8 +328,7 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
 
     # The refreshed answer is exactly what a fresh federated run over
     # the advanced corpus produces.
-    fresh = (corpus.query().topk(3).guarantee(0.85)
-             .deterministic_timing().run())
+    fresh = corpus.query().topk(3).guarantee(0.85).run()
     assert fresh.to_json() == subscription.latest.to_json()
 
     # And the live member's shard is the advanced prefix: the merged
@@ -366,7 +356,7 @@ def test_streaming_member_corpus_never_ships_to_the_pool(udf):
         TrafficVideo("corpus-pool-fixed", 240, seed=58), udf,
         config=CORPUS_CONFIG)
     corpus = VideoCorpus([stream, closed])
-    query = corpus.query().topk(3).guarantee(0.85).deterministic_timing()
+    query = corpus.query().topk(3).guarantee(0.85)
 
     try:
         with QueryService(workers=2, use_processes=True) as service:

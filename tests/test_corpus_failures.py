@@ -79,13 +79,13 @@ def make_oracle(udf, videos, *, backend=None, budget=None,
     offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
     return FederatedOracle(
         udf,
-        CostModel(wall_clock=False),
+        CostModel(),
         videos=videos,
         member_names=[v.name for v in videos],
         offsets=offsets,
         backend=backend if backend is not None
         else InlineShardBackend(videos, udf),
-        shard_costs=[CostModel(wall_clock=False) for _ in videos],
+        shard_costs=[CostModel() for _ in videos],
         caches=caches if caches is not None else [None] * len(videos),
         budget=budget,
         shard_budgets=shard_budgets,
@@ -100,7 +100,7 @@ def make_oracle(udf, videos, *, backend=None, budget=None,
 def test_shard_budget_error_is_deterministic(corpus, shard_workers):
     query = (
         corpus.query().topk(3).guarantee(0.999)
-        .shard_budget("fail-cam2", 4).deterministic_timing()
+        .shard_budget("fail-cam2", 4)
     )
     with pytest.raises(ShardBudgetExceededError) as excinfo:
         query.run_detailed(shard_workers=shard_workers)
@@ -145,8 +145,7 @@ def test_global_budget_matches_concatenated_reference(corpus, udf):
     """The federated global budget trips exactly like the plain run."""
     from repro.api.executor import QueryExecutor
 
-    query = (corpus.query().topk(3).guarantee(0.999)
-             .oracle_budget(6).deterministic_timing())
+    query = corpus.query().topk(3).guarantee(0.999).oracle_budget(6)
     state = corpus.merged_state()
     from repro.video.views import ConcatVideo
 

@@ -164,7 +164,7 @@ class TestResultStore:
         session = resolve_query_spec(
             "count[car]/traffic", config=EverestConfig.fast(),
             num_frames=300, seed=3)
-        return session.query().topk(3).deterministic_timing().run()
+        return session.query().topk(3).run()
 
     def test_lifecycle_pending_done_expired(self):
         clock = FakeClock()
@@ -375,8 +375,7 @@ class TestGatewayFlows:
         reference = resolve_query_spec(
             "count[car]/traffic", config=EverestConfig.fast(),
             **VIDEO_KWARGS)
-        expected = reference.query().topk(4).guarantee(0.9) \
-            .deterministic_timing().run().to_json()
+        expected = reference.query().topk(4).guarantee(0.9).run().to_json()
         assert done["report_json"] == expected
 
     def test_corpus_query_over_the_wire(self, gateway):
@@ -390,8 +389,7 @@ class TestGatewayFlows:
         reference = resolve_query_spec(
             "count[car]@{traffic,dashcam}",
             config=EverestConfig.fast(), **VIDEO_KWARGS)
-        expected = reference.query().topk(3).guarantee(0.9) \
-            .deterministic_timing().run().to_json()
+        expected = reference.query().topk(3).guarantee(0.9).run().to_json()
         assert done["report_json"] == expected
 
     def test_window_clause_flows_through(self, gateway):
@@ -462,13 +460,6 @@ class TestGatewayFlows:
             self, gateway):
         from repro import Session
 
-        def timeless(report_json):
-            # Standing queries keep wall-clock timing on; everything
-            # else in the report is a pure function of the stream.
-            report = json.loads(report_json)
-            report["breakdown"].pop("select_candidate")
-            return report
-
         status, body = gateway.handle("POST", "/stream", {
             "tenant": "bob", "stream": "win-a",
             "spec": "count[car]/traffic", "initial_frames": 240,
@@ -481,8 +472,7 @@ class TestGatewayFlows:
             window_seconds=5.0, config=EverestConfig.fast(),
             **VIDEO_KWARGS)
         live = twin.query().topk(3).guarantee(0.9).subscribe()
-        assert timeless(body["report_json"]) == \
-            timeless(live.latest.to_json())
+        assert body["report_json"] == live.latest.to_json()
 
         for op, frames in (("append", 40), ("tick", 30)):
             status, body = gateway.handle("POST", f"/{op}", {
@@ -499,8 +489,7 @@ class TestGatewayFlows:
             for key in set(expected) - physical - {
                     "reports", "wall_seconds"}:
                 assert body[key] == expected[key], key
-            assert [timeless(r) for r in body["reports"]] == \
-                [timeless(r) for r in expected["reports"]]
+            assert body["reports"] == expected["reports"]
         assert (body["horizon"], body["window_lo"], body["ticked_frames"],
                 body["watermark"]) == (310, 160, 30, 280)
         assert len(body["reports"]) == 1
@@ -567,6 +556,31 @@ class TestGatewayFlows:
         assert stats.get("nonsense", 42) == 42
 
 
+def test_two_fresh_gateways_serve_byte_identical_stream_events():
+    """A standing query's ledger is simulated only, so two fresh
+    gateways answer the same windowed schedule byte for byte."""
+    def serve():
+        config = GatewayConfig(video_kwargs=dict(VIDEO_KWARGS))
+        events = []
+        with Gateway(config=config, workers=1, use_processes=False) as gw:
+            status, body = gw.handle("POST", "/stream", {
+                "tenant": "bob", "stream": "twin", "k": 3, "window": 5.0,
+                "spec": "count[car]/traffic", "initial_frames": 240})
+            assert status == 201
+            events.append(body["report_json"])
+            for op, frames in (("append", 40), ("tick", 30),
+                               ("append", 60), ("tick", 45)):
+                status, body = gw.handle("POST", f"/{op}", {
+                    "tenant": "bob", "stream": "twin", "frames": frames})
+                assert status == 200 and body["applied"] is True
+                events.extend(body["reports"])
+        return events
+
+    first = serve()
+    assert len(first) == 5
+    assert serve() == first
+
+
 def test_gateway_owns_or_wraps_service():
     with pytest.raises(ConfigurationError):
         from repro.service import QueryService
@@ -623,8 +637,7 @@ class TestHTTPServer:
         reference = resolve_query_spec(
             "count[car]/traffic", config=EverestConfig.fast(),
             **VIDEO_KWARGS)
-        expected = reference.query().topk(6).guarantee(0.9) \
-            .deterministic_timing().run().to_json()
+        expected = reference.query().topk(6).guarantee(0.9).run().to_json()
         assert result["report_json"] == expected
 
     def test_http_error_statuses(self, server):
@@ -764,7 +777,6 @@ class TestLoadgen:
             if key not in references:
                 references[key] = resolve_query_spec(
                     spec_string, config=EverestConfig.fast(),
-                    **VIDEO_KWARGS).query().topk(k) \
-                    .guarantee(guarantee).deterministic_timing() \
+                    **VIDEO_KWARGS).query().topk(k).guarantee(guarantee) \
                     .run().to_json()
             assert served == references[key]

@@ -61,8 +61,8 @@ def golden_dashcam_session():
 @pytest.fixture(scope="module")
 def golden_plans(golden_session, golden_dashcam_session):
     """name -> (session, plans): each sweep runs on its own session."""
-    base = golden_session.query().guarantee(0.9).deterministic_timing()
-    dash = golden_dashcam_session.query().deterministic_timing()
+    base = golden_session.query().guarantee(0.9)
+    dash = golden_dashcam_session.query()
     return {
         "fig5_quick": (golden_session, [
             base.topk(k).plan() for k in (3, 5)]),
@@ -148,7 +148,7 @@ def golden_corpus():
 
 
 def _corpus_queries(corpus):
-    base = corpus.query().guarantee(0.9).deterministic_timing()
+    base = corpus.query().guarantee(0.9)
     return [
         base.topk(3),
         base.topk(5),
@@ -207,8 +207,7 @@ def window_reports():
         TrafficVideo("golden-win", 600, seed=13), counting_udf("car"),
         initial_frames=300, window_seconds=256 / 30.0,
         config=EverestConfig.fast())
-    live = stream.query().topk(4).guarantee(0.9) \
-        .deterministic_timing().subscribe()
+    live = stream.query().topk(4).guarantee(0.9).subscribe()
     for kind, size in WINDOW_EVENTS:
         if kind == "append":
             stream.append(size)

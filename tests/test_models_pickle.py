@@ -91,8 +91,7 @@ def _open_stream():
 
 
 def _live(stream):
-    return stream.query().topk(5).guarantee(0.85) \
-        .deterministic_timing().subscribe()
+    return stream.query().topk(5).guarantee(0.85).subscribe()
 
 
 def test_resumed_stream_warm_retrains_like_its_twin(tmp_path):

@@ -39,13 +39,6 @@ class TestCostModel:
         cost.charge("oracle_infer", 3)
         assert cost.total_seconds() == pytest.approx(3.0)
 
-    def test_add_seconds_and_timer(self):
-        cost = CostModel()
-        cost.add_seconds("algo", 1.5)
-        with cost.timer("algo"):
-            pass
-        assert cost.seconds("algo") >= 1.5
-
     def test_breakdown_sorted(self):
         cost = CostModel()
         cost.charge("decode", 10)

@@ -61,7 +61,7 @@ def _video(name="poison", frames=700, seed=91):
 
 
 def _query(session, k=5):
-    return session.query().topk(k).guarantee(0.9).deterministic_timing()
+    return session.query().topk(k).guarantee(0.9)
 
 
 @pytest.fixture(scope="module")

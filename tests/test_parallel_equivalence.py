@@ -207,8 +207,7 @@ def test_executor_workers_and_query_parallel_flag(
     # ``run(parallel=True, workers=2)`` spelled).
     via_query, = sweep_session.execute_many(
         [sweep_session.query().topk(3).guarantee(0.9).plan()], workers=2)
-    reference = sweep_session.query().topk(3).guarantee(0.9) \
-        .deterministic_timing().run()
+    reference = sweep_session.query().topk(3).guarantee(0.9).run()
     assert via_query.to_json() == reference.to_json()
 
 

@@ -94,7 +94,7 @@ def test_shipped_state_is_unpickled_once_per_worker(dispatch, fast_config):
         CountedTraffic(name, 300, seed=5), counting_udf("car"),
         config=fast_config)
     plans = [
-        session.query().topk(k).guarantee(0.8).deterministic_timing().plan()
+        session.query().topk(k).guarantee(0.8).plan()
         for k in (2, 3, 4, 5)
     ]
     with PersistentPool(1) as pool:

@@ -30,7 +30,7 @@ def _video(frames: int = 300) -> TrafficVideo:
 
 
 def _query(session):
-    return session.query().topk(3).guarantee(0.9).deterministic_timing()
+    return session.query().topk(3).guarantee(0.9)
 
 
 @pytest.mark.parametrize("frames", [1, 300, 500])

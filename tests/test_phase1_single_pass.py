@@ -137,7 +137,7 @@ def featurized_rows():
 
 
 def run(video):
-    cost = RecordingCostModel(wall_clock=False)
+    cost = RecordingCostModel()
     oracle = Oracle(counting_udf("car"), cost_key="oracle_label")
     result = run_phase1(
         video, oracle, config=PHASE1, diff_config=DIFF, cost_model=cost,
@@ -264,7 +264,7 @@ def test_charge_sequence_still_equals_the_replay(single_pass):
     _, result, _, cost, _ = single_pass
     train = PHASE1.train_sample_size(NUM_FRAMES)
     holdout = len(result.known_scores) - train
-    replayed = RecordingCostModel(wall_clock=False)
+    replayed = RecordingCostModel()
     replay_phase1_charges(
         replayed,
         train_labels=train,
@@ -396,8 +396,7 @@ def test_a_stream_built_either_way_checkpoints_and_retrains_alike(
             TrafficVideo("twin", 900, seed=29), counting_udf("car"),
             initial_frames=600, config=STREAM_CONFIG,
             streaming=ALWAYS_DRIFTING)
-        live = stream.query().topk(5).guarantee(0.85) \
-            .deterministic_timing().subscribe()
+        live = stream.query().topk(5).guarantee(0.85).subscribe()
         stream.checkpoint(tmp_path / name)
         return stream, live
 

@@ -222,7 +222,7 @@ def _fresh_session(name="pins", seed=78, frames=700):
 
 
 def _ask(session, k=5, window=0):
-    query = session.query().topk(k).guarantee(0.9).deterministic_timing()
+    query = session.query().topk(k).guarantee(0.9)
     if window:
         query = query.windows(size=window)
     return query.run().to_json()

@@ -30,6 +30,7 @@ import pytest
 
 from repro import EverestConfig, Session, VideoCorpus
 from repro.api.executor import QueryExecutor
+from repro.api.plan import QueryPlan
 from repro.api.query import Query
 from repro.config import Phase1Config, Phase2Config
 from repro.errors import ConfigurationError, QueryError
@@ -156,11 +157,10 @@ SHARED_CLAUSES = {
     "oracle_budget": lambda q: q.oracle_budget(40),
     "oracle_budget-none": lambda q: q.oracle_budget(None),
     "with_config": lambda q: q.with_config(OVERRIDE),
-    "deterministic_timing": lambda q: q.deterministic_timing(),
     "window": lambda q: q.window(seconds=2.0),
     "everything": lambda q: (
         q.topk(3).guarantee(0.8).oracle_budget(25).with_config(OVERRIDE)
-        .deterministic_timing().window(seconds=1.5)),
+        .window(seconds=1.5)),
 }
 
 
@@ -221,14 +221,14 @@ def test_single_target_clauses_name_the_other_door(targets):
 def test_over_corpus_carries_every_parameter(targets):
     session, corpus = targets["session"], targets["corpus"]
     base = (session.query().topk(6).guarantee(0.7).oracle_budget(33)
-            .with_config(OVERRIDE).deterministic_timing()
+            .with_config(OVERRIDE)
             .window(seconds=3.0))
     moved = base.over_corpus(corpus)
     assert moved.target is corpus and base.target is session
     assert dataclasses.replace(moved, target=None) == \
         dataclasses.replace(base, target=None)
     assert moved.plan() == corpus.query().topk(6).guarantee(0.7) \
-        .oracle_budget(33).with_config(OVERRIDE).deterministic_timing() \
+        .oracle_budget(33).with_config(OVERRIDE) \
         .window(seconds=3.0).plan()
     with pytest.raises(QueryError, match="shard boundaries"):
         session.query().windows(size=10).over_corpus(corpus)
@@ -251,7 +251,7 @@ def test_corpus_of_one_windowed_stream_is_byte_identical():
     corpus = VideoCorpus([member])
 
     def build(target):
-        return target.query().topk(4).guarantee(0.9).deterministic_timing()
+        return target.query().topk(4).guarantee(0.9)
 
     for event in (None, ("append", 150), ("tick", 60)):
         if event is not None:
@@ -276,8 +276,8 @@ def test_mixed_corpus_with_a_windowed_member_matches_concat_reference():
     windowed.tick(45)
     corpus = VideoCorpus([closed, windowed])
     for query in (
-            corpus.query().topk(5).guarantee(0.9).deterministic_timing(),
-            corpus.query().topk(5).guarantee(0.9).deterministic_timing()
+            corpus.query().topk(5).guarantee(0.9),
+            corpus.query().topk(5).guarantee(0.9)
             .window(seconds=3.0)):
         outcome = query.run_detailed()
         state = corpus.merged_state()
@@ -326,7 +326,7 @@ def test_corpus_subscription_follows_a_windowed_member():
     closed = closed_session()
     windowed = stream_session(WINDOW_SECONDS)
     corpus = VideoCorpus([closed, windowed])
-    query = corpus.query().topk(4).guarantee(0.9).deterministic_timing()
+    query = corpus.query().topk(4).guarantee(0.9)
     subscription = query.subscribe()
     windowed.append(120)
     windowed.tick(30)
@@ -349,7 +349,7 @@ def test_the_corpus_builder_is_gone_and_each_clause_is_stated_once():
         text for path, text in sources.items()
         if path.parent == SRC / "corpus")
     for clause in ("topk", "guarantee", "oracle_budget", "with_config",
-                   "deterministic_timing", r"window\(", "plan", "explain",
+                   r"window\(", "plan", "explain",
                    "subscribe", "shard_budget", "run_detailed"):
         assert len(re.findall(rf"def {clause}\b", builder)) == 1, clause
     # The window rule's arithmetic lives in one function of the builder.
@@ -358,6 +358,13 @@ def test_the_corpus_builder_is_gone_and_each_clause_is_stated_once():
     assert text.count("horizon - window_frames") == 1
     rule = inspect.getsource(Query._resolve_window)
     assert "window_frames_for(" in rule and "horizon - window_frames" in rule
+
+
+def test_plans_carry_no_timing_mode(targets):
+    assert "deterministic_timing" not in {
+        field.name for field in dataclasses.fields(QueryPlan)}
+    query = targets["session"].query().topk(3)
+    assert query.deterministic_timing() is query
 
 
 def test_run_lost_its_parallel_knob(targets):

@@ -1,6 +1,6 @@
 """Regression tests for scheduler/ledger correctness fixes.
 
-Three bugs, each pinned by a test that fails on the pre-fix code:
+Two bugs, each pinned by a test that fails on the pre-fix code:
 
 * ``FairScheduler.drain()`` could return before the finished batch's
   futures were resolved (the worker decremented ``_running`` first,
@@ -11,9 +11,6 @@ Three bugs, each pinned by a test that fails on the pre-fix code:
   ``__traceback__`` across callers. (Fixed in the scheduler first;
   the service's own batch path went around the fix twice — its
   Phase-1 lease and its pool dispatch — until both simply raised.)
-* ``merge_cost_models()`` always produced a ``wall_clock=True`` model,
-  so merging all-deterministic ledgers silently lost the determinism
-  flag downstream folds rely on.
 
 Plus the starvation property: under sustained, wildly unequal charges
 every tenant's queue drains in bounded turns (and in FIFO order within
@@ -31,7 +28,6 @@ from hypothesis import strategies as st
 from repro import EverestConfig, QueryService
 from repro.errors import AdmissionError, ServiceError
 from repro.oracle import counting_udf
-from repro.oracle.cost import CostModel, merge_cost_models
 from repro.service.scheduler import (
     FairScheduler,
     Job,
@@ -313,44 +309,6 @@ class TestServiceBatchErrorIsolation:
             trace = tracer.get(future.trace_id)
             assert trace.root.status == "error:ServiceError"
             assert all(not span.open for span in trace.spans)
-
-
-class TestMergeWallClockPropagation:
-    def _model(self, *, wall_clock):
-        model = CostModel({"oracle_confirm": 0.1}, wall_clock=wall_clock)
-        model.charge("oracle_confirm", 3)
-        return model
-
-    def test_all_deterministic_inputs_merge_deterministic(self):
-        merged = merge_cost_models([
-            self._model(wall_clock=False),
-            self._model(wall_clock=False),
-        ])
-        assert merged.wall_clock is False
-        assert merged.units("oracle_confirm") == 6
-
-    def test_any_wall_clock_input_taints_the_merge(self):
-        merged = merge_cost_models([
-            self._model(wall_clock=False),
-            self._model(wall_clock=True),
-        ])
-        assert merged.wall_clock is True
-
-    def test_empty_merge_stays_wall_clock(self):
-        assert merge_cost_models([]).wall_clock is True
-
-    def test_explicit_override_wins(self):
-        merged = merge_cost_models(
-            [self._model(wall_clock=True)], wall_clock=False)
-        assert merged.wall_clock is False
-
-    def test_deterministic_merge_roundtrip(self):
-        """A deterministic merge re-merges bit-identically."""
-        parts = [self._model(wall_clock=False) for _ in range(4)]
-        once = merge_cost_models(parts)
-        twice = merge_cost_models(parts)
-        assert once.wall_clock is False and twice.wall_clock is False
-        assert once.breakdown() == twice.breakdown()
 
 
 class TestNoStarvation:

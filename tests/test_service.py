@@ -105,7 +105,7 @@ class TestScoreCache:
     def test_caching_oracle_eviction_safe_and_charges_fully(self):
         video = _video(frames=64)
         cache = ScoreCache(max_entries=2)
-        ledger = CostModel(wall_clock=False)
+        ledger = CostModel()
         oracle = CachingOracle(
             counting_udf("car"), ledger, cache=cache,
             cost_key="oracle_confirm")
@@ -475,16 +475,14 @@ class TestQueryServiceSurface:
         plain = Session.open_stream(
             _video("svc-live", 73, frames=900), counting_udf("car"),
             initial_frames=600, config=comp_cfg)
-        plain_live = plain.query().topk(3).guarantee(0.9)\
-            .deterministic_timing().subscribe()
+        plain_live = plain.query().topk(3).guarantee(0.9).subscribe()
         plain.append(150)
 
         with QueryService(workers=2, use_processes=False) as service:
             stream = service.open_stream(
                 _video("svc-live", 73, frames=900), counting_udf("car"),
                 initial_frames=600, config=comp_cfg, tenant="live")
-            live = stream.query().topk(3).guarantee(0.9) \
-                .deterministic_timing().subscribe()
+            live = stream.query().topk(3).guarantee(0.9).subscribe()
             result = stream.append(150)
             assert len(result.reports) == 1
             assert live.latest.to_json() == plain_live.latest.to_json()
@@ -523,12 +521,12 @@ class TestQueryServiceSurface:
                 _video("lane", 89, frames=900), counting_udf("car"),
                 initial_frames=600, config=comp_cfg)
             before = service.submit(
-                stream.query().topk(3).guarantee(0.9).deterministic_timing(),
+                stream.query().topk(3).guarantee(0.9),
             ).result(WAIT)
             assert before.num_frames == 600
             stream.append(200)
             after = service.submit(
-                stream.query().topk(3).guarantee(0.9).deterministic_timing(),
+                stream.query().topk(3).guarantee(0.9),
             ).result(WAIT)
             # The report tracks the live watermark, not a frozen blob.
             assert after.num_frames == 800
@@ -616,8 +614,7 @@ class TestQueryServiceSurface:
             # the fuse under it); this one dies in Phase 2.
             session.phase1()
             (tmp_path / "fuse").touch()
-            plan = session.query().topk(3).guarantee(0.9) \
-                .deterministic_timing().plan()
+            plan = session.query().topk(3).guarantee(0.9).plan()
             with pytest.raises(ServiceError) as caught:
                 service.submit(plan, session=session).result(WAIT)
             assert isinstance(caught.value.__cause__, BrokenProcessPool)
@@ -644,8 +641,7 @@ class TestQueryServiceSurface:
                 workers=2, use_processes=True, warm_dir=warm) as service:
             session = service.open_session(
                 video, counting_udf("car"), config=comp_cfg)
-            plan = session.query().topk(3).guarantee(0.9) \
-                .deterministic_timing().plan()
+            plan = session.query().topk(3).guarantee(0.9).plan()
             with pytest.raises(ServiceError) as caught:
                 service.submit(plan, session=session).result(WAIT)
             assert isinstance(caught.value.__cause__, BrokenProcessPool)
@@ -698,4 +694,4 @@ class TestQueryServiceSurface:
         inline = VideoCorpus.open(
             videos(), counting_udf("car"), config=comp_cfg)
         assert report.to_json() == inline.query().topk(4).guarantee(0.9) \
-            .deterministic_timing().run().to_json()
+            .run().to_json()

@@ -60,7 +60,7 @@ def _random_workload(rng_seed: int):
 
 
 def _plan_for(session, k, thres, window):
-    query = session.query().topk(k).guarantee(thres).deterministic_timing()
+    query = session.query().topk(k).guarantee(thres)
     if window:
         query = query.windows(size=window)
     return query.plan()
@@ -150,7 +150,7 @@ def test_mixed_workload_with_config_overrides(use_processes):
     video = TrafficVideo("diff-c", 600, seed=23)
 
     session = Session(video, counting_udf("car"), config=base_cfg)
-    base = session.query().guarantee(0.9).deterministic_timing()
+    base = session.query().guarantee(0.9)
     plans = [
         base.topk(3).plan(),
         base.topk(4).with_config(alt_cfg).plan(),
@@ -194,7 +194,7 @@ def test_service_score_sharing_never_changes_ledgers():
     config = EverestConfig.fast()
     video = TrafficVideo("diff-d", 600, seed=29)
     session = Session(video, counting_udf("car"), config=config)
-    base = session.query().guarantee(0.9).deterministic_timing()
+    base = session.query().guarantee(0.9)
     plans = [base.topk(k).plan() for k in (3, 3, 4, 5)]
 
     from repro.api.executor import QueryExecutor

@@ -328,8 +328,7 @@ FAST = EverestConfig.fast()
 
 
 def _plan(session, k):
-    return session.query().topk(k).guarantee(0.9) \
-        .deterministic_timing().plan()
+    return session.query().topk(k).guarantee(0.9).plan()
 
 
 def _live_shipped() -> int:

@@ -114,13 +114,12 @@ def test_the_process_lane_builds_in_a_worker_and_answers_the_same_bytes(
     udf = counting_udf("car")
     with QueryService(workers=2, use_processes=True) as service:
         session = service.open_session(video, udf, config=FAST)
-        report = session.query().topk(5).guarantee(0.9) \
-            .deterministic_timing().run()
+        report = session.query().topk(5).guarantee(0.9).run()
         stats = service.stats()
     assert (stats.builds, stats.hits, stats.resident_entries) == (1, 0, 1)
     inline = Session(video, udf, config=FAST)
     assert report.to_json() == inline.query().topk(5).guarantee(0.9) \
-        .deterministic_timing().run().to_json()
+        .run().to_json()
     assert stats.build_seconds == \
         inline.phase1().cost_model.total_seconds()
 
@@ -292,4 +291,4 @@ def test_a_service_bound_corpus_builds_its_cold_members_side_by_side(
         ["met-shard-a", "met-shard-b"]
     serial = VideoCorpus.open(members(), udf, config=FAST)
     assert report.to_json() == serial.query().topk(4).guarantee(0.9) \
-        .deterministic_timing().run().to_json()
+        .run().to_json()

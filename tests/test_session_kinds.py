@@ -206,8 +206,7 @@ def test_live_session_refuses_batch_side_service_wiring():
 
 def test_plain_stream_resumes_unwindowed_and_rewired_by_reference(tmp_path):
     stream = open_stream()
-    live = stream.query().topk(3).guarantee(0.85).deterministic_timing() \
-        .subscribe()
+    live = stream.query().topk(3).guarantee(0.85).subscribe()
     stream.append(60)
     stream.checkpoint(tmp_path / "ck")
 
@@ -224,8 +223,7 @@ def test_plain_stream_resumes_unwindowed_and_rewired_by_reference(tmp_path):
     assert maintainer.video is resumed.video
     assert len(resumed.shared_score_cache) == len(stream.shared_score_cache)
     # Zero Phase-1 oracle calls to re-serve the watermark.
-    again = resumed.query().topk(3).guarantee(0.85).deterministic_timing() \
-        .subscribe()
+    again = resumed.query().topk(3).guarantee(0.85).subscribe()
     assert again.latest.to_json() == live.latest.to_json()
     assert resumed.stats.fresh_label_calls == stream.stats.fresh_label_calls
 
@@ -305,10 +303,8 @@ def test_sealed_window_snapshot_keeps_its_window_but_never_slides():
 def test_event_reports_its_own_refresh_not_a_concurrent_query():
     def run(noisy: bool):
         stream = open_stream()
-        live = stream.query().topk(3).guarantee(0.85) \
-            .deterministic_timing().subscribe()
-        unrelated = stream.query().topk(40).guarantee(0.99) \
-            .deterministic_timing()
+        live = stream.query().topk(3).guarantee(0.85).subscribe()
+        unrelated = stream.query().topk(40).guarantee(0.99)
 
         def dispatch(refresh):
             # What a scheduler thread does mid-event: an ad-hoc query

@@ -76,8 +76,7 @@ def _reference(session):
 
 def _plan(session, shape):
     k, thres, window, budget = shape
-    query = session.query().topk(k).guarantee(thres) \
-        .oracle_budget(budget).deterministic_timing()
+    query = session.query().topk(k).guarantee(thres).oracle_budget(budget)
     return (query.windows(size=window) if window else query).plan()
 
 

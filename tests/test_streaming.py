@@ -417,8 +417,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
         stream = Session.open_stream(
             video, counting_udf("car"), initial_frames=700,
             window_seconds=15.0, config=MAINTAIN_CONFIG)
-        stream.query().topk(3).guarantee(0.85).deterministic_timing() \
-            .subscribe()
+        stream.query().topk(3).guarantee(0.85).subscribe()
         stream.append(140)
         stream.tick(60)
         stream.append(75)
@@ -441,8 +440,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     assert FORMAT_VERSION == 3
 
     resumed = Session.resume(tmp_path / "ck")
-    resumed.query().topk(3).guarantee(0.85).deterministic_timing() \
-        .subscribe()
+    resumed.query().topk(3).guarantee(0.85).subscribe()
     video = resumed.video.source
     assert resumed._incremental.blocks._tail is None
     for kind, size in (("append", 33), ("tick", 45), ("append", 150),
@@ -471,8 +469,7 @@ def test_sibling_streams_share_a_cache_across_threads():
         stream = Session.open_stream(
             TrafficVideo("siblings", 900, seed=37), counting_udf("car"),
             initial_frames=480, config=MAINTAIN_CONFIG)
-        live = stream.query().topk(3).guarantee(0.85) \
-            .deterministic_timing().subscribe()
+        live = stream.query().topk(3).guarantee(0.85).subscribe()
         return stream, live
 
     shared = BlockInferenceCache()
@@ -518,8 +515,8 @@ def test_sibling_streams_share_a_cache_across_threads():
             batch = Session(
                 StreamingVideo(source, watermark, sealed=True),
                 counting_udf("car"), config=siblings[0][0].config)
-            assert batch.query().topk(3).guarantee(0.85) \
-                .deterministic_timing().run().to_json() == report
+            assert batch.query().topk(3).guarantee(0.85).run() \
+                .to_json() == report
             relation = batch.phase1().result.relation
             assert relation.pmf.tobytes() == pmf
             assert relation.ids.tobytes() == ids
@@ -700,20 +697,24 @@ class TestStreamingSessionSurface:
 
     @pytest.mark.parametrize("window_seconds", [None, 4.0])
     def test_live_phase1_ledgers_are_deterministic(self, window_seconds):
-        # Phase-1 charges are purely simulated on every path, so a
-        # stream's ledger must say so — before and after an append —
-        # or folding it re-enables wall-clock timers on the merge.
-        stream = Session.open_stream(
-            TrafficVideo("stream-ledger", 360, seed=23),
-            counting_udf("car"), initial_frames=240,
-            window_seconds=window_seconds, config=EverestConfig.fast())
-        assert stream.phase1().cost_model.wall_clock is False
-        stream.append(60)
-        assert stream.phase1().cost_model.wall_clock is False
-        batch = stream.batch_session()
-        merged = merge_cost_models(
-            [batch.phase1().cost_model, stream.phase1().cost_model])
-        assert merged.wall_clock is False
+        # Phase-1 charges are purely simulated on every path: two
+        # identical streams keep identical ledgers across an append,
+        # and so do their folds.
+        def ledgers():
+            stream = Session.open_stream(
+                TrafficVideo("stream-ledger", 360, seed=23),
+                counting_udf("car"), initial_frames=240,
+                window_seconds=window_seconds,
+                config=EverestConfig.fast())
+            before = stream.phase1().cost_model.breakdown()
+            stream.append(60)
+            batch = stream.batch_session()
+            merged = merge_cost_models(
+                [batch.phase1().cost_model, stream.phase1().cost_model])
+            return before, stream.phase1().cost_model.breakdown(), \
+                merged.breakdown()
+
+        assert ledgers() == ledgers()
 
     def test_bootstrapped_stream_is_phase1_cached(
             self, small_stream_session):
@@ -765,10 +766,8 @@ class TestStreamingSessionSurface:
         session = Session.open_stream(
             video, counting_udf("car"), initial_frames=250,
             config=EverestConfig.fast())
-        doomed = session.query().topk(2).guarantee(0.8) \
-            .deterministic_timing().subscribe()
-        healthy = session.query().topk(2).guarantee(0.8) \
-            .deterministic_timing().subscribe()
+        doomed = session.query().topk(2).guarantee(0.8).subscribe()
+        healthy = session.query().topk(2).guarantee(0.8).subscribe()
         # Choke the first subscription: its next refresh must trip.
         doomed.query = doomed.query.oracle_budget(1)
         with pytest.raises(OracleBudgetExceededError):
@@ -801,8 +800,7 @@ class TestStreamingSessionSurface:
             video, counting_udf("car"), initial_frames=250,
             config=EverestConfig.fast(),
             streaming=StreamingConfig(max_history=2))
-        live = session.query().topk(2).guarantee(0.8) \
-            .deterministic_timing().subscribe()
+        live = session.query().topk(2).guarantee(0.8).subscribe()
         for _ in range(4):
             session.append(30)
         assert len(session.append_log) == 2
@@ -814,8 +812,7 @@ class TestStreamingSessionSurface:
     def test_append_result_shape_and_execute_many(
             self, small_stream_session):
         session = small_stream_session
-        live = session.query().topk(2).guarantee(0.8) \
-            .deterministic_timing().subscribe()
+        live = session.query().topk(2).guarantee(0.8).subscribe()
         result = session.append(60)
         assert result.watermark == session.watermark
         assert result.reports[-1] is live.latest
@@ -824,8 +821,7 @@ class TestStreamingSessionSurface:
             result.fresh_label_calls + result.fresh_confirm_calls
         assert len(live) == 2 and list(live) == live.reports
         plans = [
-            session.query().topk(k).guarantee(0.8).deterministic_timing()
-            .plan()
+            session.query().topk(k).guarantee(0.8).plan()
             for k in (2, 3)
         ]
         reports = session.execute_many(plans)

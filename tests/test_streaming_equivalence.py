@@ -55,7 +55,7 @@ def open_stream(**kwargs) -> "Session":
 
 
 def build_query(session, kind: str):
-    query = session.query().guarantee(0.85).deterministic_timing()
+    query = session.query().guarantee(0.85)
     if kind == "windows":
         return query.windows(size=25).topk(2)
     return query.topk(3)

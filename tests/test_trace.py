@@ -59,8 +59,7 @@ def _run_service(tracer, *, use_processes: bool, seed: int = 11):
             _video(seed), counting_udf("car"), config=FAST())
         futures = [
             svc.submit(
-                session.query().topk(k).guarantee(0.9)
-                .deterministic_timing(),
+                session.query().topk(k).guarantee(0.9),
                 tenant=f"t{k % 2}")
             for k in (3, 5, 7)
         ]
@@ -99,8 +98,7 @@ def _run_stream(tracer, seed: int = 13):
             workers=1, use_processes=False, tracer=tracer) as svc:
         stream = svc.open_stream(
             video, counting_udf("car"), initial_frames=240, config=FAST())
-        live = (stream.query().topk(5).guarantee(0.9)
-                .deterministic_timing().subscribe())
+        live = stream.query().topk(5).guarantee(0.9).subscribe()
         snapshots = []
         for _ in range(3):
             result = stream.append(60)
@@ -120,7 +118,7 @@ def _run_corpus(tracer, seed: int = 14):
     with QueryService(
             workers=1, use_processes=False, tracer=tracer) as svc:
         future = svc.submit(
-            corpus.query().topk(4).guarantee(0.9).deterministic_timing(),
+            corpus.query().topk(4).guarantee(0.9),
             tenant="fleet")
         return future.result(120).to_json()
 
@@ -139,7 +137,7 @@ def test_trace_tree_has_the_request_spine():
         session = svc.open_session(
             _video(15), counting_udf("car"), config=FAST())
         future = svc.submit(
-            session.query().topk(5).guarantee(0.9).deterministic_timing())
+            session.query().topk(5).guarantee(0.9))
         future.result(120)
     trace = tracer.get(future.trace_id)
     assert trace is not None and trace.finished
@@ -174,7 +172,7 @@ def test_worker_spans_adopt_across_the_process_lane():
         session = svc.open_session(
             _video(16), counting_udf("car"), config=FAST())
         future = svc.submit(
-            session.query().topk(5).guarantee(0.9).deterministic_timing())
+            session.query().topk(5).guarantee(0.9))
         future.result(180)
     dump = tracer.get(future.trace_id).to_dict()
     lane = [s for s in dump["spans"] if s["name"] == "lane_dispatch"]
@@ -227,8 +225,7 @@ def test_admission_refusal_closes_the_trace():
                       tracer=tracer) as svc:
         session = svc.open_session(
             _video(17), counting_udf("car"), config=FAST())
-        query = (session.query().topk(3).guarantee(0.9)
-                 .deterministic_timing())
+        query = session.query().topk(3).guarantee(0.9)
         futures, refused = [], 0
         for _ in range(12):
             try:
@@ -259,7 +256,7 @@ def test_failing_query_closes_the_trace_with_error():
                             cost_key="oracle_infer"),
             config=FAST())
         future = svc.submit(
-            session.query().topk(3).guarantee(0.9).deterministic_timing())
+            session.query().topk(3).guarantee(0.9))
         with pytest.raises(Exception):
             future.result(120)
     trace = tracer.get(future.trace_id)
@@ -431,8 +428,7 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
         stream = Session.open_stream(
             _video(17, frames=420), counting_udf("car"),
             initial_frames=240, window_seconds=6.0, config=FAST())
-        live = stream.query().topk(3).guarantee(0.9) \
-            .deterministic_timing().subscribe()
+        live = stream.query().topk(3).guarantee(0.9).subscribe()
         return stream, live
 
     path = tmp_path / "events.jsonl"
@@ -498,9 +494,7 @@ def test_service_stats_embed_recent_traces():
                       tracer=tracer) as svc:
         session = svc.open_session(
             _video(19), counting_udf("car"), config=FAST())
-        svc.submit(
-            session.query().topk(3).guarantee(0.9)
-            .deterministic_timing()).result(120)
+        svc.submit(session.query().topk(3).guarantee(0.9)).result(120)
         stats = svc.stats()
     assert len(stats.recent_traces) == 1
     summary = stats.recent_traces[0]

@@ -69,7 +69,7 @@ def open_window_stream(window_frames: int = WINDOW_FRAMES, **kwargs):
 
 
 def build_query(session):
-    return session.query().topk(3).guarantee(0.85).deterministic_timing()
+    return session.query().topk(3).guarantee(0.85)
 
 
 def test_each_frame_is_confirmed_at_most_once_across_events():

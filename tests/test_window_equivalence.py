@@ -62,7 +62,7 @@ def open_window_stream(window_frames: int = WINDOW_FRAMES,
 
 
 def build_query(session):
-    return session.query().topk(3).guarantee(0.85).deterministic_timing()
+    return session.query().topk(3).guarantee(0.85)
 
 
 #: Batch reference reports, one per distinct window snapshot.
@@ -300,11 +300,10 @@ def test_window_clause_validation_and_narrower_windows():
     with pytest.raises(QueryError):
         query.window(seconds=WINDOW_SECONDS * 4).plan()
     # Narrower is a legitimate refinement, still batch-equivalent.
-    narrower = query.deterministic_timing() \
-        .window(seconds=100 / FPS)
+    narrower = query.window(seconds=100 / FPS)
     batch = stream.batch_session()
     reference = batch.query().topk(3).guarantee(0.85) \
-        .deterministic_timing().window(seconds=100 / FPS).run()
+        .window(seconds=100 / FPS).run()
     assert narrower.run().to_json() == reference.to_json()
 
 
