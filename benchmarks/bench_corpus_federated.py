@@ -73,7 +73,7 @@ def test_corpus_federated_speedup(bench_scale, bench_strict):
     ]
     print()
     print(format_table(
-        ("shard-workers", "prepare", "prepare-speedup", "query"),
+        ("prepare-workers", "prepare", "prepare-speedup", "query"),
         rows,
         title=f"Federated corpus: {NUM_SHARDS} shards, "
               f"{corpora[1].total_frames:,} frames, "
@@ -120,5 +120,5 @@ def test_corpus_federated_speedup(bench_scale, bench_strict):
     # amortize pool startup; it smoke-tests the path instead).
     if bench_strict and available_cpus() >= 4:
         assert speedup >= 2.0, (
-            f"expected >= 2x prepare speedup with 4 shard workers on "
+            f"expected >= 2x prepare speedup with 4 prepare workers on "
             f"{available_cpus()} CPUs, got {speedup:.2f}x")

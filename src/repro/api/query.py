@@ -344,38 +344,27 @@ class Query:
             f"  caps     : {budgets} (per-shard)",
         ])
 
-    def run_detailed(self, *, shard_workers: Optional[int] = None,
-                     backend=None):
+    def run_detailed(self):
         """Compile and execute; the full outcome behind the report.
 
         An :class:`~repro.api.executor.ExecutionDetail` for a session,
         a :class:`~repro.corpus.federated.CorpusOutcome` (allocation,
         per-shard ledgers) for a corpus — both carry ``.report``.
-        ``shard_workers`` / ``backend`` pick a corpus's shard-scoring
-        transport and can change no report byte; a session has no
-        shards and refuses them.
         """
         plan = self.plan()
         corpus = self._corpus
         if corpus is None:
-            if shard_workers is not None or backend is not None:
-                raise QueryError(
-                    "shard_workers= / backend= fan a corpus's shards out "
-                    "and this query targets a single session; sweep "
-                    "several plans with Session.execute_many(...)")
             return self.target._executor().execute_detailed(plan)
         from ..corpus.federated import FederatedTopK
 
         caps = dict(self._shard_budgets)
-        return FederatedTopK(
-            corpus, shard_workers=shard_workers, backend=backend,
-        ).execute_detailed(
+        return FederatedTopK(corpus).execute_detailed(
             plan,
             shard_budgets=[caps.get(name) for name in corpus.member_names])
 
-    def run(self, *, shard_workers: Optional[int] = None) -> "QueryReport":
+    def run(self) -> "QueryReport":
         """Compile and execute, returning the full query report."""
-        return self.run_detailed(shard_workers=shard_workers).report
+        return self.run_detailed().report
 
     def subscribe(self):
         """Maintain this query live over a growing target.

@@ -23,8 +23,6 @@ from .federated import (
     CorpusOutcome,
     FederatedOracle,
     FederatedTopK,
-    InlineShardBackend,
-    PoolShardBackend,
     merge_phase1_entries,
 )
 from .subscription import CorpusSubscription
@@ -36,7 +34,5 @@ __all__ = [
     "CorpusSubscription",
     "FederatedTopK",
     "FederatedOracle",
-    "InlineShardBackend",
-    "PoolShardBackend",
     "merge_phase1_entries",
 ]

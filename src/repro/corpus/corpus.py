@@ -43,6 +43,13 @@ from ..parallel.pool import PersistentPool, resolve_workers, thread_map
 from ..video.views import ConcatVideo, VideoSlice
 
 
+def locate_global(offsets: np.ndarray, global_id: int) -> Tuple[int, int]:
+    """``(member_index, local_frame)`` of a global frame id, given the
+    members' ascending start offsets (no range check)."""
+    member = int(np.searchsorted(offsets, int(global_id), side="right")) - 1
+    return member, int(global_id) - int(offsets[member])
+
+
 @dataclass
 class CorpusMember:
     """One shard: a name plus the session owning its video and Phase 1."""
@@ -231,10 +238,7 @@ class VideoCorpus:
         global_id = int(global_id)
         if global_id < 0 or global_id >= self.total_frames:
             raise FrameIndexError(global_id, self.total_frames)
-        offsets = self.offsets()
-        member = int(
-            np.searchsorted(offsets, global_id, side="right")) - 1
-        return member, global_id - int(offsets[member])
+        return locate_global(self.offsets(), global_id)
 
     def resolved_unit_costs(self) -> Dict[str, float]:
         return self.members[0].session.resolved_unit_costs()
@@ -328,8 +332,9 @@ class VideoCorpus:
             parts.append((id(entry), len(member.video)))
         return tuple(parts)
 
-    def merged_state(self, config: Optional[EverestConfig] = None,
-                     *, workers: Optional[int] = None) -> _MergedState:
+    def merged_state(
+        self, config: Optional[EverestConfig] = None
+    ) -> _MergedState:
         """The corpus-level execution state for ``config`` (cached).
 
         Builds member entries on demand (:meth:`prepare`), merges them
@@ -341,9 +346,9 @@ class VideoCorpus:
         config = config if config is not None else self.config
         key = phase1_key(config)
         with self._merge_lock:
-            return self._merged_state_locked(config, key, workers)
+            return self._merged_state_locked(config, key)
 
-    def _merged_state_locked(self, config, key, workers) -> _MergedState:
+    def _merged_state_locked(self, config, key) -> _MergedState:
         from .federated import merge_phase1_entries
 
         cached = self._merged_states.get(key)
@@ -351,7 +356,7 @@ class VideoCorpus:
                 cached.fingerprint == self._fingerprint(config):
             return cached
 
-        entries = self.prepare(config, workers=workers)
+        entries = self.prepare(config)
         if self._split_source is not None:
             entry = entries[0]
             phase1_costs = [entry.cost_model]

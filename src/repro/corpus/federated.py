@@ -20,15 +20,18 @@ of (ids, pmfs) alone. Federation therefore reduces to
    identical to a single-video run over the concatenated footage.
 
 Determinism contract (certified by ``tests/test_corpus_equivalence``):
-under deterministic timing, the federated report and the canonical
-merged ledger are **byte-identical** to a plain
+the federated report and the canonical merged ledger are
+**byte-identical** to a plain
 :class:`~repro.api.executor.QueryExecutor` run over the
 :class:`~repro.video.views.ConcatVideo` with the same merged entry at
-the same global budget — for any shard count, shard-worker count, and
-scoring backend (inline threads or the service's process pool).
-Failures are deterministic too: per-shard budgets are checked in
-canonical member order *before* any charge from the offending batch
-lands, and pool-lane shard errors re-raise in canonical member order.
+the same global budget — for any shard count, and whether the query
+runs alone or through the service. Failures are deterministic too:
+per-shard budgets are checked in canonical member order *before* any
+charge from the offending batch lands, and the shards' misses are
+scored in canonical member order in the calling thread, so the
+earliest member's error is the one that re-raises. (Scoring one
+8-frame batch costs tens of µs of GIL-bound Python — less than a
+thread or pool round trip — so the shards are not fanned out.)
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from ..errors import (
 )
 from ..oracle.base import Oracle
 from ..oracle.cost import CostModel, merge_cost_models
-from ..parallel.pool import Shipped, resolve_workers, thread_map
 from ..video.diff import DiffResult
+from .corpus import locate_global
 
 # ----------------------------------------------------------------------
 # Phase-1 merging
@@ -194,81 +197,6 @@ def merge_phase1_entries(
 
 
 # ----------------------------------------------------------------------
-# Shard scoring backends
-# ----------------------------------------------------------------------
-
-
-class InlineShardBackend:
-    """Score shard sub-batches in-process (optionally on threads).
-
-    Jobs are ``(member_index, local_frame_ids)`` pairs in canonical
-    member order; results come back aligned. numpy releases the GIL in
-    the scoring kernels, so shards overlap under ``workers > 1``, and
-    :func:`~repro.parallel.pool.thread_map` consumes results in input
-    order — the earliest member's failure is the one that re-raises.
-    """
-
-    def __init__(self, videos: Sequence, scoring, *, workers: int = 1):
-        self.videos = list(videos)
-        self.scoring = scoring
-        self.workers = max(1, int(workers))
-
-    def score_many(
-        self, jobs: Sequence[Tuple[int, Sequence[int]]]
-    ) -> List[np.ndarray]:
-        def run(job: Tuple[int, Sequence[int]]) -> np.ndarray:
-            member, indices = job
-            video = self.videos[member]
-            return np.asarray(
-                self.scoring(video.frames(indices)), dtype=np.float64)
-
-        return thread_map(run, list(jobs), workers=self.workers)
-
-
-def _score_shipped_member(
-    member: Shipped, indices: Tuple[int, ...]
-) -> np.ndarray:
-    """Score one shard sub-batch in a pool worker."""
-    video, scoring = member.resolve()
-    return np.asarray(scoring(video.frames(indices)), dtype=np.float64)
-
-
-class PoolShardBackend:
-    """Ship shard sub-batches to a persistent process pool.
-
-    The service's process lane for corpus queries, on the one pool
-    protocol (DESIGN.md §6): each member's ``(video, scoring)`` is a
-    :class:`~repro.parallel.pool.Shipped` handle — pickled once, sent
-    to and unpickled by each worker once — and sub-batches are
-    gathered in canonical member order, the earliest member's
-    exception re-raising first, so a crashed shard worker fails the
-    corpus query deterministically.
-    """
-
-    def __init__(self, pool, videos: Sequence, scoring):
-        self.pool = pool
-        self.videos = list(videos)
-        self.scoring = scoring
-        self._members: List[Optional[Shipped]] = [None] * len(self.videos)
-
-    def _member(self, member: int) -> Shipped:
-        handle = self._members[member]
-        if handle is None:
-            handle = self._members[member] = Shipped(
-                (self.videos[member], self.scoring))
-        return handle
-
-    def score_many(
-        self, jobs: Sequence[Tuple[int, Sequence[int]]]
-    ) -> List[np.ndarray]:
-        return self.pool.map(
-            _score_shipped_member,
-            [self._member(member) for member, _ in jobs],
-            [tuple(int(i) for i in indices) for _, indices in jobs],
-        )
-
-
-# ----------------------------------------------------------------------
 # The federated confirming oracle
 # ----------------------------------------------------------------------
 
@@ -299,7 +227,6 @@ class FederatedOracle(Oracle):
         videos: Sequence,
         member_names: Sequence[str],
         offsets: np.ndarray,
-        backend,
         shard_costs: Sequence[CostModel],
         caches: Sequence[Optional[object]],
         budget: Optional[int] = None,
@@ -311,7 +238,6 @@ class FederatedOracle(Oracle):
         self.videos = list(videos)
         self.member_names = list(member_names)
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.backend = backend
         self.shard_costs = list(shard_costs)
         self.caches = list(caches)
         self.shard_budgets = list(
@@ -322,9 +248,7 @@ class FederatedOracle(Oracle):
 
     # ------------------------------------------------------------------
     def locate(self, global_id: int) -> Tuple[int, int]:
-        member = int(np.searchsorted(
-            self.offsets, int(global_id), side="right")) - 1
-        return member, int(global_id) - int(self.offsets[member])
+        return locate_global(self.offsets, global_id)
 
     def score(self, video, indices: Sequence[int]) -> np.ndarray:
         indices = [int(i) for i in indices]
@@ -350,24 +274,22 @@ class FederatedOracle(Oracle):
         self.calls += len(indices)
         self.cost_model.charge(self.cost_key, len(indices))
 
-        # Resolve cached scores, then fan the misses out per shard.
+        # Cached scores first, then every member's misses, scored here in
+        # canonical member order before anything is stored: a batch that
+        # fails part-way (the earliest member's error re-raises) leaves
+        # every cache and shard ledger as it was.
         known: Dict[int, Dict[int, float]] = {}
-        jobs: List[Tuple[int, List[int]]] = []
+        fresh: List[Tuple[int, List[int], np.ndarray]] = []
         for member in order:
             locals_ = [local for _, local in groups[member]]
             cache = self.caches[member]
-            found = cache.lookup(locals_) if cache is not None else {}
-            seen: set = set()
-            missing = [
-                local for local in locals_
-                if local not in found
-                and not (local in seen or seen.add(local))
-            ]
-            known[member] = found
+            known[member] = cache.lookup(locals_) if cache is not None else {}
+            missing = list(dict.fromkeys(
+                local for local in locals_ if local not in known[member]))
             if missing:
-                jobs.append((member, missing))
-        fresh = self.backend.score_many(jobs) if jobs else []
-        for (member, missing), scores in zip(jobs, fresh):
+                fresh.append((member, missing, np.asarray(
+                    self.scoring(self.videos[member].frames(missing)))))
+        for member, missing, scores in fresh:
             cache = self.caches[member]
             for local, score in zip(missing, scores):
                 score = float(score)
@@ -433,11 +355,8 @@ class CorpusOutcome:
         offsets = np.asarray(self.offsets, dtype=np.int64)
         resolved = []
         for global_id in self.report.answer_ids:
-            member = int(np.searchsorted(
-                offsets, int(global_id), side="right")) - 1
-            resolved.append(
-                (self.member_names[member],
-                 int(global_id) - int(offsets[member])))
+            member, local = locate_global(offsets, global_id)
+            resolved.append((self.member_names[member], local))
         return resolved
 
     def allocation(self) -> Dict[str, int]:
@@ -448,24 +367,14 @@ class CorpusOutcome:
 class FederatedTopK:
     """Federated top-k over a :class:`~repro.corpus.corpus.VideoCorpus`.
 
-    ``shard_workers`` fans per-shard confirmation scoring across
-    threads, and a cold corpus's missing member builds out
-    (:meth:`~repro.corpus.corpus.VideoCorpus.prepare`; default:
-    ``REPRO_WORKERS``, else serial); ``backend`` overrides the scoring
-    transport entirely (the service passes a :class:`PoolShardBackend`
-    on its process lane). Neither can change a report byte.
+    A cold corpus's missing member builds fan out as
+    :meth:`~repro.corpus.corpus.VideoCorpus.prepare` decides (default:
+    ``REPRO_WORKERS``, else serial); confirmations are scored in the
+    calling thread.
     """
 
-    def __init__(
-        self,
-        corpus,
-        *,
-        shard_workers: Optional[int] = None,
-        backend=None,
-    ):
+    def __init__(self, corpus):
         self.corpus = corpus
-        self.shard_workers = resolve_workers(shard_workers)
-        self.backend = backend
 
     def execute(self, plan, *,
                 shard_budgets: Optional[Sequence[Optional[int]]] = None
@@ -494,12 +403,8 @@ class FederatedTopK:
                 "shard boundaries is undefined — query a member "
                 "session for windows")
         corpus = self.corpus
-        state = corpus.merged_state(
-            plan.config, workers=self.shard_workers)
+        state = corpus.merged_state(plan.config)
         videos = [member.video for member in corpus.members]
-        backend = self.backend if self.backend is not None \
-            else InlineShardBackend(
-                videos, corpus.scoring, workers=self.shard_workers)
         # Members route their own caches (local frame ids).
         caches = [
             member.session.shared_score_cache for member in corpus.members]
@@ -511,7 +416,6 @@ class FederatedTopK:
                 videos=videos,
                 member_names=corpus.member_names,
                 offsets=corpus.offsets(),
-                backend=backend,
                 shard_costs=[CostModel(plan.unit_costs) for _ in videos],
                 caches=caches,
                 budget=plan.oracle_budget,

@@ -84,12 +84,13 @@ def thread_map(
     """Map ``fn`` over ``items`` preserving order.
 
     With one worker this is a plain loop; otherwise a thread pool.
-    Threads overlap only where the work leaves the GIL: shard scoring
-    does (a few large numpy kernels per call), and so does waiting on
-    a pool worker; a Phase-1 build does not (training is ~70 small
+    Threads overlap only where the work leaves the GIL: waiting on a
+    pool worker does; a Phase-1 build does not (training is ~70 small
     numpy calls a step — two builds on two threads measured 1.97x the
-    serial wall). Results are returned in input order either way, so
-    callers are deterministic regardless of the worker count.
+    serial wall), and neither does scoring a confirm batch (tens of µs
+    of Python per 8 frames, less than starting the threads costs).
+    Results are returned in input order either way, so callers are
+    deterministic regardless of the worker count.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or len(items) <= 1:

@@ -266,9 +266,8 @@ class QueryService:
         self._lock = threading.Lock()
         self._submit_seq = itertools.count()
         self._outcomes: List[QueryOutcome] = []
-        #: What the pool holds for a target, dropped with the target:
-        #: ``{phase1_key: _Remote}`` for a session, ``{None: shard
-        #: backend}`` for a corpus. The service keeps no session alive
+        #: What the pool holds for a session, dropped with the session:
+        #: ``{phase1_key: _Remote}``. The service keeps no session alive
         #: — the artifact LRU bounds its memory, not its history.
         self._pool_state = weakref.WeakKeyDictionary()
         #: Attached streams, for :meth:`close` to detach.
@@ -524,11 +523,10 @@ class QueryService:
 
         Member sessions are adopted into the shared artifact layer on
         first submission, so per-shard Phase-1 builds go single-flight
-        through the store and shard confirmations hit each member's
-        group score cache. The federated Phase-2 loop itself runs on a
-        scheduler worker; shard confirmation scoring fans out on the
-        service's lane — pool workers when the process lane is up,
-        threads otherwise. The lane cannot change a report byte.
+        through the store (side by side in pool workers on the process
+        lane) and shard confirmations hit each member's group score
+        cache. The federated Phase-2 loop, shard scoring included, runs
+        inline on a scheduler worker.
         """
         corpus = query.target
         for member in corpus.members:
@@ -606,36 +604,23 @@ class QueryService:
     # Execution (called on scheduler worker threads): every job is
     # picked up, executed by its kind's function, and settled.
     # ------------------------------------------------------------------
-    def _lane(self, target) -> str:
-        """Where work on ``target`` runs: ``"process"`` or ``"inline"``.
+    def _lane(self, session: Session) -> str:
+        """Where work on ``session`` runs: ``"process"`` or ``"inline"``.
 
         The one statement of the lane rule. The process lane memoizes a
-        pickled snapshot of the target's video(s) per pool worker, so
-        only an immutable snapshot may ship: a closed session, or a
-        corpus with no streaming member. A stream's watermark advances
-        between appends — a worker would answer over a stale (shorter)
-        copy, and crash confirming appended frames, while the inline
-        lane reads the live view. Query batches, Phase-1 builds (the
-        artifact store's ``build_pool``), the corpus shard backend, the
+        pickled snapshot of the session's video per pool worker, so only
+        an immutable snapshot may ship: a closed session. A stream's
+        watermark advances between appends — a worker would answer over
+        a stale (shorter) copy, and crash confirming appended frames,
+        while the inline lane reads the live view. Query batches,
+        Phase-1 builds (the artifact store's ``build_pool``), the
         execute span's ``lane`` and the workload planner all ask here;
-        the lane never changes a report byte.
+        the lane never changes a report byte. A corpus query and a
+        refresh pass always run inline.
         """
-        sessions = [target] if isinstance(target, Session) \
-            else [member.session for member in target.members]
-        if self._pool is None or any(s.live for s in sessions):
+        if self._pool is None or session.live:
             return "inline"
         return "process"
-
-    def _pooled(self, target, key, build):
-        """What the pool holds for ``(target, key)``, built on first use.
-
-        Lives exactly as long as ``target`` does (see ``_pool_state``).
-        """
-        with self._lock:
-            held = self._pool_state.setdefault(target, {})
-            if key not in held:
-                held[key] = build()
-            return held[key]
 
     def _run_batch(self, jobs: Sequence[_Job]) -> List[JobOutcome]:
         """Pick up, execute, settle — the one path every job takes.
@@ -647,7 +632,8 @@ class QueryService:
         spans the failure left open under ``error:<Type>``.
         """
         work = jobs[0].work
-        lane = self._lane(jobs[0].target)
+        lane = self._lane(jobs[0].target) if isinstance(work, QueryPlan) \
+            else "inline"
         spans = [
             self._pickup(job, batch_size=len(jobs), lane=lane)
             for job in jobs
@@ -712,22 +698,11 @@ class QueryService:
             report=value, phase2_cost=None, fresh_confirm_calls=value[1])
 
     def _execute_corpus(self, job: _Job, span, lane):
-        """One federated query: the Phase-2 loop runs here, shard
-        scoring on ``lane`` (pool workers, or the engine's own threads).
-        """
-        from ..corpus.federated import PoolShardBackend
-
-        corpus = job.target
-        backend = None  # inline: FederatedTopK builds a thread backend
-        if lane != "inline":
-            backend = self._pooled(corpus, None, lambda: PoolShardBackend(
-                self._pool,
-                [member.video for member in corpus.members],
-                corpus.scoring,
-            ))
+        """One federated query, on this thread: the cold member builds
+        lease side by side first, then the Phase-2 loop scores here."""
         with activate(span):
-            return job.work.run_detailed(
-                shard_workers=self.workers, backend=backend)
+            job.target.prepare(job.work.plan().config, workers=self.workers)
+            return job.work.run_detailed()
 
     def _execute_queries(self, jobs: Sequence[_Job], spans, lane) -> list:
         """One same-artifact batch of plans; a detail or an error each."""
@@ -758,11 +733,15 @@ class QueryService:
         """Run a batch's Phase 2 in a pool worker; a detail per plan."""
         session = jobs[0].target
         pool = self._pool
-        remote = self._pooled(
-            session, phase1_key(jobs[0].work.config),
-            lambda: _Remote(ship_spec(session, entries), pool.restarts))
+        key = phase1_key(jobs[0].work.config)
         with self._lock:
-            if remote.restarts != pool.restarts:
+            # Lives exactly as long as the session (see ``_pool_state``).
+            remotes = self._pool_state.setdefault(session, {})
+            remote = remotes.get(key)
+            if remote is None:
+                remote = remotes[key] = _Remote(
+                    ship_spec(session, entries), pool.restarts)
+            elif remote.restarts != pool.restarts:
                 # The workers those frames were sent to died with their
                 # executor; its successor's start with empty caches.
                 remote.shipped.clear()

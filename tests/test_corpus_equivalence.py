@@ -1,7 +1,7 @@
 """Equivalence certification for the federated corpus engine.
 
 The acceptance contract (mirroring ``test_parallel_equivalence.py`` /
-``test_service_differential.py``): under deterministic timing, a
+``test_service_differential.py``): a
 federated corpus execution — per-shard Phase 1, merged relation,
 cross-shard budget allocation, per-shard oracles and ledgers — is
 **byte-identical** (``QueryReport.to_json`` and the canonical merged
@@ -16,9 +16,9 @@ same global budget:
 * a multi-member corpus reproduces a plain executor run over the
   ``ConcatVideo`` with the same merged Phase-1 entry;
 * service submission returns the same bytes as inline execution on
-  both lanes (threads and the process pool);
-* shard-worker count, scoring backend, and streaming refreshes cannot
-  change a byte.
+  both lanes, and a corpus confirm scores in the query's own thread —
+  no thread pool, no pool task;
+* ``over_corpus`` and streaming refreshes cannot change a byte.
 """
 
 from __future__ import annotations
@@ -210,19 +210,13 @@ def test_member_corpus_matches_concat_reference_swept(
 # Execution knobs cannot change a byte.
 
 
-def test_shard_workers_and_over_corpus_are_neutral(member_corpus):
-    base = member_corpus.query().topk(4).guarantee(0.9)
-    serial = base.run_detailed(shard_workers=1)
-    threaded = base.run_detailed(shard_workers=3)
-    assert serial.report.to_json() == threaded.report.to_json()
-    assert ledger_key(serial.merged_cost()) == \
-        ledger_key(threaded.merged_cost())
-
+def test_over_corpus_is_neutral(member_corpus):
     # Query.over_corpus carries the same parameters across.
     member = member_corpus.members[0].session
     rebound = member.query().topk(4).guarantee(0.9) \
         .over_corpus(member_corpus)
-    assert rebound.run().to_json() == serial.report.to_json()
+    assert rebound.run().to_json() == \
+        member_corpus.query().topk(4).guarantee(0.9).run().to_json()
 
 
 def test_pooled_prepare_matches_serial_build(member_videos, udf):
@@ -303,6 +297,58 @@ def test_service_submitted_corpus_matches_inline(
 
 
 # ----------------------------------------------------------------------
+# A corpus confirm scores where the query runs: no thread, no pool task.
+
+
+def test_a_warm_service_corpus_query_creates_no_pool_task(
+        member_videos, udf, monkeypatch):
+    from repro.parallel.pool import PersistentPool
+
+    def query(k, thres):
+        return corpus.query().topk(k).guarantee(thres)
+
+    corpus = VideoCorpus.open(member_videos, udf, config=CORPUS_CONFIG)
+    tasks = []
+    real = PersistentPool._submit
+
+    def spy(pool, *args, **kwargs):
+        tasks.append(args)
+        return real(pool, *args, **kwargs)
+
+    try:
+        with QueryService(workers=2, use_processes=True) as service:
+            service.submit(query(2, 0.5)).result(240)  # Phase 1 warms here
+            monkeypatch.setattr(PersistentPool, "_submit", spy)
+            report = service.submit(query(12, 0.99)).result(240)
+            fresh = service.outcomes()[-1].fresh_confirm_calls
+    finally:
+        for member in corpus.members:
+            member.session.bind_service(None, None)
+    assert fresh > 0 and tasks == []
+    reference = VideoCorpus.open(member_videos, udf, config=CORPUS_CONFIG)
+    assert report.to_json() == \
+        reference.query().topk(12).guarantee(0.99).run().to_json()
+
+
+def test_a_corpus_confirm_starts_no_thread(member_corpus, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    started = []
+    real = ThreadPoolExecutor.__init__
+
+    def spy(executor, *args, **kwargs):
+        started.append(executor)
+        real(executor, *args, **kwargs)
+
+    monkeypatch.setenv("REPRO_WORKERS", "4")
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy)
+    outcome = member_corpus.query().topk(12).guarantee(0.99).run_detailed()
+    assert outcome.fresh_confirm_calls > 0
+    assert sum(1 for calls in outcome.shard_confirms if calls) > 1
+    assert started == []
+
+
+# ----------------------------------------------------------------------
 # Streaming corpora: an append refreshes the global subscription.
 
 
@@ -344,11 +390,11 @@ def test_subscribe_requires_a_streaming_member(member_corpus):
 
 
 def test_streaming_member_corpus_never_ships_to_the_pool(udf):
-    """Process-lane submissions of a streaming-member corpus stay on
-    the inline backend: the pool memoizes pickled member videos per
-    worker, so a shipped stream would answer over a stale watermark
-    (and crash confirming appended frames). Mirrors the plain-query
-    streaming pin: both ask ``QueryService._lane``."""
+    """Process-lane submissions of a streaming-member corpus answer
+    over the live watermark: the pool memoizes pickled member videos
+    per worker, so a shipped stream would answer over a stale one (and
+    crash confirming appended frames). A corpus confirm scores on the
+    scheduler thread, and the stream's own lane is inline."""
     source = TrafficVideo("corpus-pool-live", 560, seed=57)
     stream = Session.open_stream(
         source, udf, initial_frames=360, config=CORPUS_CONFIG)
@@ -360,8 +406,7 @@ def test_streaming_member_corpus_never_ships_to_the_pool(udf):
 
     try:
         with QueryService(workers=2, use_processes=True) as service:
-            # The lane guard itself: no pool backend for this corpus.
-            assert service._lane(corpus) == "inline"
+            assert service._lane(stream) == "inline"
 
             first = service.submit(query).result(240)
             stream.append(150)

@@ -1,10 +1,9 @@
 """Failure injection for the federated corpus engine.
 
 Mirrors the ``test_parallel_cost_ledger.py`` discipline: failures must
-be *deterministic* (same type, same payload, same canonical position
-regardless of shard-worker count or lane) and must leave the ledgers
-consistent (a failed allocation charges nothing, so a retry never
-double-counts).
+be *deterministic* (same type, same payload, same canonical position)
+and must leave the ledgers consistent (a failed allocation charges
+nothing, so a retry never double-counts).
 
 * A shard's oracle tripping its per-shard budget mid-allocation fails
   the corpus query with :class:`~repro.errors.ShardBudgetExceededError`
@@ -12,31 +11,29 @@ double-counts).
   charge from the offending batch lands.
 * A global budget trips with the exact error (type and budget) the
   plain concatenated execution raises.
-* A crashed process-lane shard worker re-raises in canonical member
-  order: when several shards fail in one batch, the parent surfaces
-  the lowest-indexed member's error, whichever future finished first.
+* A crashing shard re-raises in canonical member order: when several
+  shards fail in one batch, the lowest-indexed member's error surfaces,
+  and a batch that fails part-way stores and charges nothing per shard.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from repro import EverestConfig, Session, VideoCorpus
+from repro import EverestConfig, QueryService, Session, VideoCorpus
 from repro.config import Phase1Config
-from repro.corpus.federated import (
-    FederatedOracle,
-    InlineShardBackend,
-    PoolShardBackend,
-)
+from repro.corpus.federated import FederatedOracle
 from repro.errors import (
     OracleBudgetExceededError,
+    OracleError,
     ShardBudgetExceededError,
 )
 from repro.oracle import CostModel, counting_udf
-from repro.parallel.pool import PersistentPool, available_cpus
+from repro.oracle.cache import ScoreCache
 from repro.video import TrafficVideo
 
 FAST = EverestConfig(
@@ -48,6 +45,7 @@ FAST = EverestConfig(
         epochs=15,
     ),
 )
+WAIT = 60.0
 
 
 class ExplodingVideo(TrafficVideo):
@@ -55,6 +53,17 @@ class ExplodingVideo(TrafficVideo):
 
     def frame(self, index):
         raise RuntimeError(f"shard {self.name} exploded")
+
+
+class FuseVideo(TrafficVideo):
+    """A member that reads normally until ``lit``, then crashes."""
+
+    lit = False
+
+    def frame(self, index):
+        if self.lit:
+            raise RuntimeError(f"shard {self.name} exploded")
+        return super().frame(index)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +81,8 @@ def corpus(udf):
     return built
 
 
-def make_oracle(udf, videos, *, backend=None, budget=None,
-                shard_budgets=None, caches=None):
+def make_oracle(udf, videos, *, budget=None, shard_budgets=None,
+                caches=None):
     """A standalone federated oracle over plain member videos."""
     lengths = [len(v) for v in videos]
     offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
@@ -83,8 +92,6 @@ def make_oracle(udf, videos, *, backend=None, budget=None,
         videos=videos,
         member_names=[v.name for v in videos],
         offsets=offsets,
-        backend=backend if backend is not None
-        else InlineShardBackend(videos, udf),
         shard_costs=[CostModel() for _ in videos],
         caches=caches if caches is not None else [None] * len(videos),
         budget=budget,
@@ -96,17 +103,26 @@ def make_oracle(udf, videos, *, backend=None, budget=None,
 # Per-shard budgets: deterministic error, no charge from a failed batch.
 
 
-@pytest.mark.parametrize("shard_workers", [1, 2])
-def test_shard_budget_error_is_deterministic(corpus, shard_workers):
-    query = (
-        corpus.query().topk(3).guarantee(0.999)
-        .shard_budget("fail-cam2", 4)
-    )
-    with pytest.raises(ShardBudgetExceededError) as excinfo:
-        query.run_detailed(shard_workers=shard_workers)
-    assert excinfo.value.budget == 4
-    assert excinfo.value.member == "fail-cam2"
-    assert "fail-cam2" in str(excinfo.value)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shard_budget_error_is_deterministic(corpus, udf, workers):
+    # The inline query and the same clause through a service of
+    # ``workers`` threads (which builds a fresh copy's cold members
+    # side by side) raise the very same error.
+    def capped(target):
+        return (target.query().topk(3).guarantee(0.999)
+                .shard_budget("fail-cam2", 4))
+
+    with pytest.raises(ShardBudgetExceededError) as inline:
+        capped(corpus).run_detailed()
+    videos = [member.video for member in corpus.members]
+    with QueryService(workers=workers, use_processes=False) as service:
+        fresh = VideoCorpus.open(videos, udf, config=FAST)
+        with pytest.raises(ShardBudgetExceededError) as served:
+            service.submit(capped(fresh)).result(WAIT)
+    for excinfo in (inline, served):
+        assert excinfo.value.budget == 4
+        assert excinfo.value.member == "fail-cam2"
+        assert "fail-cam2" in str(excinfo.value)
 
 
 def test_shard_budget_precheck_charges_nothing(udf):
@@ -245,31 +261,81 @@ class TestCorpusValidation:
 
 
 # ----------------------------------------------------------------------
-# Process-lane shard workers: canonical-order error surfacing.
+# Shard errors: canonical order, nothing stored from a failed batch.
+
+
+def test_inline_lane_reraises_in_canonical_shard_order(udf):
+    # A confirm batch is scored in the calling thread, one member after
+    # another in canonical order.
+    videos = [
+        TrafficVideo("batch-ok", 100, seed=80),
+        ExplodingVideo("batch-boom-a", 100, seed=81),
+        ExplodingVideo("batch-boom-b", 100, seed=82),
+    ]
+    oracle = make_oracle(udf, videos)
+    # One batch spanning all three shards, listed out of member order:
+    # both exploding members would fail; the first member's error is
+    # the one that surfaces.
+    with pytest.raises(RuntimeError) as excinfo:
+        oracle.score(None, [205, 5, 105])
+    assert "batch-boom-a" in str(excinfo.value)
+
+    # The healthy shard scores exactly what its own video scores.
+    np.testing.assert_array_equal(
+        oracle.score(None, [5, 6, 7]), udf(videos[0].frames([5, 6, 7])))
 
 
 def test_pool_lane_reraises_in_canonical_shard_order(udf):
+    # A service with a process pool still confirms a corpus query on
+    # its scheduler thread: a crashing shard surfaces exactly the error
+    # the plain inline query raises.
     videos = [
-        TrafficVideo("pool-ok", 100, seed=80),
-        ExplodingVideo("pool-boom-a", 100, seed=81),
-        ExplodingVideo("pool-boom-b", 100, seed=82),
+        TrafficVideo("pool-ok", 300, seed=75),
+        FuseVideo("pool-boom-a", 300, seed=76),
+        FuseVideo("pool-boom-b", 300, seed=77),
     ]
-    with PersistentPool(workers=min(2, available_cpus())) as pool:
-        backend = PoolShardBackend(pool, videos, udf)
-        oracle = make_oracle(udf, videos, backend=backend)
-        # One batch spanning all three shards: both exploding members
-        # fail in their workers; the parent must surface the *first*
-        # member's error (canonical order), not whichever future
-        # happened to finish first.
-        with pytest.raises(RuntimeError) as excinfo:
-            oracle.score(None, [5, 105, 205])
-        assert "pool-boom-a" in str(excinfo.value)
+    corpus = VideoCorpus.open(videos, udf, config=FAST)
+    corpus.prepare()
+    for video in videos[1:]:
+        video.lit = True  # builds are done; every confirm read crashes
+    query = corpus.query().topk(3).guarantee(0.999)
+    with pytest.raises(RuntimeError) as inline:
+        query.run()
+    with QueryService(workers=2, use_processes=True) as service:
+        with pytest.raises(RuntimeError) as served:
+            service.submit(query).result(WAIT)
+    assert "pool-boom-a exploded" in str(inline.value)
+    assert str(served.value) == str(inline.value)
 
-        # The healthy shard scores through the pool bit-identically to
-        # an inline backend.
-        pooled = oracle.score(None, [5, 6, 7])
-        inline = make_oracle(udf, videos).score(None, [5, 6, 7])
-        np.testing.assert_array_equal(pooled, inline)
+
+def test_a_later_members_non_finite_score_stores_nothing(udf):
+    def nan_at_local_frame_50(frames):
+        scores = np.array(udf.score_frames(frames), dtype=np.float64)
+        scores[[frame.index == 50 for frame in frames]] = np.nan
+        return scores
+
+    scoring = dataclasses.replace(udf, score_frames=nan_at_local_frame_50)
+    videos = [
+        TrafficVideo(f"finite-{i}", 100, seed=85 + i) for i in range(3)]
+    caches = [ScoreCache() for _ in videos]
+    oracle = make_oracle(scoring, videos, caches=caches)
+    oracle.score(None, [1, 101])  # a healthy batch fills two caches
+
+    def shard_state():
+        return [(cache.as_dict(),
+                 {key: (cost.units(key), cost.seconds(key))
+                  for key in cost.breakdown()})
+                for cache, cost in zip(caches, oracle.shard_costs)]
+
+    before = shard_state()
+    assert [len(scores) for scores, _ in before] == [1, 1, 0]
+    # The two earlier members' misses are scored before the last
+    # member's NaN; none of them is stored or charged to its shard.
+    with pytest.raises(OracleError, match="non-finite"):
+        oracle.score(None, [2, 102, 250])
+    assert shard_state() == before
+    assert oracle.shard_calls == [1, 1, 0]
+    assert oracle.fresh_calls == 2
 
 
 def test_pooled_prepare_reraises_in_canonical_member_order(udf):
@@ -281,17 +347,3 @@ def test_pooled_prepare_reraises_in_canonical_member_order(udf):
     with pytest.raises(RuntimeError) as excinfo:
         corpus.prepare(workers=2)
     assert "prep-boom-a" in str(excinfo.value)
-
-
-def test_inline_lane_reraises_in_canonical_shard_order(udf):
-    videos = [
-        ExplodingVideo("inline-boom-a", 100, seed=83),
-        ExplodingVideo("inline-boom-b", 100, seed=84),
-    ]
-    for workers in (1, 2):
-        oracle = make_oracle(
-            udf, videos,
-            backend=InlineShardBackend(videos, udf, workers=workers))
-        with pytest.raises(RuntimeError) as excinfo:
-            oracle.score(None, [150, 50])
-        assert "inline-boom-a" in str(excinfo.value), f"workers={workers}"

@@ -1,10 +1,10 @@
 """The one process-pool protocol (DESIGN.md §6), pinned once.
 
 Every place the library leaves the process goes through
-:class:`~repro.parallel.pool.PersistentPool`: a sweep grid point, a
-service batch and a federated shard sub-batch all ship their long-lived
-state as a :class:`~repro.parallel.pool.Shipped` handle and gather
-through :meth:`PersistentPool.map`. The equivalence suites certify what
+:class:`~repro.parallel.pool.PersistentPool`: a sweep grid point and a
+service batch both ship their long-lived state as a
+:class:`~repro.parallel.pool.Shipped` handle and gather through
+:meth:`PersistentPool.map`. The equivalence suites certify what
 those drivers *compute*; this file certifies how the state reaches a
 worker and how results and failures come back.
 """
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro import Session
-from repro.corpus.federated import PoolShardBackend
 from repro.oracle import counting_udf
 from repro.oracle.cache import ScoreCache
 from repro.parallel.pool import PersistentPool, Shipped
@@ -78,16 +77,7 @@ def _service_batches(pool, session, plans):
     assert len(cache) > 0
 
 
-def _shard_batches(pool, session, plans):
-    """What a pooled corpus query dispatches: shard sub-batches."""
-    backend = PoolShardBackend(pool, [session.video], session.scoring)
-    for start in range(len(plans)):
-        (scores,) = backend.score_many([(0, [start, start + 1])])
-        assert scores.shape == (2,)
-
-
-@pytest.mark.parametrize(
-    "dispatch", [_sweep_tasks, _service_batches, _shard_batches])
+@pytest.mark.parametrize("dispatch", [_sweep_tasks, _service_batches])
 def test_shipped_state_is_unpickled_once_per_worker(dispatch, fast_config):
     name = f"ship-once-{dispatch.__name__}"
     session = Session(

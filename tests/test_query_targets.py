@@ -213,8 +213,6 @@ def test_single_target_clauses_name_the_other_door(targets):
         targets["session"].query().shard_budget("targets-closed", 5)
     with pytest.raises(QueryError, match=r"member session's query\(\)"):
         targets["corpus"].query().windows(size=10)
-    with pytest.raises(QueryError, match=r"Session\.execute_many"):
-        targets["session"].query().run_detailed(shard_workers=2)
     assert targets["session"].phase1_runs == 0
 
 
@@ -368,7 +366,10 @@ def test_plans_carry_no_timing_mode(targets):
 
 
 def test_run_lost_its_parallel_knob(targets):
-    assert set(inspect.signature(Query.run).parameters) == \
-        {"self", "shard_workers"}
+    from repro.corpus.federated import FederatedTopK
+
+    for method in (Query.run, Query.run_detailed):
+        assert list(inspect.signature(method).parameters) == ["self"]
+    assert list(inspect.signature(FederatedTopK).parameters) == ["corpus"]
     assert type(targets["session"].query()) is \
         type(targets["corpus"].query())

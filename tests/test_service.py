@@ -667,7 +667,10 @@ class TestQueryServiceSurface:
     def test_a_dead_shard_worker_fails_the_corpus_query_retryably(
             self, comp_cfg, tmp_path):
         # ROADMAP 6(v): a pooled corpus query used to surface the raw
-        # BrokenProcessPool; pool.map is the one translation now.
+        # BrokenProcessPool; pool.map is the one translation now. The
+        # fuse fires in the first frame read, the labelling of the
+        # worker building shard-a's Phase 1 (a corpus confirm scores on
+        # the scheduler thread, so no later worker reads a frame).
         from repro.corpus import VideoCorpus
 
         def videos(first=TrafficVideo):

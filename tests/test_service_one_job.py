@@ -426,11 +426,11 @@ def pooled_traced():
 
 def test_the_trace_names_the_lane_that_ran(pooled_traced):
     service, tracer, stream, closed = pooled_traced
-    # A corpus with a streaming member runs inline — and says so.
-    corpus = VideoCorpus([stream, closed])
-    future = service.submit(corpus.query().topk(3).guarantee(0.85))
-    future.result(WAIT)
-    assert _execute_span(tracer, future).attrs["lane"] == "inline"
+    # A corpus query runs inline — and says so, streaming member or not.
+    for corpus in (VideoCorpus([stream, closed]), VideoCorpus([closed])):
+        future = service.submit(corpus.query().topk(3).guarantee(0.85))
+        future.result(WAIT)
+        assert _execute_span(tracer, future).attrs["lane"] == "inline"
     # So does a stream's own query; a closed session still ships.
     for session, lane in ((stream, "inline"), (closed, "process")):
         future = service.submit(session.query().topk(3).guarantee(0.9))
