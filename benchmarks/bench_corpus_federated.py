@@ -1,18 +1,18 @@
 """Bench for the federated corpus engine: fleet answers, pooled shards.
 
 Opens a 4-shard corpus of Table-7 counting videos and answers one
-global top-k twice — once with the serial per-shard Phase-1 loop
-(``prepare(workers=1)``), once with the builds fanned across a
-4-worker process pool — printing the wall-clock speedup and the
+global top-k twice from cold — once with the serial per-shard Phase-1
+loop (``prepare()`` then the query), once submitted to a
+``QueryService(workers=4)``, whose process lane builds the cold shards
+side by side in pool workers — printing the wall-clock speedup and the
 cross-shard budget allocation. Asserts the acceptance contract:
 
-* the federated report is byte-identical at every worker count AND to
-  a plain single-video execution over the concatenated footage with
-  the same merged Phase-1 entry (the DESIGN.md §9 equivalence), and
-* at bench scale with at least 4 usable CPUs, the pooled per-shard
-  Phase-1 prepare runs >= 2x faster than the serial per-shard loop
-  (on fewer CPUs or at quick scale the speedup is reported, not
-  asserted).
+* the federated report is byte-identical on both paths AND to a plain
+  single-video execution over the concatenated footage with the same
+  merged Phase-1 entry (the DESIGN.md §9 equivalence), and
+* at bench scale with at least 4 usable CPUs, the cold query through
+  the service runs >= 2x faster than the serial prepare plus query (on
+  fewer CPUs or at quick scale the speedup is reported, not asserted).
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from repro.experiments.runner import (
     format_table,
 )
 from repro.oracle import counting_udf
+from repro.service import QueryService
 from repro.video.views import ConcatVideo
 
 from bench_util import available_cpus, scale_label, write_bench_result
 
-WORKER_COUNTS = (1, 4)
+SERVICE_WORKERS = 4
 NUM_SHARDS = 4
 TOP_K = 10
 THRES = 0.9
@@ -44,81 +45,77 @@ def _fresh_corpus(bench_scale) -> VideoCorpus:
         videos, counting_udf("car"), config=config_for(bench_scale))
 
 
-def test_corpus_federated_speedup(bench_scale, bench_strict):
-    prepare_timings = {}
-    query_timings = {}
-    outcomes = {}
-    corpora = {}
-    for workers in WORKER_COUNTS:
-        corpus = _fresh_corpus(bench_scale)
-        start = time.perf_counter()
-        corpus.prepare(workers=workers)
-        prepare_timings[workers] = time.perf_counter() - start
-        start = time.perf_counter()
-        outcomes[workers] = (
-            corpus.query().topk(TOP_K).guarantee(THRES)
-            .run_detailed()
-        )
-        query_timings[workers] = time.perf_counter() - start
-        corpora[workers] = corpus
+def _query(corpus):
+    return corpus.query().topk(TOP_K).guarantee(THRES)
 
-    rows = [
-        [
-            f"{workers}",
-            f"{prepare_timings[workers]:.2f}s",
-            f"{prepare_timings[1] / prepare_timings[workers]:.2f}x",
-            f"{query_timings[workers]:.2f}s",
-        ]
-        for workers in WORKER_COUNTS
-    ]
+
+def test_corpus_federated_speedup(bench_scale, bench_strict):
+    corpus = _fresh_corpus(bench_scale)
+    start = time.perf_counter()
+    corpus.prepare()
+    prepare_seconds = time.perf_counter() - start
+    outcome = _query(corpus).run_detailed()
+    serial_seconds = time.perf_counter() - start
+
+    pooled = _fresh_corpus(bench_scale)
+    start = time.perf_counter()
+    with QueryService(workers=SERVICE_WORKERS, max_pending=None) as service:
+        served = service.submit(_query(pooled)).result()
+    service_seconds = time.perf_counter() - start
+
+    speedup = serial_seconds / service_seconds
     print()
     print(format_table(
-        ("prepare-workers", "prepare", "prepare-speedup", "query"),
-        rows,
+        ("path", "cold query", "speedup"),
+        [
+            ["serial prepare + run", f"{serial_seconds:.2f}s", "1.00x"],
+            [f"QueryService(workers={SERVICE_WORKERS})",
+             f"{service_seconds:.2f}s", f"{speedup:.2f}x"],
+        ],
         title=f"Federated corpus: {NUM_SHARDS} shards, "
-              f"{corpora[1].total_frames:,} frames, "
+              f"{corpus.total_frames:,} frames, "
               f"{available_cpus()} usable CPUs",
     ))
-    allocation = outcomes[1].allocation()
     print("budget allocation:", ", ".join(
-        f"{name}={confirms}" for name, confirms in allocation.items()))
+        f"{name}={confirms}"
+        for name, confirms in outcome.allocation().items()))
 
-    # Bit-identical reports at every worker count.
-    baseline = outcomes[1].report.to_json()
-    for workers in WORKER_COUNTS[1:]:
-        assert outcomes[workers].report.to_json() == baseline, \
-            f"workers={workers}"
+    # Bit-identical reports on both paths ...
+    baseline = outcome.report.to_json()
+    assert served.to_json() == baseline
 
     # ... and to the plain concatenated-execution reference.
-    corpus = corpora[1]
     state = corpus.merged_state()
     reference_session = Session(
         ConcatVideo([m.video for m in corpus.members], name=corpus.name),
         corpus.scoring, config=config_for(bench_scale))
     reference_session.adopt_phase1(state.entry, config_for(bench_scale))
     reference = QueryExecutor(reference_session).execute(
-        corpus.query().topk(TOP_K).guarantee(THRES).plan())
+        _query(corpus).plan())
     assert reference.to_json() == baseline
 
-    speedup = prepare_timings[1] / prepare_timings[4]
     write_bench_result(
         "corpus_federated",
         scale=scale_label(bench_scale),
-        seconds=sum(prepare_timings.values()) + sum(query_timings.values()),
+        seconds=serial_seconds + service_seconds,
         margin=speedup - 2.0 if bench_strict else None,
         shards=NUM_SHARDS,
-        total_frames=corpora[1].total_frames,
-        prepare_seconds={
-            str(w): prepare_timings[w] for w in WORKER_COUNTS},
-        prepare_speedup=speedup,
+        total_frames=corpus.total_frames,
+        prepare_seconds=prepare_seconds,
+        cold_query_seconds={
+            "serial": serial_seconds,
+            f"service_{SERVICE_WORKERS}": service_seconds,
+        },
+        cold_query_speedup=speedup,
         byte_identical=True,
     )
 
-    # Wall-clock acceptance: the pooled per-shard Phase-1 builds beat
-    # the serial per-shard loop >= 2x at 4 workers, when the hardware
-    # and workload can support it (quick-scale Phase 1 is too small to
+    # Wall-clock acceptance: the service's pooled shard builds beat the
+    # serial per-shard loop >= 2x at 4 workers, when the hardware and
+    # workload can support it (quick-scale Phase 1 is too small to
     # amortize pool startup; it smoke-tests the path instead).
     if bench_strict and available_cpus() >= 4:
         assert speedup >= 2.0, (
-            f"expected >= 2x prepare speedup with 4 prepare workers on "
+            f"expected >= 2x cold-query speedup with "
+            f"{SERVICE_WORKERS} service workers on "
             f"{available_cpus()} CPUs, got {speedup:.2f}x")

@@ -7,7 +7,7 @@ by reference against it — exactly what a process-pool worker does —
 resolves to the wrong module or none at all. Helpers that benchmark
 *code* (rather than fixtures) therefore live here under an
 unambiguous module name, keeping every ``bench_*`` module safe to use
-with ``ParallelRunner`` / ``REPRO_WORKERS``.
+with a process-lane ``QueryService`` / ``REPRO_WORKERS``.
 """
 
 from __future__ import annotations

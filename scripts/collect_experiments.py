@@ -6,10 +6,10 @@ every query report as JSON (``results/reports.json``, via
 ``QueryReport.to_json``) so later analysis can reload the raw numbers
 without re-running the sweeps.
 
-``--workers N`` (or ``REPRO_WORKERS=N``) fans the parameter sweeps
-(fig5/6/7/9, table8) across a process pool: Phase 1 is still built
-once per video, workers run only Phase 2, and reports are identical
-to a serial run up to deterministic-timing normalization.
+``--workers N`` (or ``REPRO_WORKERS=N``) sizes the query service the
+parameter sweeps (fig5/6/7/9, table8) and the corpus run submit to:
+Phase 1 is built once per video, several videos side by side in pool
+workers, and reports are byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool width for the parameter sweeps "
+        help="query-service width for the parameter sweeps "
              "(default: REPRO_WORKERS, else serial)")
     args = parser.parse_args()
     workers = args.workers

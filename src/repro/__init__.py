@@ -35,7 +35,7 @@ from .api import (
     Session,
     open_session,
 )
-from .parallel import ParallelRunner, resolve_workers
+from .parallel import resolve_workers
 from .corpus import (
     CorpusSubscription,
     FederatedTopK,
@@ -72,7 +72,6 @@ __all__ = [
     "Query",
     "QueryPlan",
     "QueryExecutor",
-    "ParallelRunner",
     "resolve_workers",
     "QueryFuture",
     "QueryService",

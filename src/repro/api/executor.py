@@ -6,9 +6,9 @@ the session's Phase 1 artifacts, materializes the frame- or
 window-level uncertain relation, runs the cleaning loop with a fresh
 cost ledger, and assembles the :class:`~repro.core.result.QueryReport`.
 Each execution clones the cached relation, so a query never perturbs
-its session and per-query Table 8 breakdowns stay exact. Sweeps of
-plans fan out one level up (:meth:`Session.execute_many`, DESIGN.md
-§6); every grid point still ends in :meth:`QueryExecutor.execute_detailed`.
+its session and per-query Table 8 breakdowns stay exact. Many plans
+fan out one level up (a :class:`~repro.service.QueryService`, DESIGN.md
+§6); every one still ends in :meth:`QueryExecutor.execute_detailed`.
 """
 
 from __future__ import annotations

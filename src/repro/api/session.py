@@ -46,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import EverestConfig
 from ..errors import CheckpointError, QueryError
@@ -453,35 +453,6 @@ class Session:
     def execute(self, plan: "QueryPlan") -> "QueryReport":
         """Run a compiled plan against this session's cached Phase 1."""
         return self._executor().execute(plan)
-
-    def execute_many(
-        self,
-        plans: "Sequence[QueryPlan]",
-        *,
-        workers: Optional[int] = None,
-    ) -> "List[QueryReport]":
-        """Run a sweep of plans, fanning across a process pool.
-
-        Phase 1 is built once per configuration in this process and
-        shared with the workers (DESIGN.md §6); reports come back in
-        plan order and are identical for every worker count.
-        ``workers`` defaults to the ``REPRO_WORKERS`` environment
-        variable, falling back to serial execution. A live session
-        executes serially.
-        """
-        if self.live:
-            if workers is not None and workers > 1:
-                # Make the single-process constraint visible instead of
-                # silently delivering no speedup.
-                raise QueryError(
-                    "streaming sessions execute serially (the incremental "
-                    "state is single-process); fan a sweep out from a "
-                    "batch Session instead")
-            executor = self._executor()
-            return [executor.execute(plan) for plan in plans]
-        from ..parallel.runner import ParallelRunner
-
-        return ParallelRunner(workers).run_sweep(self, plans)
 
     # ------------------------------------------------------------------
     # Phase 1: the maintained entry for the pinned key when live; the

@@ -28,18 +28,16 @@ federated engine executes against:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.session import Phase1Entry, Session, build_phase1_entry, phase1_key
+from ..api.session import Phase1Entry, Session, phase1_key
 from ..config import EverestConfig
 from ..errors import CorpusError, FrameIndexError
 from ..oracle.cost import CostModel
-from ..parallel.pool import PersistentPool, resolve_workers, thread_map
 from ..video.views import ConcatVideo, VideoSlice
 
 
@@ -262,62 +260,32 @@ class VideoCorpus:
         return member.session.phase1(config)
 
     def prepare(
-        self,
-        config: Optional[EverestConfig] = None,
-        *,
-        workers: Optional[int] = None,
+        self, config: Optional[EverestConfig] = None
     ) -> List[Phase1Entry]:
         """Build (or fetch) every member's Phase-1 entry, in order.
 
-        ``workers > 1`` fans the missing builds out. *Plain-session*
-        members go across a short-lived process pool — each worker
-        runs one shard's sampling, CMDN grid training and proxy
-        inference, and the parent adopts the (purely simulated,
-        bit-identical) entries. *Service-bound* members lease through
-        their store side by side on threads when the store builds in
-        pool workers (a lease then waits on a worker, not on the GIL).
-        Either way entries come back in canonical member order and the
-        earliest member's failure re-raises first. Members that are
-        streaming, already built, or bound to a store that builds on
-        the leasing thread are served in-process, one after another.
+        One member after another; a cold corpus's builds fan out when
+        it is submitted to a :class:`~repro.service.QueryService`,
+        whose process lane leases :meth:`cold_members` side by side.
         Split corpora adopt the archive's entry and build nothing.
         """
         config = config if config is not None else self.config
-        workers = resolve_workers(workers)
         if self._split_source is not None:
             entry = self._split_source.phase1(config)
             return [entry] * self.num_members
-
-        key = phase1_key(config)
-        missing = [
-            member for member in self.members
-            if not member.streaming
-            and key not in member.session._phase1_cache
-        ]
-        buildable = [
-            member for member in missing if member.session.artifacts is None]
-        if workers > 1 and len(buildable) > 1:
-            # Canonical member order: the earliest shard's failure is
-            # the one the serial loop would hit first.
-            with PersistentPool(min(workers, len(buildable))) as pool:
-                built = pool.map(
-                    build_phase1_entry,
-                    [member.video for member in buildable],
-                    [member.session.scoring for member in buildable],
-                    [member.session._unit_costs for member in buildable],
-                    itertools.repeat(config),
-                )
-            for member, entry in zip(buildable, built):
-                member.session.adopt_phase1(entry, config)
-        thread_map(
-            lambda member: member.session.phase1(config),
-            [member for member in missing
-             if member.session.artifacts is not None
-             and member.session.artifacts.build_pool(member.session)
-             is not None],
-            workers=workers)
         return [
             self._member_entry(member, config) for member in self.members
+        ]
+
+    def cold_members(self, config: EverestConfig) -> List[CorpusMember]:
+        """Closed members whose Phase-1 entry for ``config`` is still
+        to be built, in member order (none for a split corpus)."""
+        if self._split_source is not None:
+            return []
+        return [
+            member for member in self.members
+            if not member.streaming
+            and not member.session.phase1_cached(config)
         ]
 
     def _fingerprint(self, config: EverestConfig) -> Tuple:

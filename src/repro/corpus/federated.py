@@ -367,10 +367,10 @@ class CorpusOutcome:
 class FederatedTopK:
     """Federated top-k over a :class:`~repro.corpus.corpus.VideoCorpus`.
 
-    A cold corpus's missing member builds fan out as
-    :meth:`~repro.corpus.corpus.VideoCorpus.prepare` decides (default:
-    ``REPRO_WORKERS``, else serial); confirmations are scored in the
-    calling thread.
+    A cold corpus's missing member builds run one after another
+    (:meth:`~repro.corpus.corpus.VideoCorpus.prepare`; a
+    :class:`~repro.service.QueryService` fans them out first);
+    confirmations are scored in the calling thread.
     """
 
     def __init__(self, corpus):

@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from ..corpus.corpus import VideoCorpus
 from ..oracle.detector import counting_udf
+from ..service import QueryService
 from .runner import (
     ExperimentScale,
     config_for,
@@ -72,12 +73,13 @@ def run(
         videos = counting_videos(scale)[:num_members]
     config = config_for(scale)
     corpus = VideoCorpus.open(videos, counting_udf("car"), config=config)
-    # Per-shard Phase 1, fanned across a process pool when asked.
-    corpus.prepare(workers=workers)
-    outcome = (
-        corpus.query().topk(k).guarantee(thres)
-        .run_detailed()
-    )
+    query = corpus.query().topk(k).guarantee(thres)
+    # The service builds the cold shards (side by side in pool workers
+    # on its process lane); the per-shard detail is then read from a
+    # warm run, byte-identical to the served report.
+    with QueryService(workers=workers, max_pending=None) as service:
+        service.submit(query).result()
+    outcome = query.run_detailed()
 
     answer_counts = {name: 0 for name in corpus.member_names}
     for name, _local in outcome.answer_members():

@@ -23,7 +23,8 @@ from ..core.windows import window_truth
 from ..metrics import QualityMetrics, evaluate_answer
 from ..oracle.base import ScoringFunction, exact_scores
 from ..oracle.detector import counting_udf
-from ..parallel import ParallelRunner, resolve_workers
+from ..service import QueryService
+from ..trace import Tracer
 from ..video.datasets import COUNTING_DATASETS, DASHCAM_DATASETS
 from ..video.synthetic import SyntheticVideo
 
@@ -138,9 +139,9 @@ def record_from_report(
 ) -> ExperimentRecord:
     """Evaluate one finished query report against the ground truth.
 
-    The evaluation half of :func:`run_everest`, shared with the
-    parallel sweep path (where reports come back from pool workers and
-    metrics are computed in the parent).
+    The evaluation half of :func:`run_everest`, shared with
+    :func:`execute_sweep` (whose reports come back from a query
+    service).
     """
     k = report.k
     window_size = report.window_size
@@ -226,44 +227,45 @@ def execute_sweep(
     *,
     workers: Optional[int] = None,
 ) -> List[ExperimentRecord]:
-    """Run an experiment sweep, optionally fanned across a pool.
+    """Run an experiment sweep through one query service.
 
-    With one worker (the default unless ``REPRO_WORKERS`` says
-    otherwise) this is the classic serial loop. With more, grid points
-    execute on a :class:`~repro.parallel.runner.ParallelRunner`: each
-    session's Phase 1 is built once here and shared, workers run only
-    Phase 2, and the resulting records are identical to the serial
-    ones up to the deterministic-timing normalization of the reports.
+    Every point's plan is submitted to a ``QueryService(workers=
+    workers)`` (DESIGN.md §6): a session's Phase 1 builds once, in a
+    pool worker on the process lane (several sessions' side by side),
+    and the reports come back in point order — the earliest failing
+    point re-raises — byte-identical at every worker count. Each query
+    runs traced, and the wall seconds of its ``select`` spans (the one
+    stage the simulated ledger does not price) land in
+    ``extras["select_seconds"]``. The sessions outlive the service and
+    answer later queries inline.
     """
-    workers = resolve_workers(workers)
-    if workers <= 1:
-        records = [
-            run_everest(
-                point.session.video, point.session.scoring,
-                k=point.k, thres=point.thres,
-                window_size=point.window_size, session=point.session)
+    tracer = Tracer(ring=max(1, len(points)))
+    with QueryService(
+            workers=workers, max_pending=None, tracer=tracer) as service:
+        futures = [
+            service.submit(point.plan(), session=point.session)
             for point in points
         ]
-    else:
-        runner = ParallelRunner(workers)
-        reports = runner.run_grid(
-            [(point.session, point.plan()) for point in points])
-        truth_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        records = []
-        for point, report in zip(points, reports):
-            video, scoring = point.session.video, point.session.scoring
-            # Keyed by (video, scoring): one video can serve several
-            # UDFs in a grid, each with its own ground truth.
-            cache_key = (id(video), id(scoring))
-            truth = truth_cache.get(cache_key)
-            if truth is None:
-                truth = exact_scores(scoring, video)
-                truth_cache[cache_key] = truth
-            records.append(
-                record_from_report(video, scoring, report, truth=truth))
-    for point, record in zip(points, records):
+        reports = service.gather(futures)
+    # Read after close: a trace is retained once its future's callbacks ran.
+    traces = {trace.trace_id: trace for trace in tracer.traces()}
+    truth_cache: Dict[Tuple[int, int], np.ndarray] = {}
+    records = []
+    for point, report, future in zip(points, reports, futures):
+        video, scoring = point.session.video, point.session.scoring
+        # Keyed by (video, scoring): one video can serve several UDFs
+        # in a grid, each with its own ground truth.
+        cache_key = (id(video), id(scoring))
+        truth = truth_cache.get(cache_key)
+        if truth is None:
+            truth = truth_cache[cache_key] = exact_scores(scoring, video)
+        record = record_from_report(video, scoring, report, truth=truth)
+        record.extras["select_seconds"] = sum(
+            span.duration for span in traces[future.trace_id].spans
+            if span.name == "select")
         if point.label is not None:
             record.extras["scenario"] = point.label
+        records.append(record)
     return records
 
 

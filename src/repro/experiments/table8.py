@@ -5,27 +5,22 @@ the paper's table). Part (b): Phase 2 iteration count and the
 percentage of frames cleaned.
 
 Four columns are simulated ledger seconds. Select-candidate runs at
-native speed, so its column is *measured*: serially, each point runs
-inside its own trace and the wall seconds of its ``select`` spans land
-in ``extras["select_seconds"]``; a share's denominator is the simulated
-total plus those seconds. Pool workers are not traced, so with
-``workers > 1`` the ``select-cand`` column reads 0.00%. The paper's
-own claim is that this stage contributes <0.01% of runtime; run
-serially when you want it measured.
+native speed, so its column is *measured*: every sweep query runs
+traced (in a pool worker too — its spans come back with the report),
+and the wall seconds of its ``select`` spans land in
+``extras["select_seconds"]``; a share's denominator is the simulated
+total plus those seconds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..parallel import resolve_workers
-from ..trace import Tracer
 from .runner import (
     ExperimentRecord,
     ExperimentScale,
     SweepPoint,
     counting_sweep,
-    counting_videos,
     experiment_main,
     format_table,
 )
@@ -40,22 +35,9 @@ def run(
     workers: Optional[int] = None,
 ) -> List[ExperimentRecord]:
     """Run the default query per video, keeping the full reports."""
-    def sweep(videos, workers):
-        return counting_sweep(
-            scale, lambda session: [SweepPoint(session, k=k, thres=thres)],
-            videos=videos, workers=workers)
-
-    if resolve_workers(workers) > 1:
-        return sweep(videos, workers)
-    tracer = Tracer(ring=1)
-    records = []
-    for video in counting_videos(scale) if videos is None else videos:
-        with tracer.trace("table8") as trace:
-            (record,) = sweep([video], 1)
-        record.extras["select_seconds"] = sum(
-            span.duration for span in trace.spans if span.name == "select")
-        records.append(record)
-    return records
+    return counting_sweep(
+        scale, lambda session: [SweepPoint(session, k=k, thres=thres)],
+        videos=videos, workers=workers)
 
 
 def stage_fractions(record: ExperimentRecord) -> Dict[str, float]:

@@ -200,8 +200,8 @@ class PersistentPool:
     (:meth:`map`), restart after a worker death and idempotent
     shutdown on top of :class:`~concurrent.futures.ProcessPoolExecutor`.
     The query service keeps one alive for its lifetime so worker-side
-    state (see :class:`Shipped`) persists across queries; a sweep or a
-    corpus ``prepare`` opens one for the duration of the call.
+    state (see :class:`Shipped`) persists across queries; it is the
+    only owner of one in the library.
     """
 
     def __init__(self, workers: Optional[int] = None):

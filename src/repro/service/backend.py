@@ -19,9 +19,7 @@ Two lanes, chosen per service (``use_processes``):
   then ships the session spec as a
   :class:`~repro.parallel.pool.Shipped` handle, and a worker
   reconstructs the session once per handle and runs only the cleaning
-  loop, confirming through that session's own score cache. The sweep
-  runner (:mod:`repro.parallel.runner`) dispatches the very same
-  :class:`BatchTask`, one plan at a time with nothing to merge. What
+  loop, confirming through that session's own score cache. What
   makes it a *service* lane is **score-cache warm shipping**: each
   batch carries the parent's current cache entries for the artifact
   group; the worker merges them into its session's cache before
@@ -30,9 +28,8 @@ Two lanes, chosen per service (``use_processes``):
   the merge is idempotent and reports stay bit-identical — only
   physical UDF work moves.
 
-Determinism contract: identical to DESIGN.md §6 — plans are
-deterministic-timing normalized upstream, so a report is a pure
-function of (video, scoring, config, plan) and both lanes produce
+Determinism contract: identical to DESIGN.md §6 — a report is a pure
+function of (video, scoring, config, plan), so both lanes produce
 byte-identical ``QueryReport.to_json()`` strings.
 """
 
@@ -92,9 +89,8 @@ class BatchTask:
 
     spec: Shipped
     plans: Tuple[object, ...]
-    #: Parent-side cache entries the worker may not have yet; ``None``
-    #: (a sweep grid point) has nothing to merge.
-    cache_items: Optional[Tuple[Tuple[int, float], ...]] = None
+    #: Parent-side cache entries the worker may not have yet.
+    cache_items: Tuple[Tuple[int, float], ...]
     #: Record per-plan spans in the worker and ship them back so the
     #: parent can re-parent them under its lane-dispatch span.
     traced: bool = False

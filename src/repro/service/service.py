@@ -48,7 +48,12 @@ from ..api.session import Session, phase1_key
 from ..core.result import QueryReport
 from ..errors import QueryError, ServiceClosedError
 from ..oracle.cost import CostModel, merge_cost_models
-from ..parallel.pool import PersistentPool, available_cpus, resolve_workers
+from ..parallel.pool import (
+    PersistentPool,
+    available_cpus,
+    resolve_workers,
+    thread_map,
+)
 from ..trace import Tracer, activate
 from .artifacts import SharedArtifacts, group_key
 from .backend import run_batch_in_pool, ship_spec
@@ -616,7 +621,9 @@ class QueryService:
         Phase-1 builds (the artifact store's ``build_pool``), the
         execute span's ``lane`` and the workload planner all ask here;
         the lane never changes a report byte. A corpus query and a
-        refresh pass always run inline.
+        refresh pass always run inline, and so does everything once
+        :meth:`close` has dropped the pool — a session outlives its
+        service.
         """
         if self._pool is None or session.live:
             return "inline"
@@ -698,10 +705,18 @@ class QueryService:
             report=value, phase2_cost=None, fresh_confirm_calls=value[1])
 
     def _execute_corpus(self, job: _Job, span, lane):
-        """One federated query, on this thread: the cold member builds
-        lease side by side first, then the Phase-2 loop scores here."""
+        """One federated query, on this thread: the cold members whose
+        builds run in a pool worker lease side by side first (a lease
+        then waits on a worker, not on the GIL), then the Phase-2 loop
+        scores here. Their entries come back in member order, so the
+        earliest member's failure re-raises first."""
+        config = job.work.plan().config
         with activate(span):
-            job.target.prepare(job.work.plan().config, workers=self.workers)
+            thread_map(
+                lambda member: member.session.phase1(config),
+                [member for member in job.target.cold_members(config)
+                 if self._lane(member.session) != "inline"],
+                workers=self.workers)
             return job.work.run_detailed()
 
     def _execute_queries(self, jobs: Sequence[_Job], spans, lane) -> list:
@@ -780,8 +795,7 @@ class QueryService:
     def merged_cost(self) -> CostModel:
         """One service-level ledger: Phase 1 once per key + every query.
 
-        Mirrors :meth:`~repro.parallel.runner.SweepOutcome.merged_cost`:
-        per-query Phase 2 ledgers merge key-wise and each distinct
+        Per-query Phase 2 ledgers merge key-wise and each distinct
         Phase-1 ledger is added exactly once, however many queries (or
         tenants) shared it. The merge order is canonical — Phase-1
         ledgers by artifact digest, Phase-2 by submission order — so
@@ -847,6 +861,7 @@ class QueryService:
         self._scheduler.close(wait=True)
         if self._pool is not None:
             self._pool.shutdown()
+            self._pool = None
         with self._lock:
             for stream in self._streams:
                 stream.refresh_dispatcher = None

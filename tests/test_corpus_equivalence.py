@@ -220,27 +220,31 @@ def test_over_corpus_is_neutral(member_corpus):
 
 
 def test_pooled_prepare_matches_serial_build(member_videos, udf):
-    """Process-pool shard Phase-1 builds are bit-identical to serial.
+    """Shard Phase-1 builds a process-lane service fans out are
+    bit-identical to the serial ``prepare``.
 
     The benchmark's speedup contract rests on this: entries are purely
     simulated, so where a shard's CMDN trains cannot leak into the
     merged relation, the report, or the ledgers.
     """
     serial = VideoCorpus.open(member_videos, udf, config=CORPUS_CONFIG)
-    serial.prepare(workers=1)
+    serial.prepare()
     pooled = VideoCorpus.open(member_videos, udf, config=CORPUS_CONFIG)
-    pooled.prepare(workers=2)
+    query = lambda corpus: corpus.query().topk(4).guarantee(0.9)  # noqa: E731
+    with QueryService(workers=2, use_processes=True) as service:
+        served = service.submit(query(pooled)).result(240)
+        # Every cold member built once, in the service's store.
+        assert service.stats().builds == len(member_videos)
 
-    query = lambda corpus: (corpus.query().topk(4).guarantee(0.9)  # noqa: E731
-                            .run_detailed())
-    serial_outcome = query(serial)
-    pooled_outcome = query(pooled)
+    serial_outcome = query(serial).run_detailed()
+    pooled_outcome = query(pooled).run_detailed()
+    assert served.to_json() == serial_outcome.report.to_json()
     assert pooled_outcome.report.to_json() == \
         serial_outcome.report.to_json()
     assert ledger_key(pooled_outcome.merged_cost()) == \
         ledger_key(serial_outcome.merged_cost())
     # A second prepare is a no-op: the entries are cached per member.
-    assert pooled.prepare(workers=2)[0] is pooled.prepare(workers=1)[0]
+    assert pooled.prepare()[0] is pooled.prepare()[0]
 
 
 def test_corpus_query_explain_names_shards(member_corpus):

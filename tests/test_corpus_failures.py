@@ -344,6 +344,9 @@ def test_pooled_prepare_reraises_in_canonical_member_order(udf):
         ExplodingVideo("prep-boom-b", 120, seed=91),
     ]
     corpus = VideoCorpus.open(videos, udf, config=FAST)
-    with pytest.raises(RuntimeError) as excinfo:
-        corpus.prepare(workers=2)
+    # Both cold members build side by side in pool workers; the
+    # earliest member's failure is the one that surfaces.
+    with QueryService(workers=2, use_processes=True) as service:
+        with pytest.raises(RuntimeError) as excinfo:
+            service.submit(corpus.query().topk(3)).result(WAIT)
     assert "prep-boom-a" in str(excinfo.value)

@@ -86,13 +86,16 @@ class TestExperimentsSmoke:
         assert methods == {"everest", "scan-and-test", "tinyyolo-only"}
 
     def test_table8_breakdown_sums(self, quick, one_video):
-        records = table8.run(quick, k=5, videos=one_video, workers=1)
-        fractions = table8.stage_fractions(records[0])
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        # The serial select-candidate column is measured wall time.
-        assert records[0].extras["select_seconds"] > 0
-        assert fractions["select_candidate"] > 0
-        assert "Table 8" in table8.render(records)
+        for workers in (1, 2):
+            records = table8.run(
+                quick, k=5, videos=one_video, workers=workers)
+            fractions = table8.stage_fractions(records[0])
+            assert sum(fractions.values()) == pytest.approx(1.0)
+            # The select-candidate column is measured wall time, in a
+            # pool worker too.
+            assert records[0].extras["select_seconds"] > 0, workers
+            assert fractions["select_candidate"] > 0
+            assert "Table 8" in table8.render(records)
 
     def test_fig5_sweep(self, quick, one_video):
         records = fig5.run(quick, ks=(3, 6), videos=one_video)

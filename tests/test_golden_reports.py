@@ -6,8 +6,9 @@ The checked-in JSON under ``tests/data/`` pins the exact
 depth-UDF scenarios (fig9). The tests assert
 
 * a fresh serial run reproduces the fixtures byte-for-byte,
-* process-pool runs at several worker counts reproduce the same bytes
-  (worker count cannot leak into a report), and
+* a :class:`~repro.QueryService` on either lane at several worker
+  counts reproduces the same bytes (neither the lane nor the worker
+  count can leak into a report), and
 * ``QueryReport.from_json`` round-trips every fixture byte-for-byte.
 
 Regenerate after an intentional report change with::
@@ -23,7 +24,7 @@ import pathlib
 
 import pytest
 
-from repro import EverestConfig, ParallelRunner, Session, VideoCorpus
+from repro import EverestConfig, QueryService, Session, VideoCorpus
 from repro.core.result import QueryReport
 from repro.oracle import counting_udf
 from repro.oracle.depth import tailgating_udf
@@ -38,7 +39,7 @@ SWEEPS = ("fig5_quick", "fig6_quick", "fig7_quick", "fig9_quick")
 
 #: Every recorded fixture, including the 3-shard federated corpus
 #: sweep and the sliding-window stream (which run through their own
-#: engines, not ParallelRunner).
+#: engines, not a plan sweep).
 ALL_FIXTURES = SWEEPS + ("corpus_quick", "window_quick")
 
 
@@ -46,34 +47,28 @@ def _dump(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=1) + "\n"
 
 
-@pytest.fixture(scope="module")
-def golden_session():
-    video = TrafficVideo("golden", 700, seed=11)
-    return Session(video, counting_udf("car"), config=EverestConfig.fast())
-
-
-@pytest.fixture(scope="module")
-def golden_dashcam_session():
-    video = DashcamVideo("golden-dash", 700, seed=12)
-    return Session(video, tailgating_udf(), config=EverestConfig.fast())
-
-
-@pytest.fixture(scope="module")
-def golden_plans(golden_session, golden_dashcam_session):
-    """name -> (session, plans): each sweep runs on its own session."""
-    base = golden_session.query().guarantee(0.9)
-    dash = golden_dashcam_session.query()
+def _sweeps():
+    """name -> (session, plans) on fresh sessions: each sweep runs on
+    its own session, fig5-7 sharing the traffic one."""
+    traffic = Session(
+        TrafficVideo("golden", 700, seed=11), counting_udf("car"),
+        config=EverestConfig.fast())
+    dashcam = Session(
+        DashcamVideo("golden-dash", 700, seed=12), tailgating_udf(),
+        config=EverestConfig.fast())
+    base = traffic.query().guarantee(0.9)
+    dash = dashcam.query()
     return {
-        "fig5_quick": (golden_session, [
+        "fig5_quick": (traffic, [
             base.topk(k).plan() for k in (3, 5)]),
-        "fig6_quick": (golden_session, [
+        "fig6_quick": (traffic, [
             base.topk(4).guarantee(thres).plan()
             for thres in (0.5, 0.9, 0.99)]),
-        "fig7_quick": (golden_session, [
+        "fig7_quick": (traffic, [
             base.topk(4).plan(),
             base.topk(4).windows(size=20).plan(),
         ]),
-        "fig9_quick": (golden_dashcam_session, [
+        "fig9_quick": (dashcam, [
             dash.topk(3).guarantee(0.9).plan(),
             dash.topk(5).guarantee(0.9).plan(),
             dash.topk(3).guarantee(0.75).plan(),
@@ -83,9 +78,14 @@ def golden_plans(golden_session, golden_dashcam_session):
 
 
 @pytest.fixture(scope="module")
+def golden_plans():
+    return _sweeps()
+
+
+@pytest.fixture(scope="module")
 def serial_reports(golden_plans):
     reports = {
-        name: ParallelRunner(1).run_sweep(session, plans)
+        name: [session.execute(plan) for plan in plans]
         for name, (session, plans) in golden_plans.items()
     }
     if os.environ.get("REPRO_REGEN_GOLDEN"):
@@ -102,11 +102,21 @@ def test_serial_sweep_matches_golden_fixture(serial_reports, name):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_pooled_sweeps_match_golden_fixtures(golden_plans, workers):
-    for name, (session, plans) in golden_plans.items():
-        pooled = ParallelRunner(workers).run_sweep(session, plans)
-        fixture = (GOLDEN_DIR / f"{name}.json").read_text()
-        assert _dump(pooled) == fixture, f"{name} workers={workers}"
+def test_pooled_sweeps_match_golden_fixtures(workers):
+    # Fresh sessions, so on the process lane Phase 1 builds in a pool
+    # worker too, not only Phase 2.
+    for use_processes in (True, False):
+        with QueryService(
+                workers=workers, use_processes=use_processes) as service:
+            futures = {
+                name: [service.submit(plan, session=session)
+                       for plan in plans]
+                for name, (session, plans) in _sweeps().items()
+            }
+            for name, sweep in futures.items():
+                fixture = (GOLDEN_DIR / f"{name}.json").read_text()
+                assert _dump(service.gather(sweep, timeout=240)) == \
+                    fixture, f"{name} {workers=} {use_processes=}"
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

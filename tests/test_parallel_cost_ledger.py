@@ -1,27 +1,26 @@
 """Regression tests: the oracle cost ledger under parallelism.
 
-Pin the two ledger invariants the parallel subsystem relies on:
+Pin the two ledger invariants a sweep through `QueryService` relies on:
 
-* Per-worker Phase 2 `CostModel` ledgers merge key-wise into one
-  sweep ledger, and the shared Phase 1 ledger is counted exactly once
-  no matter how many grid points (or workers) reused it.
+* Per-query Phase 2 `CostModel` ledgers merge key-wise into one
+  service ledger (`QueryService.merged_cost`), and the shared Phase 1
+  ledger is counted exactly once no matter how many queries (or
+  workers) reused it.
 * `OracleBudgetExceededError` fires deterministically — same type,
-  same budget, same grid position — whether the sweep runs serially
-  or on a process pool.
+  same budget, same message — on either lane of the service.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import EverestConfig, ParallelRunner, Session
+from repro import EverestConfig, QueryService, Session
 from repro.errors import OracleBudgetExceededError
 from repro.oracle import CostModel, counting_udf, merge_cost_models
 from repro.video import TrafficVideo
 
 
-@pytest.fixture(scope="module")
-def session():
+def _session():
     video = TrafficVideo("ledger", 700, seed=13)
     return Session(video, counting_udf("car"), config=EverestConfig.fast())
 
@@ -44,45 +43,62 @@ def test_cost_model_merge_adds_keywise():
     assert b.units("oracle_infer") == 3
 
 
+def _service(workers):
+    """An inline service at one worker, a process-lane one above."""
+    return QueryService(workers=workers, use_processes=workers > 1)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_ledger_merges_without_double_counting(session, workers):
+def test_sweep_ledger_merges_without_double_counting(workers):
+    session = _session()  # fresh: its Phase 1 builds through the service
     plans = [
         session.query().topk(k).guarantee(0.9).plan() for k in (3, 4, 5)
     ]
-    outcome = ParallelRunner(workers).run_grid_detailed(
-        [(session, plan) for plan in plans])
+    with _service(workers) as service:
+        reports = service.gather(
+            [service.submit(plan, session=session) for plan in plans],
+            timeout=240)
+        phase2_costs = [
+            outcome.phase2_cost for outcome in
+            sorted(service.outcomes(), key=lambda outcome: outcome.seq)]
+        # One Phase 1 ledger despite three queries sharing it.
+        assert len(service.artifacts.phase1_ledgers()) == 1
+        merged = service.merged_cost()
+    assert len(phase2_costs) == len(plans)
 
-    # One Phase 1 ledger despite three grid points sharing it.
-    assert len(outcome.phase1_costs) == 1
-    assert len(outcome.phase2_costs) == len(plans)
-
-    merged = outcome.merged_cost()
     phase1 = session.phase1().cost_model
-    # Phase 1 charges appear exactly once (not once per grid point).
+    # Phase 1 charges appear exactly once (not once per query).
     assert merged.units("oracle_label") == phase1.units("oracle_label")
     assert merged.units("cmdn_train") == phase1.units("cmdn_train")
     # Phase 2 charges are the exact sum of the per-query ledgers.
     assert merged.units("oracle_confirm") == pytest.approx(sum(
-        cost.units("oracle_confirm") for cost in outcome.phase2_costs))
+        cost.units("oracle_confirm") for cost in phase2_costs))
     # And each per-query ledger is consistent with its own report: the
     # confirm units are the oracle calls beyond Phase 1 labelling.
     label_calls = session.phase1().oracle_calls
-    for report, cost in zip(outcome.reports, outcome.phase2_costs):
+    for report, cost in zip(reports, phase2_costs):
         assert cost.units("oracle_confirm") == \
             report.oracle_calls - label_calls
         assert cost.units("oracle_label") == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_budget_error_fires_deterministically(session, workers):
+def test_budget_error_fires_deterministically(workers):
+    session = _session()
     budget = 3
     plans = [
         session.query().topk(3).guarantee(0.99)
         .oracle_budget(budget).plan(),
         session.query().topk(3).guarantee(0.9).plan(),
     ]
-    with pytest.raises(OracleBudgetExceededError) as exc_info:
-        ParallelRunner(workers).run_sweep(session, plans)
-    # The budget survives the process-pool round trip intact.
-    assert exc_info.value.budget == budget
+    with _service(workers) as service:
+        futures = [service.submit(plan, session=session) for plan in plans]
+        with pytest.raises(OracleBudgetExceededError) as exc_info:
+            service.gather(futures, timeout=240)
+    # The budget survives the process-pool round trip intact: the very
+    # error a plain serial run raises.
+    with pytest.raises(OracleBudgetExceededError) as plain:
+        _session().execute(plans[0])
+    assert exc_info.value.budget == plain.value.budget == budget
+    assert str(exc_info.value) == str(plain.value)
     assert "budget of 3" in str(exc_info.value)

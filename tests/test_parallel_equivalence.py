@@ -9,9 +9,10 @@ Two families of properties, both seeded/derandomized:
   update path, and `UncertainRelation.mark_certain_many` leaves the
   relation bit-identical to per-tuple `mark_certain`.
 
-* **Parallel sweep == serial sweep.** A sweep executed through
-  `ParallelRunner` on a process pool produces `QueryReport.to_json`
-  strings byte-identical to the serial path at any worker count.
+* **Parallel sweep == serial sweep.** An experiment sweep submitted to
+  a `QueryService` (`execute_sweep`) produces `QueryReport.to_json`
+  strings byte-identical to plain serial execution at any worker
+  count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import EverestConfig, ParallelRunner, Session
+from repro import EverestConfig, QueryService, Session
+from repro.experiments.runner import SweepPoint, execute_sweep
 from repro.core.select_candidate import CandidateSelector
 from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
@@ -157,10 +159,14 @@ def test_batch_updates_reject_duplicates_and_certain():
 # ----------------------------------------------------------------------
 # End-to-end: parallel sweeps deep-equal serial ones.
 
-@pytest.fixture(scope="module")
-def sweep_session():
+def _fresh_session():
     video = TrafficVideo("par-eq", 800, seed=7)
     return Session(video, counting_udf("car"), config=EverestConfig.fast())
+
+
+@pytest.fixture(scope="module")
+def sweep_session():
+    return _fresh_session()
 
 
 @pytest.fixture(scope="module")
@@ -173,51 +179,56 @@ def sweep_plans(sweep_session):
     ]
 
 
-def test_parallel_sweep_reports_bit_identical(sweep_session, sweep_plans):
-    serial = ParallelRunner(1).run_sweep(sweep_session, sweep_plans)
-    for workers in (2, 3):
-        pooled = ParallelRunner(workers).run_sweep(
-            sweep_session, sweep_plans)
-        assert [r.to_json() for r in pooled] == \
+def _sweep_points(session):
+    """The ``sweep_plans`` grid as experiment sweep points."""
+    return [
+        SweepPoint(session, k=3),
+        SweepPoint(session, k=5),
+        SweepPoint(session, k=4, window_size=10),
+    ]
+
+
+def test_parallel_sweep_reports_bit_identical(sweep_plans):
+    reference = _fresh_session()
+    serial = [reference.execute(plan) for plan in sweep_plans]
+    for workers in (1, 2, 3):
+        # A fresh session each time: Phase 1 builds inside the sweep.
+        records = execute_sweep(
+            _sweep_points(_fresh_session()), workers=workers)
+        assert [r.report.to_json() for r in records] == \
             [r.to_json() for r in serial], f"workers={workers}"
     # Sanity: the sweep actually answered the queries.
     assert all(r.confidence >= 0.9 for r in serial)
     assert serial[0].answer_ids != []
 
 
-def test_executor_workers_and_query_parallel_flag(
-        sweep_session, sweep_plans):
+def test_executor_workers_and_query_parallel_flag(sweep_plans):
+    # The plain executor and a process-lane service agree on every
+    # plan, and one plan submitted alone answers what ``run()`` does.
     from repro.api.executor import QueryExecutor
 
     serial = [
-        QueryExecutor(sweep_session).execute(plan)
+        QueryExecutor(_fresh_session()).execute(plan)
         for plan in sweep_plans
     ]
-    pooled = sweep_session.execute_many(sweep_plans, workers=2)
-    # Pooled reports are the deterministic-timing normalization of the
-    # serial ones: identical up to the measured select-candidate time.
-    for a, b in zip(pooled, serial):
-        assert a.answer_ids == b.answer_ids
-        assert a.answer_scores == b.answer_scores
-        assert a.confidence == b.confidence
-        assert a.cleaned == b.cleaned
-        assert a.oracle_calls == b.oracle_calls
-
-    # A single plan through the sweep path (what the removed
-    # ``run(parallel=True, workers=2)`` spelled).
-    via_query, = sweep_session.execute_many(
-        [sweep_session.query().topk(3).guarantee(0.9).plan()], workers=2)
-    reference = sweep_session.query().topk(3).guarantee(0.9).run()
+    session = _fresh_session()
+    with QueryService(workers=2, use_processes=True) as service:
+        pooled = service.gather(
+            [service.submit(plan, session=session) for plan in sweep_plans],
+            timeout=240)
+        single = _fresh_session()
+        via_query = service.submit(
+            single.query().topk(3).guarantee(0.9)).result(240)
+    assert [r.to_json() for r in pooled] == [r.to_json() for r in serial]
+    reference = _fresh_session().query().topk(3).guarantee(0.9).run()
     assert via_query.to_json() == reference.to_json()
 
 
 def test_execute_sweep_truth_cache_respects_scoring(sweep_session):
-    from repro.experiments.runner import SweepPoint, execute_sweep
-
     # Two sessions over the SAME video object with different UDFs: the
-    # parallel path's ground-truth cache must key on the scoring
-    # function too, or the second UDF is scored against the first's
-    # truth and serial/parallel metrics silently diverge.
+    # sweep's ground-truth cache must key on the scoring function too,
+    # or the second UDF is scored against the first's truth and
+    # serial/parallel metrics silently diverge.
     video = sweep_session.video
     other = Session(
         video, counting_udf("person"), config=EverestConfig.fast())
@@ -233,8 +244,8 @@ def test_execute_sweep_truth_cache_respects_scoring(sweep_session):
         assert a.report.answer_ids == b.report.answer_ids
 
 
-def test_phase1_built_once_and_shared(sweep_session, sweep_plans):
-    before = sweep_session.phase1_runs
-    ParallelRunner(2).run_sweep(sweep_session, sweep_plans)
-    # The parent session's cache served every worker; no re-builds.
-    assert sweep_session.phase1_runs == max(before, 1)
+def test_phase1_built_once_and_shared():
+    session = _fresh_session()
+    execute_sweep(_sweep_points(session), workers=2)
+    # One build served every grid point, in whichever process ran it.
+    assert session.phase1_runs == 1

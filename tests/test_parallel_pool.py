@@ -1,12 +1,13 @@
 """The one process-pool protocol (DESIGN.md §6), pinned once.
 
 Every place the library leaves the process goes through
-:class:`~repro.parallel.pool.PersistentPool`: a sweep grid point and a
-service batch both ship their long-lived state as a
+:class:`~repro.parallel.pool.PersistentPool`, and the one owner of
+such a pool is :class:`~repro.service.QueryService`: a Phase-1 build
+and a batch of plans both ship their long-lived state as a
 :class:`~repro.parallel.pool.Shipped` handle and gather through
-:meth:`PersistentPool.map`. The equivalence suites certify what
-those drivers *compute*; this file certifies how the state reaches a
-worker and how results and failures come back.
+:meth:`PersistentPool.map`. The equivalence suites certify what the
+service *computes*; this file certifies how the state reaches a worker
+and how results and failures come back.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from repro import Session
 from repro.oracle import counting_udf
 from repro.oracle.cache import ScoreCache
 from repro.parallel.pool import PersistentPool, Shipped
-from repro.service.backend import (
-    BatchTask,
-    _service_worker_run,
-    run_batch_in_pool,
-    ship_spec,
-)
+from repro.service.backend import run_batch_in_pool, ship_spec
 from repro.video import TrafficVideo
 
 WAIT = 60.0
@@ -52,20 +48,6 @@ def _unpickle_count(name: str) -> int:
     return _UNPICKLED[name]
 
 
-def _sweep_tasks(pool, session, plans):
-    """What ``ParallelRunner`` dispatches: one plan a task, no cache
-    entries to merge — the worker's session confirms through its own
-    cache, so a frame is scored once per worker, not once per plan."""
-    spec = ship_spec(session, [(session.config, session.phase1())])
-    results = pool.map(_service_worker_run, [
-        BatchTask(spec=spec, plans=(plan,)) for plan in plans])
-    details = [r.details[0] for r in results]
-    labels = session.phase1().oracle_calls
-    assert sum(d.fresh_confirm_calls for d in details) == \
-        sum(len(r.new_scores) for r in results) < \
-        sum(d.report.oracle_calls - labels for d in details)
-
-
 def _service_batches(pool, session, plans):
     """What ``QueryService`` dispatches: batches with a cache delta."""
     spec = ship_spec(session, [(session.config, session.phase1())])
@@ -77,7 +59,7 @@ def _service_batches(pool, session, plans):
     assert len(cache) > 0
 
 
-@pytest.mark.parametrize("dispatch", [_sweep_tasks, _service_batches])
+@pytest.mark.parametrize("dispatch", [_service_batches])
 def test_shipped_state_is_unpickled_once_per_worker(dispatch, fast_config):
     name = f"ship-once-{dispatch.__name__}"
     session = Session(
@@ -182,3 +164,13 @@ def test_only_the_pool_module_names_a_process_pool_executor():
         if "ProcessPoolExecutor" in path.read_text()
     )
     assert owners == [os.path.join("parallel", "pool.py")]
+
+
+def test_only_the_service_constructs_a_persistent_pool():
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    owners = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if "PersistentPool(" in path.read_text()
+    )
+    assert owners == [os.path.join("service", "service.py")]

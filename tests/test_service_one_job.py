@@ -14,8 +14,9 @@ Three kinds of pins:
 * **The defects the copies had drifted into**, each failing before the
   collapse: the service outliving its sessions, a trace and a plan
   naming a lane that did not run, stale ``shipped`` sets after a pool
-  restart. (The shared exception instance sits next to its scheduler
-  twin in ``test_scheduler_regressions.py``.)
+  restart — and a session outliving its process-lane service. (The
+  shared exception instance sits next to its scheduler twin in
+  ``test_scheduler_regressions.py``.)
 
 Regenerate the goldens after an intentional exposition change with::
 
@@ -25,6 +26,7 @@ Regenerate the goldens after an intentional exposition change with::
 from __future__ import annotations
 
 import ast
+import dataclasses
 import gc
 import json
 import os
@@ -401,6 +403,30 @@ def test_close_detaches_attached_streams_and_nothing_else():
     service.close()
     assert stream.refresh_dispatcher is None
     assert adopted.refresh_dispatcher is mine
+
+
+@pytest.mark.parametrize("use_processes", [False, True])
+def test_a_session_outlives_its_service(use_processes):
+    """A closed service's sessions keep answering, inline. The process
+    lane used to send their next Phase-1 build to the shut-down pool
+    (``ServiceClosedError: process pool is shut down``) — and a sweep's
+    sessions always outlive the service it submitted to."""
+    udf = counting_udf("car")
+    video = TrafficVideo("outlive", 300, seed=87)
+    reseeded = dataclasses.replace(FAST, seed=FAST.seed + 1)
+    reference = Session(video, udf, config=FAST)
+
+    def answers(session):
+        query = session.query().topk(3).guarantee(0.9)
+        return [query.run().to_json(),
+                query.with_config(reseeded).run().to_json()]
+
+    service = QueryService(workers=2, use_processes=use_processes)
+    session = service.open_session(video, udf, config=FAST)
+    first = session.query().topk(3).guarantee(0.9).run().to_json()
+    service.close()
+    assert answers(session) == answers(reference)
+    assert first == answers(reference)[0]
 
 
 def _execute_span(tracer, future):

@@ -785,15 +785,6 @@ class TestStreamingSessionSurface:
         assert session.watermark == 350
         assert doomed.latest.num_frames == 350
 
-    def test_execute_many_rejects_parallel_workers(self):
-        video = TrafficVideo("serial-stream", 300, seed=13)
-        session = Session.open_stream(
-            video, counting_udf("car"), initial_frames=250,
-            config=EverestConfig.fast())
-        plan = session.query().topk(2).guarantee(0.8).plan()
-        with pytest.raises(QueryError, match="serially"):
-            session.execute_many([plan], workers=2)
-
     def test_max_history_bounds_the_append_log(self):
         video = TrafficVideo("history", 400, seed=8)
         session = Session.open_stream(
@@ -809,8 +800,7 @@ class TestStreamingSessionSurface:
         assert live.latest is live.reports[-1]
         assert live.latest.num_frames == session.watermark
 
-    def test_append_result_shape_and_execute_many(
-            self, small_stream_session):
+    def test_append_result_shape_and_execute(self, small_stream_session):
         session = small_stream_session
         live = session.query().topk(2).guarantee(0.8).subscribe()
         result = session.append(60)
@@ -824,7 +814,7 @@ class TestStreamingSessionSurface:
             session.query().topk(k).guarantee(0.8).plan()
             for k in (2, 3)
         ]
-        reports = session.execute_many(plans)
+        reports = [session.execute(plan) for plan in plans]
         assert [r.k for r in reports] == [2, 3]
         assert session.phase1_runs == 1
 

@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import EverestConfig, Session, WindowedSession, WindowedVideo
+from repro import (
+    EverestConfig,
+    QueryService,
+    Session,
+    WindowedSession,
+    WindowedVideo,
+)
 from repro.config import Phase1Config
 from repro.errors import ConfigurationError, QueryError, VideoError
 from repro.oracle import counting_udf
@@ -189,20 +195,19 @@ def test_windowed_process_lane_matches_inline():
     stream.append(120)
     stream.tick(60)
     inline = build_query(stream).run()
-    # Streaming state is single-process, so the sweep lane runs on the
-    # batch side: a pooled run over the window snapshot must land on
-    # the same bytes as the live windowed answer.
-    serial_sweep, = stream.execute_many([build_query(stream).plan()])
+    # Streaming state is single-process, so the process lane runs on
+    # the batch side: a pooled run over the window snapshot must land
+    # on the same bytes as the live windowed answer.
+    serial = stream.execute(build_query(stream).plan())
     batch = stream.batch_session()
-    process, = batch.execute_many([build_query(batch).plan()], workers=2)
-    assert inline.to_json() == serial_sweep.to_json()
+    with QueryService(workers=2, use_processes=True) as service:
+        process = service.submit(build_query(batch)).result(240)
+    assert inline.to_json() == serial.to_json()
     assert inline.to_json() == process.to_json()
     assert inline.to_json() == batch_reference(stream)
 
 
 def test_service_hosted_windowed_stream_round_trip():
-    from repro import QueryService
-
     with QueryService() as service:
         stream = service.open_stream(
             make_source(), counting_udf("car"),
