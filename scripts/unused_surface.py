@@ -20,15 +20,18 @@ and lands in one of two lists:
 A textual match is generous (a method called ``get`` is "referenced" by
 any other ``get``), so the lists err on the side of keeping code: what
 is printed really has no other mention. Dunder methods are skipped
-(the interpreter calls them), and a re-export — an import line, an
-``__all__`` entry — is a mention like any other.
+(the interpreter calls them). A re-export is not a mention: the
+``from .x import …`` statements of an ``__init__.py`` and every
+``__all__`` list are left out of the package text, so a name the
+package only re-exports, and only tests import, lands in test-only.
 
 It also prints the package's total line count (``find src/repro -name
 '*.py' | xargs cat | wc -l``), so every CI log carries the number
 ROADMAP 7 asks each PR to report.
 
-Usage: ``python scripts/unused_surface.py``. It prints and gates
-nothing.
+Usage: ``python scripts/unused_surface.py``. It exits 1 when anything
+is unreferenced, so CI fails on dead code; test-only definitions only
+print.
 """
 
 from __future__ import annotations
@@ -78,9 +81,27 @@ def _text(paths: Iterable[Path]) -> str:
     return "\n".join(path.read_text("utf-8") for path in sorted(paths))
 
 
+def _without_reexports(path: Path) -> str:
+    """``path``'s text less its re-exports: an ``__init__.py``'s
+    relative imports and any module-level ``__all__``."""
+    text = path.read_text("utf-8")
+    dropped = set()
+    for node in ast.parse(text).body:
+        if (path.name == "__init__.py" and isinstance(node, ast.ImportFrom)
+                and node.level > 0) or (
+                isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)):
+            dropped.update(range(node.lineno, node.end_lineno + 1))
+    return "\n".join(
+        line for number, line in enumerate(text.splitlines(), 1)
+        if number not in dropped)
+
+
 def audit():
     """``(unreferenced, test_only)`` lists of :class:`Definition`."""
-    source = _text(PACKAGE.rglob("*.py"))
+    source = "\n".join(
+        _without_reexports(path) for path in sorted(PACKAGE.rglob("*.py")))
     tests = _text((ROOT / "tests").rglob("*.py"))
     other = _text(
         [path for folder in ELSEWHERE
@@ -99,19 +120,22 @@ def audit():
     return unreferenced, test_only
 
 
-def main() -> None:
+def main() -> int:
     # The `wc -l` figure ROADMAP 7's rule reports next to every result.
     total = sum(
         path.read_text("utf-8").count("\n")
         for path in PACKAGE.rglob("*.py"))
     print(f"src/repro: {total} lines")
-    for title, found in zip(("unreferenced", "test-only"), audit()):
+    unreferenced, test_only = audit()
+    for title, found in (("unreferenced", unreferenced),
+                         ("test-only", test_only)):
         print(f"{title}: {len(found)} definitions, "
               f"{sum(d.lines for d in found)} lines")
         for d in found:
             where = f"{d.path.relative_to(ROOT)}:{d.line}"
             print(f"  {where:<48} {d.qualname} ({d.lines})")
+    return 1 if unreferenced else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -36,11 +36,7 @@ from .api import (
     open_session,
 )
 from .parallel import resolve_workers
-from .corpus import (
-    CorpusSubscription,
-    FederatedTopK,
-    VideoCorpus,
-)
+from .corpus import FederatedTopK, VideoCorpus
 from .optimizer import WorkloadPlanner
 from .service import QueryFuture, QueryService
 from .trace import NULL_TRACER, Trace, Tracer
@@ -85,7 +81,6 @@ __all__ = [
     "WindowedSession",
     "WindowedVideo",
     "VideoCorpus",
-    "CorpusSubscription",
     "FederatedTopK",
     "open_session",
     "QueryReport",

@@ -92,11 +92,6 @@ class QueryExecutor:
     def execute(self, plan: QueryPlan) -> QueryReport:
         return self.execute_detailed(plan).report
 
-    def execute_fresh(self, plan: QueryPlan) -> "tuple[QueryReport, int]":
-        """Execute a plan; also return the fresh-confirmation count."""
-        detail = self.execute_detailed(plan)
-        return detail.report, detail.fresh_confirm_calls
-
     def execute_detailed(self, plan: QueryPlan) -> ExecutionDetail:
         session = self.session
         if (plan.video_name != session.video.name

@@ -369,18 +369,27 @@ class Query:
     def subscribe(self):
         """Maintain this query live over a growing target.
 
-        On a live session (:meth:`Session.open_stream`; a closed one
-        refuses) returns a
-        :class:`~repro.streaming.live_topk.LiveTopK`, refreshed
+        Returns a :class:`~repro.streaming.live_topk.LiveTopK`, refreshed
         immediately and then re-certified on every ``append`` / ``tick``
-        — one report per event, batch-equivalent ledgers, fresh oracle
-        work proportional to the delta. On a corpus (at least one
-        streaming member) returns a
-        :class:`~repro.corpus.subscription.CorpusSubscription`: every
-        member event refreshes the global federated answer.
+        — one report per event, batch-equivalent ledgers. On a live
+        session (:meth:`Session.open_stream`; a closed one refuses) fresh
+        oracle work is proportional to the delta. On a corpus (at least
+        one streaming member) the subscription is attached to every
+        streaming member, and each member event re-runs the federated
+        query.
         """
-        if self._corpus is None:
+        corpus = self._corpus
+        if corpus is None:
             return self.target.subscribe(self)
-        from ..corpus.subscription import CorpusSubscription
+        streaming = [member for member in corpus.members if member.streaming]
+        if not streaming:
+            raise QueryError(
+                "corpus subscriptions need at least one streaming "
+                "member; open members with Session.open_stream(...)")
+        from ..streaming.live_topk import LiveTopK
 
-        return CorpusSubscription.attach(self)
+        subscription = LiveTopK(query=self)
+        subscription.refresh()
+        for member in streaming:
+            member.session.attach_subscription(subscription)
+        return subscription

@@ -126,10 +126,6 @@ def format_udf_spec(name: str, arg: Optional[str] = None) -> str:
     return spec
 
 
-#: Backwards-compatible alias for the pre-service private name.
-_parse_udf_spec = parse_udf_spec
-
-
 def parse_window_seconds(text: str, spec: Optional[str] = None) -> float:
     """Parse the value of a ``?window=`` suffix into seconds.
 

@@ -844,8 +844,9 @@ class Session:
 
         The object only needs the subscription protocol —
         ``refresh(executor)`` returning a report and
-        ``trim(max_history)``. This is how corpus subscriptions
-        (DESIGN.md §9) ride the per-append refresh pass: a member's
+        ``trim(max_history)``. This is how a corpus query's
+        :class:`~repro.streaming.live_topk.LiveTopK` (DESIGN.md §9)
+        rides the per-append refresh pass: a member's
         append re-certifies the *federated* answer alongside the
         member's own live queries, under the same error/bookkeeping
         discipline (and through the service dispatcher when attached).

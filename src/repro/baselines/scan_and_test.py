@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..oracle.base import ScoringFunction
+from ..oracle.base import ScoringFunction, exact_scores
 from ..oracle.cost import CostModel
 from ..video.synthetic import SyntheticVideo
 from .base import BaselineResult
@@ -26,10 +26,8 @@ def scan_and_test(
     cost_model = CostModel(unit_costs)
     cost_model.charge("decode", len(video))
     cost_model.charge(scoring.cost_key, len(video))
-    # Semantically Oracle.score_all; the exact-scores fast path avoids
-    # per-frame Frame construction while the ledger charges identically.
-    from ..oracle.base import exact_scores
-
+    # The ledger charges what scoring every frame through an Oracle
+    # would; the exact-scores fast path skips building a Frame each.
     scores = exact_scores(scoring, video)
     order = np.lexsort((np.arange(scores.size), -scores))
     top = order[:k]

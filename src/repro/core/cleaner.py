@@ -67,13 +67,11 @@ class TopKCleaner:
         clean_fn: CleanFn,
         config: Phase2Config = Phase2Config(),
         *,
-        reader=None,
         cost_model=None,
     ):
         self.relation = relation
         self.clean_fn = clean_fn
         self.config = config
-        self.reader = reader
         self.cost_model = cost_model
         self.state = ConfidenceState(relation)
         self.selector = CandidateSelector(
@@ -91,8 +89,6 @@ class TopKCleaner:
         ids = self.relation.ids[positions].tolist()
         if len(set(ids)) != len(ids):
             raise UncertainRelationError("batch positions must be unique")
-        if self.reader is not None:
-            self.reader.prefetch(len(ids))
         scores = np.asarray(self.clean_fn(ids), dtype=np.float64)
         if scores.shape != (len(ids),):
             raise QueryError(
@@ -195,10 +191,6 @@ class TopKCleaner:
                 if candidates.size == 0:  # pragma: no cover - defensive
                     raise GuaranteeUnreachableError(
                         "no uncertain tuples left but confidence below thres")
-                if self.reader is not None and \
-                        self.selector._order is not None:
-                    order_ids = self.relation.ids[self.selector._order]
-                    self.reader.set_priority_order(order_ids.tolist())
                 self._clean_positions(candidates)
                 if step is not None:
                     step.set(cleaned=int(candidates.size))

@@ -15,7 +15,10 @@ execution over the concatenated footage (DESIGN.md §9).
     outcome.report.summary(); outcome.answer_members()
 
 ``corpus.query()`` is the same :class:`~repro.api.query.Query` builder a
-session hands out, targeted at the corpus.
+session hands out, targeted at the corpus, and its ``subscribe()``
+returns the same :class:`~repro.streaming.live_topk.LiveTopK`: attached
+to every streaming member, it re-runs the federated query on each
+member event.
 """
 
 from .corpus import CorpusMember, VideoCorpus
@@ -25,13 +28,11 @@ from .federated import (
     FederatedTopK,
     merge_phase1_entries,
 )
-from .subscription import CorpusSubscription
 
 __all__ = [
     "VideoCorpus",
     "CorpusMember",
     "CorpusOutcome",
-    "CorpusSubscription",
     "FederatedTopK",
     "FederatedOracle",
     "merge_phase1_entries",

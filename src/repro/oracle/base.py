@@ -124,10 +124,6 @@ class Oracle:
             cached=0, cost_key=self.cost_key)
         return self.scoring(video.frames(indices))
 
-    def score_all(self, video: SyntheticVideo) -> np.ndarray:
-        """Scan-and-test: oracle-score every frame of the video."""
-        return self.score(video, range(len(video)))
-
 
 def exact_scores(scoring: ScoringFunction, video: SyntheticVideo) -> np.ndarray:
     """Ground-truth scores of every frame, for metrics only (no cost).

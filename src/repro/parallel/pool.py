@@ -15,7 +15,7 @@ Every place the library leaves the process does so through
 :class:`~concurrent.futures.ProcessPoolExecutor` — and its two
 protocol pieces: :class:`Shipped`, the ship-once handle (the parent
 pickles an object once; each worker unpickles it once), and
-:meth:`PersistentPool.map`, the ordered gather.
+:meth:`PersistentPool.call`, one task run for its answer.
 
 The wire protocol, stated once. A task crosses as ``(payload, keys,
 blobs)``: the pickled call, in which every :class:`Shipped` handle —
@@ -23,7 +23,7 @@ at any depth — is *bare* (its key, no blob); the keys of the handles
 it names; and the blobs the parent chose to send along. The worker
 (:func:`_run_call`) resolves before it runs: if it has never been sent
 one of the keys it raises :class:`NotShipped` without unpickling the
-call, so a missed task has had no side effect, and ``map`` — the one
+call, so a missed task has had no side effect, and ``call`` — the one
 place that reads answers — sends that task again with its blobs. A
 blob therefore crosses once per worker that needs it, not once per
 task. Worker code never touches a lock it inherited from the parent
@@ -196,8 +196,8 @@ def _run_call(payload: bytes, keys: Tuple[int, ...], blobs: Dict[int, bytes]):
 class PersistentPool:
     """A lazily started process pool that survives its workers.
 
-    Adds lazy startup, thread-safe submission, an ordered gather
-    (:meth:`map`), restart after a worker death and idempotent
+    Adds lazy startup, thread-safe submission, a call that answers a
+    miss (:meth:`call`), restart after a worker death and idempotent
     shutdown on top of :class:`~concurrent.futures.ProcessPoolExecutor`.
     The query service keeps one alive for its lifetime so worker-side
     state (see :class:`Shipped`) persists across queries; it is the
@@ -250,20 +250,15 @@ class PersistentPool:
             return contextvars.Context().run(
                 self._executor.submit, *task), self.restarts
 
-    def map(self, fn, *iterables) -> list:
-        """``fn`` over the zipped ``iterables``; results in task order.
+    def call(self, fn, /, *args):
+        """``fn(*args)`` in a worker; its answer, or what it raised.
 
-        Every task is submitted up front, handles bare, and gathered
-        in submission order. A task whose worker answered
-        :class:`NotShipped` is sent again with its blobs — a miss
-        answers at once and nothing of the task has run, so the misses
-        are all resent before the gather blocks on real work. The
-        *earliest* failing task's exception re-raises — the one a
-        serial loop would have hit first, so failures are as
-        deterministic as results — and tasks that have not started are
-        cancelled rather than left to burn CPU. The pool stays usable.
+        The task goes with its handles bare. A worker that answers
+        :class:`NotShipped` is sent it once more with its blobs —
+        nothing of the task had run. Any other error re-raises and the
+        pool stays usable.
 
-        A worker dying under the gather raises a
+        A worker dying under the task raises a
         :class:`~repro.errors.ServiceError` chaining the
         ``BrokenProcessPool`` — the one translation of a dead worker:
         nothing was recorded, the broken executor is dropped on the
@@ -271,34 +266,20 @@ class PersistentPool:
         sees the error) and the pool restarts on its next task, so the
         caller may resubmit. (:meth:`submit` keeps the raw error.)
         """
-        calls = [_pickle_call(fn, args, {}) for args in zip(*iterables)]
-        submitted = []
-        try:
-            for call in calls:
-                submitted.append(self._submit(*call, carry=False))
-            for index, call in enumerate(calls):
-                error = submitted[index][0].exception()
-                if isinstance(error, NotShipped):
-                    submitted[index] = self._submit(*call, carry=True)
-                elif error is not None:
-                    break  # the gather raises it, or an earlier resend's
-            for future, restarts in submitted:
-                error = future.exception()
-                if isinstance(error, BrokenProcessPool):
-                    with self._lock:
-                        if self.restarts == restarts:
-                            self._executor = None
-                            self.restarts += 1
-                    raise ServiceError(
-                        "a pool worker died while the tasks were in "
-                        "flight; nothing was recorded, resubmit") from error
-                if error is not None:
-                    raise error
-        except BaseException:
-            for future, _ in submitted:
-                future.cancel()
-            raise
-        return [future.result() for future, _ in submitted]
+        task = _pickle_call(fn, args, {})
+        future, restarts = self._submit(*task, carry=False)
+        if isinstance(future.exception(), NotShipped):
+            future, restarts = self._submit(*task, carry=True)
+        error = future.exception()
+        if isinstance(error, BrokenProcessPool):
+            with self._lock:
+                if self.restarts == restarts:
+                    self._executor = None
+                    self.restarts += 1
+            raise ServiceError(
+                "a pool worker died while the task was in flight; "
+                "nothing was recorded, resubmit") from error
+        return future.result()
 
     def shutdown(self, *, wait: bool = True) -> None:
         with self._lock:

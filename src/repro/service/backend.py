@@ -139,14 +139,14 @@ def build_in_pool(pool, video, scoring, unit_costs, config) -> Phase1Entry:
     active span the build runs traced and its spans are adopted below
     that span, as a lane-dispatch span adopts Phase 2's.
 
-    A worker dying under the build raises ``pool.map``'s
+    A worker dying under the build raises ``pool.call``'s
     :class:`~repro.errors.ServiceError`: nothing was built, so the
     caller may simply try again.
     """
     parent = active_span()
-    entry, spans = pool.map(
-        _build_worker_run, [video], [scoring], [unit_costs], [config],
-        [parent is not None])[0]
+    entry, spans = pool.call(
+        _build_worker_run, video, scoring, unit_costs, config,
+        parent is not None)
     if parent is not None:
         parent.trace.adopt(spans, parent=parent)
     return entry
@@ -197,7 +197,7 @@ def run_batch_in_pool(
     re-reveals them physically; shipping is a cost optimization, never
     a correctness input.
 
-    A worker dying under the batch raises ``pool.map``'s
+    A worker dying under the batch raises ``pool.call``'s
     :class:`~repro.errors.ServiceError`: nothing was recorded for the
     batch, so the caller may simply resubmit.
     """
@@ -212,7 +212,7 @@ def run_batch_in_pool(
         shipped.update(snapshot)
     task = BatchTask(
         spec=spec, plans=tuple(plans), cache_items=items, traced=traced)
-    result: BatchResult = pool.map(_service_worker_run, [task])[0]
+    result: BatchResult = pool.call(_service_worker_run, task)
     if result.new_scores:
         shared_cache.merge(result.new_scores.items())
         if shipped is not None:

@@ -36,85 +36,53 @@ import copy
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import Future, wait
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AdmissionError, ServiceClosedError, ServiceError
 
 
-class QueryFuture:
-    """A handle to one submitted query's eventual report."""
+class QueryFuture(Future):
+    """A handle to one submitted query's eventual report.
+
+    A standard-library future: the scheduler worker that finishes the
+    job resolves it, and a done-callback (the gateway's completion
+    hook, the service's trace closer) runs in that worker — or at once
+    in the caller if the job is already done. A callback that raises
+    is logged and never reaches the worker. Callbacks must not block:
+    they run on the worker that could be serving the next batch.
+    """
 
     def __init__(self, seq: int, tenant: str):
+        super().__init__()
         self.seq = seq
         self.tenant = tenant
-        self._done = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-        self._callback_lock = threading.Lock()
-        self._callbacks: List[Callable[["QueryFuture"], None]] = []
+        #: The request's trace id, when the service traces it.
+        self.trace_id: Optional[str] = None
 
-    # -- producer side -------------------------------------------------
-    def _resolve(self, value) -> None:
-        self._value = value
-        self._done.set()
-        self._fire_callbacks()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._done.set()
-        self._fire_callbacks()
-
-    def _fire_callbacks(self) -> None:
-        with self._callback_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    # -- consumer side -------------------------------------------------
-    def add_done_callback(
-        self, callback: Callable[["QueryFuture"], None]
-    ) -> None:
-        """Run ``callback(self)`` when the future resolves or fails.
-
-        Fires immediately (in the calling thread) if already done;
-        otherwise fires exactly once in the scheduler worker thread
-        that finishes the job — the async gateway's completion hook,
-        which is why futures never need polling threads. Callbacks
-        must not block: they run on the worker that could be serving
-        the next batch.
-        """
-        with self._callback_lock:
-            if not self._done.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
-    def done(self) -> bool:
-        return self._done.is_set()
+    def cancel(self) -> bool:
+        """Never cancels: a queued job cannot be withdrawn, and it
+        still resolves this future when it runs."""
+        return False
 
     def result(self, timeout: Optional[float] = None):
-        """Block for the result (raises what the query raised)."""
-        if not self._done.wait(timeout):
+        self._wait(timeout)
+        return super().result()
+
+    def exception(self, timeout: Optional[float] = None):
+        self._wait(timeout)
+        return super().exception()
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        # The builtin TimeoutError: before Python 3.11 the standard
+        # library raises its own, which is not one. Waiting first also
+        # keeps a query that itself raised TimeoutError from reading as
+        # "not done".
+        if not wait([self], timeout).done:
             raise TimeoutError(
                 f"query {self.seq} (tenant {self.tenant!r}) not done "
                 f"after {timeout}s")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(
-        self, timeout: Optional[float] = None
-    ) -> Optional[BaseException]:
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"query {self.seq} (tenant {self.tenant!r}) not done "
-                f"after {timeout}s")
-        return self._error
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done() else "pending"
-        return f"QueryFuture(seq={self.seq}, tenant={self.tenant!r}, {state})"
 
 
 @dataclass
@@ -409,9 +377,9 @@ class FairScheduler:
         # capture miss its window.
         for job, outcome in zip(batch, outcomes):
             if outcome.error is not None:
-                job.future._fail(outcome.error)
+                job.future.set_exception(outcome.error)
             else:
-                job.future._resolve(outcome.value)
+                job.future.set_result(outcome.value)
         with self._lock:
             self._running -= len(batch)
             self._idle.notify_all()

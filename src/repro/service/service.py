@@ -442,7 +442,7 @@ class QueryService:
         whatever is still open under the error status.
         """
         def _finish(done_future: QueryFuture) -> None:
-            error = done_future._error
+            error = done_future.exception()
             self.tracer.finish(
                 trace,
                 status="ok" if error is None

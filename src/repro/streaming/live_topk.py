@@ -15,12 +15,17 @@ batch-equivalent amounts (the report must be bit-identical to a batch
 re-run); the cache-miss count is tracked separately in
 :class:`~repro.streaming.phase1_incremental.StreamingStats` as the
 physical cost streaming actually pays.
+
+The same class keeps a corpus answer live (DESIGN.md §9): a corpus
+query's subscription is attached to every streaming member, and
+whichever member appends next re-runs the *federated* query over the
+union — closed members keep contributing their cached shards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from ..api.executor import QueryExecutor
 from ..core.result import QueryReport
@@ -32,19 +37,24 @@ from ..oracle.cache import CachingOracle, ScoreCache  # noqa: F401
 
 @dataclass
 class LiveTopK:
-    """One continuously maintained top-k answer over a growing video.
+    """One continuously maintained top-k answer over a growing target.
 
-    Created by ``query.subscribe()`` on a streaming session. Holds the
-    fluent query (recompiled per append — the plan's frame count tracks
-    the watermark) and the report history: index 0 is the answer at
-    subscribe time, one more per append. Iterating yields the reports
-    delivered so far.
+    Created by ``query.subscribe()`` on a streaming session or on a
+    corpus with a streaming member. Holds the fluent query (recompiled
+    per event — the plan's frame count tracks the watermark) and the
+    report history: index 0 is the answer at subscribe time, one more
+    per event. Iterating yields the reports delivered so far.
     """
 
     query: object  # repro.api.query.Query (kept loose: frozen dataclass)
     reports: List[QueryReport] = field(default_factory=list)
-    #: Fresh (cache-miss) confirmation calls behind each report.
+    #: Fresh (cache-miss) confirmation calls behind each report; 0 for
+    #: a corpus refresh, which does not run on the member's executor.
     fresh_confirms: List[int] = field(default_factory=list)
+    #: The :class:`~repro.corpus.federated.CorpusOutcome` (allocation,
+    #: per-shard ledgers) behind each report of a corpus answer; empty
+    #: for a session answer, whose report carries its whole ledger.
+    details: list = field(default_factory=list)
 
     @property
     def latest(self) -> QueryReport:
@@ -58,9 +68,24 @@ class LiveTopK:
     def __len__(self) -> int:
         return len(self.reports)
 
-    def refresh(self, executor: QueryExecutor) -> QueryReport:
-        """Re-certify against the current watermark (called per append)."""
-        report, fresh = executor.execute_fresh(self.query.plan())
+    def refresh(self, executor: Optional[QueryExecutor] = None) \
+            -> QueryReport:
+        """Re-certify against the current watermark (called per event).
+
+        A session query runs on ``executor``, the one the event's
+        refresh pass hands over; a corpus query re-runs the federated
+        engine and needs none.
+        """
+        if self.query._corpus is not None:
+            outcome = self.query.run_detailed()
+            self.details.append(outcome)
+            report, fresh = outcome.report, 0
+        elif executor is None:
+            raise QueryError(
+                "a session subscription refreshes on its session's executor")
+        else:
+            detail = executor.execute_detailed(self.query.plan())
+            report, fresh = detail.report, detail.fresh_confirm_calls
         self.reports.append(report)
         self.fresh_confirms.append(fresh)
         return report
@@ -69,3 +94,4 @@ class LiveTopK:
         """Drop all but the last ``max_history`` reports."""
         del self.reports[:-max_history]
         del self.fresh_confirms[:-max_history]
+        del self.details[:-max_history]

@@ -8,7 +8,6 @@ from .core import (
     Tracer,
     activate,
     active_span,
-    active_trace,
     add_event,
     span,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Tracer",
     "activate",
     "active_span",
-    "active_trace",
     "add_event",
     "chrome_trace",
     "chrome_trace_events",

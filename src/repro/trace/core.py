@@ -44,7 +44,6 @@ __all__ = [
     "Tracer",
     "activate",
     "active_span",
-    "active_trace",
     "add_event",
     "span",
 ]
@@ -441,12 +440,6 @@ def add_event(name: str, **attrs) -> None:
 def active_span() -> Optional[Span]:
     """The span the calling thread is currently inside, if any."""
     return _ACTIVE.get()
-
-
-def active_trace() -> Optional[Trace]:
-    """The trace the calling thread is currently inside, if any."""
-    current = _ACTIVE.get()
-    return current.trace if current is not None else None
 
 
 class activate:

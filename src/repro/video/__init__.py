@@ -6,6 +6,10 @@ provides deterministic, seeded *scene simulators* whose rendered pixels
 are noisy-but-predictive evidence of a ground-truth signal (object
 count, lead-vehicle distance, happiness). See DESIGN.md §1 for why the
 substitution preserves the behaviour Everest's algorithms depend on.
+
+Nothing here charges for decoding: the ledger charges ``decode`` where
+frames are paid for — a Phase-1 scan, and each batch Phase 2 confirms
+(the executor's clean function, DESIGN.md §3).
 """
 
 from .frame import BoundingBox, Frame
@@ -19,7 +23,6 @@ from .synthetic import (
 from .datasets import DATASETS, DatasetSpec, build_dataset, dataset_table
 from .visual_road import visual_road_video, visual_road_suite
 from .diff import DifferenceDetector, DiffResult
-from .reader import VideoReader
 from .streaming import Segment, StreamingVideo
 from .views import ConcatVideo, VideoSlice
 
@@ -39,7 +42,6 @@ __all__ = [
     "visual_road_suite",
     "DifferenceDetector",
     "DiffResult",
-    "VideoReader",
     "Segment",
     "StreamingVideo",
     "ConcatVideo",

@@ -327,13 +327,11 @@ class ReferenceCleaner:
         clean_fn,
         config: Phase2Config = Phase2Config(),
         *,
-        reader=None,
         cost_model=None,
     ):
         self.relation = relation
         self.clean_fn = clean_fn
         self.config = config
-        self.reader = reader
         self.cost_model = cost_model
         self.state = ReferenceConfidenceState(relation)
         self.selector = ReferenceSelector(
@@ -344,8 +342,6 @@ class ReferenceCleaner:
     def _clean_positions(self, positions: np.ndarray) -> None:
         positions = np.asarray(positions, dtype=np.int64)
         ids = [int(self.relation.ids[p]) for p in positions]
-        if self.reader is not None:
-            self.reader.prefetch(len(ids))
         scores = np.asarray(self.clean_fn(ids), dtype=np.float64)
         if scores.shape != (len(ids),):
             raise QueryError(

@@ -384,7 +384,7 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
     # And the live member's shard is the advanced prefix: the merged
     # state was fingerprint-invalidated, not served stale.
     assert corpus.total_frames == 520 + 260
-    assert subscription.outcomes[-1].allocation().keys() == \
+    assert subscription.details[-1].allocation().keys() == \
         {"corpus-live", "corpus-fixed"}
 
 

@@ -4,8 +4,8 @@ Every place the library leaves the process goes through
 :class:`~repro.parallel.pool.PersistentPool`, and the one owner of
 such a pool is :class:`~repro.service.QueryService`: a Phase-1 build
 and a batch of plans both ship their long-lived state as a
-:class:`~repro.parallel.pool.Shipped` handle and gather through
-:meth:`PersistentPool.map`. The equivalence suites certify what the
+:class:`~repro.parallel.pool.Shipped` handle and run through
+:meth:`PersistentPool.call`. The equivalence suites certify what the
 service *computes*; this file certifies how the state reaches a worker
 and how results and failures come back.
 """
@@ -13,7 +13,6 @@ and how results and failures come back.
 from __future__ import annotations
 
 import os
-import time
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import Session
+from repro.errors import ServiceError
 from repro.oracle import counting_udf
 from repro.oracle.cache import ScoreCache
 from repro.parallel.pool import PersistentPool, Shipped
@@ -80,7 +80,8 @@ def test_handles_pickle_once_and_get_distinct_keys():
     assert first.blob == second.blob
     with PersistentPool(1) as pool:
         # Worker side: the same object every time, per key.
-        ids = pool.map(_resolved_id, [first, second, first, second])
+        ids = [pool.call(_resolved_id, handle)
+               for handle in (first, second, first, second)]
     assert ids[0] == ids[2] and ids[1] == ids[3] and ids[0] != ids[1]
 
 
@@ -89,55 +90,22 @@ def _resolved_id(handle: Shipped) -> int:
 
 
 # ----------------------------------------------------------------------
-# Ordered gather.
+# One call: its answer or its error.
 
 
 class _Boom(RuntimeError):
     pass
 
 
-def _sleep_then(seconds: float, value):
-    time.sleep(seconds)
-    if isinstance(value, str):
-        raise _Boom(value)
-    return value
+def _boom(value):
+    raise _Boom(value)
 
 
-def _boom_or_touch(directory: str, value):
-    if isinstance(value, str):
-        raise _Boom(value)
-    time.sleep(0.05)
-    Path(directory, str(value)).touch()
-
-
-def test_map_returns_results_in_submission_order():
-    with PersistentPool(3) as pool:
-        # Completion order is 2, 1, 0.
-        assert pool.map(
-            _sleep_then, [0.4, 0.2, 0.0], [10, 11, 12]) == [10, 11, 12]
-        assert pool.map(abs, []) == []
-
-
-def test_map_reraises_the_earliest_failure_and_stays_usable():
-    with PersistentPool(3) as pool:
-        # Task 2 fails long before task 1 does; task 1's error is the
-        # one a serial loop would have hit first.
+def test_call_reraises_a_failure_and_stays_usable():
+    with PersistentPool(2) as pool:
         with pytest.raises(_Boom, match="first"):
-            pool.map(
-                _sleep_then, [0.0, 0.4, 0.0], [1, "first", "second"])
-        assert pool.map(abs, [-1, -2]) == [1, 2]
-
-
-def test_map_cancels_tasks_that_have_not_started(tmp_path):
-    with PersistentPool(1) as pool:
-        with pytest.raises(_Boom):
-            pool.map(
-                _boom_or_touch,
-                [str(tmp_path)] * 13, ["boom", *range(12)])
-        # Everything still queued behind the failure was cancelled
-        # (the executor prefetches a couple of tasks it cannot recall).
-        assert pool.submit(abs, -1).result(WAIT) == 1
-        assert len(list(tmp_path.iterdir())) < 12
+            pool.call(_boom, "first")
+        assert pool.call(abs, -1) == 1
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +117,15 @@ def test_pool_restarts_after_a_worker_dies():
         with pytest.raises(BrokenProcessPool):
             pool.submit(os._exit, 1).result(WAIT)
         assert pool.submit(abs, -2).result(WAIT) == 2
-        assert pool.map(abs, [-3, -4]) == [3, 4]
+        assert pool.call(abs, -3) == 3
+        # ``call`` is where a dead worker becomes a ServiceError, the
+        # restart already counted when it raises.
+        restarts = pool.restarts
+        with pytest.raises(ServiceError) as raised:
+            pool.call(os._exit, 1)
+        assert isinstance(raised.value.__cause__, BrokenProcessPool)
+        assert pool.restarts == restarts + 1
+        assert pool.call(abs, -4) == 4
 
 
 # ----------------------------------------------------------------------

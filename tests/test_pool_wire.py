@@ -2,7 +2,7 @@
 
 A handle crosses the pipe bare; a worker that was never sent its key
 answers :class:`~repro.parallel.pool.NotShipped` before the task runs,
-and ``PersistentPool.map`` sends that task again with the blob.
+and ``PersistentPool.call`` sends that task again with the blob.
 ``tests/test_parallel_pool.py`` pins what the three call sites ship;
 this file counts what the protocol itself does.
 """
@@ -87,9 +87,9 @@ def test_a_blob_crosses_once_per_worker_and_a_missed_task_runs_once(
         carries = _carries(pool)
         answers, rounds = [], []
         for round_ in range(2):
-            answers += pool.map(
-                _run, [wrap(handle)] * tasks, [str(tmp_path)] * tasks,
-                range(round_ * tasks, (round_ + 1) * tasks))
+            answers += [
+                pool.call(_run, wrap(handle), str(tmp_path), index)
+                for index in range(round_ * tasks, (round_ + 1) * tasks)]
             rounds.append(carries[:])
             del carries[:]
     # Unpickled once in every worker that ran a task, however many.
@@ -105,9 +105,8 @@ def test_a_blob_crosses_once_per_worker_and_a_missed_task_runs_once(
     # cold round drew at least one. (The one-worker test below pins
     # that a warm worker draws none.)
     for sent in rounds:
-        assert sent[:tasks] == [False] * tasks
-        assert sent[tasks:] == [True] * (len(sent) - tasks)
-        assert len(sent) <= 2 * tasks
+        assert sent.count(False) == tasks and sent[0] is False
+        assert (True, True) not in set(zip(sent, sent[1:]))
     assert len(rounds[0]) > tasks
 
 
@@ -125,13 +124,13 @@ def test_a_fresh_worker_is_sent_the_blob_again(tmp_path):
     handle = Shipped(_Counted("after-restart"))
     with PersistentPool(1) as pool:
         carries = _carries(pool)
-        (first,) = pool.map(_run, [handle], [str(tmp_path)], [0])
-        (warm,) = pool.map(_run, [handle], [str(tmp_path)], [1])
+        first = pool.call(_run, handle, str(tmp_path), 0)
+        warm = pool.call(_run, handle, str(tmp_path), 1)
         assert carries == [False, True, False] and warm == first
         with pytest.raises(BrokenProcessPool):
             pool.submit(os._exit, 1).result(WAIT)
         del carries[:]
-        (second,) = pool.map(_run, [handle], [str(tmp_path)], [2])
+        second = pool.call(_run, handle, str(tmp_path), 2)
         # The new worker missed, was sent the blob, unpickled it once.
         assert carries == [False, True]
         assert second[0] != first[0] and second[1] == 1
@@ -160,5 +159,5 @@ def test_workers_do_not_inherit_the_span_the_pool_forked_under():
         assert _inside_a_span()
         with PersistentPool(1) as pool:
             assert pool.submit(_inside_a_span).result(WAIT) is False
-            assert pool.map(_inside_a_span) == []
-            assert pool.map(abs, [-1]) == [1]
+            assert pool.call(_inside_a_span) is False
+            assert pool.call(abs, -1) == 1

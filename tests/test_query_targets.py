@@ -330,8 +330,19 @@ def test_corpus_subscription_follows_a_windowed_member():
     windowed.tick(30)
     assert len(subscription) == 3
     assert subscription.latest.to_json() == query.run().to_json()
-    assert set(subscription.outcomes[-1].allocation()) == \
+    assert set(subscription.details[-1].allocation()) == \
         set(corpus.member_names)
+
+
+def test_a_session_subscription_refreshes_on_its_executor():
+    stream = stream_session()
+    subscription = stream.query().topk(4).guarantee(0.9).subscribe()
+    stream.append(60)
+    assert len(subscription) == len(subscription.fresh_confirms) == 2
+    assert subscription.details == []
+    with pytest.raises(QueryError, match="executor"):
+        subscription.refresh()
+    assert len(subscription) == 2
 
 
 # ----------------------------------------------------------------------

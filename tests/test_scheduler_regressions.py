@@ -1,6 +1,6 @@
 """Regression tests for scheduler/ledger correctness fixes.
 
-Two bugs, each pinned by a test that fails on the pre-fix code:
+Three bugs, each pinned by a test that fails on the pre-fix code:
 
 * ``FairScheduler.drain()`` could return before the finished batch's
   futures were resolved (the worker decremented ``_running`` first,
@@ -11,6 +11,8 @@ Two bugs, each pinned by a test that fails on the pre-fix code:
   ``__traceback__`` across callers. (Fixed in the scheduler first;
   the service's own batch path went around the fix twice — its
   Phase-1 lease and its pool dispatch — until both simply raised.)
+* A done-callback that raised escaped into the worker thread and
+  killed it, stranding its batchmates and every later submission.
 
 Plus the starvation property: under sustained, wildly unequal charges
 every tenant's queue drains in bounded turns (and in FIFO order within
@@ -82,17 +84,17 @@ class TestDrainResolvesFutures:
     def test_drain_implies_done_even_with_slow_resolve(self, monkeypatch):
         """drain() must not return while futures are still resolving.
 
-        A delay injected into ``_resolve`` widens the old race window
+        A delay injected into ``set_result`` widens the old race window
         (decrement ``_running`` before resolving) from microseconds to
         50ms — pre-fix, drain() returns with ``done() == False``.
         """
-        original = QueryFuture._resolve
+        original = QueryFuture.set_result
 
         def slow_resolve(self, value):
             time.sleep(0.05)
             original(self, value)
 
-        monkeypatch.setattr(QueryFuture, "_resolve", slow_resolve)
+        monkeypatch.setattr(QueryFuture, "set_result", slow_resolve)
         scheduler = FairScheduler(ok_batch, workers=2)
         try:
             futures = [scheduler.submit(i) for i in range(6)]
@@ -105,13 +107,13 @@ class TestDrainResolvesFutures:
 
     def test_drain_implies_callbacks_fired(self, monkeypatch):
         """The gateway's completion hook must not miss its window."""
-        original = QueryFuture._resolve
+        original = QueryFuture.set_result
 
         def slow_resolve(self, value):
             time.sleep(0.05)
             original(self, value)
 
-        monkeypatch.setattr(QueryFuture, "_resolve", slow_resolve)
+        monkeypatch.setattr(QueryFuture, "set_result", slow_resolve)
         scheduler = FairScheduler(ok_batch, workers=1)
         fired = []
         try:
@@ -123,13 +125,13 @@ class TestDrainResolvesFutures:
             scheduler.close()
 
     def test_drain_implies_done_on_failure(self, monkeypatch):
-        original = QueryFuture._fail
+        original = QueryFuture.set_exception
 
         def slow_fail(self, error):
             time.sleep(0.05)
             original(self, error)
 
-        monkeypatch.setattr(QueryFuture, "_fail", slow_fail)
+        monkeypatch.setattr(QueryFuture, "set_exception", slow_fail)
 
         def boom(payloads):
             raise RuntimeError("nope")
@@ -140,6 +142,95 @@ class TestDrainResolvesFutures:
             assert scheduler.drain(timeout=10)
             assert future.done()
             assert isinstance(future.exception(0), RuntimeError)
+        finally:
+            scheduler.close()
+
+
+class TestDoneCallbacks:
+    def test_a_raising_callback_is_logged_and_the_worker_serves_on(
+            self, caplog):
+        """A done-callback that raises must not kill its worker.
+
+        Pre-fix the error escaped through ``_finish``: the batchmate
+        never resolved, drain() timed out, a later submit never ran and
+        the worker thread was dead.
+        """
+        runner = GatedRunner()
+        scheduler = FairScheduler(runner, workers=1, max_batch=2)
+        try:
+            scheduler.submit("primer")
+            assert runner.entered.wait(10)
+            first, second = [
+                scheduler.submit((f"job:{i}", 0.0), batch_key="pair")
+                for i in range(2)
+            ]
+
+            def explode(future):
+                raise RuntimeError("callback exploded")
+
+            first.add_done_callback(explode)
+            runner.release.set()
+            assert scheduler.drain(timeout=1.0)
+            assert runner.batches == [[("job:0", 0.0), ("job:1", 0.0)]]
+            assert first.result(0) == ("job:0", 0.0)
+            assert second.result(0) == ("job:1", 0.0)
+            later = scheduler.submit(("later", 0.0))
+            assert later.result(10) == ("later", 0.0)
+            assert all(thread.is_alive() for thread in scheduler._threads)
+            assert any(
+                "callback exploded" in str(record.exc_info[1])
+                for record in caplog.records if record.exc_info)
+        finally:
+            scheduler.close()
+
+    def test_cancel_refuses_and_the_job_still_resolves(self):
+        runner = GatedRunner()
+        scheduler = FairScheduler(runner, workers=1)
+        try:
+            scheduler.submit("primer")
+            assert runner.entered.wait(10)
+            queued = scheduler.submit(("queued", 0.0))
+            assert queued.cancel() is False
+            assert not queued.cancelled()
+            runner.release.set()
+            assert queued.result(10) == ("queued", 0.0)
+            assert scheduler.drain(timeout=10)
+        finally:
+            scheduler.close()
+
+
+class TestFutureTimeout:
+    def test_a_timeout_is_the_builtin_and_names_the_query(self):
+        """Callers catch the builtin ``TimeoutError``, which
+        ``concurrent.futures.TimeoutError`` only became in Python 3.11."""
+        runner = GatedRunner()
+        scheduler = FairScheduler(runner, workers=1)
+        try:
+            scheduler.submit("primer")
+            assert runner.entered.wait(10)
+            queued = scheduler.submit(("queued", 0.0), tenant="acme")
+            for wait in (queued.result, queued.exception):
+                with pytest.raises(TimeoutError) as caught:
+                    wait(0.01)
+                assert type(caught.value) is TimeoutError
+                assert str(caught.value) == (
+                    f"query {queued.seq} (tenant 'acme') not done "
+                    f"after 0.01s")
+            runner.release.set()
+            assert queued.result(10) == ("queued", 0.0)
+        finally:
+            scheduler.close()
+
+    def test_a_query_that_raised_timeout_error_is_done(self):
+        def run(payloads):
+            raise TimeoutError("the query's own")
+
+        scheduler = FairScheduler(run, workers=1)
+        try:
+            future = scheduler.submit("job")
+            with pytest.raises(TimeoutError, match="the query's own"):
+                future.result(10)
+            assert str(future.exception(0)) == "the query's own"
         finally:
             scheduler.close()
 

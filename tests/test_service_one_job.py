@@ -500,14 +500,14 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
     with QueryService(workers=1, use_processes=True) as service:
         session = service.open_session(video, udf, config=FAST)
         sent = []
-        real_map = service._pool.map
+        real_call = service._pool.call
 
-        def spy(fn, *iterables):
+        def spy(fn, *args):
             if fn is _service_worker_run:  # not the Phase-1 build
-                sent.append(len(iterables[0][0].cache_items))
-            return real_map(fn, *iterables)
+                sent.append(len(args[0].cache_items))
+            return real_call(fn, *args)
 
-        service._pool.map = spy
+        service._pool.call = spy
         service.submit(_plan(session, 3), session=session).result(WAIT)
         fuse.touch()
         with pytest.raises(ServiceError):

@@ -1,17 +1,15 @@
-"""Tests for the dataset registry, Visual Road suite, difference
-detector, and prefetching reader."""
+"""Tests for the dataset registry, Visual Road suite and difference
+detector."""
 
 import numpy as np
 import pytest
 
 from repro.config import DiffDetectorConfig
 from repro.errors import ConfigurationError
-from repro.oracle import CostModel
 from repro.video import (
     DATASETS,
     DifferenceDetector,
     TrafficVideo,
-    VideoReader,
     build_dataset,
     dataset_table,
     visual_road_suite,
@@ -138,54 +136,3 @@ class TestDifferenceDetector:
         result = DifferenceDetector().run(traffic_video)
         assert 0.0 < result.reduction_ratio < 1.0
 
-
-class TestVideoReader:
-    def test_cold_read_charges_decode(self, traffic_video):
-        cost = CostModel()
-        reader = VideoReader(traffic_video, cost_model=cost)
-        reader.read(5)
-        assert cost.units("decode") == 1
-        reader.read(5)  # cache hit
-        assert cost.units("decode") == 1
-        assert reader.cache_hits == 1
-
-    def test_prefetch_warms_cache(self, traffic_video):
-        cost = CostModel()
-        reader = VideoReader(traffic_video, cost_model=cost)
-        reader.set_priority_order([10, 20, 30])
-        assert reader.prefetch(2) == 2
-        assert cost.units("decode") == 2
-        reader.read(10)
-        reader.read(20)
-        assert reader.cache_hits == 2
-
-    def test_prefetch_skips_cached(self, traffic_video):
-        reader = VideoReader(traffic_video)
-        reader.read(7)
-        reader.set_priority_order([7, 8])
-        assert reader.prefetch(1) == 1  # 7 skipped, 8 fetched
-        assert reader.read(8) is not None
-        assert reader.cache_hits == 1
-
-    def test_lru_eviction(self, traffic_video):
-        reader = VideoReader(traffic_video, cache_size=2)
-        reader.read(1)
-        reader.read(2)
-        reader.read(3)  # evicts 1
-        cold_before = reader.cold_reads
-        reader.read(1)
-        assert reader.cold_reads == cold_before + 1
-
-    def test_read_batch(self, traffic_video):
-        reader = VideoReader(traffic_video)
-        batch = reader.read_batch([0, 1, 2])
-        assert batch.shape == (3, 24, 24)
-        assert reader.read_batch([]).shape == (0, 24, 24)
-
-    def test_matches_direct_pixels(self, traffic_video):
-        reader = VideoReader(traffic_video)
-        assert np.array_equal(reader.read(11), traffic_video.pixels(11))
-
-    def test_rejects_bad_cache_size(self, traffic_video):
-        with pytest.raises(ConfigurationError):
-            VideoReader(traffic_video, cache_size=0)

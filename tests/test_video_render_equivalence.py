@@ -10,9 +10,7 @@ renderer in ``reference_render.py``:
 * a ``Frame`` renders lazily, identically, and pickles with its pixels;
 * labelling through an oracle whose UDF reads annotations renders
   nothing;
-* ``truth_array`` equals the per-frame loop it replaced;
-* ``VideoReader`` batches its misses without changing a counter or a
-  charge.
+* ``truth_array`` equals the per-frame loop it replaced.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.video import (
     SentimentVideo,
     StreamingVideo,
     TrafficVideo,
-    VideoReader,
     VideoSlice,
 )
 from repro.video.visual_road import visual_road_video
@@ -230,61 +227,3 @@ def test_truth_array_equals_the_per_frame_loop(case):
     video.truth_array()[:] = -1.0
     assert_same_bits(video.truth_array(), loop(video))
 
-
-# ----------------------------------------------------------------------
-# VideoReader: one batch render per call, same accounting
-
-class _SingleReadReader(VideoReader):
-    """The pre-batching reader: every miss is its own ``pixels`` call."""
-
-    def _render_uncached(self, candidates, limit):
-        return {}
-
-
-def _reader_state(reader, cost):
-    return (reader.cold_reads, reader.cache_hits, list(reader._cache),
-            cost.units("decode"), cost.seconds("decode"))
-
-
-@SETTINGS
-@given(
-    batches=st.lists(
-        st.lists(st.integers(0, 59), max_size=12), min_size=1, max_size=6),
-    prefetches=st.lists(st.integers(0, 8), min_size=1, max_size=6),
-    cache_size=st.sampled_from([3, 8, 64]),
-)
-def test_reader_batches_misses_with_unchanged_accounting(
-        batches, prefetches, cache_size):
-    video = CountingTraffic("reader", 60, seed=7)
-    costs = CostModel({"decode": 0.1}), CostModel({"decode": 0.1})
-    batched = VideoReader(video, cache_size=cache_size, cost_model=costs[0])
-    single = _SingleReadReader(
-        video, cache_size=cache_size, cost_model=costs[1])
-    order = [i for batch in batches for i in batch]
-    batched.set_priority_order(order)
-    single.set_priority_order(order)
-    for step, batch in enumerate(batches):
-        count = prefetches[step % len(prefetches)]
-        assert batched.prefetch(count) == single.prefetch(count)
-        assert_same_bits(batched.read_batch(batch), single.read_batch(batch))
-        assert _reader_state(batched, costs[0]) \
-            == _reader_state(single, costs[1])
-
-
-def test_reader_renders_a_batch_of_misses_in_one_call():
-    calls = []
-
-    class Spy(TrafficVideo):
-        def batch_pixels(self, indices):
-            calls.append(list(indices))
-            return super().batch_pixels(indices)
-
-        def pixels(self, index):  # pragma: no cover - must not happen
-            raise AssertionError("single render on the batch path")
-
-    reader = VideoReader(Spy("spy", 50, seed=8))
-    reader.read_batch([4, 9, 4, 2])
-    assert calls == [[4, 9, 2]]
-    reader.set_priority_order([9, 30, 31, 32])
-    assert reader.prefetch(2) == 2
-    assert calls == [[4, 9, 2], [30, 31]]

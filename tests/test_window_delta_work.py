@@ -86,7 +86,7 @@ def test_each_frame_is_confirmed_at_most_once_across_events():
         elif kind == "tick":
             stream.tick(size)
         executor = QueryExecutor(stream)
-        executor.execute_fresh(build_query(stream).plan())
+        executor.execute_detailed(build_query(stream).plan())
         oracle = executor.last_confirm_oracle
         fresh = dict(oracle.fresh_scores) if oracle is not None else {}
         # Fresh work only ever touches frames inside the open window.
