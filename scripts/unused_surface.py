@@ -3,27 +3,36 @@
 
 ROADMAP item 5 keeps asking how much unused public surface is left;
 this prints the answer instead of guessing it. Every function, method
-and class defined under ``src/repro`` (by AST) is looked up by name,
-as a whole word, in every other place a reference could live::
+and class defined under ``src/repro`` (by AST) is looked up by name
+among the *references* of the code that runs, and lands in one of two
+lists when none is found:
 
-    src  tests  benchmarks  examples  perfbench  scripts
-    DESIGN.md  README.md
+* **unreferenced** — no live code and no test names it: dead, delete
+  it;
+* **test-only** — only ``tests/`` names it: a test oracle
+  (``core/reference.py``), a test seam, or surface only its own test
+  keeps alive — a judgement call, so it is listed, not decided.
 
-and lands in one of two lists:
+A reference is a name in code, read from the AST: a ``Name``, the
+attribute of an ``Attribute``, an imported name, or a string constant
+shaped like an identifier (``getattr`` and perfbench's ``patch_attr``
+name attributes as strings). Docstrings, comments and the prose in
+DESIGN.md / README.md do not refer to anything. A re-export is not a
+reference either: the ``from .x import …`` statements of an
+``__init__.py`` and every ``__all__`` list are skipped.
 
-* **unreferenced** — the name occurs nowhere but at its own
-  definition: dead, delete it;
-* **test-only** — referenced from ``tests/`` and nowhere else: a test
-  oracle (``core/reference.py``), a test seam, or surface only its own
-  test keeps alive — a judgement call, so it is listed, not decided.
-
-A textual match is generous (a method called ``get`` is "referenced" by
-any other ``get``), so the lists err on the side of keeping code: what
-is printed really has no other mention. Dunder methods are skipped
-(the interpreter calls them). A re-export is not a mention: the
-``from .x import …`` statements of an ``__init__.py`` and every
-``__all__`` list are left out of the package text, so a name the
-package only re-exports, and only tests import, lands in test-only.
+Liveness follows references from the code that runs without a test:
+the module level of every ``src/repro`` module, and everything under
+``benchmarks/``, ``examples/``, ``perfbench/`` and ``scripts/``. A
+definition those name is live, and so is what a live definition's own
+body names, transitively — so a function only a test calls does not
+keep alive the classes it names. Matching is by bare name, so it errs
+on the side of keeping code (a method called ``get`` is live once any
+live code reads a ``get``). Dunder methods are skipped (the
+interpreter calls them), and so are the methods of a class with a base
+from outside the package: they override what their library calls
+(``pickle.Pickler.reducer_override``, ``Future.cancel``). Both still
+count as live code while their class is.
 
 It also prints the package's total line count (``find src/repro -name
 '*.py' | xargs cat | wc -l``), so every CI log carries the number
@@ -39,13 +48,15 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Iterable, List, NamedTuple
+from typing import Dict, Iterable, List, NamedTuple, Set
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
-#: Where a reference may live, besides ``src`` itself.
+#: Code that runs without a test, besides ``src`` itself.
 ELSEWHERE = ("benchmarks", "examples", "perfbench", "scripts")
-DOCS = ("DESIGN.md", "README.md")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 class Definition(NamedTuple):
@@ -54,69 +65,167 @@ class Definition(NamedTuple):
     path: Path
     line: int
     lines: int
+    #: The interpreter or a library calls it: never listed.
+    skipped: bool
+    #: Names its own body refers to (nested definitions excluded).
+    refs: frozenset
 
 
-def definitions() -> List[Definition]:
+def _is_reexport(node: ast.AST, path: Path) -> bool:
+    """An ``__init__.py``'s relative import, or an ``__all__`` list."""
+    if isinstance(node, ast.ImportFrom):
+        return path.name == "__init__.py" and node.level > 0
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def _header(node: ast.AST) -> List[ast.AST]:
+    """The parts of a def / class its *enclosing* scope evaluates."""
+    parts = list(node.decorator_list)
+    if isinstance(node, ast.ClassDef):
+        return parts + node.bases + node.keywords
+    return parts + node.args.defaults + [
+        default for default in node.args.kw_defaults if default is not None]
+
+
+def _refs(nodes: Iterable[ast.AST], refs: Set[str], path: Path) -> None:
+    """Add the names ``nodes`` refer to, not descending into nested
+    definitions (only into their headers) or documentation strings."""
+    for node in nodes:
+        if isinstance(node, _DEFS):
+            _refs(_header(node), refs, path)
+            continue
+        if _is_reexport(node, path):
+            continue
+        if isinstance(node, ast.Expr) and isinstance(
+                node.value, ast.Constant) and isinstance(node.value.value, str):
+            continue  # a docstring, or a bare string documenting a field
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _IDENTIFIER.fullmatch(node.value):
+            refs.add(node.value)
+        _refs(ast.iter_child_nodes(node), refs, path)
+
+
+def _own_refs(node: ast.AST, path: Path) -> frozenset:
+    """What a def / class refers to itself: a function's signature and
+    body, a class's body statements."""
+    refs: Set[str] = set()
+    if isinstance(node, ast.ClassDef):
+        _refs(node.body, refs, path)
+    else:
+        _refs([node.args, *node.body], refs, path)
+        if node.returns is not None:
+            _refs([node.returns], refs, path)
+    return frozenset(refs)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text("utf-8"))
+
+
+def definitions(package_classes: Set[str]) -> List[Definition]:
     """Every def / class under the package, nested ones included."""
     found: List[Definition] = []
 
-    def visit(node: ast.AST, path: Path, prefix: str) -> None:
+    def visit(node: ast.AST, path: Path, prefix: str,
+              overrides: bool) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                qualname = f"{prefix}{child.name}"
-                found.append(Definition(
-                    child.name, qualname, path, child.lineno,
-                    child.end_lineno - child.lineno + 1))
-                visit(child, path, f"{qualname}.")
-            else:
-                visit(child, path, prefix)
+            if not isinstance(child, _DEFS):
+                visit(child, path, prefix, overrides)
+                continue
+            name = child.name
+            dunder = name.startswith("__") and name.endswith("__")
+            qualname = f"{prefix}{name}"
+            found.append(Definition(
+                name, qualname, path, child.lineno,
+                child.end_lineno - child.lineno + 1,
+                dunder or (overrides and not isinstance(child, ast.ClassDef)),
+                _own_refs(child, path)))
+            external = isinstance(child, ast.ClassDef) and any(
+                _base_name(base) not in package_classes | {"object"}
+                for base in child.bases)
+            visit(child, path, f"{qualname}.", external)
 
     for path in sorted(PACKAGE.rglob("*.py")):
-        visit(ast.parse(path.read_text("utf-8")), path, "")
+        visit(_parse(path), path, "", False)
     return found
 
 
-def _text(paths: Iterable[Path]) -> str:
-    return "\n".join(path.read_text("utf-8") for path in sorted(paths))
+def _base_name(base: ast.AST) -> str:
+    while isinstance(base, ast.Subscript):
+        base = base.value
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return base.id if isinstance(base, ast.Name) else ""
 
 
-def _without_reexports(path: Path) -> str:
-    """``path``'s text less its re-exports: an ``__init__.py``'s
-    relative imports and any module-level ``__all__``."""
-    text = path.read_text("utf-8")
-    dropped = set()
-    for node in ast.parse(text).body:
-        if (path.name == "__init__.py" and isinstance(node, ast.ImportFrom)
-                and node.level > 0) or (
-                isinstance(node, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "__all__"
-                    for target in node.targets)):
-            dropped.update(range(node.lineno, node.end_lineno + 1))
-    return "\n".join(
-        line for number, line in enumerate(text.splitlines(), 1)
-        if number not in dropped)
+def _module_refs(paths: Iterable[Path], *, top_level: bool) -> Set[str]:
+    """Names ``paths`` refer to: at module level only, or anywhere."""
+    refs: Set[str] = set()
+    for path in paths:
+        tree = _parse(path)
+        if top_level:
+            _refs(tree.body, refs, path)
+        else:
+            _refs([tree], refs, path)
+            for node in ast.walk(tree):
+                if isinstance(node, _DEFS):
+                    refs.update(_own_refs(node, path))
+    return refs
 
 
 def audit():
     """``(unreferenced, test_only)`` lists of :class:`Definition`."""
-    source = "\n".join(
-        _without_reexports(path) for path in sorted(PACKAGE.rglob("*.py")))
-    tests = _text((ROOT / "tests").rglob("*.py"))
-    other = _text(
-        [path for folder in ELSEWHERE
-         for path in (ROOT / folder).rglob("*.py")]
-        + [ROOT / doc for doc in DOCS if (ROOT / doc).exists()])
-    unreferenced, test_only = [], []
-    for definition in definitions():
-        name = definition.name
-        if name.startswith("__") and name.endswith("__"):
-            continue  # the interpreter calls these
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        # The definition line itself is the one mention that is free.
-        if len(word.findall(source)) > 1 or word.search(other):
+    package_files = sorted(PACKAGE.rglob("*.py"))
+    package_classes = {
+        node.name for path in package_files
+        for node in ast.walk(_parse(path)) if isinstance(node, ast.ClassDef)}
+    found = definitions(package_classes)
+    by_name: Dict[str, List[Definition]] = {}
+    for definition in found:
+        by_name.setdefault(definition.name, []).append(definition)
+
+    live_names = _module_refs(package_files, top_level=True) | _module_refs(
+        [path for folder in ELSEWHERE for path in (ROOT / folder).rglob("*.py")],
+        top_level=False)
+    # Dunders and overrides run whenever their class does: their
+    # bodies are live code once the class is (a module's own dunders,
+    # once it is imported).
+    owned: Dict[tuple, List[Definition]] = {}
+    pending: List[Definition] = []
+    for definition in found:
+        owner = definition.qualname.rpartition(".")[0]
+        if definition.skipped and owner:
+            owned.setdefault((definition.path, owner), []).append(definition)
+        elif definition.skipped or definition.name in live_names:
+            pending.append(definition)
+    live: Set[tuple] = set()
+    while pending:
+        definition = pending.pop()
+        key = (definition.path, definition.qualname)
+        if key in live:
             continue
-        (test_only if word.search(tests) else unreferenced).append(definition)
+        live.add(key)
+        pending.extend(owned.get(key, []))
+        for name in definition.refs - live_names:
+            live_names.add(name)
+            pending.extend(
+                d for d in by_name.get(name, []) if not d.skipped)
+
+    tests = _module_refs((ROOT / "tests").rglob("*.py"), top_level=False)
+    unreferenced, test_only = [], []
+    for definition in found:
+        if definition.skipped or definition.name in live_names:
+            continue
+        (test_only if definition.name in tests
+         else unreferenced).append(definition)
     return unreferenced, test_only
 
 

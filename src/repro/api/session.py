@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import EverestConfig
 from ..errors import CheckpointError, QueryError
-from ..oracle.base import Oracle, ScoringFunction
+from ..oracle.base import ScoringFunction
 from ..oracle.cache import CachingOracle, ScoreCache
 from ..oracle.cost import CostModel
 from ..core.phase1 import Phase1Entry, run_phase1
@@ -142,42 +142,6 @@ def _check_phase1_key_covers_every_field() -> None:
 
 
 _check_phase1_key_covers_every_field()
-
-
-def build_phase1_entry(
-    video,
-    scoring: ScoringFunction,
-    unit_costs: Dict[str, float],
-    config: EverestConfig,
-    *,
-    cost_model: Optional[CostModel] = None,
-) -> Phase1Entry:
-    """Run Phase 1 and package the artifacts with their ledger.
-
-    The one Phase-1 build routine, shared by :meth:`Session.phase1`
-    and the service artifact layer (whose single-flight builds happen
-    outside any one session). Charges are purely simulated, so two
-    builds of the same ``(video, scoring, config)`` produce
-    bit-identical entries.
-    """
-    cost_model = cost_model if cost_model is not None \
-        else CostModel(unit_costs)
-    # The labelling oracle keeps a ledger of its own: run_phase1 writes
-    # the whole charge sequence, labelling included, into cost_model.
-    oracle = Oracle(scoring, cost_key="oracle_label")
-    result = run_phase1(
-        video,
-        oracle,
-        config=config.phase1,
-        diff_config=config.diff,
-        cost_model=cost_model,
-        seed=config.seed,
-    )
-    return Phase1Entry(
-        result=result,
-        oracle_calls=oracle.calls,
-        cost_model=cost_model,
-    )
 
 
 @dataclass
@@ -304,9 +268,6 @@ class Session:
         overrides.setdefault("oracle_confirm", oracle_unit)
         self._unit_costs = overrides
         self._phase1_cache: Dict[Phase1Key, Phase1Entry] = {}
-        # Ledgers handed out before their Phase 1 runs (so callers can
-        # hold a stable reference to the ledger Phase 1 will charge).
-        self._phase1_cost_models: Dict[Phase1Key, CostModel] = {}
         # A shared artifact provider supplying single-flight Phase-1
         # builds (None outside a QueryService), and the score cache
         # every executor confirms through: the session's own (on a
@@ -456,7 +417,7 @@ class Session:
 
     # ------------------------------------------------------------------
     # Phase 1: the maintained entry for the pinned key when live; the
-    # keyed cache, pre-handed ledgers and single-flight lease otherwise
+    # keyed cache and single-flight lease otherwise
     # ------------------------------------------------------------------
     def resolved_unit_costs(self) -> Dict[str, float]:
         """The full ledger-key -> seconds map queries will charge."""
@@ -472,20 +433,6 @@ class Session:
                 "configuration only; Phase 2 overrides are fine, but "
                 "a different (phase1, diff, seed) needs its own session")
         return self._key
-
-    def phase1_cost_model(
-        self, config: Optional[EverestConfig] = None
-    ) -> CostModel:
-        """The ledger Phase 1 under ``config`` charges (no Phase 1 run,
-        except that a live session bootstraps: its ledger is replayed
-        per event, so there is none to pre-hand)."""
-        key = self._phase1_key(config)
-        entry = self.phase1(config) if self.live \
-            else self._phase1_cache.get(key)
-        if entry is not None:
-            return entry.cost_model
-        return self._phase1_cost_models.setdefault(
-            key, CostModel(self._unit_costs))
 
     def phase1(self, config: Optional[EverestConfig] = None) -> Phase1Entry:
         """The cached Phase 1 artifacts for ``config`` (runs on miss).
@@ -508,21 +455,9 @@ class Session:
             with trace_span("phase1", category="phase1") as p1_span:
                 if self.artifacts is not None:
                     entry = self.artifacts.lease(self, config, key)
-                    # A ledger handed out via phase1_cost_model() before
-                    # this build was promised to receive Phase 1's
-                    # charges; the shared build charged the store's
-                    # ledger instead, so replay the (bit-identical,
-                    # purely simulated) charges into the held reference
-                    # exactly once.
-                    pre = self._phase1_cost_models.pop(key, None)
-                    if pre is not None and pre is not entry.cost_model:
-                        pre.merge_from(entry.cost_model)
                 else:
-                    entry = build_phase1_entry(
-                        self.video, self.scoring, self._unit_costs,
-                        config,
-                        cost_model=self.phase1_cost_model(config),
-                    )
+                    entry = run_phase1(
+                        self.video, self.scoring, self._unit_costs, config)
                 if p1_span is not None:
                     p1_span.set(
                         video=self.video.name, udf=self.scoring.name,
@@ -667,10 +602,6 @@ class Session:
     def expiry_log(self) -> List[ExpiryResult]:
         return list(self._expiry_log)
 
-    @property
-    def subscriptions(self) -> list:
-        return list(self._subscriptions)
-
     def append(self, num_frames: int) -> AppendResult:
         """Reveal ``num_frames`` more source frames and re-certify.
 
@@ -729,7 +660,7 @@ class Session:
             ExpiryResult(
                 horizon=horizon,
                 window_lo=self.video.window_lo,
-                ticked_frames=frames,
+                ticked_frames=int(frames),
                 watermark=self.watermark,
             ))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import EverestConfig
-from ..oracle.base import Oracle, ScoringFunction
+from ..oracle.base import ScoringFunction
 from ..oracle.cost import CostModel
 from ..video.synthetic import SyntheticVideo
 from ..core.phase1 import run_phase1
@@ -27,19 +27,11 @@ def cmdn_only_topk(
     unit_costs=None,
 ) -> BaselineResult:
     """Run Phase 1 only; Top-K of the proxy's expected scores."""
-    cost_model = CostModel(unit_costs)
-    oracle = Oracle(scoring, cost_key="oracle_label")
+    costs = CostModel(unit_costs).unit_costs
     # Labelling charges the oracle's own latency.
-    cost_model.unit_costs["oracle_label"] = cost_model.unit_costs.get(
-        scoring.cost_key, 0.0)
-    phase1 = run_phase1(
-        video,
-        oracle,
-        config=config.phase1,
-        diff_config=config.diff,
-        cost_model=cost_model,
-        seed=config.seed,
-    )
+    costs["oracle_label"] = costs.get(scoring.cost_key, 0.0)
+    entry = run_phase1(video, scoring, costs, config)
+    phase1 = entry.result
     relation = phase1.relation
     expected = relation.expected_scores()
     order = np.lexsort((relation.ids, -expected))
@@ -50,7 +42,7 @@ def cmdn_only_topk(
         k=k,
         answer_ids=[int(relation.ids[i]) for i in top],
         answer_scores=[float(expected[i]) for i in top],
-        simulated_seconds=cost_model.total_seconds(),
+        simulated_seconds=entry.cost_model.total_seconds(),
         extras={
             "holdout_nll": phase1.grid_result.best_history.holdout_nll,
             "num_retained": float(phase1.diff_result.num_retained),

@@ -39,12 +39,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import DiffDetectorConfig, EverestConfig, Phase1Config
+from ..config import DiffDetectorConfig, EverestConfig
 from ..errors import ConfigurationError
 from ..models.cmdn import ProxyScorer
 from ..models.mdn import GaussianMixture
 from ..models.trainer import GridResult, proxy_family, train_proxy_grid
-from ..oracle.base import Oracle
+from ..oracle.base import Oracle, ScoringFunction
 from ..oracle.cost import CostModel
 from ..trace import span as trace_span
 from ..video.diff import DifferenceDetector, DiffResult, RetainedSink
@@ -764,27 +764,22 @@ class Phase1Maintainer:
 
 def run_phase1(
     video: SyntheticVideo,
-    oracle: Oracle,
+    scoring: ScoringFunction,
+    unit_costs: Optional[Dict[str, float]],
+    config: EverestConfig,
     *,
-    config: Optional[Phase1Config] = None,
-    diff_config: Optional[DiffDetectorConfig] = None,
     cost_model: Optional[CostModel] = None,
-    seed: int = 0,
-) -> Phase1Result:
+) -> Phase1Entry:
     """Build D0 for a closed ``video``: a maintainer that never appends.
 
-    ``oracle`` labels the samples; ``cost_model`` receives the whole
-    Phase-1 charge sequence, labelling included (hand the oracle its
-    own ledger, not this one).
+    The one Phase-1 build routine — of a session, of the service's
+    single-flight builds (inline or in a pool worker) and of the
+    CMDN-only baseline. The samples are labelled by an oracle with a
+    ledger of its own; ``cost_model`` (default: a fresh ledger at
+    ``unit_costs``) receives the whole Phase-1 charge sequence,
+    labelling included. Charges are purely simulated, so two builds of
+    the same ``(video, scoring, config)`` are bit-identical entries.
     """
-    maintainer = Phase1Maintainer(
-        video,
-        oracle,
-        EverestConfig(
-            phase1=config if config is not None else Phase1Config(),
-            diff=diff_config if diff_config is not None
-            else DiffDetectorConfig(),
-            seed=seed,
-        ),
-    )
-    return maintainer.bootstrap(cost_model).result
+    return Phase1Maintainer(
+        video, Oracle(scoring, cost_key="oracle_label"), config, unit_costs,
+    ).bootstrap(cost_model)

@@ -371,7 +371,7 @@ def restrict_relation(
 
 def build_relation(
     ids: Sequence[int],
-    mixtures: GaussianMixture,
+    mixtures: Optional[GaussianMixture],
     *,
     floor: float,
     step: float,
@@ -387,11 +387,13 @@ def build_relation(
     inserted as certain tuples; extra known frames not in ``ids`` are
     appended. An explicit ``grid`` overrides :func:`grid_for` — how the
     Phase-1 maintainer keeps the full-prefix grid while materializing
-    only the open window's mixtures (DESIGN.md §13) — and ``pmf``,
+    only the open window's mixtures (DESIGN.md §13), and how a corpus
+    puts its members on one shared grid (DESIGN.md §9) — and ``pmf``,
     the mixtures' rows already quantized on that grid
     (:func:`quantize_mixtures` is row-independent, so the maintainer
     keeps them per inference block), replaces the quantization pass;
     the relation takes the array over and cleans it in place.
+    ``mixtures`` is read only when ``grid`` or ``pmf`` is missing.
     """
     known_scores = dict(known_scores or {})
     ids = [int(i) for i in ids]

@@ -42,12 +42,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.executor import QueryExecutor
-from ..api.session import Phase1Entry
-from ..core.phase1 import Phase1Result
+from ..core.phase1 import Phase1Entry, Phase1Result
 from ..core.result import QueryReport
 from ..core.uncertain import (
     QuantizationGrid,
-    UncertainRelation,
+    build_relation,
     quantize_mixtures,
 )
 from ..errors import (
@@ -82,89 +81,6 @@ def merged_grid(
         result.relation.grid.num_levels for result in results))
 
 
-def merge_phase1_results(
-    results: Sequence[Phase1Result],
-    offsets: Sequence[int],
-    *,
-    floor: float,
-    step: float,
-    truncate_sigmas: float,
-) -> Phase1Result:
-    """Merge per-shard Phase-1 results into one global result.
-
-    Mirrors :func:`~repro.core.uncertain.build_relation` structurally:
-    retained-frame pmf rows first (member order — globally ascending
-    ids, since offsets are cumulative), then one point-mass row per
-    labelled-but-not-retained frame in ascending global order, then the
-    labelled frames marked certain in member insertion order. For a
-    single member this reproduces the plain build bit for bit.
-
-    ``proxy`` / ``grid_result`` / ``mixtures`` carry the *first*
-    member's artifacts (canonical; heterogeneous shards train distinct
-    proxies and no single model describes the union — the merged
-    relation is the cross-shard artifact). The merged result serves
-    frame-mode queries only.
-    """
-    grid = merged_grid(results, floor=floor, step=step)
-
-    id_blocks: List[np.ndarray] = []
-    retained_blocks: List[np.ndarray] = []
-    pmf_blocks: List[np.ndarray] = []
-    rep_blocks: List[np.ndarray] = []
-    known_global: Dict[int, float] = {}
-    retained_global: set = set()
-    total_frames = 0
-    for offset, result in zip(offsets, results):
-        offset = int(offset)
-        retained = result.diff_result.retained.astype(np.int64) + offset
-        retained_blocks.append(retained)
-        # The rows the mixtures cover: all of them, or the open-window
-        # tail on a sliding member (lower rows have been evicted).
-        covered = retained[retained.size - len(result.mixtures.mu):]
-        id_blocks.append(covered)
-        retained_global.update(int(i) for i in covered)
-        pmf_blocks.append(
-            quantize_mixtures(
-                result.mixtures, grid, truncate_sigmas=truncate_sigmas))
-        rep_blocks.append(
-            result.diff_result.representative.astype(np.int64) + offset)
-        for frame, score in result.known_scores.items():
-            known_global[int(frame) + offset] = float(score)
-        total_frames += result.diff_result.num_frames
-
-    extra_ids = sorted(set(known_global) - retained_global)
-    full_ids = np.concatenate(
-        [*id_blocks, np.asarray(extra_ids, dtype=np.int64)])
-    extra_rows = np.zeros((len(extra_ids), grid.num_levels))
-    for row, frame in enumerate(extra_ids):
-        level = int(grid.level_of(known_global[frame]))
-        extra_rows[row, level] = 1.0
-    pmf = np.vstack([*pmf_blocks, extra_rows])
-
-    relation = UncertainRelation(full_ids, pmf, grid)
-    for frame, score in known_global.items():
-        position = relation.position(frame)
-        if not relation.certain[position]:
-            relation.mark_certain(position, score)
-        else:  # pragma: no cover - mirrors build_relation's guard
-            relation.exact_scores[position] = float(score)
-
-    diff = DiffResult(
-        retained=np.concatenate(retained_blocks),
-        representative=np.concatenate(rep_blocks),
-        num_frames=total_frames,
-    )
-    first = results[0]
-    return Phase1Result(
-        relation=relation,
-        proxy=first.proxy,
-        grid_result=first.grid_result,
-        diff_result=diff,
-        known_scores=known_global,
-        mixtures=first.mixtures,
-    )
-
-
 def merge_phase1_entries(
     entries: Sequence[Phase1Entry],
     offsets: Sequence[int],
@@ -175,21 +91,69 @@ def merge_phase1_entries(
 ) -> Phase1Entry:
     """Merge per-shard entries: artifacts, call counts and ledgers.
 
+    The relation is :func:`~repro.core.uncertain.build_relation`'s over
+    the members' covered rows on :func:`merged_grid`, in member order
+    (globally ascending ids, since offsets are cumulative), with every
+    member's labelled frames as the known scores — for a single member
+    the plain build, bit for bit.
+
+    ``proxy`` / ``grid_result`` / ``mixtures`` carry the *first*
+    member's artifacts (canonical; heterogeneous shards train distinct
+    proxies and no single model describes the union — the merged
+    relation is the cross-shard artifact). The merged result serves
+    frame-mode queries only.
+
     The merged ledger folds the member ledgers key-wise in canonical
     member order — the same association a later
     ``merge_cost_models([*phase1_costs, phase2])`` produces, so the
     corpus ``merged_cost`` is bit-identical to the reference ledger
     built from this entry.
     """
-    result = merge_phase1_results(
-        [entry.result for entry in entries],
-        offsets,
+    results = [entry.result for entry in entries]
+    grid = merged_grid(results, floor=floor, step=step)
+    covered_blocks: List[np.ndarray] = []
+    retained_blocks: List[np.ndarray] = []
+    rep_blocks: List[np.ndarray] = []
+    known_global: Dict[int, float] = {}
+    for offset, result in zip(offsets, results):
+        offset = int(offset)
+        retained = result.diff_result.retained.astype(np.int64) + offset
+        retained_blocks.append(retained)
+        # The rows the mixtures cover: all of them, or the open-window
+        # tail on a sliding member (lower rows have been evicted).
+        covered_blocks.append(
+            retained[retained.size - len(result.mixtures.mu):])
+        rep_blocks.append(
+            result.diff_result.representative.astype(np.int64) + offset)
+        for frame, score in result.known_scores.items():
+            known_global[int(frame) + offset] = float(score)
+
+    relation = build_relation(
+        np.concatenate(covered_blocks),
+        None,
         floor=floor,
         step=step,
-        truncate_sigmas=truncate_sigmas,
+        known_scores=known_global,
+        grid=grid,
+        pmf=np.vstack([
+            quantize_mixtures(
+                result.mixtures, grid, truncate_sigmas=truncate_sigmas)
+            for result in results]),
     )
+    first = results[0]
     return Phase1Entry(
-        result=result,
+        result=Phase1Result(
+            relation=relation,
+            proxy=first.proxy,
+            grid_result=first.grid_result,
+            diff_result=DiffResult(
+                retained=np.concatenate(retained_blocks),
+                representative=np.concatenate(rep_blocks),
+                num_frames=sum(r.diff_result.num_frames for r in results),
+            ),
+            known_scores=known_global,
+            mixtures=first.mixtures,
+        ),
         oracle_calls=sum(entry.oracle_calls for entry in entries),
         cost_model=merge_cost_models(
             [entry.cost_model for entry in entries]),

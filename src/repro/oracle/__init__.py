@@ -1,4 +1,4 @@
-"""Oracle substrate: simulated deep models, UDFs, tracking, cost model.
+"""Oracle substrate: simulated deep models, UDFs, cost model.
 
 The accurate-but-slow "oracle" in the paper is a deep CNN (YOLOv3 for
 counting, a monocular depth estimator for tailgating, a sentimentalizer
@@ -9,12 +9,7 @@ measure — are preserved without a GPU.
 """
 
 from .base import Oracle, ScoringFunction
-from .cost import (
-    CostModel,
-    DEFAULT_UNIT_COSTS,
-    merge_cost_models,
-    scan_cost_seconds,
-)
+from .cost import CostModel, DEFAULT_UNIT_COSTS, merge_cost_models
 from .detector import (
     DetectorErrorModel,
     SimulatedObjectDetector,
@@ -22,8 +17,6 @@ from .detector import (
 )
 from .depth import SimulatedDepthEstimator, tailgating_udf
 from .sentiment import SimulatedSentimentalizer, sentiment_udf
-from .tracker import IoUTracker, Track
-from .relation import VideoRelation, VideoTuple, materialize_relation
 
 __all__ = [
     "Oracle",
@@ -31,7 +24,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_UNIT_COSTS",
     "merge_cost_models",
-    "scan_cost_seconds",
     "DetectorErrorModel",
     "SimulatedObjectDetector",
     "counting_udf",
@@ -39,9 +31,4 @@ __all__ = [
     "tailgating_udf",
     "SimulatedSentimentalizer",
     "sentiment_udf",
-    "IoUTracker",
-    "Track",
-    "VideoRelation",
-    "VideoTuple",
-    "materialize_relation",
 ]

@@ -149,21 +149,3 @@ def merge_cost_models(
     for model in models:
         merged.merge_from(model)
     return merged
-
-
-def scan_cost_seconds(
-    num_frames: int,
-    *,
-    oracle_key: str = "oracle_infer",
-    unit_costs: Optional[Mapping[str, float]] = None,
-) -> float:
-    """Simulated cost of the naive scan-and-test baseline.
-
-    Scan decodes and oracle-scores every frame; decoding is sequential
-    and therefore perfectly prefetched (paper Section 3.5), so its cost
-    still counts but never stalls — we model both as pure latency.
-    """
-    costs = dict(DEFAULT_UNIT_COSTS)
-    if unit_costs:
-        costs.update(unit_costs)
-    return num_frames * (costs[oracle_key] + costs["decode"])

@@ -39,7 +39,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..api.session import Phase1Entry, Phase1Key, build_phase1_entry
+from ..api.session import Phase1Key
+from ..core.phase1 import Phase1Entry, run_phase1
 from ..errors import ConfigurationError, ServiceError
 from ..oracle.cache import ScoreCache
 from ..oracle.cost import CostModel
@@ -196,7 +197,7 @@ class SharedArtifacts:
                     args = (
                         session.video, session.scoring,
                         session.resolved_unit_costs(), config)
-                    entry = build_phase1_entry(*args) if pool is None \
+                    entry = run_phase1(*args) if pool is None \
                         else build_in_pool(pool, *args)
                     with self._lock:
                         self.stats.builds += 1

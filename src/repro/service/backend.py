@@ -40,7 +40,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..api.executor import ExecutionDetail, QueryExecutor
-from ..api.session import Phase1Entry, Session, build_phase1_entry
+from ..api.session import Session
+from ..core.phase1 import Phase1Entry, run_phase1
 from ..oracle.cache import ScoreCache
 from ..parallel.pool import Shipped
 from ..trace import Tracer, active_span
@@ -124,9 +125,9 @@ def _build_worker_run(video, scoring, unit_costs, config, traced: bool):
     """Build one Phase-1 entry in a pool worker; ``(entry, spans)``."""
     if traced:
         return _traced(
-            "worker_build", build_phase1_entry,
+            "worker_build", run_phase1,
             video, scoring, unit_costs, config)
-    return build_phase1_entry(video, scoring, unit_costs, config), None
+    return run_phase1(video, scoring, unit_costs, config), None
 
 
 def build_in_pool(pool, video, scoring, unit_costs, config) -> Phase1Entry:

@@ -26,30 +26,8 @@ class BoundingBox:
     label: str = "object"
 
     @property
-    def area(self) -> float:
-        return max(self.width, 0.0) * max(self.height, 0.0)
-
-    @property
     def center(self) -> Tuple[float, float]:
         return (self.x + self.width / 2.0, self.y + self.height / 2.0)
-
-    def intersection(self, other: "BoundingBox") -> float:
-        """Area of overlap with ``other`` (0.0 when disjoint)."""
-        left = max(self.x, other.x)
-        top = max(self.y, other.y)
-        right = min(self.x + self.width, other.x + other.width)
-        bottom = min(self.y + self.height, other.y + other.height)
-        if right <= left or bottom <= top:
-            return 0.0
-        return (right - left) * (bottom - top)
-
-    def iou(self, other: "BoundingBox") -> float:
-        """Intersection-over-union with ``other`` in ``[0, 1]``."""
-        inter = self.intersection(other)
-        union = self.area + other.area - inter
-        if union <= 0.0:
-            return 0.0
-        return inter / union
 
 
 class Frame:

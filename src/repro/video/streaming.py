@@ -67,6 +67,17 @@ def window_frames_for(seconds: float, fps: float) -> int:
     return max(1, int(round(float(seconds) * float(fps))))
 
 
+def _frame_count(operation: str, frames) -> int:
+    """``frames`` as a positive ``int``: any integral number but a
+    ``bool``, refused before a clock event moves anything."""
+    if isinstance(frames, bool) or not isinstance(frames, numbers.Integral) \
+            or frames < 1:
+        raise ConfigurationError(
+            f"{operation} needs a positive integer frame count, "
+            f"got {frames!r}")
+    return int(frames)
+
+
 def is_sliding(video) -> bool:
     """Whether ``video`` is a live sliding-window view.
 
@@ -187,8 +198,7 @@ class StreamingVideo(SyntheticVideo):
             raise VideoError(
                 f"video {self.name!r} is a sealed snapshot; "
                 f"append to the live stream instead")
-        if num_frames < 1:
-            raise ConfigurationError("append needs num_frames >= 1")
+        num_frames = _frame_count("append", num_frames)
         if num_frames > self.remaining:
             raise VideoError(
                 f"source {self.name!r} has {self.remaining} frames left, "
@@ -217,10 +227,7 @@ class StreamingVideo(SyntheticVideo):
             raise VideoError(
                 f"video {self.name!r} has no sliding window, so nothing "
                 f"ever expires; wrap the source with window_seconds=...")
-        if not isinstance(frames, int) or isinstance(frames, bool) \
-                or frames < 1:
-            raise ConfigurationError(
-                f"tick needs a positive integer frame count, got {frames!r}")
+        frames = _frame_count("tick", frames)
         new_horizon = self.horizon + frames
         if new_horizon - self.window_frames >= self.num_frames:
             raise VideoError(

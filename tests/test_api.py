@@ -158,15 +158,6 @@ class TestSessionQueries:
         fresh.query().with_config(override).topk(5).guarantee(0.9).run()
         assert fresh.phase1_runs == 1
 
-    def test_facade_phase1_cost_ledger(self, traffic_video, fast_config):
-        fresh = Session(
-            traffic_video, counting_udf("car"), config=fast_config)
-        ledger = fresh.phase1_cost_model()  # stable handle before Phase 1
-        assert ledger.seconds("oracle_label") == 0.0
-        fresh.query().topk(5).guarantee(0.9).run()
-        assert ledger is fresh.phase1_cost_model()
-        assert ledger.seconds("oracle_label") > 0
-
     def test_oracle_budget_clause_enforced(self, traffic_video, fast_config):
         fresh = Session(traffic_video, counting_udf("car"),
                         config=fast_config)

@@ -108,8 +108,8 @@ def test_resumed_stream_warm_retrains_like_its_twin(tmp_path):
     assert after != before, "the resumed proxy did not learn"
     assert after == _layer_bytes(twin.phase1().result.proxy.network)
     assert live_resumed.latest.to_json() == live_twin.latest.to_json()
-    assert resumed.phase1_cost_model().total_seconds() == \
-        twin.phase1_cost_model().total_seconds()
+    assert resumed.phase1().cost_model.total_seconds() == \
+        twin.phase1().cost_model.total_seconds()
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,22 @@
-"""Tests for the oracle substrate: cost model, UDFs, detectors,
-tracker, and the video relation."""
+"""Tests for the oracle substrate: cost model, UDFs and detectors."""
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.errors import ConfigurationError, OracleBudgetExceededError
 from repro.oracle import (
     CostModel,
     DetectorErrorModel,
-    IoUTracker,
     Oracle,
     SimulatedDepthEstimator,
     SimulatedObjectDetector,
     SimulatedSentimentalizer,
     counting_udf,
-    materialize_relation,
-    scan_cost_seconds,
     sentiment_udf,
     tailgating_udf,
 )
 from repro.oracle.base import exact_scores
-from repro.video import BoundingBox
 
 
 class TestCostModel:
@@ -68,9 +64,11 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel({"decode": -0.1})
 
-    def test_scan_cost(self):
-        seconds = scan_cost_seconds(1_000)
-        assert seconds == pytest.approx(1_000 * 0.2003)
+    def test_scan_cost(self, traffic_video):
+        # Scan-and-test decodes and oracle-scores every frame.
+        session = Session(traffic_video, counting_udf("car"))
+        assert session.scan_seconds() == pytest.approx(
+            len(traffic_video) * 0.2003)
 
 
 class TestOracle:
@@ -190,78 +188,3 @@ class TestDepthAndSentiment:
         values = [noisy.happiness(sentiment_video.frame(i))
                   for i in range(50)]
         assert all(0.0 <= v <= 1.0 for v in values)
-
-
-class TestTracker:
-    def _box(self, x, y, label="car"):
-        return BoundingBox(x=x, y=y, width=4, height=4, label=label)
-
-    def test_stable_id_across_frames(self):
-        tracker = IoUTracker()
-        first = tracker.update(0, [self._box(0, 0)])
-        second = tracker.update(1, [self._box(1, 0)])
-        assert first[0][0] == second[0][0]
-
-    def test_new_object_gets_new_id(self):
-        tracker = IoUTracker()
-        tracker.update(0, [self._box(0, 0)])
-        second = tracker.update(1, [self._box(0, 0), self._box(15, 15)])
-        ids = [obj_id for obj_id, _ in second]
-        assert len(set(ids)) == 2
-
-    def test_track_expires_after_max_age(self):
-        tracker = IoUTracker(max_age=1)
-        tracker.update(0, [self._box(0, 0)])
-        tracker.update(1, [])
-        tracker.update(2, [])
-        reborn = tracker.update(3, [self._box(0, 0)])
-        assert reborn[0][0] == 1  # old track expired, new id assigned
-
-    def test_label_mismatch_not_matched(self):
-        tracker = IoUTracker()
-        tracker.update(0, [self._box(0, 0, label="car")])
-        second = tracker.update(1, [self._box(0, 0, label="person")])
-        assert second[0][0] == 1
-
-    def test_greedy_matches_best_iou(self):
-        tracker = IoUTracker()
-        tracker.update(0, [self._box(0, 0), self._box(10, 0)])
-        assignments = tracker.update(
-            1, [self._box(10.5, 0), self._box(0.5, 0)])
-        by_id = dict(assignments)
-        assert by_id[0].x == 0.5
-        assert by_id[1].x == 10.5
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            IoUTracker(iou_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            IoUTracker(max_age=-1)
-
-
-class TestVideoRelation:
-    def test_counts_match_ground_truth(self, traffic_video):
-        relation = materialize_relation(
-            traffic_video, indices=range(0, 60))
-        counts = relation.count_per_frame("car")
-        for i in range(60):
-            assert counts[i] == traffic_video.true_count(i)
-
-    def test_charges_oracle_per_frame(self, traffic_video):
-        cost = CostModel()
-        materialize_relation(
-            traffic_video, indices=range(10), cost_model=cost)
-        assert cost.units("oracle_infer") == 10
-
-    def test_object_ids_persist(self, traffic_video):
-        relation = materialize_relation(
-            traffic_video, indices=range(0, 30))
-        lifetimes = relation.object_lifetimes()
-        assert max(lifetimes.values()) > 1, \
-            "objects should persist across frames"
-
-    def test_distinct_objects_bounded(self, traffic_video):
-        relation = materialize_relation(
-            traffic_video, indices=range(0, 30))
-        assert relation.distinct_objects() <= len(relation)
-        assert relation.frames_materialized == 30

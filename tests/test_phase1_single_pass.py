@@ -138,11 +138,10 @@ def featurized_rows():
 
 def run(video):
     cost = RecordingCostModel()
-    oracle = Oracle(counting_udf("car"), cost_key="oracle_label")
-    result = run_phase1(
-        video, oracle, config=PHASE1, diff_config=DIFF, cost_model=cost,
-        seed=3)
-    return result, oracle, cost
+    entry = run_phase1(
+        video, counting_udf("car"), None,
+        EverestConfig(phase1=PHASE1, diff=DIFF, seed=3), cost_model=cost)
+    return entry.result, entry.oracle_calls, cost
 
 
 def unretained_samples(result) -> int:
@@ -159,13 +158,13 @@ def single_pass():
 
 
 def test_every_frame_is_rendered_exactly_once(single_pass):
-    video, result, _, _, _ = single_pass
+    video, result, labels, _, _ = single_pass
     assert result.diff_result.num_retained > _INFER_CHUNK
     # Labelling reads annotations and renders nothing; a sampled frame
     # is rendered for training and the pass takes its pixels from there.
     assert set(video.rendered) == set(range(NUM_FRAMES))
     assert sum(video.rendered.values()) == len(video) == NUM_FRAMES
-    assert len(result.known_scores) == 130 + 48  # 5 % of the frames
+    assert labels == len(result.known_scores) == 130 + 48  # 5 % of them
 
 
 def test_every_row_is_featurized_exactly_once(single_pass):
@@ -223,8 +222,8 @@ def test_the_two_render_build_is_the_same_build_with_more_work(monkeypatch):
 
 def test_single_pass_equals_the_two_pass_result(single_pass):
     reference_video = TrafficVideo("single-pass", NUM_FRAMES, seed=21)
-    result, oracle, _ = run(
-        TrafficVideo("single-pass", NUM_FRAMES, seed=21))
+    result, _, _ = run(TrafficVideo("single-pass", NUM_FRAMES, seed=21))
+    scoring = counting_udf("car")
 
     retained, representative = two_pass_diff(reference_video, DIFF)
     np.testing.assert_array_equal(result.diff_result.retained, retained)
@@ -243,7 +242,7 @@ def test_single_pass_equals_the_two_pass_result(single_pass):
 
     relation = build_relation(
         retained, mixtures,
-        floor=oracle.scoring.score_floor, step=oracle.scoring.step,
+        floor=scoring.score_floor, step=scoring.step,
         known_scores=result.known_scores,
         truncate_sigmas=PHASE1.truncate_sigmas)
     np.testing.assert_array_equal(result.relation.ids, relation.ids)
@@ -414,8 +413,8 @@ def test_a_stream_built_either_way_checkpoints_and_retrains_alike(
     assert live.latest.to_json() == twin_live.latest.to_json()
     assert stream.phase1().result.mixtures.mu.tobytes() \
         == twin.phase1().result.mixtures.mu.tobytes()
-    assert stream.phase1_cost_model().total_seconds() \
-        == twin.phase1_cost_model().total_seconds()
+    assert stream.phase1().cost_model.total_seconds() \
+        == twin.phase1().cost_model.total_seconds()
 
 
 # ----------------------------------------------------------------------

@@ -577,20 +577,6 @@ class TestQueryServiceSurface:
             service.submit(query).result(WAIT)
             assert stream.stats.fresh_confirm_calls == paid
 
-    def test_prehanded_phase1_ledger_filled_by_shared_build(self, comp_cfg):
-        with QueryService(workers=1, use_processes=False) as service:
-            session = service.open_session(
-                _video("ledger", 97), counting_udf("car"), config=comp_cfg)
-            held = session.phase1_cost_model()
-            assert held.total_seconds() == 0.0
-            session.query().topk(3).guarantee(0.9).run()
-            # The single-flight build charged the store's ledger; the
-            # pre-handed reference received the same charges.
-            entry_ledger = session.phase1().cost_model
-            assert held.total_seconds() == entry_ledger.total_seconds()
-            assert held.units("oracle_label") == \
-                entry_ledger.units("oracle_label")
-
     def test_gather_timeout_message(self, comp_cfg):
         with QueryService(workers=1, use_processes=False) as service:
             session = service.open_session(

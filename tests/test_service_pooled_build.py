@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro import EverestConfig, Session
-from repro.api.session import build_phase1_entry, phase1_key
+from repro.api.session import phase1_key
+from repro.core.phase1 import run_phase1
 from repro.corpus import VideoCorpus
 from repro.oracle import counting_udf
 from repro.parallel.pool import PersistentPool
@@ -88,7 +89,7 @@ def test_a_pooled_build_is_the_inline_build(pool, seed, config):
         config=config)
     args = (session.video, session.scoring,
             session.resolved_unit_costs(), config)
-    inline = build_phase1_entry(*args)
+    inline = run_phase1(*args)
     pooled = build_in_pool(pool, *args)
     differing = list(_differences(inline, pooled))
     # The round trip drops the accumulated gradients (re-packed to
@@ -109,7 +110,7 @@ def test_the_process_lane_builds_in_a_worker_and_answers_the_same_bytes(
     def refuse(*args):
         raise AssertionError("the process lane built on a service thread")
 
-    monkeypatch.setattr(artifacts_module, "build_phase1_entry", refuse)
+    monkeypatch.setattr(artifacts_module, "run_phase1", refuse)
     video = TrafficVideo("where", 600, seed=313)
     udf = counting_udf("car")
     with QueryService(workers=2, use_processes=True) as service:

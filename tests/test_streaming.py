@@ -99,6 +99,16 @@ class TestStreamingVideo:
         stream = StreamingVideo(traffic_video, len(traffic_video) - 5)
         with pytest.raises(ConfigurationError):
             stream.append(0)
+        # Refused before anything moves: a count is an integer, not a
+        # float and not a bool.
+        segments = stream.segments
+        for count in (2.5, True):
+            with pytest.raises(ConfigurationError):
+                stream.append(count)
+        assert stream.watermark == len(traffic_video) - 5
+        assert stream.segments == segments
+        segment = stream.append(np.int64(2))
+        assert type(segment.end) is int and stream.remaining == 3
         with pytest.raises(VideoError):
             stream.append(6)  # source exhausted
         stream.append_until(len(traffic_video))
@@ -312,9 +322,7 @@ def assert_built_from_scratch(stream):
         truncate_sigmas=phase1.truncate_sigmas))
     if not stream.diverged:
         same_relation(run_phase1(
-            prefix, Oracle(scoring, cost_key="oracle_label"),
-            config=phase1, diff_config=stream.config.diff,
-            seed=stream.config.seed).relation)
+            prefix, scoring, None, stream.config).result.relation)
 
 
 def test_flipped_retain_decisions_keep_the_state_from_scratch():
@@ -715,6 +723,20 @@ class TestStreamingSessionSurface:
                 merged.breakdown()
 
         assert ledgers() == ledgers()
+
+    def test_a_refused_append_leaves_the_stream_answering(self):
+        stream = Session.open_stream(
+            TrafficVideo("stream-refused", 360, seed=23),
+            counting_udf("car"), initial_frames=240,
+            config=EverestConfig.fast())
+        stream.query().topk(5).guarantee(0.9).subscribe()
+        with pytest.raises(ConfigurationError):
+            stream.append(2.5)
+        assert stream.watermark == 240 and len(stream.segments) == 1
+        result = stream.append(10)
+        assert stream.watermark == 250
+        reference = stream.batch_session().query().topk(5).guarantee(0.9)
+        assert result.reports[0].to_json() == reference.run().to_json()
 
     def test_bootstrapped_stream_is_phase1_cached(
             self, small_stream_session):

@@ -118,8 +118,8 @@ def test_every_append_matches_batch_over_its_prefix():
         assert live.latest.to_json() == reference.to_json()
         # The Phase-1 ledgers agree charge for charge, not just in the
         # report projection: same units and the same float seconds.
-        live_ledger = stream.phase1_cost_model()
-        batch_ledger = batch.phase1_cost_model()
+        live_ledger = stream.phase1().cost_model
+        batch_ledger = batch.phase1().cost_model
         assert live_ledger.breakdown() == batch_ledger.breakdown()
         for key in live_ledger.breakdown():
             assert live_ledger.units(key) == batch_ledger.units(key)
@@ -164,9 +164,8 @@ def test_drift_auditing_charges_honestly_and_marks_divergence():
     # ...and the ledger carries the audit + retrain work on top of the
     # batch-equivalent base, so divergence is visible, not hidden.
     batch = stream.batch_session()
-    batch.phase1()  # populate the reference ledger
-    batch_ledger = batch.phase1_cost_model()
-    live_ledger = stream.phase1_cost_model()
+    batch_ledger = batch.phase1().cost_model
+    live_ledger = stream.phase1().cost_model
     assert live_ledger.units("oracle_label") > \
         batch_ledger.units("oracle_label")
     assert live_ledger.units("cmdn_train") > batch_ledger.units("cmdn_train")

@@ -147,8 +147,8 @@ def test_every_event_matches_batch_ledger_charge_for_charge():
         assert live.latest.to_json() == reference.to_json()
         # The Phase-1 ledgers agree charge for charge, not just in the
         # report projection: same units and the same float seconds.
-        live_ledger = stream.phase1_cost_model()
-        batch_ledger = batch.phase1_cost_model()
+        live_ledger = stream.phase1().cost_model
+        batch_ledger = batch.phase1().cost_model
         assert live_ledger.breakdown() == batch_ledger.breakdown()
         for key in live_ledger.breakdown():
             assert live_ledger.units(key) == batch_ledger.units(key)
@@ -274,12 +274,18 @@ def test_windowed_video_tick_and_snapshot_validation():
         video.tick(0)
     with pytest.raises(ConfigurationError):
         video.tick(2.5)
+    with pytest.raises(ConfigurationError):
+        video.tick(True)
+    assert video.horizon == BOOTSTRAP
     # Advancing the clock until no arrived frame remains in the window
     # is refused (an empty window has no Top-K answer)...
     with pytest.raises(VideoError):
         video.tick(WINDOW_FRAMES)
-    # ...but one frame short of that is fine.
-    assert video.tick(WINDOW_FRAMES - 1) == BOOTSTRAP + WINDOW_FRAMES - 1
+    # ...but one frame short of that is fine, counted by any integral
+    # number (the query builder's rule too).
+    assert video.tick(np.int64(WINDOW_FRAMES - 1)) \
+        == BOOTSTRAP + WINDOW_FRAMES - 1
+    assert type(video.horizon) is int
     assert video.window_lo == BOOTSTRAP - 1
 
     snap = video.snapshot()
