@@ -30,11 +30,7 @@ import pytest
 
 from repro import EverestConfig, Session
 from repro.api.executor import QueryExecutor
-from repro.config import (
-    DEFAULT_CMDN_GRID,
-    Phase1Config,
-    SelectCandidateConfig,
-)
+from repro.config import DEFAULT_CMDN_GRID, SelectCandidateConfig
 from repro.core.cleaner import TopKCleaner
 from repro.core.select_candidate import CandidateSelector
 from repro.core.topk_prob import ConfidenceState
@@ -46,6 +42,7 @@ from repro.models import (
     build_feature_mdn,
     extract_features,
 )
+from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.oracle.cache import CachingOracle
 from repro.video import (
@@ -222,14 +219,14 @@ def test_mdn_inference_throughput(benchmark, trained_bench_proxy=None):
 def test_mdn_train_step(benchmark, shape):
     """µs per ``train_step`` at the default batch size."""
     gaussians, hypotheses = shape
-    batch = Phase1Config().batch_size
+    batch = TRAIN_BATCH_SIZE
     rng = np.random.default_rng(0)
     x = rng.normal(size=(batch, NUM_FEATURES))
     y = rng.normal(size=batch)
     network = build_feature_mdn(
         num_gaussians=gaussians, num_hypotheses=hypotheses)
     network.fit_target_scaling(y)
-    optimizer = Adam(Phase1Config().learning_rate)
+    optimizer = Adam(LEARNING_RATE)
     steps = 200
 
     def run():
@@ -352,8 +349,7 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     def window_fetch():
         for _ in range(rounds):
             entry.window_relation(
-                window_size=30, floor=0.0, step=0.25,
-                truncate_sigmas=3.0).copy()
+                window_size=30, floor=0.0, step=0.25).copy()
 
     window_fetch()  # derived on first use; the fetch is what repeats
     benchmark.pedantic(state_setup, rounds=1, iterations=1)

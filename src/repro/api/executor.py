@@ -218,14 +218,12 @@ class QueryExecutor:
                 window_size=plan.window_size,
                 floor=session.scoring.score_floor,
                 step=plan.window_step,
-                truncate_sigmas=plan.config.phase1.truncate_sigmas,
             ).copy()
         phase2_cost, confirm_oracle = self._phase2_context(plan)
         clean_fn = WindowCleaner(
             video=session.video,
             oracle=confirm_oracle,
             window_size=plan.window_size,
-            sample_fraction=plan.config.phase2.window_sample_fraction,
             seed=plan.config.seed,
             cost_model=phase2_cost,
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..config import EverestConfig
-from ..core.windows import num_windows
+from ..core.windows import WINDOW_SAMPLE_FRACTION, num_windows
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class QueryPlan:
         budget = "unbounded" if self.oracle_budget is None \
             else str(self.oracle_budget)
         confirm = (
-            f"window-sample({phase2.window_sample_fraction:.0%})"
+            f"window-sample({WINDOW_SAMPLE_FRACTION:.0%})"
             if self.mode == "windows" else "oracle-confirm"
         )
         return (

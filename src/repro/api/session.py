@@ -92,19 +92,12 @@ def phase1_key(config: EverestConfig) -> Phase1Key:
     phase1, diff = config.phase1, config.diff
     return (
         ("sample_fraction", float(phase1.sample_fraction)),
-        ("max_train_samples", int(phase1.max_train_samples)),
         ("min_train_samples", int(phase1.min_train_samples)),
         ("holdout_samples", int(phase1.holdout_samples)),
         ("cmdn_grid",
          tuple((int(g), int(h)) for g, h in phase1.cmdn_grid)),
         ("epochs", int(phase1.epochs)),
-        ("batch_size", int(phase1.batch_size)),
-        ("learning_rate", float(phase1.learning_rate)),
         ("use_feature_mdn", bool(phase1.use_feature_mdn)),
-        ("quantization_step",
-         None if phase1.quantization_step is None
-         else float(phase1.quantization_step)),
-        ("truncate_sigmas", float(phase1.truncate_sigmas)),
         ("sample_prefix",
          None if phase1.sample_prefix is None
          else int(phase1.sample_prefix)),

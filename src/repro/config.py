@@ -4,13 +4,22 @@ The defaults follow Section 3.5 / Section 4 ("System configurations") of
 the paper, scaled down where the paper's values assume hours-long
 1080p videos and a GPU:
 
-* training sample size: ``min(0.5% * n, 30000)`` frames (paper default);
+* training sample size: ``min(0.5% * n, 30000)`` frames (paper default;
+  the cap is :data:`MAX_TRAIN_SAMPLES`);
 * holdout size: 3000 frames, capped at the training-sample size;
 * difference-detector MSE threshold 1e-4 with clip size 30;
 * cleaning batch size ``b = 8``;
 * hyperparameter grid ``g ∈ {5, 8, 12, 15}``, ``h ∈ {20, 30, 40}``
   (trimmed by default so the numpy trainer stays fast — the full grid
   is :data:`PAPER_CMDN_GRID`).
+
+A value no caller sets to a second value is a named constant next to
+its one reader, not a field here: the grid step is the UDF's own
+(``ScoringFunction.step``), Gaussian truncation is
+``core.uncertain.TRUNCATE_SIGMAS``, the trainer's mini-batch size and
+learning rate are ``models.trainer.TRAIN_BATCH_SIZE`` /
+``LEARNING_RATE``, and a window confirm samples
+``core.windows.WINDOW_SAMPLE_FRACTION`` of its frames.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ PAPER_CMDN_GRID: Tuple[Tuple[int, int], ...] = tuple(
 #: Reduced grid used by default so pure-numpy training stays interactive.
 DEFAULT_CMDN_GRID: Tuple[Tuple[int, int], ...] = ((3, 8), (5, 12), (8, 16))
 
+#: Hard cap on the number of labelled training frames (paper: 30000).
+MAX_TRAIN_SAMPLES = 30_000
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -44,8 +56,6 @@ class Phase1Config:
     #: the proxy trainable while the labelling share of total cost stays
     #: in the paper's 2-10% band.
     sample_fraction: float = 0.01
-    #: Hard cap on the number of labelled training frames (paper: 30000).
-    max_train_samples: int = 30_000
     #: Minimum number of labelled training frames regardless of length.
     min_train_samples: int = 500
     #: Holdout-set size used for model selection (paper: 3000, scaled).
@@ -55,16 +65,8 @@ class Phase1Config:
     #: Epochs per candidate model (enough for the sigma head to
     #: calibrate; undertrained sigmas inflate Phase 2 cleaning).
     epochs: int = 40
-    #: Mini-batch size for CMDN training.
-    batch_size: int = 64
-    #: Adam learning rate.
-    learning_rate: float = 2e-3
     #: Use the fast feature-based MDN instead of the conv CMDN.
     use_feature_mdn: bool = True
-    #: Quantization step for non-counting scores (None -> integer scores).
-    quantization_step: Optional[float] = None
-    #: Number of sigmas beyond which Gaussian tails are truncated.
-    truncate_sigmas: float = 3.0
     #: Restrict the labelling sample (and the sample-size arithmetic) to
     #: the first ``sample_prefix`` frames. ``None`` samples the whole
     #: video — the batch default. Streaming sessions pin this to their
@@ -75,12 +77,10 @@ class Phase1Config:
     def __post_init__(self) -> None:
         _require(0.0 < self.sample_fraction <= 1.0,
                  "sample_fraction must be in (0, 1]")
-        _require(self.max_train_samples >= 1, "max_train_samples must be >= 1")
         _require(self.min_train_samples >= 1, "min_train_samples must be >= 1")
         _require(self.holdout_samples >= 1, "holdout_samples must be >= 1")
         _require(len(self.cmdn_grid) >= 1, "cmdn_grid must not be empty")
         _require(self.epochs >= 1, "epochs must be >= 1")
-        _require(self.truncate_sigmas > 0, "truncate_sigmas must be > 0")
         _require(self.sample_prefix is None or self.sample_prefix >= 1,
                  "sample_prefix must be None or >= 1")
 
@@ -94,7 +94,7 @@ class Phase1Config:
         """Return the paper's ``min(0.5% * n, 30000)`` with a small floor."""
         proportional = int(self.sample_fraction * num_frames)
         size = min(max(proportional, self.min_train_samples),
-                   self.max_train_samples)
+                   MAX_TRAIN_SAMPLES)
         return min(size, num_frames)
 
     def holdout_sample_size(self, num_frames: int) -> int:
@@ -142,9 +142,6 @@ class Phase2Config:
     batch_size: int = 8
     #: Optional hard cap on oracle invocations; ``None`` = unbounded.
     oracle_budget: Optional[int] = None
-    #: Fraction of a window's frames sampled when confirming a window
-    #: (paper: 10%).
-    window_sample_fraction: float = 0.1
     select_candidate: SelectCandidateConfig = field(
         default_factory=SelectCandidateConfig)
 
@@ -152,8 +149,6 @@ class Phase2Config:
         _require(self.batch_size >= 1, "batch_size must be >= 1")
         _require(self.oracle_budget is None or self.oracle_budget >= 1,
                  "oracle_budget must be None or >= 1")
-        _require(0.0 < self.window_sample_fraction <= 1.0,
-                 "window_sample_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,6 @@ class Phase1Entry:
 
     def window_relation(
         self, *, window_size: int, floor: float, step: float,
-        truncate_sigmas: float,
     ) -> UncertainRelation:
         """The pristine window-level relation of one window shape.
 
@@ -218,7 +217,7 @@ class Phase1Entry:
         equal relations and one is kept. Derived state: never pickled.
         """
         memo = self.__dict__.setdefault("_window_relations", {})
-        key = (window_size, step, floor, truncate_sigmas)
+        key = (window_size, step, floor)
         relation = memo.get(key)
         if relation is None:
             relation = memo[key] = build_window_relation(
@@ -228,7 +227,6 @@ class Phase1Entry:
                 window_size=window_size,
                 floor=floor,
                 step=step,
-                truncate_sigmas=truncate_sigmas,
             )
         return relation
 
@@ -350,7 +348,7 @@ class BlockInferenceCache:
       the *whole* block's inputs, the batch shape that makes its
       mixtures bit-reproducible;
     * each block's quantized pmf rows are kept next to its mixtures,
-      keyed by (block content, grid, ``truncate_sigmas``):
+      keyed by (block content, grid):
       quantization is row-independent too, so a window is requantized
       only where a block or the grid changed.
 
@@ -361,7 +359,7 @@ class BlockInferenceCache:
 
     Blocks below a sliding window's edge hold no mixtures (memory and
     recompute proportional to the live window, not the prefix), but
-    one float per block survives eviction — ``max(mu + truncate_sigmas
+    one float per block survives eviction — ``max(mu + TRUNCATE_SIGMAS
     * sigma)`` over its rows, keyed by content — so the global grid top
     (an exact max of maxes) is still that of the full prefix. If an
     *expired* block's contents later change (a provisional clip
@@ -374,9 +372,9 @@ class BlockInferenceCache:
         self._blocks: Dict[int, Tuple[bytes, GaussianMixture]] = {}
         #: block index -> (frame-id bytes, max(mu + k*sigma) over rows).
         self._tops: Dict[int, Tuple[bytes, float]] = {}
-        #: block index -> (frame-id bytes, grid, k, pmf rows).
+        #: block index -> (frame-id bytes, grid, pmf rows).
         self._pmfs: Dict[
-            int, Tuple[bytes, QuantizationGrid, float, np.ndarray]] = {}
+            int, Tuple[bytes, QuantizationGrid, np.ndarray]] = {}
         #: (frame ids, featurize rows) of the last partial block scored.
         self._tail: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -451,22 +449,20 @@ class BlockInferenceCache:
         self,
         window: List[Tuple[int, bytes, GaussianMixture]],
         grid: QuantizationGrid,
-        truncate_sigmas: float,
     ) -> List[np.ndarray]:
         """Pmf rows of the window's blocks on ``grid``, block by block:
-        kept rows where block content, grid and ``truncate_sigmas`` are
-        all unchanged, requantized (and kept) otherwise."""
+        kept rows where block content and grid are both unchanged,
+        requantized (and kept) otherwise."""
         rows: List[np.ndarray] = []
         requantized = 0
         with trace_span("requantize", category="phase1") as span:
             for b, key, mixture in window:
                 kept = self._pmfs.get(b)
-                if kept is None or kept[:3] != (key, grid, truncate_sigmas):
-                    kept = (key, grid, truncate_sigmas, quantize_mixtures(
-                        mixture, grid, truncate_sigmas=truncate_sigmas))
+                if kept is None or kept[:2] != (key, grid):
+                    kept = (key, grid, quantize_mixtures(mixture, grid))
                     self._pmfs[b] = kept
                     requantized += 1
-                rows.append(kept[3])
+                rows.append(kept[2])
             if span is not None:
                 span.set(blocks_requantized=requantized,
                          blocks_reused=len(window) - requantized)
@@ -479,7 +475,6 @@ class BlockInferenceCache:
         retained: np.ndarray,
         cut: int,
         *,
-        truncate_sigmas: float,
         grid_of: Callable[[Optional[float]], QuantizationGrid],
         stats=None,
     ) -> Tuple[GaussianMixture, QuantizationGrid, np.ndarray]:
@@ -521,11 +516,11 @@ class BlockInferenceCache:
                     # top). Either way the mixture is retracted again
                     # below.
                     mixture = self.block(b, ids, proxy, video, stats)
-                block_top = mixture_envelope(mixture, truncate_sigmas)
+                block_top = mixture_envelope(mixture)
                 self._tops[b] = (key, block_top)
             top = block_top if top is None else max(top, block_top)
         grid = grid_of(top)
-        rows = self._quantized(window, grid, truncate_sigmas)
+        rows = self._quantized(window, grid)
         # Retraction: expired blocks drop their mixtures and pmf rows,
         # stale trailing blocks (shrunk retained array) drop
         # everything. pop, not del: a service-shared cache may see a
@@ -701,14 +696,11 @@ class Phase1Maintainer:
         Phase-1 charges are purely simulated, so merged ledgers built
         from them must not re-enable wall-clock timers).
         """
-        phase1 = self.config.phase1
         diff_result = self.diff.result()
         retained = diff_result.retained
         lo = self.video.window_lo if is_sliding(self.video) else 0
         cut = int(np.searchsorted(retained, lo, side="left"))
-        step = phase1.quantization_step
-        if step is None:
-            step = self.scoring.step
+        step = self.scoring.step
         floor = self.scoring.score_floor
         # The full-prefix grid: every retained row's envelope and every
         # known score take part — expired or not — exactly as in a
@@ -718,7 +710,6 @@ class Phase1Maintainer:
             self.video,
             retained,
             cut,
-            truncate_sigmas=phase1.truncate_sigmas,
             grid_of=lambda envelope: grid_covering(
                 envelope, floor=floor, step=step,
                 extra_scores=list(self.known_scores.values())),
@@ -731,7 +722,6 @@ class Phase1Maintainer:
             step=step,
             known_scores={
                 f: s for f, s in self.known_scores.items() if f >= lo},
-            truncate_sigmas=phase1.truncate_sigmas,
             grid=grid,
             pmf=pmf,
         )

@@ -3,10 +3,11 @@
 An uncertain relation is a collection of x-tuples, one per retained
 frame; each x-tuple is a discrete distribution over possible scores.
 Everest obtains the distributions from the CMDN's Gaussian mixtures by
-(a) truncating each component beyond ``3 sigma`` with the trimmed mass
-spread evenly over the remaining support (following Chopin [17] as the
-paper does) and (b) quantizing onto a uniform grid: non-negative
-integers for counting scores, or a user-supplied step otherwise.
+(a) truncating each component beyond :data:`TRUNCATE_SIGMAS` sigmas
+with the trimmed mass spread evenly over the remaining support
+(following Chopin [17] as the paper does) and (b) quantizing onto a
+uniform grid: non-negative integers for counting scores, or the UDF's
+own step otherwise.
 
 Frames whose exact scores were already obtained while collecting the
 training / holdout samples are inserted as *certain* tuples so no
@@ -31,6 +32,11 @@ from ..models.mdn import GaussianMixture
 
 #: Guard on grid size; larger grids indicate a mis-chosen step.
 MAX_LEVELS = 2_048
+
+#: Gaussian tails beyond ``mu +/- TRUNCATE_SIGMAS * sigma`` are cut
+#: (paper Section 3.2). The one place the possible worlds' support is
+#: set: every grid and every pmf in the library reads it from here.
+TRUNCATE_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,7 @@ class QuantizationGrid:
         return np.concatenate(([-np.inf], inner, [np.inf]))
 
 
-def mixture_envelope(
-    mixtures: GaussianMixture, truncate_sigmas: float
-) -> Optional[float]:
+def mixture_envelope(mixtures: GaussianMixture) -> Optional[float]:
     """``max(mu + k sigma)`` over every row (``None`` without rows).
 
     An exact max, so the envelope of a row set equals the max of its
@@ -82,7 +86,7 @@ def mixture_envelope(
     """
     if not mixtures.pi.size:
         return None
-    return float(np.max(mixtures.mu + truncate_sigmas * mixtures.sigma))
+    return float(np.max(mixtures.mu + TRUNCATE_SIGMAS * mixtures.sigma))
 
 
 def grid_covering(
@@ -108,19 +112,16 @@ def grid_for(
     floor: float,
     step: float,
     extra_scores: Optional[Sequence[float]] = None,
-    truncate_sigmas: float = 3.0,
 ) -> QuantizationGrid:
     """Choose a grid covering all mixtures (to ``k sigma``) and scores."""
     return grid_covering(
-        mixture_envelope(mixtures, truncate_sigmas),
+        mixture_envelope(mixtures),
         floor=floor, step=step, extra_scores=extra_scores)
 
 
 def quantize_mixtures(
     mixtures: GaussianMixture,
     grid: QuantizationGrid,
-    *,
-    truncate_sigmas: float = 3.0,
 ) -> np.ndarray:
     """Quantize batched mixtures onto the grid as ``(N, L)`` pmfs.
 
@@ -136,8 +137,8 @@ def quantize_mixtures(
     if n == 0:
         return pmf
 
-    lo = (mixtures.mu - truncate_sigmas * mixtures.sigma)  # (N, g)
-    hi = (mixtures.mu + truncate_sigmas * mixtures.sigma)
+    lo = (mixtures.mu - TRUNCATE_SIGMAS * mixtures.sigma)  # (N, g)
+    hi = (mixtures.mu + TRUNCATE_SIGMAS * mixtures.sigma)
     for j in range(g):
         mu = mixtures.mu[:, j][:, None]
         sigma = mixtures.sigma[:, j][:, None]
@@ -376,7 +377,6 @@ def build_relation(
     floor: float,
     step: float,
     known_scores: Optional[Dict[int, float]] = None,
-    truncate_sigmas: float = 3.0,
     grid: Optional[QuantizationGrid] = None,
     pmf: Optional[np.ndarray] = None,
 ) -> UncertainRelation:
@@ -406,11 +406,9 @@ def build_relation(
             floor=floor,
             step=step,
             extra_scores=all_scores,
-            truncate_sigmas=truncate_sigmas,
         )
     if pmf is None:
-        pmf = quantize_mixtures(
-            mixtures, grid, truncate_sigmas=truncate_sigmas)
+        pmf = quantize_mixtures(mixtures, grid)
     if extra_ids:
         pmf = np.vstack([pmf, np.zeros((len(extra_ids), grid.num_levels))])
     full_ids = ids + extra_ids

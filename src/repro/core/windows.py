@@ -34,6 +34,10 @@ from .uncertain import UncertainRelation, build_relation
 #: (window means live on a finer scale than individual scores).
 WINDOW_STEP_DIVISOR = 4.0
 
+#: Fraction of a window's frames the oracle scores to confirm it (the
+#: paper samples 10%).
+WINDOW_SAMPLE_FRACTION = 0.1
+
 
 def num_windows(num_frames: int, window_size: int) -> int:
     """Number of tumbling windows (a ragged last window is kept)."""
@@ -71,7 +75,6 @@ def build_window_relation(
     window_size: int,
     floor: float,
     step: float,
-    truncate_sigmas: float = 3.0,
 ) -> UncertainRelation:
     """Aggregate frame mixtures into the window uncertain relation."""
     if retained_ids.size != mixtures.pi.shape[0]:
@@ -119,7 +122,6 @@ def build_window_relation(
         window_mixture,
         floor=floor,
         step=step,
-        truncate_sigmas=truncate_sigmas,
     )
 
 
@@ -135,7 +137,7 @@ class WindowCleaner:
     video: SyntheticVideo
     oracle: Oracle
     window_size: int
-    sample_fraction: float = 0.1
+    sample_fraction: float = WINDOW_SAMPLE_FRACTION
     seed: int = 0
     cost_model: Optional[object] = None
 

@@ -333,10 +333,7 @@ class VideoCorpus:
                 entries,
                 self.offsets(),
                 floor=self.scoring.score_floor,
-                step=(config.phase1.quantization_step
-                      if config.phase1.quantization_step is not None
-                      else self.scoring.step),
-                truncate_sigmas=config.phase1.truncate_sigmas,
+                step=self.scoring.step,
             )
             phase1_costs = [e.cost_model for e in entries]
         concat = ConcatVideo(

@@ -87,7 +87,6 @@ def merge_phase1_entries(
     *,
     floor: float,
     step: float,
-    truncate_sigmas: float,
 ) -> Phase1Entry:
     """Merge per-shard entries: artifacts, call counts and ledgers.
 
@@ -136,9 +135,7 @@ def merge_phase1_entries(
         known_scores=known_global,
         grid=grid,
         pmf=np.vstack([
-            quantize_mixtures(
-                result.mixtures, grid, truncate_sigmas=truncate_sigmas)
-            for result in results]),
+            quantize_mixtures(result.mixtures, grid) for result in results]),
     )
     first = results[0]
     return Phase1Entry(

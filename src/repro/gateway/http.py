@@ -70,7 +70,7 @@ class GatewayServer:
     The event loop runs on a dedicated thread (started by
     :meth:`start` / ``__enter__``), so the server composes with
     synchronous tests and examples; request handling itself runs on a
-    ``ThreadPoolExecutor`` sized to the service's worker count.
+    ``ThreadPoolExecutor`` of ``max(4, 2 × workers)`` threads.
     """
 
     def __init__(
@@ -79,16 +79,14 @@ class GatewayServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        handler_threads: Optional[int] = None,
     ):
         self.gateway = gateway
         self.host = host
         self._requested_port = port
         self.port: Optional[int] = None
-        threads = handler_threads if handler_threads is not None \
-            else max(4, gateway.service.workers * 2)
         self._executor = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="gw-handler")
+            max_workers=max(4, gateway.service.workers * 2),
+            thread_name_prefix="gw-handler")
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None

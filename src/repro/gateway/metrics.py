@@ -152,9 +152,8 @@ class LatencySummary:
 class GatewayMetrics:
     """Thread-safe counters + latency summaries, rendered on demand."""
 
-    def __init__(self, *, max_latency_samples: int = 65_536):
+    def __init__(self):
         self._lock = threading.Lock()
-        self.max_latency_samples = max_latency_samples
         #: family -> label values -> count.
         self._counts: Dict[str, Dict[Tuple[str, ...], int]] = {
             family: {} for family in FAMILIES}
@@ -179,9 +178,7 @@ class GatewayMetrics:
         with self._lock:
             summary = self._latency.get(op)
             if summary is None:
-                summary = LatencySummary(
-                    max_samples=self.max_latency_samples)
-                self._latency[op] = summary
+                summary = self._latency[op] = LatencySummary()
             summary.observe(seconds)
 
     def latency_quantiles(self, op: str) -> Dict[float, float]:

@@ -26,6 +26,12 @@ from ..errors import ConfigurationError
 from .cmdn import ConvMDNProxy, FeatureMDNProxy, ProxyScorer, mean_nll
 from .optim import Adam
 
+#: Mini-batch size of every proxy fit (Phase 1's grid and a stream's
+#: warm retrain).
+TRAIN_BATCH_SIZE = 64
+#: Adam learning rate of every proxy fit.
+LEARNING_RATE = 2e-3
+
 
 @dataclass
 class TrainingHistory:
@@ -163,8 +169,8 @@ def train_proxy_grid(
             train_features,
             train_scores,
             epochs=config.epochs,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
+            batch_size=TRAIN_BATCH_SIZE,
+            learning_rate=LEARNING_RATE,
             seed=seed + 7 * i,
         )
         holdout_nll = mean_nll(

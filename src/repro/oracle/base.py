@@ -6,8 +6,12 @@ captures that plus the metadata Everest needs to build the uncertain
 relation:
 
 * ``quantization_step`` — ``None`` for counting UDFs (integer support),
-  otherwise the user-supplied step (paper Section 3.2);
+  otherwise the user-supplied step (paper Section 3.2). It is the one
+  grid step: every relation built for the UDF quantizes at it;
 * ``score_floor`` — the smallest possible score (0 for counts).
+
+Both are checked at construction, so a bad step is refused before any
+label is bought.
 
 :class:`Oracle` wraps a scoring function with cost accounting: every
 invocation charges the simulated per-frame latency to a
@@ -22,7 +26,8 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import OracleBudgetExceededError, OracleError
+from ..errors import (
+    ConfigurationError, OracleBudgetExceededError, OracleError)
 from ..trace import add_event
 from ..video.frame import Frame
 from ..video.synthetic import SyntheticVideo
@@ -59,6 +64,17 @@ class ScoringFunction:
     #: ground-truth metrics without paying per-frame Frame construction;
     #: the query pipeline never calls it.
     exact_scores_fn: Optional[Callable[["SyntheticVideo"], np.ndarray]] = None
+
+    def __post_init__(self) -> None:
+        step = self.quantization_step
+        if step is not None and not (np.isfinite(step) and step > 0):
+            raise ConfigurationError(
+                f"{self.name}: quantization_step must be None or a finite "
+                f"number > 0, got {step!r}")
+        if not np.isfinite(self.score_floor):
+            raise ConfigurationError(
+                f"{self.name}: score_floor must be finite, "
+                f"got {self.score_floor!r}")
 
     @property
     def integer_valued(self) -> bool:

@@ -31,13 +31,18 @@ import numpy as np
 
 from ..core.phase1 import BlockInferenceCache, Phase1Maintainer
 from ..errors import ConfigurationError
-from ..models.trainer import train_network
+from ..models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE, train_network
 from ..video.streaming import Segment, is_sliding
 
 
 #: Guards :meth:`StreamingStats.count_fresh_confirms`. Module-level:
 #: the stats object is pickled into checkpoints and a lock is not.
 _STATS_LOCK = threading.Lock()
+
+#: Rolling window of audited frames the drift statistic averages.
+AUDIT_WINDOW = 256
+#: Hard cap on audited frames per append.
+MAX_AUDIT_PER_APPEND = 64
 
 
 def _require(condition: bool, message: str) -> None:
@@ -60,14 +65,8 @@ class StreamingConfig:
     #: Excess of audit NLL over the bootstrap holdout NLL that triggers
     #: a warm retrain; ``None`` disables retraining.
     drift_threshold: Optional[float] = None
-    #: Epochs of a warm retrain (default: the Phase-1 ``epochs``).
-    retrain_epochs: Optional[int] = None
-    #: Rolling window of audited frames the drift statistic averages.
-    audit_window: int = 256
     #: Minimum audited frames before drift is reported at all.
     min_audit_for_drift: int = 16
-    #: Hard cap on audited frames per append.
-    max_audit_per_append: int = 64
     #: Keep only the last N append results / subscription reports
     #: (``None`` = unbounded). Indefinite streams should bound this:
     #: the history (and hence every checkpoint) otherwise grows with
@@ -77,13 +76,8 @@ class StreamingConfig:
     def __post_init__(self) -> None:
         _require(0.0 <= self.audit_fraction <= 1.0,
                  "audit_fraction must be in [0, 1]")
-        _require(self.retrain_epochs is None or self.retrain_epochs >= 1,
-                 "retrain_epochs must be None or >= 1")
-        _require(self.audit_window >= 1, "audit_window must be >= 1")
         _require(self.min_audit_for_drift >= 1,
                  "min_audit_for_drift must be >= 1")
-        _require(self.max_audit_per_append >= 1,
-                 "max_audit_per_append must be >= 1")
         _require(self.max_history is None or self.max_history >= 1,
                  "max_history must be None or >= 1")
 
@@ -238,7 +232,7 @@ class IncrementalPhase1(Phase1Maintainer):
         entry = super().bootstrap(cost_model)
         self.drift_tracker = DriftTracker(
             self.grid_result.best_history.holdout_nll,
-            window=self.streaming.audit_window,
+            window=AUDIT_WINDOW,
             min_samples=self.streaming.min_audit_for_drift,
         )
         return entry
@@ -274,7 +268,7 @@ class IncrementalPhase1(Phase1Maintainer):
         if sc.audit_fraction <= 0.0:
             return 0
         count = min(
-            sc.max_audit_per_append,
+            MAX_AUDIT_PER_APPEND,
             int(np.ceil(sc.audit_fraction * segment.num_frames)),
             segment.num_frames,
         )
@@ -302,9 +296,9 @@ class IncrementalPhase1(Phase1Maintainer):
         return count
 
     def _warm_retrain(self, segment: Segment) -> None:
-        """Continue training the current proxy on bootstrap + audits."""
-        phase1 = self.config.phase1
-        epochs = self.streaming.retrain_epochs or phase1.epochs
+        """Continue training the current proxy on bootstrap + audits
+        for the Phase-1 ``epochs``."""
+        epochs = self.config.phase1.epochs
         tracker = self.drift_tracker
         assert tracker is not None
         audit_frames = np.asarray(sorted(tracker.audited), dtype=np.int64)
@@ -318,8 +312,8 @@ class IncrementalPhase1(Phase1Maintainer):
             self.video.batch_pixels(frames),
             scores,
             epochs=epochs,
-            batch_size=phase1.batch_size,
-            learning_rate=phase1.learning_rate,
+            batch_size=TRAIN_BATCH_SIZE,
+            learning_rate=LEARNING_RATE,
             seed=self.config.seed + 0x9E7 + segment.index,
         )
         self._charge_extra("cmdn_train", frames.size * epochs)

@@ -484,7 +484,8 @@ class Tracer:
     jsonl_path:
         Optional structured event log: one JSON record per closed
         span plus one per completed trace, rotated at
-        ``jsonl_max_bytes`` with ``jsonl_backups`` old files kept.
+        :class:`~repro.trace.exporters.JsonlTraceLog`'s defaults (4 MiB,
+        three old files kept).
     profile:
         Opt-in cProfile capture per span (outermost span per thread;
         the formatted top-10 lands in ``span.attrs["profile"]``).
@@ -498,8 +499,6 @@ class Tracer:
         *,
         ring: int = 256,
         jsonl_path=None,
-        jsonl_max_bytes: int = 4 << 20,
-        jsonl_backups: int = 3,
         profile: bool = False,
     ):
         from collections import deque
@@ -513,10 +512,7 @@ class Tracer:
         self._ring: "deque[Trace]" = deque(maxlen=ring)
         self._ids = itertools.count(1)
         self.log: Optional[JsonlTraceLog] = (
-            JsonlTraceLog(
-                jsonl_path, max_bytes=jsonl_max_bytes,
-                backups=jsonl_backups)
-            if jsonl_path is not None else None)
+            JsonlTraceLog(jsonl_path) if jsonl_path is not None else None)
         #: Completed traces ever finished (ring evictions included).
         self.completed = 0
 

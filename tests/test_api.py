@@ -221,6 +221,14 @@ class TestRegistry:
         assert resolve_udf("tailgating").quantization_step is not None
         assert resolve_udf("sentiment").name == "happiness"
 
+    @pytest.mark.parametrize("spec", [
+        "sentiment[0]", "sentiment[nan]", "sentiment[-1]", "sentiment[inf]"])
+    def test_unusable_udf_step_is_refused(self, spec):
+        """A step that is not finite and > 0 cannot make a grid: the
+        UDF is refused before any session could label a frame."""
+        with pytest.raises(ConfigurationError, match="quantization_step"):
+            resolve_udf(spec)
+
     def test_unknown_names_raise(self):
         with pytest.raises(ConfigurationError):
             resolve_udf("no-such-udf")

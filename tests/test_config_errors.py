@@ -4,6 +4,7 @@ import pytest
 
 from repro import errors
 from repro.config import (
+    MAX_TRAIN_SAMPLES,
     DiffDetectorConfig,
     EverestConfig,
     PAPER_CMDN_GRID,
@@ -11,6 +12,14 @@ from repro.config import (
     Phase2Config,
     SelectCandidateConfig,
 )
+from repro.core.uncertain import TRUNCATE_SIGMAS
+from repro.core.windows import WINDOW_SAMPLE_FRACTION
+from repro.gateway.http import GatewayServer
+from repro.gateway.metrics import GatewayMetrics
+from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
+from repro.streaming.phase1_incremental import (
+    AUDIT_WINDOW, MAX_AUDIT_PER_APPEND, StreamingConfig)
+from repro.trace import Tracer
 
 
 class TestErrorHierarchy:
@@ -50,8 +59,7 @@ class TestPhase1Config:
 
     def test_train_sample_size_formula(self):
         config = Phase1Config(
-            sample_fraction=0.005, min_train_samples=500,
-            max_train_samples=30_000)
+            sample_fraction=0.005, min_train_samples=500)
         # Cap binds for very long videos.
         assert config.train_sample_size(10_000_000) == 30_000
         # Floor binds for short videos.
@@ -73,8 +81,27 @@ class TestPhase1Config:
             Phase1Config(cmdn_grid=())
         with pytest.raises(errors.ConfigurationError):
             Phase1Config(epochs=0)
-        with pytest.raises(errors.ConfigurationError):
-            Phase1Config(truncate_sigmas=0.0)
+
+    @pytest.mark.parametrize("make, keyword", [
+        (Phase1Config, "max_train_samples"),
+        (Phase1Config, "batch_size"),
+        (Phase1Config, "learning_rate"),
+        (Phase1Config, "quantization_step"),
+        (Phase1Config, "truncate_sigmas"),
+        (Phase2Config, "window_sample_fraction"),
+        (StreamingConfig, "retrain_epochs"),
+        (StreamingConfig, "audit_window"),
+        (StreamingConfig, "max_audit_per_append"),
+        (Tracer, "jsonl_max_bytes"),
+        (Tracer, "jsonl_backups"),
+        (GatewayMetrics, "max_latency_samples"),
+        (lambda **kw: GatewayServer(None, **kw), "handler_threads"),
+    ])
+    def test_removed_setting_is_refused(self, make, keyword):
+        """The settable values that only ever held one value are
+        constants now: naming one is a construction-time TypeError."""
+        with pytest.raises(TypeError, match=keyword):
+            make(**{keyword: 1})
 
 
 class TestOtherConfigs:
@@ -89,8 +116,6 @@ class TestOtherConfigs:
             Phase2Config(batch_size=0)
         with pytest.raises(errors.ConfigurationError):
             Phase2Config(oracle_budget=0)
-        with pytest.raises(errors.ConfigurationError):
-            Phase2Config(window_sample_fraction=0.0)
 
     def test_select_candidate_validation(self):
         with pytest.raises(errors.ConfigurationError):
@@ -108,5 +133,8 @@ class TestOtherConfigs:
         assert config.phase2.batch_size == 8  # paper Section 3.5
         assert config.diff.clip_size == 30    # paper Section 4
         assert config.diff.mse_threshold == 1e-4
-        assert config.phase2.window_sample_fraction == 0.1
-        assert config.phase1.truncate_sigmas == 3.0
+        assert WINDOW_SAMPLE_FRACTION == 0.1
+        assert TRUNCATE_SIGMAS == 3.0
+        assert MAX_TRAIN_SAMPLES == 30_000  # paper Section 3.5
+        assert (TRAIN_BATCH_SIZE, LEARNING_RATE) == (64, 2e-3)
+        assert (AUDIT_WINDOW, MAX_AUDIT_PER_APPEND) == (256, 64)

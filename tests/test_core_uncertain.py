@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.uncertain import (
+    TRUNCATE_SIGMAS,
     QuantizationGrid,
     UncertainRelation,
     build_relation,
@@ -105,9 +106,10 @@ class TestQuantizeMixtures:
 
     def test_three_sigma_truncation(self):
         """Mass beyond mu +/- 3 sigma must be exactly zero."""
+        assert TRUNCATE_SIGMAS == 3.0
         mix = mixture([[10.0]], [[1.0]])
         grid = grid_for(mix, floor=0.0, step=1.0)
-        pmf = quantize_mixtures(mix, grid, truncate_sigmas=3.0)[0]
+        pmf = quantize_mixtures(mix, grid)[0]
         # Levels clearly outside [7, 13] carry no mass.
         assert pmf[:6].sum() == 0.0
         assert pmf[15:].sum() == 0.0
@@ -262,17 +264,14 @@ class TestBuildRelation:
         rng = np.random.default_rng(12)
         ids = np.arange(0, 120, 2)
         mix = random_mixture(rng, ids.size)
-        arguments = dict(
-            floor=0.0, step=1.0, known_scores=known_scores,
-            truncate_sigmas=2.5)
+        arguments = dict(floor=0.0, step=1.0, known_scores=known_scores)
         reference = build_relation(ids, mix, **arguments)
         grid = reference.grid
         if 29.0 in known_scores.values():
             assert grid.num_levels == 30 > grid_for(
-                mix, floor=0.0, step=1.0, truncate_sigmas=2.5).num_levels
+                mix, floor=0.0, step=1.0).num_levels
         rows = np.concatenate([
-            quantize_mixtures(
-                mix.select(slice(lo, lo + 25)), grid, truncate_sigmas=2.5)
+            quantize_mixtures(mix.select(slice(lo, lo + 25)), grid)
             for lo in range(0, ids.size, 25)])
         handed = rows.copy()
         given = build_relation(ids, mix, grid=grid, pmf=handed, **arguments)

@@ -581,6 +581,49 @@ def test_two_fresh_gateways_serve_byte_identical_stream_events():
     assert serve() == first
 
 
+def test_unusable_udf_step_is_400_before_any_build():
+    """A UDF step that cannot make a grid is the client's error: it is
+    refused while the target resolves, before a label is bought."""
+    config = GatewayConfig(video_kwargs=dict(VIDEO_KWARGS))
+    with Gateway(config=config, workers=1, use_processes=False) as gw:
+        status, body = gw.handle("POST", "/query", {
+            "spec": "sentiment[0]/vlog", "k": 3})
+        assert status == 400
+        assert body["error"] == "ConfigurationError"
+        assert "quantization_step" in body["message"]
+        assert gw.service.stats().builds == 0
+
+
+def test_hosted_stream_keeps_one_event_of_history():
+    """The gateway reads only the latest report and the current event's
+    result, so a hosted stream holds one of each however long it runs,
+    and answers what an unbounded in-process twin answers."""
+    from repro import Session
+
+    twin = Session.open_stream(
+        "traffic", "count[car]", initial_frames=240,
+        config=EverestConfig.fast(), **VIDEO_KWARGS)
+    twin_live = twin.query().topk(3).guarantee(0.9).subscribe()
+    config = GatewayConfig(video_kwargs=dict(VIDEO_KWARGS))
+    with Gateway(config=config, workers=1, use_processes=False) as gw:
+        status, body = gw.handle("POST", "/stream", {
+            "tenant": "bob", "stream": "long", "k": 3,
+            "spec": "count[car]/traffic", "initial_frames": 240})
+        assert status == 201
+        assert body["report_json"] == twin_live.latest.to_json()
+        for _ in range(12):
+            status, body = gw.handle("POST", "/append", {
+                "tenant": "bob", "stream": "long", "frames": 20})
+            assert status == 200 and body["applied"] is True
+            expected = twin.append(20).to_dict()
+            for key in set(expected) - {"wall_seconds"}:
+                assert body[key] == expected[key], key
+        state = gw._streams["long"]
+        assert len(state.stream.append_log) == 1
+        assert len(state.live.reports) == 1
+    assert (len(twin.append_log), len(twin_live.reports)) == (12, 13)
+
+
 def test_gateway_owns_or_wraps_service():
     with pytest.raises(ConfigurationError):
         from repro.service import QueryService

@@ -35,7 +35,8 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from repro import EverestConfig, Session
-from repro.core.uncertain import QuantizationGrid, quantize_mixtures
+from repro.core.uncertain import (
+    TRUNCATE_SIGMAS, QuantizationGrid, quantize_mixtures)
 from repro.models import Adam, build_feature_mdn
 from repro.models.cmdn import ConvMDNProxy, FeatureMDNProxy
 from repro.models.mdn import GaussianMixture, _row_logsumexp
@@ -297,12 +298,12 @@ def test_generator_bytes_are_pinned_for_the_perfbench_seeds():
     assert digests == GENERATOR_PINS
 
 
-def _quantize_with_norm_cdf(mixtures, grid, truncate_sigmas=3.0):
+def _quantize_with_norm_cdf(mixtures, grid):
     """``quantize_mixtures`` as it was, on ``scipy.stats.norm.cdf``."""
     edges = grid.edges()
     pmf = np.zeros((mixtures.pi.shape[0], grid.num_levels))
-    lo = mixtures.mu - truncate_sigmas * mixtures.sigma
-    hi = mixtures.mu + truncate_sigmas * mixtures.sigma
+    lo = mixtures.mu - TRUNCATE_SIGMAS * mixtures.sigma
+    hi = mixtures.mu + TRUNCATE_SIGMAS * mixtures.sigma
     for j in range(mixtures.pi.shape[1]):
         mu = mixtures.mu[:, j][:, None]
         sigma = mixtures.sigma[:, j][:, None]
@@ -333,13 +334,11 @@ def test_ndtr_matches_norm_cdf_bytes_through_both_call_sites(sigma_scale):
     rng = np.random.default_rng(int(sigma_scale * 1_000))
     for components in (1, 3, 8):
         mixtures = _mixtures(rng, 400, components, sigma_scale)
-        for truncate in (3.0, 50.0):  # 50 sigma: |z| > 38 reaches ndtr
-            for grid in (QuantizationGrid(0.0, 1.0, 24),
-                         QuantizationGrid(-3.0, 0.05, 400)):
-                assert quantize_mixtures(
-                    mixtures, grid, truncate_sigmas=truncate
-                ).tobytes() == _quantize_with_norm_cdf(
-                    mixtures, grid, truncate).tobytes()
+        for grid in (QuantizationGrid(0.0, 1.0, 24),
+                     QuantizationGrid(-3.0, 0.05, 400)):
+            assert quantize_mixtures(mixtures, grid).tobytes() \
+                == _quantize_with_norm_cdf(mixtures, grid).tobytes()
+        # Extreme z (|z| > 38, and infinities) reaches ndtr here.
         x = np.concatenate([
             rng.normal(6.0, 10.0, 394),
             [-np.inf, np.inf, -1e300, 1e300, 0.0, -0.0],

@@ -16,7 +16,7 @@ from repro.oracle import (
     sentiment_udf,
     tailgating_udf,
 )
-from repro.oracle.base import exact_scores
+from repro.oracle.base import ScoringFunction, exact_scores
 
 
 class TestCostModel:
@@ -172,6 +172,11 @@ class TestDepthAndSentiment:
         assert scoring.quantization_step == 0.5
         assert not scoring.integer_valued
         assert scoring.step == 0.5
+
+    def test_non_finite_score_floor_is_refused(self):
+        with pytest.raises(ConfigurationError, match="score_floor"):
+            ScoringFunction("floorless", lambda frames: np.zeros(
+                len(frames)), score_floor=float("-inf"))
 
     def test_counting_udf_is_integer_valued(self):
         scoring = counting_udf("car")

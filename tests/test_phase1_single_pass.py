@@ -243,8 +243,7 @@ def test_single_pass_equals_the_two_pass_result(single_pass):
     relation = build_relation(
         retained, mixtures,
         floor=scoring.score_floor, step=scoring.step,
-        known_scores=result.known_scores,
-        truncate_sigmas=PHASE1.truncate_sigmas)
+        known_scores=result.known_scores)
     np.testing.assert_array_equal(result.relation.ids, relation.ids)
     np.testing.assert_array_equal(result.relation.pmf, relation.pmf)
     np.testing.assert_array_equal(result.relation.certain, relation.certain)

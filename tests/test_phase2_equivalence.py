@@ -183,7 +183,7 @@ def test_phase1_relations_match_the_reference(session, k, thres):
     restricted = restrict_relation(full, [(100, 400), (600, 850)])
     assert 0 < len(restricted) < len(full)
     windows = entry.window_relation(
-        window_size=30, floor=0.0, step=0.25, truncate_sigmas=3.0)
+        window_size=30, floor=0.0, step=0.25)
     window_scores = dict(enumerate(window_truth(truth, 30).tolist()))
     for relation, scores in ((full, frames), (restricted, frames),
                              (windows, window_scores)):

@@ -176,8 +176,7 @@ def _window_state(cache, proxy, video, retained, stats=None):
     """The cache's mixtures, after checking that the pmf rows it keeps
     per block are the mixtures' one-pass quantization, bit for bit."""
     mixtures, grid, pmf = cache.window_state(
-        proxy, video, retained, 0, truncate_sigmas=3.0,
-        grid_of=_count_grid, stats=stats)
+        proxy, video, retained, 0, grid_of=_count_grid, stats=stats)
     assert grid == grid_for(mixtures, floor=0.0, step=1.0)
     np.testing.assert_array_equal(pmf, quantize_mixtures(mixtures, grid))
     return mixtures
@@ -306,7 +305,7 @@ def assert_built_from_scratch(stream):
         assert getattr(result.mixtures, name).tobytes() \
             == getattr(reference, name)[cut:].tobytes(), name
 
-    scoring, phase1 = stream.scoring, stream.config.phase1
+    scoring = stream.scoring
     lo = stream.video.window_lo if stream.window_frames else 0
 
     def same_relation(full):
@@ -318,8 +317,7 @@ def assert_built_from_scratch(stream):
 
     same_relation(build_relation(
         retained, reference, floor=scoring.score_floor, step=scoring.step,
-        known_scores=result.known_scores,
-        truncate_sigmas=phase1.truncate_sigmas))
+        known_scores=result.known_scores))
     if not stream.diverged:
         same_relation(run_phase1(
             prefix, scoring, None, stream.config).result.relation)
@@ -770,8 +768,6 @@ class TestStreamingSessionSurface:
     def test_streaming_config_validation(self):
         with pytest.raises(ConfigurationError):
             StreamingConfig(audit_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            StreamingConfig(retrain_epochs=0)
         with pytest.raises(ConfigurationError):
             StreamingConfig(max_history=0)
 

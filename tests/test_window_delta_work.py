@@ -35,7 +35,8 @@ import pytest
 from repro import EverestConfig, QueryExecutor, Session
 from repro.config import DiffDetectorConfig, Phase1Config
 from repro.core.phase1 import INFER_BLOCK, BlockInferenceCache
-from repro.core.uncertain import QuantizationGrid, quantize_mixtures
+from repro.core.uncertain import (
+    TRUNCATE_SIGMAS, QuantizationGrid, quantize_mixtures)
 from repro.errors import QueryError
 from repro.models.mdn import GaussianMixture
 from repro.oracle import counting_udf
@@ -251,8 +252,7 @@ def _window_state(cache, proxy, video, retained, cut, **kwargs):
     mixtures, _, pmf = cache.window_state(
         proxy, video, retained, cut,
         grid_of=lambda top: tops.append(top) or grid, **kwargs)
-    np.testing.assert_array_equal(pmf, quantize_mixtures(
-        mixtures, grid, truncate_sigmas=kwargs["truncate_sigmas"]))
+    np.testing.assert_array_equal(pmf, quantize_mixtures(mixtures, grid))
     # Pmf rows are kept exactly for the blocks that hold mixtures.
     assert sorted(cache._pmfs) == sorted(cache._blocks)
     return mixtures, tops[0]
@@ -265,24 +265,24 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
     stats = StreamingStats()
 
     mixtures, top = _window_state(
-        cache, proxy, video, retained, 0, truncate_sigmas=2.0, stats=stats)
+        cache, proxy, video, retained, 0, stats=stats)
     assert sorted(cache._blocks) == [0, 1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size
-    # The exact grid_for term: max(mu + truncate_sigmas * sigma).
-    assert top == float(retained[-1]) + 2.0
+    # The exact grid_for term: max(mu + TRUNCATE_SIGMAS * sigma).
+    assert top == float(retained[-1]) + TRUNCATE_SIGMAS
     assert stats.fresh_inferred_frames == retained.size
 
     # Slide the cut past block 0: its mixtures are retracted, its top
     # survives, and nothing is re-inferred.
     cut = INFER_BLOCK + 88
     mixtures, top = _window_state(
-        cache, proxy, video, retained, cut, truncate_sigmas=2.0, stats=stats)
+        cache, proxy, video, retained, cut, stats=stats)
     assert sorted(cache._blocks) == [1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size - cut
     assert float(mixtures.mu[0, 0]) == float(retained[cut])
-    assert top == float(retained[-1]) + 2.0
+    assert top == float(retained[-1]) + TRUNCATE_SIGMAS
     assert stats.fresh_inferred_frames == retained.size
 
 
@@ -291,8 +291,7 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
     proxy, video = _FakeProxy(), _FakeVideo()
     retained = np.arange(2 * INFER_BLOCK, dtype=np.int64)
     cut = INFER_BLOCK
-    _window_state(
-        cache, proxy, video, retained, cut, truncate_sigmas=0.0)
+    _window_state(cache, proxy, video, retained, cut)
     assert sorted(cache._blocks) == [1]
     assert len(proxy.inferred) == 2  # the expired block paid for its top
 
@@ -301,30 +300,27 @@ def test_block_cache_heals_changed_expired_blocks_with_one_inference():
     # the mixture stays evicted.
     changed = retained.copy()
     changed[10] = 10**6
-    _, top = _window_state(
-        cache, proxy, video, changed, cut, truncate_sigmas=0.0)
+    _, top = _window_state(cache, proxy, video, changed, cut)
     assert len(proxy.inferred) == 3
     assert np.array_equal(proxy.inferred[-1], changed[:INFER_BLOCK])
     assert sorted(cache._blocks) == [1]
-    assert top == 10.0**6
+    assert top == 10.0**6 + TRUNCATE_SIGMAS
 
     # Same content again: fully cached, no inference at all.
-    _, top = _window_state(
-        cache, proxy, video, changed, cut, truncate_sigmas=0.0)
+    _, top = _window_state(cache, proxy, video, changed, cut)
     assert len(proxy.inferred) == 3
-    assert top == 10.0**6
+    assert top == 10.0**6 + TRUNCATE_SIGMAS
 
 
 def test_block_cache_drops_stale_trailing_blocks():
     cache = BlockInferenceCache()
     proxy, video = _FakeProxy(), _FakeVideo()
     long = np.arange(3 * INFER_BLOCK, dtype=np.int64)
-    _window_state(cache, proxy, video, long, 0, truncate_sigmas=0.0)
+    _window_state(cache, proxy, video, long, 0)
     assert sorted(cache._blocks) == [0, 1, 2]
     # The retained array shrank (a retrain rebuilt the detector):
     # trailing blocks beyond the new extent drop mixtures *and* tops.
     short = long[:INFER_BLOCK]
-    _, top = _window_state(
-        cache, proxy, video, short, 0, truncate_sigmas=0.0)
+    _, top = _window_state(cache, proxy, video, short, 0)
     assert sorted(cache._blocks) == [0]
-    assert top == float(short[-1])
+    assert top == float(short[-1]) + TRUNCATE_SIGMAS
