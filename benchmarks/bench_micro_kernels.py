@@ -15,7 +15,8 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
   session the other shapes warmed, with and without the session's
   score cache (recorded, not gated — DESIGN.md §3);
 * what a Phase-1 build pays per frame on a 3 000-frame video: µs per
-  frame rendered, µs per row featurized (the frozen two-partition
+  frame rendered (a 512-frame block, and one ``pixels(i)`` call), µs
+  per row featurized (the frozen two-partition
   reference vs the one-sort extractor, a 512-row block and a 170-row
   append) and the renders / featurized rows of one build (recorded,
   not gated — DESIGN.md §3).
@@ -373,8 +374,14 @@ def test_phase1_frame_costs(benchmark, monkeypatch):
         return min(timed_call(fn)[1] for _ in range(rounds)) / rows * 1e6
 
     block = np.arange(512)
-    metrics = {"phase1_render_us_per_frame": best_us_per_row(
-        lambda: video.batch_pixels(block), block.size, rounds=5)}
+    metrics = {
+        "phase1_render_us_per_frame": best_us_per_row(
+            lambda: video.batch_pixels(block), block.size, rounds=5),
+        # No workload renders one frame a call; this keeps its fixed
+        # cost (a Generator and the noise states of a block) in view.
+        "phase1_render_one_frame_us": best_us_per_row(
+            lambda: video.pixels(1_234), 1, rounds=200),
+    }
     for rows in (512, 170):
         pixels = video.batch_pixels(np.arange(rows))
         for name, featurize in (

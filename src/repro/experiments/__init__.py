@@ -25,6 +25,7 @@ from . import (
     fig7,
     fig8,
     fig9,
+    guarantee_audit,
     streaming_latency,
     table7,
     table8,
@@ -47,6 +48,7 @@ __all__ = [
     "fig7",
     "fig8",
     "fig9",
+    "guarantee_audit",
     "streaming_latency",
     "table7",
     "table8",

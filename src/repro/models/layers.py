@@ -36,6 +36,12 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
+        """:meth:`backward` without the input gradient: a network's
+        first layer adds its parameter gradients and stops, since
+        nothing reads the gradient of the network's input."""
+        self.backward(grad_out)
+
     def zero_grads(self) -> None:
         for key in self.grads:
             self.grads[key][...] = 0.0
@@ -69,10 +75,13 @@ class Dense(Layer):
         self._x = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
         assert self._x is not None, "backward before training forward"
         self.grads["W"] += self._x.T @ grad_out
         self.grads["b"] += grad_out.sum(axis=0)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.accumulate_grads(grad_out)
         return grad_out @ self.params["W"].T
 
 
@@ -175,14 +184,23 @@ class Conv2D(Layer):
             self._x_shape = x.shape
         return out.transpose(0, 3, 1, 2)  # (N, out_c, out_h, out_w)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _param_grads(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add the batch's ``W`` / ``b`` gradients; return ``grad_out``
+        as ``(N*oh*ow, out_c)`` rows."""
         assert self._cols is not None and self._x_shape is not None
-        n, _, out_h, out_w = grad_out.shape
         grad_cols = grad_out.transpose(0, 2, 3, 1)  # (N, oh, ow, out_c)
         flat_cols = self._cols.reshape(-1, self._cols.shape[-1])
         flat_grad = grad_cols.reshape(-1, self.out_channels)
         self.grads["W"] += flat_cols.T @ flat_grad
         self.grads["b"] += flat_grad.sum(axis=0)
+        return flat_grad
+
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
+        self._param_grads(grad_out)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        n, _, out_h, out_w = grad_out.shape
+        flat_grad = self._param_grads(grad_out)
 
         # Gradient wrt input: scatter column gradients back (col2im).
         grad_col_in = flat_grad @ self.params["W"].T  # (N*oh*ow, C*k*k)

@@ -28,6 +28,14 @@ SIGMA_FLOOR = 1e-3
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+#: The floating-point conditions :func:`_row_logsumexp` meets by design
+#: (an all ``-inf`` row, a non-finite maximum, a direct sum that
+#: overflows). Its callers enter ``np.errstate(**QUIET)``: a training
+#: fit once for all its steps, :meth:`GaussianMixture.log_likelihood`
+#: per call.
+QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     """``log(sum(exp(a), axis=-1, keepdims=True))`` of a float64 array.
 
@@ -41,34 +49,34 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     not finite (a ``+-inf`` maximum, a NaN) take the direct
     ``log(sum(exp(a)))`` instead, whose IEEE behaviour is the answer.
     SciPy's sign bookkeeping is left out: without weights the shifted
-    sum is never negative.
+    sum is never negative. Run it under ``np.errstate(**QUIET)``.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=-1, keepdims=True)
-        is_max = a == a_max
-        m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
-        shifted = np.where(is_max, -np.inf, a)
-        shifted -= a_max
-        s = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.exp(a).sum(axis=-1, keepdims=True))
-            out = np.where(finite, out, direct)
+    a_max = a.max(axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+    shifted = np.where(is_max, -np.inf, a)
+    shifted -= a_max
+    s = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        direct = np.log(np.exp(a).sum(axis=-1, keepdims=True))
+        out = np.where(finite, out, direct)
     return out
 
 
-def _log_components(pi, mu, sigma, y) -> Tuple[np.ndarray, np.ndarray]:
+def _log_components(pi, mu, sigma, y):
     """``log(pi_j N(y | mu_j, sigma_j))`` per component, and the
-    standardized residual ``z`` it was computed from."""
+    standardized residual ``z`` it was computed from, and ``z * z``."""
     z = (y - mu) / sigma
+    z2 = z * z
     log_comp = (
-        np.log(np.clip(pi, 1e-300, None))
+        np.log(np.maximum(pi, 1e-300))
         - np.log(sigma)
-        - 0.5 * (z * z + _LOG_2PI)
+        - 0.5 * (z2 + _LOG_2PI)
     )
-    return log_comp, z
+    return log_comp, z, z2
 
 
 @dataclass(frozen=True)
@@ -118,9 +126,11 @@ class GaussianMixture:
     def log_likelihood(self, y: np.ndarray) -> np.ndarray:
         """Per-sample log p(y) for batched parameters."""
         y = np.asarray(y, dtype=np.float64)[..., None]
-        log_comp, _ = _log_components(self.pi, self.mu, self.sigma, y)
+        log_comp, _, _ = _log_components(self.pi, self.mu, self.sigma, y)
+        with np.errstate(**QUIET):
+            log_norm = _row_logsumexp(log_comp)
         # [()] turns the 0-d result of an unbatched mixture into a scalar.
-        return _row_logsumexp(log_comp)[..., 0][()]
+        return log_norm[..., 0][()]
 
     def select(self, index) -> "GaussianMixture":
         """Slice batched parameters (e.g. one frame's mixture)."""
@@ -203,7 +213,10 @@ class MDNHead(Layer):
         return float(-np.mean(self.mixture(raw).log_likelihood(y)))
 
     def loss_and_backward(self, y: np.ndarray) -> Tuple[float, np.ndarray]:
-        """NLL of the last *training* forward; returns (loss, grad_x)."""
+        """NLL of the last *training* forward; returns (loss, grad_x).
+
+        Run it under ``np.errstate(**QUIET)`` (a fit enters it once).
+        """
         assert self._cache is not None, "call forward(training=True) first"
         x, raw = self._cache
         n = raw.shape[0]
@@ -211,10 +224,11 @@ class MDNHead(Layer):
         pi, mu, sigma = self._decode(raw)
         y_col = np.asarray(y, dtype=np.float64)[:, None]
 
-        log_comp, z = _log_components(pi, mu, sigma, y_col)
+        log_comp, z, z2 = _log_components(pi, mu, sigma, y_col)
         log_norm = _row_logsumexp(log_comp)
         resp = np.exp(log_comp - log_norm)  # responsibilities gamma
-        loss = float(-np.mean(log_norm))
+        # np.mean's own arithmetic: a pairwise sum, then one division.
+        loss = float(-(np.add.reduce(log_norm, axis=None) / log_norm.size))
 
         # Gradients of mean NLL wrt raw pre-activations.
         grad_raw = np.empty_like(raw)
@@ -223,7 +237,7 @@ class MDNHead(Layer):
         # d sigma / d pre-sigma = sigmoid(pre-sigma)
         pre_sigma = raw[:, 2 * g:]
         dsigma = 1.0 / (1.0 + np.exp(-pre_sigma))
-        grad_sigma = resp * (1.0 / sigma - z * z / sigma) / n
+        grad_sigma = resp * (1.0 / sigma - z2 / sigma) / n
         grad_raw[:, 2 * g:] = grad_sigma * dsigma
 
         self.grads["W"] += x.T @ grad_raw

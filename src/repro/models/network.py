@@ -97,7 +97,8 @@ class MixtureDensityNetwork:
         self._y_scale = scale if scale > 1e-9 else 1.0
         self._fitted = True
 
-    def _scale_targets(self, y: np.ndarray) -> np.ndarray:
+    def scale_targets(self, y: np.ndarray) -> np.ndarray:
+        """Scores in the standardized units the network trains on."""
         return (np.asarray(y, dtype=np.float64) - self._y_mean) / self._y_scale
 
     # ------------------------------------------------------------------
@@ -118,11 +119,20 @@ class MixtureDensityNetwork:
         if not self._fitted:
             raise NotFittedError(
                 "call fit_target_scaling before training")
+        return self.train_step_scaled(x, self.scale_targets(y), optimizer)
+
+    def train_step_scaled(self, x: np.ndarray, scaled_y: np.ndarray,
+                          optimizer) -> float:
+        """:meth:`train_step` on targets already through
+        :meth:`scale_targets` (a fit scales its sample once). The first
+        layer's input gradient is not computed: nothing reads it."""
         self.zero_grads()
         self.forward_raw(x, training=True)
-        loss, grad = self.head.loss_and_backward(self._scale_targets(y))
-        for layer in reversed(self.layers):
+        loss, grad = self.head.loss_and_backward(scaled_y)
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
+        first.accumulate_grads(grad)
         optimizer.step(self)
         return loss
 

@@ -54,11 +54,15 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m: Dict[Tuple[int, str], np.ndarray] = {}
-        self._v: Dict[Tuple[int, str], np.ndarray] = {}
+        #: Per parameter: the moments ``m``, ``v`` and two scratch
+        #: arrays the update's temporaries are written into.
+        self._slots: Dict[Tuple[int, str], Tuple[np.ndarray, ...]] = {}
         self._t = 0
 
     def step(self, model) -> None:
+        """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``, then
+        ``theta -= lr_t m / (sqrt(v) + eps)``: every product and sum in
+        that order, each written in place."""
         self._t += 1
         lr_t = self.learning_rate * (
             np.sqrt(1.0 - self.beta2 ** self._t)
@@ -67,14 +71,17 @@ class Adam:
         for layer, name, value in model.parameters:
             grad = layer.grads[name]
             key = (id(layer), name)
-            m = self._m.get(key)
-            if m is None:
-                m = np.zeros_like(value)
-                self._m[key] = m
-                self._v[key] = np.zeros_like(value)
-            v = self._v[key]
+            slots = self._slots.get(key)
+            if slots is None:
+                slots = tuple(np.zeros_like(value) for _ in range(4))
+                self._slots[key] = slots
+            m, v, scratch, denominator = slots
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=scratch)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            value -= lr_t * m / (np.sqrt(v) + self.epsilon)
+            np.multiply(1.0 - self.beta2, grad, out=scratch)
+            v += np.multiply(scratch, grad, out=scratch)
+            np.sqrt(v, out=denominator)
+            denominator += self.epsilon
+            np.multiply(lr_t, m, out=scratch)
+            value -= np.divide(scratch, denominator, out=scratch)

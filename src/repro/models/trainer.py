@@ -24,6 +24,7 @@ import numpy as np
 from ..config import Phase1Config
 from ..errors import ConfigurationError
 from .cmdn import ConvMDNProxy, FeatureMDNProxy, ProxyScorer, mean_nll
+from .mdn import QUIET
 from .optim import Adam
 
 #: Mini-batch size of every proxy fit (Phase 1's grid and a stream's
@@ -111,15 +112,16 @@ def _fit(
     network.fit_target_scaling(train_scores)
     optimizer = Adam(learning_rate)
     rng = np.random.default_rng(seed)
-    scores = np.asarray(train_scores, dtype=np.float64)
+    targets = network.scale_targets(train_scores)
 
     losses: List[float] = []
-    for _ in range(epochs):
-        epoch_losses = []
-        for batch in _iterate_minibatches(rng, len(inputs), batch_size):
-            loss = network.train_step(inputs[batch], scores[batch], optimizer)
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
+    with np.errstate(**QUIET):
+        for _ in range(epochs):
+            epoch_losses = []
+            for batch in _iterate_minibatches(rng, len(inputs), batch_size):
+                epoch_losses.append(network.train_step_scaled(
+                    inputs[batch], targets[batch], optimizer))
+            losses.append(float(np.mean(epoch_losses)))
     return losses
 
 

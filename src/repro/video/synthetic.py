@@ -25,10 +25,18 @@ frame and applied in one fixed order, so ``batch_pixels(ids)`` is
 bit-identical to stacking ``pixels(i)`` for any batch composition —
 ``pixels(i)`` *is* the batch of one. ``tests/reference_render.py``
 keeps the original one-frame-at-a-time renderer as the reference.
+
+Those noise streams are not built one ``default_rng`` at a time, which
+cost more than the draws: a render computes the PCG64 start states of
+its whole block with ``SeedSequence``'s mixing vectorized over frames
+and pool words (:func:`_noise_states`), and steps one Generator of its
+own through them — its own, because renders run on several threads at
+once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -122,6 +130,161 @@ def check_indices(indices: Iterable[int], num_frames: int) -> np.ndarray:
     return indices
 
 
+# ----------------------------------------------------------------------
+# Sensor noise. Frame ``i`` of a video seeded ``seed`` draws its noise
+# from ``default_rng((seed, i, 0x5EED))``. Building that Generator costs
+# more than drawing the frame's noise, so the start states of a whole
+# block are computed at once: NumPy's ``SeedSequence`` (its algorithm is
+# kept stable by NEP 19) restated over uint32 arrays, one row per frame
+# and one column per pool word, then PCG64's seeding step.
+
+_NOISE_KEY = 0x5EED
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+#: ``SeedSequence``'s pool size, in 32-bit words.
+_POOL_WORDS = 4
+#: ``SeedSequence``'s hash and mix constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``count`` terms of ``c <- c * mult mod 2**32`` from ``init``: the
+    constant each successive hash call uses."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+#: Entropy hashing: call ``k`` xors with ``_HASH_A[k]`` and multiplies
+#: by ``_HASH_A[k + 1]``. Calls 0-3 fill the pool, 4-15 mix it, and
+#: each entropy word past the pool takes four more (precomputed for
+#: entropy of up to 32 words; longer seeds extend it per call).
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * 32 + 1)
+#: ``generate_state``'s hashing, likewise, for the 8 words of PCG64's
+#: 128-bit seed and increment.
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 9)
+
+
+def _mixing_round(src: int):
+    """Xor and multiply rows of the round in which pool word ``src`` is
+    hashed into each other word (in word order). Word ``src`` gets a
+    zero multiplier; :func:`_pcg64_states` keeps that word as it was."""
+    xor = np.zeros(_POOL_WORDS, dtype=np.uint32)
+    mult = np.zeros_like(xor)
+    call = _POOL_WORDS + (_POOL_WORDS - 1) * src
+    for dst in range(_POOL_WORDS):
+        if dst != src:
+            xor[dst], mult[dst] = _HASH_A[call], _HASH_A[call + 1]
+            call += 1
+    return xor, mult
+
+
+_MIXING_ROUNDS = [_mixing_round(src) for src in range(_POOL_WORDS)]
+
+
+def _hashmix(value, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``hashmix``, its hash constants given."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``mix``; overwrites ``y``."""
+    y *= _MIX_R
+    out = _MIX_L * x
+    out -= y
+    out ^= out >> _SHIFT
+    return out
+
+
+def _uint32_words(value: int) -> List[int]:
+    """A non-negative int as ``SeedSequence`` reads it: little-endian
+    32-bit words, at least one."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _pcg64_states(entropy: list, count: int) -> List[dict]:
+    """``PCG64(SeedSequence(words)).state`` for ``count`` word lists at
+    once: ``entropy`` lists the words in order, each an int shared by
+    every list or a ``(count,)`` array. Row ``r`` of the pool is list
+    ``r``'s, column ``j`` its word ``j``."""
+    consts = _HASH_A
+    if consts.size < 4 * len(entropy) + 1:
+        consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+    pool = np.zeros((count, _POOL_WORDS), dtype=np.uint32)
+    for column, word in enumerate(entropy[:_POOL_WORDS]):
+        pool[:, column] = word
+    pool = _hashmix(pool, consts[:4], consts[1:5])
+    for src, (xor, mult) in enumerate(_MIXING_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mult))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for extra, word in enumerate(entropy[_POOL_WORDS:]):
+        call = 4 * (_POOL_WORDS + extra)
+        word = np.asarray(word, dtype=np.uint32).reshape(-1, 1)
+        pool = _mix(pool, _hashmix(
+            word, consts[call:call + 4], consts[call + 1:call + 5]))
+    state = _hashmix(
+        np.concatenate((pool, pool), axis=1), _HASH_B[:8], _HASH_B[1:])
+    # Four little-endian uint64 per list: seed high, low; inc high, low.
+    words = state.astype("<u4", copy=False)
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in words.view("<u8").tolist():
+        # PCG64's seeding: inc = 2 * initseq + 1, then two LCG steps.
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        start = ((((seed_hi << 64) | seed_lo) + inc) * _PCG64_MULT
+                 + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": start, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
+def _noise_states(seed: int, indices: np.ndarray) -> List[dict]:
+    """``default_rng((seed, i, 0x5EED)).bit_generator.state`` for each
+    ``i`` of ``indices`` (non-negative int64), in order."""
+    seed_words = _uint32_words(seed)
+    if indices.max(initial=0) < 1 << 32:
+        return _pcg64_states(
+            [*seed_words, indices, _NOISE_KEY], indices.size)
+    # An index from 2**32 on is two entropy words: mix each width apart.
+    states: List[dict] = [{}] * indices.size
+    high = indices >> 32
+    wide = high != 0
+    for rows, index_words in (
+            (~wide, [indices]), (wide, [indices & _MASK32, high])):
+        rows = np.flatnonzero(rows)
+        entropy = [*seed_words, *(w[rows] for w in index_words), _NOISE_KEY]
+        for row, state in zip(
+                rows.tolist(), _pcg64_states(entropy, rows.size)):
+            states[row] = state
+    return states
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Zero seed words: a PCG64 whose state is set before every draw
+    need not pay for ``SeedSequence``'s mixing when it is built."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
 #: Frames rendered per pass of :meth:`SyntheticVideo.batch_pixels`;
 #: sized so a block's float64 temporaries (0.6 MB each at 24x24) stay
 #: cache-resident, whatever the size of the batch.
@@ -156,6 +319,14 @@ class SyntheticVideo:
             raise ConfigurationError("resolution must be at least 4x4")
         if fps <= 0:
             raise ConfigurationError("fps must be positive")
+        # Checked before any label is bought: a NaN level would surface
+        # as an invalid pmf after training, a negative one at the first
+        # render, and an infinite one would saturate every pixel.
+        if not (math.isfinite(noise_level) and noise_level >= 0):
+            raise ConfigurationError(
+                f"noise_level must be finite and >= 0, got {noise_level!r}")
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed!r}")
         self.name = name
         self.num_frames = num_frames
         self.resolution = (int(resolution[0]), int(resolution[1]))
@@ -211,9 +382,12 @@ class SyntheticVideo:
         """Scenes plus per-frame sensor noise, clipped to ``[0, 1]``."""
         frames = self._scenes(indices)
         shape = frames.shape[1:]
-        for frame, index in zip(frames, indices.tolist()):
-            noise_rng = np.random.default_rng((self.seed, index, 0x5EED))
-            frame += noise_rng.normal(0.0, self.noise_level, shape)
+        # This call's own Generator (renders run on several threads at
+        # once), moved to each frame's start state in turn.
+        noise = np.random.Generator(np.random.PCG64(_Unseeded()))
+        for frame, state in zip(frames, _noise_states(self.seed, indices)):
+            noise.bit_generator.state = state
+            frame += noise.normal(0.0, self.noise_level, shape)
         return np.clip(frames, 0.0, 1.0, out=frames)
 
     def pixels(self, index: int) -> np.ndarray:

@@ -20,6 +20,11 @@ success rate is below ``thres``. The vlog end-to-end cells fail: the
 difference detector drops the frames that hold the true Top-K, while
 the guarantee over D0 holds. They are strict xfails, so the fix
 (ROADMAP item 2, a per-video difference threshold) has to flip them.
+
+These definitions live in :mod:`repro.experiments.guarantee_audit`,
+whose full matrix ``benchmarks/bench_guarantee.py`` writes to
+``BENCH_guarantee.json``; the last tests here run its two checks of
+Phase 2's arithmetic over possible worlds on one small seed.
 """
 
 from __future__ import annotations
@@ -32,13 +37,21 @@ from scipy.stats import beta
 
 from repro import EverestConfig, Session
 from repro.api.registry import resolve_pair
-from repro.metrics.quality import precision_at_k
-from repro.oracle.base import exact_scores
+from repro.experiments.guarantee_audit import (
+    CONFIDENCE,
+    d0_levels,
+    enumerated_check,
+    is_topk,
+    lower_bound,
+    run_query,
+    sampled_check,
+    truth_levels,
+    upper_bound,
+)
 
 NUM_FRAMES = 3_000
 SEEDS = range(10)
 THRES = 0.9
-CONFIDENCE = 0.95
 #: (family, UDF) -> the k each seed's session answers.
 FAMILIES = {
     ("vlog", "sentiment"): (10, 50),
@@ -53,13 +66,6 @@ VLOG_DIFF_LOSS = pytest.mark.xfail(
            "the threshold per video")
 
 
-def upper_bound(successes: int, trials: int) -> float:
-    """One-sided Clopper–Pearson upper bound on a success rate."""
-    if successes == trials:
-        return 1.0
-    return float(beta.ppf(CONFIDENCE, successes + 1, trials - successes))
-
-
 @functools.lru_cache(maxsize=None)
 def outcomes(family: str, udf: str):
     """``{k: (end-to-end successes, D0 successes)}`` over the seeds."""
@@ -68,19 +74,12 @@ def outcomes(family: str, udf: str):
         video, scoring = resolve_pair(
             family, udf, num_frames=NUM_FRAMES, seed=1000 + s)
         session = Session(video, scoring, config=EverestConfig())
-        levels = np.rint(
-            (exact_scores(scoring, video) - scoring.score_floor)
-            / scoring.step)
-        result = session.phase1().result
-        in_d0 = np.zeros(len(video), dtype=bool)
-        in_d0[result.diff_result.retained] = True
-        in_d0[list(result.known_scores)] = True
-        d0_levels = np.where(in_d0, levels, -np.inf)
+        levels = truth_levels(video, scoring)
+        d0 = d0_levels(levels, session.phase1().result)
         for k, count in counts.items():
             answer = session.query().topk(k).guarantee(THRES).run()
-            count[0] += precision_at_k(answer.answer_ids, levels, k) == 1.0
-            count[1] += precision_at_k(
-                answer.answer_ids, d0_levels, k) == 1.0
+            count[0] += is_topk(answer.answer_ids, levels, k)
+            count[1] += is_topk(answer.answer_ids, d0, k)
     return {k: tuple(count) for k, count in counts.items()}
 
 
@@ -104,3 +103,27 @@ def test_answer_is_the_topk_of_d0(family, udf, k):
     successes = outcomes(family, udf)[k][1]
     assert upper_bound(successes, len(SEEDS)) >= THRES, \
         f"{successes}/{len(SEEDS)} seeds answered D0's Top-{k}"
+
+
+def test_clopper_pearson_bounds_are_scipy_stats_beta():
+    for trials in (10, 50, 200):
+        for successes in range(trials + 1):
+            upper = beta.ppf(CONFIDENCE, successes + 1, trials - successes)
+            lower = beta.ppf(1 - CONFIDENCE, successes, trials - successes + 1)
+            assert upper_bound(successes, trials) == (
+                1.0 if successes == trials else upper)
+            assert lower_bound(successes, trials) == (
+                0.0 if successes == 0 else lower)
+
+
+@pytest.mark.parametrize("family, udf", sorted(FAMILIES))
+def test_phase2_confidence_is_a_possible_worlds_probability(family, udf):
+    """The audit's two checks of Phase 2's arithmetic, on one seed."""
+    video, scoring = resolve_pair(family, udf, num_frames=1_000, seed=7)
+    session = Session(video, scoring, config=EverestConfig.fast())
+    report, relation = run_query(session, 5, THRES)
+    assert report.to_json() == session.query().topk(5).guarantee(
+        THRES).run().to_json()
+    assert sampled_check(relation, report, np.random.default_rng(0))["ok"]
+    exact = enumerated_check(session, 5, THRES)
+    assert exact["tuples"] >= 2 and exact["ok"], exact

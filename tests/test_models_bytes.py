@@ -9,7 +9,8 @@ bytes are pinned at three levels:
 * the packed optimizer step against the per-parameter Adam loop it
   replaced (kept here, as the reference);
 * sha256 digests of trained parameters, loss histories and the Phase-1
-  relation, recorded at commit ``915406e`` before ``models/`` changed;
+  relation, recorded at commit ``915406e`` before ``models/`` changed
+  (the conv CMDN's at ``9b3839f``, before its training step did);
 * ``featurize`` is row-independent for both proxy families — the
   licence under which the block cache keeps feature rows per frame and
   scores a block assembled from kept and new rows (DESIGN.md §7). If
@@ -35,11 +36,12 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from repro import EverestConfig, Session
+from repro.config import Phase1Config
 from repro.core.uncertain import (
     TRUNCATE_SIGMAS, QuantizationGrid, quantize_mixtures)
 from repro.models import Adam, build_feature_mdn
 from repro.models.cmdn import ConvMDNProxy, FeatureMDNProxy
-from repro.models.mdn import GaussianMixture, _row_logsumexp
+from repro.models.mdn import QUIET, GaussianMixture, _row_logsumexp
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
 from repro.video.synthetic import ObjectCountProcess, _ar1, _ou_process
@@ -49,8 +51,14 @@ from repro.video.synthetic import ObjectCountProcess, _ar1, _ou_process
 # (a) the in-house log-sum-exp is SciPy's, byte for byte
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``_row_logsumexp`` under the errstate its callers enter."""
+    with np.errstate(**QUIET):
+        return _row_logsumexp(a)
+
+
 def _equal_bytes(a: np.ndarray) -> bool:
-    ours = _row_logsumexp(a)
+    ours = _logsumexp(a)
     theirs = logsumexp(a, axis=-1, keepdims=True)
     return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
@@ -76,7 +84,7 @@ def test_row_logsumexp_edge_rows_match_scipy_bytes():
     a[5, 3] = np.nan
     a[6, :] = 800.0                         # exp overflows unshifted
     assert _equal_bytes(a)
-    assert _row_logsumexp(a)[2, 0] == -np.inf
+    assert _logsumexp(a)[2, 0] == -np.inf
     assert _equal_bytes(a[:, :1])
     assert _equal_bytes(a.reshape(2, 4, 6))
 
@@ -192,15 +200,37 @@ PINS = {
         "mixtures": "ee33f7b5383a2ec736932d74274a5d4d0897c8db16fba329b7"
                     "8b4a8cc8d63743",
     },
+    # The conv CMDN (400 frames, two candidates, three epochs): its
+    # training step skips the first conv layer's col2im. Recorded at
+    # commit ``9b3839f``, before the training step changed.
+    ("pin-conv", 41, "conv"): {
+        "hyperparameters": (2, 8),
+        "parameters": "e521f526f12961b2dca4b9782578da7c8302337a6a8549aa"
+                      "af61b8dfb048ef02",
+        "histories": "3b3592fbdd0d87ef2d62c57b294ae5049306143dc1746c070"
+                     "aa4a8d808a73928",
+        "relation": "87069a628b603831eb1253a457007bd3a21244913d504cc73f"
+                    "409731804b3d19",
+        "mixtures": "61ca1483e6bd2c792a7ae5dd1294c7bfec88bef9d2fa8e94f5"
+                    "a767c4615b0650",
+    },
+}
+
+#: The configurations the pins were recorded under.
+PIN_CONFIGS = {
+    "fast": EverestConfig.fast(),
+    "default": EverestConfig(),
+    "conv": EverestConfig(phase1=Phase1Config(
+        sample_fraction=0.05, min_train_samples=128, holdout_samples=64,
+        cmdn_grid=((3, 16), (2, 8)), epochs=3, use_feature_mdn=False)),
 }
 
 
 @pytest.mark.parametrize("name,seed,config", list(PINS))
 def test_phase1_training_bytes_are_pinned(name, seed, config):
     session = Session(
-        TrafficVideo(name, 900, seed=seed), counting_udf("car"),
-        config=EverestConfig.fast() if config == "fast"
-        else EverestConfig())
+        TrafficVideo(name, 400 if config == "conv" else 900, seed=seed),
+        counting_udf("car"), config=PIN_CONFIGS[config])
     result = session.phase1().result
     grid = result.relation.grid
     assert {

@@ -10,12 +10,17 @@ renderer in ``reference_render.py``:
 * a ``Frame`` renders lazily, identically, and pickles with its pixels;
 * labelling through an oracle whose UDF reads annotations renders
   nothing;
-* ``truth_array`` equals the per-frame loop it replaced.
+* ``truth_array`` equals the per-frame loop it replaced;
+* the noise start states the renderer computes in bulk are
+  ``default_rng((seed, i, 0x5EED))``'s, multi-word seeds and indices
+  included, and two threads rendering at once keep their own streams.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from repro.video import (
     TrafficVideo,
     VideoSlice,
 )
+from repro.video.synthetic import _noise_states
 from repro.video.visual_road import visual_road_video
 
 from conftest import CountingTraffic
@@ -227,3 +233,57 @@ def test_truth_array_equals_the_per_frame_loop(case):
     video.truth_array()[:] = -1.0
     assert_same_bits(video.truth_array(), loop(video))
 
+
+
+# ----------------------------------------------------------------------
+# the noise stream: start states computed in bulk, one Generator a call
+
+#: The last seed is 33 words: entropy past the precomputed schedule.
+NOISE_SEEDS = (0, 1, 331, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 1_050 + 3)
+NOISE_INDICES = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32 + 7)
+
+
+class _FlatVideo(SentimentVideo):
+    """A mid-grey scene at any index, so the renderer can be driven at
+    indices past 2**32, where only the noise differs."""
+
+    def _scenes(self, indices):
+        return np.full((indices.size,) + self.resolution, 0.5)
+
+
+@pytest.mark.parametrize("seed", NOISE_SEEDS)
+def test_bulk_noise_states_are_seed_sequence_states(seed):
+    # Both widths of index in one call, unsorted and repeated.
+    indices = np.array(NOISE_INDICES + NOISE_INDICES[::-1], dtype=np.int64)
+    assert _noise_states(seed, indices) == [
+        np.random.default_rng((seed, i, 0x5EED)).bit_generator.state
+        for i in indices.tolist()]
+    # ... and they are what the renderer draws from.
+    video = _FlatVideo("flat", 8, seed=seed)
+    expected = np.stack([
+        np.clip(0.5 + np.random.default_rng((seed, i, 0x5EED)).normal(
+            0.0, video.noise_level, video.resolution), 0.0, 1.0)
+        for i in indices.tolist()])
+    assert_same_bits(video._render(indices), expected)
+    assert_same_bits(
+        TrafficVideo("wide-seed", 40, seed=seed).batch_pixels(range(40)),
+        reference_batch_pixels(
+            TrafficVideo("wide-seed", 40, seed=seed), range(40)))
+
+
+def test_concurrent_renders_keep_their_own_streams():
+    videos = [TrafficVideo("thread-a", 600, seed=21),
+              SentimentVideo("thread-b", 600, seed=22)]
+    ids = np.random.default_rng(4).integers(0, 600, size=300)
+    expected = [reference_batch_pixels(video, ids) for video in videos]
+    start = threading.Barrier(len(videos))
+
+    def render(video):
+        start.wait()
+        return [video.batch_pixels(ids) for _ in range(20)]
+
+    with ThreadPoolExecutor(len(videos)) as pool:
+        rendered = list(pool.map(render, videos))
+    for rounds, reference in zip(rendered, expected):
+        for pixels in rounds:
+            assert_same_bits(pixels, reference)

@@ -186,3 +186,29 @@ class TestValidation:
     def test_rejects_bad_fps(self):
         with pytest.raises(ConfigurationError):
             TrafficVideo("bad", 10, fps=0)
+
+    @pytest.mark.parametrize(
+        "generator", [TrafficVideo, DashcamVideo, SentimentVideo])
+    @pytest.mark.parametrize("keywords", [
+        {"noise_level": float("nan")}, {"noise_level": -0.01},
+        {"noise_level": float("inf")}, {"noise_level": -float("inf")},
+        {"seed": -1}], ids=["nan", "negative", "inf", "-inf", "seed-1"])
+    def test_rejects_bad_noise_level_and_seed(self, generator, keywords):
+        with pytest.raises(ConfigurationError):
+            generator("bad", 600, **keywords)
+
+    @pytest.mark.parametrize("name", ["traffic", "dashcam", "vlog"])
+    @pytest.mark.parametrize("keywords", [
+        {"noise_level": float("nan")}, {"noise_level": -0.01},
+        {"noise_level": float("inf")}, {"seed": -1}],
+        ids=["nan", "negative", "inf", "seed-1"])
+    def test_registry_rejects_bad_noise_level_and_seed(self, name, keywords):
+        from repro.api.registry import resolve_video
+        with pytest.raises(ConfigurationError):
+            resolve_video(name, num_frames=600, **keywords)
+
+    def test_noiseless_video_is_its_scenes(self):
+        video = TrafficVideo("clean", 50, noise_level=0.0, seed=3)
+        ids = np.arange(50)
+        expected = np.clip(video._scenes(ids), 0.0, 1.0).astype(np.float32)
+        assert video.batch_pixels(ids).tobytes() == expected.tobytes()
