@@ -3,8 +3,8 @@
 :mod:`repro.parallel.pool` — worker-count resolution (the
 ``REPRO_WORKERS`` environment variable), ordered thread mapping for
 calls that wait on pool workers, and the one process-pool protocol:
-:class:`~repro.parallel.pool.PersistentPool` (``submit`` and ``call``,
-restart after a worker death) with the :class:`~repro.parallel.pool.Shipped`
+:class:`~repro.parallel.pool.PersistentPool` (``submit`` and ``call``;
+a worker that dies is replaced alone) with the :class:`~repro.parallel.pool.Shipped`
 ship-once handle. The one fan-out that uses them is
 :class:`~repro.service.QueryService`: an experiment sweep or a cold
 corpus submits to one, and its process lane is the only place worker

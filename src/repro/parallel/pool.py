@@ -11,23 +11,24 @@ otherwise serial execution. Running the test suite under
 without touching a single call site.
 
 Every place the library leaves the process does so through
-:class:`PersistentPool` — the only owner of a
-:class:`~concurrent.futures.ProcessPoolExecutor` — and its two
-protocol pieces: :class:`Shipped`, the ship-once handle (the parent
-pickles an object once; each worker unpickles it once), and
-:meth:`PersistentPool.call`, one task run for its answer.
+:class:`PersistentPool` — the only code that starts worker processes —
+and its two protocol pieces: :class:`Shipped`, the ship-once handle
+(the parent pickles an object once; each worker unpickles it once),
+and :meth:`PersistentPool.call`, one task run for its answer.
 
-The wire protocol, stated once. A task crosses as ``(payload, keys,
-blobs)``: the pickled call, in which every :class:`Shipped` handle —
-at any depth — is *bare* (its key, no blob); the keys of the handles
-it names; and the blobs the parent chose to send along. The worker
-(:func:`_run_call`) resolves before it runs: if it has never been sent
-one of the keys it raises :class:`NotShipped` without unpickling the
-call, so a missed task has had no side effect, and ``call`` — the one
-place that reads answers — sends that task again with its blobs. A
-blob therefore crosses once per worker that needs it, not once per
-task. Worker code never touches a lock it inherited from the parent
-(the pool forks while other threads hold theirs).
+The wire protocol, stated once. Each worker owns one duplex pipe, and
+the caller's own thread writes the task to it and reads the answer
+back: no relay thread stands between. A task crosses as ``(payload,
+keys, blobs)``: the pickled call, in which every :class:`Shipped`
+handle — at any depth — is *bare* (its key, no blob); the keys of the
+handles it names; and the blobs the parent chose to send along. The
+worker (:func:`_run_call`) resolves before it runs: if it has never
+been sent one of the keys it raises :class:`NotShipped` without
+unpickling the call, so a missed task has had no side effect, and
+``call`` — the one place that reads answers — sends that task again
+with its blobs. A blob therefore crosses once per worker that needs
+it, not once per task. Worker code never touches a lock it inherited
+from the parent (a worker forks while other threads hold theirs).
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ from __future__ import annotations
 import contextvars
 import io
 import itertools
+import multiprocessing
 import os
 import pickle
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import traceback
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -193,62 +197,228 @@ def _run_call(payload: bytes, keys: Tuple[int, ...], blobs: Dict[int, bytes]):
     return fn(*args, **kwargs)
 
 
-class PersistentPool:
-    """A lazily started process pool that survives its workers.
+class _RemoteTraceback(Exception):
+    """The worker-side traceback, chained under an error a task raised."""
 
-    Adds lazy startup, thread-safe submission, a call that answers a
-    miss (:meth:`call`), restart after a worker death and idempotent
-    shutdown on top of :class:`~concurrent.futures.ProcessPoolExecutor`.
-    The query service keeps one alive for its lifetime so worker-side
-    state (see :class:`Shipped`) persists across queries; it is the
-    only owner of one in the library.
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _serve(conn, parent_end) -> None:
+    """A worker's life: read a task, run it, write back its outcome.
+
+    The outcome is ``(None, answer)`` or ``(worker traceback, what it
+    raised)``. An empty message, or the parent gone, ends the worker.
+    """
+    # Held here, the parent's end of this pipe would keep the worker
+    # from ever reading EOF. (It still holds the parent's ends of the
+    # workers forked before it: after a parent's crash the newest
+    # worker reads EOF first, and its exit lets the next one read it.)
+    parent_end.close()
+    while True:
+        try:
+            task = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if not task:
+            return
+        try:
+            outcome = (None, _run_call(*pickle.loads(task)))
+        except Exception as error:  # noqa: BLE001 - the caller's to raise
+            outcome = (traceback.format_exc(), error)
+        try:
+            answer = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as error:  # noqa: BLE001 - cannot cross
+            answer = pickle.dumps(
+                (traceback.format_exc(), error), pickle.HIGHEST_PROTOCOL)
+        conn.send_bytes(answer)
+
+
+def _unwrap(outcome):
+    """The answer in a worker's outcome, or what the task raised."""
+    text, value = outcome
+    if text is None:
+        return value
+    value.__cause__ = _RemoteTraceback(text)
+    raise value
+
+
+#: Workers fork, as the standard library's default on Linux does.
+#: Spawn would re-import numpy, scipy and the library in every worker:
+#: ≈0.30 s to start one against ≈5 ms for a fork (DESIGN.md §6).
+_START = multiprocessing.get_context(
+    "fork" if sys.platform.startswith("linux") else "spawn")
+
+#: Held from a worker's pipe to its fork until the parent has closed
+#: the worker's end, so that no other worker, of any pool, inherits
+#: it: only then does a worker's death read as EOF in the parent.
+_FORK_LOCK = threading.Lock()
+
+#: Seconds a stopped worker gets to exit before it is killed.
+_STOP_WAIT = 5.0
+
+
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self):
+        with _FORK_LOCK:
+            self.conn, child_end = _START.Pipe(duplex=True)
+            self.process = _START.Process(
+                target=_serve, args=(child_end, self.conn), daemon=True)
+            # A fork copies the starting thread's context variables —
+            # the trace span it happens to be inside, for one. Workers
+            # start from an empty context instead.
+            contextvars.Context().run(self.process.start)
+            child_end.close()
+
+    def stop(self, *, kill: bool = False) -> None:
+        """End the process (asking first, unless ``kill``) and reap it."""
+        if not kill:
+            try:
+                self.conn.send_bytes(b"")
+            except OSError:
+                pass  # already gone
+            self.process.join(_STOP_WAIT)
+        self.conn.close()
+        if self.process.exitcode is None:
+            self.process.kill()
+        self.process.join()
+        self.process.close()
+
+
+class PersistentPool:
+    """Worker processes that outlive tasks, each behind its own pipe.
+
+    Adds lazy startup (a worker forks when a task finds no idle one),
+    thread-safe calls, a call that answers a miss (:meth:`call`),
+    replacement of a worker that died and idempotent shutdown. A task
+    goes from the calling thread straight into an idle worker's pipe,
+    and that thread reads the answer back; no relay thread stands
+    between. The query service
+    keeps one alive for its lifetime so worker-side state (see
+    :class:`Shipped`) persists across queries; it is the only owner of
+    one in the library.
     """
 
     def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._ready = threading.Condition()
+        #: Started workers waiting for a task, the warmest last.
+        self._idle: List[_Worker] = []
+        #: Started and not yet stopped: idle or busy with a task.
+        self._live = 0
         self._closed = False
-        #: Executors dropped because a worker of theirs died. Whatever
-        #: a caller believes the *workers* hold (memoized handles, the
-        #: score-cache entries it shipped them) is true only while this
-        #: number stands still.
+        #: Workers replaced because they died (or were abandoned
+        #: mid-task). Whatever a caller believes the *workers* hold
+        #: (memoized handles, the score-cache entries it shipped them)
+        #: is true only while this number stands still.
         self.restarts = 0
 
-    def submit(self, fn, /, *args, **kwargs):
-        """Schedule ``fn(*args, **kwargs)`` on the pool (starts lazily).
+    def _checkout(self) -> _Worker:
+        """An idle worker, a new one while fewer than ``workers`` live,
+        or the first one to come back."""
+        with self._ready:
+            while True:
+                if self._closed:
+                    raise ServiceClosedError("process pool is shut down")
+                if self._idle:
+                    return self._idle.pop()
+                if self._live < self.workers:
+                    self._live += 1
+                    break
+                self._ready.wait()
+        try:
+            return _Worker()
+        except BaseException:
+            with self._ready:
+                self._live -= 1
+                self._ready.notify_all()
+            raise
 
-        Nothing reads the answer here, so nothing could answer a miss:
-        the task carries the blob of every handle it names.
+    def _release(self, worker: _Worker) -> None:
+        with self._ready:
+            closed = self._closed
+            if not closed:
+                self._idle.append(worker)
+                self._ready.notify()
+        if closed:
+            self._retire(worker)
 
-        A worker that died (OOM kill, ``os._exit``) breaks the whole
-        executor: its in-flight futures fail with
-        :class:`~concurrent.futures.process.BrokenProcessPool` and it
-        refuses new work for good. Such an executor is dropped here
-        and the task goes to a fresh one — nothing of it had run.
+    def _retire(self, worker: _Worker, *, died: bool = False) -> None:
+        """Stop ``worker`` for good; a dead one counts as a restart."""
+        worker.stop(kill=died)
+        with self._ready:
+            self._live -= 1
+            self.restarts += died
+            self._ready.notify_all()
+
+    def _submit(self, payload, handles, *, carry: bool) -> _Worker:
+        """Send one task to an idle worker; that worker, now busy.
+
+        A worker found dead at send time (killed while idle) is
+        replaced and the task goes to the next one: nothing of it ran.
         """
-        return self._submit(*_pickle_call(fn, args, kwargs), carry=True)[0]
-
-    def _submit(self, payload, handles, *, carry: bool):
-        """``(future, restarts at the time its executor took it)``."""
-        task = (_run_call, payload, tuple(handles), {
+        task = pickle.dumps((payload, tuple(handles), {
             key: handle.blob for key, handle in handles.items()
-        } if carry else {})
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("process pool is shut down")
-            if self._executor is not None:
-                try:
-                    return self._executor.submit(*task), self.restarts
-                except BrokenProcessPool:
-                    self.restarts += 1
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            # The executor forks every worker inside its first submit,
-            # and a fork copies the submitting thread's context
-            # variables — the trace span it happens to be inside, for
-            # one. Workers start from an empty context instead.
-            return contextvars.Context().run(
-                self._executor.submit, *task), self.restarts
+        } if carry else {}), pickle.HIGHEST_PROTOCOL)
+        for _ in range(self.workers + 1):
+            worker = self._checkout()
+            try:
+                worker.conn.send_bytes(task)
+            except OSError:
+                self._retire(worker, died=True)
+                continue
+            except BaseException:
+                self._retire(worker, died=True)
+                raise
+            return worker
+        raise BrokenProcessPool("no pool worker would take the task")
+
+    def _outcome(self, worker: _Worker):
+        """Read back the outcome of the task ``worker`` is busy with.
+
+        A worker that dies under the task raises
+        :class:`~concurrent.futures.process.BrokenProcessPool`, and it
+        alone is replaced: its siblings keep what they memoized.
+        """
+        try:
+            answer = worker.conn.recv_bytes()
+        except (EOFError, OSError) as error:
+            self._retire(worker, died=True)
+            raise BrokenProcessPool(
+                "a pool worker died while the task was in flight"
+            ) from error
+        except BaseException:
+            # Interrupted: the worker still owes an answer nobody reads.
+            self._retire(worker, died=True)
+            raise
+        self._release(worker)
+        return pickle.loads(answer)
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        """Run ``fn(*args, **kwargs)`` on the pool; a future holding its
+        answer or what it raised (starts lazily).
+
+        The task runs before ``submit`` returns, on this thread's end of
+        a worker's pipe. Nothing reads the answer to resend, so the task
+        carries the blob of every handle it names. A worker dying under
+        it leaves the raw
+        :class:`~concurrent.futures.process.BrokenProcessPool` in the
+        future (:meth:`call` translates it).
+        """
+        task = _pickle_call(fn, args, kwargs)
+        future: Future = Future()
+        try:
+            future.set_result(_unwrap(
+                self._outcome(self._submit(*task, carry=True))))
+        except ServiceClosedError:
+            raise
+        except Exception as error:  # noqa: BLE001 - the future's
+            future.set_exception(error)
+        return future
 
     def call(self, fn, /, *args):
         """``fn(*args)`` in a worker; its answer, or what it raised.
@@ -261,32 +431,32 @@ class PersistentPool:
         A worker dying under the task raises a
         :class:`~repro.errors.ServiceError` chaining the
         ``BrokenProcessPool`` — the one translation of a dead worker:
-        nothing was recorded, the broken executor is dropped on the
-        spot (so :attr:`restarts` has moved by the time the caller
-        sees the error) and the pool restarts on its next task, so the
-        caller may resubmit. (:meth:`submit` keeps the raw error.)
+        nothing was recorded, the dead worker is already replaced (so
+        :attr:`restarts` has moved by the time the caller sees the
+        error) and the caller may resubmit. (:meth:`submit` keeps the
+        raw error.)
         """
         task = _pickle_call(fn, args, {})
-        future, restarts = self._submit(*task, carry=False)
-        if isinstance(future.exception(), NotShipped):
-            future, restarts = self._submit(*task, carry=True)
-        error = future.exception()
-        if isinstance(error, BrokenProcessPool):
-            with self._lock:
-                if self.restarts == restarts:
-                    self._executor = None
-                    self.restarts += 1
+        try:
+            outcome = self._outcome(self._submit(*task, carry=False))
+            if outcome[0] is not None and isinstance(outcome[1], NotShipped):
+                outcome = self._outcome(self._submit(*task, carry=True))
+        except BrokenProcessPool as error:
             raise ServiceError(
                 "a pool worker died while the task was in flight; "
                 "nothing was recorded, resubmit") from error
-        return future.result()
+        return _unwrap(outcome)
 
-    def shutdown(self, *, wait: bool = True) -> None:
-        with self._lock:
+    def shutdown(self) -> None:
+        """Stop every worker once its task is done, and reap it."""
+        with self._ready:
             self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
+            idle, self._idle = self._idle, []
+            self._ready.notify_all()
+        for worker in idle:
+            self._retire(worker)
+        with self._ready:
+            self._ready.wait_for(lambda: self._live == 0)
 
     def __enter__(self) -> "PersistentPool":
         return self

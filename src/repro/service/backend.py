@@ -13,7 +13,10 @@ Two lanes, chosen per service (``use_processes``):
   this lane's cold builds still convoy (ROADMAP 3).
 * **Process** — both halves leave the process through the one pool
   protocol (DESIGN.md §6) on a persistent
-  :class:`~repro.parallel.pool.PersistentPool`. The single-flight
+  :class:`~repro.parallel.pool.PersistentPool`: forked workers, each
+  behind its own pipe, which the scheduler thread running the batch
+  writes the task into and reads the answer from; no relay thread
+  sits between. The single-flight
   builder runs the one build routine in a worker
   (:func:`build_in_pool`) and adopts the entry it returns; the parent
   then ships the session spec as a
@@ -192,11 +195,11 @@ def run_batch_in_pool(
 
     ``shipped`` is the caller-held set of frame ids already sent for
     this ``spec``: only newer parent-cache entries ship (per-batch
-    cost tracks the *delta*, not the whole cache). Pool workers are
-    routed arbitrarily (and replaced after a crash), so a given worker
-    may still miss entries a sibling received — harmless, it just
-    re-reveals them physically; shipping is a cost optimization, never
-    a correctness input.
+    cost tracks the *delta*, not the whole cache). A batch goes to
+    whichever worker is idle (the warmest first), and a worker that
+    dies is replaced alone, so a given worker may still miss entries a
+    sibling received — harmless, it just re-reveals them physically;
+    shipping is a cost optimization, never a correctness input.
 
     A worker dying under the batch raises ``pool.call``'s
     :class:`~repro.errors.ServiceError`: nothing was recorded for the

@@ -226,7 +226,9 @@ class QueryService:
         Concurrent executions (scheduler threads; also the process
         pool's size). Defaults through ``REPRO_WORKERS``.
     use_processes:
-        Run Phase-1 builds and Phase 2 in a persistent process pool.
+        Run Phase-1 builds and Phase 2 in a persistent process pool
+        (forked workers, each behind its own pipe, each replaced alone
+        if it dies).
         Default: automatic — on when more than one worker *and* more
         than one usable CPU.
     max_pending:
@@ -745,7 +747,10 @@ class QueryService:
         return results
 
     def _ship(self, jobs: Sequence[_Job], spans, entries, lane) -> list:
-        """Run a batch's Phase 2 in a pool worker; a detail per plan."""
+        """Run a batch's Phase 2 in a pool worker; a detail per plan.
+
+        This scheduler thread writes the task into an idle worker's
+        pipe and reads the answer back itself (DESIGN.md §6)."""
         session = jobs[0].target
         pool = self._pool
         key = phase1_key(jobs[0].work.config)
@@ -757,8 +762,8 @@ class QueryService:
                 remote = remotes[key] = _Remote(
                     ship_spec(session, entries), pool.restarts)
             elif remote.restarts != pool.restarts:
-                # The workers those frames were sent to died with their
-                # executor; its successor's start with empty caches.
+                # A worker died, and with it whatever of those frames it
+                # held; its replacement starts with an empty cache.
                 remote.shipped.clear()
                 remote.restarts = pool.restarts
         lane_spans = [

@@ -12,7 +12,13 @@ and how results and failures come back.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -20,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro import Session
-from repro.errors import ServiceError
+from repro.errors import ServiceClosedError, ServiceError
 from repro.oracle import counting_udf
 from repro.oracle.cache import ScoreCache
 from repro.parallel.pool import PersistentPool, Shipped
@@ -129,24 +135,171 @@ def test_pool_restarts_after_a_worker_dies():
 
 
 # ----------------------------------------------------------------------
-# Structure: one owner of a ProcessPoolExecutor.
+# Many callers, few workers: a pipe carries one task at a time.
+
+THREADS, CALLS = 8, 50
 
 
-def test_only_the_pool_module_names_a_process_pool_executor():
+def _echo(value):
+    return os.getpid(), value
+
+
+def _storm(pool, task):
+    """``task(pool, thread, i)`` for 8 threads x 50 calls, under a
+    switch interval that hands the GIL over as often as it can; the
+    answers in (thread, i) order.
+
+    Bounded in time: a caller still blocked after :data:`WAIT` fails
+    the test, and the pool's workers are killed so that it and the
+    pool's shutdown come unstuck.
+    """
+    answers, errors = {}, []
+
+    def caller(thread):
+        try:
+            for i in range(CALLS):
+                answers[thread, i] = task(pool, thread, i)
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors.append(error)
+
+    threads = [threading.Thread(target=caller, args=(thread,), daemon=True)
+               for thread in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + WAIT
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    stuck = sum(thread.is_alive() for thread in threads)
+    if stuck:
+        for child in multiprocessing.active_children():
+            child.kill()
+    assert not stuck, f"{stuck} callers still blocked after {WAIT} s"
+    if errors:
+        raise errors[0]
+    return [answers[thread, i]
+            for thread in range(THREADS) for i in range(CALLS)]
+
+
+def test_every_caller_gets_its_own_answer_back():
+    with PersistentPool(2) as pool:
+        answers = _storm(
+            pool, lambda pool, thread, i: pool.call(_echo, (thread, i)))
+        assert pool.restarts == 0
+    assert [value for _, value in answers] == [
+        (thread, i) for thread in range(THREADS) for i in range(CALLS)]
+    assert 1 <= len({pid for pid, _ in answers}) <= 2
+
+
+def test_a_death_mid_storm_fails_only_its_own_call():
+    doomed = (THREADS // 2, CALLS // 2)
+
+    def task(pool, thread, i):
+        if (thread, i) == doomed:
+            with pytest.raises(ServiceError) as raised:
+                pool.call(os._exit, 1)
+            assert isinstance(raised.value.__cause__, BrokenProcessPool)
+            return None
+        return pool.call(_echo, (thread, i))
+
+    with PersistentPool(2) as pool:
+        answers = _storm(pool, task)
+        assert pool.restarts == 1
+    assert [answer and answer[1] for answer in answers] == [
+        None if (thread, i) == doomed else (thread, i)
+        for thread in range(THREADS) for i in range(CALLS)]
+
+
+def test_an_idle_worker_killed_is_replaced_without_an_error():
+    with PersistentPool(1) as pool:
+        pid = pool.call(os.getpid)
+        victim, = [child for child in multiprocessing.active_children()
+                   if child.pid == pid]
+        os.kill(pid, signal.SIGKILL)
+        victim.join(WAIT)
+        assert victim.exitcode == -signal.SIGKILL
+        assert pool.call(abs, -5) == 5
+        assert pool.call(os.getpid) != pid
+        assert pool.restarts == 1
+
+
+def test_shutdown_reaps_every_worker():
+    with PersistentPool(2) as pool:
+        pids = {pid for pid, _ in _storm(
+            pool, lambda pool, thread, i: pool.call(_echo, i))}
+    assert not pids & {child.pid for child in multiprocessing.active_children()}
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # reaped, not a zombie
+            os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ServiceClosedError):
+        pool.call(abs, -1)
+
+
+#: A pool process that dies with both workers started and idle.
+_ORPHANING = """
+import multiprocessing, os, threading
+from repro.parallel.pool import PersistentPool
+pool = PersistentPool(2)
+callers = [threading.Thread(target=pool.call, args=(os.system, "sleep 0.3"))
+           for _ in range(2)]
+for caller in callers:
+    caller.start()
+for caller in callers:
+    caller.join()
+print(*(child.pid for child in multiprocessing.active_children()))
+os._exit(0)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc")
+def test_workers_exit_when_their_pool_process_dies():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _ORPHANING], capture_output=True, text=True,
+        timeout=WAIT, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + WAIT
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
+
+
+# ----------------------------------------------------------------------
+# Structure: one module starts processes, and no executor relays them.
+
+
+def _modules_naming(*names):
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
-    owners = sorted(
+    return sorted(
         str(path.relative_to(root))
         for path in root.rglob("*.py")
-        if "ProcessPoolExecutor" in path.read_text()
+        if any(name in path.read_text() for name in names)
     )
-    assert owners == [os.path.join("parallel", "pool.py")]
+
+
+def test_no_module_names_a_process_pool_executor():
+    assert _modules_naming("ProcessPoolExecutor") == []
+
+
+def test_only_the_pool_module_starts_worker_processes():
+    assert _modules_naming("multiprocessing", "os.fork", "subprocess") == \
+        [os.path.join("parallel", "pool.py")]
 
 
 def test_only_the_service_constructs_a_persistent_pool():
-    root = Path(__file__).resolve().parent.parent / "src" / "repro"
-    owners = sorted(
-        str(path.relative_to(root))
-        for path in root.rglob("*.py")
-        if "PersistentPool(" in path.read_text()
-    )
-    assert owners == [os.path.join("service", "service.py")]
+    assert _modules_naming("PersistentPool(") == \
+        [os.path.join("service", "service.py")]
