@@ -136,8 +136,6 @@ class QueryPlan:
         # Frame relations keep only diff-detector-retained frames, a
         # count unknown until Phase 1 runs — report an upper bound.
         bound = "" if self.mode == "windows" else "<= "
-        mse = self.config.diff.mse_threshold
-        mse = "calibrated" if mse is None else f"{mse:g}"
         return "\n".join([
             f"QueryPlan: top-{self.k} {kind}, guarantee >= {self.thres:g}",
             f"  source   : video '{self.video_name}' "
@@ -146,7 +144,7 @@ class QueryPlan:
             f"[{bound}{self.num_tuples:,} tuples]",
             f"  phase1   : label {labels:,}+{holdout:,} frames, "
             f"train CMDN grid x{len(phase1.cmdn_grid)}, "
-            f"diff-detect(mse<{mse}) "
+            f"diff-detect(mse<{self.config.diff.mse_threshold:g}) "
             f"[cached per session]",
             f"  phase2   : {self.cleaner_description}",
             f"  costs    : oracle={confirm:g}s/frame "

@@ -101,9 +101,7 @@ def phase1_key(config: EverestConfig) -> Phase1Key:
         ("sample_prefix",
          None if phase1.sample_prefix is None
          else int(phase1.sample_prefix)),
-        ("mse_threshold",
-         None if diff.mse_threshold is None
-         else float(diff.mse_threshold)),
+        ("mse_threshold", float(diff.mse_threshold)),
         ("clip_size", int(diff.clip_size)),
         ("seed", int(config.seed)),
     )

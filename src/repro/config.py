@@ -108,15 +108,12 @@ class DiffDetectorConfig:
 
     #: Frames whose MSE against the clip representative falls below this
     #: threshold are discarded. Pixels are normalized to [0, 1].
-    #: ``None`` calibrates it per video from Phase 1's labelled sample
-    #: (:func:`~repro.video.diff.calibrate_threshold`); a value pins it.
-    mse_threshold: Optional[float] = None
+    mse_threshold: float = 1e-4
     #: Clip size ``c``; each clip is compared against its middle frame.
     clip_size: int = 30
 
     def __post_init__(self) -> None:
-        _require(self.mse_threshold is None or self.mse_threshold >= 0,
-                 "mse_threshold must be None or >= 0")
+        _require(self.mse_threshold >= 0, "mse_threshold must be >= 0")
         _require(self.clip_size >= 1, "clip_size must be >= 1")
 
 

@@ -7,8 +7,7 @@ Steps, each charged to the cost ledger under its Table 8 column:
 2. train the CMDN hyperparameter grid and keep the smallest-holdout-NLL
    model (``cmdn_train``);
 3. run the difference detector to discard near-duplicate frames
-   (``diff_detect`` + ``decode``), at a threshold the labelled sample
-   chose unless the configuration pins one;
+   (``diff_detect`` + ``decode``);
 4. run the chosen proxy over the retained frames to get per-frame score
    distributions (``cmdn_infer``) and quantize them into x-tuples;
 5. insert the already-labelled frames as certain tuples (no oracle work
@@ -35,7 +34,7 @@ from step 2, so a build renders and featurizes every frame once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,12 +47,7 @@ from ..models.trainer import GridResult, proxy_family, train_proxy_grid
 from ..oracle.base import Oracle, ScoringFunction
 from ..oracle.cost import CostModel
 from ..trace import span as trace_span
-from ..video.diff import (
-    DifferenceDetector,
-    DiffResult,
-    RetainedSink,
-    calibrate_threshold,
-)
+from ..video.diff import DifferenceDetector, DiffResult, RetainedSink
 from ..video.streaming import is_sliding
 from ..video.synthetic import SyntheticVideo
 from .uncertain import (
@@ -646,16 +640,7 @@ class Phase1Maintainer:
         self.proxy = self.grid_result.proxy
 
         # 3 + 4 are one pass, which reuses the sample's rows; 5 runs
-        # inside rebuild_entry, on cache hits. Unless the detector's
-        # threshold is pinned, the labelled sample chooses it first,
-        # once: appends keep it, so no decision already made moves.
-        if self.config.diff.mse_threshold is None:
-            levels = np.rint((np.array([
-                self.known_scores[int(frame)] for frame in sample
-            ]) - self.scoring.score_floor) / self.scoring.step)
-            self.diff = IncrementalDiff(replace(
-                self.config.diff, mse_threshold=calibrate_threshold(
-                    sample, pixels, levels, self.config.diff.clip_size)))
+        # inside rebuild_entry, on cache hits.
         self.scan_arrivals(sample=(sample, pixels, features))
         return self.rebuild_entry(cost_model)
 

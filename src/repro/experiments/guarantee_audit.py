@@ -329,8 +329,7 @@ class _Cell:
     d0: int = 0
     sums: Dict[str, float] = dataclasses.field(default_factory=lambda: {
         "precision_at_k": 0.0, "rank_distance": 0.0, "score_error": 0.0,
-        "label_share": 0.0, "confidence": 0.0, "speedup": 0.0,
-        "retained_frac": 0.0})
+        "label_share": 0.0, "confidence": 0.0})
     failures: List[dict] = dataclasses.field(default_factory=list)
     worlds: Dict[str, dict] = dataclasses.field(default_factory=dict)
 
@@ -381,10 +380,7 @@ def _audit_seed(family, udf, config, grid, seed, cells, first) -> None:
                 ("rank_distance", quality.rank_distance),
                 ("score_error", quality.score_error),
                 ("label_share", entry.oracle_calls / report.oracle_calls),
-                ("confidence", report.confidence),
-                ("speedup", report.speedup),
-                ("retained_frac",
-                 entry.result.diff_result.num_retained / len(video))):
+                ("confidence", report.confidence)):
             cell.sums[name] += value
         if quality.precision < 1.0:
             cell.failures.append({
@@ -468,10 +464,8 @@ def render(result: dict) -> str:
             f"{d0['successes']}/{cell['seeds']}",
             f"{d0['upper_bound']:.3f}" + ("" if d0["passes"] else " FAIL"),
             f"{cell['mean_label_share']:.2f}",
-            f"{cell['mean_retained_frac']:.2f}",
-            f"{cell['mean_speedup']:.2f}",
             "/".join(str(classes[kind]) for kind in FAILURE_CLASSES),
         ])
     return format_table(
         ["pair", "config", "k", "thres", "e2e", "e2e ub", "D0", "D0 ub",
-         "labels", "retained", "speedup", "diff/conf/p2"], rows)
+         "labels", "diff/conf/p2"], rows)

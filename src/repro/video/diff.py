@@ -12,12 +12,6 @@ middle frame and discarded when the MSE falls below the threshold. The
 middle frame is always retained and *represents* the discarded frames,
 which is what the window aggregation (Section 3.4) builds its segments
 from.
-
-The paper fixes the threshold. One value does not fit every video: on
-a vlog, frames a fixed 1e-4 calls duplicates differ by whole score
-levels, and the true Top-K is discarded with them. So Phase 1 picks
-the threshold per video, at no oracle cost, from the frames it has
-labelled anyway (:func:`calibrate_threshold`).
 """
 
 from __future__ import annotations
@@ -73,15 +67,6 @@ class DiffResult:
         return np.split(np.arange(self.num_frames), change)
 
 
-#: The thresholds a calibrated detector chooses from, largest first.
-#: The first is the paper's fixed value, which a detector that has no
-#: labelled sample to calibrate on (a stand-alone
-#: :class:`DifferenceDetector`) uses.
-MSE_LADDER = (1e-4, 3e-5, 1e-5, 0.0)
-
-#: Two frames this many score levels apart are never duplicates.
-_LEVEL_GAP = 2
-
 #: Frames the detector renders per ``batch_pixels`` call (rounded down
 #: to whole clips): large enough to amortise the call, small enough
 #: that a block of float32 pixels stays around a megabyte.
@@ -120,34 +105,6 @@ def process_clip(
     return keep
 
 
-def calibrate_threshold(
-    frames: np.ndarray,
-    pixels: np.ndarray,
-    levels: np.ndarray,
-    clip_size: int,
-) -> float:
-    """The largest :data:`MSE_LADDER` threshold no labelled pair refutes.
-
-    ``frames`` (ascending) are labelled frames, ``pixels`` their
-    rendered frames and ``levels`` their scores on the UDF's grid.
-    Two labelled frames of one clip whose levels differ by two or more
-    are not duplicates, so the threshold must sit at or below their
-    pixel MSE (the detector discards a frame whose MSE is *below* it).
-    """
-    lowest = np.inf
-    clips = np.asarray(frames) // clip_size
-    starts = np.flatnonzero(np.diff(clips)) + 1
-    for group in np.split(np.arange(clips.size), starts):
-        gap = np.abs(levels[group][:, None] - levels[group][None, :])
-        first, second = np.nonzero(np.triu(gap >= _LEVEL_GAP, 1))
-        if first.size:
-            clip = pixels[group].astype(np.float64)
-            errors = np.mean(
-                (clip[first] - clip[second]) ** 2, axis=(1, 2))
-            lowest = min(lowest, float(errors.min()))
-    return next(t for t in MSE_LADDER if t <= lowest)
-
-
 class DifferenceDetector:
     """MSE-based duplicate-frame suppressor with clip-level splitting."""
 
@@ -184,8 +141,6 @@ class DifferenceDetector:
         """
         c = self.config.clip_size
         threshold = self.config.mse_threshold
-        if threshold is None:
-            threshold = MSE_LADDER[0]
         block = max(1, _SCAN_BLOCK // c) * c
         render = render or video.batch_pixels
         for lo in range(start, stop, block):

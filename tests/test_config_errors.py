@@ -20,7 +20,6 @@ from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
 from repro.streaming.phase1_incremental import (
     AUDIT_WINDOW, MAX_AUDIT_PER_APPEND, StreamingConfig)
 from repro.trace import Tracer
-from repro.video.diff import MSE_LADDER
 
 
 class TestErrorHierarchy:
@@ -133,9 +132,7 @@ class TestOtherConfigs:
         config = EverestConfig()
         assert config.phase2.batch_size == 8  # paper Section 3.5
         assert config.diff.clip_size == 30    # paper Section 4
-        # Calibrated per video; the paper's fixed value tops the ladder.
-        assert config.diff.mse_threshold is None
-        assert MSE_LADDER[0] == 1e-4
+        assert config.diff.mse_threshold == 1e-4
         assert WINDOW_SAMPLE_FRACTION == 0.1
         assert TRUNCATE_SIGMAS == 3.0
         assert MAX_TRAIN_SAMPLES == 30_000  # paper Section 3.5

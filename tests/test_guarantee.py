@@ -16,10 +16,10 @@ seeds whose answer really is a Top-K:
   with truth restricted to the retained and labelled frames.
 
 A cell fails when the one-sided 95 % Clopper–Pearson upper bound on its
-success rate is below ``thres``. The vlog end-to-end cells used to
-fail: a fixed 1e-4 difference threshold dropped the frames that held
-the true Top-K, while the guarantee over D0 held. Every cell here must
-pass since the threshold is calibrated per video.
+success rate is below ``thres``. The vlog end-to-end cells fail: the
+difference detector drops the frames that hold the true Top-K, while
+the guarantee over D0 holds. They are strict xfails, so the fix
+(ROADMAP item 2, a per-video difference threshold) has to flip them.
 
 These definitions live in :mod:`repro.experiments.guarantee_audit`,
 whose full matrix ``benchmarks/bench_guarantee.py`` writes to
@@ -59,6 +59,13 @@ FAMILIES = {
     ("dashcam", "tailgating"): (10, 50),
 }
 
+VLOG_DIFF_LOSS = pytest.mark.xfail(
+    strict=True,
+    reason="vlog's true Top-K sits among frames the fixed 1e-4 "
+           "difference threshold discards; ROADMAP item 2 calibrates "
+           "the threshold per video")
+
+
 @functools.lru_cache(maxsize=None)
 def outcomes(family: str, udf: str):
     """``{k: (end-to-end successes, D0 successes)}`` over the seeds."""
@@ -76,20 +83,22 @@ def outcomes(family: str, udf: str):
     return {k: tuple(count) for k, count in counts.items()}
 
 
-CELLS = [
-    pytest.param(family, udf, k, id=f"{family}-{udf}-k{k}")
-    for (family, udf), ks in FAMILIES.items() for k in ks
-]
+def _cells(*, vlog_marks=()):
+    return [
+        pytest.param(family, udf, k, id=f"{family}-{udf}-k{k}",
+                     marks=vlog_marks if family == "vlog" else ())
+        for (family, udf), ks in FAMILIES.items() for k in ks
+    ]
 
 
-@pytest.mark.parametrize("family, udf, k", CELLS)
+@pytest.mark.parametrize("family, udf, k", _cells(vlog_marks=VLOG_DIFF_LOSS))
 def test_end_to_end_answer_is_the_true_topk(family, udf, k):
     successes = outcomes(family, udf)[k][0]
     assert upper_bound(successes, len(SEEDS)) >= THRES, \
         f"{successes}/{len(SEEDS)} seeds answered a true Top-{k}"
 
 
-@pytest.mark.parametrize("family, udf, k", CELLS)
+@pytest.mark.parametrize("family, udf, k", _cells())
 def test_answer_is_the_topk_of_d0(family, udf, k):
     successes = outcomes(family, udf)[k][1]
     assert upper_bound(successes, len(SEEDS)) >= THRES, \

@@ -55,9 +55,7 @@ PHASE1 = Phase1Config(
     cmdn_grid=((3, 12),),
     epochs=10,
 )
-#: Pinned, so the reference bootstraps below (which predate the
-#: calibrated threshold) build with the same detector.
-DIFF = DiffDetectorConfig(mse_threshold=1e-4)
+DIFF = DiffDetectorConfig()
 
 
 class RecordingCostModel(CostModel):
@@ -320,7 +318,7 @@ def test_row_chunker_regroups_at_fixed_boundaries():
 # ----------------------------------------------------------------------
 # A streaming bootstrap is the same single pass
 
-STREAM_CONFIG = EverestConfig(phase1=PHASE1, diff=DIFF)
+STREAM_CONFIG = EverestConfig(phase1=PHASE1)
 
 
 @pytest.mark.parametrize("window_seconds", [None, 20.0])

@@ -42,7 +42,6 @@ from repro.models.mdn import GaussianMixture
 from repro.oracle import counting_udf
 from repro.streaming import StreamingStats
 from repro.video import TrafficVideo
-from repro.video.diff import MSE_LADDER
 
 from conftest import CountingTraffic
 
@@ -141,7 +140,7 @@ def _rows_in_changed_blocks(before: np.ndarray, after: np.ndarray) -> int:
 
 @pytest.mark.parametrize("window_frames", [None, 600])
 @pytest.mark.parametrize("mse_threshold", [
-    MSE_LADDER[0],  # the paper's threshold: provisional clips flip decisions
+    STREAM_CONFIG.diff.mse_threshold,  # provisional clips flip decisions
     0.0,  # every frame retained: blocks fill exactly
 ])
 def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
