@@ -224,7 +224,8 @@ def _serve(conn, parent_end) -> None:
             return
         try:
             outcome = (None, _run_call(*pickle.loads(task)))
-        except Exception as error:  # noqa: BLE001 - the caller's to raise
+        except BaseException as error:  # noqa: BLE001 - the caller's
+            # to raise, SystemExit too: the worker lives on.
             outcome = (traceback.format_exc(), error)
         try:
             answer = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
@@ -266,13 +267,18 @@ class _Worker:
     def __init__(self):
         with _FORK_LOCK:
             self.conn, child_end = _START.Pipe(duplex=True)
-            self.process = _START.Process(
-                target=_serve, args=(child_end, self.conn), daemon=True)
-            # A fork copies the starting thread's context variables —
-            # the trace span it happens to be inside, for one. Workers
-            # start from an empty context instead.
-            contextvars.Context().run(self.process.start)
-            child_end.close()
+            try:
+                self.process = _START.Process(
+                    target=_serve, args=(child_end, self.conn), daemon=True)
+                # A fork copies the starting thread's context variables
+                # — the trace span it happens to be inside, for one.
+                # Workers start from an empty context instead.
+                contextvars.Context().run(self.process.start)
+            except BaseException:  # the fork failed: no worker owns it
+                self.conn.close()
+                raise
+            finally:
+                child_end.close()
 
     def stop(self, *, kill: bool = False) -> None:
         """End the process (asking first, unless ``kill``) and reap it."""
@@ -412,11 +418,15 @@ class PersistentPool:
         task = _pickle_call(fn, args, kwargs)
         future: Future = Future()
         try:
-            future.set_result(_unwrap(
-                self._outcome(self._submit(*task, carry=True))))
+            outcome = self._outcome(self._submit(*task, carry=True))
         except ServiceClosedError:
             raise
         except Exception as error:  # noqa: BLE001 - the future's
+            future.set_exception(error)
+            return future
+        try:
+            future.set_result(_unwrap(outcome))
+        except BaseException as error:  # noqa: BLE001 - the task's own
             future.set_exception(error)
         return future
 

@@ -12,6 +12,7 @@ and how results and failures come back.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import signal
@@ -29,6 +30,7 @@ from repro import Session
 from repro.errors import ServiceClosedError, ServiceError
 from repro.oracle import counting_udf
 from repro.oracle.cache import ScoreCache
+from repro.parallel import pool as pool_module
 from repro.parallel.pool import PersistentPool, Shipped
 from repro.service.backend import run_batch_in_pool, ship_spec
 from repro.video import TrafficVideo
@@ -112,6 +114,18 @@ def test_call_reraises_a_failure_and_stays_usable():
         with pytest.raises(_Boom, match="first"):
             pool.call(_boom, "first")
         assert pool.call(abs, -1) == 1
+
+
+def test_a_task_raising_system_exit_hands_it_back_and_the_worker_lives():
+    with PersistentPool(1) as pool:
+        pid = pool.call(os.getpid)
+        with pytest.raises(SystemExit) as raised:
+            pool.call(sys.exit, 3)
+        assert raised.value.code == 3
+        assert isinstance(pool.submit(sys.exit, 4).exception(WAIT),
+                          SystemExit)
+        assert pool.call(os.getpid) == pid
+        assert pool.restarts == 0
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +239,45 @@ def test_an_idle_worker_killed_is_replaced_without_an_error():
         assert pool.call(abs, -5) == 5
         assert pool.call(os.getpid) != pid
         assert pool.restarts == 1
+
+
+class _ForkFails:
+    """A start method whose pipes are real and whose fork fails."""
+
+    def __init__(self):
+        self.ends = []
+
+    def Pipe(self, duplex):
+        ends = multiprocessing.Pipe(duplex)
+        self.ends.extend(ends)
+        return ends
+
+    def Process(self, **_):
+        return self
+
+    def start(self):
+        raise OSError(errno.EAGAIN, "fork refused")
+
+
+def test_a_failed_fork_closes_both_pipe_ends_and_frees_the_slot(
+        monkeypatch):
+    failing = _ForkFails()
+    pool = PersistentPool(1)
+    monkeypatch.setattr(pool_module, "_START", failing)
+    with pytest.raises(OSError, match="fork refused"):
+        pool.call(abs, -1)
+    assert len(failing.ends) == 2
+    assert all(end.closed for end in failing.ends)
+    monkeypatch.undo()
+    # The one worker slot is free again: a call forks, not waits.
+    answers = []
+    caller = threading.Thread(
+        target=lambda: answers.append(pool.call(abs, -6)), daemon=True)
+    caller.start()
+    caller.join(WAIT)
+    assert answers == [6], "the failed fork kept its worker slot"
+    assert pool.restarts == 0
+    pool.shutdown()
 
 
 def test_shutdown_reaps_every_worker():
