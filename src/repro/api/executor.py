@@ -5,8 +5,9 @@
 the session's Phase 1 artifacts, materializes the frame- or
 window-level uncertain relation, runs the cleaning loop with a fresh
 cost ledger, and assembles the :class:`~repro.core.result.QueryReport`.
-Each execution clones the cached relation, so a query never perturbs
-its session and per-query Table 8 breakdowns stay exact. Many plans
+Every execution reads the cached relation in place and keeps what it
+cleans in its own :class:`~repro.core.cleaner.TopKCleaner`, so a query
+never perturbs its session and per-query Table 8 breakdowns stay exact. Many plans
 fan out one level up (a :class:`~repro.service.QueryService`, DESIGN.md
 §6); every one still ends in :meth:`QueryExecutor.execute_detailed`.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..core.cleaner import TopKCleaner
 from ..core.result import PhaseBreakdown, QueryReport
-from ..core.uncertain import restrict_relation
+from ..core.uncertain import covers, restrict_relation
 from ..core.windows import WindowCleaner
 from ..errors import QueryError
 from ..oracle.base import Oracle
@@ -65,7 +66,7 @@ class QueryExecutor:
     plan.
 
     ``confirm_oracle`` — a ``(plan, phase2_cost) -> Oracle`` factory —
-    replaces the confirming oracle altogether; relation cloning, the
+    replaces the confirming oracle altogether; the relation, the
     cleaning loop, ledger assembly and report construction stay as
     they are. This is how a corpus query routes confirmations to its
     shards (DESIGN.md §9).
@@ -80,8 +81,8 @@ class QueryExecutor:
     ):
         self.session = session
         # The factory or None — not a bound method of self, which would
-        # be a reference cycle keeping every executor (and the relation
-        # copies its oracle closes over) alive until the cyclic GC runs.
+        # be a reference cycle keeping every executor (and whatever its
+        # oracle closes over) alive until the cyclic GC runs.
         self._confirm_oracle = confirm_oracle
         #: The confirming oracle behind the most recent execution —
         #: how callers (corpus, tests) read its per-shard attribution.
@@ -182,22 +183,21 @@ class QueryExecutor:
     ) -> ExecutionDetail:
         session = self.session
         phase2_cost, confirm_oracle = self._phase2_context(plan)
+        relation = entry.result.relation
         if plan.frame_ranges is not None:
             # Sliding-window restriction: mask the cached full relation
             # down to the window's rows on the same grid. A windowed
-            # maintainer's relation is already window-scoped, in which
-            # case this is the identity mask (still a fresh copy —
-            # cleaning mutates in place).
+            # maintainer's relation is the window already and is read
+            # as it is.
             with trace_span(
                     "window_slide", category="phase2",
                     window_seconds=plan.window_seconds,
                     num_ranges=len(plan.frame_ranges)) as slide_span:
-                relation = restrict_relation(
-                    entry.result.relation, plan.frame_ranges)
+                if not covers(relation, plan.frame_ranges):
+                    relation = restrict_relation(
+                        relation, plan.frame_ranges)
                 if slide_span is not None:
                     slide_span.set(num_tuples=len(relation))
-        else:
-            relation = entry.result.relation.copy()
 
         def clean_fn(ids: Sequence[int]) -> np.ndarray:
             phase2_cost.charge("decode", len(ids))
@@ -218,7 +218,7 @@ class QueryExecutor:
                 window_size=plan.window_size,
                 floor=session.scoring.score_floor,
                 step=plan.window_step,
-            ).copy()
+            )
         phase2_cost, confirm_oracle = self._phase2_context(plan)
         clean_fn = WindowCleaner(
             video=session.video,

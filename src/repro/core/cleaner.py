@@ -13,6 +13,10 @@ Starting from the uncertain relation D0, the cleaner iterates:
 A bootstrap stage handles the corner where fewer than K tuples are
 certain yet (possible with tiny training samples): frames are cleaned
 in descending expected score until a K-sized certain answer exists.
+
+The relation is D0 as Phase 1 left it, shared by every query of a
+session and never written here (paper Section 3.3 keeps D0 fixed too):
+what a query reveals lives in the cleaner, beside it.
 """
 
 from __future__ import annotations
@@ -59,7 +63,12 @@ class Phase2Result:
 
 
 class TopKCleaner:
-    """Ground-truth-in-the-loop uncertain Top-K processor."""
+    """Ground-truth-in-the-loop uncertain Top-K processor.
+
+    Reads ``relation`` and never writes it. This query's cleaning state
+    sits beside it: the joint CDF's uncertain mask (``state``), the
+    exact scores and their grid levels.
+    """
 
     def __init__(
         self,
@@ -77,13 +86,28 @@ class TopKCleaner:
         self.selector = CandidateSelector(
             relation, self.state, config.select_candidate)
         self.cleaned = 0
+        #: Exact score per position: D0's certain tuples plus every
+        #: tuple this query cleaned (NaN elsewhere).
+        self.exact_scores = relation.exact_scores.copy()
+        #: Grid level of every tuple this query cleaned and of every
+        #: tuple of its answer: all ``_certain_topk`` reads.
+        self.levels = np.zeros(len(relation), dtype=np.int64)
         #: Positions of the certain Top-K, best first — ``None`` until
         #: the bootstrap has made K tuples certain.
         self._top: Optional[np.ndarray] = None
 
+    @property
+    def certain(self) -> np.ndarray:
+        """Mask of the tuples this query knows exactly."""
+        return ~self.state.uncertain_mask
+
+    @property
+    def num_certain(self) -> int:
+        return len(self.relation) - self.state.num_uncertain
+
     # ------------------------------------------------------------------
     def _clean_positions(self, positions: np.ndarray) -> None:
-        """One validated batch update of state, relation and Top-K:
+        """One validated batch update of the query's state and Top-K:
         everything is checked before anything is written."""
         positions = np.asarray(positions, dtype=np.int64)
         ids = self.relation.ids[positions].tolist()
@@ -97,14 +121,19 @@ class TopKCleaner:
             raise OracleError(
                 f"clean_fn returned non-finite scores {scores.tolist()} "
                 f"for ids {ids}")
-        # One vectorized pass per batch over the joint CDF and the
-        # relation instead of one O(L) update per tuple.
+        # One vectorized pass per batch over the joint CDF instead of
+        # one O(L) update per tuple.
         self.state._remove_rows(positions)
-        self.relation._mark_rows(positions, scores)
+        self._record(positions, scores)
         self.cleaned += len(ids)
         if self._top is not None:
             self._top = self._best(
                 np.concatenate((self._top, positions)), self._top.size)
+
+    def _record(self, positions: np.ndarray, scores: np.ndarray) -> None:
+        """Keep a cleaned batch's exact scores and grid levels."""
+        self.exact_scores[positions] = scores
+        self.levels[positions] = self.relation.grid.level_of(scores)
 
     def _best(self, positions: np.ndarray, k: int) -> np.ndarray:
         """The ``k`` best of the certain ``positions``, best first.
@@ -115,8 +144,7 @@ class TopKCleaner:
         K a full sort of every certain tuple would.
         """
         order = np.lexsort((
-            self.relation.ids[positions],
-            -self.relation.exact_scores[positions]))
+            self.relation.ids[positions], -self.exact_scores[positions]))
         return positions[order[:k]]
 
     def _certain_topk(self, k: int) -> Tuple[np.ndarray, int, int]:
@@ -126,8 +154,7 @@ class TopKCleaner:
         cleaned batch is merged into the kept K.
         """
         top = self._top
-        levels = self.relation.grid.level_of(
-            self.relation.exact_scores[top[-2:]])
+        levels = self.levels[top[-2:]]
         k_level = int(levels[-1])
         p_level = int(levels[-2]) if k >= 2 else self.relation.grid.max_level
         return top, k_level, p_level
@@ -137,14 +164,18 @@ class TopKCleaner:
         if len(self.relation) < k:
             raise GuaranteeUnreachableError(
                 f"relation has {len(self.relation)} tuples, need K={k}")
-        while self.relation.num_certain < k:
-            missing = k - self.relation.num_certain
-            uncertain = self.relation.uncertain_positions()
+        while self.num_certain < k:
+            missing = k - self.num_certain
+            uncertain = np.flatnonzero(self.state.uncertain_mask)
             expected = self.relation.expected_scores()[uncertain]
             take = min(max(missing, self.config.batch_size), uncertain.size)
             best = np.argsort(-expected, kind="stable")[:take]
             self._clean_positions(uncertain[best])
-        self._top = self._best(np.flatnonzero(self.relation.certain), k)
+        top = self._top = self._best(np.flatnonzero(self.certain), k)
+        # D0's own certain tuples join the answer here only; a later
+        # batch merges cleaned tuples, whose levels ``_record`` keeps.
+        self.levels[top] = self.relation.grid.level_of(
+            self.exact_scores[top])
 
     # ------------------------------------------------------------------
     def run(self, k: int, thres: float) -> Phase2Result:
@@ -175,7 +206,7 @@ class TopKCleaner:
                 if confidence >= thres or self.state.num_uncertain == 0:
                     answer_ids = [int(self.relation.ids[p]) for p in top]
                     answer_scores = [
-                        float(self.relation.exact_scores[p]) for p in top]
+                        float(self.exact_scores[p]) for p in top]
                     return Phase2Result(
                         answer_ids=answer_ids,
                         answer_scores=answer_scores,

@@ -212,8 +212,8 @@ class Phase1Entry:
         """The pristine window-level relation of one window shape.
 
         A pure function of this entry, so it is built on first use and
-        kept: every query clones it, exactly as frame queries clone
-        ``result.relation``. Two threads racing the first use build
+        kept: every query reads it in place, exactly as frame queries
+        read ``result.relation``. Two threads racing the first use build
         equal relations and one is kept. Derived state: never pickled.
         """
         memo = self.__dict__.setdefault("_window_relations", {})

@@ -37,10 +37,10 @@ class ConfidenceState:
 
     The two tables are the relation's :meth:`~UncertainRelation.
     log_tables` — derived once per Phase-1 entry and shared read-only
-    by every query's copy; only the two small vectors are this
-    state's own. Rows are read while their tuple is uncertain, and
-    cleaning rewrites certain rows only, so the tables a state took
-    stay valid for its whole run.
+    by every query; only the two small vectors and the uncertain mask
+    are this state's own. Rows are read while their tuple is
+    uncertain, and Phase 2 never writes the relation, so the tables a
+    state took stay valid for its whole run.
     """
 
     def __init__(self, relation: UncertainRelation):

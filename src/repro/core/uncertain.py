@@ -169,9 +169,9 @@ class UncertainRelation:
     """
 
     #: Memo of :meth:`log_tables` — derived state: shared read-only
-    #: with every copy, dropped by in-place cleaning (popped, so a
-    #: relation without one has a fresh relation's ``vars``), never
-    #: pickled.
+    #: with every copy and every query's cleaner, dropped by in-place
+    #: cleaning (popped, so a relation without one has a fresh
+    #: relation's ``vars``), never pickled.
     _log_tables = None
 
     def __init__(
@@ -248,7 +248,7 @@ class UncertainRelation:
 
         Equivalent to calling :meth:`mark_certain` per tuple, but the
         pmf / cdf rows are rewritten with a single fancy-indexed
-        assignment each — the Phase 2 cleaning loop's hot path.
+        assignment each — how D0's known scores go in at build time.
         Returns the quantized levels of the observed scores.
         """
         positions = np.asarray(positions, dtype=np.int64)
@@ -261,13 +261,6 @@ class UncertainRelation:
         if positions.size != np.unique(positions).size:
             raise UncertainRelationError(
                 "batch positions must be unique")
-        return self._mark_rows(positions, scores)
-
-    def _mark_rows(
-        self, positions: np.ndarray, scores: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`mark_certain_many` for int64 ``positions`` the caller
-        has already checked to be unique and aligned with ``scores``."""
         if self.certain[positions].any():
             raise UncertainRelationError(
                 "batch contains already-certain tuples")
@@ -350,6 +343,25 @@ def _with_sums(log_cdf: np.ndarray, zero: np.ndarray, uncertain: np.ndarray):
             (zero & rows).sum(axis=0).astype(np.int64))
 
 
+def _rows_in(
+    relation: UncertainRelation, ranges: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """Mask of the tuples whose frame id lies in any ``[lo, hi)`` range."""
+    mask = np.zeros(relation.ids.size, dtype=bool)
+    for lo, hi in ranges:
+        mask |= (relation.ids >= int(lo)) & (relation.ids < int(hi))
+    return mask
+
+
+def covers(
+    relation: UncertainRelation, ranges: Sequence[Tuple[int, int]]
+) -> bool:
+    """Whether every tuple lies in the ``[lo, hi)`` ranges: a windowed
+    maintainer's relation is the window already, and a reader that never
+    writes it can skip :func:`restrict_relation`."""
+    return bool(_rows_in(relation, ranges).all())
+
+
 def restrict_relation(
     relation: UncertainRelation,
     ranges: Sequence[Tuple[int, int]],
@@ -360,13 +372,11 @@ def restrict_relation(
     rows, certainty flags and — crucially — the quantization grid are
     all preserved, so restricting a full-prefix relation is bitwise
     equal to building the window's rows directly on the same grid.
-    Always returns fresh arrays (cleaning mutates the result in place).
+    Always returns fresh arrays, the identity restriction included (a
+    plain copy with the same derived tables), so a caller may clean
+    the result in place.
     """
-    mask = np.zeros(relation.ids.size, dtype=bool)
-    for lo, hi in ranges:
-        mask |= (relation.ids >= int(lo)) & (relation.ids < int(hi))
-    # A windowed maintainer's relation is the window already: the
-    # identity mask is a plain copy (same rows, same derived tables).
+    mask = _rows_in(relation, ranges)
     return relation._clone(None if mask.all() else mask)
 
 
@@ -392,7 +402,10 @@ def build_relation(
     the mixtures' rows already quantized on that grid
     (:func:`quantize_mixtures` is row-independent, so the maintainer
     keeps them per inference block), replaces the quantization pass;
-    the relation takes the array over and cleans it in place.
+    the relation takes the array over and writes the known scores'
+    rows into it. Nothing writes the relation after that: a query
+    keeps what it cleans in its own
+    :class:`~repro.core.cleaner.TopKCleaner`.
     ``mixtures`` is read only when ``grid`` or ``pmf`` is missing.
     """
     known_scores = dict(known_scores or {})

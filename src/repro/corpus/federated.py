@@ -352,7 +352,7 @@ class FederatedTopK:
         """Run one compiled plan federated; returns the full outcome.
 
         The plain executor runs it with the confirming oracle swapped
-        out — relation cloning, the cleaning loop, ledger assembly and
+        out — the relation read, the cleaning loop, ledger assembly and
         report construction are the single-video ones, so the corpus
         report *is* a plain report over the merged relation. Only
         frame-mode plans are accepted: window semantics across shard

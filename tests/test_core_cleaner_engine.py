@@ -85,7 +85,7 @@ class TestCleanerUnit:
         result = cleaner.run(k=2, thres=0.8)
         for frame, score in zip(result.answer_ids, result.answer_scores):
             position = relation.position(frame)
-            assert relation.certain[position]
+            assert cleaner.certain[position]
             assert score == true[frame]
 
     def test_bootstrap_when_too_few_certain(self):
@@ -95,7 +95,7 @@ class TestCleanerUnit:
         cleaner = TopKCleaner(relation, make_clean_fn(true), Phase2Config())
         result = cleaner.run(k=2, thres=0.5)
         assert result.confidence >= 0.5
-        assert relation.num_certain >= 2
+        assert cleaner.num_certain >= 2
 
     def test_relation_smaller_than_k(self):
         relation = make_relation([[0.5, 0.5]])

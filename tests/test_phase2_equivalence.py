@@ -4,10 +4,12 @@ Three contracts (DESIGN.md §3):
 
 * **Differential.** ``TopKCleaner`` — shared log tables, running
   certain Top-K, one validated batch update, pruned Select-candidate
-  scan — returns field-for-field the ``Phase2Result`` of
+  scan, its cleaning state kept beside a relation it never writes —
+  returns field-for-field the ``Phase2Result`` of
   ``reference_phase2.ReferenceCleaner`` (the loop as it stood before,
-  kept verbatim), cleans the same id batches in the same order and
-  reports equal ``SelectionStats``.
+  kept verbatim), cleans the same id batches in the same order,
+  reports equal ``SelectionStats`` and ends knowing the scores the
+  reference wrote into its copy.
 * **Work pins.** What is a pure function of a Phase-1 entry is derived
   once per entry, however many queries read it, and a stream's append
   invalidates it by rebuilding the entry.
@@ -52,28 +54,45 @@ SETTINGS = settings(
 # Differential: the optimised loop == the frozen loop.
 
 
+RELATION_FIELDS = ("pmf", "cdf", "certain", "exact_scores")
+
+
+def _relation_bytes(relation):
+    return [getattr(relation, field).tobytes() for field in RELATION_FIELDS]
+
+
 def _both(relation, truth, k, thres, config):
-    """Run both loops on copies of ``relation``; return what each saw.
+    """Run the reference on a copy of ``relation`` (it cleans in place)
+    and ``TopKCleaner`` on ``relation`` itself; return what each saw.
 
     ``truth`` maps tuple id -> exact score. Each side records the id
-    batches its ``clean_fn`` was handed.
+    batches its ``clean_fn`` was handed. The last item of each outcome
+    is what holds the cleaned scores: the reference's relation copy,
+    the new loop's cleaner.
     """
     outcomes = []
-    for cleaner_type in (ReferenceCleaner, TopKCleaner):
+    pristine = _relation_bytes(relation)
+    for reference in (True, False):
         batches = []
 
         def clean_fn(ids, batches=batches):
             batches.append(list(ids))
             return np.asarray([truth[i] for i in ids], dtype=np.float64)
 
-        clone = relation.copy()
-        result = cleaner_type(clone, clean_fn, config).run(k, thres)
-        outcomes.append((result, batches, clone))
+        if reference:
+            cleaner = ReferenceCleaner(relation.copy(), clean_fn, config)
+        else:
+            cleaner = TopKCleaner(relation, clean_fn, config)
+        result = cleaner.run(k, thres)
+        outcomes.append((
+            result, batches, cleaner.relation if reference else cleaner))
+    # The new loop read D0 and wrote none of it.
+    assert _relation_bytes(relation) == pristine
     return outcomes
 
 
 def _assert_same(outcomes):
-    (ref, ref_batches, ref_rel), (new, new_batches, new_rel) = outcomes
+    (ref, ref_batches, ref_rel), (new, new_batches, cleaner) = outcomes
     assert new_batches == ref_batches
     assert new.answer_ids == ref.answer_ids
     assert new.answer_scores == ref.answer_scores
@@ -83,9 +102,10 @@ def _assert_same(outcomes):
     assert new.confidence_trace == ref.confidence_trace
     assert new.selection_stats == ref.selection_stats
     assert new == ref  # and any field added later
-    for field in ("pmf", "cdf", "certain", "exact_scores"):
-        assert getattr(new_rel, field).tobytes() \
-            == getattr(ref_rel, field).tobytes(), field
+    # What the reference wrote into its copy, the new loop holds itself.
+    assert cleaner.certain.tobytes() == ref_rel.certain.tobytes()
+    assert cleaner.exact_scores.tobytes() == ref_rel.exact_scores.tobytes()
+    assert cleaner.num_certain == ref_rel.num_certain
 
 
 @st.composite
@@ -233,8 +253,8 @@ def test_log_tables_are_built_once_per_entry(derivations):
     reports = [_ask(session, k) for k in (3, 5, 8, 5, 3, 12)]
     assert derivations == {"tables": 1, "window_relations": 0}
     assert reports[1] == reports[3] and reports[0] == reports[4]
-    # Every query cleaned a copy: the entry's relation is still D0 and
-    # still holds the tables its copies share.
+    # No query wrote the entry's relation: it is still D0 and still
+    # holds the tables every query (and every copy) shares.
     relation = session.phase1().result.relation
     assert relation.log_tables() is relation.copy().log_tables()
     assert derivations["tables"] == 1
