@@ -162,23 +162,21 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
     cache = spec.session.shared_score_cache
     if task.cache_items:
         cache.merge(task.cache_items)
-    before = set(cache.as_dict())
     executor = QueryExecutor(spec.session)
-    spans: Optional[List[List[dict]]] = None
-    if task.traced:
-        details, spans = [], []
-        for plan in task.plans:
+    details: List[ExecutionDetail] = []
+    spans: Optional[List[List[dict]]] = [] if task.traced else None
+    new_scores: Dict[int, float] = {}
+    for plan in task.plans:
+        if spans is not None:
             detail, dumps = _traced(
                 "worker_execute", executor.execute_detailed, plan)
-            details.append(detail)
             spans.append(dumps)
-    else:
-        details = [executor.execute_detailed(plan) for plan in task.plans]
-    new_scores = {
-        frame: score
-        for frame, score in cache.as_dict().items()
-        if frame not in before
-    }
+        else:
+            detail = executor.execute_detailed(plan)
+        details.append(detail)
+        # The plan's cache misses: frames neither the parent shipped
+        # nor an earlier plan of the batch revealed.
+        new_scores.update(executor.last_confirm_oracle.fresh_scores)
     return BatchResult(details=details, new_scores=new_scores, spans=spans)
 
 

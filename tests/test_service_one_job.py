@@ -478,6 +478,54 @@ def test_the_plan_names_the_lane_that_will_run(pooled_traced):
         assert _execute_span(tracer, future).attrs["lane"] == lane
 
 
+def test_a_pooled_batch_returns_exactly_its_cache_misses():
+    """A worker ships back the union of its plans' fresh revelations —
+    over a recorded batch sequence, exactly the diff of its whole score
+    cache across the batch (the frames neither the parent shipped nor
+    an earlier plan revealed)."""
+    from repro.parallel import pool as pool_module
+    from repro.service.backend import _service_worker_run
+
+    with QueryService(workers=1, use_processes=True) as service:
+        session = service.open_session(
+            TrafficVideo("revelations", 700, seed=102), counting_udf("car"),
+            config=FAST)
+        recorded = []
+        real_call = service._pool.call
+
+        def spy(fn, *args):
+            result = real_call(fn, *args)
+            if fn is _service_worker_run:
+                recorded.append((args[0], result.new_scores))
+            return result
+
+        service._pool.call = spy
+        # Whole workloads go out as one batch each: every plan but
+        # the last of (3, 40) and (60, 8, 100) reveals frames too.
+        for ks in ((3, 40), (5,), (60, 8, 100)):
+            plan = service.plan_workload([
+                session.query().topk(k).guarantee(0.9) for k in ks])
+            service.gather(service.submit_plan(plan), timeout=WAIT)
+        window = session.query().topk(4).guarantee(0.9).windows(size=30)
+        service.submit(window.plan(), session=session).result(WAIT)
+
+    assert [len(task.plans) for task, _ in recorded] == [2, 1, 3, 1]
+    assert any(new_scores for _, new_scores in recorded)
+    # Replay the sequence in this process on the spec the worker held.
+    keys = {task.spec.key for task, _ in recorded}
+    try:
+        for task, shipped_back in recorded:
+            cache = task.spec.resolve().session.shared_score_cache
+            before = set(cache.as_dict()) | {f for f, _ in task.cache_items}
+            new_scores = _service_worker_run(task).new_scores
+            diff = {frame: score for frame, score in cache.as_dict().items()
+                    if frame not in before}
+            assert new_scores == diff == shipped_back
+    finally:
+        for key in keys:
+            pool_module._WORKER_MEMO.pop(key, None)
+
+
 def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
     """ROADMAP 6(v): after a restart the ``shipped`` frame ids described
     workers that no longer existed, so later batches shipped a delta
