@@ -9,9 +9,10 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 * one CMDN ``train_step`` per default grid shape, and the oracle's
   per-frame cost at batch 1 / 8 / 500 (recorded, not gated);
 * the Phase-2 split of a warm query on a 3 000-frame entry: µs per
-  cleaning iteration for select / running Top-K / batch update /
-  confirm (plain and cache-hit), µs per query for state set-up and
-  the window-relation fetch, and µs for a shape's first run on a
+  cleaning iteration for select / running Top-K / batch update (the
+  joint CDF and the cleaner's own scores) / confirm (plain and
+  cache-hit), µs per query for the cleaner's state set-up and the
+  window-relation fetch, and µs for a shape's first run on a
   session the other shapes warmed, with and without the session's
   score cache (recorded, not gated — DESIGN.md §3);
 * what a Phase-1 build pays per frame on a 3 000-frame video: µs per
@@ -306,7 +307,7 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     timed(TopKCleaner, "_best", "running_topk")
     timed(TopKCleaner, "_certain_topk", "running_topk")
     timed(ConfidenceState, "_remove_rows", "batch_update")
-    timed(UncertainRelation, "_mark_rows", "batch_update")
+    timed(TopKCleaner, "_record", "batch_update")
     timed(Oracle, "score", "confirm_plain")
     timed(CachingOracle, "score", "confirm_cache_hit")
     metrics = per_iteration(QueryExecutor(session, confirm_oracle=plain))
@@ -344,13 +345,14 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     rounds = 200
 
     def state_setup():
+        """The joint CDF's vectors, the selector and the scores a
+        query keeps beside the relation it reads in place."""
         for _ in range(rounds):
-            ConfidenceState(relation.copy())
+            TopKCleaner(relation, None)
 
     def window_fetch():
         for _ in range(rounds):
-            entry.window_relation(
-                window_size=30, floor=0.0, step=0.25).copy()
+            entry.window_relation(window_size=30, floor=0.0, step=0.25)
 
     window_fetch()  # derived on first use; the fetch is what repeats
     benchmark.pedantic(state_setup, rounds=1, iterations=1)
