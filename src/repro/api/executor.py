@@ -7,9 +7,10 @@ window-level uncertain relation, runs the cleaning loop with a fresh
 cost ledger, and assembles the :class:`~repro.core.result.QueryReport`.
 Every execution reads the cached relation in place and keeps what it
 cleans in its own :class:`~repro.core.cleaner.TopKCleaner`, so a query
-never perturbs its session and per-query Table 8 breakdowns stay exact. Many plans
-fan out one level up (a :class:`~repro.service.QueryService`, DESIGN.md
-§6); every one still ends in :meth:`QueryExecutor.execute_detailed`.
+never perturbs its session and per-query Table 8 breakdowns stay
+exact. Many plans fan out one level up (a
+:class:`~repro.service.QueryService`, DESIGN.md §6); every one still
+ends in :meth:`QueryExecutor.execute_detailed`.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ Phase 2 reads the uncertain relation Phase 1 built — the entry's
 what it cleans in its own ``TopKCleaner``. Every query kind is run once
 here against a relation whose bytes and derived tables are recorded
 first: afterwards the four arrays hash the same and ``log_tables()``
-is still the very object it was. Two bare threads sharing one relation
+is still the very object it was. Bare threads sharing one relation
 serve the bytes a serial run does.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -130,14 +131,17 @@ def test_a_service_batch(use_processes):
             service.gather(futures, timeout=WAIT)
 
 
-def test_two_threads_sharing_one_relation_serve_the_serial_bytes():
+def test_threads_sharing_one_relation_serve_the_serial_bytes():
+    """Four threads x 20 queries on one session, switching often: every
+    thread reads the one D0 (and its score cache) while the others
+    clean."""
     shapes = [(k, window) for k in (3, 5, 8, 12, 20) for window in (0, 30)]
     twin = _session("d0-race", 96)
     serial = [_query(twin, k, window).run().to_json()
               for k, window in shapes]
     session = _session("d0-race", 96)
     served = {}
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(4)
 
     def client(name):
         barrier.wait(timeout=WAIT)
@@ -145,12 +149,17 @@ def test_two_threads_sharing_one_relation_serve_the_serial_bytes():
             _query(session, k, window).run().to_json()
             for _ in range(2) for k, window in shapes]
 
-    with untouched(session.phase1().result.relation):
-        threads = [threading.Thread(target=client, args=(name,))
-                   for name in ("a", "b")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=WAIT)
-            assert not thread.is_alive()
-    assert served["a"] == served["b"] == serial + serial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with untouched(session.phase1().result.relation):
+            threads = [threading.Thread(target=client, args=(name,))
+                       for name in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=WAIT)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [served[name] for name in range(4)] == [serial + serial] * 4
