@@ -251,12 +251,10 @@ class FederatedOracle(Oracle):
                 fresh.append((member, missing, np.asarray(
                     self.scoring(self.videos[member].frames(missing)))))
         for member, missing, scores in fresh:
-            cache = self.caches[member]
-            for local, score in zip(missing, scores):
-                score = float(score)
-                known[member][local] = score
-                if cache is not None:
-                    cache.put(local, score)
+            revealed = dict(zip(missing, map(float, scores)))
+            known[member].update(revealed)
+            if self.caches[member] is not None:
+                self.caches[member].merge(revealed.items())
             self.fresh_calls += len(missing)
 
         # Per-shard attribution and the scatter back into batch order.

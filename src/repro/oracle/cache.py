@@ -14,52 +14,44 @@ Every session confirms through one: a plain session through its own,
 so a repeated or overlapping query re-scores nothing it already
 confirmed; a stream through the cache its label oracle, drift auditor
 and subscriptions share. The query service promotes it to service
-scope: one bounded cache per (video, UDF) artifact group, shared by
-every concurrent query over that group, so one query's cleaned tuples
-become every later query's warm start (DESIGN.md §8). Service-scope caches
-are bounded (``max_entries``, LRU) and thread-safe — eviction and
-concurrent access can change which invocations are physical, never
-what any query answers or charges.
+scope: one cache per (video, UDF) artifact group, shared by every
+concurrent query over that group, so one query's cleaned tuples
+become every later query's warm start (DESIGN.md §8). A revealed
+score never changes, so the cache only ever grows: it is an
+append-only memo whose insertion order is its log, which lets the
+process lane send a pool worker only the entries past a position
+(:meth:`ScoreCache.since`). It is thread-safe — concurrent access can
+change which invocations are physical, never what any query answers
+or charges.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, OracleBudgetExceededError
+from ..errors import OracleBudgetExceededError
 from ..trace import add_event
 from .base import Oracle
 from .cost import CostModel
 
 
 class ScoreCache:
-    """A memo of revealed exact frame scores, optionally bounded.
+    """An append-only memo of revealed exact frame scores.
 
     Keyed by frame id; scores are deterministic per frame, so an entry
-    never invalidates. With ``max_entries`` set, the cache evicts its
-    least-recently-used entries — correctness is unaffected (a future
-    query re-reveals the score physically), only physical work grows.
+    never changes and is never dropped. The dict's insertion order is
+    the memo's log: :meth:`since` reads the entries past a position.
     All operations take an internal lock so service worker threads can
     share one instance.
     """
 
-    def __init__(
-        self,
-        scores: Optional[Dict[int, float]] = None,
-        *,
-        max_entries: Optional[int] = None,
-    ):
-        if max_entries is not None and max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be None or >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self, scores: Optional[Dict[int, float]] = None):
         self._lock = threading.Lock()
-        self._scores: "OrderedDict[int, float]" = OrderedDict()
-        self.evictions = 0
+        self._scores: Dict[int, float] = {}
         self.merge((scores or {}).items())
 
     def __len__(self) -> int:
@@ -71,43 +63,36 @@ class ScoreCache:
 
     def get(self, frame: int) -> float:
         with self._lock:
-            frame = int(frame)
-            self._scores.move_to_end(frame)
-            return self._scores[frame]
-
-    def put(self, frame: int, score: float) -> None:
-        self.merge(((frame, score),))
+            return self._scores[int(frame)]
 
     def lookup(self, frames: Iterable[int]) -> Dict[int, float]:
-        """The cached subset of ``frames`` as one consistent snapshot.
-
-        A single locked pass — unlike per-frame ``get`` calls, a
-        concurrent eviction cannot invalidate an entry between the
-        membership test and the read.
-        """
+        """The cached subset of ``frames``, read under one lock."""
         with self._lock:
+            scores = self._scores
             found: Dict[int, float] = {}
             for frame in frames:
                 frame = int(frame)
-                score = self._scores.get(frame)
-                if score is not None:
-                    self._scores.move_to_end(frame)
-                    found[frame] = score
+                if frame in scores:
+                    found[frame] = scores[frame]
             return found
 
     def merge(self, items: Iterable[Tuple[int, float]]) -> None:
-        """Fold ``(frame, score)`` pairs in under one lock — exactly the
-        entries and evictions :meth:`put` per pair would leave."""
+        """Fold ``(frame, score)`` pairs in under one lock; a frame
+        already held keeps its place and its score."""
         with self._lock:
-            scores, bound = self._scores, self.max_entries
+            scores = self._scores
             for frame, score in items:
-                frame = int(frame)
-                scores[frame] = float(score)
-                scores.move_to_end(frame)
-                if bound is not None:
-                    while len(scores) > bound:
-                        scores.popitem(last=False)
-                        self.evictions += 1
+                scores.setdefault(int(frame), float(score))
+
+    def since(
+        self, position: int,
+    ) -> Tuple[List[Tuple[int, float]], int]:
+        """``(entries, new position)``: the entries inserted at or
+        after ``position``, in insertion order, and the memo's length
+        when they were read."""
+        with self._lock:
+            scores = self._scores
+            return list(islice(scores.items(), position, None)), len(scores)
 
     def as_dict(self) -> Dict[int, float]:
         with self._lock:
@@ -116,22 +101,15 @@ class ScoreCache:
     # -- pickling (streaming checkpoints persist the cache) ------------
     def __getstate__(self):
         with self._lock:
-            return {
-                "scores": dict(self._scores),
-                "max_entries": self.max_entries,
-                "evictions": self.evictions,
-            }
+            return {"scores": dict(self._scores)}
 
     def __setstate__(self, state):
-        # Tolerate the pre-promotion layout too: the streaming-era
-        # class pickled its raw __dict__ ({"_scores": {...}}), and old
-        # checkpoints resolve to this class through the re-export.
-        scores = state.get("scores", state.get("_scores", {}))
-        self.max_entries = state.get("max_entries")
+        # A checkpoint written while the memo could still be bounded
+        # also carries its bound and eviction count; only the scores
+        # are read.
         self._lock = threading.Lock()
-        self._scores = OrderedDict(
-            (int(k), float(v)) for k, v in scores.items())
-        self.evictions = state.get("evictions", 0)
+        self._scores = {
+            int(k): float(v) for k, v in state["scores"].items()}
 
 
 class CachingOracle(Oracle):
@@ -168,8 +146,8 @@ class CachingOracle(Oracle):
             raise OracleBudgetExceededError(self.budget)
         self.calls += len(indices)
         self.cost_model.charge(self.cost_key, len(indices))
-        # One consistent snapshot up front: a bounded shared cache may
-        # evict concurrently, so membership is decided exactly once.
+        # Membership is decided once, up front: a concurrent query may
+        # add a frame between this read and the store below.
         known = self.cache.lookup(indices)
         seen = set()
         missing = [

@@ -24,7 +24,7 @@ again. :class:`SharedArtifacts` holds that state at *service* scope:
   manifest), and a cold service warm-loads them instead of retraining.
   Ledgers ride along, so a warm-loaded entry charges exactly what its
   original build charged — Phase 1 has no wall-clock timers.
-* **Score / inference cache registries.** One bounded
+* **Score / inference cache registries.** One append-only
   :class:`~repro.oracle.cache.ScoreCache` and one streaming
   :class:`~repro.core.phase1.BlockInferenceCache`
   per artifact *group* (video content × UDF), shared by every session
@@ -118,14 +118,12 @@ class SharedArtifacts:
         self,
         *,
         max_entries: Optional[int] = None,
-        score_cache_entries: Optional[int] = None,
         warm_dir=None,
     ):
         if max_entries is not None and max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be None or >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.score_cache_entries = score_cache_entries
         self.warm_dir = warm_dir
         self._lock = threading.Lock()
         self._entries: "OrderedDict[ArtifactKey, Phase1Entry]" = \
@@ -303,7 +301,7 @@ class SharedArtifacts:
         with self._lock:
             cache = self._score_caches.get(group)
             if cache is None:
-                cache = ScoreCache(max_entries=self.score_cache_entries)
+                cache = ScoreCache()
                 self._score_caches[group] = cache
             return cache
 

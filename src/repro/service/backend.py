@@ -24,8 +24,9 @@ Two lanes, chosen per service (``use_processes``):
   reconstructs the session once per handle and runs only the cleaning
   loop, confirming through that session's own score cache. What
   makes it a *service* lane is **score-cache warm shipping**: each
-  batch carries the parent's current cache entries for the artifact
-  group; the worker merges them into its session's cache before
+  batch carries the entries the artifact group's append-only cache
+  gained since the spec's last batch (its tail past a position); the
+  worker merges them into its session's cache before
   executing and returns its *new* revelations, which the parent folds
   back into the shared cache. Scores are deterministic per frame, so
   the merge is idempotent and reports stay bit-identical — only
@@ -93,7 +94,8 @@ class BatchTask:
 
     spec: Shipped
     plans: Tuple[object, ...]
-    #: Parent-side cache entries the worker may not have yet.
+    #: The parent cache's entries past the spec's position: what the
+    #: worker may not have yet.
     cache_items: Tuple[Tuple[int, float], ...]
     #: Record per-plan spans in the worker and ship them back so the
     #: parent can re-parent them under its lane-dispatch span.
@@ -174,8 +176,8 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
         else:
             detail = executor.execute_detailed(plan)
         details.append(detail)
-        # The plan's cache misses: frames neither the parent shipped
-        # nor an earlier plan of the batch revealed.
+        # The plan's cache misses: frames neither the parent sent nor
+        # an earlier plan of the batch revealed.
         new_scores.update(executor.last_confirm_oracle.fresh_scores)
     return BatchResult(details=details, new_scores=new_scores, spans=spans)
 
@@ -186,14 +188,16 @@ def run_batch_in_pool(
     spec: Shipped,
     plans,
     shared_cache: ScoreCache,
-    shipped: Optional[set] = None,
+    cache_items,
     traced: bool = False,
 ) -> BatchResult:
     """Ship a batch to the pool; fold revelations back into the cache.
 
-    ``shipped`` is the caller-held set of frame ids already sent for
-    this ``spec``: only newer parent-cache entries ship (per-batch
-    cost tracks the *delta*, not the whole cache). A batch goes to
+    ``cache_items`` are the entries of ``shared_cache`` the caller has
+    not yet sent for ``spec``: its tail past the caller's position
+    (:meth:`~repro.oracle.cache.ScoreCache.since`), so per-batch cost
+    tracks the *delta*, not the whole cache. The batch's own
+    revelations go out with the spec's next batch. A batch goes to
     whichever worker is idle (the warmest first), and a worker that
     dies is replaced alone, so a given worker may still miss entries a
     sibling received — harmless, it just re-reveals them physically;
@@ -203,22 +207,10 @@ def run_batch_in_pool(
     :class:`~repro.errors.ServiceError`: nothing was recorded for the
     batch, so the caller may simply resubmit.
     """
-    snapshot = shared_cache.as_dict()
-    if shipped is None:
-        items = tuple(snapshot.items())
-    else:
-        items = tuple(
-            (frame, score) for frame, score in snapshot.items()
-            if frame not in shipped
-        )
-        shipped.update(snapshot)
     task = BatchTask(
-        spec=spec, plans=tuple(plans), cache_items=items, traced=traced)
+        spec=spec, plans=tuple(plans), cache_items=tuple(cache_items),
+        traced=traced)
     result: BatchResult = pool.call(_service_worker_run, task)
     if result.new_scores:
         shared_cache.merge(result.new_scores.items())
-        if shipped is not None:
-            # The executing worker holds its own revelations already;
-            # siblings will re-reveal on demand (see above).
-            shipped.update(result.new_scores)
     return result

@@ -20,9 +20,9 @@ applies admission control and per-tenant oracle-budget fairness, and
 execution lands on either lane of :mod:`repro.service.backend`.
 Cross-query optimization comes from the shared
 :class:`~repro.service.artifacts.SharedArtifacts` layer: single-flight
-Phase-1 builds, a bounded per-group score cache that turns one query's
-cleaned tuples into every later query's warm start, and a warm-start
-checkpoint tier.
+Phase-1 builds, an append-only per-group score cache that turns one
+query's cleaned tuples into every later query's warm start, and a
+warm-start checkpoint tier.
 
 Determinism contract: a report is always a pure function of its
 inputs, so service reports are **bit-identical** to plain serial
@@ -210,10 +210,10 @@ class _Remote:
     def __init__(self, spec, restarts: int):
         #: The shipped session spec (pickled once, see ``Shipped``).
         self.spec = spec
-        #: Score-cache frame ids already sent for it, so each batch
-        #: carries only the delta.
-        self.shipped: set = set()
-        #: ``pool.restarts`` when ``shipped`` was last true.
+        #: How much of the group's append-only score cache has been
+        #: sent for it, so each batch carries only the entries past it.
+        self.position = 0
+        #: ``pool.restarts`` when ``position`` was last true.
         self.restarts = restarts
 
 
@@ -235,8 +235,8 @@ class QueryService:
         Admission-control bound on queued (not yet running) queries.
     max_batch:
         Same-artifact queries dispatched as one batch.
-    artifact_entries / score_cache_entries:
-        LRU bounds for the shared artifact layer.
+    artifact_entries:
+        LRU bound on the shared artifact layer's Phase-1 entries.
     warm_dir:
         Optional checkpoint directory for the warm-start tier.
     """
@@ -249,7 +249,6 @@ class QueryService:
         max_pending: Optional[int] = 256,
         max_batch: int = 8,
         artifact_entries: Optional[int] = None,
-        score_cache_entries: Optional[int] = None,
         warm_dir=None,
         tracer=None,
     ):
@@ -262,7 +261,6 @@ class QueryService:
         self.use_processes = bool(use_processes)
         self.artifacts = SharedArtifacts(
             max_entries=artifact_entries,
-            score_cache_entries=score_cache_entries,
             warm_dir=warm_dir,
         )
         self._pool = PersistentPool(self.workers) \
@@ -764,8 +762,10 @@ class QueryService:
             elif remote.restarts != pool.restarts:
                 # A worker died, and with it whatever of those frames it
                 # held; its replacement starts with an empty cache.
-                remote.shipped.clear()
+                remote.position = 0
                 remote.restarts = pool.restarts
+            cache_items, remote.position = \
+                session.shared_score_cache.since(remote.position)
         lane_spans = [
             None if span is None else job.trace.start_span(
                 "lane_dispatch", category="service",
@@ -777,7 +777,7 @@ class QueryService:
             spec=remote.spec,
             plans=[job.work for job in jobs],
             shared_cache=session.shared_score_cache,
-            shipped=remote.shipped,
+            cache_items=cache_items,
             traced=any(span is not None for span in spans),
         )
         # Re-parent worker-side spans under each query's lane-dispatch

@@ -257,7 +257,7 @@ class TestServiceIntegration:
 
         assert parameters(QueryService.__init__) == [
             "workers", "use_processes", "max_pending", "max_batch",
-            "artifact_entries", "score_cache_entries", "warm_dir", "tracer"]
+            "artifact_entries", "warm_dir", "tracer"]
         assert parameters(FairScheduler.__init__) == [
             "run_batch", "workers", "max_pending", "max_batch"]
         with pytest.raises(TypeError):

@@ -59,11 +59,12 @@ def _unpickle_count(name: str) -> int:
 def _service_batches(pool, session, plans):
     """What ``QueryService`` dispatches: batches with a cache delta."""
     spec = ship_spec(session, [(session.config, session.phase1())])
-    cache, shipped = ScoreCache(), set()
+    cache, position = ScoreCache(), 0
     for plan in plans:
+        cache_items, position = cache.since(position)
         run_batch_in_pool(
             pool, spec=spec, plans=[plan],
-            shared_cache=cache, shipped=shipped)
+            shared_cache=cache, cache_items=cache_items)
     assert len(cache) > 0
 
 

@@ -62,49 +62,25 @@ class WorkerKillingTraffic(TrafficVideo):
 
 
 # ----------------------------------------------------------------------
-# ScoreCache: bounded LRU, thread-safe, pickle round-trip.
+# ScoreCache: append-only, thread-safe, pickle round-trip.
 
 class TestScoreCache:
-    def test_lru_eviction_keeps_recent(self):
-        cache = ScoreCache(max_entries=3)
-        for frame in range(4):
-            cache.put(frame, float(frame))
-        assert len(cache) == 3
-        assert 0 not in cache and 3 in cache
-        assert cache.evictions == 1
-        cache.get(1)          # refresh 1
-        cache.put(4, 4.0)     # evicts 2, not 1
-        assert 1 in cache and 2 not in cache
-
     def test_lookup_is_consistent_snapshot(self):
         cache = ScoreCache({1: 1.0, 2: 2.0})
         assert cache.lookup([1, 2, 3]) == {1: 1.0, 2: 2.0}
 
-    def test_rejects_bad_bound(self):
-        with pytest.raises(ConfigurationError):
-            ScoreCache(max_entries=0)
-
     def test_pickle_round_trip(self):
         import pickle
 
-        cache = ScoreCache({5: 0.5}, max_entries=10)
+        cache = ScoreCache({5: 0.5})
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.as_dict() == {5: 0.5}
-        assert clone.max_entries == 10
-        clone.put(6, 0.6)  # the lock was rebuilt
-
-    def test_setstate_accepts_pre_promotion_layout(self):
-        # Streaming-era checkpoints pickled the old class's raw
-        # __dict__; the re-export resolves them to this class.
-        old = ScoreCache.__new__(ScoreCache)
-        old.__setstate__({"_scores": {3: 0.25}})
-        assert old.as_dict() == {3: 0.25}
-        assert old.max_entries is None
-        old.put(4, 0.5)
+        clone.merge([(6, 0.6)])  # the lock was rebuilt
+        assert clone.since(0) == ([(5, 0.5), (6, 0.6)], 2)
 
     def test_caching_oracle_eviction_safe_and_charges_fully(self):
         video = _video(frames=64)
-        cache = ScoreCache(max_entries=2)
+        cache = ScoreCache()
         ledger = CostModel()
         oracle = CachingOracle(
             counting_udf("car"), ledger, cache=cache,
@@ -112,7 +88,7 @@ class TestScoreCache:
         scores = oracle.score(video, [0, 1, 2, 3, 0])
         assert scores.shape == (5,)
         assert scores[0] == scores[4]
-        # Full accounting despite the tiny cache.
+        # Full accounting despite the cached repeat.
         assert oracle.calls == 5
         assert ledger.units("oracle_confirm") == 5
         assert oracle.fresh_calls == 4  # 0,1,2,3 (0 deduped)

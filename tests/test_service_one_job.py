@@ -13,8 +13,8 @@ Three kinds of pins:
   ``count``.
 * **The defects the copies had drifted into**, each failing before the
   collapse: the service outliving its sessions, a trace and a plan
-  naming a lane that did not run, stale ``shipped`` sets after a pool
-  restart — and a session outliving its process-lane service. (The
+  naming a lane that did not run, a stale score-cache position after a
+  pool restart — and a session outliving its process-lane service. (The
   shared exception instance sits next to its scheduler twin in
   ``test_scheduler_regressions.py``.)
 
@@ -372,7 +372,7 @@ def test_a_held_session_keeps_what_the_pool_has_of_it(monkeypatch):
     real = service_module.run_batch_in_pool
 
     def spy(pool, **kwargs):
-        ships.append((kwargs["spec"].key, kwargs["shipped"]))
+        ships.append((kwargs["spec"].key, len(kwargs["cache_items"])))
         return real(pool, **kwargs)
 
     monkeypatch.setattr(service_module, "run_batch_in_pool", spy)
@@ -380,14 +380,20 @@ def test_a_held_session_keeps_what_the_pool_has_of_it(monkeypatch):
         session = service.open_session(
             TrafficVideo("held", 300, seed=81), counting_udf("car"),
             config=FAST)
-        for k in (2, 4):
+        positions, sizes = [], []
+        for k in (2, 4, 6):
             gc.collect()
+            sizes.append(len(session.shared_score_cache))
             service.submit(_plan(session, k), session=session).result(WAIT)
-    (first_key, first_set), (second_key, second_set) = ships
-    # Pickled once, and the second batch shipped a delta against the
-    # same frame-id set the first one filled.
-    assert first_key == second_key
-    assert first_set is second_set and len(first_set) > 0
+            (remote,) = service._pool_state[session].values()
+            positions.append(remote.position)
+    # Pickled once. Each batch carried the cache's tail past the
+    # position the batch before it left, and moved the position to the
+    # end of what it sent: forward only.
+    assert len({key for key, _ in ships}) == 1
+    assert positions == sizes == sorted(positions) and positions[1] > 0
+    assert [sent for _, sent in ships] == [
+        after - before for before, after in zip([0, *positions], positions)]
 
 
 def test_close_detaches_attached_streams_and_nothing_else():
@@ -527,9 +533,10 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses():
 
 
 def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
-    """ROADMAP 6(v): after a restart the ``shipped`` frame ids described
-    workers that no longer existed, so later batches shipped a delta
-    the new workers could not use and re-revealed physically."""
+    """ROADMAP 6(v): after a restart the position past which a spec's
+    batches send the score cache described workers that no longer
+    existed, so later batches shipped a delta the new workers could
+    not use and re-revealed physically."""
     from repro.errors import ServiceError
     from repro.service.backend import _service_worker_run
 
@@ -557,14 +564,16 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
 
         service._pool.call = spy
         service.submit(_plan(session, 3), session=session).result(WAIT)
+        first = len(session.shared_score_cache)
         fuse.touch()
         with pytest.raises(ServiceError):
             service.submit(_plan(session, 20), session=session).result(WAIT)
         assert not fuse.exists()
         cached = len(session.shared_score_cache)
         service.submit(_plan(session, 20), session=session).result(WAIT)
-        # The first batch after the restart carried the whole cache …
-        assert sent == [0, 0, cached] and cached > 0
+        # The killed batch carried the first one's revelations; the
+        # first batch after the restart carried the whole cache …
+        assert sent == [0, first, cached] and cached > 0
         assert service._pool.restarts == 1
         outcomes = service.outcomes()
     # … so it paid no physical confirmation for a frame the parent

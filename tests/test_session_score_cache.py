@@ -12,7 +12,6 @@ and budget refusals are the reference's.
 
 import dataclasses
 import threading
-from collections import OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -173,20 +172,68 @@ class _CountingLock:
         return self.lock.__exit__(*exc)
 
 
-@pytest.mark.parametrize("bound", [None, 1, 2, 3])
-def test_merge_takes_the_lock_once_and_evicts_as_put_per_pair(bound):
+def test_merge_takes_the_lock_once_and_keeps_merge_order():
     items = [(3, 1.0), (5, 2.0), (3, 1.0), (7, 0.0), (9, 4.0), (5, 2.0)]
-    # One put per pair, least recently used first out.
-    expected, evictions = OrderedDict(), 0
-    for frame, score in items:
-        expected[frame] = score
-        expected.move_to_end(frame)
-        while bound is not None and len(expected) > bound:
-            expected.popitem(last=False)
-            evictions += 1
-    cache = ScoreCache(max_entries=bound)
+    cache = ScoreCache()
     cache._lock = _CountingLock()
     cache.merge(items)
     assert cache._lock.taken == 1
-    assert list(cache.as_dict().items()) == list(expected.items())
-    assert cache.evictions == evictions
+    # A frame merged again keeps its first place.
+    assert list(cache.as_dict().items()) == list(dict(items).items())
+
+
+FRAMES = st.lists(st.integers(0, 30), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=st.lists(FRAMES, max_size=6))
+def test_since_returns_exactly_the_entries_merged_after_a_position(batches):
+    cache, positions, first_seen = ScoreCache(), [0], []
+    for batch in batches:
+        cache.merge((frame, frame / 2) for frame in batch)
+        first_seen += [f for f in dict.fromkeys(batch) if f not in first_seen]
+        positions.append(len(first_seen))
+    log = [(frame, frame / 2) for frame in first_seen]
+    for step, position in enumerate(positions):
+        items, new_position = cache.since(position)
+        # What every later batch merged, each frame once, in merge order.
+        assert items == log[position:]
+        assert new_position == len(cache) == len(log)
+        assert dict(items).keys() == {
+            frame for batch in batches[step:] for frame in batch
+        } - set(first_seen[:position])
+
+
+def test_a_checkpoint_in_the_earlier_cache_layout_still_resumes(
+        tmp_path, monkeypatch):
+    """Before the memo was append-only its pickled state also carried
+    its LRU bound and eviction count; a format-3 stream checkpoint
+    written that way still resumes."""
+    old = ScoreCache.__new__(ScoreCache)
+    old.__setstate__(
+        {"scores": {4: 2.0, 1: 0.5}, "max_entries": 10, "evictions": 2})
+    assert old.since(0) == ([(4, 2.0), (1, 0.5)], 2)
+    old.merge([(6, 1.5)])  # the lock was rebuilt
+    assert len(old) == 3
+
+    stream = Session.open_stream(
+        TrafficVideo("old-cache-layout", 600, seed=63), COUNT,
+        initial_frames=400, config=FAST)
+    live = stream.query().topk(3).guarantee(0.9).subscribe()
+    stream.append(60)
+    with monkeypatch.context() as patch:
+        patch.setattr(ScoreCache, "__getstate__", lambda self: {
+            "scores": self.as_dict(), "max_entries": None, "evictions": 0})
+        stream.checkpoint(tmp_path / "ck")
+    blob = next((tmp_path / "ck").glob("state-*.pkl")).read_bytes()
+    assert b"max_entries" in blob and b"evictions" in blob
+
+    resumed = Session.resume(tmp_path / "ck")
+    cache = resumed.shared_score_cache
+    assert cache.since(0) == stream.shared_score_cache.since(0)
+    assert resumed._incremental.label_oracle.cache is cache
+    re_live = resumed.query().topk(3).guarantee(0.9).subscribe()
+    assert re_live.latest.to_json() == live.latest.to_json()
+    for session in (stream, resumed):
+        session.append(120)
+    assert re_live.latest.to_json() == live.latest.to_json()

@@ -111,7 +111,7 @@ class TestStreamingVideo:
         assert type(segment.end) is int and stream.remaining == 3
         with pytest.raises(VideoError):
             stream.append(6)  # source exhausted
-        stream.append_until(len(traffic_video))
+        stream.append(len(traffic_video) - stream.watermark)
         assert stream.remaining == 0
 
     def test_snapshot_is_sealed(self, traffic_video):
@@ -575,7 +575,7 @@ class TestCachingOracle:
     def test_score_cache_roundtrip(self):
         cache = ScoreCache({4: 2.0})
         assert 4 in cache and 5 not in cache
-        cache.put(5, 1.5)
+        cache.merge([(5, 1.5)])
         assert cache.get(5) == 1.5
         assert cache.as_dict() == {4: 2.0, 5: 1.5}
         assert len(cache) == 2
