@@ -15,8 +15,10 @@ states a poll can observe:
 
 The TTL clock starts at *completion* (a slow query cannot expire
 while still running); ``max_entries`` additionally bounds memory by
-evicting the oldest finished entries first. The clock is injectable
-for deterministic tests.
+evicting the earliest finished entries first. Finished ids queue in
+completion order, so both evictions pop from the queue's front and a
+request touches only what it evicts. The clock is injectable for
+deterministic tests.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class ResultEntry:
     finished_at: Optional[float] = None
     #: Simulated-latency-free wall clock from submit to completion.
     latency_seconds: Optional[float] = None
-    report: Optional[QueryReport] = None
     #: The exact ``report.to_json()`` bytes, captured at completion —
     #: what the gateway serves and what byte-identity is checked on.
     report_json: Optional[str] = None
@@ -99,6 +100,9 @@ class ResultStore:
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: Dict[str, ResultEntry] = {}
+        #: Finished ids in completion order: the front is the next to
+        #: go, by TTL or by capacity.
+        self._finished: "OrderedDict[str, None]" = OrderedDict()
         #: Ids evicted by TTL or capacity — polls answer 410, not 404.
         #: Bounded itself (oldest ids degrade to 404) so a long-lived
         #: gateway's tombstone set cannot grow without limit.
@@ -126,12 +130,13 @@ class ResultStore:
             entry.latency_seconds = now - entry.created_at
             for key, value in updates.items():
                 setattr(entry, key, value)
+            self._finished[result_id] = None
+            self._finished.move_to_end(result_id)
 
     def complete(self, result_id: str, report: QueryReport) -> None:
         """Record a finished query (captures the canonical bytes)."""
         self._finish(
-            result_id, status="done", report=report,
-            report_json=report.to_json())
+            result_id, status="done", report_json=report.to_json())
 
     def set_trace(
         self,
@@ -172,27 +177,22 @@ class ResultStore:
             return entry
 
     def _sweep(self) -> None:
-        """Evict over-TTL and over-capacity entries (lock held)."""
+        """Evict over-TTL and over-capacity entries (lock held).
+
+        The earliest finished entry goes while it is stale or the store
+        is over capacity; a pending entry never does."""
         now = self._clock()
-        stale = [
-            rid for rid, entry in self._entries.items()
-            if entry.finished_at is not None
-            and now - entry.finished_at > self.ttl
-        ]
-        for rid in stale:
-            self._evict(rid)
-        if self.max_entries is not None and \
-                len(self._entries) > self.max_entries:
-            finished = sorted(
-                (e for e in self._entries.values()
-                 if e.finished_at is not None),
-                key=lambda e: e.finished_at)
-            overflow = len(self._entries) - self.max_entries
-            for entry in finished[:overflow]:
-                self._evict(entry.result_id)
+        bound = self.max_entries
+        while self._finished:
+            oldest = next(iter(self._finished))
+            if now - self._entries[oldest].finished_at <= self.ttl and (
+                    bound is None or len(self._entries) <= bound):
+                return
+            self._evict(oldest)
 
     def _evict(self, result_id: str) -> None:
         del self._entries[result_id]
+        del self._finished[result_id]
         self._expired[result_id] = None
         while len(self._expired) > self._expired_cap:
             self._expired.popitem(last=False)

@@ -218,6 +218,35 @@ class TestResultStore:
         assert store.get("q2").status == "done"
         assert store.get("q3").status == "pending"
 
+    def test_capacity_evicts_in_completion_order_not_submission_order(self):
+        clock = FakeClock()
+        store = ResultStore(ttl=1e9, max_entries=2, clock=clock)
+        store.put_pending("q1", "a", "s")
+        store.put_pending("q2", "a", "s")
+        store.complete("q2", self._report())
+        clock.advance(1.0)
+        store.fail("q1", ConfigurationError("late"))
+        store.put_pending("q3", "a", "s")  # over capacity: q2 evicted
+        with pytest.raises(ResultExpiredError):
+            store.get("q2")
+        assert store.get("q1").status == "failed"
+        assert store.get("q3").status == "pending"
+
+    def test_ttl_eviction_stops_at_the_first_fresh_entry(self):
+        clock = FakeClock()
+        store = ResultStore(ttl=10.0, clock=clock)
+        for rid in ("q1", "q2", "q3"):
+            store.put_pending(rid, "a", "s")
+        store.complete("q3", self._report())
+        clock.advance(5.0)
+        store.complete("q1", self._report())
+        clock.advance(5.5)  # q3 is 10.5 s old, q1 5.5 s, q2 pending
+        with pytest.raises(ResultExpiredError):
+            store.get("q3")
+        assert store.get("q1").status == "done"
+        assert store.get("q2").status == "pending"
+        assert len(store) == 2 and store.expired_total == 1
+
     def test_duplicate_ids_are_refused(self):
         store = ResultStore(clock=FakeClock())
         store.put_pending("q1", "a", "s")
@@ -261,16 +290,18 @@ class TestMetrics:
         metrics = GatewayMetrics()
         for value in range(1, 101):
             metrics.observe_latency("op", float(value))
-        quantiles = metrics.latency_quantiles("op")
-        assert quantiles[0.5] == 50.0
-        assert quantiles[0.95] == 95.0
-        assert quantiles[0.99] == 99.0
+        samples = parse_metrics_text(metrics.render())
+        quantiles = {
+            dict(labels)["quantile"]: value
+            for (name, labels), value in samples.items()
+            if name == "everest_gateway_latency_seconds"}
+        assert quantiles == {"0.5": 50.0, "0.95": 95.0, "0.99": 99.0}
 
     def test_empty_summary_renders_nan(self):
         metrics = GatewayMetrics()
-        assert metrics.latency_quantiles("absent") == {}
         text = metrics.render()
-        assert parse_metrics_text(text) is not None  # parses clean
+        samples = parse_metrics_text(text)  # parses clean
+        assert not any("latency" in name for name, _ in samples)
 
     def test_label_escaping_round_trips(self):
         metrics = GatewayMetrics()
