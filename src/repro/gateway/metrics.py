@@ -181,11 +181,6 @@ class GatewayMetrics:
                 summary = self._latency[op] = LatencySummary()
             summary.observe(seconds)
 
-    def latency_quantiles(self, op: str) -> Dict[float, float]:
-        with self._lock:
-            summary = self._latency.get(op)
-            return summary.quantiles() if summary is not None else {}
-
     # -- rendering -----------------------------------------------------
     def render(self, service_stats=None) -> str:
         """The Prometheus text exposition for everything recorded.

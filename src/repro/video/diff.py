@@ -48,13 +48,6 @@ class DiffResult:
     def num_retained(self) -> int:
         return int(self.retained.size)
 
-    @property
-    def reduction_ratio(self) -> float:
-        """Fraction of frames discarded, in ``[0, 1)``."""
-        if self.num_frames == 0:
-            return 0.0
-        return 1.0 - self.num_retained / self.num_frames
-
     def segments(self) -> List[np.ndarray]:
         """Maximal runs of consecutive frames sharing a representative.
 
@@ -110,11 +103,6 @@ class DifferenceDetector:
 
     def __init__(self, config: DiffDetectorConfig = DiffDetectorConfig()):
         self.config = config
-
-    def mse(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Mean squared error between two equally shaped frames."""
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return float(np.mean(diff * diff))
 
     def scan(
         self,

@@ -237,10 +237,6 @@ class StreamingVideo(SyntheticVideo):
         self.horizon = new_horizon
         return self.horizon
 
-    def append_until(self, watermark: int) -> Segment:
-        """Advance to an absolute watermark (convenience for replays)."""
-        return self.append(watermark - self.num_frames)
-
     def snapshot(self) -> "StreamingVideo":
         """A sealed copy of the current prefix (for batch reference
         runs), preserving watermark, horizon and window."""

@@ -825,6 +825,3 @@ class SentimentVideo(SyntheticVideo):
 
     def _signal(self) -> np.ndarray:
         return self.happiness
-
-    def true_happiness(self, index: int) -> float:
-        return float(self.happiness[self._check_index(index)])

@@ -102,8 +102,7 @@ class TestDifferenceDetector:
     def test_zero_threshold_retains_everything(self, traffic_video):
         config = DiffDetectorConfig(mse_threshold=0.0)
         result = DifferenceDetector(config).run(traffic_video)
-        assert result.num_retained == len(traffic_video)
-        assert result.reduction_ratio == 0.0
+        assert result.num_retained == result.num_frames == len(traffic_video)
 
     def test_representative_is_retained(self, traffic_video):
         result = DifferenceDetector().run(traffic_video)
@@ -125,14 +124,7 @@ class TestDifferenceDetector:
             reps = result.representative[segment]
             assert np.unique(reps).size == 1
 
-    def test_mse_symmetric_zero(self):
-        detector = DifferenceDetector()
-        frame = np.random.default_rng(0).random((8, 8))
-        assert detector.mse(frame, frame) == 0.0
-        other = frame + 0.1
-        assert detector.mse(frame, other) == pytest.approx(0.01)
-
     def test_discards_near_duplicates(self, traffic_video):
         result = DifferenceDetector().run(traffic_video)
-        assert 0.0 < result.reduction_ratio < 1.0
+        assert 0 < result.num_retained < result.num_frames
 

@@ -164,7 +164,7 @@ class TestSentimentVideo:
 
     def test_truth_key(self, sentiment_video):
         frame = sentiment_video.frame(3)
-        assert frame.truth["happiness"] == sentiment_video.true_happiness(3)
+        assert frame.truth["happiness"] == sentiment_video.happiness[3]
 
     def test_pixels_predict_happiness(self, sentiment_video):
         idx = np.arange(0, len(sentiment_video), 4)
