@@ -131,7 +131,6 @@ class ResultStore:
             for key, value in updates.items():
                 setattr(entry, key, value)
             self._finished[result_id] = None
-            self._finished.move_to_end(result_id)
 
     def complete(self, result_id: str, report: QueryReport) -> None:
         """Record a finished query (captures the canonical bytes)."""
