@@ -102,12 +102,12 @@ def _open_sessions(service, workload, frames):
     ]
 
 
-def _physical_seconds(service):
+def _physical_seconds(service, futures):
     """Simulated seconds the run physically paid: builds (including
     every LRU-thrash rebuild) plus cache-missing confirmations."""
     stats = service.stats()
     confirm_seconds = 0.0
-    for outcome in service.outcomes():
+    for outcome in (future.outcome() for future in futures):
         per_call = (
             outcome.phase2_cost.seconds("oracle_confirm")
             / max(outcome.phase2_cost.units("oracle_confirm"), 1.0))
@@ -133,7 +133,7 @@ def _run_service(workload, frames, *, planned):
             futures = [
                 service.submit(query, tenant="bench") for query in queries]
         reports = service.gather(futures, timeout=600)
-        physical, stats = _physical_seconds(service)
+        physical, stats = _physical_seconds(service, futures)
     return reports, physical, stats, plan
 
 

@@ -85,10 +85,9 @@ def _run(workload, frames, *, tracer, use_processes):
             for seed, k, thres, window in workload
         ]
         reports = svc.gather(futures, timeout=600)
-        outcomes = sorted(svc.outcomes(), key=lambda o: o.seq)
     return (
         [report.to_json() for report in reports],
-        [_ledger_fingerprint(o.phase2_cost) for o in outcomes],
+        [_ledger_fingerprint(f.outcome().phase2_cost) for f in futures],
         tracer.traces(),
     )
 

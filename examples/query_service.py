@@ -14,6 +14,7 @@ Run:  PYTHONPATH=src python examples/query_service.py
 from __future__ import annotations
 
 from repro import EverestConfig, QueryService
+from repro.oracle import merge_cost_models
 
 #: (tenant, video, k, thres) — a small mixed burst.
 WORKLOAD = [
@@ -61,8 +62,14 @@ def main() -> None:
         print("fairness charges (oracle seconds):")
         for tenant, charge in sorted(service.tenant_charges().items()):
             print(f"  {tenant:9s} {charge:8.1f}s")
-        total = service.merged_cost().total_seconds()
-        print(f"service-level merged ledger: {total:,.0f}s simulated")
+        # One service-level ledger: each video's Phase 1 once, then
+        # every query's own Phase 2 in submission order.
+        merged = merge_cost_models([
+            *service.artifacts.phase1_ledgers(),
+            *(future.outcome().phase2_cost for _, _, future in futures),
+        ])
+        print(f"service-level merged ledger: "
+              f"{merged.total_seconds():,.0f}s simulated")
 
 
 if __name__ == "__main__":

@@ -104,7 +104,7 @@ class ArtifactStats:
     evictions: int = 0
     #: Simulated seconds paid across every build, *including* rebuilds
     #: of LRU-evicted keys — the physical Phase-1 spend, unlike the
-    #: dedup'd ledger archive ``merged_cost`` folds.
+    #: dedup'd ledger archive ``phase1_ledgers()`` returns.
     build_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, int]:
@@ -129,8 +129,8 @@ class SharedArtifacts:
         self._entries: "OrderedDict[ArtifactKey, Phase1Entry]" = \
             OrderedDict()
         # Ledger archive: one Phase-1 ledger per key ever built or
-        # warm-loaded, immune to LRU eviction (ledgers are tiny, and
-        # merged_cost must keep charging evicted keys' builds). A
+        # warm-loaded, immune to LRU eviction (ledgers are tiny, and a
+        # service-level fold must keep charging evicted keys' builds). A
         # rebuild after eviction overwrites with bit-identical charges.
         self._ledgers: Dict[ArtifactKey, CostModel] = {}
         self._building: Dict[ArtifactKey, _Build] = {}

@@ -60,6 +60,8 @@ class QueryFuture(Future):
         self.tenant = tenant
         #: The request's trace id, when the service traces it.
         self.trace_id: Optional[str] = None
+        #: What :meth:`outcome` returns, set before the future resolves.
+        self._detail = None
 
     def cancel(self) -> bool:
         """Never cancels: a queued job cannot be withdrawn, and it
@@ -73,6 +75,13 @@ class QueryFuture(Future):
     def exception(self, timeout: Optional[float] = None):
         self._wait(timeout)
         return super().exception()
+
+    def outcome(self, timeout: Optional[float] = None):
+        """The job's :attr:`JobOutcome.detail` — a service query's
+        :class:`~repro.service.service.QueryOutcome` — blocking and
+        re-raising like :meth:`result`; a done-callback can read it."""
+        self.result(timeout)
+        return self._detail
 
     def _wait(self, timeout: Optional[float]) -> None:
         # The builtin TimeoutError: before Python 3.11 the standard
@@ -101,12 +110,14 @@ class JobOutcome:
     """What ``run_batch`` reports per job, aligned with its input.
 
     ``charge`` is the oracle cost (simulated seconds) this job added
-    to its tenant's fairness account.
+    to its tenant's fairness account; ``detail`` is what the job's
+    :meth:`QueryFuture.outcome` returns.
     """
 
     value: object = None
     error: Optional[BaseException] = None
     charge: float = 0.0
+    detail: object = None
 
 
 #: The service-supplied executor: payloads in, aligned outcomes out.
@@ -213,18 +224,21 @@ class FairScheduler:
         batch_key: object = None,
     ) -> QueryFuture:
         """Queue a payload; returns its future. May raise AdmissionError."""
-        return self.submit_all([(payload, batch_key)], tenant=tenant)[0]
+        return self.submit_all(
+            [(payload, batch_key, next(self._seq))], tenant=tenant)[0]
 
     def submit_all(
         self,
-        items: Sequence[Tuple[object, object]],
+        items: Sequence[Tuple[object, object, int]],
         *,
         tenant: str = "default",
     ) -> List[QueryFuture]:
-        """Queue ``(payload, batch_key)`` pairs whole or not at all.
+        """Queue ``(payload, batch_key, seq)`` items whole or not at all.
 
-        One lock acquisition admits every pair, adjacent and in order,
-        or refuses them all: on a refusal nothing is queued and one
+        ``seq`` is the caller's number for the job: its future carries
+        it, and it breaks fairness ties between tenants. One lock
+        acquisition admits every item, adjacent and in order, or
+        refuses them all: on a refusal nothing is queued and one
         rejection is counted, so a caller never holds half a plan.
         """
         with self._lock:
@@ -242,8 +256,8 @@ class FairScheduler:
             queue = self._queues.setdefault(tenant, deque())
             self._charged.setdefault(tenant, 0.0)
             futures = []
-            for payload, batch_key in items:
-                future = QueryFuture(next(self._seq), tenant)
+            for payload, batch_key, seq in items:
+                future = QueryFuture(seq, tenant)
                 queue.append(Job(
                     seq=future.seq, tenant=tenant,
                     batch_key=batch_key, payload=payload, future=future))
@@ -376,6 +390,7 @@ class FairScheduler:
         # done() == False and the gateway's add_done_callback result
         # capture miss its window.
         for job, outcome in zip(batch, outcomes):
+            job.future._detail = outcome.detail
             if outcome.error is not None:
                 job.future.set_exception(outcome.error)
             else:

@@ -28,7 +28,9 @@ Determinism contract: a report is always a pure function of its
 inputs, so service reports are **bit-identical** to plain serial
 ``Session`` execution — the differential harness certifies it. Ledger semantics
 are per query: each report's Phase 2 charges land in their own ledger,
-:meth:`merged_cost` adds each distinct Phase-1 ledger exactly once.
+which ``future.outcome()`` returns; one service-level ledger is the
+caller's fold of its futures' ledgers, in submission order, after
+:meth:`SharedArtifacts.phase1_ledgers`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import itertools
 import json
 import threading
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -47,7 +50,7 @@ from ..api.query import Query
 from ..api.session import Session, phase1_key
 from ..core.result import QueryReport
 from ..errors import QueryError, ServiceClosedError
-from ..oracle.cost import CostModel, merge_cost_models
+from ..oracle.cost import CostModel
 from ..parallel.pool import (
     PersistentPool,
     available_cpus,
@@ -58,6 +61,10 @@ from ..trace import Tracer, activate
 from .artifacts import SharedArtifacts, group_key
 from .backend import run_batch_in_pool, ship_spec
 from .scheduler import FairScheduler, JobOutcome, QueryFuture
+
+#: Completed outcomes :meth:`QueryService.outcomes` keeps, newest last
+#: (the tracer keeps as many finished traces).
+RECENT_OUTCOMES = 256
 
 
 def _metric(slot: int, name: str, help_text: str) -> Dict[str, object]:
@@ -178,7 +185,7 @@ class QueryOutcome:
     #: Physical (cache-miss) confirmations; equals the report's
     #: confirmation count only when no frame was cached yet.
     fresh_confirm_calls: int
-    #: Submission order (ties ledger merging to a canonical order).
+    #: Submission order: the query's future carries the same number.
     seq: int = 0
 
 
@@ -197,9 +204,9 @@ class _Job:
     target: object
     work: object
     tenant: str
-    #: Submission order (ties ledger merging to a canonical order);
-    #: ``None`` for a refresh pass, which is not a submission.
-    seq: Optional[int]
+    #: Submission order, numbered by :meth:`QueryService._enqueue`;
+    #: the job's future carries the same number.
+    seq: Optional[int] = None
     #: The job's :class:`~repro.trace.Trace` (None when tracing off).
     trace: object = None
 
@@ -270,7 +277,7 @@ class QueryService:
             None if self._lane(session) == "inline" else self._pool
         self._lock = threading.Lock()
         self._submit_seq = itertools.count()
-        self._outcomes: List[QueryOutcome] = []
+        self._outcomes = deque(maxlen=RECENT_OUTCOMES)
         #: What the pool holds for a session, dropped with the session:
         #: ``{phase1_key: _Remote}``. The service keeps no session alive
         #: — the artifact LRU bounds its memory, not its history.
@@ -381,7 +388,7 @@ class QueryService:
         stream.share_inference_cache(self.artifacts.block_cache(artifact))
 
         def dispatch(refresh):
-            job = _Job(target=stream, work=refresh, tenant=tenant, seq=None)
+            job = _Job(target=stream, work=refresh, tenant=tenant)
             attrs = dict(video=stream.video.name, udf=stream.scoring.name)
             (future,) = self._enqueue(
                 "stream_refresh", tenant, [(job, None, attrs)])
@@ -405,20 +412,22 @@ class QueryService:
     ) -> List[QueryFuture]:
         """Hand ``tenant``'s ``entries`` — ``(job, batch_key, trace
         attrs)`` triples — to the scheduler, whole or not at all, each
-        under a new ``name`` trace."""
+        numbered and under a new ``name`` trace."""
         tracer = self.tracer
         items, admissions = [], []
         for job, batch_key, attrs in entries:
             trace = tracer.begin(name, tenant=tenant, **attrs)
+            job = dataclasses.replace(
+                job, seq=next(self._submit_seq), trace=trace)
             admission = None
             if trace is not None:
-                job = dataclasses.replace(job, trace=trace)
                 admission = trace.start_span(
                     "admission", category="scheduler")
             items.append((job, batch_key))
             admissions.append(admission)
         try:
-            futures = self._scheduler.submit_all(items, tenant=tenant)
+            futures = self._scheduler.submit_all(
+                [(job, key, job.seq) for job, key in items], tenant=tenant)
         except BaseException as error:  # noqa: BLE001 - re-raised
             # The scheduler refused the lot (admission / closed).
             for job, _key in items:
@@ -516,9 +525,7 @@ class QueryService:
         # wires them in explicitly).
         if session.artifacts is None and not session.live:
             self.adopt_session(session)
-        job = _Job(
-            target=session, work=plan, tenant=tenant,
-            seq=next(self._submit_seq))
+        job = _Job(target=session, work=plan, tenant=tenant)
         attrs = dict(video=plan.video_name, udf=plan.udf_name,
                      k=plan.k, thres=plan.thres)
         return job, (session, phase1_key(plan.config)), attrs
@@ -537,9 +544,7 @@ class QueryService:
         for member in corpus.members:
             if not member.streaming and member.session.artifacts is None:
                 self.adopt_session(member.session)
-        job = _Job(
-            target=corpus, work=query, tenant=tenant,
-            seq=next(self._submit_seq))
+        job = _Job(target=corpus, work=query, tenant=tenant)
         attrs = dict(shards=len(corpus.members), udf=corpus.scoring.name)
         (future,) = self._enqueue("corpus_query", tenant, [(job, None, attrs)])
         return future
@@ -659,21 +664,24 @@ class QueryService:
         ]
 
     def _settle(self, job: _Job, span, result) -> JobOutcome:
-        """The one tail: outcome log, trace attributes, scheduler outcome.
+        """The one tail: query outcome, trace attributes, scheduler outcome.
 
         ``result`` is what the kind's execute function produced for
         this job: an exception (a plan that failed alone inside an
         inline batch; its trace is closed like a whole-batch failure's)
         or a detail carrying ``report``, ``phase2_cost`` and
-        ``fresh_confirm_calls``. A refresh pass has no ledger of its
-        own (``phase2_cost`` is None — its reports' ledgers stay with
-        the stream's subscriptions), so it logs no outcome and charges
-        its tenant the confirmations the pass physically paid.
+        ``fresh_confirm_calls``. The :class:`QueryOutcome` rides the
+        job's future; the service keeps only the last few. A refresh
+        pass has no ledger of its own (``phase2_cost`` is None — its
+        reports' ledgers stay with the stream's subscriptions), so it
+        has no outcome and charges its tenant the confirmations the
+        pass physically paid.
         """
         if isinstance(result, BaseException):
             return JobOutcome(error=result)
         cost, fresh = result.phase2_cost, result.fresh_confirm_calls
         attrs = {"fresh_confirm_calls": fresh}
+        outcome = None
         if cost is None:
             charge = fresh * job.target.resolved_unit_costs() \
                 .get("oracle_confirm", 0.0)
@@ -691,7 +699,7 @@ class QueryService:
                 self._outcomes.append(outcome)
         if span is not None:
             span.set(**attrs).finish()
-        return JobOutcome(value=result.report, charge=charge)
+        return JobOutcome(value=result.report, charge=charge, detail=outcome)
 
     def _execute_refresh(self, job: _Job, span, lane) -> ExecutionDetail:
         """One stream's refresh pass, on this thread (a stream is live,
@@ -792,28 +800,11 @@ class QueryService:
     # ------------------------------------------------------------------
     # Accounting and introspection
     # ------------------------------------------------------------------
-    def outcomes(self) -> List[QueryOutcome]:
-        """Completed query outcomes, in completion order."""
+    def outcomes(self) -> Sequence[QueryOutcome]:
+        """The last :data:`RECENT_OUTCOMES` completed query outcomes,
+        oldest first. A query's own outcome is ``future.outcome()``."""
         with self._lock:
             return list(self._outcomes)
-
-    def merged_cost(self) -> CostModel:
-        """One service-level ledger: Phase 1 once per key + every query.
-
-        Per-query Phase 2 ledgers merge key-wise and each distinct
-        Phase-1 ledger is added exactly once, however many queries (or
-        tenants) shared it. The merge order is canonical — Phase-1
-        ledgers by artifact digest, Phase-2 by submission order — so
-        the result is bit-identical run to run (float addition is not
-        associative) and comparable against a serial reference merged
-        the same way.
-        """
-        with self._lock:
-            phase2 = [
-                outcome.phase2_cost
-                for outcome in sorted(self._outcomes, key=lambda o: o.seq)
-            ]
-        return merge_cost_models([*self.artifacts.phase1_ledgers(), *phase2])
 
     def tenant_charges(self) -> Dict[str, float]:
         """Accumulated fairness charge per tenant (oracle seconds)."""

@@ -21,7 +21,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro.config import EverestConfig, Phase1Config
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
 from repro.models import extract_features, train_proxy_grid
-from repro.oracle import CostModel, Oracle, counting_udf
+from repro.oracle import CostModel, Oracle, counting_udf, merge_cost_models
 from repro.video import DashcamVideo, SentimentVideo, TrafficVideo
 
 
@@ -72,6 +72,22 @@ def trained_proxy(traffic_video):
         config=Phase1Config(cmdn_grid=((3, 16),), epochs=25),
     )
     return grid.proxy
+
+
+def served_cost(service, futures) -> CostModel:
+    """A service-level ledger over the queries behind ``futures``.
+
+    Each distinct Phase-1 ledger once, in digest order
+    (``service.artifacts.phase1_ledgers()``), then every query's own
+    Phase-2 ledger (``future.outcome().phase2_cost``) in submission
+    order: the canonical fold a serial reference is merged in too, so
+    the two compare bit for bit (float addition is not associative).
+    """
+    return merge_cost_models([
+        *service.artifacts.phase1_ledgers(),
+        *(future.outcome().phase2_cost
+          for future in sorted(futures, key=lambda future: future.seq)),
+    ])
 
 
 def make_relation(pmfs, certain=None, step=1.0, floor=0.0):

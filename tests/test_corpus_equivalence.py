@@ -288,7 +288,7 @@ def test_service_submitted_corpus_matches_inline(
                 for i in range(2)
             ]
             reports = service.gather(futures, timeout=240)
-            outcomes = service.outcomes()
+            outcomes = [future.outcome() for future in futures]
     finally:
         for member in corpus.members:
             member.session.bind_service(None, None)
@@ -323,8 +323,8 @@ def test_a_warm_service_corpus_query_creates_no_pool_task(
         with QueryService(workers=2, use_processes=True) as service:
             service.submit(query(2, 0.5)).result(240)  # Phase 1 warms here
             monkeypatch.setattr(PersistentPool, "_submit", spy)
-            report = service.submit(query(12, 0.99)).result(240)
-            fresh = service.outcomes()[-1].fresh_confirm_calls
+            outcome = service.submit(query(12, 0.99)).outcome(240)
+            report, fresh = outcome.report, outcome.fresh_confirm_calls
     finally:
         for member in corpus.members:
             member.session.bind_service(None, None)

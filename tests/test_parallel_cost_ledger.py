@@ -2,10 +2,10 @@
 
 Pin the two ledger invariants a sweep through `QueryService` relies on:
 
-* Per-query Phase 2 `CostModel` ledgers merge key-wise into one
-  service ledger (`QueryService.merged_cost`), and the shared Phase 1
-  ledger is counted exactly once no matter how many queries (or
-  workers) reused it.
+* Per-query Phase 2 `CostModel` ledgers, read from each query's
+  future, merge key-wise into one service ledger (`conftest.served_cost`),
+  and the shared Phase 1 ledger is counted exactly once no matter how
+  many queries (or workers) reused it.
 * `OracleBudgetExceededError` fires deterministically — same type,
   same budget, same message — on either lane of the service.
 """
@@ -13,6 +13,7 @@ Pin the two ledger invariants a sweep through `QueryService` relies on:
 from __future__ import annotations
 
 import pytest
+from conftest import served_cost
 
 from repro import EverestConfig, QueryService, Session
 from repro.errors import OracleBudgetExceededError
@@ -55,15 +56,12 @@ def test_sweep_ledger_merges_without_double_counting(workers):
         session.query().topk(k).guarantee(0.9).plan() for k in (3, 4, 5)
     ]
     with _service(workers) as service:
-        reports = service.gather(
-            [service.submit(plan, session=session) for plan in plans],
-            timeout=240)
-        phase2_costs = [
-            outcome.phase2_cost for outcome in
-            sorted(service.outcomes(), key=lambda outcome: outcome.seq)]
+        futures = [service.submit(plan, session=session) for plan in plans]
+        reports = service.gather(futures, timeout=240)
+        phase2_costs = [future.outcome().phase2_cost for future in futures]
         # One Phase 1 ledger despite three queries sharing it.
         assert len(service.artifacts.phase1_ledgers()) == 1
-        merged = service.merged_cost()
+        merged = served_cost(service, futures)
     assert len(phase2_costs) == len(plans)
 
     phase1 = session.phase1().cost_model

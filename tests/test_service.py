@@ -16,6 +16,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from conftest import served_cost
 
 from repro import (
     AdmissionError,
@@ -645,17 +646,23 @@ class TestQueryServiceSurface:
             corpus = VideoCorpus.open(
                 members, counting_udf("car"), config=comp_cfg)
             query = corpus.query().topk(4).guarantee(0.9)
+            failed = service.submit(query)
             with pytest.raises(ServiceError) as caught:
-                service.submit(query).result(WAIT)
+                failed.result(WAIT)
             assert isinstance(caught.value.__cause__, BrokenProcessPool)
             assert not (tmp_path / "fuse").exists()
             # Nothing recorded for the failed query: no outcome, and no
-            # Phase-2 ledger in the service-level merge.
+            # Phase-2 ledger for a service-level merge to fold.
             assert service.outcomes() == []
-            assert service.merged_cost().seconds("oracle_confirm") == 0.0
-            report = service.submit(query).result(WAIT)
+            with pytest.raises(ServiceError):
+                failed.outcome()
+            served = service.submit(query)
+            report = served.result(WAIT)
             assert service.stats()["failed"] == 1
-            assert len(service.outcomes()) == 1
+            assert service.outcomes() == [served.outcome()]
+            assert served_cost(service, [served]).seconds(
+                "oracle_confirm") == \
+                served.outcome().phase2_cost.seconds("oracle_confirm") > 0
         inline = VideoCorpus.open(
             videos(), counting_udf("car"), config=comp_cfg)
         assert report.to_json() == inline.query().topk(4).guarantee(0.9) \

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from conftest import served_cost
 from hypothesis import given, settings, strategies as st
 
 from repro import EverestConfig, QueryService, Session
@@ -79,7 +80,7 @@ def _reference_merged(sessions, phase2_costs):
     Float addition is not associative, so "identical merged ledgers"
     requires both sides to fold contributions identically: Phase-1
     ledgers sorted by artifact digest, per-query Phase-2 ledgers in
-    submission order (see ``QueryService.merged_cost``).
+    submission order (see ``conftest.served_cost``).
     """
     from repro.service.artifacts import artifact_digest, group_key
 
@@ -136,7 +137,7 @@ def test_random_workloads_service_equals_sessions(seed):
             for i, (name, k, thres, window) in enumerate(workload)
         ]
         reports = service.gather(futures, timeout=180)
-        service_merged = service.merged_cost()
+        service_merged = served_cost(service, futures)
 
     assert [r.to_json() for r in reports] == reference_reports
     assert _ledger_map(service_merged) == _ledger_map(reference_merged)
@@ -177,7 +178,7 @@ def test_mixed_workload_with_config_overrides(use_processes):
             service.submit(plan, session=svc_session) for plan in plans]
         reports = service.gather(futures, timeout=180)
         stats = service.stats()
-        service_merged = service.merged_cost()
+        service_merged = served_cost(service, futures)
 
     assert [r.to_json() for r in reports] == \
         [d.report.to_json() for d in reference]
@@ -209,7 +210,7 @@ def test_service_score_sharing_never_changes_ledgers():
         futures = [
             service.submit(plan, session=svc_session) for plan in plans]
         service.gather(futures, timeout=180)
-        outcomes = service.outcomes()
+    outcomes = [future.outcome() for future in futures]
 
     # Identical accounted confirmations per query...
     assert sorted(

@@ -548,9 +548,9 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
 
     with QueryService(workers=1, use_processes=False) as inline:
         twin = inline.open_session(video, udf, config=FAST)
-        for k in (3, 20):
-            inline.submit(_plan(twin, k), session=twin).result(WAIT)
-        expected = inline.outcomes()
+        expected = [
+            inline.submit(_plan(twin, k), session=twin).outcome(WAIT)
+            for k in (3, 20)]
 
     with QueryService(workers=1, use_processes=True) as service:
         session = service.open_session(video, udf, config=FAST)
@@ -563,19 +563,20 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
             return real_call(fn, *args)
 
         service._pool.call = spy
-        service.submit(_plan(session, 3), session=session).result(WAIT)
+        outcomes = [
+            service.submit(_plan(session, 3), session=session).outcome(WAIT)]
         first = len(session.shared_score_cache)
         fuse.touch()
         with pytest.raises(ServiceError):
             service.submit(_plan(session, 20), session=session).result(WAIT)
         assert not fuse.exists()
         cached = len(session.shared_score_cache)
-        service.submit(_plan(session, 20), session=session).result(WAIT)
+        outcomes.append(
+            service.submit(_plan(session, 20), session=session).outcome(WAIT))
         # The killed batch carried the first one's revelations; the
         # first batch after the restart carried the whole cache …
         assert sent == [0, first, cached] and cached > 0
         assert service._pool.restarts == 1
-        outcomes = service.outcomes()
     # … so it paid no physical confirmation for a frame the parent
     # already held: exactly what the inline lane pays for the plan.
     assert [o.report.to_json() for o in outcomes] == \

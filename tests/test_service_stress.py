@@ -161,8 +161,7 @@ def test_cross_session_same_content_shares_one_build(fast_cfg):
         assert service.stats()["builds"] == 1
         # And the score cache is shared: the second query's cleaning
         # work was (at least partly) physically free.
-        outcomes = service.outcomes()
-        assert len(outcomes) == 2
+        outcomes = [a.outcome(), b.outcome()]
         fresh = [outcome.fresh_confirm_calls for outcome in outcomes]
         confirmed = [
             int(outcome.phase2_cost.units("oracle_confirm"))

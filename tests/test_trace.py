@@ -64,10 +64,9 @@ def _run_service(tracer, *, use_processes: bool, seed: int = 11):
             for k in (3, 5, 7)
         ]
         reports = svc.gather(futures, timeout=120)
-        outcomes = sorted(svc.outcomes(), key=lambda o: o.seq)
     return (
         [report.to_json() for report in reports],
-        [_ledger_fingerprint(o.phase2_cost) for o in outcomes],
+        [_ledger_fingerprint(f.outcome().phase2_cost) for f in futures],
     )
 
 
