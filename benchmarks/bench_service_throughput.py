@@ -114,7 +114,7 @@ def test_service_throughput(benchmark=None):
         rows,
         title=f"Query service: mixed {queries}-query workload over "
               f"{len(VIDEO_SEEDS)} videos, {available_cpus()} usable "
-              f"CPUs, lane={'processes' if stats['use_processes'] else 'threads'}",
+              f"CPUs, lane={'processes' if stats.use_processes else 'threads'}",
     ))
 
     # Same answers, byte for byte.
@@ -122,8 +122,8 @@ def test_service_throughput(benchmark=None):
         [report.to_json() for report in shared]
 
     # Cross-query sharing did its job: one build per video.
-    assert stats["builds"] == len(VIDEO_SEEDS)
-    assert stats["completed"] == queries
+    assert stats.builds == len(VIDEO_SEEDS)
+    assert stats.completed == queries
 
     # With real parallel hardware the service must beat the
     # hand-amortized serial baseline (pure concurrency margin).
@@ -137,7 +137,7 @@ def test_service_throughput(benchmark=None):
         serial_shared_seconds=t_shared,
         service_seconds=t_service,
         speedup=speedup,
-        builds=stats["builds"],
+        builds=stats.builds,
         byte_identical=True,
     )
     if gated:

@@ -56,9 +56,9 @@ def main() -> None:
                   f"oracle calls charged")
 
         stats = service.stats()
-        print(f"\nPhase-1 builds: {stats['builds']} "
+        print(f"\nPhase-1 builds: {stats.builds} "
               f"(for {len(sessions)} videos, {len(WORKLOAD)} queries)")
-        print(f"shared score cache: {stats['cached_scores']} frames")
+        print(f"shared score cache: {stats.cached_scores} frames")
         print("fairness charges (oracle seconds):")
         for tenant, charge in sorted(service.tenant_charges().items()):
             print(f"  {tenant:9s} {charge:8.1f}s")

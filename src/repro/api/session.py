@@ -18,9 +18,8 @@ There is one session class; what it can do beyond answering queries
 is read off its video. Over a growing
 :class:`~repro.video.streaming.StreamingVideo` the session is **live**
 (DESIGN.md §7) — it maintains D0 incrementally under a training policy
-pinned to the bootstrap segment, so every live answer is comparable,
-bit-identically while drift auditing is off, to a batch run over the
-same frames:
+pinned to the bootstrap segment, so every live answer is bit-identical
+to a batch run over the same frames:
 
     stream = Session.open_stream(video, "count[car]", initial_frames=5_000)
     live = stream.query().topk(10).guarantee(0.9).subscribe()
@@ -53,7 +52,7 @@ from ..errors import CheckpointError, QueryError
 from ..oracle.base import ScoringFunction
 from ..oracle.cache import CachingOracle, ScoreCache
 from ..oracle.cost import CostModel
-from ..core.phase1 import Phase1Entry, run_phase1
+from ..core.phase1 import Phase1Entry, Phase1Maintainer, run_phase1
 from ..trace import span as trace_span
 from ..video.streaming import Segment, StreamingVideo
 from ..video.synthetic import SyntheticVideo
@@ -145,10 +144,6 @@ class AppendResult:
     watermark: int
     #: One refreshed report per live subscription, in subscribe order.
     reports: List["QueryReport"] = field(default_factory=list)
-    #: Drift statistic after auditing (None while unknown / disabled).
-    drift: Optional[float] = None
-    retrained: bool = False
-    audited: int = 0
     #: Physical (cache-miss) work this append actually paid.
     fresh_label_calls: int = 0
     fresh_confirm_calls: int = 0
@@ -174,9 +169,6 @@ class AppendResult:
             },
             "watermark": self.watermark,
             "reports": [report.to_json() for report in self.reports],
-            "drift": self.drift,
-            "retrained": self.retrained,
-            "audited": self.audited,
             "fresh_label_calls": self.fresh_label_calls,
             "fresh_confirm_calls": self.fresh_confirm_calls,
             "fresh_inferred_frames": self.fresh_inferred_frames,
@@ -220,9 +212,9 @@ class ExpiryResult:
 class Session:
     """An opened (video, scoring function) pair that serves queries.
 
-    ``streaming`` (a ``StreamingConfig``), ``autosave_path`` and
-    ``score_cache`` configure a live session; a closed video refuses
-    them.
+    ``streaming`` (a ``StreamingConfig``: the history bound),
+    ``autosave_path`` and ``score_cache`` configure a live session; a
+    closed video refuses them.
     """
 
     def __init__(
@@ -296,7 +288,7 @@ class Session:
         # ``score_cache`` lets the service layer promote it to service
         # scope (shared with batch queries over the same footage).
         self._stats = live.StreamingStats()
-        self._incremental = live.IncrementalPhase1(
+        self._maintainer = Phase1Maintainer(
             video,
             CachingOracle(
                 scoring,
@@ -304,7 +296,7 @@ class Session:
                 cache=self.shared_score_cache,
                 cost_key="oracle_label",
             ),
-            self.config, self._unit_costs, self.streaming, self._stats)
+            self.config, self._unit_costs, self._stats)
         #: Where the maintained entry lives in the Phase-1 cache.
         self._key = phase1_key(self.config)
 
@@ -352,7 +344,7 @@ class Session:
         ready :class:`~repro.video.streaming.StreamingVideo`.
         ``streaming`` takes a
         :class:`~repro.streaming.phase1_incremental.StreamingConfig`
-        (drift auditing / warm-retraining knobs). On the returned
+        (the bound on delivered-event history). On the returned
         session ``append(n)`` reveals frames,
         ``query()...subscribe()`` yields a report per append, and
         ``checkpoint(path)`` persists the Phase-1 artifacts.
@@ -442,7 +434,7 @@ class Session:
         if entry is not None:
             return entry
         if self.live:
-            entry = self._incremental.bootstrap()
+            entry = self._maintainer.bootstrap()
         else:
             config = config if config is not None else self.config
             with trace_span("phase1", category="phase1") as p1_span:
@@ -574,18 +566,8 @@ class Session:
         closed — executors count cache misses here only if it exists."""
         if self._stats is not None:
             self._stats.fresh_label_calls = \
-                self._incremental.label_oracle.fresh_calls
+                self._maintainer.label_oracle.fresh_calls
         return self._stats
-
-    @property
-    def diverged(self) -> bool:
-        """True once auditing/retraining broke batch-ledger equality."""
-        return self._incremental.diverged
-
-    @property
-    def drift(self) -> Optional[float]:
-        tracker = self._incremental.drift_tracker
-        return tracker.drift if tracker is not None else None
 
     @property
     def append_log(self) -> List[AppendResult]:
@@ -599,7 +581,7 @@ class Session:
         """Reveal ``num_frames`` more source frames and re-certify.
 
         Folds the arrivals into the Phase-1 state (diff, inference,
-        relation; drift audit and possible warm retrain when enabled),
+        relation — what a batch run over the new prefix builds),
         refreshes every subscription, and returns the
         :class:`AppendResult` — including the physical cache-miss work
         this append paid, as opposed to the batch-equivalent charges
@@ -610,19 +592,16 @@ class Session:
         started = time.perf_counter()
         before = self.stats.snapshot()
         segment = self.video.append(num_frames)
-        entry, outcome = self._incremental.advance(segment)
-        self._phase1_cache[self._key] = entry
+        self._maintainer.scan_arrivals()
+        self._phase1_cache[self._key] = self._maintainer.rebuild_entry()
         self._stats.appends += 1
         return self._finish_event(
             started, before, self._append_log,
             AppendResult(
                 segment=segment,
                 watermark=self.watermark,
-                drift=outcome.drift,
-                retrained=outcome.retrained,
-                audited=outcome.audited,
                 fresh_label_calls=(
-                    self._incremental.label_oracle.fresh_calls
+                    self._maintainer.label_oracle.fresh_calls
                     - before["fresh_label_calls"]),
             ))
 
@@ -643,7 +622,7 @@ class Session:
                 horizon=self.video.horizon) as expiry_span:
             horizon = self.video.tick(frames)
             self._phase1_cache[self._key] = \
-                self._incremental.rebuild_entry()
+                self._maintainer.rebuild_entry()
             if expiry_span is not None:
                 expiry_span.set(
                     window_lo=self.video.window_lo,
@@ -740,11 +719,11 @@ class Session:
         """Adopt a service-scope block-inference cache (DESIGN.md §8).
 
         Proxy mixtures already inferred by sibling sessions over the
-        same artifact become free here (and vice versa). No-op once
-        this session has warm-retrained — its proxy is private then.
+        same artifact become free here (and vice versa). No-op on a
+        sliding window, whose evictions must stay its own.
         """
         self._require_live("share_inference_cache()")
-        self._incremental.adopt_inference_cache(shared)
+        self._maintainer.adopt_inference_cache(shared)
 
     def subscribe(self, query):
         """Register a query for per-event maintenance.
@@ -803,18 +782,20 @@ class Session:
         Subscriptions are not persisted (they close over live session
         objects); re-subscribe after :meth:`resume`. Everything else —
         watermark, horizon, CMDN weights, diff arrays, inference
-        blocks, score cache, ledgers, drift state — round-trips, so
+        blocks, score cache, ledgers, history bound — round-trips, so
         the resumed session re-serves its watermark with zero Phase-1
         oracle calls.
         """
         self._require_live("checkpoint()")
         self.phase1()
         # The maintainer carries the video, UDF, configurations, score
-        # cache and stats by reference; only the logs sit beside it.
+        # cache and stats by reference; the history bound and the logs
+        # sit beside it.
         _streaming().write_checkpoint(
             path,
             {
-                "incremental": self._incremental,
+                "maintainer": self._maintainer,
+                "streaming": self.streaming,
                 "autosave_path": self.autosave_path,
                 "append_log": self._append_log,
                 "expiry_log": self._expiry_log,
@@ -824,7 +805,6 @@ class Session:
                 "udf_name": self.scoring.name,
                 "watermark": self.watermark,
                 "segments": len(self.video.segments),
-                "diverged": self.diverged,
             },
         )
 
@@ -841,7 +821,7 @@ class Session:
         """
         state, _manifest = _streaming().read_checkpoint(path)
         try:
-            restored = state["incremental"]
+            restored = state["maintainer"]
             # Everything is read off the restored maintainer, so the
             # session is rewired to it by reference: the pickle graph
             # preserved that its label oracle shares the score cache.
@@ -850,7 +830,7 @@ class Session:
                 restored.scoring,
                 config=restored.config,
                 unit_costs=restored.unit_costs,
-                streaming=restored.streaming,
+                streaming=state["streaming"],
                 autosave_path=state["autosave_path"],
                 score_cache=restored.label_oracle.cache,
             )
@@ -859,9 +839,8 @@ class Session:
         except KeyError as error:  # pragma: no cover - corrupt state
             raise CheckpointError(
                 f"checkpoint state is missing field {error}") from error
-        session._incremental, session._stats = restored, restored.stats
-        session._phase1_cache[session._key] = \
-            session._incremental.rebuild_entry()
+        session._maintainer, session._stats = restored, restored.stats
+        session._phase1_cache[session._key] = restored.rebuild_entry()
         return session
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -580,15 +580,25 @@ class Phase1Maintainer:
         self.diff = IncrementalDiff(config.diff)
         self.blocks = BlockInferenceCache()
         self.known_scores: Dict[int, float] = {}
-        #: Work beyond the batch sequence (drift audits, retrains),
-        #: aggregated per ledger key and charged after the replay.
-        self.extra_charges: Dict[str, float] = {}
         self.grid_result: Optional[GridResult] = None
         self.proxy: Optional[ProxyScorer] = None
         self.train_idx = np.zeros(0, dtype=np.int64)
         self.holdout_idx = np.zeros(0, dtype=np.int64)
-        self._train_scores = np.zeros(0)
-        self._holdout_scores = np.zeros(0)
+
+    def adopt_inference_cache(self, shared: BlockInferenceCache) -> None:
+        """Share proxy-inference blocks with sibling sessions.
+
+        The service layer keys shared caches by the full artifact
+        (video content, UDF, *and* phase1 configuration), under which
+        bootstrap proxies are bit-identical, and no proxy changes after
+        bootstrap — so cached mixtures are interchangeable. Refused by a
+        sliding-window video only: its evictions must stay invisible to
+        full-prefix siblings.
+        """
+        if shared is self.blocks or is_sliding(self.video):
+            return
+        shared.merge(self.blocks)
+        self.blocks = shared
 
     def bootstrap(self, cost_model: Optional[CostModel] = None) -> Phase1Entry:
         """Phase 1 from scratch over the frames that have arrived."""
@@ -619,8 +629,6 @@ class Phase1Maintainer:
         for idx, score in zip(holdout_idx, holdout_scores):
             self.known_scores[int(idx)] = float(score)
         self.train_idx, self.holdout_idx = train_idx, holdout_idx
-        self._train_scores = np.asarray(train_scores, dtype=np.float64)
-        self._holdout_scores = np.asarray(holdout_scores, dtype=np.float64)
 
         # 2. Render and featurize the sample once, by frame id; train
         # the (g, h) grid on those rows; select by holdout NLL.
@@ -735,8 +743,6 @@ class Phase1Maintainer:
             num_frames=len(self.video),
             num_retained=int(retained.size),
         )
-        for key in sorted(self.extra_charges):
-            cost_model.charge(key, self.extra_charges[key])
         result = Phase1Result(
             relation=relation,
             proxy=self.proxy,

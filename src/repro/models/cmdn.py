@@ -137,9 +137,6 @@ class ProxyScorer:
         (perfbench's tracer wraps the classes' own attributes)."""
         raise NotImplementedError
 
-    def holdout_nll(self, pixels: np.ndarray, scores: np.ndarray) -> float:
-        return mean_nll(self.predict_mixtures(pixels), scores)
-
 
 class ConvMDNProxy(ProxyScorer):
     """Paper-faithful convolutional MDN proxy."""

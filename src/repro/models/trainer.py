@@ -27,8 +27,7 @@ from .cmdn import ConvMDNProxy, FeatureMDNProxy, ProxyScorer, mean_nll
 from .mdn import QUIET
 from .optim import Adam
 
-#: Mini-batch size of every proxy fit (Phase 1's grid and a stream's
-#: warm retrain).
+#: Mini-batch size of every proxy fit.
 TRAIN_BATCH_SIZE = 64
 #: Adam learning rate of every proxy fit.
 LEARNING_RATE = 2e-3

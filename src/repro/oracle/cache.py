@@ -1,8 +1,8 @@
 """Shared memoization of revealed exact scores.
 
 Oracle answers are immutable facts about frames: once a frame's exact
-score has been revealed — as a Phase-1 label, a Phase-2 confirmation,
-or a drift audit — revealing it again costs nothing but latency.
+score has been revealed — as a Phase-1 label or a Phase-2
+confirmation — revealing it again costs nothing but latency.
 :class:`ScoreCache` memoizes those revelations and
 :class:`CachingOracle` is an :class:`~repro.oracle.base.Oracle` that
 consults the cache before paying for a physical UDF invocation, while
@@ -12,8 +12,8 @@ bit-identical to uncached runs; only the *physical* work shrinks.
 
 Every session confirms through one: a plain session through its own,
 so a repeated or overlapping query re-scores nothing it already
-confirmed; a stream through the cache its label oracle, drift auditor
-and subscriptions share. The query service promotes it to service
+confirmed; a stream through the cache its label oracle and
+subscriptions share. The query service promotes it to service
 scope: one cache per (video, UDF) artifact group, shared by every
 concurrent query over that group, so one query's cleaned tuples
 become every later query's warm start (DESIGN.md §8). A revealed

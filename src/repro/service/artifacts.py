@@ -311,8 +311,10 @@ class SharedArtifacts:
         Keyed by the full artifact (group *and* phase1 key): cached
         mixtures embed the trained proxy's outputs, and only sessions
         under the same training configuration hold bit-identical
-        proxies. A session that warm-retrains after drift must detach
-        (it does — see ``IncrementalPhase1._warm_retrain``).
+        proxies. A live session's proxy never changes after bootstrap,
+        so every such session can share the cache; only a sliding
+        window keeps its own (see
+        :meth:`~repro.core.phase1.Phase1Maintainer.adopt_inference_cache`).
         """
         from ..core.phase1 import BlockInferenceCache
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import threading
 import weakref
 from collections import deque
@@ -89,8 +88,7 @@ class ServiceStats:
     the gateway (DESIGN.md §10): scheduler throughput counters
     (including per-tenant admission rejections, keyed by the
     :class:`~repro.errors.AdmissionError` reason code), shared-artifact
-    cache effectiveness, and per-tenant fairness charges. Mapping-style
-    ``stats["builds"]`` access is kept for existing callers.
+    cache effectiveness, and per-tenant fairness charges.
     """
 
     submitted: int = field(default=0, metadata=_metric(
@@ -156,23 +154,6 @@ class ServiceStats:
     def as_dict(self) -> Dict[str, object]:
         """A JSON-safe dict (nested tenant maps copied)."""
         return dataclasses.asdict(self)
-
-    def to_json(self, **dumps_kwargs) -> str:
-        """Serialize the snapshot to a JSON string."""
-        return json.dumps(self.as_dict(), **dumps_kwargs)
-
-    # -- mapping-style compatibility -----------------------------------
-    def __getitem__(self, key: str):
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and hasattr(self, key)
-
-    def get(self, key: str, default=None):
-        return getattr(self, key, default)
 
 
 @dataclass
@@ -823,9 +804,9 @@ class QueryService:
     def stats(self) -> ServiceStats:
         """A typed snapshot of service health counters.
 
-        Returns a :class:`ServiceStats` (``to_json()``-able, with
-        per-tenant admission-rejection counters); mapping-style access
-        keeps working for callers written against the old dict.
+        Returns a :class:`ServiceStats`, with per-tenant
+        admission-rejection counters; ``as_dict()`` is its JSON-safe
+        form.
         """
         with self._lock:
             planned = self._planned

@@ -7,10 +7,10 @@ This package turns the engine from "query a finished video" into
   ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
   ``checkpoint`` / ``resume`` (``StreamingSession`` is an alias of the
   one session class);
-* :mod:`~repro.streaming.phase1_incremental` — the Phase-1 maintainer
-  (:mod:`repro.core.phase1`: incremental difference detection,
-  block-cached proxy inference) under appends, plus drift auditing and
-  warm retraining;
+* :mod:`~repro.streaming.phase1_incremental` — the live session's
+  history bound and physical-work counters (the Phase-1 maintainer
+  itself, incremental difference detection and block-cached proxy
+  inference, is :mod:`repro.core.phase1`'s);
 * :mod:`~repro.streaming.live_topk` — per-query
   :class:`~repro.streaming.live_topk.LiveTopK` maintainers;
 * :mod:`~repro.streaming.store` — the persistent Phase-1 artifact
@@ -19,12 +19,7 @@ This package turns the engine from "query a finished video" into
 
 from ..core.phase1 import INFER_BLOCK, BlockInferenceCache, IncrementalDiff
 from .live_topk import CachingOracle, LiveTopK, ScoreCache
-from .phase1_incremental import (
-    DriftTracker,
-    IncrementalPhase1,
-    StreamingConfig,
-    StreamingStats,
-)
+from .phase1_incremental import StreamingConfig, StreamingStats
 from .session import AppendResult, StreamingSession
 from .store import (
     FORMAT_VERSION,
@@ -36,11 +31,9 @@ __all__ = [
     "AppendResult",
     "BlockInferenceCache",
     "CachingOracle",
-    "DriftTracker",
     "FORMAT_VERSION",
     "INFER_BLOCK",
     "IncrementalDiff",
-    "IncrementalPhase1",
     "LiveTopK",
     "ScoreCache",
     "StreamingConfig",

@@ -3,9 +3,9 @@
 The cleaning loop (:class:`~repro.core.cleaner.TopKCleaner`) is a
 deterministic function of the uncertain relation and the oracle's
 answers. Oracle answers are immutable facts about frames — once a
-frame's exact score has been revealed (as a Phase-1 label, a Phase-2
-confirmation, or a drift audit), revealing it again costs nothing but
-latency. :class:`LiveTopK` exploits exactly that: after every append
+frame's exact score has been revealed (as a Phase-1 label or a
+Phase-2 confirmation), revealing it again costs nothing but latency.
+:class:`LiveTopK` exploits exactly that: after every append
 it re-certifies its query against the refreshed relation, but the
 confirming oracle is backed by the session-wide :class:`ScoreCache`,
 so only frames whose top-k membership *could* have changed — the new

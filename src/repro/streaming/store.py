@@ -2,13 +2,12 @@
 
 A checkpoint is a directory holding:
 
-* ``state-<sha12>.pkl`` — the pickled session state: the streaming
-  video view (source + watermark + segments + window and horizon),
-  the scoring function,
-  configurations, the incremental Phase-1 maintainer (trained CMDN
-  weights, diff arrays, block inference cache, known scores, ledger
-  replay inputs, drift state), the revealed-score cache, and the
-  physical-work counters;
+* ``state-<sha12>.pkl`` — the pickled session state: the Phase-1
+  maintainer (the streaming video view — source, watermark, segments,
+  window and horizon — the scoring function, configurations, trained
+  CMDN weights, diff arrays, block inference cache, known scores,
+  ledger replay inputs, the revealed-score cache and the physical-work
+  counters), the history bound and the delivered-event logs;
 * ``manifest.json`` — human-readable metadata naming the state file
   and carrying its SHA-256, the format version, and identity fields
   (video, UDF, watermark) for inspection without unpickling.
@@ -37,8 +36,10 @@ from ..errors import CheckpointError
 #: runs before unpickling, so an old checkpoint is refused cleanly
 #: instead of failing inside ``pickle``. (2: one Phase-1 maintainer and
 #: block cache, in ``repro.core.phase1``. 3: one session class and one
-#: live view — a version-2 ``StreamingVideo`` lacks the window fields.)
-FORMAT_VERSION = 3
+#: live view — a version-2 ``StreamingVideo`` lacks the window fields.
+#: 4: the live session keeps a plain ``Phase1Maintainer``, its history
+#: bound beside it, and no drift or retrain state.)
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 
@@ -126,12 +127,22 @@ def read_checkpoint(path) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         raise CheckpointError(
             f"unreadable checkpoint manifest {manifest_path}: {error}"
         ) from error
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"checkpoint manifest {manifest_path} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format {version!r} unsupported "
             f"(this library writes {FORMAT_VERSION})")
-    state_path = directory / str(manifest.get("state_file", ""))
+    # The one name write_checkpoint gives a blob: anything else (a path
+    # reaching outside the directory, say) is refused before it is read.
+    state_name = manifest.get("state_file")
+    if state_name != f"state-{str(manifest.get('sha256'))[:12]}.pkl":
+        raise CheckpointError(
+            f"checkpoint manifest names state file {state_name!r}, not "
+            f"the one its checksum implies")
+    state_path = directory / state_name
     if not state_path.is_file():
         raise CheckpointError(
             f"checkpoint state file missing: {state_path}")

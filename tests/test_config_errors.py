@@ -17,8 +17,7 @@ from repro.core.windows import WINDOW_SAMPLE_FRACTION
 from repro.gateway.http import GatewayServer
 from repro.gateway.metrics import GatewayMetrics
 from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
-from repro.streaming.phase1_incremental import (
-    AUDIT_WINDOW, MAX_AUDIT_PER_APPEND, StreamingConfig)
+from repro.streaming.phase1_incremental import StreamingConfig
 from repro.trace import Tracer
 
 
@@ -92,6 +91,9 @@ class TestPhase1Config:
         (StreamingConfig, "retrain_epochs"),
         (StreamingConfig, "audit_window"),
         (StreamingConfig, "max_audit_per_append"),
+        (StreamingConfig, "audit_fraction"),
+        (StreamingConfig, "drift_threshold"),
+        (StreamingConfig, "min_audit_for_drift"),
         (Tracer, "jsonl_max_bytes"),
         (Tracer, "jsonl_backups"),
         (GatewayMetrics, "max_latency_samples"),
@@ -99,7 +101,8 @@ class TestPhase1Config:
     ])
     def test_removed_setting_is_refused(self, make, keyword):
         """The settable values that only ever held one value are
-        constants now: naming one is a construction-time TypeError."""
+        constants now, and drift auditing's are gone with it: naming
+        one is a construction-time TypeError."""
         with pytest.raises(TypeError, match=keyword):
             make(**{keyword: 1})
 
@@ -137,4 +140,3 @@ class TestOtherConfigs:
         assert TRUNCATE_SIGMAS == 3.0
         assert MAX_TRAIN_SAMPLES == 30_000  # paper Section 3.5
         assert (TRAIN_BATCH_SIZE, LEARNING_RATE) == (64, 2e-3)
-        assert (AUDIT_WINDOW, MAX_AUDIT_PER_APPEND) == (256, 64)

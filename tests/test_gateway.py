@@ -577,14 +577,13 @@ class TestGatewayFlows:
 
     def test_stats_to_json_round_trips(self, gateway):
         stats = gateway.service.stats()
-        decoded = json.loads(stats.to_json())
+        decoded = json.loads(json.dumps(stats.as_dict()))
         assert decoded["submitted"] == stats.submitted
         assert decoded["rejections"] == stats.rejections
         assert decoded["phase1_hit_rate"] == stats.phase1_hit_rate
-        # Mapping-style compatibility for pre-dataclass callers.
-        assert stats["submitted"] == stats.submitted
-        assert "builds" in stats
-        assert stats.get("nonsense", 42) == 42
+        # One access path: attributes (as_dict() for the wire).
+        with pytest.raises(TypeError):
+            stats["submitted"]
 
 
 def test_two_fresh_gateways_serve_byte_identical_stream_events():

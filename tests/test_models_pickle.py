@@ -21,7 +21,6 @@ from repro.config import Phase1Config
 from repro.models import Adam, build_conv_mdn, build_feature_mdn
 from repro.oracle import counting_udf
 from repro.parallel.pool import PersistentPool, Shipped
-from repro.streaming import StreamingConfig
 from repro.video import TrafficVideo
 
 WAIT = 60
@@ -74,27 +73,24 @@ def test_pickle_does_not_carry_the_parameters_twice():
 
 
 # ----------------------------------------------------------------------
-# Through the §7 store: checkpoint, resume, warm retrain.
+# Through the §7 store: checkpoint, resume, append.
 
 STREAM_CONFIG = EverestConfig(phase1=Phase1Config(
     sample_fraction=0.05, min_train_samples=96, holdout_samples=48,
     cmdn_grid=((3, 12),), epochs=15))
-#: Every append audits, and a threshold of -100 always trips.
-ALWAYS_DRIFTING = StreamingConfig(
-    audit_fraction=0.4, drift_threshold=-100.0, min_audit_for_drift=8)
 
 
 def _open_stream():
     return Session.open_stream(
         TrafficVideo("pickle-stream", 480, seed=17), counting_udf("car"),
-        initial_frames=240, config=STREAM_CONFIG, streaming=ALWAYS_DRIFTING)
+        initial_frames=240, config=STREAM_CONFIG)
 
 
 def _live(stream):
     return stream.query().topk(5).guarantee(0.85).subscribe()
 
 
-def test_resumed_stream_warm_retrains_like_its_twin(tmp_path):
+def test_resumed_stream_appends_like_its_twin(tmp_path):
     twin, checkpointed = _open_stream(), _open_stream()
     checkpointed.checkpoint(tmp_path / "ckpt")
     resumed = Session.resume(tmp_path / "ckpt")
@@ -102,12 +98,15 @@ def test_resumed_stream_warm_retrains_like_its_twin(tmp_path):
     before = _layer_bytes(resumed.phase1().result.proxy.network)
     assert before == _layer_bytes(twin.phase1().result.proxy.network)
 
-    outcomes = [stream.append(120) for stream in (twin, resumed)]
-    assert all(outcome.retrained for outcome in outcomes)
+    for stream in (twin, resumed):
+        stream.append(120)
+    # The proxy is the bootstrap's for the life of the stream.
     after = _layer_bytes(resumed.phase1().result.proxy.network)
-    assert after != before, "the resumed proxy did not learn"
+    assert after == before
     assert after == _layer_bytes(twin.phase1().result.proxy.network)
     assert live_resumed.latest.to_json() == live_twin.latest.to_json()
+    assert resumed.phase1().cost_model.breakdown() == \
+        twin.phase1().cost_model.breakdown()
     assert resumed.phase1().cost_model.total_seconds() == \
         twin.phase1().cost_model.total_seconds()
 

@@ -74,7 +74,7 @@ def test_a_stream_refuses_at_its_bootstrap():
         stream.phase1()
     with pytest.raises(ConfigurationError):
         _query(stream).run()
-    assert stream._incremental.label_oracle.calls == 0
+    assert stream._maintainer.label_oracle.calls == 0
     # The same video from a segment long enough — or under a config
     # whose sample fits — bootstraps.
     for frames, config in ((700, DEFAULT), (300, FAST)):

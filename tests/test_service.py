@@ -438,7 +438,7 @@ class TestQueryServiceSurface:
             # Bypassing submit() entirely still goes single-flight.
             a = one.query().topk(3).guarantee(0.9).run()
             b = two.query().topk(3).guarantee(0.9).run()
-            assert service.stats()["builds"] == 1
+            assert service.stats().builds == 1
             assert a.answer_ids == b.answer_ids
 
     def test_attach_stream_requires_streaming_session(self, comp_cfg):
@@ -464,7 +464,7 @@ class TestQueryServiceSurface:
             assert len(result.reports) == 1
             assert live.latest.to_json() == plain_live.latest.to_json()
             assert service.tenant_charges().get("live", 0.0) >= 0.0
-            assert service.stats()["completed"] >= 1
+            assert service.stats().completed >= 1
         # Detached on close: further appends run inline, no scheduler.
         assert stream.refresh_dispatcher is None
         stream.append(100)
@@ -584,11 +584,11 @@ class TestQueryServiceSurface:
             assert not (tmp_path / "fuse").exists()
             # The failed batch recorded no Phase-2 ledger.
             assert service.outcomes() == []
-            builds = service.stats()["builds"]
+            builds = service.stats().builds
             # The same plan again: a fresh pool, the same artifact.
             report = service.submit(plan, session=session).result(WAIT)
-            assert service.stats()["builds"] == builds == 1
-            assert service.stats()["failed"] == 1
+            assert service.stats().builds == builds == 1
+            assert service.stats().failed == 1
             assert len(service.outcomes()) == 1
         inline = Session(video, counting_udf("car"), config=comp_cfg)
         assert report.to_json() == inline.execute(plan).to_json()
@@ -613,15 +613,15 @@ class TestQueryServiceSurface:
             # that died, and its key is buildable again.
             assert service.outcomes() == []
             stats = service.stats()
-            assert (stats["builds"], stats["resident_entries"],
-                    stats["warm_writes"]) == (0, 0, 0)
+            assert (stats.builds, stats.resident_entries,
+                    stats.warm_writes) == (0, 0, 0)
             assert not warm.exists()
             assert not session.phase1_cached(plan.config)
             # The same plan again: a fresh pool builds and answers.
             report = service.submit(plan, session=session).result(WAIT)
             stats = service.stats()
-            assert (stats["builds"], stats["failed"],
-                    stats["warm_writes"]) == (1, 1, 1)
+            assert (stats.builds, stats.failed,
+                    stats.warm_writes) == (1, 1, 1)
             assert service._pool.restarts == 1
             assert len(service.outcomes()) == 1
         inline = Session(video, counting_udf("car"), config=comp_cfg)
@@ -658,7 +658,7 @@ class TestQueryServiceSurface:
                 failed.outcome()
             served = service.submit(query)
             report = served.result(WAIT)
-            assert service.stats()["failed"] == 1
+            assert service.stats().failed == 1
             assert service.outcomes() == [served.outcome()]
             assert served_cost(service, [served]).seconds(
                 "oracle_confirm") == \

@@ -183,7 +183,7 @@ def test_mixed_workload_with_config_overrides(use_processes):
     assert [r.to_json() for r in reports] == \
         [d.report.to_json() for d in reference]
     # Two distinct phase1 keys -> two builds, shared across four plans.
-    assert stats["builds"] == 2
+    assert stats.builds == 2
 
     reference_merged = _reference_merged(
         [session], [d.phase2_cost for d in reference])

@@ -109,9 +109,9 @@ def test_threads_race_shared_videos_bit_identical(
         stats = service.stats()
         # Two videos, one configuration each: exactly two builds, no
         # matter how many threads raced on them.
-        assert stats["builds"] == 2
-        assert stats["failed"] == 0
-        assert stats["completed"] == num_threads * 3
+        assert stats.builds == 2
+        assert stats.failed == 0
+        assert stats.completed == num_threads * 3
 
 
 def test_eight_way_single_flight_one_build_per_key(fast_cfg):
@@ -141,11 +141,11 @@ def test_eight_way_single_flight_one_build_per_key(fast_cfg):
         reports = [future.result(DEADLINE) for future in futures]
         assert len(reports) == 8
         stats = service.stats()
-        assert stats["builds"] == 1, stats
+        assert stats.builds == 1, stats
         # The losers of the build race either waited on the
         # single-flight event or arrived after and hit the store/
         # session cache; nobody rebuilt.
-        assert stats["evictions"] == 0
+        assert stats.evictions == 0
 
 
 def test_cross_session_same_content_shares_one_build(fast_cfg):
@@ -158,7 +158,7 @@ def test_cross_session_same_content_shares_one_build(fast_cfg):
         a = service.submit(one.query().topk(3).guarantee(0.9))
         b = service.submit(two.query().topk(3).guarantee(0.9))
         assert a.result(DEADLINE).to_json() == b.result(DEADLINE).to_json()
-        assert service.stats()["builds"] == 1
+        assert service.stats().builds == 1
         # And the score cache is shared: the second query's cleaning
         # work was (at least partly) physically free.
         outcomes = [a.outcome(), b.outcome()]
@@ -211,5 +211,5 @@ def test_one_bad_query_fails_only_its_future(fast_cfg):
             bad.exception(DEADLINE), OracleBudgetExceededError)
         assert good.result(DEADLINE).confidence >= 0.9
         stats = service.stats()
-        assert stats["failed"] == 1
-        assert stats["completed"] >= 1
+        assert stats.failed == 1
+        assert stats.completed >= 1

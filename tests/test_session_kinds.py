@@ -181,7 +181,7 @@ def test_unwindowed_stream_refuses_tick_and_nothing_moves():
 
 def test_live_session_refuses_batch_side_service_wiring():
     stream = open_stream()
-    label_cache = stream._incremental.label_oracle.cache
+    label_cache = stream._maintainer.label_oracle.cache
     assert stream.shared_score_cache is label_cache
     entry = closed().phase1()
     with QueryService(workers=1, use_processes=False) as service:
@@ -217,7 +217,7 @@ def test_plain_stream_resumes_unwindowed_and_rewired_by_reference(tmp_path):
         resumed.tick(5)
     # The pickle graph kept the shared identities; resume rewired the
     # session to them instead of to the fresh ones its constructor made.
-    maintainer = resumed._incremental
+    maintainer = resumed._maintainer
     assert maintainer.label_oracle.cache is resumed.shared_score_cache
     assert maintainer.stats is resumed._stats
     assert maintainer.video is resumed.video
@@ -275,7 +275,7 @@ def test_stats_is_none_when_closed_and_syncs_labels_when_live():
     stream = open_stream()
     assert stream.stats.fresh_label_calls == 0
     stream.phase1()
-    labels = stream._incremental.label_oracle.fresh_calls
+    labels = stream._maintainer.label_oracle.fresh_calls
     assert labels > 0 and stream.stats.fresh_label_calls == labels
 
 

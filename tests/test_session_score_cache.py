@@ -231,7 +231,7 @@ def test_a_checkpoint_in_the_earlier_cache_layout_still_resumes(
     resumed = Session.resume(tmp_path / "ck")
     cache = resumed.shared_score_cache
     assert cache.since(0) == stream.shared_score_cache.since(0)
-    assert resumed._incremental.label_oracle.cache is cache
+    assert resumed._maintainer.label_oracle.cache is cache
     re_live = resumed.query().topk(3).guarantee(0.9).subscribe()
     assert re_live.latest.to_json() == live.latest.to_json()
     for session in (stream, resumed):

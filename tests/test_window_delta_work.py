@@ -318,7 +318,8 @@ def test_block_cache_drops_stale_trailing_blocks():
     long = np.arange(3 * INFER_BLOCK, dtype=np.int64)
     _window_state(cache, proxy, video, long, 0)
     assert sorted(cache._blocks) == [0, 1, 2]
-    # The retained array shrank (a retrain rebuilt the detector):
+    # The retained array shrank (a sibling sharing the cache sits at
+    # an earlier watermark):
     # trailing blocks beyond the new extent drop mixtures *and* tops.
     short = long[:INFER_BLOCK]
     _, top = _window_state(cache, proxy, video, short, 0)
