@@ -12,9 +12,9 @@ and asserts the acceptance contract:
   watermark**: every append's fresh calls stay below the batch run's
   total, the live total is a small fraction of the batch total, and
   the later appends do not trend upward with the prefix length;
-* per-append **render work tracks the delta too**: an append renders
-  each arriving frame once plus at most the provisional clip it
-  re-decides — never the inference block it extends.
+* per-append **render work is the delta exactly**: an append renders
+  each arriving frame once and nothing else — neither the provisional
+  clip it re-decides nor the inference block it extends.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ def test_streaming_append_cost_tracks_the_delta(bench_scale):
     early, late = fresh_calls[:half], fresh_calls[half:]
     assert sum(late) / len(late) <= max(sum(early) / len(early), chunk), \
         f"fresh cost trends with the watermark: {fresh_calls}"
-    # (4) Physical render work is delta-sized as well: the arrivals
-    # once, plus the re-scanned provisional clip.
-    assert all(r <= chunk + config.diff.clip_size for r in rendered), \
-        f"an append re-rendered frames it already had: {rendered}"
+    # (4) Physical render work is the delta exactly: the arrivals once.
+    assert all(r == chunk for r in rendered), \
+        f"an append rendered other frames than its arrivals: {rendered}"

@@ -255,13 +255,28 @@ class IncrementalDiff:
     reprocessing (the provisional clip's anchor frame moves as it
     grows, which can flip retain decisions). ``extend`` returns the
     first frame index whose retain decision may have changed.
+
+    The provisional clip's float32 pixels, as the last scan rendered
+    them (at most ``clip_size - 1`` frames), are kept and served to the
+    next scan by frame id (:func:`_rows_by_id`), so an append renders
+    exactly its arrivals. Derived rows: left out of pickles, so a
+    resumed session renders the clip once more.
     """
+
+    #: (frame ids, float32 pixels) of the provisional clip; never
+    #: pickled (a restored instance reads this class default).
+    clip: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __init__(self, config: DiffDetectorConfig):
         self.config = config
         self.representative = np.zeros(0, dtype=np.int64)
         self.retained_mask = np.zeros(0, dtype=bool)
         self.processed = 0
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("clip", None)
+        return state
 
     @property
     def provisional_from(self) -> int:
@@ -286,9 +301,22 @@ class IncrementalDiff:
             self.retained_mask = np.concatenate(
                 [self.retained_mask, np.zeros(grow, dtype=bool)])
         start = self.provisional_from
+        held, render = self.clip, render or video.batch_pixels
+        clip_from = watermark - watermark % self.config.clip_size
+        self.clip = None
+
+        def render_held(ids: np.ndarray) -> np.ndarray:
+            # Blocks are whole clips, so the last one holds the new
+            # provisional clip entire.
+            pixels = _rows_by_id(ids, held, render)[0]
+            clip = ids >= clip_from
+            if clip.any():
+                self.clip = (ids[clip], pixels[clip])
+            return pixels
+
         DifferenceDetector(self.config).scan(
             video, start, watermark, self.retained_mask,
-            self.representative, on_retained, render)
+            self.representative, on_retained, render_held)
         self.processed = watermark
         return start
 
@@ -330,6 +358,41 @@ def _rows_by_id(
     return rows, int(found.sum())
 
 
+def _requantize(
+    kept: Optional[Tuple[bytes, QuantizationGrid, np.ndarray,
+                         GaussianMixture]],
+    key: bytes,
+    mixture: GaussianMixture,
+    grid: QuantizationGrid,
+) -> Tuple[np.ndarray, int]:
+    """Pmf rows of a block holding frames ``key`` with ``mixture``.
+
+    ``quantize_mixtures`` is row-independent, so a row of ``kept``
+    (the block's last ``(key, grid, pmf rows, mixture)``) is reused
+    where the grid is the same and the row's frame id and ``(pi, mu,
+    sigma)`` row are bitwise unchanged — the network re-scores a grown
+    block whole, and a batch-shape-dependent BLAS may move some rows;
+    the rest are quantized. Returns the rows and how many were
+    quantized.
+    """
+    if kept is None or kept[1] != grid:
+        return quantize_mixtures(mixture, grid), len(mixture.pi)
+
+    def bits(m: GaussianMixture) -> np.ndarray:
+        return np.hstack([m.pi, m.mu, m.sigma]).view(np.uint8)
+
+    ids = np.frombuffer(key, dtype=np.int64)
+    old_ids = np.frombuffer(kept[0], dtype=np.int64)
+    at = np.minimum(np.searchsorted(old_ids, ids), old_ids.size - 1)
+    same = (old_ids[at] == ids) \
+        & (bits(mixture) == bits(kept[3])[at]).all(axis=1)
+    fresh = ~same
+    pmf = np.empty((ids.size, grid.num_levels))
+    pmf[same] = kept[2][at[same]]
+    pmf[fresh] = quantize_mixtures(mixture.select(fresh), grid)
+    return pmf, int(fresh.sum())
+
+
 class BlockInferenceCache:
     """Proxy inference cached per 512-row block of the retained array.
 
@@ -348,9 +411,10 @@ class BlockInferenceCache:
       the *whole* block's inputs, the batch shape that makes its
       mixtures bit-reproducible;
     * each block's quantized pmf rows are kept next to its mixtures,
-      keyed by (block content, grid):
-      quantization is row-independent too, so a window is requantized
-      only where a block or the grid changed.
+      keyed by (block content, grid): quantization is row-independent
+      too, so a window is requantized only where the grid changed, or
+      where a block changed — and there only the rows whose frame id
+      or mixture row moved (:func:`_requantize`).
 
     Both kinds of derived rows are swapped in as one reference, never
     written in place (sibling sessions may share the cache), are
@@ -372,9 +436,9 @@ class BlockInferenceCache:
         self._blocks: Dict[int, Tuple[bytes, GaussianMixture]] = {}
         #: block index -> (frame-id bytes, max(mu + k*sigma) over rows).
         self._tops: Dict[int, Tuple[bytes, float]] = {}
-        #: block index -> (frame-id bytes, grid, pmf rows).
-        self._pmfs: Dict[
-            int, Tuple[bytes, QuantizationGrid, np.ndarray]] = {}
+        #: block index -> (frame-id bytes, grid, pmf rows, mixtures).
+        self._pmfs: Dict[int, Tuple[
+            bytes, QuantizationGrid, np.ndarray, GaussianMixture]] = {}
         #: (frame ids, featurize rows) of the last partial block scored.
         self._tail: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -451,21 +515,28 @@ class BlockInferenceCache:
         grid: QuantizationGrid,
     ) -> List[np.ndarray]:
         """Pmf rows of the window's blocks on ``grid``, block by block:
-        kept rows where block content and grid are both unchanged,
-        requantized (and kept) otherwise."""
+        kept where block content and grid are both unchanged; where
+        only the content changed, kept for each row whose frame id and
+        mixture row are bitwise unchanged and requantized for the rest;
+        requantized whole on a new grid."""
         rows: List[np.ndarray] = []
-        requantized = 0
+        blocks = fresh_rows = total_rows = 0
         with trace_span("requantize", category="phase1") as span:
             for b, key, mixture in window:
                 kept = self._pmfs.get(b)
+                total_rows += len(mixture.pi)
                 if kept is None or kept[:2] != (key, grid):
-                    kept = (key, grid, quantize_mixtures(mixture, grid))
+                    pmf, fresh = _requantize(kept, key, mixture, grid)
+                    kept = (key, grid, pmf, mixture)
                     self._pmfs[b] = kept
-                    requantized += 1
+                    blocks += 1
+                    fresh_rows += fresh
                 rows.append(kept[2])
             if span is not None:
-                span.set(blocks_requantized=requantized,
-                         blocks_reused=len(window) - requantized)
+                span.set(blocks_requantized=blocks,
+                         blocks_reused=len(window) - blocks,
+                         rows_requantized=fresh_rows,
+                         rows_reused=total_rows - fresh_rows)
         return rows
 
     def window_state(
@@ -659,8 +730,9 @@ class Phase1Maintainer:
         """Steps 3 + 4 over the frames that arrived since the last scan.
 
         One pass: the detector renders each block of clips once — the
-        arrivals plus the provisional clip it re-decides — and the
-        retained rows go, pixels in hand, to the block cache
+        arrivals, while the provisional clip it re-decides comes from
+        the pixels :class:`IncrementalDiff` kept — and the retained
+        rows go, pixels in hand, to the block cache
         INFER_BLOCK rows at a time (a block a sibling session already
         cached is a hit and is not re-inferred). ``sample = (frame ids
         ascending, float32 pixels, featurize rows)`` are frames the

@@ -409,8 +409,10 @@ def build_relation(
     ``mixtures`` is read only when ``grid`` or ``pmf`` is missing.
     """
     known_scores = dict(known_scores or {})
-    ids = [int(i) for i in ids]
-    extra_ids = sorted(set(known_scores) - set(ids))
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    extra_ids = np.setdiff1d(
+        np.fromiter(known_scores, dtype=np.int64, count=len(known_scores)),
+        ids)
     all_scores = list(known_scores.values())
 
     if grid is None:
@@ -422,15 +424,15 @@ def build_relation(
         )
     if pmf is None:
         pmf = quantize_mixtures(mixtures, grid)
-    if extra_ids:
-        pmf = np.vstack([pmf, np.zeros((len(extra_ids), grid.num_levels))])
-    full_ids = ids + extra_ids
+    if extra_ids.size:
+        pmf = np.vstack([pmf, np.zeros((extra_ids.size, grid.num_levels))])
     # Point-mass rows for extra known frames (placeholder; fixed below).
-    for offset, frame in enumerate(extra_ids):
+    for offset, frame in enumerate(extra_ids.tolist()):
         level = int(grid.level_of(known_scores[frame]))
-        pmf[len(ids) + offset, level] = 1.0
+        pmf[ids.size + offset, level] = 1.0
 
-    relation = UncertainRelation(full_ids, pmf, grid)
+    relation = UncertainRelation(
+        np.concatenate([ids, extra_ids]), pmf, grid)
     relation.mark_certain_many(
         [relation.position(frame) for frame in known_scores],
         list(known_scores.values()))

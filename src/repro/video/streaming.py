@@ -260,6 +260,14 @@ class StreamingVideo(SyntheticVideo):
     def frame(self, index: int) -> Frame:
         return self.source.frame(self._check_index(index))
 
+    def frames(self, indices: Iterable[int]) -> List[Frame]:
+        """One ``source.frames`` call for the whole batch (the source
+        batches or loops by its own rule); a subclass overriding
+        :meth:`frame` still has it called once per index."""
+        if type(self).frame is not StreamingVideo.frame:
+            return [self.frame(i) for i in indices]
+        return self.source.frames(check_indices(indices, self.num_frames))
+
     def objects(self, index: int) -> List[BoundingBox]:
         return self.source.objects(self._check_index(index))
 

@@ -76,7 +76,12 @@ class VideoSlice:
         return self.parent.frame(self._check_index(index))
 
     def frames(self, indices: Iterable[int]) -> List[Frame]:
-        return [self.frame(i) for i in indices]
+        """One ``parent.frames`` call for the whole batch; a subclass
+        overriding :meth:`frame` still has it called once per index."""
+        if type(self).frame is not VideoSlice.frame:
+            return [self.frame(i) for i in indices]
+        return self.parent.frames(
+            self.start + check_indices(indices, len(self)))
 
     def __getitem__(self, index: int) -> Frame:
         return self.frame(index)
@@ -152,18 +157,26 @@ class ConcatVideo:
         member, local = self.locate(index)
         return self.members[member].pixels(local)
 
-    def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
-        """One ``batch_pixels`` call per member touched, scattered back
-        into request order (duplicates and arbitrary order allowed)."""
+    def _by_member(self, indices: Iterable[int]):
+        """The checked ``indices`` split by owner: their count, then
+        ``(member, request rows, local frames)`` per member touched."""
         indices = check_indices(indices, len(self))
         offsets = self.offsets()
         owner = np.searchsorted(offsets, indices, side="right") - 1
-        out = np.empty((indices.size,) + tuple(self.resolution),
-                       dtype=np.float32)
-        for member in np.unique(owner):
+        groups = []
+        for member in np.unique(owner).tolist():
             rows = np.flatnonzero(owner == member)
-            out[rows] = self.members[member].batch_pixels(
-                indices[rows] - offsets[member])
+            groups.append((self.members[member], rows,
+                           indices[rows] - offsets[member]))
+        return indices.size, groups
+
+    def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
+        """One ``batch_pixels`` call per member touched, scattered back
+        into request order (duplicates and arbitrary order allowed)."""
+        count, groups = self._by_member(indices)
+        out = np.empty((count,) + tuple(self.resolution), dtype=np.float32)
+        for member, rows, local in groups:
+            out[rows] = member.batch_pixels(local)
         return out
 
     def frame(self, index: int) -> Frame:
@@ -171,7 +184,17 @@ class ConcatVideo:
         return self.members[member].frame(local)
 
     def frames(self, indices: Iterable[int]) -> List[Frame]:
-        return [self.frame(i) for i in indices]
+        """One ``frames`` call per member touched, put back into request
+        order (duplicates and arbitrary order allowed); a subclass
+        overriding :meth:`frame` still has it called once per index."""
+        if type(self).frame is not ConcatVideo.frame:
+            return [self.frame(i) for i in indices]
+        count, groups = self._by_member(indices)
+        out: List[Optional[Frame]] = [None] * count
+        for member, rows, local in groups:
+            for row, frame in zip(rows.tolist(), member.frames(local)):
+                out[row] = frame
+        return out
 
     def __getitem__(self, index: int) -> Frame:
         return self.frame(index)

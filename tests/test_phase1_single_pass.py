@@ -353,15 +353,16 @@ def test_bootstrap_renders_once_and_infers_each_row_once(window_seconds):
         np.testing.assert_array_equal(
             reference.mixtures.mu[cut:], entry.result.mixtures.mu)
 
-    # Afterwards an append pays for what arrived (PR 18's pins): the
-    # arrivals and the provisional clip rendered once, their newly
-    # retained rows featurized once; a tick touches no frame at all.
+    # Afterwards an append pays for what arrived: exactly the arrivals
+    # rendered (the provisional clip's pixels are kept from the last
+    # scan), their newly retained rows featurized once; a tick touches
+    # no frame at all.
     clip = stream.config.diff.clip_size
     rendered = sum(video.rendered.values())
     with featurized_rows() as featurized:
         stream.append(70)
         grown = stream.phase1().result.diff_result.retained
-        assert sum(video.rendered.values()) - rendered == 70 + 1_400 % clip
+        assert sum(video.rendered.values()) - rendered == 70
         # (The re-decided clip's rows that stay retained are still in
         # the tail block's kept feature rows.)
         assert sum(featurized) == np.count_nonzero(
@@ -370,8 +371,7 @@ def test_bootstrap_renders_once_and_infers_each_row_once(window_seconds):
             featurized.clear()
             stream.tick(45)
             assert not featurized
-            assert sum(video.rendered.values()) - rendered \
-                == 70 + 1_400 % clip
+            assert sum(video.rendered.values()) - rendered == 70
 
 
 def _directory_bytes(path) -> int:

@@ -16,6 +16,7 @@ import json
 import pickle
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -407,39 +408,62 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
         stream.append(75)
         return video, stream
 
-    _, straight = open_window_stream()
+    straight_video, straight = open_window_stream()
     _, interrupted = open_window_stream()
-    cache = interrupted._maintainer.blocks
-    tail_rows = interrupted.phase1().result.diff_result.num_retained % 512
+    maintainer = interrupted._maintainer
+    cache = maintainer.blocks
+    retained = interrupted.phase1().result.diff_result.retained
+    tail_rows = retained.size % 512
     assert 0 < tail_rows == cache._tail[0].size  # mid-block
     assert cache._pmfs and sorted(cache._pmfs) == sorted(cache._blocks)
+    watermark = interrupted.watermark
+    clip_from = watermark - watermark % MAINTAIN_CONFIG.diff.clip_size
+    assert maintainer.diff.clip[0].tolist() \
+        == list(range(clip_from, watermark))  # mid-clip
     interrupted.checkpoint(tmp_path / "ck")
 
-    # Derived rows stay out of the pickle.
-    pickled = pickle.loads(pickle.dumps(interrupted._maintainer)).blocks
+    # Derived rows stay out of the pickle: the held clip pixels move no
+    # byte of it, so a checkpoint is format 4 as it was.
+    blob = pickle.dumps(maintainer)
+    pickled = pickle.loads(blob)
+    assert pickled.diff.clip is None
+    held, maintainer.diff.clip = maintainer.diff.clip, None
+    assert pickle.dumps(maintainer) == blob
+    maintainer.diff.clip = held
+    assert set(maintainer.diff.__getstate__()) \
+        == {"config", "representative", "retained_mask", "processed"}
     assert set(cache.__getstate__()) == {"_blocks", "_tops"}
-    assert pickled._pmfs == {} and pickled._tail is None
-    assert sorted(pickled._blocks) == sorted(cache._blocks)
+    assert pickled.blocks._pmfs == {} and pickled.blocks._tail is None
+    assert sorted(pickled.blocks._blocks) == sorted(cache._blocks)
     assert FORMAT_VERSION == 4
 
     resumed = Session.resume(tmp_path / "ck")
     resumed.query().topk(3).guarantee(0.85).subscribe()
     video = resumed.video.source
     assert resumed._maintainer.blocks._tail is None
+    assert resumed._maintainer.diff.clip is None
+    # The first append after a resume renders, once each, its arrivals,
+    # the provisional clip and the tail block's rows below it (the held
+    # pixels and feature rows were dropped); afterwards an append
+    # renders its arrivals only, like its twin's every append.
+    settled_tail = retained[retained.size - tail_rows:]
+    first = Counter(range(clip_from, watermark + 33)) \
+        + Counter(settled_tail[settled_tail < clip_from].tolist())
     for kind, size in (("append", 33), ("tick", 45), ("append", 150),
                        ("append", 260), ("tick", 10)):
-        rendered = sum(video.rendered.values())
+        watermark = straight.watermark
+        before = [Counter(v.rendered) for v in (straight_video, video)]
         results = [
             session.append(size) if kind == "append" else session.tick(size)
             for session in (straight, resumed)]
         assert _event_bytes(resumed, results[1]) \
             == _event_bytes(straight, results[0])
-        # Only the first append after a resume renders what the
-        # dropped feature rows covered; afterwards they are back.
-        if (kind, size) == ("append", 33):
-            assert sum(video.rendered.values()) - rendered >= tail_rows
-        if (kind, size) == ("append", 150):
-            assert sum(video.rendered.values()) - rendered < 150 + 30
+        arrivals = Counter(range(watermark, watermark + size)) \
+            if kind == "append" else Counter()
+        rendered = [Counter(v.rendered) - b for v, b in zip(
+            (straight_video, video), before)]
+        assert rendered[0] == arrivals
+        assert rendered[1] == (first if size == 33 else arrivals)
     assert_built_from_scratch(resumed)
 
 

@@ -455,9 +455,13 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
     assert miss["block"] == 0 and miss["rows"] == grown
     assert grown - retained <= miss["rows_featurized"] < 60 + 30
     assert miss["rows_from_scan"] == miss["rows_featurized"]
+    # The append also extended the grid, so its block was requantized
+    # whole; the tick reused every row.
     assert spans["requantize"] == [
-        {"blocks_requantized": 1, "blocks_reused": 0},
-        {"blocks_requantized": 0, "blocks_reused": 1}]
+        {"blocks_requantized": 1, "blocks_reused": 0,
+         "rows_requantized": grown, "rows_reused": 0},
+        {"blocks_requantized": 0, "blocks_reused": 1,
+         "rows_requantized": 0, "rows_reused": grown}]
 
     sys.path.insert(0, os.path.join(
         os.path.dirname(__file__), os.pardir, "scripts"))
@@ -471,7 +475,8 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
         "rows": grown, "rows_featurized": miss["rows_featurized"],
         "rows_from_scan": miss["rows_from_scan"]}
     assert rows[("phase1", "requantize")]["counters"] == {
-        "blocks_requantized": 1, "blocks_reused": 1}
+        "blocks_requantized": 1, "blocks_reused": 1,
+        "rows_requantized": grown, "rows_reused": grown}
     assert f"rows={grown} " in trace_report.render(rows)
 
 

@@ -1,10 +1,12 @@
 """``video.frames(idx)`` is ``[video.frame(i) for i in idx]`` (DESIGN.md §1).
 
 The batched form exists so an oracle scoring many frames computes the
-per-frame ground truth (slot centres, boxes) once for the batch. Two
+per-frame ground truth (slot centres, boxes) once for the batch. Three
 rules are pinned: the frames are equal field by field for any index
-list, and only the *base* ``SyntheticVideo.frame`` is ever batched — a
-subclass or view with its own ``frame()`` has it called once per index.
+list; a view (a live stream, its sealed snapshot, a slice, a
+concatenation) hands a batch on to its source in one ``frames`` call;
+and a subclass that overrides ``frame()`` — a source or a view — has it
+called once per index.
 """
 
 from __future__ import annotations
@@ -34,11 +36,26 @@ VIDEOS = {
     "dashcam": lambda: DashcamVideo("d", 300, seed=5),
     "sentiment": lambda: SentimentVideo("s", 300, seed=6),
     "streaming": lambda: StreamingVideo(TrafficVideo("st", 400, seed=7), 250),
+    "streaming-appended": lambda: _appended(
+        StreamingVideo(TrafficVideo("sa", 600, seed=13), 230,
+                       window_seconds=4.0)),
+    "snapshot": lambda: _appended(
+        StreamingVideo(TrafficVideo("ss", 600, seed=14), 230)).snapshot(),
     "slice": lambda: VideoSlice(TrafficVideo("sl", 400, seed=8), 100, 350),
+    "slice-of-stream": lambda: VideoSlice(
+        StreamingVideo(TrafficVideo("sls", 600, seed=15), 380), 60, 320),
     "concat": lambda: ConcatVideo(
         [TrafficVideo("c0", 120, seed=9), TrafficVideo("c1", 130, seed=10)],
         name="cc"),
+    "concat-with-stream": lambda: ConcatVideo(
+        [StreamingVideo(TrafficVideo("cs0", 300, seed=16), 120),
+         TrafficVideo("cs1", 130, seed=17)], name="ccs"),
 }
+
+
+def _appended(stream: StreamingVideo) -> StreamingVideo:
+    stream.append(20)
+    return stream
 
 INDEX_LISTS = {
     "empty": [],
@@ -77,9 +94,54 @@ def test_frames_accept_an_iterator_and_reject_out_of_range(kind):
     video = VIDEOS[kind]()
     assert [f.index for f in video.frames(iter([2, 1]))] == \
         [video.frame(2).index, video.frame(1).index]
-    for bad in ([0, len(video)], [3, -1, 2]):
+    for bad in ([0, len(video)], [3, -1, 2], [len(video) + 7, 1]):
         with pytest.raises(FrameIndexError):
             video.frames(bad)
+
+
+def test_a_stream_reads_frames_past_its_watermark_only_once_arrived():
+    stream = StreamingVideo(TrafficVideo("late", 400, seed=18), 250)
+    with pytest.raises(FrameIndexError):
+        stream.frames([3, 260])
+    snapshot = stream.snapshot()
+    stream.append(20)
+    for bad in ([3, 260], [250]):
+        with pytest.raises(FrameIndexError):
+            snapshot.frames(bad)
+    for frame, single in zip(stream.frames([260, 3]),
+                             [stream.frame(260), stream.frame(3)]):
+        _same_frame(frame, single)
+    with pytest.raises(FrameIndexError):
+        stream.frames([269, 270])
+
+
+class _CountingBatches(TrafficVideo):
+    """Records every ``frames`` call it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def frames(self, indices):
+        indices = np.asarray(list(indices), dtype=np.int64)
+        self.batches.append(indices.tolist())
+        return super().frames(indices)
+
+
+def test_views_read_a_batch_with_one_frames_call_per_source():
+    source = _CountingBatches("batches", 400, seed=19)
+    stream = StreamingVideo(source, 250)
+    stream.frames([5, 200, 5])
+    stream.snapshot().frames(iter([7]))
+    VideoSlice(stream, 100, 250).frames([0, 3, 0])
+    assert source.batches == [[5, 200, 5], [7], [100, 103, 100]]
+
+    first = _CountingBatches("first", 120, seed=20)
+    second = _CountingBatches("second", 130, seed=21)
+    concat = ConcatVideo([first, StreamingVideo(second, 100)], name="two")
+    frames = concat.frames([130, 2, 125, 2])
+    assert first.batches == [[2, 2]] and second.batches == [[10, 5]]
+    assert [f.index for f in frames] == [10, 2, 5, 2]
 
 
 class _CountingFrames(TrafficVideo):

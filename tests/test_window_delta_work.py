@@ -11,9 +11,9 @@ Pinned here:
 * fresh confirmations only ever target frames inside the open window;
 * pure expiry ticks run **zero** fresh proxy inference — retraction is
   cache eviction, not recompute;
-* an append *renders* each arriving frame once plus at most the
-  provisional clip it re-decides — never the tail inference block it
-  extends — and a tick renders nothing;
+* an append *renders* each arriving frame once and nothing else —
+  neither the provisional clip it re-decides nor the tail inference
+  block it extends — and a tick renders nothing;
 * the subscription's recompiled plan is window-restricted (the
   regression pin for the old full-prefix refresh);
 * :class:`~repro.core.phase1.BlockInferenceCache` eviction and
@@ -34,6 +34,7 @@ import pytest
 
 from repro import EverestConfig, QueryExecutor, Session
 from repro.config import DiffDetectorConfig, Phase1Config
+from repro.core import phase1
 from repro.core.phase1 import INFER_BLOCK, BlockInferenceCache
 from repro.core.uncertain import (
     TRUNCATE_SIGMAS, QuantizationGrid, quantize_mixtures)
@@ -138,13 +139,7 @@ def _rows_in_changed_blocks(before: np.ndarray, after: np.ndarray) -> int:
             before[lo:lo + INFER_BLOCK], after[lo:lo + INFER_BLOCK]))
 
 
-@pytest.mark.parametrize("window_frames", [None, 600])
-@pytest.mark.parametrize("mse_threshold", [
-    STREAM_CONFIG.diff.mse_threshold,  # provisional clips flip decisions
-    0.0,  # every frame retained: blocks fill exactly
-])
-def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
-    video = CountingTraffic("window-delta-renders", 2_300, seed=17)
+def _open_delta_stream(video, window_frames, mse_threshold):
     stream = Session.open_stream(
         video, counting_udf("car"), initial_frames=BOOTSTRAP,
         window_seconds=window_frames / FPS if window_frames else None,
@@ -152,6 +147,23 @@ def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
             STREAM_CONFIG,
             diff=DiffDetectorConfig(mse_threshold=mse_threshold)))
     build_query(stream).subscribe()
+    return stream
+
+
+def delta_cases(test):
+    """Run ``test`` sliding and not, with retain decisions flipped by
+    provisional clips and with every frame retained."""
+    return pytest.mark.parametrize("window_frames", [None, 600])(
+        pytest.mark.parametrize("mse_threshold", [
+            STREAM_CONFIG.diff.mse_threshold,
+            0.0,  # blocks fill exactly
+        ])(test))
+
+
+@delta_cases
+def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
+    video = CountingTraffic("window-delta-renders", 2_300, seed=17)
+    stream = _open_delta_stream(video, window_frames, mse_threshold)
     appended = 0
     for kind, size in DELTA_SCHEDULE:
         if kind == "tick" and window_frames is None:
@@ -169,20 +181,139 @@ def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
             assert result.fresh_inferred_frames == 0
             continue
         appended += size
-        arrivals = range(watermark, watermark + size)
-        provisional = range(watermark - watermark % CLIP, watermark)
-        # Every arrival exactly once; beyond them only the re-scanned
-        # provisional clip, at most once per frame. (The parent also
-        # re-rendered the tail block's leading rows: up to 511 more.)
-        assert all(rendered[frame] == 1 for frame in arrivals)
-        assert set(rendered) <= set(arrivals) | set(provisional)
-        assert sum(rendered.values()) <= size + len(provisional)
+        # Every arrival exactly once and nothing else: the re-scanned
+        # provisional clip's pixels are kept from the last scan, and the
+        # tail block's leading rows come from its kept feature rows.
+        assert rendered == Counter(range(watermark, watermark + size))
         # The rows through the network are what they always were.
         assert result.fresh_inferred_frames == _rows_in_changed_blocks(
             retained, stream.phase1().result.diff_result.retained)
     assert stream.watermark == BOOTSTRAP + appended == 2_236
     if mse_threshold == 0.0:
         assert stream.phase1().result.diff_result.num_retained == 2_236
+
+
+def _count_quantized_rows(monkeypatch):
+    """Rows through ``quantize_mixtures`` in the block cache, per call."""
+    calls = []
+
+    def counting(mixture, grid):
+        calls.append(len(mixture.pi))
+        return quantize_mixtures(mixture, grid)
+
+    monkeypatch.setattr(phase1, "quantize_mixtures", counting)
+    return calls
+
+
+def _audit_requantization(cache, before, quantized) -> int:
+    """Check the cache's kept pmf rows after one event; return how many
+    rows the event reused.
+
+    (a) Every kept block's pmf bytes are ``quantize_mixtures`` of its
+    mixture on its grid. (b) The rows quantized are exactly those whose
+    frame id is new to the block or whose mixture row moved, bit for
+    bit, when the grid is the block's last one — and every row of a
+    block whose grid changed. ``before`` is ``cache._pmfs`` as it was.
+    """
+    expected = reused = 0
+    for b, (key, grid, pmf, mixture) in cache._pmfs.items():
+        assert cache._blocks[b][0] == key
+        assert pmf.tobytes() == quantize_mixtures(mixture, grid).tobytes()
+        old = before.get(b)
+        if old is None or old[1] != grid:
+            expected += len(mixture.pi)
+            continue
+        old_row = {frame: row for row, frame in enumerate(
+            np.frombuffer(old[0], dtype=np.int64).tolist())}
+        for row, frame in enumerate(
+                np.frombuffer(key, dtype=np.int64).tolist()):
+            at = old_row.get(frame)
+            if at is None or any(
+                    getattr(mixture, field)[row].tobytes()
+                    != getattr(old[3], field)[at].tobytes()
+                    for field in ("pi", "mu", "sigma")):
+                expected += 1
+            elif old[0] != key:
+                reused += 1
+    assert sum(quantized) == expected
+    quantized.clear()
+    return reused
+
+
+@delta_cases
+def test_a_grown_block_requantizes_only_its_changed_rows(
+        window_frames, mse_threshold, monkeypatch):
+    quantized = _count_quantized_rows(monkeypatch)
+    stream = _open_delta_stream(
+        TrafficVideo("window-delta-requantize", 2_300, seed=17),
+        window_frames, mse_threshold)
+    cache = stream._maintainer.blocks
+    quantized.clear()
+    reused = 0
+    for kind, size in DELTA_SCHEDULE:
+        if kind == "tick" and window_frames is None:
+            continue
+        before = dict(cache._pmfs)
+        if kind == "append":
+            stream.append(size)
+        else:
+            stream.tick(size)
+        reused += _audit_requantization(cache, before, quantized)
+    # Some grown block kept rows it had quantized before.
+    assert reused > 0
+
+
+def test_sibling_streams_never_reuse_rows_across_frame_ids(monkeypatch):
+    """Two streams at different watermarks sharing one cache each
+    replace the tail block's slot with their own frame ids; the other's
+    next rebuild reuses only the rows whose frame id (and mixture row)
+    it shares."""
+    quantized = _count_quantized_rows(monkeypatch)
+    shared = BlockInferenceCache()
+    siblings = []
+    for _ in range(2):
+        stream = _open_delta_stream(
+            TrafficVideo("window-delta-siblings", 1_200, seed=23), None,
+            STREAM_CONFIG.diff.mse_threshold)
+        stream.share_inference_cache(shared)
+        siblings.append(stream)
+    quantized.clear()
+    for index, size in ((0, 150), (1, 61), (0, 1), (1, 200), (0, 90),
+                        (1, 29), (0, 400)):
+        before = dict(shared._pmfs)
+        siblings[index].append(size)
+        _audit_requantization(shared, before, quantized)
+    a, b = siblings
+    assert a.watermark != b.watermark
+    for stream in siblings:
+        batch = Session(stream.video.snapshot(), counting_udf("car"),
+                        config=stream.config).phase1().result
+        assert batch.relation.pmf.tobytes() \
+            == stream.phase1().result.relation.pmf.tobytes()
+
+
+def test_requantization_matches_rows_by_frame_id(monkeypatch):
+    """A row whose mixture is unchanged but whose frame id is new to the
+    block is quantized again: kept rows are matched by frame id."""
+    class _SameMixtures(_FakeProxy):
+        def predict_features(self, features) -> GaussianMixture:
+            return super().predict_features(np.ones_like(features))
+
+    quantized = _count_quantized_rows(monkeypatch)
+    cache, proxy, video = BlockInferenceCache(), _SameMixtures(), _FakeVideo()
+    grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=3)
+
+    def pmf_of(retained):
+        return cache.window_state(
+            proxy, video, np.asarray(retained, dtype=np.int64), 0,
+            grid_of=lambda top: grid)[2]
+
+    first = pmf_of(range(10))
+    assert quantized == [10]
+    quantized.clear()
+    assert pmf_of([0, 1, 2, 3, 4, 20, 21, 22, 23, 24]).tobytes() \
+        == first.tobytes()
+    assert quantized == [5]
 
 
 def test_subscription_plan_is_window_restricted():
