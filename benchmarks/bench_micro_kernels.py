@@ -129,7 +129,8 @@ def test_select_candidate_early_stopping(benchmark, big_relation):
         relation, state, SelectCandidateConfig(use_upper_bound=True))
 
     def run():
-        return selector.select(0, 10, 11, batch_size=8)
+        return selector.select(
+            0, 10, 11, batch_size=8, p_hat=state.topk_prob(10))
 
     picked = benchmark(run)
     _record("select_candidate_early_stop", timed_call(run)[1])
@@ -146,7 +147,8 @@ def test_select_candidate_exhaustive(benchmark, big_relation):
         relation, state, SelectCandidateConfig(use_upper_bound=False))
 
     def run():
-        return selector.select(0, 10, 11, batch_size=8)
+        return selector.select(
+            0, 10, 11, batch_size=8, p_hat=state.topk_prob(10))
 
     picked = benchmark(run)
     _record("select_candidate_exhaustive", timed_call(run)[1])

@@ -21,6 +21,7 @@ what a query reveals lives in the cleaner, beside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -110,25 +111,33 @@ class TopKCleaner:
         """One validated batch update of the query's state and Top-K:
         everything is checked before anything is written."""
         positions = np.asarray(positions, dtype=np.int64)
-        ids = self.relation.ids[positions].tolist()
+        ids = self.relation.ids.take(positions).tolist()
         if len(set(ids)) != len(ids):
             raise UncertainRelationError("batch positions must be unique")
         scores = np.asarray(self.clean_fn(ids), dtype=np.float64)
         if scores.shape != (len(ids),):
             raise QueryError(
                 f"clean_fn returned shape {scores.shape} for {len(ids)} ids")
-        if not np.isfinite(scores).all():
+        values = scores.tolist()
+        if not all(map(math.isfinite, values)):
             raise OracleError(
-                f"clean_fn returned non-finite scores {scores.tolist()} "
+                f"clean_fn returned non-finite scores {values} "
                 f"for ids {ids}")
         # One vectorized pass per batch over the joint CDF instead of
         # one O(L) update per tuple.
         self.state._remove_rows(positions)
         self._record(positions, scores)
         self.cleaned += len(ids)
-        if self._top is not None:
-            self._top = self._best(
-                np.concatenate((self._top, positions)), self._top.size)
+        top = self._top
+        if top is not None:
+            # The batch changes the kept K only if one of its tuples
+            # beats the K-th (usually none does).
+            kth = (self.exact_scores.item(top[-1]),
+                   -self.relation.ids.item(top[-1]))
+            if any((score, -frame) > kth
+                   for score, frame in zip(values, ids)):
+                self._top = self._best(
+                    np.concatenate((top, positions)), top.size)
 
     def _record(self, positions: np.ndarray, scores: np.ndarray) -> None:
         """Keep a cleaned batch's exact scores and grid levels."""
@@ -154,10 +163,9 @@ class TopKCleaner:
         cleaned batch is merged into the kept K.
         """
         top = self._top
-        levels = self.levels[top[-2:]]
-        k_level = int(levels[-1])
-        p_level = int(levels[-2]) if k >= 2 else self.relation.grid.max_level
-        return top, k_level, p_level
+        levels = self.levels.take(top[-2:]).tolist()
+        p_level = levels[0] if k >= 2 else self.relation.grid.max_level
+        return top, levels[-1], p_level
 
     def _bootstrap(self, k: int) -> None:
         """Clean highest-expected-score frames until K are certain."""
@@ -218,7 +226,8 @@ class TopKCleaner:
                     )
                 with trace_span("select", category="phase2"):
                     candidates = self.selector.select(
-                        iteration, k_level, p_level, self.config.batch_size)
+                        iteration, k_level, p_level, self.config.batch_size,
+                        confidence)
                 if candidates.size == 0:  # pragma: no cover - defensive
                     raise GuaranteeUnreachableError(
                         "no uncertain tuples left but confidence below thres")

@@ -76,17 +76,23 @@ class CandidateSelector:
         self.stats = SelectionStats()
         self._order: Optional[np.ndarray] = None
         self._stale_psi: Optional[np.ndarray] = None
+        #: ``(positions, psi)`` of the last re-sort while ``_order``
+        #: holds only its first chunk and the bound after it.
+        self._unsorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._sort_iteration = -(10 ** 9)
         self._sort_levels: Tuple[int, int] = (-1, -1)
 
     # ------------------------------------------------------------------
+    def _cdf_at(self, positions: np.ndarray, level: int) -> np.ndarray:
+        """``F_f(level)`` for each position, read level-major."""
+        return self.relation.level_columns(level)[2].take(positions)
+
     def psi(
         self, positions: np.ndarray, k_level: int, p_level: int
     ) -> np.ndarray:
         """Sort factor ``(1 - F_f(S_k)) / F_f(S_p)`` (Equation 7)."""
-        cdf = self.relation.cdf
-        survival = 1.0 - cdf[positions, k_level]
-        denominator = np.maximum(cdf[positions, p_level], _TINY)
+        survival = 1.0 - self._cdf_at(positions, k_level)
+        denominator = np.maximum(self._cdf_at(positions, p_level), _TINY)
         return survival / denominator
 
     def expected_confidences(
@@ -97,25 +103,33 @@ class CandidateSelector:
     ) -> np.ndarray:
         """Vectorized Equation 6 for the given uncertain positions."""
         positions = np.asarray(positions, dtype=np.int64)
-        cdf = self.relation.cdf
-        pmf = self.relation.pmf
 
-        # One fused exclusion matrix over every level of the case
-        # analysis: column 0 is S_k, the last column is S_p.
+        # One exclusion matrix over every level of the case analysis:
+        # row 0 is S_k, the last row is S_p.
         excluding = self.state.joint_cdf_excluding_levels(
             positions, k_level, p_level)
 
         # Case s <= S_k: the answer and threshold are unchanged.
-        expected = cdf[positions, k_level] * excluding[:, 0]
+        cdf_k = self._cdf_at(positions, k_level)
+        expected = cdf_k * excluding[0]
 
         # Case S_k < s <= S_p: f becomes the K-th with threshold s.
         if p_level > k_level:
-            weights = pmf[positions, k_level + 1:p_level + 1]
-            expected = expected + (weights * excluding[:, 1:]).sum(axis=1)
+            weights = np.empty_like(excluding[1:])
+            for row, level in zip(weights, range(k_level + 1, p_level + 1)):
+                self.relation.level_columns(level)[3].take(positions, out=row)
+            # Summed along a C-contiguous (positions, levels) array, as
+            # the reference sums it: NumPy adds a row pairwise from 8
+            # terms on, so the layout fixes the rounding.
+            weights *= excluding[1:]
+            expected += weights.T.copy().sum(axis=1)
 
         # Case s > S_p: the old penultimate becomes the threshold.
-        tail = 1.0 - cdf[positions, p_level]
-        expected = expected + tail * excluding[:, -1]
+        cdf_p = cdf_k if p_level == k_level \
+            else self._cdf_at(positions, p_level)
+        tail = 1.0 - cdf_p
+        tail *= excluding[-1]
+        expected += tail
         return expected
 
     # ------------------------------------------------------------------
@@ -127,14 +141,29 @@ class CandidateSelector:
         return (k_level, p_level) != self._sort_levels
 
     def _resort(self, iteration: int, k_level: int, p_level: int) -> None:
+        """Re-rank the uncertain tuples by psi, descending, ties in
+        position order. Most scans stop inside the first chunk, so only
+        that chunk and the bound after it are ordered now (a partition
+        picks them exactly as the full stable sort would);
+        :meth:`_sort_rest` orders the rest if a scan goes further."""
         positions = np.flatnonzero(self.state.uncertain_mask)
         psi = self.psi(positions, k_level, p_level)
-        order = np.argsort(-psi, kind="stable")
-        self._order = positions[order]
-        self._stale_psi = psi[order]
+        head = top_indices(psi, _CHUNK + 1)
+        self._order = positions[head]
+        self._stale_psi = psi[head]
+        self._unsorted = (positions, psi) if head.size < psi.size else None
         self._sort_iteration = iteration
         self._sort_levels = (k_level, p_level)
         self.stats.resorts += 1
+
+    def _sort_rest(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole scan order of the last re-sort."""
+        positions, psi = self._unsorted
+        order = np.argsort(-psi, kind="stable")
+        self._order = positions[order]
+        self._stale_psi = psi[order]
+        self._unsorted = None
+        return self._order, self._stale_psi
 
     # ------------------------------------------------------------------
     def select(
@@ -143,10 +172,13 @@ class CandidateSelector:
         k_level: int,
         p_level: int,
         batch_size: int,
+        p_hat: float,
     ) -> np.ndarray:
         """Return up to ``batch_size`` positions with the highest E[X_f].
 
-        Scans the stale-psi order with Equation 7/8 early stopping when
+        ``p_hat`` is the current confidence, ``state.topk_prob(k_level)``,
+        which the cleaning loop has already computed. Scans the
+        stale-psi order with Equation 7/8 early stopping when
         ``config.use_upper_bound`` is set; otherwise evaluates every
         uncertain frame exactly (the ablation baseline).
         """
@@ -160,7 +192,7 @@ class CandidateSelector:
         if not self.config.use_upper_bound:
             positions = np.flatnonzero(self.state.uncertain_mask)
             expected = self.expected_confidences(positions, k_level, p_level)
-            best = np.argsort(-expected, kind="stable")[:batch_size]
+            best = top_indices(expected, batch_size)
             self.stats.frames_examined += available
             return positions[best]
 
@@ -169,7 +201,6 @@ class CandidateSelector:
         assert self._order is not None and self._stale_psi is not None
 
         gamma = self.state.joint_cdf(p_level)
-        p_hat = self.state.topk_prob(k_level)
         # The best ``batch_size`` frames examined so far, best first
         # (ties in scan order): all a later chunk can be ranked against.
         kept_pos = np.zeros(0, dtype=np.int64)
@@ -181,9 +212,11 @@ class CandidateSelector:
         mask = self.state.uncertain_mask
         cursor = 0
         while cursor < order.size:
+            if cursor and self._unsorted is not None:
+                order, stale_psi = self._sort_rest()
             chunk = order[cursor:cursor + _CHUNK]
             cursor += _CHUNK
-            chunk = chunk[mask[chunk]]
+            chunk = chunk[mask.take(chunk)]
             if chunk.size == 0:
                 continue
             expected = self.expected_confidences(chunk, k_level, p_level)
@@ -191,7 +224,7 @@ class CandidateSelector:
             if kept_pos.size:
                 chunk = np.concatenate((kept_pos, chunk))
                 expected = np.concatenate((kept_exp, expected))
-            best = np.argsort(-expected, kind="stable")[:batch_size]
+            best = top_indices(expected, batch_size)
             kept_pos, kept_exp = chunk[best], expected[best]
             if examined >= batch_size and cursor < order.size:
                 next_bound = p_hat + gamma * stale_psi[cursor]
@@ -200,3 +233,20 @@ class CandidateSelector:
 
         self.stats.frames_examined += examined
         return kept_pos
+
+
+def top_indices(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest ``values`` (no NaN: E[X_f] and
+    psi are finite), largest first, ties in index order:
+    ``np.argsort(-values, kind="stable")[:count]``.
+
+    A partition finds the ``count``-th key; only the candidates at or
+    above it are stably sorted. They keep their index order, so ties at
+    the cut resolve as the full sort resolves them.
+    """
+    keys = -values
+    if count >= keys.size:
+        return np.argsort(keys, kind="stable")[:count]
+    cut = np.partition(keys, count - 1)[count - 1]
+    candidates = (keys <= cut).nonzero()[0]
+    return candidates[np.argsort(keys[candidates], kind="stable")[:count]]

@@ -18,7 +18,8 @@ Topk-prob contributes <0.01% of runtime.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +41,9 @@ class ConfidenceState:
     by every query; only the two small vectors and the uncertain mask
     are this state's own. Rows are read while their tuple is
     uncertain, and Phase 2 never writes the relation, so the tables a
-    state took stay valid for its whole run.
+    state took stay valid for its whole run. A cleaned batch reads
+    them by row; the Eq. 6 exclusion reads the relation's
+    :meth:`~UncertainRelation.level_columns` instead.
     """
 
     def __init__(self, relation: UncertainRelation):
@@ -77,12 +80,13 @@ class ConfidenceState:
     def _remove_rows(self, positions: np.ndarray) -> None:
         """:meth:`remove_many` for int64 ``positions`` the caller has
         already checked to be unique."""
-        if not self._uncertain[positions].all():
+        uncertain = self._uncertain
+        if not np.logical_and.reduce(uncertain.take(positions)):
             raise UncertainRelationError(
                 "batch contains tuples that are not uncertain")
-        self.finite_sum -= self.log_cdf[positions].sum(axis=0)
-        self.zero_count -= self._neg_inf[positions].sum(axis=0)
-        self._uncertain[positions] = False
+        self.finite_sum -= np.add.reduce(self.log_cdf.take(positions, axis=0))
+        self.zero_count -= np.add.reduce(self._neg_inf.take(positions, axis=0))
+        uncertain[positions] = False
         self.num_uncertain -= positions.size
 
     # ------------------------------------------------------------------
@@ -97,7 +101,7 @@ class ConfidenceState:
         if self.num_uncertain == 0:
             return 1.0
         log_value = self.log_joint_cdf(level)
-        return float(np.exp(log_value)) if np.isfinite(log_value) else 0.0
+        return float(np.exp(log_value)) if math.isfinite(log_value) else 0.0
 
     def topk_prob(self, threshold_level: Optional[int]) -> float:
         """Confidence of the current answer (Equation 2 / 3).
@@ -118,24 +122,32 @@ class ConfidenceState:
         The joint CDF with one tuple factored out, valid even when
         that tuple's own CDF is 0.
         """
-        return self.joint_cdf_excluding_levels(positions, level, level)[:, 0]
+        return self.joint_cdf_excluding_levels(positions, level, level)[0]
 
     def joint_cdf_excluding_levels(
         self, positions: np.ndarray, first: int, last: int
     ) -> np.ndarray:
         """:meth:`joint_cdf_excluding` over levels ``first..last``.
 
-        Returns a ``(num_positions, last - first + 1)`` matrix whose
-        column ``j`` is level ``first + j`` — one fused pass for
-        Select-candidate's Equation 6 case analysis instead of one
-        call per grid level.
+        Returns a ``(last - first + 1, num_positions)`` matrix whose row
+        ``j`` is level ``first + j`` — Select-candidate's Equation 6
+        case analysis in one call, each row gathered from the level's
+        contiguous :meth:`~UncertainRelation.level_columns`.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        levels = slice(first, last + 1)
-        own_inf = self._neg_inf[positions, levels]
-        log_excl = self.finite_sum[levels] - self.log_cdf[positions, levels]
-        return np.where(
-            self.zero_count[levels] == own_inf, np.exp(log_excl), 0.0)
+        excluding = np.empty((last - first + 1, positions.size))
+        for row, level in zip(excluding, range(first, last + 1)):
+            zeros = self.zero_count[level]
+            if zeros > 1:  # a zero factor remains whoever is left out
+                row.fill(0.0)
+                continue
+            log_cdf, zero = self.relation.level_columns(level)[:2]
+            np.exp(self.finite_sum[level] - log_cdf.take(positions), out=row)
+            own = zero.take(positions)
+            # Nonzero only where the one zero factor is the tuple's own
+            # (none: where the tuple has none).
+            row[~own if zeros else own] = 0.0
+        return excluding
 
     # ------------------------------------------------------------------
     def topk_prob_direct(self, threshold_level: Optional[int]) -> float:

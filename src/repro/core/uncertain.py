@@ -64,7 +64,10 @@ class QuantizationGrid:
     def level_of(self, score) -> np.ndarray:
         """Nearest grid level for score(s), clipped into the grid."""
         levels = np.rint((np.asarray(score) - self.floor) / self.step)
-        return np.clip(levels, 0, self.max_level).astype(np.int64)
+        # np.clip's rule, NaN included, without its Python wrapper: a
+        # query calls this once per cleaned batch.
+        return np.minimum(
+            np.maximum(levels, 0), self.max_level).astype(np.int64)
 
     def score_of(self, level) -> np.ndarray:
         """Representative score of grid level(s)."""
@@ -142,12 +145,11 @@ def quantize_mixtures(
     for j in range(g):
         mu = mixtures.mu[:, j][:, None]
         sigma = mixtures.sigma[:, j][:, None]
-        lo_j = lo[:, j][:, None]
-        hi_j = hi[:, j][:, None]
-        clipped_lo = np.clip(edges[None, :-1], lo_j, hi_j)
-        clipped_hi = np.clip(edges[None, 1:], lo_j, hi_j)
-        mass = ndtr((clipped_hi - mu) / sigma) \
-            - ndtr((clipped_lo - mu) / sigma)
+        clipped = np.clip(edges[None, :], lo[:, j][:, None], hi[:, j][:, None])
+        clipped_lo, clipped_hi = clipped[:, :-1], clipped[:, 1:]
+        # Adjacent bins share an edge: one ndtr per clipped edge.
+        cdf = ndtr((clipped - mu) / sigma)
+        mass = cdf[:, 1:] - cdf[:, :-1]
         # Spread the trimmed tail mass evenly over the touched bins.
         touched = clipped_hi > clipped_lo
         num_touched = np.maximum(touched.sum(axis=1, keepdims=True), 1)
@@ -173,6 +175,11 @@ class UncertainRelation:
     #: cleaning (popped, so a relation without one has a fresh
     #: relation's ``vars``), never pickled.
     _log_tables = None
+
+    #: Memo of :meth:`level_columns` (grid level -> columns), under the
+    #: same rules as ``_log_tables``; a row-restricted clone takes rows
+    #: of every column built so far.
+    _columns = None
 
     def __init__(
         self,
@@ -231,7 +238,7 @@ class UncertainRelation:
         if self.certain[position]:
             raise UncertainRelationError(
                 f"tuple at position {position} already certain")
-        self.__dict__.pop("_log_tables", None)
+        self._drop_derived()
         level = int(self.grid.level_of(score))
         self.pmf[position, :] = 0.0
         self.pmf[position, level] = 1.0
@@ -264,7 +271,7 @@ class UncertainRelation:
         if self.certain[positions].any():
             raise UncertainRelationError(
                 "batch contains already-certain tuples")
-        self.__dict__.pop("_log_tables", None)
+        self._drop_derived()
         levels = self.grid.level_of(scores)
         self.pmf[positions, :] = 0.0
         self.pmf[positions, levels] = 1.0
@@ -303,9 +310,39 @@ class UncertainRelation:
                 log_cdf, zero, ~self.certain)
         return tables
 
+    def level_columns(self, level: int):
+        """``(log F, F == 0, F, pmf)`` at grid ``level``: contiguous
+        ``(N,)`` copies of one column of :meth:`log_tables` and of the
+        cdf / pmf.
+
+        Phase 2's per-candidate reads gather a few levels of a few
+        hundred tuples (Eq. 6 spans ``S_k..S_p``, usually one or two
+        levels); a column gathers them with one contiguous ``take``
+        where a row-major ``[positions, k:p+1]`` slice walks a stride
+        per level. A column is copied when first read and kept, under
+        :meth:`log_tables`' rules (two threads racing a first read copy
+        equal values); only the levels queries ask for are ever copied.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = {}
+        found = columns.get(level)
+        if found is None:
+            found = columns[level] = _level_columns(
+                (*self.log_tables()[:2], self.cdf, self.pmf), level)
+        return found
+
+    def _drop_derived(self) -> None:
+        """Forget the memos: the tuples are about to change. Popped, so
+        this relation's own ``vars`` look fresh and a copy sharing the
+        memos keeps them."""
+        self.__dict__.pop("_log_tables", None)
+        self.__dict__.pop("_columns", None)
+
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_log_tables", None)
+        state.pop("_columns", None)
         return state
 
     def copy(self) -> "UncertainRelation":
@@ -318,7 +355,8 @@ class UncertainRelation:
         Clones the already-validated fields: nothing is re-checked or
         re-accumulated (the constructor validates whatever is built
         from outside). The clone shares this relation's
-        :meth:`log_tables` (a row subset takes rows of them).
+        :meth:`log_tables` and :meth:`level_columns` (a row subset takes
+        rows of them).
         """
         take = np.copy if rows is None else (lambda field: field[rows])
         clone = object.__new__(UncertainRelation)
@@ -333,6 +371,11 @@ class UncertainRelation:
         tables = self.log_tables()
         clone._log_tables = tables if rows is None else _with_sums(
             tables[0][rows], tables[1][rows], ~clone.certain)
+        columns = self._columns
+        if columns is not None:
+            clone._columns = columns if rows is None else {
+                level: tuple(column[rows] for column in found)
+                for level, found in dict(columns).items()}
         return clone
 
 
@@ -341,6 +384,12 @@ def _with_sums(log_cdf: np.ndarray, zero: np.ndarray, uncertain: np.ndarray):
     rows = uncertain[:, None]
     return (log_cdf, zero, (log_cdf * rows).sum(axis=0),
             (zero & rows).sum(axis=0).astype(np.int64))
+
+
+def _level_columns(tables, level: int):
+    """The :meth:`UncertainRelation.level_columns` tuple: a contiguous
+    copy of column ``level`` of each ``(N, L)`` table."""
+    return tuple(np.ascontiguousarray(table[:, level]) for table in tables)
 
 
 def _rows_in(

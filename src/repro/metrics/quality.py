@@ -10,7 +10,8 @@ scores, the paper reports:
   equals precision because both sets have K elements.)
 * **rank distance** — normalized Spearman footrule between each
   returned item's position and its true (competition) rank, normalized
-  by the worst-case displacement ``K * (n - K)``.
+  by the worst-case displacement ``K * (n - 1)`` (an item can land at
+  most ``n - 1`` places from its true rank).
 * **score error** — mean absolute difference between the true scores of
   the returned items and the true Top-K scores, compared rank by rank.
 """
@@ -98,7 +99,7 @@ def rank_distance(
         rank = max(best_rank, 0)
         displacement += max(0, rank - position) + max(0, position - (
             int(np.searchsorted(-sorted_desc, -score, side="right")) - 1))
-    worst = len(answer_ids) * max(n - k, 1)
+    worst = len(answer_ids) * max(n - 1, 1)
     return float(displacement / worst)
 
 

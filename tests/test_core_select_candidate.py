@@ -7,10 +7,12 @@ its early-stopping behaviour are checked directly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SelectCandidateConfig
 from repro.core.reference import expected_confidence_bruteforce
-from repro.core.select_candidate import CandidateSelector
+from repro.core.select_candidate import CandidateSelector, top_indices
 from repro.core.topk_prob import ConfidenceState
 
 from conftest import make_relation
@@ -102,7 +104,8 @@ class TestSelection:
         relation, state, selector = build_case(rng, num_tuples=8)
         uncertain = relation.uncertain_positions()
         expected = selector.expected_confidences(uncertain, 2, 3)
-        best = selector.select(0, 2, 3, batch_size=1)
+        best = selector.select(
+            0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert best.size == 1
         assert expected[list(uncertain).index(best[0])] == pytest.approx(
             expected.max())
@@ -112,7 +115,8 @@ class TestSelection:
         relation, state, selector = build_case(rng, num_tuples=10)
         uncertain = relation.uncertain_positions()
         expected = selector.expected_confidences(uncertain, 2, 3)
-        batch = selector.select(0, 2, 3, batch_size=3)
+        batch = selector.select(
+            0, 2, 3, batch_size=3, p_hat=state.topk_prob(2))
         top3 = set(uncertain[np.argsort(-expected)[:3]].tolist())
         assert set(batch.tolist()) == top3
 
@@ -131,8 +135,10 @@ class TestSelection:
             slow = CandidateSelector(
                 relation_b, ConfidenceState(relation_b),
                 SelectCandidateConfig(use_upper_bound=False))
-            picked_fast = fast.select(0, 2, 3, batch_size=2)
-            picked_slow = slow.select(0, 2, 3, batch_size=2)
+            picked_fast = fast.select(
+                0, 2, 3, batch_size=2, p_hat=fast.state.topk_prob(2))
+            picked_slow = slow.select(
+                0, 2, 3, batch_size=2, p_hat=slow.state.topk_prob(2))
             exp_fast = fast.expected_confidences(picked_fast, 2, 3)
             exp_slow = slow.expected_confidences(picked_slow, 2, 3)
             # Equal expectation (ties may swap identities).
@@ -143,10 +149,12 @@ class TestSelection:
     def test_skips_cleaned_tuples(self):
         rng = np.random.default_rng(31)
         relation, state, selector = build_case(rng, num_tuples=6)
-        first = selector.select(0, 2, 3, batch_size=1)
+        first = selector.select(
+            0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         state.remove(int(first[0]))
         relation.mark_certain(int(first[0]), 0.0)
-        second = selector.select(1, 2, 3, batch_size=1)
+        second = selector.select(
+            1, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert second[0] != first[0]
 
     def test_empty_when_all_certain(self):
@@ -154,12 +162,14 @@ class TestSelection:
             [[1.0, 0.0], [0.0, 1.0]], certain={0: 0.0, 1: 1.0})
         state = ConfidenceState(relation)
         selector = CandidateSelector(relation, state)
-        assert selector.select(0, 1, 1, batch_size=4).size == 0
+        assert selector.select(
+            0, 1, 1, batch_size=4, p_hat=state.topk_prob(1)).size == 0
 
     def test_stats_track_examination(self):
         rng = np.random.default_rng(37)
         relation, state, selector = build_case(rng, num_tuples=20)
-        selector.select(0, 2, 3, batch_size=1)
+        selector.select(
+            0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert selector.stats.calls == 1
         assert selector.stats.frames_examined >= 1
         assert selector.stats.frames_available == 18
@@ -168,17 +178,39 @@ class TestSelection:
         rng = np.random.default_rng(41)
         relation, state, selector = build_case(rng, num_tuples=12)
         config = selector.config
-        selector.select(0, 2, 3, batch_size=1)
+        selector.select(
+            0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 1
         # Within the warmup, iterations below resort_every reuse the
         # stale order.
-        selector.select(1, 2, 3, batch_size=1)
+        selector.select(
+            1, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 1
-        selector.select(config.resort_every, 2, 3, batch_size=1)
+        selector.select(config.resort_every, 2, 3, batch_size=1,
+                        p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 2
         # After the warmup, unchanged levels never trigger a resort...
-        selector.select(config.resort_warmup + 1, 2, 3, batch_size=1)
+        selector.select(config.resort_warmup + 1, 2, 3, batch_size=1,
+                        p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 2
         # ...but a change of S_k / S_p does.
-        selector.select(config.resort_warmup + 2, 3, 3, batch_size=1)
+        selector.select(config.resort_warmup + 2, 3, 3, batch_size=1,
+                        p_hat=state.topk_prob(3))
         assert selector.stats.resorts == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300]),
+            st.floats(-1.0, 2.0, allow_subnormal=True)),
+        min_size=1, max_size=600),
+    count=st.integers(1, 12),
+)
+def test_partition_pick_equals_the_full_stable_sort(values, count):
+    """Ties (a few repeated values, +0.0 against -0.0) keep index order
+    exactly as the full stable sort keeps them."""
+    values = np.asarray(values)
+    expected = np.argsort(-values, kind="stable")[:count]
+    assert top_indices(values, count).tolist() == expected.tolist()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from repro.core.uncertain import (
     TRUNCATE_SIGMAS,
@@ -13,7 +16,7 @@ from repro.core.uncertain import (
     restrict_relation,
 )
 from repro.errors import ConfigurationError, UncertainRelationError
-from repro.models import GaussianMixture
+from repro.models import SIGMA_FLOOR, GaussianMixture
 
 from conftest import make_relation
 
@@ -145,6 +148,76 @@ class TestQuantizeMixtures:
         rows = np.sort(rng.choice(1_400, size=511, replace=False))
         assert quantize_mixtures(mix.select(rows), grid).tobytes() \
             == whole[rows].tobytes()
+
+
+def quantize_two_sided(mixtures, grid):
+    """:func:`quantize_mixtures` as first written: each bin's mass is
+    ``ndtr`` at its clipped top edge minus ``ndtr`` at its clipped
+    bottom edge, so every inner edge is evaluated twice."""
+    n, g = mixtures.pi.shape
+    edges = grid.edges()
+    pmf = np.zeros((n, grid.num_levels))
+    if n == 0:
+        return pmf
+    lo = (mixtures.mu - TRUNCATE_SIGMAS * mixtures.sigma)
+    hi = (mixtures.mu + TRUNCATE_SIGMAS * mixtures.sigma)
+    for j in range(g):
+        mu = mixtures.mu[:, j][:, None]
+        sigma = mixtures.sigma[:, j][:, None]
+        lo_j = lo[:, j][:, None]
+        hi_j = hi[:, j][:, None]
+        clipped_lo = np.clip(edges[None, :-1], lo_j, hi_j)
+        clipped_hi = np.clip(edges[None, 1:], lo_j, hi_j)
+        mass = ndtr((clipped_hi - mu) / sigma) \
+            - ndtr((clipped_lo - mu) / sigma)
+        touched = clipped_hi > clipped_lo
+        num_touched = np.maximum(touched.sum(axis=1, keepdims=True), 1)
+        trimmed = 1.0 - mass.sum(axis=1, keepdims=True)
+        mass = mass + touched * (trimmed / num_touched)
+        pmf += mixtures.pi[:, j][:, None] * mass
+    totals = pmf.sum(axis=1, keepdims=True)
+    totals[totals <= 0] = 1.0
+    return np.clip(pmf / totals, 0.0, None)
+
+
+@st.composite
+def mixtures_on_grids(draw):
+    """Mixtures whose 3-sigma ranges fall inside, across and wholly off
+    a grid of 1 to 30 levels, some components at ``SIGMA_FLOOR``."""
+    rows = draw(st.integers(1, 6))
+    components = draw(st.integers(1, 8))
+    floor = draw(st.sampled_from([0.0, -2.0, 3.5]))
+    step = draw(st.sampled_from([1.0, 0.25, 0.1]))
+    levels = draw(st.integers(1, 30))
+    top = floor + (levels - 1) * step
+
+    def values(strategy):
+        return np.asarray(draw(st.lists(
+            strategy, min_size=rows * components,
+            max_size=rows * components))).reshape(rows, components)
+
+    mu = values(st.one_of(
+        st.floats(floor - 2.0, top + 2.0),
+        st.floats(floor - 60.0, floor - 10.0),  # wholly below the grid
+        st.floats(top + 10.0, top + 60.0),  # wholly above it
+        st.sampled_from([floor, top, floor + 0.5 * step])))
+    sigma = values(st.one_of(
+        st.just(SIGMA_FLOOR), st.floats(SIGMA_FLOOR, 5.0)))
+    pi = values(st.floats(0.01, 1.0))
+    pi = pi / pi.sum(axis=1, keepdims=True)
+    return (GaussianMixture(pi=pi, mu=mu, sigma=sigma),
+            QuantizationGrid(floor=floor, step=step, num_levels=levels))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mixtures_on_grids())
+def test_one_ndtr_per_edge_equals_the_two_sided_formula(case):
+    """Adjacent bins share a clipped edge, so the mass is a difference
+    of one ``ndtr`` row: identical inputs, identical bits."""
+    mixtures, grid = case
+    assert quantize_mixtures(mixtures, grid).tobytes() \
+        == quantize_two_sided(mixtures, grid).tobytes()
 
 
 class TestUncertainRelation:

@@ -65,6 +65,12 @@ class TestRankDistance:
         value = rank_distance([6, 3, 1], scores, 3)
         assert 0.0 <= value <= 1.0
 
+    def test_normalised_by_the_largest_displacement(self):
+        """Each item can be displaced by at most n - 1 places: the old
+        ``K * (n - K)`` normaliser read 17/16 here."""
+        truth = np.array([2.0, 0.0, 2.0, 0.0, 1.0, 3.0, 2.0, 2.0])
+        assert rank_distance([4, 3, 1, 5], truth, 4) == 17 / 28
+
 
 class TestScoreError:
     def test_zero_for_exact(self, scores):

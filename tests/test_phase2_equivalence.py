@@ -29,6 +29,8 @@ from repro.config import Phase2Config, SelectCandidateConfig
 from repro.core import phase1 as core_phase1
 from repro.core import uncertain
 from repro.core.cleaner import TopKCleaner
+from repro.core.select_candidate import CandidateSelector
+from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import (
     QuantizationGrid,
     UncertainRelation,
@@ -39,7 +41,11 @@ from repro.oracle import counting_udf
 from repro.service.backend import ship_spec
 from repro.video import TrafficVideo
 
-from reference_phase2 import ReferenceCleaner
+from reference_phase2 import (
+    ReferenceCleaner,
+    ReferenceConfidenceState,
+    ReferenceSelector,
+)
 
 WAIT = 60.0
 FAST = EverestConfig.fast()
@@ -154,6 +160,56 @@ def test_small_relations_match_the_reference(case):
     _assert_same(_both(*case))
 
 
+@st.composite
+def wide_span_cases(draw):
+    """A relation whose first iteration has S_k..S_p >= 8 levels apart.
+
+    Two certain tuples sit at ``S_p`` and ``S_k``; every uncertain pmf
+    spreads over the whole grid, so Eq. 6's middle case sums 8 to 22
+    nonzero weight x exclusion terms per tuple — where NumPy's
+    reduction turns pairwise and the summation order shows in the
+    last bits.
+    """
+    levels = draw(st.integers(12, 24))
+    gap = draw(st.integers(8, levels - 2))
+    k_level = draw(st.integers(0, levels - 1 - gap))
+    n = draw(st.integers(6, 40))
+    weights = np.asarray(draw(st.lists(
+        st.floats(0.05, 1.0), min_size=n * levels, max_size=n * levels)))
+    pmf = weights.reshape(n, levels)
+    pmf = pmf / pmf.sum(axis=1, keepdims=True)
+    ids = draw(st.permutations(range(200, 200 + n)))
+    truth = {i: float(draw(st.integers(0, levels - 1))) for i in ids}
+    truth[ids[0]], truth[ids[1]] = float(k_level + gap), float(k_level)
+    relation = UncertainRelation(
+        list(ids), pmf, QuantizationGrid(0.0, 1.0, levels))
+    relation.mark_certain_many([0, 1], [truth[ids[0]], truth[ids[1]]])
+    config = Phase2Config(
+        batch_size=draw(st.sampled_from([1, 3, 8])),
+        select_candidate=SelectCandidateConfig(
+            use_upper_bound=draw(st.booleans())))
+    thres = draw(st.sampled_from([0.9, 0.99]))
+    return relation, truth, (k_level, k_level + gap), thres, config
+
+
+@SETTINGS
+@given(case=wide_span_cases())
+def test_wide_level_spans_sum_as_the_reference_does(case):
+    """The Eq. 6 weights term over >= 8 levels: bit for bit the
+    reference's sum along a C-contiguous (positions, levels) array,
+    then the whole loop as the reference runs it."""
+    relation, truth, (k_level, p_level), thres, config = case
+    uncertain = relation.uncertain_positions()
+    ours = CandidateSelector(
+        relation, ConfidenceState(relation)).expected_confidences(
+            uncertain, k_level, p_level)
+    theirs = ReferenceSelector(
+        relation, ReferenceConfidenceState(relation)).expected_confidences(
+            uncertain, k_level, p_level)
+    assert ours.tobytes() == theirs.tobytes()
+    _assert_same(_both(relation, truth, 2, thres, config))
+
+
 @pytest.mark.parametrize("use_upper_bound", [True, False])
 @pytest.mark.parametrize("seed,flat", [(1, False), (2, True), (3, True)])
 def test_multi_chunk_scans_match_the_reference(seed, flat, use_upper_bound):
@@ -233,6 +289,20 @@ def derivations(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def column_builds(monkeypatch):
+    """The grid level of every level-column copy, by wrapping."""
+    built = []
+    original = uncertain._level_columns
+
+    def wrapper(tables, level):
+        built.append(level)
+        return original(tables, level)
+
+    monkeypatch.setattr(uncertain, "_level_columns", wrapper)
+    return built
+
+
 def _fresh_session(name="pins", seed=78, frames=700):
     session = Session(
         TrafficVideo(name, frames, seed=seed), counting_udf("car"),
@@ -268,6 +338,53 @@ def test_window_relations_are_built_once_per_shape(derivations):
     _ask(session, k=7, window=30)  # K is not part of the shape
     # One relation and one set of tables per window shape.
     assert derivations == {"tables": 2, "window_relations": 2}
+
+
+def test_level_columns_are_built_once_per_level(column_builds):
+    session = _fresh_session()
+    relation = session.phase1().result.relation
+    shapes = [(k, window) for k in (3, 5, 8, 12) for window in (0, 30)]
+    reports = [_ask(session, k, window) for k, window in shapes]
+    window = session.phase1().window_relation(
+        window_size=30, floor=0.0, step=0.25)
+    memos = [vars(relation)["_columns"], vars(window)["_columns"]]
+    built = list(column_builds)
+    # One copy per (relation, level) read, however many queries read it.
+    assert len(built) == sum(len(memo) for memo in memos) > 0
+    assert [_ask(session, k, w) for k, w in shapes] == reports
+    assert column_builds == built
+    # A copy shares the memo; a row restriction takes rows of every
+    # column built so far and copies nothing itself.
+    level = next(iter(memos[0]))
+    assert relation.copy().level_columns(level) is \
+        relation.level_columns(level)
+    restricted = restrict_relation(relation, [(100, 400)])
+    mask = (relation.ids >= 100) & (relation.ids < 400)
+    assert vars(restricted)["_columns"].keys() == memos[0].keys()
+    for level, columns in vars(restricted)["_columns"].items():
+        for mine, full in zip(columns, memos[0][level]):
+            assert mine.tobytes() == full[mask].tobytes()
+    assert column_builds == built
+
+
+def test_in_place_cleaning_drops_the_relations_own_columns():
+    session = _fresh_session()
+    entry_relation = session.phase1().result.relation
+    _ask(session)
+    level = next(iter(vars(entry_relation)["_columns"]))
+    shared = entry_relation.level_columns(level)
+    relation = entry_relation.copy()
+    assert relation.level_columns(level) is shared
+    position = int(relation.uncertain_positions()[0])
+    relation.mark_certain(position, 2.0)
+    assert "_columns" not in vars(relation)
+    rebuilt = relation.level_columns(level)
+    assert rebuilt is not shared
+    assert rebuilt[2].tobytes() == relation.cdf[:, level].tobytes()
+    assert rebuilt[3].tobytes() == relation.pmf[:, level].tobytes()
+    # The entry's own memo is untouched.
+    assert entry_relation.level_columns(level) is shared
+    assert shared[2].tobytes() == entry_relation.cdf[:, level].tobytes()
 
 
 def test_in_place_cleaning_drops_the_relations_own_tables():
@@ -307,16 +424,20 @@ def test_two_threads_racing_the_first_use_answer_identically():
 
 def test_racing_first_use_of_one_relation_from_bare_threads():
     """The same race without the service in between: every thread gets
-    tables equal to a serial build's, whichever assignment wins."""
+    tables and level columns equal to a serial build's, whichever
+    assignment wins."""
     pristine = _fresh_session("race-bare", 80).phase1().result.relation
+    level = pristine.grid.max_level // 2
     serial = pristine.copy().log_tables()
+    serial_columns = pristine.copy().level_columns(level)
     pristine.__dict__.pop("_log_tables")
+    assert "_columns" not in vars(pristine)
     barrier = threading.Barrier(4)
     seen = []
 
     def first_use():
         barrier.wait(timeout=WAIT)
-        seen.append(pristine.log_tables())
+        seen.append(pristine.level_columns(level) + pristine.log_tables())
 
     threads = [threading.Thread(target=first_use) for _ in range(4)]
     for thread in threads:
@@ -325,8 +446,8 @@ def test_racing_first_use_of_one_relation_from_bare_threads():
         thread.join(timeout=WAIT)
         assert not thread.is_alive()
     assert len(seen) == 4
-    for tables in seen:
-        for mine, theirs in zip(tables, serial):
+    for derived in seen:
+        for mine, theirs in zip(derived, serial_columns + serial):
             assert mine.tobytes() == theirs.tobytes()
 
 
@@ -378,16 +499,19 @@ def test_a_shipped_spec_carries_no_derived_state():
     cold = ship_spec(session, entries).blob
     reports = _warm(session)
     assert "_log_tables" in vars(entry.result.relation)
+    assert "_columns" in vars(entry.result.relation)
     assert vars(entry)["_window_relations"]
     warm = ship_spec(session, entries).blob
     # Not one byte more than before any query ran — which is the blob
     # the parent commit ships (nothing else about the entry changed).
     assert len(warm) == len(cold) and warm == cold
     assert b"_log_tables" not in warm and b"_window_relations" not in warm
+    assert b"_columns" not in warm
 
     # ...and what arrives answers as the original does.
     received = pickle.loads(pickle.dumps(entry))
     assert "_log_tables" not in vars(received.result.relation)
+    assert "_columns" not in vars(received.result.relation)
     assert "_window_relations" not in vars(received)
     other = Session(session.video, session.scoring, config=FAST)
     other.adopt_phase1(received, session.config)
@@ -403,9 +527,11 @@ def test_a_stream_checkpoint_carries_no_derived_state(tmp_path):
     reports = _warm(stream)
     entry = stream.phase1()
     assert "_log_tables" in vars(entry.result.relation)
+    assert "_columns" in vars(entry.result.relation)
     stream.checkpoint(tmp_path / "warm")
     # Strip every memo by hand: the state the parent commit would hold.
     vars(entry.result.relation).pop("_log_tables")
+    vars(entry.result.relation).pop("_columns")
     vars(entry).pop("_window_relations")
     stream.checkpoint(tmp_path / "stripped")
     assert _tree_bytes(tmp_path / "warm") \
@@ -413,6 +539,7 @@ def test_a_stream_checkpoint_carries_no_derived_state(tmp_path):
     for blob in (tmp_path / "warm").rglob("*"):
         if blob.is_file():
             assert b"_log_tables" not in blob.read_bytes()
+            assert b"_columns" not in blob.read_bytes()
             assert b"_window_relations" not in blob.read_bytes()
     resumed = Session.resume(tmp_path / "warm")
     assert _warm(resumed) == reports

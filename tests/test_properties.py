@@ -9,7 +9,7 @@ bound's dominance.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.reference import (
@@ -167,11 +167,16 @@ class TestMetricProperties:
             st.floats(0.0, 20.0), min_size=8, max_size=30),
         k=st.integers(1, 4),
         seed=st.integers(0, 1_000),
+        answer=st.none(),
     )
-    def test_metrics_bounded(self, scores, k, seed):
+    # The old ``K * (n - K)`` normaliser read 1.0625 here.
+    @example(scores=[2.0, 0.0, 2.0, 0.0, 1.0, 3.0, 2.0, 2.0], k=4, seed=0,
+             answer=[4, 3, 1, 5])
+    def test_metrics_bounded(self, scores, k, seed, answer):
         truth = np.asarray(scores)
-        rng = np.random.default_rng(seed)
-        answer = rng.choice(truth.size, size=k, replace=False).tolist()
+        if answer is None:
+            rng = np.random.default_rng(seed)
+            answer = rng.choice(truth.size, size=k, replace=False).tolist()
         assert 0.0 <= precision_at_k(answer, truth, k) <= 1.0
         assert 0.0 <= rank_distance(answer, truth, k) <= 1.0
         answer_scores = [truth[i] for i in answer]
