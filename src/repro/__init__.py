@@ -36,7 +36,7 @@ from .api import (
     open_session,
 )
 from .parallel import resolve_workers
-from .corpus import FederatedTopK, VideoCorpus
+from .corpus import VideoCorpus
 from .optimizer import WorkloadPlanner
 from .service import QueryFuture, QueryService
 from .trace import NULL_TRACER, Trace, Tracer
@@ -48,7 +48,6 @@ from .errors import (
     CheckpointError,
     ConfigurationError,
     CorpusError,
-    ShardBudgetExceededError,
     GuaranteeUnreachableError,
     ModelError,
     OracleBudgetExceededError,
@@ -81,7 +80,6 @@ __all__ = [
     "WindowedSession",
     "WindowedVideo",
     "VideoCorpus",
-    "FederatedTopK",
     "open_session",
     "QueryReport",
     "EverestConfig",
@@ -96,7 +94,6 @@ __all__ = [
     "ModelError",
     "OracleError",
     "OracleBudgetExceededError",
-    "ShardBudgetExceededError",
     "CorpusError",
     "UncertainRelationError",
     "QueryError",

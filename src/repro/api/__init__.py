@@ -29,7 +29,6 @@ from .registry import (
     format_corpus_spec,
     list_udfs,
     list_videos,
-    open_corpus,
     open_session,
     parse_corpus_spec,
     register_udf,
@@ -48,7 +47,6 @@ __all__ = [
     "QueryExecutor",
     "ExecutionDetail",
     "open_session",
-    "open_corpus",
     "register_udf",
     "register_video",
     "resolve_udf",

@@ -69,8 +69,9 @@ class QueryExecutor:
     ``confirm_oracle`` — a ``(plan, phase2_cost) -> Oracle`` factory —
     replaces the confirming oracle altogether; the relation, the
     cleaning loop, ledger assembly and report construction stay as
-    they are. This is how a corpus query routes confirmations to its
-    shards (DESIGN.md §9).
+    they are. A corpus query uses it to confirm through its members'
+    score caches (DESIGN.md §9); the guarantee audit, to record what
+    was scored.
     """
 
     def __init__(
@@ -86,7 +87,8 @@ class QueryExecutor:
         # oracle closes over) alive until the cyclic GC runs.
         self._confirm_oracle = confirm_oracle
         #: The confirming oracle behind the most recent execution —
-        #: how callers (corpus, tests) read its per-shard attribution.
+        #: how callers (the process lane, the guarantee audit, tests)
+        #: read what it revealed or recorded.
         self.last_confirm_oracle: Optional[Oracle] = None
         #: Cache-miss confirmations of every plan this executor ran.
         self.fresh_confirm_calls = 0

@@ -21,15 +21,14 @@ federated execution byte-comparable to a plain run)::
 
     outcome = (corpus.query()
                .topk(10).guarantee(0.9)
-               .oracle_budget(500).shard_budget("cam2", 100)
+               .oracle_budget(500)
                .run_detailed())
     outcome.allocation()     # confirms per shard
     outcome.merged_cost()    # canonical corpus ledger
 
-Two clauses belong to one kind of target and are refused on the other
-with an error naming the right door: tumbling ``windows(size=...)``
-needs a session (aggregation across shard boundaries is undefined),
-``shard_budget`` needs a corpus. ``plan()`` compiles the builder;
+Tumbling ``windows(size=...)`` needs a session (aggregation across
+shard boundaries is undefined) and is refused on a corpus with an
+error naming the right door. ``plan()`` compiles the builder;
 ``run()`` compiles and executes.
 """
 
@@ -38,11 +37,11 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from ..config import EverestConfig
 from ..core.windows import WINDOW_STEP_DIVISOR
-from ..errors import ConfigurationError, CorpusError, QueryError
+from ..errors import ConfigurationError, QueryError
 from ..video.streaming import window_frames_for
 from .plan import QueryPlan
 from .session import Session
@@ -84,7 +83,6 @@ class Query:
     _window_size: Optional[int] = None
     _window_step: Optional[float] = None
     _oracle_budget: object = _UNSET
-    _shard_budgets: Tuple[Tuple[str, int], ...] = ()
     _config: Optional[EverestConfig] = None
     _window_seconds: Optional[float] = None
 
@@ -168,33 +166,6 @@ class Query:
                 ConfigurationError)
         return dataclasses.replace(self, _oracle_budget=budget)
 
-    def shard_budget(self, member: str, budget: int) -> "Query":
-        """Cap one corpus member's share of the oracle spend.
-
-        A shard hitting its cap mid-allocation fails the query with a
-        deterministic
-        :class:`~repro.errors.ShardBudgetExceededError` *before* any
-        charge from the offending batch lands. Corpora only.
-        """
-        corpus = self._corpus
-        if corpus is None:
-            raise QueryError(
-                "shard_budget(...) caps one member of a corpus and this "
-                "query targets a single session; use oracle_budget(...) "
-                "here, or build the query from VideoCorpus.query()")
-        if member not in corpus.member_names:
-            raise CorpusError(
-                f"unknown corpus member {member!r}; members: "
-                f"{', '.join(corpus.member_names)}")
-        budget = _positive_int(
-            budget, "shard budget must be a positive integer",
-            ConfigurationError)
-        budgets = tuple(
-            (name, cap) for name, cap in self._shard_budgets
-            if name != member
-        ) + ((member, budget),)
-        return dataclasses.replace(self, _shard_budgets=budgets)
-
     def with_config(self, config: EverestConfig) -> "Query":
         """Override the target's configuration for this query only.
 
@@ -264,7 +235,7 @@ class Query:
         videos = self._videos()
         frame_ranges, window_seconds = self._resolve_window(mode, videos)
         return QueryPlan(
-            video_name=(target.video if corpus is None else corpus).name,
+            video_name=target.video.name,
             udf_name=target.scoring.name,
             num_frames=sum(len(video) for video, _, _ in videos),
             mode=mode,
@@ -335,32 +306,21 @@ class Query:
             f"{member.name}[{int(offset)}:{int(offset) + len(member.video)}]"
             for member, offset in zip(corpus.members, corpus.offsets())
         )
-        budgets = ", ".join(
-            f"{name}<={cap}" for name, cap in self._shard_budgets
-        ) or "none"
-        return "\n".join([
-            text,
-            f"  shards   : {shards}",
-            f"  caps     : {budgets} (per-shard)",
-        ])
+        return f"{text}\n  shards   : {shards}"
 
     def run_detailed(self):
         """Compile and execute; the full outcome behind the report.
 
         An :class:`~repro.api.executor.ExecutionDetail` for a session,
         a :class:`~repro.corpus.federated.CorpusOutcome` (allocation,
-        per-shard ledgers) for a corpus — both carry ``.report``.
+        answer members, merged ledger) for a corpus — both carry
+        ``.report``.
         """
         plan = self.plan()
         corpus = self._corpus
         if corpus is None:
             return self.target._executor().execute_detailed(plan)
-        from ..corpus.federated import FederatedTopK
-
-        caps = dict(self._shard_budgets)
-        return FederatedTopK(corpus).execute_detailed(
-            plan,
-            shard_budgets=[caps.get(name) for name in corpus.member_names])
+        return corpus.execute_detailed(plan)
 
     def run(self) -> "QueryReport":
         """Compile and execute, returning the full query report."""

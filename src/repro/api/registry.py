@@ -391,10 +391,6 @@ def resolve_corpus(
         config=config, unit_costs=unit_costs, name=name, **video_kwargs)
 
 
-#: Alias matching :func:`open_session`'s naming.
-open_corpus = resolve_corpus
-
-
 def resolve_udf(spec: str) -> ScoringFunction:
     """Build the scoring function a spec like ``"count[car]"`` names.
 

@@ -2,13 +2,12 @@
 
 A :class:`VideoCorpus` bundles N member videos — closed archives,
 slices of one archive, or live streams — behind one logical frame
-namespace, and :class:`FederatedTopK` answers top-k queries over the
-union: Phase 1 runs (or is adopted) independently per shard, a single
-merged uncertain relation over ``(shard offset + local frame)`` keys
-drives one global Phase-2 cleaning loop, and a federated oracle routes
-each confirmation batch to the owning shards while the global budget,
-ledger and report stay byte-identical to a plain single-video
-execution over the concatenated footage (DESIGN.md §9).
+namespace and answers top-k queries over the union: Phase 1 runs (or
+is adopted) independently per shard, and a single merged uncertain
+relation over ``(shard offset + local frame)`` keys drives the plain
+Phase-2 engine over the concatenated footage, confirming through the
+members' own score caches — so budget, ledger and report are those of
+a plain single-video execution over the concatenation (DESIGN.md §9).
 
     corpus = VideoCorpus.open(["taipei-bus", "archie-day2"], "count[car]")
     outcome = corpus.query().topk(10).guarantee(0.9).run_detailed()
@@ -22,18 +21,11 @@ member event.
 """
 
 from .corpus import CorpusMember, VideoCorpus
-from .federated import (
-    CorpusOutcome,
-    FederatedOracle,
-    FederatedTopK,
-    merge_phase1_entries,
-)
+from .federated import CorpusOutcome, merge_phase1_entries
 
 __all__ = [
     "VideoCorpus",
     "CorpusMember",
     "CorpusOutcome",
-    "FederatedTopK",
-    "FederatedOracle",
     "merge_phase1_entries",
 ]

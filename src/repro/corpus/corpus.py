@@ -4,21 +4,27 @@ A :class:`VideoCorpus` owns one :class:`~repro.api.session.Session`
 per member (the unit of per-shard Phase-1 reuse — service-bound
 members lease their builds single-flight through
 :class:`~repro.service.artifacts.SharedArtifacts`, streaming members
-maintain theirs incrementally) plus the merged corpus-level state the
-federated engine executes against:
+maintain theirs incrementally) plus the merged corpus-level state a
+corpus query executes against:
 
 * **Shard identity.** Members are ordered; member ``m`` owns the
   global frame range ``[offset[m], offset[m] + len(m))`` where
-  ``offset`` is the cumulative length of the preceding members. All
-  cross-shard structures — the merged relation's tuple ids, ledger
-  merge order, error precedence — follow this one canonical order.
+  ``offset`` is the cumulative length of the preceding members — the
+  rule of the corpus's one :class:`~repro.video.views.ConcatVideo`,
+  which :meth:`VideoCorpus.offsets` and :meth:`VideoCorpus.locate`
+  read. All cross-shard structures — the merged relation's tuple ids,
+  ledger merge order, error precedence — follow this one canonical
+  order.
 * **Merged Phase-1 state.** Per plan configuration, the member
   Phase-1 entries are merged into one corpus
   :class:`~repro.api.session.Phase1Entry` (see
   :func:`~repro.corpus.federated.merge_phase1_entries`) adopted by an
-  internal session over the :class:`~repro.video.views.ConcatVideo`.
-  The merge is cached and fingerprinted against the member entries, so
-  a streaming member's append transparently invalidates it.
+  internal session over that ConcatVideo. The merge is cached and
+  fingerprinted against the member entries, so a streaming member's
+  append transparently invalidates it.
+* **Execution.** :meth:`VideoCorpus.execute_detailed` runs a plan on
+  the plain :class:`~repro.api.executor.QueryExecutor` of that
+  session, confirming through the members' own score caches.
 * **Split corpora.** :meth:`VideoCorpus.from_split` reshards an
   existing single-video session into slice members that *adopt* the
   archive's Phase-1 wholesale — no re-sampling, no re-training — which
@@ -34,18 +40,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api.executor import QueryExecutor
 from ..api.session import Phase1Entry, Session, phase1_key
 from ..config import EverestConfig
-from ..errors import CorpusError, FrameIndexError
+from ..errors import CorpusError, QueryError
+from ..oracle.cache import CachingOracle
 from ..oracle.cost import CostModel
 from ..video.views import ConcatVideo, VideoSlice
-
-
-def locate_global(offsets: np.ndarray, global_id: int) -> Tuple[int, int]:
-    """``(member_index, local_frame)`` of a global frame id, given the
-    members' ascending start offsets (no range check)."""
-    member = int(np.searchsorted(offsets, int(global_id), side="right")) - 1
-    return member, int(global_id) - int(offsets[member])
+from .federated import CorpusOutcome, MemberScoreCaches, merge_phase1_entries
 
 
 @dataclass
@@ -123,6 +125,9 @@ class VideoCorpus:
             else "+".join(m.name for m in self.members)
         self.scoring = first.scoring
         self.config = first.config
+        #: The one frame namespace: offsets, ownership and reads.
+        self.video = ConcatVideo(
+            [member.video for member in self.members], name=self.name)
         #: Set by :meth:`from_split`: the archive session whose whole
         #: Phase 1 every shard adopts instead of building its own.
         self._split_source: Optional[Session] = None
@@ -223,20 +228,15 @@ class VideoCorpus:
 
     @property
     def total_frames(self) -> int:
-        return sum(len(member.video) for member in self.members)
+        return len(self.video)
 
     def offsets(self) -> np.ndarray:
         """Global frame id of each member's frame 0 (member order)."""
-        lengths = [len(member.video) for member in self.members]
-        return np.concatenate(([0], np.cumsum(lengths[:-1]))).astype(
-            np.int64)
+        return self.video.offsets()
 
     def locate(self, global_id: int) -> Tuple[int, int]:
         """``(member_index, local_frame)`` owning a global frame id."""
-        global_id = int(global_id)
-        if global_id < 0 or global_id >= self.total_frames:
-            raise FrameIndexError(global_id, self.total_frames)
-        return locate_global(self.offsets(), global_id)
+        return self.video.locate(global_id)
 
     def resolved_unit_costs(self) -> Dict[str, float]:
         return self.members[0].session.resolved_unit_costs()
@@ -317,8 +317,6 @@ class VideoCorpus:
             return self._merged_state_locked(config, key)
 
     def _merged_state_locked(self, config, key) -> _MergedState:
-        from .federated import merge_phase1_entries
-
         cached = self._merged_states.get(key)
         if cached is not None and \
                 cached.fingerprint == self._fingerprint(config):
@@ -336,10 +334,8 @@ class VideoCorpus:
                 step=self.scoring.step,
             )
             phase1_costs = [e.cost_model for e in entries]
-        concat = ConcatVideo(
-            [member.video for member in self.members], name=self.name)
         session = Session(
-            concat, self.scoring, config=config,
+            self.video, self.scoring, config=config,
             unit_costs=self.members[0].session._unit_costs)
         session.adopt_phase1(entry, config)
         state = _MergedState(
@@ -359,6 +355,45 @@ class VideoCorpus:
         from ..api.query import Query
 
         return Query(target=self)
+
+    def execute_detailed(self, plan) -> CorpusOutcome:
+        """Run one compiled plan over the corpus; the full outcome.
+
+        The plain executor of the merged state's session runs it: the
+        relation read, the cleaning loop, ledger assembly and report
+        construction are the single-video ones, and the confirming
+        oracle is the plain :class:`~repro.oracle.cache.CachingOracle`
+        over the members' own score caches — so the corpus report *is*
+        a plain report over the merged relation. Only frame-mode plans
+        are accepted: window semantics across shard boundaries are
+        undefined.
+        """
+        if plan.mode != "frames":  # before the merge builds any Phase 1
+            raise QueryError(
+                "corpus queries rank frames; window aggregation across "
+                "shard boundaries is undefined — query a member "
+                "session for windows")
+        state = self.merged_state(plan.config)
+        caches = MemberScoreCaches(self.video, [
+            member.session.shared_score_cache for member in self.members])
+
+        def confirm_oracle(plan, phase2_cost: CostModel) -> CachingOracle:
+            return CachingOracle(
+                self.scoring, phase2_cost, cache=caches,
+                cost_key="oracle_confirm", budget=plan.oracle_budget)
+
+        detail = QueryExecutor(
+            state.session, confirm_oracle=confirm_oracle
+        ).execute_detailed(plan)
+        return CorpusOutcome(
+            report=detail.report,
+            phase2_cost=detail.phase2_cost,
+            phase1_costs=list(state.phase1_costs),
+            shard_confirms=caches.confirms,
+            member_names=self.member_names,
+            offsets=self.offsets().tolist(),
+            fresh_confirm_calls=detail.fresh_confirm_calls,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,45 +3,39 @@
 The algorithmic insight is that the paper's Phase-2 machinery never
 cares where a tuple's frame physically lives: the uncertain relation,
 the CLT confidence state and the Eq-6 candidate selector are functions
-of (ids, pmfs) alone. Federation therefore reduces to
+of (ids, pmfs) alone. A corpus query is therefore the plain engine over
+the members' :class:`~repro.video.views.ConcatVideo`, given
 
-1. **merging** per-shard Phase-1 artifacts into one global
+1. the **merged** Phase-1 entry: one global
    :class:`~repro.core.uncertain.UncertainRelation` over namespaced
    ``offset + local_frame`` ids — on one shared quantization grid, with
    every shard's labelled frames inserted as certain tuples exactly as
    a single-video build would (:func:`merge_phase1_entries`); and
-2. **routing** each cleaning batch's confirmations back to the owning
-   shards (:class:`FederatedOracle`). The global selector *is* the
-   greedy cross-shard budget allocator: every iteration it hands the
-   next batch to whichever shards own the frames with the highest
-   expected confidence gain (Equation 6 evaluated over the merged
-   relation), and the federated oracle enforces the global budget
-   before any shard is touched, so the spend — like the answer — is
-   identical to a single-video run over the concatenated footage.
+2. the members' own score caches, seen through one per-query
+   :class:`MemberScoreCaches` view: the confirming oracle is the plain
+   :class:`~repro.oracle.cache.CachingOracle`, whose cache reads and
+   writes each global id in its member's cache under the local id and
+   counts the confirms each member served. The global selector *is*
+   the cross-shard budget allocator: every iteration it hands the next
+   batch to whichever shards own the frames with the highest expected
+   confidence gain (Equation 6 over the merged relation).
 
-Determinism contract (certified by ``tests/test_corpus_equivalence``):
-the federated report and the canonical merged ledger are
-**byte-identical** to a plain
-:class:`~repro.api.executor.QueryExecutor` run over the
-:class:`~repro.video.views.ConcatVideo` with the same merged entry at
-the same global budget — for any shard count, and whether the query
-runs alone or through the service. Failures are deterministic too:
-per-shard budgets are checked in canonical member order *before* any
-charge from the offending batch lands, and the shards' misses are
-scored in canonical member order in the calling thread, so the
-earliest member's error is the one that re-raises. (Scoring one
-8-frame batch costs tens of µs of GIL-bound Python — less than a
-thread or pool round trip — so the shards are not fanned out.)
+The corpus report and the canonical merged ledger are therefore
+**byte-identical** to a plain :class:`~repro.api.executor.QueryExecutor`
+run over the ConcatVideo with the same merged entry at the same global
+budget (certified by ``tests/test_corpus_equivalence``), and failures
+are the plain run's: ``ConcatVideo.frames`` reads the members in
+canonical order, so the earliest member's error is the one that
+re-raises, and a batch that fails stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..api.executor import QueryExecutor
 from ..core.phase1 import Phase1Entry, Phase1Result
 from ..core.result import QueryReport
 from ..core.uncertain import (
@@ -49,15 +43,9 @@ from ..core.uncertain import (
     build_relation,
     quantize_mixtures,
 )
-from ..errors import (
-    OracleBudgetExceededError,
-    QueryError,
-    ShardBudgetExceededError,
-)
-from ..oracle.base import Oracle
 from ..oracle.cost import CostModel, merge_cost_models
 from ..video.diff import DiffResult
-from .corpus import locate_global
+from ..video.views import ConcatVideo, owners
 
 # ----------------------------------------------------------------------
 # Phase-1 merging
@@ -158,120 +146,49 @@ def merge_phase1_entries(
 
 
 # ----------------------------------------------------------------------
-# The federated confirming oracle
+# The members' score caches, seen by global frame id
 # ----------------------------------------------------------------------
 
 
-class FederatedOracle(Oracle):
-    """A confirming oracle that routes each batch to its shards.
+class MemberScoreCaches:
+    """One corpus query's view of its members' score caches.
 
-    Charging, call counting and *global* budget enforcement are
-    byte-identical to the plain :class:`~repro.oracle.base.Oracle`: the
-    global ledger receives one charge per batch and the budget check
-    precedes any work, so a federated report cannot differ from the
-    concatenated reference. On top of that it keeps per-shard
-    attribution — one :class:`~repro.oracle.cost.CostModel` view, call
-    counter and optional budget per member — and consults the members'
-    score caches (local frame ids).
-
-    Failure discipline: the global budget, then every shard budget in
-    canonical member order, are checked *before* the batch charges
-    anything — a failed allocation leaves every ledger (global and
-    per-shard) exactly as it was, so retries never double-charge.
+    Offers the :class:`~repro.oracle.cache.ScoreCache` surface a
+    :class:`~repro.oracle.cache.CachingOracle` uses (``lookup`` /
+    ``merge``) over global frame ids: global id ``g`` lives in its
+    member's own cache under the local id ``ConcatVideo.locate(g)``
+    gives, so a frame revealed by a member session (or by an earlier
+    corpus query) is never scored again. Every id a lookup asks for —
+    repeats included — counts as one confirm its member served.
     """
 
-    def __init__(
-        self,
-        scoring,
-        cost_model: CostModel,
-        *,
-        videos: Sequence,
-        member_names: Sequence[str],
-        offsets: np.ndarray,
-        shard_costs: Sequence[CostModel],
-        caches: Sequence[Optional[object]],
-        budget: Optional[int] = None,
-        shard_budgets: Optional[Sequence[Optional[int]]] = None,
-        cost_key: str = "oracle_confirm",
-    ):
-        super().__init__(
-            scoring, cost_model, budget=budget, cost_key=cost_key)
-        self.videos = list(videos)
-        self.member_names = list(member_names)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.shard_costs = list(shard_costs)
+    def __init__(self, video: ConcatVideo, caches: Sequence):
+        self.video = video
         self.caches = list(caches)
-        self.shard_budgets = list(
-            shard_budgets if shard_budgets is not None
-            else [None] * len(self.videos))
-        self.shard_calls = [0] * len(self.videos)
-        self.fresh_calls = 0
+        #: Confirms each member served, canonical member order.
+        self.confirms = [0] * len(self.caches)
 
-    # ------------------------------------------------------------------
-    def locate(self, global_id: int) -> Tuple[int, int]:
-        return locate_global(self.offsets, global_id)
+    def lookup(self, frames: Iterable[int]) -> Dict[int, float]:
+        frames = list(frames)
+        found: Dict[int, float] = {}
+        for member, rows, local in self.video.by_member(frames)[1]:
+            self.confirms[member] += rows.size
+            hits = self.caches[member].lookup(local.tolist())
+            for row, frame in zip(rows.tolist(), local.tolist()):
+                if frame in hits:
+                    found[frames[row]] = hits[frame]
+        return found
 
-    def score(self, video, indices: Sequence[int]) -> np.ndarray:
-        indices = [int(i) for i in indices]
-        if self.budget is not None and \
-                self.calls + len(indices) > self.budget:
-            raise OracleBudgetExceededError(self.budget)
-
-        # Group by owning member, preserving intra-batch positions.
-        groups: Dict[int, List[Tuple[int, int]]] = {}
-        for position, global_id in enumerate(indices):
-            member, local = self.locate(global_id)
-            groups.setdefault(member, []).append((position, local))
-        order = sorted(groups)
-
-        # Per-shard budgets, canonical member order, before any charge.
-        for member in order:
-            limit = self.shard_budgets[member]
-            if limit is not None and \
-                    self.shard_calls[member] + len(groups[member]) > limit:
-                raise ShardBudgetExceededError(
-                    limit, self.member_names[member])
-
-        self.calls += len(indices)
-        self.cost_model.charge(self.cost_key, len(indices))
-
-        # Cached scores first, then every member's misses, scored here in
-        # canonical member order before anything is stored: a batch that
-        # fails part-way (the earliest member's error re-raises) leaves
-        # every cache and shard ledger as it was.
-        known: Dict[int, Dict[int, float]] = {}
-        fresh: List[Tuple[int, List[int], np.ndarray]] = []
-        for member in order:
-            locals_ = [local for _, local in groups[member]]
-            cache = self.caches[member]
-            known[member] = cache.lookup(locals_) if cache is not None else {}
-            missing = list(dict.fromkeys(
-                local for local in locals_ if local not in known[member]))
-            if missing:
-                fresh.append((member, missing, np.asarray(
-                    self.scoring(self.videos[member].frames(missing)))))
-        for member, missing, scores in fresh:
-            revealed = dict(zip(missing, map(float, scores)))
-            known[member].update(revealed)
-            if self.caches[member] is not None:
-                self.caches[member].merge(revealed.items())
-            self.fresh_calls += len(missing)
-
-        # Per-shard attribution and the scatter back into batch order.
-        out = np.empty(len(indices), dtype=np.float64)
-        for member in order:
-            pairs = groups[member]
-            self.shard_calls[member] += len(pairs)
-            ledger = self.shard_costs[member]
-            ledger.charge(self.cost_key, len(pairs))
-            ledger.charge("decode", len(pairs))
-            for position, local in pairs:
-                out[position] = known[member][local]
-        return out
+    def merge(self, items: Iterable[Tuple[int, float]]) -> None:
+        items = list(items)
+        groups = self.video.by_member([frame for frame, _ in items])[1]
+        for member, rows, local in groups:
+            self.caches[member].merge(zip(
+                local.tolist(), (items[row][1] for row in rows.tolist())))
 
 
 # ----------------------------------------------------------------------
-# Execution
+# The outcome of one corpus query
 # ----------------------------------------------------------------------
 
 
@@ -290,8 +207,6 @@ class CorpusOutcome:
     #: Per-shard Phase-1 ledgers, canonical member order (a single
     #: archive ledger for split corpora).
     phase1_costs: List[CostModel]
-    #: Per-shard Phase-2 attribution views (confirm + decode charges).
-    shard_costs: List[CostModel]
     #: Confirmations each shard served.
     shard_confirms: List[int]
     member_names: List[str]
@@ -312,87 +227,14 @@ class CorpusOutcome:
     def answer_members(self) -> List[Tuple[str, int]]:
         """The answer as ``(member_name, local_frame)`` pairs."""
         offsets = np.asarray(self.offsets, dtype=np.int64)
-        resolved = []
-        for global_id in self.report.answer_ids:
-            member, local = locate_global(offsets, global_id)
-            resolved.append((self.member_names[member], local))
-        return resolved
+        ids = np.asarray(self.report.answer_ids, dtype=np.int64)
+        members = owners(offsets, ids)
+        return [
+            (self.member_names[member], local)
+            for member, local in zip(
+                members.tolist(), (ids - offsets[members]).tolist())
+        ]
 
     def allocation(self) -> Dict[str, int]:
         """Oracle confirmations the selector allocated to each shard."""
         return dict(zip(self.member_names, self.shard_confirms))
-
-
-class FederatedTopK:
-    """Federated top-k over a :class:`~repro.corpus.corpus.VideoCorpus`.
-
-    A cold corpus's missing member builds run one after another
-    (:meth:`~repro.corpus.corpus.VideoCorpus.prepare`; a
-    :class:`~repro.service.QueryService` fans them out first);
-    confirmations are scored in the calling thread.
-    """
-
-    def __init__(self, corpus):
-        self.corpus = corpus
-
-    def execute(self, plan, *,
-                shard_budgets: Optional[Sequence[Optional[int]]] = None
-                ) -> QueryReport:
-        return self.execute_detailed(
-            plan, shard_budgets=shard_budgets).report
-
-    def execute_detailed(
-        self,
-        plan,
-        *,
-        shard_budgets: Optional[Sequence[Optional[int]]] = None,
-    ) -> CorpusOutcome:
-        """Run one compiled plan federated; returns the full outcome.
-
-        The plain executor runs it with the confirming oracle swapped
-        out — the relation read, the cleaning loop, ledger assembly and
-        report construction are the single-video ones, so the corpus
-        report *is* a plain report over the merged relation. Only
-        frame-mode plans are accepted: window semantics across shard
-        boundaries are undefined.
-        """
-        if plan.mode != "frames":  # before the merge builds any Phase 1
-            raise QueryError(
-                "corpus queries rank frames; window aggregation across "
-                "shard boundaries is undefined — query a member "
-                "session for windows")
-        corpus = self.corpus
-        state = corpus.merged_state(plan.config)
-        videos = [member.video for member in corpus.members]
-        # Members route their own caches (local frame ids).
-        caches = [
-            member.session.shared_score_cache for member in corpus.members]
-
-        def confirm_oracle(plan, phase2_cost: CostModel) -> Oracle:
-            return FederatedOracle(
-                corpus.scoring,
-                phase2_cost,
-                videos=videos,
-                member_names=corpus.member_names,
-                offsets=corpus.offsets(),
-                shard_costs=[CostModel(plan.unit_costs) for _ in videos],
-                caches=caches,
-                budget=plan.oracle_budget,
-                shard_budgets=shard_budgets,
-            )
-
-        executor = QueryExecutor(
-            state.session, confirm_oracle=confirm_oracle)
-        detail = executor.execute_detailed(plan)
-        oracle = executor.last_confirm_oracle
-        assert isinstance(oracle, FederatedOracle)
-        return CorpusOutcome(
-            report=detail.report,
-            phase2_cost=detail.phase2_cost,
-            phase1_costs=list(state.phase1_costs),
-            shard_costs=list(oracle.shard_costs),
-            shard_confirms=list(oracle.shard_calls),
-            member_names=corpus.member_names,
-            offsets=[int(o) for o in corpus.offsets()],
-            fresh_confirm_calls=oracle.fresh_calls,
-        )

@@ -71,27 +71,6 @@ class OracleBudgetExceededError(OracleError):
         return (type(self), (self.budget,))
 
 
-class ShardBudgetExceededError(OracleBudgetExceededError):
-    """A per-shard oracle budget was exhausted during a corpus query.
-
-    Carries the shard (member) name so federated failures are
-    attributable; raised *before* any charge from the offending batch
-    lands, in canonical shard order, so the error — like the ledgers —
-    is deterministic.
-    """
-
-    def __init__(self, budget: int, member: str):
-        OracleError.__init__(
-            self,
-            f"oracle invocation budget of {budget} frames exhausted "
-            f"on corpus shard {member!r}")
-        self.budget = budget
-        self.member = member
-
-    def __reduce__(self):
-        return (type(self), (self.budget, self.member))
-
-
 class CorpusError(ReproError):
     """A video corpus was malformed or its members were incompatible."""
 

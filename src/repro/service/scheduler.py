@@ -312,13 +312,6 @@ class FairScheduler:
         """Accumulated fairness charge per tenant (oracle seconds)."""
         return self.snapshot()["tenants"]
 
-    def rejections(self) -> Dict[str, Dict[str, int]]:
-        """Refused submissions per tenant, keyed by reason code."""
-        return self.snapshot()["rejections"]
-
-    def pending(self) -> int:
-        return self.snapshot()["pending"]
-
     # ------------------------------------------------------------------
     def _next_batch(self) -> Optional[List[Job]]:
         """Pop the fairest next batch (caller holds the lock)."""

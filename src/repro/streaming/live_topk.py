@@ -52,7 +52,7 @@ class LiveTopK:
     #: a corpus refresh, which does not run on the member's executor.
     fresh_confirms: List[int] = field(default_factory=list)
     #: The :class:`~repro.corpus.federated.CorpusOutcome` (allocation,
-    #: per-shard ledgers) behind each report of a corpus answer; empty
+    #: answer members) behind each report of a corpus answer; empty
     #: for a session answer, whose report carries its whole ledger.
     details: list = field(default_factory=list)
 

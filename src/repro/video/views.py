@@ -10,8 +10,8 @@ Two read-only views back the corpus layer (DESIGN.md §9):
   over the slices confirms the very frames the unsplit query would.
 * :class:`ConcatVideo` exposes an ordered sequence of member videos as
   one logical video whose frame ``g`` is member ``m``'s frame
-  ``g - offset[m]``. It is the reference substrate the corpus
-  equivalence harness executes plain single-video queries against.
+  ``g - offset[m]`` (:func:`owners` states the rule). A corpus query
+  is a plain single-video query over it.
 
 Neither view renders anything itself and neither is appendable; a
 growing member is wrapped by :class:`~repro.video.streaming
@@ -28,6 +28,12 @@ import numpy as np
 from ..errors import ConfigurationError, FrameIndexError
 from .frame import BoundingBox, Frame
 from .synthetic import check_indices
+
+
+def owners(offsets: np.ndarray, indices):
+    """The member owning each global frame id: the last one whose start
+    offset is ``<=`` it (``offsets`` ascending; no range check)."""
+    return np.searchsorted(offsets, indices, side="right") - 1
 
 
 class VideoSlice:
@@ -110,12 +116,11 @@ class VideoSlice:
 class ConcatVideo:
     """Member videos exposed as one logical concatenation.
 
-    Global frame ``g`` belongs to the member ``m`` with the largest
-    offset ``<= g`` and maps to its local frame ``g - offset[m]``; reads
-    delegate to the member, so a plain oracle over the concat view
-    scores exactly the frames a federated per-shard oracle would. The
-    view reads member lengths on every access — a streaming member's
-    appends are visible immediately.
+    Global frame ``g`` belongs to member ``owners(offsets, g)`` and maps
+    to its local frame ``g - offset[m]``; reads delegate to the member,
+    so a plain oracle over the concat view scores each member's own
+    frames. The view reads member lengths on every access — a streaming
+    member's appends are visible immediately.
     """
 
     def __init__(self, members: Sequence, *, name: str):
@@ -147,7 +152,7 @@ class ConcatVideo:
         if index < 0 or index >= len(self):
             raise FrameIndexError(index, len(self))
         offsets = self.offsets()
-        member = int(np.searchsorted(offsets, index, side="right")) - 1
+        member = int(owners(offsets, index))
         return member, index - int(offsets[member])
 
     def __len__(self) -> int:
@@ -157,26 +162,26 @@ class ConcatVideo:
         member, local = self.locate(index)
         return self.members[member].pixels(local)
 
-    def _by_member(self, indices: Iterable[int]):
+    def by_member(self, indices: Iterable[int]):
         """The checked ``indices`` split by owner: their count, then
-        ``(member, request rows, local frames)`` per member touched."""
+        ``(member index, request rows, local frames)`` per member
+        touched, in member order."""
         indices = check_indices(indices, len(self))
         offsets = self.offsets()
-        owner = np.searchsorted(offsets, indices, side="right") - 1
+        owner = owners(offsets, indices)
         groups = []
         for member in np.unique(owner).tolist():
             rows = np.flatnonzero(owner == member)
-            groups.append((self.members[member], rows,
-                           indices[rows] - offsets[member]))
+            groups.append((member, rows, indices[rows] - offsets[member]))
         return indices.size, groups
 
     def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
         """One ``batch_pixels`` call per member touched, scattered back
         into request order (duplicates and arbitrary order allowed)."""
-        count, groups = self._by_member(indices)
+        count, groups = self.by_member(indices)
         out = np.empty((count,) + tuple(self.resolution), dtype=np.float32)
         for member, rows, local in groups:
-            out[rows] = member.batch_pixels(local)
+            out[rows] = self.members[member].batch_pixels(local)
         return out
 
     def frame(self, index: int) -> Frame:
@@ -189,10 +194,11 @@ class ConcatVideo:
         overriding :meth:`frame` still has it called once per index."""
         if type(self).frame is not ConcatVideo.frame:
             return [self.frame(i) for i in indices]
-        count, groups = self._by_member(indices)
+        count, groups = self.by_member(indices)
         out: List[Optional[Frame]] = [None] * count
         for member, rows, local in groups:
-            for row, frame in zip(rows.tolist(), member.frames(local)):
+            for row, frame in zip(
+                    rows.tolist(), self.members[member].frames(local)):
                 out[row] = frame
         return out
 

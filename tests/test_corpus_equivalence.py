@@ -150,9 +150,6 @@ def test_split_corpus_matches_unsplit_archive(data, archive_session):
     # global ledger's confirm units.
     assert sum(outcome.shard_confirms) == \
         outcome.phase2_cost.units("oracle_confirm")
-    assert sum(
-        cost.units("oracle_confirm") for cost in outcome.shard_costs
-    ) == outcome.phase2_cost.units("oracle_confirm")
 
 
 # ----------------------------------------------------------------------
@@ -248,11 +245,9 @@ def test_pooled_prepare_matches_serial_build(member_videos, udf):
 
 
 def test_corpus_query_explain_names_shards(member_corpus):
-    text = (member_corpus.query().topk(4)
-            .shard_budget("corpus-cam1", 50).explain())
+    text = member_corpus.query().topk(4).explain()
     assert "shards" in text
     assert "corpus-cam0[0:320]" in text
-    assert "corpus-cam1<=50" in text
 
 
 def test_window_queries_are_rejected(member_corpus):
@@ -260,10 +255,8 @@ def test_window_queries_are_rejected(member_corpus):
     with pytest.raises(QueryError):
         member.query().windows(size=10).over_corpus(member_corpus)
     with pytest.raises(QueryError):
-        from repro.corpus.federated import FederatedTopK
-
         plan = member.query().windows(size=10).topk(3).plan()
-        FederatedTopK(member_corpus).execute(plan)
+        member_corpus.execute_detailed(plan)
 
 
 # ----------------------------------------------------------------------

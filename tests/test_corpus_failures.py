@@ -1,40 +1,34 @@
 """Failure injection for the federated corpus engine.
 
 Mirrors the ``test_parallel_cost_ledger.py`` discipline: failures must
-be *deterministic* (same type, same payload, same canonical position)
-and must leave the ledgers consistent (a failed allocation charges
-nothing, so a retry never double-counts).
+be *deterministic* (same type, same payload, same canonical position).
+A corpus confirms through the plain
+:class:`~repro.oracle.cache.CachingOracle` over the members'
+:class:`~repro.video.views.ConcatVideo`, its cache the members' own
+score caches (:class:`~repro.corpus.federated.MemberScoreCaches`):
 
-* A shard's oracle tripping its per-shard budget mid-allocation fails
-  the corpus query with :class:`~repro.errors.ShardBudgetExceededError`
-  naming the shard — checked in canonical member order *before* any
-  charge from the offending batch lands.
 * A global budget trips with the exact error (type and budget) the
   plain concatenated execution raises.
 * A crashing shard re-raises in canonical member order: when several
   shards fail in one batch, the lowest-indexed member's error surfaces,
-  and a batch that fails part-way stores and charges nothing per shard.
+  and a batch that fails part-way stores nothing in any member cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
 
 from repro import EverestConfig, QueryService, Session, VideoCorpus
 from repro.config import Phase1Config
-from repro.corpus.federated import FederatedOracle
-from repro.errors import (
-    OracleBudgetExceededError,
-    OracleError,
-    ShardBudgetExceededError,
-)
+from repro.corpus.federated import MemberScoreCaches
+from repro.errors import OracleBudgetExceededError, OracleError
 from repro.oracle import CostModel, counting_udf
-from repro.oracle.cache import ScoreCache
+from repro.oracle.cache import CachingOracle, ScoreCache
 from repro.video import TrafficVideo
+from repro.video.views import ConcatVideo
 
 FAST = EverestConfig(
     phase1=Phase1Config(
@@ -81,80 +75,16 @@ def corpus(udf):
     return built
 
 
-def make_oracle(udf, videos, *, budget=None, shard_budgets=None,
-                caches=None):
-    """A standalone federated oracle over plain member videos."""
-    lengths = [len(v) for v in videos]
-    offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
-    return FederatedOracle(
-        udf,
-        CostModel(),
-        videos=videos,
-        member_names=[v.name for v in videos],
-        offsets=offsets,
-        shard_costs=[CostModel() for _ in videos],
-        caches=caches if caches is not None else [None] * len(videos),
-        budget=budget,
-        shard_budgets=shard_budgets,
-    )
-
-
-# ----------------------------------------------------------------------
-# Per-shard budgets: deterministic error, no charge from a failed batch.
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shard_budget_error_is_deterministic(corpus, udf, workers):
-    # The inline query and the same clause through a service of
-    # ``workers`` threads (which builds a fresh copy's cold members
-    # side by side) raise the very same error.
-    def capped(target):
-        return (target.query().topk(3).guarantee(0.999)
-                .shard_budget("fail-cam2", 4))
-
-    with pytest.raises(ShardBudgetExceededError) as inline:
-        capped(corpus).run_detailed()
-    videos = [member.video for member in corpus.members]
-    with QueryService(workers=workers, use_processes=False) as service:
-        fresh = VideoCorpus.open(videos, udf, config=FAST)
-        with pytest.raises(ShardBudgetExceededError) as served:
-            service.submit(capped(fresh)).result(WAIT)
-    for excinfo in (inline, served):
-        assert excinfo.value.budget == 4
-        assert excinfo.value.member == "fail-cam2"
-        assert "fail-cam2" in str(excinfo.value)
-
-
-def test_shard_budget_precheck_charges_nothing(udf):
-    videos = [TrafficVideo(f"pre-{i}", 120, seed=70 + i) for i in range(2)]
-    oracle = make_oracle(udf, videos, shard_budgets=[None, 3])
-
-    # A healthy batch charges normally.
-    first = oracle.score(None, [0, 1, 120, 121])
-    assert first.shape == (4,)
-    assert oracle.calls == 4
-    assert oracle.cost_model.units("oracle_confirm") == 4
-    assert oracle.shard_calls == [2, 2]
-
-    # This batch would put shard 1 over its cap: it must fail before
-    # *any* ledger (global or shard) or counter moves — including the
-    # earlier, in-budget shard's.
-    with pytest.raises(ShardBudgetExceededError) as excinfo:
-        oracle.score(None, [2, 122, 123])
-    assert excinfo.value.member == "pre-1"
-    assert oracle.calls == 4
-    assert oracle.cost_model.units("oracle_confirm") == 4
-    assert oracle.shard_calls == [2, 2]
-    for cost in oracle.shard_costs:
-        assert cost.units("oracle_confirm") == 2
-        assert cost.units("decode") == 2
-
-    # The failure is retryable: a conforming batch still succeeds and
-    # the ledgers resume from exactly where they stopped.
-    again = oracle.score(None, [2, 122])
-    assert again.shape == (2,)
-    assert oracle.cost_model.units("oracle_confirm") == 6
-    assert oracle.shard_calls == [3, 3]
+def make_oracle(udf, videos, *, caches=None):
+    """A corpus's confirming oracle over plain member videos: the
+    plain caching oracle over their concatenation, confirming through
+    the members' own score caches."""
+    concat = ConcatVideo(videos, name="+".join(v.name for v in videos))
+    view = MemberScoreCaches(
+        concat, caches if caches is not None
+        else [ScoreCache() for _ in videos])
+    return concat, CachingOracle(
+        udf, CostModel(), cache=view, cost_key="oracle_confirm")
 
 
 def test_global_budget_matches_concatenated_reference(corpus, udf):
@@ -175,15 +105,6 @@ def test_global_budget_matches_concatenated_reference(corpus, udf):
         query.run_detailed()
     assert federated.value.budget == reference.value.budget == 6
     assert type(federated.value) is type(reference.value)
-
-
-def test_shard_budget_error_pickles_intact():
-    error = ShardBudgetExceededError(7, "cam-x")
-    clone = pickle.loads(pickle.dumps(error))
-    assert isinstance(clone, ShardBudgetExceededError)
-    assert isinstance(clone, OracleBudgetExceededError)
-    assert (clone.budget, clone.member) == (7, "cam-x")
-    assert "cam-x" in str(clone)
 
 
 # ----------------------------------------------------------------------
@@ -249,13 +170,7 @@ class TestCorpusValidation:
         per_frame = costs["oracle_infer"] + costs["decode"]
         assert corpus.scan_seconds() == pytest.approx(900 * per_frame)
 
-    def test_shard_budget_clauses_validate(self, corpus):
-        from repro.errors import CorpusError
-
-        with pytest.raises(CorpusError):
-            corpus.query().shard_budget("nonexistent", 5)
-        with pytest.raises(ValueError):
-            corpus.query().shard_budget("fail-cam0", 0)
+    def test_with_config_clause_validates(self, corpus):
         with pytest.raises(ValueError):
             corpus.query().with_config("not-a-config")
 
@@ -265,24 +180,24 @@ class TestCorpusValidation:
 
 
 def test_inline_lane_reraises_in_canonical_shard_order(udf):
-    # A confirm batch is scored in the calling thread, one member after
+    # A confirm batch is read in the calling thread, one member after
     # another in canonical order.
     videos = [
         TrafficVideo("batch-ok", 100, seed=80),
         ExplodingVideo("batch-boom-a", 100, seed=81),
         ExplodingVideo("batch-boom-b", 100, seed=82),
     ]
-    oracle = make_oracle(udf, videos)
+    concat, oracle = make_oracle(udf, videos)
     # One batch spanning all three shards, listed out of member order:
     # both exploding members would fail; the first member's error is
     # the one that surfaces.
     with pytest.raises(RuntimeError) as excinfo:
-        oracle.score(None, [205, 5, 105])
+        oracle.score(concat, [205, 5, 105])
     assert "batch-boom-a" in str(excinfo.value)
 
     # The healthy shard scores exactly what its own video scores.
     np.testing.assert_array_equal(
-        oracle.score(None, [5, 6, 7]), udf(videos[0].frames([5, 6, 7])))
+        oracle.score(concat, [5, 6, 7]), udf(videos[0].frames([5, 6, 7])))
 
 
 def test_pool_lane_reraises_in_canonical_shard_order(udf):
@@ -318,23 +233,20 @@ def test_a_later_members_non_finite_score_stores_nothing(udf):
     videos = [
         TrafficVideo(f"finite-{i}", 100, seed=85 + i) for i in range(3)]
     caches = [ScoreCache() for _ in videos]
-    oracle = make_oracle(scoring, videos, caches=caches)
-    oracle.score(None, [1, 101])  # a healthy batch fills two caches
+    concat, oracle = make_oracle(scoring, videos, caches=caches)
+    oracle.score(concat, [1, 101])  # a healthy batch fills two caches
 
-    def shard_state():
-        return [(cache.as_dict(),
-                 {key: (cost.units(key), cost.seconds(key))
-                  for key in cost.breakdown()})
-                for cache, cost in zip(caches, oracle.shard_costs)]
+    def member_caches():
+        return [cache.as_dict() for cache in caches]
 
-    before = shard_state()
-    assert [len(scores) for scores, _ in before] == [1, 1, 0]
-    # The two earlier members' misses are scored before the last
-    # member's NaN; none of them is stored or charged to its shard.
+    before = member_caches()
+    assert [len(scores) for scores in before] == [1, 1, 0]
+    assert before[1] == {1: float(udf(videos[1].frames([1]))[0])}
+    # The two earlier members' misses are read with the last member's
+    # NaN; none of them is stored in its member's cache.
     with pytest.raises(OracleError, match="non-finite"):
-        oracle.score(None, [2, 102, 250])
-    assert shard_state() == before
-    assert oracle.shard_calls == [1, 1, 0]
+        oracle.score(concat, [2, 102, 250])
+    assert member_caches() == before
     assert oracle.fresh_calls == 2
 
 

@@ -182,9 +182,10 @@ def test_scheduler_storm_interleavings(tenants, max_pending):
     try:
         primer = scheduler.submit("primer", tenant="primer")
         deadline = time.monotonic() + 10
-        while scheduler.pending() and time.monotonic() < deadline:
+        while scheduler.snapshot()["pending"] \
+                and time.monotonic() < deadline:
             time.sleep(0.001)  # until the worker holds the primer
-        assert scheduler.pending() == 0
+        assert scheduler.snapshot()["pending"] == 0
 
         accepted, expected = [], {}
         for index, tenant in enumerate(tenants):
@@ -202,7 +203,7 @@ def test_scheduler_storm_interleavings(tenants, max_pending):
                     excinfo.value, QuotaExceededError)
                 expected[tenant] = expected.get(tenant, 0) + 1
 
-        rejections = scheduler.rejections()
+        rejections = scheduler.snapshot()["rejections"]
         assert {
             tenant: reasons.get("max_pending", 0)
             for tenant, reasons in rejections.items()
@@ -221,7 +222,7 @@ def test_scheduler_storm_interleavings(tenants, max_pending):
 
     with pytest.raises(ServiceClosedError):
         scheduler.submit("too-late", tenant="late")
-    assert scheduler.rejections()["late"]["closed"] == 1
+    assert scheduler.snapshot()["rejections"]["late"]["closed"] == 1
 
 
 def test_closed_service_through_both_entry_points():

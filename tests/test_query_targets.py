@@ -96,8 +96,6 @@ CLAUSES = {
                      [1.5], [10, np.int64(10)], "session"),
     "windows.step": (lambda q, v: q.windows(10, step=v), QueryError,
                      ["x"], [None, 0.25, 1, np.float64(0.25)], "session"),
-    "shard_budget": (lambda q, v: q.shard_budget("targets-closed", v),
-                     ConfigurationError, [1.5], [5, np.int64(5)], "corpus"),
 }
 
 
@@ -209,8 +207,6 @@ def test_window_ranges_land_in_the_corpus_namespace():
 
 
 def test_single_target_clauses_name_the_other_door(targets):
-    with pytest.raises(QueryError, match=r"VideoCorpus\.query\(\)"):
-        targets["session"].query().shard_budget("targets-closed", 5)
     with pytest.raises(QueryError, match=r"member session's query\(\)"):
         targets["corpus"].query().windows(size=10)
     assert targets["session"].phase1_runs == 0
@@ -359,7 +355,7 @@ def test_the_corpus_builder_is_gone_and_each_clause_is_stated_once():
         if path.parent == SRC / "corpus")
     for clause in ("topk", "guarantee", "oracle_budget", "with_config",
                    r"window\(", "plan", "explain",
-                   "subscribe", "shard_budget", "run_detailed"):
+                   "subscribe", "run_detailed"):
         assert len(re.findall(rf"def {clause}\b", builder)) == 1, clause
     # The window rule's arithmetic lives in one function of the builder.
     text = sources[SRC / "api" / "query.py"]
@@ -377,10 +373,9 @@ def test_plans_carry_no_timing_mode(targets):
 
 
 def test_run_lost_its_parallel_knob(targets):
-    from repro.corpus.federated import FederatedTopK
-
     for method in (Query.run, Query.run_detailed):
         assert list(inspect.signature(method).parameters) == ["self"]
-    assert list(inspect.signature(FederatedTopK).parameters) == ["corpus"]
+    assert list(inspect.signature(
+        VideoCorpus.execute_detailed).parameters) == ["self", "plan"]
     assert type(targets["session"].query()) is \
         type(targets["corpus"].query())

@@ -246,7 +246,7 @@ class TestFairScheduler:
         for i in range(4):
             scheduler.submit(i)
         assert scheduler.drain(WAIT)
-        assert scheduler.pending() == 0
+        assert scheduler.snapshot()["pending"] == 0
         scheduler.close()
 
 

@@ -126,6 +126,31 @@ def test_tracing_is_pure_corpus_query():
     assert _run_corpus(Tracer()) == _run_corpus(NULL_TRACER)
 
 
+@pytest.mark.parametrize("use_processes", [False, True])
+def test_every_corpus_confirm_is_traced(use_processes):
+    # A corpus confirms through the plain caching oracle, so its trace
+    # holds an oracle_confirm event for every Phase-2 confirm the
+    # query's ledger charges, on either lane.
+    videos = [
+        TrafficVideo(f"trace-corpus-{i}", 500, seed=40 + i)
+        for i in range(2)]
+    corpus = VideoCorpus.open(videos, counting_udf("car"), config=FAST())
+    tracer = Tracer()
+    with QueryService(workers=2 if use_processes else 1,
+                      use_processes=use_processes, tracer=tracer) as svc:
+        future = svc.submit(corpus.query().topk(4).guarantee(0.9))
+        future.result(180)
+    confirms = future.outcome().phase2_cost.units("oracle_confirm")
+    traced = sum(
+        event["attrs"]["frames"]
+        for record in tracer.get(future.trace_id).to_dict()["spans"]
+        for event in record["events"]
+        if event["name"] == "oracle_confirm"
+        and event["attrs"]["cost_key"] == "oracle_confirm")
+    assert confirms > 0
+    assert traced == confirms
+
+
 # ----------------------------------------------------------------------
 # Structure: span tree shape, adoption, coverage.
 # ----------------------------------------------------------------------
