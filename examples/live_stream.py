@@ -12,8 +12,9 @@ stand-in, subscribes a query, feeds the video in chunks, and prints
 the per-append economics: each report carries the *batch-equivalent*
 cost (what a from-scratch run over the same frames would charge),
 while the "fresh" column shows the oracle work the live engine
-actually paid — the delta, not the history. A checkpoint at the end
-shows `Session.resume` warm-starting with zero Phase-1 oracle calls.
+actually paid — the delta, not the history. Totals are summed from
+the results the appends return. A checkpoint at the end shows
+`Session.resume` warm-starting with zero fresh oracle calls.
 
 Run:  python examples/live_stream.py
 """
@@ -49,34 +50,32 @@ def main() -> None:
     print("-" * len(header))
 
     chunk = 1_500
+    fresh_calls = batch_equivalent_calls = 0
     while session.video.remaining >= chunk:
         result = session.append(chunk)
         report = live.latest
+        fresh_calls += result.fresh_oracle_calls
+        batch_equivalent_calls += sum(r.oracle_calls for r in result.reports)
         print(f"{result.watermark:>10,}  {result.segment.num_frames:>6}  "
               f"{report.confidence:>10.3f}  {report.oracle_calls:>17,}  "
               f"{result.fresh_oracle_calls:>11}  "
               f"{result.wall_seconds:>10.2f}s")
 
-    stats = session.stats
     print()
-    print(f"total fresh oracle calls across the stream: "
-          f"{stats.fresh_oracle_calls:,} "
+    print(f"total fresh oracle calls across the appends: {fresh_calls:,} "
           f"(a batch re-run per chunk would have re-paid "
-          f"{sum(r.oracle_calls for s in session.append_log for r in s.reports):,})")
+          f"{batch_equivalent_calls:,})")
 
     # Persist the Phase-1 artifacts and prove the warm start.
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "archie-stream"
         session.checkpoint(store)
         resumed = Session.resume(store)
-        labels_before = resumed.stats.fresh_label_calls
         answer = (resumed.query().topk(5).guarantee(0.9).subscribe())
-        fresh_labels = resumed.stats.fresh_label_calls - labels_before
         print(f"resumed from {store.name}: watermark="
-              f"{resumed.watermark:,}, phase-1 oracle calls on "
-              f"resume={fresh_labels}, answer unchanged="
+              f"{resumed.watermark:,}, fresh oracle calls on resume="
+              f"{answer.detail.fresh_confirm_calls}, answer unchanged="
               f"{answer.latest.answer_ids == live.latest.answer_ids}")
-
 
 if __name__ == "__main__":
     main()

@@ -40,7 +40,7 @@ from .corpus import VideoCorpus
 from .optimizer import WorkloadPlanner
 from .service import QueryFuture, QueryService
 from .trace import NULL_TRACER, Trace, Tracer
-from .streaming import StreamingConfig, StreamingSession
+from .streaming import StreamingSession
 from .video.streaming import StreamingVideo
 from .windowed import WindowedSession, WindowedVideo
 from .errors import (
@@ -75,7 +75,6 @@ __all__ = [
     "Trace",
     "NULL_TRACER",
     "StreamingSession",
-    "StreamingConfig",
     "StreamingVideo",
     "WindowedSession",
     "WindowedVideo",

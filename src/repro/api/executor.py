@@ -61,10 +61,10 @@ class QueryExecutor:
     already cleaned are not physically re-scored. This
     is what makes a repeated query cheap, the cross-query sharing hook
     the service layer builds on (DESIGN.md §8) and what makes a
-    stream's per-event re-certification delta-sized (§7); a session
-    that keeps physical-work counters (``session.stats``) has its
-    cache-miss confirmations counted there, whichever caller ran the
-    plan.
+    stream's per-event re-certification delta-sized (§7). A plan's
+    cache-miss confirmations ride its :class:`ExecutionDetail`, and
+    :attr:`fresh_confirm_calls` totals them over this executor's
+    plans — a stream event's refresh pass reads its own executor's.
 
     ``confirm_oracle`` — a ``(plan, phase2_cost) -> Oracle`` factory —
     replaces the confirming oracle altogether; the relation, the
@@ -122,9 +122,6 @@ class QueryExecutor:
         else:
             detail = self._run_frames(plan, entry)
         self.fresh_confirm_calls += detail.fresh_confirm_calls
-        stats = session.stats
-        if stats is not None:
-            stats.count_fresh_confirms(detail.fresh_confirm_calls)
         return detail
 
     # ------------------------------------------------------------------

@@ -212,7 +212,6 @@ class ExpiryResult:
 class Session:
     """An opened (video, scoring function) pair that serves queries.
 
-    ``streaming`` (a ``StreamingConfig``: the history bound),
     ``autosave_path`` and ``score_cache`` configure a live session; a
     closed video refuses them.
     """
@@ -224,7 +223,6 @@ class Session:
         *,
         config: Optional[EverestConfig] = None,
         unit_costs: Optional[Dict[str, float]] = None,
-        streaming=None,
         autosave_path=None,
         score_cache: Optional[ScoreCache] = None,
     ):
@@ -266,28 +264,19 @@ class Session:
         #: refresh pass to this callable (the service routes it through
         #: its scheduler) instead of running inline.
         self.refresh_dispatcher = None
-        self.streaming = streaming
         self.autosave_path = autosave_path
-        self._stats = None
         self._subscriptions: list = []
-        self._append_log: List[AppendResult] = []
-        self._expiry_log: List[ExpiryResult] = []
         if not self.live:
-            if streaming is not None or autosave_path is not None \
-                    or score_cache is not None:
+            if autosave_path is not None or score_cache is not None:
                 raise QueryError(
-                    "streaming=, autosave_path= and score_cache= need a "
-                    "growing video and this one is closed; open it with "
+                    "autosave_path= and score_cache= need a growing "
+                    "video and this one is closed; open it with "
                     "Session.open_stream(..., window_seconds=...)")
             return
-        live = _streaming()
-        if streaming is None:
-            self.streaming = live.StreamingConfig()
         # Labels land in the same memo the executors confirm through,
         # which is what makes re-certification delta-sized.
         # ``score_cache`` lets the service layer promote it to service
         # scope (shared with batch queries over the same footage).
-        self._stats = live.StreamingStats()
         self._maintainer = Phase1Maintainer(
             video,
             CachingOracle(
@@ -296,7 +285,7 @@ class Session:
                 cache=self.shared_score_cache,
                 cost_key="oracle_label",
             ),
-            self.config, self._unit_costs, self._stats)
+            self.config, self._unit_costs)
         #: Where the maintained entry lives in the Phase-1 cache.
         self._key = phase1_key(self.config)
 
@@ -331,7 +320,6 @@ class Session:
         initial_frames: Optional[int] = None,
         config: Optional[EverestConfig] = None,
         unit_costs: Optional[Dict[str, float]] = None,
-        streaming=None,
         autosave_path=None,
         score_cache=None,
         window_seconds: Optional[float] = None,
@@ -341,13 +329,11 @@ class Session:
 
         ``video`` may be a closed source (object or registry name —
         wrapped with ``initial_frames`` as the bootstrap segment) or a
-        ready :class:`~repro.video.streaming.StreamingVideo`.
-        ``streaming`` takes a
-        :class:`~repro.streaming.phase1_incremental.StreamingConfig`
-        (the bound on delivered-event history). On the returned
-        session ``append(n)`` reveals frames,
-        ``query()...subscribe()`` yields a report per append, and
-        ``checkpoint(path)`` persists the Phase-1 artifacts.
+        ready :class:`~repro.video.streaming.StreamingVideo`. On the
+        returned session ``append(n)`` reveals frames and returns that
+        event's reports and fresh work, ``query()...subscribe()`` keeps
+        an answer refreshed per append, and ``checkpoint(path)``
+        persists the Phase-1 artifacts.
 
         ``window_seconds`` makes the video slide (DESIGN.md §13):
         answers cover only the last ``window_seconds`` of stream time,
@@ -381,8 +367,7 @@ class Session:
                 video, initial_frames, window_seconds=window_seconds)
         return cls(
             video, scoring, config=config, unit_costs=unit_costs,
-            streaming=streaming, autosave_path=autosave_path,
-            score_cache=score_cache)
+            autosave_path=autosave_path, score_cache=score_cache)
 
     # ------------------------------------------------------------------
     def query(self) -> "Query":
@@ -560,23 +545,6 @@ class Session:
     def window_lo(self) -> int:
         return self.video.window_lo
 
-    @property
-    def stats(self):
-        """Physical-work counters (``StreamingStats``); ``None`` when
-        closed — executors count cache misses here only if it exists."""
-        if self._stats is not None:
-            self._stats.fresh_label_calls = \
-                self._maintainer.label_oracle.fresh_calls
-        return self._stats
-
-    @property
-    def append_log(self) -> List[AppendResult]:
-        return list(self._append_log)
-
-    @property
-    def expiry_log(self) -> List[ExpiryResult]:
-        return list(self._expiry_log)
-
     def append(self, num_frames: int) -> AppendResult:
         """Reveal ``num_frames`` more source frames and re-certify.
 
@@ -590,19 +558,19 @@ class Session:
         self._require_live("append()")
         self.phase1()
         started = time.perf_counter()
-        before = self.stats.snapshot()
+        maintainer = self._maintainer
+        labels = maintainer.label_oracle.fresh_calls
+        inferred = maintainer.fresh_inferred_frames
         segment = self.video.append(num_frames)
-        self._maintainer.scan_arrivals()
-        self._phase1_cache[self._key] = self._maintainer.rebuild_entry()
-        self._stats.appends += 1
+        maintainer.scan_arrivals()
+        self._phase1_cache[self._key] = maintainer.rebuild_entry()
         return self._finish_event(
-            started, before, self._append_log,
+            started, inferred,
             AppendResult(
                 segment=segment,
                 watermark=self.watermark,
                 fresh_label_calls=(
-                    self._maintainer.label_oracle.fresh_calls
-                    - before["fresh_label_calls"]),
+                    maintainer.label_oracle.fresh_calls - labels),
             ))
 
     def tick(self, frames: int) -> ExpiryResult:
@@ -616,7 +584,7 @@ class Session:
         self._require_live("tick()", windowed=True)
         self.phase1()
         started = time.perf_counter()
-        before = self.stats.snapshot()
+        inferred = self._maintainer.fresh_inferred_frames
         with trace_span(
                 "expiry", category="streaming", frames=frames,
                 horizon=self.video.horizon) as expiry_span:
@@ -628,7 +596,7 @@ class Session:
                     window_lo=self.video.window_lo,
                     watermark=self.watermark)
         return self._finish_event(
-            started, before, self._expiry_log,
+            started, inferred,
             ExpiryResult(
                 horizon=horizon,
                 window_lo=self.video.window_lo,
@@ -636,22 +604,22 @@ class Session:
                 watermark=self.watermark,
             ))
 
-    def _finish_event(self, started: float, before: Dict[str, int],
-                      log: list, result):
+    def _finish_event(self, started: float, inferred: int, result):
         """The tail every clock event (append, tick) shares.
 
         Refreshes every subscription even if one fails (e.g. a
         subscribed query's oracle budget trips): the video clock and
-        Phase-1 state have already advanced, so the event must
-        complete its bookkeeping either way — the first error
-        re-raises after the result is logged, leaving the session
-        consistent and retryable. A service-attached session hands
-        the whole pass to the dispatcher (one scheduled job, so it
-        competes fairly with batch tenants) and blocks on it — and a
-        dispatch failure (admission refusal, service closing) is
-        treated exactly like a refresh failure. The event reports the
-        confirmations its own pass paid, not a diff of the session-wide
-        counter, which ad-hoc queries on other threads bump mid-event.
+        Phase-1 state have already advanced, so the event stays
+        applied: the first error re-raises after the autosave, and the
+        caller reads the event off ``watermark`` / ``segments`` /
+        ``horizon`` and each healthy subscription's ``latest``, leaving
+        the session consistent and retryable. A service-attached
+        session hands the whole pass to the dispatcher (one scheduled
+        job, so it competes fairly with batch tenants) and blocks on it
+        — and a dispatch failure (admission refusal, service closing)
+        is treated exactly like a refresh failure. The event reports
+        the confirmations its own pass's executor paid; ad-hoc queries
+        on other threads count theirs on their own executors.
         """
         if self.refresh_dispatcher is not None:
             try:
@@ -663,33 +631,13 @@ class Session:
             result.reports, result.fresh_confirm_calls, refresh_error = \
                 self._refresh_subscriptions()
         result.fresh_inferred_frames = \
-            self._stats.fresh_inferred_frames \
-            - before["fresh_inferred_frames"]
+            self._maintainer.fresh_inferred_frames - inferred
         result.wall_seconds = time.perf_counter() - started
-        log.append(result)
-        self._trim_history()
         if self.autosave_path is not None:
             self.checkpoint(self.autosave_path)
         if refresh_error is not None:
             raise refresh_error
         return result
-
-    def _trim_history(self) -> None:
-        """Bound per-event history under ``max_history``.
-
-        Trims only *delivered* results — the append and expiry logs
-        and each subscription's report history (the latest always
-        survives). Phase-1 bookkeeping and, under a window, the
-        window's own frame set are never touched: history pruning must
-        not evict frames still inside an open window (DESIGN.md §13).
-        """
-        limit = self.streaming.max_history
-        if limit is None:
-            return
-        del self._append_log[:-limit]
-        del self._expiry_log[:-limit]
-        for subscription in self._subscriptions:
-            subscription.trim(limit)
 
     def _refresh_subscriptions(self):
         """One refresh pass over every subscription (see append):
@@ -746,10 +694,9 @@ class Session:
         """Register an external live consumer refreshed on every event.
 
         The object only needs the subscription protocol —
-        ``refresh(executor)`` returning a report and
-        ``trim(max_history)``. This is how a corpus query's
-        :class:`~repro.streaming.live_topk.LiveTopK` (DESIGN.md §9)
-        rides the per-append refresh pass: a member's
+        ``refresh(executor)`` returning a report. This is how a corpus
+        query's :class:`~repro.streaming.live_topk.LiveTopK` (DESIGN.md
+        §9) rides the per-append refresh pass: a member's
         append re-certifies the *federated* answer alongside the
         member's own live queries, under the same error/bookkeeping
         discipline (and through the service dispatcher when attached).
@@ -782,23 +729,19 @@ class Session:
         Subscriptions are not persisted (they close over live session
         objects); re-subscribe after :meth:`resume`. Everything else —
         watermark, horizon, CMDN weights, diff arrays, inference
-        blocks, score cache, ledgers, history bound — round-trips, so
+        blocks, score cache, ledgers — round-trips, so
         the resumed session re-serves its watermark with zero Phase-1
         oracle calls.
         """
         self._require_live("checkpoint()")
         self.phase1()
-        # The maintainer carries the video, UDF, configurations, score
-        # cache and stats by reference; the history bound and the logs
-        # sit beside it.
+        # The maintainer carries the video, UDF, configurations and
+        # score cache by reference; nothing per delivered event is kept.
         _streaming().write_checkpoint(
             path,
             {
                 "maintainer": self._maintainer,
-                "streaming": self.streaming,
                 "autosave_path": self.autosave_path,
-                "append_log": self._append_log,
-                "expiry_log": self._expiry_log,
             },
             metadata={
                 "video_name": self.video.name,
@@ -830,16 +773,13 @@ class Session:
                 restored.scoring,
                 config=restored.config,
                 unit_costs=restored.unit_costs,
-                streaming=state["streaming"],
                 autosave_path=state["autosave_path"],
                 score_cache=restored.label_oracle.cache,
             )
-            session._append_log = list(state["append_log"])
-            session._expiry_log = list(state["expiry_log"])
         except KeyError as error:  # pragma: no cover - corrupt state
             raise CheckpointError(
                 f"checkpoint state is missing field {error}") from error
-        session._maintainer, session._stats = restored, restored.stats
+        session._maintainer = restored
         session._phase1_cache[session._key] = restored.rebuild_entry()
         return session
 

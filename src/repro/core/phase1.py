@@ -465,7 +465,7 @@ class BlockInferenceCache:
         ids: np.ndarray,
         proxy,
         video,
-        stats=None,
+        counter=None,
         scanned: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         featurized: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> GaussianMixture:
@@ -477,8 +477,8 @@ class BlockInferenceCache:
         (a bootstrap's labelled sample), then ``scanned = (frame ids,
         float32 pixels)`` a pass has in hand, ``video.batch_pixels``
         for whatever none covers — scored as one batch and cached.
-        ``stats.fresh_inferred_frames`` counts the rows through the
-        network.
+        ``counter.fresh_inferred_frames`` (the calling maintainer's)
+        counts the rows through the network.
         """
         key = ids.tobytes()
         cached = self._blocks.get(b)
@@ -505,8 +505,8 @@ class BlockInferenceCache:
         if ids.size < INFER_BLOCK:
             self._tail = (ids.copy(), features)
         self._blocks[b] = (key, mixture)
-        if stats is not None:
-            stats.fresh_inferred_frames += int(ids.size)
+        if counter is not None:
+            counter.fresh_inferred_frames += int(ids.size)
         return mixture
 
     def _quantized(
@@ -547,7 +547,7 @@ class BlockInferenceCache:
         cut: int,
         *,
         grid_of: Callable[[Optional[float]], QuantizationGrid],
-        stats=None,
+        counter=None,
     ) -> Tuple[GaussianMixture, QuantizationGrid, np.ndarray]:
         """Mixtures and pmf rows for ``retained[cut:]`` on the
         full-prefix grid.
@@ -574,7 +574,7 @@ class BlockInferenceCache:
             key = ids.tobytes()
             mixture: Optional[GaussianMixture] = None
             if b >= first_block:
-                mixture = self.block(b, ids, proxy, video, stats)
+                mixture = self.block(b, ids, proxy, video, counter)
                 window.append((b, key, mixture))
             cached_top = self._tops.get(b)
             if cached_top is not None and cached_top[0] == key:
@@ -586,7 +586,7 @@ class BlockInferenceCache:
                     # never seen (one O(block) re-inference heals the
                     # top). Either way the mixture is retracted again
                     # below.
-                    mixture = self.block(b, ids, proxy, video, stats)
+                    mixture = self.block(b, ids, proxy, video, counter)
                 block_top = mixture_envelope(mixture)
                 self._tops[b] = (key, block_top)
             top = block_top if top is None else max(top, block_top)
@@ -636,7 +636,6 @@ class Phase1Maintainer:
         label_oracle: Oracle,
         config: EverestConfig,
         unit_costs: Optional[Dict[str, float]] = None,
-        stats=None,
     ):
         self.video = video
         #: Labels the samples; its own ledger is not Phase 1's (entries
@@ -645,8 +644,9 @@ class Phase1Maintainer:
         self.scoring = label_oracle.scoring
         self.config = config
         self.unit_costs = dict(unit_costs or {})
-        #: Physical-work counters (``fresh_inferred_frames``), if kept.
-        self.stats = stats
+        #: Rows this maintainer ran through the proxy network (block
+        #: cache misses): the physical inference a clock event paid.
+        self.fresh_inferred_frames = 0
 
         self.diff = IncrementalDiff(config.diff)
         self.blocks = BlockInferenceCache()
@@ -758,7 +758,7 @@ class Phase1Maintainer:
             INFER_BLOCK,
             lambda b, ids, pixels: self.blocks.block(
                 b, np.concatenate([settled[b * INFER_BLOCK:], ids]),
-                self.proxy, self.video, self.stats, scanned=(ids, pixels),
+                self.proxy, self.video, self, scanned=(ids, pixels),
                 featurized=featurized),
             first_row=settled.size)
         start = self.diff.extend(
@@ -793,7 +793,7 @@ class Phase1Maintainer:
             grid_of=lambda envelope: grid_covering(
                 envelope, floor=floor, step=step,
                 extra_scores=list(self.known_scores.values())),
-            stats=self.stats,
+            counter=self,
         )
         relation = build_relation(
             retained[cut:],

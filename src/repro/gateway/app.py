@@ -59,7 +59,6 @@ from ..errors import (
     ServiceClosedError,
 )
 from ..service.service import QueryService
-from ..streaming.phase1_incremental import StreamingConfig
 from .metrics import GatewayMetrics
 from .quotas import QuotaBook, QuotaPolicy
 from .results import ResultStore
@@ -374,9 +373,6 @@ class Gateway:
             config=config if config is not None else EverestConfig.fast(),
             video_kwargs=dict(self.config.video_kwargs),
             window_seconds=request.window_seconds,
-            # The gateway reads only the latest report and the current
-            # event's result, so a hosted stream keeps no older history.
-            streaming=StreamingConfig(max_history=1),
         )
         live = stream.query().topk(request.k) \
             .guarantee(request.guarantee).subscribe()

@@ -94,13 +94,18 @@ def thread_map(
     serial wall), and neither does scoring a confirm batch (tens of µs
     of Python per 8 frames, less than starting the threads costs).
     Results are returned in input order either way, so callers are
-    deterministic regardless of the worker count.
+    deterministic regardless of the worker count. Each item runs in
+    its own copy of the caller's :mod:`contextvars` context (one
+    context cannot be entered by two threads at once), so work on a
+    thread still lands in the caller's active trace span.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    context = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(
+            lambda item: context.copy().run(fn, item), items))
 
 
 def available_cpus() -> int:

@@ -688,8 +688,8 @@ class QueryService:
         """
         with activate(span):
             value = job.work()
-        # What the pass itself paid — not a diff of the session-wide
-        # counter, which concurrent ad-hoc queries on the stream bump.
+        # What the pass's own executor paid: concurrent ad-hoc queries
+        # on the stream pay on theirs.
         return ExecutionDetail(
             report=value, phase2_cost=None, fresh_confirm_calls=value[1])
 

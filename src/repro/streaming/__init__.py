@@ -7,19 +7,20 @@ This package turns the engine from "query a finished video" into
   ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
   ``checkpoint`` / ``resume`` (``StreamingSession`` is an alias of the
   one session class);
-* :mod:`~repro.streaming.phase1_incremental` — the live session's
-  history bound and physical-work counters (the Phase-1 maintainer
-  itself, incremental difference detection and block-cached proxy
-  inference, is :mod:`repro.core.phase1`'s);
 * :mod:`~repro.streaming.live_topk` — per-query
-  :class:`~repro.streaming.live_topk.LiveTopK` maintainers;
+  :class:`~repro.streaming.live_topk.LiveTopK` maintainers, each
+  holding its latest outcome only;
 * :mod:`~repro.streaming.store` — the persistent Phase-1 artifact
   store with an atomic, checksum-verified manifest.
+
+The Phase-1 maintainer itself — incremental difference detection and
+block-cached proxy inference — is :mod:`repro.core.phase1`'s. A live
+session keeps nothing per event it delivered: an event's reports and
+fresh work are what its ``append()`` / ``tick()`` returns.
 """
 
 from ..core.phase1 import INFER_BLOCK, BlockInferenceCache, IncrementalDiff
 from .live_topk import CachingOracle, LiveTopK, ScoreCache
-from .phase1_incremental import StreamingConfig, StreamingStats
 from .session import AppendResult, StreamingSession
 from .store import (
     FORMAT_VERSION,
@@ -36,9 +37,7 @@ __all__ = [
     "IncrementalDiff",
     "LiveTopK",
     "ScoreCache",
-    "StreamingConfig",
     "StreamingSession",
-    "StreamingStats",
     "read_checkpoint",
     "write_checkpoint",
 ]

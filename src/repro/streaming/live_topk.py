@@ -12,8 +12,8 @@ so only frames whose top-k membership *could* have changed — the new
 arrivals, re-segmented windows, tuples the selector now reaches —
 trigger fresh UDF invocations. Ledgers still charge the full
 batch-equivalent amounts (the report must be bit-identical to a batch
-re-run); the cache-miss count is tracked separately in
-:class:`~repro.streaming.phase1_incremental.StreamingStats` as the
+re-run); the cache-miss count rides each refresh's detail, and each
+event's total rides the ``append()`` / ``tick()`` result — the
 physical cost streaming actually pays.
 
 The same class keeps a corpus answer live (DESIGN.md §9): a corpus
@@ -24,8 +24,8 @@ union — closed members keep contributing their cached shards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..api.executor import QueryExecutor
 from ..core.result import QueryReport
@@ -42,31 +42,23 @@ class LiveTopK:
     Created by ``query.subscribe()`` on a streaming session or on a
     corpus with a streaming member. Holds the fluent query (recompiled
     per event — the plan's frame count tracks the watermark) and the
-    report history: index 0 is the answer at subscribe time, one more
-    per event. Iterating yields the reports delivered so far.
+    latest refresh's outcome only: earlier answers were delivered by
+    the events that produced them.
     """
 
     query: object  # repro.api.query.Query (kept loose: frozen dataclass)
-    reports: List[QueryReport] = field(default_factory=list)
-    #: Fresh (cache-miss) confirmation calls behind each report; 0 for
-    #: a corpus refresh, which does not run on the member's executor.
-    fresh_confirms: List[int] = field(default_factory=list)
-    #: The :class:`~repro.corpus.federated.CorpusOutcome` (allocation,
-    #: answer members) behind each report of a corpus answer; empty
-    #: for a session answer, whose report carries its whole ledger.
-    details: list = field(default_factory=list)
+    #: The latest refresh's outcome: an
+    #: :class:`~repro.api.executor.ExecutionDetail` for a session
+    #: answer, a :class:`~repro.corpus.federated.CorpusOutcome`
+    #: (allocation, answer members) for a corpus one. Both carry
+    #: ``report`` and ``fresh_confirm_calls``.
+    detail: object = None
 
     @property
     def latest(self) -> QueryReport:
-        if not self.reports:
+        if self.detail is None:
             raise QueryError("subscription has not produced a report yet")
-        return self.reports[-1]
-
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
+        return self.detail.report
 
     def refresh(self, executor: Optional[QueryExecutor] = None) \
             -> QueryReport:
@@ -77,21 +69,10 @@ class LiveTopK:
         engine and needs none.
         """
         if self.query._corpus is not None:
-            outcome = self.query.run_detailed()
-            self.details.append(outcome)
-            report, fresh = outcome.report, 0
+            self.detail = self.query.run_detailed()
         elif executor is None:
             raise QueryError(
                 "a session subscription refreshes on its session's executor")
         else:
-            detail = executor.execute_detailed(self.query.plan())
-            report, fresh = detail.report, detail.fresh_confirm_calls
-        self.reports.append(report)
-        self.fresh_confirms.append(fresh)
-        return report
-
-    def trim(self, max_history: int) -> None:
-        """Drop all but the last ``max_history`` reports."""
-        del self.reports[:-max_history]
-        del self.fresh_confirms[:-max_history]
-        del self.details[:-max_history]
+            self.detail = executor.execute_detailed(self.query.plan())
+        return self.detail.report

@@ -6,8 +6,9 @@ A checkpoint is a directory holding:
   maintainer (the streaming video view — source, watermark, segments,
   window and horizon — the scoring function, configurations, trained
   CMDN weights, diff arrays, block inference cache, known scores,
-  ledger replay inputs, the revealed-score cache and the physical-work
-  counters), the history bound and the delivered-event logs;
+  ledger replay inputs, the revealed-score cache and the fresh
+  inference count) and the autosave path — nothing per delivered
+  event;
 * ``manifest.json`` — human-readable metadata naming the state file
   and carrying its SHA-256, the format version, and identity fields
   (video, UDF, watermark) for inspection without unpickling.
@@ -38,8 +39,10 @@ from ..errors import CheckpointError
 #: block cache, in ``repro.core.phase1``. 3: one session class and one
 #: live view — a version-2 ``StreamingVideo`` lacks the window fields.
 #: 4: the live session keeps a plain ``Phase1Maintainer``, its history
-#: bound beside it, and no drift or retrain state.)
-FORMAT_VERSION = 4
+#: bound beside it, and no drift or retrain state. 5: the maintainer
+#: and the autosave path only — no history bound, event logs or
+#: work-counter object.)
+FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 

@@ -58,9 +58,10 @@ def windowed_subscription():
         TrafficVideo("clock-stream", 600, seed=45), UDF,
         initial_frames=240, window_seconds=5.0, config=CONFIG)
     live = stream.query().topk(3).guarantee(0.95).subscribe()
-    stream.append(60)
-    stream.tick(30)
-    return [report.to_json() for report in live.reports]
+    reports = [live.latest]
+    for result in (stream.append(60), stream.tick(30)):
+        reports.extend(result.reports)
+    return [report.to_json() for report in reports]
 
 
 TARGETS = (frames_query, windows_query, corpus_query, windowed_subscription)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import errors
+from repro import Session, errors
 from repro.config import (
     MAX_TRAIN_SAMPLES,
     DiffDetectorConfig,
@@ -17,7 +17,6 @@ from repro.core.windows import WINDOW_SAMPLE_FRACTION
 from repro.gateway.http import GatewayServer
 from repro.gateway.metrics import GatewayMetrics
 from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
-from repro.streaming.phase1_incremental import StreamingConfig
 from repro.trace import Tracer
 
 
@@ -88,12 +87,7 @@ class TestPhase1Config:
         (Phase1Config, "quantization_step"),
         (Phase1Config, "truncate_sigmas"),
         (Phase2Config, "window_sample_fraction"),
-        (StreamingConfig, "retrain_epochs"),
-        (StreamingConfig, "audit_window"),
-        (StreamingConfig, "max_audit_per_append"),
-        (StreamingConfig, "audit_fraction"),
-        (StreamingConfig, "drift_threshold"),
-        (StreamingConfig, "min_audit_for_drift"),
+        (lambda **kw: Session(None, None, **kw), "streaming"),
         (Tracer, "jsonl_max_bytes"),
         (Tracer, "jsonl_backups"),
         (GatewayMetrics, "max_latency_samples"),
@@ -101,8 +95,9 @@ class TestPhase1Config:
     ])
     def test_removed_setting_is_refused(self, make, keyword):
         """The settable values that only ever held one value are
-        constants now, and drift auditing's are gone with it: naming
-        one is a construction-time TypeError."""
+        constants now, and drift auditing's and the live session's
+        history bound are gone with it: naming one is a
+        construction-time TypeError."""
         with pytest.raises(TypeError, match=keyword):
             make(**{keyword: 1})
 

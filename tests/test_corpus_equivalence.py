@@ -359,12 +359,12 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
     corpus = VideoCorpus([stream, closed])
 
     subscription = corpus.query().topk(3).guarantee(0.85).subscribe()
-    assert len(subscription) == 1
-    assert subscription.latest.num_frames == 400 + 260
+    first = subscription.latest
+    assert first.num_frames == 400 + 260
 
     result = stream.append(120)
     # The member's append carried the refreshed federated report.
-    assert len(subscription) == 2
+    assert subscription.latest is not first
     assert [r.to_json() for r in result.reports] == \
         [subscription.latest.to_json()]
     assert subscription.latest.num_frames == 520 + 260
@@ -377,7 +377,7 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
     # And the live member's shard is the advanced prefix: the merged
     # state was fingerprint-invalidated, not served stale.
     assert corpus.total_frames == 520 + 260
-    assert subscription.details[-1].allocation().keys() == \
+    assert subscription.detail.allocation().keys() == \
         {"corpus-live", "corpus-fixed"}
 
 

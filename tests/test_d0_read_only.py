@@ -100,9 +100,9 @@ def test_a_windowed_streams_refresh_reads_the_window_as_it_is():
         live = query.subscribe()
     # The append's refresh ran on the new entry: it is still the one a
     # stream without a subscription builds.
-    stream.append(60)
+    result = stream.append(60)
     twin.append(60)
-    assert len(live) == 2
+    assert result.reports == [live.latest]
     assert _digest(stream.phase1().result.relation) \
         == _digest(twin.phase1().result.relation)
 

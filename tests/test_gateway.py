@@ -541,7 +541,7 @@ class TestGatewayFlows:
         assert status == 400 and body["error"] == "QueryError"
         assert "'window' field" in body["message"]  # the wire-level hint
         assert stream.horizon == stream.watermark == 240
-        assert stream.expiry_log == []
+        assert len(stream.segments) == 1
 
     def test_tick_quota_refusal_leaves_the_horizon_unmoved(self):
         config = GatewayConfig(
@@ -626,8 +626,9 @@ def test_unusable_udf_step_is_400_before_any_build():
 
 def test_hosted_stream_keeps_one_event_of_history():
     """The gateway reads only the latest report and the current event's
-    result, so a hosted stream holds one of each however long it runs,
-    and answers what an unbounded in-process twin answers."""
+    result; a hosted stream holds its subscription's latest outcome
+    and nothing per delivered event however long it runs, and answers
+    what an in-process twin answers."""
     from repro import Session
 
     twin = Session.open_stream(
@@ -649,9 +650,9 @@ def test_hosted_stream_keeps_one_event_of_history():
             for key in set(expected) - {"wall_seconds"}:
                 assert body[key] == expected[key], key
         state = gw._streams["long"]
-        assert len(state.stream.append_log) == 1
-        assert len(state.live.reports) == 1
-    assert (len(twin.append_log), len(twin_live.reports)) == (12, 13)
+        assert set(vars(state.live)) == {"query", "detail"}
+        assert state.live.latest.to_json() == twin_live.latest.to_json()
+        assert len(state.stream.segments) == len(twin.segments) == 13
 
 
 def test_gateway_owns_or_wraps_service():

@@ -218,12 +218,12 @@ def window_reports():
         initial_frames=300, window_seconds=256 / 30.0,
         config=EverestConfig.fast())
     live = stream.query().topk(4).guarantee(0.9).subscribe()
+    reports = [live.latest]
     for kind, size in WINDOW_EVENTS:
         if kind == "append":
-            stream.append(size)
+            reports.extend(stream.append(size).reports)
         else:
-            stream.tick(size)
-    reports = list(live.reports)
+            reports.extend(stream.tick(size).reports)
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         (GOLDEN_DIR / "window_quick.json").write_text(_dump(reports))

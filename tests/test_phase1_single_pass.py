@@ -333,7 +333,7 @@ def test_bootstrap_renders_once_and_infers_each_row_once(window_seconds):
     assert set(video.rendered) == set(range(1_400))
     assert sum(video.rendered.values()) == len(stream.video) == 1_400
     assert sum(featurized) == retained.size + unretained_samples(entry.result)
-    assert stream.stats.fresh_inferred_frames == retained.size
+    assert stream._maintainer.fresh_inferred_frames == retained.size
 
     # Bit-identical to the batch engine over the same prefix.
     batch = Session(

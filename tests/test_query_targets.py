@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import EverestConfig, Session, VideoCorpus
-from repro.api.executor import QueryExecutor
+from repro.api.executor import ExecutionDetail, QueryExecutor
 from repro.api.plan import QueryPlan
 from repro.api.query import Query
 from repro.config import Phase1Config, Phase2Config
@@ -322,23 +322,24 @@ def test_corpus_subscription_follows_a_windowed_member():
     corpus = VideoCorpus([closed, windowed])
     query = corpus.query().topk(4).guarantee(0.9)
     subscription = query.subscribe()
-    windowed.append(120)
-    windowed.tick(30)
-    assert len(subscription) == 3
+    for event in (lambda: windowed.append(120), lambda: windowed.tick(30)):
+        assert event().reports == [subscription.latest]
     assert subscription.latest.to_json() == query.run().to_json()
-    assert set(subscription.details[-1].allocation()) == \
+    assert set(subscription.detail.allocation()) == \
         set(corpus.member_names)
 
 
 def test_a_session_subscription_refreshes_on_its_executor():
     stream = stream_session()
     subscription = stream.query().topk(4).guarantee(0.9).subscribe()
-    stream.append(60)
-    assert len(subscription) == len(subscription.fresh_confirms) == 2
-    assert subscription.details == []
+    result = stream.append(60)
+    assert result.reports == [subscription.latest]
+    assert isinstance(subscription.detail, ExecutionDetail)
+    assert result.fresh_confirm_calls == \
+        subscription.detail.fresh_confirm_calls
     with pytest.raises(QueryError, match="executor"):
         subscription.refresh()
-    assert len(subscription) == 2
+    assert subscription.latest is result.reports[0]
 
 
 # ----------------------------------------------------------------------

@@ -467,8 +467,9 @@ class TestQueryServiceSurface:
             assert service.stats().completed >= 1
         # Detached on close: further appends run inline, no scheduler.
         assert stream.refresh_dispatcher is None
-        stream.append(100)
-        assert len(live.reports) == 3
+        after = stream.append(100)
+        assert after.reports == [live.latest]
+        assert live.latest.num_frames == stream.watermark
 
     def test_sibling_streams_share_block_inference(self, comp_cfg):
         with QueryService(workers=1, use_processes=False) as service:
@@ -477,7 +478,7 @@ class TestQueryServiceSurface:
                 initial_frames=600, config=comp_cfg)
             first.query().topk(3).guarantee(0.9).subscribe()
             first.append(120)
-            baseline = first.stats.fresh_inferred_frames
+            baseline = first._maintainer.fresh_inferred_frames
 
             second = service.open_stream(
                 _video("twin", 79, frames=900), counting_udf("car"),
@@ -486,7 +487,7 @@ class TestQueryServiceSurface:
             second.append(120)
             # The sibling reused the shared proxy-inference blocks: its
             # fresh inference is far below the first stream's.
-            assert second.stats.fresh_inferred_frames < baseline
+            assert second._maintainer.fresh_inferred_frames < baseline
 
     def test_submitted_streams_never_take_the_process_lane(self, comp_cfg):
         # A streaming session submitted through the service must stay
@@ -544,15 +545,16 @@ class TestQueryServiceSurface:
                 _video("adhoc", 103, frames=900), counting_udf("car"),
                 initial_frames=600, config=comp_cfg)
             query = stream.query().topk(3).guarantee(0.9)
-            report = service.submit(query).result(WAIT)
+            future = service.submit(query)
+            report = future.result(WAIT)
             labels = stream.phase1().oracle_calls
             assert report.oracle_calls > labels
             # Ad-hoc confirmations are physical work the stream paid.
-            assert stream.stats.fresh_confirm_calls > 0
-            paid = stream.stats.fresh_confirm_calls
+            assert future.outcome(WAIT).fresh_confirm_calls > 0
             # ... once: the same query again hits the stream's cache.
-            service.submit(query).result(WAIT)
-            assert stream.stats.fresh_confirm_calls == paid
+            again = service.submit(query)
+            assert again.result(WAIT).to_json() == report.to_json()
+            assert again.outcome(WAIT).fresh_confirm_calls == 0
 
     def test_gather_timeout_message(self, comp_cfg):
         with QueryService(workers=1, use_processes=False) as service:

@@ -4,9 +4,9 @@ Structure pins that keep the collapse collapsed, the refusal matrix
 for operations a video cannot do, the perfbench seam rule for the
 methods its tracer patches through the class ``__dict__`` (next to
 ``test_perfbench_seams.py``), and the traps the merge walks past: the
-``repro.streaming`` import cycle, ``stats`` on a closed session,
-by-reference rewiring on resume, sealed window snapshots, and events
-that report what *they* paid.
+``repro.streaming`` import cycle, label counts on a closed and a live
+session, by-reference rewiring on resume, sealed window snapshots, and
+events that report what *they* paid.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.config import Phase1Config
 from repro.errors import QueryError
 from repro.oracle import counting_udf
 from repro.oracle.cache import ScoreCache
-from repro.streaming import StreamingConfig
 from repro.video import TrafficVideo
 from repro.video.streaming import is_sliding
 
@@ -132,7 +131,7 @@ def test_patched_methods_are_defined_on_the_one_class(name):
 
 def test_closed_session_refuses_what_only_a_growing_video_can_do():
     session = closed()
-    assert session.live is False and session.stats is None
+    assert session.live is False and not hasattr(session, "_maintainer")
     hint = r"Session\.open_stream\(.*window_seconds=\.\.\.\)"
     for call in (
         lambda: session.append(5),
@@ -150,7 +149,7 @@ def test_closed_session_refuses_what_only_a_growing_video_can_do():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"streaming": StreamingConfig()},
+    {"autosave_path": "unused", "score_cache": ScoreCache()},
     {"autosave_path": "unused"},
     {"score_cache": ScoreCache()},
 ])
@@ -173,7 +172,7 @@ def test_unwindowed_stream_refuses_tick_and_nothing_moves():
             match=r"Session\.open_stream\(\.\.\., window_seconds=\.\.\.\)"):
         stream.tick(5)
     assert stream.horizon == stream.watermark == BOOTSTRAP
-    assert stream.expiry_log == []
+    assert len(stream.segments) == 1
     # The horizon rides the watermark.
     stream.append(60)
     assert stream.horizon == stream.watermark == BOOTSTRAP + 60
@@ -212,20 +211,23 @@ def test_plain_stream_resumes_unwindowed_and_rewired_by_reference(tmp_path):
 
     resumed = Session.resume(tmp_path / "ck")
     assert type(resumed) is Session and resumed.live
-    assert resumed.window_frames is None and resumed.expiry_log == []
+    assert resumed.window_frames is None
+    assert resumed.horizon == resumed.watermark == stream.watermark
     with pytest.raises(QueryError, match="window_seconds"):
         resumed.tick(5)
     # The pickle graph kept the shared identities; resume rewired the
     # session to them instead of to the fresh ones its constructor made.
     maintainer = resumed._maintainer
     assert maintainer.label_oracle.cache is resumed.shared_score_cache
-    assert maintainer.stats is resumed._stats
     assert maintainer.video is resumed.video
     assert len(resumed.shared_score_cache) == len(stream.shared_score_cache)
+    assert maintainer.fresh_inferred_frames == \
+        stream._maintainer.fresh_inferred_frames
     # Zero Phase-1 oracle calls to re-serve the watermark.
     again = resumed.query().topk(3).guarantee(0.85).subscribe()
     assert again.latest.to_json() == live.latest.to_json()
-    assert resumed.stats.fresh_label_calls == stream.stats.fresh_label_calls
+    assert maintainer.label_oracle.fresh_calls == \
+        stream._maintainer.label_oracle.fresh_calls
 
 
 # ----------------------------------------------------------------------
@@ -269,14 +271,20 @@ def test_executor_is_freed_without_the_cyclic_collector():
 
 
 def test_stats_is_none_when_closed_and_syncs_labels_when_live():
+    # A closed session keeps no label counter (its build labels through
+    # a throwaway oracle); a live one reads its maintainer's, which an
+    # append diffs for the labels *it* paid — none, training is pinned.
     session = closed()
     session.query().topk(3).guarantee(0.85).run()
-    assert session.stats is None  # the executor found nothing to count in
+    assert not hasattr(session, "_maintainer")
     stream = open_stream()
-    assert stream.stats.fresh_label_calls == 0
+    labels = stream._maintainer.label_oracle
+    assert labels.fresh_calls == 0
     stream.phase1()
-    labels = stream._maintainer.label_oracle.fresh_calls
-    assert labels > 0 and stream.stats.fresh_label_calls == labels
+    paid = labels.fresh_calls
+    assert paid > 0
+    assert stream.append(60).fresh_label_calls == 0
+    assert labels.fresh_calls == paid
 
 
 def test_sealed_window_snapshot_keeps_its_window_but_never_slides():
@@ -309,22 +317,24 @@ def test_event_reports_its_own_refresh_not_a_concurrent_query():
         def dispatch(refresh):
             # What a scheduler thread does mid-event: an ad-hoc query
             # on the same stream lands before the refresh pass runs.
-            stream.execute(unrelated.plan())
+            ad_hoc.append(stream._executor().execute_detailed(
+                unrelated.plan()).fresh_confirm_calls)
             return refresh()
 
+        ad_hoc = []
         if noisy:
             stream.refresh_dispatcher = dispatch
-        return stream, live, stream.append(120)
+        return live, stream.append(120), ad_hoc
 
-    plain, plain_live, plain_result = run(noisy=False)
-    noisy, noisy_live, noisy_result = run(noisy=True)
+    plain_live, plain_result, _ = run(noisy=False)
+    noisy_live, noisy_result, ad_hoc = run(noisy=True)
     assert plain_result.fresh_confirm_calls == \
-        plain.stats.fresh_confirm_calls - plain_live.fresh_confirms[0] > 0
+        plain_live.detail.fresh_confirm_calls > 0
     # The ad-hoc query revealed every frame the refresh then needed.
-    assert noisy_result.fresh_confirm_calls == noisy_live.fresh_confirms[-1]
+    assert noisy_result.fresh_confirm_calls == \
+        noisy_live.detail.fresh_confirm_calls
     assert noisy_result.fresh_confirm_calls < plain_result.fresh_confirm_calls
     assert [r.to_json() for r in noisy_result.reports] == \
         [r.to_json() for r in plain_result.reports]
-    # The session-wide total still counts both.
-    assert noisy.stats.fresh_confirm_calls > \
-        noisy_live.fresh_confirms[0] + noisy_result.fresh_confirm_calls
+    # The ad-hoc query's own confirms were counted on its own executor.
+    assert ad_hoc[0] > 0

@@ -17,6 +17,7 @@ import pickle
 import sys
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,8 +48,6 @@ from repro.streaming import (
     CachingOracle,
     IncrementalDiff,
     ScoreCache,
-    StreamingConfig,
-    StreamingStats,
 )
 from repro.streaming.store import (
     FORMAT_VERSION,
@@ -173,11 +172,16 @@ def _count_grid(top):
     return grid_covering(top, floor=0.0, step=1.0)
 
 
-def _window_state(cache, proxy, video, retained, stats=None):
+def _inference_counter():
+    """What a maintainer hands the cache to count rows it infers."""
+    return SimpleNamespace(fresh_inferred_frames=0)
+
+
+def _window_state(cache, proxy, video, retained, counter=None):
     """The cache's mixtures, after checking that the pmf rows it keeps
     per block are the mixtures' one-pass quantization, bit for bit."""
     mixtures, grid, pmf = cache.window_state(
-        proxy, video, retained, 0, grid_of=_count_grid, stats=stats)
+        proxy, video, retained, 0, grid_of=_count_grid, counter=counter)
     assert grid == grid_for(mixtures, floor=0.0, step=1.0)
     np.testing.assert_array_equal(pmf, quantize_mixtures(mixtures, grid))
     return mixtures
@@ -197,11 +201,11 @@ def test_block_cache_matches_chunked_inference(traffic_video, trained_proxy):
     # Growing the retained set recomputes only the changed tail blocks
     # (the full leading block stays cached), and stays byte-identical
     # to a from-scratch chunked run.
-    stats = StreamingStats()
+    counter = _inference_counter()
     stream.append(600)
     grown = np.arange(0, 1200)
-    mine2 = _window_state(cache, trained_proxy, stream, grown, stats)
-    assert stats.fresh_inferred_frames == grown.size - 512
+    mine2 = _window_state(cache, trained_proxy, stream, grown, counter)
+    assert counter.fresh_inferred_frames == grown.size - 512
     reference2 = predict_mixtures_chunked(
         trained_proxy, traffic_video, grown)
     np.testing.assert_array_equal(mine2.mu, reference2.mu)
@@ -214,10 +218,10 @@ def test_block_cache_invalidates_on_membership_change(
     first = np.arange(0, 900, 3)
     _window_state(cache, trained_proxy, stream, first)
     # Drop one frame near the front: every block shifts and recomputes.
-    stats = StreamingStats()
+    counter = _inference_counter()
     changed = first[first != 3]
-    mine = _window_state(cache, trained_proxy, stream, changed, stats)
-    assert stats.fresh_inferred_frames == changed.size
+    mine = _window_state(cache, trained_proxy, stream, changed, counter)
+    assert counter.fresh_inferred_frames == changed.size
     reference = predict_mixtures_chunked(
         trained_proxy, traffic_video, changed)
     np.testing.assert_array_equal(mine.mu, reference.mu)
@@ -238,12 +242,12 @@ def test_grown_block_scores_like_a_fresh_one(family, trained_proxy):
         proxy.network.fit_target_scaling(video.counts[:64])
     reference = TrafficVideo("grown-block", 600, seed=31)
     cache = BlockInferenceCache()
-    stats = StreamingStats()
+    counter = _inference_counter()
     ids = np.arange(0, 600, 1, dtype=np.int64)
 
     def check(b, rows, scanned=None):
         before = sum(video.rendered.values())
-        mixture = cache.block(b, rows, proxy, video, stats, scanned=scanned)
+        mixture = cache.block(b, rows, proxy, video, counter, scanned=scanned)
         fresh = proxy.predict_mixtures(reference.batch_pixels(rows))
         for name in ("pi", "mu", "sigma"):
             assert getattr(mixture, name).tobytes() \
@@ -266,7 +270,7 @@ def test_grown_block_scores_like_a_fresh_one(family, trained_proxy):
     assert check(0, grown[:512]) == 512 - rows.size
     assert check(1, grown[512:]) == grown.size - 512
     assert check(1, grown[512:]) == 0  # a hit
-    assert stats.fresh_inferred_frames \
+    assert counter.fresh_inferred_frames \
         == 100 + 160 + rows.size + 512 + (grown.size - 512)
     # Kept feature rows never reach a block's worth.
     assert cache._tail[0].size == cache._tail[1].shape[0] < 512
@@ -423,7 +427,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     interrupted.checkpoint(tmp_path / "ck")
 
     # Derived rows stay out of the pickle: the held clip pixels move no
-    # byte of it, so a checkpoint is format 4 as it was.
+    # byte of it, so holding them took no format bump.
     blob = pickle.dumps(maintainer)
     pickled = pickle.loads(blob)
     assert pickled.diff.clip is None
@@ -435,7 +439,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     assert set(cache.__getstate__()) == {"_blocks", "_tops"}
     assert pickled.blocks._pmfs == {} and pickled.blocks._tail is None
     assert sorted(pickled.blocks._blocks) == sorted(cache._blocks)
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
 
     resumed = Session.resume(tmp_path / "ck")
     resumed.query().topk(3).guarantee(0.85).subscribe()
@@ -687,9 +691,9 @@ class TestArtifactStore:
     def test_version_1_checkpoint_is_refused_by_the_manifest(self, tmp_path):
         # Every superseded format, not only version 1 (the name is
         # pinned by the test floor): an old state pickles classes that
-        # no longer exist (1, 3) or a StreamingVideo without the window
-        # fields (2); the refusal must come from the manifest, before
-        # pickle sees it.
+        # no longer exist (1, 3, 4) or a StreamingVideo without the
+        # window fields (2); the refusal must come from the manifest,
+        # before pickle sees it.
         for version in range(1, FORMAT_VERSION):
             path = tmp_path / f"ck{version}"
             write_checkpoint(path, {"round": 1})
@@ -704,7 +708,28 @@ class TestArtifactStore:
             with pytest.raises(
                     CheckpointError, match=f"format {version} unsupported"):
                 Session.resume(path)
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
+
+    def test_checkpoint_keeps_nothing_per_delivered_event(self, tmp_path):
+        # An autosaved stream checkpoints its maintainer and the
+        # autosave path only: no report, and no event result, rides
+        # the pickle, however many events were delivered.
+        path = tmp_path / "auto"
+        stream = Session.open_stream(
+            TrafficVideo("ck-events", 420, seed=23), counting_udf("car"),
+            initial_frames=240, window_seconds=8.0, autosave_path=path,
+            config=EverestConfig.fast())
+        stream.query().topk(3).guarantee(0.85).subscribe()
+        for result in (stream.append(60), stream.tick(30),
+                       stream.append(60)):
+            assert len(result.reports) == 1
+        state, manifest = read_checkpoint(path)
+        assert set(state) == {"maintainer", "autosave_path"}
+        assert state["autosave_path"] == path
+        assert manifest["watermark"] == stream.watermark == 360
+        blob = (path / manifest["state_file"]).read_bytes()
+        for name in (b"QueryReport", b"AppendResult", b"ExpiryResult"):
+            assert name not in blob
 
 
 # ----------------------------------------------------------------------
@@ -790,10 +815,6 @@ class TestStreamingSessionSurface:
         with pytest.raises(QueryError):
             small_stream_session.subscribe(other.query().topk(2))
 
-    def test_streaming_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            StreamingConfig(max_history=0)
-
     def test_open_stream_rejects_conflicting_initial_frames(
             self, traffic_video):
         stream = StreamingVideo(traffic_video, 300)
@@ -817,29 +838,15 @@ class TestStreamingSessionSurface:
         # later subscription: watermark advanced, bookkeeping recorded,
         # the healthy subscription got its report.
         assert session.watermark == 300
-        assert session.stats.appends == 1
-        assert len(session.append_log) == 1
+        assert len(session.segments) == 2
         assert healthy.latest.num_frames == 300
+        # The failed subscription keeps its last good answer.
+        assert doomed.latest.num_frames == 250
         # A retry appends *further* frames (nothing is re-appended).
         doomed.query = doomed.query.oracle_budget(None)
         session.append(50)
         assert session.watermark == 350
         assert doomed.latest.num_frames == 350
-
-    def test_max_history_bounds_the_append_log(self):
-        video = TrafficVideo("history", 400, seed=8)
-        session = Session.open_stream(
-            video, counting_udf("car"), initial_frames=250,
-            config=EverestConfig.fast(),
-            streaming=StreamingConfig(max_history=2))
-        live = session.query().topk(2).guarantee(0.8).subscribe()
-        for _ in range(4):
-            session.append(30)
-        assert len(session.append_log) == 2
-        assert len(live.reports) == 2
-        # The latest answer survives trimming and stays current.
-        assert live.latest is live.reports[-1]
-        assert live.latest.num_frames == session.watermark
 
     def test_append_result_shape_and_execute(self, small_stream_session):
         session = small_stream_session
@@ -850,7 +857,7 @@ class TestStreamingSessionSurface:
         assert result.segment.num_frames == 60
         assert result.fresh_oracle_calls == \
             result.fresh_label_calls + result.fresh_confirm_calls
-        assert len(live) == 2 and list(live) == live.reports
+        assert live.detail.report is live.latest
         plans = [
             session.query().topk(k).guarantee(0.8).plan()
             for k in (2, 3)

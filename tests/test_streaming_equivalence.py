@@ -89,8 +89,7 @@ def test_live_topk_bit_identical_to_batch_for_any_schedule(seed):
     stream = open_stream()
     frames = build_query(stream, "frames").subscribe()
     windows = build_query(stream, "windows").subscribe()
-    for size in schedule:
-        stream.append(size)
+    results = [stream.append(size) for size in schedule]
     assert stream.watermark == NUM_FRAMES
 
     # Reports (answer + breakdown ledgers) equal the from-scratch batch
@@ -98,11 +97,15 @@ def test_live_topk_bit_identical_to_batch_for_any_schedule(seed):
     # examples, every schedule converged to the same bytes.
     assert frames.latest.to_json() == batch_reference(stream, "frames")
     assert windows.latest.to_json() == batch_reference(stream, "windows")
-    # One report per append, plus the subscribe-time answer.
-    assert len(frames.reports) == len(schedule) + 1
+    # One report per append and subscription, the last the latest.
+    assert [len(result.reports) for result in results] \
+        == [2] * len(schedule)
+    assert results[-1].reports == [frames.latest, windows.latest]
     # Labelling happened once, at bootstrap: appends are label-free.
     expected_labels = stream.phase1().oracle_calls
-    assert stream.stats.fresh_label_calls == expected_labels
+    assert stream._maintainer.label_oracle.fresh_calls == expected_labels
+    assert [result.fresh_label_calls for result in results] \
+        == [0] * len(schedule)
 
 
 def test_every_append_matches_batch_over_its_prefix():
@@ -130,13 +133,13 @@ def test_resume_is_equivalence_preserving_and_label_free(tmp_path):
     stream.checkpoint(path)
 
     resumed = Session.resume(path)
-    labels_before = resumed.stats.fresh_label_calls
-    confirms_before = resumed.stats.fresh_confirm_calls
+    labels = resumed._maintainer.label_oracle
+    labels_before = labels.fresh_calls
     re_live = build_query(resumed, "frames").subscribe()
     # Re-serving the checkpointed watermark reveals nothing new: zero
     # Phase-1 oracle calls and zero fresh confirmations.
-    assert resumed.stats.fresh_label_calls == labels_before
-    assert resumed.stats.fresh_confirm_calls == confirms_before
+    assert labels.fresh_calls == labels_before
+    assert re_live.detail.fresh_confirm_calls == 0
     assert re_live.latest.to_json() == live.latest.to_json()
 
     # Appends after resume continue the equivalence.

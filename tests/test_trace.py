@@ -151,6 +151,34 @@ def test_every_corpus_confirm_is_traced(use_processes):
     assert traced == confirms
 
 
+@pytest.mark.parametrize("use_processes", [False, True])
+def test_a_cold_corpus_querys_member_builds_are_traced(use_processes):
+    # The member builds a cold corpus query leases run on threads (on
+    # the process lane), yet land in the query's trace as on the
+    # inline lane: one phase1 and one artifact_build span per member,
+    # and an oracle_label charge for every labelled frame. Counts, not
+    # span ids: concurrent builds interleave ids.
+    videos = [
+        TrafficVideo(f"trace-cold-corpus-{i}", 500, seed=60 + i)
+        for i in range(2)]
+    corpus = VideoCorpus.open(videos, counting_udf("car"), config=FAST())
+    tracer = Tracer()
+    with QueryService(workers=2, use_processes=use_processes,
+                      tracer=tracer) as svc:
+        future = svc.submit(corpus.query().topk(4).guarantee(0.9))
+        future.result(180)
+    spans = tracer.get(future.trace_id).to_dict()["spans"]
+    names = [record["name"] for record in spans]
+    labelled = sum(
+        event["attrs"]["frames"]
+        for record in spans for event in record["events"]
+        if event["name"] == "oracle_confirm"
+        and event["attrs"]["cost_key"] == "oracle_label")
+    assert labelled == 384
+    assert names.count("phase1") == 2
+    assert names.count("artifact_build") == 2
+
+
 # ----------------------------------------------------------------------
 # Structure: span tree shape, adoption, coverage.
 # ----------------------------------------------------------------------
@@ -460,13 +488,13 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
     (traced, traced_live), (plain, plain_live) = open_stream(), open_stream()
     retained = traced.phase1().result.diff_result.num_retained
     with tracer.trace("append"):
-        traced.append(60)
+        traced_events = [traced.append(60)]
     with tracer.trace("tick"):
-        traced.tick(30)
-    plain.append(60)
-    plain.tick(30)
-    assert [r.to_json() for r in traced_live.reports] \
-        == [r.to_json() for r in plain_live.reports]
+        traced_events.append(traced.tick(30))
+    plain_events = [plain.append(60), plain.tick(30)]
+    assert [r.to_json() for event in traced_events for r in event.reports] \
+        == [r.to_json() for event in plain_events for r in event.reports]
+    assert traced_live.latest.to_json() == plain_live.latest.to_json()
 
     spans = {}
     for record in read_jsonl([str(path)]):

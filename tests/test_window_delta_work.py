@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from repro.core.uncertain import (
 from repro.errors import QueryError
 from repro.models.mdn import GaussianMixture
 from repro.oracle import counting_udf
-from repro.streaming import StreamingStats
 from repro.video import TrafficVideo
 
 from conftest import CountingTraffic
@@ -320,7 +320,7 @@ def test_subscription_plan_is_window_restricted():
     stream = open_window_stream()
     live = build_query(stream).subscribe()
     stream.append(120)
-    stream.tick(60)
+    ticked = stream.tick(60)
     plan = live.query.plan()
     # The recompiled plan's range rides the window edge — the
     # regression pin that subscriptions stopped re-certifying the
@@ -329,8 +329,9 @@ def test_subscription_plan_is_window_restricted():
     assert plan.window_seconds == stream.window_seconds
     assert plan.num_tuples == stream.watermark - stream.window_lo
     assert live.latest.num_tuples <= stream.video.window_size
-    # Fresh confirmations per event were recorded alongside reports.
-    assert len(live.fresh_confirms) == len(live.reports)
+    # The event's fresh confirmations are its one refresh's.
+    assert ticked.reports == [live.latest]
+    assert ticked.fresh_confirm_calls == live.detail.fresh_confirm_calls
 
 
 def test_windowed_executor_refuses_window_less_plans():
@@ -393,28 +394,28 @@ def test_block_cache_evicts_expired_blocks_but_keeps_tops():
     cache = BlockInferenceCache()
     proxy, video = _FakeProxy(), _FakeVideo()
     retained = np.arange(2 * INFER_BLOCK + 176, dtype=np.int64)
-    stats = StreamingStats()
+    counter = SimpleNamespace(fresh_inferred_frames=0)
 
     mixtures, top = _window_state(
-        cache, proxy, video, retained, 0, stats=stats)
+        cache, proxy, video, retained, 0, counter=counter)
     assert sorted(cache._blocks) == [0, 1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size
     # The exact grid_for term: max(mu + TRUNCATE_SIGMAS * sigma).
     assert top == float(retained[-1]) + TRUNCATE_SIGMAS
-    assert stats.fresh_inferred_frames == retained.size
+    assert counter.fresh_inferred_frames == retained.size
 
     # Slide the cut past block 0: its mixtures are retracted, its top
     # survives, and nothing is re-inferred.
     cut = INFER_BLOCK + 88
     mixtures, top = _window_state(
-        cache, proxy, video, retained, cut, stats=stats)
+        cache, proxy, video, retained, cut, counter=counter)
     assert sorted(cache._blocks) == [1, 2]
     assert len(proxy.inferred) == 3
     assert mixtures.mu.shape[0] == retained.size - cut
     assert float(mixtures.mu[0, 0]) == float(retained[cut])
     assert top == float(retained[-1]) + TRUNCATE_SIGMAS
-    assert stats.fresh_inferred_frames == retained.size
+    assert counter.fresh_inferred_frames == retained.size
 
 
 def test_block_cache_heals_changed_expired_blocks_with_one_inference():
