@@ -32,9 +32,9 @@ import pytest
 
 from repro import EverestConfig, Session
 from repro.api.executor import QueryExecutor
-from repro.config import DEFAULT_CMDN_GRID, SelectCandidateConfig
+from repro.config import DEFAULT_CMDN_GRID
 from repro.core.cleaner import TopKCleaner
-from repro.core.select_candidate import CandidateSelector
+from repro.core.select_candidate import CandidateSelector, top_indices
 from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import QuantizationGrid, UncertainRelation
 from repro.models import (
@@ -125,8 +125,7 @@ def test_topk_prob_naive_recompute(benchmark, big_relation):
 def test_select_candidate_early_stopping(benchmark, big_relation):
     relation = big_relation.copy()
     state = ConfidenceState(relation)
-    selector = CandidateSelector(
-        relation, state, SelectCandidateConfig(use_upper_bound=True))
+    selector = CandidateSelector(relation, state)
 
     def run():
         return selector.select(
@@ -140,15 +139,16 @@ def test_select_candidate_early_stopping(benchmark, big_relation):
 
 
 def test_select_candidate_exhaustive(benchmark, big_relation):
-    """Ablation: computing E[X_f] for every uncertain frame."""
+    """Ablation: computing E[X_f] for every uncertain frame, then
+    taking the best 8 (what the early stop avoids)."""
     relation = big_relation.copy()
     state = ConfidenceState(relation)
-    selector = CandidateSelector(
-        relation, state, SelectCandidateConfig(use_upper_bound=False))
+    selector = CandidateSelector(relation, state)
 
     def run():
-        return selector.select(
-            0, 10, 11, batch_size=8, p_hat=state.topk_prob(10))
+        positions = np.flatnonzero(state.uncertain_mask)
+        expected = selector.expected_confidences(positions, 10, 11)
+        return positions[top_indices(expected, 8)]
 
     picked = benchmark(run)
     _record("select_candidate_exhaustive", timed_call(run)[1])

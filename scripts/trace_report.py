@@ -17,46 +17,30 @@ Usage::
     PYTHONPATH=src python scripts/trace_report.py /tmp/trace.jsonl \
         --trace t00000003 --chrome /tmp/flame.json
 
-Rotated backups (``<path>.1`` … ``.N``) next to the given file are
+Rotated backups (``<path>.1`` … ``.3``) next to the given file are
 included automatically, oldest first, so the report covers the whole
-retained window.
+retained window; the log is read through ``repro.trace.log_files`` and
+``read_jsonl``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-
-def discover_files(path: str) -> List[str]:
-    """The log plus its rotated backups, oldest first."""
-    backups = []
-    index = 1
-    while os.path.exists(f"{path}.{index}"):
-        backups.append(f"{path}.{index}")
-        index += 1
-    ordered = list(reversed(backups))
-    if os.path.exists(path):
-        ordered.append(path)
-    return ordered
+from repro.trace import chrome_trace, log_files, read_jsonl
 
 
 def load_records(path: str) -> List[Dict[str, object]]:
-    files = discover_files(path)
+    """Every record of the log at ``path`` and its rotated backups,
+    oldest first."""
+    files = log_files(path)
     if not files:
         raise FileNotFoundError(f"no trace log at {path!r}")
-    records: List[Dict[str, object]] = []
-    for name in files:
-        with open(name, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    return records
+    return read_jsonl(files)
 
 
 def span_records(
@@ -178,8 +162,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render(aggregate(spans)))
 
     if args.chrome:
-        from repro.trace import chrome_trace
-
         document = chrome_trace(rebuild_traces(records, args.trace))
         with open(args.chrome, "w", encoding="utf-8") as handle:
             json.dump(document, handle)

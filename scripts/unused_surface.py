@@ -11,7 +11,9 @@ lists when none is found:
   it;
 * **test-only** — only ``tests/`` names it: a test oracle
   (``core/reference.py``), a test seam, or surface only its own test
-  keeps alive — a judgement call, so it is listed, not decided.
+  keeps alive. Each one kept is in :data:`KEPT_FOR_TESTS` with the
+  reason it stays; any other is surface to delete (its test then
+  asserts through a public path).
 
 A reference is a name in code, read from the AST: a ``Name``, the
 attribute of an ``Attribute``, an imported name, or a string constant
@@ -39,8 +41,10 @@ It also prints the package's total line count (``find src/repro -name
 ROADMAP 7 asks each PR to report.
 
 Usage: ``python scripts/unused_surface.py``. It exits 1 when anything
-is unreferenced, so CI fails on dead code; test-only definitions only
-print.
+is unreferenced, when a test-only definition is not in
+:data:`KEPT_FOR_TESTS`, or when an entry there is no longer test-only
+(live code reaches it, or it is gone: drop the entry), so CI fails on
+dead code and on surface only the tests reach.
 """
 
 from __future__ import annotations
@@ -54,6 +58,32 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 #: Code that runs without a test, besides ``src`` itself.
 ELSEWHERE = ("benchmarks", "examples", "perfbench", "scripts")
+
+#: Test-only definitions that stay, by qualified name, each with why.
+KEPT_FOR_TESTS: Dict[str, str] = {
+    "expected_confidence_bruteforce":
+        "the brute-force Equation 6 the closed form is checked against",
+    "ConfidenceState.remove_many":
+        "the checked batch removal (duplicates refused) the property "
+        "tests drive; the cleaner calls the unchecked _remove_rows",
+    "GaussianMixture.pdf":
+        "the mixture density the tests integrate against its CDF",
+    "MDNHead.nll":
+        "the head's loss alone, for the finite-difference gradient check",
+    "MixtureDensityNetwork.num_parameters":
+        "the parameter count the packed-Adam and pickle-size tests check",
+    "ProxyScorer.prepare_inputs":
+        "featurize and scale in one call: pins the conv proxy's channel "
+        "axis",
+    "Query.with_config":
+        "a public builder clause: one query's config override "
+        "(DESIGN.md §4)",
+    "GatewayServer.address":
+        "a public accessor: the base URL an HTTP client dials once the "
+        "server picked its port",
+    "ScoringFunction.integer_valued":
+        "the UDF property the oracle tests pin (counts are integers)",
+}
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -192,8 +222,10 @@ def audit():
     for definition in found:
         by_name.setdefault(definition.name, []).append(definition)
 
+    # This script's own table names definitions without using them.
     live_names = _module_refs(package_files, top_level=True) | _module_refs(
-        [path for folder in ELSEWHERE for path in (ROOT / folder).rglob("*.py")],
+        [path for folder in ELSEWHERE for path in (ROOT / folder).rglob("*.py")
+         if path != Path(__file__).resolve()],
         top_level=False)
     # Dunders and overrides run whenever their class does: their
     # bodies are live code once the class is (a module's own dunders,
@@ -236,14 +268,22 @@ def main() -> int:
         for path in PACKAGE.rglob("*.py"))
     print(f"src/repro: {total} lines")
     unreferenced, test_only = audit()
+    kept = [d for d in test_only if d.qualname in KEPT_FOR_TESTS]
+    unlisted = [d for d in test_only if d.qualname not in KEPT_FOR_TESTS]
+    stale = sorted(set(KEPT_FOR_TESTS) - {d.qualname for d in test_only})
     for title, found in (("unreferenced", unreferenced),
-                         ("test-only", test_only)):
+                         ("test-only, not kept", unlisted),
+                         ("test-only, kept", kept)):
         print(f"{title}: {len(found)} definitions, "
               f"{sum(d.lines for d in found)} lines")
         for d in found:
             where = f"{d.path.relative_to(ROOT)}:{d.line}"
-            print(f"  {where:<48} {d.qualname} ({d.lines})")
-    return 1 if unreferenced else 0
+            reason = KEPT_FOR_TESTS.get(d.qualname)
+            print(f"  {where:<48} {d.qualname} ({d.lines})"
+                  + (f": {reason}" if reason else ""))
+    for qualname in stale:
+        print(f"kept for tests, but not test-only: {qualname}")
+    return 1 if unreferenced or unlisted or stale else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .config import (
     EverestConfig,
     Phase1Config,
     Phase2Config,
-    SelectCandidateConfig,
 )
 from .core import QueryReport
 from .api import (
@@ -85,7 +84,6 @@ __all__ = [
     "Phase1Config",
     "Phase2Config",
     "DiffDetectorConfig",
-    "SelectCandidateConfig",
     "ReproError",
     "CheckpointError",
     "ConfigurationError",

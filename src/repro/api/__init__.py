@@ -31,8 +31,6 @@ from .registry import (
     list_videos,
     open_session,
     parse_corpus_spec,
-    register_udf,
-    register_video,
     resolve_corpus,
     resolve_udf,
     resolve_video,
@@ -47,8 +45,6 @@ __all__ = [
     "QueryExecutor",
     "ExecutionDetail",
     "open_session",
-    "register_udf",
-    "register_video",
     "resolve_udf",
     "resolve_video",
     "resolve_corpus",

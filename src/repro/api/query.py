@@ -185,24 +185,6 @@ class Query:
         """
         return self
 
-    def over_corpus(self, corpus) -> "Query":
-        """The same query — K, guarantee, budget, config override,
-        sliding window — re-targeted at a whole corpus.
-
-        Tumbling window clauses do not transfer: window aggregation
-        across shard boundaries is undefined.
-        """
-        from ..corpus.corpus import VideoCorpus
-
-        if not isinstance(corpus, VideoCorpus):
-            raise QueryError(
-                f"over_corpus expects a VideoCorpus, got {corpus!r}")
-        if self._mode == "windows":
-            raise QueryError(
-                "window queries cannot target a corpus; window "
-                "aggregation across shard boundaries is undefined")
-        return dataclasses.replace(self, target=corpus)
-
     # -- compilation and execution -------------------------------------
     def _videos(self):
         """``(video, offset, where)`` per video under the target, in

@@ -7,14 +7,15 @@ bracket argument is the object label for counting UDFs). Video names
 resolve against the Table 7 dataset registry first, then against the
 registered synthetic families.
 
-Both registries are extensible — ``register_udf`` / ``register_video``
-add new names — which is how later operators and datasets plug in
-without touching the callers.
+Both registries are literal tables, :data:`UDFS` and :data:`VIDEOS`
+(the Table 7 datasets are ``video.datasets.DATASETS``): a new operator
+or video family is one more row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import numbers
 import re
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from ..oracle.sentiment import sentiment_udf
 from ..video.datasets import DATASETS, build_dataset
 from ..video.synthetic import (
     DashcamVideo,
+    ObjectCountProcess,
     SentimentVideo,
     SyntheticVideo,
     TrafficVideo,
@@ -37,8 +39,6 @@ from .session import Session
 
 #: A UDF factory takes the optional bracket argument from the spec.
 UdfFactory = Callable[..., ScoringFunction]
-#: A video factory takes builder keyword arguments (num_frames, seed…).
-VideoFactory = Callable[..., SyntheticVideo]
 
 _UDF_SPEC = re.compile(r"^(?P<name>[\w-]+)(?:\[(?P<arg>[^\[\]]+)\])?$")
 _UDF_NAME = re.compile(r"^[\w-]+$")
@@ -49,46 +49,51 @@ _CORPUS_SPEC = re.compile(
     r"^(?P<udf>[^@{}]+)@\{(?P<members>[^{}]*)\}$")
 _MEMBER_NAME = _UDF_NAME
 
-_udf_registry: Dict[str, UdfFactory] = {}
-_video_registry: Dict[str, VideoFactory] = {}
+
+def _counting_factory(label: Optional[str] = None) -> ScoringFunction:
+    return counting_udf(label if label is not None else "car")
 
 
-def register_udf(name: str, factory: UdfFactory) -> None:
-    """Register a scoring-function factory under ``name``.
-
-    The name must be resolvable by :func:`resolve_udf`'s spec grammar
-    (letters, digits, underscores, dashes).
-    """
-    if not _UDF_NAME.match(name or ""):
-        raise ConfigurationError(
-            f"invalid UDF registry name {name!r}; names must match "
-            f"[A-Za-z0-9_-]+ so 'name[arg]' specs can resolve them")
-    _udf_registry[name] = factory
+def _tailgating_factory(arg: Optional[str] = None) -> ScoringFunction:
+    if arg is not None:
+        return tailgating_udf(max_distance=float(arg))
+    return tailgating_udf()
 
 
-def register_video(name: str, factory: VideoFactory) -> None:
-    """Register a synthetic-video family under ``name``.
+def _sentiment_factory(arg: Optional[str] = None) -> ScoringFunction:
+    if arg is not None:
+        return sentiment_udf(quantization_step=float(arg))
+    return sentiment_udf()
 
-    Table 7 dataset names are reserved: :func:`resolve_video` checks
-    them first, so shadowing one would silently no-op.
-    """
-    if not name:
-        raise ConfigurationError("video registry name must be non-empty")
-    if name in DATASETS:
-        raise ConfigurationError(
-            f"{name!r} is a built-in Table 7 dataset and cannot be "
-            f"re-registered")
-    _video_registry[name] = factory
+
+#: UDF families by spec name (names match ``[A-Za-z0-9_-]+`` so
+#: ``name[arg]`` specs resolve them).
+UDFS: Dict[str, UdfFactory] = {
+    "count": _counting_factory,
+    "tailgating": _tailgating_factory,
+    "sentiment": _sentiment_factory,
+}
+
+#: Synthetic video families by name: the class a name builds, then
+#: what it forwards the keywords it does not take itself to. ``name``
+#: defaults to the family name and ``num_frames`` to
+#: :data:`FAMILY_FRAMES`.
+VIDEOS: Dict[str, Tuple[type, ...]] = {
+    "traffic": (TrafficVideo, ObjectCountProcess),
+    "dashcam": (DashcamVideo,),
+    "vlog": (SentimentVideo,),
+}
+FAMILY_FRAMES = 5_000
 
 
 def list_udfs() -> List[str]:
     """Registered UDF family names (spec syntax: ``name[arg]``)."""
-    return sorted(_udf_registry)
+    return sorted(UDFS)
 
 
 def list_videos() -> List[str]:
     """All resolvable video names: Table 7 datasets plus families."""
-    return sorted(set(DATASETS) | set(_video_registry))
+    return sorted(set(DATASETS) | set(VIDEOS))
 
 
 def parse_udf_spec(spec: str) -> Tuple[str, Optional[str]]:
@@ -107,23 +112,6 @@ def parse_udf_spec(spec: str) -> Tuple[str, Optional[str]]:
         raise ConfigurationError(
             f"malformed UDF spec {spec!r}; expected 'name' or 'name[arg]'")
     return match.group("name"), match.group("arg")
-
-
-def format_udf_spec(name: str, arg: Optional[str] = None) -> str:
-    """The canonical spec string for ``(name, arg)``.
-
-    Inverse of :func:`parse_udf_spec` for every valid pair:
-    ``parse_udf_spec(format_udf_spec(name, arg)) == (name, arg)``.
-    Raises :class:`~repro.errors.ConfigurationError` when the pair
-    cannot round-trip (bad name characters, ``]`` inside the arg).
-    """
-    spec = name if arg is None else f"{name}[{arg}]"
-    parsed_name, parsed_arg = parse_udf_spec(spec)
-    if (parsed_name, parsed_arg) != (name, arg):
-        raise ConfigurationError(
-            f"({name!r}, {arg!r}) does not round-trip through "
-            f"{spec!r}; use a plain [A-Za-z0-9_-]+ name")
-    return spec
 
 
 def parse_window_seconds(text: str, spec: Optional[str] = None) -> float:
@@ -275,7 +263,10 @@ class QuerySpec:
         return dataclasses.replace(self, window_seconds=None)
 
     def canonical(self) -> str:
-        """The canonical wire string (see :func:`format_query_spec`)."""
+        """The canonical wire string: ``parse_query_spec`` of it is
+        this spec again (raises
+        :class:`~repro.errors.ConfigurationError` when the parts cannot
+        round-trip: bad names, a bad window)."""
         if self.members:
             spec = format_corpus_spec(self.udf, self.members)
         else:
@@ -317,31 +308,6 @@ def parse_query_spec(spec: str) -> QuerySpec:
         f"malformed query spec {spec!r}; expected 'udf/video' or "
         f"'udf@{{member,member,...}}', optionally with a "
         f"'?window=<seconds>' suffix")
-
-
-def format_query_spec(
-    udf_spec: str,
-    *,
-    video: Optional[str] = None,
-    members=None,
-    window_seconds: Optional[float] = None,
-) -> str:
-    """The canonical wire string for a UDF plus one target.
-
-    Inverse of :func:`parse_query_spec` for every valid combination;
-    raises :class:`~repro.errors.ConfigurationError` when the parts
-    cannot round-trip (both or neither target, bad names, bad window).
-    """
-    if (video is None) == (members is None):
-        raise ConfigurationError(
-            "format_query_spec needs exactly one of video= / members=")
-    if members is not None:
-        return QuerySpec(
-            udf=udf_spec, members=tuple(members),
-            window_seconds=window_seconds).canonical()
-    return QuerySpec(
-        udf=udf_spec, video=video,
-        window_seconds=window_seconds).canonical()
 
 
 def resolve_query_spec(
@@ -401,7 +367,7 @@ def resolve_udf(spec: str) -> ScoringFunction:
     error from inside a factory.
     """
     name, arg = parse_udf_spec(spec)
-    factory = _udf_registry.get(name)
+    factory = UDFS.get(name)
     if factory is None:
         raise ConfigurationError(
             f"unknown UDF {name!r}; registered: {', '.join(list_udfs())}")
@@ -423,25 +389,56 @@ def resolve_video(name: str, **kwargs) -> SyntheticVideo:
     """
     if name in DATASETS:
         return build_dataset(name, **kwargs)
-    factory = _video_registry.get(name)
-    if factory is None:
+    if name not in VIDEOS:
         raise ConfigurationError(
             f"unknown video {name!r}; known: {', '.join(list_videos())}")
-    return factory(**kwargs)
+    return VIDEOS[name][0](kwargs.pop("name", None) or name,
+                           kwargs.pop("num_frames", FAMILY_FRAMES), **kwargs)
 
 
-def resolve_pair(video, scoring, **video_kwargs):
+def _video_keywords(name: str) -> Tuple[str, ...]:
+    """The keyword arguments :func:`resolve_video` accepts for ``name``
+    (empty for an unknown name)."""
+    if name in DATASETS:
+        builders, taken = (build_dataset,), {"name"}
+    else:
+        builders, taken = VIDEOS.get(name, ()), set()
+    accepted = set()
+    for builder in builders:
+        accepted.update(
+            parameter.name
+            for parameter in inspect.signature(builder).parameters.values()
+            if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
+                                  parameter.KEYWORD_ONLY))
+    return tuple(sorted(accepted - taken))
+
+
+def resolve_pair(video, scoring, video_kwargs=None, *, call="resolve_pair"):
     """Resolve registry names on either side of ``(video, scoring)``.
 
     Objects pass through; ``video_kwargs`` forward to the video
-    builder and therefore need a registry name.
+    builder and therefore need a registry name. A keyword the builder
+    does not take is refused before anything is built, naming ``call``
+    (the method the caller was handed the keywords by): a
+    :class:`TypeError` beside a video object, a
+    :class:`~repro.errors.ConfigurationError` listing what the named
+    builder accepts otherwise.
     """
+    video_kwargs = video_kwargs or {}
     if isinstance(video, str):
+        accepted = _video_keywords(video)
+        stray = sorted(set(video_kwargs) - set(accepted)) if accepted else []
+        if stray:
+            raise ConfigurationError(
+                f"{call}() got keyword argument(s) {', '.join(stray)} "
+                f"that video {video!r} does not take; its builder "
+                f"accepts: {', '.join(accepted)}")
         video = resolve_video(video, **video_kwargs)
     elif video_kwargs:
         raise TypeError(
-            "video keyword arguments need a registry name, "
-            "not a video object")
+            f"{call}() got unexpected keyword argument(s) "
+            f"{', '.join(sorted(video_kwargs))}: video keyword arguments "
+            f"need a registry name, not a video object")
     if isinstance(scoring, str):
         scoring = resolve_udf(scoring)
     return video, scoring
@@ -459,39 +456,3 @@ def open_session(
     return Session.open(
         video, scoring,
         config=config, unit_costs=unit_costs, **video_kwargs)
-
-
-# ----------------------------------------------------------------------
-# Built-in registrations.
-
-def _counting_factory(label: Optional[str] = None) -> ScoringFunction:
-    return counting_udf(label if label is not None else "car")
-
-
-def _tailgating_factory(arg: Optional[str] = None) -> ScoringFunction:
-    if arg is not None:
-        return tailgating_udf(max_distance=float(arg))
-    return tailgating_udf()
-
-
-def _sentiment_factory(arg: Optional[str] = None) -> ScoringFunction:
-    if arg is not None:
-        return sentiment_udf(quantization_step=float(arg))
-    return sentiment_udf()
-
-
-register_udf("count", _counting_factory)
-register_udf("tailgating", _tailgating_factory)
-register_udf("sentiment", _sentiment_factory)
-
-
-def _family(cls, default_name: str) -> VideoFactory:
-    def build(name: Optional[str] = None, num_frames: int = 5_000,
-              **kwargs) -> SyntheticVideo:
-        return cls(name or default_name, num_frames, **kwargs)
-    return build
-
-
-register_video("traffic", _family(TrafficVideo, "traffic"))
-register_video("dashcam", _family(DashcamVideo, "dashcam"))
-register_video("vlog", _family(SentimentVideo, "vlog"))

@@ -308,7 +308,8 @@ class Session:
         """
         from .registry import resolve_pair
 
-        video, scoring = resolve_pair(video, scoring, **video_kwargs)
+        video, scoring = resolve_pair(
+            video, scoring, video_kwargs, call="Session.open")
         return cls(video, scoring, config=config, unit_costs=unit_costs)
 
     @classmethod
@@ -342,7 +343,8 @@ class Session:
         """
         from .registry import resolve_pair
 
-        video, scoring = resolve_pair(video, scoring, **video_kwargs)
+        video, scoring = resolve_pair(
+            video, scoring, video_kwargs, call="Session.open_stream")
         if isinstance(video, StreamingVideo):
             if initial_frames is not None:
                 raise QueryError(

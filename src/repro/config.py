@@ -18,8 +18,11 @@ its one reader, not a field here: the grid step is the UDF's own
 (``ScoringFunction.step``), Gaussian truncation is
 ``core.uncertain.TRUNCATE_SIGMAS``, the trainer's mini-batch size and
 learning rate are ``models.trainer.TRAIN_BATCH_SIZE`` /
-``LEARNING_RATE``, and a window confirm samples
-``core.windows.WINDOW_SAMPLE_FRACTION`` of its frames.
+``LEARNING_RATE``, a window confirm samples
+``core.windows.WINDOW_SAMPLE_FRACTION`` of its frames, and
+Select-candidate always early-stops its scan (Equations 7/8), re-sorting
+on the paper's schedule: every ``core.select_candidate.RESORT_EVERY``
+(10) iterations for the first ``RESORT_WARMUP`` (100).
 """
 
 from __future__ import annotations
@@ -118,23 +121,6 @@ class DiffDetectorConfig:
 
 
 @dataclass(frozen=True)
-class SelectCandidateConfig:
-    """Knobs of the Select-candidate algorithm (Section 3.3.2)."""
-
-    #: Use the Eq-7/8 upper bound to early-stop the argmax scan.
-    use_upper_bound: bool = True
-    #: Re-sort the stale psi order every ``resort_every`` iterations for
-    #: the first ``resort_warmup`` iterations (paper: every 10 for the
-    #: first 100), afterwards only when S_k or S_p change.
-    resort_every: int = 10
-    resort_warmup: int = 100
-
-    def __post_init__(self) -> None:
-        _require(self.resort_every >= 1, "resort_every must be >= 1")
-        _require(self.resort_warmup >= 0, "resort_warmup must be >= 0")
-
-
-@dataclass(frozen=True)
 class Phase2Config:
     """Configuration for Phase 2 (oracle-in-the-loop cleaning)."""
 
@@ -142,8 +128,6 @@ class Phase2Config:
     batch_size: int = 8
     #: Optional hard cap on oracle invocations; ``None`` = unbounded.
     oracle_budget: Optional[int] = None
-    select_candidate: SelectCandidateConfig = field(
-        default_factory=SelectCandidateConfig)
 
     def __post_init__(self) -> None:
         _require(self.batch_size >= 1, "batch_size must be >= 1")

@@ -84,8 +84,7 @@ class TopKCleaner:
         self.config = config
         self.cost_model = cost_model
         self.state = ConfidenceState(relation)
-        self.selector = CandidateSelector(
-            relation, self.state, config.select_candidate)
+        self.selector = CandidateSelector(relation, self.state)
         self.cleaned = 0
         #: Exact score per position: D0's certain tuples plus every
         #: tuple this query cleaned (NaN elsewhere).

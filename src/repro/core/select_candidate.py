@@ -10,7 +10,7 @@ the revealed score ``s`` gives a closed form (Equation 6):
 * ``s > S_p``      — the old penultimate becomes the threshold.
 
 All products run over the *currently uncertain* tuples with ``f``
-factored out, which :meth:`ConfidenceState.joint_cdf_excluding`
+factored out, which :meth:`ConfidenceState.joint_cdf_excluding_levels`
 provides in vectorized, zero-safe form.
 
 To avoid computing ``E[X_f]`` for every uncertain frame, Equation 7
@@ -20,19 +20,18 @@ Frames are scanned in descending *stale* psi order (Equation 8 — psi
 only shrinks as ``S_k``/``S_p`` grow, so a stale psi is still an upper
 bound) and the scan stops early once the bound falls below the current
 batch's worst kept expectation. The stale order is refreshed on the
-paper's schedule: every ``resort_every`` iterations during the first
-``resort_warmup`` iterations, afterwards only when ``S_k`` or ``S_p``
+paper's schedule: every :data:`RESORT_EVERY` iterations during the first
+:data:`RESORT_WARMUP` iterations, afterwards only when ``S_k`` or ``S_p``
 change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..config import SelectCandidateConfig
 from .topk_prob import ConfidenceState
 from .uncertain import UncertainRelation
 
@@ -43,6 +42,12 @@ _TINY = 1e-300
 
 #: Vectorized scan chunk.
 _CHUNK = 512
+
+#: The paper's re-sort schedule (Section 3.3.2): the stale psi order is
+#: refreshed every ``RESORT_EVERY`` iterations for the first
+#: ``RESORT_WARMUP``, afterwards only when ``S_k`` or ``S_p`` change.
+RESORT_EVERY = 10
+RESORT_WARMUP = 100
 
 
 @dataclass
@@ -64,15 +69,9 @@ class SelectionStats:
 class CandidateSelector:
     """Early-stopping argmax-E[X_f] selector over uncertain tuples."""
 
-    def __init__(
-        self,
-        relation: UncertainRelation,
-        state: ConfidenceState,
-        config: SelectCandidateConfig = SelectCandidateConfig(),
-    ):
+    def __init__(self, relation: UncertainRelation, state: ConfidenceState):
         self.relation = relation
         self.state = state
-        self.config = config
         self.stats = SelectionStats()
         self._order: Optional[np.ndarray] = None
         self._stale_psi: Optional[np.ndarray] = None
@@ -136,8 +135,8 @@ class CandidateSelector:
     def _needs_resort(self, iteration: int, k_level: int, p_level: int) -> bool:
         if self._order is None:
             return True
-        if iteration < self.config.resort_warmup:
-            return iteration - self._sort_iteration >= self.config.resort_every
+        if iteration < RESORT_WARMUP:
+            return iteration - self._sort_iteration >= RESORT_EVERY
         return (k_level, p_level) != self._sort_levels
 
     def _resort(self, iteration: int, k_level: int, p_level: int) -> None:
@@ -178,9 +177,7 @@ class CandidateSelector:
 
         ``p_hat`` is the current confidence, ``state.topk_prob(k_level)``,
         which the cleaning loop has already computed. Scans the
-        stale-psi order with Equation 7/8 early stopping when
-        ``config.use_upper_bound`` is set; otherwise evaluates every
-        uncertain frame exactly (the ablation baseline).
+        stale-psi order with Equation 7/8 early stopping.
         """
         available = self.state.num_uncertain
         self.stats.calls += 1
@@ -188,13 +185,6 @@ class CandidateSelector:
         if available == 0:
             return np.zeros(0, dtype=np.int64)
         batch_size = min(batch_size, available)
-
-        if not self.config.use_upper_bound:
-            positions = np.flatnonzero(self.state.uncertain_mask)
-            expected = self.expected_confidences(positions, k_level, p_level)
-            best = top_indices(expected, batch_size)
-            self.stats.frames_examined += available
-            return positions[best]
 
         if self._needs_resort(iteration, k_level, p_level):
             self._resort(iteration, k_level, p_level)

@@ -114,20 +114,12 @@ class ConfidenceState:
         return self.joint_cdf(int(threshold_level))
 
     # ------------------------------------------------------------------
-    def joint_cdf_excluding(
-        self, positions: np.ndarray, level: int
-    ) -> np.ndarray:
-        """``prod_{f' != f} F_f'(level)`` for each position ``f``.
-
-        The joint CDF with one tuple factored out, valid even when
-        that tuple's own CDF is 0.
-        """
-        return self.joint_cdf_excluding_levels(positions, level, level)[0]
-
     def joint_cdf_excluding_levels(
         self, positions: np.ndarray, first: int, last: int
     ) -> np.ndarray:
-        """:meth:`joint_cdf_excluding` over levels ``first..last``.
+        """``prod_{f' != f} F_f'(level)`` for each position ``f`` and
+        each level ``first..last``: the joint CDF with one tuple
+        factored out, valid even when that tuple's own CDF is 0.
 
         Returns a ``(last - first + 1, num_positions)`` matrix whose row
         ``j`` is level ``first + j`` — Select-candidate's Equation 6

@@ -130,14 +130,14 @@ class WindowCleaner:
     """Cleaning callback for windows: sampled oracle confirmation.
 
     Scoring a whole window would clean ``L`` frames; the paper samples
-    a fraction (default 10%) and uses the sample mean, trading a little
-    precision jitter for proportionally less oracle work.
+    :data:`WINDOW_SAMPLE_FRACTION` (10%) of them and uses the sample
+    mean, trading a little precision jitter for proportionally less
+    oracle work.
     """
 
     video: SyntheticVideo
     oracle: Oracle
     window_size: int
-    sample_fraction: float = WINDOW_SAMPLE_FRACTION
     seed: int = 0
     cost_model: Optional[object] = None
 
@@ -145,7 +145,7 @@ class WindowCleaner:
         start, end = window_bounds(
             window_id, self.window_size, len(self.video))
         length = end - start
-        sample = max(1, int(np.ceil(self.sample_fraction * length)))
+        sample = max(1, int(np.ceil(WINDOW_SAMPLE_FRACTION * length)))
         rng = np.random.default_rng((self.seed, window_id))
         return start + rng.choice(length, size=min(sample, length),
                                   replace=False)

@@ -364,7 +364,7 @@ class _Cell:
 def _audit_seed(family, udf, config, grid, seed, cells, first) -> None:
     """Ask one seeded video every query of ``cells`` and tally them."""
     video, scoring = resolve_pair(
-        family, udf, num_frames=grid.num_frames, seed=SEED_BASE + seed)
+        family, udf, {"num_frames": grid.num_frames, "seed": SEED_BASE + seed})
     session = Session(video, scoring, config=CONFIGS[config])
     entry = session.phase1()
     levels = truth_levels(video, scoring)

@@ -109,21 +109,21 @@ def quantile(sorted_samples: List[float], q: float) -> float:
     return sorted_samples[rank - 1]
 
 
+#: Latency samples a summary keeps per op.
+LATENCY_SAMPLES = 65_536
+
+
 class LatencySummary:
     """Bounded sample set exporting count/sum and p50/p95/p99.
 
-    Samples beyond ``max_samples`` overwrite the buffer ring-style —
-    a long-lived gateway holds at most ``max_samples`` floats per op,
-    never memory linear in request count. The quantiles then describe
-    the most recent window while count and sum stay exact — the
-    standard summary trade-off.
+    Samples beyond :data:`LATENCY_SAMPLES` overwrite the buffer
+    ring-style — a long-lived gateway holds at most that many floats
+    per op, never memory linear in request count. The quantiles then
+    describe the most recent window while count and sum stay exact —
+    the standard summary trade-off.
     """
 
-    def __init__(self, max_samples: int = 65_536):
-        if max_samples < 1:
-            raise ValueError(
-                f"max_samples must be >= 1, got {max_samples}")
-        self.max_samples = max_samples
+    def __init__(self):
         self.count = 0
         self.sum = 0.0
         self._samples: List[float] = []
@@ -131,14 +131,14 @@ class LatencySummary:
     def observe(self, seconds: float) -> None:
         self.count += 1
         self.sum += seconds
-        if len(self._samples) < self.max_samples:
+        if len(self._samples) < LATENCY_SAMPLES:
             self._samples.append(seconds)
         else:
             # count was already incremented: sample N lands in slot
             # (N-1) % size, so the ring truly cycles. (The previous
             # ``count % size`` skipped slot 0 every lap, pinning the
             # oldest sample in the window forever.)
-            self._samples[(self.count - 1) % self.max_samples] = seconds
+            self._samples[(self.count - 1) % LATENCY_SAMPLES] = seconds
 
     def samples(self) -> List[float]:
         """The retained window (ring order, not arrival order)."""

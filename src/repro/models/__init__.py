@@ -9,7 +9,7 @@ external deep-learning dependency.
 from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from .mdn import GaussianMixture, MDNHead, SIGMA_FLOOR
 from .network import MixtureDensityNetwork
-from .optim import SGD, Adam
+from .optim import Adam
 from .features import NUM_FEATURES, FeatureScaler, extract_features
 from .cmdn import (
     ConvMDNProxy,
@@ -36,7 +36,6 @@ __all__ = [
     "MDNHead",
     "SIGMA_FLOOR",
     "MixtureDensityNetwork",
-    "SGD",
     "Adam",
     "NUM_FEATURES",
     "FeatureScaler",

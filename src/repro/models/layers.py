@@ -119,21 +119,21 @@ class Flatten(Layer):
 
 
 def _im2col(
-    x: np.ndarray, kernel: int, stride: int, pad: int
+    x: np.ndarray, kernel: int, pad: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``(N, C, H, W)`` into ``(N, out_h, out_w, C*k*k)`` columns."""
+    """Unfold ``(N, C, H, W)`` into ``(N, out_h, out_w, C*k*k)`` columns
+    (stride 1)."""
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = (h + 2 * pad - kernel) // stride + 1
-    out_w = (w + 2 * pad - kernel) // stride + 1
+    out_h = h + 2 * pad - kernel + 1
+    out_w = w + 2 * pad - kernel + 1
     strides = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, out_h, out_w, kernel, kernel),
         strides=(
-            strides[0], strides[1],
-            strides[2] * stride, strides[3] * stride,
+            strides[0], strides[1], strides[2], strides[3],
             strides[2], strides[3],
         ),
         writeable=False,
@@ -144,7 +144,8 @@ def _im2col(
 
 
 class Conv2D(Layer):
-    """3x3-style convolution via im2col matmul, 'same' padding default."""
+    """3x3-style convolution via im2col matmul: stride 1, 'same'
+    padding (``kernel // 2`` on each side)."""
 
     def __init__(
         self,
@@ -152,16 +153,13 @@ class Conv2D(Layer):
         out_channels: int,
         kernel: int = 3,
         *,
-        stride: int = 1,
-        pad: Optional[int] = None,
         seed: int = 0,
     ):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        self.stride = stride
-        self.pad = kernel // 2 if pad is None else pad
+        self.pad = kernel // 2
         rng = np.random.default_rng(seed)
         fan_in = in_channels * kernel * kernel
         self.params = {
@@ -177,7 +175,7 @@ class Conv2D(Layer):
             raise ShapeError(
                 f"Conv2D expected (N, {self.in_channels}, H, W), "
                 f"got {x.shape}")
-        cols, out_h, out_w = _im2col(x, self.kernel, self.stride, self.pad)
+        cols, out_h, out_w = _im2col(x, self.kernel, self.pad)
         out = cols @ self.params["W"] + self.params["b"]
         if training:
             self._cols = cols
@@ -211,11 +209,8 @@ class Conv2D(Layer):
         grad_x = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
         for ky in range(self.kernel):
             for kx in range(self.kernel):
-                grad_x[
-                    :, :,
-                    ky:ky + out_h * self.stride:self.stride,
-                    kx:kx + out_w * self.stride:self.stride,
-                ] += grad_col_in[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
+                grad_x[:, :, ky:ky + out_h, kx:kx + out_w] += \
+                    grad_col_in[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
         if pad:
             grad_x = grad_x[:, :, pad:-pad, pad:-pad]
         return grad_x

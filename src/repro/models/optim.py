@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers for the numpy network stack."""
+"""The gradient-descent optimizer of the numpy network stack."""
 
 from __future__ import annotations
 
@@ -8,52 +8,20 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-
-class SGD:
-    """Vanilla SGD with optional momentum."""
-
-    def __init__(self, learning_rate: float = 1e-2, momentum: float = 0.0):
-        if learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError("momentum must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: Dict[Tuple[int, str], np.ndarray] = {}
-
-    def step(self, model) -> None:
-        for layer, name, value in model.parameters:
-            grad = layer.grads[name]
-            if self.momentum:
-                key = (id(layer), name)
-                v = self._velocity.get(key)
-                if v is None:
-                    v = np.zeros_like(value)
-                v = self.momentum * v - self.learning_rate * grad
-                self._velocity[key] = v
-                value += v
-            else:
-                value -= self.learning_rate * grad
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's
+#: defaults, which every trainer here uses).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class Adam:
     """Adam (Kingma & Ba) with bias correction."""
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float = 1e-3):
         if learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigurationError("betas must be in [0, 1)")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         #: Per parameter: the moments ``m``, ``v`` and two scratch
         #: arrays the update's temporaries are written into.
         self._slots: Dict[Tuple[int, str], Tuple[np.ndarray, ...]] = {}
@@ -65,8 +33,8 @@ class Adam:
         that order, each written in place."""
         self._t += 1
         lr_t = self.learning_rate * (
-            np.sqrt(1.0 - self.beta2 ** self._t)
-            / (1.0 - self.beta1 ** self._t)
+            np.sqrt(1.0 - ADAM_BETA2 ** self._t)
+            / (1.0 - ADAM_BETA1 ** self._t)
         )
         for layer, name, value in model.parameters:
             grad = layer.grads[name]
@@ -76,12 +44,12 @@ class Adam:
                 slots = tuple(np.zeros_like(value) for _ in range(4))
                 self._slots[key] = slots
             m, v, scratch, denominator = slots
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, grad, out=scratch)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, grad, out=scratch)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
             v += np.multiply(scratch, grad, out=scratch)
             np.sqrt(v, out=denominator)
-            denominator += self.epsilon
+            denominator += ADAM_EPSILON
             np.multiply(lr_t, m, out=scratch)
             value -= np.divide(scratch, denominator, out=scratch)

@@ -15,14 +15,13 @@ from .artifacts import (
     group_key,
 )
 from .scheduler import FairScheduler, JobOutcome, QueryFuture
-from .service import QueryOutcome, QueryService, ServiceStats
+from .service import QueryService, ServiceStats
 
 __all__ = [
     "ArtifactStats",
     "FairScheduler",
     "JobOutcome",
     "QueryFuture",
-    "QueryOutcome",
     "QueryService",
     "ServiceStats",
     "SharedArtifacts",

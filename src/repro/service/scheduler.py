@@ -78,8 +78,10 @@ class QueryFuture(Future):
 
     def outcome(self, timeout: Optional[float] = None):
         """The job's :attr:`JobOutcome.detail` — a service query's
-        :class:`~repro.service.service.QueryOutcome` — blocking and
-        re-raising like :meth:`result`; a done-callback can read it."""
+        :class:`~repro.api.executor.ExecutionDetail`, or a corpus
+        query's :class:`~repro.corpus.federated.CorpusOutcome` —
+        blocking and re-raising like :meth:`result`; a done-callback
+        can read it."""
         self.result(timeout)
         return self._detail
 

@@ -49,7 +49,6 @@ from ..api.query import Query
 from ..api.session import Session, phase1_key
 from ..core.result import QueryReport
 from ..errors import QueryError, ServiceClosedError
-from ..oracle.cost import CostModel
 from ..parallel.pool import (
     PersistentPool,
     available_cpus,
@@ -154,20 +153,6 @@ class ServiceStats:
     def as_dict(self) -> Dict[str, object]:
         """A JSON-safe dict (nested tenant maps copied)."""
         return dataclasses.asdict(self)
-
-
-@dataclass
-class QueryOutcome:
-    """One completed query: its report, ledger and physical cost."""
-
-    tenant: str
-    report: QueryReport
-    phase2_cost: CostModel
-    #: Physical (cache-miss) confirmations; equals the report's
-    #: confirmation count only when no frame was cached yet.
-    fresh_confirm_calls: int
-    #: Submission order: the query's future carries the same number.
-    seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -320,7 +305,11 @@ class QueryService:
         *,
         initial_frames: Optional[int] = None,
         tenant: str = "stream",
-        **kwargs,
+        config=None,
+        unit_costs=None,
+        autosave_path=None,
+        window_seconds: Optional[float] = None,
+        video_kwargs=None,
     ):
         """Open a streaming session whose state the service hosts.
 
@@ -329,7 +318,8 @@ class QueryService:
         tenants), and its score / block-inference caches come from the
         shared artifact layer, so a later stream over the same (video,
         UDF, config) warm-starts instead of re-inferring. Accepts
-        objects or registry names like :meth:`Session.open_stream`.
+        objects or registry names like :meth:`Session.open_stream`;
+        a registry name's builder keywords come as ``video_kwargs``.
         """
         self._check_open()
         from ..api.registry import resolve_pair
@@ -337,12 +327,13 @@ class QueryService:
         # Resolved here, not in Session.open_stream: the shared score
         # cache is keyed by the resolved pair.
         video, scoring = resolve_pair(
-            video, scoring, **(kwargs.pop("video_kwargs", None) or {}))
+            video, scoring, video_kwargs, call="QueryService.open_stream")
         stream = Session.open_stream(
-            video, scoring, initial_frames=initial_frames,
+            video, scoring, initial_frames=initial_frames, config=config,
+            unit_costs=unit_costs, autosave_path=autosave_path,
+            window_seconds=window_seconds,
             score_cache=self.artifacts.score_cache(
-                group_key(video, scoring)),
-            **kwargs)
+                group_key(video, scoring)))
         return self.attach_stream(stream, tenant=tenant)
 
     def attach_stream(self, stream, *, tenant: str = "stream"):
@@ -651,12 +642,15 @@ class QueryService:
         this job: an exception (a plan that failed alone inside an
         inline batch; its trace is closed like a whole-batch failure's)
         or a detail carrying ``report``, ``phase2_cost`` and
-        ``fresh_confirm_calls``. The :class:`QueryOutcome` rides the
-        job's future; the service keeps only the last few. A refresh
-        pass has no ledger of its own (``phase2_cost`` is None — its
-        reports' ledgers stay with the stream's subscriptions), so it
-        has no outcome and charges its tenant the confirmations the
-        pass physically paid.
+        ``fresh_confirm_calls`` — an
+        :class:`~repro.api.executor.ExecutionDetail`, or a corpus
+        query's :class:`~repro.corpus.federated.CorpusOutcome`. That
+        detail is the query's outcome: it rides the job's future
+        (which carries the tenant and seq), and the service keeps only
+        the last few. A refresh pass has no ledger of its own
+        (``phase2_cost`` is None — its reports' ledgers stay with the
+        stream's subscriptions), so it has no outcome and charges its
+        tenant the confirmations the pass physically paid.
         """
         if isinstance(result, BaseException):
             return JobOutcome(error=result)
@@ -669,13 +663,7 @@ class QueryService:
         else:
             charge = cost.seconds("oracle_confirm")
             attrs["sim_seconds_total"] = cost.total_seconds()
-            outcome = QueryOutcome(
-                tenant=job.tenant,
-                report=result.report,
-                phase2_cost=cost,
-                fresh_confirm_calls=fresh,
-                seq=job.seq,
-            )
+            outcome = result
             with self._lock:
                 self._outcomes.append(outcome)
         if span is not None:
@@ -781,9 +769,10 @@ class QueryService:
     # ------------------------------------------------------------------
     # Accounting and introspection
     # ------------------------------------------------------------------
-    def outcomes(self) -> Sequence[QueryOutcome]:
-        """The last :data:`RECENT_OUTCOMES` completed query outcomes,
-        oldest first. A query's own outcome is ``future.outcome()``."""
+    def outcomes(self) -> list:
+        """The last :data:`RECENT_OUTCOMES` completed query outcomes
+        (each an ``ExecutionDetail`` or a ``CorpusOutcome``), oldest
+        first. A query's own outcome is ``future.outcome()``."""
         with self._lock:
             return list(self._outcomes)
 

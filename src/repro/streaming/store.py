@@ -41,8 +41,10 @@ from ..errors import CheckpointError
 #: 4: the live session keeps a plain ``Phase1Maintainer``, its history
 #: bound beside it, and no drift or retrain state. 5: the maintainer
 #: and the autosave path only — no history bound, event logs or
-#: work-counter object.)
-FORMAT_VERSION = 5
+#: work-counter object. 6: the pickled ``EverestConfig``'s
+#: ``Phase2Config`` holds no Select-candidate settings, and their
+#: class is gone.)
+FORMAT_VERSION = 6
 
 MANIFEST_NAME = "manifest.json"
 

@@ -11,7 +11,13 @@ from .core import (
     add_event,
     span,
 )
-from .exporters import JsonlTraceLog, chrome_trace, chrome_trace_events, read_jsonl
+from .exporters import (
+    JsonlTraceLog,
+    chrome_trace,
+    chrome_trace_events,
+    log_files,
+    read_jsonl,
+)
 
 __all__ = [
     "NULL_TRACER",
@@ -25,6 +31,7 @@ __all__ = [
     "add_event",
     "chrome_trace",
     "chrome_trace_events",
+    "log_files",
     "read_jsonl",
     "span",
 ]

@@ -483,8 +483,8 @@ class Tracer:
         Completed traces retained in memory (oldest evicted first).
     jsonl_path:
         Optional structured event log: one JSON record per closed
-        span plus one per completed trace, rotated at
-        :class:`~repro.trace.exporters.JsonlTraceLog`'s defaults (4 MiB,
+        span plus one per completed trace, rotated as
+        :class:`~repro.trace.exporters.JsonlTraceLog` rotates (at 4 MiB,
         three old files kept).
     profile:
         Opt-in cProfile capture per span (outermost span per thread;

@@ -8,8 +8,8 @@ Two consumers, two formats:
   events in microseconds; span events become instant ("i") events.
 * :class:`JsonlTraceLog` is the durable structured event log: one
   JSON object per line, size-rotated so a long-lived service cannot
-  grow a log file without bound. ``scripts/trace_report.py`` reads
-  this format back.
+  grow a log file without bound. :func:`read_jsonl` over
+  :func:`log_files` reads it back (``scripts/trace_report.py`` does).
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ import os
 import threading
 from typing import Dict, Iterable, List, Sequence
 
-__all__ = ["JsonlTraceLog", "chrome_trace", "chrome_trace_events", "read_jsonl"]
+__all__ = [
+    "JsonlTraceLog", "chrome_trace", "chrome_trace_events", "log_files",
+    "read_jsonl"]
+
+#: A log file is rotated before it would pass this size (4 MiB)...
+MAX_BYTES = 4 << 20
+#: ...to ``<path>.1``, the older ones shifting up to ``<path>.BACKUPS``.
+BACKUPS = 3
 
 
 def chrome_trace_events(traces: Sequence) -> List[Dict[str, object]]:
@@ -85,20 +92,15 @@ def chrome_trace(traces: Sequence) -> Dict[str, object]:
 class JsonlTraceLog:
     """Append-only JSONL event log with size-bounded rotation.
 
-    When the active file would exceed ``max_bytes`` it is rotated to
-    ``<path>.1`` (existing backups shifting to ``.2`` … ``.backups``,
-    the oldest dropped) — the standard logrotate discipline, with the
-    rename done under the same lock as writes so records never split.
+    When the active file would exceed :data:`MAX_BYTES` it is rotated
+    to ``<path>.1`` (existing backups shifting to ``.2`` …
+    ``.BACKUPS``, the oldest dropped) — the standard logrotate
+    discipline, with the rename done under the same lock as writes so
+    records never split.
     """
 
-    def __init__(self, path, *, max_bytes: int = 4 << 20, backups: int = 3):
-        if max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if backups < 0:
-            raise ValueError(f"backups must be >= 0, got {backups}")
+    def __init__(self, path):
         self.path = str(path)
-        self.max_bytes = int(max_bytes)
-        self.backups = int(backups)
         self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
@@ -112,40 +114,34 @@ class JsonlTraceLog:
             size = (
                 os.path.getsize(self.path)
                 if os.path.exists(self.path) else 0)
-            if size and size + len(payload) > self.max_bytes:
+            if size and size + len(payload) > MAX_BYTES:
                 self._rotate_locked()
             with open(self.path, "ab") as handle:
                 handle.write(payload)
             self.written += 1
 
     def _rotate_locked(self) -> None:
-        if self.backups == 0:
-            os.remove(self.path)
-            return
-        oldest = f"{self.path}.{self.backups}"
+        oldest = f"{self.path}.{BACKUPS}"
         if os.path.exists(oldest):
             os.remove(oldest)
-        for index in range(self.backups - 1, 0, -1):
+        for index in range(BACKUPS - 1, 0, -1):
             src = f"{self.path}.{index}"
             if os.path.exists(src):
                 os.replace(src, f"{self.path}.{index + 1}")
         os.replace(self.path, f"{self.path}.1")
 
-    def files(self) -> List[str]:
-        """Existing log files, newest first (active file, then backups)."""
-        found = []
-        if os.path.exists(self.path):
-            found.append(self.path)
-        for index in range(1, self.backups + 1):
-            backup = f"{self.path}.{index}"
-            if os.path.exists(backup):
-                found.append(backup)
-        return found
+
+def log_files(path) -> List[str]:
+    """The existing files of the log at ``path``, newest first: the
+    active file, then its backups."""
+    path = str(path)
+    candidates = [path] + [f"{path}.{index}" for index in range(1, BACKUPS + 1)]
+    return [name for name in candidates if os.path.exists(name)]
 
 
 def read_jsonl(paths: Iterable[str]) -> List[Dict[str, object]]:
     """Parse records back out of JSONL log files (oldest first when
-    given a newest-first ``JsonlTraceLog.files()`` listing)."""
+    given a newest-first :func:`log_files` listing)."""
     records: List[Dict[str, object]] = []
     for path in reversed(list(paths)):
         with open(path, "r", encoding="utf-8") as handle:

@@ -11,18 +11,22 @@ Top-K, the shared log tables and the pruned scan against an independent
 implementation rather than against themselves. It shares nothing with
 ``src/`` but :class:`~repro.core.uncertain.UncertainRelation`'s public
 surface (``cdf`` / ``pmf`` / ``certain`` / ``exact_scores`` /
-``mark_certain_many``), the config dataclasses and ``SelectionStats``.
+``mark_certain_many``), ``Phase2Config`` and ``SelectionStats``. The
+Select-candidate knobs the library fixed as constants live on here, in
+:class:`SelectCandidateConfig`: the reference still runs the
+exhaustive scan and any re-sort schedule.
 
 Do not "optimise" this file: its value is that it does not change.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import Phase2Config, SelectCandidateConfig
+from repro.config import Phase2Config
 from repro.core.cleaner import Phase2Result
 from repro.core.select_candidate import SelectionStats
 from repro.core.uncertain import UncertainRelation
@@ -34,6 +38,19 @@ from repro.errors import (
 
 _TINY = 1e-300
 _CHUNK = 512
+
+
+@dataclass(frozen=True)
+class SelectCandidateConfig:
+    """Knobs of the Select-candidate algorithm (Section 3.3.2)."""
+
+    #: Use the Eq-7/8 upper bound to early-stop the argmax scan.
+    use_upper_bound: bool = True
+    #: Re-sort the stale psi order every ``resort_every`` iterations for
+    #: the first ``resort_warmup`` iterations (paper: every 10 for the
+    #: first 100), afterwards only when S_k or S_p change.
+    resort_every: int = 10
+    resort_warmup: int = 100
 
 
 class ReferenceConfidenceState:
@@ -335,7 +352,7 @@ class ReferenceCleaner:
         self.cost_model = cost_model
         self.state = ReferenceConfidenceState(relation)
         self.selector = ReferenceSelector(
-            relation, self.state, config.select_candidate)
+            relation, self.state)
         self.cleaned = 0
 
     # ------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro
 from repro import Session, errors
+from repro import models
 from repro.config import (
     MAX_TRAIN_SAMPLES,
     DiffDetectorConfig,
@@ -10,14 +12,20 @@ from repro.config import (
     PAPER_CMDN_GRID,
     Phase1Config,
     Phase2Config,
-    SelectCandidateConfig,
+)
+from repro.core.select_candidate import (
+    RESORT_EVERY,
+    RESORT_WARMUP,
+    CandidateSelector,
 )
 from repro.core.uncertain import TRUNCATE_SIGMAS
-from repro.core.windows import WINDOW_SAMPLE_FRACTION
+from repro.core.windows import WINDOW_SAMPLE_FRACTION, WindowCleaner
 from repro.gateway.http import GatewayServer
-from repro.gateway.metrics import GatewayMetrics
+from repro.gateway.metrics import GatewayMetrics, LatencySummary
+from repro.models import Adam, Conv2D
+from repro.models.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
-from repro.trace import Tracer
+from repro.trace import JsonlTraceLog, Tracer
 
 
 class TestErrorHierarchy:
@@ -92,6 +100,22 @@ class TestPhase1Config:
         (Tracer, "jsonl_backups"),
         (GatewayMetrics, "max_latency_samples"),
         (lambda **kw: GatewayServer(None, **kw), "handler_threads"),
+        (Phase2Config, "select_candidate"),
+        (Phase2Config, "use_upper_bound"),
+        (Phase2Config, "resort_every"),
+        (Phase2Config, "resort_warmup"),
+        (lambda **kw: CandidateSelector(None, None, **kw), "config"),
+        (lambda **kw: WindowCleaner(None, None, 30, **kw),
+         "sample_fraction"),
+        (lambda **kw: Adam(1e-3, **kw), "beta1"),
+        (lambda **kw: Adam(1e-3, **kw), "beta2"),
+        (lambda **kw: Adam(1e-3, **kw), "epsilon"),
+        (lambda **kw: Adam(1e-3, **kw), "momentum"),
+        (lambda **kw: Conv2D(1, 1, **kw), "stride"),
+        (lambda **kw: Conv2D(1, 1, **kw), "pad"),
+        (LatencySummary, "max_samples"),
+        (lambda **kw: JsonlTraceLog("unused.jsonl", **kw), "max_bytes"),
+        (lambda **kw: JsonlTraceLog("unused.jsonl", **kw), "backups"),
     ])
     def test_removed_setting_is_refused(self, make, keyword):
         """The settable values that only ever held one value are
@@ -116,10 +140,14 @@ class TestOtherConfigs:
             Phase2Config(oracle_budget=0)
 
     def test_select_candidate_validation(self):
-        with pytest.raises(errors.ConfigurationError):
-            SelectCandidateConfig(resort_every=0)
-        with pytest.raises(errors.ConfigurationError):
-            SelectCandidateConfig(resort_warmup=-1)
+        """Select-candidate has no settings left to validate: one
+        early-stopped scan on the paper's re-sort schedule."""
+        assert (RESORT_EVERY, RESORT_WARMUP) == (10, 100)
+        assert not hasattr(repro, "SelectCandidateConfig")
+
+    def test_adam_is_the_one_optimizer(self):
+        assert not hasattr(models, "SGD")
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
     def test_fast_preset_is_valid(self):
         config = EverestConfig.fast()

@@ -10,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SelectCandidateConfig
 from repro.core.reference import expected_confidence_bruteforce
-from repro.core.select_candidate import CandidateSelector, top_indices
+from repro.core.select_candidate import (
+    RESORT_EVERY,
+    RESORT_WARMUP,
+    CandidateSelector,
+    top_indices,
+)
 from repro.core.topk_prob import ConfidenceState
 
 from conftest import make_relation
+from reference_phase2 import (
+    ReferenceConfidenceState,
+    ReferenceSelector,
+    SelectCandidateConfig,
+)
 
 
 def build_case(rng, num_tuples=6, levels=4, certain_scores=(3.0, 2.0)):
@@ -121,6 +130,8 @@ class TestSelection:
         assert set(batch.tolist()) == top3
 
     def test_exhaustive_matches_early_stopped(self):
+        """The one early-stopped scan against the reference's
+        exhaustive one."""
         rng = np.random.default_rng(29)
         for trial in range(5):
             pmfs = [rng.dirichlet(np.ones(4)) for _ in range(30)]
@@ -129,16 +140,13 @@ class TestSelection:
             for rel in (relation_a, relation_b):
                 rel.mark_certain(0, 3.0)
                 rel.mark_certain(1, 2.0)
-            fast = CandidateSelector(
-                relation_a, ConfidenceState(relation_a),
-                SelectCandidateConfig(use_upper_bound=True))
-            slow = CandidateSelector(
-                relation_b, ConfidenceState(relation_b),
+            fast = CandidateSelector(relation_a, ConfidenceState(relation_a))
+            slow = ReferenceSelector(
+                relation_b, ReferenceConfidenceState(relation_b),
                 SelectCandidateConfig(use_upper_bound=False))
             picked_fast = fast.select(
                 0, 2, 3, batch_size=2, p_hat=fast.state.topk_prob(2))
-            picked_slow = slow.select(
-                0, 2, 3, batch_size=2, p_hat=slow.state.topk_prob(2))
+            picked_slow = slow.select(0, 2, 3, batch_size=2)
             exp_fast = fast.expected_confidences(picked_fast, 2, 3)
             exp_slow = slow.expected_confidences(picked_slow, 2, 3)
             # Equal expectation (ties may swap identities).
@@ -177,7 +185,6 @@ class TestSelection:
     def test_resort_schedule(self):
         rng = np.random.default_rng(41)
         relation, state, selector = build_case(rng, num_tuples=12)
-        config = selector.config
         selector.select(
             0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 1
@@ -186,15 +193,15 @@ class TestSelection:
         selector.select(
             1, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 1
-        selector.select(config.resort_every, 2, 3, batch_size=1,
+        selector.select(RESORT_EVERY, 2, 3, batch_size=1,
                         p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 2
         # After the warmup, unchanged levels never trigger a resort...
-        selector.select(config.resort_warmup + 1, 2, 3, batch_size=1,
+        selector.select(RESORT_WARMUP + 1, 2, 3, batch_size=1,
                         p_hat=state.topk_prob(2))
         assert selector.stats.resorts == 2
         # ...but a change of S_k / S_p does.
-        selector.select(config.resort_warmup + 2, 3, 3, batch_size=1,
+        selector.select(RESORT_WARMUP + 2, 3, 3, batch_size=1,
                         p_hat=state.topk_prob(3))
         assert selector.stats.resorts == 3
 

@@ -102,21 +102,21 @@ class TestWindowCleaner:
         cost = CostModel()
         oracle = Oracle(counting_udf("car"), cost)
         cleaner = WindowCleaner(
-            video=traffic_video, oracle=oracle,
-            window_size=30, sample_fraction=0.1)
+            video=traffic_video, oracle=oracle, window_size=30)
         scores = cleaner([0, 1])
         assert scores.shape == (2,)
         # 10% of 30 frames = 3 per window.
         assert oracle.calls == 6
 
     def test_sample_mean_near_true_mean(self, traffic_video):
+        """A window's score is the mean of its sampled frames' scores."""
         oracle = Oracle(counting_udf("car"), CostModel())
         cleaner = WindowCleaner(
-            video=traffic_video, oracle=oracle,
-            window_size=30, sample_fraction=1.0)
-        truth = window_truth(traffic_video.counts.astype(float), 30)
+            video=traffic_video, oracle=oracle, window_size=30)
+        counts = traffic_video.counts.astype(float)
         scores = cleaner([2])
-        assert scores[0] == pytest.approx(truth[2])
+        assert scores[0] == pytest.approx(
+            counts[cleaner.frames_for(2)].mean())
 
     def test_frames_within_bounds(self, traffic_video):
         oracle = Oracle(counting_udf("car"), CostModel())

@@ -18,7 +18,7 @@ same global budget:
 * service submission returns the same bytes as inline execution on
   both lanes, and a corpus confirm scores in the query's own thread —
   no thread pool, no pool task;
-* ``over_corpus`` and streaming refreshes cannot change a byte.
+* the execution door and streaming refreshes cannot change a byte.
 """
 
 from __future__ import annotations
@@ -208,12 +208,11 @@ def test_member_corpus_matches_concat_reference_swept(
 
 
 def test_over_corpus_is_neutral(member_corpus):
-    # Query.over_corpus carries the same parameters across.
-    member = member_corpus.members[0].session
-    rebound = member.query().topk(4).guarantee(0.9) \
-        .over_corpus(member_corpus)
-    assert rebound.run().to_json() == \
-        member_corpus.query().topk(4).guarantee(0.9).run().to_json()
+    # A corpus query answers alike through either door: run() and the
+    # corpus's own execute_detailed of the compiled plan.
+    query = member_corpus.query().topk(4).guarantee(0.9)
+    assert query.run().to_json() == \
+        member_corpus.execute_detailed(query.plan()).report.to_json()
 
 
 def test_pooled_prepare_matches_serial_build(member_videos, udf):
@@ -253,7 +252,7 @@ def test_corpus_query_explain_names_shards(member_corpus):
 def test_window_queries_are_rejected(member_corpus):
     member = member_corpus.members[0].session
     with pytest.raises(QueryError):
-        member.query().windows(size=10).over_corpus(member_corpus)
+        member_corpus.query().windows(size=10)
     with pytest.raises(QueryError):
         plan = member.query().windows(size=10).topk(3).plan()
         member_corpus.execute_detailed(plan)

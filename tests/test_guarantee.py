@@ -72,7 +72,7 @@ def outcomes(family: str, udf: str):
     counts = {k: [0, 0] for k in FAMILIES[family, udf]}
     for s in SEEDS:
         video, scoring = resolve_pair(
-            family, udf, num_frames=NUM_FRAMES, seed=1000 + s)
+            family, udf, {"num_frames": NUM_FRAMES, "seed": 1000 + s})
         session = Session(video, scoring, config=EverestConfig())
         levels = truth_levels(video, scoring)
         d0 = d0_levels(levels, session.phase1().result)
@@ -119,7 +119,8 @@ def test_clopper_pearson_bounds_are_scipy_stats_beta():
 @pytest.mark.parametrize("family, udf", sorted(FAMILIES))
 def test_phase2_confidence_is_a_possible_worlds_probability(family, udf):
     """The audit's two checks of Phase 2's arithmetic, on one seed."""
-    video, scoring = resolve_pair(family, udf, num_frames=1_000, seed=7)
+    video, scoring = resolve_pair(
+        family, udf, {"num_frames": 1_000, "seed": 7})
     session = Session(video, scoring, config=EverestConfig.fast())
     report, relation = run_query(session, 5, THRES)
     assert report.to_json() == session.query().topk(5).guarantee(

@@ -17,7 +17,6 @@ from repro.models import (
     MaxPool2D,
     MDNHead,
     ReLU,
-    SGD,
 )
 
 EPS = 1e-5
@@ -113,7 +112,7 @@ class TestConv2D:
 
     def test_known_kernel(self):
         """A 1x1 identity kernel must reproduce the input."""
-        layer = Conv2D(1, 1, 1, pad=0, seed=0)
+        layer = Conv2D(1, 1, 1, seed=0)
         layer.params["W"][...] = 1.0
         layer.params["b"][...] = 0.0
         x = np.random.default_rng(0).normal(size=(1, 1, 4, 4))
@@ -172,29 +171,20 @@ class TestMDNHead:
             assert np.allclose(head.grads[name], num_grad, atol=1e-4), name
 
     def test_nll_decreases_under_sgd(self):
+        """Plain gradient steps (learning rate 0.05) on the head's own
+        gradients descend its NLL."""
         rng = np.random.default_rng(5)
         head = MDNHead(3, 2, seed=3)
         x = rng.normal(size=(64, 3))
         y = x @ np.array([1.0, -0.5, 0.2])
-
-        class _Model:
-            layers = []
-            head_ref = head
-
-            @property
-            def parameters(self):
-                for name, value in head.params.items():
-                    yield head, name, value
-
-        model = _Model()
-        optimizer = SGD(0.05)
         losses = []
         for _ in range(60):
             head.zero_grads()
             head.forward(x, training=True)
             loss, _ = head.loss_and_backward(y)
             losses.append(loss)
-            optimizer.step(model)
+            for name, value in head.params.items():
+                value -= 0.05 * head.grads[name]
         assert losses[-1] < losses[0] - 0.3
 
 
@@ -221,18 +211,12 @@ class TestOptimizers:
             optimizer.step(model)
         return float(layer.params["W"][0, 0])
 
-    def test_sgd_converges(self):
-        assert abs(self._minimize(SGD(0.1))) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert abs(self._minimize(SGD(0.05, momentum=0.9))) < 1e-2
-
     def test_adam_converges(self):
         assert abs(self._minimize(Adam(0.3))) < 1e-2
 
     def test_validation(self):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            SGD(-1.0)
+            Adam(-1.0)
         with pytest.raises(ConfigurationError):
-            Adam(1e-3, beta1=1.0)
+            Adam(0.0)

@@ -204,7 +204,7 @@ def test_the_error_reaches_the_wire(monkeypatch):
         frames = range(10_000) if arg is None else [int(arg)]
         return poisoned_udf(frames, float("nan"))
 
-    monkeypatch.setitem(registry._udf_registry, "poisoned", factory)
+    monkeypatch.setitem(registry.UDFS, "poisoned", factory)
     reference = resolve_query_spec(
         "count[car]/traffic", config=FAST, **VIDEO_KWARGS)
     reference.query().topk(4).guarantee(0.9).run()

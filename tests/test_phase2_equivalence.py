@@ -25,11 +25,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import EverestConfig, QueryService, Session
-from repro.config import Phase2Config, SelectCandidateConfig
+from repro.config import Phase2Config
 from repro.core import phase1 as core_phase1
 from repro.core import uncertain
 from repro.core.cleaner import TopKCleaner
-from repro.core.select_candidate import CandidateSelector
+from repro.core.select_candidate import (
+    RESORT_EVERY,
+    RESORT_WARMUP,
+    CandidateSelector,
+)
 from repro.core.topk_prob import ConfidenceState
 from repro.core.uncertain import (
     QuantizationGrid,
@@ -45,6 +49,7 @@ from reference_phase2 import (
     ReferenceCleaner,
     ReferenceConfidenceState,
     ReferenceSelector,
+    SelectCandidateConfig,
 )
 
 WAIT = 60.0
@@ -145,12 +150,7 @@ def phase2_cases(draw):
         relation.mark_certain_many(certain, [truth[ids[p]] for p in certain])
     k = draw(st.sampled_from([1, 2, n // 2 or 1, n]))
     thres = draw(st.sampled_from([0.5, 0.9, 0.99, 1.0]))
-    config = Phase2Config(
-        batch_size=draw(st.sampled_from([1, 2, 8])),
-        select_candidate=SelectCandidateConfig(
-            use_upper_bound=draw(st.booleans()),
-            resort_every=draw(st.sampled_from([1, 3])),
-            resort_warmup=draw(st.sampled_from([0, 2, 10]))))
+    config = Phase2Config(batch_size=draw(st.sampled_from([1, 2, 8])))
     return relation, truth, k, thres, config
 
 
@@ -184,10 +184,7 @@ def wide_span_cases(draw):
     relation = UncertainRelation(
         list(ids), pmf, QuantizationGrid(0.0, 1.0, levels))
     relation.mark_certain_many([0, 1], [truth[ids[0]], truth[ids[1]]])
-    config = Phase2Config(
-        batch_size=draw(st.sampled_from([1, 3, 8])),
-        select_candidate=SelectCandidateConfig(
-            use_upper_bound=draw(st.booleans())))
+    config = Phase2Config(batch_size=draw(st.sampled_from([1, 3, 8])))
     thres = draw(st.sampled_from([0.9, 0.99]))
     return relation, truth, (k_level, k_level + gap), thres, config
 
@@ -210,12 +207,39 @@ def test_wide_level_spans_sum_as_the_reference_does(case):
     _assert_same(_both(relation, truth, 2, thres, config))
 
 
+class _CheckedSelector(CandidateSelector):
+    """The engine's one scan, each batch checked against the reference's
+    exhaustive scan over the same uncertain tuples: as good a batch,
+    however the ties fall."""
+
+    def __init__(self, cleaner):
+        super().__init__(cleaner.relation, cleaner.state)
+        self.cleaner = cleaner
+
+    def select(self, iteration, k_level, p_level, batch_size, p_hat):
+        picked = super().select(
+            iteration, k_level, p_level, batch_size, p_hat)
+        relation = self.relation.copy()
+        cleaned = np.flatnonzero(~self.state.uncertain_mask & ~relation.certain)
+        relation.mark_certain_many(cleaned, self.cleaner.exact_scores[cleaned])
+        reference = ReferenceSelector(
+            relation, ReferenceConfidenceState(relation),
+            SelectCandidateConfig(use_upper_bound=False))
+        best = reference.select(iteration, k_level, p_level, batch_size)
+        assert np.array_equal(
+            np.sort(reference.expected_confidences(picked, k_level, p_level)),
+            np.sort(reference.expected_confidences(best, k_level, p_level)))
+        return picked
+
+
 @pytest.mark.parametrize("use_upper_bound", [True, False])
 @pytest.mark.parametrize("seed,flat", [(1, False), (2, True), (3, True)])
 def test_multi_chunk_scans_match_the_reference(seed, flat, use_upper_bound):
     """1 400 uncertain tuples: the scan crosses its 512-row chunks
     (flat pmfs weaken the Eq. 7 bound, so it stops late) and the
-    kept-best pruning ranks every chunk against the ones before."""
+    kept-best pruning ranks every chunk against the ones before. The
+    reference runs the same scan; against its exhaustive one
+    (``use_upper_bound=False``) every batch is as good."""
     rng = np.random.default_rng(seed)
     n, levels = 1_500, 9
     weights = rng.uniform(0.9, 1.0, (n, levels)) if flat \
@@ -228,15 +252,39 @@ def test_multi_chunk_scans_match_the_reference(seed, flat, use_upper_bound):
     relation = UncertainRelation(ids, pmf, QuantizationGrid(0.0, 1.0, levels))
     known = rng.choice(n, 100, replace=False)
     relation.mark_certain_many(known, [truth[int(ids[p])] for p in known])
-    config = Phase2Config(
-        batch_size=8, select_candidate=SelectCandidateConfig(
-            use_upper_bound=use_upper_bound))
-    outcomes = _both(relation, truth, 50 if flat else 20, 0.9, config)
-    _assert_same(outcomes)
-    stats = outcomes[1][0].selection_stats
+    k, config = 50 if flat else 20, Phase2Config(batch_size=8)
+    if use_upper_bound:
+        outcomes = _both(relation, truth, k, 0.9, config)
+        _assert_same(outcomes)
+        stats = outcomes[1][0].selection_stats
+    else:
+        cleaner = TopKCleaner(
+            relation,
+            lambda ids: np.asarray([truth[i] for i in ids], dtype=np.float64),
+            config)
+        cleaner.selector = _CheckedSelector(cleaner)
+        stats = cleaner.run(k, 0.9).selection_stats
     assert stats.calls > 0
-    if flat and use_upper_bound:
+    if flat:
         assert stats.frames_examined > 512 * stats.calls  # crossed chunks
+
+
+def test_long_loops_resort_on_the_papers_schedule():
+    """Past the re-sort warmup: 235 one-frame iterations re-sort every
+    RESORT_EVERY for RESORT_WARMUP, then on a change of S_k / S_p only,
+    as the reference does at its default schedule."""
+    rng = np.random.default_rng(0)
+    n, levels = 300, 9
+    pmf = rng.gamma(0.4, size=(n, levels)) + 1e-6
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    ids = rng.permutation(n) + 10
+    truth = dict(zip(ids.tolist(), rng.integers(0, levels, n).astype(float)))
+    relation = UncertainRelation(ids, pmf, QuantizationGrid(0.0, 1.0, levels))
+    outcomes = _both(relation, truth, 40, 0.99, Phase2Config(batch_size=1))
+    _assert_same(outcomes)
+    result = outcomes[1][0]
+    assert result.iterations > RESORT_WARMUP
+    assert result.selection_stats.resorts > RESORT_WARMUP // RESORT_EVERY
 
 
 @pytest.fixture(scope="module")

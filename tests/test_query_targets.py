@@ -10,7 +10,7 @@
   its member session compiles (closed, streaming and windowed sources,
   with and without ``window(seconds=...)``);
 * **wrong doors** — the two single-target clauses name the other door
-  before any Phase 1 runs; ``over_corpus`` carries every parameter;
+  before any Phase 1 runs; a corpus query takes every other clause;
 * **windowed members** (DESIGN.md §13) — a corpus holding a
   sliding-window stream answers, byte-identical to the stream itself
   for a corpus of one, and refuses a window wider than the member's;
@@ -213,21 +213,21 @@ def test_single_target_clauses_name_the_other_door(targets):
 
 
 def test_over_corpus_carries_every_parameter(targets):
+    """K, guarantee, budget, config override and sliding window: a
+    corpus query holds each as a session query does, into its plan."""
     session, corpus = targets["session"], targets["corpus"]
-    base = (session.query().topk(6).guarantee(0.7).oracle_budget(33)
-            .with_config(OVERRIDE)
-            .window(seconds=3.0))
-    moved = base.over_corpus(corpus)
-    assert moved.target is corpus and base.target is session
-    assert dataclasses.replace(moved, target=None) == \
-        dataclasses.replace(base, target=None)
-    assert moved.plan() == corpus.query().topk(6).guarantee(0.7) \
-        .oracle_budget(33).with_config(OVERRIDE) \
-        .window(seconds=3.0).plan()
-    with pytest.raises(QueryError, match="shard boundaries"):
-        session.query().windows(size=10).over_corpus(corpus)
-    with pytest.raises(QueryError, match="expects a VideoCorpus"):
-        session.query().over_corpus(session)
+
+    def clauses(query):
+        return (query.topk(6).guarantee(0.7).oracle_budget(33)
+                .with_config(OVERRIDE).window(seconds=3.0))
+
+    on_session, on_corpus = clauses(session.query()), clauses(corpus.query())
+    assert on_corpus.target is corpus
+    assert dataclasses.replace(on_corpus, target=None) == \
+        dataclasses.replace(on_session, target=None)
+    plan = on_corpus.plan()
+    assert (plan.k, plan.thres, plan.oracle_budget, plan.config,
+            plan.window_seconds) == (6, 0.7, 33, OVERRIDE, 3.0)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ surface (clients name UDFs and videos by string). Properties:
   :class:`ValueError` — never a bare ``AttributeError`` / regex error
   / float-conversion ``ValueError`` from inside a factory;
 * parsing and formatting are inverse bijections on the valid grammar
-  (round-trip property in both directions);
+  (round-trip property in both directions): a UDF spec is
+  ``name[arg]``, and a wire spec's canonical form is
+  ``QuerySpec.canonical()``;
 * resolved UDFs are real scoring functions for every registered
   family and well-formed argument.
 """
@@ -19,9 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.registry import (
+    QuerySpec,
     format_corpus_spec,
-    format_query_spec,
-    format_udf_spec,
     list_udfs,
     parse_corpus_spec,
     parse_query_spec,
@@ -40,6 +41,11 @@ NAME_ALPHABET = (
 valid_names = st.text(alphabet=NAME_ALPHABET, min_size=1, max_size=20)
 valid_args = st.text(min_size=1, max_size=20).filter(
     lambda s: "]" not in s and parse_ok(s))
+
+
+def udf_spec(name: str, arg=None) -> str:
+    """The spec string for ``(name, arg)``."""
+    return name if arg is None else f"{name}[{arg}]"
 
 
 def parse_ok(arg: str) -> bool:
@@ -116,10 +122,10 @@ def test_factory_argument_failures_are_wrapped(spec):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(name=valid_names, arg=st.one_of(st.none(), valid_args))
 def test_format_then_parse_round_trips(name, arg):
-    spec = format_udf_spec(name, arg)
+    spec = udf_spec(name, arg)
     assert parse_udf_spec(spec) == (name, arg)
     # Formatting is also idempotent through a second cycle.
-    assert format_udf_spec(*parse_udf_spec(spec)) == spec
+    assert udf_spec(*parse_udf_spec(spec)) == spec
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -129,16 +135,17 @@ def test_parse_then_format_is_identity_on_valid_specs(spec):
         name, arg = parse_udf_spec(spec)
     except ConfigurationError:
         return
-    assert format_udf_spec(name, arg) == spec
+    assert udf_spec(name, arg) == spec
 
 
 def test_format_rejects_unroundtrippable_pairs():
+    """Pairs no spec carries: their spec string parses to another pair
+    (``("a[b]", None)``) or not at all."""
+    assert parse_udf_spec(udf_spec("a[b]")) == ("a", "b")
     with pytest.raises(ConfigurationError):
-        format_udf_spec("a[b]")
+        parse_udf_spec(udf_spec("count", "a]b"))
     with pytest.raises(ConfigurationError):
-        format_udf_spec("count", "a]b")
-    with pytest.raises(ConfigurationError):
-        format_udf_spec("", "car")
+        parse_udf_spec(udf_spec("", "car"))
 
 
 # ----------------------------------------------------------------------
@@ -153,12 +160,12 @@ corpus_safe_args = valid_args.filter(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(name=valid_names, arg=st.one_of(st.none(), valid_args),
+@given(name=valid_names, arg=st.one_of(st.none(), corpus_safe_args),
        members=member_lists)
 def test_corpus_format_then_parse_round_trips(name, arg, members):
-    udf_spec = format_udf_spec(name, arg)
-    spec = format_corpus_spec(udf_spec, members)
-    assert parse_corpus_spec(spec) == (udf_spec, tuple(members))
+    udf = udf_spec(name, arg)
+    spec = format_corpus_spec(udf, members)
+    assert parse_corpus_spec(spec) == (udf, tuple(members))
     # Formatting is idempotent through a second cycle.
     assert format_corpus_spec(*parse_corpus_spec(spec)) == spec
 
@@ -193,14 +200,14 @@ def test_corpus_member_whitespace_normalizes_away(name, arg, members,
                                                   pads):
     """``count[car]@{a, b}`` parses to the same parts as the canonical
     spec, whatever whitespace surrounds each member name."""
-    udf_spec = format_udf_spec(name, arg)
-    canonical = format_corpus_spec(udf_spec, members)
+    udf = udf_spec(name, arg)
+    canonical = format_corpus_spec(udf, members)
     padded_members = [
         f"{pads[2 * i]}{member}{pads[2 * i + 1]}"
         for i, member in enumerate(members)
     ]
-    noisy = f"{udf_spec}@{{{','.join(padded_members)}}}"
-    assert parse_corpus_spec(noisy) == (udf_spec, tuple(members))
+    noisy = f"{udf}@{{{','.join(padded_members)}}}"
+    assert parse_corpus_spec(noisy) == (udf, tuple(members))
     assert format_corpus_spec(*parse_corpus_spec(noisy)) == canonical
 
 
@@ -265,11 +272,12 @@ def test_resolve_corpus_builds_member_sessions():
 @given(name=valid_names, arg=st.one_of(st.none(), valid_args),
        video=valid_names)
 def test_query_spec_video_form_round_trips(name, arg, video):
-    udf_spec = format_udf_spec(name, arg)
-    spec = format_query_spec(udf_spec, video=video)
+    udf = udf_spec(name, arg)
+    spec = QuerySpec(udf=udf, video=video).canonical()
+    assert spec == f"{udf}/{video}"
     parsed = parse_query_spec(spec)
     assert parsed.kind == "video"
-    assert (parsed.udf, parsed.video) == (udf_spec, video)
+    assert (parsed.udf, parsed.video) == (udf, video)
     assert parsed.canonical() == spec
 
 
@@ -277,11 +285,12 @@ def test_query_spec_video_form_round_trips(name, arg, video):
 @given(name=valid_names, arg=st.one_of(st.none(), corpus_safe_args),
        members=member_lists)
 def test_query_spec_corpus_form_round_trips(name, arg, members):
-    udf_spec = format_udf_spec(name, arg)
-    spec = format_query_spec(udf_spec, members=members)
+    udf = udf_spec(name, arg)
+    spec = QuerySpec(udf=udf, members=tuple(members)).canonical()
+    assert spec == format_corpus_spec(udf, members)
     parsed = parse_query_spec(spec)
     assert parsed.kind == "corpus"
-    assert (parsed.udf, parsed.members) == (udf_spec, tuple(members))
+    assert (parsed.udf, parsed.members) == (udf, tuple(members))
     assert parsed.canonical() == spec
 
 
@@ -306,10 +315,11 @@ def test_query_spec_slash_binds_to_the_last_segment():
 
 
 def test_format_query_spec_needs_exactly_one_target():
+    """A spec naming no target, or both, has no canonical string."""
     with pytest.raises(ConfigurationError):
-        format_query_spec("count[car]")
+        QuerySpec(udf="count[car]").canonical()
     with pytest.raises(ConfigurationError):
-        format_query_spec("count[car]", video="a", members=["b"])
+        QuerySpec(udf="count[car]", video="a", members=("b",)).canonical()
 
 
 # ----------------------------------------------------------------------
@@ -338,27 +348,27 @@ def test_window_seconds_format_parse_bijection(seconds):
 @given(name=valid_names, arg=st.one_of(st.none(), valid_args),
        video=valid_names, seconds=positive_seconds)
 def test_windowed_query_specs_round_trip(name, arg, video, seconds):
-    udf_spec = format_udf_spec(name, arg)
-    spec = format_query_spec(
-        udf_spec, video=video, window_seconds=seconds)
+    udf = udf_spec(name, arg)
+    spec = QuerySpec(
+        udf=udf, video=video, window_seconds=seconds).canonical()
     parsed = parse_query_spec(spec)
     assert parsed.kind == "video"
-    assert (parsed.udf, parsed.video) == (udf_spec, video)
+    assert (parsed.udf, parsed.video) == (udf, video)
     assert parsed.window_seconds == seconds
     assert parsed.canonical() == spec
     # Dropping the window recovers exactly the unwindowed spec.
     bare = parsed.without_window()
     assert bare.window_seconds is None
-    assert bare.canonical() == format_query_spec(udf_spec, video=video)
+    assert bare.canonical() == f"{udf}/{video}"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(name=valid_names, arg=st.one_of(st.none(), corpus_safe_args),
        members=member_lists, seconds=positive_seconds)
 def test_windowed_corpus_specs_round_trip(name, arg, members, seconds):
-    udf_spec = format_udf_spec(name, arg)
-    spec = format_query_spec(
-        udf_spec, members=members, window_seconds=seconds)
+    spec = QuerySpec(
+        udf=udf_spec(name, arg), members=tuple(members),
+        window_seconds=seconds).canonical()
     parsed = parse_query_spec(spec)
     assert parsed.kind == "corpus"
     assert parsed.window_seconds == seconds
@@ -428,8 +438,7 @@ def test_registered_udfs_resolve_with_wellformed_args(data):
             st.none(),
             st.floats(0.05, 30.0, allow_nan=False).map(lambda f: f"{f:g}"),
         ))
-    spec = format_udf_spec(name, arg)
-    udf = resolve_udf(spec)
+    udf = resolve_udf(udf_spec(name, arg))
     assert isinstance(udf, ScoringFunction)
     assert udf.name
 

@@ -234,6 +234,16 @@ def _enclosing_functions(tree: ast.Module, wanted) -> set:
     return found
 
 
+def _appends_to(attribute: str):
+    """Accepts ``self.<attribute>.append(...)``."""
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == attribute)
+
+
 def _calls(name: str):
     return lambda node: (isinstance(node, ast.Call)
                          and isinstance(node.func, ast.Name)
@@ -254,7 +264,12 @@ def test_service_has_one_scheduler_payload():
 def test_service_settles_in_one_place():
     tree = _tree("service/service.py")
     assert _enclosing_functions(tree, _calls("JobOutcome")) == {"_settle"}
-    assert _enclosing_functions(tree, _calls("QueryOutcome")) == {"_settle"}
+    # A query's outcome is the detail its job produced: only _settle
+    # records one, and nothing in the service builds a second record.
+    assert _enclosing_functions(tree, _appends_to("_outcomes")) \
+        == {"_settle"}
+    assert not any(isinstance(node, ast.ClassDef) and "Outcome" in node.name
+                   for node in ast.walk(tree))
 
 
 def test_service_keys_nothing_by_id():

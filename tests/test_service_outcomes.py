@@ -1,10 +1,10 @@
 """A query's outcome rides its own future; the service keeps no history.
 
-``QueryFuture.outcome()`` returns the query's
-:class:`~repro.service.service.QueryOutcome` — the very report
-``result()`` returns, its Phase-2 ledger, fresh confirmations, seq and
-tenant — and the service itself keeps only the last
-``RECENT_OUTCOMES``. So a service's traced memory is flat in the
+``QueryFuture.outcome()`` returns the detail the query's job produced
+(an :class:`~repro.api.executor.ExecutionDetail`) — the very report
+``result()`` returns, its Phase-2 ledger and fresh confirmations; the
+future itself carries seq and tenant — and the service itself keeps
+only the last ``RECENT_OUTCOMES``. So a service's traced memory is flat in the
 number of queries it served once their callers drop the futures.
 Every test runs on both lanes.
 """
@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from repro import EverestConfig, QueryService, Session
-from repro.api.executor import QueryExecutor
+from repro.api.executor import ExecutionDetail, QueryExecutor
 from repro.errors import OracleBudgetExceededError
 from repro.oracle import counting_udf
 from repro.service.service import RECENT_OUTCOMES
@@ -97,8 +97,9 @@ def test_outcome_is_the_queries_own(served):
         Session(_video(), counting_udf("car"), config=EverestConfig.fast()))
     for k, future in zip(KS, futures):
         outcome = future.outcome(WAIT)
+        assert isinstance(outcome, ExecutionDetail)
         assert outcome.report is future.result()
-        assert (outcome.seq, outcome.tenant) == (future.seq, future.tenant)
+        assert future.tenant == f"t{k % 2}"
         reference = plain.execute_detailed(_query(session, k).plan())
         assert outcome.report.to_json() == reference.report.to_json()
         assert _ledger(outcome.phase2_cost) == _ledger(reference.phase2_cost)

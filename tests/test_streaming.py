@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import EverestConfig, Session
+from repro import EverestConfig, QueryService, Session
 from repro.api.session import phase1_key
 from repro.config import DiffDetectorConfig, Phase1Config
 from repro.core.phase1 import predict_mixtures_chunked, run_phase1
@@ -439,7 +439,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     assert set(cache.__getstate__()) == {"_blocks", "_tops"}
     assert pickled.blocks._pmfs == {} and pickled.blocks._tail is None
     assert sorted(pickled.blocks._blocks) == sorted(cache._blocks)
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
 
     resumed = Session.resume(tmp_path / "ck")
     resumed.query().topk(3).guarantee(0.85).subscribe()
@@ -689,11 +689,10 @@ class TestArtifactStore:
             read_checkpoint(path)
 
     def test_version_1_checkpoint_is_refused_by_the_manifest(self, tmp_path):
-        # Every superseded format, not only version 1 (the name is
-        # pinned by the test floor): an old state pickles classes that
-        # no longer exist (1, 3, 4) or a StreamingVideo without the
-        # window fields (2); the refusal must come from the manifest,
-        # before pickle sees it.
+        # Every superseded format, not only version 1: an old state
+        # pickles classes that no longer exist (1, 3, 4, 5) or a
+        # StreamingVideo without the window fields (2); the refusal
+        # must come from the manifest, before pickle sees it.
         for version in range(1, FORMAT_VERSION):
             path = tmp_path / f"ck{version}"
             write_checkpoint(path, {"round": 1})
@@ -708,7 +707,27 @@ class TestArtifactStore:
             with pytest.raises(
                     CheckpointError, match=f"format {version} unsupported"):
                 Session.resume(path)
-        assert FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 6
+
+    def test_a_format_5_checkpoint_is_refused_naming_its_version(
+            self, tmp_path):
+        # A format-5 state pickles a Phase2Config holding a
+        # SelectCandidateConfig, a class that no longer exists: the
+        # manifest names the version and refuses it before pickle runs.
+        path = tmp_path / "ck5"
+        write_checkpoint(path, {"round": 1})
+        blob = b"\x80\x04crepro.config\nSelectCandidateConfig\n."
+        next(path.glob("state-*.pkl")).write_bytes(blob)
+        manifest_path = path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 5
+        manifest["sha256"] = hashlib.sha256(blob).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(AttributeError, match="SelectCandidateConfig"):
+            pickle.loads(blob)
+        with pytest.raises(CheckpointError,
+                           match="format 5 unsupported.*writes 6"):
+            Session.resume(path)
 
     def test_checkpoint_keeps_nothing_per_delivered_event(self, tmp_path):
         # An autosaved stream checkpoints its maintainer and the
@@ -750,6 +769,38 @@ class TestStreamingSessionSurface:
             num_frames=300, seed=2, config=EverestConfig.fast())
         assert session.watermark == 200
         assert session.video.name == "traffic"
+
+    @pytest.mark.parametrize("host", ["Session", "QueryService"])
+    def test_a_stray_keyword_is_named_with_its_call(self, host):
+        """Beside a video object a stray keyword is a TypeError; beside
+        a registry name a ConfigurationError listing what the name's
+        builder takes. Either names the keyword and the call."""
+        video = TrafficVideo("stray", 300, seed=2)
+        with QueryService(workers=1) as service:
+            if host == "Session":
+                open_stream = Session.open_stream
+                builder = {"num_frames": 300, "streaming": 2}
+            else:
+                open_stream = service.open_stream
+                builder = {"video_kwargs": {"num_frames": 300, "streaming": 2}}
+            with pytest.raises(TypeError, match="max_histroy") as error:
+                open_stream(
+                    video, "count[car]", initial_frames=200, max_histroy=2)
+            assert "open_stream()" in str(error.value)
+            with pytest.raises(ConfigurationError) as error:
+                open_stream(
+                    "traffic", "count[car]", initial_frames=200, **builder)
+        message = str(error.value)
+        assert f"{host}.open_stream()" in message and "streaming" in message
+        assert "num_frames" in message and "burst_width_fraction" in message
+
+    def test_a_stray_keyword_to_session_open_is_named(self):
+        with pytest.raises(TypeError, match="Session.open.*max_histroy"):
+            Session.open(TrafficVideo("stray", 300, seed=2), "count[car]",
+                         max_histroy=2)
+        with pytest.raises(ConfigurationError,
+                           match="Session.open.*streaming.*accepts"):
+            Session.open("traffic", "count[car]", streaming=2)
 
     @pytest.mark.parametrize("window_seconds", [None, 4.0])
     def test_live_phase1_ledgers_are_deterministic(self, window_seconds):

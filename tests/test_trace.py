@@ -21,7 +21,11 @@ from repro import QueryService, Session
 from repro.config import EverestConfig
 from repro.corpus import VideoCorpus
 from repro.errors import AdmissionError
-from repro.gateway.metrics import LatencySummary, parse_metrics_text
+from repro.gateway.metrics import (
+    LATENCY_SAMPLES,
+    LatencySummary,
+    parse_metrics_text,
+)
 from repro.oracle import ScoringFunction, counting_udf
 from repro.trace import (
     NULL_TRACER,
@@ -31,9 +35,11 @@ from repro.trace import (
     active_span,
     add_event,
     chrome_trace,
+    log_files,
     read_jsonl,
     span,
 )
+from repro.trace import exporters
 from repro.video import TrafficVideo
 
 FAST = EverestConfig.fast
@@ -439,18 +445,22 @@ def test_chrome_export_is_loadable_and_nested():
     assert trace.trace_id in events[0]["args"]["name"]
 
 
-def test_jsonl_log_rotates_and_reads_back(tmp_path):
+def test_jsonl_log_rotates_and_reads_back(tmp_path, monkeypatch):
+    # Rotation at 512 bytes, two old files kept: 64 records rotate it
+    # several times over, so the oldest file is dropped.
+    monkeypatch.setattr(exporters, "MAX_BYTES", 512)
+    monkeypatch.setattr(exporters, "BACKUPS", 2)
     path = tmp_path / "trace.jsonl"
-    log = JsonlTraceLog(path, max_bytes=512, backups=2)
+    log = JsonlTraceLog(path)
     for index in range(64):
         log.write({"type": "span", "index": index})
-    files = log.files()
-    assert files[0] == str(path) and len(files) > 1
+    files = log_files(path)
+    assert files == [str(path), f"{path}.1", f"{path}.2"]
     assert os.path.getsize(path) <= 512
     records = read_jsonl(files)
     indices = [r["index"] for r in records]
     assert indices == sorted(indices), "oldest-first read order"
-    assert indices[-1] == 63
+    assert indices[0] > 0 and indices[-1] == 63
 
 
 def test_tracer_writes_spans_and_summary_to_jsonl(tmp_path):
@@ -638,27 +648,32 @@ def test_gateway_without_tracing_404s_trace_route():
 # LatencySummary ring regression (the satellite bug fix).
 # ----------------------------------------------------------------------
 def test_latency_summary_ring_overwrites_oldest():
-    summary = LatencySummary(max_samples=4)
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+    summary = LatencySummary()
+    values = [float(v) for v in range(1, LATENCY_SAMPLES + 3)]
+    for value in values:
         summary.observe(value)
-    assert summary.count == 6
-    # The ring holds exactly the last four samples: 5.0 landed in slot
-    # 0 and 6.0 in slot 1 (the old code skipped slot 0 forever, so 1.0
-    # would still be present and the window would go stale).
-    assert sorted(summary.samples()) == [3.0, 4.0, 5.0, 6.0]
-    quantiles = summary.quantiles()
-    assert quantiles[0.5] == pytest.approx(4.0, abs=1.01)
-    assert max(quantiles.values()) == 6.0
+    assert summary.count == LATENCY_SAMPLES + 2
+    # The ring holds exactly the last LATENCY_SAMPLES samples: the two
+    # newest landed in slots 0 and 1 (the old code skipped slot 0
+    # forever, so 1.0 would still be present and the window would go
+    # stale).
+    samples = summary.samples()
+    assert samples[:2] == values[-2:]
+    assert sorted(samples) == values[2:]
+    # The quantiles describe that window (nearest-rank median).
+    assert summary.quantiles()[0.5] == values[1 + LATENCY_SAMPLES // 2]
 
 
 def test_latency_summary_rejects_empty_window():
-    with pytest.raises(Exception):
+    """The window is a constant, never empty, and not settable."""
+    assert LATENCY_SAMPLES >= 1
+    with pytest.raises(TypeError, match="max_samples"):
         LatencySummary(max_samples=0)
 
 
 def test_latency_summary_full_lap_matches_exact_window():
-    summary = LatencySummary(max_samples=8)
-    values = [float(v) for v in range(1, 28)]
+    summary = LatencySummary()
+    values = [float(v) for v in range(1, 3 * LATENCY_SAMPLES + 4)]
     for value in values:
         summary.observe(value)
-    assert sorted(summary.samples()) == values[-8:]
+    assert sorted(summary.samples()) == values[-LATENCY_SAMPLES:]
