@@ -10,15 +10,14 @@ confidence gain. The report — answer, confidence, ledger — is
 byte-identical to running the paper's engine over the concatenated
 footage, but every artifact stayed per-shard.
 
-Also shown: resharding one archive with ``VideoCorpus.from_split``
-(zero Phase-1 re-work) and the registry's corpus spec grammar.
+Also shown: the registry's corpus spec grammar.
 
 Run:  PYTHONPATH=src python examples/corpus_topk.py
 """
 
 from __future__ import annotations
 
-from repro import EverestConfig, Session, VideoCorpus
+from repro import EverestConfig, VideoCorpus
 from repro.api import resolve_corpus
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
@@ -47,17 +46,6 @@ def main() -> None:
     print(f"merged ledger: {merged.total_seconds():.0f}s simulated "
           f"({merged.units('oracle_confirm'):.0f} confirms across "
           f"{corpus.num_members} shards)\n")
-
-    # -- reshard an existing archive (no Phase-1 re-work) -------------
-    archive = Session(
-        TrafficVideo("archive", 1_500, seed=9), counting_udf("car"),
-        config=config)
-    archive.phase1()  # the archive's one-off build
-    shards = VideoCorpus.from_split(archive, [500, 1_000])
-    split_report = shards.query().topk(5).guarantee(0.9).run()
-    whole_report = archive.query().topk(5).guarantee(0.9).run()
-    print(f"split-vs-whole byte-identical: "
-          f"{split_report.to_json() == whole_report.to_json()}")
 
     # -- the registry spec grammar ------------------------------------
     named = resolve_corpus(

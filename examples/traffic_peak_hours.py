@@ -14,8 +14,7 @@ Run:  python examples/traffic_peak_hours.py
 
 from __future__ import annotations
 
-from repro import EverestConfig
-from repro.api import open_session
+from repro import EverestConfig, Session
 from repro.core.windows import window_bounds, window_truth
 from repro.metrics import evaluate_answer
 
@@ -30,7 +29,7 @@ def timestamp(frame: int, fps: float) -> str:
 def main() -> None:
     # Scaled-down stand-in for the 80-hour Daxi Old Street video.
     window_size = 30  # one second of 30 fps video per window
-    session = open_session(
+    session = Session.open(
         "daxi-old-street", "count[person]",
         config=EverestConfig(), min_frames=8_000)
     video = session.video

@@ -15,7 +15,7 @@ Quickstart
 A :class:`Session` caches Phase 1, so further queries on it
 (``session.query().windows(size=30).topk(5).guarantee(0.9).run()``)
 pay only for Phase 2 cleaning. Registered names work too:
-``repro.api.open_session("taipei-bus", "count[car]")``.
+``Session.open("taipei-bus", "count[car]")``.
 
 See DESIGN.md for the architecture and module inventory.
 """
@@ -32,16 +32,13 @@ from .api import (
     QueryExecutor,
     QueryPlan,
     Session,
-    open_session,
 )
 from .parallel import resolve_workers
 from .corpus import VideoCorpus
 from .optimizer import WorkloadPlanner
 from .service import QueryFuture, QueryService
 from .trace import NULL_TRACER, Trace, Tracer
-from .streaming import StreamingSession
 from .video.streaming import StreamingVideo
-from .windowed import WindowedSession, WindowedVideo
 from .errors import (
     AdmissionError,
     CheckpointError,
@@ -73,12 +70,8 @@ __all__ = [
     "Tracer",
     "Trace",
     "NULL_TRACER",
-    "StreamingSession",
     "StreamingVideo",
-    "WindowedSession",
-    "WindowedVideo",
     "VideoCorpus",
-    "open_session",
     "QueryReport",
     "EverestConfig",
     "Phase1Config",

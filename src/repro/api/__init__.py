@@ -2,7 +2,7 @@
 
 This is the user-facing layer of the reproduction (DESIGN.md §4)::
 
-    session = open_session("daxi-old-street", "count[person]")
+    session = Session.open("daxi-old-street", "count[person]")
     report = (session.query()
               .windows(size=30)
               .topk(5)
@@ -29,7 +29,6 @@ from .registry import (
     format_corpus_spec,
     list_udfs,
     list_videos,
-    open_session,
     parse_corpus_spec,
     resolve_corpus,
     resolve_udf,
@@ -44,7 +43,6 @@ __all__ = [
     "QueryPlan",
     "QueryExecutor",
     "ExecutionDetail",
-    "open_session",
     "resolve_udf",
     "resolve_video",
     "resolve_corpus",

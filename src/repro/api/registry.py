@@ -1,7 +1,7 @@
 """Name registries: strings → scoring functions and videos.
 
 Lets examples, scripts and config files drive the query API without
-importing factories: ``open_session("daxi-old-street",
+importing factories: ``Session.open("daxi-old-street",
 "count[person]")``. UDF specs are ``"name"`` or ``"name[arg]"`` (the
 bracket argument is the object label for counting UDFs). Video names
 resolve against the Table 7 dataset registry first, then against the
@@ -326,12 +326,12 @@ def resolve_query_spec(
     """
     parsed = parse_query_spec(spec).without_window()
     if parsed.kind == "corpus":
-        return resolve_corpus(
-            parsed.canonical(), config=config, unit_costs=unit_costs,
-            **video_kwargs)
-    return Session.open(
-        parsed.video, parsed.udf,
-        config=config, unit_costs=unit_costs, **video_kwargs)
+        return _corpus_of_names(
+            parsed.udf, parsed.members, video_kwargs,
+            call="resolve_query_spec", config=config, unit_costs=unit_costs)
+    video, scoring = resolve_pair(
+        parsed.video, parsed.udf, video_kwargs, call="resolve_query_spec")
+    return Session(video, scoring, config=config, unit_costs=unit_costs)
 
 
 def resolve_corpus(
@@ -349,12 +349,22 @@ def resolve_corpus(
     keyword arguments forward to every member build) sharing the
     spec's UDF and the given configuration.
     """
+    udf_spec, members = parse_corpus_spec(spec)
+    return _corpus_of_names(
+        udf_spec, members, video_kwargs, call="resolve_corpus",
+        config=config, unit_costs=unit_costs, name=name)
+
+
+def _corpus_of_names(udf_spec, members, video_kwargs, *, call,
+                     **corpus_kwargs):
+    """The corpus over registry-named ``members``; a keyword their
+    builders do not take is refused naming ``call``."""
     from ..corpus.corpus import VideoCorpus
 
-    udf_spec, members = parse_corpus_spec(spec)
-    return VideoCorpus.open(
-        list(members), udf_spec,
-        config=config, unit_costs=unit_costs, name=name, **video_kwargs)
+    scoring = resolve_udf(udf_spec)
+    videos = [resolve_pair(member, scoring, video_kwargs, call=call)[0]
+              for member in members]
+    return VideoCorpus.open(videos, scoring, **corpus_kwargs)
 
 
 def resolve_udf(spec: str) -> ScoringFunction:
@@ -443,16 +453,3 @@ def resolve_pair(video, scoring, video_kwargs=None, *, call="resolve_pair"):
         scoring = resolve_udf(scoring)
     return video, scoring
 
-
-def open_session(
-    video,
-    scoring,
-    *,
-    config: Optional[EverestConfig] = None,
-    unit_costs: Optional[Dict[str, float]] = None,
-    **video_kwargs,
-) -> Session:
-    """Open a :class:`Session`, accepting registry names or objects."""
-    return Session.open(
-        video, scoring,
-        config=config, unit_costs=unit_costs, **video_kwargs)

@@ -1,13 +1,13 @@
 """Federated multi-video top-k: corpora of shards, one global answer.
 
-A :class:`VideoCorpus` bundles N member videos — closed archives,
-slices of one archive, or live streams — behind one logical frame
-namespace and answers top-k queries over the union: Phase 1 runs (or
-is adopted) independently per shard, and a single merged uncertain
-relation over ``(shard offset + local frame)`` keys drives the plain
-Phase-2 engine over the concatenated footage, confirming through the
-members' own score caches — so budget, ledger and report are those of
-a plain single-video execution over the concatenation (DESIGN.md §9).
+A :class:`VideoCorpus` bundles N member videos — closed archives or
+live streams — behind one logical frame namespace and answers top-k
+queries over the union: Phase 1 runs independently per shard, and a
+single merged uncertain relation over ``(shard offset + local frame)``
+keys drives the plain Phase-2 engine over the concatenated footage,
+confirming through the members' own score caches — so budget, ledger
+and report are those of a plain single-video execution over the
+concatenation (DESIGN.md §9).
 
     corpus = VideoCorpus.open(["taipei-bus", "archie-day2"], "count[car]")
     outcome = corpus.query().topk(10).guarantee(0.9).run_detailed()

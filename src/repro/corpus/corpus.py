@@ -25,11 +25,6 @@ corpus query executes against:
 * **Execution.** :meth:`VideoCorpus.execute_detailed` runs a plan on
   the plain :class:`~repro.api.executor.QueryExecutor` of that
   session, confirming through the members' own score caches.
-* **Split corpora.** :meth:`VideoCorpus.from_split` reshards an
-  existing single-video session into slice members that *adopt* the
-  archive's Phase-1 wholesale — no re-sampling, no re-training — which
-  is what makes a federated query over the shards byte-identical to
-  the unsplit query (the equivalence harness's strongest property).
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from ..config import EverestConfig
 from ..errors import CorpusError, QueryError
 from ..oracle.cache import CachingOracle
 from ..oracle.cost import CostModel
-from ..video.views import ConcatVideo, VideoSlice
+from ..video.views import ConcatVideo
 from .federated import CorpusOutcome, MemberScoreCaches, merge_phase1_entries
 
 
@@ -73,8 +68,7 @@ class _MergedState:
 
     #: The merged corpus Phase-1 entry the internal session adopted.
     entry: Phase1Entry
-    #: Per-shard Phase-1 ledgers, canonical member order (one entry —
-    #: the archive's — for split corpora).
+    #: Per-shard Phase-1 ledgers, canonical member order.
     phase1_costs: List[CostModel]
     #: Internal session over the concat view, merged entry adopted.
     session: Session
@@ -90,19 +84,13 @@ class VideoCorpus:
         sessions: Sequence[Session],
         *,
         name: Optional[str] = None,
-        member_names: Optional[Sequence[str]] = None,
     ):
         if not sessions:
             raise CorpusError("a corpus needs at least one member")
-        if member_names is None:
-            member_names = [session.video.name for session in sessions]
-        if len(member_names) != len(sessions):
-            raise CorpusError(
-                f"{len(member_names)} member names for "
-                f"{len(sessions)} sessions")
+        member_names = [session.video.name for session in sessions]
         if len(set(member_names)) != len(member_names):
             raise CorpusError(
-                f"member names must be unique, got {list(member_names)}")
+                f"member names must be unique, got {member_names}")
         self.members: List[CorpusMember] = [
             CorpusMember(name=str(n), session=s)
             for n, s in zip(member_names, sessions)
@@ -128,9 +116,6 @@ class VideoCorpus:
         #: The one frame namespace: offsets, ownership and reads.
         self.video = ConcatVideo(
             [member.video for member in self.members], name=self.name)
-        #: Set by :meth:`from_split`: the archive session whose whole
-        #: Phase 1 every shard adopts instead of building its own.
-        self._split_source: Optional[Session] = None
         self._merged_states: Dict[tuple, _MergedState] = {}
         # Serializes merge builds: concurrent service submissions of
         # the same corpus wait for one merge instead of redoing it
@@ -156,64 +141,20 @@ class VideoCorpus:
 
         One session per member is opened with the shared ``scoring``
         (object or ``"count[car]"``-style spec) and configuration;
-        ``video_kwargs`` are forwarded to every registry-name build.
+        ``video_kwargs`` are forwarded to every member's registry-name
+        build, so they are refused beside a video-object member.
         """
-        from ..api.registry import resolve_udf
+        from ..api.registry import resolve_pair, resolve_udf
 
         if isinstance(scoring, str):
             scoring = resolve_udf(scoring)
         sessions = [
-            Session.open(
-                video, scoring, config=config, unit_costs=unit_costs,
-                **(video_kwargs if isinstance(video, str) else {}))
+            Session(*resolve_pair(video, scoring, video_kwargs,
+                                  call="VideoCorpus.open"),
+                    config=config, unit_costs=unit_costs)
             for video in videos
         ]
         return cls(sessions, name=name)
-
-    @classmethod
-    def from_split(
-        cls,
-        session: Session,
-        boundaries: Sequence[int],
-        *,
-        name: Optional[str] = None,
-    ) -> "VideoCorpus":
-        """Reshard one archive session into a federated corpus.
-
-        ``boundaries`` are strictly increasing split points in
-        ``(0, len(video))``; the members are the slices between them.
-        Shards adopt the archive's Phase-1 artifacts wholesale (the
-        slice offsets coincide with the archive's frame ids), so
-        federated execution is byte-identical to querying the unsplit
-        session at the same global budget — no Phase-1 oracle call is
-        ever repeated.
-        """
-        total = len(session.video)
-        points = [int(b) for b in boundaries]
-        if points != sorted(points) or len(set(points)) != len(points):
-            raise CorpusError(
-                f"split boundaries must be strictly increasing, "
-                f"got {points}")
-        if points and not (0 < points[0] and points[-1] < total):
-            raise CorpusError(
-                f"split boundaries must lie in (0, {total}), got {points}")
-        edges = [0, *points, total]
-        slices = [
-            VideoSlice(session.video, start, stop)
-            for start, stop in zip(edges[:-1], edges[1:])
-        ]
-        members = [
-            Session(video, session.scoring, config=session.config,
-                    unit_costs=session._unit_costs)
-            for video in slices
-        ]
-        corpus = cls(
-            members,
-            name=name if name is not None else session.video.name,
-            member_names=[video.name for video in slices],
-        )
-        corpus._split_source = session
-        return corpus
 
     # ------------------------------------------------------------------
     # Shard identity
@@ -267,21 +208,15 @@ class VideoCorpus:
         One member after another; a cold corpus's builds fan out when
         it is submitted to a :class:`~repro.service.QueryService`,
         whose process lane leases :meth:`cold_members` side by side.
-        Split corpora adopt the archive's entry and build nothing.
         """
         config = config if config is not None else self.config
-        if self._split_source is not None:
-            entry = self._split_source.phase1(config)
-            return [entry] * self.num_members
         return [
             self._member_entry(member, config) for member in self.members
         ]
 
     def cold_members(self, config: EverestConfig) -> List[CorpusMember]:
         """Closed members whose Phase-1 entry for ``config`` is still
-        to be built, in member order (none for a split corpus)."""
-        if self._split_source is not None:
-            return []
+        to be built, in member order."""
         return [
             member for member in self.members
             if not member.streaming
@@ -289,10 +224,6 @@ class VideoCorpus:
         ]
 
     def _fingerprint(self, config: EverestConfig) -> Tuple:
-        if self._split_source is not None:
-            entry = self._split_source._phase1_cache.get(
-                phase1_key(config))
-            return (id(entry), self.total_frames)
         key = phase1_key(config)
         parts = []
         for member in self.members:
@@ -323,24 +254,19 @@ class VideoCorpus:
             return cached
 
         entries = self.prepare(config)
-        if self._split_source is not None:
-            entry = entries[0]
-            phase1_costs = [entry.cost_model]
-        else:
-            entry = merge_phase1_entries(
-                entries,
-                self.offsets(),
-                floor=self.scoring.score_floor,
-                step=self.scoring.step,
-            )
-            phase1_costs = [e.cost_model for e in entries]
+        entry = merge_phase1_entries(
+            entries,
+            self.offsets(),
+            floor=self.scoring.score_floor,
+            step=self.scoring.step,
+        )
         session = Session(
             self.video, self.scoring, config=config,
             unit_costs=self.members[0].session._unit_costs)
         session.adopt_phase1(entry, config)
         state = _MergedState(
             entry=entry,
-            phase1_costs=phase1_costs,
+            phase1_costs=[e.cost_model for e in entries],
             session=session,
             fingerprint=self._fingerprint(config),
         )

@@ -204,8 +204,7 @@ class CorpusOutcome:
     report: QueryReport
     #: The global Phase-2 ledger behind the report.
     phase2_cost: CostModel
-    #: Per-shard Phase-1 ledgers, canonical member order (a single
-    #: archive ledger for split corpora).
+    #: Per-shard Phase-1 ledgers, canonical member order.
     phase1_costs: List[CostModel]
     #: Confirmations each shard served.
     shard_confirms: List[int]

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence
 from ..api.executor import ExecutionDetail, QueryExecutor
 from ..api.plan import QueryPlan
 from ..api.query import Query
+from ..api.registry import resolve_pair
 from ..api.session import Session, phase1_key
 from ..core.result import QueryReport
 from ..errors import QueryError, ServiceClosedError
@@ -280,10 +281,10 @@ class QueryService:
         that never touch the scheduler.
         """
         self._check_open()
-        session = Session.open(
-            video, scoring,
-            config=config, unit_costs=unit_costs, **video_kwargs)
-        return self.adopt_session(session)
+        video, scoring = resolve_pair(
+            video, scoring, video_kwargs, call="QueryService.open_session")
+        return self.adopt_session(
+            Session(video, scoring, config=config, unit_costs=unit_costs))
 
     def adopt_session(self, session: Session) -> Session:
         """Bind an existing batch session to the shared artifact layer.
@@ -322,8 +323,6 @@ class QueryService:
         a registry name's builder keywords come as ``video_kwargs``.
         """
         self._check_open()
-        from ..api.registry import resolve_pair
-
         # Resolved here, not in Session.open_stream: the shared score
         # cache is keyed by the resolved pair.
         video, scoring = resolve_pair(

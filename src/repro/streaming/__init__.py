@@ -19,8 +19,7 @@ session keeps nothing per event it delivered: an event's reports and
 fresh work are what its ``append()`` / ``tick()`` returns.
 """
 
-from ..core.phase1 import INFER_BLOCK, BlockInferenceCache, IncrementalDiff
-from .live_topk import CachingOracle, LiveTopK, ScoreCache
+from .live_topk import LiveTopK
 from .session import AppendResult, StreamingSession
 from .store import (
     FORMAT_VERSION,
@@ -30,13 +29,8 @@ from .store import (
 
 __all__ = [
     "AppendResult",
-    "BlockInferenceCache",
-    "CachingOracle",
     "FORMAT_VERSION",
-    "INFER_BLOCK",
-    "IncrementalDiff",
     "LiveTopK",
-    "ScoreCache",
     "StreamingSession",
     "read_checkpoint",
     "write_checkpoint",

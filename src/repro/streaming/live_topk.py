@@ -30,9 +30,6 @@ from typing import Optional
 from ..api.executor import QueryExecutor
 from ..core.result import QueryReport
 from ..errors import QueryError
-# Promoted to repro.oracle.cache (the service layer shares them across
-# sessions); re-exported here for the streaming-era import path.
-from ..oracle.cache import CachingOracle, ScoreCache  # noqa: F401
 
 
 @dataclass

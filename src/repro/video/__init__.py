@@ -24,7 +24,7 @@ from .datasets import DATASETS, DatasetSpec, build_dataset, dataset_table
 from .visual_road import visual_road_video, visual_road_suite
 from .diff import DifferenceDetector, DiffResult
 from .streaming import Segment, StreamingVideo
-from .views import ConcatVideo, VideoSlice
+from .views import ConcatVideo
 
 __all__ = [
     "BoundingBox",
@@ -45,5 +45,4 @@ __all__ = [
     "Segment",
     "StreamingVideo",
     "ConcatVideo",
-    "VideoSlice",
 ]

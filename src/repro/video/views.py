@@ -1,22 +1,13 @@
-"""Frame-range and concatenation views over deterministic videos.
+"""The concatenation view behind the corpus layer (DESIGN.md §9).
 
-Two read-only views back the corpus layer (DESIGN.md §9):
+:class:`ConcatVideo` exposes an ordered sequence of member videos as
+one logical video whose frame ``g`` is member ``m``'s frame
+``g - offset[m]`` (:func:`owners` states the rule). A corpus query is a
+plain single-video query over it.
 
-* :class:`VideoSlice` exposes a contiguous ``[start, stop)`` range of a
-  parent video as a shard. Reads delegate straight to the parent, so
-  frame ``i`` of a slice is *the parent's* frame ``start + i`` — pixels,
-  ground truth, timestamp and all. That identity is what makes
-  splitting an archive into shards exactly neutral: a federated query
-  over the slices confirms the very frames the unsplit query would.
-* :class:`ConcatVideo` exposes an ordered sequence of member videos as
-  one logical video whose frame ``g`` is member ``m``'s frame
-  ``g - offset[m]`` (:func:`owners` states the rule). A corpus query
-  is a plain single-video query over it.
-
-Neither view renders anything itself and neither is appendable; a
-growing member is wrapped by :class:`~repro.video.streaming
-.StreamingVideo` *before* it joins a corpus, and the concat view reads
-its length dynamically.
+The view renders nothing itself and is not appendable; a growing
+member is wrapped by :class:`~repro.video.streaming.StreamingVideo`
+*before* it joins a corpus, and the view reads its length dynamically.
 """
 
 from __future__ import annotations
@@ -34,83 +25,6 @@ def owners(offsets: np.ndarray, indices):
     """The member owning each global frame id: the last one whose start
     offset is ``<=`` it (``offsets`` ascending; no range check)."""
     return np.searchsorted(offsets, indices, side="right") - 1
-
-
-class VideoSlice:
-    """A contiguous ``[start, stop)`` shard view over a parent video.
-
-    Frame ``i`` of the slice *is* the parent's frame ``start + i`` —
-    the returned :class:`~repro.video.frame.Frame` keeps the parent's
-    index and timestamp, so an oracle scoring through the slice sees
-    bit-identical inputs to one scoring the parent directly.
-    """
-
-    def __init__(self, parent, start: int, stop: int,
-                 *, name: Optional[str] = None):
-        start, stop = int(start), int(stop)
-        if not 0 <= start < stop <= len(parent):
-            raise ConfigurationError(
-                f"slice [{start}, {stop}) out of range for video "
-                f"{parent.name!r} with {len(parent)} frames")
-        self.parent = parent
-        self.start = start
-        self.stop = stop
-        self.name = name if name is not None \
-            else f"{parent.name}[{start}:{stop}]"
-        self.resolution = parent.resolution
-        self.fps = parent.fps
-        self.signal_key = getattr(parent, "signal_key", "signal")
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def _check_index(self, index: int) -> int:
-        index = int(index)
-        if index < 0 or index >= len(self):
-            raise FrameIndexError(index, len(self))
-        return self.start + index
-
-    def pixels(self, index: int) -> np.ndarray:
-        return self.parent.pixels(self._check_index(index))
-
-    def batch_pixels(self, indices: Iterable[int]) -> np.ndarray:
-        return self.parent.batch_pixels(
-            self.start + check_indices(indices, len(self)))
-
-    def frame(self, index: int) -> Frame:
-        return self.parent.frame(self._check_index(index))
-
-    def frames(self, indices: Iterable[int]) -> List[Frame]:
-        """One ``parent.frames`` call for the whole batch; a subclass
-        overriding :meth:`frame` still has it called once per index."""
-        if type(self).frame is not VideoSlice.frame:
-            return [self.frame(i) for i in indices]
-        return self.parent.frames(
-            self.start + check_indices(indices, len(self)))
-
-    def __getitem__(self, index: int) -> Frame:
-        return self.frame(index)
-
-    def __iter__(self) -> Iterator[Frame]:
-        for i in range(len(self)):
-            yield self.frame(i)
-
-    def objects(self, index: int) -> List[BoundingBox]:
-        return self.parent.objects(self._check_index(index))
-
-    def truth_array(self, key: Optional[str] = None) -> np.ndarray:
-        return self.parent.truth_array(key)[self.start:self.stop]
-
-    @property
-    def duration_seconds(self) -> float:
-        return len(self) / self.fps
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"VideoSlice({self.parent.name!r}, "
-            f"[{self.start}:{self.stop}])"
-        )
 
 
 class ConcatVideo:

@@ -15,11 +15,8 @@ run over the window snapshot.
 """
 
 from .session import ExpiryResult, WindowedSession
-from .view import WindowedVideo, window_frames_for
 
 __all__ = [
     "ExpiryResult",
     "WindowedSession",
-    "WindowedVideo",
-    "window_frames_for",
 ]

@@ -8,19 +8,22 @@ window-query edges behave, and reports round-trip through JSON.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from repro import QueryService, VideoCorpus
 from repro.api import (
     Query,
     QueryPlan,
     Session,
-    open_session,
     phase1_key,
+    resolve_corpus,
     resolve_udf,
     resolve_video,
 )
+from repro.api.registry import resolve_query_spec
 from repro.config import EverestConfig, Phase2Config
 from repro.core.result import PhaseBreakdown, QueryReport
 from repro.core.windows import num_windows
@@ -30,6 +33,7 @@ from repro.errors import (
     QueryError,
 )
 from repro.oracle import counting_udf
+from repro.video import TrafficVideo
 
 
 def counting_udf_with_counter(label="car"):
@@ -246,12 +250,61 @@ class TestRegistry:
         assert set(list_videos()) == set(VIDEOS) | set(DATASETS)
 
     def test_open_session_with_dataset_name(self, fast_config):
-        opened = open_session(
+        opened = Session.open(
             "dashcam-california", "tailgating",
             config=fast_config, min_frames=500)
         assert opened.video.name == "dashcam-california"
         assert opened.query().topk(3).plan().udf_name == \
             opened.scoring.name
+
+
+def _with_service(open_from):
+    def door(video, **kwargs):
+        with QueryService(workers=1, use_processes=False) as service:
+            return open_from(service, video, **kwargs)
+    return door
+
+
+#: Every call that forwards video keywords, fed ``video`` (an object or
+#: the registry name ``"traffic"``) plus the caller's keywords.
+DOORS = {
+    "Session.open": lambda video, **kw: Session.open(
+        video, "count[car]", **kw),
+    "Session.open_stream": lambda video, **kw: Session.open_stream(
+        video, "count[car]", initial_frames=200, **kw),
+    "QueryService.open_session": _with_service(
+        lambda service, video, **kw: service.open_session(
+            video, "count[car]", **kw)),
+    "QueryService.open_stream": _with_service(
+        lambda service, video, **kw: service.open_stream(
+            video, "count[car]", initial_frames=200, video_kwargs=kw)),
+    "VideoCorpus.open": lambda video, **kw: VideoCorpus.open(
+        [video, video if isinstance(video, str)
+         else TrafficVideo("y", 300, seed=2)], "count[car]", **kw),
+    "resolve_query_spec": lambda name, **kw: resolve_query_spec(
+        f"count[car]/{name}", **kw),
+    "resolve_corpus": lambda name, **kw: resolve_corpus(
+        f"count[car]@{{{name},vlog}}", **kw),
+}
+#: Wire specs only name videos.
+NAME_ONLY = ("resolve_query_spec", "resolve_corpus")
+
+
+@pytest.mark.parametrize("door, kind", [
+    (door, kind) for door in DOORS for kind in ("object", "name")
+    if kind == "name" or door not in NAME_ONLY])
+def test_a_stray_video_keyword_names_the_call_made(door, kind):
+    """A keyword no video builder takes is refused before anything is
+    built, naming the call the user made — beside a video object too."""
+    if kind == "object":
+        expected, message = TypeError, "got unexpected keyword argument"
+        video = TrafficVideo("x", 300, seed=1)
+    else:
+        expected, message = ConfigurationError, "got keyword argument"
+        video = "traffic"
+    with pytest.raises(expected, match=rf"^{re.escape(door)}\(\) "
+                       rf"{message}\(s\) bogus"):
+        DOORS[door](video, bogus=1)
 
 
 class TestReportJson:

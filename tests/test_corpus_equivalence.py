@@ -10,11 +10,10 @@ same global budget:
 
 * a corpus of one member reproduces a plain ``Session`` run over that
   member, report and ledger;
-* an archive split into N shards (``VideoCorpus.from_split``), queried
-  federated, reproduces the unsplit session queried whole — hypothesis
-  draws the split points, K, guarantee and global budget;
 * a multi-member corpus reproduces a plain executor run over the
-  ``ConcatVideo`` with the same merged Phase-1 entry;
+  ``ConcatVideo`` with the same merged Phase-1 entry — hypothesis
+  draws K, guarantee and global budget, and a budget refusal is the
+  reference's;
 * service submission returns the same bytes as inline execution on
   both lanes, and a corpus confirm scores in the query's own thread —
   no thread pool, no pool task;
@@ -45,8 +44,6 @@ CORPUS_CONFIG = EverestConfig(
     ),
 )
 
-ARCHIVE_FRAMES = 700
-
 
 def ledger_key(cost) -> dict:
     """A ledger's full observable state (units and seconds per key)."""
@@ -61,15 +58,6 @@ def ledger_key(cost) -> dict:
 @pytest.fixture(scope="module")
 def udf():
     return counting_udf("car")
-
-
-@pytest.fixture(scope="module")
-def archive_session(udf):
-    """The unsplit reference archive (Phase 1 built once)."""
-    video = TrafficVideo("corpus-archive", ARCHIVE_FRAMES, seed=29)
-    session = Session(video, udf, config=CORPUS_CONFIG)
-    session.phase1()
-    return session
 
 
 @pytest.fixture(scope="module")
@@ -110,50 +98,7 @@ def test_corpus_of_one_matches_plain_session(udf):
 
 
 # ----------------------------------------------------------------------
-# (b) Split-vs-whole, hypothesis over split points, K, thres, budget.
-
-
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_split_corpus_matches_unsplit_archive(data, archive_session):
-    boundaries = sorted(data.draw(st.sets(
-        st.integers(1, ARCHIVE_FRAMES - 1), min_size=1, max_size=4,
-    ), label="boundaries"))
-    k = data.draw(st.integers(2, 6), label="k")
-    thres = data.draw(
-        st.sampled_from([0.5, 0.8, 0.9, 0.95]), label="thres")
-    budget = data.draw(
-        st.one_of(st.none(), st.integers(5, 400)), label="budget")
-
-    plan = (archive_session.query().topk(k).guarantee(thres)
-            .oracle_budget(budget).plan())
-    corpus = VideoCorpus.from_split(archive_session, boundaries)
-    query = corpus.query().topk(k).guarantee(thres).oracle_budget(budget)
-
-    try:
-        reference = QueryExecutor(archive_session).execute_detailed(plan)
-    except OracleBudgetExceededError as error:
-        # The federated run must fail identically: same type, same
-        # budget, before any divergent state.
-        with pytest.raises(OracleBudgetExceededError) as excinfo:
-            query.run_detailed()
-        assert excinfo.value.budget == error.budget
-        return
-
-    outcome = query.run_detailed()
-    assert outcome.report.to_json() == reference.report.to_json()
-    reference_merged = merge_cost_models(
-        [archive_session.phase1().cost_model, reference.phase2_cost])
-    assert ledger_key(outcome.merged_cost()) == \
-        ledger_key(reference_merged)
-    # Shard attribution is complete: per-shard confirms sum to the
-    # global ledger's confirm units.
-    assert sum(outcome.shard_confirms) == \
-        outcome.phase2_cost.units("oracle_confirm")
-
-
-# ----------------------------------------------------------------------
-# Multi-member corpus == plain executor over the concat view.
+# (b) Multi-member corpus == plain executor over the concat view.
 
 
 def test_member_corpus_matches_concat_reference(
@@ -183,24 +128,42 @@ def test_member_corpus_matches_concat_reference(
         assert 0 <= local < lengths[name]
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(
     k=st.integers(2, 6),
     thres=st.sampled_from([0.5, 0.8, 0.9, 0.95]),
+    budget=st.one_of(st.none(), st.integers(5, 400)),
 )
 def test_member_corpus_matches_concat_reference_swept(
-        member_corpus, member_videos, udf, k, thres):
-    query = member_corpus.query().topk(k).guarantee(thres)
-    outcome = query.run_detailed()
-
+        member_corpus, member_videos, udf, k, thres, budget):
+    query = (member_corpus.query().topk(k).guarantee(thres)
+             .oracle_budget(budget))
     state = member_corpus.merged_state()
     reference_session = Session(
         ConcatVideo(member_videos, name=member_corpus.name),
         udf, config=CORPUS_CONFIG)
     reference_session.adopt_phase1(state.entry, CORPUS_CONFIG)
-    reference = QueryExecutor(reference_session).execute_detailed(
-        query.plan())
+
+    try:
+        reference = QueryExecutor(reference_session).execute_detailed(
+            query.plan())
+    except OracleBudgetExceededError as error:
+        # The corpus run must fail identically: same type, same budget.
+        with pytest.raises(OracleBudgetExceededError) as excinfo:
+            query.run_detailed()
+        assert excinfo.value.budget == error.budget
+        return
+
+    outcome = query.run_detailed()
     assert outcome.report.to_json() == reference.report.to_json()
+    reference_merged = merge_cost_models(
+        [state.entry.cost_model, reference.phase2_cost])
+    assert ledger_key(outcome.merged_cost()) == \
+        ledger_key(reference_merged)
+    # Shard attribution is complete: per-shard confirms sum to the
+    # global ledger's confirm units.
+    assert sum(outcome.shard_confirms) == \
+        outcome.phase2_cost.units("oracle_confirm")
 
 
 # ----------------------------------------------------------------------

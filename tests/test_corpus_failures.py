@@ -141,15 +141,6 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError):
             VideoCorpus(sessions)
 
-    def test_bad_split_boundaries_rejected(self, udf):
-        from repro.errors import CorpusError
-
-        session = Session(
-            TrafficVideo("val-split", 100, seed=5), udf, config=FAST)
-        for bad in ([0], [100], [60, 30], [30, 30]):
-            with pytest.raises(CorpusError):
-                VideoCorpus.from_split(session, bad)
-
     def test_locate_and_shard_arithmetic(self, corpus):
         from repro.errors import FrameIndexError
 

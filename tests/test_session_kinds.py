@@ -20,15 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import (
-    EverestConfig,
-    QueryService,
-    Session,
-    StreamingSession,
-    StreamingVideo,
-    WindowedSession,
-    WindowedVideo,
-)
+from repro import EverestConfig, QueryService, Session, StreamingVideo
 from repro.config import Phase1Config
 from repro.errors import QueryError
 from repro.oracle import counting_udf
@@ -37,8 +29,7 @@ from repro.video import TrafficVideo
 from repro.video.streaming import is_sliding
 
 SRC = Path(repro.__file__).resolve().parent
-ALIAS_MODULES = ("streaming/session.py", "windowed/session.py",
-                 "windowed/view.py")
+ALIAS_MODULES = ("streaming/session.py", "windowed/session.py")
 
 FRAMES, BOOTSTRAP, FPS = 480, 240, 30.0
 CONFIG = EverestConfig(
@@ -84,13 +75,21 @@ def test_exactly_one_session_class_statement():
 
 
 def test_old_names_are_plain_aliases():
-    assert StreamingSession is WindowedSession is Session
-    assert WindowedVideo is StreamingVideo
+    from repro.streaming import StreamingSession
     from repro.streaming.session import StreamingSession as deep_stream
+    from repro.windowed import WindowedSession
     from repro.windowed.session import WindowedSession as deep_window
-    from repro.windowed.view import WindowedVideo as deep_view
-    assert deep_stream is deep_window is Session
-    assert deep_view is StreamingVideo
+    assert StreamingSession is deep_stream is Session
+    assert WindowedSession is deep_window is Session
+    # Only the modules frozen perfbench imports keep an alias.
+    for name in ("StreamingSession", "WindowedSession", "WindowedVideo",
+                 "open_session"):
+        assert not hasattr(repro, name), name
+    assert not hasattr(repro.windowed, "WindowedVideo")
+    assert not (SRC / "windowed" / "view.py").exists()
+    for name in ("CachingOracle", "ScoreCache", "INFER_BLOCK",
+                 "BlockInferenceCache", "IncrementalDiff"):
+        assert not hasattr(repro.streaming, name), name
 
 
 @pytest.mark.parametrize("module", ALIAS_MODULES)

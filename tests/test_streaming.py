@@ -25,7 +25,12 @@ import pytest
 from repro import EverestConfig, QueryService, Session
 from repro.api.session import phase1_key
 from repro.config import DiffDetectorConfig, Phase1Config
-from repro.core.phase1 import predict_mixtures_chunked, run_phase1
+from repro.core.phase1 import (
+    BlockInferenceCache,
+    IncrementalDiff,
+    predict_mixtures_chunked,
+    run_phase1,
+)
 from repro.core.uncertain import (
     build_relation,
     grid_covering,
@@ -42,13 +47,8 @@ from repro.errors import (
 )
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.oracle.cost import merge_cost_models
+from repro.oracle.cache import CachingOracle, ScoreCache
 from repro.models.cmdn import ConvMDNProxy
-from repro.streaming import (
-    BlockInferenceCache,
-    CachingOracle,
-    IncrementalDiff,
-    ScoreCache,
-)
 from repro.streaming.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,

@@ -3,8 +3,7 @@
 The batched form exists so an oracle scoring many frames computes the
 per-frame ground truth (slot centres, boxes) once for the batch. Three
 rules are pinned: the frames are equal field by field for any index
-list; a view (a live stream, its sealed snapshot, a slice, a
-concatenation) hands a batch on to its source in one ``frames`` call;
+list; a view (a live stream, its sealed snapshot, a concatenation) hands a batch on to its source in one ``frames`` call;
 and a subclass that overrides ``frame()`` — a source or a view — has it
 called once per index.
 """
@@ -26,7 +25,6 @@ from repro.video import (
     SentimentVideo,
     StreamingVideo,
     TrafficVideo,
-    VideoSlice,
 )
 
 VIDEOS = {
@@ -41,9 +39,6 @@ VIDEOS = {
                        window_seconds=4.0)),
     "snapshot": lambda: _appended(
         StreamingVideo(TrafficVideo("ss", 600, seed=14), 230)).snapshot(),
-    "slice": lambda: VideoSlice(TrafficVideo("sl", 400, seed=8), 100, 350),
-    "slice-of-stream": lambda: VideoSlice(
-        StreamingVideo(TrafficVideo("sls", 600, seed=15), 380), 60, 320),
     "concat": lambda: ConcatVideo(
         [TrafficVideo("c0", 120, seed=9), TrafficVideo("c1", 130, seed=10)],
         name="cc"),
@@ -133,8 +128,7 @@ def test_views_read_a_batch_with_one_frames_call_per_source():
     stream = StreamingVideo(source, 250)
     stream.frames([5, 200, 5])
     stream.snapshot().frames(iter([7]))
-    VideoSlice(stream, 100, 250).frames([0, 3, 0])
-    assert source.batches == [[5, 200, 5], [7], [100, 103, 100]]
+    assert source.batches == [[5, 200, 5], [7]]
 
     first = _CountingBatches("first", 120, seed=20)
     second = _CountingBatches("second", 130, seed=21)

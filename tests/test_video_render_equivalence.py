@@ -1,8 +1,8 @@
 """The render contract (DESIGN.md §1), pinned against the frozen scalar
 renderer in ``reference_render.py``:
 
-* ``batch_pixels(ids)`` — on a video, a ``VideoSlice``, a
-  ``StreamingVideo`` and a ``ConcatVideo`` — is bit-identical to
+* ``batch_pixels(ids)`` — on a video, a ``StreamingVideo``, its
+  sealed snapshot and a ``ConcatVideo`` — is bit-identical to
   stacking the one-frame-at-a-time reference, for any index list
   (unsorted, duplicates, across the renderer's internal block size);
 * ``pixels(i)`` is the batch of one (float64), the noiseless scenes
@@ -35,7 +35,6 @@ from repro.video import (
     SentimentVideo,
     StreamingVideo,
     TrafficVideo,
-    VideoSlice,
 )
 from repro.video.synthetic import _noise_states
 from repro.video.visual_road import visual_road_video
@@ -117,20 +116,19 @@ def test_batch_pixels_matches_the_scalar_reference(case, data):
 @given(data=st.data())
 def test_views_batch_pixels_match_the_scalar_reference(case, data):
     video = case.video
-    shard = VideoSlice(video, 100, 500)
-    ids = data.draw(index_lists(len(shard)))
-    assert_same_bits(shard.batch_pixels(ids), case.pixels32[100 + ids])
-
     stream = StreamingVideo(video, 400)
     ids = data.draw(index_lists(len(stream)))
     assert_same_bits(stream.batch_pixels(ids), case.pixels32[ids])
 
-    # Members that do not line up with anything: a tail shard, the
+    snapshot = StreamingVideo(video, 290).snapshot()
+    ids = data.draw(index_lists(len(snapshot)))
+    assert_same_bits(snapshot.batch_pixels(ids), case.pixels32[ids])
+
+    # Members that do not line up with anything: a sealed prefix, the
     # whole video, a growing prefix.
-    concat = ConcatVideo(
-        [VideoSlice(video, 350, NUM_FRAMES), video, stream], name="eq-concat")
+    concat = ConcatVideo([snapshot, video, stream], name="eq-concat")
     expected = np.concatenate(
-        [case.pixels32[350:], case.pixels32, case.pixels32[:400]])
+        [case.pixels32[:290], case.pixels32, case.pixels32[:400]])
     ids = data.draw(index_lists(len(concat)))
     assert_same_bits(concat.batch_pixels(ids), expected[ids])
 
@@ -152,7 +150,7 @@ def test_batches_bounds_check_like_single_reads(case):
     with pytest.raises(FrameIndexError):
         stream.batch_pixels([10, 400])  # not arrived yet
     with pytest.raises(FrameIndexError):
-        VideoSlice(video, 100, 500).batch_pixels([400])
+        StreamingVideo(video, 500).snapshot().batch_pixels([500])
     with pytest.raises(FrameIndexError):
         ConcatVideo([video, video], name="c").batch_pixels([2 * NUM_FRAMES])
 
@@ -196,8 +194,6 @@ def test_frame_pixels_are_lazy_identical_and_pickled():
     # Through the views a frame is still the source's frame.
     stream = StreamingVideo(video, 100)
     assert_same_bits(stream.frame(40).pixels, reference_pixels(video, 40))
-    shard = VideoSlice(video, 50, 150)
-    assert_same_bits(shard.frame(3).pixels, reference_pixels(video, 53))
 
 
 def test_labelling_with_an_annotation_udf_renders_nothing():
@@ -224,7 +220,7 @@ def test_truth_array_equals_the_per_frame_loop(case):
             dtype=np.float64)
 
     for view in (video, StreamingVideo(video, 250),
-                 VideoSlice(video, 100, 500)):
+                 StreamingVideo(video, 500).snapshot()):
         assert_same_bits(view.truth_array(), loop(view))
         assert_same_bits(view.truth_array(key), loop(view))
     with pytest.raises(KeyError):

@@ -23,13 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import (
-    EverestConfig,
-    QueryService,
-    Session,
-    WindowedSession,
-    WindowedVideo,
-)
+from repro import EverestConfig, QueryService, Session, StreamingVideo
 from repro.config import Phase1Config
 from repro.errors import ConfigurationError, QueryError, VideoError
 from repro.oracle import counting_udf
@@ -58,7 +52,7 @@ def make_source() -> TrafficVideo:
 
 
 def open_window_stream(window_frames: int = WINDOW_FRAMES,
-                       **kwargs) -> WindowedSession:
+                       **kwargs) -> Session:
     return Session.open_stream(
         make_source(), counting_udf("car"), initial_frames=BOOTSTRAP,
         window_seconds=window_frames / FPS, config=STREAM_CONFIG,
@@ -77,7 +71,7 @@ def batch_reference(stream) -> str:
     """The from-scratch batch bytes for the stream's current window.
 
     ``batch_session()`` seals the prefix (horizon included), and a
-    plain batch query over the sealed :class:`WindowedVideo` compiles
+    plain batch query over the sealed :class:`~repro.video.streaming.StreamingVideo` compiles
     to the same window-restricted plan — no streaming machinery on
     the reference side at all.
     """
@@ -250,7 +244,7 @@ def test_resume_restores_window_state_and_equivalence(tmp_path):
 # Validation corners
 # ----------------------------------------------------------------------
 def test_windowed_video_tick_and_snapshot_validation():
-    video = WindowedVideo(
+    video = StreamingVideo(
         make_source(), BOOTSTRAP, window_seconds=WINDOW_SECONDS)
     with pytest.raises(ConfigurationError):
         video.tick(0)
@@ -319,7 +313,7 @@ def test_windowed_session_constructor_guards():
     with pytest.raises(QueryError, match="conflicts"):
         Session.open_stream(StreamingVideo(make_source(), BOOTSTRAP), udf,
                             window_seconds=WINDOW_SECONDS)
-    video = WindowedVideo(
+    video = StreamingVideo(
         make_source(), BOOTSTRAP, window_seconds=WINDOW_SECONDS)
     with pytest.raises(QueryError, match="conflicts"):
         Session.open_stream(video, udf, window_seconds=WINDOW_SECONDS * 2)
