@@ -10,10 +10,12 @@ same global budget:
 
 * a corpus of one member reproduces a plain ``Session`` run over that
   member, report and ledger;
+* an archive split into member clips, queried federated, reproduces
+  the unsplit archive (the clips' ``ConcatVideo`` under the merged
+  Phase-1 entry) queried whole — hypothesis draws the split points, K,
+  guarantee and global budget, and a budget refusal is the reference's;
 * a multi-member corpus reproduces a plain executor run over the
-  ``ConcatVideo`` with the same merged Phase-1 entry — hypothesis
-  draws K, guarantee and global budget, and a budget refusal is the
-  reference's;
+  ``ConcatVideo`` with the same merged Phase-1 entry;
 * service submission returns the same bytes as inline execution on
   both lanes, and a corpus confirm scores in the query's own thread —
   no thread pool, no pool task;
@@ -43,6 +45,11 @@ CORPUS_CONFIG = EverestConfig(
         epochs=15,
     ),
 )
+
+
+#: The shortest clip CORPUS_CONFIG can build Phase 1 on (its 96
+#: training samples must leave a holdout frame).
+MIN_SHARD_FRAMES = 100
 
 
 def ledger_key(cost) -> dict:
@@ -98,7 +105,60 @@ def test_corpus_of_one_matches_plain_session(udf):
 
 
 # ----------------------------------------------------------------------
-# (b) Multi-member corpus == plain executor over the concat view.
+# (b) Split-vs-whole, hypothesis over split points, K, thres, budget.
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_split_corpus_matches_unsplit_archive(data, udf):
+    # An archive cut at drawn split points into member clips: each
+    # clip builds its own Phase 1, and the corpus answers as the whole
+    # archive (the clips' concatenation) does under the merged entry.
+    lengths = data.draw(st.lists(
+        st.integers(MIN_SHARD_FRAMES, 3 * MIN_SHARD_FRAMES),
+        min_size=2, max_size=4), label="shard lengths")
+    k = data.draw(st.integers(2, 6), label="k")
+    thres = data.draw(
+        st.sampled_from([0.5, 0.8, 0.9, 0.95]), label="thres")
+    budget = data.draw(
+        st.one_of(st.none(), st.integers(5, 400)), label="budget")
+
+    shards = [
+        TrafficVideo(f"corpus-archive{i}", length, seed=29 + i)
+        for i, length in enumerate(lengths)
+    ]
+    corpus = VideoCorpus.open(shards, udf, config=CORPUS_CONFIG)
+    query = corpus.query().topk(k).guarantee(thres).oracle_budget(budget)
+    state = corpus.merged_state()
+    archive_session = Session(
+        ConcatVideo(shards, name=corpus.name), udf, config=CORPUS_CONFIG)
+    archive_session.adopt_phase1(state.entry, CORPUS_CONFIG)
+
+    try:
+        reference = QueryExecutor(archive_session).execute_detailed(
+            query.plan())
+    except OracleBudgetExceededError as error:
+        # The federated run must fail identically: same type, same
+        # budget, before any divergent state.
+        with pytest.raises(OracleBudgetExceededError) as excinfo:
+            query.run_detailed()
+        assert excinfo.value.budget == error.budget
+        return
+
+    outcome = query.run_detailed()
+    assert outcome.report.to_json() == reference.report.to_json()
+    reference_merged = merge_cost_models(
+        [state.entry.cost_model, reference.phase2_cost])
+    assert ledger_key(outcome.merged_cost()) == \
+        ledger_key(reference_merged)
+    # Shard attribution is complete: per-shard confirms sum to the
+    # global ledger's confirm units.
+    assert sum(outcome.shard_confirms) == \
+        outcome.phase2_cost.units("oracle_confirm")
+
+
+# ----------------------------------------------------------------------
+# Multi-member corpus == plain executor over the concat view.
 
 
 def test_member_corpus_matches_concat_reference(
@@ -128,42 +188,24 @@ def test_member_corpus_matches_concat_reference(
         assert 0 <= local < lengths[name]
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(
     k=st.integers(2, 6),
     thres=st.sampled_from([0.5, 0.8, 0.9, 0.95]),
-    budget=st.one_of(st.none(), st.integers(5, 400)),
 )
 def test_member_corpus_matches_concat_reference_swept(
-        member_corpus, member_videos, udf, k, thres, budget):
-    query = (member_corpus.query().topk(k).guarantee(thres)
-             .oracle_budget(budget))
+        member_corpus, member_videos, udf, k, thres):
+    query = member_corpus.query().topk(k).guarantee(thres)
+    outcome = query.run_detailed()
+
     state = member_corpus.merged_state()
     reference_session = Session(
         ConcatVideo(member_videos, name=member_corpus.name),
         udf, config=CORPUS_CONFIG)
     reference_session.adopt_phase1(state.entry, CORPUS_CONFIG)
-
-    try:
-        reference = QueryExecutor(reference_session).execute_detailed(
-            query.plan())
-    except OracleBudgetExceededError as error:
-        # The corpus run must fail identically: same type, same budget.
-        with pytest.raises(OracleBudgetExceededError) as excinfo:
-            query.run_detailed()
-        assert excinfo.value.budget == error.budget
-        return
-
-    outcome = query.run_detailed()
+    reference = QueryExecutor(reference_session).execute_detailed(
+        query.plan())
     assert outcome.report.to_json() == reference.report.to_json()
-    reference_merged = merge_cost_models(
-        [state.entry.cost_model, reference.phase2_cost])
-    assert ledger_key(outcome.merged_cost()) == \
-        ledger_key(reference_merged)
-    # Shard attribution is complete: per-shard confirms sum to the
-    # global ledger's confirm units.
-    assert sum(outcome.shard_confirms) == \
-        outcome.phase2_cost.units("oracle_confirm")
 
 
 # ----------------------------------------------------------------------
