@@ -16,11 +16,13 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
   session the other shapes warmed, with and without the session's
   score cache (recorded, not gated — DESIGN.md §3);
 * what a Phase-1 build pays per frame on a 3 000-frame video: µs per
-  frame rendered (a 512-frame block, and one ``pixels(i)`` call), µs
-  per row featurized (the frozen two-partition
+  frame rendered (a 512-frame block, and one ``pixels(i)`` call), the
+  render's split into noiseless scenes and sensor noise (one render
+  block), µs per row featurized (the frozen two-partition
   reference vs the one-sort extractor, a 512-row block and a 170-row
-  append) and the renders / featurized rows of one build (recorded,
-  not gated — DESIGN.md §3).
+  append), µs per relation build at a live window's size, and the
+  renders / featurized rows of one build (recorded, not gated —
+  DESIGN.md §3).
 """
 
 import sys
@@ -33,6 +35,7 @@ import pytest
 from repro import EverestConfig, Session
 from repro.api.executor import QueryExecutor
 from repro.config import DEFAULT_CMDN_GRID
+from repro.core import uncertain
 from repro.core.cleaner import TopKCleaner
 from repro.core.select_candidate import CandidateSelector, top_indices
 from repro.core.topk_prob import ConfidenceState
@@ -40,6 +43,7 @@ from repro.core.uncertain import QuantizationGrid, UncertainRelation
 from repro.models import (
     Adam,
     FeatureMDNProxy,
+    GaussianMixture,
     NUM_FEATURES,
     build_feature_mdn,
     extract_features,
@@ -53,6 +57,7 @@ from repro.video import (
     SentimentVideo,
     TrafficVideo,
 )
+from repro.video.synthetic import _RENDER_BLOCK
 
 from bench_util import (
     count_renders,
@@ -369,23 +374,67 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     assert len(metrics) == 9
 
 
+def _live_window_relation_inputs(seed=0):
+    """``build_relation``'s arguments at a live window's size, as the
+    Phase-1 maintainer passes them: 1 300 retained rows of a
+    4 000-frame window, their pmf on a given grid, and 800 known
+    scores (labelled samples), 60 of them on frames the difference
+    detector dropped."""
+    rng = np.random.default_rng(seed)
+    frames = rng.permutation(4_000)
+    ids = np.sort(frames[:1_300])
+    mixtures = GaussianMixture(
+        pi=np.ones((ids.size, 1)),
+        mu=rng.gamma(2.0, 1.2, size=(ids.size, 1)),
+        sigma=np.full((ids.size, 1), 0.8))
+    known = np.concatenate((
+        rng.choice(ids, size=740, replace=False), frames[1_300:1_360]))
+    rng.shuffle(known)
+    known_scores = dict(zip(
+        known.tolist(), rng.integers(0, 12, size=known.size).astype(float)))
+    grid = uncertain.grid_for(
+        mixtures, floor=0.0, step=1.0,
+        extra_scores=list(known_scores.values()))
+    return dict(ids=ids, mixtures=mixtures, floor=0.0, step=1.0,
+                known_scores=known_scores, grid=grid,
+                pmf=uncertain.quantize_mixtures(mixtures, grid))
+
+
 def test_phase1_frame_costs(benchmark, monkeypatch):
-    """What a cold build pays per frame: render, featurize (reference
-    vs one sort), and how many of each one build does."""
+    """What a cold build pays per frame: render (and its split into
+    scenes and noise), featurize (reference vs one sort), a live
+    window's relation build, and how many renders and featurized rows
+    one build does."""
     video = TrafficVideo("bench-phase1", 3_000, seed=501)
 
     def best_us_per_row(fn, rows, rounds=15):
         return min(timed_call(fn)[1] for _ in range(rounds)) / rows * 1e6
 
     block = np.arange(512)
+    first = block[:_RENDER_BLOCK]
+    blank = np.zeros((first.size,) + video.resolution)
+    noise_only = TrafficVideo("bench-phase1", 3_000, seed=501)
+    # The same render with the scenes taken as given: noise states,
+    # draws, the scaled add and the clip.
+    noise_only._scenes = lambda indices: blank.copy()
     metrics = {
         "phase1_render_us_per_frame": best_us_per_row(
             lambda: video.batch_pixels(block), block.size, rounds=5),
+        "phase1_render_scenes_us_per_frame": best_us_per_row(
+            lambda: video._scenes(first), first.size),
+        "phase1_render_noise_us_per_frame": best_us_per_row(
+            lambda: noise_only._render(first), first.size),
         # No workload renders one frame a call; this keeps its fixed
         # cost (a Generator and the noise states of a block) in view.
         "phase1_render_one_frame_us": best_us_per_row(
             lambda: video.pixels(1_234), 1, rounds=200),
     }
+    # The relation takes its pmf over: one fresh copy per round.
+    arguments = _live_window_relation_inputs()
+    pmfs = [arguments["pmf"].copy() for _ in range(15)]
+    metrics["phase1_relation_build_us"] = best_us_per_row(
+        lambda: uncertain.build_relation(**{**arguments, "pmf": pmfs.pop()}),
+        1)
     for rows in (512, 170):
         pixels = video.batch_pixels(np.arange(rows))
         for name, featurize in (

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import UncertainRelationError
-from .uncertain import UncertainRelation
+from .uncertain import UncertainRelation, all_distinct
 
 
 class ConfidenceState:
@@ -73,7 +73,7 @@ class ConfidenceState:
         tuple — the Phase 2 cleaning loop's hot path.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        if positions.size != np.unique(positions).size:
+        if not all_distinct(positions):
             raise UncertainRelationError("batch positions must be unique")
         self._remove_rows(positions)
 

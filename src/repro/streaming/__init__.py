@@ -5,8 +5,7 @@ This package turns the engine from "query a finished video" into
 
 * the live :class:`~repro.api.session.Session` —
   ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
-  ``checkpoint`` / ``resume`` (``StreamingSession`` is an alias of the
-  one session class);
+  ``checkpoint`` / ``resume``;
 * :mod:`~repro.streaming.live_topk` — per-query
   :class:`~repro.streaming.live_topk.LiveTopK` maintainers, each
   holding its latest outcome only;
@@ -20,7 +19,7 @@ fresh work are what its ``append()`` / ``tick()`` returns.
 """
 
 from .live_topk import LiveTopK
-from .session import AppendResult, StreamingSession
+from .session import AppendResult
 from .store import (
     FORMAT_VERSION,
     read_checkpoint,
@@ -31,7 +30,6 @@ __all__ = [
     "AppendResult",
     "FORMAT_VERSION",
     "LiveTopK",
-    "StreamingSession",
     "read_checkpoint",
     "write_checkpoint",
 ]

@@ -381,13 +381,18 @@ class SyntheticVideo:
     def _render(self, indices: np.ndarray) -> np.ndarray:
         """Scenes plus per-frame sensor noise, clipped to ``[0, 1]``."""
         frames = self._scenes(indices)
-        shape = frames.shape[1:]
+        noise = np.empty(frames.shape)
         # This call's own Generator (renders run on several threads at
         # once), moved to each frame's start state in turn.
-        noise = np.random.Generator(np.random.PCG64(_Unseeded()))
-        for frame, state in zip(frames, _noise_states(self.seed, indices)):
-            noise.bit_generator.state = state
-            frame += noise.normal(0.0, self.noise_level, shape)
+        draw = np.random.Generator(np.random.PCG64(_Unseeded()))
+        for row, state in zip(noise, _noise_states(self.seed, indices)):
+            draw.bit_generator.state = state
+            draw.standard_normal(out=row)
+        # ``normal(0.0, s)`` is ``0.0 + s * z``, which differs from
+        # ``s * z`` only where that is -0.0; added to a scene pixel
+        # (never -0.0) both give the same bits.
+        noise *= self.noise_level
+        frames += noise
         return np.clip(frames, 0.0, 1.0, out=frames)
 
     def pixels(self, index: int) -> np.ndarray:
@@ -476,7 +481,9 @@ def _radius2(grid, cx, cy) -> np.ndarray:
 
 def _blobs(radius2: np.ndarray, sigma, amplitude) -> np.ndarray:
     """Gaussian intensity blobs of width ``sigma`` over ``radius2``."""
-    blobs = -radius2 / (2.0 * sigma * sigma)
+    # ``r2 / -(2 sigma^2)`` is ``-r2 / (2 sigma^2)`` bit for bit (IEEE
+    # division is sign-symmetric), without a negated copy of ``r2``.
+    blobs = radius2 / -(2.0 * sigma * sigma)
     np.exp(blobs, out=blobs)
     blobs *= amplitude
     return blobs
@@ -632,17 +639,27 @@ class TrafficVideo(SyntheticVideo):
         scenes = self._background \
             + self._illumination[indices][:, None, None]
         for slots in self._populations:
+            # The frames that show an object, by visible count,
+            # descending: the frames showing slot ``j`` are then a
+            # leading slice, which its blobs are added to in place.
             active = slots.counts[indices]
-            cx, cy = slots.centres(indices, width, height)
+            order = np.argsort(-active, kind="stable")
+            rows = order[:np.count_nonzero(active)]
+            if rows.size == 0:
+                continue
+            visible = active[rows]
+            cx, cy = slots.centres(indices[rows], width, height)
+            block = scenes[rows]
             # Slot by slot, so every frame accumulates its blobs in slot
             # order — float addition is not associative, and this order
             # is what the pixels are pinned to.
-            for j in range(int(active.max(initial=0))):
-                rows = np.flatnonzero(active > j)
-                centre = (rows, j, None, None)
-                scenes[rows] += _blobs(
-                    _radius2(self._grid, cx[centre], cy[centre]),
+            for j in range(int(visible[0])):
+                shown = np.count_nonzero(visible > j)
+                block[:shown] += _blobs(
+                    _radius2(self._grid, cx[:shown, j, None, None],
+                             cy[:shown, j, None, None]),
                     self._sigma, slots.contrast[j])
+            scenes[rows] = block
         return scenes
 
     def _signal(self) -> np.ndarray:

@@ -14,9 +14,6 @@ run over the window snapshot.
     stream.tick(300)     # expiry: one report, old frames age out
 """
 
-from .session import ExpiryResult, WindowedSession
+from .session import ExpiryResult
 
-__all__ = [
-    "ExpiryResult",
-    "WindowedSession",
-]
+__all__ = ["ExpiryResult"]

@@ -76,6 +76,15 @@ class TestConfidenceState:
         with pytest.raises(UncertainRelationError):
             state.remove(1)
 
+    def test_remove_many_refuses_unsorted_duplicates(self, tiny_relation):
+        state = ConfidenceState(tiny_relation)
+        with pytest.raises(UncertainRelationError,
+                           match="^batch positions must be unique$"):
+            state.remove_many(np.array([2, 0, 2]))
+        assert state.num_uncertain == 3  # refused whole
+        state.remove_many(np.array([2, 0]))
+        assert state.uncertain_mask.tolist() == [False, True, False]
+
     def test_zero_cdf_handling(self):
         """A frame with no mass below the threshold zeroes the joint
         CDF; removing it restores a positive value."""

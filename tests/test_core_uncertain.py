@@ -10,6 +10,7 @@ from repro.core.uncertain import (
     TRUNCATE_SIGMAS,
     QuantizationGrid,
     UncertainRelation,
+    all_distinct,
     build_relation,
     grid_for,
     quantize_mixtures,
@@ -294,10 +295,32 @@ class TestUncertainRelation:
         with pytest.raises(UncertainRelationError):
             UncertainRelation([1, 1], pmf, grid)
 
+    def test_unsorted_duplicates_rejected_with_the_same_messages(self):
+        grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=2)
+        pmf = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(
+                UncertainRelationError, match="^tuple ids must be unique$"):
+            UncertainRelation([7, 3, 7], pmf, grid)
+        relation = UncertainRelation([7, 3, 9], pmf, grid)
+        with pytest.raises(UncertainRelationError,
+                           match="^batch positions must be unique$"):
+            relation.mark_certain_many([2, 0, 2], [1.0, 0.0, 1.0])
+        assert relation.num_certain == 0  # refused whole
+        relation.mark_certain_many([2, 0], [1.0, 0.0])
+        assert relation.certain.tolist() == [True, False, True]
+
     def test_unnormalized_pmf_rejected(self):
         grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=2)
         with pytest.raises(UncertainRelationError):
             UncertainRelation([0], np.array([[0.5, 0.2]]), grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=12))
+def test_all_distinct_is_a_unique_count(values):
+    values = np.array(values, dtype=np.int64)
+    assert all_distinct(values) == (np.unique(values).size == values.size)
+    assert all_distinct(values.reshape(-1, 1)) == all_distinct(values)
 
 
 class TestBuildRelation:
@@ -318,6 +341,22 @@ class TestBuildRelation:
         assert relation.certain[position]
         assert relation.exact_scores[position] == 7.0
         assert len(relation) == 2
+
+    @pytest.mark.parametrize("order", [
+        [905, 4, 901, 903, 900], [900, 901, 903, 905, 4],
+        [4, 905, 903, 901, 900]], ids=["mixed", "ascending", "descending"])
+    def test_extra_known_ids_append_in_ascending_order(self, order):
+        ids = np.array([40, 4, 12])
+        known_scores = {frame: float(frame % 7) for frame in order}
+        relation = build_relation(
+            ids, mixture([[2.0], [5.0], [1.0]], [[0.5]] * 3),
+            floor=0.0, step=1.0, known_scores=known_scores)
+        # What ``np.setdiff1d`` without ``assume_unique`` returns.
+        expected = np.setdiff1d(np.array(order), ids)
+        assert relation.ids[ids.size:].tolist() == expected.tolist() == [
+            900, 901, 903, 905]
+        assert relation.certain.tolist() == [
+            False, True, False, True, True, True, True]
 
     def test_no_known_scores(self):
         mix = mixture([[2.0], [3.0]], [[0.5], [0.5]])

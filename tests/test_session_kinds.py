@@ -75,13 +75,15 @@ def test_exactly_one_session_class_statement():
 
 
 def test_old_names_are_plain_aliases():
-    from repro.streaming import StreamingSession
-    from repro.streaming.session import StreamingSession as deep_stream
-    from repro.windowed import WindowedSession
-    from repro.windowed.session import WindowedSession as deep_window
-    assert StreamingSession is deep_stream is Session
-    assert WindowedSession is deep_window is Session
-    # Only the modules frozen perfbench imports keep an alias.
+    from repro.streaming.session import StreamingSession
+    from repro.windowed.session import WindowedSession
+    assert StreamingSession is Session
+    assert WindowedSession is Session
+    # Only the modules frozen perfbench imports keep an alias: neither
+    # package, nor ``repro``, spells it a second time.
+    for name in ("StreamingSession", "WindowedSession"):
+        assert not hasattr(repro.streaming, name), name
+        assert not hasattr(repro.windowed, name), name
     for name in ("StreamingSession", "WindowedSession", "WindowedVideo",
                  "open_session"):
         assert not hasattr(repro, name), name

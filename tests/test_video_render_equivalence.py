@@ -4,7 +4,11 @@ renderer in ``reference_render.py``:
 * ``batch_pixels(ids)`` — on a video, a ``StreamingVideo``, its
   sealed snapshot and a ``ConcatVideo`` — is bit-identical to
   stacking the one-frame-at-a-time reference, for any index list
-  (unsorted, duplicates, across the renderer's internal block size);
+  (unsorted, duplicates, across the renderer's internal block size),
+  and for the batches that are edge cases of ``TrafficVideo``'s
+  per-population frame order (a live append's contiguous run, a batch
+  already in that order, one showing no object, one spanning two
+  blocks);
 * ``pixels(i)`` is the batch of one (float64), the noiseless scenes
   match too, and ground-truth boxes did not move;
 * a ``Frame`` renders lazily, identically, and pickles with its pixels;
@@ -36,7 +40,7 @@ from repro.video import (
     StreamingVideo,
     TrafficVideo,
 )
-from repro.video.synthetic import _noise_states
+from repro.video.synthetic import _RENDER_BLOCK, _noise_states
 from repro.video.visual_road import visual_road_video
 
 from conftest import CountingTraffic
@@ -131,6 +135,63 @@ def test_views_batch_pixels_match_the_scalar_reference(case, data):
         [case.pixels32[:290], case.pixels32, case.pixels32[:400]])
     ids = data.draw(index_lists(len(concat)))
     assert_same_bits(concat.batch_pixels(ids), expected[ids])
+
+
+# ----------------------------------------------------------------------
+# TrafficVideo's scenes: each population's frames are put in descending
+# order of visible count, so a slot's frames are a leading slice. These
+# batches are that order's edge cases, fixed rather than drawn.
+
+@pytest.fixture(scope="module")
+def traffic() -> _Case:
+    return _Case(GENERATORS["traffic"]())
+
+
+def assert_renders_like_the_reference(case: _Case, ids) -> None:
+    ids = np.asarray(ids, dtype=np.int64)
+    assert_same_bits(case.video.batch_pixels(ids), case.pixels32[ids])
+    assert_same_bits(case.video._scenes(ids), case.scenes[ids])
+
+
+def test_an_appended_run_renders_like_the_reference(traffic):
+    # A live append renders ``arange(lo, lo + n)``: ascending ids,
+    # counts in no particular order.
+    for lo in (0, 137, NUM_FRAMES - 150):
+        assert_renders_like_the_reference(traffic, np.arange(lo, lo + 150))
+
+
+@pytest.mark.parametrize("population", [0, 1], ids=["cars", "distractors"])
+def test_a_batch_already_in_count_order_renders_like_the_reference(
+        traffic, population):
+    counts = traffic.video._populations[population].counts
+    ids = np.argsort(-counts, kind="stable")[:_RENDER_BLOCK]
+    # The batch's own order is that population's order: its frame
+    # permutation is the identity.
+    assert np.array_equal(
+        np.argsort(-counts[ids], kind="stable"), np.arange(ids.size))
+    assert_renders_like_the_reference(traffic, ids)
+
+
+def test_a_batch_showing_no_object_renders_like_the_reference(traffic):
+    cars, distractors = (
+        slots.counts for slots in traffic.video._populations)
+    empty = np.flatnonzero((cars == 0) & (distractors == 0))
+    assert empty.size  # frames 253 and 254 of this video
+    assert_renders_like_the_reference(traffic, np.repeat(empty, 3)[::-1])
+    # No car, but distractors: only the first population is empty.
+    no_cars = np.flatnonzero(cars == 0)
+    assert distractors[no_cars].any()
+    assert_renders_like_the_reference(traffic, no_cars)
+
+
+def test_two_blocks_showing_both_populations_render_like_the_reference(
+        traffic):
+    ids = np.random.default_rng(3).permutation(NUM_FRAMES)[
+        :2 * _RENDER_BLOCK - 50]
+    for block in (ids[:_RENDER_BLOCK], ids[_RENDER_BLOCK:]):
+        for slots in traffic.video._populations:
+            assert slots.counts[block].any()
+    assert_renders_like_the_reference(traffic, ids)
 
 
 def test_single_frames_are_the_batch_of_one(case):
