@@ -1,4 +1,4 @@
-"""The guarantee matrix (ROADMAP item 1): answers checked against truth.
+"""The guarantee matrix (ROADMAP item 4): answers checked against truth.
 
 Runs :mod:`repro.experiments.guarantee_audit` over its grid — the three
 registered (family, UDF) pairs x k in {5, 10, 50} x thres in {0.8, 0.9,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Audit ``src/repro`` for definitions nothing refers to.
 
-ROADMAP item 5 keeps asking how much unused public surface is left;
+ROADMAP item 9 keeps asking how much unused public surface is left;
 this prints the answer instead of guessing it. Every function, method
 and class defined under ``src/repro`` (by AST) is looked up by name
 among the *references* of the code that runs, and lands in one of two
@@ -38,7 +38,7 @@ count as live code while their class is.
 
 It also prints the package's total line count (``find src/repro -name
 '*.py' | xargs cat | wc -l``), so every CI log carries the number
-ROADMAP 7 asks each PR to report.
+the ROADMAP's Order rule on net lines asks each PR to report.
 
 Usage: ``python scripts/unused_surface.py``. It exits 1 when anything
 is unreferenced, when a test-only definition is not in
@@ -262,7 +262,8 @@ def audit():
 
 
 def main() -> int:
-    # The `wc -l` figure ROADMAP 7's rule reports next to every result.
+    # The `wc -l` figure the ROADMAP's Order rule on net lines reports
+    # next to every result.
     total = sum(
         path.read_text("utf-8").count("\n")
         for path in PACKAGE.rglob("*.py"))

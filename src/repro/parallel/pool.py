@@ -18,17 +18,18 @@ and :meth:`PersistentPool.call`, one task run for its answer.
 
 The wire protocol, stated once. Each worker owns one duplex pipe, and
 the caller's own thread writes the task to it and reads the answer
-back: no relay thread stands between. A task crosses as ``(payload,
-keys, blobs)``: the pickled call, in which every :class:`Shipped`
-handle — at any depth — is *bare* (its key, no blob); the keys of the
-handles it names; and the blobs the parent chose to send along. The
-worker (:func:`_run_call`) resolves before it runs: if it has never
-been sent one of the keys it raises :class:`NotShipped` without
-unpickling the call, so a missed task has had no side effect, and
-``call`` — the one place that reads answers — sends that task again
-with its blobs. A blob therefore crosses once per worker that needs
-it, not once per task. Worker code never touches a lock it inherited
-from the parent (a worker forks while other threads hold theirs).
+back: no relay thread stands between. The pool keeps, per worker, a
+record of what it holds of each handle, so a task crosses as
+``(payload, parts)``: the pickled call, in which every :class:`Shipped`
+handle — at any depth — is *bare* (its key, no blob), and for each
+handle the call names, what that worker lacks of it
+(:meth:`Shipped.wire`). A blob therefore crosses once per worker, and
+a handle that keeps a log (a session spec with its score cache) sends
+each worker the tail past what that worker holds. The record grows
+only when the worker answers without raising, and dies with the
+worker, so a replacement is sent everything. Worker code never touches
+a lock it inherited from the parent (a worker forks while other
+threads hold theirs).
 """
 
 from __future__ import annotations
@@ -55,13 +56,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def resolve_workers(
-    workers: Optional[int] = None, *, default: int = 1
-) -> int:
+def resolve_workers(workers: Optional[int] = None) -> int:
     """The effective worker count for a parallel-capable call site.
 
     ``workers`` wins when given; otherwise :data:`WORKERS_ENV` is
-    consulted; otherwise ``default`` (serial). Always >= 1.
+    consulted; otherwise 1 (serial). Always >= 1.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "").strip()
@@ -72,7 +71,7 @@ def resolve_workers(
                 raise ConfigurationError(
                     f"{WORKERS_ENV}={raw!r} is not an integer") from None
         else:
-            workers = default
+            workers = 1
     if workers < 1:
         raise ConfigurationError(
             f"worker count must be >= 1, got {workers}")
@@ -124,23 +123,16 @@ _WORKER_MEMO: Dict[int, object] = {}
 _SHIPPED_KEYS = itertools.count()
 
 
-class NotShipped(LookupError):
-    """A worker was handed a bare handle for a key it was never sent."""
-
-
 class Shipped:
     """A ship-once handle: pickled once here, unpickled once per worker.
 
     The parent builds one handle per long-lived object (a session
-    spec, a shard member) and puts it in every task that needs the
-    object, at any depth. Wherever a handle is pickled it crosses
-    bare — its key alone; the blob travels beside the task, and only
-    when the pool sends it (see the module docstring). A worker calls
-    :meth:`resolve` and gets the same object ever after — so state a
-    worker hangs off the object (a rebuilt session, a local score
-    cache) persists across tasks. A worker that has never seen the key
-    (fresh after a pool restart, or simply not yet routed one) says so
-    and is sent the blob.
+    spec) and puts it in every task that needs the object, at any
+    depth. Wherever a handle is pickled it crosses bare — its key
+    alone; what a worker lacks of it travels beside the task (see the
+    module docstring). A worker calls :meth:`resolve` and gets the same
+    object ever after — so state a worker hangs off the object (a
+    rebuilt session, a local score cache) persists across tasks.
     """
 
     __slots__ = ("key", "blob")
@@ -157,15 +149,20 @@ class Shipped:
         (self.key,) = state
         self.blob = None
 
+    def wire(self, held):
+        """``(blob, tail, held after)`` for a worker that holds ``held``
+        of this handle (``None``: nothing): the blob unless it holds
+        it, the log entries it lacks (none here; a subclass keeping a
+        log sends its tail, which the shipped object's ``merge``
+        takes), and what it holds once sent them."""
+        return (None if held else self.blob), (), True
+
     def resolve(self):
-        """The shipped object (worker side)."""
-        try:
-            return _WORKER_MEMO[self.key]
-        except KeyError:
-            if self.blob is None:
-                raise NotShipped(self.key) from None
-            obj = _WORKER_MEMO[self.key] = pickle.loads(self.blob)
-            return obj
+        """The shipped object (worker side, or the parent's own); a
+        bare handle no task has sent raises ``KeyError``."""
+        if self.key not in _WORKER_MEMO and self.blob is not None:
+            _WORKER_MEMO[self.key] = pickle.loads(self.blob)
+        return _WORKER_MEMO[self.key]
 
 
 class _CallPickler(pickle.Pickler):
@@ -189,15 +186,13 @@ def _pickle_call(fn, args, kwargs) -> Tuple[bytes, Dict[int, Shipped]]:
     return buffer.getvalue(), pickler.handles
 
 
-def _run_call(payload: bytes, keys: Tuple[int, ...], blobs: Dict[int, bytes]):
-    """The worker side of every task: resolve, then run."""
-    missing = [
-        key for key in keys if key not in _WORKER_MEMO and key not in blobs]
-    if missing:
-        raise NotShipped(*missing)
-    for key, blob in blobs.items():
-        if key not in _WORKER_MEMO:
+def _run_call(payload: bytes, parts: Dict[int, Tuple[bytes, list]]):
+    """The worker side of every task: take what was sent, then run."""
+    for key, (blob, tail) in parts.items():
+        if key not in _WORKER_MEMO:  # a blob for a key held is ignored
             _WORKER_MEMO[key] = pickle.loads(blob)
+        if tail:
+            _WORKER_MEMO[key].merge(tail)
     fn, args, kwargs = pickle.loads(payload)
     return fn(*args, **kwargs)
 
@@ -265,11 +260,13 @@ _STOP_WAIT = 5.0
 
 
 class _Worker:
-    """One worker process and the parent's end of its pipe."""
+    """One worker process, the parent's end of its pipe and what the
+    worker holds: ``{handle key: what Shipped.wire last left it}``."""
 
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "held")
 
     def __init__(self):
+        self.held: Dict[int, object] = {}
         with _FORK_LOCK:
             self.conn, child_end = _START.Pipe(duplex=True)
             try:
@@ -304,14 +301,13 @@ class PersistentPool:
     """Worker processes that outlive tasks, each behind its own pipe.
 
     Adds lazy startup (a worker forks when a task finds no idle one),
-    thread-safe calls, a call that answers a miss (:meth:`call`),
+    thread-safe calls, a record per worker of the handles it holds,
     replacement of a worker that died and idempotent shutdown. A task
     goes from the calling thread straight into an idle worker's pipe,
     and that thread reads the answer back; no relay thread stands
-    between. The query service
-    keeps one alive for its lifetime so worker-side state (see
-    :class:`Shipped`) persists across queries; it is the only owner of
-    one in the library.
+    between. The query service keeps one alive for its lifetime so
+    worker-side state (see :class:`Shipped`) persists across queries;
+    it is the only owner of one in the library.
     """
 
     def __init__(self, workers: Optional[int] = None):
@@ -322,11 +318,6 @@ class PersistentPool:
         #: Started and not yet stopped: idle or busy with a task.
         self._live = 0
         self._closed = False
-        #: Workers replaced because they died (or were abandoned
-        #: mid-task). Whatever a caller believes the *workers* hold
-        #: (memoized handles, the score-cache entries it shipped them)
-        #: is true only while this number stands still.
-        self.restarts = 0
 
     def _checkout(self) -> _Worker:
         """An idle worker, a new one while fewer than ``workers`` live,
@@ -359,42 +350,43 @@ class PersistentPool:
             self._retire(worker)
 
     def _retire(self, worker: _Worker, *, died: bool = False) -> None:
-        """Stop ``worker`` for good; a dead one counts as a restart."""
+        """Stop ``worker`` for good, killing it if it ``died``."""
         worker.stop(kill=died)
         with self._ready:
             self._live -= 1
-            self.restarts += died
             self._ready.notify_all()
 
-    def _submit(self, payload, handles, *, carry: bool) -> _Worker:
-        """Send one task to an idle worker; that worker, now busy.
+    def _run(self, fn, args, kwargs):
+        """Run one task on an idle worker; its outcome.
 
-        A worker found dead at send time (killed while idle) is
-        replaced and the task goes to the next one: nothing of it ran.
+        The task carries what that worker lacks of every handle it
+        names, and the worker's record grows by it once the worker
+        answers without raising. A worker found dead at send time
+        (killed while idle) is replaced and the task goes to the next
+        one: nothing of it ran. A worker that dies under the task
+        raises :class:`~concurrent.futures.process.BrokenProcessPool`,
+        and it alone is replaced: its siblings keep what they hold.
         """
-        task = pickle.dumps((payload, tuple(handles), {
-            key: handle.blob for key, handle in handles.items()
-        } if carry else {}), pickle.HIGHEST_PROTOCOL)
+        payload, handles = _pickle_call(fn, args, kwargs)
         for _ in range(self.workers + 1):
             worker = self._checkout()
             try:
-                worker.conn.send_bytes(task)
+                parts, held = {}, {}
+                for key, handle in handles.items():
+                    blob, tail, held[key] = handle.wire(worker.held.get(key))
+                    if blob is not None or tail:
+                        parts[key] = blob, tail
+                worker.conn.send_bytes(pickle.dumps(
+                    (payload, parts), pickle.HIGHEST_PROTOCOL))
             except OSError:
                 self._retire(worker, died=True)
                 continue
             except BaseException:
                 self._retire(worker, died=True)
                 raise
-            return worker
-        raise BrokenProcessPool("no pool worker would take the task")
-
-    def _outcome(self, worker: _Worker):
-        """Read back the outcome of the task ``worker`` is busy with.
-
-        A worker that dies under the task raises
-        :class:`~concurrent.futures.process.BrokenProcessPool`, and it
-        alone is replaced: its siblings keep what they memoized.
-        """
+            break
+        else:
+            raise BrokenProcessPool("no pool worker would take the task")
         try:
             answer = worker.conn.recv_bytes()
         except (EOFError, OSError) as error:
@@ -406,24 +398,27 @@ class PersistentPool:
             # Interrupted: the worker still owes an answer nobody reads.
             self._retire(worker, died=True)
             raise
-        self._release(worker)
-        return pickle.loads(answer)
+        try:
+            outcome = pickle.loads(answer)
+            if outcome[0] is None:
+                worker.held.update(held)
+        finally:
+            self._release(worker)
+        return outcome
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         """Run ``fn(*args, **kwargs)`` on the pool; a future holding its
         answer or what it raised (starts lazily).
 
         The task runs before ``submit`` returns, on this thread's end of
-        a worker's pipe. Nothing reads the answer to resend, so the task
-        carries the blob of every handle it names. A worker dying under
-        it leaves the raw
+        a worker's pipe, sent as :meth:`call` sends it. A worker dying
+        under it leaves the raw
         :class:`~concurrent.futures.process.BrokenProcessPool` in the
         future (:meth:`call` translates it).
         """
-        task = _pickle_call(fn, args, kwargs)
         future: Future = Future()
         try:
-            outcome = self._outcome(self._submit(*task, carry=True))
+            outcome = self._run(fn, args, kwargs)
         except ServiceClosedError:
             raise
         except Exception as error:  # noqa: BLE001 - the future's
@@ -438,24 +433,15 @@ class PersistentPool:
     def call(self, fn, /, *args):
         """``fn(*args)`` in a worker; its answer, or what it raised.
 
-        The task goes with its handles bare. A worker that answers
-        :class:`NotShipped` is sent it once more with its blobs —
-        nothing of the task had run. Any other error re-raises and the
-        pool stays usable.
-
-        A worker dying under the task raises a
+        Any error the task raises re-raises here and the pool stays
+        usable. A worker dying under the task raises a
         :class:`~repro.errors.ServiceError` chaining the
         ``BrokenProcessPool`` — the one translation of a dead worker:
-        nothing was recorded, the dead worker is already replaced (so
-        :attr:`restarts` has moved by the time the caller sees the
-        error) and the caller may resubmit. (:meth:`submit` keeps the
-        raw error.)
+        nothing was recorded, the dead worker is already replaced and
+        the caller may resubmit. (:meth:`submit` keeps the raw error.)
         """
-        task = _pickle_call(fn, args, {})
         try:
-            outcome = self._outcome(self._submit(*task, carry=False))
-            if outcome[0] is not None and isinstance(outcome[1], NotShipped):
-                outcome = self._outcome(self._submit(*task, carry=True))
+            outcome = self._run(fn, args, {})
         except BrokenProcessPool as error:
             raise ServiceError(
                 "a pool worker died while the task was in flight; "

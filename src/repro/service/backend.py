@@ -9,8 +9,8 @@ Two lanes, chosen per service (``use_processes``):
   to win on a single usable CPU. Threads overlap only where numpy
   leaves the GIL for long: Phase 2's few large kernels do, Phase-1
   training (~70 small numpy calls a step) does not — two builds on two
-  threads measured 1.97x the *serial* wall, so with ``workers > 1``
-  this lane's cold builds still convoy (ROADMAP 3).
+  threads measured 1.97x the *serial* wall (DESIGN.md §6), so with
+  ``workers > 1`` this lane's cold builds still convoy.
 * **Process** — both halves leave the process through the one pool
   protocol (DESIGN.md §6) on a persistent
   :class:`~repro.parallel.pool.PersistentPool`: forked workers, each
@@ -19,14 +19,13 @@ Two lanes, chosen per service (``use_processes``):
   sits between. The single-flight
   builder runs the one build routine in a worker
   (:func:`build_in_pool`) and adopts the entry it returns; the parent
-  then ships the session spec as a
-  :class:`~repro.parallel.pool.Shipped` handle, and a worker
+  then ships the session spec as a :class:`SpecHandle`, and a worker
   reconstructs the session once per handle and runs only the cleaning
   loop, confirming through that session's own score cache. What
-  makes it a *service* lane is **score-cache warm shipping**: each
-  batch carries the entries the artifact group's append-only cache
-  gained since the spec's last batch (its tail past a position); the
-  worker merges them into its session's cache before
+  makes it a *service* lane is **score-cache warm shipping**: the
+  handle carries the artifact group's append-only cache too, and the
+  pool sends each worker the cache's tail past what that worker
+  holds; the worker merges it into its session's cache before
   executing and returns its *new* revelations, which the parent folds
   back into the shared cache. Scores are deterministic per frame, so
   the merge is idempotent and reports stay bit-identical — only
@@ -76,27 +75,44 @@ class _SessionSpec:
             session.adopt_phase1(entry, config)
         return session
 
+    def merge(self, items) -> None:
+        """Take score-cache entries the parent's group cache held."""
+        self.session.shared_score_cache.merge(items)
 
-def ship_spec(session, entries) -> Shipped:
+
+class SpecHandle(Shipped):
+    """A session spec, and the group score cache shipped as a log."""
+
+    __slots__ = ("cache",)
+
+    def __init__(self, spec: _SessionSpec, cache: ScoreCache):
+        super().__init__(spec)
+        self.cache = cache
+
+    def wire(self, held):
+        """The spec unless the worker holds it, and the cache's tail
+        past the length it held."""
+        tail, length = self.cache.since(held or 0)
+        return (self.blob if held is None else None), tail, length
+
+
+def ship_spec(session, entries) -> SpecHandle:
     """Pickle one worker-session spec (video + config + Phase 1)."""
-    return Shipped(_SessionSpec(
+    return SpecHandle(_SessionSpec(
         video=session.video,
         scoring=session.scoring,
         config=session.config,
         unit_costs=session.resolved_unit_costs(),
         entries=list(entries),
-    ))
+    ), session.shared_score_cache)
 
 
 @dataclass(frozen=True)
 class BatchTask:
     """Plans to run against one shipped session spec, in a pool worker."""
 
-    spec: Shipped
+    spec: SpecHandle
     plans: Tuple[object, ...]
-    #: The parent cache's entries past the spec's position: what the
-    #: worker may not have yet.
-    cache_items: Tuple[Tuple[int, float], ...]
     #: Record per-plan spans in the worker and ship them back so the
     #: parent can re-parent them under its lane-dispatch span.
     traced: bool = False
@@ -161,9 +177,6 @@ def build_in_pool(pool, video, scoring, unit_costs, config) -> Phase1Entry:
 def _service_worker_run(task: BatchTask) -> BatchResult:
     """Execute one batch in a pool worker (Phase 2 only)."""
     spec: _SessionSpec = task.spec.resolve()
-    cache = spec.session.shared_score_cache
-    if task.cache_items:
-        cache.merge(task.cache_items)
     executor = QueryExecutor(spec.session)
     details: List[ExecutionDetail] = []
     spans: Optional[List[List[dict]]] = [] if task.traced else None
@@ -185,32 +198,24 @@ def _service_worker_run(task: BatchTask) -> BatchResult:
 def run_batch_in_pool(
     pool,
     *,
-    spec: Shipped,
+    spec: SpecHandle,
     plans,
-    shared_cache: ScoreCache,
-    cache_items,
     traced: bool = False,
 ) -> BatchResult:
     """Ship a batch to the pool; fold revelations back into the cache.
 
-    ``cache_items`` are the entries of ``shared_cache`` the caller has
-    not yet sent for ``spec``: its tail past the caller's position
-    (:meth:`~repro.oracle.cache.ScoreCache.since`), so per-batch cost
-    tracks the *delta*, not the whole cache. The batch's own
-    revelations go out with the spec's next batch. A batch goes to
-    whichever worker is idle (the warmest first), and a worker that
-    dies is replaced alone, so a given worker may still miss entries a
-    sibling received — harmless, it just re-reveals them physically;
-    shipping is a cost optimization, never a correctness input.
+    The worker is sent the spec's score cache past what it holds
+    (:meth:`SpecHandle.wire`), so per-batch cost tracks the *delta*,
+    not the whole cache, and it re-scores no frame the cache held when
+    the batch was sent. The batch's own revelations reach each worker
+    with its next batch of the spec.
 
     A worker dying under the batch raises ``pool.call``'s
     :class:`~repro.errors.ServiceError`: nothing was recorded for the
     batch, so the caller may simply resubmit.
     """
-    task = BatchTask(
-        spec=spec, plans=tuple(plans), cache_items=tuple(cache_items),
-        traced=traced)
+    task = BatchTask(spec=spec, plans=tuple(plans), traced=traced)
     result: BatchResult = pool.call(_service_worker_run, task)
     if result.new_scores:
-        shared_cache.merge(result.new_scores.items())
+        spec.cache.merge(result.new_scores.items())
     return result

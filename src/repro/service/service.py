@@ -65,6 +65,9 @@ from .scheduler import FairScheduler, JobOutcome, QueryFuture
 #: (the tracer keeps as many finished traces).
 RECENT_OUTCOMES = 256
 
+#: Same-artifact queries dispatched as one batch.
+MAX_BATCH = 8
+
 
 def _metric(slot: int, name: str, help_text: str) -> Dict[str, object]:
     """Field metadata that makes a :class:`ServiceStats` field a
@@ -178,19 +181,6 @@ class _Job:
     trace: object = None
 
 
-class _Remote:
-    """What the pool's workers hold for one (session, phase-1 key)."""
-
-    def __init__(self, spec, restarts: int):
-        #: The shipped session spec (pickled once, see ``Shipped``).
-        self.spec = spec
-        #: How much of the group's append-only score cache has been
-        #: sent for it, so each batch carries only the entries past it.
-        self.position = 0
-        #: ``pool.restarts`` when ``position`` was last true.
-        self.restarts = restarts
-
-
 class QueryService:
     """Accepts many concurrent queries and optimizes across them.
 
@@ -207,8 +197,6 @@ class QueryService:
         than one usable CPU.
     max_pending:
         Admission-control bound on queued (not yet running) queries.
-    max_batch:
-        Same-artifact queries dispatched as one batch.
     artifact_entries:
         LRU bound on the shared artifact layer's Phase-1 entries.
     warm_dir:
@@ -221,7 +209,6 @@ class QueryService:
         workers: Optional[int] = None,
         use_processes: Optional[bool] = None,
         max_pending: Optional[int] = 256,
-        max_batch: int = 8,
         artifact_entries: Optional[int] = None,
         warm_dir=None,
         tracer=None,
@@ -245,10 +232,10 @@ class QueryService:
         self._lock = threading.Lock()
         self._submit_seq = itertools.count()
         self._outcomes = deque(maxlen=RECENT_OUTCOMES)
-        #: What the pool holds for a session, dropped with the session:
-        #: ``{phase1_key: _Remote}``. The service keeps no session alive
-        #: — the artifact LRU bounds its memory, not its history.
-        self._pool_state = weakref.WeakKeyDictionary()
+        #: The specs shipped for a session, dropped with the session:
+        #: ``{phase1_key: SpecHandle}``. The service keeps no session
+        #: alive — the artifact LRU bounds its memory, not its history.
+        self._specs = weakref.WeakKeyDictionary()
         #: Attached streams, for :meth:`close` to detach.
         self._streams = weakref.WeakSet()
         self._closed = False
@@ -257,7 +244,7 @@ class QueryService:
             self._run_batch,
             workers=self.workers,
             max_pending=max_pending,
-            max_batch=max_batch,
+            max_batch=MAX_BATCH,
         )
 
     # ------------------------------------------------------------------
@@ -729,19 +716,11 @@ class QueryService:
         pool = self._pool
         key = phase1_key(jobs[0].work.config)
         with self._lock:
-            # Lives exactly as long as the session (see ``_pool_state``).
-            remotes = self._pool_state.setdefault(session, {})
-            remote = remotes.get(key)
-            if remote is None:
-                remote = remotes[key] = _Remote(
-                    ship_spec(session, entries), pool.restarts)
-            elif remote.restarts != pool.restarts:
-                # A worker died, and with it whatever of those frames it
-                # held; its replacement starts with an empty cache.
-                remote.position = 0
-                remote.restarts = pool.restarts
-            cache_items, remote.position = \
-                session.shared_score_cache.since(remote.position)
+            # Lives exactly as long as the session (see ``_specs``).
+            specs = self._specs.setdefault(session, {})
+            if key not in specs:
+                specs[key] = ship_spec(session, entries)
+            spec = specs[key]
         lane_spans = [
             None if span is None else job.trace.start_span(
                 "lane_dispatch", category="service",
@@ -750,10 +729,8 @@ class QueryService:
         ]
         result = run_batch_in_pool(
             pool,
-            spec=remote.spec,
+            spec=spec,
             plans=[job.work for job in jobs],
-            shared_cache=session.shared_score_cache,
-            cache_items=cache_items,
             traced=any(span is not None for span in spans),
         )
         # Re-parent worker-side spans under each query's lane-dispatch

@@ -613,12 +613,6 @@ class Tracer:
             recent = recent[:limit]
         return [trace.summary() for trace in recent]
 
-    def chrome(self, traces: Optional[Sequence[Trace]] = None):
-        """Chrome ``trace_event`` JSON for retained (or given) traces."""
-        from .exporters import chrome_trace
-
-        return chrome_trace(self.traces() if traces is None else traces)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracer(retained={len(self._ring)}, completed={self.completed})"
 
@@ -654,9 +648,6 @@ class NullTracer:
 
     def summaries(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
         return []
-
-    def chrome(self, traces=None) -> Dict[str, object]:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullTracer()"

@@ -310,7 +310,7 @@ def test_a_warm_service_corpus_query_creates_no_pool_task(
 
     corpus = VideoCorpus.open(member_videos, udf, config=CORPUS_CONFIG)
     tasks = []
-    real = PersistentPool._submit
+    real = PersistentPool._run
 
     def spy(pool, *args, **kwargs):
         tasks.append(args)
@@ -319,7 +319,7 @@ def test_a_warm_service_corpus_query_creates_no_pool_task(
     try:
         with QueryService(workers=2, use_processes=True) as service:
             service.submit(query(2, 0.5)).result(240)  # Phase 1 warms here
-            monkeypatch.setattr(PersistentPool, "_submit", spy)
+            monkeypatch.setattr(PersistentPool, "_run", spy)
             outcome = service.submit(query(12, 0.99)).outcome(240)
             report, fresh = outcome.report, outcome.fresh_confirm_calls
     finally:

@@ -19,7 +19,7 @@ A cell fails when the one-sided 95 % Clopper–Pearson upper bound on its
 success rate is below ``thres``. The vlog end-to-end cells fail: the
 difference detector drops the frames that hold the true Top-K, while
 the guarantee over D0 holds. They are strict xfails, so the fix
-(ROADMAP item 2, a per-video difference threshold) has to flip them.
+(ROADMAP item 3, a per-video difference threshold) has to flip them.
 
 These definitions live in :mod:`repro.experiments.guarantee_audit`,
 whose full matrix ``benchmarks/bench_guarantee.py`` writes to
@@ -62,7 +62,7 @@ FAMILIES = {
 VLOG_DIFF_LOSS = pytest.mark.xfail(
     strict=True,
     reason="vlog's true Top-K sits among frames the fixed 1e-4 "
-           "difference threshold discards; ROADMAP item 2 calibrates "
+           "difference threshold discards; ROADMAP item 3 calibrates "
            "the threshold per video")
 
 

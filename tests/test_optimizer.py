@@ -256,7 +256,7 @@ class TestServiceIntegration:
                     if name != "self"]
 
         assert parameters(QueryService.__init__) == [
-            "workers", "use_processes", "max_pending", "max_batch",
+            "workers", "use_processes", "max_pending",
             "artifact_entries", "warm_dir", "tracer"]
         assert parameters(FairScheduler.__init__) == [
             "run_batch", "workers", "max_pending", "max_batch"]

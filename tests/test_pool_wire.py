@@ -1,24 +1,26 @@
 """The ``Shipped`` wire protocol, counted (DESIGN.md §6).
 
-A handle crosses the pipe bare; a worker that was never sent its key
-answers :class:`~repro.parallel.pool.NotShipped` before the task runs,
-and ``PersistentPool.call`` sends that task again with the blob.
-``tests/test_parallel_pool.py`` pins what the three call sites ship;
-this file counts what the protocol itself does.
+A handle crosses the pipe bare; the pool records what each worker
+holds and writes every task with what its worker lacks, so one task is
+written per call and a blob crosses once per worker.
+``tests/test_parallel_pool.py`` pins what the service ships; this file
+counts what the protocol itself does, at the pipe.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import threading
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
 
-from repro.parallel.pool import NotShipped, PersistentPool, Shipped
+from repro.parallel.pool import PersistentPool, Shipped
 from repro.trace import Tracer, active_span
 
 WAIT = 60.0
@@ -48,11 +50,7 @@ class _Nested:
 
 
 def _run(handle, directory: str, index: int):
-    """One task: a side effect *first*, then the resolve.
-
-    Only a protocol that finds the miss before the task runs keeps the
-    side effect at one per task.
-    """
+    """One task: a side effect *first*, then the resolve."""
     with open(Path(directory, f"task-{index}"), "a") as log:
         log.write("x")
     if isinstance(handle, _Nested):
@@ -61,53 +59,83 @@ def _run(handle, directory: str, index: int):
     return os.getpid(), _UNPICKLED[obj.name]
 
 
-def _carries(pool):
-    """Record the ``carry`` flag of every task the pool submits."""
-    flags, real = [], pool._submit
+def _resolve_then_raise(handle):
+    handle.resolve()
+    raise LookupError("after the resolve")
 
-    def spy(payload, handles, *, carry):
-        flags.append(carry)
-        return real(payload, handles, carry=carry)
 
-    pool._submit = spy
-    return flags
+def _written(monkeypatch):
+    """Every task the parent writes into a worker's pipe, as
+    ``(pipe, keys whose blob it carries)``."""
+    written, real, parent = [], Connection.send_bytes, os.getpid()
+
+    def spy(conn, data, *args):
+        if data and os.getpid() == parent:  # not a stop, not an answer
+            _, parts = pickle.loads(data)
+            written.append((id(conn), {
+                key for key, (blob, _) in parts.items() if blob is not None}))
+        return real(conn, data, *args)
+
+    monkeypatch.setattr(Connection, "send_bytes", spy)
+    return written
 
 
 @pytest.mark.parametrize("wrap", [
     lambda handle: handle,
     lambda handle: _Nested(deep=[{"handle": handle}]),
 ], ids=["argument", "nested"])
-def test_a_blob_crosses_once_per_worker_and_a_missed_task_runs_once(
-        tmp_path, wrap):
+def test_a_blob_crosses_once_per_worker_and_each_task_runs_once(
+        tmp_path, monkeypatch, wrap):
     name = f"counted-{os.path.basename(tmp_path)}"
     handle = Shipped(_Counted(name))
     key = handle.key
     tasks, workers = 12, 2
     with PersistentPool(workers) as pool:
-        carries = _carries(pool)
-        answers, rounds = [], []
-        for round_ in range(2):
-            answers += [
-                pool.call(_run, wrap(handle), str(tmp_path), index)
-                for index in range(round_ * tasks, (round_ + 1) * tasks)]
-            rounds.append(carries[:])
-            del carries[:]
+        written = _written(monkeypatch)
+        answers = [
+            pool.call(_run, wrap(handle), str(tmp_path), index)
+            for index in range(tasks)]
+        # One write per call; the blob rode the first one only.
+        assert [keys for _, keys in written] == \
+            [{key}] + [set()] * (tasks - 1)
     # Unpickled once in every worker that ran a task, however many.
     assert {count for _, count in answers} == {1}
     assert 1 <= len({pid for pid, _ in answers}) <= workers
     # Pickled once in the parent; the key never moved.
     assert _PICKLED[name] == 1 and handle.key == key
-    # Every task — the ones that drew a miss too — ran exactly once.
+    # Every task ran exactly once.
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(f"task-{i}" for i in range(2 * tasks))
+        sorted(f"task-{i}" for i in range(tasks))
     assert {p.read_text() for p in tmp_path.iterdir()} == {"x"}
-    # Every task goes bare first; a blob only follows a miss, and the
-    # cold round drew at least one. (The one-worker test below pins
-    # that a warm worker draws none.)
-    for sent in rounds:
-        assert sent.count(False) == tasks and sent[0] is False
-        assert (True, True) not in set(zip(sent, sent[1:]))
-    assert len(rounds[0]) > tasks
+
+
+def test_n_calls_on_two_workers_write_n_tasks_and_a_blob_once_each(
+        tmp_path, monkeypatch):
+    name = "two-workers"
+    handle = Shipped(_Counted(name))
+    calls, barrier = 40, threading.Barrier(2)
+
+    def caller(pool, first):
+        barrier.wait()  # both callers in flight: both workers start
+        return [pool.call(_run, handle, str(tmp_path), index)
+                for index in range(first, calls, 2)]
+
+    with PersistentPool(2) as pool:
+        written = _written(monkeypatch)
+        threads = [threading.Thread(target=caller, args=(pool, first))
+                   for first in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(WAIT)
+        answers = [pool.call(_run, handle, str(tmp_path), calls + i)
+                   for i in range(2)]
+    assert len(written) == calls + 2
+    blobs = Counter(pipe for pipe, keys in written if keys)
+    assert set(blobs.values()) == {1} and 1 <= len(blobs) <= 2
+    assert all(keys <= {handle.key} for _, keys in written)
+    assert {count for _, count in answers} == {1}
+    assert len(list(tmp_path.iterdir())) == calls + 2
 
 
 def test_a_bare_handle_is_small_and_says_so_when_unknown():
@@ -116,35 +144,53 @@ def test_a_bare_handle_is_small_and_says_so_when_unknown():
     assert len(handle.blob) > 16_000 and len(wire) < 200
     arrived = pickle.loads(wire)
     assert (arrived.key, arrived.blob) == (handle.key, None)
-    with pytest.raises(NotShipped):
+    with pytest.raises(KeyError):
         arrived.resolve()
 
 
-def test_a_fresh_worker_is_sent_the_blob_again(tmp_path):
+def test_a_fresh_worker_is_sent_the_blob_again(tmp_path, monkeypatch):
     handle = Shipped(_Counted("after-restart"))
     with PersistentPool(1) as pool:
-        carries = _carries(pool)
+        written = _written(monkeypatch)
         first = pool.call(_run, handle, str(tmp_path), 0)
         warm = pool.call(_run, handle, str(tmp_path), 1)
-        assert carries == [False, True, False] and warm == first
+        assert [keys for _, keys in written] == [{handle.key}, set()]
+        assert warm == first
         with pytest.raises(BrokenProcessPool):
             pool.submit(os._exit, 1).result(WAIT)
-        del carries[:]
+        del written[:]
         second = pool.call(_run, handle, str(tmp_path), 2)
-        # The new worker missed, was sent the blob, unpickled it once.
-        assert carries == [False, True]
+        # The dead worker took its record along: its replacement was
+        # sent the blob with the task and unpickled it once.
+        assert [keys for _, keys in written] == [{handle.key}]
         assert second[0] != first[0] and second[1] == 1
     assert _PICKLED["after-restart"] == 1
     assert {p.read_text() for p in tmp_path.iterdir()} == {"x"}
 
 
-def test_submit_carries_the_blob_it_cannot_be_asked_for(tmp_path):
+def test_submit_and_call_send_a_blob_the_same_once(tmp_path, monkeypatch):
     handle = Shipped(_Counted("submitted"))
     with PersistentPool(1) as pool:
-        for index in range(2):
-            _, count = pool.submit(
-                _run, handle, str(tmp_path), index).result(WAIT)
-            assert count == 1
+        written = _written(monkeypatch)
+        _, count = pool.submit(_run, handle, str(tmp_path), 0).result(WAIT)
+        assert count == 1
+        assert pool.call(_run, handle, str(tmp_path), 1)[1] == 1
+    assert [keys for _, keys in written] == [{handle.key}, set()]
+
+
+def test_a_task_that_raises_leaves_the_record_as_it_was(
+        tmp_path, monkeypatch):
+    handle = Shipped(_Counted("raised"))
+    with PersistentPool(1) as pool:
+        written = _written(monkeypatch)
+        with pytest.raises(LookupError, match="after the resolve"):
+            pool.call(_resolve_then_raise, handle)
+        # Sent again, since the worker never answered for it; the
+        # worker already holds the key, so it ignores the blob.
+        assert pool.call(_run, handle, str(tmp_path), 0)[1] == 1
+        assert pool.call(_run, handle, str(tmp_path), 1)[1] == 1
+    assert [keys for _, keys in written] == \
+        [{handle.key}, {handle.key}, set()]
 
 
 def _inside_a_span() -> bool:

@@ -10,6 +10,7 @@ score cache, and the streaming attachment hooks.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import threading
 import time
@@ -48,7 +49,8 @@ class WorkerKillingTraffic(TrafficVideo):
     """Kills the first *other* process that reads a frame while armed.
 
     The fuse is a file, so exactly one worker dies however many hold a
-    copy of the video; the arming process itself is immune.
+    copy of the video; the arming process itself is immune. The worker
+    leaves its pid beside the fuse.
     """
 
     def arm(self, fuse) -> None:
@@ -58,6 +60,8 @@ class WorkerKillingTraffic(TrafficVideo):
     def frame(self, index):
         if os.getpid() != self._home and os.path.exists(self._fuse):
             os.remove(self._fuse)
+            with open(self._fuse + ".pid", "w") as victim:
+                victim.write(str(os.getpid()))
             os._exit(1)
         return super().frame(index)
 
@@ -624,7 +628,10 @@ class TestQueryServiceSurface:
             stats = service.stats()
             assert (stats.builds, stats.failed,
                     stats.warm_writes) == (1, 1, 1)
-            assert service._pool.restarts == 1
+            # The dead worker is gone; a replacement answered.
+            victim = int((tmp_path / "fuse.pid").read_text())
+            alive = {c.pid for c in multiprocessing.active_children()}
+            assert victim not in alive and alive
             assert len(service.outcomes()) == 1
         inline = Session(video, counting_udf("car"), config=comp_cfg)
         assert report.to_json() == inline.execute(plan).to_json()

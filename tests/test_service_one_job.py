@@ -13,8 +13,9 @@ Three kinds of pins:
   ``count``.
 * **The defects the copies had drifted into**, each failing before the
   collapse: the service outliving its sessions, a trace and a plan
-  naming a lane that did not run, a stale score-cache position after a
-  pool restart — and a session outliving its process-lane service. (The
+  naming a lane that did not run, a worker after a pool restart sent
+  less of the score cache than it lacked — and a session outliving its
+  process-lane service. (The
   shared exception instance sits next to its scheduler twin in
   ``test_scheduler_regressions.py``.)
 
@@ -29,6 +30,7 @@ import ast
 import dataclasses
 import gc
 import json
+import multiprocessing
 import os
 import pathlib
 import sys
@@ -380,35 +382,45 @@ def test_the_service_does_not_outlive_its_sessions():
         assert (stats.resident_entries, stats.evictions) == (1, 3)
 
 
+def _sent(monkeypatch):
+    """What each process-lane batch carried of its spec, as
+    ``(spec key, whether the blob went, score-cache tail)``."""
+    from repro.service.backend import SpecHandle
+
+    sent, real = [], SpecHandle.wire
+
+    def spy(handle, held):
+        blob, tail, after = real(handle, held)
+        sent.append((handle.key, blob is not None, tail))
+        return blob, tail, after
+
+    monkeypatch.setattr(SpecHandle, "wire", spy)
+    return sent
+
+
+def _children():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 def test_a_held_session_keeps_what_the_pool_has_of_it(monkeypatch):
-    import repro.service.service as service_module
-
-    ships = []
-    real = service_module.run_batch_in_pool
-
-    def spy(pool, **kwargs):
-        ships.append((kwargs["spec"].key, len(kwargs["cache_items"])))
-        return real(pool, **kwargs)
-
-    monkeypatch.setattr(service_module, "run_batch_in_pool", spy)
+    sent = _sent(monkeypatch)
     with QueryService(workers=1, use_processes=True) as service:
         session = service.open_session(
             TrafficVideo("held", 300, seed=81), counting_udf("car"),
             config=FAST)
-        positions, sizes = [], []
+        sizes = []
         for k in (2, 4, 6):
             gc.collect()
             sizes.append(len(session.shared_score_cache))
             service.submit(_plan(session, k), session=session).result(WAIT)
-            (remote,) = service._pool_state[session].values()
-            positions.append(remote.position)
-    # Pickled once. Each batch carried the cache's tail past the
-    # position the batch before it left, and moved the position to the
-    # end of what it sent: forward only.
-    assert len({key for key, _ in ships}) == 1
-    assert positions == sizes == sorted(positions) and positions[1] > 0
-    assert [sent for _, sent in ships] == [
-        after - before for before, after in zip([0, *positions], positions)]
+    # Pickled once, and its blob sent once. Each batch carried the
+    # cache's tail past what the one worker held — the cache's length
+    # when the batch before it was sent: forward only.
+    assert len({key for key, _, _ in sent}) == 1
+    assert [blob for _, blob, _ in sent] == [True, False, False]
+    assert sizes == sorted(sizes) and sizes[1] > 0
+    assert [len(tail) for _, _, tail in sent] == [
+        after - before for before, after in zip([0, *sizes], sizes)]
 
 
 def test_close_detaches_attached_streams_and_nothing_else():
@@ -499,7 +511,7 @@ def test_the_plan_names_the_lane_that_will_run(pooled_traced):
         assert _execute_span(tracer, future).attrs["lane"] == lane
 
 
-def test_a_pooled_batch_returns_exactly_its_cache_misses():
+def test_a_pooled_batch_returns_exactly_its_cache_misses(monkeypatch):
     """A worker ships back the union of its plans' fresh revelations —
     over a recorded batch sequence, exactly the diff of its whole score
     cache across the batch (the frames neither the parent shipped nor
@@ -507,6 +519,7 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses():
     from repro.parallel import pool as pool_module
     from repro.service.backend import _service_worker_run
 
+    sent = _sent(monkeypatch)
     with QueryService(workers=1, use_processes=True) as service:
         session = service.open_session(
             TrafficVideo("revelations", 700, seed=102), counting_udf("car"),
@@ -517,7 +530,7 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses():
         def spy(fn, *args):
             result = real_call(fn, *args)
             if fn is _service_worker_run:
-                recorded.append((args[0], result.new_scores))
+                recorded.append((args[0], sent[-1][2], result.new_scores))
             return result
 
         service._pool.call = spy
@@ -530,14 +543,16 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses():
         window = session.query().topk(4).guarantee(0.9).windows(size=30)
         service.submit(window.plan(), session=session).result(WAIT)
 
-    assert [len(task.plans) for task, _ in recorded] == [2, 1, 3, 1]
-    assert any(new_scores for _, new_scores in recorded)
+    assert [len(task.plans) for task, _, _ in recorded] == [2, 1, 3, 1]
+    assert any(new_scores for _, _, new_scores in recorded)
     # Replay the sequence in this process on the spec the worker held.
-    keys = {task.spec.key for task, _ in recorded}
+    keys = {task.spec.key for task, _, _ in recorded}
     try:
-        for task, shipped_back in recorded:
-            cache = task.spec.resolve().session.shared_score_cache
-            before = set(cache.as_dict()) | {f for f, _ in task.cache_items}
+        for task, tail, shipped_back in recorded:
+            spec = task.spec.resolve()
+            spec.merge(tail)
+            cache = spec.session.shared_score_cache
+            before = set(cache.as_dict())
             new_scores = _service_worker_run(task).new_scores
             diff = {frame: score for frame, score in cache.as_dict().items()
                     if frame not in before}
@@ -547,13 +562,47 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses():
             pool_module._WORKER_MEMO.pop(key, None)
 
 
-def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
+def test_a_batch_rescores_no_frame_the_parent_held_when_it_was_sent():
+    """Two workers: a batch used to carry the cache's tail past the
+    position the spec's previous batch left, wherever that batch ran,
+    so a worker lacked what its sibling had been sent and re-scored
+    it."""
+    from repro.service.backend import _service_worker_run
+
+    others = _children()
+    with QueryService(workers=2, use_processes=True) as service:
+        session = service.open_session(
+            TrafficVideo("held-at-send", 700, seed=103), counting_udf("car"),
+            config=FAST)
+        cache, batches, rescored = session.shared_score_cache, [], []
+        real_call = service._pool.call
+
+        def spy(fn, *args):
+            held = set(cache.as_dict())  # the cache only grows
+            result = real_call(fn, *args)
+            if fn is _service_worker_run:
+                batches.append(len(args[0].plans))
+                rescored.extend(sorted(set(result.new_scores) & held))
+            return result
+
+        service._pool.call = spy
+        service.submit(_plan(session, 3), session=session).result(WAIT)
+        futures = [
+            service.submit(_plan(session, k), session=session, tenant=tenant)
+            for k in range(4, 40, 3) for tenant in ("a", "b")]
+        service.gather(futures, timeout=WAIT)
+        assert len(_children() - others) == 2
+    assert len(batches) > 2
+    assert rescored == []
+
+
+def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(
+        tmp_path, monkeypatch):
     """ROADMAP 6(v): after a restart the position past which a spec's
     batches send the score cache described workers that no longer
     existed, so later batches shipped a delta the new workers could
     not use and re-revealed physically."""
     from repro.errors import ServiceError
-    from repro.service.backend import _service_worker_run
 
     udf = counting_udf("car")
     video = WorkerKillingTraffic("restart", 600, seed=101)
@@ -567,20 +616,13 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
             inline.submit(_plan(twin, k), session=twin).outcome(WAIT)
             for k in (3, 20)]
 
+    sent, others = _sent(monkeypatch), _children()
     with QueryService(workers=1, use_processes=True) as service:
         session = service.open_session(video, udf, config=FAST)
-        sent = []
-        real_call = service._pool.call
-
-        def spy(fn, *args):
-            if fn is _service_worker_run:  # not the Phase-1 build
-                sent.append(len(args[0].cache_items))
-            return real_call(fn, *args)
-
-        service._pool.call = spy
         outcomes = [
             service.submit(_plan(session, 3), session=session).outcome(WAIT)]
         first = len(session.shared_score_cache)
+        (worker,) = _children() - others
         fuse.touch()
         with pytest.raises(ServiceError):
             service.submit(_plan(session, 20), session=session).result(WAIT)
@@ -589,9 +631,11 @@ def test_a_pool_restart_forgets_what_the_dead_workers_were_sent(tmp_path):
         outcomes.append(
             service.submit(_plan(session, 20), session=session).outcome(WAIT))
         # The killed batch carried the first one's revelations; the
-        # first batch after the restart carried the whole cache …
-        assert sent == [0, first, cached] and cached > 0
-        assert service._pool.restarts == 1
+        # replacement worker was sent the spec and the whole cache …
+        assert [(blob, len(tail)) for _, blob, tail in sent] == \
+            [(True, 0), (False, first), (True, cached)] and cached > 0
+        (replacement,) = _children() - others
+        assert replacement != worker
     # … so it paid no physical confirmation for a frame the parent
     # already held: exactly what the inline lane pays for the plan.
     assert [o.report.to_json() for o in outcomes] == \

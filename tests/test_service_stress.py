@@ -172,8 +172,7 @@ def test_cross_session_same_content_shares_one_build(fast_cfg):
 
 def test_admission_control_and_close_errors(fast_cfg):
     session_video = _video("stress-adm", 13)
-    service = QueryService(
-        workers=1, use_processes=False, max_pending=1, max_batch=1)
+    service = QueryService(workers=1, use_processes=False, max_pending=1)
     accepted = []
     try:
         session = service.open_session(

@@ -431,7 +431,7 @@ def test_chrome_export_is_loadable_and_nested():
             add_event("mark", hit=True)
             with span("child", category="code"):
                 pass
-    document = tracer.chrome()
+    document = chrome_trace(tracer.traces())
     parsed = json.loads(json.dumps(document))
     assert parsed["displayTimeUnit"] == "ms"
     events = parsed["traceEvents"]
