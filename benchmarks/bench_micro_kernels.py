@@ -20,9 +20,10 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
   render's split into noiseless scenes and sensor noise (one render
   block), µs per row featurized (the frozen two-partition
   reference vs the one-sort extractor, a 512-row block and a 170-row
-  append), µs per relation build at a live window's size, and the
-  renders / featurized rows of one build (recorded, not gated —
-  DESIGN.md §3).
+  append), µs to quantize one 512-row block of 5-component mixtures
+  onto 17 levels and an append's 170 fresh rows, µs per relation build
+  at a live window's size, and the renders / featurized rows of one
+  build (recorded, not gated — DESIGN.md §3).
 """
 
 import sys
@@ -374,6 +375,17 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     assert len(metrics) == 9
 
 
+def _cmdn_like_mixtures(rows, components, seed=0):
+    """Mixtures shaped like a traffic CMDN's output: counts of a few
+    cars, component sigmas from the floor to about 2."""
+    rng = np.random.default_rng(seed)
+    return GaussianMixture(
+        pi=rng.dirichlet(np.full(components, 0.3), rows),
+        mu=rng.gamma(2.0, 1.2, size=(rows, components)) - 0.5,
+        sigma=np.clip(rng.lognormal(-0.6, 0.9, (rows, components)),
+                      1e-3, 4.0))
+
+
 def _live_window_relation_inputs(seed=0):
     """``build_relation``'s arguments at a live window's size, as the
     Phase-1 maintainer passes them: 1 300 retained rows of a
@@ -429,6 +441,14 @@ def test_phase1_frame_costs(benchmark, monkeypatch):
         "phase1_render_one_frame_us": best_us_per_row(
             lambda: video.pixels(1_234), 1, rounds=200),
     }
+    # Quantizing one inference block, and the fresh rows of an append.
+    block_mixtures = _cmdn_like_mixtures(512, 5)
+    levels = QuantizationGrid(floor=0.0, step=1.0, num_levels=17)
+    metrics["phase1_quantize_us_per_block"] = best_us_per_row(
+        lambda: uncertain.quantize_mixtures(block_mixtures, levels), 1)
+    fresh = block_mixtures.select(slice(0, 170))
+    metrics["phase1_quantize_append_170_us"] = best_us_per_row(
+        lambda: uncertain.quantize_mixtures(fresh, levels), 1)
     # The relation takes its pmf over: one fresh copy per round.
     arguments = _live_window_relation_inputs()
     pmfs = [arguments["pmf"].copy() for _ in range(15)]

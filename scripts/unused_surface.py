@@ -67,7 +67,7 @@ KEPT_FOR_TESTS: Dict[str, str] = {
         "the checked batch removal (duplicates refused) the property "
         "tests drive; the cleaner calls the unchecked _remove_rows",
     "GaussianMixture.pdf":
-        "the mixture density the tests integrate against its CDF",
+        "the mixture density the tests integrate to one",
     "MDNHead.nll":
         "the head's loss alone, for the finite-difference gradient check",
     "MixtureDensityNetwork.num_parameters":

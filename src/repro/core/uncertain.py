@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ConfigurationError, UncertainRelationError
 from ..models.mdn import GaussianMixture
@@ -133,33 +132,193 @@ def quantize_mixtures(
     mass is spread evenly over the bins intersecting that range (the
     paper's "set to zero and evenly distributed to the rest"). Component
     pmfs are then mixed by ``pi`` and renormalized.
+
+    The normal CDF is evaluated in one call, once per distinct clipped
+    edge: adjacent bins share an edge, every edge clipped to one bound
+    of a component takes that bound's value, and the bounds (all
+    ``≈ ±k``) are deduped across components by one sort — a 512-row
+    block of 5 components on 17 levels has 46 080 clipped edges and,
+    in a traffic build, about 10 000 distinct values.
     """
     n, g = mixtures.pi.shape
-    edges = grid.edges()  # (L+1,)
-    pmf = np.zeros((n, grid.num_levels))
-    if n == 0:
-        return pmf
+    if not mixtures.pi.size:
+        return np.zeros((n, grid.num_levels))
 
-    lo = (mixtures.mu - TRUNCATE_SIGMAS * mixtures.sigma)  # (N, g)
-    hi = (mixtures.mu + TRUNCATE_SIGMAS * mixtures.sigma)
-    for j in range(g):
-        mu = mixtures.mu[:, j][:, None]
-        sigma = mixtures.sigma[:, j][:, None]
-        clipped = np.clip(edges[None, :], lo[:, j][:, None], hi[:, j][:, None])
-        clipped_lo, clipped_hi = clipped[:, :-1], clipped[:, 1:]
-        # Adjacent bins share an edge: one ndtr per clipped edge.
-        cdf = ndtr((clipped - mu) / sigma)
-        mass = cdf[:, 1:] - cdf[:, :-1]
-        # Spread the trimmed tail mass evenly over the touched bins.
-        touched = clipped_hi > clipped_lo
-        num_touched = np.maximum(touched.sum(axis=1, keepdims=True), 1)
-        trimmed = 1.0 - mass.sum(axis=1, keepdims=True)
-        mass = mass + touched * (trimmed / num_touched)
-        pmf += mixtures.pi[:, j][:, None] * mass
+    # One column per component, one row per edge: every step below
+    # runs along the long axis.
+    mu, sigma = mixtures.mu.ravel(), mixtures.sigma.ravel()
+    lo = mu - TRUNCATE_SIGMAS * sigma
+    hi = mu + TRUNCATE_SIGMAS * sigma
+    clipped = np.clip(grid.edges()[:, None], lo, hi)  # (L+1, N*g)
+    on_lo = clipped == lo
+    # Index, not mask: a boolean gather and scatter cost more.
+    inner = np.flatnonzero(~on_lo & (clipped != hi))
+    bounds = np.concatenate(((lo - mu) / sigma, (hi - mu) / sigma))
+    distinct = np.sort(bounds)
+    distinct = distinct[np.concatenate(
+        ([True], distinct[1:] != distinct[:-1]))]
+    cdf = clipped - mu
+    cdf /= sigma
+    flat = cdf.reshape(-1)
+    values = _ndtr(np.concatenate((distinct, flat[inner])))
+    at_bounds = values[np.searchsorted(distinct, bounds)]
+    cdf[...] = at_bounds[mu.size:]
+    np.copyto(cdf, at_bounds[:mu.size], where=on_lo)
+    flat[inner] = values[distinct.size:]
 
+    # Spread the trimmed tail mass evenly over the touched bins. Each
+    # component's mass is summed along its own row, in NumPy's pairwise
+    # order, as a row-major layout sums it. Large temporaries reuse the
+    # two buffers: fresh pages cost more than the arithmetic here.
+    touched = clipped[1:] > clipped[:-1]
+    mass = np.subtract(cdf[1:], cdf[:-1], out=clipped[:-1])  # (L, N*g)
+    rows = flat[:mass.size].reshape(mass.shape[::-1])
+    np.copyto(rows, mass.T)
+    trimmed = 1.0 - rows.sum(axis=1)
+    mass += np.multiply(
+        touched, trimmed / np.maximum(touched.sum(axis=0), 1),
+        out=rows.reshape(mass.shape))
+    mass *= mixtures.pi.ravel()
+    pmf = np.zeros((grid.num_levels, n))
+    for j in range(g):  # component order: the sum's rounding
+        pmf += mass[:, j::g]
+
+    pmf = pmf.T.copy()
     totals = pmf.sum(axis=1, keepdims=True)
     totals[totals <= 0] = 1.0
     return np.clip(pmf / totals, 0.0, None)
+
+
+# ----------------------------------------------------------------------
+# The normal CDF (DESIGN.md §3)
+#
+# Cephes' ``ndtr`` / ``erf`` / ``erfc`` — what SciPy's ``special.ndtr``
+# computes for a float64 — operation for operation: the same rational
+# approximations, Horner steps in ``polevl`` / ``p1evl`` order, and the
+# C library's ``exp``. NumPy's own real ``exp`` is a SIMD kernel that
+# parts from the C library's in the last bit on some inputs (≈5 % of
+# them on an AVX-512 machine); the real part of NumPy's *complex*
+# ``exp`` of ``x + 0j`` is the C library's ``cexp``, which is ``exp(x)``
+# exactly. ``tests/test_ndtr.py`` pins the port to SciPy and that route
+# to ``math.exp``, bit for bit.
+
+#: Cephes' ``M_SQRT1_2`` and ``MAXLOG`` (``log(DBL_MAX)``).
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+
+#: ``erf(x) = x T(x^2) / U(x^2)`` for ``|x| <= 1`` (``U`` monic).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+#: ``erfc(x) = exp(-x^2) P(x) / Q(x)`` for ``1 <= x < 8`` (``Q`` monic).
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+#: ``erfc(x) = exp(-x^2) R(x) / S(x)`` for ``x >= 8`` (``S`` monic).
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes' ``polevl``: ``coef[0] x^n + ... + coef[n]`` by Horner."""
+    out = x * coef[0]
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes' ``p1evl``: :func:`_polevl` with an implied leading 1."""
+    out = x + coef[0]
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """The C library's ``exp``, element-wise (see the section note)."""
+    return np.exp(x.astype(np.complex128)).real
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes' ``erf`` for ``|x| < 1``."""
+    square = x * x
+    out = _polevl(square, _ERF_T)
+    out *= x
+    out /= _p1evl(square, _ERF_U)
+    return out
+
+
+def _half_erfc(z: np.ndarray) -> np.ndarray:
+    """``0.5 * erfc(z)`` by Cephes' ``erfc`` for ``z >= 1`` (or NaN):
+    ``exp(-z^2) P(z) / Q(z)`` below 8, ``R / S`` from there, and 0 once
+    ``-z^2`` is below ``-MAXLOG``."""
+    e = -z * z
+    small = z < 8.0
+    if small.all():
+        return _erfc_tail(z, e, _ERFC_P, _ERFC_Q)
+    out = np.zeros_like(z)
+    large = ~small & ~(e < -_MAXLOG)
+    for rows, p, q in ((small, _ERFC_P, _ERFC_Q),
+                       (large, _ERFC_R, _ERFC_S)):
+        out[rows] = _erfc_tail(z[rows], e[rows], p, q)
+    return out
+
+
+def _erfc_tail(z: np.ndarray, e: np.ndarray, p, q) -> np.ndarray:
+    """``0.5 * exp(e) p(z) / q(z)``, in Cephes' order."""
+    out = _polevl(z, p)
+    out *= _exp(e)
+    out /= _p1evl(z, q)
+    out *= 0.5
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each value of ``a``, bit for bit
+    SciPy's ``special.ndtr`` (Cephes: ``0.5 + 0.5 erf(x)`` for
+    ``|x| < sqrt(1/2)``, else ``0.5 erfc(|x|)`` or one minus it, where
+    ``x = a / sqrt 2`` and ``erfc = 1 - erf`` below 1).
+
+    The values are grouped by branch with one stable sort of a
+    one-byte key, so each branch works on a slice: a boolean gather
+    and scatter per branch would cost more than the sort.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        flat = np.asarray(a, dtype=np.float64).ravel() * _SQRT1_2
+        magnitude = np.abs(flat)
+        branch = (magnitude >= _SQRT1_2).view(np.uint8) \
+            + (magnitude >= 1.0).view(np.uint8)
+        order = np.argsort(branch, kind="stable")
+        mid, far = np.searchsorted(branch[order], (1, 2))
+        x = flat[order]
+        z = np.abs(x)
+        y = np.empty_like(x)
+        y[:mid] = 0.5 + 0.5 * _erf(x[:mid])
+        half = np.empty(x.size - mid)  # 0.5 erfc(|x|)
+        half[:far - mid] = 0.5 * (1.0 - _erf(z[mid:far]))
+        half[far - mid:] = _half_erfc(z[far:])
+        y[mid:] = np.where(x[mid:] > 0, 1.0 - half, half)
+        y[np.isnan(z)] = np.nan  # Cephes' NaN, whatever the payload
+        out = np.empty_like(y)
+        out[order] = y
+    return out.reshape(np.shape(a))
 
 
 def all_distinct(values: np.ndarray) -> bool:

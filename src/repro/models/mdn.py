@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ShapeError
 from .layers import Layer, _he_init
@@ -117,11 +116,6 @@ class GaussianMixture:
         z = (x - self.mu) / self.sigma
         comp = np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2 * np.pi))
         return np.sum(self.pi * comp, axis=-1)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)[..., None]
-        return np.sum(
-            self.pi * ndtr((x - self.mu) / self.sigma), axis=-1)
 
     def log_likelihood(self, y: np.ndarray) -> np.ndarray:
         """Per-sample log p(y) for batched parameters."""

@@ -20,16 +20,18 @@ The wire protocol, stated once. Each worker owns one duplex pipe, and
 the caller's own thread writes the task to it and reads the answer
 back: no relay thread stands between. The pool keeps, per worker, a
 record of what it holds of each handle, so a task crosses as
-``(payload, parts)``: the pickled call, in which every :class:`Shipped`
-handle — at any depth — is *bare* (its key, no blob), and for each
-handle the call names, what that worker lacks of it
-(:meth:`Shipped.wire`). A blob therefore crosses once per worker, and
-a handle that keeps a log (a session spec with its score cache) sends
-each worker the tail past what that worker holds. The record grows
-only when the worker answers without raising, and dies with the
-worker, so a replacement is sent everything. Worker code never touches
-a lock it inherited from the parent (a worker forks while other
-threads hold theirs).
+``(payload, parts, dropped)``: the pickled call, in which every
+:class:`Shipped` handle — at any depth — is *bare* (its key, no blob);
+for each handle the call names, what that worker lacks of it
+(:meth:`Shipped.wire`); and the keys the worker holds whose handles
+the parent no longer has. A blob therefore crosses once per worker, a
+handle that keeps a log (a session spec with its score cache) sends
+each worker the tail past what that worker holds, and a worker keeps
+nothing the parent let go: it forgets the dropped keys before it runs
+the task. The record grows only when the worker answers without
+raising, and dies with the worker, so a replacement is sent
+everything. Worker code never touches a lock it inherited from the parent
+(a worker forks while other threads hold theirs).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import pickle
 import sys
 import threading
 import traceback
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -122,6 +125,11 @@ _WORKER_MEMO: Dict[int, object] = {}
 
 _SHIPPED_KEYS = itertools.count()
 
+#: The parent's handles by key, weakly: a key a worker holds and this
+#: no longer does is one the worker is told to drop.
+_LIVE: "weakref.WeakValueDictionary[int, Shipped]" = \
+    weakref.WeakValueDictionary()
+
 
 class Shipped:
     """A ship-once handle: pickled once here, unpickled once per worker.
@@ -132,15 +140,17 @@ class Shipped:
     alone; what a worker lacks of it travels beside the task (see the
     module docstring). A worker calls :meth:`resolve` and gets the same
     object ever after — so state a worker hangs off the object (a
-    rebuilt session, a local score cache) persists across tasks.
+    rebuilt session, a local score cache) persists across tasks, and
+    until the first task a worker runs after this handle is gone.
     """
 
-    __slots__ = ("key", "blob")
+    __slots__ = ("key", "blob", "__weakref__")
 
     def __init__(self, obj):
         #: Unique per parent process, which is the scope of a pool.
         self.key = next(_SHIPPED_KEYS)
         self.blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        _LIVE[self.key] = self
 
     def __getstate__(self):
         return (self.key,)
@@ -186,8 +196,15 @@ def _pickle_call(fn, args, kwargs) -> Tuple[bytes, Dict[int, Shipped]]:
     return buffer.getvalue(), pickler.handles
 
 
-def _run_call(payload: bytes, parts: Dict[int, Tuple[bytes, list]]):
-    """The worker side of every task: take what was sent, then run."""
+def _run_call(
+    payload: bytes,
+    parts: Dict[int, Tuple[bytes, list]],
+    dropped: List[int],
+):
+    """The worker side of every task: forget what the parent dropped,
+    take what was sent, then run."""
+    for key in dropped:
+        _WORKER_MEMO.pop(key, None)
     for key, (blob, tail) in parts.items():
         if key not in _WORKER_MEMO:  # a blob for a key held is ignored
             _WORKER_MEMO[key] = pickle.loads(blob)
@@ -245,7 +262,7 @@ def _unwrap(outcome):
 
 
 #: Workers fork, as the standard library's default on Linux does.
-#: Spawn would re-import numpy, scipy and the library in every worker:
+#: Spawn would re-import numpy and the library in every worker:
 #: ≈0.30 s to start one against ≈5 ms for a fork (DESIGN.md §6).
 _START = multiprocessing.get_context(
     "fork" if sys.platform.startswith("linux") else "spawn")
@@ -361,11 +378,14 @@ class PersistentPool:
 
         The task carries what that worker lacks of every handle it
         names, and the worker's record grows by it once the worker
-        answers without raising. A worker found dead at send time
-        (killed while idle) is replaced and the task goes to the next
-        one: nothing of it ran. A worker that dies under the task
-        raises :class:`~concurrent.futures.process.BrokenProcessPool`,
-        and it alone is replaced: its siblings keep what they hold.
+        answers without raising. It also names the keys the worker
+        holds whose handles are gone; they leave the record once the
+        worker answers at all (it drops them before anything else). A
+        worker found dead at send time (killed while idle) is replaced
+        and the task goes to the next one: nothing of it ran. A worker
+        that dies under the task raises
+        :class:`~concurrent.futures.process.BrokenProcessPool`, and it
+        alone is replaced: its siblings keep what they hold.
         """
         payload, handles = _pickle_call(fn, args, kwargs)
         for _ in range(self.workers + 1):
@@ -376,8 +396,9 @@ class PersistentPool:
                     blob, tail, held[key] = handle.wire(worker.held.get(key))
                     if blob is not None or tail:
                         parts[key] = blob, tail
+                dropped = [key for key in worker.held if key not in _LIVE]
                 worker.conn.send_bytes(pickle.dumps(
-                    (payload, parts), pickle.HIGHEST_PROTOCOL))
+                    (payload, parts, dropped), pickle.HIGHEST_PROTOCOL))
             except OSError:
                 self._retire(worker, died=True)
                 continue
@@ -399,6 +420,8 @@ class PersistentPool:
             self._retire(worker, died=True)
             raise
         try:
+            for key in dropped:
+                del worker.held[key]
             outcome = pickle.loads(answer)
             if outcome[0] is None:
                 worker.held.update(held)

@@ -16,10 +16,12 @@ bytes are pinned at three levels:
   scores a block assembled from kept and new rows (DESIGN.md §7). If
   it fails on some numpy, the failure is the finding: the cache must
   stop keeping rows there, not compare with a tolerance;
-* the two SciPy calls ``import repro`` no longer pays for, against
-  SciPy as the oracle: the AR(1) recursion of the synthetic generators
-  vs ``scipy.signal.lfilter`` and ``scipy.special.ndtr`` vs
-  ``scipy.stats.norm.cdf`` through both of its call sites — plus
+* the SciPy calls ``import repro`` no longer pays for, against SciPy
+  as the oracle: the AR(1) recursion of the synthetic generators vs
+  ``scipy.signal.lfilter`` and the in-house ``ndtr`` vs
+  ``scipy.stats.norm.cdf``, through ``quantize_mixtures`` and on
+  mixture CDFs at extreme ``z`` (``tests/test_ndtr.py`` pins the port
+  to ``scipy.special.ndtr`` itself) — plus
   sha256 digests of the generators' output for the seeds perfbench
   uses, recorded at commit ``ca02269`` before ``video/synthetic.py``
   changed.
@@ -38,7 +40,7 @@ from scipy.stats import norm
 from repro import EverestConfig, Session
 from repro.config import Phase1Config
 from repro.core.uncertain import (
-    TRUNCATE_SIGMAS, QuantizationGrid, quantize_mixtures)
+    TRUNCATE_SIGMAS, QuantizationGrid, _ndtr, quantize_mixtures)
 from repro.models import Adam, build_feature_mdn
 from repro.models.cmdn import ConvMDNProxy, FeatureMDNProxy
 from repro.models.mdn import QUIET, GaussianMixture, _row_logsumexp
@@ -373,7 +375,8 @@ def test_ndtr_matches_norm_cdf_bytes_through_both_call_sites(sigma_scale):
             rng.normal(6.0, 10.0, 394),
             [-np.inf, np.inf, -1e300, 1e300, 0.0, -0.0],
         ])
-        ours = mixtures.cdf(x)
+        ours = np.sum(mixtures.pi * _ndtr(
+            (x[..., None] - mixtures.mu) / mixtures.sigma), axis=-1)
         theirs = np.sum(mixtures.pi * norm.cdf(
             x[..., None], mixtures.mu, mixtures.sigma), axis=-1)
         assert ours.tobytes() == theirs.tobytes()

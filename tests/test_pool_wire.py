@@ -9,6 +9,7 @@ counts what the protocol itself does, at the pipe.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import threading
@@ -71,7 +72,7 @@ def _written(monkeypatch):
 
     def spy(conn, data, *args):
         if data and os.getpid() == parent:  # not a stop, not an answer
-            _, parts = pickle.loads(data)
+            _, parts, _ = pickle.loads(data)
             written.append((id(conn), {
                 key for key, (blob, _) in parts.items() if blob is not None}))
         return real(conn, data, *args)
@@ -191,6 +192,31 @@ def test_a_task_that_raises_leaves_the_record_as_it_was(
         assert pool.call(_run, handle, str(tmp_path), 1)[1] == 1
     assert [keys for _, keys in written] == \
         [{handle.key}, {handle.key}, set()]
+
+
+def _memo_keys():
+    from repro.parallel.pool import _WORKER_MEMO
+
+    return sorted(_WORKER_MEMO)
+
+
+def test_a_worker_drops_a_handle_the_parent_dropped(tmp_path):
+    kept, gone = Shipped(_Counted("kept")), Shipped(_Counted("gone"))
+    with PersistentPool(1) as pool:
+        # What the worker forked with (handles the parent resolved).
+        inherited = set(pool.call(_memo_keys))
+        pool.call(_run, kept, str(tmp_path), 0)
+        pool.call(_run, gone, str(tmp_path), 1)
+        assert set(pool.call(_memo_keys)) - inherited == {kept.key, gone.key}
+        (worker,) = pool._idle
+        assert sorted(worker.held) == sorted([kept.key, gone.key])
+        del gone
+        gc.collect()
+        # The next task, whatever it names, carries the drop.
+        assert set(pool.call(_memo_keys)) - inherited == {kept.key}
+        assert list(worker.held) == [kept.key]
+        # What is still held is not sent again.
+        assert pool.call(_run, kept, str(tmp_path), 2)[1] == 1
 
 
 def _inside_a_span() -> bool:

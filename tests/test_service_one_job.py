@@ -382,6 +382,35 @@ def test_the_service_does_not_outlive_its_sessions():
         assert (stats.resident_entries, stats.evictions) == (1, 3)
 
 
+def _worker_memo_keys() -> set:
+    from repro.parallel.pool import _WORKER_MEMO
+
+    return set(_WORKER_MEMO)
+
+
+def test_a_pool_worker_does_not_outlive_the_sessions_it_was_sent():
+    """The worker memoized every session spec it was ever sent, for the
+    pool's lifetime: after four sessions queried and dropped one after
+    another it held four (1, 2, 3, 4 as they came). A spec whose
+    session is gone is dropped with the worker's next task."""
+    udf = counting_udf("car")
+    held = []
+    with QueryService(
+            workers=1, use_processes=True, artifact_entries=1) as service:
+        # What the worker forked with (handles the parent resolved).
+        inherited = service._pool.call(_worker_memo_keys)
+        for i in range(4):
+            session = service.open_session(
+                TrafficVideo(f"dropped-{i}", 300, seed=90 + i), udf,
+                config=FAST)
+            service.submit(_plan(session, 3), session=session).result(WAIT)
+            held.append(len(service._pool.call(_worker_memo_keys) - inherited))
+            del session
+            gc.collect()
+        held.append(len(service._pool.call(_worker_memo_keys) - inherited))
+    assert held == [1, 1, 1, 1, 0]
+
+
 def _sent(monkeypatch):
     """What each process-lane batch carried of its spec, as
     ``(spec key, whether the blob went, score-cache tail)``."""
