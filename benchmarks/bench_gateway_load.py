@@ -220,6 +220,12 @@ def test_gateway_load(bench_scale, bench_strict, benchmark=None):
             f"p99 {p99:.2f}s exceeds the {scale_name} ceiling")
 
         service_stats = gateway.service.stats()
+        # Rows each hosted stream ran through its proxy network. Each
+        # stream owns its inference blocks, so the second stream over
+        # the same footage infers for itself.
+        inferred = {
+            stream_id: state.stream._maintainer.fresh_inferred_frames
+            for stream_id, state in sorted(gateway._streams.items())}
 
         # -- a slice replayed over the real HTTP server --------------
         http_spec = LoadSpec(
@@ -264,6 +270,8 @@ def test_gateway_load(bench_scale, bench_strict, benchmark=None):
         ["throughput", f"{throughput:.1f} q/s"],
         ["phase-1 hit rate",
          f"{service_stats.phase1_hit_rate:.2f}"],
+        ["stream rows inferred",
+         ", ".join(f"{sid} {rows}" for sid, rows in inferred.items())],
         ["max schedule lateness", f"{report.max_behind:.3f}s"],
         ["HTTP slice", f"{http_report.total(http_report.completed)} "
          f"queries byte-identical over sockets"],
@@ -295,6 +303,7 @@ def test_gateway_load(bench_scale, bench_strict, benchmark=None):
         wall_seconds=wall,
         max_behind_seconds=report.max_behind,
         phase1_hit_rate=service_stats.phase1_hit_rate,
+        stream_inferred_rows=inferred,
         byte_identical=True,
         metrics_reconciled=True,
         http_slice_completed=http_report.total(http_report.completed),

@@ -15,7 +15,6 @@ Honors the ambient switches::
 
     REPRO_TRACE=1              # what QueryService picks up by default
     REPRO_TRACE_LOG=/tmp/trace.jsonl   # rotated JSONL event log
-    REPRO_TRACE_PROFILE=1      # attach cProfile top-10s to spans
 
 then feed the log to ``scripts/trace_report.py`` (``--chrome`` for a
 flamegraph in about://tracing or https://ui.perfetto.dev).

@@ -665,16 +665,6 @@ class Session:
                     refresh_error = error
         return reports, executor.fresh_confirm_calls, refresh_error
 
-    def share_inference_cache(self, shared) -> None:
-        """Adopt a service-scope block-inference cache (DESIGN.md §8).
-
-        Proxy mixtures already inferred by sibling sessions over the
-        same artifact become free here (and vice versa). No-op on a
-        sliding window, whose evictions must stay its own.
-        """
-        self._require_live("share_inference_cache()")
-        self._maintainer.adopt_inference_cache(shared)
-
     def subscribe(self, query):
         """Register a query for per-event maintenance.
 

@@ -338,9 +338,8 @@ def _rows_by_id(
     ``held = (frame ids, their rows)`` (ids ascending) supplies the
     rows whose frame id matches; ``compute(missing ids)`` the rest.
     Matching is by frame id, so rows held for other frames — a retain
-    decision flipped since, a sibling session at another watermark —
-    are a miss, never a wrong row. Returns the rows and how many of
-    them were in hand.
+    decision a provisional clip flipped since — are a miss, never a
+    wrong row. Returns the rows and how many of them were in hand.
     """
     if held is None or not held[0].size:
         return compute(ids), 0
@@ -416,10 +415,9 @@ class BlockInferenceCache:
       where a block changed — and there only the rows whose frame id
       or mixture row moved (:func:`_requantize`).
 
-    Both kinds of derived rows are swapped in as one reference, never
-    written in place (sibling sessions may share the cache), are
-    bounded — fewer than a block of feature rows, pmf rows only for
-    blocks holding mixtures — and are left out of pickles.
+    Both kinds of derived rows are bounded — fewer than a block of
+    feature rows, pmf rows only for blocks holding mixtures — and are
+    left out of pickles.
 
     Blocks below a sliding window's edge hold no mixtures (memory and
     recompute proportional to the live window, not the prefix), but
@@ -450,14 +448,6 @@ class BlockInferenceCache:
     def __setstate__(self, state) -> None:
         self.__init__()
         self.__dict__.update(state)
-
-    def merge(self, other: "BlockInferenceCache") -> None:
-        """Take over everything ``other`` holds (its entries win)."""
-        self._blocks.update(other._blocks)
-        self._tops.update(other._tops)
-        self._pmfs.update(other._pmfs)
-        if other._tail is not None:
-            self._tail = other._tail
 
     def block(
         self,
@@ -564,9 +554,7 @@ class BlockInferenceCache:
         retained = np.asarray(retained, dtype=np.int64)
         num_blocks = -(-retained.size // INFER_BLOCK)
         first_block = cut // INFER_BLOCK
-        #: The window's blocks as validated by this pass, never
-        #: re-read: a sibling session sharing this cache at a different
-        #: watermark may replace a slot in the meantime.
+        #: The window's blocks as validated by this pass.
         window: List[Tuple[int, bytes, GaussianMixture]] = []
         top: Optional[float] = None
         for b in range(num_blocks):
@@ -592,16 +580,15 @@ class BlockInferenceCache:
             top = block_top if top is None else max(top, block_top)
         grid = grid_of(top)
         rows = self._quantized(window, grid)
-        # Retraction: expired blocks drop their mixtures and pmf rows,
-        # stale trailing blocks (shrunk retained array) drop
-        # everything. pop, not del: a service-shared cache may see a
-        # sibling session trim the same stale block concurrently.
+        # Retraction: expired blocks drop their mixtures and pmf rows;
+        # stale trailing blocks drop everything (a provisional clip's
+        # flipped retain decisions can shrink the retained array).
         for held in (self._blocks, self._pmfs):
             for b in [b for b in held
                       if b < first_block or b >= num_blocks]:
-                held.pop(b, None)
+                del held[b]
         for b in [b for b in self._tops if b >= num_blocks]:
-            self._tops.pop(b, None)
+            del self._tops[b]
         offset = cut - first_block * INFER_BLOCK
         mixtures = GaussianMixture.concatenate(
             [mixture for _, _, mixture in window]).select(
@@ -655,21 +642,6 @@ class Phase1Maintainer:
         self.proxy: Optional[ProxyScorer] = None
         self.train_idx = np.zeros(0, dtype=np.int64)
         self.holdout_idx = np.zeros(0, dtype=np.int64)
-
-    def adopt_inference_cache(self, shared: BlockInferenceCache) -> None:
-        """Share proxy-inference blocks with sibling sessions.
-
-        The service layer keys shared caches by the full artifact
-        (video content, UDF, *and* phase1 configuration), under which
-        bootstrap proxies are bit-identical, and no proxy changes after
-        bootstrap — so cached mixtures are interchangeable. Refused by a
-        sliding-window video only: its evictions must stay invisible to
-        full-prefix siblings.
-        """
-        if shared is self.blocks or is_sliding(self.video):
-            return
-        shared.merge(self.blocks)
-        self.blocks = shared
 
     def bootstrap(self, cost_model: Optional[CostModel] = None) -> Phase1Entry:
         """Phase 1 from scratch over the frames that have arrived."""
@@ -733,8 +705,8 @@ class Phase1Maintainer:
         arrivals, while the provisional clip it re-decides comes from
         the pixels :class:`IncrementalDiff` kept — and the retained
         rows go, pixels in hand, to the block cache
-        INFER_BLOCK rows at a time (a block a sibling session already
-        cached is a hit and is not re-inferred). ``sample = (frame ids
+        INFER_BLOCK rows at a time (a block whose frame ids are
+        unchanged is a hit and is not re-inferred). ``sample = (frame ids
         ascending, float32 pixels, featurize rows)`` are frames the
         caller holds for this call only (a bootstrap's labelled
         sample): the pass fills their rows in by frame id and renders

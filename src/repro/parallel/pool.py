@@ -118,9 +118,9 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: key -> unpickled object: the one worker-side memo. Pool workers
-#: write it in :func:`_run_call`; the parent only when it resolves one
-#: of its own handles.
+#: key -> unpickled object: the one worker-side memo, written only in
+#: :func:`_run_call`. The parent never writes it (a worker forked later
+#: would inherit the entry, and no drop would ever name it).
 _WORKER_MEMO: Dict[int, object] = {}
 
 _SHIPPED_KEYS = itertools.count()
@@ -144,12 +144,14 @@ class Shipped:
     until the first task a worker runs after this handle is gone.
     """
 
-    __slots__ = ("key", "blob", "__weakref__")
+    __slots__ = ("key", "blob", "_own", "__weakref__")
 
     def __init__(self, obj):
         #: Unique per parent process, which is the scope of a pool.
         self.key = next(_SHIPPED_KEYS)
         self.blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        #: ``(object,)`` once the parent resolved this handle itself.
+        self._own: Optional[tuple] = None
         _LIVE[self.key] = self
 
     def __getstate__(self):
@@ -157,7 +159,7 @@ class Shipped:
 
     def __setstate__(self, state):
         (self.key,) = state
-        self.blob = None
+        self.blob = self._own = None
 
     def wire(self, held):
         """``(blob, tail, held after)`` for a worker that holds ``held``
@@ -168,11 +170,14 @@ class Shipped:
         return (None if held else self.blob), (), True
 
     def resolve(self):
-        """The shipped object (worker side, or the parent's own); a
-        bare handle no task has sent raises ``KeyError``."""
-        if self.key not in _WORKER_MEMO and self.blob is not None:
-            _WORKER_MEMO[self.key] = pickle.loads(self.blob)
-        return _WORKER_MEMO[self.key]
+        """The shipped object: in a worker, the memo's (a bare handle
+        no task has sent raises ``KeyError``); in the parent, its own
+        copy, unpickled once and kept on this handle."""
+        if self.blob is None:
+            return _WORKER_MEMO[self.key]
+        if self._own is None:
+            self._own = (pickle.loads(self.blob),)
+        return self._own[0]
 
 
 class _CallPickler(pickle.Pickler):

@@ -24,11 +24,14 @@ again. :class:`SharedArtifacts` holds that state at *service* scope:
   manifest), and a cold service warm-loads them instead of retraining.
   Ledgers ride along, so a warm-loaded entry charges exactly what its
   original build charged — Phase 1 has no wall-clock timers.
-* **Score / inference cache registries.** One append-only
-  :class:`~repro.oracle.cache.ScoreCache` and one streaming
-  :class:`~repro.core.phase1.BlockInferenceCache`
-  per artifact *group* (video content × UDF), shared by every session
-  the service opens over that group.
+* **Score cache registry.** One append-only
+  :class:`~repro.oracle.cache.ScoreCache` per artifact *group* (video
+  content × UDF), shared by every session the service opens over that
+  group.
+
+What the layer shares is immutable (a :class:`Phase1Entry`) or
+append-only (a score cache); a live session's mutable inference
+blocks stay its own.
 """
 
 from __future__ import annotations
@@ -135,7 +138,6 @@ class SharedArtifacts:
         self._ledgers: Dict[ArtifactKey, CostModel] = {}
         self._building: Dict[ArtifactKey, _Build] = {}
         self._score_caches: Dict[GroupKey, ScoreCache] = {}
-        self._block_caches: Dict[ArtifactKey, object] = {}
         self.stats = ArtifactStats()
         #: ``session -> the pool its builds run in`` (None: on the
         #: leasing thread). A service installs its lane rule here; a
@@ -303,26 +305,6 @@ class SharedArtifacts:
             if cache is None:
                 cache = ScoreCache()
                 self._score_caches[group] = cache
-            return cache
-
-    def block_cache(self, artifact: ArtifactKey):
-        """The shared streaming inference cache for an artifact.
-
-        Keyed by the full artifact (group *and* phase1 key): cached
-        mixtures embed the trained proxy's outputs, and only sessions
-        under the same training configuration hold bit-identical
-        proxies. A live session's proxy never changes after bootstrap,
-        so every such session can share the cache; only a sliding
-        window keeps its own (see
-        :meth:`~repro.core.phase1.Phase1Maintainer.adopt_inference_cache`).
-        """
-        from ..core.phase1 import BlockInferenceCache
-
-        with self._lock:
-            cache = self._block_caches.get(artifact)
-            if cache is None:
-                cache = BlockInferenceCache()
-                self._block_caches[artifact] = cache
             return cache
 
     # ------------------------------------------------------------------

@@ -303,9 +303,9 @@ class QueryService:
 
         The session's per-append subscription refreshes dispatch
         through the scheduler (admission + fairness against batch
-        tenants), and its score / block-inference caches come from the
-        shared artifact layer, so a later stream over the same (video,
-        UDF, config) warm-starts instead of re-inferring. Accepts
+        tenants), and its score cache comes from the shared artifact
+        layer, so exact scores revealed over the same (video, UDF) are
+        not paid for again. Accepts
         objects or registry names like :meth:`Session.open_stream`;
         a registry name's builder keywords come as ``video_kwargs``.
         """
@@ -330,20 +330,14 @@ class QueryService:
         confirmation work it causes is charged to the tenant's
         fairness account. The pass itself runs in the scheduler's
         worker thread (streaming state is single-process), never on
-        the process pool. The shared block-inference cache for the
-        stream's artifact is installed so sibling streams reuse proxy
-        inference.
+        the process pool. The stream keeps its own block-inference
+        cache: what a service shares is immutable or append-only.
         """
         self._check_open()
         if not (isinstance(stream, Session) and stream.live):
             raise QueryError(
                 "attach_stream expects a live session; open one "
                 "with Session.open_stream(...) or service.open_stream")
-        artifact = (
-            group_key(stream.video, stream.scoring),
-            phase1_key(stream.config),
-        )
-        stream.share_inference_cache(self.artifacts.block_cache(artifact))
 
         def dispatch(refresh):
             job = _Job(target=stream, work=refresh, tenant=tenant)

@@ -54,10 +54,6 @@ __all__ = [
 _ACTIVE: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
     "repro_trace_active_span", default=None)
 
-#: Thread-local reentrancy guard for cProfile (CPython allows one
-#: active profiler per thread; only the outermost span profiles).
-_PROFILING = threading.local()
-
 
 class Span:
     """One timed operation inside a trace.
@@ -73,7 +69,7 @@ class Span:
     __slots__ = (
         "trace", "span_id", "parent_id", "name", "category",
         "start", "end", "attrs", "events", "status",
-        "sim_seconds", "_ledger", "_ledger_start", "_profile",
+        "sim_seconds", "_ledger", "_ledger_start",
     )
 
     def __init__(
@@ -102,7 +98,6 @@ class Span:
         self._ledger = ledger
         self._ledger_start = (
             ledger.total_seconds() if ledger is not None else 0.0)
-        self._profile = None
 
     # ------------------------------------------------------------------
     @property
@@ -134,31 +129,7 @@ class Span:
             self.sim_seconds = (
                 self._ledger.total_seconds() - self._ledger_start)
             self._ledger = None
-        if self._profile is not None:
-            self._stop_profile()
         return self
-
-    # -- profiling -----------------------------------------------------
-    def _start_profile(self) -> None:
-        if getattr(_PROFILING, "active", False):
-            return
-        import cProfile
-
-        self._profile = cProfile.Profile()
-        _PROFILING.active = True
-        self._profile.enable()
-
-    def _stop_profile(self) -> None:
-        import io
-        import pstats
-
-        profile, self._profile = self._profile, None
-        profile.disable()
-        _PROFILING.active = False
-        stream = io.StringIO()
-        stats = pstats.Stats(profile, stream=stream)
-        stats.sort_stats("cumulative").print_stats(10)
-        self.attrs["profile"] = stream.getvalue()
 
     # ------------------------------------------------------------------
     def to_dict(self, *, origin: Optional[float] = None) -> Dict[str, object]:
@@ -236,8 +207,6 @@ class Trace:
                 self, span_id, parent_id, name, category,
                 time.perf_counter(), ledger=ledger, attrs=attrs)
             self.spans.append(new)
-        if self.tracer.profile and parent_id is not None:
-            new._start_profile()
         return new
 
     def find_open(self, name: str) -> Optional[Span]:
@@ -486,10 +455,6 @@ class Tracer:
         span plus one per completed trace, rotated as
         :class:`~repro.trace.exporters.JsonlTraceLog` rotates (at 4 MiB,
         three old files kept).
-    profile:
-        Opt-in cProfile capture per span (outermost span per thread;
-        the formatted top-10 lands in ``span.attrs["profile"]``).
-        Wall-clock cost is significant — never on by default.
     """
 
     enabled = True
@@ -499,7 +464,6 @@ class Tracer:
         *,
         ring: int = 256,
         jsonl_path=None,
-        profile: bool = False,
     ):
         from collections import deque
 
@@ -507,7 +471,6 @@ class Tracer:
 
         if ring < 1:
             raise ValueError(f"ring must be >= 1, got {ring}")
-        self.profile = bool(profile)
         self._lock = threading.Lock()
         self._ring: "deque[Trace]" = deque(maxlen=ring)
         self._ids = itertools.count(1)
@@ -521,9 +484,8 @@ class Tracer:
     def from_env(env: Optional[Dict[str, str]] = None) -> "Tracer":
         """The ambient tracer ``REPRO_TRACE=1`` asks for.
 
-        ``REPRO_TRACE_LOG`` names the JSONL event log path,
-        ``REPRO_TRACE_PROFILE=1`` turns on per-span cProfile capture.
-        Anything falsy (unset, ``0``, ``false``, ``no``) yields the
+        ``REPRO_TRACE_LOG`` names the JSONL event log path. Anything
+        falsy (unset, ``0``, ``false``, ``no``) yields the
         shared :data:`NULL_TRACER`.
         """
         env = os.environ if env is None else env
@@ -531,11 +493,7 @@ class Tracer:
         if flag in ("", "0", "false", "no"):
             return NULL_TRACER
         log = str(env.get("REPRO_TRACE_LOG", "")).strip()
-        profile = str(env.get("REPRO_TRACE_PROFILE", "")).strip().lower()
-        return Tracer(
-            jsonl_path=log or None,
-            profile=profile not in ("", "0", "false", "no"),
-        )
+        return Tracer(jsonl_path=log or None)
 
     # ------------------------------------------------------------------
     def begin(self, name: str, **attrs) -> Trace:
@@ -627,7 +585,6 @@ class NullTracer:
     """
 
     enabled = False
-    profile = False
     log = None
     completed = 0
 

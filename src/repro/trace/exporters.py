@@ -52,10 +52,7 @@ def chrome_trace_events(traces: Sequence) -> List[Dict[str, object]]:
             args = {
                 "sim_seconds": span["sim_seconds"],
                 "status": span["status"],
-                **{
-                    k: v for k, v in (span.get("attrs") or {}).items()
-                    if k != "profile"
-                },
+                **(span.get("attrs") or {}),
             }
             events.append({
                 "name": span["name"],

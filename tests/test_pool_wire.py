@@ -200,20 +200,32 @@ def _memo_keys():
     return sorted(_WORKER_MEMO)
 
 
+def test_a_parent_side_resolve_leaves_a_later_worker_nothing():
+    """Resolving a handle in the parent used to write the worker memo:
+    every worker forked later inherited the entry, and since no worker
+    record held it no drop ever named it."""
+    handle = Shipped({"x": 1})
+    assert handle.resolve() is handle.resolve()
+    assert handle.resolve() == {"x": 1}
+    del handle
+    gc.collect()
+    with PersistentPool(1) as pool:
+        assert pool.call(_memo_keys) == []
+
+
 def test_a_worker_drops_a_handle_the_parent_dropped(tmp_path):
     kept, gone = Shipped(_Counted("kept")), Shipped(_Counted("gone"))
     with PersistentPool(1) as pool:
-        # What the worker forked with (handles the parent resolved).
-        inherited = set(pool.call(_memo_keys))
+        assert pool.call(_memo_keys) == []
         pool.call(_run, kept, str(tmp_path), 0)
         pool.call(_run, gone, str(tmp_path), 1)
-        assert set(pool.call(_memo_keys)) - inherited == {kept.key, gone.key}
+        assert pool.call(_memo_keys) == sorted([kept.key, gone.key])
         (worker,) = pool._idle
         assert sorted(worker.held) == sorted([kept.key, gone.key])
         del gone
         gc.collect()
         # The next task, whatever it names, carries the drop.
-        assert set(pool.call(_memo_keys)) - inherited == {kept.key}
+        assert pool.call(_memo_keys) == [kept.key]
         assert list(worker.held) == [kept.key]
         # What is still held is not sent again.
         assert pool.call(_run, kept, str(tmp_path), 2)[1] == 1

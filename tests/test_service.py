@@ -475,24 +475,6 @@ class TestQueryServiceSurface:
         assert after.reports == [live.latest]
         assert live.latest.num_frames == stream.watermark
 
-    def test_sibling_streams_share_block_inference(self, comp_cfg):
-        with QueryService(workers=1, use_processes=False) as service:
-            first = service.open_stream(
-                _video("twin", 79, frames=900), counting_udf("car"),
-                initial_frames=600, config=comp_cfg)
-            first.query().topk(3).guarantee(0.9).subscribe()
-            first.append(120)
-            baseline = first._maintainer.fresh_inferred_frames
-
-            second = service.open_stream(
-                _video("twin", 79, frames=900), counting_udf("car"),
-                initial_frames=600, config=comp_cfg)
-            second.query().topk(3).guarantee(0.9).subscribe()
-            second.append(120)
-            # The sibling reused the shared proxy-inference blocks: its
-            # fresh inference is far below the first stream's.
-            assert second._maintainer.fresh_inferred_frames < baseline
-
     def test_submitted_streams_never_take_the_process_lane(self, comp_cfg):
         # A streaming session submitted through the service must stay
         # inline even with a pool: the process lane would snapshot the

@@ -397,17 +397,15 @@ def test_a_pool_worker_does_not_outlive_the_sessions_it_was_sent():
     held = []
     with QueryService(
             workers=1, use_processes=True, artifact_entries=1) as service:
-        # What the worker forked with (handles the parent resolved).
-        inherited = service._pool.call(_worker_memo_keys)
         for i in range(4):
             session = service.open_session(
                 TrafficVideo(f"dropped-{i}", 300, seed=90 + i), udf,
                 config=FAST)
             service.submit(_plan(session, 3), session=session).result(WAIT)
-            held.append(len(service._pool.call(_worker_memo_keys) - inherited))
+            held.append(len(service._pool.call(_worker_memo_keys)))
             del session
             gc.collect()
-        held.append(len(service._pool.call(_worker_memo_keys) - inherited))
+        held.append(len(service._pool.call(_worker_memo_keys)))
     assert held == [1, 1, 1, 1, 0]
 
 
@@ -545,7 +543,6 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses(monkeypatch):
     over a recorded batch sequence, exactly the diff of its whole score
     cache across the batch (the frames neither the parent shipped nor
     an earlier plan revealed)."""
-    from repro.parallel import pool as pool_module
     from repro.service.backend import _service_worker_run
 
     sent = _sent(monkeypatch)
@@ -575,20 +572,15 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses(monkeypatch):
     assert [len(task.plans) for task, _, _ in recorded] == [2, 1, 3, 1]
     assert any(new_scores for _, _, new_scores in recorded)
     # Replay the sequence in this process on the spec the worker held.
-    keys = {task.spec.key for task, _, _ in recorded}
-    try:
-        for task, tail, shipped_back in recorded:
-            spec = task.spec.resolve()
-            spec.merge(tail)
-            cache = spec.session.shared_score_cache
-            before = set(cache.as_dict())
-            new_scores = _service_worker_run(task).new_scores
-            diff = {frame: score for frame, score in cache.as_dict().items()
-                    if frame not in before}
-            assert new_scores == diff == shipped_back
-    finally:
-        for key in keys:
-            pool_module._WORKER_MEMO.pop(key, None)
+    for task, tail, shipped_back in recorded:
+        spec = task.spec.resolve()
+        spec.merge(tail)
+        cache = spec.session.shared_score_cache
+        before = set(cache.as_dict())
+        new_scores = _service_worker_run(task).new_scores
+        diff = {frame: score for frame, score in cache.as_dict().items()
+                if frame not in before}
+        assert new_scores == diff == shipped_back
 
 
 def test_a_batch_rescores_no_frame_the_parent_held_when_it_was_sent():

@@ -140,7 +140,6 @@ def test_closed_session_refuses_what_only_a_growing_video_can_do():
         lambda: session.query().topk(3).subscribe(),
         lambda: session.attach_subscription(object()),
         lambda: session.checkpoint("unused"),
-        lambda: session.share_inference_cache(object()),
         lambda: session.batch_session(),
     ):
         with pytest.raises(QueryError, match=hint):

@@ -471,50 +471,50 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     assert_built_from_scratch(resumed)
 
 
-def test_sibling_streams_share_a_cache_across_threads():
-    """Two streams over one artifact, at different watermarks, sharing
-    one inference cache from two threads: kept rows are matched by frame
-    id and swapped in as one reference, so whatever the interleaving
-    each stays byte-equal to the batch re-run over its own prefix."""
-    def open_sibling():
-        stream = Session.open_stream(
-            TrafficVideo("siblings", 900, seed=37), counting_udf("car"),
-            initial_frames=480, config=MAINTAIN_CONFIG)
-        live = stream.query().topk(3).guarantee(0.85).subscribe()
-        return stream, live
-
-    shared = BlockInferenceCache()
+def test_sibling_service_streams_own_their_blocks_across_threads():
+    """Two streams over one artifact, opened through one service and
+    driven by interleaved appends from two threads: each keeps its own
+    inference cache (a service shares only immutable or append-only
+    state), and whatever the interleaving every event stays byte-equal
+    to the batch re-run over its own prefix."""
     schedules = ((25, 40, 7, 90, 31, 60), (60, 3, 110, 15, 70, 12, 45))
-    siblings = [open_sibling() for _ in schedules]
-    for stream, _ in siblings:
-        stream.share_inference_cache(shared)
-        assert stream._maintainer.blocks is shared
     served = [[] for _ in schedules]
     errors = []
+    with QueryService(workers=2, use_processes=False) as service:
+        siblings = []
+        for _ in schedules:
+            stream = service.open_stream(
+                TrafficVideo("siblings", 900, seed=37), counting_udf("car"),
+                initial_frames=480, config=MAINTAIN_CONFIG)
+            live = stream.query().topk(3).guarantee(0.85).subscribe()
+            siblings.append((stream, live))
+        (a, _), (b, _) = siblings
+        assert a._maintainer.blocks is not b._maintainer.blocks
 
-    def drive(index):
-        stream, live = siblings[index]
+        def drive(index):
+            stream, live = siblings[index]
+            try:
+                for size in schedules[index]:
+                    result = stream.append(size)
+                    relation = stream.phase1().result.relation
+                    served[index].append((
+                        stream.watermark, result.reports[0].to_json(),
+                        live.latest.to_json(), relation.pmf.tobytes(),
+                        relation.ids.tobytes()))
+            except Exception as error:  # surfaced below, with the traceback
+                errors.append(error)
+
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(len(schedules))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for size in schedules[index]:
-                stream.append(size)
-                relation = stream.phase1().result.relation
-                served[index].append((
-                    stream.watermark, live.latest.to_json(),
-                    relation.pmf.tobytes(), relation.ids.tobytes()))
-        except Exception as error:  # surfaced below, with the traceback
-            errors.append(error)
-
-    threads = [threading.Thread(target=drive, args=(i,))
-               for i in range(len(schedules))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     if errors:
         raise errors[0]
@@ -522,10 +522,11 @@ def test_sibling_streams_share_a_cache_across_threads():
 
     source = TrafficVideo("siblings", 900, seed=37)
     for events in served:
-        for watermark, report, pmf, ids in events:
+        for watermark, event, report, pmf, ids in events:
+            assert event == report
             batch = Session(
                 StreamingVideo(source, watermark, sealed=True),
-                counting_udf("car"), config=siblings[0][0].config)
+                counting_udf("car"), config=a.config)
             assert batch.query().topk(3).guarantee(0.85).run() \
                 .to_json() == report
             relation = batch.phase1().result.relation

@@ -543,15 +543,6 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
     assert f"rows={grown} " in trace_report.render(rows)
 
 
-def test_profile_attr_captured_when_enabled():
-    tracer = Tracer(profile=True)
-    with tracer.trace("profiled"):
-        with span("hot") as hot:
-            sum(i * i for i in range(20_000))
-    assert "profile" in hot.attrs
-    assert "cumulative" in hot.attrs["profile"]
-
-
 # ----------------------------------------------------------------------
 # Service + gateway surfaces.
 # ----------------------------------------------------------------------

@@ -263,35 +263,6 @@ def test_a_grown_block_requantizes_only_its_changed_rows(
     assert reused > 0
 
 
-def test_sibling_streams_never_reuse_rows_across_frame_ids(monkeypatch):
-    """Two streams at different watermarks sharing one cache each
-    replace the tail block's slot with their own frame ids; the other's
-    next rebuild reuses only the rows whose frame id (and mixture row)
-    it shares."""
-    quantized = _count_quantized_rows(monkeypatch)
-    shared = BlockInferenceCache()
-    siblings = []
-    for _ in range(2):
-        stream = _open_delta_stream(
-            TrafficVideo("window-delta-siblings", 1_200, seed=23), None,
-            STREAM_CONFIG.diff.mse_threshold)
-        stream.share_inference_cache(shared)
-        siblings.append(stream)
-    quantized.clear()
-    for index, size in ((0, 150), (1, 61), (0, 1), (1, 200), (0, 90),
-                        (1, 29), (0, 400)):
-        before = dict(shared._pmfs)
-        siblings[index].append(size)
-        _audit_requantization(shared, before, quantized)
-    a, b = siblings
-    assert a.watermark != b.watermark
-    for stream in siblings:
-        batch = Session(stream.video.snapshot(), counting_udf("car"),
-                        config=stream.config).phase1().result
-        assert batch.relation.pmf.tobytes() \
-            == stream.phase1().result.relation.pmf.tobytes()
-
-
 def test_requantization_matches_rows_by_frame_id(monkeypatch):
     """A row whose mixture is unchanged but whose frame id is new to the
     block is quantized again: kept rows are matched by frame id."""
@@ -450,9 +421,9 @@ def test_block_cache_drops_stale_trailing_blocks():
     long = np.arange(3 * INFER_BLOCK, dtype=np.int64)
     _window_state(cache, proxy, video, long, 0)
     assert sorted(cache._blocks) == [0, 1, 2]
-    # The retained array shrank (a sibling sharing the cache sits at
-    # an earlier watermark):
-    # trailing blocks beyond the new extent drop mixtures *and* tops.
+    # The retained array shrank (a provisional clip's flipped retain
+    # decisions can drop rows): trailing blocks beyond the new extent
+    # drop mixtures *and* tops.
     short = long[:INFER_BLOCK]
     _, top = _window_state(cache, proxy, video, short, 0)
     assert sorted(cache._blocks) == [0]
