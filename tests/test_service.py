@@ -475,6 +475,29 @@ class TestQueryServiceSurface:
         assert after.reports == [live.latest]
         assert live.latest.num_frames == stream.watermark
 
+    def test_sibling_streams_own_their_block_inference(self, comp_cfg):
+        def open_and_append():
+            stream = service.open_stream(
+                _video("twin", 79, frames=900), counting_udf("car"),
+                initial_frames=600, config=comp_cfg)
+            live = stream.query().topk(3).guarantee(0.9).subscribe()
+            stream.append(120)
+            return stream, live
+
+        with QueryService(workers=1, use_processes=False) as service:
+            first, first_live = open_and_append()
+            second, second_live = open_and_append()
+            # A service shares no proxy-inference blocks between live
+            # streams: the sibling infers the same footage for itself
+            # and serves the same answer.
+            assert second._maintainer.blocks \
+                is not first._maintainer.blocks
+            assert first._maintainer.fresh_inferred_frames > 0
+            assert second._maintainer.fresh_inferred_frames \
+                == first._maintainer.fresh_inferred_frames
+            assert second_live.latest.to_json() \
+                == first_live.latest.to_json()
+
     def test_submitted_streams_never_take_the_process_lane(self, comp_cfg):
         # A streaming session submitted through the service must stay
         # inline even with a pool: the process lane would snapshot the
