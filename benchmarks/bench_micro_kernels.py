@@ -8,6 +8,10 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 * renderer, difference-detector and CMDN inference throughput;
 * one CMDN ``train_step`` per default grid shape, and the oracle's
   per-frame cost at batch 1 / 8 / 500 (recorded, not gated);
+* a warm frame query's start (cleaner set-up, bootstrap, iteration-0
+  re-sort) with D0's memo holding it and without, ``top_indices`` on
+  a 512-row chunk and ``extract_features`` on a 512-frame block
+  (recorded, not gated);
 * the Phase-2 split of a warm query on a 3 000-frame entry: µs per
   cleaning iteration for select / running Top-K / batch update (the
   joint CDF and the cleaner's own scores) / confirm (plain and
@@ -313,9 +317,8 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
 
     timed(CandidateSelector, "select", "select")
     timed(TopKCleaner, "_best", "running_topk")
-    timed(TopKCleaner, "_certain_topk", "running_topk")
+    timed(TopKCleaner, "_answer_of", "running_topk")
     timed(ConfidenceState, "_remove_rows", "batch_update")
-    timed(TopKCleaner, "_record", "batch_update")
     timed(Oracle, "score", "confirm_plain")
     timed(CachingOracle, "score", "confirm_cache_hit")
     metrics = per_iteration(QueryExecutor(session, confirm_oracle=plain))
@@ -373,6 +376,60 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
     for name, value in metrics.items():
         print(f"{name:48s} {value:10.1f}")
     assert len(metrics) == 9
+
+
+def test_phase2_query_start(benchmark):
+    """What a warm frame query pays before its first clean, with D0's
+    memo (DESIGN.md §3) holding its start and without it, plus the
+    kernels a cleaning iteration and a featurized block call most:
+    ``top_indices`` over a 512-row scan chunk and ``extract_features``
+    on a 512-frame block (recorded, not gated)."""
+    session = Session(
+        TrafficVideo("bench-phase2", 3_000, seed=301), counting_udf("car"),
+        config=EverestConfig())
+    relation = session.phase1().result.relation
+    shapes = ((10, 0.99), (50, 0.9), (100, 0.99))
+    rounds = 200
+
+    def start():
+        """Cleaner set-up, bootstrap and the iteration-0 re-sort."""
+        for k, _ in shapes:
+            cleaner = TopKCleaner(relation, None)
+            cleaner._bootstrap(k)
+            top, k_level, p_level = cleaner._answer
+            cleaner.selector._resort(0, k_level, p_level)
+
+    def start_missing():
+        for _ in range(rounds):
+            relation.__dict__.pop("_memo", None)
+            start()
+
+    def start_hitting():
+        for _ in range(rounds):
+            start()
+
+    start_missing()  # level columns copied once, as on a warm entry
+    rng = np.random.default_rng(0)
+    chunk = rng.random(512)
+    pixels = TrafficVideo("bench-feat", 512, seed=2).batch_pixels(
+        np.arange(512))
+    metrics = {
+        "phase2_start_memo_miss_us_per_query":
+            timed_call(start_missing)[1] / (rounds * len(shapes)) * 1e6,
+        "phase2_start_memo_hit_us_per_query":
+            timed_call(start_hitting)[1] / (rounds * len(shapes)) * 1e6,
+        "top_indices_512_rows_us": min(
+            timed_call(top_indices, chunk, 8)[1] for _ in range(500)) * 1e6,
+        "extract_features_512_rows_ms": min(
+            timed_call(extract_features, pixels)[1]
+            for _ in range(15)) * 1e3,
+    }
+    benchmark.pedantic(start_hitting, rounds=1, iterations=1)
+    write_bench_result("micro_kernels", scale=scale_label(), **metrics)
+    print()
+    for name, value in metrics.items():
+        print(f"{name:48s} {value:10.1f}")
+    assert metrics["phase2_start_memo_hit_us_per_query"] > 0
 
 
 def _cmdn_like_mixtures(rows, components, seed=0):

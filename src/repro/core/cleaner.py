@@ -67,8 +67,8 @@ class TopKCleaner:
     """Ground-truth-in-the-loop uncertain Top-K processor.
 
     Reads ``relation`` and never writes it. This query's cleaning state
-    sits beside it: the joint CDF's uncertain mask (``state``), the
-    exact scores and their grid levels.
+    sits beside it: the joint CDF's uncertain mask (``state``) and the
+    exact scores.
     """
 
     def __init__(
@@ -89,12 +89,10 @@ class TopKCleaner:
         #: Exact score per position: D0's certain tuples plus every
         #: tuple this query cleaned (NaN elsewhere).
         self.exact_scores = relation.exact_scores.copy()
-        #: Grid level of every tuple this query cleaned and of every
-        #: tuple of its answer: all ``_certain_topk`` reads.
-        self.levels = np.zeros(len(relation), dtype=np.int64)
-        #: Positions of the certain Top-K, best first — ``None`` until
-        #: the bootstrap has made K tuples certain.
-        self._top: Optional[np.ndarray] = None
+        #: Positions of the certain Top-K, best first, and its (S_k,
+        #: S_p) grid levels — ``None`` until the bootstrap has made K
+        #: tuples certain.
+        self._answer: Optional[Tuple[np.ndarray, int, int]] = None
 
     @property
     def certain(self) -> np.ndarray:
@@ -125,23 +123,18 @@ class TopKCleaner:
         # One vectorized pass per batch over the joint CDF instead of
         # one O(L) update per tuple.
         self.state._remove_rows(positions)
-        self._record(positions, scores)
+        self.exact_scores[positions] = scores
         self.cleaned += len(ids)
-        top = self._top
-        if top is not None:
+        if self._answer is not None:
             # The batch changes the kept K only if one of its tuples
             # beats the K-th (usually none does).
+            top = self._answer[0]
             kth = (self.exact_scores.item(top[-1]),
                    -self.relation.ids.item(top[-1]))
             if any((score, -frame) > kth
                    for score, frame in zip(values, ids)):
-                self._top = self._best(
-                    np.concatenate((top, positions)), top.size)
-
-    def _record(self, positions: np.ndarray, scores: np.ndarray) -> None:
-        """Keep a cleaned batch's exact scores and grid levels."""
-        self.exact_scores[positions] = scores
-        self.levels[positions] = self.relation.grid.level_of(scores)
+                self._answer = self._answer_of(self._best(
+                    np.concatenate((top, positions)), top.size))
 
     def _best(self, positions: np.ndarray, k: int) -> np.ndarray:
         """The ``k`` best of the certain ``positions``, best first.
@@ -155,16 +148,17 @@ class TopKCleaner:
             self.relation.ids[positions], -self.exact_scores[positions]))
         return positions[order[:k]]
 
-    def _certain_topk(self, k: int) -> Tuple[np.ndarray, int, int]:
-        """Current answer positions plus (S_k, S_p) grid levels.
+    def _answer_of(self, top: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """Answer positions ``top`` plus their (S_k, S_p) grid levels:
+        only the last two answer scores are ever quantized, and only
+        when the answer changes.
 
         The bootstrap ends with the one full sort; from then on every
         cleaned batch is merged into the kept K.
         """
-        top = self._top
-        levels = self.levels.take(top[-2:]).tolist()
-        p_level = levels[0] if k >= 2 else self.relation.grid.max_level
-        return top, levels[-1], p_level
+        grid = self.relation.grid
+        levels = grid.level_of(self.exact_scores.take(top[-2:])).tolist()
+        return top, levels[-1], levels[0] if top.size >= 2 else grid.max_level
 
     def _bootstrap(self, k: int) -> None:
         """Clean highest-expected-score frames until K are certain."""
@@ -178,11 +172,15 @@ class TopKCleaner:
             take = min(max(missing, self.config.batch_size), uncertain.size)
             best = np.argsort(-expected, kind="stable")[:take]
             self._clean_positions(uncertain[best])
-        top = self._top = self._best(np.flatnonzero(self.certain), k)
-        # D0's own certain tuples join the answer here only; a later
-        # batch merges cleaned tuples, whose levels ``_record`` keeps.
-        self.levels[top] = self.relation.grid.level_of(
-            self.exact_scores[top])
+
+        def answer():
+            return self._answer_of(
+                self._best(np.flatnonzero(self.certain), k))
+
+        # With nothing cleaned the answer is D0's own: kept on the
+        # relation for every query that asks this K.
+        self._answer = self.relation.memo(("bootstrap", k), answer) \
+            if self.state.pristine else answer()
 
     # ------------------------------------------------------------------
     def run(self, k: int, thres: float) -> Phase2Result:
@@ -205,7 +203,7 @@ class TopKCleaner:
             with trace_span(
                     "iteration", category="phase2",
                     ledger=self.cost_model) as step:
-                top, k_level, p_level = self._certain_topk(k)
+                top, k_level, p_level = self._answer
                 confidence = self.state.topk_prob(k_level)
                 trace.append(confidence)
                 if step is not None:

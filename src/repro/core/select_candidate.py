@@ -10,8 +10,8 @@ the revealed score ``s`` gives a closed form (Equation 6):
 * ``s > S_p``      — the old penultimate becomes the threshold.
 
 All products run over the *currently uncertain* tuples with ``f``
-factored out, which :meth:`ConfidenceState.joint_cdf_excluding_levels`
-provides in vectorized, zero-safe form.
+factored out, which :meth:`ConfidenceState.joint_cdf_excluding_level`
+provides one level at a time in vectorized, zero-safe form.
 
 To avoid computing ``E[X_f]`` for every uncertain frame, Equation 7
 bounds it by ``p-hat + gamma * psi(f)`` with the frame-independent
@@ -42,6 +42,11 @@ _TINY = 1e-300
 
 #: Vectorized scan chunk.
 _CHUNK = 512
+
+#: What a scan holds before its first chunk (read-only, shared).
+_NO_POSITIONS = np.zeros(0, dtype=np.int64)
+_NO_VALUES = np.zeros(0)
+_NO_POSITIONS.flags.writeable = _NO_VALUES.flags.writeable = False
 
 #: The paper's re-sort schedule (Section 3.3.2): the stale psi order is
 #: refreshed every ``RESORT_EVERY`` iterations for the first
@@ -100,34 +105,40 @@ class CandidateSelector:
         k_level: int,
         p_level: int,
     ) -> np.ndarray:
-        """Vectorized Equation 6 for the given uncertain positions."""
-        positions = np.asarray(positions, dtype=np.int64)
+        """Vectorized Equation 6 for the given uncertain positions.
 
-        # One exclusion matrix over every level of the case analysis:
-        # row 0 is S_k, the last row is S_p.
-        excluding = self.state.joint_cdf_excluding_levels(
-            positions, k_level, p_level)
+        One pass over the levels ``S_k..S_p`` (most selects see one: S_k
+        and S_p share a level), each level's exclusion row used as soon
+        as it is gathered.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        state = self.state
+        excluding = state.joint_cdf_excluding_level(positions, k_level)
 
         # Case s <= S_k: the answer and threshold are unchanged.
         cdf_k = self._cdf_at(positions, k_level)
-        expected = cdf_k * excluding[0]
+        expected = cdf_k * excluding
 
         # Case S_k < s <= S_p: f becomes the K-th with threshold s.
+        cdf_p = cdf_k
         if p_level > k_level:
-            weights = np.empty_like(excluding[1:])
-            for row, level in zip(weights, range(k_level + 1, p_level + 1)):
-                self.relation.level_columns(level)[3].take(positions, out=row)
+            weights = np.empty((positions.size, p_level - k_level))
+            for column, level in enumerate(range(k_level + 1, p_level + 1)):
+                state.joint_cdf_excluding_level(
+                    positions, level, out=excluding)
+                np.multiply(
+                    self.relation.level_columns(level)[3].take(positions),
+                    excluding, out=weights[:, column])
             # Summed along a C-contiguous (positions, levels) array, as
             # the reference sums it: NumPy adds a row pairwise from 8
             # terms on, so the layout fixes the rounding.
-            weights *= excluding[1:]
-            expected += weights.T.copy().sum(axis=1)
+            expected += weights.sum(axis=1)
+            cdf_p = self._cdf_at(positions, p_level)
 
-        # Case s > S_p: the old penultimate becomes the threshold.
-        cdf_p = cdf_k if p_level == k_level \
-            else self._cdf_at(positions, p_level)
+        # Case s > S_p: the old penultimate becomes the threshold
+        # (``excluding`` holds level S_p's row now).
         tail = 1.0 - cdf_p
-        tail *= excluding[-1]
+        tail *= excluding
         expected += tail
         return expected
 
@@ -144,13 +155,19 @@ class CandidateSelector:
         position order. Most scans stop inside the first chunk, so only
         that chunk and the bound after it are ordered now (a partition
         picks them exactly as the full stable sort would);
-        :meth:`_sort_rest` orders the rest if a scan goes further."""
-        positions = np.flatnonzero(self.state.uncertain_mask)
-        psi = self.psi(positions, k_level, p_level)
-        head = top_indices(psi, _CHUNK + 1)
-        self._order = positions[head]
-        self._stale_psi = psi[head]
-        self._unsorted = (positions, psi) if head.size < psi.size else None
+        :meth:`_sort_rest` orders the rest if a scan goes further.
+        Before anything is cleaned the ranking is D0's alone, kept on
+        the relation for every query that starts on these levels."""
+        def head():
+            positions = np.flatnonzero(self.state.uncertain_mask)
+            psi = self.psi(positions, k_level, p_level)
+            first = top_indices(psi, _CHUNK + 1)
+            return (positions[first], psi[first],
+                    (positions, psi) if first.size < psi.size else None)
+
+        key = ("resort", k_level, p_level)
+        self._order, self._stale_psi, self._unsorted = \
+            self.relation.memo(key, head) if self.state.pristine else head()
         self._sort_iteration = iteration
         self._sort_levels = (k_level, p_level)
         self.stats.resorts += 1
@@ -183,7 +200,7 @@ class CandidateSelector:
         self.stats.calls += 1
         self.stats.frames_available += available
         if available == 0:
-            return np.zeros(0, dtype=np.int64)
+            return _NO_POSITIONS
         batch_size = min(batch_size, available)
 
         if self._needs_resort(iteration, k_level, p_level):
@@ -193,8 +210,7 @@ class CandidateSelector:
         gamma = self.state.joint_cdf(p_level)
         # The best ``batch_size`` frames examined so far, best first
         # (ties in scan order): all a later chunk can be ranked against.
-        kept_pos = np.zeros(0, dtype=np.int64)
-        kept_exp = np.zeros(0)
+        kept_pos, kept_exp = _NO_POSITIONS, _NO_VALUES
         examined = 0
 
         order = self._order
@@ -217,8 +233,8 @@ class CandidateSelector:
             best = top_indices(expected, batch_size)
             kept_pos, kept_exp = chunk[best], expected[best]
             if examined >= batch_size and cursor < order.size:
-                next_bound = p_hat + gamma * stale_psi[cursor]
-                if next_bound <= kept_exp[-1]:
+                next_bound = p_hat + gamma * stale_psi.item(cursor)
+                if next_bound <= kept_exp.item(-1):
                     break
 
         self.stats.frames_examined += examined
@@ -232,11 +248,13 @@ def top_indices(values: np.ndarray, count: int) -> np.ndarray:
 
     A partition finds the ``count``-th key; only the candidates at or
     above it are stably sorted. They keep their index order, so ties at
-    the cut resolve as the full sort resolves them.
+    the cut resolve as the full sort resolves them. Array methods, not
+    the ``np.`` wrappers: a scan calls this once per chunk.
     """
     keys = -values
     if count >= keys.size:
-        return np.argsort(keys, kind="stable")[:count]
-    cut = np.partition(keys, count - 1)[count - 1]
-    candidates = (keys <= cut).nonzero()[0]
-    return candidates[np.argsort(keys[candidates], kind="stable")[:count]]
+        return keys.argsort(kind="stable")[:count]
+    cut = keys.copy()
+    cut.partition(count - 1)
+    candidates = (keys <= cut[count - 1]).nonzero()[0]
+    return candidates[keys[candidates].argsort(kind="stable")[:count]]

@@ -54,7 +54,13 @@ class ConfidenceState:
         self.zero_count = zero_count.copy()
         self._uncertain = ~relation.certain
         #: How many tuples are still uncertain (a maintained counter).
-        self.num_uncertain = int(self._uncertain.sum())
+        self.num_uncertain = self._initial = int(self._uncertain.sum())
+
+    @property
+    def pristine(self) -> bool:
+        """Whether nothing was removed yet: the uncertain tuples are
+        D0's own."""
+        return self.num_uncertain == self._initial
 
     # ------------------------------------------------------------------
     @property
@@ -114,32 +120,28 @@ class ConfidenceState:
         return self.joint_cdf(int(threshold_level))
 
     # ------------------------------------------------------------------
-    def joint_cdf_excluding_levels(
-        self, positions: np.ndarray, first: int, last: int
+    def joint_cdf_excluding_level(
+        self, positions: np.ndarray, level: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``prod_{f' != f} F_f'(level)`` for each position ``f`` and
-        each level ``first..last``: the joint CDF with one tuple
-        factored out, valid even when that tuple's own CDF is 0.
-
-        Returns a ``(last - first + 1, num_positions)`` matrix whose row
-        ``j`` is level ``first + j`` — Select-candidate's Equation 6
-        case analysis in one call, each row gathered from the level's
-        contiguous :meth:`~UncertainRelation.level_columns`.
+        """``prod_{f' != f} F_f'(level)`` for each position ``f``: the
+        joint CDF with one tuple factored out, valid even when that
+        tuple's own CDF is 0. Gathered from the level's contiguous
+        :meth:`~UncertainRelation.level_columns`, into ``out`` if given.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        excluding = np.empty((last - first + 1, positions.size))
-        for row, level in zip(excluding, range(first, last + 1)):
-            zeros = self.zero_count[level]
-            if zeros > 1:  # a zero factor remains whoever is left out
-                row.fill(0.0)
-                continue
-            log_cdf, zero = self.relation.level_columns(level)[:2]
-            np.exp(self.finite_sum[level] - log_cdf.take(positions), out=row)
-            own = zero.take(positions)
-            # Nonzero only where the one zero factor is the tuple's own
-            # (none: where the tuple has none).
-            row[~own if zeros else own] = 0.0
-        return excluding
+        if out is None:
+            out = np.empty(len(positions))
+        zeros = self.zero_count[level]
+        if zeros > 1:  # a zero factor remains whoever is left out
+            out.fill(0.0)
+            return out
+        log_cdf, zero = self.relation.level_columns(level)[:2]
+        np.exp(self.finite_sum[level] - log_cdf.take(positions), out=out)
+        own = zero.take(positions)
+        # Nonzero only where the one zero factor is the tuple's own
+        # (none: where the tuple has none).
+        out[~own if zeros else own] = 0.0
+        return out
 
     # ------------------------------------------------------------------
     def topk_prob_direct(self, threshold_level: Optional[int]) -> float:

@@ -351,6 +351,10 @@ class UncertainRelation:
     #: of every column built so far.
     _columns = None
 
+    #: Memo of :meth:`memo` (key -> read-only value), under the same
+    #: rules as ``_log_tables``; a row-restricted clone starts without.
+    _memo = None
+
     def __init__(
         self,
         ids: Sequence[int],
@@ -502,17 +506,34 @@ class UncertainRelation:
                 (*self.log_tables()[:2], self.cdf, self.pmf), level)
         return found
 
+    def memo(self, key, build):
+        """``build()``, computed on the first use of ``key`` and kept
+        with its arrays read-only.
+
+        How a query starts from what D0 alone decides (DESIGN.md §3):
+        ``build`` must be a pure function of the tuples as they are
+        now. Kept under :meth:`log_tables`' rules (two threads racing a
+        first use build equal values; either assignment may win).
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _read_only(build())
+        return found
+
     def _drop_derived(self) -> None:
         """Forget the memos: the tuples are about to change. Popped, so
         this relation's own ``vars`` look fresh and a copy sharing the
         memos keeps them."""
-        self.__dict__.pop("_log_tables", None)
-        self.__dict__.pop("_columns", None)
+        for name in _DERIVED:
+            self.__dict__.pop(name, None)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state.pop("_log_tables", None)
-        state.pop("_columns", None)
+        for name in _DERIVED:
+            state.pop(name, None)
         return state
 
     def copy(self) -> "UncertainRelation":
@@ -526,7 +547,7 @@ class UncertainRelation:
         re-accumulated (the constructor validates whatever is built
         from outside). The clone shares this relation's
         :meth:`log_tables` and :meth:`level_columns` (a row subset takes
-        rows of them).
+        rows of them) and, when it keeps every row, its :meth:`memo`.
         """
         take = np.copy if rows is None else (lambda field: field[rows])
         clone = object.__new__(UncertainRelation)
@@ -546,7 +567,25 @@ class UncertainRelation:
             clone._columns = columns if rows is None else {
                 level: tuple(column[rows] for column in found)
                 for level, found in dict(columns).items()}
+        if rows is None and self._memo is not None:
+            clone._memo = self._memo
         return clone
+
+
+#: The memos :meth:`UncertainRelation._drop_derived` forgets and a
+#: pickle leaves out.
+_DERIVED = ("_log_tables", "_columns", "_memo")
+
+
+def _read_only(value):
+    """``value`` with every array in it (through tuples) made
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 def _with_sums(log_cdf: np.ndarray, zero: np.ndarray, uncertain: np.ndarray):

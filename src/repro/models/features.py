@@ -59,18 +59,28 @@ def extract_features(pixels: np.ndarray) -> np.ndarray:
 
 
 def _chunk_features(arr: np.ndarray) -> np.ndarray:
-    """The feature rows of one ``(n, H, W)`` float64 chunk."""
+    """The feature rows of one ``(n, H, W)`` float64 chunk.
+
+    Std, foreground and both gradients are computed into one
+    ``(n, H * W)`` temporary, reused: a fresh array this size pays in
+    page faults about what the arithmetic on it costs. Each is summed
+    along its rows as NumPy's ``std`` / ``mean`` sum them.
+    """
     n, h, w = arr.shape
+    m = h * w
     flat = arr.reshape(n, -1)
+    scratch = np.empty_like(flat)
     mean = flat.mean(axis=1)
-    std = flat.std(axis=1)
+    # ``flat.std(axis=1)``: NumPy's own steps, in place.
+    np.subtract(flat, mean[:, None], out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    std = np.sqrt(scratch.sum(axis=1) / m)
 
     # One sort supplies every order statistic, byte-equal to ``np.max``,
     # ``np.median`` and ``np.percentile(..., 90)`` (DESIGN.md §3): the
     # median is the mean of the middle one or two, the percentile
     # NumPy's two-sided linear interpolation at index ``0.9 (m - 1)``.
     ordered = np.sort(flat, axis=1)
-    m = h * w
     peak = ordered[:, -1]
     median = (ordered[:, (m - 1) // 2] + ordered[:, m // 2]) / 2.0
     virtual = (m - 1) * (90 / 100)
@@ -82,7 +92,8 @@ def _chunk_features(arr: np.ndarray) -> np.ndarray:
     # A NaN sorts last and poisons both statistics, as in NumPy.
     poisoned = np.isnan(peak)
     median[poisoned] = p90[poisoned] = np.nan
-    foreground = np.maximum(flat - median[:, None], 0.0).sum(axis=1) / m
+    np.subtract(flat, median[:, None], out=scratch)
+    foreground = np.maximum(scratch, 0.0, out=scratch).sum(axis=1) / m
 
     # Coarse spatial grid of block means.
     gh, gw = h // GRID, w // GRID
@@ -90,11 +101,22 @@ def _chunk_features(arr: np.ndarray) -> np.ndarray:
     blocks = trimmed.reshape(n, GRID, gh, GRID, gw).mean(axis=(2, 4))
     grid = blocks.reshape(n, GRID * GRID)
 
-    grad_x = np.abs(np.diff(arr, axis=2)).mean(axis=(1, 2))
-    grad_y = np.abs(np.diff(arr, axis=1)).mean(axis=(1, 2))
+    grad_x = _mean_abs_step(arr[:, :, 1:], arr[:, :, :-1], scratch)
+    grad_y = _mean_abs_step(arr[:, 1:], arr[:, :-1], scratch)
 
     return np.column_stack(
         [mean, std, peak, p90, foreground, grid, grad_x, grad_y])
+
+
+def _mean_abs_step(after: np.ndarray, before: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """``np.abs(after - before).mean(axis=(1, 2))`` per frame, computed
+    in the front of ``scratch``."""
+    n = after.shape[0]
+    step = scratch.reshape(-1)[:after.size].reshape(after.shape)
+    np.subtract(after, before, out=step)
+    np.abs(step, out=step)
+    return step.reshape(n, -1).sum(axis=1) / (after.size // n)
 
 
 class FeatureScaler:

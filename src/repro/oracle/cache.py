@@ -66,15 +66,12 @@ class ScoreCache:
             return self._scores[int(frame)]
 
     def lookup(self, frames: Iterable[int]) -> Dict[int, float]:
-        """The cached subset of ``frames``, read under one lock."""
+        """The cached subset of ``frames`` (ints), read under one
+        lock."""
         with self._lock:
             scores = self._scores
-            found: Dict[int, float] = {}
-            for frame in frames:
-                frame = int(frame)
-                if frame in scores:
-                    found[frame] = scores[frame]
-            return found
+            return {frame: scores[frame] for frame in frames
+                    if frame in scores}
 
     def merge(self, items: Iterable[Tuple[int, float]]) -> None:
         """Fold ``(frame, score)`` pairs in under one lock; a frame
@@ -147,13 +144,16 @@ class CachingOracle(Oracle):
         self.calls += len(indices)
         self.cost_model.charge(self.cost_key, len(indices))
         # Membership is decided once, up front: a concurrent query may
-        # add a frame between this read and the store below.
+        # add a frame between this read and the store below. Most warm
+        # batches are held whole.
         known = self.cache.lookup(indices)
-        seen = set()
-        missing = [
-            i for i in indices
-            if i not in known and not (i in seen or seen.add(i))
-        ]
+        missing = []
+        if len(known) < len(indices):
+            seen = set()
+            missing = [
+                i for i in indices
+                if i not in known and not (i in seen or seen.add(i))
+            ]
         if missing:
             # Scored before anything is stored: a refused batch (a
             # non-finite score) leaves no trace in the cache.
@@ -166,5 +166,5 @@ class CachingOracle(Oracle):
         add_event(
             "oracle_confirm", frames=len(indices), fresh=len(missing),
             cached=len(indices) - len(missing), cost_key=self.cost_key)
-        return np.asarray(
-            [known[i] for i in indices], dtype=np.float64)
+        return np.fromiter(
+            map(known.__getitem__, indices), np.float64, len(indices))

@@ -15,6 +15,7 @@ from repro.core.select_candidate import (
     RESORT_EVERY,
     RESORT_WARMUP,
     CandidateSelector,
+    _CHUNK,
     top_indices,
 )
 from repro.core.topk_prob import ConfidenceState
@@ -212,12 +213,14 @@ class TestSelection:
         st.one_of(
             st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300]),
             st.floats(-1.0, 2.0, allow_subnormal=True)),
-        min_size=1, max_size=600),
-    count=st.integers(1, 12),
+        min_size=1, max_size=700),
+    count=st.one_of(
+        st.integers(1, 12), st.just(_CHUNK + 1), st.integers(1, 800)),
 )
 def test_partition_pick_equals_the_full_stable_sort(values, count):
     """Ties (a few repeated values, +0.0 against -0.0) keep index order
-    exactly as the full stable sort keeps them."""
+    exactly as the full stable sort keeps them, at a batch's count, at
+    a re-sort's head and at counts past the number of values."""
     values = np.asarray(values)
     expected = np.argsort(-values, kind="stable")[:count]
     assert top_indices(values, count).tolist() == expected.tolist()

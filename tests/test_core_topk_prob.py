@@ -101,7 +101,7 @@ class TestConfidenceState:
     def test_joint_cdf_excluding(self, tiny_relation):
         state = ConfidenceState(tiny_relation)
         positions = np.array([0, 1, 2])
-        excl = state.joint_cdf_excluding_levels(positions, 1, 1)[0]
+        excl = state.joint_cdf_excluding_level(positions, 1)
         cdf = tiny_relation.cdf
         full = cdf[0, 1] * cdf[1, 1] * cdf[2, 1]
         for i in range(3):
@@ -113,7 +113,7 @@ class TestConfidenceState:
             [0.6, 0.4, 0.0],
         ])
         state = ConfidenceState(relation)
-        excl = state.joint_cdf_excluding_levels(np.array([0, 1]), 1, 1)[0]
+        excl = state.joint_cdf_excluding_level(np.array([0, 1]), 1)
         # Excluding the zero-CDF frame leaves 1.0; excluding the other
         # still contains the zero frame -> 0.
         assert excl[0] == pytest.approx(1.0)
