@@ -44,7 +44,7 @@ from repro.core import uncertain
 from repro.core.cleaner import TopKCleaner
 from repro.core.select_candidate import CandidateSelector, top_indices
 from repro.core.topk_prob import ConfidenceState
-from repro.core.uncertain import QuantizationGrid, UncertainRelation
+from repro.core.uncertain import QuantizationGrid
 from repro.models import (
     Adam,
     FeatureMDNProxy,
@@ -96,11 +96,11 @@ def build_relation(num_tuples=20_000, levels=16, certain=60, seed=0):
         w[np.abs(z) > 3.0] = 0.0
         pmf[chunk] = w / w.sum(axis=1, keepdims=True)
     grid = QuantizationGrid(floor=0.0, step=1.0, num_levels=levels)
-    relation = UncertainRelation(np.arange(num_tuples), pmf, grid)
     top = np.argsort(-mus)[:certain]
-    for position in top:
-        relation.mark_certain(int(position), float(round(mus[position])))
-    return relation
+    return uncertain.build_relation(
+        np.arange(num_tuples), None, floor=0.0, step=1.0,
+        known_scores={int(p): float(round(mus[p])) for p in top},
+        grid=grid, pmf=pmf)
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +133,8 @@ def test_topk_prob_naive_recompute(benchmark, big_relation):
 
 
 def test_select_candidate_early_stopping(benchmark, big_relation):
-    relation = big_relation.copy()
-    state = ConfidenceState(relation)
-    selector = CandidateSelector(relation, state)
+    state = ConfidenceState(big_relation)
+    selector = CandidateSelector(big_relation, state)
 
     def run():
         return selector.select(
@@ -151,9 +150,8 @@ def test_select_candidate_early_stopping(benchmark, big_relation):
 def test_select_candidate_exhaustive(benchmark, big_relation):
     """Ablation: computing E[X_f] for every uncertain frame, then
     taking the best 8 (what the early stop avoids)."""
-    relation = big_relation.copy()
-    state = ConfidenceState(relation)
-    selector = CandidateSelector(relation, state)
+    state = ConfidenceState(big_relation)
+    selector = CandidateSelector(big_relation, state)
 
     def run():
         positions = np.flatnonzero(state.uncertain_mask)

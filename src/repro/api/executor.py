@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.cleaner import TopKCleaner
 from ..core.result import PhaseBreakdown, QueryReport
-from ..core.uncertain import covers, restrict_relation
+from ..core.uncertain import restrict_relation
 from ..core.windows import WindowCleaner
 from ..errors import QueryError
 from ..oracle.base import Oracle
@@ -108,7 +108,7 @@ class QueryExecutor:
                 f"{session.scoring.name!r})")
         if plan.mode == "frames" and plan.frame_ranges is None \
                 and is_sliding(session.video):
-            # The maintained relation only covers the open window, so
+            # The maintained relation holds only the open window, so
             # an unrestricted plan would silently mislabel a windowed
             # answer as a full-prefix one. The fluent builder windows
             # every plan implicitly; this guard is for hand-built ones.
@@ -187,15 +187,13 @@ class QueryExecutor:
         if plan.frame_ranges is not None:
             # Sliding-window restriction: mask the cached full relation
             # down to the window's rows on the same grid. A windowed
-            # maintainer's relation is the window already and is read
-            # as it is.
+            # maintainer's relation is the window already and comes
+            # back as it is.
             with trace_span(
                     "window_slide", category="phase2",
                     window_seconds=plan.window_seconds,
                     num_ranges=len(plan.frame_ranges)) as slide_span:
-                if not covers(relation, plan.frame_ranges):
-                    relation = restrict_relation(
-                        relation, plan.frame_ranges)
+                relation = restrict_relation(relation, plan.frame_ranges)
                 if slide_span is not None:
                     slide_span.set(num_tuples=len(relation))
 

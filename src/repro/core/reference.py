@@ -2,19 +2,19 @@
 
 These are exponential-time oracles of correctness for the fast
 algorithms in :mod:`repro.core.topk_prob` and
-:mod:`repro.core.select_candidate`. They are used only by the tests
-and by ablation benchmarks on tiny relations.
+:mod:`repro.core.select_candidate`. They are used by the tests, the
+guarantee audit and ablation benchmarks on tiny relations.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .uncertain import UncertainRelation
+from .uncertain import UncertainRelation, build_relation
 
 #: Safety limit on the number of enumerated worlds.
 MAX_WORLDS = 2_000_000
@@ -71,6 +71,23 @@ def topk_prob_bruteforce(
     return total
 
 
+def with_known_scores(
+    relation: UncertainRelation, known: Dict[int, float]
+) -> UncertainRelation:
+    """``relation`` rebuilt with the frames of ``known`` (frame id ->
+    exact score) certain and its own certain tuples kept: a relation is
+    read-only, so more certainty is another :func:`build_relation` on
+    its ids, a copy of its pmf and its grid."""
+    certain = relation.certain
+    grid = relation.grid
+    return build_relation(
+        relation.ids, None, floor=grid.floor, step=grid.step,
+        known_scores={**dict(zip(relation.ids[certain].tolist(),
+                                 relation.exact_scores[certain].tolist())),
+                      **known},
+        grid=grid, pmf=relation.pmf.copy())
+
+
 def expected_confidence_bruteforce(
     relation: UncertainRelation,
     position: int,
@@ -86,8 +103,9 @@ def expected_confidence_bruteforce(
     expected = 0.0
     for level in support:
         probability = float(relation.pmf[position, level])
-        clone = relation.copy()
-        clone.mark_certain(position, float(clone.grid.score_of(level)))
+        clone = with_known_scores(relation, {
+            int(relation.ids[position]):
+                float(relation.grid.score_of(level))})
 
         certain_positions = np.flatnonzero(clone.certain)
         scores = clone.exact_scores[certain_positions]

@@ -22,7 +22,7 @@ vectorized slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -336,23 +336,25 @@ class UncertainRelation:
     """The uncertain relation D: x-tuples over retained frames.
 
     Tuples are either *uncertain* (a pmf from the proxy) or *certain*
-    (an oracle-observed score). Cleaning a tuple replaces its pmf with
-    a point mass and records the exact score.
+    (an oracle-observed score: a point mass at its level, the exact
+    score kept beside it). A relation is a value: its certain rows are
+    written while it is built (:func:`build_relation`'s known scores)
+    and every array it holds or hands out is read-only from then on. A
+    query keeps what it cleans in its own
+    :class:`~repro.core.cleaner.TopKCleaner`.
+
+    What is derived from the tuples — :meth:`log_tables`,
+    :meth:`level_columns`, :meth:`memo` — is built on first use, kept
+    (the tuples never change) and left out of pickles.
     """
 
-    #: Memo of :meth:`log_tables` — derived state: shared read-only
-    #: with every copy and every query's cleaner, dropped by in-place
-    #: cleaning (popped, so a relation without one has a fresh
-    #: relation's ``vars``), never pickled.
+    #: Memo of :meth:`log_tables`.
     _log_tables = None
 
-    #: Memo of :meth:`level_columns` (grid level -> columns), under the
-    #: same rules as ``_log_tables``; a row-restricted clone takes rows
-    #: of every column built so far.
+    #: Memo of :meth:`level_columns` (grid level -> columns).
     _columns = None
 
-    #: Memo of :meth:`memo` (key -> read-only value), under the same
-    #: rules as ``_log_tables``; a row-restricted clone starts without.
+    #: Memo of :meth:`memo` (key -> read-only value).
     _memo = None
 
     def __init__(
@@ -360,7 +362,17 @@ class UncertainRelation:
         ids: Sequence[int],
         pmf: np.ndarray,
         grid: QuantizationGrid,
+        *,
+        known: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ):
+        """Validate the tuples and freeze them.
+
+        The relation takes ``ids`` and ``pmf`` over: ``known``, the
+        ``(positions, exact scores)`` of the certain tuples
+        (:func:`build_relation` passes its known scores), rewrites
+        those rows of ``pmf`` as point masses, and then every array is
+        made read-only.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         pmf = np.asarray(pmf, dtype=np.float64)
         if pmf.ndim != 2 or pmf.shape[0] != ids.size:
@@ -375,15 +387,21 @@ class UncertainRelation:
         if pmf.size and not np.allclose(sums, 1.0, atol=1e-6):
             raise UncertainRelationError("each x-tuple pmf must sum to 1")
 
+        certain = np.zeros(ids.size, dtype=bool)
+        # Exact (unquantized) score for certain tuples, NaN otherwise.
+        exact_scores = np.full(ids.size, np.nan)
+        if known is not None:
+            positions, scores = known
+            pmf[positions, :] = 0.0
+            pmf[positions, grid.level_of(scores)] = 1.0
+            certain[positions] = True
+            exact_scores[positions] = scores
+        cdf = np.clip(np.cumsum(pmf, axis=1), 0.0, 1.0)
+        cdf[:, -1] = 1.0
         self.grid = grid
-        self.ids = ids
-        self.pmf = pmf
-        self.cdf = np.clip(np.cumsum(pmf, axis=1), 0.0, 1.0)
-        self.cdf[:, -1] = 1.0
-        self.certain = np.zeros(ids.size, dtype=bool)
-        #: Exact (unquantized) score for certain tuples, NaN otherwise.
-        self.exact_scores = np.full(ids.size, np.nan)
-        self._pos: Dict[int, int] = dict(zip(ids.tolist(), range(ids.size)))
+        (self.ids, self.pmf, self.cdf, self.certain,
+         self.exact_scores) = _read_only(
+            (ids, pmf, cdf, certain, exact_scores))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -398,62 +416,13 @@ class UncertainRelation:
         return len(self) - self.num_certain
 
     def position(self, frame_id: int) -> int:
-        try:
-            return self._pos[int(frame_id)]
-        except KeyError:
+        """The position of ``frame_id``'s tuple (a scan of the ids:
+        only audits and tests look frames up one at a time)."""
+        found = np.flatnonzero(self.ids == int(frame_id))
+        if not found.size:
             raise UncertainRelationError(
-                f"frame {frame_id} not in relation") from None
-
-    def mark_certain(self, position: int, score: float) -> int:
-        """Clean one tuple: point-mass pmf at the score's level.
-
-        Returns the quantized level of the observed score.
-        """
-        if self.certain[position]:
-            raise UncertainRelationError(
-                f"tuple at position {position} already certain")
-        self._drop_derived()
-        level = int(self.grid.level_of(score))
-        self.pmf[position, :] = 0.0
-        self.pmf[position, level] = 1.0
-        self.cdf[position, :] = 0.0
-        self.cdf[position, level:] = 1.0
-        self.certain[position] = True
-        self.exact_scores[position] = float(score)
-        return level
-
-    def mark_certain_many(
-        self, positions: np.ndarray, scores: np.ndarray
-    ) -> np.ndarray:
-        """Clean a batch of tuples in one vectorized pass.
-
-        Equivalent to calling :meth:`mark_certain` per tuple, but the
-        pmf / cdf rows are rewritten with a single fancy-indexed
-        assignment each — how D0's known scores go in at build time.
-        Returns the quantized levels of the observed scores.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        scores = np.asarray(scores, dtype=np.float64)
-        if positions.size != scores.size:
-            raise UncertainRelationError(
-                f"{positions.size} positions but {scores.size} scores")
-        if positions.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if not all_distinct(positions):
-            raise UncertainRelationError(
-                "batch positions must be unique")
-        if self.certain[positions].any():
-            raise UncertainRelationError(
-                "batch contains already-certain tuples")
-        self._drop_derived()
-        levels = self.grid.level_of(scores)
-        self.pmf[positions, :] = 0.0
-        self.pmf[positions, levels] = 1.0
-        self.cdf[positions, :] = (
-            np.arange(self.grid.num_levels)[None, :] >= levels[:, None])
-        self.certain[positions] = True
-        self.exact_scores[positions] = scores
-        return levels
+                f"frame {frame_id} not in relation")
+        return int(found[0])
 
     def uncertain_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.certain)
@@ -464,15 +433,15 @@ class UncertainRelation:
         return self.pmf @ levels
 
     def log_tables(self):
-        """``(log F, F == 0, finite_sum, zero_count)`` of the tuples as
-        they are now: what Topk-prob starts every query from.
+        """``(log F, F == 0, finite_sum, zero_count)`` of the tuples:
+        what Topk-prob starts every query from.
 
         ``log F`` is the ``(N, L)`` log-cdf with 0 stored where
         ``F == 0`` (the mask says where); the two ``(L,)`` vectors are
         its column sums and the mask's over the uncertain rows. Built
-        on first use and kept: callers only read the tables and copy
-        the vectors. Two threads racing the first use both build the
-        same values; either assignment may win.
+        on first use and kept, read-only: callers copy the vectors. Two
+        threads racing the first use both build the same values; either
+        assignment may win.
         """
         tables = self._log_tables
         if tables is None:
@@ -511,9 +480,9 @@ class UncertainRelation:
         with its arrays read-only.
 
         How a query starts from what D0 alone decides (DESIGN.md §3):
-        ``build`` must be a pure function of the tuples as they are
-        now. Kept under :meth:`log_tables`' rules (two threads racing a
-        first use build equal values; either assignment may win).
+        ``build`` must be a pure function of the tuples. Kept under
+        :meth:`log_tables`' rules (two threads racing a first use build
+        equal values; either assignment may win).
         """
         memo = self._memo
         if memo is None:
@@ -523,58 +492,46 @@ class UncertainRelation:
             found = memo[key] = _read_only(build())
         return found
 
-    def _drop_derived(self) -> None:
-        """Forget the memos: the tuples are about to change. Popped, so
-        this relation's own ``vars`` look fresh and a copy sharing the
-        memos keeps them."""
-        for name in _DERIVED:
-            self.__dict__.pop(name, None)
-
     def __getstate__(self):
-        state = self.__dict__.copy()
-        for name in _DERIVED:
-            state.pop(name, None)
-        return state
+        # The tuples only: the memos are rebuilt on first use.
+        return {"grid": self.grid,
+                **{name: getattr(self, name) for name in _ARRAYS}}
 
-    def copy(self) -> "UncertainRelation":
-        return self._clone(None)
+    def __setstate__(self, state):
+        # A blob written before relations were values (format 6 still
+        # reads it) holds writeable arrays and a frame-id dict: only
+        # the fields are taken, read-only.
+        self.grid = state["grid"]
+        for name in _ARRAYS:
+            setattr(self, name, _read_only(state[name]))
 
-    def _clone(self, rows: Optional[np.ndarray]) -> "UncertainRelation":
-        """A deep copy of the tuples at ``rows`` (a boolean mask, order
-        preserved; ``None``: all of them).
+    def _clone(self, rows: np.ndarray) -> "UncertainRelation":
+        """The tuples at ``rows`` (a boolean mask, order preserved).
 
-        Clones the already-validated fields: nothing is re-checked or
-        re-accumulated (the constructor validates whatever is built
-        from outside). The clone shares this relation's
-        :meth:`log_tables` and :meth:`level_columns` (a row subset takes
-        rows of them) and, when it keeps every row, its :meth:`memo`.
+        Takes rows of the already-validated fields: nothing is
+        re-checked or re-accumulated (the constructor validates
+        whatever is built from outside). The clone takes rows of this
+        relation's :meth:`log_tables` and of every
+        :meth:`level_columns` built so far, and starts without a
+        :meth:`memo`.
         """
-        take = np.copy if rows is None else (lambda field: field[rows])
         clone = object.__new__(UncertainRelation)
         clone.grid = self.grid
-        clone.ids = take(self.ids)
-        clone.pmf = take(self.pmf)
-        clone.cdf = take(self.cdf)
-        clone.certain = take(self.certain)
-        clone.exact_scores = take(self.exact_scores)
-        clone._pos = dict(self._pos) if rows is None else dict(
-            zip(clone.ids.tolist(), range(clone.ids.size)))
+        for name in _ARRAYS:
+            setattr(clone, name, _read_only(getattr(self, name)[rows]))
         tables = self.log_tables()
-        clone._log_tables = tables if rows is None else _with_sums(
+        clone._log_tables = _with_sums(
             tables[0][rows], tables[1][rows], ~clone.certain)
         columns = self._columns
         if columns is not None:
-            clone._columns = columns if rows is None else {
-                level: tuple(column[rows] for column in found)
+            clone._columns = {
+                level: _read_only(tuple(column[rows] for column in found))
                 for level, found in dict(columns).items()}
-        if rows is None and self._memo is not None:
-            clone._memo = self._memo
         return clone
 
 
-#: The memos :meth:`UncertainRelation._drop_derived` forgets and a
-#: pickle leaves out.
-_DERIVED = ("_log_tables", "_columns", "_memo")
+#: The tuples' arrays: with the grid, what a relation pickles.
+_ARRAYS = ("ids", "pmf", "cdf", "certain", "exact_scores")
 
 
 def _read_only(value):
@@ -591,14 +548,15 @@ def _read_only(value):
 def _with_sums(log_cdf: np.ndarray, zero: np.ndarray, uncertain: np.ndarray):
     """The :meth:`UncertainRelation.log_tables` tuple of these rows."""
     rows = uncertain[:, None]
-    return (log_cdf, zero, (log_cdf * rows).sum(axis=0),
-            (zero & rows).sum(axis=0).astype(np.int64))
+    return _read_only((log_cdf, zero, (log_cdf * rows).sum(axis=0),
+                       (zero & rows).sum(axis=0).astype(np.int64)))
 
 
 def _level_columns(tables, level: int):
     """The :meth:`UncertainRelation.level_columns` tuple: a contiguous
     copy of column ``level`` of each ``(N, L)`` table."""
-    return tuple(np.ascontiguousarray(table[:, level]) for table in tables)
+    return _read_only(tuple(
+        np.ascontiguousarray(table[:, level]) for table in tables))
 
 
 def _rows_in(
@@ -611,15 +569,6 @@ def _rows_in(
     return mask
 
 
-def covers(
-    relation: UncertainRelation, ranges: Sequence[Tuple[int, int]]
-) -> bool:
-    """Whether every tuple lies in the ``[lo, hi)`` ranges: a windowed
-    maintainer's relation is the window already, and a reader that never
-    writes it can skip :func:`restrict_relation`."""
-    return bool(_rows_in(relation, ranges).all())
-
-
 def restrict_relation(
     relation: UncertainRelation,
     ranges: Sequence[Tuple[int, int]],
@@ -630,12 +579,11 @@ def restrict_relation(
     rows, certainty flags and — crucially — the quantization grid are
     all preserved, so restricting a full-prefix relation is bitwise
     equal to building the window's rows directly on the same grid.
-    Always returns fresh arrays, the identity restriction included (a
-    plain copy with the same derived tables), so a caller may clean
-    the result in place.
+    Ranges that cover every tuple return ``relation`` itself — a
+    windowed maintainer's relation is the window already.
     """
     mask = _rows_in(relation, ranges)
-    return relation._clone(None if mask.all() else mask)
+    return relation if mask.all() else relation._clone(mask)
 
 
 def build_relation(
@@ -661,9 +609,11 @@ def build_relation(
     (:func:`quantize_mixtures` is row-independent, so the maintainer
     keeps them per inference block), replaces the quantization pass;
     the relation takes the array over and writes the known scores'
-    rows into it. Nothing writes the relation after that: a query
-    keeps what it cleans in its own
-    :class:`~repro.core.cleaner.TopKCleaner`.
+    rows into it. Every array is read-only after that: a query keeps
+    what it cleans in its own :class:`~repro.core.cleaner.TopKCleaner`,
+    and a relation with more tuples certain is another build (an old
+    relation's ``ids``, a copy of its ``pmf`` and its ``grid``, with
+    the old and the new exact scores as ``known_scores``).
     ``mixtures`` is read only when ``grid`` or ``pmf`` is missing.
     """
     known_scores = dict(known_scores or {})
@@ -686,16 +636,14 @@ def build_relation(
         pmf = quantize_mixtures(mixtures, grid)
     if extra_ids.size:
         # Placeholder point masses, so the rows pass the relation's pmf
-        # check; marking the known rows certain below rewrites them.
+        # check; the constructor rewrites them as the known rows.
         extra = np.zeros((extra_ids.size, grid.num_levels))
         extra[:, 0] = 1.0
         pmf = np.vstack([pmf, extra])
 
     all_ids = np.concatenate([ids, extra_ids])
-    relation = UncertainRelation(all_ids, pmf, grid)
     # Each known frame's position, by one sort of the (distinct) ids.
     order = np.argsort(all_ids)
-    relation.mark_certain_many(
+    return UncertainRelation(all_ids, pmf, grid, known=(
         order[np.searchsorted(all_ids, known_ids, sorter=order)],
-        all_scores)
-    return relation
+        np.asarray(all_scores, dtype=np.float64)))

@@ -54,7 +54,7 @@ from ..api.executor import QueryExecutor
 from ..api.registry import resolve_pair
 from ..api.session import Session
 from ..config import EverestConfig
-from ..core.reference import topk_prob_bruteforce
+from ..core.reference import topk_prob_bruteforce, with_known_scores
 from ..core.uncertain import UncertainRelation, restrict_relation
 from ..metrics.quality import evaluate_answer, precision_at_k
 from ..oracle.base import Oracle, exact_scores
@@ -174,12 +174,10 @@ def run_query(session: Session, k: int, thres: float):
             session.scoring, cost, cost_key="oracle_confirm",
             budget=plan.oracle_budget))
     report = executor.execute(session.query().topk(k).guarantee(thres).plan())
-    relation = session.phase1().result.relation.copy()
+    relation = session.phase1().result.relation
     scored = executor.last_confirm_oracle.scored
     if scored:
-        relation.mark_certain_many(
-            np.array([relation.position(i) for i in scored]),
-            np.array(list(scored.values())))
+        relation = with_known_scores(relation, scored)
     return report, relation
 
 

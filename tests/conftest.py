@@ -19,7 +19,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.config import EverestConfig, Phase1Config
-from repro.core.uncertain import QuantizationGrid, UncertainRelation
+from repro.core.reference import with_known_scores
+from repro.core.uncertain import QuantizationGrid, build_relation
 from repro.models import extract_features, train_proxy_grid
 from repro.oracle import CostModel, Oracle, counting_udf, merge_cost_models
 from repro.video import DashcamVideo, SentimentVideo, TrafficVideo
@@ -94,7 +95,8 @@ def make_relation(pmfs, certain=None, step=1.0, floor=0.0):
     """Build a small hand-specified relation for algorithm tests.
 
     ``pmfs`` is a list of probability vectors (will be padded to a
-    common length); ``certain`` maps position -> exact score.
+    common length); ``certain`` maps position -> exact score (frame ids
+    are positions), written while the relation is built.
     """
     num_levels = max(len(p) for p in pmfs)
     matrix = np.zeros((len(pmfs), num_levels))
@@ -102,10 +104,18 @@ def make_relation(pmfs, certain=None, step=1.0, floor=0.0):
         matrix[i, : len(p)] = p
         matrix[i] /= matrix[i].sum()
     grid = QuantizationGrid(floor=floor, step=step, num_levels=num_levels)
-    relation = UncertainRelation(np.arange(len(pmfs)), matrix, grid)
-    for position, score in (certain or {}).items():
-        relation.mark_certain(position, score)
-    return relation
+    return build_relation(
+        np.arange(len(pmfs)), None, floor=floor, step=step,
+        known_scores=certain, grid=grid, pmf=matrix)
+
+
+def with_certain(relation, positions, scores):
+    """``relation`` rebuilt through ``build_relation`` with the tuples
+    at ``positions`` certain at ``scores`` (its own certain tuples stay
+    so): a relation is read-only."""
+    return with_known_scores(relation, dict(zip(
+        relation.ids[np.asarray(positions, dtype=np.int64)].tolist(),
+        np.asarray(scores, dtype=np.float64).tolist())))
 
 
 @pytest.fixture

@@ -10,8 +10,11 @@ precedent) so ``test_phase2_equivalence.py`` checks the running
 Top-K, the shared log tables and the pruned scan against an independent
 implementation rather than against themselves. It shares nothing with
 ``src/`` but :class:`~repro.core.uncertain.UncertainRelation`'s public
-surface (``cdf`` / ``pmf`` / ``certain`` / ``exact_scores`` /
-``mark_certain_many``), ``Phase2Config`` and ``SelectionStats``. The
+surface (``cdf`` / ``pmf`` / ``certain`` / ``exact_scores``),
+``all_distinct``, ``Phase2Config`` and ``SelectionStats``. A library
+relation is read-only, so the reference cleaner cleans its own
+writable copy (:class:`_WritableRelation`, with the library's old
+in-place ``mark_certain_many``). The
 Select-candidate knobs the library fixed as constants live on here, in
 :class:`SelectCandidateConfig`: the reference still runs the
 exhaustive scan and any re-sort schedule.
@@ -29,7 +32,7 @@ import numpy as np
 from repro.config import Phase2Config
 from repro.core.cleaner import Phase2Result
 from repro.core.select_candidate import SelectionStats
-from repro.core.uncertain import UncertainRelation
+from repro.core.uncertain import UncertainRelation, all_distinct
 from repro.errors import (
     GuaranteeUnreachableError,
     QueryError,
@@ -335,8 +338,64 @@ class ReferenceSelector:
         return all_pos[best]
 
 
+class _WritableRelation:
+    """A relation's tuples on writable arrays, cleaned in place."""
+
+    def __init__(self, relation: UncertainRelation):
+        self.grid = relation.grid
+        self.ids = relation.ids.copy()
+        self.pmf = relation.pmf.copy()
+        self.cdf = relation.cdf.copy()
+        self.certain = relation.certain.copy()
+        self.exact_scores = relation.exact_scores.copy()
+
+    def __len__(self) -> int:
+        return int(self.ids.size)
+
+    @property
+    def num_certain(self) -> int:
+        return int(self.certain.sum())
+
+    def uncertain_positions(self) -> np.ndarray:
+        return np.flatnonzero(~self.certain)
+
+    def expected_scores(self) -> np.ndarray:
+        """Per-tuple pmf means in score units (certain -> exact level)."""
+        levels = self.grid.score_of(np.arange(self.grid.num_levels))
+        return self.pmf @ levels
+
+    def mark_certain_many(
+        self, positions: np.ndarray, scores: np.ndarray
+    ) -> np.ndarray:
+        """Clean a batch of tuples in one vectorized pass: the pmf /
+        cdf rows are rewritten with a single fancy-indexed assignment
+        each. Returns the quantized levels of the observed scores."""
+        positions = np.asarray(positions, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if positions.size != scores.size:
+            raise UncertainRelationError(
+                f"{positions.size} positions but {scores.size} scores")
+        if positions.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if not all_distinct(positions):
+            raise UncertainRelationError(
+                "batch positions must be unique")
+        if self.certain[positions].any():
+            raise UncertainRelationError(
+                "batch contains already-certain tuples")
+        levels = self.grid.level_of(scores)
+        self.pmf[positions, :] = 0.0
+        self.pmf[positions, levels] = 1.0
+        self.cdf[positions, :] = (
+            np.arange(self.grid.num_levels)[None, :] >= levels[:, None])
+        self.certain[positions] = True
+        self.exact_scores[positions] = scores
+        return levels
+
+
 class ReferenceCleaner:
-    """Ground-truth-in-the-loop uncertain Top-K processor."""
+    """Ground-truth-in-the-loop uncertain Top-K processor, on its own
+    writable copy of ``relation``."""
 
     def __init__(
         self,
@@ -346,7 +405,7 @@ class ReferenceCleaner:
         *,
         cost_model=None,
     ):
-        self.relation = relation
+        self.relation = relation = _WritableRelation(relation)
         self.clean_fn = clean_fn
         self.config = config
         self.cost_model = cost_model

@@ -43,10 +43,9 @@ class TestCleanerUnit:
             pmf = np.full(5, 0.05)
             pmf[int(score)] += 0.8
             pmfs.append(pmf / pmf.sum())
-        relation = make_relation(pmfs)
         # Seed certainty on a few tuples (Phase 1 labels).
-        for position in (0, 1, 2):
-            relation.mark_certain(position, true[position])
+        relation = make_relation(
+            pmfs, certain={position: true[position] for position in (0, 1, 2)})
         cleaner = TopKCleaner(
             relation, make_clean_fn(true), Phase2Config(batch_size=2))
         result = cleaner.run(k=3, thres=0.9)
@@ -63,9 +62,8 @@ class TestCleanerUnit:
             # Adversarial: also place mass on a wrong level.
             pmf[(int(score) + 3) % 7] += 0.36
             pmfs.append(pmf / pmf.sum())
-        relation = make_relation(pmfs)
-        for position in range(3):
-            relation.mark_certain(position, true[position])
+        relation = make_relation(
+            pmfs, certain={position: true[position] for position in range(3)})
         cleaner = TopKCleaner(
             relation, make_clean_fn(true), Phase2Config(batch_size=1))
         result = cleaner.run(k=3, thres=0.99)
@@ -78,9 +76,7 @@ class TestCleanerUnit:
         rng = np.random.default_rng(2)
         true = rng.integers(0, 4, size=15).astype(float)
         pmfs = [np.ones(5) / 5 for _ in true]
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, true[0])
-        relation.mark_certain(1, true[1])
+        relation = make_relation(pmfs, certain={0: true[0], 1: true[1]})
         cleaner = TopKCleaner(relation, make_clean_fn(true), Phase2Config())
         result = cleaner.run(k=2, thres=0.8)
         for frame, score in zip(result.answer_ids, result.answer_scores):
@@ -125,9 +121,7 @@ class TestCleanerUnit:
         rng = np.random.default_rng(3)
         true = rng.integers(0, 4, size=12).astype(float)
         pmfs = [np.ones(5) / 5 for _ in true]
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, true[0])
-        relation.mark_certain(1, true[1])
+        relation = make_relation(pmfs, certain={0: true[0], 1: true[1]})
         cleaner = TopKCleaner(relation, make_clean_fn(true), Phase2Config())
         result = cleaner.run(k=2, thres=0.9)
         assert len(result.confidence_trace) == result.iterations + 1

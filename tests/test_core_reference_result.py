@@ -22,9 +22,13 @@ class TestEnumerateWorlds:
         total = sum(p for _, p in worlds)
         assert total == pytest.approx(1.0)
 
-    def test_certain_tuple_single_outcome(self, tiny_relation):
-        tiny_relation.mark_certain(0, 2.0)
-        worlds = list(enumerate_worlds(tiny_relation))
+    def test_certain_tuple_single_outcome(self):
+        relation = make_relation([
+            [0.78, 0.21, 0.01],
+            [0.49, 0.42, 0.09],
+            [0.16, 0.48, 0.36],
+        ], certain={0: 2.0})
+        worlds = list(enumerate_worlds(relation))
         assert len(worlds) == 9  # 1 * 3 * 3
         assert all(levels[0] == 2 for levels, _ in worlds)
 
@@ -50,8 +54,7 @@ class TestBruteForceHelpers:
     def test_expected_confidence_in_unit_interval(self):
         rng = np.random.default_rng(0)
         relation = make_relation(
-            [rng.dirichlet(np.ones(3)) for _ in range(4)])
-        relation.mark_certain(0, 2.0)
+            [rng.dirichlet(np.ones(3)) for _ in range(4)], certain={0: 2.0})
         value = expected_confidence_bruteforce(relation, 2, k=1)
         assert 0.0 <= value <= 1.0
 

@@ -31,9 +31,7 @@ from reference_phase2 import (
 def build_case(rng, num_tuples=6, levels=4, certain_scores=(3.0, 2.0)):
     """Random relation with the first tuples cleaned as the answer."""
     pmfs = [rng.dirichlet(np.ones(levels)) for _ in range(num_tuples)]
-    relation = make_relation(pmfs)
-    for position, score in enumerate(certain_scores):
-        relation.mark_certain(position, score)
+    relation = make_relation(pmfs, certain=dict(enumerate(certain_scores)))
     state = ConfidenceState(relation)
     selector = CandidateSelector(relation, state)
     return relation, state, selector
@@ -60,8 +58,7 @@ class TestExpectedConfidence:
         rng = np.random.default_rng(5)
         for trial in range(5):
             pmfs = [rng.dirichlet(np.ones(4)) for _ in range(5)]
-            relation = make_relation(pmfs)
-            relation.mark_certain(0, 2.0)
+            relation = make_relation(pmfs, certain={0: 2.0})
             state = ConfidenceState(relation)
             selector = CandidateSelector(relation, state)
             uncertain = relation.uncertain_positions()
@@ -136,11 +133,9 @@ class TestSelection:
         rng = np.random.default_rng(29)
         for trial in range(5):
             pmfs = [rng.dirichlet(np.ones(4)) for _ in range(30)]
-            relation_a = make_relation(pmfs)
-            relation_b = make_relation(pmfs)
-            for rel in (relation_a, relation_b):
-                rel.mark_certain(0, 3.0)
-                rel.mark_certain(1, 2.0)
+            relation_a, relation_b = (
+                make_relation(pmfs, certain={0: 3.0, 1: 2.0})
+                for _ in range(2))
             fast = CandidateSelector(relation_a, ConfidenceState(relation_a))
             slow = ReferenceSelector(
                 relation_b, ReferenceConfidenceState(relation_b),
@@ -161,7 +156,6 @@ class TestSelection:
         first = selector.select(
             0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         state.remove(int(first[0]))
-        relation.mark_certain(int(first[0]), 0.0)
         second = selector.select(
             1, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert second[0] != first[0]

@@ -13,7 +13,7 @@ from repro.core.reference import topk_prob_bruteforce
 from repro.core.topk_prob import ConfidenceState
 from repro.errors import UncertainRelationError
 
-from conftest import make_relation
+from conftest import make_relation, with_certain
 
 
 class TestPaperExample:
@@ -27,8 +27,7 @@ class TestPaperExample:
         state = ConfidenceState(tiny_relation)
         # If f3 were (hypothetically) certain at score 1, the answer
         # {f3} has confidence F_f1(1) * F_f2(1) = 0.99 * 0.91.
-        relation = tiny_relation
-        relation.mark_certain(2, 1.0)
+        relation = with_certain(tiny_relation, [2], [1.0])
         state = ConfidenceState(relation)
         assert state.topk_prob(1) == pytest.approx(0.99 * 0.91)
 
@@ -39,8 +38,7 @@ class TestPaperExample:
             [0.78, 0.21, 0.01],
             [0.49, 0.42, 0.09],
             [0.16, 0.48, 0.36],
-        ])
-        relation.mark_certain(2, 0.0)
+        ], certain={2: 0.0})
         state = ConfidenceState(relation)
         assert state.topk_prob(0) == pytest.approx(0.78 * 0.49, abs=1e-12)
 
@@ -122,8 +120,7 @@ class TestConfidenceState:
     def test_incremental_matches_rebuild_after_cleans(self, tiny_relation):
         state = ConfidenceState(tiny_relation)
         state.remove(1)
-        tiny_relation.mark_certain(1, 1.0)
-        rebuilt = ConfidenceState(tiny_relation)
+        rebuilt = ConfidenceState(with_certain(tiny_relation, [1], [1.0]))
         for level in range(3):
             assert state.joint_cdf(level) == pytest.approx(
                 rebuilt.joint_cdf(level))
@@ -135,9 +132,8 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(7)
         for trial in range(10):
             pmfs = [rng.dirichlet(np.ones(3)) for _ in range(4)]
-            relation = make_relation(pmfs)
             # Make one tuple certain; it is the Top-1 answer.
-            relation.mark_certain(0, 1.0)
+            relation = make_relation(pmfs, certain={0: 1.0})
             state = ConfidenceState(relation)
             fast = state.topk_prob(1)
             brute = topk_prob_bruteforce(relation, [0], 1)
@@ -147,9 +143,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(11)
         for trial in range(5):
             pmfs = [rng.dirichlet(np.ones(4)) for _ in range(5)]
-            relation = make_relation(pmfs)
-            relation.mark_certain(0, 3.0)
-            relation.mark_certain(1, 2.0)
+            relation = make_relation(pmfs, certain={0: 3.0, 1: 2.0})
             state = ConfidenceState(relation)
             fast = state.topk_prob(2)  # threshold = K-th = score 2
             brute = topk_prob_bruteforce(relation, [0, 1], 2)

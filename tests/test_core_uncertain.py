@@ -46,7 +46,6 @@ def assert_same_relation(a, b):
         mine, theirs = getattr(a, field), getattr(b, field)
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes(), field
-    assert a._pos == b._pos
 
 
 class TestQuantizationGrid:
@@ -227,19 +226,17 @@ class TestUncertainRelation:
             tiny_relation.cdf, np.cumsum(tiny_relation.pmf, axis=1))
         assert np.allclose(tiny_relation.cdf[:, -1], 1.0)
 
-    def test_mark_certain(self, tiny_relation):
-        level = tiny_relation.mark_certain(2, 0.0)
-        assert level == 0
-        assert tiny_relation.certain[2]
-        assert tiny_relation.num_certain == 1
-        assert tiny_relation.num_uncertain == 2
-        assert tiny_relation.pmf[2, 0] == 1.0
-        assert tiny_relation.exact_scores[2] == 0.0
-
-    def test_double_clean_rejected(self, tiny_relation):
-        tiny_relation.mark_certain(0, 1.0)
-        with pytest.raises(UncertainRelationError):
-            tiny_relation.mark_certain(0, 2.0)
+    def test_a_known_score_is_a_point_mass(self):
+        relation = make_relation(
+            [[0.78, 0.21, 0.01], [0.49, 0.42, 0.09], [0.16, 0.48, 0.36]],
+            certain={2: 0.2})
+        assert relation.certain.tolist() == [False, False, True]
+        assert relation.num_certain == 1
+        assert relation.num_uncertain == 2
+        assert relation.pmf[2].tolist() == [1.0, 0.0, 0.0]
+        assert relation.cdf[2].tolist() == [1.0, 1.0, 1.0]
+        assert relation.exact_scores[2] == 0.2
+        assert np.isnan(relation.exact_scores[:2]).all()
 
     def test_expected_scores(self, tiny_relation):
         expected = tiny_relation.expected_scores()
@@ -251,15 +248,11 @@ class TestUncertainRelation:
         with pytest.raises(UncertainRelationError):
             tiny_relation.position(99)
 
-    def test_copy_is_independent(self, tiny_relation):
-        clone = tiny_relation.copy()
-        clone.mark_certain(0, 1.0)
-        assert not tiny_relation.certain[0]
-
     def test_clones_equal_a_validated_rebuild(self):
-        """``copy`` / ``restrict_relation`` clone the validated fields
-        instead of re-running the constructor: same bytes, no shared
-        arrays, positions of the rows that are left."""
+        """``restrict_relation`` clones the validated fields instead of
+        re-running the constructor: same bytes, no shared arrays,
+        positions of the rows that are left; ranges covering every row
+        return the relation itself."""
         rng = np.random.default_rng(8)
         ids = np.arange(100, 160)
         relation = build_relation(
@@ -267,24 +260,19 @@ class TestUncertainRelation:
             known_scores={104: 3.0, 131: 9.0, 500: 2.0})
 
         def rebuilt(mask):
-            clone = UncertainRelation(
-                relation.ids[mask], relation.pmf[mask], relation.grid)
-            clone.certain = relation.certain[mask].copy()
-            clone.exact_scores = relation.exact_scores[mask].copy()
-            clone.cdf = relation.cdf[mask].copy()
-            return clone
+            certain = np.flatnonzero(relation.certain[mask])
+            return UncertainRelation(
+                relation.ids[mask], relation.pmf[mask], relation.grid,
+                known=(certain, relation.exact_scores[mask][certain]))
 
-        everything = np.ones(len(relation), dtype=bool)
+        assert restrict_relation(relation, [(0, 10**6)]) is relation
         window = (relation.ids >= 120) & (relation.ids < 150)
-        for clone, mask in (
-                (relation.copy(), everything),
-                (restrict_relation(relation, [(0, 10**6)]), everything),
-                (restrict_relation(relation, [(120, 150)]), window)):
-            assert_same_relation(clone, rebuilt(mask))
-            for field in ("ids", "pmf", "cdf", "certain", "exact_scores"):
-                assert not np.shares_memory(
-                    getattr(clone, field), getattr(relation, field))
         windowed = restrict_relation(relation, [(120, 150)])
+        assert_same_relation(windowed, rebuilt(window))
+        for field in ("ids", "pmf", "cdf", "certain", "exact_scores"):
+            assert not np.shares_memory(
+                getattr(windowed, field), getattr(relation, field))
+
         assert windowed.position(131) == 11
         with pytest.raises(UncertainRelationError):
             windowed.position(104)
@@ -301,12 +289,9 @@ class TestUncertainRelation:
         with pytest.raises(
                 UncertainRelationError, match="^tuple ids must be unique$"):
             UncertainRelation([7, 3, 7], pmf, grid)
-        relation = UncertainRelation([7, 3, 9], pmf, grid)
-        with pytest.raises(UncertainRelationError,
-                           match="^batch positions must be unique$"):
-            relation.mark_certain_many([2, 0, 2], [1.0, 0.0, 1.0])
-        assert relation.num_certain == 0  # refused whole
-        relation.mark_certain_many([2, 0], [1.0, 0.0])
+        relation = build_relation(
+            [7, 3, 9], None, floor=0.0, step=1.0, grid=grid, pmf=pmf,
+            known_scores={9: 1.0, 7: 0.0})
         assert relation.certain.tolist() == [True, False, True]
 
     def test_unnormalized_pmf_rejected(self):

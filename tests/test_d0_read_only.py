@@ -6,7 +6,9 @@ what it cleans in its own ``TopKCleaner``. Every query kind is run once
 here against a relation whose bytes and derived tables are recorded
 first: afterwards the four arrays hash the same and ``log_tables()``
 is still the very object it was. Bare threads sharing one relation
-serve the bytes a serial run does.
+serve the bytes a serial run does. A relation's arrays refuse writes
+in any case (``test_relation_read_only.py``); what these tests add is
+every query kind run end to end against one shared D0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import EverestConfig, QueryService, Session, VideoCorpus
-from repro.core.uncertain import covers
+from repro.core.uncertain import restrict_relation
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
 
@@ -80,7 +82,8 @@ def test_a_batch_sessions_restricted_window():
     session = _session()
     query = _query(session).window(seconds=10.0)
     relation = session.phase1().result.relation
-    assert not covers(relation, query.plan().frame_ranges)
+    assert restrict_relation(relation, query.plan().frame_ranges) \
+        is not relation
     with untouched(relation):
         query.run()
 
@@ -95,7 +98,9 @@ def test_a_windowed_streams_refresh_reads_the_window_as_it_is():
     stream, twin = _stream(), _stream()
     query = _query(stream, 3)
     relation = stream.phase1().result.relation
-    assert covers(relation, query.plan().frame_ranges)  # the identity
+    # The identity restriction.
+    assert restrict_relation(relation, query.plan().frame_ranges) \
+        is relation
     with untouched(relation):
         live = query.subscribe()
     # The append's refresh ran on the new entry: it is still the one a

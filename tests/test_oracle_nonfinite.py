@@ -130,7 +130,7 @@ def test_a_non_finite_label_fails_the_build_at_the_label(healthy, value):
 def test_a_refused_batch_leaves_state_and_relation_consistent(value):
     session = Session(_video(), counting_udf("car"), config=FAST)
     truth = session.video.truth_array()
-    relation = session.phase1().result.relation.copy()
+    relation = session.phase1().result.relation
     poison = {"armed": True}
 
     def clean_fn(ids):
@@ -154,7 +154,7 @@ def test_a_refused_batch_leaves_state_and_relation_consistent(value):
     poison["armed"] = False
     outcome = cleaner.run(5, 0.9)
     reference = TopKCleaner(
-        session.phase1().result.relation.copy(),
+        session.phase1().result.relation,
         lambda ids: truth[list(ids)], Phase2Config()).run(5, 0.9)
     assert outcome.answer_ids == reference.answer_ids
     assert outcome.answer_scores == reference.answer_scores

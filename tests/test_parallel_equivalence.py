@@ -5,9 +5,8 @@ Two families of properties, both seeded/derandomized:
 * **Batched state == from-scratch state.** After any random sequence
   of batched cleanings, `ConfidenceState`'s incrementally maintained
   log-CDF sums, zero counts, and confidence equal (a) a from-scratch
-  recompute over the cleaned relation and (b) the tuple-by-tuple
-  update path, and `UncertainRelation.mark_certain_many` leaves the
-  relation bit-identical to per-tuple `mark_certain`.
+  recompute over a relation built with the cleaned tuples certain and
+  (b) the tuple-by-tuple update path.
 
 * **Parallel sweep == serial sweep.** An experiment sweep submitted to
   a `QueryService` (`execute_sweep`) produces `QueryReport.to_json`
@@ -29,6 +28,8 @@ from repro.core.uncertain import QuantizationGrid, UncertainRelation
 from repro.errors import UncertainRelationError
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
+
+from conftest import with_certain
 
 
 # ----------------------------------------------------------------------
@@ -68,28 +69,22 @@ def random_batches(rng, relation):
 @given(seed=st.integers(0, 10**9))
 def test_batched_cleaning_equals_sequential_and_scratch(seed):
     relation = random_relation(seed)
-    twin = relation.copy()
     state = ConfidenceState(relation)
-    twin_state = ConfidenceState(twin)
+    twin_state = ConfidenceState(relation)
     rng = np.random.default_rng(seed + 1)
+    cleaned, cleaned_scores = [], []
 
     for positions, scores in random_batches(rng, relation):
         # Batched hot path vs the tuple-by-tuple reference path.
         state.remove_many(positions)
-        relation.mark_certain_many(positions, scores)
-        for position, score in zip(positions, scores):
+        for position in positions:
             twin_state.remove(int(position))
-            twin.mark_certain(int(position), float(score))
-
-        # Relation contents are bit-identical (pure 0/1 assignments).
-        np.testing.assert_array_equal(relation.pmf, twin.pmf)
-        np.testing.assert_array_equal(relation.cdf, twin.cdf)
-        np.testing.assert_array_equal(relation.certain, twin.certain)
-        np.testing.assert_array_equal(
-            relation.exact_scores, twin.exact_scores)
+        cleaned.extend(positions.tolist())
+        cleaned_scores.extend(scores.tolist())
 
         # Incremental joint-CDF state vs both references.
-        scratch = ConfidenceState(relation)
+        scratch = ConfidenceState(
+            with_certain(relation, cleaned, cleaned_scores))
         for reference in (twin_state, scratch):
             np.testing.assert_array_equal(
                 state.uncertain_mask, reference.uncertain_mask)
@@ -111,12 +106,11 @@ def test_vectorized_expected_confidence_matches_bruteforce(seed):
     state = ConfidenceState(relation)
     rng = np.random.default_rng(seed + 2)
 
-    # Clean a prefix so the exclusion products run over a proper subset.
+    # Clean a prefix so the exclusion products run over a proper subset
+    # (the selector reads D0, the state says what is left uncertain).
     batches = random_batches(rng, relation)
     if batches:
-        positions, scores = batches[0]
-        state.remove_many(positions)
-        relation.mark_certain_many(positions, scores)
+        state.remove_many(batches[0][0])
     uncertain = np.flatnonzero(state.uncertain_mask)
     if uncertain.size == 0:
         return
@@ -142,16 +136,10 @@ def test_vectorized_expected_confidence_matches_bruteforce(seed):
 
 
 def test_batch_updates_reject_duplicates_and_certain():
-    relation = random_relation(7)
-    state = ConfidenceState(relation)
-    with pytest.raises(UncertainRelationError):
-        relation.mark_certain_many(np.array([0, 0]), np.array([1.0, 2.0]))
+    state = ConfidenceState(random_relation(7))
     with pytest.raises(UncertainRelationError):
         state.remove_many(np.array([1, 1]))
-    relation.mark_certain_many(np.array([0]), np.array([1.0]))
     state.remove_many(np.array([0]))
-    with pytest.raises(UncertainRelationError):
-        relation.mark_certain_many(np.array([0]), np.array([1.0]))
     with pytest.raises(UncertainRelationError):
         state.remove_many(np.array([0]))
 

@@ -45,6 +45,7 @@ from repro.oracle import counting_udf
 from repro.service.backend import ship_spec
 from repro.video import TrafficVideo
 
+from conftest import with_certain
 from reference_phase2 import (
     ReferenceCleaner,
     ReferenceConfidenceState,
@@ -73,8 +74,9 @@ def _relation_bytes(relation):
 
 
 def _both(relation, truth, k, thres, config):
-    """Run the reference on a copy of ``relation`` (it cleans in place)
-    and ``TopKCleaner`` on ``relation`` itself; return what each saw.
+    """Run the reference (it cleans its own writable copy of
+    ``relation``) and ``TopKCleaner`` on ``relation``; return what each
+    saw.
 
     ``truth`` maps tuple id -> exact score. Each side records the id
     batches its ``clean_fn`` was handed. The last item of each outcome
@@ -91,7 +93,7 @@ def _both(relation, truth, k, thres, config):
             return np.asarray([truth[i] for i in ids], dtype=np.float64)
 
         if reference:
-            cleaner = ReferenceCleaner(relation.copy(), clean_fn, config)
+            cleaner = ReferenceCleaner(relation, clean_fn, config)
         else:
             cleaner = TopKCleaner(relation, clean_fn, config)
         result = cleaner.run(k, thres)
@@ -147,7 +149,8 @@ def phase2_cases(draw):
     certain = draw(st.lists(
         st.integers(0, n - 1), max_size=n - 1, unique=True))
     if certain:
-        relation.mark_certain_many(certain, [truth[ids[p]] for p in certain])
+        relation = with_certain(
+            relation, certain, [truth[ids[p]] for p in certain])
     k = draw(st.sampled_from([1, 2, n // 2 or 1, n]))
     thres = draw(st.sampled_from([0.5, 0.9, 0.99, 1.0]))
     config = Phase2Config(batch_size=draw(st.sampled_from([1, 2, 8])))
@@ -183,7 +186,7 @@ def wide_span_cases(draw):
     truth[ids[0]], truth[ids[1]] = float(k_level + gap), float(k_level)
     relation = UncertainRelation(
         list(ids), pmf, QuantizationGrid(0.0, 1.0, levels))
-    relation.mark_certain_many([0, 1], [truth[ids[0]], truth[ids[1]]])
+    relation = with_certain(relation, [0, 1], [truth[ids[0]], truth[ids[1]]])
     config = Phase2Config(batch_size=draw(st.sampled_from([1, 3, 8])))
     thres = draw(st.sampled_from([0.9, 0.99]))
     return relation, truth, (k_level, k_level + gap), thres, config
@@ -219,9 +222,10 @@ class _CheckedSelector(CandidateSelector):
     def select(self, iteration, k_level, p_level, batch_size, p_hat):
         picked = super().select(
             iteration, k_level, p_level, batch_size, p_hat)
-        relation = self.relation.copy()
-        cleaned = np.flatnonzero(~self.state.uncertain_mask & ~relation.certain)
-        relation.mark_certain_many(cleaned, self.cleaner.exact_scores[cleaned])
+        cleaned = np.flatnonzero(
+            ~self.state.uncertain_mask & ~self.relation.certain)
+        relation = with_certain(
+            self.relation, cleaned, self.cleaner.exact_scores[cleaned])
         reference = ReferenceSelector(
             relation, ReferenceConfidenceState(relation),
             SelectCandidateConfig(use_upper_bound=False))
@@ -251,7 +255,8 @@ def test_multi_chunk_scans_match_the_reference(seed, flat, use_upper_bound):
     truth = dict(zip(ids.tolist(), rng.integers(0, levels, n).astype(float)))
     relation = UncertainRelation(ids, pmf, QuantizationGrid(0.0, 1.0, levels))
     known = rng.choice(n, 100, replace=False)
-    relation.mark_certain_many(known, [truth[int(ids[p])] for p in known])
+    relation = with_certain(
+        relation, known, [truth[int(ids[p])] for p in known])
     k, config = 50 if flat else 20, Phase2Config(batch_size=8)
     if use_upper_bound:
         outcomes = _both(relation, truth, k, 0.9, config)
@@ -371,10 +376,11 @@ def test_log_tables_are_built_once_per_entry(derivations):
     reports = [_ask(session, k) for k in (3, 5, 8, 5, 3, 12)]
     assert derivations == {"tables": 1, "window_relations": 0}
     assert reports[1] == reports[3] and reports[0] == reports[4]
-    # No query wrote the entry's relation: it is still D0 and still
-    # holds the tables every query (and every copy) shares.
+    # The entry's relation still holds the tables every query shares;
+    # a restriction to every row is the relation itself.
     relation = session.phase1().result.relation
-    assert relation.log_tables() is relation.copy().log_tables()
+    assert restrict_relation(relation, [(0, 10**9)]).log_tables() \
+        is relation.log_tables()
     assert derivations["tables"] == 1
 
 
@@ -401,11 +407,11 @@ def test_level_columns_are_built_once_per_level(column_builds):
     assert len(built) == sum(len(memo) for memo in memos) > 0
     assert [_ask(session, k, w) for k, w in shapes] == reports
     assert column_builds == built
-    # A copy shares the memo; a row restriction takes rows of every
-    # column built so far and copies nothing itself.
+    # A restriction to every row is the relation itself; a real one
+    # takes rows of every column built so far and copies nothing itself.
     level = next(iter(memos[0]))
-    assert relation.copy().level_columns(level) is \
-        relation.level_columns(level)
+    assert restrict_relation(relation, [(0, 10**9)]).level_columns(level) \
+        is relation.level_columns(level)
     restricted = restrict_relation(relation, [(100, 400)])
     mask = (relation.ids >= 100) & (relation.ids < 400)
     assert vars(restricted)["_columns"].keys() == memos[0].keys()
@@ -415,16 +421,14 @@ def test_level_columns_are_built_once_per_level(column_builds):
     assert column_builds == built
 
 
-def test_in_place_cleaning_drops_the_relations_own_columns():
+def test_a_rebuild_with_one_more_certain_tuple_has_its_own_columns():
     session = _fresh_session()
     entry_relation = session.phase1().result.relation
     _ask(session)
     level = next(iter(vars(entry_relation)["_columns"]))
     shared = entry_relation.level_columns(level)
-    relation = entry_relation.copy()
-    assert relation.level_columns(level) is shared
-    position = int(relation.uncertain_positions()[0])
-    relation.mark_certain(position, 2.0)
+    relation = with_certain(
+        entry_relation, [int(entry_relation.uncertain_positions()[0])], [2.0])
     assert "_columns" not in vars(relation)
     rebuilt = relation.level_columns(level)
     assert rebuilt is not shared
@@ -435,17 +439,17 @@ def test_in_place_cleaning_drops_the_relations_own_columns():
     assert shared[2].tobytes() == entry_relation.cdf[:, level].tobytes()
 
 
-def test_in_place_cleaning_drops_the_relations_own_tables():
+def test_a_rebuild_with_one_more_certain_tuple_has_its_own_tables():
     session = _fresh_session()
-    relation = session.phase1().result.relation.copy()
-    tables = relation.log_tables()
-    position = int(relation.uncertain_positions()[0])
-    relation.mark_certain(position, 2.0)
+    entry_relation = session.phase1().result.relation
+    tables = entry_relation.log_tables()
+    relation = with_certain(
+        entry_relation, [int(entry_relation.uncertain_positions()[0])], [2.0])
     rebuilt = relation.log_tables()
     assert rebuilt is not tables
-    # The sums left the cleaned row out; the entry's own are untouched.
+    # The sums left the certain row out; the entry's own are untouched.
     assert not np.array_equal(rebuilt[2], tables[2])
-    assert session.phase1().result.relation.log_tables() is tables
+    assert entry_relation.log_tables() is tables
 
 
 def test_two_threads_racing_the_first_use_answer_identically():
@@ -476,9 +480,10 @@ def test_racing_first_use_of_one_relation_from_bare_threads():
     assignment wins."""
     pristine = _fresh_session("race-bare", 80).phase1().result.relation
     level = pristine.grid.max_level // 2
-    serial = pristine.copy().log_tables()
-    serial_columns = pristine.copy().level_columns(level)
-    pristine.__dict__.pop("_log_tables")
+    twin = pickle.loads(pickle.dumps(pristine))
+    serial = twin.log_tables()
+    serial_columns = twin.level_columns(level)
+    assert "_log_tables" not in vars(pristine)
     assert "_columns" not in vars(pristine)
     barrier = threading.Barrier(4)
     seen = []

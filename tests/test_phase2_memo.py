@@ -31,6 +31,8 @@ from repro.oracle import counting_udf
 from repro.service.backend import ship_spec
 from repro.video import TrafficVideo
 
+from conftest import with_certain
+
 FAST = EverestConfig.fast()
 UDF = counting_udf("car")
 WAIT = 60.0
@@ -140,15 +142,15 @@ def test_the_memo_is_never_pickled_shipped_or_inherited_by_a_restriction():
     assert "_memo" not in vars(pickle.loads(pickle.dumps(relation)))
     received = pickle.loads(pickle.dumps(entry))
     assert "_memo" not in vars(received.result.relation)
-    # A full copy is the same tuples and shares it; a row restriction
-    # is other tuples and starts without.
-    assert relation.copy()._memo is relation._memo
+    # A restriction to every row is the relation itself; a real one is
+    # other tuples and starts without.
+    assert restrict_relation(relation, [(0, 10**9)]) is relation
     restricted = restrict_relation(relation, [(100, 500)])
     assert "_memo" not in vars(restricted)
-    # ...and in-place cleaning drops the relation's own.
-    copy = relation.copy()
-    copy.mark_certain(int(copy.uncertain_positions()[0]), 1.0)
-    assert "_memo" not in vars(copy) and _memo(relation)
+    # ...and so does a rebuild with one more tuple certain.
+    rebuilt = with_certain(
+        relation, [int(relation.uncertain_positions()[0])], [1.0])
+    assert "_memo" not in vars(rebuilt) and _memo(relation)
 
 
 def test_a_stream_checkpoint_carries_no_memo(tmp_path):
@@ -173,10 +175,8 @@ def _two_certain_relation():
     rng = np.random.default_rng(7)
     pmf = rng.random((12, 6))
     pmf /= pmf.sum(axis=1, keepdims=True)
-    relation = UncertainRelation(
-        np.arange(12), pmf, QuantizationGrid(0.0, 1.0, 6))
-    relation.mark_certain_many([0, 1], [4.0, 2.0])
-    return relation
+    return with_certain(UncertainRelation(
+        np.arange(12), pmf, QuantizationGrid(0.0, 1.0, 6)), [0, 1], [4.0, 2.0])
 
 
 def test_a_bootstrap_that_cleans_neither_reads_nor_writes_the_memo(

@@ -22,7 +22,7 @@ from repro.core.uncertain import QuantizationGrid, grid_for, quantize_mixtures
 from repro.metrics import precision_at_k, rank_distance, score_error
 from repro.models import GaussianMixture
 
-from conftest import make_relation
+from conftest import make_relation, with_certain
 
 SETTINGS = settings(
     max_examples=40,
@@ -82,8 +82,7 @@ class TestConfidenceProperties:
     @SETTINGS
     @given(pmfs=relation_strategy(), level=st.integers(0, 3))
     def test_incremental_equals_direct(self, pmfs, level):
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, float(level))
+        relation = make_relation(pmfs, certain={0: float(level)})
         state = ConfidenceState(relation)
         assert state.topk_prob(level) == pytest.approx(
             state.topk_prob_direct(level), abs=1e-12)
@@ -91,8 +90,7 @@ class TestConfidenceProperties:
     @SETTINGS
     @given(pmfs=relation_strategy(max_tuples=5), level=st.integers(0, 3))
     def test_eq2_equals_world_enumeration(self, pmfs, level):
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, float(level))
+        relation = make_relation(pmfs, certain={0: float(level)})
         state = ConfidenceState(relation)
         brute = topk_prob_bruteforce(relation, [0], level)
         assert state.topk_prob(level) == pytest.approx(brute, abs=1e-10)
@@ -100,15 +98,13 @@ class TestConfidenceProperties:
     @SETTINGS
     @given(pmfs=relation_strategy(), level=st.integers(0, 3))
     def test_cleaning_updates_consistently(self, pmfs, level):
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, float(level))
+        relation = make_relation(pmfs, certain={0: float(level)})
         state = ConfidenceState(relation)
         # Clean the last tuple at some score; incremental must match a
         # fresh rebuild.
         position = len(pmfs) - 1
         state.remove(position)
-        relation.mark_certain(position, 1.0)
-        rebuilt = ConfidenceState(relation)
+        rebuilt = ConfidenceState(with_certain(relation, [position], [1.0]))
         for t in range(4):
             assert state.joint_cdf(t) == pytest.approx(
                 rebuilt.joint_cdf(t), abs=1e-12)
@@ -118,9 +114,7 @@ class TestSelectorProperties:
     @SETTINGS
     @given(pmfs=relation_strategy(min_tuples=4, max_tuples=6))
     def test_eq6_equals_simulation(self, pmfs):
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, 3.0)
-        relation.mark_certain(1, 2.0)
+        relation = make_relation(pmfs, certain={0: 3.0, 1: 2.0})
         state = ConfidenceState(relation)
         selector = CandidateSelector(relation, state)
         uncertain = relation.uncertain_positions()
@@ -132,9 +126,7 @@ class TestSelectorProperties:
     @SETTINGS
     @given(pmfs=relation_strategy(min_tuples=4, max_tuples=6))
     def test_upper_bound_dominates(self, pmfs):
-        relation = make_relation(pmfs)
-        relation.mark_certain(0, 3.0)
-        relation.mark_certain(1, 2.0)
+        relation = make_relation(pmfs, certain={0: 3.0, 1: 2.0})
         state = ConfidenceState(relation)
         selector = CandidateSelector(relation, state)
         uncertain = relation.uncertain_positions()
