@@ -350,7 +350,7 @@ def test_phase2_iteration_split(benchmark, monkeypatch):
         metrics[f"phase2_first_run_warmed_{name}_us_per_query"] = \
             seconds / len(shapes) * 1e6
 
-    relation = entry.result.relation
+    relation = entry.relation
     rounds = 200
 
     def state_setup():
@@ -385,7 +385,7 @@ def test_phase2_query_start(benchmark):
     session = Session(
         TrafficVideo("bench-phase2", 3_000, seed=301), counting_udf("car"),
         config=EverestConfig())
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     shapes = ((10, 0.99), (50, 0.9), (100, 0.99))
     rounds = 200
 
@@ -539,7 +539,6 @@ def test_phase1_frame_costs(benchmark, monkeypatch):
     for name, value in metrics.items():
         print(f"{name:48s} {value:10.1f}")
     # One render per frame; a retained row and a sampled row once each.
-    result = entry.result
     assert metrics["phase1_renders_per_build"] == len(video)
     assert metrics["phase1_featurized_rows_per_build"] == len(
-        set(result.known_scores) | set(result.diff_result.retained.tolist()))
+        set(entry.known_scores) | set(entry.diff_result.retained.tolist()))

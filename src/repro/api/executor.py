@@ -183,7 +183,7 @@ class QueryExecutor:
     ) -> ExecutionDetail:
         session = self.session
         phase2_cost, confirm_oracle = self._phase2_context(plan)
-        relation = entry.result.relation
+        relation = entry.relation
         if plan.frame_ranges is not None:
             # Sliding-window restriction: mask the cached full relation
             # down to the window's rows on the same grid. A windowed
@@ -258,8 +258,7 @@ class QueryExecutor:
         num_tuples: int,
     ) -> QueryReport:
         session = self.session
-        phase1 = entry.result
-        best = phase1.grid_result.best_history
+        best = entry.grid_result.best_history
         return QueryReport(
             video_name=session.video.name,
             udf_name=session.scoring.name,
@@ -273,7 +272,7 @@ class QueryExecutor:
             iterations=outcome.iterations,
             cleaned=outcome.cleaned,
             num_tuples=num_tuples,
-            num_retained=phase1.diff_result.num_retained,
+            num_retained=entry.diff_result.num_retained,
             oracle_calls=oracle_calls,
             breakdown=self._breakdown(entry, phase2_cost),
             scan_seconds=session.scan_seconds(),

@@ -31,8 +31,7 @@ def cmdn_only_topk(
     # Labelling charges the oracle's own latency.
     costs["oracle_label"] = costs.get(scoring.cost_key, 0.0)
     entry = run_phase1(video, scoring, costs, config)
-    phase1 = entry.result
-    relation = phase1.relation
+    relation = entry.relation
     expected = relation.expected_scores()
     order = np.lexsort((relation.ids, -expected))
     top = order[:k]
@@ -44,7 +43,7 @@ def cmdn_only_topk(
         answer_scores=[float(expected[i]) for i in top],
         simulated_seconds=entry.cost_model.total_seconds(),
         extras={
-            "holdout_nll": phase1.grid_result.best_history.holdout_nll,
-            "num_retained": float(phase1.diff_result.num_retained),
+            "holdout_nll": entry.grid_result.best_history.holdout_nll,
+            "num_retained": float(entry.diff_result.num_retained),
         },
     )

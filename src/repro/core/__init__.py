@@ -27,7 +27,7 @@ from .uncertain import (
 from .topk_prob import ConfidenceState
 from .select_candidate import CandidateSelector, SelectionStats
 from .cleaner import Phase2Result, TopKCleaner
-from .phase1 import Phase1Result, run_phase1
+from .phase1 import Phase1Entry, run_phase1
 from .windows import (
     WindowCleaner,
     build_window_relation,
@@ -50,7 +50,7 @@ __all__ = [
     "SelectionStats",
     "Phase2Result",
     "TopKCleaner",
-    "Phase1Result",
+    "Phase1Entry",
     "run_phase1",
     "WindowCleaner",
     "build_window_relation",

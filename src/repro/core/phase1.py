@@ -53,6 +53,7 @@ from ..video.synthetic import SyntheticVideo
 from .uncertain import (
     QuantizationGrid,
     UncertainRelation,
+    _read_only,
     build_relation,
     grid_covering,
     mixture_envelope,
@@ -183,12 +184,18 @@ def replay_phase1_charges(
     cost_model.charge("cmdn_infer", num_retained)
 
 
-@dataclass
-class Phase1Result:
-    """Everything Phase 2 (and the experiments) need from Phase 1."""
+@dataclass(frozen=True)
+class Phase1Entry:
+    """D0 and everything it was built from: one read-only value.
+
+    What Phase 2 and the experiments need from Phase 1 plus its cost
+    ledger. Nothing derivable is stored: :attr:`proxy` reads the grid's
+    winner and :attr:`oracle_calls` counts the labelled frames. Every
+    array the entry holds is read-only from construction; ``known_scores``
+    is a plain dict (a mappingproxy does not pickle) that nobody writes.
+    """
 
     relation: UncertainRelation
-    proxy: ProxyScorer
     grid_result: GridResult
     diff_result: DiffResult
     #: Exact scores observed while labelling samples (frame -> score).
@@ -196,15 +203,21 @@ class Phase1Result:
     #: Mixtures for each retained frame inside the relation (all of
     #: ``diff_result.retained``, or its open-window tail).
     mixtures: GaussianMixture
-
-
-@dataclass
-class Phase1Entry:
-    """One Phase 1 result plus its cost ledger."""
-
-    result: Phase1Result
-    oracle_calls: int
     cost_model: CostModel
+
+    def __post_init__(self):
+        mixtures, diff = self.mixtures, self.diff_result
+        _read_only((mixtures.pi, mixtures.mu, mixtures.sigma,
+                    diff.retained, diff.representative))
+
+    @property
+    def proxy(self) -> ProxyScorer:
+        return self.grid_result.proxy
+
+    @property
+    def oracle_calls(self) -> int:
+        """Oracle labels Phase 1 bought: one per known score."""
+        return len(self.known_scores)
 
     def window_relation(
         self, *, window_size: int, floor: float, step: float,
@@ -213,7 +226,7 @@ class Phase1Entry:
 
         A pure function of this entry, so it is built on first use and
         kept: every query reads it in place, exactly as frame queries
-        read ``result.relation``. Two threads racing the first use build
+        read :attr:`relation`. Two threads racing the first use build
         equal relations and one is kept. Derived state: never pickled.
         """
         memo = self.__dict__.setdefault("_window_relations", {})
@@ -221,9 +234,9 @@ class Phase1Entry:
         relation = memo.get(key)
         if relation is None:
             relation = memo[key] = build_window_relation(
-                self.result.mixtures,
-                self.result.diff_result.retained,
-                self.result.diff_result,
+                self.mixtures,
+                self.diff_result.retained,
+                self.diff_result,
                 window_size=window_size,
                 floor=floor,
                 step=step,
@@ -639,9 +652,13 @@ class Phase1Maintainer:
         self.blocks = BlockInferenceCache()
         self.known_scores: Dict[int, float] = {}
         self.grid_result: Optional[GridResult] = None
-        self.proxy: Optional[ProxyScorer] = None
         self.train_idx = np.zeros(0, dtype=np.int64)
         self.holdout_idx = np.zeros(0, dtype=np.int64)
+
+    @property
+    def proxy(self) -> ProxyScorer:
+        """The trained proxy: the grid's winner."""
+        return self.grid_result.proxy
 
     def bootstrap(self, cost_model: Optional[CostModel] = None) -> Phase1Entry:
         """Phase 1 from scratch over the frames that have arrived."""
@@ -688,7 +705,6 @@ class Phase1Maintainer:
             input_hw=video.resolution,
             seed=seed,
         )
-        self.proxy = self.grid_result.proxy
 
         # 3 + 4 are one pass, which reuses the sample's rows; 5 runs
         # inside rebuild_entry, on cache hits.
@@ -787,17 +803,12 @@ class Phase1Maintainer:
             num_frames=len(self.video),
             num_retained=int(retained.size),
         )
-        result = Phase1Result(
+        return Phase1Entry(
             relation=relation,
-            proxy=self.proxy,
             grid_result=self.grid_result,
             diff_result=diff_result,
             known_scores=self.known_scores,
             mixtures=mixtures,
-        )
-        return Phase1Entry(
-            result=result,
-            oracle_calls=int(self.train_idx.size + self.holdout_idx.size),
             cost_model=cost_model,
         )
 

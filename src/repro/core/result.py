@@ -34,18 +34,6 @@ class PhaseBreakdown:
     def total_seconds(self) -> float:
         return self.phase1_seconds + self.phase2_seconds
 
-    def fractions(self) -> Dict[str, float]:
-        total = self.total_seconds
-        if total <= 0:
-            return {}
-        return {
-            "label_sample": self.label_sample / total,
-            "cmdn_training": self.cmdn_training / total,
-            "populate_d0": self.populate_d0 / total,
-            "select_candidate": self.select_candidate / total,
-            "confirm_oracle": self.confirm_oracle / total,
-        }
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "label_sample": float(self.label_sample),

@@ -68,10 +68,6 @@ class ConfidenceState:
         """Boolean mask (by position) of still-uncertain tuples."""
         return self._uncertain
 
-    def remove(self, position: int) -> None:
-        """Remove a tuple from the joint CDF (it has been cleaned)."""
-        self._remove_rows(np.array([position], dtype=np.int64))
-
     def remove_many(self, positions: np.ndarray) -> None:
         """Remove a batch of cleaned tuples in one vectorized pass.
 

@@ -11,17 +11,18 @@ corpus query executes against:
   global frame range ``[offset[m], offset[m] + len(m))`` where
   ``offset`` is the cumulative length of the preceding members — the
   rule of the corpus's one :class:`~repro.video.views.ConcatVideo`,
-  which :meth:`VideoCorpus.offsets` and :meth:`VideoCorpus.locate`
-  read. All cross-shard structures — the merged relation's tuple ids,
+  which :meth:`VideoCorpus.offsets` reads and whose
+  :meth:`~repro.video.views.ConcatVideo.locate` maps a global id
+  back. All cross-shard structures — the merged relation's tuple ids,
   ledger merge order, error precedence — follow this one canonical
   order.
 * **Merged Phase-1 state.** Per plan configuration, the member
   Phase-1 entries are merged into one corpus
   :class:`~repro.api.session.Phase1Entry` (see
   :func:`~repro.corpus.federated.merge_phase1_entries`) adopted by an
-  internal session over that ConcatVideo. The merge is cached and
-  fingerprinted against the member entries, so a streaming member's
-  append transparently invalidates it.
+  internal session over that ConcatVideo. The merge is cached beside
+  the member entries it merged, so a streaming member's append or tick
+  (each a new entry) transparently invalidates it.
 * **Execution.** :meth:`VideoCorpus.execute_detailed` runs a plan on
   the plain :class:`~repro.api.executor.QueryExecutor` of that
   session, confirming through the members' own score caches.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -68,12 +69,10 @@ class _MergedState:
 
     #: The merged corpus Phase-1 entry the internal session adopted.
     entry: Phase1Entry
-    #: Per-shard Phase-1 ledgers, canonical member order.
-    phase1_costs: List[CostModel]
+    #: The member entries merged, canonical member order.
+    members: List[Phase1Entry]
     #: Internal session over the concat view, merged entry adopted.
     session: Session
-    #: Member-entry identities + lengths the merge was computed from.
-    fingerprint: Tuple
 
 
 class VideoCorpus:
@@ -175,10 +174,6 @@ class VideoCorpus:
         """Global frame id of each member's frame 0 (member order)."""
         return self.video.offsets()
 
-    def locate(self, global_id: int) -> Tuple[int, int]:
-        """``(member_index, local_frame)`` owning a global frame id."""
-        return self.video.locate(global_id)
-
     def resolved_unit_costs(self) -> Dict[str, float]:
         return self.members[0].session.resolved_unit_costs()
 
@@ -223,14 +218,6 @@ class VideoCorpus:
             and not member.session.phase1_cached(config)
         ]
 
-    def _fingerprint(self, config: EverestConfig) -> Tuple:
-        key = phase1_key(config)
-        parts = []
-        for member in self.members:
-            entry = member.session._phase1_cache.get(key)
-            parts.append((id(entry), len(member.video)))
-        return tuple(parts)
-
     def merged_state(
         self, config: Optional[EverestConfig] = None
     ) -> _MergedState:
@@ -238,9 +225,10 @@ class VideoCorpus:
 
         Builds member entries on demand (:meth:`prepare`), merges them
         into one global relation / entry, and binds an internal session
-        over the concat view. The cache is fingerprinted against the
-        member entries and lengths, so a streaming member's append
-        rebuilds the merge while closed corpora pay it once.
+        over the concat view. The cache holds while every member
+        returns the very entry it merged (an entry is a value: a
+        streaming member's append or tick replaces it), so a clock
+        event rebuilds the merge while closed corpora pay it once.
         """
         config = config if config is not None else self.config
         key = phase1_key(config)
@@ -249,11 +237,12 @@ class VideoCorpus:
 
     def _merged_state_locked(self, config, key) -> _MergedState:
         cached = self._merged_states.get(key)
-        if cached is not None and \
-                cached.fingerprint == self._fingerprint(config):
+        entries = self.prepare(config)
+        if cached is not None and all(
+                entry is merged
+                for entry, merged in zip(entries, cached.members)):
             return cached
 
-        entries = self.prepare(config)
         entry = merge_phase1_entries(
             entries,
             self.offsets(),
@@ -265,11 +254,7 @@ class VideoCorpus:
             unit_costs=self.members[0].session._unit_costs)
         session.adopt_phase1(entry, config)
         state = _MergedState(
-            entry=entry,
-            phase1_costs=[e.cost_model for e in entries],
-            session=session,
-            fingerprint=self._fingerprint(config),
-        )
+            entry=entry, members=entries, session=session)
         self._merged_states[key] = state
         return state
 
@@ -314,7 +299,7 @@ class VideoCorpus:
         return CorpusOutcome(
             report=detail.report,
             phase2_cost=detail.phase2_cost,
-            phase1_costs=list(state.phase1_costs),
+            phase1_costs=[e.cost_model for e in state.members],
             shard_confirms=caches.confirms,
             member_names=self.member_names,
             offsets=self.offsets().tolist(),

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.phase1 import Phase1Entry, Phase1Result
+from ..core.phase1 import Phase1Entry
 from ..core.result import QueryReport
 from ..core.uncertain import (
     QuantizationGrid,
@@ -53,7 +53,7 @@ from ..video.views import ConcatVideo, owners
 
 
 def merged_grid(
-    results: Sequence[Phase1Result], *, floor: float, step: float
+    entries: Sequence[Phase1Entry], *, floor: float, step: float
 ) -> QuantizationGrid:
     """One quantization grid covering every shard's mixtures and labels.
 
@@ -66,7 +66,7 @@ def merged_grid(
     corpus-of-one bit-identical to the plain build.
     """
     return QuantizationGrid(floor=floor, step=step, num_levels=max(
-        result.relation.grid.num_levels for result in results))
+        entry.relation.grid.num_levels for entry in entries))
 
 
 def merge_phase1_entries(
@@ -76,7 +76,7 @@ def merge_phase1_entries(
     floor: float,
     step: float,
 ) -> Phase1Entry:
-    """Merge per-shard entries: artifacts, call counts and ledgers.
+    """Merge per-shard entries: artifacts, labels and ledgers.
 
     The relation is :func:`~repro.core.uncertain.build_relation`'s over
     the members' covered rows on :func:`merged_grid`, in member order
@@ -84,7 +84,7 @@ def merge_phase1_entries(
     member's labelled frames as the known scores — for a single member
     the plain build, bit for bit.
 
-    ``proxy`` / ``grid_result`` / ``mixtures`` carry the *first*
+    ``grid_result`` (so ``proxy``) / ``mixtures`` carry the *first*
     member's artifacts (canonical; heterogeneous shards train distinct
     proxies and no single model describes the union — the merged
     relation is the cross-shard artifact). The merged result serves
@@ -96,23 +96,22 @@ def merge_phase1_entries(
     corpus ``merged_cost`` is bit-identical to the reference ledger
     built from this entry.
     """
-    results = [entry.result for entry in entries]
-    grid = merged_grid(results, floor=floor, step=step)
+    grid = merged_grid(entries, floor=floor, step=step)
     covered_blocks: List[np.ndarray] = []
     retained_blocks: List[np.ndarray] = []
     rep_blocks: List[np.ndarray] = []
     known_global: Dict[int, float] = {}
-    for offset, result in zip(offsets, results):
+    for offset, entry in zip(offsets, entries):
         offset = int(offset)
-        retained = result.diff_result.retained.astype(np.int64) + offset
+        retained = entry.diff_result.retained.astype(np.int64) + offset
         retained_blocks.append(retained)
         # The rows the mixtures cover: all of them, or the open-window
         # tail on a sliding member (lower rows have been evicted).
         covered_blocks.append(
-            retained[retained.size - len(result.mixtures.mu):])
+            retained[retained.size - len(entry.mixtures.mu):])
         rep_blocks.append(
-            result.diff_result.representative.astype(np.int64) + offset)
-        for frame, score in result.known_scores.items():
+            entry.diff_result.representative.astype(np.int64) + offset)
+        for frame, score in entry.known_scores.items():
             known_global[int(frame) + offset] = float(score)
 
     relation = build_relation(
@@ -123,23 +122,19 @@ def merge_phase1_entries(
         known_scores=known_global,
         grid=grid,
         pmf=np.vstack([
-            quantize_mixtures(result.mixtures, grid) for result in results]),
+            quantize_mixtures(entry.mixtures, grid) for entry in entries]),
     )
-    first = results[0]
+    first = entries[0]
     return Phase1Entry(
-        result=Phase1Result(
-            relation=relation,
-            proxy=first.proxy,
-            grid_result=first.grid_result,
-            diff_result=DiffResult(
-                retained=np.concatenate(retained_blocks),
-                representative=np.concatenate(rep_blocks),
-                num_frames=sum(r.diff_result.num_frames for r in results),
-            ),
-            known_scores=known_global,
-            mixtures=first.mixtures,
+        relation=relation,
+        grid_result=first.grid_result,
+        diff_result=DiffResult(
+            retained=np.concatenate(retained_blocks),
+            representative=np.concatenate(rep_blocks),
+            num_frames=sum(e.diff_result.num_frames for e in entries),
         ),
-        oracle_calls=sum(entry.oracle_calls for entry in entries),
+        known_scores=known_global,
+        mixtures=first.mixtures,
         cost_model=merge_cost_models(
             [entry.cost_model for entry in entries]),
     )

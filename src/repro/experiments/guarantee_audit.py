@@ -118,12 +118,12 @@ def truth_levels(video, scoring) -> np.ndarray:
         (exact_scores(scoring, video) - scoring.score_floor) / scoring.step)
 
 
-def d0_levels(levels: np.ndarray, result) -> np.ndarray:
+def d0_levels(levels: np.ndarray, entry) -> np.ndarray:
     """``levels`` restricted to D0 — the frames the difference detector
     retained or Phase 1 labelled; every other frame reads ``-inf``."""
     in_d0 = np.zeros(levels.size, dtype=bool)
-    in_d0[result.diff_result.retained] = True
-    in_d0[list(result.known_scores)] = True
+    in_d0[entry.diff_result.retained] = True
+    in_d0[list(entry.known_scores)] = True
     return np.where(in_d0, levels, -np.inf)
 
 
@@ -174,7 +174,7 @@ def run_query(session: Session, k: int, thres: float):
             session.scoring, cost, cost_key="oracle_confirm",
             budget=plan.oracle_budget))
     report = executor.execute(session.query().topk(k).guarantee(thres).plan())
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     scored = executor.last_confirm_oracle.scored
     if scored:
         relation = with_known_scores(relation, scored)
@@ -255,14 +255,12 @@ def enumerated_check(session: Session, k: int, thres: float) -> dict:
     still uncertain rather than cleaning all of them in one batch.
     """
     entry = session.phase1()
-    ids = _small_relation_ids(entry.result.relation, k)
-    small = restrict_relation(
-        entry.result.relation, [(i, i + 1) for i in ids])
+    ids = _small_relation_ids(entry.relation, k)
+    small = restrict_relation(entry.relation, [(i, i + 1) for i in ids])
     config = session.config
     probe = Session(session.video, session.scoring, config=dataclasses.replace(
         config, phase2=dataclasses.replace(config.phase2, batch_size=1)))
-    probe.adopt_phase1(dataclasses.replace(
-        entry, result=dataclasses.replace(entry.result, relation=small)))
+    probe.adopt_phase1(dataclasses.replace(entry, relation=small))
     report, final = run_query(probe, len(ids) // 2, thres)
     worlds = int(np.prod(np.count_nonzero(final.pmf, axis=1)))
     check = {"tuples": len(ids), "k": report.k,
@@ -366,7 +364,7 @@ def _audit_seed(family, udf, config, grid, seed, cells, first) -> None:
     session = Session(video, scoring, config=CONFIGS[config])
     entry = session.phase1()
     levels = truth_levels(video, scoring)
-    d0 = d0_levels(levels, entry.result)
+    d0 = d0_levels(levels, entry)
     for cell in cells:
         report, relation = run_query(session, cell.k, cell.thres)
         quality = evaluate_answer(report.answer_ids, levels, cell.k)

@@ -14,7 +14,7 @@ relation quantizes them into x-tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class GaussianMixture:
             raise ShapeError(
                 f"mixture parameter shapes differ: {self.pi.shape}, "
                 f"{self.mu.shape}, {self.sigma.shape}")
-
-    @property
-    def num_components(self) -> int:
-        return int(self.pi.shape[-1])
 
     def mean(self) -> np.ndarray:
         """Mixture mean ``sum_j pi_j mu_j`` (paper: mu-bar)."""

@@ -15,7 +15,6 @@ fits its own input scaling, trains and is scored on those two matrices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Type
 
@@ -40,7 +39,6 @@ class TrainingHistory:
     hyperparameters: Tuple[int, int]
     epoch_losses: List[float] = field(default_factory=list)
     holdout_nll: float = float("inf")
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -164,7 +162,6 @@ def train_proxy_grid(
         proxy: ProxyScorer = family(
             *family_args, num_gaussians=g, num_hypotheses=h,
             seed=seed + 31 * i)
-        start = time.perf_counter()
         epoch_losses = _fit(
             proxy,
             train_features,
@@ -181,7 +178,6 @@ def train_proxy_grid(
             hyperparameters=(g, h),
             epoch_losses=epoch_losses,
             holdout_nll=holdout_nll,
-            wall_seconds=time.perf_counter() - start,
         ))
         candidates.append(proxy)
 

@@ -91,10 +91,6 @@ class ScoreCache:
             scores = self._scores
             return list(islice(scores.items(), position, None)), len(scores)
 
-    def as_dict(self) -> Dict[int, float]:
-        with self._lock:
-            return dict(self._scores)
-
     # -- pickling (streaming checkpoints persist the cache) ------------
     def __getstate__(self):
         with self._lock:

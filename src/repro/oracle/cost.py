@@ -100,22 +100,6 @@ class CostModel:
             self._entries.items(), key=lambda kv: kv[1].seconds, reverse=True)
         return {key: entry.seconds for key, entry in items}
 
-    def fractions(self) -> Dict[str, float]:
-        """Share of total seconds per key (empty ledger -> empty dict)."""
-        total = self.total_seconds()
-        if total <= 0:
-            return {}
-        return {k: s / total for k, s in self.breakdown().items()}
-
-    def reset(self) -> None:
-        self._entries.clear()
-
-    def copy(self) -> "CostModel":
-        clone = CostModel(self.unit_costs)
-        for key, entry in self._entries.items():
-            clone._entries[key] = CostEntry(entry.units, entry.seconds)
-        return clone
-
     def merge_from(self, other: "CostModel") -> "CostModel":
         """Fold another ledger's charges into this one (in place).
 

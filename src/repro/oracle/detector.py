@@ -118,9 +118,6 @@ class SimulatedObjectDetector:
     def detect_batch(self, frames: Sequence[Frame]) -> List[List[BoundingBox]]:
         return [self.detect(frame) for frame in frames]
 
-    def count(self, frame: Frame) -> int:
-        return len(self.detect(frame))
-
 
 @dataclass(frozen=True)
 class CountScorer:

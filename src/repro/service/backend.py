@@ -156,8 +156,7 @@ def build_in_pool(pool, video, scoring, unit_costs, config) -> Phase1Entry:
 
     The entry that comes back is the inline build's field for field,
     but for the networks' ``grads`` (re-packed to zero on unpickle —
-    what the next ``zero_grads`` leaves anyway) and
-    ``TrainingHistory.wall_seconds`` (measured wall time). Under an
+    what the next ``zero_grads`` leaves anyway). Under an
     active span the build runs traced and its spans are adopted below
     that span, as a lane-dispatch span adopts Phase 2's.
 

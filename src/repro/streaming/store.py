@@ -43,8 +43,12 @@ from ..errors import CheckpointError
 #: and the autosave path only — no history bound, event logs or
 #: work-counter object. 6: the pickled ``EverestConfig``'s
 #: ``Phase2Config`` holds no Select-candidate settings, and their
-#: class is gone.)
-FORMAT_VERSION = 6
+#: class is gone. 7: a warm-tier ``Phase1Entry`` is one record, with
+#: no result object inside, and neither it nor a maintainer stores
+#: what it derives (the proxy, the label count) or a clock reading (a
+#: ``TrainingHistory`` has no wall time), so equal histories write
+#: equal bytes.)
+FORMAT_VERSION = 7
 
 MANIFEST_NAME = "manifest.json"
 

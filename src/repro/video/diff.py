@@ -17,7 +17,7 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,17 +47,6 @@ class DiffResult:
     @property
     def num_retained(self) -> int:
         return int(self.retained.size)
-
-    def segments(self) -> List[np.ndarray]:
-        """Maximal runs of consecutive frames sharing a representative.
-
-        The window model (Section 3.4) treats each segment as one
-        independent retained frame weighted by the segment length.
-        """
-        if self.num_frames == 0:
-            return []
-        change = np.flatnonzero(np.diff(self.representative)) + 1
-        return np.split(np.arange(self.num_frames), change)
 
 
 #: Frames the detector renders per ``batch_pixels`` call (rounded down

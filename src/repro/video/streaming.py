@@ -181,11 +181,6 @@ class StreamingVideo(SyntheticVideo):
             return 0
         return max(0, self.horizon - self.window_frames)
 
-    @property
-    def window_size(self) -> int:
-        """Frames currently inside ``[window_lo, watermark)``."""
-        return self.num_frames - self.window_lo
-
     def append(self, num_frames: int) -> Segment:
         """Reveal the next ``num_frames`` source frames.
 

@@ -1,17 +1,20 @@
-"""Reports never read a clock.
+"""Reports and Phase-1 entries never read a clock.
 
 The simulated ledger is a pure function of (video, UDF, config, plan),
 so every ``QueryReport.to_json()`` byte must survive a skewed, jumping
 ``time.perf_counter``: each target below runs once on the real clock
-and once on the broken one, and the bytes are compared. Real time is
-observed only by trace spans (:mod:`repro.trace`), never charged.
+and once on the broken one, and the bytes are compared. So must a
+Phase-1 entry's pickle. Real time is observed only by trace spans
+(:mod:`repro.trace`), never charged or stored.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 
 from repro import EverestConfig, Session, VideoCorpus
+from repro.core.phase1 import run_phase1
 from repro.oracle import counting_udf
 from repro.video import TrafficVideo
 
@@ -77,3 +80,19 @@ def test_reports_are_byte_identical_under_a_skewed_clock(monkeypatch):
     assert [len(reports) for reports in honest] == [1, 1, 1, 3]
     for target, mine, theirs in zip(TARGETS, honest, skewed):
         assert mine == theirs, target.__name__
+
+
+def test_a_phase1_entry_pickles_to_the_same_bytes_under_a_skewed_clock(
+        monkeypatch):
+    def build() -> bytes:
+        entry = run_phase1(
+            TrafficVideo("clock-build", 700, seed=46), UDF, None, CONFIG)
+        return pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+
+    honest = build()
+    assert build() == honest
+    clock = SkewedClock(time.perf_counter)
+    monkeypatch.setattr(time, "perf_counter", clock)
+    skewed = build()
+    monkeypatch.undo()
+    assert skewed == honest

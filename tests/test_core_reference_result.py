@@ -67,12 +67,8 @@ class TestPhaseBreakdown:
         assert breakdown.phase1_seconds == 60.0
         assert breakdown.phase2_seconds == 10.0
         assert breakdown.total_seconds == 70.0
-        fractions = breakdown.fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions["populate_d0"] == pytest.approx(30.0 / 70.0)
 
     def test_empty_breakdown(self):
-        assert PhaseBreakdown().fractions() == {}
         assert PhaseBreakdown().total_seconds == 0.0
 
 

@@ -155,7 +155,7 @@ class TestSelection:
         relation, state, selector = build_case(rng, num_tuples=6)
         first = selector.select(
             0, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
-        state.remove(int(first[0]))
+        state.remove_many([int(first[0])])
         second = selector.select(
             1, 2, 3, batch_size=1, p_hat=state.topk_prob(2))
         assert second[0] != first[0]

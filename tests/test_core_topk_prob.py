@@ -63,16 +63,16 @@ class TestConfidenceState:
     def test_remove_updates_joint_cdf(self, tiny_relation):
         state = ConfidenceState(tiny_relation)
         before = state.joint_cdf(1)
-        state.remove(0)
+        state.remove_many([0])
         after = state.joint_cdf(1)
         assert after == pytest.approx(before / tiny_relation.cdf[0, 1])
         assert state.num_uncertain == 2
 
     def test_remove_twice_rejected(self, tiny_relation):
         state = ConfidenceState(tiny_relation)
-        state.remove(1)
+        state.remove_many([1])
         with pytest.raises(UncertainRelationError):
-            state.remove(1)
+            state.remove_many([1])
 
     def test_remove_many_refuses_unsorted_duplicates(self, tiny_relation):
         state = ConfidenceState(tiny_relation)
@@ -93,7 +93,7 @@ class TestConfidenceState:
         state = ConfidenceState(relation)
         assert state.joint_cdf(1) == 0.0
         assert state.log_joint_cdf(1) == float("-inf")
-        state.remove(0)
+        state.remove_many([0])
         assert state.joint_cdf(1) == pytest.approx(1.0)
 
     def test_joint_cdf_excluding(self, tiny_relation):
@@ -119,7 +119,7 @@ class TestConfidenceState:
 
     def test_incremental_matches_rebuild_after_cleans(self, tiny_relation):
         state = ConfidenceState(tiny_relation)
-        state.remove(1)
+        state.remove_many([1])
         rebuilt = ConfidenceState(with_certain(tiny_relation, [1], [1.0]))
         for level in range(3):
             assert state.joint_cdf(level) == pytest.approx(

@@ -379,10 +379,31 @@ def test_streaming_member_append_refreshes_global_subscription(udf):
     assert fresh.to_json() == subscription.latest.to_json()
 
     # And the live member's shard is the advanced prefix: the merged
-    # state was fingerprint-invalidated, not served stale.
+    # state was invalidated by the member's new entry, not served stale.
     assert corpus.total_frames == 520 + 260
     assert subscription.detail.allocation().keys() == \
         {"corpus-live", "corpus-fixed"}
+
+
+def test_a_tick_alone_re_merges():
+    # A tick changes no length the corpus sees, only the member's entry
+    # (its window moved): the merge is keyed by the entries it merged.
+    stream = Session.open_stream(
+        TrafficVideo("corpus-tick-b", 1500, seed=2), counting_udf("car"),
+        initial_frames=600, window_seconds=20.0, config=EverestConfig.fast())
+    closed = Session(
+        TrafficVideo("corpus-tick-a", 900, seed=1), counting_udf("car"),
+        config=EverestConfig.fast())
+    corpus = VideoCorpus([closed, stream])
+    before = corpus.merged_state()
+    assert corpus.merged_state() is before
+    stream.tick(100)
+    after = corpus.merged_state()
+    assert after is not before
+    assert after.members[0] is before.members[0] is closed.phase1()
+    assert after.members[1] is stream.phase1() is not before.members[1]
+    assert len(after.entry.relation) < len(before.entry.relation)
+    assert corpus.merged_state() is after
 
 
 def test_subscribe_requires_a_streaming_member(member_corpus):

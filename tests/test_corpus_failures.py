@@ -146,15 +146,15 @@ class TestCorpusValidation:
 
         assert corpus.total_frames == 900
         assert list(corpus.offsets()) == [0, 300, 600]
-        assert corpus.locate(0) == (0, 0)
-        assert corpus.locate(299) == (0, 299)
-        assert corpus.locate(300) == (1, 0)
-        assert corpus.locate(899) == (2, 299)
+        assert corpus.video.locate(0) == (0, 0)
+        assert corpus.video.locate(299) == (0, 299)
+        assert corpus.video.locate(300) == (1, 0)
+        assert corpus.video.locate(899) == (2, 299)
         assert corpus.member_names[2] == "fail-cam2"
         with pytest.raises(FrameIndexError):
-            corpus.locate(900)
+            corpus.video.locate(900)
         with pytest.raises(FrameIndexError):
-            corpus.locate(-1)
+            corpus.video.locate(-1)
 
     def test_scan_seconds_covers_the_fleet(self, corpus):
         costs = corpus.resolved_unit_costs()
@@ -228,7 +228,7 @@ def test_a_later_members_non_finite_score_stores_nothing(udf):
     oracle.score(concat, [1, 101])  # a healthy batch fills two caches
 
     def member_caches():
-        return [cache.as_dict() for cache in caches]
+        return [dict(cache.since(0)[0]) for cache in caches]
 
     before = member_caches()
     assert [len(scores) for scores in before] == [1, 1, 0]

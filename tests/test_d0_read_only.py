@@ -61,7 +61,7 @@ def _query(target, k=5, window=0):
 
 def test_a_frame_query():
     session = _session()
-    with untouched(session.phase1().result.relation):
+    with untouched(session.phase1().relation):
         for k in (3, 5, 12):
             _query(session, k).run()
 
@@ -73,7 +73,7 @@ def test_tumbling_windows():
     windows = session.phase1().window_relation(
         window_size=plan.window_size, floor=UDF.score_floor,
         step=plan.window_step)
-    with untouched(session.phase1().result.relation, windows):
+    with untouched(session.phase1().relation, windows):
         query.run()
         _query(session, 8, window=30).run()
 
@@ -81,7 +81,7 @@ def test_tumbling_windows():
 def test_a_batch_sessions_restricted_window():
     session = _session()
     query = _query(session).window(seconds=10.0)
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     assert restrict_relation(relation, query.plan().frame_ranges) \
         is not relation
     with untouched(relation):
@@ -97,7 +97,7 @@ def _stream():
 def test_a_windowed_streams_refresh_reads_the_window_as_it_is():
     stream, twin = _stream(), _stream()
     query = _query(stream, 3)
-    relation = stream.phase1().result.relation
+    relation = stream.phase1().relation
     # The identity restriction.
     assert restrict_relation(relation, query.plan().frame_ranges) \
         is relation
@@ -108,19 +108,19 @@ def test_a_windowed_streams_refresh_reads_the_window_as_it_is():
     result = stream.append(60)
     twin.append(60)
     assert result.reports == [live.latest]
-    assert _digest(stream.phase1().result.relation) \
-        == _digest(twin.phase1().result.relation)
+    assert _digest(stream.phase1().relation) \
+        == _digest(twin.phase1().relation)
 
 
 def test_a_corpus_query():
     corpus = VideoCorpus.open(
         [TrafficVideo("d0-cam1", 420, seed=93),
          TrafficVideo("d0-cam2", 420, seed=94)], UDF, config=FAST)
-    merged = corpus.merged_state().entry.result.relation
-    members = [m.session.phase1().result.relation for m in corpus.members]
+    merged = corpus.merged_state().entry.relation
+    members = [m.session.phase1().relation for m in corpus.members]
     with untouched(merged, *members):
         corpus.query().topk(4).guarantee(0.95).run()
-    assert corpus.merged_state().entry.result.relation is merged
+    assert corpus.merged_state().entry.relation is merged
 
 
 @pytest.mark.parametrize("use_processes", [False, True])
@@ -128,7 +128,7 @@ def test_a_service_batch(use_processes):
     with QueryService(workers=2, use_processes=use_processes) as service:
         session = service.open_session(
             TrafficVideo("d0-service", 700, seed=95), UDF, config=FAST)
-        relation = session.phase1().result.relation
+        relation = session.phase1().relation
         with untouched(relation):
             futures = [
                 service.submit(_query(session, k, window))
@@ -157,7 +157,7 @@ def test_threads_sharing_one_relation_serve_the_serial_bytes():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with untouched(session.phase1().result.relation):
+        with untouched(session.phase1().relation):
             threads = [threading.Thread(target=client, args=(name,))
                        for name in range(4)]
             for thread in threads:

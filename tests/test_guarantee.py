@@ -75,7 +75,7 @@ def outcomes(family: str, udf: str):
             family, udf, {"num_frames": NUM_FRAMES, "seed": 1000 + s})
         session = Session(video, scoring, config=EverestConfig())
         levels = truth_levels(video, scoring)
-        d0 = d0_levels(levels, session.phase1().result)
+        d0 = d0_levels(levels, session.phase1())
         for k, count in counts.items():
             answer = session.query().topk(k).guarantee(THRES).run()
             count[0] += is_topk(answer.answer_ids, levels, k)

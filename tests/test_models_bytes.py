@@ -233,20 +233,20 @@ def test_phase1_training_bytes_are_pinned(name, seed, config):
     session = Session(
         TrafficVideo(name, 400 if config == "conv" else 900, seed=seed),
         counting_udf("car"), config=PIN_CONFIGS[config])
-    result = session.phase1().result
-    grid = result.relation.grid
+    entry = session.phase1()
+    grid = entry.relation.grid
     assert {
-        "hyperparameters": result.proxy.hyperparameters,
+        "hyperparameters": entry.proxy.hyperparameters,
         "parameters": _digest(*[
-            np.ravel(v) for _, _, v in result.proxy.network.parameters]),
+            np.ravel(v) for _, _, v in entry.proxy.network.parameters]),
         "histories": _digest(*[
             np.array(h.epoch_losses + [h.holdout_nll])
-            for h in result.grid_result.histories]),
+            for h in entry.grid_result.histories]),
         "relation": _digest(
-            result.relation.pmf,
+            entry.relation.pmf,
             np.array([grid.floor, grid.step, grid.num_levels])),
         "mixtures": _digest(
-            result.mixtures.pi, result.mixtures.mu, result.mixtures.sigma),
+            entry.mixtures.pi, entry.mixtures.mu, entry.mixtures.sigma),
     } == PINS[(name, seed, config)]
 
 

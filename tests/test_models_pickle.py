@@ -95,15 +95,15 @@ def test_resumed_stream_appends_like_its_twin(tmp_path):
     checkpointed.checkpoint(tmp_path / "ckpt")
     resumed = Session.resume(tmp_path / "ckpt")
     live_twin, live_resumed = _live(twin), _live(resumed)
-    before = _layer_bytes(resumed.phase1().result.proxy.network)
-    assert before == _layer_bytes(twin.phase1().result.proxy.network)
+    before = _layer_bytes(resumed.phase1().proxy.network)
+    assert before == _layer_bytes(twin.phase1().proxy.network)
 
     for stream in (twin, resumed):
         stream.append(120)
     # The proxy is the bootstrap's for the life of the stream.
-    after = _layer_bytes(resumed.phase1().result.proxy.network)
+    after = _layer_bytes(resumed.phase1().proxy.network)
     assert after == before
-    assert after == _layer_bytes(twin.phase1().result.proxy.network)
+    assert after == _layer_bytes(twin.phase1().proxy.network)
     assert live_resumed.latest.to_json() == live_twin.latest.to_json()
     assert resumed.phase1().cost_model.breakdown() == \
         twin.phase1().cost_model.breakdown()

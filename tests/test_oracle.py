@@ -13,6 +13,7 @@ from repro.oracle import (
     SimulatedObjectDetector,
     SimulatedSentimentalizer,
     counting_udf,
+    merge_cost_models,
     sentiment_udf,
     tailgating_udf,
 )
@@ -42,20 +43,20 @@ class TestCostModel:
         keys = list(cost.breakdown())
         assert keys[0] == "oracle_infer"
 
-    def test_fractions_sum_to_one(self):
+    def test_breakdown_sums_to_the_total(self):
         cost = CostModel()
         cost.charge("decode", 5)
         cost.charge("oracle_infer", 5)
-        assert sum(cost.fractions().values()) == pytest.approx(1.0)
-        assert CostModel().fractions() == {}
+        assert sum(cost.breakdown().values()) == cost.total_seconds()
+        assert CostModel().breakdown() == {}
 
-    def test_reset_and_copy(self):
+    def test_a_merged_ledger_is_independent(self):
         cost = CostModel()
         cost.charge("decode", 5)
-        clone = cost.copy()
-        cost.reset()
-        assert cost.total_seconds() == 0.0
+        clone = merge_cost_models([cost])
+        cost.charge("decode", 2)
         assert clone.units("decode") == 5
+        assert cost.units("decode") == 7
 
     def test_negative_rejected(self):
         cost = CostModel()
@@ -113,21 +114,21 @@ class TestDetector:
     def test_perfect_detection(self, traffic_video):
         detector = SimulatedObjectDetector("car")
         frame = traffic_video.frame(200)
-        assert detector.count(frame) == traffic_video.true_count(200)
+        assert len(detector.detect(frame)) == traffic_video.true_count(200)
 
     def test_label_filtering(self, traffic_video):
         detector = SimulatedObjectDetector("person")
         frame = traffic_video.frame(200)
         persons = [b for b in frame.objects if b.label == "person"]
-        assert detector.count(frame) == len(persons)
+        assert len(detector.detect(frame)) == len(persons)
 
     def test_miss_rate_reduces_counts(self, traffic_video):
         lossy = SimulatedObjectDetector(
             "car", DetectorErrorModel(miss_rate=0.9, seed=1))
         exact = SimulatedObjectDetector("car")
         frames = [traffic_video.frame(i) for i in range(0, 600, 10)]
-        lossy_total = sum(lossy.count(f) for f in frames)
-        exact_total = sum(exact.count(f) for f in frames)
+        lossy_total = sum(len(lossy.detect(f)) for f in frames)
+        exact_total = sum(len(exact.detect(f)) for f in frames)
         assert lossy_total < exact_total * 0.5
 
     def test_false_positives_add_counts(self):
@@ -137,7 +138,7 @@ class TestDetector:
             distractor_mean=0.0)
         noisy = SimulatedObjectDetector(
             "car", DetectorErrorModel(false_positive_rate=2.0, seed=2))
-        total = sum(noisy.count(empty.frame(i)) for i in range(100))
+        total = sum(len(noisy.detect(empty.frame(i))) for i in range(100))
         assert total > 50
 
     def test_deterministic_noise(self, traffic_video):

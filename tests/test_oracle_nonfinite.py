@@ -69,8 +69,9 @@ def healthy():
     """What a healthy run labels and confirms: ``(labels, confirms)``."""
     session = Session(_video(), counting_udf("car"), config=FAST)
     _query(session).run()
-    labels = sorted(session.phase1().result.known_scores)
-    confirms = list(session.shared_score_cache.as_dict())
+    labels = sorted(session.phase1().known_scores)
+    confirms = [frame for frame, _ in
+                session.shared_score_cache.since(0)[0]]
     assert confirms and not set(confirms) & set(labels)
     return labels, confirms
 
@@ -90,7 +91,7 @@ def test_oracles_refuse_non_finite_scores_before_caching(value):
     with pytest.raises(OracleError, match=r"\[7, 9\]"):
         oracle.score(video, [3, 7, 8, 9])
     # Not even the batch's healthy frames were taken in.
-    assert cache.as_dict() == {3: 2.0}
+    assert dict(cache.since(0)[0]) == {3: 2.0}
     assert oracle.fresh_scores == {} and oracle.fresh_calls == 0
     assert oracle.score(video, [3, 8]).tolist() == [2.0, float(
         counting_udf("car")(video.frames([8]))[0])]
@@ -106,7 +107,7 @@ def test_a_confirmed_non_finite_score_fails_the_query(healthy, value):
     # The session's own cache kept what came before, never the bad one.
     cache = session.shared_score_cache
     assert confirms[0] not in cache
-    assert np.isfinite(list(cache.as_dict().values())).all()
+    assert np.isfinite([score for _, score in cache.since(0)[0]]).all()
 
 
 @pytest.mark.parametrize("value", BAD)
@@ -130,7 +131,7 @@ def test_a_non_finite_label_fails_the_build_at_the_label(healthy, value):
 def test_a_refused_batch_leaves_state_and_relation_consistent(value):
     session = Session(_video(), counting_udf("car"), config=FAST)
     truth = session.video.truth_array()
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     poison = {"armed": True}
 
     def clean_fn(ids):
@@ -154,7 +155,7 @@ def test_a_refused_batch_leaves_state_and_relation_consistent(value):
     poison["armed"] = False
     outcome = cleaner.run(5, 0.9)
     reference = TopKCleaner(
-        session.phase1().result.relation,
+        session.phase1().relation,
         lambda ids: truth[list(ids)], Phase2Config()).run(5, 0.9)
     assert outcome.answer_ids == reference.answer_ids
     assert outcome.answer_scores == reference.answer_scores
@@ -176,7 +177,7 @@ def test_the_error_reaches_a_service_future(healthy):
         with pytest.raises(OracleError, match=str(confirms[0])):
             future.result(timeout=WAIT)
         # The service-scope cache every later query reads stayed clean.
-        cached = sick.shared_score_cache.as_dict()
+        cached = dict(sick.shared_score_cache.since(0)[0])
         assert confirms[0] not in cached
         assert np.isfinite(list(cached.values())).all()
         # ...and the service goes on answering.
@@ -208,7 +209,7 @@ def test_the_error_reaches_the_wire(monkeypatch):
     reference = resolve_query_spec(
         "count[car]/traffic", config=FAST, **VIDEO_KWARGS)
     reference.query().topk(4).guarantee(0.9).run()
-    confirmed = next(iter(reference.shared_score_cache.as_dict()))
+    confirmed = reference.shared_score_cache.since(0)[0][0][0]
 
     config = GatewayConfig(video_kwargs=dict(VIDEO_KWARGS))
     with Gateway(config=config, workers=1, use_processes=False) as gateway:

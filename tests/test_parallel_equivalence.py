@@ -78,7 +78,7 @@ def test_batched_cleaning_equals_sequential_and_scratch(seed):
         # Batched hot path vs the tuple-by-tuple reference path.
         state.remove_many(positions)
         for position in positions:
-            twin_state.remove(int(position))
+            twin_state.remove_many([int(position)])
         cleaned.extend(positions.tolist())
         cleaned_scores.extend(scores.tolist())
 

@@ -112,7 +112,6 @@ def two_render_bootstrap(self, cost_model=None):
         input_hw=video.resolution,
         seed=seed,
     )
-    self.proxy = self.grid_result.proxy
     self.scan_arrivals()
     return self.rebuild_entry(cost_model)
 
@@ -138,7 +137,7 @@ def run(video):
     entry = run_phase1(
         video, counting_udf("car"), None,
         EverestConfig(phase1=PHASE1, diff=DIFF, seed=3), cost_model=cost)
-    return entry.result, entry.oracle_calls, cost
+    return entry, entry.oracle_calls, cost
 
 
 def unretained_samples(result) -> int:
@@ -188,27 +187,27 @@ def test_the_two_render_build_is_the_same_build_with_more_work(monkeypatch):
     monkeypatch.setattr(Phase1Maintainer, "bootstrap", two_render_bootstrap)
     ref_video, ref_maintainer, reference, ref_featurized = build()
 
-    samples, retained = len(entry.result.known_scores), \
-        entry.result.diff_result.num_retained
+    samples, retained = len(entry.known_scores), \
+        entry.diff_result.num_retained
     assert sum(ref_video.rendered.values()) == NUM_FRAMES + samples
     assert sum(video.rendered.values()) == NUM_FRAMES
     assert ref_featurized == retained + samples
-    assert featurized == retained + unretained_samples(entry.result)
+    assert featurized == retained + unretained_samples(entry)
 
     for name in ("pi", "mu", "sigma"):
-        assert getattr(entry.result.mixtures, name).tobytes() == \
-            getattr(reference.result.mixtures, name).tobytes()
-    assert entry.result.relation.pmf.tobytes() == \
-        reference.result.relation.pmf.tobytes()
+        assert getattr(entry.mixtures, name).tobytes() == \
+            getattr(reference.mixtures, name).tobytes()
+    assert entry.relation.pmf.tobytes() == \
+        reference.relation.pmf.tobytes()
     assert entry.cost_model.breakdown() == reference.cost_model.breakdown()
     history, ref_history = (
-        e.result.grid_result.histories[0] for e in (entry, reference))
+        e.grid_result.histories[0] for e in (entry, reference))
     assert history.epoch_losses == ref_history.epoch_losses
     assert history.holdout_nll == ref_history.holdout_nll
 
     # The sample's rows were held for the bootstrap only: nothing new
     # on the maintainer, in its pickle (a checkpoint) or in a shipped
-    # spec (``wall_seconds`` differs in value, not in size).
+    # spec.
     assert list(vars(maintainer)) == list(vars(ref_maintainer))
     assert len(pickle.dumps(maintainer)) == len(pickle.dumps(ref_maintainer))
     session = Session(
@@ -326,32 +325,32 @@ def test_bootstrap_renders_once_and_infers_each_row_once(window_seconds):
         window_seconds=window_seconds, config=STREAM_CONFIG)
     with featurized_rows() as featurized:
         entry = stream.phase1()
-    retained = entry.result.diff_result.retained
+    retained = entry.diff_result.retained
     # More than one inference block, and (windowed) a leading block
     # that has already slid out of the window at bootstrap.
     assert retained.size > 1_024
     assert set(video.rendered) == set(range(1_400))
     assert sum(video.rendered.values()) == len(stream.video) == 1_400
-    assert sum(featurized) == retained.size + unretained_samples(entry.result)
+    assert sum(featurized) == retained.size + unretained_samples(entry)
     assert stream._maintainer.fresh_inferred_frames == retained.size
 
     # Bit-identical to the batch engine over the same prefix.
     batch = Session(
         stream.video.snapshot(), counting_udf("car"), config=stream.config)
-    reference = batch.phase1().result
+    reference = batch.phase1()
     np.testing.assert_array_equal(
         reference.diff_result.retained, retained)
     if window_seconds is None:
         np.testing.assert_array_equal(
-            reference.mixtures.mu, entry.result.mixtures.mu)
+            reference.mixtures.mu, entry.mixtures.mu)
         np.testing.assert_array_equal(
-            reference.relation.pmf, entry.result.relation.pmf)
+            reference.relation.pmf, entry.relation.pmf)
     else:
         cut = reference.mixtures.mu.shape[0] \
-            - entry.result.mixtures.mu.shape[0]
+            - entry.mixtures.mu.shape[0]
         assert cut > 512
         np.testing.assert_array_equal(
-            reference.mixtures.mu[cut:], entry.result.mixtures.mu)
+            reference.mixtures.mu[cut:], entry.mixtures.mu)
 
     # Afterwards an append pays for what arrived: exactly the arrivals
     # rendered (the provisional clip's pixels are kept from the last
@@ -361,7 +360,7 @@ def test_bootstrap_renders_once_and_infers_each_row_once(window_seconds):
     rendered = sum(video.rendered.values())
     with featurized_rows() as featurized:
         stream.append(70)
-        grown = stream.phase1().result.diff_result.retained
+        grown = stream.phase1().diff_result.retained
         assert sum(video.rendered.values()) - rendered == 70
         # (The re-decided clip's rows that stay retained are still in
         # the tail block's kept feature rows.)
@@ -399,8 +398,8 @@ def test_a_stream_built_either_way_checkpoints_and_appends_alike(
     for s in (stream, twin):
         s.append(150)
     assert live.latest.to_json() == twin_live.latest.to_json()
-    assert stream.phase1().result.mixtures.mu.tobytes() \
-        == twin.phase1().result.mixtures.mu.tobytes()
+    assert stream.phase1().mixtures.mu.tobytes() \
+        == twin.phase1().mixtures.mu.tobytes()
     assert stream.phase1().cost_model.total_seconds() \
         == twin.phase1().cost_model.total_seconds()
 
@@ -430,7 +429,7 @@ def test_a_pooled_build_renders_each_frame_once_in_the_worker(tmp_path):
         entry = build_in_pool(
             pool, video, session.scoring, session.resolved_unit_costs(),
             session.config)
-    assert entry.result.diff_result.num_frames == 1_200
+    assert entry.diff_result.num_frames == 1_200
     rendered = (tmp_path / "renders").read_text().split()
     assert sorted(map(int, rendered)) == list(range(1_200))
 
@@ -441,7 +440,7 @@ def test_block_miss_spans_of_a_build_say_what_each_block_cost():
         config=STREAM_CONFIG)
     tracer = Tracer()
     with tracer.trace("build") as trace:
-        result = session.phase1().result
+        result = session.phase1()
     misses = [span.attrs for span in trace.spans
               if span.name == "block_miss"]
     retained = result.diff_result.retained

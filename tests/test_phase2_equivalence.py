@@ -308,7 +308,7 @@ def test_phase1_relations_match_the_reference(session, k, thres):
     entry = session.phase1()
     truth = session.video.truth_array()
     frames = dict(enumerate(truth.tolist()))
-    full = entry.result.relation
+    full = entry.relation
     restricted = restrict_relation(full, [(100, 400), (600, 850)])
     assert 0 < len(restricted) < len(full)
     windows = entry.window_relation(
@@ -378,7 +378,7 @@ def test_log_tables_are_built_once_per_entry(derivations):
     assert reports[1] == reports[3] and reports[0] == reports[4]
     # The entry's relation still holds the tables every query shares;
     # a restriction to every row is the relation itself.
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     assert restrict_relation(relation, [(0, 10**9)]).log_tables() \
         is relation.log_tables()
     assert derivations["tables"] == 1
@@ -396,7 +396,7 @@ def test_window_relations_are_built_once_per_shape(derivations):
 
 def test_level_columns_are_built_once_per_level(column_builds):
     session = _fresh_session()
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     shapes = [(k, window) for k in (3, 5, 8, 12) for window in (0, 30)]
     reports = [_ask(session, k, window) for k, window in shapes]
     window = session.phase1().window_relation(
@@ -423,7 +423,7 @@ def test_level_columns_are_built_once_per_level(column_builds):
 
 def test_a_rebuild_with_one_more_certain_tuple_has_its_own_columns():
     session = _fresh_session()
-    entry_relation = session.phase1().result.relation
+    entry_relation = session.phase1().relation
     _ask(session)
     level = next(iter(vars(entry_relation)["_columns"]))
     shared = entry_relation.level_columns(level)
@@ -441,7 +441,7 @@ def test_a_rebuild_with_one_more_certain_tuple_has_its_own_columns():
 
 def test_a_rebuild_with_one_more_certain_tuple_has_its_own_tables():
     session = _fresh_session()
-    entry_relation = session.phase1().result.relation
+    entry_relation = session.phase1().relation
     tables = entry_relation.log_tables()
     relation = with_certain(
         entry_relation, [int(entry_relation.uncertain_positions()[0])], [2.0])
@@ -478,7 +478,7 @@ def test_racing_first_use_of_one_relation_from_bare_threads():
     """The same race without the service in between: every thread gets
     tables and level columns equal to a serial build's, whichever
     assignment wins."""
-    pristine = _fresh_session("race-bare", 80).phase1().result.relation
+    pristine = _fresh_session("race-bare", 80).phase1().relation
     level = pristine.grid.max_level // 2
     twin = pickle.loads(pickle.dumps(pristine))
     serial = twin.log_tables()
@@ -513,14 +513,14 @@ def test_a_streams_append_invalidates_by_rebuilding_the_entry(derivations):
     stream, twin = open_stream(), open_stream()
     before = stream.phase1()
     _ask(stream), _ask(stream), _ask(stream, window=30)
-    assert "_log_tables" in vars(before.result.relation)
+    assert "_log_tables" in vars(before.relation)
     assert len(vars(before)["_window_relations"]) == 1
     built = dict(derivations)
 
     stream.append(150)
     after = stream.phase1()
     assert after is not before
-    assert "_log_tables" not in vars(after.result.relation)
+    assert "_log_tables" not in vars(after.relation)
     assert "_window_relations" not in vars(after)
     twin.append(150)
     assert _ask(stream) == _ask(twin)
@@ -551,8 +551,8 @@ def test_a_shipped_spec_carries_no_derived_state():
     entries = [(session.config, entry)]
     cold = ship_spec(session, entries).blob
     reports = _warm(session)
-    assert "_log_tables" in vars(entry.result.relation)
-    assert "_columns" in vars(entry.result.relation)
+    assert "_log_tables" in vars(entry.relation)
+    assert "_columns" in vars(entry.relation)
     assert vars(entry)["_window_relations"]
     warm = ship_spec(session, entries).blob
     # Not one byte more than before any query ran — which is the blob
@@ -563,8 +563,8 @@ def test_a_shipped_spec_carries_no_derived_state():
 
     # ...and what arrives answers as the original does.
     received = pickle.loads(pickle.dumps(entry))
-    assert "_log_tables" not in vars(received.result.relation)
-    assert "_columns" not in vars(received.result.relation)
+    assert "_log_tables" not in vars(received.relation)
+    assert "_columns" not in vars(received.relation)
     assert "_window_relations" not in vars(received)
     other = Session(session.video, session.scoring, config=FAST)
     other.adopt_phase1(received, session.config)
@@ -579,12 +579,12 @@ def test_a_stream_checkpoint_carries_no_derived_state(tmp_path):
     stream.append(120)
     reports = _warm(stream)
     entry = stream.phase1()
-    assert "_log_tables" in vars(entry.result.relation)
-    assert "_columns" in vars(entry.result.relation)
+    assert "_log_tables" in vars(entry.relation)
+    assert "_columns" in vars(entry.relation)
     stream.checkpoint(tmp_path / "warm")
     # Strip every memo by hand: the state the parent commit would hold.
-    vars(entry.result.relation).pop("_log_tables")
-    vars(entry.result.relation).pop("_columns")
+    vars(entry.relation).pop("_log_tables")
+    vars(entry.relation).pop("_columns")
     vars(entry).pop("_window_relations")
     stream.checkpoint(tmp_path / "stripped")
     assert _tree_bytes(tmp_path / "warm") \

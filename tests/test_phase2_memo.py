@@ -88,7 +88,7 @@ def _arrays(value):
 
 def test_a_memo_hit_answers_as_a_fresh_session_does(fresh):
     session = _session()
-    relation = session.phase1().result.relation
+    relation = session.phase1().relation
     first = [_detail(query.run_detailed()) for query in _queries(session)]
     keys = set(_memo(relation))
     assert ("bootstrap", 3) in keys and ("bootstrap", 1) in keys
@@ -122,7 +122,7 @@ def test_memo_values_are_read_only():
     for query in _queries(session):
         query.run()
     arrays = _arrays(tuple(
-        _memo(session.phase1().result.relation).values()))
+        _memo(session.phase1().relation).values()))
     assert arrays
     for array in arrays:
         assert not array.flags.writeable
@@ -133,7 +133,7 @@ def test_memo_values_are_read_only():
 def test_the_memo_is_never_pickled_shipped_or_inherited_by_a_restriction():
     session = _session()
     entry = session.phase1()
-    relation = entry.result.relation
+    relation = entry.relation
     cold = ship_spec(session, [(session.config, entry)]).blob
     for query in _queries(session):
         query.run()
@@ -141,7 +141,7 @@ def test_the_memo_is_never_pickled_shipped_or_inherited_by_a_restriction():
     assert ship_spec(session, [(session.config, entry)]).blob == cold
     assert "_memo" not in vars(pickle.loads(pickle.dumps(relation)))
     received = pickle.loads(pickle.dumps(entry))
-    assert "_memo" not in vars(received.result.relation)
+    assert "_memo" not in vars(received.relation)
     # A restriction to every row is the relation itself; a real one is
     # other tuples and starts without.
     assert restrict_relation(relation, [(0, 10**9)]) is relation
@@ -159,14 +159,14 @@ def test_a_stream_checkpoint_carries_no_memo(tmp_path):
         initial_frames=700, config=FAST)
     stream.append(120)
     reports = [query.run().to_json() for query in _queries(stream)]
-    relation = stream.phase1().result.relation
+    relation = stream.phase1().relation
     assert _memo(relation)
     stream.checkpoint(tmp_path / "warm")
     for blob in (tmp_path / "warm").rglob("*"):
         if blob.is_file():
             assert b"_memo" not in blob.read_bytes()
     resumed = Session.resume(tmp_path / "warm")
-    assert "_memo" not in vars(resumed.phase1().result.relation)
+    assert "_memo" not in vars(resumed.phase1().relation)
     assert [query.run().to_json() for query in _queries(resumed)] == reports
 
 
@@ -208,10 +208,10 @@ def test_racing_threads_build_equal_memos():
     run's, whichever assignment wins."""
     session = _session(302)
     serial = session.query().topk(5).guarantee(0.9).run().to_json()
-    reference = dict(_memo(session.phase1().result.relation))
+    reference = dict(_memo(session.phase1().relation))
 
     racing = _session(302)
-    relation = racing.phase1().result.relation
+    relation = racing.phase1().relation
     barrier = threading.Barrier(4)
     seen = []
 

@@ -103,7 +103,7 @@ class TestConfidenceProperties:
         # Clean the last tuple at some score; incremental must match a
         # fresh rebuild.
         position = len(pmfs) - 1
-        state.remove(position)
+        state.remove_many([position])
         rebuilt = ConfidenceState(with_certain(relation, [position], [1.0]))
         for t in range(4):
             assert state.joint_cdf(t) == pytest.approx(

@@ -293,8 +293,8 @@ def test_mixed_corpus_with_a_windowed_member_matches_concat_reference():
         assert sum(hi - lo for lo, hi in query.plan().frame_ranges) \
             < offset + len(windowed.video)
     # The merged DiffResult still counts the member's whole prefix.
-    assert state.entry.result.diff_result.retained.size == sum(
-        member.session.phase1().result.diff_result.retained.size
+    assert state.entry.diff_result.retained.size == sum(
+        member.session.phase1().diff_result.retained.size
         for member in corpus.members)
 
 

@@ -1,4 +1,5 @@
-"""An uncertain relation is a value (DESIGN.md §3).
+"""An uncertain relation, and the Phase-1 entry around it, are values
+(DESIGN.md §3).
 
 Every relation is built once, its certain rows written during
 construction (``build_relation``'s known scores), and every array it
@@ -10,18 +11,28 @@ memo value and a pickle round trip — including a blob written while the
 arrays were still writeable, as a format-6 checkpoint or warm-tier
 entry from before relations were values is. Ranges that cover every
 tuple restrict a relation to itself.
+
+A ``Phase1Entry`` is one frozen record of six fields. The arrays it
+holds beside the relation (its mixtures' ``pi`` / ``mu`` / ``sigma``,
+its difference result's ``retained`` / ``representative``) refuse a
+write too, and what it could derive it does not store: ``proxy`` is the
+grid's winner and ``oracle_calls`` the number of known scores — on a
+plain, a windowed live and a corpus-merged entry alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import pickle
 import pickletools
 
 import numpy as np
 import pytest
 
-from repro import EverestConfig, Session
+from repro import EverestConfig, Session, VideoCorpus
 from repro.core import uncertain
+from repro.core.phase1 import Phase1Entry
 from repro.core.uncertain import (
     QuantizationGrid,
     UncertainRelation,
@@ -110,7 +121,7 @@ def entry():
 
 
 def test_the_phase1_relation_and_a_window_relation_are_read_only(entry):
-    _assert_read_only(entry.result.relation)
+    _assert_read_only(entry.relation)
     _assert_read_only(entry.window_relation(
         window_size=30, floor=0.0, step=0.25))
 
@@ -126,7 +137,7 @@ def test_a_memo_value_is_read_only():
 
 
 def test_a_pickle_round_trip_is_read_only(entry):
-    for relation in (_relation(), entry.result.relation):
+    for relation in (_relation(), entry.relation):
         blob = pickle.dumps(relation, protocol=pickle.HIGHEST_PROTOCOL)
         received = pickle.loads(blob)
         for field in FIELDS:
@@ -135,7 +146,7 @@ def test_a_pickle_round_trip_is_read_only(entry):
         _assert_read_only(received)
     received = pickle.loads(
         pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
-    _assert_read_only(received.result.relation)
+    _assert_read_only(received.relation)
 
 
 def _opcodes(blob):
@@ -174,3 +185,65 @@ def test_no_public_method_writes_a_relation():
                  "_drop_derived", "covers"):
         assert not hasattr(UncertainRelation, name)
     assert not hasattr(uncertain, "covers")
+
+
+#: The arrays an entry holds beside its relation.
+ENTRY_ARRAYS = ("mixtures.pi", "mixtures.mu", "mixtures.sigma",
+                "diff_result.retained", "diff_result.representative")
+
+
+def _live_entry():
+    stream = Session.open_stream(
+        TrafficVideo("read-only-live", 900, seed=42), counting_udf("car"),
+        initial_frames=400, window_seconds=8.0, config=EverestConfig.fast())
+    stream.append(150)
+    stream.tick(60)
+    entry = stream.phase1()
+    maintainer = stream._maintainer
+    assert "proxy" not in vars(maintainer)
+    assert maintainer.proxy is maintainer.grid_result.proxy is entry.proxy
+    # The window has moved: the mixtures cover the retained tail only.
+    assert 0 < len(entry.mixtures.mu) < entry.diff_result.num_retained
+    return entry
+
+
+def _merged_entry():
+    corpus = VideoCorpus([
+        Session(TrafficVideo(f"read-only-{name}", 600, seed=seed),
+                counting_udf("car"), config=EverestConfig.fast())
+        for name, seed in (("a", 43), ("b", 44))])
+    return corpus.merged_state().entry
+
+
+@pytest.fixture(scope="module", params=["plain", "live", "merged"])
+def any_entry(request, entry):
+    if request.param == "plain":
+        return entry
+    return _live_entry() if request.param == "live" else _merged_entry()
+
+
+def _assert_entry_read_only(entry):
+    _assert_read_only(entry.relation)
+    for name in ENTRY_ARRAYS:
+        array = operator.attrgetter(name)(entry)
+        assert array.size and not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[-1]
+
+
+def test_every_entry_array_is_read_only(any_entry):
+    _assert_entry_read_only(any_entry)
+    received = pickle.loads(
+        pickle.dumps(any_entry, protocol=pickle.HIGHEST_PROTOCOL))
+    _assert_entry_read_only(received)
+
+
+def test_an_entry_stores_nothing_it_derives(any_entry):
+    assert [field.name for field in dataclasses.fields(Phase1Entry)] == [
+        "relation", "grid_result", "diff_result", "known_scores",
+        "mixtures", "cost_model"]
+    assert any_entry.proxy is any_entry.grid_result.proxy
+    assert any_entry.oracle_calls == len(any_entry.known_scores) > 0
+    assert "proxy" not in vars(any_entry)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        any_entry.relation = None

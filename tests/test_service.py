@@ -10,6 +10,8 @@ score cache, and the streaming attachment hooks.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import multiprocessing
 import os
 import threading
@@ -79,7 +81,7 @@ class TestScoreCache:
 
         cache = ScoreCache({5: 0.5})
         clone = pickle.loads(pickle.dumps(cache))
-        assert clone.as_dict() == {5: 0.5}
+        assert dict(clone.since(0)[0]) == {5: 0.5}
         clone.merge([(6, 0.6)])  # the lock was rebuilt
         assert clone.since(0) == ([(5, 0.5), (6, 0.6)], 2)
 
@@ -370,8 +372,8 @@ class TestSharedArtifacts:
         cold = SharedArtifacts(warm_dir=tmp_path)
         warm = cold.lease(_session(comp_cfg, seed=47), comp_cfg, key)
         assert cold.stats.builds == 0 and cold.stats.warm_hits == 1
-        assert warm.result.relation.pmf.tobytes() == \
-            entry.result.relation.pmf.tobytes()
+        assert warm.relation.pmf.tobytes() == \
+            entry.relation.pmf.tobytes()
         ledger = {
             k: warm.cost_model.seconds(k)
             for k in warm.cost_model.breakdown()
@@ -389,8 +391,24 @@ class TestSharedArtifacts:
         hurt = SharedArtifacts(warm_dir=tmp_path)
         rebuilt = hurt.lease(_session(comp_cfg, seed=47), comp_cfg, key)
         assert hurt.stats.builds == 1
-        assert rebuilt.result.relation.pmf.tobytes() == \
-            entry.result.relation.pmf.tobytes()
+        assert rebuilt.relation.pmf.tobytes() == \
+            entry.relation.pmf.tobytes()
+
+        # A format-6 checkpoint (an entry around a result object whose
+        # class is gone) is refused by its manifest: a miss, rebuilt.
+        blob = b"\x80\x04crepro.core.phase1\nPhase1Result\n."
+        next(target.glob("state-*.pkl")).write_bytes(blob)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest.update(
+            format_version=6, sha256=hashlib.sha256(blob).hexdigest())
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        stale = SharedArtifacts(warm_dir=tmp_path)
+        rebuilt = stale.lease(_session(comp_cfg, seed=47), comp_cfg, key)
+        assert (stale.stats.builds, stale.stats.warm_hits) == (1, 0)
+        assert rebuilt.relation.pmf.tobytes() == \
+            entry.relation.pmf.tobytes()
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert manifest["format_version"] == 7
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ConfigurationError):
@@ -546,7 +564,7 @@ class TestQueryServiceSurface:
             with pytest.raises(QueryError, match="sliding window"):
                 service.submit(bare, session=stream).result(WAIT)
             windowed = service.submit(plan, session=stream).result(WAIT)
-            assert windowed.num_tuples <= stream.video.window_size
+            assert windowed.num_tuples <= stream.watermark - stream.window_lo
 
     def test_submitted_stream_queries_count_fresh_confirms(self, comp_cfg):
         with QueryService(workers=1, use_processes=False) as service:

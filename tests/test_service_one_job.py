@@ -576,9 +576,9 @@ def test_a_pooled_batch_returns_exactly_its_cache_misses(monkeypatch):
         spec = task.spec.resolve()
         spec.merge(tail)
         cache = spec.session.shared_score_cache
-        before = set(cache.as_dict())
+        before = set(dict(cache.since(0)[0]))
         new_scores = _service_worker_run(task).new_scores
-        diff = {frame: score for frame, score in cache.as_dict().items()
+        diff = {frame: score for frame, score in cache.since(0)[0]
                 if frame not in before}
         assert new_scores == diff == shipped_back
 
@@ -599,7 +599,7 @@ def test_a_batch_rescores_no_frame_the_parent_held_when_it_was_sent():
         real_call = service._pool.call
 
         def spy(fn, *args):
-            held = set(cache.as_dict())  # the cache only grows
+            held = set(dict(cache.since(0)[0]))  # the cache only grows
             result = real_call(fn, *args)
             if fn is _service_worker_run:
                 batches.append(len(args[0].plans))

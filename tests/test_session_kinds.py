@@ -301,8 +301,8 @@ def test_sealed_window_snapshot_keeps_its_window_but_never_slides():
     plan = batch.query().topk(3).plan()
     assert plan.frame_ranges == ((stream.window_lo, stream.watermark),)
     # ...over a relation that keeps the whole prefix.
-    assert len(batch.phase1().result.relation) > \
-        len(stream.phase1().result.relation)
+    assert len(batch.phase1().relation) > \
+        len(stream.phase1().relation)
 
 
 # ----------------------------------------------------------------------

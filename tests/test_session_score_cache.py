@@ -134,7 +134,8 @@ def test_a_refused_batch_leaves_nothing_in_the_cache(entry):
     with pytest.raises(OracleError, match=str(second[-1])):
         QueryExecutor(session).execute(_plan(session, shape))
     # The batch before the refusal was revealed; none of the refused one.
-    assert sorted(session.shared_score_cache.as_dict()) == sorted(first)
+    revealed, _ = session.shared_score_cache.since(0)
+    assert sorted(dict(revealed)) == sorted(first)
 
     counted.poison = set()
     reference = _session(entry, Counted())
@@ -179,7 +180,7 @@ def test_merge_takes_the_lock_once_and_keeps_merge_order():
     cache.merge(items)
     assert cache._lock.taken == 1
     # A frame merged again keeps its first place.
-    assert list(cache.as_dict().items()) == list(dict(items).items())
+    assert cache.since(0)[0] == list(dict(items).items())
 
 
 FRAMES = st.lists(st.integers(0, 30), max_size=8)
@@ -223,7 +224,8 @@ def test_a_checkpoint_in_the_earlier_cache_layout_still_resumes(
     stream.append(60)
     with monkeypatch.context() as patch:
         patch.setattr(ScoreCache, "__getstate__", lambda self: {
-            "scores": self.as_dict(), "max_entries": None, "evictions": 0})
+            "scores": dict(self.since(0)[0]), "max_entries": None,
+            "evictions": 0})
         stream.checkpoint(tmp_path / "ck")
     blob = next((tmp_path / "ck").glob("state-*.pkl")).read_bytes()
     assert b"max_entries" in blob and b"evictions" in blob

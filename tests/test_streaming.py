@@ -295,7 +295,7 @@ def assert_built_from_scratch(stream):
     the session's current proxy: detached detector, chunked inference,
     one-pass quantization, window restriction — and also ``run_phase1``
     over the prefix from nothing, labels, training and all."""
-    result = stream.phase1().result
+    result = stream.phase1()
     prefix = stream.video.snapshot()
     detached = DifferenceDetector(stream.config.diff).run(prefix)
     retained = result.diff_result.retained
@@ -323,7 +323,7 @@ def assert_built_from_scratch(stream):
         retained, reference, floor=scoring.score_floor, step=scoring.step,
         known_scores=result.known_scores))
     same_relation(run_phase1(
-        prefix, scoring, None, stream.config).result.relation)
+        prefix, scoring, None, stream.config).relation)
 
 
 def test_flipped_retain_decisions_keep_the_state_from_scratch():
@@ -335,19 +335,19 @@ def test_flipped_retain_decisions_keep_the_state_from_scratch():
         initial_frames=517, config=MAINTAIN_CONFIG)
     rng = np.random.default_rng(4)
     flips, sizes = 0, []
-    assert stream.phase1().result.diff_result.num_retained < 512
+    assert stream.phase1().diff_result.num_retained < 512
     while stream.video.remaining:
         size = int(min(rng.integers(1, 20), stream.video.remaining))
         watermark = stream.watermark
-        kept = stream.phase1().result.diff_result.retained
+        kept = stream.phase1().diff_result.retained
         stream.append(size)
-        after = stream.phase1().result.diff_result.retained
+        after = stream.phase1().diff_result.retained
         flips += len(set(kept) ^ set(after[after < watermark]))
         sizes.append(size)
         if len(sizes) % 3 == 0 or not stream.video.remaining:
             assert_built_from_scratch(stream)
     assert flips > 20
-    assert stream.phase1().result.diff_result.num_retained > 512 + 64
+    assert stream.phase1().diff_result.num_retained > 512 + 64
 
 
 def test_window_edge_and_healed_blocks_keep_the_state_from_scratch():
@@ -365,11 +365,11 @@ def test_window_edge_and_healed_blocks_keep_the_state_from_scratch():
     for kind, size in (("append", 150), ("tick", 100), ("tick", 150),
                        ("append", 1_200), ("tick", 50), ("append", 30),
                        ("tick", 120), ("append", 17)):
-        before = stream.phase1().result.diff_result.retained
+        before = stream.phase1().diff_result.retained
         first_block = _window_cut(stream, before) // 512
         result = stream.append(size) if kind == "append" \
             else stream.tick(size)
-        after = stream.phase1().result.diff_result.retained
+        after = stream.phase1().diff_result.retained
         now_first = _window_cut(stream, after) // 512
         if kind == "tick":
             assert result.fresh_inferred_frames == 0
@@ -393,9 +393,9 @@ def _event_bytes(stream, result):
     return (
         [report.to_json() for report in result.reports],
         result.fresh_inferred_frames,
-        entry.result.relation.pmf.tobytes(),
-        entry.result.relation.ids.tobytes(),
-        entry.result.mixtures.mu.tobytes(),
+        entry.relation.pmf.tobytes(),
+        entry.relation.ids.tobytes(),
+        entry.mixtures.mu.tobytes(),
         entry.cost_model.breakdown(),
     )
 
@@ -416,7 +416,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     _, interrupted = open_window_stream()
     maintainer = interrupted._maintainer
     cache = maintainer.blocks
-    retained = interrupted.phase1().result.diff_result.retained
+    retained = interrupted.phase1().diff_result.retained
     tail_rows = retained.size % 512
     assert 0 < tail_rows == cache._tail[0].size  # mid-block
     assert cache._pmfs and sorted(cache._pmfs) == sorted(cache._blocks)
@@ -439,7 +439,7 @@ def test_resume_mid_block_continues_byte_for_byte(tmp_path):
     assert set(cache.__getstate__()) == {"_blocks", "_tops"}
     assert pickled.blocks._pmfs == {} and pickled.blocks._tail is None
     assert sorted(pickled.blocks._blocks) == sorted(cache._blocks)
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
 
     resumed = Session.resume(tmp_path / "ck")
     resumed.query().topk(3).guarantee(0.85).subscribe()
@@ -496,7 +496,7 @@ def test_sibling_service_streams_own_their_blocks_across_threads():
             try:
                 for size in schedules[index]:
                     result = stream.append(size)
-                    relation = stream.phase1().result.relation
+                    relation = stream.phase1().relation
                     served[index].append((
                         stream.watermark, result.reports[0].to_json(),
                         live.latest.to_json(), relation.pmf.tobytes(),
@@ -529,7 +529,7 @@ def test_sibling_service_streams_own_their_blocks_across_threads():
                 counting_udf("car"), config=a.config)
             assert batch.query().topk(3).guarantee(0.85).run() \
                 .to_json() == report
-            relation = batch.phase1().result.relation
+            relation = batch.phase1().relation
             assert relation.pmf.tobytes() == pmf
             assert relation.ids.tobytes() == ids
 
@@ -583,7 +583,7 @@ class TestCachingOracle:
         assert 4 in cache and 5 not in cache
         cache.merge([(5, 1.5)])
         assert cache.get(5) == 1.5
-        assert cache.as_dict() == {4: 2.0, 5: 1.5}
+        assert dict(cache.since(0)[0]) == {4: 2.0, 5: 1.5}
         assert len(cache) == 2
 
 
@@ -691,9 +691,10 @@ class TestArtifactStore:
 
     def test_version_1_checkpoint_is_refused_by_the_manifest(self, tmp_path):
         # Every superseded format, not only version 1: an old state
-        # pickles classes that no longer exist (1, 3, 4, 5) or a
-        # StreamingVideo without the window fields (2); the refusal
-        # must come from the manifest, before pickle sees it.
+        # pickles classes that no longer exist (1, 3, 4, 5, and 6's
+        # warm-tier entry wraps a result object) or a StreamingVideo
+        # without the window fields (2); the refusal must come from the
+        # manifest, before pickle sees it.
         for version in range(1, FORMAT_VERSION):
             path = tmp_path / f"ck{version}"
             write_checkpoint(path, {"round": 1})
@@ -708,7 +709,7 @@ class TestArtifactStore:
             with pytest.raises(
                     CheckpointError, match=f"format {version} unsupported"):
                 Session.resume(path)
-        assert FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 7
 
     def test_a_format_5_checkpoint_is_refused_naming_its_version(
             self, tmp_path):
@@ -727,7 +728,7 @@ class TestArtifactStore:
         with pytest.raises(AttributeError, match="SelectCandidateConfig"):
             pickle.loads(blob)
         with pytest.raises(CheckpointError,
-                           match="format 5 unsupported.*writes 6"):
+                           match="format 5 unsupported.*writes 7"):
             Session.resume(path)
 
     def test_checkpoint_keeps_nothing_per_delivered_event(self, tmp_path):
@@ -750,6 +751,22 @@ class TestArtifactStore:
         blob = (path / manifest["state_file"]).read_bytes()
         for name in (b"QueryReport", b"AppendResult", b"ExpiryResult"):
             assert name not in blob
+
+    def test_equal_stream_histories_checkpoint_to_the_same_digest(
+            self, tmp_path):
+        # A checkpoint holds no clock reading and nothing derived: two
+        # streams fed the same events write the same state bytes.
+        def digest(name):
+            stream = Session.open_stream(
+                TrafficVideo("ck-twin", 900, seed=29), counting_udf("car"),
+                initial_frames=400, window_seconds=8.0,
+                config=EverestConfig.fast())
+            stream.append(150)
+            stream.tick(60)
+            stream.checkpoint(tmp_path / name)
+            return read_checkpoint(tmp_path / name)[1]["sha256"]
+
+        assert digest("first") == digest("second")
 
 
 # ----------------------------------------------------------------------

@@ -496,7 +496,7 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
     path = tmp_path / "events.jsonl"
     tracer = Tracer(jsonl_path=path)
     (traced, traced_live), (plain, plain_live) = open_stream(), open_stream()
-    retained = traced.phase1().result.diff_result.num_retained
+    retained = traced.phase1().diff_result.num_retained
     with tracer.trace("append"):
         traced_events = [traced.append(60)]
     with tracer.trace("tick"):
@@ -510,7 +510,7 @@ def test_phase1_maintenance_spans_say_where_inference_went(tmp_path):
     for record in read_jsonl([str(path)]):
         if record["type"] == "span" and record["category"] == "phase1":
             spans.setdefault(record["name"], []).append(record["attrs"])
-    grown = traced.phase1().result.diff_result.num_retained
+    grown = traced.phase1().diff_result.num_retained
     # The append re-scored the one (tail) block: all of its rows went
     # through the network, only the new ones were featurized, and every
     # one of those came from the scan's pixels. The tick scored nothing.

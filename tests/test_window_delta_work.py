@@ -113,7 +113,7 @@ def test_pure_ticks_run_zero_fresh_inference():
         # Retraction is eviction: the proxy never re-infers a frame
         # because the window slid past other frames.
         assert result.fresh_inferred_frames == 0
-    assert live.latest.num_tuples <= stream.video.window_size
+    assert live.latest.num_tuples <= stream.watermark - stream.window_lo
 
 
 CLIP = STREAM_CONFIG.diff.clip_size
@@ -168,7 +168,7 @@ def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
     for kind, size in DELTA_SCHEDULE:
         if kind == "tick" and window_frames is None:
             continue
-        retained = stream.phase1().result.diff_result.retained
+        retained = stream.phase1().diff_result.retained
         watermark = stream.watermark
         before = Counter(video.rendered)
         result = stream.append(size) if kind == "append" \
@@ -187,10 +187,10 @@ def test_an_append_renders_the_arrivals_once(window_frames, mse_threshold):
         assert rendered == Counter(range(watermark, watermark + size))
         # The rows through the network are what they always were.
         assert result.fresh_inferred_frames == _rows_in_changed_blocks(
-            retained, stream.phase1().result.diff_result.retained)
+            retained, stream.phase1().diff_result.retained)
     assert stream.watermark == BOOTSTRAP + appended == 2_236
     if mse_threshold == 0.0:
-        assert stream.phase1().result.diff_result.num_retained == 2_236
+        assert stream.phase1().diff_result.num_retained == 2_236
 
 
 def _count_quantized_rows(monkeypatch):
@@ -299,7 +299,7 @@ def test_subscription_plan_is_window_restricted():
     assert plan.frame_ranges == ((stream.window_lo, stream.watermark),)
     assert plan.window_seconds == stream.window_seconds
     assert plan.num_tuples == stream.watermark - stream.window_lo
-    assert live.latest.num_tuples <= stream.video.window_size
+    assert live.latest.num_tuples <= stream.watermark - stream.window_lo
     # The event's fresh confirmations are its one refresh's.
     assert ticked.reports == [live.latest]
     assert ticked.fresh_confirm_calls == live.detail.fresh_confirm_calls

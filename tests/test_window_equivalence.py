@@ -181,7 +181,7 @@ def test_window_smaller_than_one_inference_block():
         assert live.latest.to_json() == batch_reference(stream)
         # The diff detector may drop near-duplicates, so the relation
         # holds at most (never more than) the window's frames.
-        assert live.latest.num_tuples <= stream.video.window_size
+        assert live.latest.num_tuples <= stream.watermark - stream.window_lo
 
 
 def test_windowed_process_lane_matches_inline():
