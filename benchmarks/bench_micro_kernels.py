@@ -12,6 +12,9 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
   re-sort) with D0's memo holding it and without, ``top_indices`` on
   a 512-row chunk and ``extract_features`` on a 512-frame block
   (recorded, not gated);
+* one ``WindowCleaner`` batch of 8 windows confirmed through a warm
+  score cache, with the entry's window samples already drawn and with
+  every sample drawn afresh (recorded, not gated);
 * the Phase-2 split of a warm query on a 3 000-frame entry: µs per
   cleaning iteration for select / running Top-K / batch update (the
   joint CDF and the cleaner's own scores) / confirm (plain and
@@ -44,6 +47,7 @@ from repro.core import uncertain
 from repro.core.cleaner import TopKCleaner
 from repro.core.select_candidate import CandidateSelector, top_indices
 from repro.core.topk_prob import ConfidenceState
+from repro.core.windows import WindowCleaner
 from repro.core.uncertain import QuantizationGrid
 from repro.models import (
     Adam,
@@ -428,6 +432,53 @@ def test_phase2_query_start(benchmark):
     for name, value in metrics.items():
         print(f"{name:48s} {value:10.1f}")
     assert metrics["phase2_start_memo_hit_us_per_query"] > 0
+
+
+def test_window_clean_batch(benchmark):
+    """What one batch of 8 window confirmations pays when the entry
+    holds their samples (DESIGN.md §3) and when each is drawn again,
+    every score a cache hit (recorded, not gated)."""
+    session = Session(
+        TrafficVideo("bench-phase2", 3_000, seed=301), counting_udf("car"),
+        config=EverestConfig())
+    entry = session.phase1()
+    seed, rounds = session.config.seed, 200
+    window_ids = list(range(0, 80, 10))
+
+    def cleaner(samples):
+        oracle = CachingOracle(
+            session.scoring, CostModel(),
+            cache=session.shared_score_cache, cost_key="oracle_confirm")
+        return WindowCleaner(
+            video=session.video, oracle=oracle, window_size=30, seed=seed,
+            cost_model=CostModel(), samples=samples)
+
+    hit = cleaner(entry.window_samples(
+        window_size=30, seed=seed, num_frames=len(session.video)))
+    fresh = cleaner({})
+    hit(window_ids)  # draws the samples and fills the score cache
+
+    def hitting():
+        for _ in range(rounds):
+            hit(window_ids)
+
+    def drawing():
+        for _ in range(rounds):
+            fresh.samples.clear()
+            fresh(window_ids)
+
+    metrics = {
+        "window_clean_8_memo_hit_us": min(
+            timed_call(hitting)[1] for _ in range(5)) / rounds * 1e6,
+        "window_clean_8_fresh_draw_us": min(
+            timed_call(drawing)[1] for _ in range(5)) / rounds * 1e6,
+    }
+    benchmark.pedantic(hitting, rounds=1, iterations=1)
+    write_bench_result("micro_kernels", scale=scale_label(), **metrics)
+    print()
+    for name, value in metrics.items():
+        print(f"{name:48s} {value:10.1f}")
+    assert np.array_equal(hit(window_ids), fresh(window_ids))
 
 
 def _cmdn_like_mixtures(rows, components, seed=0):

@@ -224,6 +224,9 @@ class QueryExecutor:
             window_size=plan.window_size,
             seed=plan.config.seed,
             cost_model=phase2_cost,
+            samples=entry.window_samples(
+                window_size=plan.window_size, seed=plan.config.seed,
+                num_frames=len(session.video)),
         )
         return self._clean(
             plan, entry, relation, clean_fn, phase2_cost, confirm_oracle)

@@ -243,9 +243,21 @@ class Phase1Entry:
             )
         return relation
 
+    def window_samples(
+        self, *, window_size: int, seed: int, num_frames: int,
+    ) -> Dict[int, np.ndarray]:
+        """The window samples (window id -> read-only frame ids) of one
+        key, filled by the :class:`~repro.core.windows.WindowCleaner`
+        it is handed to; two threads racing a draw store equal arrays.
+        Derived state: never pickled.
+        """
+        memo = self.__dict__.setdefault("_window_samples", {})
+        return memo.setdefault((window_size, seed, num_frames), {})
+
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_window_relations", None)
+        state.pop("_window_samples", None)
         return state
 
 

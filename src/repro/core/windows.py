@@ -18,7 +18,7 @@ sample of its frames (paper: 10%) and taking the sample mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from ..models.mdn import GaussianMixture
 from ..oracle.base import Oracle
 from ..video.diff import DiffResult
 from ..video.synthetic import SyntheticVideo
-from .uncertain import UncertainRelation, build_relation
+from .uncertain import UncertainRelation, _read_only, build_relation
 
 #: Default ratio between the frame-level step and the window-level step
 #: (window means live on a finer scale than individual scores).
@@ -125,6 +125,19 @@ def build_window_relation(
     )
 
 
+def window_sample(
+    seed: int, window_id: int, window_size: int, num_frames: int
+) -> np.ndarray:
+    """The frames (read-only) the oracle scores to confirm a window: a
+    seeded :data:`WINDOW_SAMPLE_FRACTION` of them, at least one."""
+    start, end = window_bounds(window_id, window_size, num_frames)
+    length = end - start
+    sample = max(1, int(np.ceil(WINDOW_SAMPLE_FRACTION * length)))
+    rng = np.random.default_rng((seed, window_id))
+    return _read_only(start + rng.choice(
+        length, size=min(sample, length), replace=False))
+
+
 @dataclass
 class WindowCleaner:
     """Cleaning callback for windows: sampled oracle confirmation.
@@ -133,6 +146,10 @@ class WindowCleaner:
     :data:`WINDOW_SAMPLE_FRACTION` (10%) of them and uses the sample
     mean, trading a little precision jitter for proportionally less
     oracle work.
+
+    A sample is drawn once into ``samples`` (window id -> frame ids),
+    the cleaner's own dict unless the executor hands in its entry's
+    (:meth:`~repro.core.phase1.Phase1Entry.window_samples`).
     """
 
     video: SyntheticVideo
@@ -140,15 +157,14 @@ class WindowCleaner:
     window_size: int
     seed: int = 0
     cost_model: Optional[object] = None
+    samples: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def frames_for(self, window_id: int) -> np.ndarray:
-        start, end = window_bounds(
-            window_id, self.window_size, len(self.video))
-        length = end - start
-        sample = max(1, int(np.ceil(WINDOW_SAMPLE_FRACTION * length)))
-        rng = np.random.default_rng((self.seed, window_id))
-        return start + rng.choice(length, size=min(sample, length),
-                                  replace=False)
+        frames = self.samples.get(window_id)
+        if frames is None:
+            frames = self.samples[window_id] = window_sample(
+                self.seed, window_id, self.window_size, len(self.video))
+        return frames
 
     def __call__(self, window_ids: Sequence[int]) -> np.ndarray:
         scores = np.empty(len(window_ids))
@@ -157,5 +173,6 @@ class WindowCleaner:
             if self.cost_model is not None:
                 self.cost_model.charge("decode", frames.size)
             frame_scores = self.oracle.score(self.video, frames)
-            scores[i] = float(np.mean(frame_scores))
+            # np.mean's own arithmetic, without its Python wrapper.
+            scores[i] = float(np.add.reduce(frame_scores)) / frame_scores.size
         return scores

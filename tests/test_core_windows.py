@@ -133,6 +133,25 @@ class TestWindowCleaner:
             video=traffic_video, oracle=oracle, window_size=30, seed=5)
         assert np.array_equal(a.frames_for(1), b.frames_for(1))
 
+    def test_a_sample_is_drawn_once_into_its_dict_read_only(
+            self, traffic_video):
+        oracle = Oracle(counting_udf("car"), CostModel())
+        samples = {}
+        cleaner = WindowCleaner(
+            video=traffic_video, oracle=oracle, window_size=30,
+            samples=samples)
+        frames = cleaner.frames_for(4)
+        assert list(samples) == [4] and samples[4] is frames
+        assert cleaner.frames_for(4) is frames
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0] = 0
+        # A bare cleaner keeps its own dict and draws the same sample.
+        bare = WindowCleaner(
+            video=traffic_video, oracle=oracle, window_size=30)
+        assert np.array_equal(bare.frames_for(4), frames)
+        assert list(bare.samples) == [4] and list(samples) == [4]
+
 
 class TestWindowQueries:
     def test_window_query_end_to_end(self, traffic_video, fast_config):

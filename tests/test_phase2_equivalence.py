@@ -40,7 +40,7 @@ from repro.core.uncertain import (
     UncertainRelation,
     restrict_relation,
 )
-from repro.core.windows import window_truth
+from repro.core.windows import window_bounds, window_truth
 from repro.oracle import counting_udf
 from repro.service.backend import ship_spec
 from repro.video import TrafficVideo
@@ -392,6 +392,17 @@ def test_window_relations_are_built_once_per_shape(derivations):
     _ask(session, k=7, window=30)  # K is not part of the shape
     # One relation and one set of tables per window shape.
     assert derivations == {"tables": 2, "window_relations": 2}
+    # ...and one set of window samples per window size: a window id
+    # means other frames under another size.
+    samples = vars(session.phase1())["_window_samples"]
+    assert sorted(samples) == [
+        (size, FAST.seed, 700) for size in (20, 30)]
+    for (size, _, frames), drawn in samples.items():
+        assert drawn
+        for window_id, sample in drawn.items():
+            start, end = window_bounds(window_id, size, frames)
+            assert sample.size == -(-(end - start) // 10)
+            assert ((sample >= start) & (sample < end)).all()
 
 
 def test_level_columns_are_built_once_per_level(column_builds):
@@ -515,6 +526,7 @@ def test_a_streams_append_invalidates_by_rebuilding_the_entry(derivations):
     _ask(stream), _ask(stream), _ask(stream, window=30)
     assert "_log_tables" in vars(before.relation)
     assert len(vars(before)["_window_relations"]) == 1
+    assert list(vars(before)["_window_samples"]) == [(30, FAST.seed, 700)]
     built = dict(derivations)
 
     stream.append(150)
@@ -522,9 +534,11 @@ def test_a_streams_append_invalidates_by_rebuilding_the_entry(derivations):
     assert after is not before
     assert "_log_tables" not in vars(after.relation)
     assert "_window_relations" not in vars(after)
+    assert "_window_samples" not in vars(after)
     twin.append(150)
     assert _ask(stream) == _ask(twin)
     assert _ask(stream, window=30) == _ask(twin, window=30)
+    assert list(vars(after)["_window_samples"]) == [(30, FAST.seed, 850)]
     # stream and twin each derived the new entry's tables once.
     assert derivations["tables"] == built["tables"] + 4
     assert derivations["window_relations"] == built["window_relations"] + 2
@@ -554,18 +568,20 @@ def test_a_shipped_spec_carries_no_derived_state():
     assert "_log_tables" in vars(entry.relation)
     assert "_columns" in vars(entry.relation)
     assert vars(entry)["_window_relations"]
+    assert vars(entry)["_window_samples"]
     warm = ship_spec(session, entries).blob
     # Not one byte more than before any query ran — which is the blob
     # the parent commit ships (nothing else about the entry changed).
     assert len(warm) == len(cold) and warm == cold
     assert b"_log_tables" not in warm and b"_window_relations" not in warm
-    assert b"_columns" not in warm
+    assert b"_columns" not in warm and b"_window_samples" not in warm
 
     # ...and what arrives answers as the original does.
     received = pickle.loads(pickle.dumps(entry))
     assert "_log_tables" not in vars(received.relation)
     assert "_columns" not in vars(received.relation)
     assert "_window_relations" not in vars(received)
+    assert "_window_samples" not in vars(received)
     other = Session(session.video, session.scoring, config=FAST)
     other.adopt_phase1(received, session.config)
     assert _warm(other) == reports
@@ -581,11 +597,13 @@ def test_a_stream_checkpoint_carries_no_derived_state(tmp_path):
     entry = stream.phase1()
     assert "_log_tables" in vars(entry.relation)
     assert "_columns" in vars(entry.relation)
+    assert vars(entry)["_window_samples"]
     stream.checkpoint(tmp_path / "warm")
     # Strip every memo by hand: the state the parent commit would hold.
     vars(entry.relation).pop("_log_tables")
     vars(entry.relation).pop("_columns")
     vars(entry).pop("_window_relations")
+    vars(entry).pop("_window_samples")
     stream.checkpoint(tmp_path / "stripped")
     assert _tree_bytes(tmp_path / "warm") \
         == _tree_bytes(tmp_path / "stripped")
@@ -594,5 +612,6 @@ def test_a_stream_checkpoint_carries_no_derived_state(tmp_path):
             assert b"_log_tables" not in blob.read_bytes()
             assert b"_columns" not in blob.read_bytes()
             assert b"_window_relations" not in blob.read_bytes()
+            assert b"_window_samples" not in blob.read_bytes()
     resumed = Session.resume(tmp_path / "warm")
     assert _warm(resumed) == reports

@@ -8,7 +8,9 @@ answers byte for byte what a fresh session answers, ledger included,
 on both service lanes; that the memo is derived state (never pickled,
 shipped or checkpointed, not inherited by a row restriction, read
 only, equal whichever racing thread builds it); and that a query whose
-bootstrap cleans never touches it.
+bootstrap cleans never touches it. A window's oracle sample is the
+same kind of state, kept on the Phase-1 entry: a window query that
+repeats what an earlier one cleaned draws no sample.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 
 from repro import EverestConfig, QueryService, Session
 from repro.config import Phase2Config
+from repro.core import windows
 from repro.core.cleaner import TopKCleaner
 from repro.core.uncertain import (
     QuantizationGrid,
@@ -39,6 +42,9 @@ WAIT = 60.0
 #: Frame shapes (K, thres) and window shapes (K, thres, window size).
 FRAME_SHAPES = ((3, 0.9), (5, 0.95), (12, 0.9), (1, 0.9))
 WINDOW_SHAPES = ((5, 0.9, 30), (3, 0.95, 20))
+#: A window shape asked twice, then a smaller K on the same window
+#: size, which cleans a subset of the windows the first one cleaned.
+WINDOW_REPEATS = ((5, 0.9, 30), (5, 0.9, 30), (3, 0.9, 30))
 
 
 def _session(seed=301, frames=900):
@@ -71,6 +77,26 @@ def fresh():
     count = len(FRAME_SHAPES) + len(WINDOW_SHAPES)
     return [_detail(_queries(_session())[i].run_detailed())
             for i in range(count)]
+
+
+def _window_query(session, shape):
+    k, thres, window = shape
+    return session.query().topk(k).guarantee(thres).windows(size=window)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """``(window size, window id)`` of every sample drawn in this
+    process, by wrapping the one draw."""
+    drawn = []
+    original = windows.window_sample
+
+    def wrapper(seed, window_id, window_size, num_frames):
+        drawn.append((window_size, window_id))
+        return original(seed, window_id, window_size, num_frames)
+
+    monkeypatch.setattr(windows, "window_sample", wrapper)
+    return drawn
 
 
 def _memo(relation):
@@ -229,3 +255,41 @@ def test_racing_threads_build_equal_memos():
     assert _memo(relation).keys() == reference.keys()
     for key, value in reference.items():
         assert pickle.dumps(_memo(relation)[key]) == pickle.dumps(value)
+
+
+@pytest.mark.parametrize("use_processes", [False, True])
+def test_a_repeated_window_query_draws_no_sample(draws, use_processes):
+    """Each shape answers as it does on a fresh session, ledger
+    included, on both lanes; on the inline lane, where the draws are
+    counted, only the first query draws and no window is drawn twice."""
+    expected = [_detail(_window_query(_session(), shape).run_detailed())
+                for shape in WINDOW_REPEATS]
+    draws.clear()
+    seen, drawn = [], []
+    with QueryService(workers=1, use_processes=use_processes) as service:
+        session = service.open_session(
+            TrafficVideo("memo-301", 900, seed=301), UDF, config=FAST)
+        session.phase1()
+        for shape in WINDOW_REPEATS:
+            future = service.submit(_window_query(session, shape))
+            seen.append(_detail(future.outcome(WAIT)))
+            drawn.append(len(draws))
+    assert seen == expected
+    if not use_processes:
+        assert drawn[0] > 0 and drawn == [drawn[0]] * len(WINDOW_REPEATS)
+        assert len(set(draws)) == len(draws)
+
+
+def test_window_samples_live_on_the_entry_read_only(draws):
+    session = _session()
+    for query in _queries(session):
+        query.run()
+    entry = session.phase1()
+    samples = vars(entry)["_window_samples"]
+    assert sorted(key[0] for key in samples) == [20, 30]
+    assert sum(len(drawn) for drawn in samples.values()) == len(draws)
+    for drawn in samples.values():
+        for frames in drawn.values():
+            assert not frames.flags.writeable
+            with pytest.raises(ValueError):
+                frames[...] = 0
