@@ -6,7 +6,8 @@ Select-candidate) and quantify the design choices DESIGN.md calls out:
 * incremental Eq. 3 confidence vs naive Eq. 2 recomputation;
 * upper-bound early stopping vs exhaustive argmax E[X_f];
 * renderer, difference-detector and CMDN inference throughput;
-* one CMDN ``train_step`` per default grid shape, and the oracle's
+* one CMDN ``train_step`` per default grid shape, one lockstep step of
+  the whole default grid, and the oracle's
   per-frame cost at batch 1 / 8 / 500 (recorded, not gated);
 * a warm frame query's start (cleaner set-up, bootstrap, iteration-0
   re-sort) with D0's memo holding it and without, ``top_indices`` on
@@ -57,6 +58,8 @@ from repro.models import (
     build_feature_mdn,
     extract_features,
 )
+from repro.models.mdn import QUIET
+from repro.models.network import NetworkGrid
 from repro.models.trainer import LEARNING_RATE, TRAIN_BATCH_SIZE
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.oracle.cache import CachingOracle
@@ -254,6 +257,34 @@ def test_mdn_train_step(benchmark, shape):
         "micro_kernels", scale=scale_label(),
         **{f"mdn_train_step_g{gaussians}_h{hypotheses}_us":
            timed_call(run)[1] / steps * 1e6})
+
+
+def test_mdn_train_step_grid(benchmark):
+    """µs per lockstep step of the whole default grid: every candidate
+    steps once, the heads and Adam jointly (DESIGN.md §3)."""
+    batch = TRAIN_BATCH_SIZE
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(batch, NUM_FEATURES))
+    y = rng.normal(size=batch)
+    networks = [build_feature_mdn(num_gaussians=g, num_hypotheses=h)
+                for g, h in DEFAULT_CMDN_GRID]
+    for network in networks:
+        network.fit_target_scaling(y)
+    grid = NetworkGrid(networks)
+    xs = [x] * len(networks)
+    ys = [network.scale_targets(y) for network in networks]
+    optimizer = Adam(LEARNING_RATE)
+    steps = 200
+
+    def run():
+        with np.errstate(**QUIET):
+            for _ in range(steps):
+                grid.train_step_scaled(xs, ys, optimizer)
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    write_bench_result(
+        "micro_kernels", scale=scale_label(),
+        mdn_train_step_grid_us=timed_call(run)[1] / steps * 1e6)
 
 
 @pytest.mark.parametrize("batch", [1, 8, 500])

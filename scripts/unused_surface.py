@@ -70,8 +70,9 @@ KEPT_FOR_TESTS: Dict[str, str] = {
         "the mixture density the tests integrate to one",
     "MDNHead.nll":
         "the head's loss alone, for the finite-difference gradient check",
-    "MixtureDensityNetwork.num_parameters":
-        "the parameter count the packed-Adam and pickle-size tests check",
+    "MDNHead.loss_and_backward":
+        "one head's grid_loss_and_backward: the per-head reference the "
+        "joint head is checked against",
     "ProxyScorer.prepare_inputs":
         "featurize and scale in one call: pins the conv proxy's channel "
         "axis",

@@ -23,12 +23,26 @@ class Layer:
     """Base layer: stateless unless it owns parameters.
 
     Subclasses populate ``params`` / ``grads`` dicts keyed by parameter
-    name; ``forward`` caches whatever ``backward`` needs.
+    name; ``forward`` caches whatever ``backward`` needs, in the
+    attributes named by ``_CACHES``. A cache holds the last training
+    batch only: a fit drops it when it ends (:meth:`release`) and a
+    pickle carries it as ``None``.
     """
+
+    _CACHES: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.update(dict.fromkeys(self._CACHES))
+        return state
+
+    def release(self) -> None:
+        """Drop the last training batch's caches."""
+        self.__dict__.update(dict.fromkeys(self._CACHES))
 
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -56,6 +70,8 @@ def _he_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 class Dense(Layer):
     """Fully connected layer ``y = x W + b``."""
 
+    _CACHES = ("_x",)
+
     def __init__(self, in_features: int, out_features: int, *, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
@@ -78,7 +94,7 @@ class Dense(Layer):
     def accumulate_grads(self, grad_out: np.ndarray) -> None:
         assert self._x is not None, "backward before training forward"
         self.grads["W"] += self._x.T @ grad_out
-        self.grads["b"] += grad_out.sum(axis=0)
+        self.grads["b"] += np.add.reduce(grad_out, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self.accumulate_grads(grad_out)
@@ -87,6 +103,8 @@ class Dense(Layer):
 
 class ReLU(Layer):
     """Elementwise max(0, x)."""
+
+    _CACHES = ("_mask",)
 
     def __init__(self) -> None:
         super().__init__()
@@ -105,12 +123,14 @@ class ReLU(Layer):
 class Flatten(Layer):
     """Collapse all but the batch dimension."""
 
+    _CACHES = ("_shape",)
+
     def __init__(self) -> None:
         super().__init__()
         self._shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -146,6 +166,8 @@ def _im2col(
 class Conv2D(Layer):
     """3x3-style convolution via im2col matmul: stride 1, 'same'
     padding (``kernel // 2`` on each side)."""
+
+    _CACHES = ("_cols", "_x_shape")
 
     def __init__(
         self,
@@ -218,6 +240,8 @@ class Conv2D(Layer):
 
 class MaxPool2D(Layer):
     """Non-overlapping 2x2 (or k x k) max pooling."""
+
+    _CACHES = ("_argmax", "_in_shape")
 
     def __init__(self, size: int = 2):
         super().__init__()

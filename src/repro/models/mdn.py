@@ -13,8 +13,9 @@ relation quantizes them into x-tuples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +36,117 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(a), axis=-1, keepdims=True))`` of a float64 array.
+class _LastAxis:
+    """The rows of a regular array: its last axis. Each reduction keeps
+    that axis, so its result broadcasts back as it is."""
+
+    @staticmethod
+    def max(a: np.ndarray) -> np.ndarray:
+        return a.max(axis=-1, keepdims=True)
+
+    @staticmethod
+    def sum(a: np.ndarray) -> np.ndarray:
+        return a.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def count(mask: np.ndarray) -> np.ndarray:
+        return mask.sum(axis=-1, keepdims=True, dtype=np.float64)
+
+    @staticmethod
+    def spread(v: np.ndarray) -> np.ndarray:
+        return v
+
+
+class GridRows:
+    """The joint buffers of a lockstep grid of heads (DESIGN.md §3).
+
+    A joint buffer is flat and member-major: head ``i``'s ``(n, g_i)``
+    block is a contiguous span, so an elementwise ufunc runs once for
+    the whole grid. :meth:`join` gathers the heads' raw ``(n, 3g)``
+    pre-activations into three such buffers (logits, means, pre-sigmas)
+    and :meth:`split_gradient` gathers the raw gradient back into one
+    contiguous ``(n, 3g)`` array per head, for its own matmuls: one
+    ``take`` each way.
+
+    A row reduction gives one value per row, head after head (``k n``
+    values), and :meth:`spread` takes them back to the buffer's layout.
+    Row maxima are one ``np.maximum.reduceat`` and the counts of a
+    mask one ``np.bincount`` (both exact in any order); sums stay one
+    ``np.add.reduce`` per head on its own contiguous block, because a
+    sum in another order rounds differently. Immutable, so one instance
+    serves every fit of its shape (:func:`_grid_rows`).
+    """
+
+    def __init__(self, widths: Tuple[int, ...], n: int):
+        self.n = n
+        ends = np.cumsum([n * g for g in widths])
+        self.size = int(ends[-1])
+        #: Per head: its span of a joint buffer, its width ``g_i``, its
+        #: span of a row vector and its span of the raws laid end to end.
+        self.members = [
+            (slice(int(end) - n * g, int(end)), g, slice(i * n, (i + 1) * n),
+             slice(3 * (int(end) - n * g), 3 * int(end)))
+            for i, (end, g) in enumerate(zip(ends, widths))]
+        per_row = np.repeat(widths, n)
+        self._starts = np.concatenate(([0], np.cumsum(per_row)[:-1]))
+        self._spread = np.repeat(np.arange(per_row.size), per_row)
+        #: Per joint position (section by section), its index in the
+        #: raws laid end to end, and the inverse permutation.
+        self._join = np.concatenate([
+            (raws.start + np.arange(0, 3 * n * g, 3 * g)[:, None]
+             + np.arange(section * g, (section + 1) * g)).ravel()
+            for section in range(3) for _, g, _, raws in self.members])
+        self._split = np.argsort(self._join)
+        for index in (self._starts, self._spread, self._join, self._split):
+            index.flags.writeable = False
+
+    def max(self, a: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(a, self._starts)
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        out = np.empty(self._starts.size)
+        n = self.n
+        for span, g, rows, _ in self.members:
+            np.add.reduce(a[span].reshape(n, g), -1, None, out[rows])
+        return out
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self._spread, weights=mask, minlength=self._starts.size)
+
+    def spread(self, v: np.ndarray) -> np.ndarray:
+        return v.take(self._spread)
+
+    def join(self, raws: Sequence[np.ndarray]) -> np.ndarray:
+        return _end_to_end(raws).take(self._join).reshape(3, self.size)
+
+    def join_targets(self, ys: Sequence[np.ndarray]) -> np.ndarray:
+        return self.spread(_end_to_end(ys))
+
+    def split(self, a: np.ndarray) -> List[np.ndarray]:
+        return [a[rows] for _, _, rows, _ in self.members]
+
+    def split_gradient(self, grad: np.ndarray) -> List[np.ndarray]:
+        flat = grad.take(self._split)
+        n = self.n
+        return [flat[raws].reshape(n, 3 * g) for _, g, _, raws in self.members]
+
+
+def _end_to_end(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays flattened and laid end to end (one is not copied)."""
+    if len(arrays) == 1:
+        return np.asarray(arrays[0])
+    return np.concatenate(arrays, axis=None)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_rows(widths: Tuple[int, ...], n: int) -> GridRows:
+    return GridRows(widths, n)
+
+
+def _row_logsumexp(a: np.ndarray, rows=_LastAxis) -> np.ndarray:
+    """``log(sum(exp(a), axis=-1, keepdims=True))`` of a float64 array,
+    or per row of a joint buffer (``rows`` a :class:`GridRows`).
 
     Mirrors, operation for operation, what SciPy 1.17's ``logsumexp``
     computes for real input without weights, so results are byte-equal
@@ -50,17 +160,18 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     SciPy's sign bookkeeping is left out: without weights the shifted
     sum is never negative. Run it under ``np.errstate(**QUIET)``.
     """
-    a_max = a.max(axis=-1, keepdims=True)
-    is_max = a == a_max
-    m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+    a_max = rows.max(a)
+    spread_max = rows.spread(a_max)
+    is_max = a == spread_max
+    m = rows.count(is_max)
     shifted = np.where(is_max, -np.inf, a)
-    shifted -= a_max
-    s = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+    shifted -= spread_max
+    s = rows.sum(np.exp(shifted, out=shifted))
     s = np.where(s == 0, s, s / m)
     out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
     if not finite.all():
-        direct = np.log(np.exp(a).sum(axis=-1, keepdims=True))
+        direct = np.log(rows.sum(np.exp(a)))
         out = np.where(finite, out, direct)
     return out
 
@@ -144,10 +255,16 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray, rows=_LastAxis) -> np.ndarray:
+    exp = x - rows.spread(rows.max(x))
+    np.exp(exp, out=exp)
+    exp /= rows.spread(rows.sum(exp))
+    return exp
+
+
+def _mixture_params(logits, mu, pre_sigma, rows=_LastAxis):
+    """``(pi, mu, sigma)`` of the three sections of raw pre-activations."""
+    return _softmax(logits, rows), mu, _softplus(pre_sigma) + SIGMA_FLOOR
 
 
 class MDNHead(Layer):
@@ -157,6 +274,8 @@ class MDNHead(Layer):
     and ``g`` pre-sigmas (-> sigma via softplus + floor). The loss is
     the mixture NLL; gradients follow the standard responsibility form.
     """
+
+    _CACHES = ("_cache",)
 
     def __init__(self, in_features: int, num_components: int, *, seed: int = 0):
         super().__init__()
@@ -188,10 +307,7 @@ class MDNHead(Layer):
     def _decode(self, raw: np.ndarray):
         """``(pi, mu, sigma)`` arrays of raw pre-activations."""
         g = self.num_components
-        pi = _softmax(raw[:, :g])
-        mu = raw[:, g:2 * g]
-        sigma = _softplus(raw[:, 2 * g:]) + SIGMA_FLOOR
-        return pi, mu, sigma
+        return _mixture_params(raw[:, :g], raw[:, g:2 * g], raw[:, 2 * g:])
 
     def mixture(self, raw: np.ndarray) -> GaussianMixture:
         """Decode raw pre-activations into mixture parameters."""
@@ -203,33 +319,67 @@ class MDNHead(Layer):
         return float(-np.mean(self.mixture(raw).log_likelihood(y)))
 
     def loss_and_backward(self, y: np.ndarray) -> Tuple[float, np.ndarray]:
-        """NLL of the last *training* forward; returns (loss, grad_x).
+        """NLL of the last *training* forward; returns (loss, grad_x):
+        :func:`grid_loss_and_backward` of this head alone.
 
         Run it under ``np.errstate(**QUIET)`` (a fit enters it once).
         """
-        assert self._cache is not None, "call forward(training=True) first"
-        x, raw = self._cache
-        n = raw.shape[0]
-        g = self.num_components
-        pi, mu, sigma = self._decode(raw)
-        y_col = np.asarray(y, dtype=np.float64)[:, None]
+        (result,) = grid_loss_and_backward([self], [y])
+        return result
 
-        log_comp, z, z2 = _log_components(pi, mu, sigma, y_col)
-        log_norm = _row_logsumexp(log_comp)
-        resp = np.exp(log_comp - log_norm)  # responsibilities gamma
+
+def grid_loss_and_backward(
+    heads: Sequence[MDNHead], ys: Sequence[np.ndarray]
+) -> List[Tuple[float, np.ndarray]]:
+    """Each head's NLL of its last *training* forward on its own targets
+    (one minibatch size for all), its ``W`` / ``b`` gradients added, and
+    ``(loss, grad_x)`` per head.
+
+    The heads' raw pre-activations are gathered into one joint buffer,
+    section-major (logits, means, pre-sigmas) and member-major within a
+    section (:class:`GridRows`), so the elementwise math of the whole
+    grid is one ufunc call per operation. Every value is the operation
+    a head alone would compute, on the same operands and in the same
+    order: the sums run per head on the same contiguous layout, and a
+    head's raw gradient is gathered back into one contiguous ``(n, 3g)``
+    array for its own matmuls.
+    """
+    rows = _grid_rows(
+        tuple([head.num_components for head in heads]), len(ys[0]))
+    n = float(rows.n)  # a float divides as the int did, minus its cast
+    for head in heads:
+        assert head._cache is not None, "call forward(training=True) first"
+    raw = rows.join([head._cache[1] for head in heads])
+    logits, mu, pre_sigma = raw
+    pi, mu, sigma = _mixture_params(logits, mu, pre_sigma, rows)
+    y = rows.join_targets(ys)
+
+    log_comp, z, z2 = _log_components(pi, mu, sigma, y)
+    log_norm = _row_logsumexp(log_comp, rows)
+    log_comp -= rows.spread(log_norm)
+    resp = np.exp(log_comp, out=log_comp)  # responsibilities gamma
+
+    # Gradients of mean NLL wrt raw pre-activations.
+    grad = np.empty_like(raw)
+    grad_pi, grad_mu, grad_pre_sigma = grad
+    np.subtract(pi, resp, out=grad_pi)                 # pi logits
+    grad_pi /= n
+    np.negative(z, out=grad_mu)                        # means
+    grad_mu *= resp
+    grad_mu /= sigma
+    grad_mu /= n
+    # d sigma / d pre-sigma = sigmoid(pre-sigma)
+    dsigma = 1.0 / (1.0 + np.exp(-pre_sigma))
+    grad_sigma = resp * (1.0 / sigma - z2 / sigma) / n
+    np.multiply(grad_sigma, dsigma, out=grad_pre_sigma)
+
+    results = []
+    for head, head_log_norm, grad_raw in zip(
+            heads, rows.split(log_norm), rows.split_gradient(grad)):
         # np.mean's own arithmetic: a pairwise sum, then one division.
-        loss = float(-(np.add.reduce(log_norm, axis=None) / log_norm.size))
-
-        # Gradients of mean NLL wrt raw pre-activations.
-        grad_raw = np.empty_like(raw)
-        grad_raw[:, :g] = (pi - resp) / n                # pi logits
-        grad_raw[:, g:2 * g] = (resp * (-z) / sigma) / n  # means
-        # d sigma / d pre-sigma = sigmoid(pre-sigma)
-        pre_sigma = raw[:, 2 * g:]
-        dsigma = 1.0 / (1.0 + np.exp(-pre_sigma))
-        grad_sigma = resp * (1.0 / sigma - z2 / sigma) / n
-        grad_raw[:, 2 * g:] = grad_sigma * dsigma
-
-        self.grads["W"] += x.T @ grad_raw
-        self.grads["b"] += grad_raw.sum(axis=0)
-        return loss, grad_raw @ self.params["W"].T
+        loss = float(-(np.add.reduce(head_log_norm, axis=None) / n))
+        x = head._cache[0]
+        head.grads["W"] += x.T @ grad_raw
+        head.grads["b"] += np.add.reduce(grad_raw, 0)
+        results.append((loss, grad_raw @ head.params["W"].T))
+    return results

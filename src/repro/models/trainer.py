@@ -24,6 +24,7 @@ from ..config import Phase1Config
 from ..errors import ConfigurationError
 from .cmdn import ConvMDNProxy, FeatureMDNProxy, ProxyScorer, mean_nll
 from .mdn import QUIET
+from .network import NetworkGrid
 from .optim import Adam
 
 #: Mini-batch size of every proxy fit.
@@ -59,16 +60,6 @@ def _best_index(histories: Sequence[TrainingHistory]) -> int:
     return int(np.argmin([h.holdout_nll for h in histories]))
 
 
-def _iterate_minibatches(
-    rng: np.random.Generator,
-    num_samples: int,
-    batch_size: int,
-):
-    order = rng.permutation(num_samples)
-    for start in range(0, num_samples, batch_size):
-        yield order[start:start + batch_size]
-
-
 def _check_sample(pixels: np.ndarray, scores: np.ndarray) -> None:
     if len(pixels) != len(scores):
         raise ConfigurationError("pixels and scores must align")
@@ -88,37 +79,55 @@ def train_network(
 ) -> List[float]:
     """Fit one proxy network; returns per-epoch mean NLL (scaled units)."""
     _check_sample(train_pixels, train_scores)
-    return _fit(
-        proxy, proxy.featurize(train_pixels), train_scores, epochs=epochs,
-        batch_size=batch_size, learning_rate=learning_rate, seed=seed)
+    (losses,) = _fit(
+        [proxy], proxy.featurize(train_pixels), train_scores, epochs=epochs,
+        batch_size=batch_size, learning_rate=learning_rate, seeds=[seed])
+    return losses
 
 
 def _fit(
-    proxy: ProxyScorer,
+    proxies: Sequence[ProxyScorer],
     train_features: np.ndarray,
     train_scores: np.ndarray,
     *,
     epochs: int,
     batch_size: int,
     learning_rate: float,
-    seed: int,
-) -> List[float]:
-    """:func:`train_network` on already featurized frames."""
-    inputs = proxy.fit_inputs(train_features)
-    network = proxy.network
-    network.fit_target_scaling(train_scores)
-    optimizer = Adam(learning_rate)
-    rng = np.random.default_rng(seed)
-    targets = network.scale_targets(train_scores)
+    seeds: Sequence[int],
+) -> List[List[float]]:
+    """:func:`train_network` of each proxy on already featurized frames,
+    all in one minibatch loop (a :class:`NetworkGrid`).
 
-    losses: List[float] = []
+    Each proxy keeps its own input scaling, target scaling and minibatch
+    order (``default_rng`` of its seed), so its minibatches are the ones
+    it would see alone; the proxies share the step count and one Adam.
+    """
+    networks = [proxy.network for proxy in proxies]
+    inputs, targets = [], []
+    for proxy, network in zip(proxies, networks):
+        inputs.append(proxy.fit_inputs(train_features))
+        network.fit_target_scaling(train_scores)
+        targets.append(network.scale_targets(train_scores))
+    grid = NetworkGrid(networks)
+    optimizer = Adam(learning_rate)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    num_samples = len(train_features)
+
+    losses: List[List[float]] = [[] for _ in proxies]
     with np.errstate(**QUIET):
         for _ in range(epochs):
-            epoch_losses = []
-            for batch in _iterate_minibatches(rng, len(inputs), batch_size):
-                epoch_losses.append(network.train_step_scaled(
-                    inputs[batch], targets[batch], optimizer))
-            losses.append(float(np.mean(epoch_losses)))
+            orders = [rng.permutation(num_samples) for rng in rngs]
+            steps = []
+            for start in range(0, num_samples, batch_size):
+                batches = [order[start:start + batch_size]
+                           for order in orders]
+                steps.append(grid.train_step_scaled(
+                    [x.take(batch, 0) for x, batch in zip(inputs, batches)],
+                    [y[batch] for y, batch in zip(targets, batches)],
+                    optimizer))
+            for history, epoch_losses in zip(losses, zip(*steps)):
+                history.append(float(np.mean(epoch_losses)))
+    grid.release()
     return losses
 
 
@@ -156,30 +165,28 @@ def train_proxy_grid(
     _check_sample(train_features, train_scores)
     family, family_args = proxy_family(config, input_hw)
 
-    histories: List[TrainingHistory] = []
-    candidates: List[ProxyScorer] = []
-    for i, (g, h) in enumerate(config.cmdn_grid):
-        proxy: ProxyScorer = family(
-            *family_args, num_gaussians=g, num_hypotheses=h,
-            seed=seed + 31 * i)
-        epoch_losses = _fit(
-            proxy,
-            train_features,
-            train_scores,
-            epochs=config.epochs,
-            batch_size=TRAIN_BATCH_SIZE,
-            learning_rate=LEARNING_RATE,
-            seed=seed + 7 * i,
-        )
-        holdout_nll = mean_nll(
-            proxy.network.predict(proxy.inputs(holdout_features)),
-            holdout_scores)
-        histories.append(TrainingHistory(
-            hyperparameters=(g, h),
+    candidates: List[ProxyScorer] = [
+        family(*family_args, num_gaussians=g, num_hypotheses=h,
+               seed=seed + 31 * i)
+        for i, (g, h) in enumerate(config.cmdn_grid)]
+    all_losses = _fit(
+        candidates,
+        train_features,
+        train_scores,
+        epochs=config.epochs,
+        batch_size=TRAIN_BATCH_SIZE,
+        learning_rate=LEARNING_RATE,
+        seeds=[seed + 7 * i for i in range(len(candidates))],
+    )
+    histories = [
+        TrainingHistory(
+            hyperparameters=proxy.hyperparameters,
             epoch_losses=epoch_losses,
-            holdout_nll=holdout_nll,
-        ))
-        candidates.append(proxy)
+            holdout_nll=mean_nll(
+                proxy.network.predict(proxy.inputs(holdout_features)),
+                holdout_scores),
+        )
+        for proxy, epoch_losses in zip(candidates, all_losses)]
 
     return GridResult(
         proxy=candidates[_best_index(histories)],

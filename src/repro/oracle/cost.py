@@ -72,7 +72,10 @@ class CostModel:
         self._entries: Dict[str, CostEntry] = {}
 
     def _entry(self, key: str) -> CostEntry:
-        return self._entries.setdefault(key, CostEntry())
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = CostEntry()
+        return entry
 
     def charge(self, key: str, units: float = 1.0) -> float:
         """Charge ``units`` of work under ``key``; returns seconds added."""

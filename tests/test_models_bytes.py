@@ -1,4 +1,4 @@
-"""Byte pins for the proxy trainer (DESIGN.md §2).
+"""Byte pins for the proxy trainer (DESIGN.md §3).
 
 Training may be made cheaper only under the byte invariant, so the
 bytes are pinned at three levels:

@@ -133,3 +133,64 @@ def test_shipped_proxy_predicts_the_same_bytes(trained_proxy, traffic_video):
     with PersistentPool(1) as pool:
         assert pool.submit(
             _shipped_mixture_bytes, handle, pixels).result(WAIT) == expected
+
+
+# ----------------------------------------------------------------------
+# A pickle carries no training cache (DESIGN.md §3).
+
+#: Per layer class, the attributes that hold the last training batch.
+CACHES = {
+    "Dense": ("_x",), "ReLU": ("_mask",), "Flatten": ("_shape",),
+    "Conv2D": ("_cols", "_x_shape"), "MaxPool2D": ("_argmax", "_in_shape"),
+    "MDNHead": ("_cache",),
+}
+
+
+def _cache_values(network):
+    return [getattr(layer, name)
+            for layer in network.layers + [network.head]
+            for name in CACHES[type(layer).__name__]]
+
+
+@pytest.mark.parametrize("config", [
+    Phase1Config(),
+    Phase1Config(sample_fraction=0.05, min_train_samples=128,
+                 holdout_samples=64, cmdn_grid=((3, 16), (2, 8)), epochs=1,
+                 use_feature_mdn=False),
+], ids=["default", "conv"])
+def test_a_pickled_proxy_carries_no_training_cache(config):
+    frames = 1_500 if config.use_feature_mdn else 400
+    session = Session(TrafficVideo("pickle-cache", frames, seed=41),
+                      counting_udf("car"),
+                      config=EverestConfig(phase1=config))
+    proxy = session.phase1().proxy
+    network = proxy.network
+    # The fit released its last batch.
+    assert all(value is None for value in _cache_values(network))
+    blob = pickle.dumps(proxy)
+    restored = pickle.loads(blob).network
+    assert vars(restored).keys() == vars(network).keys()
+    assert all(value is None for value in _cache_values(restored))
+    if not config.use_feature_mdn:
+        assert len(blob) < 1_000_000
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (build_feature_mdn(num_gaussians=3, num_hypotheses=8, seed=2),
+             (40, 16)),
+    lambda: (build_conv_mdn((8, 8), num_gaussians=2, num_hypotheses=6,
+                            num_conv_layers=1, seed=2), (12, 1, 8, 8)),
+], ids=["feature", "conv"])
+def test_a_mid_training_pickle_drops_the_batch_and_still_trains(build):
+    rng = np.random.default_rng(3)
+    original, shape = build()
+    x, y = rng.normal(size=shape), rng.normal(size=shape[0])
+    original.fit_target_scaling(y)
+    _train(original, x, y, steps=3)     # caches hold the last batch
+    assert any(value is not None for value in _cache_values(original))
+    restored = pickle.loads(pickle.dumps(original))
+    assert all(value is None for value in _cache_values(restored))
+    for layer, twin in zip(restored.layers + [restored.head],
+                           original.layers + [original.head]):
+        assert vars(layer).keys() == vars(twin).keys()
+    assert _train(restored, x, y) == _train(original, x, y)

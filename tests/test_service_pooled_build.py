@@ -92,10 +92,9 @@ def test_a_pooled_build_is_the_inline_build(pool, seed, config):
     inline = run_phase1(*args)
     pooled = build_in_pool(pool, *args)
     differing = list(_differences(inline, pooled))
-    # The round trip drops the accumulated gradients (re-packed to
-    # zero on unpickle); nothing else.
-    assert differing and all(
-        ".grads." in path for path in differing), differing
+    # Nothing differs: a fit ends with its gradients re-packed to zero
+    # and its training caches dropped, which is what an unpickle gives.
+    assert not differing, differing
     # The walk reached what matters (and would have listed it).
     assert inline.oracle_calls > 0
     assert inline.cost_model.total_seconds() > 0
